@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet vet-custom build test fmt bench bench-diff bench-serve bench-compute bench-trace serve-smoke elastic-smoke trace-smoke race
+.PHONY: verify fmt-check vet vet-custom build test fmt bench bench-diff bench-serve bench-compute bench-trace serve-smoke elastic-smoke trace-smoke race surface
 
 # verify is the tier-1 gate: formatting, vet (standard and project
 # analyzers), full build, full test run, and the hermetic elastic and
@@ -90,6 +90,13 @@ elastic-smoke:
 # detector alone would miss. Identical to the CI race job.
 race:
 	$(GO) test -race ./...
+
+# surface rewrites SURFACE.md: non-test Go lines and exported top-level
+# identifiers per package under internal/ and cmd/, with a module total —
+# the size trend, made visible the way BENCH_*.json makes perf visible. The
+# CI verify job regenerates it and fails on a stale committed report.
+surface:
+	GO=$(GO) sh scripts/surface.sh > SURFACE.md
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \

@@ -131,7 +131,8 @@ func Run(arch model.Arch, opts train.Options, eo Options, batch train.BatchFn) (
 		from, start, source = ck, ck.Manifest.Step, SourceCheckpoint
 	}
 	// The generation loop consumes opts.Resume/InitFrom here; the restore
-	// source reaches RunGeneration explicitly via GenSpec.From.
+	// source reaches RunGeneration explicitly via GenSpec.From, and
+	// RunGeneration refuses options that name another one.
 	opts.Resume = false
 	opts.InitFrom = ""
 	if opts.Trace == nil {

@@ -5,27 +5,25 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
-	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/faultinject"
 	"repro/internal/model"
-	"repro/internal/nn"
-	"repro/internal/optim"
-	"repro/internal/parallel"
-	"repro/internal/tensor"
 )
 
 // GenSpec describes one elastic generation: a contiguous [Start, End) slice
 // of the global step range run at a fixed TP×DP shape, optionally restored
 // from a checkpoint (in-memory reshard or disk restore — both arrive here
-// as a *ckpt.Checkpoint).
+// as a *ckpt.Checkpoint). It is also how every mesh run is described to the
+// step engine: Hybrid is the generation [restored step, Options.Steps) with
+// no fault plan and no snapshots.
 type GenSpec struct {
 	TP, DP int
 	// Start and End bound the generation's global steps: [Start, End).
 	// End may stop short of Options.Steps (an explicit resize boundary).
 	Start, End int
-	// From is the restore source. It must be nil exactly when Start is 0,
-	// and its manifest step must equal Start otherwise.
+	// From is the restore source — the only one a generation has, restored
+	// in full (weights, moments, step). It is required when Start > 0 and
+	// its manifest step must equal Start; nil trains from fresh state.
 	From *ckpt.Checkpoint
 	// Fault, when non-nil, is installed on every mesh communicator and
 	// consulted at the step-top and checkpoint hooks.
@@ -72,199 +70,50 @@ func AssembleBoundary(arch model.Arch, partitions, step int, trees []ckpt.Tree) 
 	return ckpt.Assemble(man, trees)
 }
 
-// RunGeneration runs one elastic generation of hybrid (TP×DP) training.
-// The step body is arithmetically identical to Hybrid/Distributed — same
-// batch sharding, mask stream, gradient sync, clipping, and LR schedule
-// keyed by the global step — so a generation restored from a checkpoint
-// continues bitwise exactly like an uninterrupted run at the same shape.
-// Unlike Hybrid it snapshots every rank's state tree at each step boundary
-// (for in-memory resharding) and threads the fault plan through the mesh.
-func RunGeneration(arch model.Arch, opts Options, g GenSpec, batch BatchFn) GenResult {
-	res := GenResult{}
-	fail := func(err error) GenResult {
-		res.Err = err
-		return res
+// validate is the shared shape and option validation plus what only a
+// generation can get wrong: its step range and its restore source.
+func (g GenSpec) validate(opts Options) error {
+	if err := opts.validate(g.TP, g.DP); err != nil {
+		return err
 	}
-	if g.TP < 1 || g.DP < 1 {
-		return fail(fmt.Errorf("train: invalid generation shape tp=%d dp=%d", g.TP, g.DP))
-	}
-	if opts.Batch%g.DP != 0 {
-		return fail(fmt.Errorf("train: batch %d not divisible by dp %d", opts.Batch, g.DP))
+	if opts.Resume || opts.InitFrom != "" {
+		return fmt.Errorf("train: a generation restores from GenSpec.From; Options.Resume/InitFrom would be ignored")
 	}
 	if g.Start < 0 || g.Start >= g.End || g.End > opts.Steps {
-		return fail(fmt.Errorf("train: generation step range [%d,%d) outside [0,%d)", g.Start, g.End, opts.Steps))
+		return fmt.Errorf("train: generation step range [%d,%d) outside [0,%d)", g.Start, g.End, opts.Steps)
 	}
 	// Start > 0 needs a restore source; Start == 0 admits one too — an
 	// in-memory reshard at the step-0 boundary after a very early failure.
 	if g.Start > 0 && g.From == nil {
-		return fail(fmt.Errorf("train: generation start %d without a restore source", g.Start))
+		return fmt.Errorf("train: generation start %d without a restore source", g.Start)
 	}
 	if g.From != nil && g.From.Manifest.Step != g.Start {
-		return fail(fmt.Errorf("train: restore source at step %d, generation starts at %d", g.From.Manifest.Step, g.Start))
+		return fmt.Errorf("train: restore source at step %d, generation starts at %d", g.From.Manifest.Step, g.Start)
 	}
-	if err := opts.validateCheckpoint(); err != nil {
-		return fail(err)
+	return nil
+}
+
+// RunGeneration runs one elastic generation of hybrid (TP×DP) training: the
+// step engine every other entry point runs, over [g.Start, g.End) with g.From
+// as the restore source, so a generation restored from a checkpoint continues
+// bitwise exactly like an uninterrupted run at the same shape. It adds the
+// two things only elasticity needs — the fault plan, threaded through the
+// mesh and the step's hooks, and every rank's state tree at each step
+// boundary (for in-memory resharding).
+func RunGeneration(arch model.Arch, opts Options, g GenSpec, batch BatchFn) GenResult {
+	if err := g.validate(opts); err != nil {
+		return GenResult{Err: err}
 	}
-	spec := dist.MeshSpec{TP: g.TP, FSDP: 1, DP: g.DP}
-	topo := dist.Topology{Nodes: 1, GPUsPerNode: spec.World()}
-	if spec.World() > 8 && spec.World()%8 == 0 {
-		topo = dist.Frontier(spec.World() / 8)
-	}
-	m, err := dist.NewMesh(spec, topo)
-	if err != nil {
-		return fail(err)
-	}
-	if g.Fault != nil {
-		m.SetFaultInjector(g.Fault)
-	}
-	setMeshObserver(m, opts.Trace)
-	world := spec.World()
-	res.Mesh = m
-	res.Trees = make([]ckpt.Tree, world)
-	res.Boundary = make([]int, world)
+	world := g.TP * g.DP
+	res := GenResult{Trees: make([]ckpt.Tree, world), Boundary: make([]int, world)}
 	for r := range res.Boundary {
 		res.Boundary[r] = -1
 	}
-	var hist History
-	hist.Start = g.Start
-	res.Err = m.Run(func(rank int, m *dist.Mesh) error {
-		row := opts.Trace.Rank(rank)
-		tpc := m.TPComm(rank)
-		dpc := m.DPComm(rank)
-		coord := m.Spec.CoordOf(rank)
-
-		mdl := model.NewDistributed(arch, tpc, g.TPViT)
-		stage := mdl.Stage.(*model.DCHAGStage)
-		lo, hi := stage.ChannelBounds()
-		ddp := parallel.NewDDP(dpc, mdl.Params())
-		opt := optim.NewAdamW(mdl.Params(), opts.LR, opts.WeightDecay)
-		maskRNG := tensor.NewRNG(opts.Seed)
-		mse := nn.NewMSELoss()
-		masked := nn.NewMaskedMSELoss()
-		t := arch.Tokens()
-		accum := opts.accum()
-		sched := opts.schedule()
-		shard := opts.Batch / g.DP
-		if g.From != nil {
-			if err := checkStage(g.From.Manifest, stageDCHAG); err != nil {
-				return err
-			}
-			if g.From.Manifest.Partitions != stage.D.Partitions {
-				return fmt.Errorf("train: restore source has %d logical partitions, model has %d",
-					g.From.Manifest.Partitions, stage.D.Partitions)
-			}
-			if err := g.From.RestoreParams(mdl.Params()); err != nil {
-				return err
-			}
-			if err := g.From.RestoreOptimizer(opt, mdl.Params()); err != nil {
-				return err
-			}
-		}
-		fastForwardMasks(maskRNG, g.Start, opts, t)
-		// Each rank writes only its own slot; the Run WaitGroup publishes
-		// them to the supervisor. A fresh AdamW exports complete (zeroed)
-		// moments, so the Start-boundary snapshot is always restorable.
-		snapshot := func(step int) {
-			res.Trees[rank] = ckpt.BuildTree(mdl.Params(), opt)
-			res.Boundary[rank] = step
-		}
-		snapshot(g.Start)
-
-		for s := g.Start; s < g.End; s++ {
-			if g.Fault != nil {
-				g.Fault.Step(rank, s)
-			}
-			if sched != nil {
-				sched.Apply(opt, s)
-			}
-			nn.ZeroGrads(mdl.Params())
-			stepLoss := 0.0
-			for a := 0; a < accum; a++ {
-				x, y := batch(s*accum + a)
-				// This replica's batch rows, then this rank's channels.
-				xDP := tensor.SliceAxis(x, 0, coord.DP*shard, (coord.DP+1)*shard)
-				yDP := tensor.SliceAxis(y, 0, coord.DP*shard, (coord.DP+1)*shard)
-				xShard := tensor.SliceAxis(xDP, 1, lo, hi)
-				target := model.Patchify(yDP, arch.Patch)
-				var grad *tensor.Tensor
-				tpc.SetPhase("forward")
-				fwd := row.Begin("forward", "train")
-				if opts.MaskRatio > 0 {
-					// Full-batch mask so every replica consumes the same
-					// stream as the serial run, then this replica's rows.
-					full := data.RandomMask(maskRNG, x.Shape[0], t, opts.MaskRatio)
-					mask := tensor.SliceAxis(full, 0, coord.DP*shard, (coord.DP+1)*shard)
-					pred := mdl.Forward(xShard, mask)
-					stepLoss += masked.Forward(pred, target, mask)
-					grad = masked.Backward()
-				} else {
-					pred := mdl.Forward(xShard, nil)
-					stepLoss += mse.Forward(pred, target)
-					grad = mse.Backward()
-				}
-				fwd.End()
-				tpc.SetPhase("backward")
-				bwd := row.Begin("backward", "train")
-				mdl.Backward(grad)
-				bwd.End()
-			}
-			if accum > 1 {
-				for _, p := range mdl.Params() {
-					tensor.ScaleInPlace(p.Grad, 1/float64(accum))
-				}
-			}
-			dpc.SetPhase("dp-sync")
-			sync := row.Begin("dp-sync", "train")
-			ddp.SyncGradients()
-			sync.End()
-			optSpan := row.Begin("optim", "train")
-			if opts.ClipNorm > 0 {
-				tpc.SetPhase("optim")
-				local, repl := mdl.PartitionParams()
-				DistributedClipGradNorm(tpc, local, repl, opts.ClipNorm)
-			}
-			opt.Step()
-			optSpan.End()
-			// Every rank reduces; only world rank 0 records (collectivesym:
-			// the collective stays outside the rank conditional).
-			dpc.SetPhase("metrics")
-			meanLoss := dpc.AllReduceScalarSum(stepLoss/float64(accum)) / float64(g.DP)
-			if rank == 0 {
-				hist.Loss = append(hist.Loss, meanLoss)
-			}
-			if opts.checkpointDue(s) {
-				// DP replicas hold identical state after SyncGradients, so
-				// replica 0's TP group alone writes shards; world rank 0
-				// commits the manifest once they are durable. checkpointDue
-				// is rank-independent, so every TP group runs the same two
-				// barriers — symmetric with no rank conditional around them.
-				tpc.SetPhase("ckpt")
-				ckSpan := row.Begin("ckpt", "train")
-				dir := opts.checkpointTarget(s + 1)
-				if coord.DP == 0 {
-					if err := writeShard(dir, coord.TP, mdl.Params(), opt); err != nil {
-						return err
-					}
-					if g.Fault != nil {
-						g.Fault.Checkpoint(rank, s+1)
-					}
-				}
-				tpc.Barrier()
-				if rank == 0 {
-					if err := writeManifest(dir, g.TP, stage.D.Partitions, s+1, stageDCHAG, mdl.Arch); err != nil {
-						return err
-					}
-					if err := opts.pruneCheckpoints(); err != nil {
-						return err
-					}
-				}
-				tpc.Barrier()
-				ckSpan.End()
-			}
-			snapshot(s + 1)
-		}
-		return nil
-	})
-	res.Hist = hist
+	// Each rank writes only its own slot; the mesh run's WaitGroup publishes
+	// them to the supervisor.
+	snapshot := func(rank, step int, tree ckpt.Tree) {
+		res.Trees[rank], res.Boundary[rank] = tree, step
+	}
+	res.Hist, res.Mesh, res.Err = runMesh(arch, opts, g, snapshot, batch)
 	return res
 }

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -124,5 +125,17 @@ func TestRunGenerationValidation(t *testing.T) {
 	}
 	if res := RunGeneration(a, opts, GenSpec{TP: 2, DP: 3, Start: 0, End: 2}, batch); res.Err == nil {
 		t.Fatal("want error for batch not divisible by dp")
+	}
+	// A generation's only restore source is GenSpec.From: Resume/InitFrom
+	// must be refused, not validated and then ignored.
+	resume := opts
+	resume.Resume, resume.CheckpointDir = true, t.TempDir()
+	if res := RunGeneration(a, resume, GenSpec{TP: 2, DP: 1, Start: 0, End: 2}, batch); res.Err == nil || !strings.Contains(res.Err.Error(), "GenSpec.From") {
+		t.Fatalf("Resume on a generation: err = %v, want one naming GenSpec.From", res.Err)
+	}
+	warm := opts
+	warm.InitFrom = t.TempDir()
+	if res := RunGeneration(a, warm, GenSpec{TP: 2, DP: 1, Start: 0, End: 2}, batch); res.Err == nil || !strings.Contains(res.Err.Error(), "GenSpec.From") {
+		t.Fatalf("InitFrom on a generation: err = %v, want one naming GenSpec.From", res.Err)
 	}
 }

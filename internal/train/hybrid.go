@@ -3,15 +3,11 @@ package train
 import (
 	"fmt"
 
+	"repro/internal/ckpt"
 	"repro/internal/comm"
-	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/model"
-	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/optim"
-	"repro/internal/parallel"
-	"repro/internal/tensor"
 )
 
 // setMeshObserver installs per-axis comm observers for the tracer's rows
@@ -26,6 +22,44 @@ func setMeshObserver(m *dist.Mesh, tr *obs.Tracer) {
 	})
 }
 
+// runMesh is every distributed entry point: it builds the g.TP×1×g.DP mesh,
+// gives each world rank a worker over its D-CHAG model shard, and runs them
+// up to global step g.End from g.From (the workers derive the first step
+// from the restore source, so g.Start is the caller's to validate). The
+// history is world rank 0's and is valid up to the last completed step even
+// when the run fails; the mesh is nil only when it could not be built.
+func runMesh(arch model.Arch, opts Options, g GenSpec, boundary func(rank, step int, tree ckpt.Tree), batch BatchFn) (History, *dist.Mesh, error) {
+	var hist History
+	spec := dist.MeshSpec{TP: g.TP, FSDP: 1, DP: g.DP}
+	// Frontier-shaped placement when the world fills nodes evenly; otherwise
+	// a single "node" wide enough for the whole group (the functional layer
+	// only uses the topology for placement metadata).
+	topo := dist.Topology{Nodes: 1, GPUsPerNode: spec.World()}
+	if spec.World() > 8 && spec.World()%8 == 0 {
+		topo = dist.Frontier(spec.World() / 8)
+	}
+	mesh, err := dist.NewMesh(spec, topo)
+	if err != nil {
+		return hist, nil, err
+	}
+	if g.Fault != nil {
+		mesh.SetFaultInjector(g.Fault)
+	}
+	setMeshObserver(mesh, opts.Trace)
+	err = mesh.Run(func(rank int, m *dist.Mesh) error {
+		w := worker{
+			m:   model.NewDistributed(arch, m.TPComm(rank), g.TPViT),
+			tpc: m.TPComm(rank), dpc: m.DPComm(rank),
+			rank: rank, coord: m.Spec.CoordOf(rank),
+			from: g.From, end: g.End,
+			row: opts.Trace.Rank(rank), hist: &hist,
+			fault: g.Fault, boundary: boundary,
+		}
+		return w.train(opts, batch)
+	})
+	return hist, mesh, err
+}
+
 // Hybrid trains with the paper's Sec. 3.4 composition on the device mesh:
 // every data-parallel replica is a D-CHAG (= TP) group of tp ranks holding a
 // channel shard of its replica's batch shard; gradients are averaged across
@@ -38,13 +72,7 @@ func setMeshObserver(m *dist.Mesh, tr *obs.Tracer) {
 // model.NewSerialDCHAGEquivalent(arch, tp) trained on the full batch, which
 // the tests assert.
 func Hybrid(arch model.Arch, tp, dp int, tpViT bool, opts Options, batch BatchFn) (History, *dist.Mesh, error) {
-	if tp < 1 || dp < 1 {
-		return History{}, nil, fmt.Errorf("train: invalid hybrid sizes tp=%d dp=%d", tp, dp)
-	}
-	if opts.Batch%dp != 0 {
-		return History{}, nil, fmt.Errorf("train: batch %d not divisible by dp %d", opts.Batch, dp)
-	}
-	if err := opts.validateCheckpoint(); err != nil {
+	if err := opts.validate(tp, dp); err != nil {
 		return History{}, nil, err
 	}
 	// One read-only Checkpoint shared by all rank goroutines.
@@ -52,141 +80,9 @@ func Hybrid(arch model.Arch, tp, dp int, tpViT bool, opts Options, batch BatchFn
 	if err != nil {
 		return History{}, nil, err
 	}
-	spec := dist.MeshSpec{TP: tp, FSDP: 1, DP: dp}
-	// Frontier-shaped placement when the world fills nodes evenly; otherwise
-	// a single "node" wide enough for the whole group (the functional layer
-	// only uses the topology for placement metadata).
-	topo := dist.Topology{Nodes: 1, GPUsPerNode: spec.World()}
-	if spec.World() > 8 && spec.World()%8 == 0 {
-		topo = dist.Frontier(spec.World() / 8)
-	}
-	var hist History
-	mesh, err := dist.NewMesh(spec, topo)
+	hist, mesh, err := runMesh(arch, opts, GenSpec{TP: tp, DP: dp, End: opts.Steps, From: ck, TPViT: tpViT}, nil, batch)
 	if err != nil {
-		return History{}, nil, err
-	}
-	setMeshObserver(mesh, opts.Trace)
-	err = mesh.Run(func(rank int, m *dist.Mesh) error {
-		row := opts.Trace.Rank(rank)
-		tpc := m.TPComm(rank)
-		dpc := m.DPComm(rank)
-		coord := m.Spec.CoordOf(rank)
-
-		mdl := model.NewDistributed(arch, tpc, tpViT)
-		stage := mdl.Stage.(*model.DCHAGStage)
-		lo, hi := stage.ChannelBounds()
-		ddp := parallel.NewDDP(dpc, mdl.Params())
-		opt := optim.NewAdamW(mdl.Params(), opts.LR, opts.WeightDecay)
-		maskRNG := tensor.NewRNG(opts.Seed)
-		mse := nn.NewMSELoss()
-		masked := nn.NewMaskedMSELoss()
-		t := arch.Tokens()
-		accum := opts.accum()
-		sched := opts.schedule()
-		shard := opts.Batch / dp
-		start, err := restoreStart(ck, opts, mdl.Params(), opt, stage.D.Partitions, stageDCHAG)
-		if err != nil {
-			return err
-		}
-		fastForwardMasks(maskRNG, start, opts, t)
-		if rank == 0 {
-			hist.Start = start
-		}
-
-		for s := start; s < opts.Steps; s++ {
-			if sched != nil {
-				sched.Apply(opt, s)
-			}
-			nn.ZeroGrads(mdl.Params())
-			stepLoss := 0.0
-			for a := 0; a < accum; a++ {
-				x, y := batch(s*accum + a)
-				// This replica's batch rows, then this rank's channels.
-				xDP := tensor.SliceAxis(x, 0, coord.DP*shard, (coord.DP+1)*shard)
-				yDP := tensor.SliceAxis(y, 0, coord.DP*shard, (coord.DP+1)*shard)
-				xShard := tensor.SliceAxis(xDP, 1, lo, hi)
-				target := model.Patchify(yDP, arch.Patch)
-				var grad *tensor.Tensor
-				tpc.SetPhase("forward")
-				fwd := row.Begin("forward", "train")
-				if opts.MaskRatio > 0 {
-					// Draw the full-batch mask so every replica consumes the
-					// same stream as the serial run, then keep this
-					// replica's rows.
-					full := data.RandomMask(maskRNG, x.Shape[0], t, opts.MaskRatio)
-					mask := tensor.SliceAxis(full, 0, coord.DP*shard, (coord.DP+1)*shard)
-					pred := mdl.Forward(xShard, mask)
-					stepLoss += masked.Forward(pred, target, mask)
-					grad = masked.Backward()
-				} else {
-					pred := mdl.Forward(xShard, nil)
-					stepLoss += mse.Forward(pred, target)
-					grad = mse.Backward()
-				}
-				fwd.End()
-				tpc.SetPhase("backward")
-				bwd := row.Begin("backward", "train")
-				mdl.Backward(grad)
-				bwd.End()
-			}
-			if accum > 1 {
-				for _, p := range mdl.Params() {
-					tensor.ScaleInPlace(p.Grad, 1/float64(accum))
-				}
-			}
-			// The one cross-replica synchronization point (paper Sec. 6.3).
-			dpc.SetPhase("dp-sync")
-			sync := row.Begin("dp-sync", "train")
-			ddp.SyncGradients()
-			sync.End()
-			optSpan := row.Begin("optim", "train")
-			if opts.ClipNorm > 0 {
-				tpc.SetPhase("optim")
-				local, repl := mdl.PartitionParams()
-				DistributedClipGradNorm(tpc, local, repl, opts.ClipNorm)
-			}
-			opt.Step()
-			optSpan.End()
-			// Every rank reduces; only world rank 0 records. Keeping the
-			// collective outside the rank conditional keeps the DP groups'
-			// collective sequences identical (dchag-vet: collectivesym).
-			dpc.SetPhase("metrics")
-			meanLoss := dpc.AllReduceScalarSum(stepLoss/float64(accum)) / float64(dp)
-			if rank == 0 {
-				hist.Loss = append(hist.Loss, meanLoss)
-			}
-			if opts.checkpointDue(s) && coord.DP == 0 {
-				// DP replicas hold identical state after SyncGradients, so
-				// replica 0's TP group alone writes the checkpoint; world
-				// rank 0 commits the manifest once its group's shards are
-				// durable. The coord.DP == 0 condition selects whole TP
-				// groups — it is uniform across every member of tpc's group,
-				// so the barriers below stay symmetric within the group.
-				tpc.SetPhase("ckpt")
-				ckSpan := row.Begin("ckpt", "train")
-				dir := opts.checkpointTarget(s + 1)
-				if err := writeShard(dir, coord.TP, mdl.Params(), opt); err != nil {
-					return err
-				}
-				//lint:ignore collectivesym coord.DP==0 admits whole TP groups; uniform within tpc's group
-				tpc.Barrier()
-				if rank == 0 {
-					if err := writeManifest(dir, tp, stage.D.Partitions, s+1, stageDCHAG, mdl.Arch); err != nil {
-						return err
-					}
-					if err := opts.pruneCheckpoints(); err != nil {
-						return err
-					}
-				}
-				//lint:ignore collectivesym coord.DP==0 admits whole TP groups; uniform within tpc's group
-				tpc.Barrier()
-				ckSpan.End()
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return History{}, mesh, fmt.Errorf("train: hybrid run failed: %w", err)
+		return History{}, mesh, fmt.Errorf("train: mesh run failed: %w", err)
 	}
 	return hist, mesh, nil
 }

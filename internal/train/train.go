@@ -1,8 +1,17 @@
-// Package train provides the training loops of the paper's evaluation
-// section: serial baselines on one (simulated) GPU and D-CHAG runs over a
-// group of simulated ranks, with identical hyperparameters, shared masks and
-// batches, and loss/RMSE tracking. It is the machinery behind the Fig. 11
-// (hyperspectral MAE) and Fig. 12 (weather forecasting) reproductions.
+// Package train trains the paper's models: serial baselines on one
+// (simulated) GPU and D-CHAG runs over a mesh of simulated ranks, with
+// identical hyperparameters, shared masks and batches, and loss/RMSE
+// tracking. It is the machinery behind the Fig. 11 (hyperspectral MAE) and
+// Fig. 12 (weather forecasting) reproductions.
+//
+// The paper composes D-CHAG with TP and DP as axes of one training step
+// (Sec. 3.4), and the package writes that step once: worker.train (step.go)
+// owns the LR schedule, the micro-batch loop, gradient sync, clipping, the
+// optimizer step, loss recording and the checkpoint commit for one rank.
+// The exported entry points only build workers — Serial is the 1×1×1 case
+// with no communicators, Hybrid a tp×1×dp mesh, Distributed that mesh at
+// dp = 1, RunGeneration a step sub-range of it with fault and snapshot
+// hooks — so their trajectories agree by construction, not by convention.
 package train
 
 import (
@@ -10,7 +19,6 @@ import (
 	"math"
 
 	"repro/internal/comm"
-	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -70,15 +78,24 @@ type Options struct {
 	// resume. Mutually exclusive with Resume.
 	InitFrom string
 	// Trace, when non-nil, records per-rank step-phase spans (forward,
-	// backward, grad-sync, optim, checkpoint) into the tracer: row = world
-	// rank for the distributed loops, row 0 for the serial ones. The loops
-	// additionally install comm observers so every collective of the run
-	// appears as its own span. nil disables tracing at zero cost.
+	// backward, dp-sync, optim, ckpt) into the tracer: row = world rank on
+	// a mesh, row 0 for the serial run. Mesh runs additionally install
+	// per-axis comm observers so every collective of the run appears as its
+	// own span (comm/tp, comm/dp). nil disables tracing at zero cost.
 	Trace *obs.Tracer
 }
 
-// validateCheckpoint rejects inconsistent checkpoint options.
-func (o Options) validateCheckpoint() error {
+// validate is the one option and shape check every entry point runs before
+// it touches a checkpoint or builds a mesh: a tp×1×dp mesh needs both
+// extents positive (serial is 1×1) and whole batch shards per replica, and
+// the checkpoint options must be consistent.
+func (o Options) validate(tp, dp int) error {
+	if tp < 1 || dp < 1 {
+		return fmt.Errorf("train: invalid mesh shape tp=%d dp=%d", tp, dp)
+	}
+	if o.Batch%dp != 0 {
+		return fmt.Errorf("train: batch %d not divisible by dp %d", o.Batch, dp)
+	}
 	if o.Resume && o.CheckpointDir == "" {
 		return fmt.Errorf("train: Resume requires CheckpointDir")
 	}
@@ -161,195 +178,35 @@ func Serial(m *model.FoundationModel, opts Options, batch BatchFn) History {
 // options: Resume/InitFrom restore state before the first step, and
 // CheckpointDir/CheckpointEvery write shard-aware checkpoints during the
 // run. On resume the returned history covers only the steps this invocation
-// ran (the saved step onward).
+// ran (the saved step onward). It is the step engine's 1×1×1 case: one
+// worker on the caller's goroutine, no mesh and no communicators.
 func SerialCheckpointed(m *model.FoundationModel, opts Options, batch BatchFn) (History, error) {
 	var hist History
-	if err := opts.validateCheckpoint(); err != nil {
+	if err := opts.validate(1, 1); err != nil {
 		return hist, err
 	}
-	opt := optim.NewAdamW(m.Params(), opts.LR, opts.WeightDecay)
-	maskRNG := tensor.NewRNG(opts.Seed)
-	mse := nn.NewMSELoss()
-	masked := nn.NewMaskedMSELoss()
-	t := m.Arch.Tokens()
-	accum := opts.accum()
-	sched := opts.schedule()
 	ck, err := openRestore(opts)
 	if err != nil {
 		return hist, err
 	}
-	start, err := restoreStart(ck, opts, m.Params(), opt, modelPartitions(m), stageKind(m))
-	if err != nil {
-		return hist, err
-	}
-	fastForwardMasks(maskRNG, start, opts, t)
-	hist.Start = start
-	row := opts.Trace.Rank(0)
-	for s := start; s < opts.Steps; s++ {
-		if sched != nil {
-			sched.Apply(opt, s)
-		}
-		nn.ZeroGrads(m.Params())
-		stepLoss := 0.0
-		for a := 0; a < accum; a++ {
-			x, y := batch(s*accum + a)
-			target := model.Patchify(y, m.Arch.Patch)
-			var grad *tensor.Tensor
-			fwd := row.Begin("forward", "train")
-			if opts.MaskRatio > 0 {
-				mask := data.RandomMask(maskRNG, x.Shape[0], t, opts.MaskRatio)
-				pred := m.Forward(x, mask)
-				stepLoss += masked.Forward(pred, target, mask)
-				grad = masked.Backward()
-			} else {
-				pred := m.Forward(x, nil)
-				stepLoss += mse.Forward(pred, target)
-				grad = mse.Backward()
-			}
-			fwd.End()
-			bwd := row.Begin("backward", "train")
-			m.Backward(grad)
-			bwd.End()
-		}
-		if accum > 1 {
-			for _, p := range m.Params() {
-				tensor.ScaleInPlace(p.Grad, 1/float64(accum))
-			}
-		}
-		optSpan := row.Begin("optim", "train")
-		if opts.ClipNorm > 0 {
-			optim.ClipGradNorm(m.Params(), opts.ClipNorm)
-		}
-		opt.Step()
-		optSpan.End()
-		hist.Loss = append(hist.Loss, stepLoss/float64(accum))
-		if opts.checkpointDue(s) {
-			ckSpan := row.Begin("ckpt", "train")
-			dir := opts.checkpointTarget(s + 1)
-			if err := writeShard(dir, 0, m.Params(), opt); err != nil {
-				return hist, err
-			}
-			if err := writeManifest(dir, 1, modelPartitions(m), s+1, stageKind(m), m.Arch); err != nil {
-				return hist, err
-			}
-			if err := opts.pruneCheckpoints(); err != nil {
-				return hist, err
-			}
-			ckSpan.End()
-		}
-	}
-	return hist, nil
+	w := worker{m: m, from: ck, end: opts.Steps, row: opts.Trace.Rank(0), hist: &hist}
+	err = w.train(opts, batch)
+	return hist, err
 }
 
 // Distributed trains a D-CHAG model over p simulated ranks and returns rank
 // 0's loss history plus the comm group (for traffic inspection). Every rank
 // sees the full spatial batch but only its channel shard, exactly the
 // paper's D-CHAG data layout; masks are drawn from the same stream as
-// Serial.
+// Serial. It is Hybrid on the p×1×1 mesh — the size-1 DP gradient sync and
+// loss reduce are exact identities — and the group it returns is that
+// mesh's one TP group, so its ledger holds the D-CHAG traffic alone.
 func Distributed(arch model.Arch, p int, tpViT bool, opts Options, batch BatchFn) (History, *comm.Group, error) {
-	var hist History
-	if err := opts.validateCheckpoint(); err != nil {
+	hist, mesh, err := Hybrid(arch, p, 1, tpViT, opts, batch)
+	if mesh == nil {
 		return hist, nil, err
 	}
-	// One read-only Checkpoint shared by all rank goroutines.
-	ck, err := openRestore(opts)
-	if err != nil {
-		return hist, nil, err
-	}
-	g, err := comm.Run(p, func(c *comm.Communicator) error {
-		row := opts.Trace.Rank(c.Rank())
-		if row != nil {
-			c.SetObserver(obs.NewCommObserver(row, "comm/dchag"))
-		}
-		m := model.NewDistributed(arch, c, tpViT)
-		stage := m.Stage.(*model.DCHAGStage)
-		lo, hi := stage.ChannelBounds()
-		opt := optim.NewAdamW(m.Params(), opts.LR, opts.WeightDecay)
-		maskRNG := tensor.NewRNG(opts.Seed)
-		mse := nn.NewMSELoss()
-		masked := nn.NewMaskedMSELoss()
-		t := arch.Tokens()
-		accum := opts.accum()
-		sched := opts.schedule()
-		start, err := restoreStart(ck, opts, m.Params(), opt, stage.D.Partitions, stageDCHAG)
-		if err != nil {
-			return err
-		}
-		fastForwardMasks(maskRNG, start, opts, t)
-		if c.Rank() == 0 {
-			hist.Start = start
-		}
-		for s := start; s < opts.Steps; s++ {
-			if sched != nil {
-				sched.Apply(opt, s)
-			}
-			nn.ZeroGrads(m.Params())
-			stepLoss := 0.0
-			for a := 0; a < accum; a++ {
-				x, y := batch(s*accum + a)
-				xShard := tensor.SliceAxis(x, 1, lo, hi)
-				target := model.Patchify(y, arch.Patch)
-				var grad *tensor.Tensor
-				c.SetPhase("forward")
-				fwd := row.Begin("forward", "train")
-				if opts.MaskRatio > 0 {
-					mask := data.RandomMask(maskRNG, x.Shape[0], t, opts.MaskRatio)
-					pred := m.Forward(xShard, mask)
-					stepLoss += masked.Forward(pred, target, mask)
-					grad = masked.Backward()
-				} else {
-					pred := m.Forward(xShard, nil)
-					stepLoss += mse.Forward(pred, target)
-					grad = mse.Backward()
-				}
-				fwd.End()
-				c.SetPhase("backward")
-				bwd := row.Begin("backward", "train")
-				m.Backward(grad)
-				bwd.End()
-			}
-			if accum > 1 {
-				for _, p := range m.Params() {
-					tensor.ScaleInPlace(p.Grad, 1/float64(accum))
-				}
-			}
-			optSpan := row.Begin("optim", "train")
-			if opts.ClipNorm > 0 {
-				c.SetPhase("optim")
-				local, repl := m.PartitionParams()
-				DistributedClipGradNorm(c, local, repl, opts.ClipNorm)
-			}
-			opt.Step()
-			optSpan.End()
-			if c.Rank() == 0 {
-				hist.Loss = append(hist.Loss, stepLoss/float64(accum))
-			}
-			if opts.checkpointDue(s) {
-				c.SetPhase("ckpt")
-				ckSpan := row.Begin("ckpt", "train")
-				dir := opts.checkpointTarget(s + 1)
-				if err := writeShard(dir, c.Rank(), m.Params(), opt); err != nil {
-					return err
-				}
-				c.Barrier() // every shard durable before the manifest commits
-				if c.Rank() == 0 {
-					if err := writeManifest(dir, c.Size(), stage.D.Partitions, s+1, stageDCHAG, m.Arch); err != nil {
-						return err
-					}
-					if err := opts.pruneCheckpoints(); err != nil {
-						return err
-					}
-				}
-				c.Barrier() // checkpoint complete before training continues
-				ckSpan.End()
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return History{}, g, fmt.Errorf("train: distributed run failed: %w", err)
-	}
-	return hist, g, nil
+	return hist, mesh.TPComm(0).Group(), err
 }
 
 // DistributedClipGradNorm clips gradients to a global L2 norm computed over

@@ -2,10 +2,12 @@ package train
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -182,40 +184,100 @@ func TestGradientAccumulationMatchesFullBatch(t *testing.T) {
 	}
 }
 
-func TestGradientAccumulationDistributedMatchesSerial(t *testing.T) {
-	// Accumulation and D-CHAG distribution compose: the distributed
-	// accumulated run equals the serial-equivalent accumulated run.
-	const p = 2
-	a := tinyArch(4)
-	opts := Options{Steps: 3, Batch: 2, LR: 1e-2, ClipNorm: 1, Seed: 5, AccumSteps: 2}
-	batch := fixedBatches(t, 4, opts.Steps*2, opts.Batch)
+// shapeRuns are the step engine's entry points at the mesh shapes the
+// tests sweep, all at TP extent 2: each trains the arch with the given
+// options and returns world rank 0's losses.
+var shapeRuns = []struct {
+	name string
+	run  func(a model.Arch, opts Options, batch BatchFn) (History, error)
+}{
+	{"serial", func(a model.Arch, opts Options, batch BatchFn) (History, error) {
+		return SerialCheckpointed(model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
+	}},
+	{"distributed-2x1", func(a model.Arch, opts Options, batch BatchFn) (History, error) {
+		h, _, err := Distributed(a, 2, false, opts, batch)
+		return h, err
+	}},
+	{"hybrid-2x1", func(a model.Arch, opts Options, batch BatchFn) (History, error) {
+		h, _, err := Hybrid(a, 2, 1, false, opts, batch)
+		return h, err
+	}},
+	{"hybrid-2x2", func(a model.Arch, opts Options, batch BatchFn) (History, error) {
+		h, _, err := Hybrid(a, 2, 2, false, opts, batch)
+		return h, err
+	}},
+	{"generation-2x2", func(a model.Arch, opts Options, batch BatchFn) (History, error) {
+		res := RunGeneration(a, opts, GenSpec{TP: 2, DP: 2, Start: 0, End: opts.Steps}, batch)
+		return res.Hist, res.Err
+	}},
+}
 
-	serialHist := Serial(model.NewSerialDCHAGEquivalent(a, p), opts, batch)
-	distHist, _, err := Distributed(a, p, false, opts, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range serialHist.Loss {
-		if math.Abs(serialHist.Loss[s]-distHist.Loss[s]) > 1e-9 {
-			t.Fatalf("step %d: serial %v distributed %v", s, serialHist.Loss[s], distHist.Loss[s])
+func TestAccumulationAndWarmupMatchSerialEquivalentOnEveryShape(t *testing.T) {
+	// Accumulation, the warmup schedule and distribution compose: on every
+	// entry point and mesh shape the accumulated and/or scheduled run equals
+	// the serial-equivalent run trained with the same options.
+	a := tinyArch(4)
+	for _, accum := range []int{1, 2} {
+		for _, warmup := range []int{0, 2} {
+			opts := Options{Steps: 4, Batch: 4, LR: 1e-2, ClipNorm: 1, MaskRatio: 0.5, Seed: 5, AccumSteps: accum, Warmup: warmup}
+			batch := fixedBatches(t, 4, opts.Steps*accum, opts.Batch)
+			want := Serial(model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
+			for _, sh := range shapeRuns {
+				got, err := sh.run(a, opts, batch)
+				if err != nil {
+					t.Fatalf("%s accum=%d warmup=%d: %v", sh.name, accum, warmup, err)
+				}
+				if len(got.Loss) != len(want.Loss) {
+					t.Fatalf("%s accum=%d warmup=%d: %d losses, want %d", sh.name, accum, warmup, len(got.Loss), len(want.Loss))
+				}
+				for s := range want.Loss {
+					if math.Abs(want.Loss[s]-got.Loss[s]) > 1e-9 {
+						t.Fatalf("%s accum=%d warmup=%d step %d: serial %v got %v", sh.name, accum, warmup, s, want.Loss[s], got.Loss[s])
+					}
+				}
+			}
 		}
 	}
 }
 
-func TestWarmupScheduleMatchesBetweenSerialAndDistributed(t *testing.T) {
-	const p = 2
+func TestDistributedIsHybridAtDP1Bitwise(t *testing.T) {
+	// The one edge of the equivalence triangle not pinned elsewhere
+	// (RunGeneration == Distributed bitwise, Hybrid ~ serial-equivalent):
+	// Distributed(tp) is Hybrid(tp, 1) bit for bit, in its losses and in the
+	// final checkpoint it commits.
+	const tp = 2
 	a := tinyArch(4)
-	opts := Options{Steps: 6, Batch: 2, LR: 1e-2, Seed: 9, Warmup: 2}
+	opts := Options{Steps: 5, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 7, ClipNorm: 1, CheckpointEvery: 2, CheckpointKeep: 2}
 	batch := fixedBatches(t, 4, opts.Steps, opts.Batch)
-	serialHist := Serial(model.NewSerialDCHAGEquivalent(a, p), opts, batch)
-	distHist, _, err := Distributed(a, p, false, opts, batch)
+
+	distOpts, hybOpts := opts, opts
+	distOpts.CheckpointDir, hybOpts.CheckpointDir = t.TempDir(), t.TempDir()
+	distHist, g, err := Distributed(a, tp, false, distOpts, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := range serialHist.Loss {
-		if math.Abs(serialHist.Loss[s]-distHist.Loss[s]) > 1e-9 {
-			t.Fatalf("step %d: serial %v distributed %v", s, serialHist.Loss[s], distHist.Loss[s])
-		}
+	hybHist, mesh, err := Hybrid(a, tp, 1, false, hybOpts, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameLoss(t, "distributed vs hybrid dp=1", hybHist.Loss, distHist.Loss)
+	distCk, err := ckpt.OpenLatest(distOpts.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hybCk, err := ckpt.OpenLatest(hybOpts.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if distCk.Manifest.Step != opts.Steps {
+		t.Fatalf("final checkpoint at step %d, want %d", distCk.Manifest.Step, opts.Steps)
+	}
+	if !reflect.DeepEqual(distCk, hybCk) {
+		t.Fatalf("final checkpoints differ: manifests %+v vs %+v", distCk.Manifest, hybCk.Manifest)
+	}
+	// Distributed's group is the mesh's TP group: same D-CHAG ledger.
+	if got, want := g.Traffic().TotalBytes(), mesh.TPComm(0).Group().Traffic().TotalBytes(); got != want {
+		t.Fatalf("TP ledger bytes: distributed %d, hybrid %d", got, want)
 	}
 }
 
@@ -278,14 +340,46 @@ func TestHybridBackwardPhaseSilentWithinReplicas(t *testing.T) {
 	}
 }
 
-func TestHybridValidation(t *testing.T) {
+func TestEntryPointValidation(t *testing.T) {
+	// One shared validation: a bad shape or option is an error — never a
+	// panic, never a silent fallback — on every entry point.
 	a := tinyArch(4)
 	batch := fixedBatches(t, 4, 1, 2)
-	if _, _, err := Hybrid(a, 0, 2, false, Options{Steps: 1, Batch: 2}, batch); err == nil {
-		t.Fatal("want error for tp=0")
+	ok := Options{Steps: 1, Batch: 2}
+	noDir := ok
+	noDir.CheckpointEvery = 1
+	hybrid := func(tp, dp int, o Options) error {
+		_, _, err := Hybrid(a, tp, dp, false, o, batch)
+		return err
 	}
-	if _, _, err := Hybrid(a, 2, 3, false, Options{Steps: 1, Batch: 2}, batch); err == nil {
-		t.Fatal("want error for batch not divisible by dp")
+	distributed := func(tp, _ int, o Options) error {
+		_, _, err := Distributed(a, tp, false, o, batch)
+		return err
+	}
+	generation := func(tp, dp int, o Options) error {
+		return RunGeneration(a, o, GenSpec{TP: tp, DP: dp, Start: 0, End: o.Steps}, batch).Err
+	}
+	for _, tc := range []struct {
+		name   string
+		run    func(tp, dp int, o Options) error
+		tp, dp int
+		opts   Options
+	}{
+		{"hybrid tp=0", hybrid, 0, 2, ok},
+		{"hybrid dp=0", hybrid, 2, 0, ok},
+		{"hybrid batch not divisible by dp", hybrid, 2, 3, ok},
+		{"hybrid checkpoint options", hybrid, 2, 1, noDir},
+		{"distributed p=0", distributed, 0, 1, ok},
+		{"distributed p=-1", distributed, -1, 1, ok},
+		{"distributed checkpoint options", distributed, 2, 1, noDir},
+		{"generation tp=0", generation, 0, 1, ok},
+		{"generation dp=-1", generation, 2, -1, ok},
+		{"generation batch not divisible by dp", generation, 2, 3, ok},
+		{"generation checkpoint options", generation, 2, 1, noDir},
+	} {
+		if err := tc.run(tc.tp, tc.dp, tc.opts); err == nil {
+			t.Errorf("%s: want a validation error", tc.name)
+		}
 	}
 }
 
