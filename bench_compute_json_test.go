@@ -9,13 +9,14 @@ import (
 )
 
 // TestComputeJSONArtifact validates the committed compute-substrate
-// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v1,
+// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v2,
 // written by `dchag-bench -compute`). The artifact is a wall-clock
 // measurement, so this test gates on its schema and qualitative claims: the
-// blocked driver at least matches the naive kernel everywhere, the ISSUE's
-// speedup gates (blocked >= 2x naive, f32 >= 1.5x blocked f64 at the
-// largest size) hold where the SIMD micro-kernels ran, and every point was
-// measured allocation-free in steady state. Set BENCH_COMPUTE_JSON to
+// blocked driver at least matches the naive kernel everywhere, the speedup
+// gates (blocked >= 2x naive, f32 >= 1.5x blocked f64 at the largest size)
+// hold where the SIMD micro-kernels ran, every product shape the D-CHAG
+// workloads issue beats the naive loop there too, and every point and shape
+// was measured allocation-free in steady state. Set BENCH_COMPUTE_JSON to
 // validate a different artifact file.
 func TestComputeJSONArtifact(t *testing.T) {
 	path := os.Getenv("BENCH_COMPUTE_JSON")
@@ -46,7 +47,7 @@ func TestComputeJSONArtifact(t *testing.T) {
 	if err := json.Unmarshal(raw, &generic); err != nil {
 		t.Fatalf("artifact is not a JSON object: %v", err)
 	}
-	for _, key := range []string{"schema", "simd", "maxprocs", "sizes", "points", "claims"} {
+	for _, key := range []string{"schema", "simd", "maxprocs", "sizes", "points", "shapes", "claims"} {
 		if _, ok := generic[key]; !ok {
 			t.Fatalf("artifact missing top-level key %q", key)
 		}
@@ -57,6 +58,16 @@ func TestComputeJSONArtifact(t *testing.T) {
 		"blocked_speedup", "f32_speedup", "blocked_allocs_per_op", "f32_allocs_per_op"} {
 		if _, ok := point[key]; !ok {
 			t.Fatalf("compute point missing key %q", key)
+		}
+	}
+	shapes := generic["shapes"].([]any)
+	if len(shapes) == 0 {
+		t.Fatal("artifact carries no D-CHAG shape points")
+	}
+	for _, key := range []string{"name", "op", "batch", "m", "k", "n", "strided",
+		"naive_gflops", "gflops", "speedup", "allocs_per_op"} {
+		if _, ok := shapes[0].(map[string]any)[key]; !ok {
+			t.Fatalf("shape point missing key %q", key)
 		}
 	}
 	claims := generic["claims"].(map[string]any)
@@ -79,13 +90,18 @@ func TestComputeJSONArtifact(t *testing.T) {
 			t.Fatalf("size %d allocated in steady state: blocked %.2f, f32 %.2f allocs/op",
 				p.Size, p.BlockedAllocsPerOp, p.F32AllocsPerOp)
 		}
-		// Blocking must never lose to the kernel it replaced. At the
-		// smallest sizes the driver falls back to the direct loops, so
-		// parity (within measurement noise) is acceptable; a real loss is
-		// not.
+		// Blocking must never lose to the kernel it replaced.
 		if p.BlockedGFLOPS < 0.9*p.NaiveGFLOPS {
 			t.Fatalf("size %d: blocked %.2f GFLOP/s loses to naive %.2f",
 				p.Size, p.BlockedGFLOPS, p.NaiveGFLOPS)
+		}
+	}
+	for _, sp := range rep.Shapes {
+		if sp.Batch < 1 || sp.M < 1 || sp.K < 1 || sp.N < 1 || sp.NaiveGFLOPS <= 0 || sp.GFLOPS <= 0 {
+			t.Fatalf("implausible shape point %+v", sp)
+		}
+		if sp.AllocsPerOp != 0 {
+			t.Fatalf("shape %s allocated %.2f times per op in steady state", sp.Name, sp.AllocsPerOp)
 		}
 	}
 	if !rep.Claims.AllocFree {
@@ -97,6 +113,14 @@ func TestComputeJSONArtifact(t *testing.T) {
 	// cache-blocking only and the f32 path has no wider-register advantage.
 	if !rep.SIMD {
 		t.Skip("artifact measured without SIMD micro-kernels; speedup gates not applicable")
+	}
+	// The kernels have to be fast at the shapes the model issues, not only
+	// at the square sizes: no scalar fallback is left to hide behind.
+	for _, sp := range rep.Shapes {
+		if sp.GFLOPS <= sp.NaiveGFLOPS {
+			t.Fatalf("shape %s (%s, %d x %dx%dx%d): %.2f GFLOP/s does not beat the naive loop's %.2f",
+				sp.Name, sp.Op, sp.Batch, sp.M, sp.K, sp.N, sp.GFLOPS, sp.NaiveGFLOPS)
+		}
 	}
 	largest := rep.Points[len(rep.Points)-1]
 	if largest.Size < 512 {

@@ -77,7 +77,7 @@
 // Additive fields may appear within v2; readers must ignore unknown keys.
 // Field removals or meaning changes bump the schema string.
 //
-// # JSON schema (dchag-bench/compute/v1)
+// # JSON schema (dchag-bench/compute/v2)
 //
 // The -compute flag writes one experiments.ComputeReport object — the
 // single-node compute-substrate point of the perf trajectory (CI commits it
@@ -85,10 +85,15 @@
 // ways: the pre-blocking naive kernel (tensor.MatMulNaiveInto), the packed
 // register-tiled float64 driver (tensor.MatMulInto), and the float32 kernel
 // against prepacked weight panels (tensor.MatMulPackedF32Into — the serving
-// configuration, so packing stays off the measured path):
+// configuration, so packing stays off the measured path). Each shape is one
+// product the D-CHAG workloads actually issue — the E x E projections over
+// N*g rows and their two backward products, the per-head attention products
+// of the channel aggregation, the final aggregation and a ViT block, and
+// the float32 twins serving runs — through the entry point the model calls,
+// next to the scalar ikj loop on contiguous operands of the same extents:
 //
 //	{
-//	  "schema": "dchag-bench/compute/v1", // bump on breaking change
+//	  "schema": "dchag-bench/compute/v2", // bump on breaking change
 //	  "simd": true,                       // AVX2+FMA micro-kernels active
 //	  "maxprocs": 1,                      // GOMAXPROCS during measurement
 //	  "sizes": [64, 128, 256, 512],
@@ -104,18 +109,32 @@
 //	      "f32_allocs_per_op": 0
 //	    }, ...
 //	  ],
+//	  "shapes": [
+//	    {
+//	      "name": "agg_scores",           // which product of the model
+//	      "op": "BatchedMatMulTInto",     // the tensor entry point measured
+//	      "batch": 512, "m": 16, "k": 8, "n": 16, // 2*batch*m*k*n FLOPs per call
+//	      "strided": true,                // heads read in place (tensor.HeadView)
+//	      "naive_gflops": 2.5,            // scalar ikj loop, contiguous operands
+//	      "gflops": 12.6,
+//	      "speedup": 5.0,                 // gflops / naive_gflops
+//	      "allocs_per_op": 0              // steady state
+//	    }, ...
+//	  ],
 //	  "claims": {                         // evaluated at the largest size
 //	    "blocked_speedup_at_max": 9.1,    // gate: >= 2x under simd
 //	    "f32_speedup_at_max": 1.74,       // gate: >= 1.5x under simd
-//	    "steady_state_alloc_free": true   // gate: always
+//	    "steady_state_alloc_free": true   // gate: always, points and shapes
 //	  }
 //	}
 //
 // The report is wall-clock measured, so TestComputeJSONArtifact gates the
 // committed artifact on its schema and qualitative claims — blocked at
-// least matches naive everywhere, the speedup gates hold where "simd" is
-// true, and every point ran allocation-free — not on exact rates.
-// Additive fields may appear within v1; readers must ignore unknown keys.
+// least matches naive everywhere, the speedup gates hold and every shape
+// beats the naive loop where "simd" is true, and every point and shape ran
+// allocation-free — not on exact rates. v2 added "shapes"; there is no v1
+// reader. Additive fields may appear within v2; readers must ignore unknown
+// keys.
 //
 // # JSON schema (dchag-bench/trace/v1)
 //

@@ -21,8 +21,9 @@ func init() {
 // (BENCH_compute.json, written by `dchag-bench -compute`). Like the serving
 // artifact it is wall-clock measured, so tooling gates on its qualitative
 // claims (blocked beats naive, f32 beats f64, steady state allocation-free)
-// rather than exact rates.
-const ComputeSchema = "dchag-bench/compute/v1"
+// rather than exact rates. v2 added the shapes section: the products the
+// D-CHAG workloads actually issue, next to the square sizes.
+const ComputeSchema = "dchag-bench/compute/v2"
 
 // ComputePoint is one measured square GEMM size (dst = A@B, all [n,n]).
 type ComputePoint struct {
@@ -48,6 +49,29 @@ type ComputePoint struct {
 	F32AllocsPerOp     float64 `json:"f32_allocs_per_op"`
 }
 
+// ShapePoint is one measured product shape a D-CHAG workload issues: Batch
+// products of M x K x N through the named tensor entry point. Strided points
+// read (and, for the context product, write) attention heads in place out of
+// [N,T,H*Dh] projection layouts through tensor.HeadView, as nn.AttentionCore
+// does; the others run on contiguous operands.
+type ShapePoint struct {
+	Name    string `json:"name"`
+	Op      string `json:"op"`
+	Batch   int    `json:"batch"`
+	M       int    `json:"m"`
+	K       int    `json:"k"`
+	N       int    `json:"n"`
+	Strided bool   `json:"strided"`
+	// NaiveGFLOPS is the scalar ikj triple loop over contiguous operands of
+	// the same extents (no packing, no tiling); GFLOPS the entry point's
+	// rate; Speedup their ratio. All at 2*Batch*M*K*N FLOPs per call.
+	NaiveGFLOPS float64 `json:"naive_gflops"`
+	GFLOPS      float64 `json:"gflops"`
+	Speedup     float64 `json:"speedup"`
+	// AllocsPerOp is the steady-state heap allocations per call.
+	AllocsPerOp float64 `json:"allocs_per_op"`
+}
+
 // ComputeClaims are the qualitative gates the artifact test asserts. The
 // speedup claims hold only where the vector micro-kernels run, so
 // TestComputeJSONArtifact gates them on SIMD being true in the artifact.
@@ -57,8 +81,8 @@ type ComputeClaims struct {
 	// 1.5x blocked f64 at 512^3 under SIMD).
 	BlockedSpeedupAtMax float64 `json:"blocked_speedup_at_max"`
 	F32SpeedupAtMax     float64 `json:"f32_speedup_at_max"`
-	// AllocFree reports that every measured point ran with zero steady-state
-	// allocations per product.
+	// AllocFree reports that every measured point and shape ran with zero
+	// steady-state allocations per product.
 	AllocFree bool `json:"steady_state_alloc_free"`
 }
 
@@ -72,6 +96,7 @@ type ComputeReport struct {
 	MaxProcs int            `json:"maxprocs"`
 	Sizes    []int          `json:"sizes"`
 	Points   []ComputePoint `json:"points"`
+	Shapes   []ShapePoint   `json:"shapes"`
 	Claims   ComputeClaims  `json:"claims"`
 }
 
@@ -138,15 +163,17 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 		pb := tensor.PackB32(b)
 
 		p := ComputePoint{Size: n}
-		p.NaiveGFLOPS = measureGFLOPS(n, cfg, func() { tensor.MatMulNaiveInto(dst, a, b) })
-		p.BlockedGFLOPS = measureGFLOPS(n, cfg, func() { tensor.MatMulInto(dst, a, b) })
-		p.F32GFLOPS = measureGFLOPS(n, cfg, func() { tensor.MatMulPackedF32Into(dst, a, pb) })
+		flops := 2 * float64(n) * float64(n) * float64(n)
+		p.NaiveGFLOPS = measureGFLOPS(flops, cfg, func() { tensor.MatMulNaiveInto(dst, a, b) })
+		p.BlockedGFLOPS = measureGFLOPS(flops, cfg, func() { tensor.MatMulInto(dst, a, b) })
+		p.F32GFLOPS = measureGFLOPS(flops, cfg, func() { tensor.MatMulPackedF32Into(dst, a, pb) })
 		p.BlockedSpeedup = p.BlockedGFLOPS / p.NaiveGFLOPS
 		p.F32Speedup = p.F32GFLOPS / p.BlockedGFLOPS
 		p.BlockedAllocsPerOp = allocsPerOp(cfg.AllocIters, func() { tensor.MatMulInto(dst, a, b) })
 		p.F32AllocsPerOp = allocsPerOp(cfg.AllocIters, func() { tensor.MatMulPackedF32Into(dst, a, pb) })
 		rep.Points = append(rep.Points, p)
 	}
+	rep.Shapes = measureShapes(cfg)
 	last := rep.Points[len(rep.Points)-1]
 	rep.Claims = ComputeClaims{
 		BlockedSpeedupAtMax: last.BlockedSpeedup,
@@ -158,15 +185,130 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 			rep.Claims.AllocFree = false
 		}
 	}
+	for _, sp := range rep.Shapes {
+		if sp.AllocsPerOp != 0 {
+			rep.Claims.AllocFree = false
+		}
+	}
 	return rep
 }
 
-// measureGFLOPS times repeated invocations of step (one n^3 product each),
-// growing the repetition count until a trial spans cfg.MinTime, and returns
-// the best trial's rate in GFLOP/s.
-func measureGFLOPS(n int, cfg ComputeBenchConfig, step func()) float64 {
+// dchagShapes lists the products the benchmark workloads issue (DESIGN.md
+// "Compute substrate" has the table): the E x E projections over N*g rows of
+// the channel aggregation and their two backward products, the per-head
+// attention products of the channel aggregation (g = 16, Dh = 8, B*T*H = 512
+// maps), of the final aggregation over 4 partition tokens and of a ViT block
+// (T = 64), and the float32 twins serving runs.
+var dchagShapes = []ShapePoint{
+	{Name: "proj_fwd", Op: "MatMulInto", Batch: 1, M: 2048, K: 32, N: 32},
+	{Name: "proj_bwd_dx", Op: "MatMulTInto", Batch: 1, M: 2048, K: 32, N: 32},
+	{Name: "proj_bwd_dw", Op: "TMatMulAccInto", Batch: 1, M: 32, K: 2048, N: 32},
+	{Name: "agg_scores", Op: "BatchedMatMulTInto", Batch: 512, M: 16, K: 8, N: 16},
+	{Name: "agg_context", Op: "BatchedMatMulInto", Batch: 512, M: 16, K: 16, N: 8},
+	{Name: "agg_bwd_dv", Op: "BatchedTMatMulInto", Batch: 512, M: 16, K: 16, N: 8},
+	{Name: "final_agg_scores", Op: "BatchedMatMulTInto", Batch: 512, M: 4, K: 8, N: 4},
+	{Name: "vit_scores", Op: "BatchedMatMulTInto", Batch: 8, M: 64, K: 8, N: 64},
+	{Name: "vit_context", Op: "BatchedMatMulInto", Batch: 8, M: 64, K: 64, N: 8},
+	{Name: "proj_infer_f32", Op: "MatMulPackedF32Into", Batch: 1, M: 2048, K: 32, N: 32},
+	{Name: "vit_scores_f32", Op: "BatchedMatMulTF32Into", Batch: 8, M: 64, K: 8, N: 64},
+	{Name: "vit_context_f32", Op: "BatchedMatMulF32Into", Batch: 8, M: 64, K: 64, N: 8},
+}
+
+// measureShapes fills in the rates of every dchagShapes entry.
+func measureShapes(cfg ComputeBenchConfig) []ShapePoint {
+	out := make([]ShapePoint, len(dchagShapes))
+	for i, sp := range dchagShapes {
+		sp.Strided = sp.Batch > 1 // every batched shape is a per-head product
+		step := shapeStep(sp)
+		flops := 2 * float64(sp.Batch) * float64(sp.M) * float64(sp.K) * float64(sp.N)
+		rng := tensor.NewRNG(int64(7000 + i))
+		a := tensor.Randn(rng, sp.Batch, sp.M, sp.K)
+		b := tensor.Randn(rng, sp.Batch, sp.K, sp.N)
+		c := tensor.New(sp.Batch, sp.M, sp.N)
+		sp.NaiveGFLOPS = measureGFLOPS(flops, cfg, func() { naiveBatched(c.Data, a.Data, b.Data, sp.Batch, sp.M, sp.K, sp.N) })
+		sp.GFLOPS = measureGFLOPS(flops, cfg, step)
+		sp.Speedup = sp.GFLOPS / sp.NaiveGFLOPS
+		sp.AllocsPerOp = allocsPerOp(cfg.AllocIters, step)
+		out[i] = sp
+	}
+	return out
+}
+
+// naiveBatched is the baseline of the shape points: c = a@b per batch member
+// with the scalar ikj loop on contiguous row-major operands.
+func naiveBatched(c, a, b []float64, batch, m, k, n int) {
+	for bi := 0; bi < batch; bi++ {
+		a, b, c := a[bi*m*k:], b[bi*k*n:], c[bi*m*n:]
+		for i := 0; i < m; i++ {
+			crow := c[i*n : (i+1)*n]
+			clear(crow)
+			for p, av := range a[i*k : (i+1)*k] {
+				for j, bv := range b[p*n : (p+1)*n] {
+					crow[j] += av * bv
+				}
+			}
+		}
+	}
+}
+
+// shapeStep builds the operands of one shape point and returns the call that
+// runs it. Batched shapes are per-head products: Batch = samples x 4 heads,
+// operands and the context destination are head views of [samples, T, 4*Dh]
+// tensors, score-shaped operands are contiguous [samples, 4, Tq, Tk].
+func shapeStep(sp ShapePoint) func() {
+	const heads = 4
+	rng := tensor.NewRNG(int64(8000 + sp.M + sp.K + sp.N))
+	if sp.Batch == 1 {
+		switch sp.Op {
+		case "MatMulInto":
+			dst, a, b := tensor.New(sp.M, sp.N), tensor.Randn(rng, sp.M, sp.K), tensor.Randn(rng, sp.K, sp.N)
+			return func() { tensor.MatMulInto(dst, a, b) }
+		case "MatMulTInto":
+			dst, a, b := tensor.New(sp.M, sp.N), tensor.Randn(rng, sp.M, sp.K), tensor.Randn(rng, sp.N, sp.K)
+			return func() { tensor.MatMulTInto(dst, a, b) }
+		case "TMatMulAccInto":
+			dst, a, b := tensor.New(sp.M, sp.N), tensor.Randn(rng, sp.K, sp.M), tensor.Randn(rng, sp.K, sp.N)
+			return func() { tensor.TMatMulAccInto(dst, a, b) }
+		case "MatMulPackedF32Into":
+			dst, a := tensor.New(sp.M, sp.N), tensor.Randn(rng, sp.M, sp.K)
+			pb := tensor.PackB32(tensor.Randn(rng, sp.K, sp.N))
+			return func() { tensor.MatMulPackedF32Into(dst, a, pb) }
+		}
+	}
+	samples := sp.Batch / heads
+	// head builds a [samples, rows, heads*cols] tensor and its per-head view;
+	// maps a contiguous [samples, heads, rows, cols] one.
+	head := func(rows, cols int) tensor.View {
+		return tensor.HeadView(tensor.Randn(rng, samples, rows, heads*cols), heads)
+	}
+	maps := func(rows, cols int) tensor.View {
+		return tensor.MatView(tensor.Randn(rng, samples, heads, rows, cols))
+	}
+	switch sp.Op {
+	case "BatchedMatMulTInto": // scores [Tq,Tk] = q [Tq,Dh] @ k[Tk,Dh]^T
+		dst, a, b := maps(sp.M, sp.N), head(sp.M, sp.K), head(sp.N, sp.K)
+		return func() { tensor.BatchedMatMulTInto(dst, a, b, 0.5) }
+	case "BatchedMatMulTF32Into":
+		dst, a, b := maps(sp.M, sp.N), head(sp.M, sp.K), head(sp.N, sp.K)
+		return func() { tensor.BatchedMatMulTF32Into(dst, a, b, 0.5) }
+	case "BatchedMatMulInto": // context [Tq,Dh] = attn [Tq,Tk] @ v [Tk,Dh]
+		dst, a, b := head(sp.M, sp.N), maps(sp.M, sp.K), head(sp.K, sp.N)
+		return func() { tensor.BatchedMatMulInto(dst, a, b, 1) }
+	case "BatchedMatMulF32Into":
+		dst, a, b := head(sp.M, sp.N), maps(sp.M, sp.K), head(sp.K, sp.N)
+		return func() { tensor.BatchedMatMulF32Into(dst, a, b, 1) }
+	case "BatchedTMatMulInto": // dv [Tk,Dh] = attn [Tq,Tk]^T @ dctx [Tq,Dh]
+		dst, a, b := head(sp.M, sp.N), maps(sp.K, sp.M), head(sp.K, sp.N)
+		return func() { tensor.BatchedTMatMulInto(dst, a, b, 1) }
+	}
+	panic(fmt.Sprintf("experiments: no runner for shape point %+v", sp))
+}
+
+// measureGFLOPS times repeated invocations of step (flops floating-point
+// operations each), growing the repetition count until a trial spans
+// cfg.MinTime, and returns the best trial's rate in GFLOP/s.
+func measureGFLOPS(flops float64, cfg ComputeBenchConfig, step func()) float64 {
 	step() // warm the pool and the packed panels
-	flops := 2 * float64(n) * float64(n) * float64(n)
 	best := 0.0
 	for trial := 0; trial < cfg.Trials; trial++ {
 		reps := 1
@@ -224,5 +366,15 @@ func runCompute() Result {
 			fmt.Sprintf("%.0f/%.0f", p.BlockedAllocsPerOp, p.F32AllocsPerOp))
 	}
 	tab.Note("wall-clock measurement: packed register-tiled driver vs the pre-blocking naive kernel; f32 runs against prepacked weight panels (the serving configuration)")
-	return Result{ID: "compute", Title: "Compute substrate", Tables: []*Table{tab}}
+	shapes := &Table{
+		Title:   "Measured throughput at the shapes the D-CHAG workloads issue",
+		Headers: []string{"shape", "entry point", "batch x m x k x n", "naive GFLOP/s", "GFLOP/s", "speedup", "allocs/op"},
+	}
+	for _, sp := range rep.Shapes {
+		shapes.Add(sp.Name, sp.Op, fmt.Sprintf("%d x %dx%dx%d", sp.Batch, sp.M, sp.K, sp.N),
+			fmt.Sprintf("%.2f", sp.NaiveGFLOPS), fmt.Sprintf("%.2f", sp.GFLOPS),
+			fmt.Sprintf("%.2fx", sp.Speedup), fmt.Sprintf("%.0f", sp.AllocsPerOp))
+	}
+	shapes.Note("batched shapes read attention heads in place out of [N,T,H*Dh] layouts (tensor.HeadView); naive is the scalar ikj loop on contiguous operands of the same extents")
+	return Result{ID: "compute", Title: "Compute substrate", Tables: []*Table{tab, shapes}}
 }

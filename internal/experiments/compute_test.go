@@ -6,8 +6,9 @@ import (
 )
 
 // TestRunComputeBenchQuick sanity-checks the compute benchmark runner on the
-// reduced configuration: every size yields plausible positive rates, the
-// derived claim fields match the largest point, and the report round-trips
+// reduced configuration: every size and every D-CHAG shape yields plausible
+// positive rates, the derived claim fields match the largest point, and the
+// report round-trips
 // through JSON under the schema string the artifact test gates on.
 func TestRunComputeBenchQuick(t *testing.T) {
 	if testing.Short() {
@@ -29,6 +30,14 @@ func TestRunComputeBenchQuick(t *testing.T) {
 			t.Fatalf("negative allocs/op in point %+v", p)
 		}
 	}
+	if len(rep.Shapes) != len(dchagShapes) {
+		t.Fatalf("got %d shape points, want %d", len(rep.Shapes), len(dchagShapes))
+	}
+	for _, sp := range rep.Shapes {
+		if sp.NaiveGFLOPS <= 0 || sp.GFLOPS <= 0 || sp.AllocsPerOp < 0 {
+			t.Fatalf("implausible shape point %+v", sp)
+		}
+	}
 	last := rep.Points[len(rep.Points)-1]
 	if rep.Claims.BlockedSpeedupAtMax != last.BlockedSpeedup ||
 		rep.Claims.F32SpeedupAtMax != last.F32Speedup {
@@ -43,7 +52,7 @@ func TestRunComputeBenchQuick(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("decoding report: %v", err)
 	}
-	if back.Schema != ComputeSchema || len(back.Points) != len(rep.Points) {
+	if back.Schema != ComputeSchema || len(back.Points) != len(rep.Points) || len(back.Shapes) != len(rep.Shapes) {
 		t.Fatalf("report did not round-trip: %+v", back)
 	}
 	if _, ok := back.PointAt(cfg.Sizes[0]); !ok {

@@ -7,150 +7,97 @@ import (
 	"repro/internal/tensor"
 )
 
-// attnCore holds the cached intermediates and scratch buffers of a
-// scaled-dot-product attention over already-projected head tensors, shared
-// by self- and cross-attention.
-type attnCore struct {
-	heads, headDim int
-	dtype          tensor.DType // arithmetic of the no-grad infer path
+// AttentionCore is the scaled-dot-product attention softmax(q k^T / sqrt(Dh)) v
+// over already-projected sequences q [N,Tq,E], k and v [N,Tk,E] with
+// E = Heads*HeadDim — the one attention product in the repository, shared by
+// self- and cross-attention here and by the tensor- and sequence-parallel
+// layers in internal/parallel (which pass their local heads). Heads are never
+// made contiguous: the batched kernels read each head out of the projection
+// outputs through a tensor.HeadView and write the context straight into the
+// merged [N,Tq,E] layout, so kernel packing is the only data movement.
+//
+// Forward keeps references to q, k and v for Backward instead of copying
+// them; like every layer input they must stay unmodified until Backward has
+// run (the single-stream contract in the package doc).
+type AttentionCore struct {
+	Heads, HeadDim int
 
-	q, k, v *tensor.Tensor // [B,H,Tq,Dh], [B,H,Tk,Dh], [B,H,Tk,Dh]
-	attn    *tensor.Tensor // softmax weights [B,H,Tq,Tk] (aliases scores)
+	dtype tensor.DType // arithmetic of the no-grad Infer path
 
-	scores *tensor.Tensor // Forward scores/softmax scratch
-	ctx    *tensor.Tensor // Forward context scratch
-	iscore *tensor.Tensor // Infer scratch, separate so an eval pass never
-	ictx   *tensor.Tensor // clobbers the attn cache a pending Backward reads
-	dA     *tensor.Tensor // Backward dAttn/dScores scratch
-	dq     *tensor.Tensor
-	dk     *tensor.Tensor
-	dv     *tensor.Tensor
+	q, k, v *tensor.Tensor // Forward's operands
+	attn    *tensor.Tensor // softmax weights [N,H,Tq,Tk] (aliases scores)
+
+	scores, ctx  *tensor.Tensor // Forward scratch
+	iscore, ictx *tensor.Tensor // Infer scratch, separate so an eval pass never
+	// clobbers the attn cache a pending Backward reads
+	dA, dq, dk, dv *tensor.Tensor // Backward scratch
 }
 
-// run computes softmax(q k^T / sqrt(Dh)) v, caching intermediates. The
-// returned context is core-owned scratch.
-//
-// dchag:hotpath — the attention product of every block, every step.
-func (c *attnCore) run(q, k, v *tensor.Tensor) *tensor.Tensor {
+// SetInferDType selects the arithmetic of Infer's two matrix products.
+func (c *AttentionCore) SetInferDType(dt tensor.DType) { c.dtype = dt }
+
+// Forward returns the merged context [N,Tq,E] (core-owned scratch), caching
+// the attention weights for Backward.
+func (c *AttentionCore) Forward(q, k, v *tensor.Tensor) *tensor.Tensor {
 	c.q, c.k, c.v = q, k, v
-	scale := 1 / math.Sqrt(float64(c.headDim))
-	b, h, tq, tk := q.Shape[0], q.Shape[1], q.Shape[2], k.Shape[2]
-	c.scores = tensor.EnsureShape(c.scores, b, h, tq, tk)
-	tensor.BatchedMatMulTInto(c.scores, q, k)
-	tensor.ScaleInPlace(c.scores, scale)
-	c.attn = tensor.SoftmaxLastDimInto(c.scores, c.scores)
-	c.ctx = tensor.EnsureShape(c.ctx, b, h, tq, q.Shape[3])
-	return tensor.BatchedMatMulInto(c.ctx, c.attn, v) // [B,H,Tq,Dh]
+	c.scores = tensor.EnsureShape(c.scores, q.Shape[0], c.Heads, q.Shape[1], k.Shape[1])
+	c.ctx = tensor.EnsureShape(c.ctx, q.Shape...)
+	c.attend(c.scores, c.ctx, q, k, v, tensor.F64)
+	c.attn = c.scores
+	return c.ctx
 }
 
-// infer computes run's output without caching the head tensors or attention
-// weights for backward. Under dtype F32 the two matrix products run in
-// float32; the softmax stays float64.
+// Infer computes Forward's output without caching anything for Backward.
+// Under dtype F32 the two matrix products run in float32; the softmax stays
+// float64.
+func (c *AttentionCore) Infer(q, k, v *tensor.Tensor) *tensor.Tensor {
+	c.iscore = tensor.EnsureShape(c.iscore, q.Shape[0], c.Heads, q.Shape[1], k.Shape[1])
+	c.ictx = tensor.EnsureShape(c.ictx, q.Shape...)
+	c.attend(c.iscore, c.ictx, q, k, v, c.dtype)
+	return c.ictx
+}
+
+// attend overwrites scores with the attention weights and ctx with the
+// merged context. The 1/sqrt(Dh) scale rides on the score product's tile
+// store.
 //
-// dchag:hotpath — the serve dispatch loop runs this once per block per
-// micro-batch.
-func (c *attnCore) infer(q, k, v *tensor.Tensor) *tensor.Tensor {
-	scale := 1 / math.Sqrt(float64(c.headDim))
-	b, h, tq, tk := q.Shape[0], q.Shape[1], q.Shape[2], k.Shape[2]
-	c.iscore = tensor.EnsureShape(c.iscore, b, h, tq, tk)
-	if c.dtype == tensor.F32 {
-		tensor.BatchedMatMulTF32Into(c.iscore, q, k)
-	} else {
-		tensor.BatchedMatMulTInto(c.iscore, q, k)
+// dchag:hotpath — the attention product of every block and every channel
+// aggregation, every step and every served micro-batch.
+func (c *AttentionCore) attend(scores, ctx, q, k, v *tensor.Tensor, dt tensor.DType) {
+	scale := 1 / math.Sqrt(float64(c.HeadDim))
+	sv, qv, kv := tensor.MatView(scores), tensor.HeadView(q, c.Heads), tensor.HeadView(k, c.Heads)
+	cv, vv := tensor.HeadView(ctx, c.Heads), tensor.HeadView(v, c.Heads)
+	scoreProduct, contextProduct := tensor.BatchedMatMulTInto, tensor.BatchedMatMulInto
+	if dt == tensor.F32 {
+		scoreProduct, contextProduct = tensor.BatchedMatMulTF32Into, tensor.BatchedMatMulF32Into
 	}
-	tensor.ScaleInPlace(c.iscore, scale)
-	attn := tensor.SoftmaxLastDimInto(c.iscore, c.iscore)
-	c.ictx = tensor.EnsureShape(c.ictx, b, h, tq, q.Shape[3])
-	if c.dtype == tensor.F32 {
-		return tensor.BatchedMatMulF32Into(c.ictx, attn, v)
-	}
-	return tensor.BatchedMatMulInto(c.ictx, attn, v) // [B,H,Tq,Dh]
+	scoreProduct(sv, qv, kv, scale)
+	tensor.SoftmaxLastDimInto(scores, scores)
+	contextProduct(cv, sv, vv, 1)
 }
 
-// grad back-propagates through the attention product, returning gradients
-// with respect to the projected q, k and v head tensors (core-owned
+// Backward maps the merged-context gradient [N,Tq,E] to gradients with
+// respect to Forward's q, k and v, each in its operand's layout (core-owned
 // scratch).
 //
 // dchag:hotpath — per-step attention backward kernels.
-func (c *attnCore) grad(dctx *tensor.Tensor) (dq, dk, dv *tensor.Tensor) {
+func (c *AttentionCore) Backward(dctx *tensor.Tensor) (dq, dk, dv *tensor.Tensor) {
 	if c.attn == nil {
 		panic("nn: attention backward before forward")
 	}
-	scale := 1 / math.Sqrt(float64(c.headDim))
+	scale := 1 / math.Sqrt(float64(c.HeadDim))
+	av, gv := tensor.MatView(c.attn), tensor.HeadView(dctx, c.Heads)
 	c.dA = tensor.EnsureShape(c.dA, c.attn.Shape...)
-	tensor.BatchedMatMulTInto(c.dA, dctx, c.v) // [B,H,Tq,Tk]
+	tensor.BatchedMatMulTInto(tensor.MatView(c.dA), gv, tensor.HeadView(c.v, c.Heads), 1) // [N,H,Tq,Tk]
 	c.dv = tensor.EnsureShape(c.dv, c.v.Shape...)
-	tensor.BatchedTMatMulInto(c.dv, c.attn, dctx) // [B,H,Tk,Dh]
-	dS := tensor.SoftmaxBackwardLastDimInto(c.dA, c.attn, c.dA)
-	tensor.ScaleInPlace(dS, scale)
+	tensor.BatchedTMatMulInto(tensor.HeadView(c.dv, c.Heads), av, gv, 1)
+	dS := tensor.MatView(tensor.SoftmaxBackwardLastDimInto(c.dA, c.attn, c.dA))
 	c.dq = tensor.EnsureShape(c.dq, c.q.Shape...)
-	tensor.BatchedMatMulInto(c.dq, dS, c.k) // [B,H,Tq,Dh]
+	tensor.BatchedMatMulInto(tensor.HeadView(c.dq, c.Heads), dS, tensor.HeadView(c.k, c.Heads), scale)
 	c.dk = tensor.EnsureShape(c.dk, c.k.Shape...)
-	tensor.BatchedTMatMulInto(c.dk, dS, c.q) // [B,H,Tk,Dh]
+	tensor.BatchedTMatMulInto(tensor.HeadView(c.dk, c.Heads), dS, tensor.HeadView(c.q, c.Heads), scale)
 	return c.dq, c.dk, c.dv
 }
-
-// SplitHeadsInto reshapes x [B,T,E] to dst [B,H,T,Dh] where E = H*Dh. dst
-// may be nil (allocate) or a reusable buffer (its backing array is grown as
-// needed). It returns dst.
-//
-// dchag:hotpath — head shuffle on the attention path; with a warm dst it
-// performs no heap allocation.
-func SplitHeadsInto(dst, x *tensor.Tensor, heads int) *tensor.Tensor {
-	if len(x.Shape) != 3 {
-		panic(fmt.Sprintf("nn: SplitHeads requires rank 3, got %v", x.Shape))
-	}
-	b, t, e := x.Shape[0], x.Shape[1], x.Shape[2]
-	if e%heads != 0 {
-		panic(fmt.Sprintf("nn: embed dim %d not divisible by %d heads", e, heads))
-	}
-	dh := e / heads
-	dst = tensor.EnsureShape(dst, b, heads, t, dh)
-	for bi := 0; bi < b; bi++ {
-		for ti := 0; ti < t; ti++ {
-			src := x.Data[(bi*t+ti)*e : (bi*t+ti+1)*e]
-			for h := 0; h < heads; h++ {
-				d := dst.Data[((bi*heads+h)*t+ti)*dh : ((bi*heads+h)*t+ti+1)*dh]
-				copy(d, src[h*dh:(h+1)*dh])
-			}
-		}
-	}
-	return dst
-}
-
-// SplitHeads reshapes [B,T,E] to [B,H,T,Dh]; the allocating wrapper over
-// SplitHeadsInto.
-func SplitHeads(x *tensor.Tensor, heads int) *tensor.Tensor {
-	return SplitHeadsInto(nil, x, heads)
-}
-
-// MergeHeadsInto reshapes x [B,H,T,Dh] back to dst [B,T,H*Dh]; the inverse
-// of SplitHeadsInto. dst may be nil or a reusable buffer. It returns dst.
-//
-// dchag:hotpath — head shuffle on the attention path; with a warm dst it
-// performs no heap allocation.
-func MergeHeadsInto(dst, x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 4 {
-		panic(fmt.Sprintf("nn: MergeHeads requires rank 4, got %v", x.Shape))
-	}
-	b, h, t, dh := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	e := h * dh
-	dst = tensor.EnsureShape(dst, b, t, e)
-	for bi := 0; bi < b; bi++ {
-		for hi := 0; hi < h; hi++ {
-			for ti := 0; ti < t; ti++ {
-				src := x.Data[((bi*h+hi)*t+ti)*dh : ((bi*h+hi)*t+ti+1)*dh]
-				d := dst.Data[(bi*t+ti)*e+hi*dh : (bi*t+ti)*e+(hi+1)*dh]
-				copy(d, src)
-			}
-		}
-	}
-	return dst
-}
-
-// MergeHeads reshapes [B,H,T,Dh] back to [B,T,H*Dh]; the allocating wrapper
-// over MergeHeadsInto.
-func MergeHeads(x *tensor.Tensor) *tensor.Tensor { return MergeHeadsInto(nil, x) }
 
 // SelfAttention is a standard multi-head self-attention layer: the ViT
 // component of the paper's architecture applies it over spatial tokens.
@@ -159,12 +106,7 @@ type SelfAttention struct {
 	Wq, Wk, Wv   *Linear
 	Wo           *Linear
 
-	core attnCore
-
-	qh, kh, vh *tensor.Tensor // split-head scratch
-	merged     *tensor.Tensor // merged-context scratch
-	dctxh      *tensor.Tensor // backward split-head scratch
-	dm         *tensor.Tensor // backward merge scratch, reused across q/k/v
+	core AttentionCore
 }
 
 // NewSelfAttention constructs a multi-head self-attention layer over embed
@@ -180,7 +122,7 @@ func NewSelfAttention(name string, embed, heads int, seed int64) *SelfAttention 
 		Wk:    NewLinear(name+".wk", embed, embed, SubSeed(seed, 1)),
 		Wv:    NewLinear(name+".wv", embed, embed, SubSeed(seed, 2)),
 		Wo:    NewLinear(name+".wo", embed, embed, SubSeed(seed, 3)),
-		core:  attnCore{heads: heads, headDim: embed / heads},
+		core:  AttentionCore{Heads: heads, HeadDim: embed / heads},
 	}
 }
 
@@ -191,7 +133,7 @@ func (a *SelfAttention) SetInferDType(dt tensor.DType) {
 	a.Wk.SetInferDType(dt)
 	a.Wv.SetInferDType(dt)
 	a.Wo.SetInferDType(dt)
-	a.core.dtype = dt
+	a.core.SetInferDType(dt)
 }
 
 // Forward computes multi-head self-attention over x of shape [B,T,E].
@@ -199,11 +141,7 @@ func (a *SelfAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 3 {
 		panic(fmt.Sprintf("nn: SelfAttention.Forward requires [B,T,E], got %v", x.Shape))
 	}
-	a.qh = SplitHeadsInto(a.qh, a.Wq.Forward(x), a.Heads)
-	a.kh = SplitHeadsInto(a.kh, a.Wk.Forward(x), a.Heads)
-	a.vh = SplitHeadsInto(a.vh, a.Wv.Forward(x), a.Heads)
-	a.merged = MergeHeadsInto(a.merged, a.core.run(a.qh, a.kh, a.vh))
-	return a.Wo.Forward(a.merged)
+	return a.Wo.Forward(a.core.Forward(a.Wq.Forward(x), a.Wk.Forward(x), a.Wv.Forward(x)))
 }
 
 // Infer computes Forward's output through the projections' no-grad fast
@@ -212,26 +150,16 @@ func (a *SelfAttention) Infer(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 3 {
 		panic(fmt.Sprintf("nn: SelfAttention.Infer requires [B,T,E], got %v", x.Shape))
 	}
-	a.qh = SplitHeadsInto(a.qh, a.Wq.Infer(x), a.Heads)
-	a.kh = SplitHeadsInto(a.kh, a.Wk.Infer(x), a.Heads)
-	a.vh = SplitHeadsInto(a.vh, a.Wv.Infer(x), a.Heads)
-	a.merged = MergeHeadsInto(a.merged, a.core.infer(a.qh, a.kh, a.vh))
-	return a.Wo.Infer(a.merged)
+	return a.Wo.Infer(a.core.Infer(a.Wq.Infer(x), a.Wk.Infer(x), a.Wv.Infer(x)))
 }
 
 // Backward back-propagates to the forward input, accumulating parameter
 // gradients in the four projections.
 func (a *SelfAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	a.dctxh = SplitHeadsInto(a.dctxh, a.Wo.Backward(grad), a.Heads)
-	dq, dk, dv := a.core.grad(a.dctxh)
-	// The merge scratch is reused for dk and dv: each projection's Backward
-	// fully consumes it before the next merge overwrites it.
-	a.dm = MergeHeadsInto(a.dm, dq)
-	dx := a.Wq.Backward(a.dm)
-	a.dm = MergeHeadsInto(a.dm, dk)
-	tensor.AddInPlace(dx, a.Wk.Backward(a.dm))
-	a.dm = MergeHeadsInto(a.dm, dv)
-	tensor.AddInPlace(dx, a.Wv.Backward(a.dm))
+	dq, dk, dv := a.core.Backward(a.Wo.Backward(grad))
+	dx := a.Wq.Backward(dq)
+	tensor.AddInPlace(dx, a.Wk.Backward(dk))
+	tensor.AddInPlace(dx, a.Wv.Backward(dv))
 	return dx
 }
 
@@ -254,12 +182,7 @@ type CrossAttention struct {
 	Wq, Wk, Wv   *Linear
 	Wo           *Linear
 
-	core attnCore
-
-	qh, kh, vh *tensor.Tensor
-	merged     *tensor.Tensor
-	dctxh      *tensor.Tensor
-	dm         *tensor.Tensor
+	core AttentionCore
 }
 
 // NewCrossAttention constructs a multi-head cross-attention layer.
@@ -274,7 +197,7 @@ func NewCrossAttention(name string, embed, heads int, seed int64) *CrossAttentio
 		Wk:    NewLinear(name+".wk", embed, embed, SubSeed(seed, 1)),
 		Wv:    NewLinear(name+".wv", embed, embed, SubSeed(seed, 2)),
 		Wo:    NewLinear(name+".wo", embed, embed, SubSeed(seed, 3)),
-		core:  attnCore{heads: heads, headDim: embed / heads},
+		core:  AttentionCore{Heads: heads, HeadDim: embed / heads},
 	}
 }
 
@@ -285,7 +208,7 @@ func (a *CrossAttention) SetInferDType(dt tensor.DType) {
 	a.Wk.SetInferDType(dt)
 	a.Wv.SetInferDType(dt)
 	a.Wo.SetInferDType(dt)
-	a.core.dtype = dt
+	a.core.SetInferDType(dt)
 }
 
 // Forward computes attention of query [B,Tq,E] over context [B,Tk,E],
@@ -294,11 +217,7 @@ func (a *CrossAttention) Forward(query, context *tensor.Tensor) *tensor.Tensor {
 	if len(query.Shape) != 3 || len(context.Shape) != 3 {
 		panic(fmt.Sprintf("nn: CrossAttention.Forward requires rank-3 inputs, got %v and %v", query.Shape, context.Shape))
 	}
-	a.qh = SplitHeadsInto(a.qh, a.Wq.Forward(query), a.Heads)
-	a.kh = SplitHeadsInto(a.kh, a.Wk.Forward(context), a.Heads)
-	a.vh = SplitHeadsInto(a.vh, a.Wv.Forward(context), a.Heads)
-	a.merged = MergeHeadsInto(a.merged, a.core.run(a.qh, a.kh, a.vh))
-	return a.Wo.Forward(a.merged)
+	return a.Wo.Forward(a.core.Forward(a.Wq.Forward(query), a.Wk.Forward(context), a.Wv.Forward(context)))
 }
 
 // Infer computes Forward's output through the projections' no-grad fast
@@ -307,23 +226,15 @@ func (a *CrossAttention) Infer(query, context *tensor.Tensor) *tensor.Tensor {
 	if len(query.Shape) != 3 || len(context.Shape) != 3 {
 		panic(fmt.Sprintf("nn: CrossAttention.Infer requires rank-3 inputs, got %v and %v", query.Shape, context.Shape))
 	}
-	a.qh = SplitHeadsInto(a.qh, a.Wq.Infer(query), a.Heads)
-	a.kh = SplitHeadsInto(a.kh, a.Wk.Infer(context), a.Heads)
-	a.vh = SplitHeadsInto(a.vh, a.Wv.Infer(context), a.Heads)
-	a.merged = MergeHeadsInto(a.merged, a.core.infer(a.qh, a.kh, a.vh))
-	return a.Wo.Infer(a.merged)
+	return a.Wo.Infer(a.core.Infer(a.Wq.Infer(query), a.Wk.Infer(context), a.Wv.Infer(context)))
 }
 
 // Backward returns gradients with respect to the query and context inputs.
 func (a *CrossAttention) Backward(grad *tensor.Tensor) (dQuery, dContext *tensor.Tensor) {
-	a.dctxh = SplitHeadsInto(a.dctxh, a.Wo.Backward(grad), a.Heads)
-	dq, dk, dv := a.core.grad(a.dctxh)
-	a.dm = MergeHeadsInto(a.dm, dq)
-	dQuery = a.Wq.Backward(a.dm)
-	a.dm = MergeHeadsInto(a.dm, dk)
-	dContext = a.Wk.Backward(a.dm)
-	a.dm = MergeHeadsInto(a.dm, dv)
-	tensor.AddInPlace(dContext, a.Wv.Backward(a.dm))
+	dq, dk, dv := a.core.Backward(a.Wo.Backward(grad))
+	dQuery = a.Wq.Backward(dq)
+	dContext = a.Wk.Backward(dk)
+	tensor.AddInPlace(dContext, a.Wv.Backward(dv))
 	return dQuery, dContext
 }
 

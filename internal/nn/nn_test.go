@@ -3,34 +3,9 @@ package nn
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/tensor"
 )
-
-func TestSplitMergeHeadsRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := tensor.NewRNG(seed)
-		b := 1 + int(rng.Int31n(3))
-		tt := 1 + int(rng.Int31n(5))
-		h := []int{1, 2, 4}[rng.Intn(3)]
-		dh := 1 + int(rng.Int31n(4))
-		x := tensor.Randn(rng, b, tt, h*dh)
-		return tensor.MaxAbsDiff(MergeHeads(SplitHeads(x, h)), x) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitHeadsLayout(t *testing.T) {
-	// [1, 2 tokens, 4 embed] with 2 heads: head h should see dims [2h, 2h+1].
-	x := tensor.FromSlice([]float64{0, 1, 2, 3, 10, 11, 12, 13}, 1, 2, 4)
-	s := SplitHeads(x, 2)
-	if s.At(0, 0, 0, 0) != 0 || s.At(0, 0, 1, 1) != 11 || s.At(0, 1, 0, 0) != 2 || s.At(0, 1, 1, 1) != 13 {
-		t.Fatalf("SplitHeads layout wrong: %v", s.Data)
-	}
-}
 
 func TestSequentialChains(t *testing.T) {
 	l1 := NewLinear("l1", 4, 8, 1)

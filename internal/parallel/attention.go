@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/comm"
 	"repro/internal/nn"
@@ -11,8 +10,8 @@ import (
 
 // ParallelSelfAttention is the tensor-parallel multi-head self-attention of
 // the paper's Sec. 4.3 baseline: Q/K/V projections are column-parallel
-// (each rank owns heads/t heads), the attention product runs on local heads
-// only, and the output projection is row-parallel. One forward AllReduce
+// (each rank owns heads/t heads), the attention product (nn.AttentionCore)
+// runs on local heads only, and the output projection is row-parallel. One forward AllReduce
 // (in the row-parallel output) and one backward AllReduce (for the
 // replicated input) per layer.
 //
@@ -25,8 +24,7 @@ type ParallelSelfAttention struct {
 	Wq, Wk, Wv   *ColumnParallelLinear
 	Wo           *RowParallelLinear
 
-	q, k, v *tensor.Tensor // local head tensors [B,Hl,T,Dh]
-	attn    *tensor.Tensor
+	core nn.AttentionCore // over the rank's local heads
 }
 
 // NewParallelSelfAttention shards nn.NewSelfAttention(name, embed, heads,
@@ -39,41 +37,27 @@ func NewParallelSelfAttention(name string, embed, heads int, seed int64, c *comm
 	return &ParallelSelfAttention{
 		Comm:  c,
 		Embed: embed, Heads: heads, LocalHeads: heads / t,
-		Wq: NewColumnParallelLinear(name+".wq", embed, embed, nn.SubSeed(seed, 0), c),
-		Wk: NewColumnParallelLinear(name+".wk", embed, embed, nn.SubSeed(seed, 1), c),
-		Wv: NewColumnParallelLinear(name+".wv", embed, embed, nn.SubSeed(seed, 2), c),
-		Wo: NewRowParallelLinear(name+".wo", embed, embed, nn.SubSeed(seed, 3), c),
+		Wq:   NewColumnParallelLinear(name+".wq", embed, embed, nn.SubSeed(seed, 0), c),
+		Wk:   NewColumnParallelLinear(name+".wk", embed, embed, nn.SubSeed(seed, 1), c),
+		Wv:   NewColumnParallelLinear(name+".wv", embed, embed, nn.SubSeed(seed, 2), c),
+		Wo:   NewRowParallelLinear(name+".wo", embed, embed, nn.SubSeed(seed, 3), c),
+		core: nn.AttentionCore{Heads: heads / t, HeadDim: embed / heads},
 	}
 }
 
 // Forward computes the attention output [B,T,E] from replicated input
 // [B,T,E]. Only the row-parallel output projection communicates.
 func (a *ParallelSelfAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
-	a.q = nn.SplitHeads(a.Wq.Forward(x), a.LocalHeads)
-	a.k = nn.SplitHeads(a.Wk.Forward(x), a.LocalHeads)
-	a.v = nn.SplitHeads(a.Wv.Forward(x), a.LocalHeads)
-	scale := 1 / math.Sqrt(float64(a.Embed/a.Heads))
-	scores := tensor.BatchedMatMulT(a.q, a.k)
-	tensor.ScaleInPlace(scores, scale)
-	a.attn = tensor.SoftmaxLastDim(scores)
-	ctx := nn.MergeHeads(tensor.BatchedMatMul(a.attn, a.v))
-	return a.Wo.Forward(ctx)
+	return a.Wo.Forward(a.core.Forward(a.Wq.Forward(x), a.Wk.Forward(x), a.Wv.Forward(x)))
 }
 
 // Backward back-propagates to the replicated input with a single AllReduce
 // over the summed Q/K/V partial input gradients.
 func (a *ParallelSelfAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dctx := nn.SplitHeads(a.Wo.Backward(grad), a.LocalHeads)
-	scale := 1 / math.Sqrt(float64(a.Embed/a.Heads))
-	dA := tensor.BatchedMatMulT(dctx, a.v)
-	dv := tensor.BatchedTMatMul(a.attn, dctx)
-	dS := tensor.SoftmaxBackwardLastDim(a.attn, dA)
-	tensor.ScaleInPlace(dS, scale)
-	dq := tensor.BatchedMatMul(dS, a.k)
-	dk := tensor.BatchedTMatMul(dS, a.q)
-	dx := a.Wq.BackwardPartial(nn.MergeHeads(dq))
-	tensor.AddInPlace(dx, a.Wk.BackwardPartial(nn.MergeHeads(dk)))
-	tensor.AddInPlace(dx, a.Wv.BackwardPartial(nn.MergeHeads(dv)))
+	dq, dk, dv := a.core.Backward(a.Wo.Backward(grad))
+	dx := a.Wq.BackwardPartial(dq)
+	tensor.AddInPlace(dx, a.Wk.BackwardPartial(dk))
+	tensor.AddInPlace(dx, a.Wv.BackwardPartial(dv))
 	return a.Comm.AllReduceSum(dx)
 }
 
@@ -99,8 +83,7 @@ type ParallelCrossAttention struct {
 	Wq, Wk, Wv   *ColumnParallelLinear
 	Wo           *RowParallelLinear
 
-	q, k, v *tensor.Tensor
-	attn    *tensor.Tensor
+	core nn.AttentionCore
 }
 
 // NewParallelCrossAttention shards nn.NewCrossAttention(name, embed, heads,
@@ -113,41 +96,27 @@ func NewParallelCrossAttention(name string, embed, heads int, seed int64, c *com
 	return &ParallelCrossAttention{
 		Comm:  c,
 		Embed: embed, Heads: heads, LocalHeads: heads / t,
-		Wq: NewColumnParallelLinear(name+".wq", embed, embed, nn.SubSeed(seed, 0), c),
-		Wk: NewColumnParallelLinear(name+".wk", embed, embed, nn.SubSeed(seed, 1), c),
-		Wv: NewColumnParallelLinear(name+".wv", embed, embed, nn.SubSeed(seed, 2), c),
-		Wo: NewRowParallelLinear(name+".wo", embed, embed, nn.SubSeed(seed, 3), c),
+		Wq:   NewColumnParallelLinear(name+".wq", embed, embed, nn.SubSeed(seed, 0), c),
+		Wk:   NewColumnParallelLinear(name+".wk", embed, embed, nn.SubSeed(seed, 1), c),
+		Wv:   NewColumnParallelLinear(name+".wv", embed, embed, nn.SubSeed(seed, 2), c),
+		Wo:   NewRowParallelLinear(name+".wo", embed, embed, nn.SubSeed(seed, 3), c),
+		core: nn.AttentionCore{Heads: heads / t, HeadDim: embed / heads},
 	}
 }
 
 // Forward attends query [B,Tq,E] over context [B,Tk,E]; both inputs are
 // replicated across the TP group.
 func (a *ParallelCrossAttention) Forward(query, context *tensor.Tensor) *tensor.Tensor {
-	a.q = nn.SplitHeads(a.Wq.Forward(query), a.LocalHeads)
-	a.k = nn.SplitHeads(a.Wk.Forward(context), a.LocalHeads)
-	a.v = nn.SplitHeads(a.Wv.Forward(context), a.LocalHeads)
-	scale := 1 / math.Sqrt(float64(a.Embed/a.Heads))
-	scores := tensor.BatchedMatMulT(a.q, a.k)
-	tensor.ScaleInPlace(scores, scale)
-	a.attn = tensor.SoftmaxLastDim(scores)
-	ctx := nn.MergeHeads(tensor.BatchedMatMul(a.attn, a.v))
-	return a.Wo.Forward(ctx)
+	return a.Wo.Forward(a.core.Forward(a.Wq.Forward(query), a.Wk.Forward(context), a.Wv.Forward(context)))
 }
 
 // Backward returns gradients for the replicated query and context inputs,
 // using one AllReduce each.
 func (a *ParallelCrossAttention) Backward(grad *tensor.Tensor) (dQuery, dContext *tensor.Tensor) {
-	dctx := nn.SplitHeads(a.Wo.Backward(grad), a.LocalHeads)
-	scale := 1 / math.Sqrt(float64(a.Embed/a.Heads))
-	dA := tensor.BatchedMatMulT(dctx, a.v)
-	dv := tensor.BatchedTMatMul(a.attn, dctx)
-	dS := tensor.SoftmaxBackwardLastDim(a.attn, dA)
-	tensor.ScaleInPlace(dS, scale)
-	dq := tensor.BatchedMatMul(dS, a.k)
-	dk := tensor.BatchedTMatMul(dS, a.q)
-	dQuery = a.Comm.AllReduceSum(a.Wq.BackwardPartial(nn.MergeHeads(dq)))
-	dc := a.Wk.BackwardPartial(nn.MergeHeads(dk))
-	tensor.AddInPlace(dc, a.Wv.BackwardPartial(nn.MergeHeads(dv)))
+	dq, dk, dv := a.core.Backward(a.Wo.Backward(grad))
+	dQuery = a.Comm.AllReduceSum(a.Wq.BackwardPartial(dq))
+	dc := a.Wk.BackwardPartial(dk)
+	tensor.AddInPlace(dc, a.Wv.BackwardPartial(dv))
 	dContext = a.Comm.AllReduceSum(dc)
 	return dQuery, dContext
 }

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/comm"
 	"repro/internal/nn"
@@ -33,9 +32,7 @@ type SPSelfAttention struct {
 	Wq, Wk, Wv   *nn.Linear
 	Wo           *nn.Linear
 
-	q, kFull, vFull *tensor.Tensor
-	attn            *tensor.Tensor
-	localT          int
+	core nn.AttentionCore // local queries against the gathered keys and values
 }
 
 // NewSPSelfAttention builds the sequence-parallel twin of
@@ -48,10 +45,11 @@ func NewSPSelfAttention(name string, embed, heads int, seed int64, c *comm.Commu
 	return &SPSelfAttention{
 		Comm:  c,
 		Embed: embed, Heads: heads,
-		Wq: nn.NewLinear(name+".wq", embed, embed, nn.SubSeed(seed, 0)),
-		Wk: nn.NewLinear(name+".wk", embed, embed, nn.SubSeed(seed, 1)),
-		Wv: nn.NewLinear(name+".wv", embed, embed, nn.SubSeed(seed, 2)),
-		Wo: nn.NewLinear(name+".wo", embed, embed, nn.SubSeed(seed, 3)),
+		Wq:   nn.NewLinear(name+".wq", embed, embed, nn.SubSeed(seed, 0)),
+		Wk:   nn.NewLinear(name+".wk", embed, embed, nn.SubSeed(seed, 1)),
+		Wv:   nn.NewLinear(name+".wv", embed, embed, nn.SubSeed(seed, 2)),
+		Wo:   nn.NewLinear(name+".wo", embed, embed, nn.SubSeed(seed, 3)),
+		core: nn.AttentionCore{Heads: heads, HeadDim: embed / heads},
 	}
 }
 
@@ -61,19 +59,10 @@ func (a *SPSelfAttention) Forward(xLocal *tensor.Tensor) *tensor.Tensor {
 	if len(xLocal.Shape) != 3 {
 		panic(fmt.Sprintf("parallel: SPSelfAttention.Forward wants [B,Tl,E], got %v", xLocal.Shape))
 	}
-	a.localT = xLocal.Shape[1]
-	a.q = nn.SplitHeads(a.Wq.Forward(xLocal), a.Heads) // [B,H,Tl,Dh]
-	kLocal := a.Wk.Forward(xLocal)
-	vLocal := a.Wv.Forward(xLocal)
-	a.kFull = nn.SplitHeads(a.Comm.AllGatherConcat(kLocal, 1), a.Heads) // [B,H,T,Dh]
-	a.vFull = nn.SplitHeads(a.Comm.AllGatherConcat(vLocal, 1), a.Heads)
-
-	scale := 1 / math.Sqrt(float64(a.Embed/a.Heads))
-	scores := tensor.BatchedMatMulT(a.q, a.kFull) // [B,H,Tl,T]
-	tensor.ScaleInPlace(scores, scale)
-	a.attn = tensor.SoftmaxLastDim(scores)
-	ctx := nn.MergeHeads(tensor.BatchedMatMul(a.attn, a.vFull)) // [B,Tl,E]
-	return a.Wo.Forward(ctx)
+	q := a.Wq.Forward(xLocal)                                // [B,Tl,E]
+	kFull := a.Comm.AllGatherConcat(a.Wk.Forward(xLocal), 1) // [B,T,E]
+	vFull := a.Comm.AllGatherConcat(a.Wv.Forward(xLocal), 1)
+	return a.Wo.Forward(a.core.Forward(q, kFull, vFull)) // [B,Tl,E]
 }
 
 // Backward consumes the local output gradient [B, T/p, E] and returns the
@@ -81,24 +70,14 @@ func (a *SPSelfAttention) Forward(xLocal *tensor.Tensor) *tensor.Tensor {
 // owners (the SP backward communication the paper contrasts with D-CHAG's
 // silent backward).
 func (a *SPSelfAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if a.attn == nil {
-		panic("parallel: SPSelfAttention.Backward before Forward")
-	}
-	dctx := nn.SplitHeads(a.Wo.Backward(grad), a.Heads)
-	scale := 1 / math.Sqrt(float64(a.Embed/a.Heads))
-	dA := tensor.BatchedMatMulT(dctx, a.vFull)    // [B,H,Tl,T]
-	dvFull := tensor.BatchedTMatMul(a.attn, dctx) // [B,H,T,Dh]
-	dS := tensor.SoftmaxBackwardLastDim(a.attn, dA)
-	tensor.ScaleInPlace(dS, scale)
-	dq := tensor.BatchedMatMul(dS, a.kFull)  // [B,H,Tl,Dh]
-	dkFull := tensor.BatchedTMatMul(dS, a.q) // [B,H,T,Dh]
+	dq, dkFull, dvFull := a.core.Backward(a.Wo.Backward(grad)) // [B,Tl,E], [B,T,E] x 2
 
 	// Each rank holds only the contribution of its queries to dK/dV; sum the
 	// contributions and keep the local token slice.
-	dkLocal := a.Comm.ReduceScatterSum(nn.MergeHeads(dkFull), 1)
-	dvLocal := a.Comm.ReduceScatterSum(nn.MergeHeads(dvFull), 1)
+	dkLocal := a.Comm.ReduceScatterSum(dkFull, 1)
+	dvLocal := a.Comm.ReduceScatterSum(dvFull, 1)
 
-	dx := a.Wq.Backward(nn.MergeHeads(dq))
+	dx := a.Wq.Backward(dq)
 	tensor.AddInPlace(dx, a.Wk.Backward(dkLocal))
 	tensor.AddInPlace(dx, a.Wv.Backward(dvLocal))
 	return dx

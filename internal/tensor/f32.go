@@ -29,11 +29,7 @@ func (d DType) String() string {
 // PackedB32 holds a weight matrix prepacked into the f32 kernel's B panels.
 // Packing the K x N operand once at SetInferDType time hoists both the
 // f64->f32 conversion and the panel shuffle out of the per-request hot loop.
-type PackedB32 struct {
-	K, N     int
-	panels   []float32
-	blockOff []int // panel offset of each kc-deep block
-}
+type PackedB32 = packedB[float32]
 
 // PackB32 packs a rank-2 [K,N] tensor for use as the B operand of
 // MatMulPackedF32Into. The returned pack is immutable and safe for
@@ -49,7 +45,7 @@ func PackB32(b *Tensor) *PackedB32 {
 		pb.blockOff = append(pb.blockOff, len(pb.panels))
 		kb := min(gemmKC, k-p0)
 		block := make([]float32, nPanels*kb*gemmNR32)
-		packBF32(block, b.Data, n, p0, 0, kb, n, false)
+		pack(block, b.Data, n, 0, p0, n, kb, gemmNR32, true)
 		pb.panels = append(pb.panels, block...)
 	}
 	if k == 0 {
@@ -75,17 +71,7 @@ func MatMulPackedF32Into(dst, a *Tensor, pb *PackedB32) *Tensor {
 	n := pb.N
 	dst = ensureDst("MatMulPackedF32Into", dst, m, n)
 	mustNotAlias("MatMulPackedF32Into", dst, a)
-	if k == 0 {
-		dst.Zero()
-		return dst
-	}
-	if serialDispatch(m, m*k*n) {
-		gemmRowsF32(dst.Data, a.Data, nil, pb, 0, m, k, n, k, n, false, false, false)
-		return dst
-	}
-	parallelOverRows(m, m*k*n, func(lo, hi int) {
-		gemmRowsF32(dst.Data, a.Data, nil, pb, lo, hi, k, n, k, n, false, false, false)
-	})
+	gemm2D[float32](&gemmSpec{m: m, k: k, n: n, a: a.Data, c: dst.Data, lda: k, ldc: n, alpha: 1}, pb)
 	return dst
 }
 
@@ -95,91 +81,21 @@ func MatMulPackedF32Into(dst, a *Tensor, pb *PackedB32) *Tensor {
 //
 // dchag:hotpath — with a non-nil dst it performs no heap allocation.
 func MatMulF32Into(dst, a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMulF32Into requires rank-2 operands, got %v x %v", a.Shape, b.Shape))
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulF32Into inner dimension mismatch %v x %v", a.Shape, b.Shape))
-	}
-	dst = ensureDst("MatMulF32Into", dst, m, n)
-	mustNotAlias("MatMulF32Into", dst, a, b)
-	if k == 0 {
-		dst.Zero()
-		return dst
-	}
-	if serialDispatch(m, m*k*n) {
-		gemmRowsF32(dst.Data, a.Data, b.Data, nil, 0, m, k, n, k, n, false, false, false)
-		return dst
-	}
-	parallelOverRows(m, m*k*n, func(lo, hi int) {
-		gemmRowsF32(dst.Data, a.Data, b.Data, nil, lo, hi, k, n, k, n, false, false, false)
-	})
-	return dst
+	return product[float32]("MatMulF32Into", dst, a, b, false, false, false)
 }
 
 // BatchedMatMulTF32Into is BatchedMatMulTInto in float32 arithmetic — the
-// attention score product Q @ K^T on the f32 inference path. It returns dst.
+// attention score product Q @ K^T on the f32 inference path.
 //
-// dchag:hotpath — with a non-nil dst it performs no heap allocation.
-func BatchedMatMulTF32Into(dst, a, b *Tensor) *Tensor {
-	batch, lead := batchedShapes("BatchedMatMulTF32", a, b)
-	ra := len(a.Shape)
-	m, k := a.Shape[ra-2], a.Shape[ra-1]
-	n, k2 := b.Shape[ra-2], b.Shape[ra-1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: BatchedMatMulTF32 inner mismatch %v x %v^T", a.Shape, b.Shape))
-	}
-	dst = ensureDstBatched("BatchedMatMulTF32Into", dst, lead, m, n)
-	mustNotAlias("BatchedMatMulTF32Into", dst, a, b)
-	if k == 0 {
-		dst.Zero()
-		return dst
-	}
-	if serialDispatch(batch, batch*m*k*n) {
-		for bi := 0; bi < batch; bi++ {
-			gemmRowsF32(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*n*k:(bi+1)*n*k], nil, 0, m, k, n, k, k, false, true, false)
-		}
-		return dst
-	}
-	parallelOverRows(batch, batch*m*k*n, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			gemmRowsF32(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*n*k:(bi+1)*n*k], nil, 0, m, k, n, k, k, false, true, false)
-		}
-	})
-	return dst
+// dchag:hotpath — it performs no heap allocation.
+func BatchedMatMulTF32Into(dst, a, b View, alpha float64) {
+	batched[float32]("BatchedMatMulTF32Into", dst, a, b, false, true, alpha)
 }
 
 // BatchedMatMulF32Into is BatchedMatMulInto in float32 arithmetic — the
-// attention context product scores @ V on the f32 inference path. It returns
-// dst.
+// attention context product scores @ V on the f32 inference path.
 //
-// dchag:hotpath — with a non-nil dst it performs no heap allocation.
-func BatchedMatMulF32Into(dst, a, b *Tensor) *Tensor {
-	batch, lead := batchedShapes("BatchedMatMulF32", a, b)
-	ra := len(a.Shape)
-	m, k := a.Shape[ra-2], a.Shape[ra-1]
-	k2, n := b.Shape[ra-2], b.Shape[ra-1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: BatchedMatMulF32 inner mismatch %v x %v", a.Shape, b.Shape))
-	}
-	dst = ensureDstBatched("BatchedMatMulF32Into", dst, lead, m, n)
-	mustNotAlias("BatchedMatMulF32Into", dst, a, b)
-	if k == 0 {
-		dst.Zero()
-		return dst
-	}
-	if serialDispatch(batch, batch*m*k*n) {
-		for bi := 0; bi < batch; bi++ {
-			gemmRowsF32(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*k*n:(bi+1)*k*n], nil, 0, m, k, n, k, n, false, false, false)
-		}
-		return dst
-	}
-	parallelOverRows(batch, batch*m*k*n, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			gemmRowsF32(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*k*n:(bi+1)*k*n], nil, 0, m, k, n, k, n, false, false, false)
-		}
-	})
-	return dst
+// dchag:hotpath — it performs no heap allocation.
+func BatchedMatMulF32Into(dst, a, b View, alpha float64) {
+	batched[float32]("BatchedMatMulF32Into", dst, a, b, false, false, alpha)
 }

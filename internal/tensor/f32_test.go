@@ -61,13 +61,15 @@ func TestBatchedF32Tolerance(t *testing.T) {
 	fill(q, 0.3)
 	fill(kk, 1.3)
 	fill(v, 2.3)
-	scores64 := BatchedMatMulT(q, kk)
-	scores32 := BatchedMatMulTF32Into(dirty(B, H, T, T), q, kk)
+	scores64, scores32 := New(B, H, T, T), dirty(B, H, T, T)
+	BatchedMatMulTInto(MatView(scores64), MatView(q), MatView(kk), 1)
+	BatchedMatMulTF32Into(MatView(scores32), MatView(q), MatView(kk), 1)
 	if d := MaxAbsDiff(scores64, scores32); d > 1e-4 {
 		t.Fatalf("BatchedMatMulTF32 differs by %g", d)
 	}
-	ctx64 := BatchedMatMul(scores64, v)
-	ctx32 := BatchedMatMulF32Into(dirty(B, H, T, D), scores64, v)
+	ctx64, ctx32 := New(B, H, T, D), dirty(B, H, T, D)
+	BatchedMatMulInto(MatView(ctx64), MatView(scores64), MatView(v), 1)
+	BatchedMatMulF32Into(MatView(ctx32), MatView(scores64), MatView(v), 1)
 	if d := MaxAbsDiff(ctx64, ctx32); d > 1e-4 {
 		t.Fatalf("BatchedMatMulF32 differs by %g", d)
 	}

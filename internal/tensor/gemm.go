@@ -1,17 +1,31 @@
 package tensor
 
-// Cache-blocked, register-tiled GEMM (GEBP / BLIS structure). The driver
-// splits C = A@B into mc x kc x nc cache blocks, packs the current A and B
-// blocks into contiguous micro-panels drawn from the DefaultPool, and walks
-// mr x nr register tiles with a micro-kernel (AVX2+FMA assembly when the CPU
-// has it, pure Go otherwise). The kernel writes each tile to a contiguous
-// scratch array; the driver adds the valid region into the strided
-// destination, which gives uniform edge handling and free accumulate
-// variants (dst += A^T@B for weight gradients).
+// Cache-blocked, register-tiled GEMM (GEBP / BLIS structure), one driver for
+// every matrix product in the repository. gemmBlocked splits
+// C = alpha*op(A)@op(B) into mc x kc x nc cache blocks, packs the current A
+// and B blocks into contiguous micro-panels and walks mr x nr register tiles
+// with a micro-kernel (AVX2+FMA assembly when the CPU has it, a pure-Go twin
+// otherwise) that scales its tile by alpha and stores or accumulates it
+// straight into the strided destination. Operands are float64 storage
+// described by a base slice and a leading dimension, so per-head attention
+// operands are read in place; the panel element type T selects float64 or
+// float32 compute, with the f64->f32 conversion fused into packing and the
+// f32->f64 conversion into the tile store.
 //
-// Summation order per output element is p ascending within each kc block,
-// kc blocks ascending — independent of worker count and of the m/n blocking,
-// so results are bitwise reproducible across GOMAXPROCS settings.
+// Dispatch is by size only. A product whose B block fits an L1-sized buffer
+// (attention maps, E x E projections over any number of rows) packs into
+// panels that live on the caller's stack; anything larger draws its panels
+// from the DefaultPool. Both run the same loops and the same micro-kernel.
+//
+// Summation contract, for every size and on both paths: each output element
+// is one FMA chain over p ascending within a kc block, the block's tile is
+// scaled by alpha, and kc blocks are added in ascending order. It does not
+// depend on m, n, the cache blocking, the worker count or where the panels
+// live, so a column- or row-sharded product reproduces the full one bit for
+// bit.
+
+// elem is the panel element type: the arithmetic of the micro-kernel.
+type elem interface{ float32 | float64 }
 
 const (
 	gemmMC   = 128 // rows of A packed per block
@@ -20,128 +34,143 @@ const (
 	gemmMR   = 4   // micro-tile rows
 	gemmNR   = 8   // micro-tile columns (f64); f32 uses 2x
 	gemmNR32 = 16
+
+	stackPanelA = 2048 // elements of the stack-resident A panel
+	stackPanelB = 1024 // elements of the stack-resident B panel
 )
 
-// directMaxWork is the m*k*n product below which the unpacked direct loops
-// beat the pack-and-tile driver.
-const directMaxWork = 1 << 15
+// gemmSpec describes one product C = alpha*op(A)@op(B), or C += ... with
+// accum: op(A) is m x k, op(B) is k x n. Each slice starts at its matrix's
+// element (0,0) and rows are ld apart. at means a holds A^T (k rows of m), bt
+// means b holds B^T (n rows of k).
+type gemmSpec struct {
+	m, k, n       int
+	a, b, c       []float64
+	lda, ldb, ldc int
+	at, bt, accum bool
+	alpha         float64
+}
 
-// gemm2D computes dst = A@B (rank-2, row-major, contiguous) with optional
-// transposed operands: at means a holds A^T ([k,m] storage), bt means b
-// holds B^T ([n,k] storage). With accum, dst is accumulated into instead of
-// overwritten.
+// stackPanels is the stack-resident scratch of one driver invocation: the
+// packing panels of the small-product path and the edge-tile buffer.
+// Declaring it zeroes it, so batched callers declare one per worker, not one
+// per product.
+type stackPanels[T elem] struct {
+	a    [stackPanelA]T
+	b    [stackPanelB]T
+	tile [gemmMR * gemmNR32]float64
+}
+
+// nrOf returns the micro-tile width of the kernel computing in T.
+func nrOf[T elem]() int {
+	var z T
+	if _, ok := any(z).(float32); ok {
+		return gemmNR32
+	}
+	return gemmNR
+}
+
+// packedB holds a K x N matrix prepacked into the B panels of the kernel
+// computing in T, one run of panels per kc-deep block.
+type packedB[T elem] struct {
+	K, N     int
+	panels   []T
+	blockOff []int // panel offset of each kc-deep block
+}
+
+// gemm2D runs one product, splitting destination rows across goroutines when
+// it is large enough. pre, when non-nil, holds B prepacked (see PackB32).
 //
-// dchag:hotpath — the funnel for every matrix product in the repository; it
-// must not allocate (panel scratch comes from the pool).
-func gemm2D(dst, a, b []float64, m, k, n int, at, bt, accum bool) {
-	if m == 0 || n == 0 {
+// dchag:hotpath — the funnel for every rank-2 matrix product in the
+// repository; it must not allocate (panel scratch is stack or pool).
+func gemm2D[T elem](g *gemmSpec, pre *packedB[T]) {
+	if g.m == 0 || g.n == 0 {
 		return
 	}
-	if k == 0 {
-		if !accum {
-			for i := range dst[:m*n] {
-				dst[i] = 0
-			}
-		}
+	work := g.m * g.k * g.n
+	if serialDispatch(g.m, work) {
+		gemmRows[T](g, 0, g.m, pre)
 		return
 	}
-	lda, ldb := k, n
-	if at {
-		lda = m
-	}
-	if bt {
-		ldb = k
-	}
-	work := m * k * n
-	useBlocked := work >= directMaxWork || (at && bt)
-	if serialDispatch(m, work) {
-		if useBlocked {
-			gemmRowsF64(dst, a, b, 0, m, k, n, lda, ldb, at, bt, accum)
-		} else {
-			directRowsF64(dst, a, b, 0, m, k, n, lda, ldb, at, bt, accum)
-		}
-		return
-	}
-	parallelOverRows(m, work, func(lo, hi int) {
-		if useBlocked {
-			gemmRowsF64(dst, a, b, lo, hi, k, n, lda, ldb, at, bt, accum)
-		} else {
-			directRowsF64(dst, a, b, lo, hi, k, n, lda, ldb, at, bt, accum)
-		}
+	spec := *g // the closure's copy; g itself stays on the caller's stack
+	parallelOverRows(g.m, work, func(lo, hi int) {
+		gemmRows[T](&spec, lo, hi, pre)
 	})
 }
 
-// gemm2DSerial is gemm2D without the goroutine dispatch, for callers that
-// already parallelize over batches.
-//
-// dchag:hotpath — per-batch kernel; it must not allocate.
-func gemm2DSerial(dst, a, b []float64, m, k, n int, at, bt, accum bool) {
-	if m == 0 || n == 0 {
-		return
-	}
-	if k == 0 {
-		if !accum {
-			for i := range dst[:m*n] {
-				dst[i] = 0
-			}
-		}
-		return
-	}
-	lda, ldb := k, n
-	if at {
-		lda = m
-	}
-	if bt {
-		ldb = k
-	}
-	if m*k*n >= directMaxWork || (at && bt) {
-		gemmRowsF64(dst, a, b, 0, m, k, n, lda, ldb, at, bt, accum)
-	} else {
-		directRowsF64(dst, a, b, 0, m, k, n, lda, ldb, at, bt, accum)
-	}
+// gemmRows computes destination rows [lo,hi) of one product.
+func gemmRows[T elem](g *gemmSpec, lo, hi int, pre *packedB[T]) {
+	var st stackPanels[T]
+	gemmBlocked(g, lo, hi, pre, &st)
 }
 
-// gemmRowsF64 runs the blocked driver for destination rows [lo,hi).
+// gemmBlocked is the blocked driver for destination rows [lo,hi).
 //
-// dchag:hotpath — panel scratch comes from the pool, the tile lives on the
-// stack; steady state performs no heap allocation.
-func gemmRowsF64(dst, a, b []float64, lo, hi, k, n, lda, ldb int, at, bt, accum bool) {
-	if !accum {
-		for i := lo; i < hi; i++ {
-			drow := dst[i*n : (i+1)*n]
-			for x := range drow {
-				drow[x] = 0
+// dchag:hotpath — panel scratch is the caller's stack buffer or comes from
+// the pool; steady state performs no heap allocation.
+func gemmBlocked[T elem](g *gemmSpec, lo, hi int, pre *packedB[T], st *stackPanels[T]) {
+	if g.k == 0 {
+		if !g.accum {
+			for i := lo; i < hi; i++ {
+				clear(g.c[i*g.ldc : i*g.ldc+g.n])
 			}
 		}
+		return
 	}
-	apanel := DefaultPool.GetTensor((gemmMC + gemmMR) * gemmKC)
-	bpanel := DefaultPool.GetTensor((gemmNC + gemmNR) * gemmKC)
-	ap, bp := apanel.Data, bpanel.Data
-	var tile [gemmMR * gemmNR]float64
-	for p0 := 0; p0 < k; p0 += gemmKC {
-		kb := min(gemmKC, k-p0)
-		for j0 := 0; j0 < n; j0 += gemmNC {
-			nb := min(gemmNC, n-j0)
-			packBF64(bp, b, ldb, p0, j0, kb, nb, bt)
-			for i0 := lo; i0 < hi; i0 += gemmMC {
-				mb := min(gemmMC, hi-i0)
-				packAF64(ap, a, lda, i0, p0, mb, kb, at)
-				for jr := 0; jr < nb; jr += gemmNR {
-					jb := min(gemmNR, nb-jr)
-					bpp := bp[(jr/gemmNR)*kb*gemmNR:]
+	nr := nrOf[T]()
+	kb0 := min(gemmKC, g.k)
+	nb0 := (min(gemmNC, g.n) + nr - 1) / nr * nr
+
+	// Small products keep both panels in L1: B's block fits the stack panel
+	// and mc shrinks until A's block does too.
+	ap, bp, mc := st.a[:], st.b[:], min(gemmMC, stackPanelA/kb0&^(gemmMR-1))
+	var pooledA, pooledB []T // kept apart from ap/bp so the stack panels never reach the pool
+	var ownerA, ownerB *Tensor
+	if kb0*nb0 > stackPanelB {
+		mc = gemmMC
+		pooledA, ownerA = poolPanel[T]((gemmMC + gemmMR) * gemmKC)
+		ap = pooledA
+		if pre == nil {
+			pooledB, ownerB = poolPanel[T]((gemmNC + gemmNR32) * gemmKC)
+			bp = pooledB
+		}
+	}
+
+	tile := st.tile[:]
+	for p0 := 0; p0 < g.k; p0 += gemmKC {
+		kb := min(gemmKC, g.k-p0)
+		accum := g.accum || p0 > 0
+		for j0 := 0; j0 < g.n; j0 += gemmNC {
+			nb := min(gemmNC, g.n-j0)
+			if pre == nil {
+				pack(bp, g.b, g.ldb, j0, p0, nb, kb, nr, !g.bt)
+			} else {
+				bp = pre.panels[pre.blockOff[p0/gemmKC]+j0/nr*kb*nr:]
+			}
+			for i0 := lo; i0 < hi; i0 += mc {
+				mb := min(mc, hi-i0)
+				pack(ap, g.a, g.lda, i0, p0, mb, kb, gemmMR, g.at)
+				for jr := 0; jr < nb; jr += nr {
+					jb := min(nr, nb-jr)
+					bpp := bp[jr*kb:]
 					for ir := 0; ir < mb; ir += gemmMR {
 						ib := min(gemmMR, mb-ir)
-						app := ap[(ir/gemmMR)*kb*gemmMR:]
-						if simdGEMM {
-							kern4x8F64(kb, &app[0], &bpp[0], &tile[0])
-						} else {
-							kern4x8F64Generic(kb, app, bpp, &tile)
+						app := ap[ir*kb:]
+						c := g.c[(i0+ir)*g.ldc+j0+jr:]
+						if ib == gemmMR && jb == nr {
+							microKernel(kb, nr, app, bpp, c, g.ldc, g.alpha, accum)
+							continue
 						}
+						// Edge tile: full kernel into scratch, valid region out.
+						microKernel(kb, nr, app, bpp, tile, nr, g.alpha, false)
 						for r := 0; r < ib; r++ {
-							drow := dst[(i0+ir+r)*n+j0+jr:]
-							trow := tile[r*gemmNR:]
-							for c := 0; c < jb; c++ {
-								drow[c] += trow[c]
+							crow := c[r*g.ldc : r*g.ldc+jb]
+							trow := tile[r*nr : r*nr+jb]
+							for x, v := range trow {
+								if accum {
+									v += crow[x]
+								}
+								crow[x] = v
 							}
 						}
 					}
@@ -149,315 +178,138 @@ func gemmRowsF64(dst, a, b []float64, lo, hi, k, n, lda, ldb int, at, bt, accum 
 			}
 		}
 	}
-	DefaultPool.PutTensor(apanel)
-	DefaultPool.PutTensor(bpanel)
+	if pooledA != nil {
+		releasePanel(pooledA, ownerA)
+	}
+	if pooledB != nil {
+		releasePanel(pooledB, ownerB)
+	}
 }
 
-// packAF64 packs A[i0:i0+mb, p0:p0+kb] into mr-row micro-panels: panel r of
-// ceil(mb/mr), laid out as kb groups of mr values with zero-padded edge
-// rows. With trans, A is stored transposed (A[i,p] = src[p*lda+i]).
-func packAF64(dst, src []float64, lda, i0, p0, mb, kb int, trans bool) {
-	idx := 0
-	for i := 0; i < mb; i += gemmMR {
-		ib := min(gemmMR, mb-i)
-		if trans {
-			for p := 0; p < kb; p++ {
-				srow := src[(p0+p)*lda+i0+i:]
-				for r := 0; r < gemmMR; r++ {
-					if r < ib {
-						dst[idx+r] = srow[r]
-					} else {
-						dst[idx+r] = 0
-					}
-				}
-				idx += gemmMR
+// poolPanel draws an n-element packing panel from the DefaultPool. owner is
+// the pooled tensor behind a float64 panel (nil for float32).
+func poolPanel[T elem](n int) (buf []T, owner *Tensor) {
+	switch p := any(&buf).(type) {
+	case *[]float64:
+		owner = DefaultPool.GetTensor(n)
+		*p = owner.Data
+	case *[]float32:
+		*p = DefaultPool.Get32(n)
+	}
+	return buf, owner
+}
+
+// releasePanel returns a panel drawn by poolPanel.
+func releasePanel[T elem](buf []T, owner *Tensor) {
+	if p, ok := any(&buf).(*[]float32); ok {
+		DefaultPool.Put32(*p)
+		return
+	}
+	DefaultPool.PutTensor(owner)
+}
+
+// pack lays a gb x kb slab of a strided float64 matrix out as ceil(gb/w)
+// micro-panels, each kb groups of w values with the last panel zero-padded:
+// panel[p*w+x] = element (g0+x, p0+p), converted to T. The grouped index runs
+// over rows of A (w = mr) or columns of B (w = nr). With contig the grouped
+// index is the contiguous one in memory (element (x,p) at src[p*ld+x]: A^T
+// and B as stored) and packing copies row segments; otherwise it is the
+// strided one (src[x*ld+p]: A and B^T as stored) and packing transposes.
+// Where the CPU has AVX2 both run in assembly, four grouped indices at a
+// time; the scalar loop packs the up to three left over, and everything on
+// other machines.
+//
+// dchag:hotpath — every product packs both operands; it must not allocate.
+func pack[T elem](dst []T, src []float64, ld, g0, p0, gb, kb, w int, contig bool) {
+	xs, ps := ld, 1 // element (x,p) at src[x*xs+p*ps]
+	if contig {
+		xs, ps = 1, ld
+	}
+	for x0 := 0; x0 < gb; x0 += w {
+		wb := min(w, gb-x0)
+		d := dst[x0*kb : x0*kb+kb*w]
+		if wb < w {
+			clear(d)
+		}
+		x := 0
+		for simdGEMM && x+4 <= wb {
+			n := 4
+			if contig {
+				n = wb &^ 3 // the whole group in one call
 			}
-		} else {
+			packSIMD(&d[x], &src[(g0+x0+x)*xs+p0*ps], ld, kb, n, w, contig)
+			x += n
+		}
+		for ; x < wb; x++ {
+			s := src[(g0+x0+x)*xs+p0*ps:]
 			for p := 0; p < kb; p++ {
-				for r := 0; r < gemmMR; r++ {
-					if r < ib {
-						dst[idx+r] = src[(i0+i+r)*lda+p0+p]
-					} else {
-						dst[idx+r] = 0
-					}
-				}
-				idx += gemmMR
+				d[p*w+x] = T(s[p*ps])
 			}
 		}
 	}
 }
 
-// packBF64 packs B[p0:p0+kb, j0:j0+nb] into nr-column micro-panels laid out
-// as kb groups of nr values with zero-padded edge columns. With trans, B is
-// stored transposed (B[p,j] = src[j*ldb+p]).
-func packBF64(dst, src []float64, ldb, p0, j0, kb, nb int, trans bool) {
-	idx := 0
-	for j := 0; j < nb; j += gemmNR {
-		jb := min(gemmNR, nb-j)
-		if trans {
-			for p := 0; p < kb; p++ {
-				for c := 0; c < gemmNR; c++ {
-					if c < jb {
-						dst[idx+c] = src[(j0+j+c)*ldb+p0+p]
-					} else {
-						dst[idx+c] = 0
-					}
-				}
-				idx += gemmNR
-			}
+// packSIMD dispatches one assembly packing call on the panel element type:
+// with contig, kb rows of n contiguous values, d[p*w+x] = src[p*ld+x];
+// otherwise four rows of kb values, d[p*w+r] = src[r*ld+p].
+func packSIMD[T elem](d *T, src *float64, ld, kb, n, w int, contig bool) {
+	switch d := any(d).(type) {
+	case *float64:
+		if contig {
+			packC4F64(d, src, ld, kb, n, w)
 		} else {
-			for p := 0; p < kb; p++ {
-				base := (p0+p)*ldb + j0 + j
-				if jb == gemmNR {
-					copy(dst[idx:idx+gemmNR], src[base:base+gemmNR])
-				} else {
-					for c := 0; c < gemmNR; c++ {
-						if c < jb {
-							dst[idx+c] = src[base+c]
-						} else {
-							dst[idx+c] = 0
-						}
-					}
-				}
-				idx += gemmNR
-			}
+			packT4F64(d, src, ld, kb, w)
+		}
+	case *float32:
+		if contig {
+			packC4F32(d, src, ld, kb, n, w)
+		} else {
+			packT4F32(d, src, ld, kb, w)
 		}
 	}
 }
 
-// kern4x8F64Generic is the pure-Go twin of the AVX2 micro-kernel; it keeps
+// microKernel computes one full mr x nr tile from packed panels and writes
+// c[r*ldc+x] = alpha*tile (or += with accum), r < mr, x < nr.
+func microKernel[T elem](kb, nr int, a, b []T, c []float64, ldc int, alpha float64, accum bool) {
+	if simdGEMM {
+		switch pa := any(&a[0]).(type) {
+		case *float64:
+			kern4x8F64(kb, pa, any(&b[0]).(*float64), &c[0], ldc, alpha, accum)
+		case *float32:
+			kern4x16F32(kb, pa, any(&b[0]).(*float32), &c[0], ldc, alpha, accum)
+		}
+		return
+	}
+	kernGeneric(kb, nr, a, b, c, ldc, alpha, accum)
+}
+
+// kernGeneric is the pure-Go twin of the AVX2 micro-kernels; it keeps
 // non-amd64 builds (and CPUs without AVX2) on the same packed-panel driver.
-func kern4x8F64Generic(kb int, a, b []float64, c *[gemmMR * gemmNR]float64) {
-	for i := range c {
-		c[i] = 0
-	}
+// The explicit conversion around the alpha product keeps compilers that fuse
+// multiply-add from contracting it into the accumulate, which edge tiles
+// (scaled into scratch, then added) could not reproduce.
+func kernGeneric[T elem](kb, nr int, a, b []T, c []float64, ldc int, alpha float64, accum bool) {
+	var acc [gemmMR * gemmNR32]T
 	for p := 0; p < kb; p++ {
-		bp := b[p*gemmNR : p*gemmNR+gemmNR]
+		bp := b[p*nr : p*nr+nr]
 		ap := a[p*gemmMR : p*gemmMR+gemmMR]
-		for r := 0; r < gemmMR; r++ {
-			av := ap[r]
-			cr := c[r*gemmNR : r*gemmNR+gemmNR]
+		for r, av := range ap {
+			cr := acc[r*nr : r*nr+nr]
 			for j, bv := range bp {
 				cr[j] += av * bv
 			}
 		}
 	}
-}
-
-// directRowsF64 computes destination rows [lo,hi) with unpacked loops — the
-// small-product path where packing overhead would dominate.
-//
-// dchag:hotpath — the small-matrix kernel; it must not allocate.
-func directRowsF64(dst, a, b []float64, lo, hi, k, n, lda, ldb int, at, bt, accum bool) {
-	switch {
-	case !at && !bt:
-		for i := lo; i < hi; i++ {
-			drow := dst[i*n : (i+1)*n]
-			if !accum {
-				for x := range drow {
-					drow[x] = 0
-				}
+	for r := 0; r < gemmMR; r++ {
+		crow := c[r*ldc : r*ldc+nr]
+		arow := acc[r*nr : r*nr+nr]
+		for j, v := range arow {
+			s := float64(alpha * float64(v))
+			if accum {
+				s += crow[j]
 			}
-			arow := a[i*lda : i*lda+k]
-			for p, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b[p*ldb : p*ldb+n]
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
-			}
-		}
-	case !at && bt:
-		for i := lo; i < hi; i++ {
-			arow := a[i*lda : i*lda+k]
-			drow := dst[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b[j*ldb : j*ldb+k]
-				s := 0.0
-				for p := range arow {
-					s += arow[p] * brow[p]
-				}
-				if accum {
-					drow[j] += s
-				} else {
-					drow[j] = s
-				}
-			}
-		}
-	default: // at && !bt
-		if !accum {
-			for i := lo; i < hi; i++ {
-				drow := dst[i*n : (i+1)*n]
-				for x := range drow {
-					drow[x] = 0
-				}
-			}
-		}
-		for p := 0; p < k; p++ {
-			arow := a[p*lda : p*lda+lda]
-			brow := b[p*ldb : p*ldb+n]
-			for i := lo; i < hi; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				drow := dst[i*n : (i+1)*n]
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
-			}
-		}
-	}
-}
-
-// --- float32 compute path ---------------------------------------------------
-
-// gemmRowsF32 is the float32-compute twin of gemmRowsF64: float64 operands
-// and destination, with the f64->f32 conversion fused into panel packing and
-// the f32->f64 conversion fused into the tile accumulate. When pb is
-// non-nil, B comes from prepacked panels (weights packed once at
-// SetInferDType time) and the b slice is ignored.
-//
-// dchag:hotpath — panel scratch comes from the pool; it must not allocate.
-func gemmRowsF32(dst, a, b []float64, pb *PackedB32, lo, hi, k, n, lda, ldb int, at, bt, accum bool) {
-	if !accum {
-		for i := lo; i < hi; i++ {
-			drow := dst[i*n : (i+1)*n]
-			for x := range drow {
-				drow[x] = 0
-			}
-		}
-	}
-	ap := DefaultPool.Get32((gemmMC + gemmMR) * gemmKC)
-	var bp []float32
-	if pb == nil {
-		bp = DefaultPool.Get32((gemmNC + gemmNR32) * gemmKC)
-	}
-	var tile [gemmMR * gemmNR32]float32
-	for p0 := 0; p0 < k; p0 += gemmKC {
-		kb := min(gemmKC, k-p0)
-		for j0 := 0; j0 < n; j0 += gemmNC {
-			nb := min(gemmNC, n-j0)
-			if pb == nil {
-				packBF32(bp, b, ldb, p0, j0, kb, nb, bt)
-			}
-			for i0 := lo; i0 < hi; i0 += gemmMC {
-				mb := min(gemmMC, hi-i0)
-				packAF32(ap, a, lda, i0, p0, mb, kb, at)
-				for jr := 0; jr < nb; jr += gemmNR32 {
-					jb := min(gemmNR32, nb-jr)
-					var bpp []float32
-					if pb != nil {
-						bpp = pb.panels[pb.blockOff[p0/gemmKC]+((j0+jr)/gemmNR32)*kb*gemmNR32:]
-					} else {
-						bpp = bp[(jr/gemmNR32)*kb*gemmNR32:]
-					}
-					for ir := 0; ir < mb; ir += gemmMR {
-						ib := min(gemmMR, mb-ir)
-						app := ap[(ir/gemmMR)*kb*gemmMR:]
-						if simdGEMM {
-							kern4x16F32(kb, &app[0], &bpp[0], &tile[0])
-						} else {
-							kern4x16F32Generic(kb, app, bpp, &tile)
-						}
-						for r := 0; r < ib; r++ {
-							drow := dst[(i0+ir+r)*n+j0+jr:]
-							trow := tile[r*gemmNR32:]
-							for c := 0; c < jb; c++ {
-								drow[c] += float64(trow[c])
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	DefaultPool.Put32(ap)
-	if pb == nil {
-		DefaultPool.Put32(bp)
-	}
-}
-
-// packAF32 is packAF64 with the f64->f32 conversion fused in.
-func packAF32(dst []float32, src []float64, lda, i0, p0, mb, kb int, trans bool) {
-	idx := 0
-	for i := 0; i < mb; i += gemmMR {
-		ib := min(gemmMR, mb-i)
-		if trans {
-			for p := 0; p < kb; p++ {
-				srow := src[(p0+p)*lda+i0+i:]
-				for r := 0; r < gemmMR; r++ {
-					if r < ib {
-						dst[idx+r] = float32(srow[r])
-					} else {
-						dst[idx+r] = 0
-					}
-				}
-				idx += gemmMR
-			}
-		} else {
-			for p := 0; p < kb; p++ {
-				for r := 0; r < gemmMR; r++ {
-					if r < ib {
-						dst[idx+r] = float32(src[(i0+i+r)*lda+p0+p])
-					} else {
-						dst[idx+r] = 0
-					}
-				}
-				idx += gemmMR
-			}
-		}
-	}
-}
-
-// packBF32 is packBF64 with the f64->f32 conversion fused in and nr=16.
-func packBF32(dst []float32, src []float64, ldb, p0, j0, kb, nb int, trans bool) {
-	idx := 0
-	for j := 0; j < nb; j += gemmNR32 {
-		jb := min(gemmNR32, nb-j)
-		if trans {
-			for p := 0; p < kb; p++ {
-				for c := 0; c < gemmNR32; c++ {
-					if c < jb {
-						dst[idx+c] = float32(src[(j0+j+c)*ldb+p0+p])
-					} else {
-						dst[idx+c] = 0
-					}
-				}
-				idx += gemmNR32
-			}
-		} else {
-			for p := 0; p < kb; p++ {
-				base := (p0+p)*ldb + j0 + j
-				for c := 0; c < gemmNR32; c++ {
-					if c < jb {
-						dst[idx+c] = float32(src[base+c])
-					} else {
-						dst[idx+c] = 0
-					}
-				}
-				idx += gemmNR32
-			}
-		}
-	}
-}
-
-// kern4x16F32Generic is the pure-Go twin of the AVX2 f32 micro-kernel.
-func kern4x16F32Generic(kb int, a, b []float32, c *[gemmMR * gemmNR32]float32) {
-	for i := range c {
-		c[i] = 0
-	}
-	for p := 0; p < kb; p++ {
-		bp := b[p*gemmNR32 : p*gemmNR32+gemmNR32]
-		ap := a[p*gemmMR : p*gemmMR+gemmMR]
-		for r := 0; r < gemmMR; r++ {
-			av := ap[r]
-			cr := c[r*gemmNR32 : r*gemmNR32+gemmNR32]
-			for j, bv := range bp {
-				cr[j] += av * bv
-			}
+			crow[j] = s
 		}
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Kernel benchmarks: `go test -bench GEMM ./internal/tensor` is the smoke
-// run wired into the bench CI job; `make bench-compute` writes the committed
+// Kernel benchmarks: `go test -bench 'GEMM|Attention' ./internal/tensor` is
+// the smoke run wired into the bench CI job; `make bench-compute` writes the committed
 // BENCH_compute.json from the same kernels via internal/experiments.
 
 func benchSizes() []int { return []int{64, 128, 256, 512} }
@@ -76,21 +76,31 @@ func BenchmarkGEMMTransposed(b *testing.B) {
 }
 
 func BenchmarkAttentionShapedBatched(b *testing.B) {
-	// [B,H,T,D] shapes from the serving model.
-	const B, H, T, D = 4, 4, 64, 32
-	q := New(B, H, T, D)
-	k := New(B, H, T, D)
-	fill(q, 1.0)
-	fill(k, 2.0)
-	scores := New(B, H, T, T)
-	b.Run("BatchedMatMulTInto", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			BatchedMatMulTInto(scores, q, k)
-		}
-	})
-	b.Run("BatchedMatMulTF32Into", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			BatchedMatMulTF32Into(scores, q, k)
-		}
-	})
+	// The score product Q @ K^T read per head out of [N,T,H*Dh] projection
+	// outputs: the ViT blocks of the serving model, and the channel
+	// aggregation of the hyperspectral model (B*T = 128 group maps of g = 16
+	// channel tokens, 4 heads of 8: 512 products of 16x8x16).
+	for _, sh := range []struct {
+		name        string
+		n, h, t, dh int
+	}{{"vit", 4, 4, 64, 8}, {"channel-agg", 128, 4, 16, 8}} {
+		q := New(sh.n, sh.t, sh.h*sh.dh)
+		k := New(sh.n, sh.t, sh.h*sh.dh)
+		fill(q, 1.0)
+		fill(k, 2.0)
+		scores := MatView(New(sh.n, sh.h, sh.t, sh.t))
+		qv, kv := HeadView(q, sh.h), HeadView(k, sh.h)
+		b.Run(sh.name+"/BatchedMatMulTInto", func(b *testing.B) {
+			b.SetBytes(2 * int64(sh.n*sh.h*sh.t*sh.t*sh.dh))
+			for i := 0; i < b.N; i++ {
+				BatchedMatMulTInto(scores, qv, kv, 0.5)
+			}
+		})
+		b.Run(sh.name+"/BatchedMatMulTF32Into", func(b *testing.B) {
+			b.SetBytes(2 * int64(sh.n*sh.h*sh.t*sh.t*sh.dh))
+			for i := 0; i < b.N; i++ {
+				BatchedMatMulTF32Into(scores, qv, kv, 0.5)
+			}
+		})
+	}
 }

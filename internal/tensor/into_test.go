@@ -6,8 +6,8 @@ import (
 )
 
 // fuzzShapes are matrix extents chosen to cross every tiling boundary: the
-// micro-tile (4/8/16), the cache blocks (128/256/512), the direct-vs-blocked
-// threshold, and ragged edges of each.
+// micro-tile (4/8/16), the cache blocks (128/256/512), the stack-vs-pooled
+// panel threshold, and ragged edges of each.
 var fuzzShapes = []int{1, 2, 3, 5, 7, 8, 9, 16, 17, 31, 33, 64, 65, 70, 129}
 
 // fill populates t with a deterministic non-uniform pattern.
@@ -67,23 +67,39 @@ func TestIntoBitwiseEqualsAllocating(t *testing.T) {
 	}
 }
 
-// TestIntoBitwiseBatched does the same for the batched products.
-func TestIntoBitwiseBatched(t *testing.T) {
+// TestBatchedBitwiseEqualsPerMatrix pins every batched product over
+// contiguous views bitwise-equal to the rank-2 product of each batch member,
+// with a dirty destination.
+func TestBatchedBitwiseEqualsPerMatrix(t *testing.T) {
 	for _, sh := range [][3]int{{3, 5, 7}, {16, 16, 8}, {9, 33, 17}, {2, 65, 12}} {
 		m, k, n := sh[0], sh[1], sh[2]
-		batchShape := []int{2, 3}
-		a := New(append(append([]int{}, batchShape...), m, k)...)
-		b := New(append(append([]int{}, batchShape...), k, n)...)
-		bt := New(append(append([]int{}, batchShape...), n, k)...)
-		at := New(append(append([]int{}, batchShape...), k, m)...)
+		a, b := New(2, 3, m, k), New(2, 3, k, n)
+		bt, at := New(2, 3, n, k), New(2, 3, k, m)
 		fill(a, 1.1)
 		fill(b, 2.2)
 		fill(bt, 3.3)
 		fill(at, 4.4)
-		dshape := append(append([]int{}, batchShape...), m, n)
-		assertBitwise(t, "BatchedMatMulInto", BatchedMatMulInto(dirty(dshape...), a, b), BatchedMatMul(a, b))
-		assertBitwise(t, "BatchedMatMulTInto", BatchedMatMulTInto(dirty(dshape...), a, bt), BatchedMatMulT(a, bt))
-		assertBitwise(t, "BatchedTMatMulInto", BatchedTMatMulInto(dirty(dshape...), at, b), BatchedTMatMul(at, b))
+		member := func(x *Tensor, bi int) *Tensor {
+			r, c := x.Shape[2], x.Shape[3]
+			return FromSlice(x.Data[bi*r*c:(bi+1)*r*c], r, c)
+		}
+		for _, tc := range []struct {
+			op      string
+			batched func(dst, a, b View, alpha float64)
+			single  func(dst, a, b *Tensor) *Tensor
+			a, b    *Tensor
+		}{
+			{"BatchedMatMulInto", BatchedMatMulInto, MatMulInto, a, b},
+			{"BatchedMatMulTInto", BatchedMatMulTInto, MatMulTInto, a, bt},
+			{"BatchedTMatMulInto", BatchedTMatMulInto, TMatMulInto, at, b},
+			{"BatchedMatMulF32Into", BatchedMatMulF32Into, MatMulF32Into, a, b},
+		} {
+			got := dirty(2, 3, m, n)
+			tc.batched(MatView(got), MatView(tc.a), MatView(tc.b), 1)
+			for bi := 0; bi < 6; bi++ {
+				assertBitwise(t, tc.op, member(got, bi), tc.single(nil, member(tc.a, bi), member(tc.b, bi)))
+			}
+		}
 	}
 }
 
@@ -166,58 +182,5 @@ func TestTMatMulAccInto(t *testing.T) {
 				t.Fatalf("TMatMulAccInto[%d] = %v, want %v (diff %g)", i, got.Data[i], want, d)
 			}
 		}
-	}
-}
-
-// TestBlockedMatchesNaive verifies the blocked/packed driver against the
-// naive reference kernel across ragged shapes, on both the SIMD and the
-// generic micro-kernels.
-func TestBlockedMatchesNaive(t *testing.T) {
-	run := func(t *testing.T) {
-		for _, sh := range [][3]int{{1, 1, 1}, {4, 8, 8}, {5, 9, 11}, {33, 257, 70}, {130, 300, 513}, {64, 512, 96}} {
-			m, k, n := sh[0], sh[1], sh[2]
-			a := New(m, k)
-			b := New(k, n)
-			fill(a, 0.7)
-			fill(b, 1.3)
-			got := MatMul(a, b)
-			want := MatMulNaiveInto(nil, a, b)
-			// FMA + blocked accumulation differ from naive by rounding only.
-			tol := 1e-12 * math.Sqrt(float64(k))
-			if d := MaxAbsDiff(got, want); d > tol {
-				t.Fatalf("blocked [%d,%d,%d] differs from naive by %g (tol %g)", m, k, n, d, tol)
-			}
-		}
-	}
-	t.Run("default", run)
-	prev := simdGEMM
-	simdGEMM = false
-	defer func() { simdGEMM = prev }()
-	t.Run("generic", run)
-}
-
-// TestSIMDMatchesGeneric pins the assembly micro-kernels against their
-// pure-Go twins on the packed driver (skipped where AVX2 is unavailable).
-func TestSIMDMatchesGeneric(t *testing.T) {
-	if !simdGEMM {
-		t.Skip("SIMD kernels unavailable on this host")
-	}
-	a := New(70, 300)
-	b := New(300, 130)
-	fill(a, 3.1)
-	fill(b, 4.1)
-	simd := MatMul(a, b)
-	f32simd := MatMulF32Into(nil, a, b)
-	simdGEMM = false
-	generic := MatMul(a, b)
-	f32generic := MatMulF32Into(nil, a, b)
-	simdGEMM = true
-	// Same blocking, same summation order; FMA contraction is the only
-	// difference, so agreement must be at rounding level.
-	if d := MaxAbsDiff(simd, generic); d > 1e-11 {
-		t.Fatalf("f64 SIMD kernel differs from generic by %g", d)
-	}
-	if d := MaxAbsDiff(f32simd, f32generic); d > 1e-2 {
-		t.Fatalf("f32 SIMD kernel differs from generic by %g", d)
 	}
 }

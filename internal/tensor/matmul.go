@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
 // parallelThreshold is the number of multiply-adds below which matrix
@@ -15,8 +16,10 @@ const parallelThreshold = 1 << 16
 // XInto(dst, ...) accepts dst == nil (allocate a fresh result) or a tensor of
 // exactly the result shape (reuse it; prior contents are overwritten, and dst
 // must not alias an operand). The classic allocating functions remain as thin
-// XInto(nil, ...) wrappers so call sites migrate incrementally. All variants
-// funnel into the blocked, packed, register-tiled driver in gemm.go.
+// XInto(nil, ...) wrappers so call sites migrate incrementally. The batched
+// products take Views instead, so that operands and destinations can be
+// strided. All variants funnel into the blocked, packed, register-tiled
+// driver in gemm.go.
 
 // ensureDst validates or allocates the destination of an Into kernel.
 func ensureDst(op string, dst *Tensor, shape ...int) *Tensor {
@@ -36,41 +39,59 @@ func ensureDst(op string, dst *Tensor, shape ...int) *Tensor {
 	return dst
 }
 
-// ensureDstBatched is ensureDst for batched products whose result shape is
-// lead... + [m, n]; it avoids materializing the combined shape slice unless
-// dst must actually be allocated.
-func ensureDstBatched(op string, dst *Tensor, lead []int, m, n int) *Tensor {
-	if dst == nil {
-		shape := append(append(make([]int, 0, len(lead)+2), lead...), m, n)
-		return New(shape...)
-	}
-	ok := len(dst.Shape) == len(lead)+2 &&
-		dst.Shape[len(lead)] == m && dst.Shape[len(lead)+1] == n
-	if ok {
-		for i, d := range lead {
-			if dst.Shape[i] != d {
-				ok = false
-				break
-			}
-		}
-	}
-	if !ok {
-		panic(fmt.Sprintf("tensor: %s dst shape %v, want %v x [%d %d]", op, dst.Shape, append([]int(nil), lead...), m, n))
-	}
-	return dst
-}
-
-// mustNotAlias panics when dst shares a backing array with an operand that
-// the kernel reads while writing dst.
+// mustNotAlias panics when dst's backing range overlaps that of an operand
+// the kernel reads while writing dst. Sub-slices of one array at different
+// offsets overlap too, which a comparison of first elements would miss.
 func mustNotAlias(op string, dst *Tensor, srcs ...*Tensor) {
-	if dst == nil || len(dst.Data) == 0 {
+	if dst == nil {
 		return
 	}
 	for _, s := range srcs {
-		if s != nil && len(s.Data) > 0 && &dst.Data[0] == &s.Data[0] {
+		if s != nil && overlaps(dst.Data, s.Data) {
 			panic("tensor: " + op + " dst aliases an operand")
 		}
 	}
+}
+
+// overlaps reports whether two slices share any element of a backing array.
+func overlaps(x, y []float64) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
+	}
+	const size = unsafe.Sizeof(float64(0))
+	x0 := uintptr(unsafe.Pointer(unsafe.SliceData(x)))
+	y0 := uintptr(unsafe.Pointer(unsafe.SliceData(y)))
+	return x0 < y0+uintptr(len(y))*size && y0 < x0+uintptr(len(x))*size
+}
+
+// product is the rank-2 entry shared by the float64 and float32 products:
+// dst = op(a)@op(b), or dst += ... with accum, where at and bt say which
+// operands are stored transposed.
+//
+// dchag:hotpath — with a non-nil dst it performs no heap allocation.
+func product[T elem](op string, dst, a, b *Tensor, at, bt, accum bool) *Tensor {
+	if len(a.Shape) != 2 || len(b.Shape) != 2 {
+		panic(fmt.Sprintf("tensor: %s requires rank-2 operands, got %v x %v", op, a.Shape, b.Shape))
+	}
+	m, k := a.Shape[0], a.Shape[1]
+	if at {
+		m, k = k, m
+	}
+	k2, n := b.Shape[0], b.Shape[1]
+	if bt {
+		k2, n = n, k2
+	}
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v x %v (transposed: %v, %v)", op, a.Shape, b.Shape, at, bt))
+	}
+	dst = ensureDst(op, dst, m, n)
+	mustNotAlias(op, dst, a, b)
+	gemm2D[T](&gemmSpec{
+		m: m, k: k, n: n, a: a.Data, b: b.Data, c: dst.Data,
+		lda: a.Shape[1], ldb: b.Shape[1], ldc: n,
+		at: at, bt: bt, accum: accum, alpha: 1,
+	}, nil)
+	return dst
 }
 
 // MatMulInto computes dst = a@b for rank-2 tensors: a is [M,K], b is [K,N],
@@ -79,18 +100,7 @@ func mustNotAlias(op string, dst *Tensor, srcs ...*Tensor) {
 // dchag:hotpath — the busiest op in the repository; with a non-nil dst it
 // performs no heap allocation.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v x %v", a.Shape, b.Shape))
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.Shape, b.Shape))
-	}
-	dst = ensureDst("MatMulInto", dst, m, n)
-	mustNotAlias("MatMulInto", dst, a, b)
-	gemm2D(dst.Data, a.Data, b.Data, m, k, n, false, false, false)
-	return dst
+	return product[float64]("MatMulInto", dst, a, b, false, false, false)
 }
 
 // MatMul returns the matrix product a@b for rank-2 tensors. It is the
@@ -102,18 +112,7 @@ func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) }
 //
 // dchag:hotpath — with a non-nil dst it performs no heap allocation.
 func MatMulTInto(dst, a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMulT requires rank-2 operands, got %v x %v", a.Shape, b.Shape))
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT inner dimension mismatch %v x %v^T", a.Shape, b.Shape))
-	}
-	dst = ensureDst("MatMulTInto", dst, m, n)
-	mustNotAlias("MatMulTInto", dst, a, b)
-	gemm2D(dst.Data, a.Data, b.Data, m, k, n, false, true, false)
-	return dst
+	return product[float64]("MatMulTInto", dst, a, b, false, true, false)
 }
 
 // MatMulT returns a @ b^T; the allocating wrapper over MatMulTInto.
@@ -125,9 +124,7 @@ func MatMulT(a, b *Tensor) *Tensor { return MatMulTInto(nil, a, b) }
 //
 // dchag:hotpath — with a non-nil dst it performs no heap allocation.
 func TMatMulInto(dst, a, b *Tensor) *Tensor {
-	dst = tmatmulDst("TMatMulInto", dst, a, b)
-	gemm2D(dst.Data, a.Data, b.Data, dst.Shape[0], a.Shape[0], dst.Shape[1], true, false, false)
-	return dst
+	return product[float64]("TMatMulInto", dst, a, b, true, false, false)
 }
 
 // TMatMul returns a^T @ b; the allocating wrapper over TMatMulInto.
@@ -141,22 +138,7 @@ func TMatMulAccInto(dst, a, b *Tensor) {
 	if dst == nil {
 		panic("tensor: TMatMulAccInto requires a non-nil dst")
 	}
-	dst = tmatmulDst("TMatMulAccInto", dst, a, b)
-	gemm2D(dst.Data, a.Data, b.Data, dst.Shape[0], a.Shape[0], dst.Shape[1], true, false, true)
-}
-
-func tmatmulDst(op string, dst, a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: %s requires rank-2 operands, got %v x %v", op, a.Shape, b.Shape))
-	}
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v^T x %v", op, a.Shape, b.Shape))
-	}
-	dst = ensureDst(op, dst, m, n)
-	mustNotAlias(op, dst, a, b)
-	return dst
+	product[float64]("TMatMulAccInto", dst, a, b, true, false, true)
 }
 
 // serialDispatch reports whether a row-parallel op should run on the calling
@@ -267,117 +249,140 @@ func Transpose2DInto(dst, t *Tensor) *Tensor {
 // wrapper over Transpose2DInto.
 func Transpose2D(t *Tensor) *Tensor { return Transpose2DInto(nil, t) }
 
-// batchedShapes validates the leading dims of a batched product and returns
-// (batch, leading shape).
-func batchedShapes(op string, a, b *Tensor) (int, []int) {
-	ra, rb := len(a.Shape), len(b.Shape)
-	if ra < 2 || rb < 2 || ra != rb {
-		panic(fmt.Sprintf("tensor: %s rank mismatch %v x %v", op, a.Shape, b.Shape))
+// View is a batch of equally shaped row-major float64 matrices inside one
+// backing slice: consecutive rows of a matrix are ld elements apart, and
+// matrix (o, i) of the outer x inner batch starts o*outerStride +
+// i*innerStride elements in. It is how the batched products address operands
+// and destinations that are not contiguous per matrix — the heads of a
+// [N,T,H*Dh] projection output — without a permutation copy: packing is the
+// only data movement. Views come from MatView and HeadView, which guarantee
+// that every matrix lies inside the slice; batch order is o major, i minor.
+type View struct {
+	data                     []float64
+	rows, cols, ld           int
+	outer, inner             int
+	outerStride, innerStride int
+}
+
+// MatView views a contiguous tensor [B..., R, C] as its batch of R x C
+// matrices.
+func MatView(t *Tensor) View {
+	r := len(t.Shape)
+	if r < 2 {
+		panic(fmt.Sprintf("tensor: MatView requires rank >= 2, got %v", t.Shape))
 	}
+	rows, cols := t.Shape[r-2], t.Shape[r-1]
 	batch := 1
-	for i := 0; i < ra-2; i++ {
-		if a.Shape[i] != b.Shape[i] {
-			panic(fmt.Sprintf("tensor: %s batch mismatch %v x %v", op, a.Shape, b.Shape))
-		}
-		batch *= a.Shape[i]
+	for _, d := range t.Shape[:r-2] {
+		batch *= d
 	}
-	return batch, a.Shape[:ra-2]
+	return View{data: t.Data, rows: rows, cols: cols, ld: cols, outer: batch, inner: 1, outerStride: rows * cols}
 }
 
-// BatchedMatMulInto computes dst = a@b per batch: a is [B...,M,K], b is
-// [B...,K,N] with identical leading dims, dst is [B...,M,N]. It returns dst.
+// HeadView views x [N,T,H*Dh] as the N*H per-head matrices [T,Dh] of
+// multi-head attention, in place: head h of sample n starts at x[n,0,h*Dh]
+// and its rows are H*Dh apart. The batch order (n major, h minor) matches
+// MatView of a contiguous [N,H,...] tensor.
+func HeadView(x *Tensor, heads int) View {
+	if len(x.Shape) != 3 || heads <= 0 || x.Shape[2]%heads != 0 {
+		panic(fmt.Sprintf("tensor: HeadView requires [N,T,H*Dh] with H = %d, got %v", heads, x.Shape))
+	}
+	n, t, e := x.Shape[0], x.Shape[1], x.Shape[2]
+	return View{data: x.Data, rows: t, cols: e / heads, ld: e, outer: n, inner: heads, outerStride: t * e, innerStride: e / heads}
+}
+
+// viewCursor walks a View's batch members in order without dividing: off is
+// the current member's offset into data, i its inner index.
+type viewCursor struct{ off, i int }
+
+// cursor positions a walk at batch member bi.
+func (v *View) cursor(bi int) viewCursor {
+	return viewCursor{off: bi/v.inner*v.outerStride + bi%v.inner*v.innerStride, i: bi % v.inner}
+}
+
+// next returns the current member's backing slice from its element (0,0) and
+// advances the walk.
+func (v *View) next(c *viewCursor) []float64 {
+	m := v.data[c.off:]
+	c.off += v.innerStride
+	if c.i++; c.i == v.inner {
+		c.i = 0
+		c.off += v.outerStride - v.inner*v.innerStride
+	}
+	return m
+}
+
+// batched is the entry shared by the batched products: per batch member,
+// dst = alpha*op(a)@op(b). The three views must agree on the batch count and
+// dst's backing slice must not overlap an operand's.
 //
-// dchag:hotpath — with a non-nil dst it performs no heap allocation.
-func BatchedMatMulInto(dst, a, b *Tensor) *Tensor {
-	batch, lead := batchedShapes("BatchedMatMul", a, b)
-	ra := len(a.Shape)
-	m, k := a.Shape[ra-2], a.Shape[ra-1]
-	k2, n := b.Shape[ra-2], b.Shape[ra-1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: BatchedMatMul inner mismatch %v x %v", a.Shape, b.Shape))
+// dchag:hotpath — every attention product; it performs no heap allocation
+// while the batch runs on the calling goroutine.
+func batched[T elem](op string, dst, a, b View, at, bt bool, alpha float64) {
+	m, k := a.rows, a.cols
+	if at {
+		m, k = k, m
 	}
-	dst = ensureDstBatched("BatchedMatMulInto", dst, lead, m, n)
-	mustNotAlias("BatchedMatMulInto", dst, a, b)
-	if serialDispatch(batch, batch*m*k*n) {
-		for bi := 0; bi < batch; bi++ {
-			gemm2DSerial(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*k*n:(bi+1)*k*n], m, k, n, false, false, false)
-		}
-		return dst
+	k2, n := b.rows, b.cols
+	if bt {
+		k2, n = n, k2
 	}
-	parallelOverRows(batch, batch*m*k*n, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			gemm2DSerial(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*k*n:(bi+1)*k*n], m, k, n, false, false, false)
-		}
+	batch := dst.outer * dst.inner
+	if k != k2 || dst.rows != m || dst.cols != n || a.outer*a.inner != batch || b.outer*b.inner != batch {
+		panic(fmt.Sprintf("tensor: %s shape mismatch: %d x [%d,%d] and %d x [%d,%d] (transposed: %v, %v) into %d x [%d,%d]",
+			op, a.outer*a.inner, a.rows, a.cols, b.outer*b.inner, b.rows, b.cols, at, bt, batch, dst.rows, dst.cols))
+	}
+	if overlaps(dst.data, a.data) || overlaps(dst.data, b.data) {
+		panic("tensor: " + op + " dst aliases an operand")
+	}
+	if m == 0 || n == 0 {
+		return
+	}
+	g := gemmSpec{m: m, k: k, n: n, lda: a.ld, ldb: b.ld, ldc: dst.ld, at: at, bt: bt, alpha: alpha}
+	work := batch * m * k * n
+	if serialDispatch(batch, work) {
+		batchedRange[T](dst, a, b, g, 0, batch)
+		return
+	}
+	spec := g // the closure's copy; g itself stays on this stack
+	parallelOverRows(batch, work, func(lo, hi int) {
+		batchedRange[T](dst, a, b, spec, lo, hi)
 	})
-	return dst
 }
 
-// BatchedMatMul multiplies matching leading-batch matrices; the allocating
-// wrapper over BatchedMatMulInto.
-func BatchedMatMul(a, b *Tensor) *Tensor { return BatchedMatMulInto(nil, a, b) }
+// batchedRange runs batch members [lo,hi) of the product g describes (less
+// its operand slices) on one set of stack panels.
+func batchedRange[T elem](dst, a, b View, g gemmSpec, lo, hi int) {
+	var st stackPanels[T]
+	ca, cb, cd := a.cursor(lo), b.cursor(lo), dst.cursor(lo)
+	for bi := lo; bi < hi; bi++ {
+		g.a, g.b, g.c = a.next(&ca), b.next(&cb), dst.next(&cd)
+		gemmBlocked(&g, 0, g.m, nil, &st)
+	}
+}
 
-// BatchedMatMulTInto computes dst = a @ b^T per batch: a is [B...,M,K], b is
-// [B...,N,K], dst is [B...,M,N]. This is the attention score product Q @ K^T.
-// It returns dst.
+// BatchedMatMulInto computes dst = alpha * a@b per batch member: a is
+// [M,K], b is [K,N], dst is [M,N].
 //
-// dchag:hotpath — with a non-nil dst it performs no heap allocation.
-func BatchedMatMulTInto(dst, a, b *Tensor) *Tensor {
-	batch, lead := batchedShapes("BatchedMatMulT", a, b)
-	ra := len(a.Shape)
-	m, k := a.Shape[ra-2], a.Shape[ra-1]
-	n, k2 := b.Shape[ra-2], b.Shape[ra-1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: BatchedMatMulT inner mismatch %v x %v^T", a.Shape, b.Shape))
-	}
-	dst = ensureDstBatched("BatchedMatMulTInto", dst, lead, m, n)
-	mustNotAlias("BatchedMatMulTInto", dst, a, b)
-	if serialDispatch(batch, batch*m*k*n) {
-		for bi := 0; bi < batch; bi++ {
-			gemm2DSerial(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*n*k:(bi+1)*n*k], m, k, n, false, true, false)
-		}
-		return dst
-	}
-	parallelOverRows(batch, batch*m*k*n, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			gemm2DSerial(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*n*k:(bi+1)*n*k], m, k, n, false, true, false)
-		}
-	})
-	return dst
+// dchag:hotpath — it performs no heap allocation.
+func BatchedMatMulInto(dst, a, b View, alpha float64) {
+	batched[float64]("BatchedMatMulInto", dst, a, b, false, false, alpha)
 }
 
-// BatchedMatMulT multiplies a by the transpose of b per batch; the
-// allocating wrapper over BatchedMatMulTInto.
-func BatchedMatMulT(a, b *Tensor) *Tensor { return BatchedMatMulTInto(nil, a, b) }
-
-// BatchedTMatMulInto computes dst = a^T @ b per batch: a is [B...,K,M], b is
-// [B...,K,N], dst is [B...,M,N]. This is the gradient product scores^T @
-// dOut used in attention backward passes. It returns dst.
+// BatchedMatMulTInto computes dst = alpha * a@b^T per batch member: a is
+// [M,K], b is [N,K], dst is [M,N]. This is the attention score product
+// Q @ K^T, with the 1/sqrt(Dh) scale as alpha.
 //
-// dchag:hotpath — with a non-nil dst it performs no heap allocation.
-func BatchedTMatMulInto(dst, a, b *Tensor) *Tensor {
-	batch, lead := batchedShapes("BatchedTMatMul", a, b)
-	ra := len(a.Shape)
-	k, m := a.Shape[ra-2], a.Shape[ra-1]
-	k2, n := b.Shape[ra-2], b.Shape[ra-1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: BatchedTMatMul inner mismatch %v^T x %v", a.Shape, b.Shape))
-	}
-	dst = ensureDstBatched("BatchedTMatMulInto", dst, lead, m, n)
-	mustNotAlias("BatchedTMatMulInto", dst, a, b)
-	if serialDispatch(batch, batch*m*k*n) {
-		for bi := 0; bi < batch; bi++ {
-			gemm2DSerial(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*k*m:(bi+1)*k*m], b.Data[bi*k*n:(bi+1)*k*n], m, k, n, true, false, false)
-		}
-		return dst
-	}
-	parallelOverRows(batch, batch*m*k*n, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			gemm2DSerial(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*k*m:(bi+1)*k*m], b.Data[bi*k*n:(bi+1)*k*n], m, k, n, true, false, false)
-		}
-	})
-	return dst
+// dchag:hotpath — it performs no heap allocation.
+func BatchedMatMulTInto(dst, a, b View, alpha float64) {
+	batched[float64]("BatchedMatMulTInto", dst, a, b, false, true, alpha)
 }
 
-// BatchedTMatMul multiplies the transpose of a by b per batch; the
-// allocating wrapper over BatchedTMatMulInto.
-func BatchedTMatMul(a, b *Tensor) *Tensor { return BatchedTMatMulInto(nil, a, b) }
+// BatchedTMatMulInto computes dst = alpha * a^T@b per batch member: a is
+// [K,M], b is [K,N], dst is [M,N]. This is the gradient product scores^T @
+// dOut of the attention backward pass.
+//
+// dchag:hotpath — it performs no heap allocation.
+func BatchedTMatMulInto(dst, a, b View, alpha float64) {
+	batched[float64]("BatchedTMatMulInto", dst, a, b, true, false, alpha)
+}

@@ -9,10 +9,32 @@ package tensor
 // no external cpu-feature dependency is needed.
 
 //go:noescape
-func kern4x8F64(k int, a, b, c *float64)
+func kern4x8F64(k int, a, b, c *float64, ldc int, alpha float64, accum bool)
 
 //go:noescape
-func kern4x16F32(k int, a, b, c *float32)
+func kern4x16F32(k int, a, b *float32, c *float64, ldc int, alpha float64, accum bool)
+
+// packT4F64 and packT4F32 transpose four rows of k float64 values, ld
+// apart, into a packed panel whose groups are stride elements apart:
+// dst[p*stride+r] = src[r*ld+p] for r < 4, p < k; packT4F32 narrows to
+// float32 on the way.
+//
+//go:noescape
+func packT4F64(dst, src *float64, ld, k, stride int)
+
+//go:noescape
+func packT4F32(dst *float32, src *float64, ld, k, stride int)
+
+// packC4F64 and packC4F32 copy k rows of n float64 values (n a multiple of
+// 4), ld apart, into a packed panel whose groups are stride elements apart:
+// dst[p*stride+x] = src[p*ld+x] for x < n, p < k; packC4F32 narrows to
+// float32 on the way.
+//
+//go:noescape
+func packC4F64(dst, src *float64, ld, k, n, stride int)
+
+//go:noescape
+func packC4F32(dst *float32, src *float64, ld, k, n, stride int)
 
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 

@@ -1,21 +1,25 @@
 #include "textflag.h"
 
 // GEBP micro-kernels for the blocked matmul driver in gemm.go. Each computes
-// one register tile C = A_panel @ B_panel over a full kb-deep strip of packed
-// panels and stores the tile CONTIGUOUSLY to c; the Go driver adds the valid
-// region of the tile into the (strided, possibly edge-clipped) destination.
+// one register tile acc = A_panel @ B_panel over a full kb-deep strip of
+// packed panels as one FMA chain per element (p ascending), scales it by
+// alpha and writes it to the float64 destination c, whose rows are ldc
+// elements apart: c = alpha*acc, or c = c + alpha*acc with accum. The scale
+// and the add are separate roundings (never fused), so a tile written to
+// scratch and added by the Go driver equals one accumulated here.
 //
-// Panel layouts (produced by packA*/packB* in gemm.go):
+// Panel layouts (produced by pack in gemm.go):
 //   a: kb groups of mr=4 values, a[p*4+i]  = A[i0+i, p0+p]
 //   b: kb groups of nr   values, b[p*nr+j] = B[p0+p, j0+j]
 
-// func kern4x8F64(k int, a, b, c *float64)
-// c[0:32] = sum_p a[p*4+i] * b[p*8+j], c row-major 4x8.
-TEXT ·kern4x8F64(SB), NOSPLIT, $0-32
+// func kern4x8F64(k int, a, b, c *float64, ldc int, alpha float64, accum bool)
+TEXT ·kern4x8F64(SB), NOSPLIT, $0-49
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), AX
 	MOVQ b+16(FP), BX
 	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R8
+	SHLQ $3, R8
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -43,24 +47,76 @@ loop64:
 	ADDQ $64, BX
 	DECQ CX
 	JNZ  loop64
+	VBROADCASTSD alpha+40(FP), Y12
+	VMULPD Y12, Y0, Y0
+	VMULPD Y12, Y1, Y1
+	VMULPD Y12, Y2, Y2
+	VMULPD Y12, Y3, Y3
+	VMULPD Y12, Y4, Y4
+	VMULPD Y12, Y5, Y5
+	VMULPD Y12, Y6, Y6
+	VMULPD Y12, Y7, Y7
+	LEAQ (DX)(R8*1), R9
+	LEAQ (R9)(R8*1), R10
+	LEAQ (R10)(R8*1), R11
+	MOVBLZX accum+48(FP), CX
+	TESTL CX, CX
+	JZ   store64
+	VADDPD (DX), Y0, Y0
+	VADDPD 32(DX), Y1, Y1
+	VADDPD (R9), Y2, Y2
+	VADDPD 32(R9), Y3, Y3
+	VADDPD (R10), Y4, Y4
+	VADDPD 32(R10), Y5, Y5
+	VADDPD (R11), Y6, Y6
+	VADDPD 32(R11), Y7, Y7
+store64:
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
-	VMOVUPD Y2, 64(DX)
-	VMOVUPD Y3, 96(DX)
-	VMOVUPD Y4, 128(DX)
-	VMOVUPD Y5, 160(DX)
-	VMOVUPD Y6, 192(DX)
-	VMOVUPD Y7, 224(DX)
+	VMOVUPD Y2, (R9)
+	VMOVUPD Y3, 32(R9)
+	VMOVUPD Y4, (R10)
+	VMOVUPD Y5, 32(R10)
+	VMOVUPD Y6, (R11)
+	VMOVUPD Y7, 32(R11)
 	VZEROUPPER
 	RET
 
-// func kern4x16F32(k int, a, b, c *float32)
-// c[0:64] = sum_p a[p*4+i] * b[p*16+j], c row-major 4x16.
-TEXT ·kern4x16F32(SB), NOSPLIT, $0-32
+// F32ROW converts one tile row (lo, hi: 8 float32 each) to 16 float64,
+// scales by alpha (Y12) and stores or accumulates it at (DX), then steps DX
+// to the next destination row. CX holds accum.
+#define F32ROW(lo, xlo, hi, xhi, skip) \
+	VCVTPS2PD xlo, Y8 \
+	VEXTRACTF128 $1, lo, X9 \
+	VCVTPS2PD X9, Y9 \
+	VCVTPS2PD xhi, Y10 \
+	VEXTRACTF128 $1, hi, X11 \
+	VCVTPS2PD X11, Y11 \
+	VMULPD Y12, Y8, Y8 \
+	VMULPD Y12, Y9, Y9 \
+	VMULPD Y12, Y10, Y10 \
+	VMULPD Y12, Y11, Y11 \
+	TESTL CX, CX \
+	JZ   skip \
+	VADDPD (DX), Y8, Y8 \
+	VADDPD 32(DX), Y9, Y9 \
+	VADDPD 64(DX), Y10, Y10 \
+	VADDPD 96(DX), Y11, Y11 \
+skip: \
+	VMOVUPD Y8, (DX) \
+	VMOVUPD Y9, 32(DX) \
+	VMOVUPD Y10, 64(DX) \
+	VMOVUPD Y11, 96(DX) \
+	ADDQ R8, DX
+
+// func kern4x16F32(k int, a, b *float32, c *float64, ldc int, alpha float64, accum bool)
+TEXT ·kern4x16F32(SB), NOSPLIT, $0-49
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), AX
 	MOVQ b+16(FP), BX
 	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R8
+	SHLQ $3, R8
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -88,14 +144,195 @@ loop32:
 	ADDQ $64, BX
 	DECQ CX
 	JNZ  loop32
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, 32(DX)
-	VMOVUPS Y2, 64(DX)
-	VMOVUPS Y3, 96(DX)
-	VMOVUPS Y4, 128(DX)
-	VMOVUPS Y5, 160(DX)
-	VMOVUPS Y6, 192(DX)
-	VMOVUPS Y7, 224(DX)
+	VBROADCASTSD alpha+40(FP), Y12
+	MOVBLZX accum+48(FP), CX
+	F32ROW(Y0, X0, Y1, X1, row1)
+	F32ROW(Y2, X2, Y3, X3, row2)
+	F32ROW(Y4, X4, Y5, X5, row3)
+	F32ROW(Y6, X6, Y7, X7, done32)
+	VZEROUPPER
+	RET
+
+// PACKT4 loads four rows of four float64 (row pointers R8..R11) and
+// transposes them into Y8..Y11: Yq = column q of the 4x4 block.
+#define PACKT4 \
+	VMOVUPD (R8), Y0 \
+	VMOVUPD (R9), Y1 \
+	VMOVUPD (R10), Y2 \
+	VMOVUPD (R11), Y3 \
+	VUNPCKLPD Y1, Y0, Y4 \
+	VUNPCKHPD Y1, Y0, Y5 \
+	VUNPCKLPD Y3, Y2, Y6 \
+	VUNPCKHPD Y3, Y2, Y7 \
+	VPERM2F128 $0x20, Y6, Y4, Y8 \
+	VPERM2F128 $0x20, Y7, Y5, Y9 \
+	VPERM2F128 $0x31, Y6, Y4, Y10 \
+	VPERM2F128 $0x31, Y7, Y5, Y11 \
+	ADDQ $32, R8 \
+	ADDQ $32, R9 \
+	ADDQ $32, R10 \
+	ADDQ $32, R11
+
+// PACKT4ROWS derives the row pointers R9..R11 from R8 and the row stride AX
+// (elements) and splits k (CX) into CX = k/4 blocks and BX = k%4 tail.
+#define PACKT4ROWS \
+	SHLQ $3, AX \
+	LEAQ (R8)(AX*1), R9 \
+	LEAQ (R9)(AX*1), R10 \
+	LEAQ (R10)(AX*1), R11 \
+	MOVQ CX, BX \
+	SHRQ $2, CX \
+	ANDQ $3, BX
+
+// func packT4F64(dst, src *float64, ld, k, stride int)
+TEXT ·packT4F64(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), R8
+	MOVQ ld+16(FP), AX
+	MOVQ k+24(FP), CX
+	MOVQ stride+32(FP), DX
+	PACKT4ROWS
+	SHLQ $3, DX
+	TESTQ CX, CX
+	JZ   tail64
+block64:
+	PACKT4
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, (DI)(DX*1)
+	LEAQ (DI)(DX*2), DI
+	VMOVUPD Y10, (DI)
+	VMOVUPD Y11, (DI)(DX*1)
+	LEAQ (DI)(DX*2), DI
+	DECQ CX
+	JNZ  block64
+tail64:
+	TESTQ BX, BX
+	JZ   done64
+	VMOVSD (R8), X0
+	VMOVSD (R9), X1
+	VMOVSD (R10), X2
+	VMOVSD (R11), X3
+	VMOVSD X0, (DI)
+	VMOVSD X1, 8(DI)
+	VMOVSD X2, 16(DI)
+	VMOVSD X3, 24(DI)
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ $8, R11
+	ADDQ DX, DI
+	DECQ BX
+	JMP  tail64
+done64:
+	VZEROUPPER
+	RET
+
+// func packT4F32(dst *float32, src *float64, ld, k, stride int)
+TEXT ·packT4F32(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), R8
+	MOVQ ld+16(FP), AX
+	MOVQ k+24(FP), CX
+	MOVQ stride+32(FP), DX
+	PACKT4ROWS
+	SHLQ $2, DX
+	TESTQ CX, CX
+	JZ   tail32
+block32:
+	PACKT4
+	VCVTPD2PSY Y8, X8
+	VCVTPD2PSY Y9, X9
+	VCVTPD2PSY Y10, X10
+	VCVTPD2PSY Y11, X11
+	VMOVUPS X8, (DI)
+	VMOVUPS X9, (DI)(DX*1)
+	LEAQ (DI)(DX*2), DI
+	VMOVUPS X10, (DI)
+	VMOVUPS X11, (DI)(DX*1)
+	LEAQ (DI)(DX*2), DI
+	DECQ CX
+	JNZ  block32
+tail32:
+	TESTQ BX, BX
+	JZ   done32t
+	VMOVSD (R8), X0
+	VMOVSD (R9), X1
+	VMOVSD (R10), X2
+	VMOVSD (R11), X3
+	VCVTSD2SS X0, X0, X0
+	VCVTSD2SS X1, X1, X1
+	VCVTSD2SS X2, X2, X2
+	VCVTSD2SS X3, X3, X3
+	VMOVSS X0, (DI)
+	VMOVSS X1, 4(DI)
+	VMOVSS X2, 8(DI)
+	VMOVSS X3, 12(DI)
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ $8, R11
+	ADDQ DX, DI
+	DECQ BX
+	JMP  tail32
+done32t:
+	VZEROUPPER
+	RET
+
+// func packC4F64(dst, src *float64, ld, k, n, stride int)
+TEXT ·packC4F64(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ ld+16(FP), AX
+	MOVQ k+24(FP), CX
+	MOVQ n+32(FP), DX
+	MOVQ stride+40(FP), R9
+	SHLQ $3, AX
+	SHLQ $3, R9
+	SHRQ $2, DX
+rowc64:
+	MOVQ SI, R8
+	MOVQ DI, R10
+	MOVQ DX, BX
+chunkc64:
+	VMOVUPD (R8), Y0
+	VMOVUPD Y0, (R10)
+	ADDQ $32, R8
+	ADDQ $32, R10
+	DECQ BX
+	JNZ  chunkc64
+	ADDQ AX, SI
+	ADDQ R9, DI
+	DECQ CX
+	JNZ  rowc64
+	VZEROUPPER
+	RET
+
+// func packC4F32(dst *float32, src *float64, ld, k, n, stride int)
+TEXT ·packC4F32(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ ld+16(FP), AX
+	MOVQ k+24(FP), CX
+	MOVQ n+32(FP), DX
+	MOVQ stride+40(FP), R9
+	SHLQ $3, AX
+	SHLQ $2, R9
+	SHRQ $2, DX
+rowc32:
+	MOVQ SI, R8
+	MOVQ DI, R10
+	MOVQ DX, BX
+chunkc32:
+	VCVTPD2PSY (R8), X0
+	VMOVUPS X0, (R10)
+	ADDQ $32, R8
+	ADDQ $16, R10
+	DECQ BX
+	JNZ  chunkc32
+	ADDQ AX, SI
+	ADDQ R9, DI
+	DECQ CX
+	JNZ  rowc32
 	VZEROUPPER
 	RET
 

@@ -5,5 +5,22 @@ package tensor
 // Non-amd64 builds always use the pure-Go micro-kernels in gemm.go.
 var simdGEMM = false
 
-func kern4x8F64(k int, a, b, c *float64)  { panic("tensor: SIMD kernel unavailable") }
-func kern4x16F32(k int, a, b, c *float32) { panic("tensor: SIMD kernel unavailable") }
+func kern4x8F64(k int, a, b, c *float64, ldc int, alpha float64, accum bool) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
+func kern4x16F32(k int, a, b *float32, c *float64, ldc int, alpha float64, accum bool) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
+func packT4F64(dst, src *float64, ld, k, stride int) { panic("tensor: SIMD kernel unavailable") }
+
+func packT4F32(dst *float32, src *float64, ld, k, stride int) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
+func packC4F64(dst, src *float64, ld, k, n, stride int) { panic("tensor: SIMD kernel unavailable") }
+
+func packC4F32(dst *float32, src *float64, ld, k, n, stride int) {
+	panic("tensor: SIMD kernel unavailable")
+}

@@ -235,7 +235,8 @@ func TestBatchedMatMul(t *testing.T) {
 	rng := NewRNG(3)
 	a := Randn(rng, 2, 3, 4, 5)
 	b := Randn(rng, 2, 3, 5, 6)
-	c := BatchedMatMul(a, b)
+	c := New(2, 3, 4, 6)
+	BatchedMatMulInto(MatView(c), MatView(a), MatView(b), 1)
 	if c.Shape[0] != 2 || c.Shape[1] != 3 || c.Shape[2] != 4 || c.Shape[3] != 6 {
 		t.Fatalf("shape = %v", c.Shape)
 	}
@@ -254,7 +255,8 @@ func TestBatchedMatMulTAndTMatMul(t *testing.T) {
 	rng := NewRNG(4)
 	a := Randn(rng, 3, 4, 5)
 	b := Randn(rng, 3, 6, 5)
-	got := BatchedMatMulT(a, b)
+	got := New(3, 4, 6)
+	BatchedMatMulTInto(MatView(got), MatView(a), MatView(b), 1)
 	// manual: per batch a@b^T
 	for bi := 0; bi < 3; bi++ {
 		am := FromSlice(a.Data[bi*20:(bi+1)*20], 4, 5)
@@ -268,7 +270,8 @@ func TestBatchedMatMulTAndTMatMul(t *testing.T) {
 	}
 	c := Randn(rng, 3, 5, 4)
 	d := Randn(rng, 3, 5, 6)
-	got2 := BatchedTMatMul(c, d)
+	got2 := New(3, 4, 6)
+	BatchedTMatMulInto(MatView(got2), MatView(c), MatView(d), 1)
 	for bi := 0; bi < 3; bi++ {
 		cm := FromSlice(c.Data[bi*20:(bi+1)*20], 5, 4)
 		dm := FromSlice(d.Data[bi*30:(bi+1)*30], 5, 6)
@@ -573,7 +576,8 @@ func TestBatchedMatMulParallelPath(t *testing.T) {
 	rng := NewRNG(99)
 	a := Randn(rng, 32, 24, 24)
 	b := Randn(rng, 32, 24, 24)
-	c := BatchedMatMul(a, b)
+	c := New(32, 24, 24)
+	BatchedMatMulInto(MatView(c), MatView(a), MatView(b), 1)
 	for bi := 0; bi < 32; bi += 7 {
 		am := FromSlice(a.Data[bi*24*24:(bi+1)*24*24], 24, 24)
 		bm := FromSlice(b.Data[bi*24*24:(bi+1)*24*24], 24, 24)
