@@ -9,14 +9,16 @@ import (
 )
 
 // TestComputeJSONArtifact validates the committed compute-substrate
-// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v2,
+// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v3,
 // written by `dchag-bench -compute`). The artifact is a wall-clock
 // measurement, so this test gates on its schema and qualitative claims: the
 // blocked driver at least matches the naive kernel everywhere, the speedup
 // gates (blocked >= 2x naive, f32 >= 1.5x blocked f64 at the largest size)
 // hold where the SIMD micro-kernels ran, every product shape the D-CHAG
-// workloads issue beats the naive loop there too, and every point and shape
-// was measured allocation-free in steady state. Set BENCH_COMPUTE_JSON to
+// workloads issue beats the naive loop there too, every point, shape and
+// aggregator was measured allocation-free in steady state, and the pooled
+// channel aggregation issues at most three quarters of the unpooled
+// formulation's multiply-accumulates at g = 16. Set BENCH_COMPUTE_JSON to
 // validate a different artifact file.
 func TestComputeJSONArtifact(t *testing.T) {
 	path := os.Getenv("BENCH_COMPUTE_JSON")
@@ -47,7 +49,7 @@ func TestComputeJSONArtifact(t *testing.T) {
 	if err := json.Unmarshal(raw, &generic); err != nil {
 		t.Fatalf("artifact is not a JSON object: %v", err)
 	}
-	for _, key := range []string{"schema", "simd", "maxprocs", "sizes", "points", "shapes", "claims"} {
+	for _, key := range []string{"schema", "simd", "maxprocs", "sizes", "points", "shapes", "aggregators", "claims"} {
 		if _, ok := generic[key]; !ok {
 			t.Fatalf("artifact missing top-level key %q", key)
 		}
@@ -68,6 +70,16 @@ func TestComputeJSONArtifact(t *testing.T) {
 		"naive_gflops", "gflops", "speedup", "allocs_per_op"} {
 		if _, ok := shapes[0].(map[string]any)[key]; !ok {
 			t.Fatalf("shape point missing key %q", key)
+		}
+	}
+	aggs := generic["aggregators"].([]any)
+	if len(aggs) == 0 {
+		t.Fatal("artifact carries no aggregator points")
+	}
+	for _, key := range []string{"n", "group", "embed", "heads", "fwd_us", "bwd_us", "allocs_per_op",
+		"pooled_fwd_macs", "unpooled_fwd_macs", "pooled_bwd_macs", "unpooled_bwd_macs"} {
+		if _, ok := aggs[0].(map[string]any)[key]; !ok {
+			t.Fatalf("aggregator point missing key %q", key)
 		}
 	}
 	claims := generic["claims"].(map[string]any)
@@ -103,6 +115,27 @@ func TestComputeJSONArtifact(t *testing.T) {
 		if sp.AllocsPerOp != 0 {
 			t.Fatalf("shape %s allocated %.2f times per op in steady state", sp.Name, sp.AllocsPerOp)
 		}
+	}
+	sawG16 := false
+	for _, ap := range rep.Aggregators {
+		if ap.N < 1 || ap.Group < 1 || ap.Embed < 1 || ap.Heads < 1 || ap.FwdMicros <= 0 || ap.BwdMicros <= 0 {
+			t.Fatalf("implausible aggregator point %+v", ap)
+		}
+		if ap.AllocsPerOp != 0 {
+			t.Fatalf("aggregator %+v allocated %.2f times per forward-backward pair in steady state", ap, ap.AllocsPerOp)
+		}
+		if ap.PooledFwdMACs > ap.UnpooledFwdMACs || ap.PooledBwdMACs > ap.UnpooledBwdMACs {
+			t.Fatalf("aggregator %+v: pooled formulation issues more work than the unpooled one", ap)
+		}
+		if ap.Group == 16 {
+			sawG16 = true
+			if 4*ap.PooledFwdMACs > 3*ap.UnpooledFwdMACs || 4*ap.PooledBwdMACs > 3*ap.UnpooledBwdMACs {
+				t.Fatalf("aggregator %+v: pooled MACs exceed 0.75 x unpooled at g = 16", ap)
+			}
+		}
+	}
+	if !sawG16 {
+		t.Fatal("artifact carries no aggregator point at g = 16, where the pooled-work gate is defined")
 	}
 	if !rep.Claims.AllocFree {
 		t.Fatal("artifact does not claim allocation-free steady state")

@@ -77,7 +77,7 @@
 // Additive fields may appear within v2; readers must ignore unknown keys.
 // Field removals or meaning changes bump the schema string.
 //
-// # JSON schema (dchag-bench/compute/v2)
+// # JSON schema (dchag-bench/compute/v3)
 //
 // The -compute flag writes one experiments.ComputeReport object — the
 // single-node compute-substrate point of the perf trajectory (CI commits it
@@ -90,10 +90,15 @@
 // N*g rows and their two backward products, the per-head attention products
 // of the channel aggregation, the final aggregation and a ViT block, and
 // the float32 twins serving runs — through the entry point the model calls,
-// next to the scalar ikj loop on contiguous operands of the same extents:
+// next to the scalar ikj loop on contiguous operands of the same extents.
+// Each aggregator is one whole core.CrossAttnAggregator at a shape the
+// workloads run, Forward and Backward timed separately, with the
+// multiply-accumulates per location of the pooled formulation it executes
+// (group mean taken on the attention map, DESIGN.md "Channel aggregation:
+// pooled attention") and of the unpooled one it replaced:
 //
 //	{
-//	  "schema": "dchag-bench/compute/v2", // bump on breaking change
+//	  "schema": "dchag-bench/compute/v3", // bump on breaking change
 //	  "simd": true,                       // AVX2+FMA micro-kernels active
 //	  "maxprocs": 1,                      // GOMAXPROCS during measurement
 //	  "sizes": [64, 128, 256, 512],
@@ -121,20 +126,32 @@
 //	      "allocs_per_op": 0              // steady state
 //	    }, ...
 //	  ],
+//	  "aggregators": [
+//	    {
+//	      "n": 128, "group": 16, "embed": 32, "heads": 4, // N locations x g tokens x E
+//	      "fwd_us": 2487, "bwd_us": 2006, // best trial, one call each
+//	      "allocs_per_op": 0,             // steady state, forward + backward
+//	      "pooled_fwd_macs": 58880,       // per location, matrix products only
+//	      "unpooled_fwd_macs": 81920,
+//	      "pooled_bwd_macs": 117760,      // backward = 2 x forward in both
+//	      "unpooled_bwd_macs": 163840
+//	    }, ...
+//	  ],
 //	  "claims": {                         // evaluated at the largest size
 //	    "blocked_speedup_at_max": 9.1,    // gate: >= 2x under simd
 //	    "f32_speedup_at_max": 1.74,       // gate: >= 1.5x under simd
-//	    "steady_state_alloc_free": true   // gate: always, points and shapes
+//	    "steady_state_alloc_free": true   // gate: always; points, shapes, aggregators
 //	  }
 //	}
 //
 // The report is wall-clock measured, so TestComputeJSONArtifact gates the
 // committed artifact on its schema and qualitative claims — blocked at
 // least matches naive everywhere, the speedup gates hold and every shape
-// beats the naive loop where "simd" is true, and every point and shape ran
-// allocation-free — not on exact rates. v2 added "shapes"; there is no v1
-// reader. Additive fields may appear within v2; readers must ignore unknown
-// keys.
+// beats the naive loop where "simd" is true, every point, shape and
+// aggregator ran allocation-free, and pooled MACs are at most 0.75 x
+// unpooled at group 16 — not on exact rates or times. v2 added "shapes", v3
+// "aggregators"; there is no reader for an earlier version. Additive fields
+// may appear within v3; readers must ignore unknown keys.
 //
 // # JSON schema (dchag-bench/trace/v1)
 //

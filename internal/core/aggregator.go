@@ -4,7 +4,11 @@
 // The package provides, bottom-up:
 //
 //   - group aggregators (cross-attention and lightweight linear) that reduce
-//     a group of channel tokens to a single token (Sec. 3.2, Fig. 3);
+//     a group of channel tokens to a single token (Sec. 3.2, Fig. 3); the
+//     cross-attention ones keep the g x g attention map but pool it over the
+//     query axis before the value product, so nothing of shape [N, g, E] is
+//     computed after the Q/K/V projections (DESIGN.md "Channel aggregation:
+//     pooled attention");
 //   - the serial HierarchicalAggregator, a tree of group aggregators that
 //     turns the quadratic-in-channels memory of single-layer cross-attention
 //     into linear (Sec. 3.2);
@@ -82,16 +86,16 @@ type GroupAggregator interface {
 // CrossAttnAggregator reduces a channel group with one cross-attention layer
 // in which the channel tokens attend to each other (queries = keys = values
 // = the group's tokens, a g x g attention map — the quadratic memory the
-// paper attributes to the channel aggregation module) followed by a mean
-// over the group.
+// paper attributes to the channel aggregation module) and the group's mean
+// output token is the result. Only that mean is computed: the layer takes it
+// on the attention weights (nn.CrossAttention.ForwardPooled), so the value
+// product and the output projection run on one token per location, not g.
 type CrossAttnAggregator struct {
 	Group int
 	Attn  *nn.CrossAttention
 
-	n int // folded rows cached for backward
-
-	out, iout *tensor.Tensor // Forward / Infer output scratch
-	dy, dx    *tensor.Tensor // Backward scratch
+	n  int            // folded rows of the last Forward; 0 before the first
+	dx *tensor.Tensor // Backward scratch
 }
 
 // NewCrossAttnAggregator builds a cross-attention aggregator over a group of
@@ -112,30 +116,19 @@ func (a *CrossAttnAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("core: CrossAttnAggregator.Forward want [N,%d,E], got %v", a.Group, x.Shape))
 	}
 	a.n = x.Shape[0]
-	y := a.Attn.Forward(x, x) // [N, g, E]
-	a.out = tensor.EnsureShape(a.out, a.n, x.Shape[2])
-	return tensor.MeanAxisInto(a.out, y, 1) // [N, E]
+	return a.Attn.ForwardPooled(x, x)
 }
 
 // Backward maps d [N, E] to the group input gradient [N, g, E].
 //
-// dchag:hotpath — per-step mean broadcast and residual add into layer-owned
+// dchag:hotpath — per-step query/context gradient sum into layer-owned
 // scratch.
 func (a *CrossAttnAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
-	e := d.Shape[len(d.Shape)-1]
-	a.dy = tensor.EnsureShape(a.dy, a.n, a.Group, e)
-	inv := 1 / float64(a.Group)
-	for n := 0; n < a.n; n++ {
-		src := d.Data[n*e : (n+1)*e]
-		for g := 0; g < a.Group; g++ {
-			dst := a.dy.Data[(n*a.Group+g)*e : (n*a.Group+g+1)*e]
-			for i, v := range src {
-				dst[i] = v * inv
-			}
-		}
+	if a.n == 0 {
+		panic("core: CrossAttnAggregator.Backward before Forward")
 	}
-	dq, dkv := a.Attn.Backward(a.dy)
-	a.dx = tensor.EnsureShape(a.dx, a.n, a.Group, e)
+	dq, dkv := a.Attn.BackwardPooled(d)
+	a.dx = tensor.EnsureShape(a.dx, dq.Shape...)
 	return tensor.AddInto(a.dx, dq, dkv)
 }
 
@@ -145,9 +138,7 @@ func (a *CrossAttnAggregator) Infer(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 3 || x.Shape[1] != a.Group {
 		panic(fmt.Sprintf("core: CrossAttnAggregator.Infer want [N,%d,E], got %v", a.Group, x.Shape))
 	}
-	y := a.Attn.Infer(x, x) // [N, g, E]
-	a.iout = tensor.EnsureShape(a.iout, x.Shape[0], x.Shape[2])
-	return tensor.MeanAxisInto(a.iout, y, 1) // [N, E]
+	return a.Attn.InferPooled(x, x)
 }
 
 // SetInferDType selects the arithmetic of the no-grad Infer path for the

@@ -10,7 +10,8 @@ import (
 // PerceiverAggregator reduces a channel group with a Perceiver-style fusion
 // layer (paper Sec. 3.5: Aurora uses the Perceiver as its fusion module): M
 // learned latent tokens cross-attend to the group's channel tokens and the
-// latents' mean is the aggregated representation.
+// latents' mean is the aggregated representation (taken on the attention
+// weights, like CrossAttnAggregator's).
 //
 // Its attention map is M x g — between the linear cost of LinearAggregator
 // and the quadratic cost of CrossAttnAggregator — making it the natural
@@ -22,11 +23,9 @@ type PerceiverAggregator struct {
 	Latents *nn.Param // [M, E] learned queries
 	Attn    *nn.CrossAttention
 
-	n, m int
+	n int // folded rows of the last Forward; 0 before the first
 
-	q, iq     *tensor.Tensor // broadcast latent queries (forward / infer)
-	out, iout *tensor.Tensor // Forward / Infer output scratch
-	dy        *tensor.Tensor // Backward scratch
+	q, iq *tensor.Tensor // broadcast latent queries (forward / infer)
 }
 
 // NewPerceiverAggregator builds a Perceiver fusion layer with m latent
@@ -53,13 +52,9 @@ func (a *PerceiverAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("core: PerceiverAggregator.Forward want [N,%d,E], got %v", a.Group, x.Shape))
 	}
 	a.n = x.Shape[0]
-	a.m = a.Latents.W.Shape[0]
-	e := x.Shape[2]
-	a.q = tensor.EnsureShape(a.q, a.n, a.m, e)
+	a.q = tensor.EnsureShape(a.q, a.n, a.Latents.W.Shape[0], x.Shape[2])
 	broadcastRows(a.q, a.Latents.W.Data, a.n)
-	y := a.Attn.Forward(a.q, x) // [N, M, E]
-	a.out = tensor.EnsureShape(a.out, a.n, e)
-	return tensor.MeanAxisInto(a.out, y, 1) // [N, E]
+	return a.Attn.ForwardPooled(a.q, x)
 }
 
 // Infer reduces x [N, g, E] to [N, E] without caching activations for
@@ -68,13 +63,10 @@ func (a *PerceiverAggregator) Infer(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 3 || x.Shape[1] != a.Group {
 		panic(fmt.Sprintf("core: PerceiverAggregator.Infer want [N,%d,E], got %v", a.Group, x.Shape))
 	}
-	n, e := x.Shape[0], x.Shape[2]
-	m := a.Latents.W.Shape[0]
-	a.iq = tensor.EnsureShape(a.iq, n, m, e)
+	n := x.Shape[0]
+	a.iq = tensor.EnsureShape(a.iq, n, a.Latents.W.Shape[0], x.Shape[2])
 	broadcastRows(a.iq, a.Latents.W.Data, n)
-	y := a.Attn.Infer(a.iq, x) // [N, M, E]
-	a.iout = tensor.EnsureShape(a.iout, n, e)
-	return tensor.MeanAxisInto(a.iout, y, 1) // [N, E]
+	return a.Attn.InferPooled(a.iq, x)
 }
 
 // SetInferDType selects the arithmetic of the no-grad Infer path for the
@@ -93,29 +85,17 @@ func broadcastRows(dst *tensor.Tensor, row []float64, n int) {
 // Backward maps d [N, E] to the group input gradient [N, g, E], accumulating
 // latent and attention gradients.
 //
-// dchag:hotpath — per-step latent-mean broadcast into layer-owned scratch.
+// dchag:hotpath — per-step latent-gradient row sum.
 func (a *PerceiverAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
 	if a.n == 0 {
 		panic("core: PerceiverAggregator.Backward before Forward")
 	}
-	e := d.Shape[len(d.Shape)-1]
-	a.dy = tensor.EnsureShape(a.dy, a.n, a.m, e)
-	inv := 1 / float64(a.m)
-	for n := 0; n < a.n; n++ {
-		src := d.Data[n*e : (n+1)*e]
-		for m := 0; m < a.m; m++ {
-			dst := a.dy.Data[(n*a.m+m)*e : (n*a.m+m+1)*e]
-			for i, v := range src {
-				dst[i] = v * inv
-			}
-		}
-	}
-	dq, dkv := a.Attn.Backward(a.dy)
+	dq, dkv := a.Attn.BackwardPooled(d)
 	// The latents were broadcast over N rows; their gradient sums over rows.
+	lg := a.Latents.Grad.Data
 	for n := 0; n < a.n; n++ {
-		src := dq.Data[n*a.m*e : (n+1)*a.m*e]
-		for i, v := range src {
-			a.Latents.Grad.Data[i] += v
+		for i, v := range dq.Data[n*len(lg) : (n+1)*len(lg)] {
+			lg[i] += v
 		}
 	}
 	return dkv

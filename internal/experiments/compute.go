@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/tensor"
 )
 
@@ -22,8 +23,11 @@ func init() {
 // artifact it is wall-clock measured, so tooling gates on its qualitative
 // claims (blocked beats naive, f32 beats f64, steady state allocation-free)
 // rather than exact rates. v2 added the shapes section: the products the
-// D-CHAG workloads actually issue, next to the square sizes.
-const ComputeSchema = "dchag-bench/compute/v2"
+// D-CHAG workloads actually issue, next to the square sizes. v3 adds the
+// aggregators section: one whole cross-attention channel aggregation, timed
+// forward and backward, next to the matrix-product work of the pooled
+// formulation it runs and of the unpooled one it replaced.
+const ComputeSchema = "dchag-bench/compute/v3"
 
 // ComputePoint is one measured square GEMM size (dst = A@B, all [n,n]).
 type ComputePoint struct {
@@ -72,6 +76,32 @@ type ShapePoint struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
+// AggregatorPoint is one measured core.CrossAttnAggregator: N locations, each
+// reducing Group channel tokens of width Embed to one token with Heads
+// attention heads.
+type AggregatorPoint struct {
+	N     int `json:"n"`
+	Group int `json:"group"`
+	Embed int `json:"embed"`
+	Heads int `json:"heads"`
+	// FwdMicros and BwdMicros are the best-trial wall time of one Forward and
+	// of one Backward call; AllocsPerOp the steady-state heap allocations of
+	// a forward-backward pair.
+	FwdMicros   float64 `json:"fwd_us"`
+	BwdMicros   float64 `json:"bwd_us"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	// The multiply-accumulates of the layer's matrix products per location
+	// (softmax, pooling adds and bias adds are not products and are not
+	// counted), forward; backward is exactly twice forward in both
+	// formulations. Pooled is what the layer executes — the mean over the
+	// group taken on the attention map before the value product and Wo —
+	// unpooled the same layer with the mean taken last.
+	PooledFwdMACs   int `json:"pooled_fwd_macs"`
+	UnpooledFwdMACs int `json:"unpooled_fwd_macs"`
+	PooledBwdMACs   int `json:"pooled_bwd_macs"`
+	UnpooledBwdMACs int `json:"unpooled_bwd_macs"`
+}
+
 // ComputeClaims are the qualitative gates the artifact test asserts. The
 // speedup claims hold only where the vector micro-kernels run, so
 // TestComputeJSONArtifact gates them on SIMD being true in the artifact.
@@ -81,8 +111,8 @@ type ComputeClaims struct {
 	// 1.5x blocked f64 at 512^3 under SIMD).
 	BlockedSpeedupAtMax float64 `json:"blocked_speedup_at_max"`
 	F32SpeedupAtMax     float64 `json:"f32_speedup_at_max"`
-	// AllocFree reports that every measured point and shape ran with zero
-	// steady-state allocations per product.
+	// AllocFree reports that every measured point, shape and aggregator ran
+	// with zero steady-state allocations per call.
 	AllocFree bool `json:"steady_state_alloc_free"`
 }
 
@@ -92,12 +122,13 @@ type ComputeReport struct {
 	Schema string `json:"schema"`
 	// SIMD records whether the AVX2+FMA micro-kernels were active; MaxProcs
 	// the GOMAXPROCS the rates were measured under.
-	SIMD     bool           `json:"simd"`
-	MaxProcs int            `json:"maxprocs"`
-	Sizes    []int          `json:"sizes"`
-	Points   []ComputePoint `json:"points"`
-	Shapes   []ShapePoint   `json:"shapes"`
-	Claims   ComputeClaims  `json:"claims"`
+	SIMD        bool              `json:"simd"`
+	MaxProcs    int               `json:"maxprocs"`
+	Sizes       []int             `json:"sizes"`
+	Points      []ComputePoint    `json:"points"`
+	Shapes      []ShapePoint      `json:"shapes"`
+	Aggregators []AggregatorPoint `json:"aggregators"`
+	Claims      ComputeClaims     `json:"claims"`
 }
 
 // PointAt returns the point measured at size n.
@@ -174,6 +205,7 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 		rep.Points = append(rep.Points, p)
 	}
 	rep.Shapes = measureShapes(cfg)
+	rep.Aggregators = measureAggregators(cfg)
 	last := rep.Points[len(rep.Points)-1]
 	rep.Claims = ComputeClaims{
 		BlockedSpeedupAtMax: last.BlockedSpeedup,
@@ -187,6 +219,11 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 	}
 	for _, sp := range rep.Shapes {
 		if sp.AllocsPerOp != 0 {
+			rep.Claims.AllocFree = false
+		}
+	}
+	for _, ap := range rep.Aggregators {
+		if ap.AllocsPerOp != 0 {
 			rep.Claims.AllocFree = false
 		}
 	}
@@ -304,11 +341,56 @@ func shapeStep(sp ShapePoint) func() {
 	panic(fmt.Sprintf("experiments: no runner for shape point %+v", sp))
 }
 
-// measureGFLOPS times repeated invocations of step (flops floating-point
-// operations each), growing the repetition count until a trial spans
-// cfg.MinTime, and returns the best trial's rate in GFLOP/s.
+// dchagAggregators lists the channel aggregations the benchmark workloads
+// run, N = 128 locations each (batch 2 x 64 tokens): a partial-aggregation
+// layer of the hsi workloads (16 channel tokens), their final layer over 4
+// partition tokens, and the final layer at the weather workloads' width.
+var dchagAggregators = []AggregatorPoint{
+	{N: 128, Group: 16, Embed: 32, Heads: 4},
+	{N: 128, Group: 4, Embed: 32, Heads: 4},
+	{N: 128, Group: 4, Embed: 64, Heads: 4},
+}
+
+// aggregatorFwdMACs counts the forward matrix-product work of one location
+// of a cross-attention aggregation over g tokens of width e. Both
+// formulations project Q, K and V (3ge^2) and form the g x g score map
+// (g^2 e). Unpooled, the value product (g^2 e) and Wo (g e^2) run on all g
+// output tokens; pooled, on their mean (g e and e^2).
+func aggregatorFwdMACs(g, e int) (pooled, unpooled int) {
+	shared := 3*g*e*e + g*g*e
+	return shared + g*e + e*e, shared + g*g*e + g*e*e
+}
+
+// measureAggregators fills in the times of every dchagAggregators entry.
+func measureAggregators(cfg ComputeBenchConfig) []AggregatorPoint {
+	out := make([]AggregatorPoint, len(dchagAggregators))
+	for i, ap := range dchagAggregators {
+		rng := tensor.NewRNG(int64(6000 + i))
+		agg := core.NewCrossAttnAggregator("bench.agg", ap.Group, ap.Embed, ap.Heads, 1)
+		x := tensor.Randn(rng, ap.N, ap.Group, ap.Embed)
+		d := tensor.Randn(rng, ap.N, ap.Embed)
+		fwd, bwd := func() { agg.Forward(x) }, func() { agg.Backward(d) }
+		ap.FwdMicros = 1e6 * bestSeconds(cfg, fwd)
+		ap.BwdMicros = 1e6 * bestSeconds(cfg, bwd) // after a Forward; Backward only reads its caches
+		ap.AllocsPerOp = allocsPerOp(cfg.AllocIters, func() { fwd(); bwd() })
+		ap.PooledFwdMACs, ap.UnpooledFwdMACs = aggregatorFwdMACs(ap.Group, ap.Embed)
+		ap.PooledBwdMACs, ap.UnpooledBwdMACs = 2*ap.PooledFwdMACs, 2*ap.UnpooledFwdMACs
+		out[i] = ap
+	}
+	return out
+}
+
+// measureGFLOPS times step (flops floating-point operations per call) and
+// returns the best trial's rate in GFLOP/s.
 func measureGFLOPS(flops float64, cfg ComputeBenchConfig, step func()) float64 {
-	step() // warm the pool and the packed panels
+	return flops / bestSeconds(cfg, step) / 1e9
+}
+
+// bestSeconds times repeated invocations of step, growing the repetition
+// count until a trial spans cfg.MinTime, and returns the best trial's
+// seconds per call.
+func bestSeconds(cfg ComputeBenchConfig, step func()) float64 {
+	step() // warm the pool, the packed panels and layer-owned scratch
 	best := 0.0
 	for trial := 0; trial < cfg.Trials; trial++ {
 		reps := 1
@@ -319,8 +401,8 @@ func measureGFLOPS(flops float64, cfg ComputeBenchConfig, step func()) float64 {
 			}
 			elapsed := time.Since(start)
 			if elapsed >= cfg.MinTime || reps >= 1<<24 {
-				if rate := flops * float64(reps) / elapsed.Seconds() / 1e9; rate > best {
-					best = rate
+				if per := elapsed.Seconds() / float64(reps); best == 0 || per < best {
+					best = per
 				}
 				break
 			}
@@ -376,5 +458,16 @@ func runCompute() Result {
 			fmt.Sprintf("%.2fx", sp.Speedup), fmt.Sprintf("%.0f", sp.AllocsPerOp))
 	}
 	shapes.Note("batched shapes read attention heads in place out of [N,T,H*Dh] layouts (tensor.HeadView); naive is the scalar ikj loop on contiguous operands of the same extents")
-	return Result{ID: "compute", Title: "Compute substrate", Tables: []*Table{tab, shapes}}
+	aggs := &Table{
+		Title:   "Measured cross-attention channel aggregation (core.CrossAttnAggregator)",
+		Headers: []string{"N x g x E, heads", "forward us", "backward us", "allocs/op", "fwd MACs/location pooled", "unpooled", "pooled/unpooled"},
+	}
+	for _, ap := range rep.Aggregators {
+		aggs.Add(fmt.Sprintf("%d x %d x %d, %d", ap.N, ap.Group, ap.Embed, ap.Heads),
+			fmt.Sprintf("%.0f", ap.FwdMicros), fmt.Sprintf("%.0f", ap.BwdMicros), fmt.Sprintf("%.0f", ap.AllocsPerOp),
+			fmt.Sprint(ap.PooledFwdMACs), fmt.Sprint(ap.UnpooledFwdMACs),
+			fmt.Sprintf("%.2f", float64(ap.PooledFwdMACs)/float64(ap.UnpooledFwdMACs)))
+	}
+	aggs.Note("the layer takes the group mean on the attention map, so the value product and Wo run on one token per location; unpooled is the same layer with the mean taken last; backward MACs are twice forward in both")
+	return Result{ID: "compute", Title: "Compute substrate", Tables: []*Table{tab, shapes, aggs}}
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // TestRunComputeBenchQuick sanity-checks the compute benchmark runner on the
-// reduced configuration: every size and every D-CHAG shape yields plausible
-// positive rates, the derived claim fields match the largest point, and the
-// report round-trips
-// through JSON under the schema string the artifact test gates on.
+// reduced configuration: every size, every D-CHAG shape and every aggregator
+// yields plausible positive measurements, the derived claim fields match the
+// largest point, and the report round-trips through JSON under the schema
+// string the artifact test gates on.
 func TestRunComputeBenchQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock benchmark")
@@ -38,6 +38,19 @@ func TestRunComputeBenchQuick(t *testing.T) {
 			t.Fatalf("implausible shape point %+v", sp)
 		}
 	}
+	if len(rep.Aggregators) != len(dchagAggregators) {
+		t.Fatalf("got %d aggregator points, want %d", len(rep.Aggregators), len(dchagAggregators))
+	}
+	for _, ap := range rep.Aggregators {
+		if ap.FwdMicros <= 0 || ap.BwdMicros <= 0 || ap.AllocsPerOp < 0 ||
+			ap.PooledFwdMACs <= 0 || ap.PooledFwdMACs >= ap.UnpooledFwdMACs {
+			t.Fatalf("implausible aggregator point %+v", ap)
+		}
+	}
+	// The counts DESIGN.md quotes for the hsi partial-aggregation layer.
+	if p, u := aggregatorFwdMACs(16, 32); p != 58880 || u != 81920 {
+		t.Fatalf("forward MACs per location at g=16, E=32: pooled %d, unpooled %d; want 58880, 81920", p, u)
+	}
 	last := rep.Points[len(rep.Points)-1]
 	if rep.Claims.BlockedSpeedupAtMax != last.BlockedSpeedup ||
 		rep.Claims.F32SpeedupAtMax != last.F32Speedup {
@@ -52,7 +65,8 @@ func TestRunComputeBenchQuick(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("decoding report: %v", err)
 	}
-	if back.Schema != ComputeSchema || len(back.Points) != len(rep.Points) || len(back.Shapes) != len(rep.Shapes) {
+	if back.Schema != ComputeSchema || len(back.Points) != len(rep.Points) || len(back.Shapes) != len(rep.Shapes) ||
+		len(back.Aggregators) != len(rep.Aggregators) {
 		t.Fatalf("report did not round-trip: %+v", back)
 	}
 	if _, ok := back.PointAt(cfg.Sizes[0]); !ok {

@@ -157,15 +157,17 @@ func TestCrossAttentionGradients(t *testing.T) {
 	a := NewCrossAttention("xattn", 8, 2, 51)
 	q := tensor.Randn(rng, 2, 2, 8)
 	kv := tensor.Randn(rng, 2, 5, 8)
-	r := tensor.Randn(rng, 2, 2, 8)
-	loss := func() float64 { return dotAll(a.Forward(q, kv), r) }
+	r := tensor.Randn(rng, 2, 8)
+	loss := func() float64 { return dotAll(a.ForwardPooled(q, kv), r) }
 	loss()
 	ZeroGrads(a.Params())
-	dq, dkv := a.Backward(r)
+	dq, dkv := a.BackwardPooled(r)
 	checkGrad(t, "xattn/q", q, dq, loss, 1e-5)
 	checkGrad(t, "xattn/kv", kv, dkv, loss, 1e-5)
+	checkGrad(t, "xattn/Wq", a.Wq.Weight.W, a.Wq.Weight.Grad, loss, 1e-5)
 	checkGrad(t, "xattn/Wk", a.Wk.Weight.W, a.Wk.Weight.Grad, loss, 1e-5)
 	checkGrad(t, "xattn/Wv", a.Wv.Weight.W, a.Wv.Weight.Grad, loss, 1e-5)
+	checkGrad(t, "xattn/Wo", a.Wo.Weight.W, a.Wo.Weight.Grad, loss, 1e-5)
 }
 
 func TestMLPGradients(t *testing.T) {

@@ -18,7 +18,8 @@ type LayerNorm struct {
 
 	xhat   *tensor.Tensor // normalized input, cached for backward
 	invStd []float64      // 1/sqrt(var+eps) per row
-	shape  []int
+
+	x2, xi2, g2 *tensor.Tensor // folded headers over the Forward / Infer / Backward argument
 
 	out  *tensor.Tensor // Forward output scratch
 	iout *tensor.Tensor // Infer output scratch (separate so eval passes
@@ -40,24 +41,23 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 // Forward normalizes over the last dimension.
 func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	mustLastDim("LayerNorm.Forward", x, l.Dim)
-	x2, shape := foldLeading(x)
-	l.shape = shape
-	rows := x2.Shape[0]
+	l.x2 = foldInto(l.x2, x)
+	rows := l.x2.Shape[0]
 	l.xhat = tensor.EnsureShape(l.xhat, rows, l.Dim)
 	l.invStd = ensureFloats(l.invStd, rows)
 	l.out = tensor.EnsureShape(l.out, rows, l.Dim)
-	l.normalize(l.out, x2, true)
-	return l.out.Reshape(shape...)
+	l.normalize(l.out, l.x2, true)
+	return unfoldLike(l.out, x, l.Dim)
 }
 
 // Infer computes Forward's output without caching the normalized input or
 // inverse standard deviations for backward.
 func (l *LayerNorm) Infer(x *tensor.Tensor) *tensor.Tensor {
 	mustLastDim("LayerNorm.Infer", x, l.Dim)
-	x2, shape := foldLeading(x)
-	l.iout = tensor.EnsureShape(l.iout, x2.Shape[0], l.Dim)
-	l.normalize(l.iout, x2, false)
-	return l.iout.Reshape(shape...)
+	l.xi2 = foldInto(l.xi2, x)
+	l.iout = tensor.EnsureShape(l.iout, l.xi2.Shape[0], l.Dim)
+	l.normalize(l.iout, l.xi2, false)
+	return unfoldLike(l.iout, x, l.Dim)
 }
 
 // normalize writes the normalized, affine-transformed rows of x2 into out;
@@ -110,10 +110,10 @@ func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.xhat == nil {
 		panic("nn: LayerNorm.Backward before Forward")
 	}
-	g2, _ := foldLeading(grad)
-	l.dx = tensor.EnsureShape(l.dx, g2.Shape[0], l.Dim)
-	l.backward(l.dx, g2)
-	return l.dx.Reshape(l.shape...)
+	l.g2 = foldInto(l.g2, grad)
+	l.dx = tensor.EnsureShape(l.dx, l.g2.Shape[0], l.Dim)
+	l.backward(l.dx, l.g2)
+	return unfoldLike(l.dx, grad, l.Dim)
 }
 
 // backward accumulates the gamma/beta gradients and writes dx.

@@ -18,8 +18,10 @@ type Linear struct {
 	Weight  *Param // [In, Out]
 	Bias    *Param // [Out], nil when the layer is bias-free
 
-	x  *tensor.Tensor // cached folded input for backward
+	x  *tensor.Tensor // Forward's input folded to [rows, In] (a header over its data)
+	g  *tensor.Tensor // Backward's gradient folded to [rows, Out], likewise
 	y  *tensor.Tensor // Forward output scratch
+	xi *tensor.Tensor // Infer's folded input header
 	yi *tensor.Tensor // Infer output scratch (kept separate from y so an
 	// eval pass never clobbers activations a pending Backward still reads)
 	dx *tensor.Tensor // Backward input-gradient scratch
@@ -80,12 +82,10 @@ func (l *Linear) SetInferDType(dt tensor.DType) {
 // Forward computes x@W + b. The input's last dimension must equal In.
 func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	mustLastDim("Linear.Forward", x, l.In)
-	x2, shape := foldLeading(x)
-	l.x = x2
-	l.y = tensor.EnsureShape(l.y, x2.Shape[0], l.Out)
-	l.affine(l.y, x2)
-	outShape := append(append([]int(nil), shape[:len(shape)-1]...), l.Out)
-	return l.y.Reshape(outShape...)
+	l.x = foldInto(l.x, x)
+	l.y = tensor.EnsureShape(l.y, l.x.Shape[0], l.Out)
+	l.affine(l.y, l.x)
+	return unfoldLike(l.y, x, l.Out)
 }
 
 // Infer computes Forward's output without caching the input for backward.
@@ -95,11 +95,10 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 // DESIGN.md.
 func (l *Linear) Infer(x *tensor.Tensor) *tensor.Tensor {
 	mustLastDim("Linear.Infer", x, l.In)
-	x2, shape := foldLeading(x)
-	l.yi = tensor.EnsureShape(l.yi, x2.Shape[0], l.Out)
-	l.inferAffine(l.yi, x2)
-	outShape := append(append([]int(nil), shape[:len(shape)-1]...), l.Out)
-	return l.yi.Reshape(outShape...)
+	l.xi = foldInto(l.xi, x)
+	l.yi = tensor.EnsureShape(l.yi, l.xi.Shape[0], l.Out)
+	l.inferAffine(l.yi, l.xi)
+	return unfoldLike(l.yi, x, l.Out)
 }
 
 // affine computes dst = x2@W + b on the folded input.
@@ -148,11 +147,10 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
-	g2, shape := foldLeading(grad)
-	l.dx = tensor.EnsureShape(l.dx, g2.Shape[0], l.In)
-	l.backward(l.dx, g2)
-	outShape := append(append([]int(nil), shape[:len(shape)-1]...), l.In)
-	return l.dx.Reshape(outShape...)
+	l.g = foldInto(l.g, grad)
+	l.dx = tensor.EnsureShape(l.dx, l.g.Shape[0], l.In)
+	l.backward(l.dx, l.g)
+	return unfoldLike(l.dx, grad, l.In)
 }
 
 // backward accumulates the parameter gradients and writes dx = g2@W^T.

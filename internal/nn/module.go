@@ -235,13 +235,28 @@ func SubSeed(seed int64, idx int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// foldLeading reshapes an N-D tensor to 2-D by folding all leading
-// dimensions, returning the folded view and the original shape for
-// restoration.
-func foldLeading(x *tensor.Tensor) (*tensor.Tensor, []int) {
-	shape := append([]int(nil), x.Shape...)
-	last := shape[len(shape)-1]
-	return x.Reshape(-1, last), shape
+// foldInto folds all leading dimensions of x into one without allocating: it
+// points the layer-owned header hdr (created on first use) at x's data as
+// [rows, last].
+//
+// dchag:hotpath — every projection call, forward, eval and backward.
+func foldInto(hdr, x *tensor.Tensor) *tensor.Tensor {
+	if hdr == nil {
+		hdr = &tensor.Tensor{}
+	}
+	last := x.Shape[len(x.Shape)-1]
+	hdr.Shape = append(hdr.Shape[:0], len(x.Data)/last, last)
+	hdr.Data = x.Data
+	return hdr
+}
+
+// unfoldLike gives the layer-owned y [rows, last] the leading dimensions of
+// like in place and returns it: the inverse of the fold for a layer's output.
+//
+// dchag:hotpath — every projection call, forward, eval and backward.
+func unfoldLike(y, like *tensor.Tensor, last int) *tensor.Tensor {
+	y.Shape = append(append(y.Shape[:0], like.Shape[:len(like.Shape)-1]...), last)
+	return y
 }
 
 func mustLastDim(op string, x *tensor.Tensor, want int) {

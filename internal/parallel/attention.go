@@ -71,66 +71,6 @@ func (a *ParallelSelfAttention) Params() []*nn.Param {
 	return ps
 }
 
-// ParallelCrossAttention is the tensor-parallel version of
-// nn.CrossAttention, used for the shared final aggregation layer of D-CHAG
-// when it is combined with TP (paper Sec. 3.3: "we can distribute the
-// embedding space similarly to how we distribute it in the downstream
-// transformer block modules").
-type ParallelCrossAttention struct {
-	Comm         *comm.Communicator
-	Embed, Heads int
-	LocalHeads   int
-	Wq, Wk, Wv   *ColumnParallelLinear
-	Wo           *RowParallelLinear
-
-	core nn.AttentionCore
-}
-
-// NewParallelCrossAttention shards nn.NewCrossAttention(name, embed, heads,
-// seed) across the TP group c.
-func NewParallelCrossAttention(name string, embed, heads int, seed int64, c *comm.Communicator) *ParallelCrossAttention {
-	t := c.Size()
-	if heads%t != 0 {
-		panic(fmt.Sprintf("parallel: heads %d not divisible by TP size %d", heads, t))
-	}
-	return &ParallelCrossAttention{
-		Comm:  c,
-		Embed: embed, Heads: heads, LocalHeads: heads / t,
-		Wq:   NewColumnParallelLinear(name+".wq", embed, embed, nn.SubSeed(seed, 0), c),
-		Wk:   NewColumnParallelLinear(name+".wk", embed, embed, nn.SubSeed(seed, 1), c),
-		Wv:   NewColumnParallelLinear(name+".wv", embed, embed, nn.SubSeed(seed, 2), c),
-		Wo:   NewRowParallelLinear(name+".wo", embed, embed, nn.SubSeed(seed, 3), c),
-		core: nn.AttentionCore{Heads: heads / t, HeadDim: embed / heads},
-	}
-}
-
-// Forward attends query [B,Tq,E] over context [B,Tk,E]; both inputs are
-// replicated across the TP group.
-func (a *ParallelCrossAttention) Forward(query, context *tensor.Tensor) *tensor.Tensor {
-	return a.Wo.Forward(a.core.Forward(a.Wq.Forward(query), a.Wk.Forward(context), a.Wv.Forward(context)))
-}
-
-// Backward returns gradients for the replicated query and context inputs,
-// using one AllReduce each.
-func (a *ParallelCrossAttention) Backward(grad *tensor.Tensor) (dQuery, dContext *tensor.Tensor) {
-	dq, dk, dv := a.core.Backward(a.Wo.Backward(grad))
-	dQuery = a.Comm.AllReduceSum(a.Wq.BackwardPartial(dq))
-	dc := a.Wk.BackwardPartial(dk)
-	tensor.AddInPlace(dc, a.Wv.BackwardPartial(dv))
-	dContext = a.Comm.AllReduceSum(dc)
-	return dQuery, dContext
-}
-
-// Params returns the local shard parameters.
-func (a *ParallelCrossAttention) Params() []*nn.Param {
-	var ps []*nn.Param
-	ps = append(ps, a.Wq.Params()...)
-	ps = append(ps, a.Wk.Params()...)
-	ps = append(ps, a.Wv.Params()...)
-	ps = append(ps, a.Wo.Params()...)
-	return ps
-}
-
 // ParallelMLP is the tensor-parallel feed-forward block: fc1 is
 // column-parallel, the activation is local, fc2 is row-parallel.
 type ParallelMLP struct {
@@ -175,6 +115,9 @@ type ParallelTransformerBlock struct {
 	Norm1, Norm2 *nn.LayerNorm
 	Attn         *ParallelSelfAttention
 	FFN          *ParallelMLP
+
+	h, out *tensor.Tensor // residual scratch (forward)
+	dh, dx *tensor.Tensor // residual scratch (backward)
 }
 
 // NewParallelTransformerBlock shards nn.NewTransformerBlock(name, embed,
@@ -190,16 +133,21 @@ func NewParallelTransformerBlock(name string, embed, heads int, seed int64, c *c
 	}
 }
 
-// Forward applies the block to replicated x [B,T,E].
+// Forward applies the block to replicated x [B,T,E]; like
+// nn.TransformerBlock it returns block-owned scratch.
 func (b *ParallelTransformerBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
-	h := tensor.Add(x, b.Attn.Forward(b.Norm1.Forward(x)))
-	return tensor.Add(h, b.FFN.Forward(b.Norm2.Forward(h)))
+	b.h = tensor.EnsureShape(b.h, x.Shape...)
+	tensor.AddInto(b.h, x, b.Attn.Forward(b.Norm1.Forward(x)))
+	b.out = tensor.EnsureShape(b.out, x.Shape...)
+	return tensor.AddInto(b.out, b.h, b.FFN.Forward(b.Norm2.Forward(b.h)))
 }
 
 // Backward back-propagates through both residual branches.
 func (b *ParallelTransformerBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dh := tensor.Add(grad, b.Norm2.Backward(b.FFN.Backward(grad)))
-	return tensor.Add(dh, b.Norm1.Backward(b.Attn.Backward(dh)))
+	b.dh = tensor.EnsureShape(b.dh, grad.Shape...)
+	tensor.AddInto(b.dh, grad, b.Norm2.Backward(b.FFN.Backward(grad)))
+	b.dx = tensor.EnsureShape(b.dx, grad.Shape...)
+	return tensor.AddInto(b.dx, b.dh, b.Norm1.Backward(b.Attn.Backward(b.dh)))
 }
 
 // Params returns the block's local parameters (norms replicated, attention

@@ -127,35 +127,6 @@ func TestParallelSelfAttentionMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParallelCrossAttentionMatchesSerial(t *testing.T) {
-	const embed, heads, tp = 8, 2, 2
-	rng := tensor.NewRNG(4)
-	q := tensor.Randn(rng, 2, 3, embed)
-	kv := tensor.Randn(rng, 2, 7, embed)
-	upstream := tensor.Randn(rng, 2, 3, embed)
-
-	serial := nn.NewCrossAttention("x", embed, heads, 66)
-	ySerial := serial.Forward(q, kv)
-	nn.ZeroGrads(serial.Params())
-	dqS, dkvS := serial.Backward(upstream)
-
-	_, err := comm.Run(tp, func(c *comm.Communicator) error {
-		par := NewParallelCrossAttention("x", embed, heads, 66, c)
-		y := par.Forward(q, kv)
-		if tensor.MaxAbsDiff(y, ySerial) > tpTol {
-			return fmt.Errorf("forward diff %g", tensor.MaxAbsDiff(y, ySerial))
-		}
-		dq, dkv := par.Backward(upstream)
-		if tensor.MaxAbsDiff(dq, dqS) > tpTol || tensor.MaxAbsDiff(dkv, dkvS) > tpTol {
-			return fmt.Errorf("backward diff q=%g kv=%g", tensor.MaxAbsDiff(dq, dqS), tensor.MaxAbsDiff(dkv, dkvS))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestParallelMLPMatchesSerial(t *testing.T) {
 	const embed, hidden, tp = 6, 12, 3
 	rng := tensor.NewRNG(5)
@@ -413,18 +384,5 @@ func TestParallelModuleParamCounts(t *testing.T) {
 	}
 	if replCounts[0] != replCounts[1] {
 		t.Fatal("replicated param count must agree across ranks")
-	}
-}
-
-func TestParallelCrossAttentionParams(t *testing.T) {
-	_, err := comm.Run(2, func(c *comm.Communicator) error {
-		a := NewParallelCrossAttention("x", 8, 2, 1, c)
-		if len(a.Params()) == 0 {
-			return fmt.Errorf("params must be exposed")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -100,6 +100,9 @@ type SPTransformerBlock struct {
 	Norm1, Norm2 *nn.LayerNorm
 	Attn         *SPSelfAttention
 	FFN          *nn.MLP
+
+	h, out *tensor.Tensor // residual scratch (forward)
+	dh, dx *tensor.Tensor // residual scratch (backward)
 }
 
 // NewSPTransformerBlock builds the SP twin of nn.NewTransformerBlock with
@@ -115,16 +118,21 @@ func NewSPTransformerBlock(name string, embed, heads int, seed int64, c *comm.Co
 	}
 }
 
-// Forward applies the block to the local token shard [B, T/p, E].
+// Forward applies the block to the local token shard [B, T/p, E]; like
+// nn.TransformerBlock it returns block-owned scratch.
 func (b *SPTransformerBlock) Forward(xLocal *tensor.Tensor) *tensor.Tensor {
-	h := tensor.Add(xLocal, b.Attn.Forward(b.Norm1.Forward(xLocal)))
-	return tensor.Add(h, b.FFN.Forward(b.Norm2.Forward(h)))
+	b.h = tensor.EnsureShape(b.h, xLocal.Shape...)
+	tensor.AddInto(b.h, xLocal, b.Attn.Forward(b.Norm1.Forward(xLocal)))
+	b.out = tensor.EnsureShape(b.out, xLocal.Shape...)
+	return tensor.AddInto(b.out, b.h, b.FFN.Forward(b.Norm2.Forward(b.h)))
 }
 
 // Backward back-propagates through both residual branches on the shard.
 func (b *SPTransformerBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dh := tensor.Add(grad, b.Norm2.Backward(b.FFN.Backward(grad)))
-	return tensor.Add(dh, b.Norm1.Backward(b.Attn.Backward(dh)))
+	b.dh = tensor.EnsureShape(b.dh, grad.Shape...)
+	tensor.AddInto(b.dh, grad, b.Norm2.Backward(b.FFN.Backward(grad)))
+	b.dx = tensor.EnsureShape(b.dx, grad.Shape...)
+	return tensor.AddInto(b.dx, b.dh, b.Norm1.Backward(b.Attn.Backward(b.dh)))
 }
 
 // Params returns the block's replicated parameters.

@@ -84,8 +84,6 @@ type RowParallelLinear struct {
 	LocalIn int
 	Local   *nn.Linear // bias-free local product
 	Bias    *nn.Param
-
-	lastGrad *tensor.Tensor
 }
 
 // NewRowParallelLinear builds rank's row shard of the serial
@@ -127,7 +125,6 @@ func (l *RowParallelLinear) Forward(xLocal *tensor.Tensor) *tensor.Tensor {
 func (l *RowParallelLinear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	g2 := grad.Reshape(-1, l.Out)
 	tensor.AddInPlace(l.Bias.Grad, tensor.SumAxis(g2, 0))
-	l.lastGrad = grad
 	return l.Local.Backward(grad)
 }
 

@@ -66,6 +66,39 @@ func TestCacheHitBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// TestCacheFilledBeforeOwnerAnswered pins the order inside Engine.complete:
+// the cache entry exists before the owner's response is sent, so a caller
+// that has its answer and repeats the request at once hits — it neither
+// coalesces onto the closing flight nor misses. A thousand distinct inputs,
+// each repeated immediately, must give exactly a thousand hits.
+func TestCacheFilledBeforeOwnerAnswered(t *testing.T) {
+	const iters = 1000
+	a := testArch()
+	cfg := cacheTestConfig()
+	cfg.MaxBatch = 1 // dispatch at once: the test is about ordering, not batching
+	cfg.CacheBytes = 64 << 20
+	e := startTest(t, cfg, FromArch(a))
+	x := testInput(a, 53, a.ImgH, a.ImgW)
+	for i := 0; i < iters; i++ {
+		x.Data[0] = float64(i) // a new content address each round
+		cold, err := e.Do(context.Background(), &Request{Input: x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hot, err := e.Do(context.Background(), &Request{Input: x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Cached || !hot.Cached {
+			t.Fatalf("round %d: cold.Cached=%v hot.Cached=%v", i, cold.Cached, hot.Cached)
+		}
+	}
+	snap := e.Metrics().Snapshot()
+	if snap.CacheHits != iters || snap.CacheMisses != iters || snap.CacheCoalesced != 0 || snap.Completed != iters {
+		t.Fatalf("want %d hits / %d misses / 0 coalesced / %d forwards, got %+v", iters, iters, iters, snap)
+	}
+}
+
 // TestCacheFingerprintDistinct pins the content address: inputs that
 // assemble to the same canvas but arrive differently (pre-regridded vs
 // coarse grid, full canvas vs partial channel set), different instances,

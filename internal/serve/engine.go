@@ -552,7 +552,8 @@ func (e *Engine) complete(bj *batchJob, pred *tensor.Tensor) {
 			Total:     now.Sub(j.enq),
 		}
 		e.metrics.observe(resp)
-		j.done <- resp
+		// Fill before answering the owner: whoever has seen this response
+		// and repeats the request finds the entry, not a closing flight.
 		if j.keyed {
 			e.row.Instant("cache-fill", "serve")
 			for _, w := range e.cache.fill(j.key, bj.inst.id, out) {
@@ -565,6 +566,7 @@ func (e *Engine) complete(bj *batchJob, pred *tensor.Tensor) {
 				}
 			}
 		}
+		j.done <- resp
 	}
 	bj.release()
 }

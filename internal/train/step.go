@@ -92,6 +92,10 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 		return tensor.SliceAxis(t, 0, w.coord.DP*shard, (w.coord.DP+1)*shard)
 	}
 	dchag, _ := m.Stage.(*model.DCHAGStage)
+	var ddp *parallel.DDP
+	if w.dpc != nil {
+		ddp = parallel.NewDDP(w.dpc, params)
+	}
 
 	snapshot := func(step int) {
 		if w.boundary != nil {
@@ -149,11 +153,11 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 				tensor.ScaleInPlace(p.Grad, 1/float64(accum))
 			}
 		}
-		if w.dpc != nil {
+		if ddp != nil {
 			// The one cross-replica synchronization point (paper Sec. 6.3).
 			w.dpc.SetPhase("dp-sync")
 			sync := row.Begin("dp-sync", "train")
-			parallel.NewDDP(w.dpc, params).SyncGradients()
+			ddp.SyncGradients()
 			sync.End()
 		}
 		optSpan := row.Begin("optim", "train")
