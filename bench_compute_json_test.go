@@ -9,17 +9,18 @@ import (
 )
 
 // TestComputeJSONArtifact validates the committed compute-substrate
-// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v3,
+// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v4,
 // written by `dchag-bench -compute`). The artifact is a wall-clock
 // measurement, so this test gates on its schema and qualitative claims: the
 // blocked driver at least matches the naive kernel everywhere, the speedup
 // gates (blocked >= 2x naive, f32 >= 1.5x blocked f64 at the largest size)
 // hold where the SIMD micro-kernels ran, every product shape the D-CHAG
-// workloads issue beats the naive loop there too, every point, shape and
-// aggregator was measured allocation-free in steady state, and the pooled
-// channel aggregation issues at most three quarters of the unpooled
-// formulation's multiply-accumulates at g = 16. Set BENCH_COMPUTE_JSON to
-// validate a different artifact file.
+// workloads issue beats the naive loop there too, softmax and GELU run at
+// least twice as fast as the math.Exp / math.Tanh loops they replaced there
+// too, every point, shape, aggregator and elementwise routine was measured
+// allocation-free in steady state, and the pooled channel aggregation issues
+// at most three quarters of the unpooled formulation's multiply-accumulates
+// at g = 16. Set BENCH_COMPUTE_JSON to validate a different artifact file.
 func TestComputeJSONArtifact(t *testing.T) {
 	path := os.Getenv("BENCH_COMPUTE_JSON")
 	if path == "" {
@@ -49,7 +50,7 @@ func TestComputeJSONArtifact(t *testing.T) {
 	if err := json.Unmarshal(raw, &generic); err != nil {
 		t.Fatalf("artifact is not a JSON object: %v", err)
 	}
-	for _, key := range []string{"schema", "simd", "maxprocs", "sizes", "points", "shapes", "aggregators", "claims"} {
+	for _, key := range []string{"schema", "simd", "maxprocs", "sizes", "points", "shapes", "aggregators", "elementwise", "claims"} {
 		if _, ok := generic[key]; !ok {
 			t.Fatalf("artifact missing top-level key %q", key)
 		}
@@ -80,6 +81,15 @@ func TestComputeJSONArtifact(t *testing.T) {
 		"pooled_fwd_macs", "unpooled_fwd_macs", "pooled_bwd_macs", "unpooled_bwd_macs"} {
 		if _, ok := aggs[0].(map[string]any)[key]; !ok {
 			t.Fatalf("aggregator point missing key %q", key)
+		}
+	}
+	elems := generic["elementwise"].([]any)
+	if len(elems) == 0 {
+		t.Fatal("artifact carries no elementwise points")
+	}
+	for _, key := range []string{"name", "op", "rows", "cols", "ref_ns_per_elem", "ns_per_elem", "speedup", "allocs_per_op"} {
+		if _, ok := elems[0].(map[string]any)[key]; !ok {
+			t.Fatalf("elementwise point missing key %q", key)
 		}
 	}
 	claims := generic["claims"].(map[string]any)
@@ -137,6 +147,14 @@ func TestComputeJSONArtifact(t *testing.T) {
 	if !sawG16 {
 		t.Fatal("artifact carries no aggregator point at g = 16, where the pooled-work gate is defined")
 	}
+	for _, ep := range rep.Elementwise {
+		if ep.Rows < 1 || ep.Cols < 1 || ep.RefNsPerElem <= 0 || ep.NsPerElem <= 0 {
+			t.Fatalf("implausible elementwise point %+v", ep)
+		}
+		if ep.AllocsPerOp != 0 {
+			t.Fatalf("elementwise routine %s allocated %.2f times per op in steady state", ep.Name, ep.AllocsPerOp)
+		}
+	}
 	if !rep.Claims.AllocFree {
 		t.Fatal("artifact does not claim allocation-free steady state")
 	}
@@ -153,6 +171,12 @@ func TestComputeJSONArtifact(t *testing.T) {
 		if sp.GFLOPS <= sp.NaiveGFLOPS {
 			t.Fatalf("shape %s (%s, %d x %dx%dx%d): %.2f GFLOP/s does not beat the naive loop's %.2f",
 				sp.Name, sp.Op, sp.Batch, sp.M, sp.K, sp.N, sp.GFLOPS, sp.NaiveGFLOPS)
+		}
+	}
+	for _, ep := range rep.Elementwise {
+		if ep.RefNsPerElem < 2*ep.NsPerElem {
+			t.Fatalf("elementwise routine %s (%s, %d x %d): %.2f ns/element is not twice as fast as the libm loop's %.2f",
+				ep.Name, ep.Op, ep.Rows, ep.Cols, ep.NsPerElem, ep.RefNsPerElem)
 		}
 	}
 	largest := rep.Points[len(rep.Points)-1]

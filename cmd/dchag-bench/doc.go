@@ -10,7 +10,7 @@
 //	dchag-bench -list           # list available experiments
 //	dchag-bench -json out.json  # write the sweep report as JSON (no tables)
 //	dchag-bench -json out.json -no-overlap  # serial (pre-overlap) pricing
-//	dchag-bench -compute out.json           # measured GEMM substrate report
+//	dchag-bench -compute out.json           # measured compute substrate report
 //	dchag-bench -diff old.json new.json     # perf-trajectory gate (below)
 //
 // Figures 6-9 and 13-16 and the sweep are analytic (internal/perfmodel on
@@ -77,7 +77,7 @@
 // Additive fields may appear within v2; readers must ignore unknown keys.
 // Field removals or meaning changes bump the schema string.
 //
-// # JSON schema (dchag-bench/compute/v3)
+// # JSON schema (dchag-bench/compute/v4)
 //
 // The -compute flag writes one experiments.ComputeReport object — the
 // single-node compute-substrate point of the perf trajectory (CI commits it
@@ -95,11 +95,16 @@
 // workloads run, Forward and Backward timed separately, with the
 // multiply-accumulates per location of the pooled formulation it executes
 // (group mean taken on the attention map, DESIGN.md "Channel aggregation:
-// pooled attention") and of the unpooled one it replaced:
+// pooled attention") and of the unpooled one it replaced. Each elementwise
+// point is one transcendental pass of the workloads — the softmax over the
+// hsi partial-aggregation maps and over a ViT block's, GELU forward and
+// backward — on the vector exp kernel (tensor.Exp, DESIGN.md "Elementwise
+// transcendentals") next to the scalar math.Exp / math.Tanh loop it replaced,
+// over the same data:
 //
 //	{
-//	  "schema": "dchag-bench/compute/v3", // bump on breaking change
-//	  "simd": true,                       // AVX2+FMA micro-kernels active
+//	  "schema": "dchag-bench/compute/v4", // bump on breaking change
+//	  "simd": true,                       // AVX2+FMA kernels active
 //	  "maxprocs": 1,                      // GOMAXPROCS during measurement
 //	  "sizes": [64, 128, 256, 512],
 //	  "points": [
@@ -137,21 +142,34 @@
 //	      "unpooled_bwd_macs": 163840
 //	    }, ...
 //	  ],
+//	  "elementwise": [
+//	    {
+//	      "name": "softmax_partial_agg",  // which pass of the model
+//	      "op": "SoftmaxLastDimInto",     // the entry point measured
+//	      "rows": 8192, "cols": 16,       // softmax along cols; GELU over rows*cols
+//	      "ref_ns_per_elem": 9.8,         // scalar math.Exp / math.Tanh loop
+//	      "ns_per_elem": 1.6,             // the shipped routine, best trial
+//	      "speedup": 6.1,                 // ref / shipped; gate: >= 2x under simd
+//	      "allocs_per_op": 0              // steady state
+//	    }, ...
+//	  ],
 //	  "claims": {                         // evaluated at the largest size
 //	    "blocked_speedup_at_max": 9.1,    // gate: >= 2x under simd
 //	    "f32_speedup_at_max": 1.74,       // gate: >= 1.5x under simd
-//	    "steady_state_alloc_free": true   // gate: always; points, shapes, aggregators
+//	    "steady_state_alloc_free": true   // gate: always; every section
 //	  }
 //	}
 //
 // The report is wall-clock measured, so TestComputeJSONArtifact gates the
 // committed artifact on its schema and qualitative claims — blocked at
 // least matches naive everywhere, the speedup gates hold and every shape
-// beats the naive loop where "simd" is true, every point, shape and
-// aggregator ran allocation-free, and pooled MACs are at most 0.75 x
-// unpooled at group 16 — not on exact rates or times. v2 added "shapes", v3
-// "aggregators"; there is no reader for an earlier version. Additive fields
-// may appear within v3; readers must ignore unknown keys.
+// beats the naive loop and every elementwise routine runs at least twice
+// as fast as its libm loop where "simd" is true, every point, shape,
+// aggregator and elementwise routine ran allocation-free, and pooled MACs
+// are at most 0.75 x unpooled at group 16 — not on exact rates or times. v2
+// added "shapes", v3 "aggregators", v4 "elementwise"; there is no reader for
+// an earlier version. Additive fields may appear within v4; readers must
+// ignore unknown keys.
 //
 // # JSON schema (dchag-bench/trace/v1)
 //

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -26,8 +28,10 @@ func init() {
 // D-CHAG workloads actually issue, next to the square sizes. v3 adds the
 // aggregators section: one whole cross-attention channel aggregation, timed
 // forward and backward, next to the matrix-product work of the pooled
-// formulation it runs and of the unpooled one it replaced.
-const ComputeSchema = "dchag-bench/compute/v3"
+// formulation it runs and of the unpooled one it replaced. v4 adds the
+// elementwise section: softmax and GELU on the vector exp kernel next to
+// math.Exp / math.Tanh loops over the same data.
+const ComputeSchema = "dchag-bench/compute/v4"
 
 // ComputePoint is one measured square GEMM size (dst = A@B, all [n,n]).
 type ComputePoint struct {
@@ -102,6 +106,25 @@ type AggregatorPoint struct {
 	UnpooledBwdMACs int `json:"unpooled_bwd_macs"`
 }
 
+// ElementwisePoint is one measured transcendental routine over a
+// [Rows, Cols] tensor: a softmax along the last dimension or a GELU forward
+// or backward.
+type ElementwisePoint struct {
+	Name string `json:"name"`
+	Op   string `json:"op"`
+	Rows int    `json:"rows"`
+	Cols int    `json:"cols"`
+	// RefNsPerElem is a scalar loop on math.Exp (softmax) or math.Tanh (GELU)
+	// — what the routine was before tensor.Exp — and NsPerElem the shipped
+	// routine, both best-trial nanoseconds per element; Speedup their ratio.
+	RefNsPerElem float64 `json:"ref_ns_per_elem"`
+	NsPerElem    float64 `json:"ns_per_elem"`
+	Speedup      float64 `json:"speedup"`
+	// AllocsPerOp is the shipped routine's steady-state heap allocations per
+	// call.
+	AllocsPerOp float64 `json:"allocs_per_op"`
+}
+
 // ComputeClaims are the qualitative gates the artifact test asserts. The
 // speedup claims hold only where the vector micro-kernels run, so
 // TestComputeJSONArtifact gates them on SIMD being true in the artifact.
@@ -111,8 +134,8 @@ type ComputeClaims struct {
 	// 1.5x blocked f64 at 512^3 under SIMD).
 	BlockedSpeedupAtMax float64 `json:"blocked_speedup_at_max"`
 	F32SpeedupAtMax     float64 `json:"f32_speedup_at_max"`
-	// AllocFree reports that every measured point, shape and aggregator ran
-	// with zero steady-state allocations per call.
+	// AllocFree reports that every measured point, shape, aggregator and
+	// elementwise routine ran with zero steady-state allocations per call.
 	AllocFree bool `json:"steady_state_alloc_free"`
 }
 
@@ -122,13 +145,14 @@ type ComputeReport struct {
 	Schema string `json:"schema"`
 	// SIMD records whether the AVX2+FMA micro-kernels were active; MaxProcs
 	// the GOMAXPROCS the rates were measured under.
-	SIMD        bool              `json:"simd"`
-	MaxProcs    int               `json:"maxprocs"`
-	Sizes       []int             `json:"sizes"`
-	Points      []ComputePoint    `json:"points"`
-	Shapes      []ShapePoint      `json:"shapes"`
-	Aggregators []AggregatorPoint `json:"aggregators"`
-	Claims      ComputeClaims     `json:"claims"`
+	SIMD        bool               `json:"simd"`
+	MaxProcs    int                `json:"maxprocs"`
+	Sizes       []int              `json:"sizes"`
+	Points      []ComputePoint     `json:"points"`
+	Shapes      []ShapePoint       `json:"shapes"`
+	Aggregators []AggregatorPoint  `json:"aggregators"`
+	Elementwise []ElementwisePoint `json:"elementwise"`
+	Claims      ComputeClaims      `json:"claims"`
 }
 
 // PointAt returns the point measured at size n.
@@ -206,6 +230,7 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 	}
 	rep.Shapes = measureShapes(cfg)
 	rep.Aggregators = measureAggregators(cfg)
+	rep.Elementwise = measureElementwise(cfg)
 	last := rep.Points[len(rep.Points)-1]
 	rep.Claims = ComputeClaims{
 		BlockedSpeedupAtMax: last.BlockedSpeedup,
@@ -224,6 +249,11 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 	}
 	for _, ap := range rep.Aggregators {
 		if ap.AllocsPerOp != 0 {
+			rep.Claims.AllocFree = false
+		}
+	}
+	for _, ep := range rep.Elementwise {
+		if ep.AllocsPerOp != 0 {
 			rep.Claims.AllocFree = false
 		}
 	}
@@ -380,6 +410,90 @@ func measureAggregators(cfg ComputeBenchConfig) []AggregatorPoint {
 	return out
 }
 
+// dchagElementwise lists the transcendental passes the benchmark workloads
+// run: the softmax over the hsi partial-aggregation attention maps (128
+// locations x 4 heads x 16 query tokens, 16 keys each) and over a ViT block's
+// (8 samples x 4 heads x 64 tokens, 64 keys), and the MLP's GELU forward and
+// backward.
+var dchagElementwise = []ElementwisePoint{
+	{Name: "softmax_partial_agg", Op: "SoftmaxLastDimInto", Rows: 128 * 4 * 16, Cols: 16},
+	{Name: "softmax_vit", Op: "SoftmaxLastDimInto", Rows: 8 * 4 * 64, Cols: 64},
+	{Name: "gelu_fwd", Op: "GELU.Forward", Rows: 512, Cols: 256},
+	{Name: "gelu_bwd", Op: "GELU.Backward", Rows: 512, Cols: 256},
+}
+
+// measureElementwise fills in the times of every dchagElementwise entry.
+func measureElementwise(cfg ComputeBenchConfig) []ElementwisePoint {
+	out := make([]ElementwisePoint, len(dchagElementwise))
+	for i, ep := range dchagElementwise {
+		rng := tensor.NewRNG(int64(5000 + i))
+		x := tensor.Randn(rng, ep.Rows, ep.Cols)
+		d := tensor.Randn(rng, ep.Rows, ep.Cols)
+		dst := tensor.New(ep.Rows, ep.Cols)
+		gelu := nn.NewGELU()
+		var step, ref func()
+		switch ep.Op {
+		case "SoftmaxLastDimInto":
+			step, ref = func() { tensor.SoftmaxLastDimInto(dst, x) }, func() { refSoftmax(dst.Data, x.Data, ep.Cols) }
+		case "GELU.Forward":
+			step, ref = func() { gelu.Forward(x) }, func() { refGELU(dst.Data, x.Data) }
+		case "GELU.Backward":
+			gelu.Forward(x) // Backward reads the cached input
+			step, ref = func() { gelu.Backward(d) }, func() { refGELUGrad(dst.Data, x.Data, d.Data) }
+		default:
+			panic(fmt.Sprintf("experiments: no runner for elementwise point %+v", ep))
+		}
+		perElem := 1e9 / float64(ep.Rows*ep.Cols)
+		ep.RefNsPerElem = perElem * bestSeconds(cfg, ref)
+		ep.NsPerElem = perElem * bestSeconds(cfg, step)
+		ep.Speedup = ep.RefNsPerElem / ep.NsPerElem
+		ep.AllocsPerOp = allocsPerOp(cfg.AllocIters, step)
+		out[i] = ep
+	}
+	return out
+}
+
+// refSoftmax, refGELU and refGELUGrad are the baselines of the elementwise
+// points: the scalar libm loops softmax and GELU ran before tensor.Exp.
+func refSoftmax(dst, src []float64, n int) {
+	for lo := 0; lo < len(src); lo += n {
+		row, d := src[lo:lo+n], dst[lo:lo+n]
+		m := row[0]
+		for _, v := range row[1:] {
+			if v > m {
+				m = v
+			}
+		}
+		s := 0.0
+		for i, v := range row {
+			d[i] = math.Exp(v - m)
+			s += d[i]
+		}
+		inv := 1 / s
+		for i := range d {
+			d[i] *= inv
+		}
+	}
+}
+
+const (
+	geluC = 0.7978845608028654 // sqrt(2/pi)
+	geluA = 0.044715
+)
+
+func refGELU(dst, x []float64) {
+	for i, v := range x {
+		dst[i] = 0.5 * v * (1 + math.Tanh(geluC*(v+geluA*v*v*v)))
+	}
+}
+
+func refGELUGrad(dst, x, grad []float64) {
+	for i, v := range x {
+		t := math.Tanh(geluC * (v + geluA*v*v*v))
+		dst[i] = grad[i] * (0.5*(1+t) + 0.5*v*(1-t*t)*geluC*(1+3*geluA*v*v))
+	}
+}
+
 // measureGFLOPS times step (flops floating-point operations per call) and
 // returns the best trial's rate in GFLOP/s.
 func measureGFLOPS(flops float64, cfg ComputeBenchConfig, step func()) float64 {
@@ -469,5 +583,15 @@ func runCompute() Result {
 			fmt.Sprintf("%.2f", float64(ap.PooledFwdMACs)/float64(ap.UnpooledFwdMACs)))
 	}
 	aggs.Note("the layer takes the group mean on the attention map, so the value product and Wo run on one token per location; unpooled is the same layer with the mean taken last; backward MACs are twice forward in both")
-	return Result{ID: "compute", Title: "Compute substrate", Tables: []*Table{tab, shapes, aggs}}
+	elems := &Table{
+		Title:   "Measured softmax and GELU on the vector exp kernel (tensor.Exp)",
+		Headers: []string{"routine", "entry point", "rows x cols", "libm loop ns/elem", "ns/elem", "speedup", "allocs/op"},
+	}
+	for _, ep := range rep.Elementwise {
+		elems.Add(ep.Name, ep.Op, fmt.Sprintf("%d x %d", ep.Rows, ep.Cols),
+			fmt.Sprintf("%.2f", ep.RefNsPerElem), fmt.Sprintf("%.2f", ep.NsPerElem),
+			fmt.Sprintf("%.2fx", ep.Speedup), fmt.Sprintf("%.0f", ep.AllocsPerOp))
+	}
+	elems.Note("the libm loop is the scalar math.Exp softmax or math.Tanh GELU over the same data; the shipped routines take one exp per element through the AVX2 kernel or its bit-identical Go twin")
+	return Result{ID: "compute", Title: "Compute substrate", Tables: []*Table{tab, shapes, aggs, elems}}
 }

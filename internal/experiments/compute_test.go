@@ -3,11 +3,14 @@ package experiments
 import (
 	"encoding/json"
 	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // TestRunComputeBenchQuick sanity-checks the compute benchmark runner on the
-// reduced configuration: every size, every D-CHAG shape and every aggregator
-// yields plausible positive measurements, the derived claim fields match the
+// reduced configuration: every size, every D-CHAG shape, every aggregator and
+// every elementwise routine yields plausible positive measurements, the derived claim fields match the
 // largest point, and the report round-trips through JSON under the schema
 // string the artifact test gates on.
 func TestRunComputeBenchQuick(t *testing.T) {
@@ -47,6 +50,14 @@ func TestRunComputeBenchQuick(t *testing.T) {
 			t.Fatalf("implausible aggregator point %+v", ap)
 		}
 	}
+	if len(rep.Elementwise) != len(dchagElementwise) {
+		t.Fatalf("got %d elementwise points, want %d", len(rep.Elementwise), len(dchagElementwise))
+	}
+	for _, ep := range rep.Elementwise {
+		if ep.RefNsPerElem <= 0 || ep.NsPerElem <= 0 || ep.AllocsPerOp < 0 {
+			t.Fatalf("implausible elementwise point %+v", ep)
+		}
+	}
 	// The counts DESIGN.md quotes for the hsi partial-aggregation layer.
 	if p, u := aggregatorFwdMACs(16, 32); p != 58880 || u != 81920 {
 		t.Fatalf("forward MACs per location at g=16, E=32: pooled %d, unpooled %d; want 58880, 81920", p, u)
@@ -66,10 +77,33 @@ func TestRunComputeBenchQuick(t *testing.T) {
 		t.Fatalf("decoding report: %v", err)
 	}
 	if back.Schema != ComputeSchema || len(back.Points) != len(rep.Points) || len(back.Shapes) != len(rep.Shapes) ||
-		len(back.Aggregators) != len(rep.Aggregators) {
+		len(back.Aggregators) != len(rep.Aggregators) || len(back.Elementwise) != len(rep.Elementwise) {
 		t.Fatalf("report did not round-trip: %+v", back)
 	}
 	if _, ok := back.PointAt(cfg.Sizes[0]); !ok {
 		t.Fatalf("PointAt(%d) missing after round-trip", cfg.Sizes[0])
+	}
+}
+
+// TestElementwiseReferencesAgree holds the libm baselines of the elementwise
+// points to the routines they are timed against: the speedup compares two
+// spellings of the same function.
+func TestElementwiseReferencesAgree(t *testing.T) {
+	rng := tensor.NewRNG(1)
+	x, d := tensor.RandnScaled(rng, 3, 6, 11), tensor.Randn(rng, 6, 11)
+	ref := tensor.New(6, 11)
+	gelu := nn.NewGELU()
+
+	refSoftmax(ref.Data, x.Data, 11)
+	if diff := tensor.MaxAbsDiff(ref, tensor.SoftmaxLastDim(x)); diff > 1e-15 {
+		t.Fatalf("refSoftmax is %g from SoftmaxLastDim", diff)
+	}
+	refGELU(ref.Data, x.Data)
+	if diff := tensor.MaxAbsDiff(ref, gelu.Forward(x)); diff > 1e-14 {
+		t.Fatalf("refGELU is %g from GELU.Forward", diff)
+	}
+	refGELUGrad(ref.Data, x.Data, d.Data)
+	if diff := tensor.MaxAbsDiff(ref, gelu.Backward(d)); diff > 1e-14 {
+		t.Fatalf("refGELUGrad is %g from GELU.Backward", diff)
 	}
 }

@@ -232,7 +232,7 @@ func pack[T elem](dst []T, src []float64, ld, g0, p0, gb, kb, w int, contig bool
 			clear(d)
 		}
 		x := 0
-		for simdGEMM && x+4 <= wb {
+		for useSIMD && x+4 <= wb {
 			n := 4
 			if contig {
 				n = wb &^ 3 // the whole group in one call
@@ -272,7 +272,7 @@ func packSIMD[T elem](d *T, src *float64, ld, kb, n, w int, contig bool) {
 // microKernel computes one full mr x nr tile from packed panels and writes
 // c[r*ldc+x] = alpha*tile (or += with accum), r < mr, x < nr.
 func microKernel[T elem](kb, nr int, a, b []T, c []float64, ldc int, alpha float64, accum bool) {
-	if simdGEMM {
+	if useSIMD {
 		switch pa := any(&a[0]).(type) {
 		case *float64:
 			kern4x8F64(kb, pa, any(&b[0]).(*float64), &c[0], ldc, alpha, accum)
@@ -317,4 +317,4 @@ func kernGeneric[T elem](kb, nr int, a, b []T, c []float64, ldc int, alpha float
 // SIMDEnabled reports whether the AVX2+FMA micro-kernels are active on this
 // machine. The compute benchmark records it so artifact gates can tell a
 // kernel regression from a machine without the vector units.
-func SIMDEnabled() bool { return simdGEMM }
+func SIMDEnabled() bool { return useSIMD }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Kernel benchmarks: `go test -bench 'GEMM|Attention' ./internal/tensor` is
-// the smoke run wired into the bench CI job; `make bench-compute` writes the committed
+// Kernel benchmarks: `go test -bench 'GEMM|Attention|Softmax' ./internal/tensor`
+// is the smoke run wired into the bench CI job; `make bench-compute` writes the committed
 // BENCH_compute.json from the same kernels via internal/experiments.
 
 func benchSizes() []int { return []int{64, 128, 256, 512} }

@@ -143,7 +143,7 @@ func (e productEntry) check(t *testing.T, m, k, n int, strided bool) {
 				got, w := *dst.at(bi, i, j), want[bi][i*n+j]
 				if !(math.Abs(got-w) <= tol) {
 					t.Fatalf("%s [%d,%d,%d] strided=%v simd=%v: batch %d element (%d,%d) = %v, oracle %v (tol %g)",
-						e.name, m, k, n, strided, simdGEMM, bi, i, j, got, w, tol)
+						e.name, m, k, n, strided, useSIMD, bi, i, j, got, w, tol)
 				}
 			}
 		}
@@ -191,11 +191,17 @@ func TestProductsMatchOracle(t *testing.T) {
 			}
 		}
 	}
-	t.Run(fmt.Sprintf("simd=%v", simdGEMM), run)
-	if simdGEMM {
-		simdGEMM = false
-		defer func() { simdGEMM = true }()
-		t.Run("simd=false", run)
+	withBothSpellings(t, run)
+}
+
+// withBothSpellings runs f under the assembly kernels (where the CPU has
+// them) and under their Go twins.
+func withBothSpellings(t *testing.T, f func(t *testing.T)) {
+	t.Run(fmt.Sprintf("simd=%v", useSIMD), f)
+	if useSIMD {
+		useSIMD = false
+		defer func() { useSIMD = true }()
+		t.Run("simd=false", f)
 	}
 }
 

@@ -116,8 +116,6 @@ func TestIntoBitwiseElementwise(t *testing.T) {
 	assertBitwise(t, "DivInto", DivInto(dirty(7, 33), a, b), Div(a, b))
 	assertBitwise(t, "ScaleInto", ScaleInto(dirty(7, 33), a, 1.7), Scale(a, 1.7))
 	assertBitwise(t, "AddScalarInto", AddScalarInto(dirty(7, 33), a, -0.4), AddScalar(a, -0.4))
-	sq := func(v float64) float64 { return v * v }
-	assertBitwise(t, "ApplyInto", ApplyInto(dirty(7, 33), a, sq), Apply(a, sq))
 	assertBitwise(t, "SoftmaxLastDimInto", SoftmaxLastDimInto(dirty(7, 33), a), SoftmaxLastDim(a))
 	y := SoftmaxLastDim(a)
 	assertBitwise(t, "SoftmaxBackwardLastDimInto", SoftmaxBackwardLastDimInto(dirty(7, 33), y, b), SoftmaxBackwardLastDim(y, b))

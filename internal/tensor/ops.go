@@ -131,22 +131,6 @@ func AXPY(alpha float64, b, a *Tensor) {
 	}
 }
 
-// ApplyInto computes dst[i] = f(a[i]) for every element and returns dst.
-//
-// dchag:hotpath — activations run this per layer per step; with a non-nil
-// dst it performs no heap allocation (f itself must not allocate).
-func ApplyInto(dst, a *Tensor, f func(float64) float64) *Tensor {
-	dst = ensureDst("ApplyInto", dst, a.Shape...)
-	for i := range a.Data {
-		dst.Data[i] = f(a.Data[i])
-	}
-	return dst
-}
-
-// Apply returns a new tensor with f applied to every element; the allocating
-// wrapper over ApplyInto.
-func Apply(a *Tensor, f func(float64) float64) *Tensor { return ApplyInto(nil, a, f) }
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
 	s := 0.0
@@ -270,35 +254,24 @@ func MeanAxisInto(dst, t *Tensor, axis int) *Tensor {
 // MeanAxisInto.
 func MeanAxis(t *Tensor, axis int) *Tensor { return MeanAxisInto(nil, t, axis) }
 
-// SoftmaxLastDimInto computes softmax along the final dimension into dst
-// (with the usual max-subtraction for numerical stability) and returns dst.
-// dst may alias t for an in-place softmax.
+// SoftmaxLastDimInto computes softmax along the final dimension into dst and
+// returns dst: per row, the maximum m, e^(x-m) through the Exp kernel, the
+// sum, and a scale by its reciprocal. A row's result depends on that row's
+// values and length only. dst may alias t for an in-place softmax; an empty
+// tensor is left untouched.
 //
 // dchag:hotpath — attention runs this per head per step; with a non-nil dst
 // it performs no heap allocation.
 func SoftmaxLastDimInto(dst, t *Tensor) *Tensor {
 	dst = ensureDst("SoftmaxLastDimInto", dst, t.Shape...)
+	if t.Numel() == 0 {
+		return dst
+	}
 	n := t.Shape[len(t.Shape)-1]
-	rows := t.Numel() / n
-	for r := 0; r < rows; r++ {
-		row := t.Data[r*n : (r+1)*n]
-		d := dst.Data[r*n : (r+1)*n]
-		m := row[0]
-		for _, v := range row[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		s := 0.0
-		for i, v := range row {
-			e := math.Exp(v - m)
-			d[i] = e
-			s += e
-		}
-		inv := 1 / s
-		for i := range d {
-			d[i] *= inv
-		}
+	if useSIMD {
+		softmaxRowsAVX2(&dst.Data[0], &t.Data[0], t.Numel()/n, n)
+	} else {
+		softmaxRowsGo(dst.Data, t.Data, n)
 	}
 	return dst
 }

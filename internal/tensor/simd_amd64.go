@@ -2,11 +2,11 @@
 
 package tensor
 
-// SIMD micro-kernel bindings for amd64. The blocked driver in gemm.go
-// dispatches to these AVX2+FMA kernels when the CPU supports them (and the
-// OS has enabled YMM state), and to the pure-Go kernels in gemm.go
-// otherwise. Kernel availability is probed once at init via CPUID/XGETBV so
-// no external cpu-feature dependency is needed.
+// SIMD kernel bindings for amd64. The blocked driver in gemm.go and the
+// elementwise entry points in exp.go dispatch to these AVX2+FMA kernels when
+// the CPU supports them (and the OS has enabled YMM state), and to their
+// pure-Go twins otherwise. Kernel availability is probed once at init via
+// CPUID/XGETBV so no external cpu-feature dependency is needed.
 
 //go:noescape
 func kern4x8F64(k int, a, b, c *float64, ldc int, alpha float64, accum bool)
@@ -36,13 +36,24 @@ func packC4F64(dst, src *float64, ld, k, n, stride int)
 //go:noescape
 func packC4F32(dst *float32, src *float64, ld, k, n, stride int)
 
+// expAVX2 computes dst[i] = e^src[i] for i < n (n >= 1); dst may be src.
+//
+//go:noescape
+func expAVX2(dst, src *float64, n int)
+
+// softmaxRowsAVX2 computes the softmax of each of rows (>= 1) contiguous
+// n-long (n >= 1) rows of src into dst; dst may be src.
+//
+//go:noescape
+func softmaxRowsAVX2(dst, src *float64, rows, n int)
+
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvRaw() (eax, edx uint32)
 
-// simdGEMM reports whether the AVX2+FMA micro-kernels are usable on this
-// machine. Tests may flip it to force the generic path.
-var simdGEMM = detectAVX2FMA()
+// useSIMD reports whether the AVX2+FMA kernels are usable on this machine.
+// Tests may flip it to force the pure-Go twins.
+var useSIMD = detectAVX2FMA()
 
 func detectAVX2FMA() bool {
 	maxID, _, _, _ := cpuidRaw(0, 0)

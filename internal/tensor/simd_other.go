@@ -2,8 +2,8 @@
 
 package tensor
 
-// Non-amd64 builds always use the pure-Go micro-kernels in gemm.go.
-var simdGEMM = false
+// Non-amd64 builds always use the pure-Go kernels in gemm.go and exp.go.
+var useSIMD = false
 
 func kern4x8F64(k int, a, b, c *float64, ldc int, alpha float64, accum bool) {
 	panic("tensor: SIMD kernel unavailable")
@@ -24,3 +24,7 @@ func packC4F64(dst, src *float64, ld, k, n, stride int) { panic("tensor: SIMD ke
 func packC4F32(dst *float32, src *float64, ld, k, n, stride int) {
 	panic("tensor: SIMD kernel unavailable")
 }
+
+func expAVX2(dst, src *float64, n int) { panic("tensor: SIMD kernel unavailable") }
+
+func softmaxRowsAVX2(dst, src *float64, rows, n int) { panic("tensor: SIMD kernel unavailable") }

@@ -450,14 +450,6 @@ func TestSliceConcatRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestApply(t *testing.T) {
-	a := FromSlice([]float64{1, 4, 9}, 3)
-	b := Apply(a, math.Sqrt)
-	if b.Data[2] != 3 {
-		t.Fatalf("Apply = %v", b.Data)
-	}
-}
-
 func TestEqualApproxAndMaxAbsDiff(t *testing.T) {
 	a := FromSlice([]float64{1, 2}, 2)
 	b := FromSlice([]float64{1, 2.0001}, 2)
