@@ -9,7 +9,7 @@ import (
 )
 
 // TestComputeJSONArtifact validates the committed compute-substrate
-// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v4,
+// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v5,
 // written by `dchag-bench -compute`). The artifact is a wall-clock
 // measurement, so this test gates on its schema and qualitative claims: the
 // blocked driver at least matches the naive kernel everywhere, the speedup
@@ -17,10 +17,13 @@ import (
 // hold where the SIMD micro-kernels ran, every product shape the D-CHAG
 // workloads issue beats the naive loop there too, softmax and GELU run at
 // least twice as fast as the math.Exp / math.Tanh loops they replaced there
-// too, every point, shape, aggregator and elementwise routine was measured
-// allocation-free in steady state, and the pooled channel aggregation issues
-// at most three quarters of the unpooled formulation's multiply-accumulates
-// at g = 16. Set BENCH_COMPUTE_JSON to validate a different artifact file.
+// too, every point, shape, aggregator, elementwise routine and channel stage
+// was measured allocation-free in steady state, the pooled channel
+// aggregation issues at most three quarters of the unpooled formulation's
+// multiply-accumulates at g = 16, and the channel stage holds at most 0.4 of
+// the scratch bytes of the same layers chained through their channel-major
+// entry points and is no slower than them. Set BENCH_COMPUTE_JSON to validate
+// a different artifact file.
 func TestComputeJSONArtifact(t *testing.T) {
 	path := os.Getenv("BENCH_COMPUTE_JSON")
 	if path == "" {
@@ -50,7 +53,7 @@ func TestComputeJSONArtifact(t *testing.T) {
 	if err := json.Unmarshal(raw, &generic); err != nil {
 		t.Fatalf("artifact is not a JSON object: %v", err)
 	}
-	for _, key := range []string{"schema", "simd", "maxprocs", "sizes", "points", "shapes", "aggregators", "elementwise", "claims"} {
+	for _, key := range []string{"schema", "simd", "maxprocs", "sizes", "points", "shapes", "aggregators", "elementwise", "channel_stage", "claims"} {
 		if _, ok := generic[key]; !ok {
 			t.Fatalf("artifact missing top-level key %q", key)
 		}
@@ -90,6 +93,20 @@ func TestComputeJSONArtifact(t *testing.T) {
 	for _, key := range []string{"name", "op", "rows", "cols", "ref_ns_per_elem", "ns_per_elem", "speedup", "allocs_per_op"} {
 		if _, ok := elems[0].(map[string]any)[key]; !ok {
 			t.Fatalf("elementwise point missing key %q", key)
+		}
+	}
+	stages := generic["channel_stage"].([]any)
+	if len(stages) == 0 {
+		t.Fatal("artifact carries no channel-stage points")
+	}
+	for _, key := range []string{"name", "channels", "batch", "embed", "tree", "kind", "stage", "chained", "token_bytes", "allocs_per_op"} {
+		if _, ok := stages[0].(map[string]any)[key]; !ok {
+			t.Fatalf("channel-stage point missing key %q", key)
+		}
+	}
+	for _, key := range []string{"fwd_ns", "bwd_ns", "infer_f32_ns", "scratch_bytes"} {
+		if _, ok := stages[0].(map[string]any)["chained"].(map[string]any)[key]; !ok {
+			t.Fatalf("channel-stage cost missing key %q", key)
 		}
 	}
 	claims := generic["claims"].(map[string]any)
@@ -153,6 +170,33 @@ func TestComputeJSONArtifact(t *testing.T) {
 		}
 		if ep.AllocsPerOp != 0 {
 			t.Fatalf("elementwise routine %s allocated %.2f times per op in steady state", ep.Name, ep.AllocsPerOp)
+		}
+	}
+	// The channel stage writes its token tensor once: it holds at most 0.4 of
+	// what the chained composition holds, and less movement is not slower —
+	// over the point's three passes, and pass by pass within the 5 % two
+	// timings of one routine differ by on a shared host (the cross-attention
+	// backward is 97 % arithmetic both ways).
+	for _, cp := range rep.Stages {
+		got, ref := cp.Stage, cp.Chained
+		for _, c := range []experiments.StageCost{got, ref} {
+			if c.FwdNs <= 0 || c.BwdNs <= 0 || c.InferNs <= 0 || c.ScratchBytes <= 0 || cp.TokenBytes <= 0 {
+				t.Fatalf("implausible channel-stage point %+v", cp)
+			}
+		}
+		if cp.AllocsPerOp != 0 {
+			t.Fatalf("channel stage %s allocated %.2f times per round in steady state", cp.Name, cp.AllocsPerOp)
+		}
+		if 10*got.ScratchBytes > 4*ref.ScratchBytes {
+			t.Fatalf("channel stage %s holds %d scratch bytes, over 0.4 x the chained composition's %d", cp.Name, got.ScratchBytes, ref.ScratchBytes)
+		}
+		if a, b := got.FwdNs+got.BwdNs+got.InferNs, ref.FwdNs+ref.BwdNs+ref.InferNs; a > b {
+			t.Fatalf("channel stage %s takes %.0f ns over its three passes, the chained composition %.0f", cp.Name, a, b)
+		}
+		for _, pass := range [][2]float64{{got.FwdNs, ref.FwdNs}, {got.BwdNs, ref.BwdNs}, {got.InferNs, ref.InferNs}} {
+			if pass[0] > 1.05*pass[1] {
+				t.Fatalf("channel stage %s: a pass takes %.0f ns, the chained composition's %.0f", cp.Name, pass[0], pass[1])
+			}
 		}
 	}
 	if !rep.Claims.AllocFree {

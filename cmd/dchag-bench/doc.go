@@ -77,7 +77,7 @@
 // Additive fields may appear within v2; readers must ignore unknown keys.
 // Field removals or meaning changes bump the schema string.
 //
-// # JSON schema (dchag-bench/compute/v4)
+// # JSON schema (dchag-bench/compute/v5)
 //
 // The -compute flag writes one experiments.ComputeReport object — the
 // single-node compute-substrate point of the perf trajectory (CI commits it
@@ -100,10 +100,14 @@
 // hsi partial-aggregation maps and over a ViT block's, GELU forward and
 // backward — on the vector exp kernel (tensor.Exp, DESIGN.md "Elementwise
 // transcendentals") next to the scalar math.Exp / math.Tanh loop it replaced,
-// over the same data:
+// over the same data. Each channel-stage point is one whole
+// model.SerialStage at a workload's per-rank shape — Forward, Backward and
+// F32 Infer, and the bytes of scratch it holds afterwards — next to the same
+// layers chained through their channel-major entry points (DESIGN.md
+// "Channel stage: one token layout"):
 //
 //	{
-//	  "schema": "dchag-bench/compute/v4", // bump on breaking change
+//	  "schema": "dchag-bench/compute/v5", // bump on breaking change
 //	  "simd": true,                       // AVX2+FMA kernels active
 //	  "maxprocs": 1,                      // GOMAXPROCS during measurement
 //	  "sizes": [64, 128, 256, 512],
@@ -153,6 +157,21 @@
 //	      "allocs_per_op": 0              // steady state
 //	    }, ...
 //	  ],
+//	  "channel_stage": [
+//	    {
+//	      "name": "wx_serve",             // which workload's per-rank stage
+//	      "channels": 40, "batch": 8, "embed": 32, "tree": 2, "kind": "L",
+//	      "stage": {                      // model.SerialStage, as shipped
+//	        "fwd_ns": 1994092, "bwd_ns": 3048812, "infer_f32_ns": 1857646, // fastest call
+//	        "scratch_bytes": 13402112     // tensors held outside parameters and group aggregators
+//	      },
+//	      "chained": { ... },             // the same layers through tokenizer output, channel-ID pass
+//	                                      // and fold, timed alternately; gates: stage <= 0.4 x its
+//	                                      // scratch bytes and not slower
+//	      "token_bytes": 5242880,         // one [B,C,T,E] channel-token tensor
+//	      "allocs_per_op": 0              // steady state, fwd + bwd + infer
+//	    }, ...
+//	  ],
 //	  "claims": {                         // evaluated at the largest size
 //	    "blocked_speedup_at_max": 9.1,    // gate: >= 2x under simd
 //	    "f32_speedup_at_max": 1.74,       // gate: >= 1.5x under simd
@@ -165,11 +184,14 @@
 // least matches naive everywhere, the speedup gates hold and every shape
 // beats the naive loop and every elementwise routine runs at least twice
 // as fast as its libm loop where "simd" is true, every point, shape,
-// aggregator and elementwise routine ran allocation-free, and pooled MACs
-// are at most 0.75 x unpooled at group 16 — not on exact rates or times. v2
-// added "shapes", v3 "aggregators", v4 "elementwise"; there is no reader for
-// an earlier version. Additive fields may appear within v4; readers must
-// ignore unknown keys.
+// aggregator, elementwise routine and channel stage ran allocation-free,
+// pooled MACs are at most 0.75 x unpooled at group 16, and every channel
+// stage holds at most 0.4 x the chained composition's scratch bytes and is
+// no slower than it (over its three passes; each pass within 5 %) — not on
+// exact rates or times. v2 added "shapes", v3 "aggregators", v4
+// "elementwise", v5 "channel_stage"; there is no reader for an earlier
+// version. Additive fields may appear within v5; readers must ignore unknown
+// keys.
 //
 // # JSON schema (dchag-bench/trace/v1)
 //

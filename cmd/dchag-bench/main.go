@@ -16,7 +16,7 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	format := flag.String("format", "text", "output format: text | markdown")
 	jsonPath := flag.String("json", "", "write the sweep report as JSON to this path and exit (see doc.go for the schema)")
-	computePath := flag.String("compute", "", "measure the compute substrate (GEMM, channel aggregation, softmax and GELU) and write the report as JSON to this path (see doc.go for the schema)")
+	computePath := flag.String("compute", "", "measure the compute substrate (GEMM, channel aggregation, softmax and GELU, the channel stage) and write the report as JSON to this path (see doc.go for the schema)")
 	noOverlap := flag.Bool("no-overlap", false, "price the sweep with the serial compute+comm composition instead of the overlap model (affects -json)")
 	diff := flag.Bool("diff", false, "compare two sweep reports: dchag-bench -diff old.json new.json; exits 1 on regressions")
 	diffTol := flag.Float64("diff-tol", 0.05, "fractional step-time regression tolerance for -diff (0.05 = 5%)")

@@ -11,17 +11,24 @@
 //     pooled attention");
 //   - the serial HierarchicalAggregator, a tree of group aggregators that
 //     turns the quadratic-in-channels memory of single-layer cross-attention
-//     into linear (Sec. 3.2);
+//     into linear (Sec. 3.2); it owns the first-level groups' inputs
+//     [N, g, E] and walks the tree in place;
+//   - LocalStage, the communication-free front half every stage type shares:
+//     the tokenizer writes each channel's tokens, bias and channel-ID row
+//     added on the way, straight into the group input that reads them, and
+//     reads their gradient where the aggregators leave it — the channel-token
+//     tensor is written once per pass and never copied (DESIGN.md "Channel
+//     stage: one token layout");
 //   - DistTokenizer, distributed tokenization alone (Sec. 3.1), which
 //     AllGathers every channel's tokens and is the strawman the paper shows
 //     does not pay off (Fig. 8);
-//   - DCHAG, the full method (Sec. 3.3, Fig. 4): per-rank tokenization of a
-//     channel shard, a per-rank partial-channel aggregation module, an
-//     AllGather of exactly one token per rank, and a final cross-attention
-//     layer whose parameters are replicated so the backward pass needs no
-//     communication at all;
-//   - Reference, the mathematically identical single-process model used by
-//     the tests to prove distributed == serial to float64 round-off.
+//   - DCHAG, the full method (Sec. 3.3, Fig. 4): a LocalStage over the rank's
+//     channel shard, an AllGather of exactly one token per partition, and a
+//     final cross-attention layer whose parameters are replicated so the
+//     backward pass needs no communication at all;
+//   - Reference, the mathematically identical single-process model (a
+//     LocalStage over every partition, then the final layer) used by the
+//     tests to prove distributed == serial, bit for bit.
 package core
 
 import (

@@ -147,6 +147,9 @@ func TestLinearAggregatorGradients(t *testing.T) {
 	checkGrad(t, "linagg/b", a.Bias.W, a.Bias.Grad, loss, 1e-6)
 }
 
+// TestFoldUnfoldChannelsRoundTrip checks the one permutation left in the
+// package: channel-major tokens copied into first-level group tensors
+// [B*T, g, E] land at rows (n*g + k)*E, and copying back restores them.
 func TestFoldUnfoldChannelsRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := tensor.NewRNG(seed)
@@ -155,7 +158,31 @@ func TestFoldUnfoldChannelsRoundTrip(t *testing.T) {
 		tt := 1 + int(rng.Int31n(4))
 		e := 1 + int(rng.Int31n(4))
 		x := tensor.Randn(rng, b, c, tt, e)
-		return tensor.MaxAbsDiff(UnfoldChannels(FoldChannels(x), b, tt), x) == 0
+		var groups []*tensor.Tensor
+		for _, g := range EvenSplit(c, 1+int(rng.Int31n(int32(c)))) {
+			groups = append(groups, tensor.New(b*tt, g, e))
+		}
+		var gm []nn.TokenView
+		for _, gt := range groups {
+			gm = groupViews(gm, gt, tt)
+		}
+		cm := nn.ChannelViews(nil, x)
+		copyTokens(gm, cm, b, tt, e)
+		ci := 0
+		for _, gt := range groups {
+			for k := 0; k < gt.Shape[1]; k, ci = k+1, ci+1 {
+				for n := 0; n < b*tt; n++ {
+					for i := 0; i < e; i++ {
+						if gt.At(n, k, i) != x.At(n/tt, ci, n%tt, i) {
+							return false
+						}
+					}
+				}
+			}
+		}
+		back := tensor.New(b, c, tt, e)
+		copyTokens(nn.ChannelViews(nil, back), gm, b, tt, e)
+		return tensor.MaxAbsDiff(back, x) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -85,43 +85,26 @@ type DCHAG struct {
 	Partitions     int
 	PartLo, PartHi int
 
-	Tok      *nn.PatchEmbed
-	ChEmb    *nn.ChannelEmbed
-	Partials []*HierarchicalAggregator // one per owned partition
-	Final    *CrossAttnAggregator
+	LocalStage // tokenizer, channel IDs and one partial module per owned partition
+	Final      *CrossAttnAggregator
 
 	b int
 
 	// Scratch, grown once and reused every step; Forward and Infer own
-	// separate sets (the partials cache views of their inputs for backward).
-	partIn, ipartIn []*tensor.Tensor // per-partition channel-slice inputs
-	outs, iouts     []*tensor.Tensor // per-partition aggregated tokens
-	local, ilocal   *tensor.Tensor   // stacked owned-partition tokens
-	seq, iseq       *tensor.Tensor   // final layer input [B*T, P, E]
-	dLocal          *tensor.Tensor   // per-partition token gradient
-	dEmb            *tensor.Tensor   // concatenated channel-token gradient
+	// separate sets.
+	gather [2]gatherScratch
 }
 
-// ensureScratch sizes the per-partition scratch slices.
-func (d *DCHAG) ensureScratch() {
-	if d.partIn != nil {
-		return
-	}
-	k := len(d.Partials)
-	d.partIn = make([]*tensor.Tensor, k)
-	d.ipartIn = make([]*tensor.Tensor, k)
-	d.outs = make([]*tensor.Tensor, k)
-	d.iouts = make([]*tensor.Tensor, k)
+// gatherScratch is one pass's path from the partials to the final layer.
+type gatherScratch struct {
+	local *tensor.Tensor // stacked owned-partition tokens [k, B, T, E]
+	seq   *tensor.Tensor // final layer input [B*T, P, E]
 }
 
 // SetInferDType selects the arithmetic of the stage's no-grad Infer path:
-// the tokenizer projection, every partial module, and the final shared
-// layer. Channel embeddings and softmaxes stay float64.
+// the local stage and the final shared layer.
 func (d *DCHAG) SetInferDType(dt tensor.DType) {
-	d.Tok.SetInferDType(dt)
-	for _, partial := range d.Partials {
-		partial.SetInferDType(dt)
-	}
+	d.LocalStage.SetInferDType(dt)
 	d.Final.SetInferDType(dt)
 }
 
@@ -159,9 +142,11 @@ func NewDCHAGPartitioned(cfg Config, c *comm.Communicator, partitions int) *DCHA
 		Partitions: partitions,
 		PartLo:     partLo,
 		PartHi:     partHi,
-		Tok:        nn.NewPatchEmbedShard("dchag.tok", lo, hi, cfg.ImgH, cfg.ImgW, cfg.Patch, cfg.Embed, nn.SubSeed(cfg.Seed, seedTok)),
-		ChEmb:      nn.NewChannelEmbedShard("dchag.chemb", lo, hi, cfg.Embed, nn.SubSeed(cfg.Seed, seedChEmb)),
-		Final:      NewCrossAttnAggregator("dchag.final", partitions, cfg.Embed, cfg.Heads, nn.SubSeed(cfg.Seed, seedFinal)),
+		LocalStage: LocalStage{
+			Tok:   nn.NewPatchEmbedShard("dchag.tok", lo, hi, cfg.ImgH, cfg.ImgW, cfg.Patch, cfg.Embed, nn.SubSeed(cfg.Seed, seedTok)),
+			ChEmb: nn.NewChannelEmbedShard("dchag.chemb", lo, hi, cfg.Embed, nn.SubSeed(cfg.Seed, seedChEmb)),
+		},
+		Final: NewCrossAttnAggregator("dchag.final", partitions, cfg.Embed, cfg.Heads, nn.SubSeed(cfg.Seed, seedFinal)),
 	}
 	for k := partLo; k < partHi; k++ {
 		klo, khi := ChannelRange(cfg.Channels, partitions, k)
@@ -177,69 +162,44 @@ func NewDCHAGPartitioned(cfg Config, c *comm.Communicator, partitions int) *DCHA
 	return d
 }
 
-// LocalChannels returns the size of this rank's channel shard.
-func (d *DCHAG) LocalChannels() int { return d.ChHi - d.ChLo }
-
-// partChannels returns owned partition j's channel bounds relative to this
-// rank's shard.
-func (d *DCHAG) partChannels(j int) (lo, hi int) {
-	glo, ghi := ChannelRange(d.Cfg.Channels, d.Partitions, d.PartLo+j)
-	return glo - d.ChLo, ghi - d.ChLo
-}
-
 // Forward consumes this rank's image shard [B, Cl, H, W] and returns the
 // aggregated representation [B, T, E], identical on every rank.
 func (d *DCHAG) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 4 || x.Shape[1] != d.LocalChannels() {
-		panic(fmt.Sprintf("core: DCHAG.Forward want [B,%d,%d,%d], got %v", d.LocalChannels(), d.Cfg.ImgH, d.Cfg.ImgW, x.Shape))
-	}
 	d.b = x.Shape[0]
-	d.ensureScratch()
-	t, e := d.Cfg.Tokens(), d.Cfg.Embed
-	tok := d.Tok.Forward(x)
-	emb := d.ChEmb.Forward(tok)
-	for j, partial := range d.Partials {
-		lo, hi := d.partChannels(j)
-		d.partIn[j] = tensor.EnsureShape(d.partIn[j], d.b, hi-lo, t, e)
-		tensor.SliceAxisInto(d.partIn[j], emb, 1, lo, hi)
-		d.outs[j] = partial.Forward(d.partIn[j]) // [B, T, E]
-	}
-	// [k, B, T, E]: one token per owned partition.
-	d.local = tensor.EnsureShape(d.local, len(d.Partials), d.b, t, e)
-	tensor.StackInto(d.local, d.outs...)
-	parts := d.Comm.AllGather(d.local)
-	d.seq = tensor.EnsureShape(d.seq, d.b*t, d.Partitions, e)
-	StackedToSeqInto(d.seq, parts) // [B*T, P, E]
-	out := d.Final.Forward(d.seq)
-	return out.Reshape(d.b, t, e)
+	return d.pass(x, false)
 }
 
 // Infer runs Forward's computation without caching activations for
 // backward — the serving fast path. The AllGather still runs: inference
 // keeps exactly the forward communication pattern, one token per owned
 // partition across the group.
-func (d *DCHAG) Infer(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 4 || x.Shape[1] != d.LocalChannels() {
-		panic(fmt.Sprintf("core: DCHAG.Infer want [B,%d,%d,%d], got %v", d.LocalChannels(), d.Cfg.ImgH, d.Cfg.ImgW, x.Shape))
+func (d *DCHAG) Infer(x *tensor.Tensor) *tensor.Tensor { return d.pass(x, true) }
+
+func (d *DCHAG) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
+	b, t, e := x.Shape[0], d.Cfg.Tokens(), d.Cfg.Embed
+	outs, s := d.LocalStage.pass(x, infer), &d.gather[0]
+	if infer {
+		s = &d.gather[1]
 	}
-	b := x.Shape[0]
-	d.ensureScratch()
-	t, e := d.Cfg.Tokens(), d.Cfg.Embed
-	tok := d.Tok.Infer(x)
-	emb := d.ChEmb.Infer(tok)
-	for j, partial := range d.Partials {
-		lo, hi := d.partChannels(j)
-		d.ipartIn[j] = tensor.EnsureShape(d.ipartIn[j], b, hi-lo, t, e)
-		tensor.SliceAxisInto(d.ipartIn[j], emb, 1, lo, hi)
-		d.iouts[j] = partial.Infer(d.ipartIn[j]) // [B, T, E]
+	// [k, B, T, E]: one token per owned partition.
+	s.local = tensor.EnsureShape(s.local, len(outs), b, t, e)
+	tensor.StackInto(s.local, outs...)
+	parts := d.Comm.AllGather(s.local)
+	// Rank r's stack holds partitions [r*k, (r+1)*k): column r*k+ki of the
+	// final layer's input [B*T, P, E].
+	s.seq = tensor.EnsureShape(s.seq, b*t, d.Partitions, e)
+	for r, part := range parts {
+		if len(part.Data) != len(s.local.Data) {
+			panic(fmt.Sprintf("core: rank %d gathered partition tokens %v, this rank holds %v", r, part.Shape, s.local.Shape))
+		}
+		for ki := range outs {
+			writeGroupToken(s.seq, part.Data[ki*b*t*e:(ki+1)*b*t*e], r*len(outs)+ki)
+		}
 	}
-	d.ilocal = tensor.EnsureShape(d.ilocal, len(d.Partials), b, t, e)
-	tensor.StackInto(d.ilocal, d.iouts...)
-	parts := d.Comm.AllGather(d.ilocal)
-	d.iseq = tensor.EnsureShape(d.iseq, b*t, d.Partitions, e)
-	StackedToSeqInto(d.iseq, parts) // [B*T, P, E]
-	out := d.Final.Infer(d.iseq)
-	return out.Reshape(b, t, e)
+	if infer {
+		return d.Final.Infer(s.seq).Reshape(b, t, e)
+	}
+	return d.Final.Forward(s.seq).Reshape(b, t, e)
 }
 
 // Backward consumes the gradient of the aggregated representation [B, T, E]
@@ -251,136 +211,17 @@ func (d *DCHAG) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("core: DCHAG.Backward want [%d,%d,%d], got %v", d.b, t, e, grad.Shape))
 	}
 	dSeq := d.Final.Backward(grad.Reshape(d.b*t, e)) // [N, P, E]
-	d.dLocal = tensor.EnsureShape(d.dLocal, d.b, t, e)
-	d.dEmb = tensor.EnsureShape(d.dEmb, d.b, d.LocalChannels(), t, e)
-	off := 0
-	for j, partial := range d.Partials {
-		// Each partial consumes dLocal fully during Backward, so one shared
-		// buffer serves every partition in turn.
-		SeqSliceInto(d.dLocal, dSeq, d.PartLo+j, d.b, t)
-		part := partial.Backward(d.dLocal) // [B, ck, T, E]
-		tensor.SetSliceAxis(d.dEmb, 1, off, part)
-		off += part.Shape[1]
-	}
-	dTok := d.ChEmb.Backward(d.dEmb)
-	return d.Tok.Backward(dTok)
+	return d.LocalStage.Backward(dSeq, d.PartLo)
 }
 
 // Params returns this rank's parameters: the tokenizer and channel-embedding
 // shards, the rank-local partial modules, and the replicated final layer.
-func (d *DCHAG) Params() []*nn.Param {
-	var ps []*nn.Param
-	ps = append(ps, d.Tok.Params()...)
-	ps = append(ps, d.ChEmb.Params()...)
-	for _, partial := range d.Partials {
-		ps = append(ps, partial.Params()...)
-	}
-	ps = append(ps, d.Final.Params()...)
-	return ps
-}
+func (d *DCHAG) Params() []*nn.Param { return append(d.LocalStage.Params(), d.Final.Params()...) }
 
 // LocalParams returns only the rank-local (non-replicated) parameters; the
 // complement of ReplicatedParams.
-func (d *DCHAG) LocalParams() []*nn.Param {
-	var ps []*nn.Param
-	ps = append(ps, d.Tok.Params()...)
-	ps = append(ps, d.ChEmb.Params()...)
-	for _, partial := range d.Partials {
-		ps = append(ps, partial.Params()...)
-	}
-	return ps
-}
+func (d *DCHAG) LocalParams() []*nn.Param { return d.LocalStage.Params() }
 
 // ReplicatedParams returns the parameters replicated across the D-CHAG group
 // (the final shared cross-attention layer).
 func (d *DCHAG) ReplicatedParams() []*nn.Param { return d.Final.Params() }
-
-// RanksToSeq assembles per-rank tokens (P tensors of [B, T, E]) into the
-// final layer's input layout [B*T, P, E].
-func RanksToSeq(parts []*tensor.Tensor) *tensor.Tensor {
-	b, t, e := parts[0].Shape[0], parts[0].Shape[1], parts[0].Shape[2]
-	return RanksToSeqInto(tensor.New(b*t, len(parts), e), parts)
-}
-
-// RanksToSeqInto is RanksToSeq writing into out [B*T, P, E].
-//
-// dchag:hotpath — per-step token assembly after the AllGather.
-func RanksToSeqInto(out *tensor.Tensor, parts []*tensor.Tensor) *tensor.Tensor {
-	p := len(parts)
-	b, t, e := parts[0].Shape[0], parts[0].Shape[1], parts[0].Shape[2]
-	for pi, part := range parts {
-		if len(part.Shape) != 3 || part.Shape[0] != b || part.Shape[1] != t || part.Shape[2] != e {
-			panic(fmt.Sprintf("core: RanksToSeq inconsistent part shape %v", part.Shape))
-		}
-		for bi := 0; bi < b; bi++ {
-			for ti := 0; ti < t; ti++ {
-				src := part.Data[(bi*t+ti)*e : (bi*t+ti+1)*e]
-				dst := out.Data[((bi*t+ti)*p+pi)*e : ((bi*t+ti)*p+pi+1)*e]
-				copy(dst, src)
-			}
-		}
-	}
-	return out
-}
-
-// StackedToSeq assembles per-rank partition-token stacks (q tensors of
-// [k, B, T, E], rank r holding partitions [r*k, (r+1)*k)) into the final
-// layer's input layout [B*T, P, E] with P = q*k. With k = 1 it reduces to
-// RanksToSeq on the unstacked parts.
-func StackedToSeq(parts []*tensor.Tensor) *tensor.Tensor {
-	if len(parts) == 0 {
-		panic("core: StackedToSeq of zero parts")
-	}
-	k := parts[0].Shape[0]
-	b, t, e := parts[0].Shape[1], parts[0].Shape[2], parts[0].Shape[3]
-	return StackedToSeqInto(tensor.New(b*t, len(parts)*k, e), parts)
-}
-
-// StackedToSeqInto is StackedToSeq writing into out [B*T, P, E].
-//
-// dchag:hotpath — per-step token assembly after the AllGather.
-func StackedToSeqInto(out *tensor.Tensor, parts []*tensor.Tensor) *tensor.Tensor {
-	k := parts[0].Shape[0]
-	p := len(parts) * k
-	b, t, e := parts[0].Shape[1], parts[0].Shape[2], parts[0].Shape[3]
-	for ri, part := range parts {
-		if len(part.Shape) != 4 || part.Shape[0] != k || part.Shape[1] != b || part.Shape[2] != t || part.Shape[3] != e {
-			panic(fmt.Sprintf("core: StackedToSeq inconsistent part shape %v", part.Shape))
-		}
-		for ki := 0; ki < k; ki++ {
-			pi := ri*k + ki
-			for bi := 0; bi < b; bi++ {
-				for ti := 0; ti < t; ti++ {
-					src := part.Data[((ki*b+bi)*t+ti)*e : ((ki*b+bi)*t+ti+1)*e]
-					dst := out.Data[((bi*t+ti)*p+pi)*e : ((bi*t+ti)*p+pi+1)*e]
-					copy(dst, src)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// SeqSlice extracts rank p's token gradient [B, T, E] from the final-layer
-// input gradient [B*T, P, E]; the inverse of one rank's RanksToSeq slot.
-func SeqSlice(seq *tensor.Tensor, p, b, t int) *tensor.Tensor {
-	return SeqSliceInto(tensor.New(b, t, seq.Shape[2]), seq, p, b, t)
-}
-
-// SeqSliceInto is SeqSlice writing into out [B, T, E].
-//
-// dchag:hotpath — per-step token-gradient extraction.
-func SeqSliceInto(out, seq *tensor.Tensor, p, b, t int) *tensor.Tensor {
-	np, e := seq.Shape[1], seq.Shape[2]
-	if seq.Shape[0] != b*t || p < 0 || p >= np {
-		panic(fmt.Sprintf("core: SeqSlice(%d) invalid for shape %v", p, seq.Shape))
-	}
-	for bi := 0; bi < b; bi++ {
-		for ti := 0; ti < t; ti++ {
-			src := seq.Data[((bi*t+ti)*np+p)*e : ((bi*t+ti)*np+p+1)*e]
-			dst := out.Data[(bi*t+ti)*e : (bi*t+ti+1)*e]
-			copy(dst, src)
-		}
-	}
-	return out
-}

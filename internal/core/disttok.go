@@ -24,7 +24,7 @@ type DistTokenizer struct {
 	ChLo, ChHi int
 	Tok        *nn.PatchEmbed
 
-	dTok *tensor.Tensor // Backward channel-slice scratch
+	views []nn.TokenView // Backward's per-channel gradient locations
 }
 
 // SetInferDType selects the arithmetic of the tokenizer's no-grad Infer
@@ -60,16 +60,15 @@ func (d *DistTokenizer) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward consumes the gradient of the full token tensor [B, C, T, E]
-// (identical on every rank, because the downstream module is replicated),
-// extracts this rank's channel slice, and back-propagates through the local
-// tokenizer. No communication.
+// (identical on every rank, because the downstream module is replicated) and
+// back-propagates this rank's channel slice, read in place, through the
+// local tokenizer. No communication.
 func (d *DistTokenizer) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if len(grad.Shape) != 4 || grad.Shape[1] != d.Channels {
 		panic(fmt.Sprintf("core: DistTokenizer.Backward want [B,%d,T,E], got %v", d.Channels, grad.Shape))
 	}
-	d.dTok = tensor.EnsureShape(d.dTok, grad.Shape[0], d.ChHi-d.ChLo, grad.Shape[2], grad.Shape[3])
-	tensor.SliceAxisInto(d.dTok, grad, 1, d.ChLo, d.ChHi)
-	return d.Tok.Backward(d.dTok)
+	d.views = nn.ChannelViews(d.views[:0], grad)
+	return d.Tok.BackwardFrom(d.views[d.ChLo:d.ChHi], nil)
 }
 
 // Params returns the local tokenizer shard's parameters.

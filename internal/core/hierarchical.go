@@ -127,35 +127,25 @@ type HierarchicalAggregator struct {
 	Plan   TreePlan
 	Levels [][]GroupAggregator
 
-	b, t, e int
-	ran     bool // Forward has run (Backward precondition)
+	layout TreePlan // Plan plus one more level, a single group of one token: the output
+	b, t   int      // extents of the last channel-major Forward
 
 	// Scratch, grown once and reused every step (see tensor.EnsureShape).
-	// Forward and Infer own separate sets so eval passes never clobber the
-	// group inputs an aggregator cached for a pending Backward.
-	folded, ifolded   *tensor.Tensor     // FoldChannels output
-	inputs, iinputs   [][]*tensor.Tensor // per-level per-group input slices
-	levelOut, ilevOut []*tensor.Tensor   // per-level gathered group tokens
-	dg                *tensor.Tensor     // backward per-group token gradient
-	dCat              []*tensor.Tensor   // per-level concatenated input grads
-	dx                *tensor.Tensor     // unfolded channel-token gradient
-}
+	// inputs[l][gi] is the input [N, g, E] of group gi at level l of layout.
+	// Nothing is copied between levels: the tokenizer writes the channel
+	// tokens into the level-0 inputs and every aggregator's token is written
+	// where the next level reads it, the last entry being the module's
+	// output. Forward and Infer own separate sets so eval passes never clobber
+	// the inputs an aggregator cached for a pending Backward. dIn mirrors
+	// inputs for the backward walk: each group's input gradient above level 0,
+	// left in its aggregator's own scratch; its last entry is the output
+	// gradient.
+	inputs, iinputs, dIn [][]*tensor.Tensor
+	dg                   *tensor.Tensor // backward per-group token gradient
 
-// ensureScratch sizes the per-level scratch slices (the tensors themselves
-// are grown lazily by EnsureShape).
-func (h *HierarchicalAggregator) ensureScratch() {
-	if h.inputs != nil {
-		return
-	}
-	h.inputs = make([][]*tensor.Tensor, len(h.Levels))
-	h.iinputs = make([][]*tensor.Tensor, len(h.Levels))
-	for l, level := range h.Levels {
-		h.inputs[l] = make([]*tensor.Tensor, len(level))
-		h.iinputs[l] = make([]*tensor.Tensor, len(level))
-	}
-	h.levelOut = make([]*tensor.Tensor, len(h.Levels))
-	h.ilevOut = make([]*tensor.Tensor, len(h.Levels))
-	h.dCat = make([]*tensor.Tensor, len(h.Levels))
+	// The channel-major entry points' own storage.
+	dx     *tensor.Tensor
+	cm, gm []nn.TokenView
 }
 
 // NewHierarchicalAggregator builds the module for the given plan. Layer
@@ -163,7 +153,7 @@ func (h *HierarchicalAggregator) ensureScratch() {
 // so any regrouping of the same plan reproduces identical parameters.
 func NewHierarchicalAggregator(name string, plan TreePlan, kind LayerKind, embed, heads int, seed int64) *HierarchicalAggregator {
 	plan.validate()
-	h := &HierarchicalAggregator{Plan: plan}
+	h := &HierarchicalAggregator{Plan: plan, layout: append(plan[:len(plan):len(plan)], []int{1})}
 	for l, level := range plan {
 		var aggs []GroupAggregator
 		for gi, g := range level {
@@ -171,6 +161,11 @@ func NewHierarchicalAggregator(name string, plan TreePlan, kind LayerKind, embed
 			aggs = append(aggs, newGroupAggregator(layerName, kind, g, embed, heads, nn.SubSeed(seed, l*4096+gi)))
 		}
 		h.Levels = append(h.Levels, aggs)
+	}
+	for _, level := range h.layout {
+		h.inputs = append(h.inputs, make([]*tensor.Tensor, len(level)))
+		h.iinputs = append(h.iinputs, make([]*tensor.Tensor, len(level)))
+		h.dIn = append(h.dIn, make([]*tensor.Tensor, len(level)))
 	}
 	return h
 }
@@ -184,36 +179,53 @@ func NewBaselineAggregator(name string, channels, embed, heads int, seed int64) 
 // Channels returns the module's input channel count.
 func (h *HierarchicalAggregator) Channels() int { return h.Plan.Channels() }
 
-// Forward reduces x [B, C, T, E] to [B, T, E].
-func (h *HierarchicalAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
-	c := h.Channels()
-	if len(x.Shape) != 4 || x.Shape[1] != c {
-		panic(fmt.Sprintf("core: HierarchicalAggregator.Forward want [B,%d,T,E], got %v", c, x.Shape))
+// groupViews appends, for each of the g channels of a first-level group, where
+// its tokens sit inside the group's tensor gt [B*t, g, E]: an input on the
+// way in, an input gradient on the way back.
+//
+// dchag:hotpath — per-step view bookkeeping into a caller-owned slice.
+func groupViews(dst []nn.TokenView, gt *tensor.Tensor, t int) []nn.TokenView {
+	g, e := gt.Shape[1], gt.Shape[2]
+	for k := 0; k < g; k++ {
+		dst = append(dst, nn.TokenView{Data: gt.Data[k*e:], BatchStride: t * g * e, TokenStride: g * e})
 	}
-	h.b, h.t, h.e = x.Shape[0], x.Shape[2], x.Shape[3]
-	h.ensureScratch()
-	h.ran = true
-	h.folded = tensor.EnsureShape(h.folded, h.b*h.t, c, h.e)
-	cur := FoldChannelsInto(h.folded, x) // [N, C, E]
-	return h.run(cur, h.inputs, h.levelOut, false).Reshape(h.b, h.t, h.e)
+	return dst
 }
 
-// run walks the tree over cur [N, C, E] using the given scratch set,
-// returning the final [N, 1, E] token. With infer set, aggregators take
-// their no-grad fast path.
+// inputViews sizes the pass's first-level group inputs for b samples of t
+// tokens of width e — one [b*t, g, e] tensor per group, channel k of the
+// group at rows (n*g + k)*e — and appends every channel's view, in plan
+// order. The caller fills them and calls run.
+func (h *HierarchicalAggregator) inputViews(dst []nn.TokenView, b, t, e int, infer bool) []nn.TokenView {
+	in := h.inputs[0]
+	if infer {
+		in = h.iinputs[0]
+	}
+	for gi, g := range h.Plan[0] {
+		in[gi] = tensor.EnsureShape(in[gi], b*t, g, e)
+		dst = groupViews(dst, in[gi], t)
+	}
+	return dst
+}
+
+// run walks the tree over the first-level inputs the caller filled (see
+// inputViews), returning the final [N, 1, E] token. With infer set it reads the
+// Infer scratch set and aggregators take their no-grad fast path.
 //
-// dchag:hotpath — the per-step aggregation tree; all group slices and level
-// outputs live in pass-owned scratch.
-func (h *HierarchicalAggregator) run(cur *tensor.Tensor, inputs [][]*tensor.Tensor, levelOut []*tensor.Tensor, infer bool) *tensor.Tensor {
-	n, e := cur.Shape[0], cur.Shape[2]
+// dchag:hotpath — the per-step aggregation tree; every group input lives in
+// pass-owned scratch.
+func (h *HierarchicalAggregator) run(infer bool) *tensor.Tensor {
+	inputs := h.inputs
+	if infer {
+		inputs = h.iinputs
+	}
+	n, e := inputs[0][0].Shape[0], inputs[0][0].Shape[2]
 	for l, level := range h.Levels {
-		off := 0
-		for gi, g := range h.Plan[l] {
-			inputs[l][gi] = tensor.EnsureShape(inputs[l][gi], n, g, e)
-			tensor.SliceAxisInto(inputs[l][gi], cur, 1, off, off+g)
-			off += g
+		next := inputs[l+1]
+		for gj, g := range h.layout[l+1] {
+			next[gj] = tensor.EnsureShape(next[gj], n, g, e)
 		}
-		levelOut[l] = tensor.EnsureShape(levelOut[l], n, len(level), e)
+		gj, k := 0, 0 // where token gi of this level sits in the next one
 		for gi, agg := range level {
 			var y *tensor.Tensor // [N, E]
 			if infer {
@@ -221,26 +233,72 @@ func (h *HierarchicalAggregator) run(cur *tensor.Tensor, inputs [][]*tensor.Tens
 			} else {
 				y = agg.Forward(inputs[l][gi])
 			}
-			writeGroupToken(levelOut[l], y, gi)
+			writeGroupToken(next[gj], y.Data, k)
+			if k++; k == next[gj].Shape[1] {
+				gj, k = gj+1, 0
+			}
 		}
-		cur = levelOut[l]
 	}
-	// cur is [N, 1, E].
-	return cur
+	return inputs[len(h.Levels)][0]
 }
 
-// Infer reduces x [B, C, T, E] to [B, T, E] without caching the per-level
-// inputs for backward.
+// backward maps d (N*E values, the gradient of run's token) down the tree and
+// appends to dst the views of every channel's token gradient inside the
+// first-level groups' input gradients [N, g, E], each left in its
+// aggregator's own scratch; t is the token count per sample.
+//
+// dchag:hotpath — the per-step aggregation-tree backward; gradients pass
+// between levels in place.
+func (h *HierarchicalAggregator) backward(d *tensor.Tensor, dst []nn.TokenView, t int) []nn.TokenView {
+	if h.inputs[0][0] == nil {
+		panic("core: HierarchicalAggregator.Backward before Forward")
+	}
+	n, e := h.inputs[0][0].Shape[0], h.inputs[0][0].Shape[2]
+	h.dg = tensor.EnsureShape(h.dg, n, e)
+	h.dIn[len(h.Levels)][0] = d
+	for l := len(h.Levels) - 1; l >= 0; l-- {
+		up, gj, k := h.dIn[l+1], 0, 0
+		for gi, agg := range h.Levels[l] {
+			// Each aggregator consumes dg fully during Backward, so one
+			// shared buffer serves every group in turn.
+			readGroupToken(h.dg, up[gj], k)
+			if k++; k == h.layout[l+1][gj] {
+				gj, k = gj+1, 0
+			}
+			part := agg.Backward(h.dg) // [N, g, E]
+			if l == 0 {
+				dst = groupViews(dst, part, t)
+			} else {
+				h.dIn[l][gi] = part
+			}
+		}
+	}
+	return dst
+}
+
+// Forward reduces channel-major tokens x [B, C, T, E] to [B, T, E]: one fold
+// into the first-level group inputs in front of run. A stage that tokenizes
+// straight into groups (LocalStage) skips the fold.
+func (h *HierarchicalAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
+	h.b, h.t = x.Shape[0], x.Shape[2]
+	return h.channelMajor("Forward", x, false)
+}
+
+// Infer is Forward without caching the per-level inputs for backward.
 func (h *HierarchicalAggregator) Infer(x *tensor.Tensor) *tensor.Tensor {
+	return h.channelMajor("Infer", x, true)
+}
+
+func (h *HierarchicalAggregator) channelMajor(op string, x *tensor.Tensor, infer bool) *tensor.Tensor {
 	c := h.Channels()
 	if len(x.Shape) != 4 || x.Shape[1] != c {
-		panic(fmt.Sprintf("core: HierarchicalAggregator.Infer want [B,%d,T,E], got %v", c, x.Shape))
+		panic(fmt.Sprintf("core: HierarchicalAggregator.%s want [B,%d,T,E], got %v", op, c, x.Shape))
 	}
 	b, t, e := x.Shape[0], x.Shape[2], x.Shape[3]
-	h.ensureScratch()
-	h.ifolded = tensor.EnsureShape(h.ifolded, b*t, c, e)
-	cur := FoldChannelsInto(h.ifolded, x) // [N, C, E]
-	return h.run(cur, h.iinputs, h.ilevOut, true).Reshape(b, t, e)
+	h.gm = h.inputViews(h.gm[:0], b, t, e, infer)
+	h.cm = nn.ChannelViews(h.cm[:0], x)
+	copyTokens(h.gm, h.cm, b, t, e)
+	return tensor.EnsureShape(h.run(infer), b, t, e)
 }
 
 // SetInferDType selects the arithmetic of every aggregator's no-grad Infer
@@ -255,56 +313,50 @@ func (h *HierarchicalAggregator) SetInferDType(dt tensor.DType) {
 	}
 }
 
-// Backward maps d [B, T, E] back to the channel-token gradient [B, C, T, E].
-//
-// dchag:hotpath — the per-step aggregation-tree backward; the group token
-// gradient and per-level concatenations live in layer-owned scratch.
+// Backward maps d [B, T, E] back to the channel-major token gradient
+// [B, C, T, E]: backward, then one unfold of the groups' gradients.
 func (h *HierarchicalAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
-	if !h.ran {
-		panic("core: HierarchicalAggregator.Backward before Forward")
-	}
-	n := h.b * h.t
-	h.dg = tensor.EnsureShape(h.dg, n, h.e)
-	cur := d.Reshape(n, 1, h.e)
-	for l := len(h.Levels) - 1; l >= 0; l-- {
-		level := h.Levels[l]
-		width := 0
-		for _, g := range h.Plan[l] {
-			width += g
-		}
-		h.dCat[l] = tensor.EnsureShape(h.dCat[l], n, width, h.e)
-		off := 0
-		for gi, agg := range level {
-			// Each aggregator consumes dg fully during Backward, so one
-			// shared buffer serves every group in turn.
-			readGroupToken(h.dg, cur, gi)
-			part := agg.Backward(h.dg) // [N, g, E]
-			tensor.SetSliceAxis(h.dCat[l], 1, off, part)
-			off += part.Shape[1]
-		}
-		cur = h.dCat[l]
-	}
-	h.dx = tensor.EnsureShape(h.dx, h.b, h.Channels(), h.t, h.e)
-	return UnfoldChannelsInto(h.dx, cur, h.b, h.t)
+	h.gm = h.backward(d, h.gm[:0], h.t)
+	h.dx = tensor.EnsureShape(h.dx, h.b, h.Channels(), h.t, d.Shape[len(d.Shape)-1])
+	h.cm = nn.ChannelViews(h.cm[:0], h.dx)
+	copyTokens(h.cm, h.gm, h.b, h.t, h.dx.Shape[3])
+	return h.dx
 }
 
-// writeGroupToken writes y [N, E] into column gi of out [N, G, E].
+// copyTokens copies every channel's [b, t, e] tokens from src[c] to dst[c]:
+// the fold from channel-major storage into group inputs, and its inverse.
+//
+// dchag:hotpath — the channel-major entry points' one permutation.
+func copyTokens(dst, src []nn.TokenView, b, t, e int) {
+	for c, d := range dst {
+		s := src[c]
+		for bi := 0; bi < b; bi++ {
+			for ti := 0; ti < t; ti++ {
+				copy(d.Data[bi*d.BatchStride+ti*d.TokenStride:][:e], s.Data[bi*s.BatchStride+ti*s.TokenStride:][:e])
+			}
+		}
+	}
+}
+
+// writeGroupToken writes y (N*E values) into column gi of out [N, G, E].
 //
 // dchag:hotpath — per-group token scatter.
-func writeGroupToken(out, y *tensor.Tensor, gi int) {
+func writeGroupToken(out *tensor.Tensor, y []float64, gi int) {
 	nG, e := out.Shape[1], out.Shape[2]
-	for n := 0; n < y.Shape[0]; n++ {
-		copy(out.Data[(n*nG+gi)*e:(n*nG+gi+1)*e], y.Data[n*e:(n+1)*e])
+	for n := 0; n < out.Shape[0]; n++ {
+		copy(out.Data[(n*nG+gi)*e:(n*nG+gi+1)*e], y[n*e:(n+1)*e])
 	}
 }
 
-// readGroupToken gathers column gi of x [N, G, E] into dst [N, E].
+// readGroupToken gathers column gi of x (N*G*E values, any shape) into dst
+// [N, E].
 //
 // dchag:hotpath — per-group token gather.
 func readGroupToken(dst, x *tensor.Tensor, gi int) {
-	nG, e := x.Shape[1], x.Shape[2]
-	for n := 0; n < dst.Shape[0]; n++ {
-		copy(dst.Data[n*e:(n+1)*e], x.Data[(n*nG+gi)*e:(n*nG+gi+1)*e])
+	n, e := dst.Shape[0], dst.Shape[1]
+	nG := len(x.Data) / (n * e)
+	for i := 0; i < n; i++ {
+		copy(dst.Data[i*e:(i+1)*e], x.Data[(i*nG+gi)*e:(i*nG+gi+1)*e])
 	}
 }
 
@@ -317,59 +369,4 @@ func (h *HierarchicalAggregator) Params() []*nn.Param {
 		}
 	}
 	return ps
-}
-
-// FoldChannels permutes channel tokens [B, C, T, E] into per-location
-// channel sequences [B*T, C, E], the layout aggregators consume.
-func FoldChannels(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 4 {
-		panic(fmt.Sprintf("core: FoldChannels wants rank 4, got %v", x.Shape))
-	}
-	b, c, t, e := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	return FoldChannelsInto(tensor.New(b*t, c, e), x)
-}
-
-// FoldChannelsInto is FoldChannels writing into out, which must have shape
-// [B*T, C, E].
-//
-// dchag:hotpath — per-step channel-token permutation.
-func FoldChannelsInto(out, x *tensor.Tensor) *tensor.Tensor {
-	b, c, t, e := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	for bi := 0; bi < b; bi++ {
-		for ci := 0; ci < c; ci++ {
-			for ti := 0; ti < t; ti++ {
-				src := x.Data[((bi*c+ci)*t+ti)*e : ((bi*c+ci)*t+ti+1)*e]
-				dst := out.Data[((bi*t+ti)*c+ci)*e : ((bi*t+ti)*c+ci+1)*e]
-				copy(dst, src)
-			}
-		}
-	}
-	return out
-}
-
-// UnfoldChannels inverts FoldChannels: [B*T, C, E] back to [B, C, T, E].
-func UnfoldChannels(x *tensor.Tensor, b, t int) *tensor.Tensor {
-	if len(x.Shape) != 3 || x.Shape[0] != b*t {
-		panic(fmt.Sprintf("core: UnfoldChannels wants [%d,C,E], got %v", b*t, x.Shape))
-	}
-	c, e := x.Shape[1], x.Shape[2]
-	return UnfoldChannelsInto(tensor.New(b, c, t, e), x, b, t)
-}
-
-// UnfoldChannelsInto is UnfoldChannels writing into out, which must have
-// shape [B, C, T, E].
-//
-// dchag:hotpath — per-step channel-token permutation.
-func UnfoldChannelsInto(out, x *tensor.Tensor, b, t int) *tensor.Tensor {
-	c, e := x.Shape[1], x.Shape[2]
-	for bi := 0; bi < b; bi++ {
-		for ci := 0; ci < c; ci++ {
-			for ti := 0; ti < t; ti++ {
-				src := x.Data[((bi*t+ti)*c+ci)*e : ((bi*t+ti)*c+ci+1)*e]
-				dst := out.Data[((bi*c+ci)*t+ti)*e : ((bi*c+ci)*t+ti+1)*e]
-				copy(dst, src)
-			}
-		}
-	}
-	return out
 }

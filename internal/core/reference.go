@@ -23,41 +23,16 @@ type Reference struct {
 	Cfg Config
 	P   int
 
-	Tok      *nn.PatchEmbed
-	ChEmb    *nn.ChannelEmbed
-	Partials []*HierarchicalAggregator
-	Final    *CrossAttnAggregator
+	LocalStage // the full tokenizer and channel embedding, all P partials
+	Final      *CrossAttnAggregator
 
-	bounds [][2]int
-	b      int
-
-	// Scratch, grown once and reused every step; Forward and Infer own
-	// separate sets (the partials cache views of their inputs for backward).
-	partIn, ipartIn []*tensor.Tensor // per-virtual-rank channel-slice inputs
-	outs, iouts     []*tensor.Tensor // per-virtual-rank aggregated tokens
-	seq, iseq       *tensor.Tensor   // final layer input [B*T, P, E]
-	dLocal          *tensor.Tensor   // per-virtual-rank token gradient
-	dEmb            *tensor.Tensor   // concatenated channel-token gradient
-}
-
-// ensureScratch sizes the per-virtual-rank scratch slices.
-func (r *Reference) ensureScratch() {
-	if r.partIn != nil {
-		return
-	}
-	r.partIn = make([]*tensor.Tensor, r.P)
-	r.ipartIn = make([]*tensor.Tensor, r.P)
-	r.outs = make([]*tensor.Tensor, r.P)
-	r.iouts = make([]*tensor.Tensor, r.P)
+	seq [2]*tensor.Tensor // final layer input [B*T, P, E]: Forward's, Infer's
 }
 
 // SetInferDType selects the arithmetic of the no-grad Infer path, matching
 // DCHAG.SetInferDType.
 func (r *Reference) SetInferDType(dt tensor.DType) {
-	r.Tok.SetInferDType(dt)
-	for _, partial := range r.Partials {
-		partial.SetInferDType(dt)
-	}
+	r.LocalStage.SetInferDType(dt)
 	r.Final.SetInferDType(dt)
 }
 
@@ -69,15 +44,16 @@ func NewReference(cfg Config, p int) *Reference {
 		panic(fmt.Sprintf("core: invalid virtual rank count %d for %d channels", p, cfg.Channels))
 	}
 	r := &Reference{
-		Cfg:   cfg,
-		P:     p,
-		Tok:   nn.NewPatchEmbed("dchag.tok", cfg.Channels, cfg.ImgH, cfg.ImgW, cfg.Patch, cfg.Embed, nn.SubSeed(cfg.Seed, seedTok)),
-		ChEmb: nn.NewChannelEmbed("dchag.chemb", cfg.Channels, cfg.Embed, nn.SubSeed(cfg.Seed, seedChEmb)),
+		Cfg: cfg,
+		P:   p,
+		LocalStage: LocalStage{
+			Tok:   nn.NewPatchEmbed("dchag.tok", cfg.Channels, cfg.ImgH, cfg.ImgW, cfg.Patch, cfg.Embed, nn.SubSeed(cfg.Seed, seedTok)),
+			ChEmb: nn.NewChannelEmbed("dchag.chemb", cfg.Channels, cfg.Embed, nn.SubSeed(cfg.Seed, seedChEmb)),
+		},
 		Final: NewCrossAttnAggregator("dchag.final", p, cfg.Embed, cfg.Heads, nn.SubSeed(cfg.Seed, seedFinal)),
 	}
 	for vr := 0; vr < p; vr++ {
 		lo, hi := ChannelRange(cfg.Channels, p, vr)
-		r.bounds = append(r.bounds, [2]int{lo, hi})
 		r.Partials = append(r.Partials, NewHierarchicalAggregator(
 			fmt.Sprintf("dchag.partial%d", vr),
 			BuildTreePlan(hi-lo, cfg.Tree), cfg.Kind, cfg.Embed, cfg.Heads,
@@ -86,86 +62,38 @@ func NewReference(cfg Config, p int) *Reference {
 	return r
 }
 
-// Bounds returns virtual rank vr's channel range [lo, hi).
-func (r *Reference) Bounds(vr int) (lo, hi int) {
-	return r.bounds[vr][0], r.bounds[vr][1]
-}
-
 // Forward consumes the full image [B, C, H, W] and returns the aggregated
 // representation [B, T, E].
-func (r *Reference) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 4 || x.Shape[1] != r.Cfg.Channels {
-		panic(fmt.Sprintf("core: Reference.Forward want [B,%d,H,W], got %v", r.Cfg.Channels, x.Shape))
-	}
-	r.b = x.Shape[0]
-	r.ensureScratch()
-	t, e := r.Cfg.Tokens(), r.Cfg.Embed
-	tok := r.Tok.Forward(x)
-	emb := r.ChEmb.Forward(tok)
-	for vr := 0; vr < r.P; vr++ {
-		lo, hi := r.Bounds(vr)
-		r.partIn[vr] = tensor.EnsureShape(r.partIn[vr], r.b, hi-lo, t, e)
-		tensor.SliceAxisInto(r.partIn[vr], emb, 1, lo, hi)
-		r.outs[vr] = r.Partials[vr].Forward(r.partIn[vr])
-	}
-	r.seq = tensor.EnsureShape(r.seq, r.b*t, r.P, e)
-	RanksToSeqInto(r.seq, r.outs)
-	out := r.Final.Forward(r.seq)
-	return out.Reshape(r.b, t, e)
-}
+func (r *Reference) Forward(x *tensor.Tensor) *tensor.Tensor { return r.pass(x, false) }
 
 // Infer runs Forward's computation without caching activations for
 // backward; bitwise identical to Forward (and therefore to the distributed
 // DCHAG.Infer over any rank count realizing the same logical model).
-func (r *Reference) Infer(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 4 || x.Shape[1] != r.Cfg.Channels {
-		panic(fmt.Sprintf("core: Reference.Infer want [B,%d,H,W], got %v", r.Cfg.Channels, x.Shape))
+func (r *Reference) Infer(x *tensor.Tensor) *tensor.Tensor { return r.pass(x, true) }
+
+func (r *Reference) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
+	b, t, e := x.Shape[0], r.Cfg.Tokens(), r.Cfg.Embed
+	outs, set := r.LocalStage.pass(x, infer), 0
+	if infer {
+		set = 1
 	}
-	b := x.Shape[0]
-	r.ensureScratch()
-	t, e := r.Cfg.Tokens(), r.Cfg.Embed
-	tok := r.Tok.Infer(x)
-	emb := r.ChEmb.Infer(tok)
-	for vr := 0; vr < r.P; vr++ {
-		lo, hi := r.Bounds(vr)
-		r.ipartIn[vr] = tensor.EnsureShape(r.ipartIn[vr], b, hi-lo, t, e)
-		tensor.SliceAxisInto(r.ipartIn[vr], emb, 1, lo, hi)
-		r.iouts[vr] = r.Partials[vr].Infer(r.ipartIn[vr])
+	seq := tensor.EnsureShape(r.seq[set], b*t, r.P, e)
+	r.seq[set] = seq
+	for vr, out := range outs {
+		writeGroupToken(seq, out.Data, vr)
 	}
-	r.iseq = tensor.EnsureShape(r.iseq, b*t, r.P, e)
-	RanksToSeqInto(r.iseq, r.iouts)
-	out := r.Final.Infer(r.iseq)
-	return out.Reshape(b, t, e)
+	if infer {
+		return r.Final.Infer(seq).Reshape(b, t, e)
+	}
+	return r.Final.Forward(seq).Reshape(b, t, e)
 }
 
 // Backward consumes the output gradient [B, T, E] and returns the full image
 // gradient [B, C, H, W].
 func (r *Reference) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	t, e := r.Cfg.Tokens(), r.Cfg.Embed
-	dSeq := r.Final.Backward(grad.Reshape(r.b*t, e))
-	r.dLocal = tensor.EnsureShape(r.dLocal, r.b, t, e)
-	r.dEmb = tensor.EnsureShape(r.dEmb, r.b, r.Cfg.Channels, t, e)
-	off := 0
-	for vr := 0; vr < r.P; vr++ {
-		// Each partial consumes dLocal fully during Backward, so one shared
-		// buffer serves every virtual rank in turn.
-		SeqSliceInto(r.dLocal, dSeq, vr, r.b, t)
-		part := r.Partials[vr].Backward(r.dLocal)
-		tensor.SetSliceAxis(r.dEmb, 1, off, part)
-		off += part.Shape[1]
-	}
-	dTok := r.ChEmb.Backward(r.dEmb)
-	return r.Tok.Backward(dTok)
+	dSeq := r.Final.Backward(grad.Reshape(-1, r.Cfg.Embed))
+	return r.LocalStage.Backward(dSeq, 0)
 }
 
 // Params returns all parameters of the serial model.
-func (r *Reference) Params() []*nn.Param {
-	var ps []*nn.Param
-	ps = append(ps, r.Tok.Params()...)
-	ps = append(ps, r.ChEmb.Params()...)
-	for _, pt := range r.Partials {
-		ps = append(ps, pt.Params()...)
-	}
-	ps = append(ps, r.Final.Params()...)
-	return ps
-}
+func (r *Reference) Params() []*nn.Param { return append(r.LocalStage.Params(), r.Final.Params()...) }

@@ -30,8 +30,11 @@ func init() {
 // forward and backward, next to the matrix-product work of the pooled
 // formulation it runs and of the unpooled one it replaced. v4 adds the
 // elementwise section: softmax and GELU on the vector exp kernel next to
-// math.Exp / math.Tanh loops over the same data.
-const ComputeSchema = "dchag-bench/compute/v4"
+// math.Exp / math.Tanh loops over the same data. v5 adds the channel_stage
+// section: the whole serial channel stage, forward, backward and F32 eval,
+// time and scratch bytes, next to the same layers chained through their
+// channel-major entry points.
+const ComputeSchema = "dchag-bench/compute/v5"
 
 // ComputePoint is one measured square GEMM size (dst = A@B, all [n,n]).
 type ComputePoint struct {
@@ -134,8 +137,9 @@ type ComputeClaims struct {
 	// 1.5x blocked f64 at 512^3 under SIMD).
 	BlockedSpeedupAtMax float64 `json:"blocked_speedup_at_max"`
 	F32SpeedupAtMax     float64 `json:"f32_speedup_at_max"`
-	// AllocFree reports that every measured point, shape, aggregator and
-	// elementwise routine ran with zero steady-state allocations per call.
+	// AllocFree reports that every measured point, shape, aggregator,
+	// elementwise routine and channel stage ran with zero steady-state
+	// allocations per call.
 	AllocFree bool `json:"steady_state_alloc_free"`
 }
 
@@ -145,14 +149,15 @@ type ComputeReport struct {
 	Schema string `json:"schema"`
 	// SIMD records whether the AVX2+FMA micro-kernels were active; MaxProcs
 	// the GOMAXPROCS the rates were measured under.
-	SIMD        bool               `json:"simd"`
-	MaxProcs    int                `json:"maxprocs"`
-	Sizes       []int              `json:"sizes"`
-	Points      []ComputePoint     `json:"points"`
-	Shapes      []ShapePoint       `json:"shapes"`
-	Aggregators []AggregatorPoint  `json:"aggregators"`
-	Elementwise []ElementwisePoint `json:"elementwise"`
-	Claims      ComputeClaims      `json:"claims"`
+	SIMD        bool                `json:"simd"`
+	MaxProcs    int                 `json:"maxprocs"`
+	Sizes       []int               `json:"sizes"`
+	Points      []ComputePoint      `json:"points"`
+	Shapes      []ShapePoint        `json:"shapes"`
+	Aggregators []AggregatorPoint   `json:"aggregators"`
+	Elementwise []ElementwisePoint  `json:"elementwise"`
+	Stages      []ChannelStagePoint `json:"channel_stage"`
+	Claims      ComputeClaims       `json:"claims"`
 }
 
 // PointAt returns the point measured at size n.
@@ -231,32 +236,29 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 	rep.Shapes = measureShapes(cfg)
 	rep.Aggregators = measureAggregators(cfg)
 	rep.Elementwise = measureElementwise(cfg)
+	rep.Stages = measureChannelStages(cfg)
 	last := rep.Points[len(rep.Points)-1]
 	rep.Claims = ComputeClaims{
 		BlockedSpeedupAtMax: last.BlockedSpeedup,
 		F32SpeedupAtMax:     last.F32Speedup,
-		AllocFree:           true,
 	}
+	allocs := 0.0
 	for _, p := range rep.Points {
-		if p.BlockedAllocsPerOp != 0 || p.F32AllocsPerOp != 0 {
-			rep.Claims.AllocFree = false
-		}
+		allocs += p.BlockedAllocsPerOp + p.F32AllocsPerOp
 	}
 	for _, sp := range rep.Shapes {
-		if sp.AllocsPerOp != 0 {
-			rep.Claims.AllocFree = false
-		}
+		allocs += sp.AllocsPerOp
 	}
 	for _, ap := range rep.Aggregators {
-		if ap.AllocsPerOp != 0 {
-			rep.Claims.AllocFree = false
-		}
+		allocs += ap.AllocsPerOp
 	}
 	for _, ep := range rep.Elementwise {
-		if ep.AllocsPerOp != 0 {
-			rep.Claims.AllocFree = false
-		}
+		allocs += ep.AllocsPerOp
 	}
+	for _, cp := range rep.Stages {
+		allocs += cp.AllocsPerOp
+	}
+	rep.Claims.AllocFree = allocs == 0
 	return rep
 }
 
@@ -593,5 +595,17 @@ func runCompute() Result {
 			fmt.Sprintf("%.2fx", ep.Speedup), fmt.Sprintf("%.0f", ep.AllocsPerOp))
 	}
 	elems.Note("the libm loop is the scalar math.Exp softmax or math.Tanh GELU over the same data; the shipped routines take one exp per element through the AVX2 kernel or its bit-identical Go twin")
-	return Result{ID: "compute", Title: "Compute substrate", Tables: []*Table{tab, shapes, aggs, elems}}
+	stages := &Table{
+		Title:   "Measured serial channel stage (model.SerialStage), shipped / chained through the channel-major entry points",
+		Headers: []string{"stage", "ch x batch x E, tree, kind", "forward us", "backward us", "infer f32 us", "scratch / token tensor", "allocs/op"},
+	}
+	for _, cp := range rep.Stages {
+		tok := float64(cp.TokenBytes)
+		stages.Add(cp.Name, fmt.Sprintf("%d x %d x %d, %d, %s", cp.Channels, cp.Batch, cp.Embed, cp.Tree, cp.Kind),
+			fmt.Sprintf("%.0f / %.0f", cp.Stage.FwdNs/1e3, cp.Chained.FwdNs/1e3), fmt.Sprintf("%.0f / %.0f", cp.Stage.BwdNs/1e3, cp.Chained.BwdNs/1e3),
+			fmt.Sprintf("%.0f / %.0f", cp.Stage.InferNs/1e3, cp.Chained.InferNs/1e3),
+			fmt.Sprintf("%.1f / %.1f", float64(cp.Stage.ScratchBytes)/tok, float64(cp.Chained.ScratchBytes)/tok), fmt.Sprintf("%.0f", cp.AllocsPerOp))
+	}
+	stages.Note("the shipped stage tokenizes each channel straight into its group's input, bias and channel-ID row added on the way; chained is the same layers through tokenizer output, channel-ID pass and fold; scratch is every tensor held outside parameters and group aggregators, in units of one [B,C,T,E] token tensor")
+	return Result{ID: "compute", Title: "Compute substrate", Tables: []*Table{tab, shapes, aggs, elems, stages}}
 }

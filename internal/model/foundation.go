@@ -309,8 +309,8 @@ func (m *FoundationModel) Params() []*nn.Param {
 // models every parameter is replicated (counted once).
 func (m *FoundationModel) PartitionParams() (local, replicated []*nn.Param) {
 	if stage, ok := m.Stage.(*DCHAGStage); ok {
-		local = append(local, stage.D.LocalParams()...)
-		replicated = append(replicated, stage.D.ReplicatedParams()...)
+		local = append(local, stage.LocalParams()...)
+		replicated = append(replicated, stage.ReplicatedParams()...)
 	} else {
 		replicated = append(replicated, m.Stage.Params()...)
 	}

@@ -39,89 +39,52 @@ type ChannelStage interface {
 // configuration is exactly the paper's Fig. 1 module: one cross-attention
 // layer over all channels.
 type SerialStage struct {
-	Cfg   core.Config
-	Tok   *nn.PatchEmbed
-	ChEmb *nn.ChannelEmbed
-	Agg   *core.HierarchicalAggregator
+	Cfg             core.Config
+	core.LocalStage                              // full tokenizer, channel IDs, one partial: Agg
+	Agg             *core.HierarchicalAggregator // the stage's only module
 }
 
 // NewSerialStage builds the serial channel stage from cfg (Tree and Kind
 // select the aggregation layout as in core.BuildTreePlan).
 func NewSerialStage(cfg core.Config) *SerialStage {
+	agg := core.NewHierarchicalAggregator("stage.agg",
+		core.BuildTreePlan(cfg.Channels, cfg.Tree), cfg.Kind, cfg.Embed, cfg.Heads, nn.SubSeed(cfg.Seed, 3))
 	return &SerialStage{
-		Cfg:   cfg,
-		Tok:   nn.NewPatchEmbed("stage.tok", cfg.Channels, cfg.ImgH, cfg.ImgW, cfg.Patch, cfg.Embed, nn.SubSeed(cfg.Seed, 1)),
-		ChEmb: nn.NewChannelEmbed("stage.chemb", cfg.Channels, cfg.Embed, nn.SubSeed(cfg.Seed, 2)),
-		Agg: core.NewHierarchicalAggregator("stage.agg",
-			core.BuildTreePlan(cfg.Channels, cfg.Tree), cfg.Kind, cfg.Embed, cfg.Heads, nn.SubSeed(cfg.Seed, 3)),
+		Cfg: cfg,
+		LocalStage: core.LocalStage{
+			Tok:      nn.NewPatchEmbed("stage.tok", cfg.Channels, cfg.ImgH, cfg.ImgW, cfg.Patch, cfg.Embed, nn.SubSeed(cfg.Seed, 1)),
+			ChEmb:    nn.NewChannelEmbed("stage.chemb", cfg.Channels, cfg.Embed, nn.SubSeed(cfg.Seed, 2)),
+			Partials: []*core.HierarchicalAggregator{agg},
+		},
+		Agg: agg,
 	}
 }
 
 // Forward maps [B, C, H, W] to [B, T, E].
-func (s *SerialStage) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return s.Agg.Forward(s.ChEmb.Forward(s.Tok.Forward(x)))
-}
+func (s *SerialStage) Forward(x *tensor.Tensor) *tensor.Tensor { return s.LocalStage.Forward(x)[0] }
 
 // Infer maps [B, C, H, W] to [B, T, E] without caching activations for
 // backward.
-func (s *SerialStage) Infer(x *tensor.Tensor) *tensor.Tensor {
-	return s.Agg.Infer(s.ChEmb.Infer(s.Tok.Infer(x)))
-}
+func (s *SerialStage) Infer(x *tensor.Tensor) *tensor.Tensor { return s.LocalStage.Infer(x)[0] }
 
 // Backward maps d[B, T, E] to the image gradient [B, C, H, W].
 func (s *SerialStage) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return s.Tok.Backward(s.ChEmb.Backward(s.Agg.Backward(grad)))
+	return s.LocalStage.Backward(grad, 0)
 }
 
-// SetInferDType selects the arithmetic of the stage's no-grad Infer path.
-func (s *SerialStage) SetInferDType(dt tensor.DType) {
-	s.Tok.SetInferDType(dt)
-	s.Agg.SetInferDType(dt)
-}
-
-// Params returns the stage parameters.
-func (s *SerialStage) Params() []*nn.Param {
-	var ps []*nn.Param
-	ps = append(ps, s.Tok.Params()...)
-	ps = append(ps, s.ChEmb.Params()...)
-	ps = append(ps, s.Agg.Params()...)
-	return ps
-}
-
-// LocalChannels returns the full channel count (serial owns everything).
-func (s *SerialStage) LocalChannels() int { return s.Cfg.Channels }
-
-// ReferenceStage wraps core.Reference: the serial stage that is
+// ReferenceStage is core.Reference as a ChannelStage: the serial stage that is
 // mathematically identical to the D-CHAG stage distributed over P ranks.
 // A model built on ReferenceStage(P) and trained on full images follows the
 // exact same trajectory as the distributed model trained on channel shards,
 // which the training tests assert.
 type ReferenceStage struct {
-	R *core.Reference
+	*core.Reference
 }
 
 // NewReferenceStage builds the serial equivalent of a P-rank D-CHAG stage.
 func NewReferenceStage(cfg core.Config, p int) *ReferenceStage {
-	return &ReferenceStage{R: core.NewReference(cfg, p)}
+	return &ReferenceStage{core.NewReference(cfg, p)}
 }
-
-// Forward maps the full image [B, C, H, W] to [B, T, E].
-func (s *ReferenceStage) Forward(x *tensor.Tensor) *tensor.Tensor { return s.R.Forward(x) }
-
-// Infer is the no-grad fast path of Forward.
-func (s *ReferenceStage) Infer(x *tensor.Tensor) *tensor.Tensor { return s.R.Infer(x) }
-
-// Backward maps d[B, T, E] to the full image gradient.
-func (s *ReferenceStage) Backward(grad *tensor.Tensor) *tensor.Tensor { return s.R.Backward(grad) }
-
-// SetInferDType selects the arithmetic of the stage's no-grad Infer path.
-func (s *ReferenceStage) SetInferDType(dt tensor.DType) { s.R.SetInferDType(dt) }
-
-// Params returns the stage parameters.
-func (s *ReferenceStage) Params() []*nn.Param { return s.R.Params() }
-
-// LocalChannels returns the full channel count.
-func (s *ReferenceStage) LocalChannels() int { return s.R.Cfg.Channels }
 
 // NewSerialDCHAGEquivalent builds a serial model whose channel stage is the
 // P-group D-CHAG reference; used as the correctness oracle for distributed
@@ -130,9 +93,9 @@ func NewSerialDCHAGEquivalent(a Arch, p int) *FoundationModel {
 	return build(a, NewReferenceStage(a.Config, p), nil, false)
 }
 
-// DCHAGStage adapts core.DCHAG to the ChannelStage interface.
+// DCHAGStage is one rank's core.DCHAG as a ChannelStage.
 type DCHAGStage struct {
-	D *core.DCHAG
+	*core.DCHAG
 }
 
 // NewDCHAGStage builds rank c.Rank()'s D-CHAG channel stage with the given
@@ -141,26 +104,8 @@ func NewDCHAGStage(cfg core.Config, c *comm.Communicator, partitions int) *DCHAG
 	if partitions == 0 {
 		partitions = c.Size()
 	}
-	return &DCHAGStage{D: core.NewDCHAGPartitioned(cfg, c, partitions)}
+	return &DCHAGStage{core.NewDCHAGPartitioned(cfg, c, partitions)}
 }
 
-// Forward maps the rank's shard [B, Cl, H, W] to [B, T, E].
-func (s *DCHAGStage) Forward(x *tensor.Tensor) *tensor.Tensor { return s.D.Forward(x) }
-
-// Infer is the no-grad fast path of Forward; the AllGather still runs.
-func (s *DCHAGStage) Infer(x *tensor.Tensor) *tensor.Tensor { return s.D.Infer(x) }
-
-// Backward maps d[B, T, E] to the shard gradient [B, Cl, H, W].
-func (s *DCHAGStage) Backward(grad *tensor.Tensor) *tensor.Tensor { return s.D.Backward(grad) }
-
-// SetInferDType selects the arithmetic of the stage's no-grad Infer path.
-func (s *DCHAGStage) SetInferDType(dt tensor.DType) { s.D.SetInferDType(dt) }
-
-// Params returns the rank's stage parameters.
-func (s *DCHAGStage) Params() []*nn.Param { return s.D.Params() }
-
-// LocalChannels returns the rank's shard width.
-func (s *DCHAGStage) LocalChannels() int { return s.D.LocalChannels() }
-
 // ChannelBounds returns the global channel range of the rank's shard.
-func (s *DCHAGStage) ChannelBounds() (lo, hi int) { return s.D.ChLo, s.D.ChHi }
+func (s *DCHAGStage) ChannelBounds() (lo, hi int) { return s.ChLo, s.ChHi }

@@ -81,20 +81,16 @@ func (p *PosEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params returns the embedding table.
 func (p *PosEmbed) Params() []*Param { return []*Param{p.Table} }
 
-// ChannelEmbed adds a learned per-channel ID embedding [C,E] to channel
-// token stacks [B,C,T,E], broadcast over batch and spatial tokens. It is the
-// "channel ID token" of the paper's Fig. 1, and like PatchEmbed it may own
-// only a shard [ChLo,ChHi) of the global channel range with globally-seeded
-// rows.
+// ChannelEmbed is the learned per-channel ID embedding [C,E] added to channel
+// tokens, broadcast over batch and spatial tokens: the "channel ID token" of
+// the paper's Fig. 1. Like PatchEmbed it may own only a shard [ChLo,ChHi) of
+// the global channel range with globally-seeded rows. It has no pass of its
+// own: the tokenizer adds row c while it writes channel c's tokens and sums
+// its gradient while it reads theirs (PatchEmbed.Tokenize, BackwardFrom).
 type ChannelEmbed struct {
 	ChLo, ChHi int
 	Embed      int
 	Table      *Param // [localC, E]
-
-	b, t int
-
-	out  *tensor.Tensor // Forward output scratch
-	iout *tensor.Tensor // Infer output scratch
 }
 
 // NewChannelEmbed constructs an embedding over all channels [0, channels).
@@ -121,68 +117,21 @@ func NewChannelEmbedShard(name string, chLo, chHi, embed int, seed int64) *Chann
 	}
 }
 
-// LocalChannels returns the number of channels this shard owns.
-func (c *ChannelEmbed) LocalChannels() int { return c.ChHi - c.ChLo }
-
-// Forward adds the channel rows to x of shape [B, localC, T, E].
-func (c *ChannelEmbed) Forward(x *tensor.Tensor) *tensor.Tensor {
-	localC := c.LocalChannels()
-	if len(x.Shape) != 4 || x.Shape[1] != localC || x.Shape[3] != c.Embed {
-		panic(fmt.Sprintf("nn: ChannelEmbed.Forward want [B,%d,T,%d], got %v", localC, c.Embed, x.Shape))
+// row returns local channel ci's ID row; nil on a nil embedding, which
+// stands for "no channel IDs".
+func (c *ChannelEmbed) row(ci int) []float64 {
+	if c == nil {
+		return nil
 	}
-	c.b, c.t = x.Shape[0], x.Shape[2]
-	c.out = tensor.EnsureShape(c.out, x.Shape...)
-	return c.add(c.out, x)
+	return c.Table.W.Data[ci*c.Embed : (ci+1)*c.Embed]
 }
 
-// Infer adds the channel rows without recording the batch/token extents a
-// pending Backward depends on.
-func (c *ChannelEmbed) Infer(x *tensor.Tensor) *tensor.Tensor {
-	localC := c.LocalChannels()
-	if len(x.Shape) != 4 || x.Shape[1] != localC || x.Shape[3] != c.Embed {
-		panic(fmt.Sprintf("nn: ChannelEmbed.Infer want [B,%d,T,%d], got %v", localC, c.Embed, x.Shape))
+// gradRow is row over the table's gradient.
+func (c *ChannelEmbed) gradRow(ci int) []float64 {
+	if c == nil {
+		return nil
 	}
-	c.iout = tensor.EnsureShape(c.iout, x.Shape...)
-	return c.add(c.iout, x)
-}
-
-// add writes x plus the broadcast channel rows into out.
-//
-// dchag:hotpath — per-step embedding add; out is layer-owned scratch.
-func (c *ChannelEmbed) add(out, x *tensor.Tensor) *tensor.Tensor {
-	localC := c.LocalChannels()
-	b, t := x.Shape[0], x.Shape[2]
-	copy(out.Data, x.Data)
-	for bi := 0; bi < b; bi++ {
-		for ci := 0; ci < localC; ci++ {
-			row := c.Table.W.Data[ci*c.Embed : (ci+1)*c.Embed]
-			for ti := 0; ti < t; ti++ {
-				dst := out.Data[((bi*localC+ci)*t+ti)*c.Embed : ((bi*localC+ci)*t+ti+1)*c.Embed]
-				for i, v := range row {
-					dst[i] += v
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Backward accumulates per-channel row gradients (summed over batch and
-// tokens) and passes the gradient through unchanged.
-func (c *ChannelEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	localC := c.LocalChannels()
-	for bi := 0; bi < c.b; bi++ {
-		for ci := 0; ci < localC; ci++ {
-			dst := c.Table.Grad.Data[ci*c.Embed : (ci+1)*c.Embed]
-			for ti := 0; ti < c.t; ti++ {
-				src := grad.Data[((bi*localC+ci)*c.t+ti)*c.Embed : ((bi*localC+ci)*c.t+ti+1)*c.Embed]
-				for i, v := range src {
-					dst[i] += v
-				}
-			}
-		}
-	}
-	return grad
+	return c.Table.Grad.Data[ci*c.Embed : (ci+1)*c.Embed]
 }
 
 // Params returns the embedding table.

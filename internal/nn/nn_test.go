@@ -63,14 +63,22 @@ func TestChannelEmbedShardMatchesFullSlice(t *testing.T) {
 		seed     = 88
 	)
 	full := NewChannelEmbed("ch", channels, embed, seed)
+	fullTok := NewPatchEmbed("tok", channels, 4, 4, 2, embed, seed+1)
 	rng := tensor.NewRNG(6)
-	x := tensor.Randn(rng, 2, channels, 3, embed)
-	yFull := full.Forward(x)
+	x := tensor.Randn(rng, 2, channels, 4, 4)
+	yFull := tensor.New(2, channels, 4, embed)
+	fullTok.Tokenize(x, ChannelViews(nil, yFull), full, false)
+	plain := fullTok.Forward(x)
+	for i, v := range yFull.Data {
+		if want := plain.Data[i] + full.Table.W.Data[i/embed/4%channels*embed+i%embed]; v != want {
+			t.Fatalf("token value %d = %v, want tokenizer output plus the channel's row = %v", i, v, want)
+		}
+	}
 	shard := NewChannelEmbedShard("ch", 2, 4, embed, seed)
-	xs := tensor.SliceAxis(x, 1, 2, 4)
-	ys := shard.Forward(xs)
-	want := tensor.SliceAxis(yFull, 1, 2, 4)
-	if tensor.MaxAbsDiff(ys, want) > 1e-12 {
+	shardTok := NewPatchEmbedShard("tok", 2, 4, 4, 4, 2, embed, seed+1)
+	ys := tensor.New(2, 2, 4, embed)
+	shardTok.Tokenize(tensor.SliceAxis(x, 1, 2, 4), ChannelViews(nil, ys), shard, false)
+	if tensor.MaxAbsDiff(ys, tensor.SliceAxis(yFull, 1, 2, 4)) != 0 {
 		t.Fatal("channel-embed shard differs from full slice")
 	}
 }

@@ -28,37 +28,31 @@ type PatchEmbed struct {
 	cols []*tensor.Tensor // cached im2col matrices per local channel
 	b    int              // cached batch size
 
-	out  *tensor.Tensor // Forward output scratch
-	iout *tensor.Tensor // Infer output scratch
 	icol *tensor.Tensor // Infer im2col scratch (not cached for backward)
 	y    *tensor.Tensor // per-channel projection scratch
 	dy   *tensor.Tensor // per-channel gathered gradient scratch
 	dcol *tensor.Tensor // per-channel patch-gradient scratch
 	dimg *tensor.Tensor // Backward image-gradient scratch
 
+	// The channel-major entry points' own storage; never grown by a caller
+	// that brings its own views.
+	out, iout *tensor.Tensor
+	views     []TokenView
+
 	inferDType tensor.DType
 	pb32       []*tensor.PackedB32 // per-channel prepacked f32 weights
-	wviews     []*tensor.Tensor    // cached per-channel views of Weight.W
-	gviews     []*tensor.Tensor    // cached per-channel views of Weight.Grad
+	wv, gv     tensor.Tensor       // headers over one channel of Weight.W, Weight.Grad
 }
 
-// weightView returns the [P*P, E] view of local channel c's projection
-// weights, cached so hot paths do not rebuild tensor headers per call. The
-// cache is invalidated when Weight.W's backing array changes (e.g. after a
-// checkpoint load swaps the tensor).
-func (p *PatchEmbed) weightView(c int) *tensor.Tensor {
+// channelView points the layer-owned header hdr at local channel c's
+// [P*P, E] slice of t [localC, P*P, E] — the weights or their gradient — so
+// hot paths build no tensor header per call and none outlives a swap of t's
+// backing array (a checkpoint load).
+func (p *PatchEmbed) channelView(hdr, t *tensor.Tensor, c int) *tensor.Tensor {
 	pp := p.Patch * p.Patch
-	stale := len(p.wviews) != p.LocalChannels()
-	if !stale && p.wviews[c] != nil && &p.wviews[c].Data[0] != &p.Weight.W.Data[c*pp*p.Embed] {
-		stale = true
-	}
-	if stale {
-		p.wviews = make([]*tensor.Tensor, p.LocalChannels())
-	}
-	if p.wviews[c] == nil {
-		p.wviews[c] = tensor.FromSlice(p.Weight.W.Data[c*pp*p.Embed:(c+1)*pp*p.Embed], pp, p.Embed)
-	}
-	return p.wviews[c]
+	hdr.Data = t.Data[c*pp*p.Embed : (c+1)*pp*p.Embed]
+	hdr.Shape = append(hdr.Shape[:0], pp, p.Embed)
+	return hdr
 }
 
 // SetInferDType selects the arithmetic of the no-grad Infer path. F32
@@ -68,12 +62,9 @@ func (p *PatchEmbed) SetInferDType(dt tensor.DType) {
 	p.inferDType = dt
 	p.pb32 = nil
 	if dt == tensor.F32 {
-		localC := p.LocalChannels()
-		pp := p.Patch * p.Patch
-		p.pb32 = make([]*tensor.PackedB32, localC)
-		for c := 0; c < localC; c++ {
-			wc := tensor.FromSlice(p.Weight.W.Data[c*pp*p.Embed:(c+1)*pp*p.Embed], pp, p.Embed)
-			p.pb32[c] = tensor.PackB32(wc)
+		p.pb32 = make([]*tensor.PackedB32, p.LocalChannels())
+		for c := range p.pb32 {
+			p.pb32[c] = tensor.PackB32(p.channelView(&p.wv, p.Weight.W, c))
 		}
 	}
 }
@@ -115,73 +106,119 @@ func (p *PatchEmbed) LocalChannels() int { return p.ChHi - p.ChLo }
 // Tokens returns the number of spatial tokens per channel.
 func (p *PatchEmbed) Tokens() int { return (p.ImgH / p.Patch) * (p.ImgW / p.Patch) }
 
+// TokenView locates one channel's tokens [B, T, E] inside a larger buffer: the
+// E values of sample b's token t start at Data[b*BatchStride+t*TokenStride].
+// It is how the tokenizer writes each channel straight into the layout its
+// consumer reads, and reads each channel's gradient from where its producer
+// left it (DESIGN.md "Channel stage: one token layout").
+type TokenView struct {
+	Data                     []float64
+	BatchStride, TokenStride int
+}
+
+// ChannelViews appends the view of every channel of the channel-major token
+// tensor x [B, C, T, E] to dst.
+func ChannelViews(dst []TokenView, x *tensor.Tensor) []TokenView {
+	c, t, e := x.Shape[1], x.Shape[2], x.Shape[3]
+	for ci := 0; ci < c; ci++ {
+		dst = append(dst, TokenView{Data: x.Data[ci*t*e:], BatchStride: c * t * e, TokenStride: e})
+	}
+	return dst
+}
+
 // Forward tokenizes x of shape [B, localC, H, W] into [B, localC, T, E].
 // The channel dimension of x must already be this shard's local slice.
 func (p *PatchEmbed) Forward(x *tensor.Tensor) *tensor.Tensor {
-	localC := p.LocalChannels()
-	if len(x.Shape) != 4 || x.Shape[1] != localC || x.Shape[2] != p.ImgH || x.Shape[3] != p.ImgW {
-		panic(fmt.Sprintf("nn: PatchEmbed.Forward want [B,%d,%d,%d], got %v", localC, p.ImgH, p.ImgW, x.Shape))
-	}
-	b := x.Shape[0]
-	p.b = b
-	if len(p.cols) != localC {
-		p.cols = make([]*tensor.Tensor, localC)
-	}
-	p.out = tensor.EnsureShape(p.out, b, localC, p.Tokens(), p.Embed)
-	for c := 0; c < localC; c++ {
-		// The per-channel im2col caches are layer-owned and rebuilt in
-		// place each step.
-		p.cols[c] = tensor.EnsureShape(p.cols[c], b*p.Tokens(), p.Patch*p.Patch)
-		p.im2col(p.cols[c], x, c)
-		p.project(p.cols[c], c, p.out, false)
-	}
+	p.out = tensor.EnsureShape(p.out, x.Shape[0], p.LocalChannels(), p.Tokens(), p.Embed)
+	p.views = ChannelViews(p.views[:0], p.out)
+	p.Tokenize(x, p.views, nil, false)
 	return p.out
 }
 
 // Infer tokenizes without caching the im2col matrices for backward — the
 // dominant activation cost of the tokenizer.
 func (p *PatchEmbed) Infer(x *tensor.Tensor) *tensor.Tensor {
-	localC := p.LocalChannels()
-	if len(x.Shape) != 4 || x.Shape[1] != localC || x.Shape[2] != p.ImgH || x.Shape[3] != p.ImgW {
-		panic(fmt.Sprintf("nn: PatchEmbed.Infer want [B,%d,%d,%d], got %v", localC, p.ImgH, p.ImgW, x.Shape))
-	}
-	b := x.Shape[0]
-	p.iout = tensor.EnsureShape(p.iout, b, localC, p.Tokens(), p.Embed)
-	p.icol = tensor.EnsureShape(p.icol, b*p.Tokens(), p.Patch*p.Patch)
-	for c := 0; c < localC; c++ {
-		p.im2col(p.icol, x, c)
-		p.project(p.icol, c, p.iout, true)
-	}
+	p.iout = tensor.EnsureShape(p.iout, x.Shape[0], p.LocalChannels(), p.Tokens(), p.Embed)
+	p.views = ChannelViews(p.views[:0], p.iout)
+	p.Tokenize(x, p.views, nil, true)
 	return p.iout
 }
 
-// project tokenizes local channel c's im2col matrix col into out
-// [B, localC, T, E]. With infer it dispatches on the inference dtype.
+// Tokenize is the one body behind every tokenizing entry point. It tokenizes
+// x [B, localC, H, W], writing local channel c's tokens through dst[c] as
+// (patches@W_c + b_c) + ids.Table[c]; a nil ids adds no channel-ID row. With
+// infer it keeps nothing for a Backward and runs in the arithmetic
+// SetInferDType selected. Forward and Infer are Tokenize on channel-major
+// views of a tensor the layer owns.
+func (p *PatchEmbed) Tokenize(x *tensor.Tensor, dst []TokenView, ids *ChannelEmbed, infer bool) {
+	localC := p.LocalChannels()
+	if len(x.Shape) != 4 || x.Shape[1] != localC || x.Shape[2] != p.ImgH || x.Shape[3] != p.ImgW {
+		panic(fmt.Sprintf("nn: PatchEmbed.Tokenize want [B,%d,%d,%d], got %v", localC, p.ImgH, p.ImgW, x.Shape))
+	}
+	p.mustCover(dst, ids)
+	b, rows := x.Shape[0], x.Shape[0]*p.Tokens()
+	var col *tensor.Tensor
+	if infer {
+		p.icol = tensor.EnsureShape(p.icol, rows, p.Patch*p.Patch)
+		col = p.icol
+	} else {
+		p.b = b
+		if len(p.cols) != localC {
+			p.cols = make([]*tensor.Tensor, localC)
+		}
+	}
+	p.y = tensor.EnsureShape(p.y, rows, p.Embed)
+	for c := 0; c < localC; c++ {
+		if !infer {
+			// The per-channel im2col caches are layer-owned and rebuilt in
+			// place each step.
+			p.cols[c] = tensor.EnsureShape(p.cols[c], rows, p.Patch*p.Patch)
+			col = p.cols[c]
+		}
+		p.im2col(col, x, c)
+		p.project(col, c, b, dst[c], ids.row(c), infer)
+	}
+}
+
+// mustCover checks that a pass was handed one view per local channel and a
+// channel-ID table over the same shard.
+func (p *PatchEmbed) mustCover(views []TokenView, ids *ChannelEmbed) {
+	if len(views) != p.LocalChannels() || (ids != nil && (ids.ChLo != p.ChLo || ids.ChHi != p.ChHi || ids.Embed != p.Embed)) {
+		panic(fmt.Sprintf("nn: PatchEmbed over channels [%d,%d) needs as many token views and channel IDs over the same shard, got %d views", p.ChLo, p.ChHi, len(views)))
+	}
+}
+
+// project tokenizes local channel c's im2col matrix col through dst: the
+// product lands in the per-channel scratch y, and one pass adds the bias,
+// then the channel-ID row id (when there is one), on the way to where the
+// token lives — each value is written to the channel-token tensor once.
+// With infer it dispatches on the inference dtype.
 //
 // dchag:hotpath — the per-channel projection of the tokenizer; scratch is
 // layer-owned.
-func (p *PatchEmbed) project(col *tensor.Tensor, c int, out *tensor.Tensor, infer bool) {
-	localC := p.LocalChannels()
-	t := p.Tokens()
-	b := out.Shape[0]
-	p.y = tensor.EnsureShape(p.y, b*t, p.Embed)
+func (p *PatchEmbed) project(col *tensor.Tensor, c, b int, dst TokenView, id []float64, infer bool) {
 	if infer && p.inferDType == tensor.F32 && p.pb32 != nil {
 		tensor.MatMulPackedF32Into(p.y, col, p.pb32[c])
 	} else {
-		tensor.MatMulInto(p.y, col, p.weightView(c))
+		tensor.MatMulInto(p.y, col, p.channelView(&p.wv, p.Weight.W, c))
 	}
-	bias := p.Bias.W.Data[c*p.Embed : (c+1)*p.Embed]
-	for r := 0; r < b*t; r++ {
-		row := p.y.Data[r*p.Embed : (r+1)*p.Embed]
-		for j, bv := range bias {
-			row[j] += bv
-		}
-	}
-	// Scatter rows into [B, c, T, E].
+	t, e := p.Tokens(), p.Embed
+	bias := p.Bias.W.Data[c*e:][:e] // every slice the inner loops index has the one provable length e
 	for bi := 0; bi < b; bi++ {
-		src := p.y.Data[bi*t*p.Embed : (bi+1)*t*p.Embed]
-		dst := out.Data[((bi*localC+c)*t)*p.Embed : ((bi*localC+c)*t+t)*p.Embed]
-		copy(dst, src)
+		for ti := 0; ti < t; ti++ {
+			src := p.y.Data[(bi*t+ti)*e:][:e]
+			out := dst.Data[bi*dst.BatchStride+ti*dst.TokenStride:][:e]
+			if id == nil {
+				for j, v := range src {
+					out[j] = v + bias[j]
+				}
+				continue
+			}
+			id := id[:e]
+			for j, v := range src {
+				out[j] = (v + bias[j]) + id[j]
+			}
+		}
 	}
 }
 
@@ -189,70 +226,64 @@ func (p *PatchEmbed) project(col *tensor.Tensor, c int, out *tensor.Tensor, infe
 // bias gradients, and returns the gradient with respect to the input image
 // shard [B, localC, H, W].
 func (p *PatchEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	localC := p.LocalChannels()
-	t := p.Tokens()
-	if p.cols == nil {
-		panic("nn: PatchEmbed.Backward before Forward")
-	}
+	localC, t := p.LocalChannels(), p.Tokens()
 	if len(grad.Shape) != 4 || grad.Shape[0] != p.b || grad.Shape[1] != localC || grad.Shape[2] != t || grad.Shape[3] != p.Embed {
 		panic(fmt.Sprintf("nn: PatchEmbed.Backward want [%d,%d,%d,%d], got %v", p.b, localC, t, p.Embed, grad.Shape))
 	}
-	b := p.b
-	pp := p.Patch * p.Patch
-	p.dimg = tensor.EnsureShape(p.dimg, b, localC, p.ImgH, p.ImgW)
-	p.dy = tensor.EnsureShape(p.dy, b*t, p.Embed)
-	p.dcol = tensor.EnsureShape(p.dcol, b*t, pp)
-	for c := 0; c < localC; c++ {
-		p.backwardChannel(grad, c)
+	p.views = ChannelViews(p.views[:0], grad)
+	return p.BackwardFrom(p.views, nil)
+}
+
+// BackwardFrom is Backward reading local channel c's token gradient through
+// src[c], for the batch the last training Tokenize saw. With ids it also
+// accumulates the channel-ID table's gradient — the same column sums as the
+// bias gradient, from the same read.
+func (p *PatchEmbed) BackwardFrom(src []TokenView, ids *ChannelEmbed) *tensor.Tensor {
+	if p.cols == nil {
+		panic("nn: PatchEmbed.Backward before Forward")
+	}
+	p.mustCover(src, ids)
+	rows := p.b * p.Tokens()
+	p.dimg = tensor.EnsureShape(p.dimg, p.b, p.LocalChannels(), p.ImgH, p.ImgW)
+	p.dy = tensor.EnsureShape(p.dy, rows, p.Embed)
+	p.dcol = tensor.EnsureShape(p.dcol, rows, p.Patch*p.Patch)
+	for c := range src {
+		p.backwardChannel(src[c], c, ids.gradRow(c))
 	}
 	return p.dimg
 }
 
-// backwardChannel accumulates channel c's weight and bias gradients and
-// scatters its patch gradient into the image-gradient scratch.
+// backwardChannel accumulates channel c's weight, bias and (with idGrad)
+// channel-ID gradients and scatters its patch gradient into the
+// image-gradient scratch.
 //
 // dchag:hotpath — per-channel tokenizer backward; dW accumulates directly
 // into the sliced gradient with no intermediate product tensor.
-func (p *PatchEmbed) backwardChannel(grad *tensor.Tensor, c int) {
-	localC := p.LocalChannels()
-	t := p.Tokens()
-	b := p.b
-	// Gather dY_c: [B*T, E].
-	for bi := 0; bi < b; bi++ {
-		src := grad.Data[((bi*localC+c)*t)*p.Embed : ((bi*localC+c)*t+t)*p.Embed]
-		copy(p.dy.Data[bi*t*p.Embed:(bi+1)*t*p.Embed], src)
-	}
-	// dW_c += col^T @ dY, accumulated straight into the gradient slice.
-	gview := p.gradView(c)
-	tensor.TMatMulAccInto(gview, p.cols[c], p.dy)
-	// dBias_c += column sums of dY.
-	bg := p.Bias.Grad.Data[c*p.Embed : (c+1)*p.Embed]
-	for r := 0; r < b*t; r++ {
-		row := p.dy.Data[r*p.Embed : (r+1)*p.Embed]
-		for j, v := range row {
-			bg[j] += v
+func (p *PatchEmbed) backwardChannel(src TokenView, c int, idGrad []float64) {
+	t, e := p.Tokens(), p.Embed
+	// Gather dY_c [B*T, E] from where it lives, summing its columns into the
+	// bias and channel-ID gradients in row order on the way.
+	bg := p.Bias.Grad.Data[c*e:][:e]
+	for bi := 0; bi < p.b; bi++ {
+		for ti := 0; ti < t; ti++ {
+			row := p.dy.Data[(bi*t+ti)*e:][:e]
+			copy(row, src.Data[bi*src.BatchStride+ti*src.TokenStride:][:e])
+			for j, v := range row {
+				bg[j] += v
+			}
+			if idGrad != nil {
+				ig := idGrad[:e]
+				for j, v := range row {
+					ig[j] += v
+				}
+			}
 		}
 	}
+	// dW_c += col^T @ dY, accumulated straight into the gradient slice.
+	tensor.TMatMulAccInto(p.channelView(&p.gv, p.Weight.Grad, c), p.cols[c], p.dy)
 	// dCol = dY @ W_c^T, then col2im back onto the image gradient.
-	tensor.MatMulTInto(p.dcol, p.dy, p.weightView(c)) // [B*T, P*P]
+	tensor.MatMulTInto(p.dcol, p.dy, p.channelView(&p.wv, p.Weight.W, c)) // [B*T, P*P]
 	p.col2im(p.dcol, p.dimg, c)
-}
-
-// gradView returns the [P*P, E] view of local channel c's weight-gradient
-// slice, cached alongside the weight views.
-func (p *PatchEmbed) gradView(c int) *tensor.Tensor {
-	pp := p.Patch * p.Patch
-	stale := len(p.gviews) != p.LocalChannels()
-	if !stale && p.gviews[c] != nil && &p.gviews[c].Data[0] != &p.Weight.Grad.Data[c*pp*p.Embed] {
-		stale = true
-	}
-	if stale {
-		p.gviews = make([]*tensor.Tensor, p.LocalChannels())
-	}
-	if p.gviews[c] == nil {
-		p.gviews[c] = tensor.FromSlice(p.Weight.Grad.Data[c*pp*p.Embed:(c+1)*pp*p.Embed], pp, p.Embed)
-	}
-	return p.gviews[c]
 }
 
 // im2col extracts the [B*T, P*P] patch matrix for local channel c into col.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -23,35 +24,73 @@ import (
 // happens only on the miss path.
 
 // fingerprint is a 128-bit content address for a request against one
-// model instance. Two independent FNV-1a-style lanes with different odd
-// multipliers keep the lanes decorrelated (two FNV runs differing only in
-// offset basis collide together, so the second lane uses a distinct
-// multiplier, not just a distinct seed).
+// model instance. It is a fast mixing hash, not a cryptographic one: the
+// cache trusts its callers not to construct collisions.
 type fingerprint struct {
 	hi, lo uint64
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-	// Golden-ratio odd multiplier for the second lane (splitmix64's
-	// increment constant) — coprime to 2^64 and unrelated to the FNV prime.
-	goldenMult64 = 0x9E3779B97F4A7C15
-	goldenSeed64 = 0x8E5D5D5D27D3C713
-)
-
-// digest accumulates the two fingerprint lanes 64 bits at a time.
+// digest accumulates a fingerprint one 64-bit word at a time over four
+// independent lanes, so that the multiplies of consecutive words pipeline
+// instead of waiting on one another. Word k goes to lane k mod 4 as
+// lane = rotl((lane ^ word) * mult, 31): a bijection of the lane for a fixed
+// word and of the word for a fixed lane, so two inputs that differ in one
+// word leave that lane — and, through sum's bijective fold, both output
+// halves — different, and order within a lane matters.
 type digest struct {
-	hi, lo uint64
+	lane [4]uint64
+	n    uint64 // words absorbed
 }
 
+// laneMult holds the lanes' odd multipliers (the xxHash64 primes), which are
+// also their seeds. Distinct multipliers make the lanes different functions,
+// so two words that trade lanes do not trade effects.
+var laneMult = [4]uint64{0x9E3779B185EBCA87, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x85EBCA77C2B2AE63}
+
+func absorb(lane, v, mult uint64) uint64 { return bits.RotateLeft64((lane^v)*mult, 31) }
+
 func (d *digest) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		b := v & 0xff
-		d.lo = (d.lo ^ b) * fnvPrime64
-		d.hi = (d.hi ^ b) * goldenMult64
-		v >>= 8
+	i := d.n % 4
+	d.lane[i] = absorb(d.lane[i], v, laneMult[i])
+	d.n++
+}
+
+// floats absorbs every value's bits exactly as word would one at a time;
+// whole blocks of four run with the lanes in registers.
+//
+// dchag:hotpath — the whole input of every request passes through here.
+func (d *digest) floats(data []float64) {
+	for ; d.n%4 != 0 && len(data) > 0; data = data[1:] {
+		d.word(math.Float64bits(data[0]))
 	}
+	l0, l1, l2, l3 := d.lane[0], d.lane[1], d.lane[2], d.lane[3]
+	for ; len(data) >= 4; data = data[4:] {
+		l0 = absorb(l0, math.Float64bits(data[0]), laneMult[0])
+		l1 = absorb(l1, math.Float64bits(data[1]), laneMult[1])
+		l2 = absorb(l2, math.Float64bits(data[2]), laneMult[2])
+		l3 = absorb(l3, math.Float64bits(data[3]), laneMult[3])
+		d.n += 4
+	}
+	d.lane = [4]uint64{l0, l1, l2, l3}
+	for _, v := range data {
+		d.word(math.Float64bits(v))
+	}
+}
+
+// sum folds the lanes and the word count into the two output halves, each
+// through its own combination of all four lanes and a bijective finalizer
+// (murmur3's fmix64), so a change confined to one lane changes both.
+func (d *digest) sum() fingerprint {
+	l, m := d.lane, laneMult
+	lo := l[0] ^ bits.RotateLeft64(l[1], 16) ^ bits.RotateLeft64(l[2], 32) ^ bits.RotateLeft64(l[3], 48) ^ d.n*m[0]
+	hi := l[0]*m[1] + l[1]*m[2] + l[2]*m[3] + l[3]*m[0] + d.n
+	return fingerprint{hi: fmix64(hi), lo: fmix64(lo)}
+}
+
+func fmix64(x uint64) uint64 {
+	x = (x ^ x>>33) * 0xFF51AFD7ED558CCD
+	x = (x ^ x>>33) * 0xC4CEB9FE1A85EC53
+	return x ^ x>>33
 }
 
 // fingerprintOf addresses req's response content: the serving instance
@@ -61,7 +100,7 @@ func (d *digest) word(v uint64) {
 //
 // dchag:hotpath — runs per request in front of the queue; must not allocate.
 func fingerprintOf(instID int64, dt tensor.DType, req *Request) fingerprint {
-	d := digest{hi: goldenSeed64, lo: fnvOffset64}
+	d := digest{lane: laneMult}
 	d.word(uint64(instID))
 	d.word(uint64(dt))
 	d.word(uint64(len(req.Input.Shape)))
@@ -75,10 +114,8 @@ func fingerprintOf(instID int64, dt tensor.DType, req *Request) fingerprint {
 	for _, c := range req.Channels {
 		d.word(uint64(c))
 	}
-	for _, v := range req.Input.Data {
-		d.word(math.Float64bits(v))
-	}
-	return fingerprint{hi: d.hi, lo: d.lo}
+	d.floats(req.Input.Data)
+	return d.sum()
 }
 
 // waiter is one coalesced request parked on an in-flight forward.

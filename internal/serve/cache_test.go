@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -136,6 +137,67 @@ func TestCacheFingerprintDistinct(t *testing.T) {
 	}
 }
 
+// TestFingerprintSeparatesNearInputs pins the digest's structure on inputs
+// that differ as little as inputs can: one flipped bit in any single word,
+// two words swapped within a lane and across adjacent lanes, the two zeros,
+// two NaN payloads, the same data under permuted dimensions, a nil channel
+// list against the explicit full one, and every tail length around the
+// four-word block. The bulk path must agree with absorbing word by word.
+func TestFingerprintSeparatesNearInputs(t *testing.T) {
+	fp := func(r *Request) fingerprint { return fingerprintOf(1, tensor.F64, r) }
+	base := tensor.Randn(tensor.NewRNG(7), 2, 3, 4)
+	want := fp(&Request{Input: base})
+	seen := map[fingerprint]string{want: "base"}
+	distinct := func(name string, r *Request) {
+		t.Helper()
+		got := fp(r)
+		if prev, dup := seen[got]; dup {
+			t.Errorf("%s fingerprints identically to %s", name, prev)
+		}
+		seen[got] = name
+	}
+	for i := range base.Data {
+		for _, bit := range []uint{0, 31, 52, 63} {
+			x := base.Clone()
+			x.Data[i] = math.Float64frombits(math.Float64bits(x.Data[i]) ^ 1<<bit)
+			distinct(fmt.Sprintf("word %d bit %d flipped", i, bit), &Request{Input: x})
+		}
+	}
+	for _, pair := range [][2]int{{0, 4}, {5, 13}, {0, 1}, {6, 7}, {3, 4}} {
+		x := base.Clone()
+		x.Data[pair[0]], x.Data[pair[1]] = x.Data[pair[1]], x.Data[pair[0]]
+		distinct(fmt.Sprintf("words %v swapped", pair), &Request{Input: x})
+	}
+	for name, v := range map[string]float64{
+		"+0": 0, "-0": math.Copysign(0, -1),
+		"NaN payload 1": math.Float64frombits(0x7FF8000000000001),
+		"NaN payload 2": math.Float64frombits(0x7FF8000000000002),
+	} {
+		x := base.Clone()
+		x.Data[9] = v
+		distinct(name, &Request{Input: x})
+	}
+	distinct("dimensions [4,3,2]", &Request{Input: base.Reshape(4, 3, 2)})
+	distinct("explicit full channel list", &Request{Input: base, Channels: []int{0, 1}})
+	for n := 1; n <= 11; n++ {
+		distinct(fmt.Sprintf("%d values", n), &Request{Input: tensor.FromSlice(base.Data[:n], 1, 1, n)})
+	}
+
+	slow := digest{lane: laneMult}
+	for _, w := range []uint64{1, uint64(tensor.F64), 3, 2, 3, 4, 0} {
+		slow.word(w)
+	}
+	for _, v := range base.Data {
+		slow.word(math.Float64bits(v))
+	}
+	if slow.sum() != want {
+		t.Error("the block loop and word-by-word absorption disagree")
+	}
+	if n := testing.AllocsPerRun(100, func() { fp(&Request{Input: base}) }); n != 0 {
+		t.Errorf("fingerprintOf allocates %.1f times per call", n)
+	}
+}
+
 func seqInts(n int) []int {
 	s := make([]int, n)
 	for i := range s {
@@ -244,4 +306,18 @@ func TestCacheEvictionUnderLoad(t *testing.T) {
 	if n := e.cache.len(); n == 0 {
 		t.Fatal("cache empty after 64 distinct requests")
 	}
+}
+
+// BenchmarkFingerprint hashes the benchmark workloads' request (80 channels
+// of 16x16) — the work every Submit does on the submitter's goroutine when
+// the cache is on.
+func BenchmarkFingerprint(b *testing.B) {
+	req := &Request{Input: tensor.Randn(tensor.NewRNG(1), 80, 16, 16)}
+	b.SetBytes(int64(8 * len(req.Input.Data)))
+	b.ReportAllocs()
+	var sink fingerprint
+	for i := 0; i < b.N; i++ {
+		sink = fingerprintOf(1, tensor.F32, req)
+	}
+	_ = sink
 }

@@ -351,6 +351,9 @@ func (e *Engine) validateRequest(req *Request) error {
 		return fmt.Errorf("serve: input must be [c,h,w], got %v", req.Input.Shape)
 	}
 	c := req.Input.Shape[0]
+	if want := c * req.Input.Shape[1] * req.Input.Shape[2]; len(req.Input.Data) != want {
+		return fmt.Errorf("serve: input holds %d values, shape %v wants %d", len(req.Input.Data), req.Input.Shape, want)
+	}
 	if req.Channels == nil {
 		if c != a.Channels {
 			return fmt.Errorf("serve: input has %d channels, model wants %d (name a subset via Channels)", c, a.Channels)

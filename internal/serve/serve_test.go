@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -293,6 +294,31 @@ func TestRequestValidation(t *testing.T) {
 		if _, err := e.Submit(req); err == nil {
 			t.Fatalf("bad request %d admitted", i)
 		}
+	}
+}
+
+// TestShortInputRejected pins the fix for a process-killing input: a tensor
+// literal holding fewer values than its shape claims used to pass admission
+// and panic in batch assembly on the batcher goroutine. It must be refused
+// by Submit and Do with both counts named, and the engine must keep serving.
+func TestShortInputRejected(t *testing.T) {
+	a := testArch()
+	e := startTest(t, Config{Ranks: 1, Replicas: 1, MaxBatch: 1, CacheBytes: 1 << 20}, FromArch(a))
+	short := &Request{Input: &tensor.Tensor{Data: make([]float64, 5), Shape: []int{a.Channels, a.ImgH, a.ImgW}}}
+	want := fmt.Sprint(a.Channels * a.ImgH * a.ImgW)
+	if _, err := e.Submit(short); err == nil || !strings.Contains(err.Error(), "5 values") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Submit of a 5-value input for shape %v: err = %v", short.Input.Shape, err)
+	}
+	if _, err := e.Do(context.Background(), short); err == nil {
+		t.Fatal("Do admitted a short input")
+	}
+	x := testInput(a, 9, a.ImgH, a.ImgW)
+	resp, err := e.Do(context.Background(), &Request{Input: x})
+	if err != nil {
+		t.Fatalf("engine stopped serving after a refused request: %v", err)
+	}
+	if d := tensor.MaxAbsDiff(resp.Output, reference(t, a, x)); d != 0 {
+		t.Fatalf("response after a refused request differs from direct inference by %g", d)
 	}
 }
 

@@ -36,9 +36,9 @@ func stageKind(m *model.FoundationModel) string {
 func modelPartitions(m *model.FoundationModel) int {
 	switch s := m.Stage.(type) {
 	case *model.DCHAGStage:
-		return s.D.Partitions
+		return s.Partitions
 	case *model.ReferenceStage:
-		return s.R.P
+		return s.P
 	default:
 		return 1
 	}
