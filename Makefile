@@ -33,10 +33,11 @@ bench-serve:
 	$(GO) run ./cmd/dchag-serve -bench -json BENCH_serve.json
 
 # bench-compute regenerates the measured compute-substrate point
-# (BENCH_compute.json, schema dchag-bench/compute/v5: naive vs blocked f64
+# (BENCH_compute.json, schema dchag-bench/compute/v6: naive vs blocked f64
 # vs prepacked f32 GEMM at square sizes and at the product shapes the D-CHAG
-# workloads issue, GFLOP/s and steady-state allocs/op, whole cross-attention
-# channel aggregations, forward and backward, softmax and GELU on the
+# workloads issue, GFLOP/s, elements packed per product and steady-state
+# allocs/op, whole cross-attention channel aggregations, forward and
+# backward, softmax and GELU on the
 # vector exp kernel next to their libm loops, ns/element, and the whole
 # serial channel stage next to its channel-major composition, ns and
 # scratch bytes) and re-parses it through the tier-1 artifact gate. Wall-clock like the serving point,

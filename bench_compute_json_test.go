@@ -9,13 +9,14 @@ import (
 )
 
 // TestComputeJSONArtifact validates the committed compute-substrate
-// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v5,
+// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v6,
 // written by `dchag-bench -compute`). The artifact is a wall-clock
 // measurement, so this test gates on its schema and qualitative claims: the
 // blocked driver at least matches the naive kernel everywhere, the speedup
 // gates (blocked >= 2x naive, f32 >= 1.5x blocked f64 at the largest size)
 // hold where the SIMD micro-kernels ran, every product shape the D-CHAG
-// workloads issue beats the naive loop there too, softmax and GELU run at
+// workloads issue beats the naive loop there too, no float64 shape whose B
+// is not transposed moves an element through pack, softmax and GELU run at
 // least twice as fast as the math.Exp / math.Tanh loops they replaced there
 // too, every point, shape, aggregator, elementwise routine and channel stage
 // was measured allocation-free in steady state, the pooled channel
@@ -70,7 +71,7 @@ func TestComputeJSONArtifact(t *testing.T) {
 	if len(shapes) == 0 {
 		t.Fatal("artifact carries no D-CHAG shape points")
 	}
-	for _, key := range []string{"name", "op", "batch", "m", "k", "n", "strided",
+	for _, key := range []string{"name", "op", "batch", "m", "k", "n", "strided", "packed_elems",
 		"naive_gflops", "gflops", "speedup", "allocs_per_op"} {
 		if _, ok := shapes[0].(map[string]any)[key]; !ok {
 			t.Fatalf("shape point missing key %q", key)
@@ -141,6 +142,18 @@ func TestComputeJSONArtifact(t *testing.T) {
 		}
 		if sp.AllocsPerOp != 0 {
 			t.Fatalf("shape %s allocated %.2f times per op in steady state", sp.Name, sp.AllocsPerOp)
+		}
+		// The kernel reads float64 operands where they lie: at these
+		// tile-aligned shapes only a transposed B has to move.
+		switch sp.Op {
+		case "MatMulInto", "TMatMulAccInto", "BatchedMatMulInto", "BatchedTMatMulInto":
+			if sp.PackedElems != 0 {
+				t.Fatalf("shape %s (%s): packs %d elements per product, want 0", sp.Name, sp.Op, sp.PackedElems)
+			}
+		default:
+			if sp.PackedElems <= 0 {
+				t.Fatalf("shape %s (%s): a transposed or narrowed operand cannot pack %d elements", sp.Name, sp.Op, sp.PackedElems)
+			}
 		}
 	}
 	sawG16 := false

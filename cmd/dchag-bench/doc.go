@@ -77,20 +77,23 @@
 // Additive fields may appear within v2; readers must ignore unknown keys.
 // Field removals or meaning changes bump the schema string.
 //
-// # JSON schema (dchag-bench/compute/v5)
+// # JSON schema (dchag-bench/compute/v6)
 //
 // The -compute flag writes one experiments.ComputeReport object — the
 // single-node compute-substrate point of the perf trajectory (CI commits it
 // as BENCH_compute.json). Each point is one square GEMM size measured three
-// ways: the pre-blocking naive kernel (tensor.MatMulNaiveInto), the packed
+// ways: the pre-blocking naive kernel (tensor.MatMulNaiveInto), the blocked
 // register-tiled float64 driver (tensor.MatMulInto), and the float32 kernel
 // against prepacked weight panels (tensor.MatMulPackedF32Into — the serving
-// configuration, so packing stays off the measured path). Each shape is one
+// configuration, so packing B stays off the measured path). Each shape is one
 // product the D-CHAG workloads actually issue — the E x E projections over
 // N*g rows and their two backward products, the per-head attention products
-// of the channel aggregation, the final aggregation and a ViT block, and
-// the float32 twins serving runs — through the entry point the model calls,
-// next to the scalar ikj loop on contiguous operands of the same extents.
+// of the channel aggregation, the final aggregation and a ViT block, a
+// tensor-parallel MLP shard, and the float32 twins serving runs, the
+// tokenizer's product among them — through the entry point the model calls,
+// next to the scalar ikj loop on contiguous operands of the same extents,
+// with the number of operand elements the driver copies into panels for it
+// (DESIGN.md "Compute substrate": everything else is read where it lies).
 // Each aggregator is one whole core.CrossAttnAggregator at a shape the
 // workloads run, Forward and Backward timed separately, with the
 // multiply-accumulates per location of the pooled formulation it executes
@@ -107,7 +110,7 @@
 // "Channel stage: one token layout"):
 //
 //	{
-//	  "schema": "dchag-bench/compute/v5", // bump on breaking change
+//	  "schema": "dchag-bench/compute/v6", // bump on breaking change
 //	  "simd": true,                       // AVX2+FMA kernels active
 //	  "maxprocs": 1,                      // GOMAXPROCS during measurement
 //	  "sizes": [64, 128, 256, 512],
@@ -129,9 +132,11 @@
 //	      "op": "BatchedMatMulTInto",     // the tensor entry point measured
 //	      "batch": 512, "m": 16, "k": 8, "n": 16, // 2*batch*m*k*n FLOPs per call
 //	      "strided": true,                // heads read in place (tensor.HeadView)
+//	      "packed_elems": 128,            // elements pack moves per product (here B^T, 16 x 8);
+//	                                      // gate: 0 for every f64 shape whose B is not transposed
 //	      "naive_gflops": 2.5,            // scalar ikj loop, contiguous operands
-//	      "gflops": 12.6,
-//	      "speedup": 5.0,                 // gflops / naive_gflops
+//	      "gflops": 15.6,                 // both from the fastest call, timed alternately
+//	      "speedup": 6.2,                 // gflops / naive_gflops
 //	      "allocs_per_op": 0              // steady state
 //	    }, ...
 //	  ],
@@ -185,13 +190,14 @@
 // beats the naive loop and every elementwise routine runs at least twice
 // as fast as its libm loop where "simd" is true, every point, shape,
 // aggregator, elementwise routine and channel stage ran allocation-free,
-// pooled MACs are at most 0.75 x unpooled at group 16, and every channel
+// no float64 shape with an untransposed B packs anything, pooled MACs are at
+// most 0.75 x unpooled at group 16, and every channel
 // stage holds at most 0.4 x the chained composition's scratch bytes and is
 // no slower than it (over its three passes; each pass within 5 %) — not on
 // exact rates or times. v2 added "shapes", v3 "aggregators", v4
-// "elementwise", v5 "channel_stage"; there is no reader for an earlier
-// version. Additive fields may appear within v5; readers must ignore unknown
-// keys.
+// "elementwise", v5 "channel_stage", v6 "packed_elems" on every shape and
+// two more shapes; there is no reader for an earlier version. Additive fields
+// may appear within v6; readers must ignore unknown keys.
 //
 // # JSON schema (dchag-bench/trace/v1)
 //

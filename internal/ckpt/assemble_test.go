@@ -112,3 +112,32 @@ func TestAssembleEmpty(t *testing.T) {
 		t.Fatal("want error for empty tree set")
 	}
 }
+
+// TestShardRankMismatchIsAnError pins that a decoded leaf whose slice shape
+// and full-shape annotation differ in rank is reported, naming both shapes,
+// by Leaf.validate and by Open on a directory holding such a shard — the
+// path dchag-serve's hot swap takes on whatever WatchLatest finds. It used
+// to index the shorter shape out of range.
+func TestShardRankMismatchIsAnError(t *testing.T) {
+	bad := Leaf{
+		Name: "w", Logical: "w", Axis: 0, FullShape: []int{4, 2}, Lo: 0, Hi: 4,
+		Shape: []int{4}, Values: make([]float64, 4),
+	}
+	wantNames := func(err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "[4]") || !strings.Contains(err.Error(), "[4 2]") {
+			t.Fatalf("err = %v, want both shapes named", err)
+		}
+	}
+	wantNames(bad.validate())
+
+	dir := t.TempDir()
+	if err := WriteShard(dir, 0, Tree{Leaves: []Leaf{bad}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteManifest(dir, Manifest{World: 1}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir)
+	wantNames(err)
+}

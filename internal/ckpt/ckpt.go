@@ -164,6 +164,9 @@ func (l Leaf) validate() error {
 	if !l.sharded() {
 		return nil
 	}
+	if len(l.Shape) != len(l.FullShape) {
+		return fmt.Errorf("ckpt: leaf %q shape %v and full shape %v differ in rank", l.Name, l.Shape, l.FullShape)
+	}
 	if l.Axis < 0 || l.Axis >= len(l.FullShape) {
 		return fmt.Errorf("ckpt: leaf %q shard axis %d out of range for %v", l.Name, l.Axis, l.FullShape)
 	}

@@ -131,8 +131,9 @@ func measureChannelStages(cfg ComputeBenchConfig) []ChannelStagePoint {
 // cfg.Trials*cfg.MinTime has passed, and returns the nanoseconds of each
 // one's fastest call. The two see the same host in the same moments and a
 // call the host disturbed is simply not the fastest, so the comparison holds
-// where a mean over a window would not; the calls measured here last half a
-// millisecond or more, far above the clock's resolution.
+// where a mean over a window would not; the calls measured this way last
+// from a few microseconds (one product shape) to milliseconds (a stage
+// pass), above the clock's resolution and the cost of reading it.
 func fastestCalls(cfg ComputeBenchConfig, a, b func()) (aNs, bNs float64) {
 	timed := func(best float64, step func()) float64 {
 		start := time.Now()

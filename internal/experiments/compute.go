@@ -33,8 +33,11 @@ func init() {
 // math.Exp / math.Tanh loops over the same data. v5 adds the channel_stage
 // section: the whole serial channel stage, forward, backward and F32 eval,
 // time and scratch bytes, next to the same layers chained through their
-// channel-major entry points.
-const ComputeSchema = "dchag-bench/compute/v5"
+// channel-major entry points. v6 adds packed_elems to every shape point —
+// how many operand elements the product driver copies into panels instead of
+// reading in place — and two shapes the workload profiles name: the serving
+// tokenizer's float32 product and a tensor-parallel MLP shard.
+const ComputeSchema = "dchag-bench/compute/v6"
 
 // ComputePoint is one measured square GEMM size (dst = A@B, all [n,n]).
 type ComputePoint struct {
@@ -73,9 +76,14 @@ type ShapePoint struct {
 	K       int    `json:"k"`
 	N       int    `json:"n"`
 	Strided bool   `json:"strided"`
+	// PackedElems is how many operand elements the driver moves through
+	// tensor's pack for one of the Batch products (tensor.DType.PackedElems):
+	// 0 where the kernel reads both operands where they lie.
+	PackedElems int `json:"packed_elems"`
 	// NaiveGFLOPS is the scalar ikj triple loop over contiguous operands of
 	// the same extents (no packing, no tiling); GFLOPS the entry point's
-	// rate; Speedup their ratio. All at 2*Batch*M*K*N FLOPs per call.
+	// rate; Speedup their ratio. All at 2*Batch*M*K*N FLOPs per call, each
+	// from its fastest call, the two timed alternately.
 	NaiveGFLOPS float64 `json:"naive_gflops"`
 	GFLOPS      float64 `json:"gflops"`
 	Speedup     float64 `json:"speedup"`
@@ -267,7 +275,10 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 // the channel aggregation and their two backward products, the per-head
 // attention products of the channel aggregation (g = 16, Dh = 8, B*T*H = 512
 // maps), of the final aggregation over 4 partition tokens and of a ViT block
-// (T = 64), and the float32 twins serving runs.
+// (T = 64), the first MLP layer of a wx_tp2dp2 block on one tensor-parallel
+// rank (128 tokens, E = 64, half of the 256 hidden columns), and the float32
+// twins serving runs, the tokenizer's product among them (8 x 64 tokens of
+// 2 x 2 patches into E = 32, 40 channels per rank per micro-batch).
 var dchagShapes = []ShapePoint{
 	{Name: "proj_fwd", Op: "MatMulInto", Batch: 1, M: 2048, K: 32, N: 32},
 	{Name: "proj_bwd_dx", Op: "MatMulTInto", Batch: 1, M: 2048, K: 32, N: 32},
@@ -278,7 +289,9 @@ var dchagShapes = []ShapePoint{
 	{Name: "final_agg_scores", Op: "BatchedMatMulTInto", Batch: 512, M: 4, K: 8, N: 4},
 	{Name: "vit_scores", Op: "BatchedMatMulTInto", Batch: 8, M: 64, K: 8, N: 64},
 	{Name: "vit_context", Op: "BatchedMatMulInto", Batch: 8, M: 64, K: 64, N: 8},
+	{Name: "tp_mlp_fc1", Op: "MatMulInto", Batch: 1, M: 128, K: 64, N: 128},
 	{Name: "proj_infer_f32", Op: "MatMulPackedF32Into", Batch: 1, M: 2048, K: 32, N: 32},
+	{Name: "tokenize_f32", Op: "MatMulPackedF32Into", Batch: 1, M: 512, K: 4, N: 32},
 	{Name: "vit_scores_f32", Op: "BatchedMatMulTF32Into", Batch: 8, M: 64, K: 8, N: 64},
 	{Name: "vit_context_f32", Op: "BatchedMatMulF32Into", Batch: 8, M: 64, K: 64, N: 8},
 }
@@ -294,13 +307,34 @@ func measureShapes(cfg ComputeBenchConfig) []ShapePoint {
 		a := tensor.Randn(rng, sp.Batch, sp.M, sp.K)
 		b := tensor.Randn(rng, sp.Batch, sp.K, sp.N)
 		c := tensor.New(sp.Batch, sp.M, sp.N)
-		sp.NaiveGFLOPS = measureGFLOPS(flops, cfg, func() { naiveBatched(c.Data, a.Data, b.Data, sp.Batch, sp.M, sp.K, sp.N) })
-		sp.GFLOPS = measureGFLOPS(flops, cfg, step)
+		stepNs, naiveNs := fastestCalls(cfg, step, func() { naiveBatched(c.Data, a.Data, b.Data, sp.Batch, sp.M, sp.K, sp.N) })
+		sp.GFLOPS, sp.NaiveGFLOPS = flops/stepNs, flops/naiveNs
 		sp.Speedup = sp.GFLOPS / sp.NaiveGFLOPS
+		sp.PackedElems = shapePackedElems(sp)
 		sp.AllocsPerOp = allocsPerOp(cfg.AllocIters, step)
 		out[i] = sp
 	}
 	return out
+}
+
+// shapePackedElems asks the driver's plan what one product of the shape
+// point moves through pack: the entry point fixes the arithmetic, which
+// operand is stored transposed and whether B was packed ahead of time.
+func shapePackedElems(sp ShapePoint) int {
+	dt, at, bt, prepacked := tensor.F64, false, false, false
+	switch sp.Op {
+	case "MatMulTInto", "BatchedMatMulTInto":
+		bt = true
+	case "TMatMulAccInto", "BatchedTMatMulInto":
+		at = true
+	case "MatMulPackedF32Into":
+		dt, prepacked = tensor.F32, true
+	case "BatchedMatMulF32Into":
+		dt = tensor.F32
+	case "BatchedMatMulTF32Into":
+		dt, bt = tensor.F32, true
+	}
+	return dt.PackedElems(sp.M, sp.K, sp.N, at, bt, prepacked)
 }
 
 // naiveBatched is the baseline of the shape points: c = a@b per batch member
@@ -566,14 +600,14 @@ func runCompute() Result {
 	tab.Note("wall-clock measurement: packed register-tiled driver vs the pre-blocking naive kernel; f32 runs against prepacked weight panels (the serving configuration)")
 	shapes := &Table{
 		Title:   "Measured throughput at the shapes the D-CHAG workloads issue",
-		Headers: []string{"shape", "entry point", "batch x m x k x n", "naive GFLOP/s", "GFLOP/s", "speedup", "allocs/op"},
+		Headers: []string{"shape", "entry point", "batch x m x k x n", "packed elems", "naive GFLOP/s", "GFLOP/s", "speedup", "allocs/op"},
 	}
 	for _, sp := range rep.Shapes {
-		shapes.Add(sp.Name, sp.Op, fmt.Sprintf("%d x %dx%dx%d", sp.Batch, sp.M, sp.K, sp.N),
+		shapes.Add(sp.Name, sp.Op, fmt.Sprintf("%d x %dx%dx%d", sp.Batch, sp.M, sp.K, sp.N), fmt.Sprint(sp.PackedElems),
 			fmt.Sprintf("%.2f", sp.NaiveGFLOPS), fmt.Sprintf("%.2f", sp.GFLOPS),
 			fmt.Sprintf("%.2fx", sp.Speedup), fmt.Sprintf("%.0f", sp.AllocsPerOp))
 	}
-	shapes.Note("batched shapes read attention heads in place out of [N,T,H*Dh] layouts (tensor.HeadView); naive is the scalar ikj loop on contiguous operands of the same extents")
+	shapes.Note("batched shapes read attention heads in place out of [N,T,H*Dh] layouts (tensor.HeadView); packed elems is what one product copies into panels (a transposed B, a ragged tile, float32 narrowing), everything else the kernel reads where it lies; naive is the scalar ikj loop on contiguous operands of the same extents")
 	aggs := &Table{
 		Title:   "Measured cross-attention channel aggregation (core.CrossAttnAggregator)",
 		Headers: []string{"N x g x E, heads", "forward us", "backward us", "allocs/op", "fwd MACs/location pooled", "unpooled", "pooled/unpooled"},

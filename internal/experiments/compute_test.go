@@ -159,3 +159,19 @@ func TestChainedStageAgrees(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGEMMShapes times every product of BENCH_compute.json's shapes
+// section through the artifact's own runner, so that test binaries of two
+// commits can be alternated shape by shape (`go test -c`, `-test.cpu 1`).
+// MB/s reads as 2*batch*m*k*n bytes per call: GFLOP/s = MB/s / 1000.
+func BenchmarkGEMMShapes(b *testing.B) {
+	for _, sp := range dchagShapes {
+		step := shapeStep(sp)
+		b.Run(sp.Name, func(b *testing.B) {
+			b.SetBytes(2 * int64(sp.Batch*sp.M*sp.K*sp.N))
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	}
+}

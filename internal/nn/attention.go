@@ -14,7 +14,8 @@ import (
 // layers in internal/parallel (which pass their local heads). Heads are never
 // made contiguous: the batched kernels read each head out of the projection
 // outputs through a tensor.HeadView and write the context straight into the
-// merged [N,Tq,E] layout, so kernel packing is the only data movement.
+// merged [N,Tq,E] layout; only a transposed key block (Q K^T) is ever copied,
+// into the kernel's panel.
 //
 // Forward keeps references to q, k and v for Backward instead of copying
 // them; like every layer input they must stay unmodified until Backward has

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -351,7 +352,11 @@ func (e *Engine) validateRequest(req *Request) error {
 		return fmt.Errorf("serve: input must be [c,h,w], got %v", req.Input.Shape)
 	}
 	c := req.Input.Shape[0]
-	if want := c * req.Input.Shape[1] * req.Input.Shape[2]; len(req.Input.Data) != want {
+	want, ok := elemCount(req.Input.Shape)
+	if !ok {
+		return fmt.Errorf("serve: input shape %v has a negative extent or more elements than an int counts", req.Input.Shape)
+	}
+	if len(req.Input.Data) != want {
 		return fmt.Errorf("serve: input holds %d values, shape %v wants %d", len(req.Input.Data), req.Input.Shape, want)
 	}
 	if req.Channels == nil {
@@ -371,6 +376,21 @@ func (e *Engine) validateRequest(req *Request) error {
 		prev = ch
 	}
 	return nil
+}
+
+// elemCount returns the number of elements of a shape, or false when an
+// extent is negative or the product does not fit an int. A wrapped product
+// can equal the length of a short (even empty) value list, so both places
+// that hold a client's shape against its values count through here.
+func elemCount(shape []int) (n int, ok bool) {
+	n = 1
+	for _, d := range shape {
+		if d < 0 || (d > 0 && n > math.MaxInt/d) {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
 }
 
 // batchLoop is the dynamic micro-batcher: it blocks for the first request,

@@ -97,13 +97,16 @@ func servePredict(w http.ResponseWriter, r *http.Request, do func(context.Contex
 		http.Error(w, fmt.Sprintf("shape must be [c,h,w], got %v", preq.Shape), http.StatusBadRequest)
 		return
 	}
-	n := 1
 	for _, d := range preq.Shape {
 		if d < 1 {
 			http.Error(w, fmt.Sprintf("shape must be positive, got %v", preq.Shape), http.StatusBadRequest)
 			return
 		}
-		n *= d
+	}
+	n, ok := elemCount(preq.Shape)
+	if !ok {
+		http.Error(w, fmt.Sprintf("shape %v has more elements than an int counts", preq.Shape), http.StatusBadRequest)
+		return
 	}
 	if n != len(preq.Values) {
 		http.Error(w, fmt.Sprintf("shape %v wants %d values, got %d", preq.Shape, n, len(preq.Values)), http.StatusBadRequest)

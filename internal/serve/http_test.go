@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -107,6 +108,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		"bad-shape":      `{"shape":[2,2],"values":[1,2,3,4]}`,
 		"numel-mismatch": `{"shape":[1,2,2],"values":[1]}`,
 		"wrong-channels": `{"shape":[3,4,4],"values":` + zeros(48) + `}`,
+		// c*h*w wraps to 0 and would match the empty value list.
+		"numel-overflow": fmt.Sprintf(`{"shape":[%d,%d,%d],"values":[]}`, a.Channels, wrapExtent, wrapExtent),
 	} {
 		resp, err := http.Post(srv.URL+"/v1/predict", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
@@ -116,6 +119,10 @@ func TestHTTPBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+	x := testInput(a, 3, a.ImgH, a.ImgW)
+	if _, err := e.Do(context.Background(), &Request{Input: x}); err != nil {
+		t.Fatalf("engine stopped serving after the refused requests: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -311,6 +312,33 @@ func TestShortInputRejected(t *testing.T) {
 	}
 	if _, err := e.Do(context.Background(), short); err == nil {
 		t.Fatal("Do admitted a short input")
+	}
+	x := testInput(a, 9, a.ImgH, a.ImgW)
+	resp, err := e.Do(context.Background(), &Request{Input: x})
+	if err != nil {
+		t.Fatalf("engine stopped serving after a refused request: %v", err)
+	}
+	if d := tensor.MaxAbsDiff(resp.Output, reference(t, a, x)); d != 0 {
+		t.Fatalf("response after a refused request differs from direct inference by %g", d)
+	}
+}
+
+// wrapExtent squared wraps an int to 0: 4294967296 where int has 64 bits.
+const wrapExtent = 1 << (strconv.IntSize / 2)
+
+// TestOverflowingShapeRejected pins that a shape whose element count wraps
+// to its (empty) data's length is refused at admission, naming the shape,
+// and that the engine keeps serving. Admitted, it indexes an empty slice on
+// the batcher goroutine and takes the process down.
+func TestOverflowingShapeRejected(t *testing.T) {
+	a := testArch()
+	e := startTest(t, Config{Ranks: 1, Replicas: 1, MaxBatch: 1, CacheBytes: 1 << 20}, FromArch(a))
+	huge := &Request{Input: &tensor.Tensor{Shape: []int{a.Channels, wrapExtent, wrapExtent}}}
+	if _, err := e.Submit(huge); err == nil || !strings.Contains(err.Error(), fmt.Sprint(huge.Input.Shape)) {
+		t.Fatalf("Submit of an empty input of shape %v: err = %v", huge.Input.Shape, err)
+	}
+	if _, err := e.Do(context.Background(), huge); err == nil || !strings.Contains(err.Error(), fmt.Sprint(huge.Input.Shape)) {
+		t.Fatalf("Do of an empty input of shape %v: err = %v", huge.Input.Shape, err)
 	}
 	x := testInput(a, 9, a.ImgH, a.ImgW)
 	resp, err := e.Do(context.Background(), &Request{Input: x})

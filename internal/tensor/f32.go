@@ -6,8 +6,8 @@ import "fmt"
 // Tensors always STORE float64 (the package contract that distributed
 // results stay bitwise comparable to the serial reference at 1e-9); F32
 // selects float32 COMPUTE inside the matrix-product kernels, with the
-// f64->f32 conversion fused into panel packing and the f32->f64 conversion
-// fused into the tile accumulate. The tolerance contract for F32 serving
+// f64->f32 conversion done as the operands are packed (A row by row, B into
+// panels) and the f32->f64 conversion fused into the tile accumulate. The tolerance contract for F32 serving
 // outputs is documented in DESIGN.md ("Compute substrate").
 type DType int
 
@@ -24,6 +24,19 @@ func (d DType) String() string {
 		return "f32"
 	}
 	return "f64"
+}
+
+// PackedElems reports how many operand elements one m x k x n product
+// computed in d copies into panels, on one goroutine: the driver's plan (see
+// gemm.go) for the given orientation, with B packed ahead of time when
+// prepacked. Everything it does not count the kernel reads where it lies.
+// The compute benchmark records it next to each measured shape.
+func (d DType) PackedElems(m, k, n int, at, bt, prepacked bool) int {
+	g := gemmSpec{m: m, k: k, n: n, at: at, bt: bt}
+	if d == F32 {
+		return planPanels[float32](&g, prepacked).packedElems(&g, gemmNR32)
+	}
+	return planPanels[float64](&g, prepacked).packedElems(&g, gemmNR)
 }
 
 // PackedB32 holds a weight matrix prepacked into the f32 kernel's B panels.

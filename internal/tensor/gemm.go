@@ -2,35 +2,44 @@ package tensor
 
 // Cache-blocked, register-tiled GEMM (GEBP / BLIS structure), one driver for
 // every matrix product in the repository. gemmBlocked splits
-// C = alpha*op(A)@op(B) into mc x kc x nc cache blocks, packs the current A
-// and B blocks into contiguous micro-panels and walks mr x nr register tiles
-// with a micro-kernel (AVX2+FMA assembly when the CPU has it, a pure-Go twin
-// otherwise) that scales its tile by alpha and stores or accumulates it
-// straight into the strided destination. Operands are float64 storage
-// described by a base slice and a leading dimension, so per-head attention
-// operands are read in place; the panel element type T selects float64 or
-// float32 compute, with the f64->f32 conversion fused into packing and the
-// f32->f64 conversion into the tile store.
+// C = alpha*op(A)@op(B) into mc x kc x nc cache blocks and, per column panel
+// of a block, hands a whole stack of mr x nr register tiles to one
+// micro-kernel call (AVX2+FMA assembly when the CPU has it, a pure-Go twin
+// otherwise). The kernel takes its operands by address and stride, so it
+// reads A as stored, A^T as stored and B as stored where they lie — per-head
+// attention operands included — scales each tile by alpha and stores or
+// accumulates it straight into the strided destination.
 //
-// Dispatch is by size only. A product whose B block fits an L1-sized buffer
-// (attention maps, E x E projections over any number of rows) packs into
-// panels that live on the caller's stack; anything larger draws its panels
-// from the DefaultPool. Both run the same loops and the same micro-kernel.
+// Packing is the exception: pack copies operand elements into a contiguous
+// panel only where they have to move, and planPanels is the one function
+// that says where. That is a transposed B block (its nr columns are not
+// contiguous in memory), a ragged last row tile or column panel (zero-padded
+// to a full tile, so the kernel never reads or writes past an operand), and
+// float32 compute, where every element is narrowed on the way: A row by row,
+// B into panels per call or once ahead of time (PackB32). The panel element
+// type T selects float64 or float32 compute; the f32->f64 conversion is fused
+// into the tile store.
 //
-// Summation contract, for every size and on both paths: each output element
-// is one FMA chain over p ascending within a kc block, the block's tile is
-// scaled by alpha, and kc blocks are added in ascending order. It does not
-// depend on m, n, the cache blocking, the worker count or where the panels
-// live, so a column- or row-sharded product reproduces the full one bit for
-// bit.
+// Panels live on the caller's stack when the B block fits an L1-sized buffer
+// (attention maps, E x E projections over any number of rows) and come from
+// the DefaultPool otherwise. Both sides run the same loops and the same
+// micro-kernel; a float64 product of untransposed, tile-aligned operands
+// uses neither.
+//
+// Summation contract, for every size and wherever the operands are read
+// from: each output element is one FMA chain over p ascending within a kc
+// block, the block's tile is scaled by alpha, and kc blocks are added in
+// ascending order. It does not depend on m, n, the cache blocking, the
+// worker count, or on whether an element reached the kernel through a panel,
+// so a column- or row-sharded product reproduces the full one bit for bit.
 
 // elem is the panel element type: the arithmetic of the micro-kernel.
 type elem interface{ float32 | float64 }
 
 const (
-	gemmMC   = 128 // rows of A packed per block
-	gemmKC   = 256 // depth of one packed block
-	gemmNC   = 512 // columns of B packed per block
+	gemmMC   = 128 // rows of A per block
+	gemmKC   = 256 // depth of one block
+	gemmNC   = 512 // columns of B per block
 	gemmMR   = 4   // micro-tile rows
 	gemmNR   = 8   // micro-tile columns (f64); f32 uses 2x
 	gemmNR32 = 16
@@ -52,19 +61,26 @@ type gemmSpec struct {
 }
 
 // stackPanels is the stack-resident scratch of one driver invocation: the
-// packing panels of the small-product path and the edge-tile buffer.
-// Declaring it zeroes it, so batched callers declare one per worker, not one
-// per product.
+// packing panels of the small-product side of the size split and the
+// edge-tile buffer. Declaring it zeroes it, so batched callers declare one
+// per worker, not one per product.
 type stackPanels[T elem] struct {
 	a    [stackPanelA]T
 	b    [stackPanelB]T
 	tile [gemmMR * gemmNR32]float64
 }
 
+// narrows reports whether the kernel computing in T narrows the float64
+// operands it is given, that is whether T is float32.
+func narrows[T elem]() bool {
+	var z T
+	_, ok := any(z).(float32)
+	return ok
+}
+
 // nrOf returns the micro-tile width of the kernel computing in T.
 func nrOf[T elem]() int {
-	var z T
-	if _, ok := any(z).(float32); ok {
+	if narrows[T]() {
 		return gemmNR32
 	}
 	return gemmNR
@@ -76,6 +92,61 @@ type packedB[T elem] struct {
 	K, N     int
 	panels   []T
 	blockOff []int // panel offset of each kc-deep block
+}
+
+// packMode says how much of one operand the driver copies into panels.
+type packMode uint8
+
+const (
+	packNone  packMode = iota // nothing: the kernel reads the operand where it lies
+	packEdge                  // the ragged last row tile or column panel, zero-padded
+	packBlock                 // every block
+)
+
+// panelPlan is what pack moves for one product.
+type panelPlan struct{ a, b packMode }
+
+// planPanels decides, from the operands' orientation, raggedness and element
+// type alone, which parts of a product pass through pack. Narrowing moves
+// everything (a prepacked B was moved ahead of time). In float64, A is read
+// in place in either orientation and only a ragged last row tile is padded
+// into a panel; B is read in place unless it is stored transposed, when its
+// nr columns are not contiguous, or its last column panel is ragged.
+//
+// dchag:hotpath — run once per driver invocation; it must not allocate.
+func planPanels[T elem](g *gemmSpec, prepacked bool) panelPlan {
+	var pl panelPlan
+	switch {
+	case narrows[T]():
+		pl.a = packBlock
+	case g.m%gemmMR != 0:
+		pl.a = packEdge
+	}
+	switch {
+	case prepacked:
+	case narrows[T](), g.bt:
+		pl.b = packBlock
+	case g.n%nrOf[T]() != 0:
+		pl.b = packEdge
+	}
+	return pl
+}
+
+// packedElems is the number of operand elements pl moves through pack for
+// the whole product g on one goroutine: B's share once, A's once per nc-wide
+// column block.
+func (pl panelPlan) packedElems(g *gemmSpec, nr int) int {
+	share := func(mode packMode, extent, w int) int {
+		switch mode {
+		case packEdge:
+			return extent % w
+		case packBlock:
+			return extent
+		}
+		return 0
+	}
+	colBlocks := (g.n + gemmNC - 1) / gemmNC
+	return g.k * (share(pl.a, g.m, gemmMR)*colBlocks + share(pl.b, g.n, nr))
 }
 
 // gemm2D runs one product, splitting destination rows across goroutines when
@@ -98,81 +169,130 @@ func gemm2D[T elem](g *gemmSpec, pre *packedB[T]) {
 	})
 }
 
-// gemmRows computes destination rows [lo,hi) of one product.
+// gemmRows computes destination rows [lo,hi) of one product: the product of
+// those rows of op(A), on its own stack panels.
 func gemmRows[T elem](g *gemmSpec, lo, hi int, pre *packedB[T]) {
 	var st stackPanels[T]
-	gemmBlocked(g, lo, hi, pre, &st)
+	rows := *g
+	rows.m = hi - lo
+	rows.c = g.c[lo*g.ldc:]
+	if g.at {
+		rows.a = g.a[lo:]
+	} else {
+		rows.a = g.a[lo*g.lda:]
+	}
+	gemmBlocked(&rows, pre, &st)
 }
 
-// gemmBlocked is the blocked driver for destination rows [lo,hi).
+// gemmBlocked is the blocked driver.
 //
 // dchag:hotpath — panel scratch is the caller's stack buffer or comes from
 // the pool; steady state performs no heap allocation.
-func gemmBlocked[T elem](g *gemmSpec, lo, hi int, pre *packedB[T], st *stackPanels[T]) {
+func gemmBlocked[T elem](g *gemmSpec, pre *packedB[T], st *stackPanels[T]) {
 	if g.k == 0 {
 		if !g.accum {
-			for i := lo; i < hi; i++ {
+			for i := 0; i < g.m; i++ {
 				clear(g.c[i*g.ldc : i*g.ldc+g.n])
 			}
 		}
 		return
 	}
 	nr := nrOf[T]()
+	pl := planPanels[T](g, pre != nil)
 	kb0 := min(gemmKC, g.k)
 	nb0 := (min(gemmNC, g.n) + nr - 1) / nr * nr
 
-	// Small products keep both panels in L1: B's block fits the stack panel
-	// and mc shrinks until A's block does too.
-	ap, bp, mc := st.a[:], st.b[:], min(gemmMC, stackPanelA/kb0&^(gemmMR-1))
+	// The size split: a product whose B block fits the stack panel keeps its
+	// panels on the stack, and mc shrinks until A's block is as small; a
+	// larger one draws what its plan packs from the pool.
+	small := kb0*nb0 <= stackPanelB
+	mc := gemmMC
+	if small {
+		mc = min(gemmMC, stackPanelA/kb0&^(gemmMR-1))
+	}
+	ap, bp := st.a[:], st.b[:]
 	var pooledA, pooledB []T // kept apart from ap/bp so the stack panels never reach the pool
 	var ownerA, ownerB *Tensor
-	if kb0*nb0 > stackPanelB {
-		mc = gemmMC
-		pooledA, ownerA = poolPanel[T]((gemmMC + gemmMR) * gemmKC)
+	if pl.a == packBlock && !small {
+		pooledA, ownerA = poolPanel[T](gemmMC * kb0)
 		ap = pooledA
-		if pre == nil {
-			pooledB, ownerB = poolPanel[T]((gemmNC + gemmNR32) * gemmKC)
-			bp = pooledB
-		}
+	}
+	needB := 0
+	switch pl.b {
+	case packEdge:
+		needB = kb0 * nr
+	case packBlock:
+		needB = kb0 * nb0
+	}
+	if needB > stackPanelB {
+		pooledB, ownerB = poolPanel[T](needB)
+		bp = pooledB
 	}
 
+	// Where T is the storage type the kernel reads the operands in place; where
+	// it narrows these are nil, and the plan packs both.
+	ad, _ := any(g.a).([]T)
+	bd, _ := any(g.b).([]T)
 	tile := st.tile[:]
 	for p0 := 0; p0 < g.k; p0 += gemmKC {
 		kb := min(gemmKC, g.k-p0)
 		accum := g.accum || p0 > 0
 		for j0 := 0; j0 < g.n; j0 += gemmNC {
 			nb := min(gemmNC, g.n-j0)
-			if pre == nil {
+			// B's block: column panel jr starts at bs[jr*bpan], its rows bps
+			// apart. In place, a ragged last panel goes through bp instead.
+			bs, bps, bpan := bp, nr, kb
+			switch {
+			case pre != nil:
+				bs = pre.panels[pre.blockOff[p0/gemmKC]+j0/nr*kb*nr:]
+			case pl.b == packBlock:
 				pack(bp, g.b, g.ldb, j0, p0, nb, kb, nr, !g.bt)
-			} else {
-				bp = pre.panels[pre.blockOff[p0/gemmKC]+j0/nr*kb*nr:]
+			default:
+				bs, bps, bpan = bd[p0*g.ldb+j0:], g.ldb, 1
+				if pl.b == packEdge && j0+nb == g.n {
+					pack(bp, g.b, g.ldb, g.n&^(nr-1), p0, g.n%nr, kb, nr, true)
+				}
 			}
-			for i0 := lo; i0 < hi; i0 += mc {
-				mb := min(mc, hi-i0)
-				pack(ap, g.a, g.lda, i0, p0, mb, kb, gemmMR, g.at)
+			for i0 := 0; i0 < g.m; i0 += mc {
+				mb := min(mc, g.m-i0)
+				full := mb &^ (gemmMR - 1)
+				// A's full row tiles: element (i, p) at as[i*ars+p*aps]. A
+				// ragged last tile is padded into the panel edge.
+				var as []T
+				var ars, aps int
+				edge := ap
+				switch {
+				case pl.a == packBlock: // narrowed row by row: row i of ap holds its kb values
+					as, ars, aps, edge = ap, kb, 1, ap[full*kb:]
+					if full > 0 {
+						pack(ap, g.a, g.lda, p0, i0, kb, full, kb, !g.at)
+					}
+				case g.at:
+					as, ars, aps = ad[p0*g.lda+i0:], 1, g.lda
+				default:
+					as, ars, aps = ad[i0*g.lda+p0:], g.lda, 1
+				}
+				if full < mb {
+					pack(edge, g.a, g.lda, i0+full, p0, mb-full, kb, gemmMR, g.at)
+				}
 				for jr := 0; jr < nb; jr += nr {
 					jb := min(nr, nb-jr)
-					bpp := bp[jr*kb:]
-					for ir := 0; ir < mb; ir += gemmMR {
-						ib := min(gemmMR, mb-ir)
-						app := ap[ir*kb:]
-						c := g.c[(i0+ir)*g.ldc+j0+jr:]
-						if ib == gemmMR && jb == nr {
-							microKernel(kb, nr, app, bpp, c, g.ldc, g.alpha, accum)
-							continue
+					b, bps := bs[jr*bpan:], bps
+					if jb < nr && pl.b == packEdge {
+						b, bps = bp, nr
+					}
+					c := g.c[i0*g.ldc+j0+jr:]
+					if jb == nr {
+						if full > 0 {
+							kernel(kb, nr, as, ars, aps, b, bps, c, g.ldc, full/gemmMR, g.alpha, accum)
 						}
-						// Edge tile: full kernel into scratch, valid region out.
-						microKernel(kb, nr, app, bpp, tile, nr, g.alpha, false)
-						for r := 0; r < ib; r++ {
-							crow := c[r*g.ldc : r*g.ldc+jb]
-							trow := tile[r*nr : r*nr+jb]
-							for x, v := range trow {
-								if accum {
-									v += crow[x]
-								}
-								crow[x] = v
-							}
+					} else {
+						for ir := 0; ir < full; ir += gemmMR {
+							edgeTile(kb, nr, as[ir*ars:], ars, aps, b, bps, c[ir*g.ldc:], g.ldc, gemmMR, jb, g.alpha, accum, tile)
 						}
+					}
+					if full < mb {
+						edgeTile(kb, nr, edge, 1, gemmMR, b, bps, c[full*g.ldc:], g.ldc, mb-full, jb, g.alpha, accum, tile)
 					}
 				}
 			}
@@ -183,6 +303,24 @@ func gemmBlocked[T elem](g *gemmSpec, lo, hi int, pre *packedB[T], st *stackPane
 	}
 	if pooledB != nil {
 		releasePanel(pooledB, ownerB)
+	}
+}
+
+// edgeTile computes one ragged tile, ib <= mr rows by jb <= nr columns: the
+// full kernel into scratch, the valid corner out. Its operands are full
+// tiles (padded by pack where the matrix ends), so the kernel stays inside
+// them.
+func edgeTile[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []float64, ldc, ib, jb int, alpha float64, accum bool, tile []float64) {
+	kernel(kb, nr, a, ars, aps, b, bps, tile, nr, 1, alpha, false)
+	for r := 0; r < ib; r++ {
+		crow := c[r*ldc : r*ldc+jb]
+		trow := tile[r*nr : r*nr+jb]
+		for x, v := range trow {
+			if accum {
+				v += crow[x]
+			}
+			crow[x] = v
+		}
 	}
 }
 
@@ -210,16 +348,18 @@ func releasePanel[T elem](buf []T, owner *Tensor) {
 
 // pack lays a gb x kb slab of a strided float64 matrix out as ceil(gb/w)
 // micro-panels, each kb groups of w values with the last panel zero-padded:
-// panel[p*w+x] = element (g0+x, p0+p), converted to T. The grouped index runs
-// over rows of A (w = mr) or columns of B (w = nr). With contig the grouped
-// index is the contiguous one in memory (element (x,p) at src[p*ld+x]: A^T
-// and B as stored) and packing copies row segments; otherwise it is the
-// strided one (src[x*ld+p]: A and B^T as stored) and packing transposes.
-// Where the CPU has AVX2 both run in assembly, four grouped indices at a
-// time; the scalar loop packs the up to three left over, and everything on
-// other machines.
+// panel[p*w+x] = element (g0+x, p0+p), converted to T. Only what planPanels
+// names passes through here. With contig the grouped index is the contiguous
+// one in memory (element (x,p) at src[p*ld+x]) and packing copies row
+// segments: B as stored into nr-wide panels, a ragged tile of A^T, and the
+// row-wise narrowing of an A block, which is one panel as wide as the block
+// is deep, the grouped index running over depth. Otherwise it is the strided
+// one (src[x*ld+p]) and packing transposes: B^T as stored, a ragged tile of
+// A, and the narrowing of an A^T block. Where the CPU has AVX2
+// both run in assembly, four grouped indices at a time; the scalar loop packs
+// the up to three left over, and everything on other machines.
 //
-// dchag:hotpath — every product packs both operands; it must not allocate.
+// dchag:hotpath — it must not allocate.
 func pack[T elem](dst []T, src []float64, ld, g0, p0, gb, kb, w int, contig bool) {
 	xs, ps := ld, 1 // element (x,p) at src[x*xs+p*ps]
 	if contig {
@@ -269,47 +409,56 @@ func packSIMD[T elem](d *T, src *float64, ld, kb, n, w int, contig bool) {
 	}
 }
 
-// microKernel computes one full mr x nr tile from packed panels and writes
-// c[r*ldc+x] = alpha*tile (or += with accum), r < mr, x < nr.
-func microKernel[T elem](kb, nr int, a, b []T, c []float64, ldc int, alpha float64, accum bool) {
+// kernel computes tiles stacked mr x nr register tiles of one column panel,
+// tile t from rows 4t..4t+3 of A, and writes c[i*ldc+x] = alpha*tile (or +=
+// with accum), i < mr*tiles, x < nr. A[i,p] is a[i*ars+p*aps] and B[p,x] is
+// b[p*bps+x]: an operand as stored or a packed panel, the kernel cannot
+// tell. One type switch and one assembly call serve the whole panel.
+func kernel[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []float64, ldc, tiles int, alpha float64, accum bool) {
 	if useSIMD {
 		switch pa := any(&a[0]).(type) {
 		case *float64:
-			kern4x8F64(kb, pa, any(&b[0]).(*float64), &c[0], ldc, alpha, accum)
+			kernF64(kb, pa, ars, aps, any(&b[0]).(*float64), bps, &c[0], ldc, tiles, alpha, accum)
 		case *float32:
-			kern4x16F32(kb, pa, any(&b[0]).(*float32), &c[0], ldc, alpha, accum)
+			kernF32(kb, pa, ars, aps, any(&b[0]).(*float32), bps, &c[0], ldc, tiles, alpha, accum)
 		}
 		return
 	}
-	kernGeneric(kb, nr, a, b, c, ldc, alpha, accum)
+	kernGeneric(kb, nr, a, ars, aps, b, bps, c, ldc, tiles, alpha, accum)
 }
 
-// kernGeneric is the pure-Go twin of the AVX2 micro-kernels; it keeps
-// non-amd64 builds (and CPUs without AVX2) on the same packed-panel driver.
-// The explicit conversion around the alpha product keeps compilers that fuse
-// multiply-add from contracting it into the accumulate, which edge tiles
-// (scaled into scratch, then added) could not reproduce.
-func kernGeneric[T elem](kb, nr int, a, b []T, c []float64, ldc int, alpha float64, accum bool) {
-	var acc [gemmMR * gemmNR32]T
-	for p := 0; p < kb; p++ {
-		bp := b[p*nr : p*nr+nr]
-		ap := a[p*gemmMR : p*gemmMR+gemmMR]
-		for r, av := range ap {
-			cr := acc[r*nr : r*nr+nr]
-			for j, bv := range bp {
-				cr[j] += av * bv
+// kernGeneric is the pure-Go twin of the AVX2 micro-kernels, strides and
+// row-tile loop included; it keeps non-amd64 builds (and CPUs without AVX2)
+// on the same driver and the same plan. The explicit conversion around the
+// alpha product keeps compilers that fuse multiply-add from contracting it
+// into the accumulate, which edge tiles (scaled into scratch, then added)
+// could not reproduce.
+//
+// dchag:hotpath — it must not allocate.
+func kernGeneric[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []float64, ldc, tiles int, alpha float64, accum bool) {
+	for t := 0; t < tiles; t++ {
+		a0, c0 := t*gemmMR*ars, t*gemmMR*ldc
+		var acc [gemmMR * gemmNR32]T
+		for p := 0; p < kb; p++ {
+			bp := b[p*bps : p*bps+nr]
+			for r := 0; r < gemmMR; r++ {
+				av := a[a0+r*ars+p*aps]
+				cr := acc[r*nr : r*nr+nr]
+				for j, bv := range bp {
+					cr[j] += av * bv
+				}
 			}
 		}
-	}
-	for r := 0; r < gemmMR; r++ {
-		crow := c[r*ldc : r*ldc+nr]
-		arow := acc[r*nr : r*nr+nr]
-		for j, v := range arow {
-			s := float64(alpha * float64(v))
-			if accum {
-				s += crow[j]
+		for r := 0; r < gemmMR; r++ {
+			crow := c[c0+r*ldc : c0+r*ldc+nr]
+			arow := acc[r*nr : r*nr+nr]
+			for j, v := range arow {
+				s := float64(alpha * float64(v))
+				if accum {
+					s += crow[j]
+				}
+				crow[j] = s
 			}
-			crow[j] = s
 		}
 	}
 }

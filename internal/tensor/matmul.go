@@ -18,8 +18,8 @@ const parallelThreshold = 1 << 16
 // must not alias an operand). The classic allocating functions remain as thin
 // XInto(nil, ...) wrappers so call sites migrate incrementally. The batched
 // products take Views instead, so that operands and destinations can be
-// strided. All variants funnel into the blocked, packed, register-tiled
-// driver in gemm.go.
+// strided. All variants funnel into the blocked, register-tiled driver in
+// gemm.go.
 
 // ensureDst validates or allocates the destination of an Into kernel.
 func ensureDst(op string, dst *Tensor, shape ...int) *Tensor {
@@ -254,9 +254,10 @@ func Transpose2D(t *Tensor) *Tensor { return Transpose2DInto(nil, t) }
 // matrix (o, i) of the outer x inner batch starts o*outerStride +
 // i*innerStride elements in. It is how the batched products address operands
 // and destinations that are not contiguous per matrix — the heads of a
-// [N,T,H*Dh] projection output — without a permutation copy: packing is the
-// only data movement. Views come from MatView and HeadView, which guarantee
-// that every matrix lies inside the slice; batch order is o major, i minor.
+// [N,T,H*Dh] projection output — without a permutation copy: the kernel
+// reads them at their stride. Views come from MatView and HeadView, which
+// guarantee that every matrix lies inside the slice; batch order is o major,
+// i minor.
 type View struct {
 	data                     []float64
 	rows, cols, ld           int
@@ -357,7 +358,7 @@ func batchedRange[T elem](dst, a, b View, g gemmSpec, lo, hi int) {
 	ca, cb, cd := a.cursor(lo), b.cursor(lo), dst.cursor(lo)
 	for bi := lo; bi < hi; bi++ {
 		g.a, g.b, g.c = a.next(&ca), b.next(&cb), dst.next(&cd)
-		gemmBlocked(&g, 0, g.m, nil, &st)
+		gemmBlocked(&g, nil, &st)
 	}
 }
 

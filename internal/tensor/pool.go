@@ -6,8 +6,9 @@ import "sync"
 // destination and scratch buffers from a Pool instead of allocating, so
 // steady-state training and serving steps stop churning the garbage
 // collector. Buffers are bucketed by the power-of-two capacity class that
-// fits them; a Get is served by any retained buffer whose class is at least
-// as large as the request.
+// fits them; a Get looks only at the class of its request — the smallest
+// power of two that holds it — and allocates a buffer of that class when the
+// bucket is empty, however many larger buffers the pool retains.
 //
 // Ownership rules (the "dst/pool contract" documented in DESIGN.md):
 //

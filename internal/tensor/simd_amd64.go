@@ -8,11 +8,15 @@ package tensor
 // pure-Go twins otherwise. Kernel availability is probed once at init via
 // CPUID/XGETBV so no external cpu-feature dependency is needed.
 
+// kernF64 and kernF32 compute tiles stacked 4 x nr register tiles (nr = 8
+// and 16) of one column panel from operands addressed by stride; see
+// simd_amd64.s for the contract.
+//
 //go:noescape
-func kern4x8F64(k int, a, b, c *float64, ldc int, alpha float64, accum bool)
+func kernF64(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc, tiles int, alpha float64, accum bool)
 
 //go:noescape
-func kern4x16F32(k int, a, b *float32, c *float64, ldc int, alpha float64, accum bool)
+func kernF32(k int, a *float32, ars, aps int, b *float32, bps int, c *float64, ldc, tiles int, alpha float64, accum bool)
 
 // packT4F64 and packT4F32 transpose four rows of k float64 values, ld
 // apart, into a packed panel whose groups are stride elements apart:

@@ -1,25 +1,42 @@
 #include "textflag.h"
 
-// GEBP micro-kernels for the blocked matmul driver in gemm.go. Each computes
-// one register tile acc = A_panel @ B_panel over a full kb-deep strip of
-// packed panels as one FMA chain per element (p ascending), scales it by
-// alpha and writes it to the float64 destination c, whose rows are ldc
-// elements apart: c = alpha*acc, or c = c + alpha*acc with accum. The scale
-// and the add are separate roundings (never fused), so a tile written to
-// scratch and added by the Go driver equals one accumulated here.
+// Micro-kernels of the blocked matmul driver in gemm.go, one per element
+// type. A call computes `tiles` stacked 4 x nr register tiles of one column
+// panel: tile t is rows 4t..4t+3 of A against the same kb x nr strip of B.
+// The operands are read where they lie, by address and stride (elements):
 //
-// Panel layouts (produced by pack in gemm.go):
-//   a: kb groups of mr=4 values, a[p*4+i]  = A[i0+i, p0+p]
-//   b: kb groups of nr   values, b[p*nr+j] = B[p0+p, j0+j]
+//   A[i, p] = a[i*ars + p*aps]   A as stored (ars = lda, aps = 1), A^T as
+//                                stored (1, lda) or a packed tile (1, 4)
+//   B[p, j] = b[p*bps + j]       the nr columns contiguous: B as stored
+//                                (bps = ldb) or a packed panel (bps = nr)
+//
+// Each tile is one FMA chain per element over p ascending, scaled by alpha
+// and written to the float64 destination c, whose rows are ldc elements
+// apart: c = alpha*acc, or c = c + alpha*acc with accum. The scale and the
+// add are separate roundings (never fused), so a tile written to scratch and
+// added by the Go driver equals one accumulated here. Nothing outside the
+// 4*tiles x kb elements of A, the kb x nr of B and the 4*tiles x nr of C is
+// read or written.
 
-// func kern4x8F64(k int, a, b, c *float64, ldc int, alpha float64, accum bool)
-TEXT ·kern4x8F64(SB), NOSPLIT, $0-49
-	MOVQ k+0(FP), CX
-	MOVQ a+8(FP), AX
-	MOVQ b+16(FP), BX
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
+// func kernF64(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc, tiles int, alpha float64, accum bool)
+TEXT ·kernF64(SB), NOSPLIT, $0-81
+	MOVQ a+8(FP), SI
+	MOVQ ars+16(FP), R9
+	MOVQ aps+24(FP), R11
+	MOVQ bps+40(FP), R12
+	MOVQ c+48(FP), DX
+	MOVQ ldc+56(FP), R8
+	MOVQ tiles+64(FP), DI
+	SHLQ $3, R9
+	SHLQ $3, R11
+	SHLQ $3, R12
 	SHLQ $3, R8
+	LEAQ (R9)(R9*2), R10
+	VBROADCASTSD alpha+72(FP), Y11
+tile64:
+	MOVQ SI, AX
+	MOVQ b+32(FP), BX
+	MOVQ k+0(FP), CX
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -32,59 +49,59 @@ loop64:
 	VMOVUPD (BX), Y12
 	VMOVUPD 32(BX), Y13
 	VBROADCASTSD (AX), Y14
-	VBROADCASTSD 8(AX), Y15
+	VBROADCASTSD (AX)(R9*1), Y15
 	VFMADD231PD Y12, Y14, Y0
 	VFMADD231PD Y13, Y14, Y1
 	VFMADD231PD Y12, Y15, Y2
 	VFMADD231PD Y13, Y15, Y3
-	VBROADCASTSD 16(AX), Y14
-	VBROADCASTSD 24(AX), Y15
+	VBROADCASTSD (AX)(R9*2), Y14
+	VBROADCASTSD (AX)(R10*1), Y15
 	VFMADD231PD Y12, Y14, Y4
 	VFMADD231PD Y13, Y14, Y5
 	VFMADD231PD Y12, Y15, Y6
 	VFMADD231PD Y13, Y15, Y7
-	ADDQ $32, AX
-	ADDQ $64, BX
+	ADDQ R11, AX
+	ADDQ R12, BX
 	DECQ CX
 	JNZ  loop64
-	VBROADCASTSD alpha+40(FP), Y12
-	VMULPD Y12, Y0, Y0
-	VMULPD Y12, Y1, Y1
-	VMULPD Y12, Y2, Y2
-	VMULPD Y12, Y3, Y3
-	VMULPD Y12, Y4, Y4
-	VMULPD Y12, Y5, Y5
-	VMULPD Y12, Y6, Y6
-	VMULPD Y12, Y7, Y7
-	LEAQ (DX)(R8*1), R9
-	LEAQ (R9)(R8*1), R10
-	LEAQ (R10)(R8*1), R11
-	MOVBLZX accum+48(FP), CX
-	TESTL CX, CX
-	JZ   store64
+	VMULPD Y11, Y0, Y0
+	VMULPD Y11, Y1, Y1
+	VMULPD Y11, Y2, Y2
+	VMULPD Y11, Y3, Y3
+	VMULPD Y11, Y4, Y4
+	VMULPD Y11, Y5, Y5
+	VMULPD Y11, Y6, Y6
+	VMULPD Y11, Y7, Y7
+	LEAQ (DX)(R8*2), R13
+	CMPB accum+80(FP), $0
+	JE   store64
 	VADDPD (DX), Y0, Y0
 	VADDPD 32(DX), Y1, Y1
-	VADDPD (R9), Y2, Y2
-	VADDPD 32(R9), Y3, Y3
-	VADDPD (R10), Y4, Y4
-	VADDPD 32(R10), Y5, Y5
-	VADDPD (R11), Y6, Y6
-	VADDPD 32(R11), Y7, Y7
+	VADDPD (DX)(R8*1), Y2, Y2
+	VADDPD 32(DX)(R8*1), Y3, Y3
+	VADDPD (R13), Y4, Y4
+	VADDPD 32(R13), Y5, Y5
+	VADDPD (R13)(R8*1), Y6, Y6
+	VADDPD 32(R13)(R8*1), Y7, Y7
 store64:
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
-	VMOVUPD Y2, (R9)
-	VMOVUPD Y3, 32(R9)
-	VMOVUPD Y4, (R10)
-	VMOVUPD Y5, 32(R10)
-	VMOVUPD Y6, (R11)
-	VMOVUPD Y7, 32(R11)
+	VMOVUPD Y2, (DX)(R8*1)
+	VMOVUPD Y3, 32(DX)(R8*1)
+	VMOVUPD Y4, (R13)
+	VMOVUPD Y5, 32(R13)
+	VMOVUPD Y6, (R13)(R8*1)
+	VMOVUPD Y7, 32(R13)(R8*1)
+	LEAQ (SI)(R9*4), SI
+	LEAQ (DX)(R8*4), DX
+	DECQ DI
+	JNZ  tile64
 	VZEROUPPER
 	RET
 
 // F32ROW converts one tile row (lo, hi: 8 float32 each) to 16 float64,
 // scales by alpha (Y12) and stores or accumulates it at (DX), then steps DX
-// to the next destination row. CX holds accum.
+// to the next destination row.
 #define F32ROW(lo, xlo, hi, xhi, skip) \
 	VCVTPS2PD xlo, Y8 \
 	VEXTRACTF128 $1, lo, X9 \
@@ -96,8 +113,8 @@ store64:
 	VMULPD Y12, Y9, Y9 \
 	VMULPD Y12, Y10, Y10 \
 	VMULPD Y12, Y11, Y11 \
-	TESTL CX, CX \
-	JZ   skip \
+	CMPB accum+80(FP), $0 \
+	JE   skip \
 	VADDPD (DX), Y8, Y8 \
 	VADDPD 32(DX), Y9, Y9 \
 	VADDPD 64(DX), Y10, Y10 \
@@ -109,14 +126,24 @@ skip: \
 	VMOVUPD Y11, 96(DX) \
 	ADDQ R8, DX
 
-// func kern4x16F32(k int, a, b *float32, c *float64, ldc int, alpha float64, accum bool)
-TEXT ·kern4x16F32(SB), NOSPLIT, $0-49
-	MOVQ k+0(FP), CX
-	MOVQ a+8(FP), AX
-	MOVQ b+16(FP), BX
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
+// func kernF32(k int, a *float32, ars, aps int, b *float32, bps int, c *float64, ldc, tiles int, alpha float64, accum bool)
+TEXT ·kernF32(SB), NOSPLIT, $0-81
+	MOVQ a+8(FP), SI
+	MOVQ ars+16(FP), R9
+	MOVQ aps+24(FP), R11
+	MOVQ bps+40(FP), R12
+	MOVQ c+48(FP), DX
+	MOVQ ldc+56(FP), R8
+	MOVQ tiles+64(FP), DI
+	SHLQ $2, R9
+	SHLQ $2, R11
+	SHLQ $2, R12
 	SHLQ $3, R8
+	LEAQ (R9)(R9*2), R10
+tile32:
+	MOVQ SI, AX
+	MOVQ b+32(FP), BX
+	MOVQ k+0(FP), CX
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -129,27 +156,29 @@ loop32:
 	VMOVUPS (BX), Y12
 	VMOVUPS 32(BX), Y13
 	VBROADCASTSS (AX), Y14
-	VBROADCASTSS 4(AX), Y15
+	VBROADCASTSS (AX)(R9*1), Y15
 	VFMADD231PS Y12, Y14, Y0
 	VFMADD231PS Y13, Y14, Y1
 	VFMADD231PS Y12, Y15, Y2
 	VFMADD231PS Y13, Y15, Y3
-	VBROADCASTSS 8(AX), Y14
-	VBROADCASTSS 12(AX), Y15
+	VBROADCASTSS (AX)(R9*2), Y14
+	VBROADCASTSS (AX)(R10*1), Y15
 	VFMADD231PS Y12, Y14, Y4
 	VFMADD231PS Y13, Y14, Y5
 	VFMADD231PS Y12, Y15, Y6
 	VFMADD231PS Y13, Y15, Y7
-	ADDQ $16, AX
-	ADDQ $64, BX
+	ADDQ R11, AX
+	ADDQ R12, BX
 	DECQ CX
 	JNZ  loop32
-	VBROADCASTSD alpha+40(FP), Y12
-	MOVBLZX accum+48(FP), CX
+	VBROADCASTSD alpha+72(FP), Y12
 	F32ROW(Y0, X0, Y1, X1, row1)
 	F32ROW(Y2, X2, Y3, X3, row2)
 	F32ROW(Y4, X4, Y5, X5, row3)
-	F32ROW(Y6, X6, Y7, X7, done32)
+	F32ROW(Y6, X6, Y7, X7, row4)
+	LEAQ (SI)(R9*4), SI
+	DECQ DI
+	JNZ  tile32
 	VZEROUPPER
 	RET
 

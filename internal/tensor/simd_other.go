@@ -5,11 +5,11 @@ package tensor
 // Non-amd64 builds always use the pure-Go kernels in gemm.go and exp.go.
 var useSIMD = false
 
-func kern4x8F64(k int, a, b, c *float64, ldc int, alpha float64, accum bool) {
+func kernF64(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc, tiles int, alpha float64, accum bool) {
 	panic("tensor: SIMD kernel unavailable")
 }
 
-func kern4x16F32(k int, a, b *float32, c *float64, ldc int, alpha float64, accum bool) {
+func kernF32(k int, a *float32, ars, aps int, b *float32, bps int, c *float64, ldc, tiles int, alpha float64, accum bool) {
 	panic("tensor: SIMD kernel unavailable")
 }
 

@@ -62,7 +62,8 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
 }
 
-// checkShape validates a shape and returns its element count.
+// checkShape validates a shape and returns its element count; it panics on
+// an empty shape, a negative extent and a count that overflows int.
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
@@ -73,6 +74,11 @@ func checkShape(shape []int) int {
 			// Copy shape into the panic message so the parameter does not
 			// escape (which would heap-allocate callers' variadic slices).
 			panic(fmt.Sprintf("tensor: negative dimension in shape %v", append([]int(nil), shape...)))
+		}
+		if d > 0 && n > math.MaxInt/d {
+			// A wrapped count could match a short data slice and pass for a
+			// tensor whose shape promises elements it does not hold.
+			panic(fmt.Sprintf("tensor: shape %v has more elements than an int counts", append([]int(nil), shape...)))
 		}
 		n *= d
 	}

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -25,6 +26,19 @@ func TestNewShapeAndNumel(t *testing.T) {
 func TestNewPanicsOnBadShape(t *testing.T) {
 	assertPanics(t, func() { New() })
 	assertPanics(t, func() { New(2, -1) })
+}
+
+// TestShapeCountOverflowPanics pins that an element count which wraps an int
+// panics instead of passing for the small number it wraps to: 2^32 x 2^32
+// wraps to 0, and used to build a tensor whose shape promised elements its
+// empty Data did not hold.
+func TestShapeCountOverflowPanics(t *testing.T) {
+	const half = 1 << (strconv.IntSize / 2)
+	assertPanics(t, func() { New(half, half) })
+	assertPanics(t, func() { FromSlice(nil, 8, half, half) })
+	if got := New(0, math.MaxInt).Numel(); got != 0 { // a zero extent counts nothing, whatever follows it
+		t.Fatalf("New(0, MaxInt) holds %d elements", got)
+	}
 }
 
 func TestAtSetRoundTrip(t *testing.T) {
