@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet vet-custom build test fmt bench bench-diff bench-serve bench-compute bench-trace serve-smoke elastic-smoke trace-smoke race surface
+.PHONY: verify fmt-check vet vet-custom build test fmt bench bench-diff bench-compute serve-smoke elastic-smoke trace-smoke race surface
 
 # verify is the tier-1 gate: formatting, vet (standard and project
 # analyzers), full build, full test run, and the hermetic elastic and
@@ -25,13 +25,6 @@ bench-diff:
 	rm -f BENCH_sweep.new.json; \
 	exit $$status
 
-# bench-serve regenerates the measured serving-trajectory point
-# (BENCH_serve.json, schema dchag-bench/serve/v1). Unlike the analytic
-# sweep it is wall-clock, so CI validates the committed artifact's schema
-# and qualitative claims (TestServeJSONArtifact) instead of diffing bytes.
-bench-serve:
-	$(GO) run ./cmd/dchag-serve -bench -json BENCH_serve.json
-
 # bench-compute regenerates the measured compute-substrate point
 # (BENCH_compute.json, schema dchag-bench/compute/v6: naive vs blocked f64
 # vs prepacked f32 GEMM at square sizes and at the product shapes the D-CHAG
@@ -40,8 +33,8 @@ bench-serve:
 # backward, softmax and GELU on the
 # vector exp kernel next to their libm loops, ns/element, and the whole
 # serial channel stage next to its channel-major composition, ns and
-# scratch bytes) and re-parses it through the tier-1 artifact gate. Wall-clock like the serving point,
-# so the gate is schema + qualitative claims, not exact rates.
+# scratch bytes) and re-parses it through the tier-1 artifact gate. It is
+# wall-clock, so the gate is schema + qualitative claims, not exact rates.
 bench-compute:
 	$(GO) run ./cmd/dchag-bench -compute BENCH_compute.json
 	BENCH_COMPUTE_JSON=BENCH_compute.json $(GO) test -run TestComputeJSONArtifact .
@@ -61,20 +54,12 @@ serve-smoke:
 		-train-ranks 4 -ranks 2 -replicas 2 -batch 8 -deadline 50ms \
 		-requests 400 -concurrency 12
 
-# bench-trace regenerates the measured-vs-modeled step-attribution point
-# (BENCH_trace.json, schema dchag-bench/trace/v1: per-axis exposed comm
-# from a traced 2x2x2 RunMesh run diffed against perfmodel.AnalyzeOn) and
-# re-parses it through the tier-1 artifact gate. The report is
-# byte-deterministic, so CI can diff the committed artifact exactly.
-bench-trace:
-	$(GO) run ./cmd/dchag-trace -json BENCH_trace.json
-	BENCH_TRACE_JSON=BENCH_trace.json $(GO) test -run TestTraceJSONArtifact .
-
 # trace-smoke is the hermetic observability gate CI runs (dchag-trace
 # -smoke): a traced 4-rank hybrid training run exported and validated
-# against the Chrome trace-event schema, the measured-vs-modeled
-# attribution bench gated at 30%, and a traced serving engine's GET
-# /metrics scraped through the strict Prometheus text-format parser.
+# against the Chrome trace-event schema, the trace byte-accounting
+# invariant (ratio 1 within 1e-9, exact span counts per rank), and a traced
+# serving engine's GET /metrics scraped through the strict Prometheus
+# text-format parser.
 trace-smoke:
 	$(GO) run ./cmd/dchag-trace -smoke
 

@@ -6,10 +6,9 @@
 //	dchag-bench                 # run every experiment
 //	dchag-bench -fig fig09      # run one figure
 //	dchag-bench -fig sweep      # the 8-512 GCD step-time sweep
-//	dchag-bench -fig trace      # measured-vs-modeled step attribution
+//	dchag-bench -fig trace      # traced bytes, priced, vs the model
 //	dchag-bench -list           # list available experiments
 //	dchag-bench -json out.json  # write the sweep report as JSON (no tables)
-//	dchag-bench -json out.json -no-overlap  # serial (pre-overlap) pricing
 //	dchag-bench -compute out.json           # measured compute substrate report
 //	dchag-bench -diff old.json new.json     # perf-trajectory gate (below)
 //
@@ -28,7 +27,7 @@
 //	  "model": "7B",                      // perfmodel shape of the sweep
 //	  "channels": 500,                    // workload channel count
 //	  "gpus_per_node": 8,                 // Frontier node width
-//	  "overlap": true,                    // false under -no-overlap
+//	  "overlap": true,                    // priced under the overlap model
 //	  "scales": [8, 16, ..., 512],        // GCD counts swept
 //	  "cliff_gcds": 512,                  // scale of the cliff series
 //	  "points": [                         // full TP×FSDP×DP grid
@@ -40,7 +39,7 @@
 //	      "fits": true,
 //	      "mem_bytes_per_gpu": 6.1e10,
 //	      "step_seconds": 4.57,           // overlapped step time
-//	      "serial_step_seconds": 5.80,    // compute + total comm (v1)
+//	      "serial_step_seconds": 5.80,    // compute + total comm
 //	      "compute_seconds": 4.04,
 //	      "comm_seconds": {               // full per-axis collective time
 //	        "tp_seconds": 0.22, "fsdp_seconds": 0.34,
@@ -70,9 +69,8 @@
 // internal/perfmodel/overlap.go): FSDP parameter traffic prefetches
 // against compute, DP gradient buckets overlap the backward pass, TP
 // collectives stay on the critical path. step_seconds is compute plus the
-// exposed comm; serial_step_seconds keeps the v1 compute + total-comm
-// composition so trajectories remain comparable across the schema bump.
-// Under -no-overlap the two coincide and "overlap" is false.
+// exposed comm; serial_step_seconds is the compute + total-comm
+// composition.
 //
 // Additive fields may appear within v2; readers must ignore unknown keys.
 // Field removals or meaning changes bump the schema string.
@@ -82,8 +80,8 @@
 // The -compute flag writes one experiments.ComputeReport object — the
 // single-node compute-substrate point of the perf trajectory (CI commits it
 // as BENCH_compute.json). Each point is one square GEMM size measured three
-// ways: the pre-blocking naive kernel (tensor.MatMulNaiveInto), the blocked
-// register-tiled float64 driver (tensor.MatMulInto), and the float32 kernel
+// ways: a scalar ikj loop, the blocked register-tiled float64 driver
+// (tensor.MatMulInto), and the float32 kernel
 // against prepacked weight panels (tensor.MatMulPackedF32Into — the serving
 // configuration, so packing B stays off the measured path). Each shape is one
 // product the D-CHAG workloads actually issue — the E x E projections over
@@ -199,61 +197,15 @@
 // two more shapes; there is no reader for an earlier version. Additive fields
 // may appear within v6; readers must ignore unknown keys.
 //
-// # JSON schema (dchag-bench/trace/v1)
-//
-// `dchag-trace -json` (cmd/dchag-trace) writes one experiments.TraceReport
-// object — the measured-vs-modeled step-attribution point of the perf
-// trajectory (committed as BENCH_trace.json). The measured side replays
-// the analytic model's per-axis collective schedule on a real traced
-// 2x2x2 mesh, inverts the recorded wire volumes back to logical sizes,
-// and prices them with the same hw formulas perfmodel.AnalyzeOn uses; no
-// wall clock enters the report, so it is byte-deterministic and CI diffs
-// the committed artifact exactly:
-//
-//	{
-//	  "schema": "dchag-bench/trace/v1",   // bump on breaking change
-//	  "strategy": "D-CHAG-C-Tree0 TP=2 FSDP=2 DP=2",
-//	  "world": 8,                         // traced mesh world size
-//	  "topology": "2x4",                  // nodes x GPUs-per-node
-//	  "events": 120,                      // priced collective spans
-//	  "compute_seconds": 9.2e-4,          // modeled per-step compute
-//	  "axes": [                           // one entry per mesh axis
-//	    {
-//	      "axis": "tp",
-//	      "spans": 88,                    // traced collective spans
-//	      "wire_bytes": 92274688,         // recorded wire traffic
-//	      "measured_seconds": 1.1e-3,     // priced, pre-overlap
-//	      "modeled_seconds": 1.1e-3,      // perfmodel, pre-overlap
-//	      "measured_exposed_seconds": 1.1e-3,  // after shared overlap
-//	      "modeled_exposed_seconds": 1.1e-3,
-//	      "ratio": 1                      // measured/modeled exposed
-//	    }, ...
-//	  ],
-//	  "max_ratio_err": 0,                 // max |ratio-1| over axes
-//	  "agrees": true                      // gate: max_ratio_err <= 0.30
-//	}
-//
-// TestTraceJSONArtifact gates both a fresh report and the committed file
-// on the schema, per-axis coverage, and the 30% agreement band; the CI
-// trace job additionally requires the regenerated artifact to be
-// byte-identical to the committed one. Additive fields may appear within
-// v1; readers must ignore unknown keys.
-//
 // # Report diffing (-diff)
 //
 // `dchag-bench -diff old.json new.json` compares two sweep reports and
 // exits non-zero when the perf trajectory regressed: the best shape at any
-// scale changed, a configuration's simulated step time (serial, and under
-// v2 also overlapped) regressed beyond -diff-tol (default 5%), a
-// configuration flipped to OOM, or coverage was dropped. Improvements and
-// added configurations pass silently.
-//
-// Reports of different schema versions (a committed v1 artifact against a
-// v2 regeneration) are comparable: the version change is printed as an
-// explicit note and only the fields both schemas share are gated — serial
-// step times, fit/OOM status, and coverage. Best-shape marks and
-// overlapped times are skipped across versions (v2 chooses best shapes by
-// overlapped throughput) and the notes say so.
+// scale changed, a configuration's simulated step time (serial or
+// overlapped) regressed beyond -diff-tol (default 5%), a configuration
+// flipped to OOM, or coverage was dropped. Improvements and added
+// configurations pass silently. Both reports must carry
+// dchag-bench/sweep/v2; any other schema is refused by name.
 //
 // Exit codes: 0 clean, 1 regressions found, 2 unreadable/incomparable
 // reports. CI runs this (`make bench-diff`) against the committed

@@ -17,7 +17,6 @@ func main() {
 	format := flag.String("format", "text", "output format: text | markdown")
 	jsonPath := flag.String("json", "", "write the sweep report as JSON to this path and exit (see doc.go for the schema)")
 	computePath := flag.String("compute", "", "measure the compute substrate (GEMM, channel aggregation, softmax and GELU, the channel stage) and write the report as JSON to this path (see doc.go for the schema)")
-	noOverlap := flag.Bool("no-overlap", false, "price the sweep with the serial compute+comm composition instead of the overlap model (affects -json)")
 	diff := flag.Bool("diff", false, "compare two sweep reports: dchag-bench -diff old.json new.json; exits 1 on regressions")
 	diffTol := flag.Float64("diff-tol", 0.05, "fractional step-time regression tolerance for -diff (0.05 = 5%)")
 	flag.Parse()
@@ -36,9 +35,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dchag-bench: %v\n", err)
 			os.Exit(2)
 		}
-		for _, n := range d.Notes {
-			fmt.Printf("note: %s\n", n)
-		}
 		if !d.Clean() {
 			fmt.Printf("%d regression(s) between %s and %s:\n", len(d.Regressions), flag.Arg(0), flag.Arg(1))
 			for _, r := range d.Regressions {
@@ -53,6 +49,10 @@ func main() {
 	// (e.g. report paths without -diff).
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "dchag-bench: unexpected arguments %v\n", flag.Args())
+		os.Exit(2)
+	}
+	if *format != "text" && *format != "markdown" {
+		fmt.Fprintf(os.Stderr, "dchag-bench: unknown -format %q (usage: -format text | markdown)\n", *format)
 		os.Exit(2)
 	}
 	render := func(r experiments.Result) string {
@@ -82,11 +82,7 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		run := experiments.RunSweep
-		if *noOverlap {
-			run = experiments.RunSweepSerial
-		}
-		rep := run(experiments.DefaultSweepScales())
+		rep := experiments.RunSweep(experiments.DefaultSweepScales())
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dchag-bench: encoding sweep report: %v\n", err)

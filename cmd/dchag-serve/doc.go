@@ -46,82 +46,4 @@
 //	    in-process load with the response cache on, hot swap to the second
 //	    mid-stream. Exits 1 on any dropped request or if the swap count is
 //	    not exactly 1. `make serve-smoke` runs this after the loadgen smoke.
-//
-//	dchag-serve -bench [-json BENCH_serve.json] [-quick]
-//	    Measure the batch-size x deadline sweep, the cache hit-ratio sweep,
-//	    and the swap-under-load run, and write the machine-readable report
-//	    (the serving point of the perf trajectory, committed as
-//	    BENCH_serve.json).
-//
-// # Schema dchag-bench/serve/v1
-//
-// The report is a single JSON object:
-//
-//	{
-//	  "schema":             "dchag-bench/serve/v1",
-//	  "dtype":              inference arithmetic, "f64" or "f32" (additive
-//	                        within v1; absent meant f64 — the committed
-//	                        artifact measures the f32 no-grad path),
-//	  "note":               free-text version annotation (optional),
-//	  "ranks":              TP ranks per replica,
-//	  "replicas":           replica count,
-//	  "partitions":         logical D-CHAG partition count of the model,
-//	  "channels":           model channel count,
-//	  "concurrency":        loadgen client count,
-//	  "requests_per_point": requests issued per configuration,
-//	  "points": [
-//	    {
-//	      "max_batch":      micro-batch cap (1 = batching off),
-//	      "deadline_ms":    micro-batch flush deadline,
-//	      "requests":       requests issued,
-//	      "errors":         terminal failures (0 in a healthy run),
-//	      "retries":        queue-full backoffs taken (admission control),
-//	      "wall_seconds":   run duration,
-//	      "throughput_rps": measured requests/second,
-//	      "mean_batch":     mean requests per dispatched micro-batch,
-//	      "queued_p50_ms", "queued_p99_ms":
-//	                        batch-formation wait quantiles,
-//	      "total_p50_ms", "total_p99_ms":
-//	                        enqueue-to-response latency quantiles,
-//	      "max_queue_depth": deepest queue observed,
-//	      "best":           true on the highest-throughput point
-//	    }, ...
-//	  ],
-//	  "cache_bytes":        response-cache byte bound the cache sweep and the
-//	                        swap bench ran with (additive within v1),
-//	  "cache_points": [     hit-ratio sweep with the cache on (additive):
-//	    {
-//	      "hit_ratio":      targeted repeat fraction of the request stream
-//	                        (0 = every request unique, the all-miss baseline),
-//	      "requests", "errors", "retries", "wall_seconds", "throughput_rps":
-//	                        loadgen outcome as in points,
-//	      "cache_hits":     requests answered from the cache,
-//	      "cache_misses":   requests that owned a forward,
-//	      "coalesced":      requests that joined an in-flight forward,
-//	      "hit_p50_ms", "hit_p99_ms":
-//	                        cache-hit latency quantiles (no queue, no forward),
-//	      "total_p50_ms", "total_p99_ms":
-//	                        forward-served latency quantiles of the same run
-//	    }, ...
-//	  ],
-//	  "swap": {             swap-under-load measurement (additive):
-//	    "requests", "errors", "retries", "wall_seconds", "throughput_rps":
-//	                        loadgen outcome across the swap,
-//	    "failed":           engine-side failures (0 = no request dropped),
-//	    "swaps":            hot swaps performed (exactly 1)
-//	  }
-//	}
-//
-// The cache_points/cache_bytes/swap fields are additive within serve/v1:
-// artifacts written before they existed decode without them and mean "not
-// measured".
-//
-// Unlike dchag-bench/sweep/v2 (an analytic simulation, byte-stable across
-// runs), serve/v1 points are wall-clock measurements: trajectory tooling
-// should gate on the qualitative claims — zero errors, batching-on
-// throughput exceeding the max_batch=1 baseline at the same deadline, the
-// 0.9-hit-ratio stream out-serving the all-miss baseline by at least 5x
-// with hit p99 under the batched-forward p99, the swap run dropping zero
-// requests across exactly one swap — not on exact magnitudes.
-// TestServeJSONArtifact enforces exactly that on the committed artifact.
 package main

@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/debugserver"
-	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/serve"
 	"repro/internal/tensor"
@@ -46,10 +45,7 @@ func main() {
 		clients  = flag.Int("concurrency", 16, "loadgen: concurrent clients")
 		p99Limit = flag.Duration("p99-limit", 0, "loadgen: fail (exit 1) when the server-side total-latency p99 exceeds this (0: no check)")
 
-		bench     = flag.Bool("bench", false, "run the batch-size x deadline serving sweep and exit (see -json)")
 		swapSmoke = flag.Bool("swap-smoke", false, "hermetic: self-train two checkpoints, serve one under load with the cache on, hot swap to the other; exit 1 on any dropped request")
-		jsonPath  = flag.String("json", "BENCH_serve.json", "bench: write the dchag-bench/serve/v1 report here")
-		quick     = flag.Bool("quick", false, "bench: reduced sweep (batching off vs on at one deadline)")
 		trainRank = flag.Int("train-ranks", 4, "self-train: D-CHAG ranks the demo checkpoint is saved at (reshards to -ranks at serve time)")
 		trainStep = flag.Int("train-steps", 6, "self-train: optimizer steps")
 
@@ -68,10 +64,6 @@ func main() {
 		startDebugServer(*debugAddr)
 	}
 
-	if *bench {
-		runBench(*jsonPath, *quick)
-		return
-	}
 	if *swapSmoke {
 		os.Exit(runSwapSmoke(*ranks, *replicas, *batch, *deadline, *trainRank, *trainStep, *requests, *clients))
 	}
@@ -79,7 +71,7 @@ func main() {
 	dir := *ckptDir
 	if dir == "" {
 		if !*loadgen && *listen == "" {
-			log.Fatal("nothing to do: pass -ckpt (and -listen), or -loadgen, -bench, or -swap-smoke")
+			log.Fatal("nothing to do: pass -ckpt (and -listen), -loadgen, or -swap-smoke")
 		}
 		dir = selfTrain(*trainRank, *trainStep)
 	}
@@ -281,48 +273,6 @@ func httpLoadgen(baseURL string, inputs []*tensor.Tensor, requests, clients int)
 	}
 	wg.Wait()
 	return int(errs.Load()), time.Since(start)
-}
-
-// runBench runs the serving sweep and writes the dchag-bench/serve/v1
-// artifact (see doc.go for the schema).
-func runBench(path string, quick bool) {
-	cfg := experiments.DefaultServeBench()
-	if quick {
-		cfg = experiments.QuickServeBench()
-	}
-	rep, err := experiments.RunServeBench(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	best, _ := rep.Best()
-	base, haveBase := rep.PointAt(1, best.DeadlineMs)
-	fmt.Printf("wrote %s (%s, %d points)\n", path, rep.Schema, len(rep.Points))
-	fmt.Printf("best: batch<=%d @ %.0fms deadline -> %.0f req/s (mean batch %.1f)\n",
-		best.MaxBatch, best.DeadlineMs, best.ThroughputRPS, best.MeanBatch)
-	if haveBase && base.ThroughputRPS > 0 {
-		fmt.Printf("batching speedup over batch-1 at the same deadline: %.2fx\n", best.ThroughputRPS/base.ThroughputRPS)
-	}
-	for _, p := range rep.CachePoints {
-		fmt.Printf("cache %.1f hit ratio: %.0f req/s (%d hits, %d misses, %d coalesced; hit p99 %.3fms, total p99 %.2fms)\n",
-			p.HitRatio, p.ThroughputRPS, p.CacheHits, p.CacheMisses, p.Coalesced, p.HitP99Ms, p.TotalP99Ms)
-	}
-	if cold, okc := rep.CachePointAt(0); okc {
-		if hot, okh := rep.CachePointAt(0.9); okh && cold.ThroughputRPS > 0 {
-			fmt.Printf("cache speedup at 0.9 hit ratio over all-miss: %.2fx\n", hot.ThroughputRPS/cold.ThroughputRPS)
-		}
-	}
-	if sw := rep.Swap; sw != nil {
-		fmt.Printf("swap under load: %d requests, %d errors, %d failed, %d swap(s), %.0f req/s\n",
-			sw.Requests, sw.Errors, sw.Failed, sw.Swaps, sw.ThroughputRPS)
-	}
 }
 
 // runSwapSmoke is the hermetic hot-swap smoke `make serve-smoke` runs: train

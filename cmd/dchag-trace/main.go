@@ -1,30 +1,28 @@
 // Command dchag-trace is the observability driver: it replays the
 // analytic model's per-axis collective schedule on a real traced 2x2x2
-// mesh, diffs the measured attribution against perfmodel (the
-// BENCH_trace.json artifact, schema dchag-bench/trace/v1 — see
-// cmd/dchag-bench doc.go), and exports the raw trace as Chrome
+// mesh, prices the traced wire bytes with the model's own formulas and
+// sets them against perfmodel (a schedule-and-byte-accounting invariant:
+// exact agreement, no clock), and exports the raw trace as Chrome
 // trace-event JSON viewable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing.
 //
 // Examples:
 //
-//	dchag-trace                      # print the attribution table
-//	dchag-trace -json BENCH_trace.json
+//	dchag-trace                      # print the accounting table
 //	dchag-trace -chrome trace.json   # export the traced mesh run
 //	dchag-trace -train train.json    # trace a 4-rank hybrid training run
 //	dchag-trace -smoke               # hermetic end-to-end smoke (CI)
 //
 // -smoke runs the whole observability surface hermetically: a traced
 // 4-rank hybrid training run exported and validated against the Chrome
-// trace-event schema, the attribution bench gated at 30%, and a traced
-// serving engine's GET /metrics scraped through the strict Prometheus
-// text-format parser.
+// trace-event schema, the byte-accounting invariant (ratio 1 within 1e-9,
+// exact span counts per rank), and a traced serving engine's GET /metrics
+// scraped through the strict Prometheus text-format parser.
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -50,7 +48,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dchag-trace: ")
 	var (
-		jsonPath   = flag.String("json", "", "write the attribution report (schema dchag-bench/trace/v1) to this path")
 		chromePath = flag.String("chrome", "", "export the traced bench mesh run as Chrome trace-event JSON to this path")
 		trainPath  = flag.String("train", "", "trace a 4-rank (TP=2 x DP=2) hybrid training run and export it to this path")
 		smoke      = flag.Bool("smoke", false, "run the hermetic observability smoke check and exit")
@@ -74,36 +71,21 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s (%d rank rows)\n", *trainPath, tr.Rows())
-		if *jsonPath == "" && *chromePath == "" {
+		if *chromePath == "" {
 			return
 		}
 	}
 
-	rep, tr, err := experiments.RunTraceBench()
-	if err != nil {
-		log.Fatal(err)
-	}
-	stamp(tr)
 	if *chromePath != "" {
+		rep, tr, err := experiments.RunTraceBench()
+		if err != nil {
+			log.Fatal(err)
+		}
+		stamp(tr)
 		if err := obs.WriteChromeTraceFile(*chromePath, tr); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s (%d events over %d rows)\n", *chromePath, rep.Events, tr.Rows())
-	}
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s (%s, max ratio err %.2f%%, agrees=%v)\n",
-			*jsonPath, rep.Schema, rep.MaxRatioErr*100, rep.Agrees)
-		return
-	}
-	if *chromePath != "" || *trainPath != "" {
 		return
 	}
 	e, _ := experiments.Find("trace")
@@ -185,16 +167,17 @@ func runSmoke() {
 	fmt.Printf("trace export ok: %d events over %d rows, %d bytes of valid trace JSON\n",
 		events, tr.Rows(), len(raw))
 
-	// 2. Attribution bench: measured wire volumes priced with the shared
-	// hw formulas must agree with the analytic model per axis.
+	// 2. Byte accounting: traced wire volumes priced with the shared hw
+	// formulas must reproduce the analytic model per axis, and every rank
+	// must have traced exactly the scheduled spans.
 	rep, _, err := experiments.RunTraceBench()
 	if err != nil {
-		log.Fatalf("attribution bench: %v", err)
+		log.Fatalf("trace bench: %v", err)
 	}
 	if !rep.Agrees {
-		log.Fatalf("attribution disagrees: max ratio err %.1f%% > 30%%", rep.MaxRatioErr*100)
+		log.Fatalf("byte accounting disagrees: max ratio err %g, %d rank rows off schedule", rep.MaxRatioErr, rep.SpanCountErr)
 	}
-	fmt.Printf("attribution ok: %s, max ratio err %.2f%%\n", rep.Strategy, rep.MaxRatioErr*100)
+	fmt.Printf("byte accounting ok: %s, %d spans, max ratio err %g\n", rep.Strategy, rep.Events, rep.MaxRatioErr)
 
 	// 3. Traced serving engine: request lifecycle on the tracer, and
 	// GET /metrics must survive the strict Prometheus text parser.

@@ -43,7 +43,7 @@
 //
 // hotalloc — a function whose doc comment contains `dchag:hotpath`
 // promises steady-state allocation-freedom; make/new and tensor
-// constructor calls (tensor.New, Zeros, Ones, Full, FromSlice,
+// constructor calls (tensor.New, Ones, Full, FromSlice,
 // Tensor.Clone) inside it are reported. This keeps ROADMAP's
 // buffer-reuse work list explicit instead of archaeological.
 //

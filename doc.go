@@ -7,6 +7,5 @@
 //
 // See README.md for the layout and quickstart, DESIGN.md for the system
 // inventory and substitution rationale, and EXPERIMENTS.md for
-// paper-versus-measured results. The root-level benchmarks in bench_test.go
-// regenerate each figure (BenchmarkFig*) and time the core primitives.
+// paper-versus-measured results; `dchag-bench -fig` regenerates each figure.
 package repro

@@ -9,7 +9,7 @@
 // (and its function literals) the analyzer reports
 //
 //   - make(...) and new(...),
-//   - tensor constructors (tensor.New, Zeros, Ones, Full, FromSlice)
+//   - tensor constructors (tensor.New, Ones, Full, FromSlice)
 //     and Tensor.Clone,
 //   - destination-passing calls (tensor.*Into) whose dst argument is a
 //     literal nil: a nil dst makes the kernel allocate the result, so the
@@ -36,7 +36,6 @@ const tensorPath = "repro/internal/tensor"
 // allocFuncs are tensor-package functions that allocate fresh buffers.
 var allocFuncs = map[string]bool{
 	"New":       true,
-	"Zeros":     true,
 	"Ones":      true,
 	"Full":      true,
 	"FromSlice": true,

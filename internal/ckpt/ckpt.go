@@ -20,9 +20,7 @@
 // Open, OpenLatest, ListSteps, LatestDir, and everything they call — is
 // strictly read-only: it never creates, renames, or touches a file, so
 // checkpoints can be served from read-only mounts (the serving engine's
-// contract, pinned by TestOpenIsReadOnly). The legacy bare-gob
-// nn.SaveParams/LoadParams remain as the thin same-topology compatibility
-// path; this package supersedes them for anything distributed.
+// contract, pinned by TestOpenIsReadOnly).
 package ckpt
 
 import (

@@ -204,7 +204,7 @@ func TestHierarchicalAggregatorGradients(t *testing.T) {
 }
 
 func TestBaselineAggregatorIsSingleCrossAttention(t *testing.T) {
-	h := NewBaselineAggregator("base", 5, 4, 2, 44)
+	h := NewHierarchicalAggregator("base", BuildTreePlan(5, 0), KindCross, 4, 2, 44)
 	if len(h.Levels) != 1 || len(h.Levels[0]) != 1 {
 		t.Fatalf("baseline should have one layer, got %v", h.Plan)
 	}
@@ -221,7 +221,7 @@ func runDCHAG(t *testing.T, cfg Config, p int, x, up *tensor.Tensor) (outs, dimg
 	outs = make([]*tensor.Tensor, p)
 	dimgs = make([]*tensor.Tensor, p)
 	g, err := comm.Run(p, func(c *comm.Communicator) error {
-		d := NewDCHAG(cfg, c)
+		d := NewDCHAGPartitioned(cfg, c, c.Size())
 		xs := tensor.SliceAxis(x, 1, d.ChLo, d.ChHi)
 		c.SetPhase("forward")
 		outs[c.Rank()] = d.Forward(xs)
@@ -355,7 +355,7 @@ func TestDCHAGShardAnnotations(t *testing.T) {
 	covered := make([]int, cfg.Channels)
 	var mu sync.Mutex
 	_, err := comm.Run(p, func(c *comm.Communicator) error {
-		d := NewDCHAG(cfg, c)
+		d := NewDCHAGPartitioned(cfg, c, c.Size())
 		for _, pr := range []*nn.Param{d.Tok.Weight, d.Tok.Bias, d.ChEmb.Table} {
 			if pr.Shard == nil {
 				return fmt.Errorf("param %q lacks shard metadata", pr.Name)
@@ -440,7 +440,7 @@ func TestDCHAGParamGradsMatchReference(t *testing.T) {
 	}
 	grads := make([][]nameGrad, p)
 	_, err := comm.Run(p, func(c *comm.Communicator) error {
-		d := NewDCHAG(cfg, c)
+		d := NewDCHAGPartitioned(cfg, c, c.Size())
 		xs := tensor.SliceAxis(x, 1, d.ChLo, d.ChHi)
 		d.Forward(xs)
 		nn.ZeroGrads(d.Params())
@@ -488,7 +488,7 @@ func TestDCHAGFinalGradsIdenticalAcrossRanks(t *testing.T) {
 	up := tensor.Randn(rng, 2, cfg.Tokens(), cfg.Embed)
 	finals := make([][]*tensor.Tensor, p)
 	_, err := comm.Run(p, func(c *comm.Communicator) error {
-		d := NewDCHAG(cfg, c)
+		d := NewDCHAGPartitioned(cfg, c, c.Size())
 		xs := tensor.SliceAxis(x, 1, d.ChLo, d.ChHi)
 		d.Forward(xs)
 		nn.ZeroGrads(d.Params())
@@ -614,10 +614,10 @@ func TestLayerKindString(t *testing.T) {
 
 func TestDCHAGParamsPartition(t *testing.T) {
 	_, err := comm.Run(2, func(c *comm.Communicator) error {
-		d := NewDCHAG(Config{
+		d := NewDCHAGPartitioned(Config{
 			Channels: 4, ImgH: 2, ImgW: 2, Patch: 2,
 			Embed: 4, Heads: 2, Tree: 0, Kind: KindLinear, Seed: 1,
-		}, c)
+		}, c, c.Size())
 		if len(d.Params()) != len(d.LocalParams())+len(d.ReplicatedParams()) {
 			return fmt.Errorf("Params must partition into local + replicated")
 		}

@@ -108,19 +108,12 @@ func (d *DCHAG) SetInferDType(dt tensor.DType) {
 	d.Final.SetInferDType(dt)
 }
 
-// NewDCHAG constructs rank c.Rank()'s module with one partition per rank.
-// Channels are EvenSplit across the group; the partial module of rank r
-// draws its parameters from SubSeed(seed, seedPartial+r) and the final layer
-// from SubSeed(seed, seedFinal) on every rank (replicated).
-func NewDCHAG(cfg Config, c *comm.Communicator) *DCHAG {
-	return NewDCHAGPartitioned(cfg, c, c.Size())
-}
-
 // NewDCHAGPartitioned constructs rank c.Rank()'s slice of the P-partition
 // D-CHAG stage. The group size q must divide partitions; rank r owns
 // partitions [r*P/q, (r+1)*P/q) and the channel range they cover. Partition
 // k's partial module draws its parameters from SubSeed(seed, seedPartial+k)
-// regardless of q, so every q realizes the identical logical model.
+// regardless of q, so every q realizes the identical logical model; the
+// final layer draws from SubSeed(seed, seedFinal) on every rank (replicated).
 func NewDCHAGPartitioned(cfg Config, c *comm.Communicator, partitions int) *DCHAG {
 	cfg.validate()
 	q := c.Size()

@@ -170,12 +170,6 @@ func NewHierarchicalAggregator(name string, plan TreePlan, kind LayerKind, embed
 	return h
 }
 
-// NewBaselineAggregator is the architecture's default channel-aggregation
-// module: a single cross-attention layer over all channels (paper Fig. 1).
-func NewBaselineAggregator(name string, channels, embed, heads int, seed int64) *HierarchicalAggregator {
-	return NewHierarchicalAggregator(name, BuildTreePlan(channels, 0), KindCross, embed, heads, seed)
-}
-
 // Channels returns the module's input channel count.
 func (h *HierarchicalAggregator) Channels() int { return h.Plan.Channels() }
 

@@ -117,7 +117,7 @@ func TestDCHAGPerceiverRunsUnderRace(t *testing.T) {
 	}
 	x := tensor.Randn(tensor.NewRNG(5), 1, cfg.Channels, cfg.ImgH, cfg.ImgW)
 	_, err := comm.Run(4, func(c *comm.Communicator) error {
-		d := NewDCHAG(cfg, c)
+		d := NewDCHAGPartitioned(cfg, c, c.Size())
 		xs := tensor.SliceAxis(x, 1, d.ChLo, d.ChHi)
 		y := d.Forward(xs)
 		d.Backward(tensor.Ones(y.Shape...))

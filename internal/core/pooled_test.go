@@ -25,7 +25,7 @@ func explicitAggregate(a *nn.CrossAttention, query, context, d *tensor.Tensor) e
 	h, dh := a.Heads, a.Embed/a.Heads
 	scale := 1 / math.Sqrt(float64(dh))
 	affine := func(x *tensor.Tensor, l *nn.Linear) *tensor.Tensor {
-		y := tensor.MatMul(x.Reshape(-1, e), l.Weight.W)
+		y := tensor.MatMulInto(nil, x.Reshape(-1, e), l.Weight.W)
 		for r := 0; r < y.Shape[0]; r++ {
 			for j := 0; j < e; j++ {
 				y.Data[r*e+j] += l.Bias.W.Data[j]
@@ -49,7 +49,7 @@ func explicitAggregate(a *nn.CrossAttention, query, context, d *tensor.Tensor) e
 					s.Data[i*tk+j] *= scale
 				}
 			}
-			ph := tensor.SoftmaxLastDim(s)
+			ph := tensor.SoftmaxLastDimInto(nil, s)
 			copy(p.Data[(ni*h+hi)*tq*tk:], ph.Data)
 			for i := 0; i < tq; i++ {
 				for j := 0; j < tk; j++ {
@@ -61,7 +61,7 @@ func explicitAggregate(a *nn.CrossAttention, query, context, d *tensor.Tensor) e
 		}
 	}
 	y := affine(ctx, a.Wo) // [N*Tq, E]
-	out := tensor.MeanAxis(y.Reshape(n, tq, e), 1)
+	out := tensor.Scale(tensor.SumAxis(y.Reshape(n, tq, e), 1), 1/float64(tq))
 
 	dy := tensor.New(n*tq, e)
 	for ni := 0; ni < n; ni++ {
@@ -71,7 +71,7 @@ func explicitAggregate(a *nn.CrossAttention, query, context, d *tensor.Tensor) e
 			}
 		}
 	}
-	dctx := tensor.MatMulT(dy, a.Wo.Weight.W)
+	dctx := tensor.MatMulTInto(nil, dy, a.Wo.Weight.W)
 	dq, dk, dv := tensor.New(n*tq, e), tensor.New(n*tk, e), tensor.New(n*tk, e)
 	for ni := 0; ni < n; ni++ {
 		for hi := 0; hi < h; hi++ {
@@ -99,8 +99,8 @@ func explicitAggregate(a *nn.CrossAttention, query, context, d *tensor.Tensor) e
 	}
 	res := explicitAggregation{out: out}
 	back := func(x, g *tensor.Tensor, l *nn.Linear) *tensor.Tensor {
-		res.grads = append(res.grads, tensor.TMatMul(x.Reshape(-1, e), g), tensor.SumAxis(g, 0))
-		return tensor.MatMulT(g, l.Weight.W)
+		res.grads = append(res.grads, tensor.TMatMulInto(nil, x.Reshape(-1, e), g), tensor.SumAxis(g, 0))
+		return tensor.MatMulTInto(nil, g, l.Weight.W)
 	}
 	res.dQuery = back(query, dq, a.Wq).Reshape(n, tq, e)
 	res.dContext = back(context, dk, a.Wk).Reshape(n, tk, e)

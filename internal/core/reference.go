@@ -36,8 +36,8 @@ func (r *Reference) SetInferDType(dt tensor.DType) {
 	r.Final.SetInferDType(dt)
 }
 
-// NewReference builds the serial equivalent of NewDCHAG over p virtual
-// ranks.
+// NewReference builds the serial equivalent of NewDCHAGPartitioned over p
+// virtual ranks.
 func NewReference(cfg Config, p int) *Reference {
 	cfg.validate()
 	if p < 1 || cfg.Channels < p {

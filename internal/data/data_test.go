@@ -196,8 +196,8 @@ func TestRandomMaskRatioExact(t *testing.T) {
 			t.Fatalf("row %d has %d masked, want 12", b, n)
 		}
 	}
-	if MaskedCount(mask) != 48 {
-		t.Fatalf("MaskedCount = %d", MaskedCount(mask))
+	if mask.Sum() != 48 {
+		t.Fatalf("masked count = %v", mask.Sum())
 	}
 }
 

@@ -33,20 +33,6 @@ type HyperspectralConfig struct {
 	Seed  int64
 }
 
-// DefaultHyperspectral mirrors the APPL subset's shape at the given spatial
-// resolution.
-func DefaultHyperspectral(imgH, imgW int) HyperspectralConfig {
-	return HyperspectralConfig{
-		Images:     494,
-		Channels:   500,
-		ImgH:       imgH,
-		ImgW:       imgW,
-		Endmembers: 4,
-		Noise:      0.01,
-		Seed:       4094,
-	}
-}
-
 // Hyperspectral generates synthetic VNIR hyperspectral plant images as
 // linear mixtures of smooth spectral signatures over spatially correlated
 // abundance maps — the structure a masked autoencoder must learn to exploit

@@ -28,17 +28,6 @@ func RandomMask(rng interface {
 	return mask
 }
 
-// MaskedCount returns the number of ones in a mask.
-func MaskedCount(mask *tensor.Tensor) int {
-	n := 0
-	for _, v := range mask.Data {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Normalize standardizes x in place to zero mean and unit variance per
 // channel over the batch: x has shape [B, C, H, W]. Returns the per-channel
 // means and stds used (std floors at 1e-8). Standard preprocessing for both

@@ -36,11 +36,6 @@ type WeatherConfig struct {
 	Seed    int64
 }
 
-// DefaultWeather mirrors the paper's setup at a manageable native grid.
-func DefaultWeather() WeatherConfig {
-	return WeatherConfig{NativeH: 128, NativeW: 256, Steps: 512, DtHours: 6, Seed: 515}
-}
-
 // Weather synthesizes a deterministic, temporally-evolving global
 // atmosphere: each channel is a superposition of traveling planetary waves
 // (zonal wavenumbers with level-dependent amplitude and phase speed) over a

@@ -21,11 +21,11 @@ func init() {
 
 // ComputeSchema identifies the JSON layout of ComputeReport — the
 // single-node compute-substrate point of the perf trajectory
-// (BENCH_compute.json, written by `dchag-bench -compute`). Like the serving
-// artifact it is wall-clock measured, so tooling gates on its qualitative
-// claims (blocked beats naive, f32 beats f64, steady state allocation-free)
-// rather than exact rates. v2 added the shapes section: the products the
-// D-CHAG workloads actually issue, next to the square sizes. v3 adds the
+// (BENCH_compute.json, written by `dchag-bench -compute`). It is wall-clock
+// measured, so tooling gates on its qualitative claims (blocked beats naive,
+// f32 beats f64, steady state allocation-free) rather than exact rates. v2
+// added the shapes section: the products the D-CHAG workloads actually
+// issue, next to the square sizes. v3 adds the
 // aggregators section: one whole cross-attention channel aggregation, timed
 // forward and backward, next to the matrix-product work of the pooled
 // formulation it runs and of the unpooled one it replaced. v4 adds the
@@ -43,9 +43,8 @@ const ComputeSchema = "dchag-bench/compute/v6"
 type ComputePoint struct {
 	// Size is the square matrix extent n; each product is 2n^3 FLOPs.
 	Size int `json:"size"`
-	// NaiveGFLOPS is the pre-blocking reference kernel
-	// (tensor.MatMulNaiveInto, parallel ikj); BlockedGFLOPS the packed,
-	// register-tiled f64 driver (tensor.MatMulInto); F32GFLOPS the float32
+	// NaiveGFLOPS is the scalar ikj loop (naiveBatched); BlockedGFLOPS the
+	// packed, register-tiled f64 driver (tensor.MatMulInto); F32GFLOPS the float32
 	// kernel against a prepacked B panel (tensor.MatMulPackedF32Into — the
 	// serving configuration, so packing is off the measured path).
 	NaiveGFLOPS   float64 `json:"naive_gflops"`
@@ -232,7 +231,7 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 
 		p := ComputePoint{Size: n}
 		flops := 2 * float64(n) * float64(n) * float64(n)
-		p.NaiveGFLOPS = measureGFLOPS(flops, cfg, func() { tensor.MatMulNaiveInto(dst, a, b) })
+		p.NaiveGFLOPS = measureGFLOPS(flops, cfg, func() { naiveBatched(dst.Data, a.Data, b.Data, 1, n, n, n) })
 		p.BlockedGFLOPS = measureGFLOPS(flops, cfg, func() { tensor.MatMulInto(dst, a, b) })
 		p.F32GFLOPS = measureGFLOPS(flops, cfg, func() { tensor.MatMulPackedF32Into(dst, a, pb) })
 		p.BlockedSpeedup = p.BlockedGFLOPS / p.NaiveGFLOPS

@@ -113,7 +113,7 @@ func TestElementwiseReferencesAgree(t *testing.T) {
 	gelu := nn.NewGELU()
 
 	refSoftmax(ref.Data, x.Data, 11)
-	if diff := tensor.MaxAbsDiff(ref, tensor.SoftmaxLastDim(x)); diff > 1e-15 {
+	if diff := tensor.MaxAbsDiff(ref, tensor.SoftmaxLastDimInto(nil, x)); diff > 1e-15 {
 		t.Fatalf("refSoftmax is %g from SoftmaxLastDim", diff)
 	}
 	refGELU(ref.Data, x.Data)

@@ -23,41 +23,13 @@ func pointKey(p SweepPoint) shapeKey {
 }
 
 // SweepDiff is the result of comparing two sweep reports: Regressions fail
-// the perf gate (dchag-bench -diff exits 1), Notes are informational — the
-// explicit record of what a cross-schema comparison could and could not
-// check.
+// the perf gate (dchag-bench -diff exits 1).
 type SweepDiff struct {
-	Notes       []string
 	Regressions []string
 }
 
 // Clean reports whether the comparison found no regressions.
 func (d SweepDiff) Clean() bool { return len(d.Regressions) == 0 }
-
-// knownSchema reports whether the diff machinery understands the schema.
-func knownSchema(schema string) bool {
-	return schema == SweepSchema || schema == SweepSchemaV1
-}
-
-// serialStepOf returns a point's serial (compute + total comm) step time
-// under its report's schema: v1 reports carried it as step_seconds, v2
-// reports carry it as serial_step_seconds. The serial composition is the
-// one quantity priced identically by both schema generations, so it is the
-// step-time field cross-schema comparisons use.
-func serialStepOf(p SweepPoint, schema string) float64 {
-	if schema == SweepSchemaV1 {
-		return p.StepSeconds
-	}
-	return p.SerialStepSeconds
-}
-
-// serialCliffOf is serialStepOf for cliff points.
-func serialCliffOf(c CliffPoint, schema string) float64 {
-	if schema == SweepSchemaV1 {
-		return c.StepSeconds
-	}
-	return c.SerialStepSeconds
-}
 
 // DiffSweep mechanically compares two sweep reports and returns the
 // regressions between them, for the perf-trajectory gate behind
@@ -65,50 +37,24 @@ func serialCliffOf(c CliffPoint, schema string) float64 {
 //
 //   - the best (highest-throughput) shape at any scale changed;
 //   - a configuration present in both reports regressed in simulated step
-//     time by more than tolFrac (e.g. 0.05 = 5%);
+//     time, serial or overlapped, by more than tolFrac (e.g. 0.05 = 5%);
 //   - a configuration flipped between fitting and OOM;
 //   - a scale or configuration covered by the old report disappeared.
 //
-// Reports of different schema versions (v1 vs v2) are comparable: the
-// version change is reported as an explicit note and only the fields both
-// schemas share are compared — serial step times, fit/OOM status, and
-// coverage. Overlapped step times and best-shape marks exist only under
-// v2 semantics (v2 chooses best shapes by overlapped throughput), so
-// cross-schema runs skip them and say so, instead of failing opaquely or
-// flagging false regressions. The same shared-fields-plus-note treatment
-// applies to two v2 reports priced under different overlap settings (one
-// written with -no-overlap).
-//
 // Improvements and newly added configurations are not regressions. An
 // error (as opposed to regressions) means the reports cannot be compared
-// at all.
+// at all: both must carry SweepSchema.
 func DiffSweep(oldRep, newRep SweepReport, tolFrac float64) (SweepDiff, error) {
 	var d SweepDiff
-	if !knownSchema(oldRep.Schema) {
-		return d, fmt.Errorf("experiments: old report schema %q is not %q or %q", oldRep.Schema, SweepSchema, SweepSchemaV1)
+	if oldRep.Schema != SweepSchema {
+		return d, fmt.Errorf("experiments: old report schema is %q, want %q", oldRep.Schema, SweepSchema)
 	}
-	if !knownSchema(newRep.Schema) {
-		return d, fmt.Errorf("experiments: new report schema %q is not %q or %q", newRep.Schema, SweepSchema, SweepSchemaV1)
+	if newRep.Schema != SweepSchema {
+		return d, fmt.Errorf("experiments: new report schema is %q, want %q", newRep.Schema, SweepSchema)
 	}
 	if tolFrac < 0 {
 		return d, fmt.Errorf("experiments: negative tolerance %v", tolFrac)
 	}
-	sameSchema := oldRep.Schema == newRep.Schema
-	if !sameSchema {
-		d.Notes = append(d.Notes,
-			fmt.Sprintf("schema changed: %s -> %s; comparing shared fields only (serial step times, fits, coverage)", oldRep.Schema, newRep.Schema),
-			"best-shape marks and overlapped step times are not comparable across schema versions and were skipped")
-	}
-	// Two v2 reports priced under different overlap settings (one written
-	// with -no-overlap) also disagree on what step_seconds and the best
-	// marks mean; gate only the shared serial fields there too.
-	overlapComparable := sameSchema && oldRep.Schema == SweepSchema && oldRep.Overlap == newRep.Overlap
-	if sameSchema && oldRep.Schema == SweepSchema && oldRep.Overlap != newRep.Overlap {
-		d.Notes = append(d.Notes,
-			fmt.Sprintf("overlap pricing changed: %v -> %v; comparing shared fields only (serial step times, fits, coverage)", oldRep.Overlap, newRep.Overlap),
-			"best-shape marks and overlapped step times are not comparable across overlap settings and were skipped")
-	}
-	bestComparable := sameSchema && (oldRep.Schema == SweepSchemaV1 || overlapComparable)
 	regress := func(format string, args ...any) {
 		d.Regressions = append(d.Regressions, fmt.Sprintf(format, args...))
 	}
@@ -123,22 +69,18 @@ func DiffSweep(oldRep, newRep SweepReport, tolFrac float64) (SweepDiff, error) {
 		}
 	}
 
-	// Best-shape changes per scale covered by both reports — only when the
-	// reports agree on what "best" means (same schema, same overlap
-	// pricing).
-	if bestComparable {
-		for _, s := range oldRep.Scales {
-			if !newScales[s] {
-				continue
-			}
-			oldBest, oldOK := oldRep.BestAt(s)
-			newBest, newOK := newRep.BestAt(s)
-			switch {
-			case oldOK && !newOK:
-				regress("%d GCDs: no best shape anymore (was %s)", s, pointKey(oldBest))
-			case oldOK && newOK && pointKey(oldBest) != pointKey(newBest):
-				regress("%d GCDs: best shape changed: %s -> %s", s, pointKey(oldBest), pointKey(newBest))
-			}
+	// Best-shape changes per scale covered by both reports.
+	for _, s := range oldRep.Scales {
+		if !newScales[s] {
+			continue
+		}
+		oldBest, oldOK := oldRep.BestAt(s)
+		newBest, newOK := newRep.BestAt(s)
+		switch {
+		case oldOK && !newOK:
+			regress("%d GCDs: no best shape anymore (was %s)", s, pointKey(oldBest))
+		case oldOK && newOK && pointKey(oldBest) != pointKey(newBest):
+			regress("%d GCDs: best shape changed: %s -> %s", s, pointKey(oldBest), pointKey(newBest))
 		}
 	}
 
@@ -163,12 +105,11 @@ func DiffSweep(oldRep, newRep SweepReport, tolFrac float64) (SweepDiff, error) {
 		if !op.Fits || !np.Fits {
 			continue
 		}
-		oldSerial, newSerial := serialStepOf(op, oldRep.Schema), serialStepOf(np, newRep.Schema)
-		if newSerial > oldSerial*(1+tolFrac) {
+		if np.SerialStepSeconds > op.SerialStepSeconds*(1+tolFrac) {
 			regress("%s: serial step time %.4fs -> %.4fs (+%.1f%%, tolerance %.1f%%)",
-				key, oldSerial, newSerial, 100*(newSerial/oldSerial-1), 100*tolFrac)
+				key, op.SerialStepSeconds, np.SerialStepSeconds, 100*(np.SerialStepSeconds/op.SerialStepSeconds-1), 100*tolFrac)
 		}
-		if overlapComparable && np.StepSeconds > op.StepSeconds*(1+tolFrac) {
+		if np.StepSeconds > op.StepSeconds*(1+tolFrac) {
 			regress("%s: overlapped step time %.4fs -> %.4fs (+%.1f%%, tolerance %.1f%%)",
 				key, op.StepSeconds, np.StepSeconds, 100*(np.StepSeconds/op.StepSeconds-1), 100*tolFrac)
 		}
@@ -191,12 +132,11 @@ func DiffSweep(oldRep, newRep SweepReport, tolFrac float64) (SweepDiff, error) {
 				regress("cliff TP=%d: point dropped from the series", oc.TP)
 				continue
 			}
-			oldSerial, newSerial := serialCliffOf(oc, oldRep.Schema), serialCliffOf(nc, newRep.Schema)
-			if newSerial > oldSerial*(1+tolFrac) {
+			if nc.SerialStepSeconds > oc.SerialStepSeconds*(1+tolFrac) {
 				regress("cliff TP=%d: serial step time %.4fs -> %.4fs (+%.1f%%, tolerance %.1f%%)",
-					oc.TP, oldSerial, newSerial, 100*(newSerial/oldSerial-1), 100*tolFrac)
+					oc.TP, oc.SerialStepSeconds, nc.SerialStepSeconds, 100*(nc.SerialStepSeconds/oc.SerialStepSeconds-1), 100*tolFrac)
 			}
-			if overlapComparable && nc.StepSeconds > oc.StepSeconds*(1+tolFrac) {
+			if nc.StepSeconds > oc.StepSeconds*(1+tolFrac) {
 				regress("cliff TP=%d: overlapped step time %.4fs -> %.4fs (+%.1f%%, tolerance %.1f%%)",
 					oc.TP, oc.StepSeconds, nc.StepSeconds, 100*(nc.StepSeconds/oc.StepSeconds-1), 100*tolFrac)
 			}

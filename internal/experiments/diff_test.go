@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,26 +24,6 @@ func diffFixture() SweepReport {
 	}
 }
 
-// diffFixtureV1 is the fixture's pre-overlap ancestor: same shapes and
-// serial numbers, but carried under v1 semantics (step_seconds is the
-// serial composition, no overlap fields).
-func diffFixtureV1() SweepReport {
-	rep := diffFixture()
-	rep.Schema = SweepSchemaV1
-	rep.Overlap = false
-	for i := range rep.Points {
-		rep.Points[i].StepSeconds = rep.Points[i].SerialStepSeconds
-		rep.Points[i].SerialStepSeconds = 0
-		rep.Points[i].Exposed = CommBreakdown{}
-	}
-	for i := range rep.Cliff {
-		rep.Cliff[i].StepSeconds = rep.Cliff[i].SerialStepSeconds
-		rep.Cliff[i].SerialStepSeconds = 0
-		rep.Cliff[i].Exposed = CommBreakdown{}
-	}
-	return rep
-}
-
 func mustClean(t *testing.T, oldRep, newRep SweepReport, tol float64) SweepDiff {
 	t.Helper()
 	d, err := DiffSweep(oldRep, newRep, tol)
@@ -59,10 +38,7 @@ func mustClean(t *testing.T, oldRep, newRep SweepReport, tol float64) SweepDiff 
 
 func TestDiffSweepIdenticalReportsClean(t *testing.T) {
 	rep := diffFixture()
-	d := mustClean(t, rep, rep, 0.05)
-	if len(d.Notes) != 0 {
-		t.Fatalf("same-schema diff produced notes: %v", d.Notes)
-	}
+	mustClean(t, rep, rep, 0.05)
 }
 
 func TestDiffSweepFlagsBestShapeChange(t *testing.T) {
@@ -158,124 +134,23 @@ func TestDiffSweepCliffCoverage(t *testing.T) {
 }
 
 func TestDiffSweepSchemaGuard(t *testing.T) {
-	// Genuinely unknown schemas are errors — not silently compared.
-	oldRep, newRep := diffFixture(), diffFixture()
-	newRep.Schema = "dchag-bench/sweep/v0"
-	if _, err := DiffSweep(oldRep, newRep, 0.05); err == nil {
-		t.Fatal("want schema error for unknown new schema")
-	}
-	oldRep.Schema = "not-a-sweep"
-	if _, err := DiffSweep(oldRep, diffFixture(), 0.05); err == nil {
-		t.Fatal("want schema error for unknown old schema")
+	// Any schema but the current one is an error naming what it got and
+	// what it wants — not silently compared.
+	for _, schema := range []string{"dchag-bench/sweep/v0", "dchag-bench/sweep/v1", "not-a-sweep"} {
+		bad := diffFixture()
+		bad.Schema = schema
+		for _, pair := range [][2]SweepReport{{diffFixture(), bad}, {bad, diffFixture()}} {
+			_, err := DiffSweep(pair[0], pair[1], 0.05)
+			if err == nil {
+				t.Fatalf("want schema error for %q", schema)
+			}
+			if !strings.Contains(err.Error(), strconv.Quote(schema)) || !strings.Contains(err.Error(), strconv.Quote(SweepSchema)) {
+				t.Fatalf("error %q must name the schema it got (%s) and the one it wants (%s)", err, schema, SweepSchema)
+			}
+		}
 	}
 	if _, err := DiffSweep(diffFixture(), diffFixture(), -1); err == nil {
 		t.Fatal("want tolerance error")
-	}
-}
-
-func TestDiffSweepAcrossSchemaVersions(t *testing.T) {
-	// A v1 old report against a v2 new report is a defined comparison: the
-	// version change is reported explicitly as a note, serial step times /
-	// fits / coverage are compared, and best-shape marks are skipped (v2
-	// chooses them under overlapped throughput).
-	oldRep, newRep := diffFixtureV1(), diffFixture()
-	// Move the v2 best mark: across schemas this must NOT be a regression.
-	newRep.Points[0].Best = false
-	newRep.Points[1].Best = true
-	d := mustClean(t, oldRep, newRep, 0.05)
-	joined := strings.Join(d.Notes, "\n")
-	if !strings.Contains(joined, "schema changed") || !strings.Contains(joined, SweepSchemaV1) || !strings.Contains(joined, SweepSchema) {
-		t.Fatalf("notes %v must name the schema transition explicitly", d.Notes)
-	}
-	if !strings.Contains(joined, "best-shape") {
-		t.Fatalf("notes %v must say best-shape marks were skipped", d.Notes)
-	}
-
-	// Shared fields still gate: a serial regression in the v2 report is
-	// caught against the v1 baseline's step_seconds.
-	newRep = diffFixture()
-	newRep.Points[1].SerialStepSeconds = 3.0 // v1 carried 2.0
-	d, err := DiffSweep(oldRep, newRep, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Regressions) != 1 || !strings.Contains(d.Regressions[0], "serial step time") {
-		t.Fatalf("regressions = %v, want one cross-schema serial regression", d.Regressions)
-	}
-
-	// OOM flips are shared too.
-	newRep = diffFixture()
-	newRep.Points[0].Fits = false
-	d, err = DiffSweep(oldRep, newRep, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Regressions) != 1 || !strings.Contains(d.Regressions[0], "now OOM") {
-		t.Fatalf("regressions = %v, want one OOM flip", d.Regressions)
-	}
-}
-
-func TestDiffSweepAcrossOverlapSettings(t *testing.T) {
-	// Two v2 reports priced under different overlap settings disagree on
-	// what step_seconds and best marks mean: the mismatch is noted and
-	// only the shared serial fields are gated.
-	oldRep, newRep := diffFixture(), diffFixture()
-	oldRep.Overlap = false
-	for i := range oldRep.Points {
-		oldRep.Points[i].StepSeconds = oldRep.Points[i].SerialStepSeconds
-	}
-	// Overlap-on step times are smaller than overlap-off ones — a naive
-	// same-schema comparison in the other direction would flag them; and
-	// the best mark sits elsewhere under the other pricing.
-	newRep.Points[0].Best = false
-	newRep.Points[1].Best = true
-	d := mustClean(t, oldRep, newRep, 0.05)
-	joined := strings.Join(d.Notes, "\n")
-	if !strings.Contains(joined, "overlap pricing changed") {
-		t.Fatalf("notes %v must name the overlap-setting change", d.Notes)
-	}
-	// The regressing direction (overlap-on old, overlap-off new) must not
-	// drown the gate in false overlapped step-time regressions either —
-	// serial fields still gate.
-	d = mustClean(t, newRep, oldRep, 0.05)
-	if len(d.Notes) == 0 {
-		t.Fatal("reverse overlap-setting diff must carry the note too")
-	}
-	worse := diffFixture()
-	worse.Overlap = false
-	for i := range worse.Points {
-		worse.Points[i].StepSeconds = worse.Points[i].SerialStepSeconds
-	}
-	worse.Points[1].SerialStepSeconds = 3.0
-	d, err := DiffSweep(newRep, worse, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Regressions) != 1 || !strings.Contains(d.Regressions[0], "serial step time") {
-		t.Fatalf("regressions = %v, want exactly the serial regression", d.Regressions)
-	}
-}
-
-func TestDiffSweepV1ArtifactTransition(t *testing.T) {
-	// The committed pre-overlap trajectory point (the real sweep/v1
-	// BENCH_sweep.json this repository shipped) must diff cleanly against
-	// the current code's v2 sweep: serial pricing is untouched by the
-	// overlap model, so the v1 -> v2 transition cannot trip the perf gate.
-	raw, err := os.ReadFile("testdata/BENCH_sweep_v1.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var oldRep SweepReport
-	if err := json.Unmarshal(raw, &oldRep); err != nil {
-		t.Fatal(err)
-	}
-	if oldRep.Schema != SweepSchemaV1 {
-		t.Fatalf("fixture schema %q, want %q", oldRep.Schema, SweepSchemaV1)
-	}
-	newRep := RunSweep(oldRep.Scales)
-	d := mustClean(t, oldRep, newRep, 0.05)
-	if len(d.Notes) == 0 {
-		t.Fatal("cross-schema diff must report the version change")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"compute", "fig06", "fig07", "fig08", "fig09", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "serve", "sweep", "trace"}
+	want := []string{"compute", "fig06", "fig07", "fig08", "fig09", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "sweep", "trace"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))

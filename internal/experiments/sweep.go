@@ -22,15 +22,10 @@ func init() {
 //
 // v2 prices step times under the overlap composition model (FSDP prefetch,
 // DP bucket overlap, TP on the critical path): step_seconds is the
-// overlapped step time, serial_step_seconds the v1 compute+total-comm
+// overlapped step time, serial_step_seconds the compute+total-comm
 // composition, and exposed_seconds the per-axis comm left on the critical
-// path. DiffSweep still understands v1 reports (SweepSchemaV1) and compares
-// the fields the schemas share.
+// path. DiffSweep refuses any other schema.
 const SweepSchema = "dchag-bench/sweep/v2"
-
-// SweepSchemaV1 is the pre-overlap schema: step_seconds was the serial
-// composition and no overlap fields existed.
-const SweepSchemaV1 = "dchag-bench/sweep/v1"
 
 // SweepModel and SweepChannels fix the workload of the sweep: the paper's
 // Fig. 15 point (7B model, 500-channel images).
@@ -73,7 +68,7 @@ type SweepPoint struct {
 	Fits           bool    `json:"fits"`
 	MemBytesPerGPU float64 `json:"mem_bytes_per_gpu"`
 	// StepSeconds is the overlapped step time (compute + exposed comm);
-	// SerialStepSeconds is the v1 compute + total-comm composition.
+	// SerialStepSeconds is the compute + total-comm composition.
 	StepSeconds       float64       `json:"step_seconds"`
 	SerialStepSeconds float64       `json:"serial_step_seconds"`
 	ComputeSeconds    float64       `json:"compute_seconds"`
@@ -113,9 +108,8 @@ type SweepReport struct {
 	Model       string `json:"model"`
 	Channels    int    `json:"channels"`
 	GPUsPerNode int    `json:"gpus_per_node"`
-	// Overlap records whether step times were priced under the overlap
-	// model (false: the -no-overlap escape hatch, where StepSeconds equals
-	// SerialStepSeconds).
+	// Overlap records that step times were priced under the overlap model;
+	// every report this code writes says true.
 	Overlap   bool         `json:"overlap"`
 	Scales    []int        `json:"scales"`
 	CliffGCDs int          `json:"cliff_gcds"`
@@ -242,18 +236,7 @@ func cliffSeries(shape perfmodel.ModelShape, gcds int, machine hw.Machine, cal p
 // calibrated overlap model and returns the machine-readable report. The
 // cliff series is computed at the largest scale.
 func RunSweep(scales []int) SweepReport {
-	return runSweepCal(scales, perfmodel.DefaultCalibration())
-}
-
-// RunSweepSerial is the -no-overlap escape hatch: the same sweep with
-// overlap factors zeroed, so every step time is the serial compute +
-// total-comm composition (StepSeconds == SerialStepSeconds, exposed ==
-// comm) and best shapes are chosen under the v1 pricing.
-func RunSweepSerial(scales []int) SweepReport {
-	return runSweepCal(scales, perfmodel.SerialCalibration())
-}
-
-func runSweepCal(scales []int, cal perfmodel.Calibration) SweepReport {
+	cal := perfmodel.DefaultCalibration()
 	machine := hw.Frontier()
 	shape := perfmodel.Shapes[SweepModel]
 	rep := SweepReport{

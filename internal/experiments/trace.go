@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
@@ -14,58 +15,59 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "trace",
-		Title: "Step attribution: measured per-axis exposed comm from a traced 2x2x2 mesh vs the analytic model",
+		Title: "Schedule and byte accounting: wire bytes traced on a 2x2x2 mesh, priced, vs the analytic model",
 		Run:   runTraceExperiment,
 	})
 }
 
-// TraceSchema identifies the JSON layout of TraceReport — the
-// measured-vs-modeled step-attribution artifact (BENCH_trace.json,
-// written by `dchag-trace -json`). The measured side is priced from
-// traced wire volumes with the same hw formulas the analytic model
-// uses, so the artifact is byte-deterministic and CI gates it by
-// content, not by tolerance bands around wall clock.
-const TraceSchema = "dchag-bench/trace/v1"
+// traceRatioTol bounds |ratio - 1| per axis. The traced bytes are priced
+// with the formulas the model used, so agreement is exact up to the
+// rounding of one inversion.
+const traceRatioTol = 1e-9
 
-// TraceAxis is one mesh axis's measured-vs-modeled attribution.
+// TraceAxis is one mesh axis's traced-vs-modeled accounting.
 type TraceAxis struct {
 	// Axis names the mesh axis (tp, fsdp, dp).
-	Axis string `json:"axis"`
+	Axis string
 	// Spans counts the traced collective spans on the axis; WireBytes
 	// sums their recorded wire traffic across all ranks.
-	Spans     int   `json:"spans"`
-	WireBytes int64 `json:"wire_bytes"`
-	// MeasuredSeconds prices the traced wire volumes on the axis's group
-	// placements (worst group gates, as in the model); ModeledSeconds is
-	// perfmodel's pre-overlap per-axis time for the same configuration.
-	MeasuredSeconds float64 `json:"measured_seconds"`
-	ModeledSeconds  float64 `json:"modeled_seconds"`
-	// MeasuredExposedSeconds and ModeledExposedSeconds apply the shared
+	Spans     int
+	WireBytes int64
+	// TracedSeconds is the traced bytes, priced: each span's wire volume
+	// inverted to its logical size and priced on its group's placement
+	// (worst group gates, as in the model). No clock enters it.
+	// ModeledSeconds is perfmodel's pre-overlap per-axis time for the same
+	// configuration.
+	TracedSeconds  float64
+	ModeledSeconds float64
+	// TracedExposedSeconds and ModeledExposedSeconds apply the shared
 	// overlap discipline to both sides; Ratio is their quotient (0 when
 	// the modeled side is 0).
-	MeasuredExposedSeconds float64 `json:"measured_exposed_seconds"`
-	ModeledExposedSeconds  float64 `json:"modeled_exposed_seconds"`
-	Ratio                  float64 `json:"ratio"`
+	TracedExposedSeconds  float64
+	ModeledExposedSeconds float64
+	Ratio                 float64
 }
 
-// TraceReport is the machine-readable attribution artifact — the payload
-// behind `dchag-trace -json`.
+// TraceReport is what RunTraceBench found.
 type TraceReport struct {
-	Schema string `json:"schema"`
 	// Strategy, World, and Topology pin the traced configuration.
-	Strategy string `json:"strategy"`
-	World    int    `json:"world"`
-	Topology string `json:"topology"`
-	// Events counts every traced event across all rank rows.
-	Events int `json:"events"`
+	Strategy string
+	World    int
+	Topology string
+	// Events counts every priced span across all rank rows.
+	Events int
 	// ComputeSeconds is the modeled per-step compute both exposure
 	// computations share.
-	ComputeSeconds float64     `json:"compute_seconds"`
-	Axes           []TraceAxis `json:"axes"`
+	ComputeSeconds float64
+	Axes           []TraceAxis
 	// MaxRatioErr is the largest |Ratio - 1| over axes with a nonzero
-	// modeled time; Agrees is the artifact gate: MaxRatioErr <= 0.30.
-	MaxRatioErr float64 `json:"max_ratio_err"`
-	Agrees      bool    `json:"agrees"`
+	// modeled time. SpanCountErr counts the (rank, axis) pairs that traced
+	// a different number of spans than the schedule issues (a worst group
+	// gates each axis's time, so a span lost on one rank need not move a
+	// ratio). Agrees requires MaxRatioErr <= 1e-9 and SpanCountErr == 0.
+	MaxRatioErr  float64
+	SpanCountErr int
+	Agrees       bool
 }
 
 // traceBenchConfig is the fixed attribution workload: a small D-CHAG
@@ -80,25 +82,58 @@ func traceBenchConfig() (perfmodel.ModelShape, perfmodel.Workload, perfmodel.Str
 	return shape, wl, strat, machine, topo, perfmodel.DefaultCalibration()
 }
 
+// traceSizes is what one rank's schedule needs to know: how many
+// activation AllReduces the TP axis carries per step (4L+2) and the
+// logical element counts of the activation and the per-GPU parameter block.
+type traceSizes struct {
+	tpAllReduces, actElems, paramElems int
+}
+
+// traceSchedule issues on one rank exactly the collectives
+// axisCommSeconds prices: tpAllReduces activation AllReduces and one
+// activation AllGather on TP, two parameter-shard AllGathers and a
+// gradient ReduceScatter on FSDP, one gradient AllReduce on DP.
+func traceSchedule(rank int, m *dist.Mesh, s traceSizes) error {
+	rng := tensor.NewRNG(7 + int64(rank))
+	act := tensor.Randn(rng, s.actElems)
+	tpc := m.Comm(dist.AxisTP, rank)
+	for i := 0; i < s.tpAllReduces; i++ {
+		tpc.AllReduceSum(act)
+	}
+	tpc.AllGather(act)
+
+	fc := m.Comm(dist.AxisFSDP, rank)
+	shard := tensor.Randn(rng, s.paramElems/fc.Size())
+	full := tensor.Randn(rng, s.paramElems)
+	for i := 0; i < 2; i++ {
+		fc.AllGather(shard)
+	}
+	fc.ReduceScatterSum(full, 0)
+
+	dc := m.Comm(dist.AxisDP, rank)
+	dc.AllReduceSum(full)
+	return nil
+}
+
 // RunTraceBench replays the analytic model's per-axis collective
-// schedule on a real traced mesh and diffs the measured attribution
-// against perfmodel.AnalyzeOn. Every rank goroutine issues exactly the
-// collectives axisCommSeconds prices — (4L+2) activation AllReduces and
-// one activation AllGather on TP, two parameter-shard AllGathers and a
-// gradient ReduceScatter on FSDP, one gradient AllReduce on DP — with
-// tensors sized from the same formulas; the comm observers record the
-// actual wire volumes, which are then inverted to logical sizes and
-// priced on each group's placement with the same hw formulas the model
-// uses. What the diff validates is the whole attribution pipeline:
-// observer hook coverage, wire-volume accounting, the inversion, and
-// the shared overlap discipline.
+// schedule (traceSchedule) on a real traced mesh, with tensors sized from
+// the model's own formulas. The comm observers record the actual wire
+// volumes, which are then inverted to logical sizes and priced on each
+// group's placement with the same hw formulas the model uses, and set
+// against perfmodel.AnalyzeOn. It is a schedule-and-byte-accounting
+// invariant, not a measurement: what it validates is observer hook
+// coverage, wire-volume accounting, the inversion, and the shared overlap
+// discipline.
 //
 // The returned tracer holds the raw trace (for -chrome export); the
-// report is byte-deterministic — no wall clock enters the pricing.
+// report is deterministic — no wall clock enters the pricing.
 func RunTraceBench() (TraceReport, *obs.Tracer, error) {
+	return runTraceBench(traceSchedule)
+}
+
+func runTraceBench(schedule func(rank int, m *dist.Mesh, s traceSizes) error) (TraceReport, *obs.Tracer, error) {
 	shape, wl, strat, machine, topo, cal := traceBenchConfig()
 	rep := TraceReport{
-		Schema:   TraceSchema,
 		Strategy: strat.Label(),
 		World:    strat.World(),
 		Topology: fmt.Sprintf("%dx%d", topo.Nodes, topo.GPUsPerNode),
@@ -116,16 +151,20 @@ func RunTraceBench() (TraceReport, *obs.Tracer, error) {
 	// exact (divisible by the axis group sizes).
 	d := cal.DtypeBytes
 	actBytes := d * float64(wl.MicroBatch) * float64(wl.Tokens()) * float64(shape.Embed)
-	actElems := int(actBytes) / comm.BytesPerElem
+	sizes := traceSizes{tpAllReduces: 4*shape.Layers + 2, actElems: int(actBytes) / comm.BytesPerElem}
 	var params float64
 	for _, p := range modeled.ParamsPerGPU {
 		params += p
 	}
-	paramElems := int(params*d) / comm.BytesPerElem
+	sizes.paramElems = int(params*d) / comm.BytesPerElem
 	fsdp, dp := 2, 2 // strat is fixed above
-	if r := paramElems % (2 * fsdp * dp); r != 0 {
-		paramElems += 2*fsdp*dp - r
+	if r := sizes.paramElems % (2 * fsdp * dp); r != 0 {
+		sizes.paramElems += 2*fsdp*dp - r
 	}
+	var wantSpans [dist.NumAxes]int // per rank
+	wantSpans[dist.AxisTP] = sizes.tpAllReduces + 1
+	wantSpans[dist.AxisFSDP] = 3
+	wantSpans[dist.AxisDP] = 1
 
 	mesh, err := dist.NewMesh(strat.Mesh(), topo)
 	if err != nil {
@@ -136,27 +175,7 @@ func RunTraceBench() (TraceReport, *obs.Tracer, error) {
 	mesh.SetObserver(func(a dist.Axis, rank int) comm.Observer {
 		return obs.NewCommObserver(tr.Rank(rank), obs.CommCat(a.String()))
 	})
-	err = mesh.Run(func(rank int, m *dist.Mesh) error {
-		rng := tensor.NewRNG(7 + int64(rank))
-		act := tensor.Randn(rng, actElems)
-		tpc := m.Comm(dist.AxisTP, rank)
-		for i := 0; i < 4*shape.Layers+2; i++ {
-			tpc.AllReduceSum(act)
-		}
-		tpc.AllGather(act)
-
-		fc := m.Comm(dist.AxisFSDP, rank)
-		shard := tensor.Randn(rng, paramElems/fc.Size())
-		full := tensor.Randn(rng, paramElems)
-		for i := 0; i < 2; i++ {
-			fc.AllGather(shard)
-		}
-		fc.ReduceScatterSum(full, 0)
-
-		dc := m.Comm(dist.AxisDP, rank)
-		dc.AllReduceSum(full)
-		return nil
-	})
+	err = mesh.Run(func(rank int, m *dist.Mesh) error { return schedule(rank, m, sizes) })
 	if err != nil {
 		return rep, tr, err
 	}
@@ -176,6 +195,7 @@ func RunTraceBench() (TraceReport, *obs.Tracer, error) {
 		axisOf[obs.CommCat(a.String())] = a
 	}
 	for r := 0; r < mesh.World(); r++ {
+		var rankSpans [dist.NumAxes]int
 		for _, ev := range tr.Events(r) {
 			a, ok := axisOf[ev.Cat]
 			if !ok || ev.Ph != 'X' {
@@ -196,12 +216,18 @@ func RunTraceBench() (TraceReport, *obs.Tracer, error) {
 				continue // barriers and p2p carry no modeled schedule here
 			}
 			perRank[a][r] += t
-			spans[a]++
+			rankSpans[a]++
 			wire[a] += ev.Bytes
-			rep.Events++
+		}
+		for _, a := range dist.Axes {
+			spans[a] += rankSpans[a]
+			rep.Events += rankSpans[a]
+			if rankSpans[a] != wantSpans[a] {
+				rep.SpanCountErr++
+			}
 		}
 	}
-	var measured [dist.NumAxes]float64
+	var traced [dist.NumAxes]float64
 	for _, a := range dist.Axes {
 		for g := 0; g < mesh.GroupCount(a); g++ {
 			ranks := mesh.GroupRanks(a, g)
@@ -209,49 +235,38 @@ func RunTraceBench() (TraceReport, *obs.Tracer, error) {
 			for _, r := range ranks {
 				sum += perRank[a][r]
 			}
-			if mean := sum / float64(len(ranks)); mean > measured[a] {
-				measured[a] = mean
+			if mean := sum / float64(len(ranks)); mean > traced[a] {
+				traced[a] = mean
 			}
 		}
 	}
-	exposed := cal.Overlap.Expose(modeled.ComputeSeconds, measured)
+	exposed := cal.Overlap.Expose(modeled.ComputeSeconds, traced)
 
-	rep.MaxRatioErr = 0
-	rep.Agrees = true
 	for _, a := range dist.Axes {
 		ta := TraceAxis{
-			Axis:                   a.String(),
-			Spans:                  spans[a],
-			WireBytes:              wire[a],
-			MeasuredSeconds:        measured[a],
-			ModeledSeconds:         modeled.AxisCommSeconds[a],
-			MeasuredExposedSeconds: exposed[a],
-			ModeledExposedSeconds:  modeled.AxisExposedSeconds[a],
+			Axis:                  a.String(),
+			Spans:                 spans[a],
+			WireBytes:             wire[a],
+			TracedSeconds:         traced[a],
+			ModeledSeconds:        modeled.AxisCommSeconds[a],
+			TracedExposedSeconds:  exposed[a],
+			ModeledExposedSeconds: modeled.AxisExposedSeconds[a],
 		}
 		if ta.ModeledExposedSeconds > 0 {
-			ta.Ratio = ta.MeasuredExposedSeconds / ta.ModeledExposedSeconds
-			if err := abs(ta.Ratio - 1); err > rep.MaxRatioErr {
-				rep.MaxRatioErr = err
-			}
+			ta.Ratio = ta.TracedExposedSeconds / ta.ModeledExposedSeconds
+			rep.MaxRatioErr = math.Max(rep.MaxRatioErr, math.Abs(ta.Ratio-1))
 		}
 		rep.Axes = append(rep.Axes, ta)
 	}
-	rep.Agrees = rep.MaxRatioErr <= 0.30
+	rep.Agrees = rep.MaxRatioErr <= traceRatioTol && rep.SpanCountErr == 0
 	return rep, tr, nil
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// runTraceExperiment renders the attribution as a figure-style table.
+// runTraceExperiment renders the accounting as a figure-style table.
 func runTraceExperiment() Result {
 	t := &Table{
-		Title:   "Measured vs modeled per-axis exposed comm (traced 2x2x2 mesh)",
-		Headers: []string{"axis", "spans", "wire", "measured ms", "modeled ms", "exposed meas ms", "exposed model ms", "ratio"},
+		Title:   "Traced bytes, priced, vs modeled per-axis exposed comm (traced 2x2x2 mesh)",
+		Headers: []string{"axis", "spans", "wire", "traced bytes priced ms", "modeled ms", "exposed traced ms", "exposed model ms", "ratio"},
 	}
 	rep, _, err := RunTraceBench()
 	if err != nil {
@@ -262,14 +277,14 @@ func runTraceExperiment() Result {
 		t.Add(a.Axis,
 			fmt.Sprintf("%d", a.Spans),
 			hw.FormatBytes(a.WireBytes),
-			fmt.Sprintf("%.3f", a.MeasuredSeconds*1e3),
+			fmt.Sprintf("%.3f", a.TracedSeconds*1e3),
 			fmt.Sprintf("%.3f", a.ModeledSeconds*1e3),
-			fmt.Sprintf("%.3f", a.MeasuredExposedSeconds*1e3),
+			fmt.Sprintf("%.3f", a.TracedExposedSeconds*1e3),
 			fmt.Sprintf("%.3f", a.ModeledExposedSeconds*1e3),
 			fmt.Sprintf("%.3f", a.Ratio),
 		)
 	}
-	t.Note("strategy %s on %s; %d traced events; max ratio error %.1f%% (gate: 30%%)",
-		rep.Strategy, rep.Topology, rep.Events, rep.MaxRatioErr*100)
+	t.Note("strategy %s on %s; %d traced spans, %d rank rows off schedule; max ratio error %.2g (gate: %g)",
+		rep.Strategy, rep.Topology, rep.Events, rep.SpanCountErr, rep.MaxRatioErr, traceRatioTol)
 	return Result{ID: "trace", Title: t.Title, Tables: []*Table{t}}
 }

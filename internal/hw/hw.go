@@ -62,87 +62,6 @@ func (m Machine) UsableMemBytes() int64 {
 	return int64(float64(m.GPUMemBytes) * 0.95)
 }
 
-// GroupIntraNode reports whether a contiguously-placed group of the given
-// size, starting exactly at a node boundary, fits within one node.
-//
-// Deprecated: the size-only signature cannot see where a group actually
-// starts, so it misclassifies contiguous groups that straddle a boundary
-// (e.g. 8 ranks starting at rank 4 span two nodes). Use
-// ContiguousPlacement(start, n).IntraNode(), or the per-group placements
-// the internal/dist bridge derives from a mesh spec and topology.
-func (m Machine) GroupIntraNode(groupSize int) bool {
-	return m.ContiguousPlacement(0, groupSize).IntraNode()
-}
-
-// alignedPlacement is the placement the size-only convenience functions
-// assume: a contiguous group starting at a node boundary.
-func (m Machine) alignedPlacement(n int) Placement {
-	return m.ContiguousPlacement(0, n)
-}
-
-// AllGatherTime returns the ring all-gather time for a node-aligned
-// contiguous group of n ranks each contributing bytesPerRank. Groups with a
-// known placement should use AllGatherTimeOn.
-func (m Machine) AllGatherTime(n int, bytesPerRank int64) float64 {
-	return m.AllGatherTimeOn(m.alignedPlacement(n), bytesPerRank)
-}
-
-// AllReduceTime returns the ring all-reduce time for a node-aligned
-// contiguous group of n ranks over a buffer of the given size
-// (reduce-scatter + all-gather). Groups with a known placement should use
-// AllReduceTimeOn.
-func (m Machine) AllReduceTime(n int, bytes int64) float64 {
-	return m.AllReduceTimeOn(m.alignedPlacement(n), bytes)
-}
-
-// ReduceScatterTime returns the ring reduce-scatter time for a node-aligned
-// contiguous group of n ranks over a buffer of the given size. Groups with a
-// known placement should use ReduceScatterTimeOn.
-func (m Machine) ReduceScatterTime(n int, bytes int64) float64 {
-	return m.ReduceScatterTimeOn(m.alignedPlacement(n), bytes)
-}
-
-// AllGatherTimeAt is AllGatherTime with explicit link selection, for groups
-// whose placement is strided rather than contiguous (e.g. DP groups laid out
-// across nodes).
-func (m Machine) AllGatherTimeAt(n int, bytesPerRank int64, intra bool) float64 {
-	if n <= 1 {
-		return 0
-	}
-	bw, lat := m.InterBWPerGPU, m.LatInter
-	if intra {
-		bw, lat = m.IntraBW, m.LatIntra
-	}
-	steps := float64(n - 1)
-	return steps*lat + steps*float64(bytesPerRank)/bw
-}
-
-// AllReduceTimeAt is AllReduceTime with explicit link selection.
-func (m Machine) AllReduceTimeAt(n int, bytes int64, intra bool) float64 {
-	if n <= 1 {
-		return 0
-	}
-	bw, lat := m.InterBWPerGPU, m.LatInter
-	if intra {
-		bw, lat = m.IntraBW, m.LatIntra
-	}
-	steps := 2 * float64(n-1)
-	return steps*lat + steps*float64(bytes)/float64(n)/bw
-}
-
-// ReduceScatterTimeAt is ReduceScatterTime with explicit link selection.
-func (m Machine) ReduceScatterTimeAt(n int, bytes int64, intra bool) float64 {
-	if n <= 1 {
-		return 0
-	}
-	bw, lat := m.InterBWPerGPU, m.LatInter
-	if intra {
-		bw, lat = m.IntraBW, m.LatIntra
-	}
-	steps := float64(n - 1)
-	return steps*lat + steps*float64(bytes)/float64(n)/bw
-}
-
 // ComputeTime returns the wall time to execute the given FLOPs on one GCD at
 // sustained efficiency.
 func (m Machine) ComputeTime(flops float64) float64 {

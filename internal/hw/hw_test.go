@@ -27,50 +27,35 @@ func TestFrontierConstants(t *testing.T) {
 
 func TestGroupPlacement(t *testing.T) {
 	m := Frontier()
-	if !m.GroupIntraNode(8) {
+	if !m.ContiguousPlacement(0, 8).IntraNode() {
 		t.Fatal("8 GCDs fit in one node")
 	}
-	if m.GroupIntraNode(16) {
+	if m.ContiguousPlacement(0, 16).IntraNode() {
 		t.Fatal("16 GCDs span nodes")
 	}
 }
 
 func TestCollectiveTimesScaleWithSizeAndBytes(t *testing.T) {
 	m := Frontier()
+	at := func(n int) Placement { return m.ContiguousPlacement(0, n) }
 	// Zero for trivial groups.
-	if m.AllGatherTime(1, 1<<20) != 0 || m.AllReduceTime(1, 1<<20) != 0 || m.ReduceScatterTime(1, 1<<20) != 0 {
+	if m.AllGatherTimeOn(at(1), 1<<20) != 0 || m.AllReduceTimeOn(at(1), 1<<20) != 0 || m.ReduceScatterTimeOn(at(1), 1<<20) != 0 {
 		t.Fatal("single-rank collectives are free")
 	}
 	// More bytes take longer.
-	if !(m.AllGatherTime(4, 1<<24) > m.AllGatherTime(4, 1<<20)) {
+	if !(m.AllGatherTimeOn(at(4), 1<<24) > m.AllGatherTimeOn(at(4), 1<<20)) {
 		t.Fatal("AllGather must scale with volume")
 	}
 	// Crossing the node boundary costs more at equal volume.
-	if !(m.AllReduceTime(16, 1<<24) > m.AllReduceTime(8, 1<<24)) {
+	if !(m.AllReduceTimeOn(at(16), 1<<24) > m.AllReduceTimeOn(at(8), 1<<24)) {
 		t.Fatal("inter-node all-reduce must cost more than intra-node")
 	}
 	// AllReduce ~ ReduceScatter + AllGather of the chunks.
 	n, bytes := 4, int64(1<<24)
-	ar := m.AllReduceTime(n, bytes)
-	rsag := m.ReduceScatterTime(n, bytes) + m.AllGatherTime(n, bytes/int64(n))
+	ar := m.AllReduceTimeOn(at(n), bytes)
+	rsag := m.ReduceScatterTimeOn(at(n), bytes) + m.AllGatherTimeOn(at(n), bytes/int64(n))
 	if math.Abs(ar-rsag)/ar > 0.01 {
 		t.Fatalf("ring identity violated: AR=%v RS+AG=%v", ar, rsag)
-	}
-}
-
-func TestExplicitLinkVariants(t *testing.T) {
-	m := Frontier()
-	intra := m.AllReduceTimeAt(4, 1<<24, true)
-	inter := m.AllReduceTimeAt(4, 1<<24, false)
-	if !(inter > intra) {
-		t.Fatal("forced inter-node link must be slower")
-	}
-	if m.AllGatherTimeAt(1, 1<<20, true) != 0 || m.ReduceScatterTimeAt(1, 1<<20, false) != 0 {
-		t.Fatal("single-rank variants are free")
-	}
-	// Contiguous convenience must match the explicit variant.
-	if m.AllGatherTime(4, 1<<20) != m.AllGatherTimeAt(4, 1<<20, true) {
-		t.Fatal("size-based link selection should be intra for n<=8")
 	}
 }
 

@@ -50,9 +50,8 @@ func (p Placement) NodeSpan() int {
 
 // ContiguousPlacement returns the placement of n ranks packed densely from
 // world rank start under the machine's node width — the layout of TP (and
-// node-filling FSDP) groups in internal/dist. Unlike the deprecated
-// GroupIntraNode, it is exact for groups that do not start at a node
-// boundary.
+// node-filling FSDP) groups in internal/dist. It is exact for groups that do
+// not start at a node boundary.
 func (m Machine) ContiguousPlacement(start, n int) Placement {
 	p := make(Placement, n)
 	for i := range p {

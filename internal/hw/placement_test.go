@@ -11,8 +11,7 @@ func TestContiguousPlacement(t *testing.T) {
 	if p := m.ContiguousPlacement(0, 8); !p.IntraNode() || p.NodeSpan() != 1 || p.InterHops() != 0 {
 		t.Fatalf("aligned 8-rank group should be intra-node, got %v", p)
 	}
-	// The same size starting mid-node straddles the boundary — the case the
-	// deprecated size-only GroupIntraNode cannot see.
+	// The same size starting mid-node straddles the boundary.
 	p := m.ContiguousPlacement(4, 8)
 	if p.IntraNode() || p.NodeSpan() != 2 {
 		t.Fatalf("unaligned 8-rank group must span two nodes, got %v", p)
@@ -23,17 +22,6 @@ func TestContiguousPlacement(t *testing.T) {
 	}
 	if !m.ContiguousPlacement(4, 2).IntraNode() {
 		t.Fatal("small mid-node group stays intra-node")
-	}
-}
-
-func TestDeprecatedGroupIntraNodeStillAligned(t *testing.T) {
-	m := Frontier()
-	if !m.GroupIntraNode(8) || m.GroupIntraNode(16) {
-		t.Fatal("deprecated GroupIntraNode must keep its aligned-group semantics")
-	}
-	// Degenerate sizes keep their pre-placement behavior (no panics).
-	if !m.GroupIntraNode(0) || !m.GroupIntraNode(1) {
-		t.Fatal("empty and single-rank groups are trivially intra-node")
 	}
 }
 
@@ -60,15 +48,17 @@ func TestPlacedCollectiveTimes(t *testing.T) {
 	if !(m.AllReduceTimeOn(inter, bytes) > m.AllReduceTimeOn(intra, bytes)) {
 		t.Fatal("inter-node ring must be slower than an equal-size intra-node ring")
 	}
-	// Placement-priced times agree with the explicit-link variants.
-	if m.AllGatherTimeOn(intra, bytes) != m.AllGatherTimeAt(8, bytes, true) {
-		t.Fatal("intra placement must match the explicit intra link")
+	// Placement-priced times are the ring formulas on the placement's link:
+	// steps x (latency + chunk / bandwidth).
+	b := float64(bytes)
+	if got, want := m.AllGatherTimeOn(intra, bytes), 7*m.LatIntra+7*b/m.IntraBW; got != want {
+		t.Fatalf("intra all-gather = %v, want %v on the intra link", got, want)
 	}
-	if m.AllReduceTimeOn(inter, bytes) != m.AllReduceTimeAt(8, bytes, false) {
-		t.Fatal("boundary-crossing placement must match the explicit inter link")
+	if got, want := m.AllReduceTimeOn(inter, bytes), 14*m.LatInter+14*(b/8)/m.InterBWPerGPU; got != want {
+		t.Fatalf("boundary-crossing all-reduce = %v, want %v on the inter link", got, want)
 	}
-	if m.ReduceScatterTimeOn(inter, bytes) != m.ReduceScatterTimeAt(8, bytes, false) {
-		t.Fatal("reduce-scatter placement pricing must match the explicit inter link")
+	if got, want := m.ReduceScatterTimeOn(inter, bytes), 7*m.LatInter+7*(b/8)/m.InterBWPerGPU; got != want {
+		t.Fatalf("boundary-crossing reduce-scatter = %v, want %v on the inter link", got, want)
 	}
 	// Trivial groups are free.
 	if m.AllGatherTimeOn(Placement{0}, bytes) != 0 || m.AllReduceTimeOn(Placement{3}, bytes) != 0 {

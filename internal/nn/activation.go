@@ -100,56 +100,3 @@ func (g *GELU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil; GELU has no parameters.
 func (g *GELU) Params() []*Param { return nil }
-
-// ReLU applies max(0, x) elementwise.
-type ReLU struct {
-	mask []bool
-
-	out *tensor.Tensor
-	dx  *tensor.Tensor
-}
-
-// NewReLU returns a ReLU activation layer.
-func NewReLU() *ReLU { return &ReLU{} }
-
-// Forward applies ReLU elementwise.
-func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if cap(r.mask) >= len(x.Data) {
-		r.mask = r.mask[:len(x.Data)]
-	} else {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.out = tensor.EnsureShape(r.out, x.Shape...)
-	for i, v := range x.Data {
-		if v > 0 {
-			r.out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			r.out.Data[i] = 0
-			r.mask[i] = false
-		}
-	}
-	return r.out
-}
-
-// Backward zeroes the gradient where the forward input was non-positive.
-func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if r.mask == nil {
-		panic("nn: ReLU.Backward before Forward")
-	}
-	if !tensor.SameShape(grad, r.out) {
-		panic(fmt.Sprintf("nn: ReLU.Backward gradient shape %v does not match input %v", grad.Shape, r.out.Shape))
-	}
-	r.dx = tensor.EnsureShape(r.dx, grad.Shape...)
-	for i, v := range grad.Data {
-		if r.mask[i] {
-			r.dx.Data[i] = v
-		} else {
-			r.dx.Data[i] = 0
-		}
-	}
-	return r.dx
-}
-
-// Params returns nil; ReLU has no parameters.
-func (r *ReLU) Params() []*Param { return nil }

@@ -148,8 +148,7 @@ func (c *AttentionCore) InferPooled(q, k, v *tensor.Tensor) *tensor.Tensor {
 // query axis and cbar with the pooled context pbar_h @ v_h. Both reductions
 // run in a fixed order — query rows ascending into pbar, key rows ascending
 // into cbar — one location at a time, so a row's result does not depend on N
-// or on how a batch is split. (tensor.MeanAxisInto would give the same pbar
-// but allocates its result-shape header on every call.)
+// or on how a batch is split.
 //
 // dchag:hotpath — every channel aggregation, every step and every served
 // micro-batch.

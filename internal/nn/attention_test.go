@@ -53,13 +53,13 @@ func splitMergeAttention(q, k, v, dctx *tensor.Tensor, heads int) (ctx, dq, dk, 
 	qh, kh, vh := splitHeads(q, heads), splitHeads(k, heads), splitHeads(v, heads)
 	scores := batched(tensor.BatchedMatMulTInto, qh, kh, tq, tk)
 	tensor.ScaleInPlace(scores, scale)
-	attn := tensor.SoftmaxLastDim(scores)
+	attn := tensor.SoftmaxLastDimInto(nil, scores)
 	ctx = mergeHeads(batched(tensor.BatchedMatMulInto, attn, vh, tq, dh))
 
 	dch := splitHeads(dctx, heads)
 	dA := batched(tensor.BatchedMatMulTInto, dch, vh, tq, tk)
 	dvh := batched(tensor.BatchedTMatMulInto, attn, dch, tk, dh)
-	dS := tensor.SoftmaxBackwardLastDim(attn, dA)
+	dS := tensor.SoftmaxBackwardLastDimInto(nil, attn, dA)
 	tensor.ScaleInPlace(dS, scale)
 	dqh := batched(tensor.BatchedMatMulInto, dS, kh, tq, dh)
 	dkh := batched(tensor.BatchedTMatMulInto, dS, qh, tk, dh)
@@ -127,8 +127,8 @@ func TestAttentionCoreGradients(t *testing.T) {
 // mean broadcast back over the rows into AttentionCore.Backward.
 func meanThenBackward(q, k, v, d *tensor.Tensor, heads int) (out, dq, dk, dv *tensor.Tensor) {
 	c := AttentionCore{Heads: heads, HeadDim: q.Shape[2] / heads}
-	out = tensor.MeanAxis(c.Forward(q, k, v), 1)
 	n, tq, e := q.Shape[0], q.Shape[1], q.Shape[2]
+	out = tensor.Scale(tensor.SumAxis(c.Forward(q, k, v), 1), 1/float64(tq))
 	dctx := tensor.New(n, tq, e)
 	for ni := 0; ni < n; ni++ {
 		for i := 0; i < tq; i++ {

@@ -52,13 +52,13 @@ func TestLinearGradients(t *testing.T) {
 }
 
 func TestLinearNoBias(t *testing.T) {
-	l := NewLinearNoBias("lin", 3, 2, 5)
+	l := NewLinearFrom("lin", tensor.XavierUniform(tensor.NewRNG(5), 3, 2), nil)
 	if len(l.Params()) != 1 {
 		t.Fatalf("Params = %d, want 1 (weight only)", len(l.Params()))
 	}
 	x := tensor.Randn(tensor.NewRNG(1), 4, 3)
 	y := l.Forward(x)
-	want := tensor.MatMul(x, l.Weight.W)
+	want := tensor.MatMulInto(nil, x, l.Weight.W)
 	if tensor.MaxAbsDiff(y, want) > 1e-12 {
 		t.Fatal("bias-free forward should be pure matmul")
 	}
@@ -116,26 +116,6 @@ func TestGELUGradients(t *testing.T) {
 	loss()
 	dx := g.Backward(r)
 	checkGrad(t, "gelu/x", x, dx, loss, 1e-6)
-}
-
-func TestReLUForwardBackward(t *testing.T) {
-	r := NewReLU()
-	x := tensor.FromSlice([]float64{-1, 0, 2, -3}, 4)
-	y := r.Forward(x)
-	want := []float64{0, 0, 2, 0}
-	for i, w := range want {
-		if y.Data[i] != w {
-			t.Fatalf("ReLU fwd = %v", y.Data)
-		}
-	}
-	g := tensor.FromSlice([]float64{5, 5, 5, 5}, 4)
-	dx := r.Backward(g)
-	wantG := []float64{0, 0, 5, 0}
-	for i, w := range wantG {
-		if dx.Data[i] != w {
-			t.Fatalf("ReLU bwd = %v", dx.Data)
-		}
-	}
 }
 
 func TestSelfAttentionGradients(t *testing.T) {

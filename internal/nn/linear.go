@@ -42,13 +42,6 @@ func NewLinear(name string, in, out int, seed int64) *Linear {
 	}
 }
 
-// NewLinearNoBias constructs a bias-free Linear layer.
-func NewLinearNoBias(name string, in, out int, seed int64) *Linear {
-	l := NewLinear(name, in, out, seed)
-	l.Bias = nil
-	return l
-}
-
 // NewLinearFrom wraps explicit weight (and optional bias) tensors; used by
 // tensor-parallel shards that slice a master weight.
 func NewLinearFrom(name string, w, b *tensor.Tensor) *Linear {

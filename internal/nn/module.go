@@ -16,8 +16,7 @@
 // tensor stays valid until the same method on the same layer runs again.
 // Layers are single-stream: Forward then Backward strictly alternate on one
 // goroutine, and Infer may interleave only outside a Forward/Backward pair
-// (between optimizer steps). Recomputation (see Recompute) re-runs Forward
-// deterministically, which rebuilds identical caches and is therefore safe.
+// (between optimizer steps).
 //
 // Determinism: every constructor takes an explicit seed. Layers that own a
 // logically-sharded parameter (attention heads, channel shards) generate the
@@ -184,44 +183,18 @@ func NumParams(ps []*Param) int {
 	return n
 }
 
-// Sequential chains single-input layers.
-type Sequential struct {
-	Layers []Layer
-}
-
-// NewSequential builds a Sequential from the given layers.
-func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
-
-// Forward applies the layers in order.
-func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x)
+// ParamsEqual reports whether two parameter lists hold identical values in
+// the same order (names and tensors), within tol.
+func ParamsEqual(a, b []*Param, tol float64) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	return x
-}
-
-// Backward applies the layers' backward passes in reverse order.
-func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
+	for i := range a {
+		if a[i].Name != b[i].Name || !tensor.EqualApprox(a[i].W, b[i].W, tol) {
+			return false
+		}
 	}
-	return grad
-}
-
-// SetInferDType applies dt to every layer that implements DTyper.
-func (s *Sequential) SetInferDType(dt tensor.DType) {
-	for _, l := range s.Layers {
-		SetInferDType(l, dt)
-	}
-}
-
-// Params returns the concatenated parameters of all layers.
-func (s *Sequential) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
+	return true
 }
 
 // SubSeed derives a deterministic per-component seed from a base seed and a

@@ -1,10 +1,9 @@
 // Package optim implements the optimizers and learning-rate schedules used
-// to train the repository's models: SGD with momentum, Adam, AdamW with
-// decoupled weight decay, cosine schedules with linear warmup, and global
-// gradient-norm clipping.
+// to train the repository's models: AdamW with decoupled weight decay,
+// cosine schedules with linear warmup, and global gradient-norm clipping.
 //
-// Optimizers key their per-parameter state (moments, velocities) by the
-// parameter's name, so state survives checkpointing: ExportState snapshots
+// Optimizers key their per-parameter state (moments) by the parameter's
+// name, so state survives checkpointing: ExportState snapshots
 // the moments and step count into a name-keyed State and ImportState
 // restores them, preserving the exact optimization trajectory across
 // save/resume — including across reshardings, since a moment buffer shares
@@ -33,21 +32,20 @@ type Optimizer interface {
 }
 
 // Moment holds one parameter's optimizer buffers keyed by buffer name
-// ("m"/"v" for AdamW, "velocity" for SGD). Every buffer has the same length
-// as the parameter's data and shares its shard layout, which is what lets
-// checkpoints reshard optimizer state alongside the weights.
+// ("m"/"v" for AdamW). Every buffer has the same length as the parameter's
+// data and shares its shard layout, which is what lets checkpoints reshard
+// optimizer state alongside the weights.
 type Moment map[string][]float64
 
 // State is a topology-agnostic snapshot of an optimizer: the algorithm, the
 // update count, and every parameter's moment buffers keyed by parameter
 // name. It is the optimizer half of the checkpoint state tree.
 type State struct {
-	// Algo identifies the optimizer family ("adamw" or "sgd").
+	// Algo identifies the optimizer family ("adamw").
 	Algo string
 	// Step is the number of updates applied (drives AdamW bias correction).
 	Step int
-	// Moments maps parameter name to that parameter's buffers. Parameters
-	// without state (e.g. SGD with zero momentum) are absent.
+	// Moments maps parameter name to that parameter's buffers.
 	Moments map[string]Moment
 }
 
@@ -122,79 +120,6 @@ func importMoments(algo string, state State, params []*nn.Param, keys []string) 
 	return out, nil
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	Params   []*nn.Param
-	lr       float64
-	Momentum float64
-
-	velocity map[string][]float64 // nil when Momentum == 0
-}
-
-// NewSGD constructs an SGD optimizer over params.
-func NewSGD(params []*nn.Param, lr, momentum float64) *SGD {
-	uniqueNames(params)
-	s := &SGD{Params: params, lr: lr, Momentum: momentum}
-	if momentum != 0 {
-		s.velocity = make(map[string][]float64, len(params))
-		for _, p := range params {
-			s.velocity[p.Name] = make([]float64, p.Numel())
-		}
-	}
-	return s
-}
-
-// Step applies w -= lr * (v or g).
-func (s *SGD) Step() {
-	for _, p := range s.Params {
-		if s.velocity == nil {
-			for j := range p.W.Data {
-				p.W.Data[j] -= s.lr * p.Grad.Data[j]
-			}
-			continue
-		}
-		v := s.velocity[p.Name]
-		for j := range p.W.Data {
-			v[j] = s.Momentum*v[j] + p.Grad.Data[j]
-			p.W.Data[j] -= s.lr * v[j]
-		}
-	}
-}
-
-// ExportState snapshots the velocity buffers keyed by parameter name.
-func (s *SGD) ExportState() State {
-	st := State{Algo: "sgd", Moments: make(map[string]Moment, len(s.velocity))}
-	for name, v := range s.velocity {
-		st.Moments[name] = Moment{"velocity": append([]float64(nil), v...)}
-	}
-	return st
-}
-
-// ImportState restores previously exported velocities. With zero momentum
-// the state must carry no moments.
-func (s *SGD) ImportState(st State) error {
-	if s.velocity == nil {
-		if st.Algo != "sgd" || len(st.Moments) != 0 {
-			return fmt.Errorf("optim: momentum-free SGD cannot import state (algo %q, %d moments)", st.Algo, len(st.Moments))
-		}
-		return nil
-	}
-	moments, err := importMoments("sgd", st, s.Params, []string{"velocity"})
-	if err != nil {
-		return err
-	}
-	for name, m := range moments {
-		s.velocity[name] = m["velocity"]
-	}
-	return nil
-}
-
-// SetLR overrides the learning rate.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR returns the current learning rate.
-func (s *SGD) LR() float64 { return s.lr }
-
 // AdamW is Adam with decoupled weight decay (Loshchilov & Hutter), the
 // optimizer used for the paper's training runs.
 type AdamW struct {
@@ -227,9 +152,6 @@ func NewAdamW(params []*nn.Param, lr, weightDecay float64) *AdamW {
 	}
 	return a
 }
-
-// NewAdam constructs plain Adam (zero weight decay).
-func NewAdam(params []*nn.Param, lr float64) *AdamW { return NewAdamW(params, lr, 0) }
 
 // Step applies one AdamW update with bias correction.
 func (a *AdamW) Step() {

@@ -230,7 +230,7 @@ func makeBatches(steps, batch int) (xs, ys []*tensor.Tensor) {
 	trueW := tensor.Randn(rng, 4, 2)
 	for s := 0; s < steps; s++ {
 		x := tensor.Randn(rng, batch, 4)
-		y := tensor.MatMul(x, trueW)
+		y := tensor.MatMulInto(nil, x, trueW)
 		xs = append(xs, x)
 		ys = append(ys, y)
 	}

@@ -131,7 +131,7 @@ func TestDCHAGComposesWithSP(t *testing.T) {
 	wantDimg := ref.Backward(blkSerial.Backward(up))
 
 	_, err := comm.Run(p, func(c *comm.Communicator) error {
-		stage := core.NewDCHAG(cfg, c)
+		stage := core.NewDCHAGPartitioned(cfg, c, c.Size())
 		blk := NewSPTransformerBlock("spvit", cfg.Embed, cfg.Heads, 88, c)
 		xs := tensor.SliceAxis(x, 1, stage.ChLo, stage.ChHi)
 

@@ -106,8 +106,8 @@ func (r Report) Fits() bool { return r.TotalMemBytes() <= float64(r.Machine.Usab
 func (r Report) StepSeconds() float64 { return r.ComputeSeconds + r.ExposedCommSeconds }
 
 // SerialStepSeconds is the overlap-free composition — compute plus every
-// collective serialized — kept for pessimistic bounds and for comparing
-// against pre-overlap (sweep/v1) trajectory points.
+// collective serialized — the pessimistic bound the sweep reports beside
+// the overlapped step time.
 func (r Report) SerialStepSeconds() float64 { return r.ComputeSeconds + r.CommSeconds }
 
 // SamplesPerStep returns the global batch processed per step (FSDP and DP

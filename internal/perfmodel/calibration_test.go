@@ -288,7 +288,9 @@ func TestOverlapCalibrationTracksPaperGains(t *testing.T) {
 	// the gain comes down toward the "more than 2x" improvement the paper
 	// reports (Figs. 15/16) — and no further.
 	gOver := sweep512Gain(t, DefaultCalibration())
-	gSerial := sweep512Gain(t, SerialCalibration())
+	serial := DefaultCalibration()
+	serial.Overlap = Overlap{}
+	gSerial := sweep512Gain(t, serial)
 	if !(gOver < gSerial) {
 		t.Fatalf("overlap must shrink the gain: %+.1f%% vs serial %+.1f%%", 100*gOver, 100*gSerial)
 	}

@@ -55,7 +55,9 @@ func TestOverlapZeroFactorIsSerialBitForBit(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := tensor.NewRNG(seed)
 		shape, wl, strat, topo := randomCase(rng)
-		r := analyzeWith(t, shape, wl, strat, topo, SerialCalibration())
+		cal := DefaultCalibration()
+		cal.Overlap = Overlap{}
+		r := analyzeWith(t, shape, wl, strat, topo, cal)
 		if r.AxisExposedSeconds != r.AxisCommSeconds {
 			return false
 		}

@@ -202,14 +202,5 @@ func DefaultCalibration() Calibration {
 	}
 }
 
-// SerialCalibration returns the fitted constants with overlap disabled —
-// the pre-overlap serial composition, kept as the -no-overlap escape hatch
-// and the baseline the overlap property tests compare against.
-func SerialCalibration() Calibration {
-	cal := DefaultCalibration()
-	cal.Overlap = Overlap{}
-	return cal
-}
-
 // localChannels returns ceil(c/t), the per-rank channel shard width.
 func localChannels(c, t int) int { return (c + t - 1) / t }

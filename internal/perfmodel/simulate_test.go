@@ -68,7 +68,7 @@ func TestAxisPricingMatchesDistClassification(t *testing.T) {
 				// Inter-node groups must be strictly slower than an
 				// equal-size intra-node group at equal bytes.
 				n := len(worst)
-				if !(machine.AllReduceTimeOn(worst, 1<<24) > machine.AllReduceTimeAt(n, 1<<24, true)) {
+				if !(machine.AllReduceTimeOn(worst, 1<<24) > machine.AllReduceTimeOn(make(hw.Placement, n), 1<<24)) {
 					t.Fatalf("%+v axis %s: inter-node ring not slower than equal-size intra ring", spec, a)
 				}
 			}

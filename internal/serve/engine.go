@@ -61,7 +61,6 @@ type Engine struct {
 	cfg     Config
 	arch    model.Arch // request geometry; invariant across swaps
 	host    *Host
-	owns    bool // Close tears the host down too
 	metrics *Metrics
 	cache   *cache    // nil when Config.CacheBytes == 0
 	row     *obs.Rank // front-end lifecycle row (host tracer's last); nil when tracing off
@@ -95,11 +94,12 @@ func Start(cfg Config, src Source) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	h, err := NewHostTraced(cfg.Ranks, cfg.Replicas, cfg.Trace)
+	h, err := NewHost(cfg.Ranks, cfg.Replicas, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
-	e, err := startOn(h, cfg, src, true)
+	h.private = true
+	e, err := StartOn(h, cfg, src)
 	if err != nil {
 		//lint:ignore commerr the load error is the root cause; Close here only tears down the fresh host
 		h.Close()
@@ -113,10 +113,6 @@ func Start(cfg Config, src Source) (*Engine, error) {
 // (Config.Ranks/Replicas are overridden); Close stops the engine but leaves
 // the host running.
 func StartOn(h *Host, cfg Config, src Source) (*Engine, error) {
-	return startOn(h, cfg, src, false)
-}
-
-func startOn(h *Host, cfg Config, src Source, owns bool) (*Engine, error) {
 	cfg.Ranks, cfg.Replicas = h.ranks, h.replicas
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -130,7 +126,6 @@ func startOn(h *Host, cfg Config, src Source, owns bool) (*Engine, error) {
 		cfg:         cfg,
 		arch:        inst.arch,
 		host:        h,
-		owns:        owns,
 		metrics:     NewMetrics(),
 		row:         h.trace.Rank(h.trace.Rows() - 1),
 		queue:       make(chan *job, cfg.QueueDepth),
@@ -158,9 +153,6 @@ func (e *Engine) Arch() model.Arch { return e.arch }
 // Metrics returns the engine's metrics aggregator.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
 
-// Host returns the compute host this engine dispatches to.
-func (e *Engine) Host() *Host { return e.host }
-
 // Done is closed when the engine has fully stopped (Close finished or the
 // host failed); Err then reports why.
 func (e *Engine) Done() <-chan struct{} { return e.dead }
@@ -178,7 +170,7 @@ func (e *Engine) Err() error {
 
 // Close stops admission, fails requests still waiting in the queue, lets
 // in-flight batches finish, and detaches from the host — tearing the host
-// down too if this engine owns it (Start) rather than shares it (StartOn).
+// down too if Start built it for this engine rather than StartOn sharing it.
 // It is idempotent and returns the engine's terminal error.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() { close(e.quit) })
@@ -207,7 +199,7 @@ func (e *Engine) supervise() {
 	e.instMu.RUnlock()
 	inst.wg.Wait()
 	e.host.unload(inst)
-	if e.owns {
+	if e.host.private {
 		e.runErr = e.host.Close()
 	} else {
 		// A shared host that ended under us carries the root cause; a

@@ -42,6 +42,7 @@ type Host struct {
 	replicas int
 	mesh     *dist.Mesh  // set before NewHost returns; read-only after
 	trace    *obs.Tracer // nil when tracing is off; read-only after NewHost
+	private  bool        // set by Start before its engine exists: the host ends with that engine
 
 	work   chan *batchJob
 	quit   chan struct{} // closed by Close: leaders say farewell and exit
@@ -68,19 +69,19 @@ type Host struct {
 // NewHost builds the mesh and starts its rank goroutines. The world is
 // ranks*replicas; each replica is one TP group whose leader pulls from the
 // shared work channel. Close tears the mesh down.
-func NewHost(ranks, replicas int) (*Host, error) {
-	return NewHostTraced(ranks, replicas, nil)
-}
-
-// NewHostTraced is NewHost with observability: when tr is non-nil every
-// mesh communicator gets a comm observer recording collective spans onto
-// the world rank's tracer row, and the workers record per-batch forward
-// spans on the same rows. Engines attached to the host record the
-// front-end lifecycle on the tracer's last row (see Config.Trace), so
-// size the tracer with rows = ranks*replicas + 1.
-func NewHostTraced(ranks, replicas int, tr *obs.Tracer) (*Host, error) {
+//
+// When tr is non-nil every mesh communicator gets a comm observer recording
+// collective spans onto the world rank's tracer row, and the workers record
+// per-batch forward spans on the same rows. Engines attached to the host
+// record the front-end lifecycle on the tracer's last row (see
+// Config.Trace), so the tracer needs at least ranks*replicas + 1 rows.
+func NewHost(ranks, replicas int, tr *obs.Tracer) (*Host, error) {
 	if ranks < 1 || replicas < 1 {
 		return nil, fmt.Errorf("serve: host needs ranks >= 1 and replicas >= 1, got %d x %d", ranks, replicas)
+	}
+	if need := ranks*replicas + 1; tr != nil && tr.Rows() < need {
+		return nil, fmt.Errorf("serve: tracer has %d rows, a %d x %d host needs %d (one per rank plus the front-end row)",
+			tr.Rows(), ranks, replicas, need)
 	}
 	h := &Host{
 		ranks:     ranks,

@@ -69,7 +69,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.TenantSlots < 1 {
 		return nil, fmt.Errorf("serve: router needs TenantSlots >= 1, got %d", cfg.TenantSlots)
 	}
-	h, err := NewHostTraced(cfg.Ranks, cfg.Replicas, cfg.Trace)
+	h, err := NewHost(cfg.Ranks, cfg.Replicas, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -80,9 +80,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		tenants: make(map[string]*tenant),
 	}, nil
 }
-
-// Host returns the router's shared compute host.
-func (r *Router) Host() *Host { return r.host }
 
 // AddModel loads src onto the shared host and routes name to it. The
 // engine config's topology is overridden by the host's; queue, batching,

@@ -15,6 +15,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/leakcheck"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -445,27 +446,83 @@ func TestWorkerFailureFailsClients(t *testing.T) {
 }
 
 // TestLoadgen drives the full path under concurrency: every request must
-// complete, and the engine's counters must add up.
+// complete, and the engine's counters must add up — with the cache off on a
+// stream of distinct inputs, and with it on when half the stream repeats 8
+// inputs.
 func TestLoadgen(t *testing.T) {
 	a := testArch()
-	e := startTest(t, Config{Ranks: 2, Replicas: 2, MaxBatch: 8, MaxWait: 2 * time.Millisecond, QueueDepth: 64}, FromArch(a))
-	res := RunLoadgen(e, LoadgenOptions{
-		Requests:    200,
-		Concurrency: 16,
-		NewRequest: func(i int) *Request {
-			return &Request{ID: fmt.Sprint(i), Input: testInput(a, int64(i), a.ImgH, a.ImgW)}
-		},
-	})
-	if res.Errors != 0 {
-		t.Fatalf("loadgen saw %d errors", res.Errors)
+	const requests = 200
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+		seed       func(i int) int64
+	}{
+		{"unique", 0, func(i int) int64 { return int64(i) }},
+		{"half-repeated", 1 << 20, func(i int) int64 {
+			if i%2 == 0 {
+				return int64(i / 2 % 8)
+			}
+			return int64(1000 + i)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := startTest(t, Config{
+				Ranks: 2, Replicas: 2, MaxBatch: 8, MaxWait: 2 * time.Millisecond, QueueDepth: 64,
+				CacheBytes: tc.cacheBytes,
+			}, FromArch(a))
+			res := RunLoadgen(e, LoadgenOptions{
+				Requests:    requests,
+				Concurrency: 16,
+				NewRequest: func(i int) *Request {
+					return &Request{ID: fmt.Sprint(i), Input: testInput(a, tc.seed(i), a.ImgH, a.ImgW)}
+				},
+			})
+			if res.Errors != 0 {
+				t.Fatalf("loadgen saw %d errors", res.Errors)
+			}
+			snap := res.Snapshot
+			if tc.cacheBytes == 0 {
+				if snap.Completed != requests {
+					t.Fatalf("completed %d of %d", snap.Completed, requests)
+				}
+			} else {
+				// Every request is a hit, the owner of a forward, or a
+				// rider on an identical in-flight one.
+				if got := snap.CacheHits + snap.CacheMisses + snap.CacheCoalesced; got != requests {
+					t.Fatalf("hits %d + misses %d + coalesced %d = %d, want every one of %d requests accounted",
+						snap.CacheHits, snap.CacheMisses, snap.CacheCoalesced, got, requests)
+				}
+				if snap.CacheHits == 0 {
+					t.Fatalf("a stream repeating 8 inputs hit the cache 0 times: %+v", snap)
+				}
+			}
+			if snap.MeanBatch < 1 || snap.Batches == 0 {
+				t.Fatalf("implausible batching stats: %+v", snap)
+			}
+			if res.ThroughputRPS() <= 0 {
+				t.Fatalf("throughput %v", res.ThroughputRPS())
+			}
+		})
 	}
-	if res.Snapshot.Completed != 200 {
-		t.Fatalf("completed %d of 200", res.Snapshot.Completed)
-	}
-	if res.Snapshot.MeanBatch < 1 || res.Snapshot.Batches == 0 {
-		t.Fatalf("implausible batching stats: %+v", res.Snapshot)
-	}
-	if res.ThroughputRPS() <= 0 {
-		t.Fatalf("throughput %v", res.ThroughputRPS())
+}
+
+// TestMisSizedTracerRefused: a tracer with ranks*replicas rows would put the
+// engine's front-end events on the last worker's row, and one with fewer
+// drops whole ranks; both are refused, naming the two row counts, before any
+// goroutine starts.
+func TestMisSizedTracerRefused(t *testing.T) {
+	leakcheck.Check(t)
+	const ranks, replicas = 2, 2
+	for _, rows := range []int{ranks * replicas, ranks*replicas - 2} {
+		tr := obs.NewTracer(rows, 64)
+		want := fmt.Sprintf("tracer has %d rows, a %d x %d host needs %d", rows, ranks, replicas, ranks*replicas+1)
+		_, err := Start(Config{Ranks: ranks, Replicas: replicas, Trace: tr}, FromArch(testArch()))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Start with a %d-row tracer: err = %v, want %q", rows, err, want)
+		}
+		_, err = NewRouter(RouterConfig{Ranks: ranks, Replicas: replicas, Trace: tr})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("NewRouter with a %d-row tracer: err = %v, want %q", rows, err, want)
+		}
 	}
 }

@@ -56,7 +56,7 @@ type ckptSource struct {
 // single-slot and keep-last-k retention layouts both resolve) and returns a
 // Source that reshards it to the serving topology. The architecture comes
 // from the manifest's arch record (ckpt.MetaArch, written by the training
-// loops); checkpoints predating that record need FromCheckpointArch.
+// loops); a checkpoint predating that record is refused.
 func FromCheckpoint(dir string) (Source, error) {
 	ck, err := ckpt.OpenLatest(dir)
 	if err != nil {
@@ -64,22 +64,11 @@ func FromCheckpoint(dir string) (Source, error) {
 	}
 	blob, ok := ck.Manifest.Meta[ckpt.MetaArch]
 	if !ok {
-		return nil, fmt.Errorf("serve: checkpoint %s has no architecture record (%s); re-save it with this version or use FromCheckpointArch", dir, ckpt.MetaArch)
+		return nil, fmt.Errorf("serve: checkpoint %s has no architecture record (%s); re-save it with this version", dir, ckpt.MetaArch)
 	}
 	var arch model.Arch
 	if err := json.Unmarshal([]byte(blob), &arch); err != nil {
 		return nil, fmt.Errorf("serve: decoding checkpoint architecture: %w", err)
-	}
-	return newCkptSource(ck, arch), nil
-}
-
-// FromCheckpointArch is FromCheckpoint for checkpoints whose manifest
-// predates the arch record: the caller supplies the architecture the
-// checkpoint was trained with.
-func FromCheckpointArch(dir string, arch model.Arch) (Source, error) {
-	ck, err := ckpt.OpenLatest(dir)
-	if err != nil {
-		return nil, err
 	}
 	return newCkptSource(ck, arch), nil
 }

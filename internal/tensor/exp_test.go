@@ -168,13 +168,13 @@ func TestSoftmaxContract(t *testing.T) {
 		var all []float64
 		for n := 1; n <= 35; n++ {
 			x := RandnScaled(NewRNG(int64(n)), 4, 2, 3, 5, n)
-			y := SoftmaxLastDim(x)
+			y := SoftmaxLastDimInto(nil, x)
 			if d := MaxAbsDiff(y, softmaxRef(x)); d > 1e-15 {
 				t.Fatalf("n=%d: %g from the reference softmax", n, d)
 			}
 			for r := 0; r < 30; r++ {
 				row := FromSlice(append([]float64(nil), x.Data[r*n:(r+1)*n]...), n)
-				alone := SoftmaxLastDim(row)
+				alone := SoftmaxLastDimInto(nil, row)
 				sum := 0.0
 				for i, v := range alone.Data {
 					if math.Float64bits(v) != math.Float64bits(y.Data[r*n+i]) {
@@ -202,7 +202,7 @@ func TestSoftmaxEdgeRows(t *testing.T) {
 	withBothSpellings(t, func(t *testing.T) {
 		for n := 1; n <= 19; n++ {
 			equal := Full(-3.25, 2, n)
-			for _, v := range SoftmaxLastDim(equal).Data {
+			for _, v := range SoftmaxLastDimInto(nil, equal).Data {
 				if v != 1/float64(n) {
 					t.Fatalf("all-equal row of %d: %v, want exactly 1/n", n, v)
 				}
@@ -212,7 +212,7 @@ func TestSoftmaxEdgeRows(t *testing.T) {
 				wide.Data[i] = 1e4 * float64(i%3-1)
 			}
 			sum := 0.0
-			for _, v := range SoftmaxLastDim(wide).Data {
+			for _, v := range SoftmaxLastDimInto(nil, wide).Data {
 				if v != v || v < 0 {
 					t.Fatalf("row of %d with a 1e4 spread gave %v", n, v)
 				}
@@ -226,7 +226,7 @@ func TestSoftmaxEdgeRows(t *testing.T) {
 		if got := SoftmaxLastDimInto(empty, empty); got != empty {
 			t.Fatal("softmax of an empty tensor did not return dst")
 		}
-		SoftmaxLastDim(New(0, 4))
+		SoftmaxLastDimInto(nil, New(0, 4))
 	})
 }
 

@@ -21,7 +21,7 @@ func TestMatMulF32Tolerance(t *testing.T) {
 		b := New(k, n)
 		fill(a, 0.7)
 		fill(b, 1.9)
-		f64 := MatMul(a, b)
+		f64 := MatMulInto(nil, a, b)
 		f32got := MatMulF32Into(dirty(m, n), a, b)
 		scale := 0.0
 		for _, v := range f64.Data {

@@ -19,14 +19,8 @@ func BenchmarkGEMM(b *testing.B) {
 		fill(bb, 2.0)
 		dst := New(s, s)
 		flops := 2 * int64(s) * int64(s) * int64(s)
-		b.Run(fmt.Sprintf("naive/%d", s), func(b *testing.B) {
-			b.SetBytes(flops) // report "MB/s" as 2mnk bytes == FLOP/s*2e-6
-			for i := 0; i < b.N; i++ {
-				MatMulNaiveInto(dst, a, bb)
-			}
-		})
 		b.Run(fmt.Sprintf("blocked-f64/%d", s), func(b *testing.B) {
-			b.SetBytes(flops)
+			b.SetBytes(flops) // report "MB/s" as 2mnk bytes == FLOP/s*2e-6
 			for i := 0; i < b.N; i++ {
 				MatMulInto(dst, a, bb)
 			}

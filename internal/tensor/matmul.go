@@ -103,10 +103,6 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	return product[float64]("MatMulInto", dst, a, b, false, false, false)
 }
 
-// MatMul returns the matrix product a@b for rank-2 tensors. It is the
-// allocating convenience wrapper over MatMulInto.
-func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) }
-
 // MatMulTInto computes dst = a @ b^T: a is [M,K], b is [N,K], dst is [M,N].
 // This avoids materializing the transpose. It returns dst.
 //
@@ -114,9 +110,6 @@ func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) }
 func MatMulTInto(dst, a, b *Tensor) *Tensor {
 	return product[float64]("MatMulTInto", dst, a, b, false, true, false)
 }
-
-// MatMulT returns a @ b^T; the allocating wrapper over MatMulTInto.
-func MatMulT(a, b *Tensor) *Tensor { return MatMulTInto(nil, a, b) }
 
 // TMatMulInto computes dst = a^T @ b: a is [K,M], b is [K,N], dst is [M,N].
 // Used for weight gradients (x^T @ dy) without an explicit transpose. It
@@ -126,9 +119,6 @@ func MatMulT(a, b *Tensor) *Tensor { return MatMulTInto(nil, a, b) }
 func TMatMulInto(dst, a, b *Tensor) *Tensor {
 	return product[float64]("TMatMulInto", dst, a, b, true, false, false)
 }
-
-// TMatMul returns a^T @ b; the allocating wrapper over TMatMulInto.
-func TMatMul(a, b *Tensor) *Tensor { return TMatMulInto(nil, a, b) }
 
 // TMatMulAccInto accumulates dst += a^T @ b with a non-nil dst — the shape
 // of a weight-gradient update, writing straight into the gradient buffer.
@@ -181,48 +171,6 @@ func parallelOverRows(m, work int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// MatMulNaiveInto is the pre-blocking reference kernel (parallel ikj with no
-// packing or tiling). It is kept as the baseline the compute benchmark and
-// the kernel-equivalence tests measure the blocked driver against.
-func MatMulNaiveInto(dst, a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMulNaiveInto requires rank-2 operands, got %v x %v", a.Shape, b.Shape))
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulNaiveInto inner dimension mismatch %v x %v", a.Shape, b.Shape))
-	}
-	dst = ensureDst("MatMulNaiveInto", dst, m, n)
-	mustNotAlias("MatMulNaiveInto", dst, a, b)
-	parallelOverRows(m, m*k*n, func(lo, hi int) {
-		matmulRows(dst.Data, a.Data, b.Data, lo, hi, k, n)
-	})
-	return dst
-}
-
-// matmulRows computes rows [lo,hi) of dst = A@B with the naive ikj loop.
-//
-// dchag:hotpath — the baseline inner kernel; it must not allocate.
-func matmulRows(dst, a, b []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		drow := dst[i*n : (i+1)*n]
-		for x := range drow {
-			drow[x] = 0
-		}
-		arow := a[i*k : (i+1)*k]
-		for p, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : (p+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
 }
 
 // Transpose2DInto computes dst = t^T for a rank-2 tensor; dst is [N,M]

@@ -43,36 +43,6 @@ func SubInto(dst, a, b *Tensor) *Tensor {
 // Sub returns a - b elementwise; the allocating wrapper over SubInto.
 func Sub(a, b *Tensor) *Tensor { return SubInto(nil, a, b) }
 
-// MulInto computes the elementwise (Hadamard) product dst = a * b and
-// returns dst.
-//
-// dchag:hotpath — with a non-nil dst it performs no heap allocation.
-func MulInto(dst, a, b *Tensor) *Tensor {
-	mustSameShape("Mul", a, b)
-	dst = ensureDst("MulInto", dst, a.Shape...)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return dst
-}
-
-// Mul returns the elementwise product a * b; the allocating wrapper over
-// MulInto.
-func Mul(a, b *Tensor) *Tensor { return MulInto(nil, a, b) }
-
-// DivInto computes dst = a / b elementwise and returns dst.
-func DivInto(dst, a, b *Tensor) *Tensor {
-	mustSameShape("Div", a, b)
-	dst = ensureDst("DivInto", dst, a.Shape...)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] / b.Data[i]
-	}
-	return dst
-}
-
-// Div returns a / b elementwise; the allocating wrapper over DivInto.
-func Div(a, b *Tensor) *Tensor { return DivInto(nil, a, b) }
-
 // ScaleInto computes dst = a * s for scalar s and returns dst.
 //
 // dchag:hotpath — with a non-nil dst it performs no heap allocation.
@@ -86,19 +56,6 @@ func ScaleInto(dst, a *Tensor, s float64) *Tensor {
 
 // Scale returns a * s for scalar s; the allocating wrapper over ScaleInto.
 func Scale(a *Tensor, s float64) *Tensor { return ScaleInto(nil, a, s) }
-
-// AddScalarInto computes dst = a + s for scalar s and returns dst.
-func AddScalarInto(dst, a *Tensor, s float64) *Tensor {
-	dst = ensureDst("AddScalarInto", dst, a.Shape...)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] + s
-	}
-	return dst
-}
-
-// AddScalar returns a + s for scalar s; the allocating wrapper over
-// AddScalarInto.
-func AddScalar(a *Tensor, s float64) *Tensor { return AddScalarInto(nil, a, s) }
 
 // AddInPlace accumulates b into a (a += b). Shapes must match.
 //
@@ -117,17 +74,6 @@ func AddInPlace(a, b *Tensor) {
 func ScaleInPlace(a *Tensor, s float64) {
 	for i := range a.Data {
 		a.Data[i] *= s
-	}
-}
-
-// AXPY performs a += alpha*b in place. Shapes must match.
-//
-// dchag:hotpath — the optimizer update runs this per parameter per step; it
-// must not allocate.
-func AXPY(alpha float64, b, a *Tensor) {
-	mustSameShape("AXPY", a, b)
-	for i := range a.Data {
-		a.Data[i] += alpha * b.Data[i]
 	}
 }
 
@@ -238,22 +184,6 @@ func SumAxisInto(dst, t *Tensor, axis int) *Tensor {
 // the allocating wrapper over SumAxisInto.
 func SumAxis(t *Tensor, axis int) *Tensor { return SumAxisInto(nil, t, axis) }
 
-// MeanAxisInto reduces over one axis by averaging into dst and returns dst.
-//
-// dchag:hotpath — with a non-nil dst it performs no heap allocation.
-func MeanAxisInto(dst, t *Tensor, axis int) *Tensor {
-	if axis < 0 {
-		axis += len(t.Shape)
-	}
-	dst = SumAxisInto(dst, t, axis)
-	ScaleInPlace(dst, 1/float64(t.Shape[axis]))
-	return dst
-}
-
-// MeanAxis reduces over one axis by averaging; the allocating wrapper over
-// MeanAxisInto.
-func MeanAxis(t *Tensor, axis int) *Tensor { return MeanAxisInto(nil, t, axis) }
-
 // SoftmaxLastDimInto computes softmax along the final dimension into dst and
 // returns dst: per row, the maximum m, e^(x-m) through the Exp kernel, the
 // sum, and a scale by its reciprocal. A row's result depends on that row's
@@ -275,10 +205,6 @@ func SoftmaxLastDimInto(dst, t *Tensor) *Tensor {
 	}
 	return dst
 }
-
-// SoftmaxLastDim returns softmax applied along the final dimension; the
-// allocating wrapper over SoftmaxLastDimInto.
-func SoftmaxLastDim(t *Tensor) *Tensor { return SoftmaxLastDimInto(nil, t) }
 
 // SoftmaxBackwardLastDimInto computes the gradient of a softmax (applied
 // along the last dimension) given the softmax output y and upstream gradient
@@ -304,12 +230,6 @@ func SoftmaxBackwardLastDimInto(dst, y, gy *Tensor) *Tensor {
 		}
 	}
 	return dst
-}
-
-// SoftmaxBackwardLastDim computes the softmax gradient; the allocating
-// wrapper over SoftmaxBackwardLastDimInto.
-func SoftmaxBackwardLastDim(y, gy *Tensor) *Tensor {
-	return SoftmaxBackwardLastDimInto(nil, y, gy)
 }
 
 // concatShape validates Concat operands and returns (axis, result shape).

@@ -46,10 +46,3 @@ func XavierUniform(rng *rand.Rand, fanIn, fanOut int) *Tensor {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	return Uniform(rng, -limit, limit, fanIn, fanOut)
 }
-
-// KaimingNormal returns a tensor initialized with He-normal scaling for a
-// weight of shape [fanIn, fanOut].
-func KaimingNormal(rng *rand.Rand, fanIn, fanOut int) *Tensor {
-	std := math.Sqrt(2.0 / float64(fanIn))
-	return RandnScaled(rng, std, fanIn, fanOut)
-}

@@ -18,7 +18,7 @@ import (
 )
 
 // Tensor is a dense row-major array of float64 values. The zero value is not
-// usable; construct tensors with New, Zeros, FromSlice, or the random
+// usable; construct tensors with New, FromSlice, or the random
 // initializers in random.go.
 type Tensor struct {
 	// Shape holds the extent of each dimension, outermost first.
@@ -34,10 +34,6 @@ func New(shape ...int) *Tensor {
 	n := checkShape(shape)
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
 }
-
-// Zeros is an alias for New, provided for readability at call sites that
-// contrast zero and non-zero initialization.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
 
 // Ones returns a tensor with every element set to one.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }

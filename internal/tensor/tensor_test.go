@@ -105,17 +105,8 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Sub(b, a).Data[0]; got != 9 {
 		t.Fatalf("Sub = %v, want 9", got)
 	}
-	if got := Mul(a, b).Data[1]; got != 40 {
-		t.Fatalf("Mul = %v, want 40", got)
-	}
-	if got := Div(b, a).Data[2]; got != 10 {
-		t.Fatalf("Div = %v, want 10", got)
-	}
 	if got := Scale(a, 2).Data[3]; got != 8 {
 		t.Fatalf("Scale = %v, want 8", got)
-	}
-	if got := AddScalar(a, 1).Data[0]; got != 2 {
-		t.Fatalf("AddScalar = %v, want 2", got)
 	}
 	assertPanics(t, func() { Add(a, New(3, 3)) })
 }
@@ -130,10 +121,6 @@ func TestInPlaceOps(t *testing.T) {
 	ScaleInPlace(a, 0.5)
 	if a.Data[0] != 2 {
 		t.Fatalf("ScaleInPlace = %v, want 2", a.Data[0])
-	}
-	AXPY(2, b, a)
-	if a.Data[1] != 13.5 {
-		t.Fatalf("AXPY = %v, want 13.5", a.Data[1])
 	}
 }
 
@@ -171,10 +158,6 @@ func TestSumAxis(t *testing.T) {
 	if !EqualApprox(s1, sneg, 0) {
 		t.Fatal("negative axis mismatch")
 	}
-	m := MeanAxis(a, 1)
-	if m.Data[0] != 2 || m.Data[1] != 5 {
-		t.Fatalf("MeanAxis(1) = %v", m.Data)
-	}
 }
 
 func TestSumAxisMiddle(t *testing.T) {
@@ -195,14 +178,14 @@ func TestSumAxisMiddle(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := MatMulInto(nil, a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
 		if c.Data[i] != w {
 			t.Fatalf("MatMul[%d] = %v, want %v", i, c.Data[i], w)
 		}
 	}
-	assertPanics(t, func() { MatMul(a, a) })
+	assertPanics(t, func() { MatMulInto(nil, a, a) })
 }
 
 func TestMatMulParallelMatchesSerial(t *testing.T) {
@@ -210,18 +193,20 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	// Large enough to trigger the parallel path.
 	a := Randn(rng, 128, 96)
 	b := Randn(rng, 96, 64)
-	got := MatMul(a, b)
+	got := MatMulInto(nil, a, b)
 	// The blocked kernel's per-element summation order is independent of the
 	// worker split, so the product must be bitwise stable across GOMAXPROCS.
 	prev := runtime.GOMAXPROCS(1)
-	serial := MatMul(a, b)
+	serial := MatMulInto(nil, a, b)
 	runtime.GOMAXPROCS(prev)
 	if MaxAbsDiff(got, serial) != 0 {
 		t.Fatal("parallel MatMul differs from serial")
 	}
-	// And it must agree with the naive reference kernel to rounding error
-	// (bitwise equality is NOT expected: the blocked kernel uses FMA).
-	naive := MatMulNaiveInto(nil, a, b)
+	// And it must agree with the naive oracle to rounding error (bitwise
+	// equality is NOT expected: the blocked kernel uses FMA).
+	am := &matBatch{t: a, n: 1, h: 1, rows: 128, cols: 96}
+	bm := &matBatch{t: b, n: 1, h: 1, rows: 96, cols: 64}
+	naive := FromSlice(oracle(nil, am, bm, 128, 96, 64, false, false, false, 1)[0], 128, 64)
 	if MaxAbsDiff(got, naive) > 1e-9 {
 		t.Fatalf("blocked MatMul differs from naive reference by %g", MaxAbsDiff(got, naive))
 	}
@@ -231,15 +216,15 @@ func TestMatMulTAndTMatMul(t *testing.T) {
 	rng := NewRNG(2)
 	a := Randn(rng, 17, 9)
 	b := Randn(rng, 13, 9)
-	got := MatMulT(a, b)
-	want := MatMul(a, Transpose2D(b))
+	got := MatMulTInto(nil, a, b)
+	want := MatMulInto(nil, a, Transpose2D(b))
 	if MaxAbsDiff(got, want) > 1e-12 {
 		t.Fatal("MatMulT differs from explicit transpose")
 	}
 	c := Randn(rng, 9, 17)
 	d := Randn(rng, 9, 13)
-	got2 := TMatMul(c, d)
-	want2 := MatMul(Transpose2D(c), d)
+	got2 := TMatMulInto(nil, c, d)
+	want2 := MatMulInto(nil, Transpose2D(c), d)
 	if MaxAbsDiff(got2, want2) > 1e-12 {
 		t.Fatal("TMatMul differs from explicit transpose")
 	}
@@ -257,7 +242,7 @@ func TestBatchedMatMul(t *testing.T) {
 	// Check one batch against 2D MatMul.
 	a0 := FromSlice(a.Data[0:20], 4, 5)
 	b0 := FromSlice(b.Data[0:30], 5, 6)
-	w := MatMul(a0, b0)
+	w := MatMulInto(nil, a0, b0)
 	for i := 0; i < 24; i++ {
 		if math.Abs(c.Data[i]-w.Data[i]) > 1e-12 {
 			t.Fatalf("batch 0 elem %d mismatch", i)
@@ -275,7 +260,7 @@ func TestBatchedMatMulTAndTMatMul(t *testing.T) {
 	for bi := 0; bi < 3; bi++ {
 		am := FromSlice(a.Data[bi*20:(bi+1)*20], 4, 5)
 		bm := FromSlice(b.Data[bi*30:(bi+1)*30], 6, 5)
-		w := MatMul(am, Transpose2D(bm))
+		w := MatMulInto(nil, am, Transpose2D(bm))
 		for i := 0; i < 24; i++ {
 			if math.Abs(got.Data[bi*24+i]-w.Data[i]) > 1e-12 {
 				t.Fatalf("BatchedMatMulT batch %d mismatch", bi)
@@ -289,7 +274,7 @@ func TestBatchedMatMulTAndTMatMul(t *testing.T) {
 	for bi := 0; bi < 3; bi++ {
 		cm := FromSlice(c.Data[bi*20:(bi+1)*20], 5, 4)
 		dm := FromSlice(d.Data[bi*30:(bi+1)*30], 5, 6)
-		w := MatMul(Transpose2D(cm), dm)
+		w := MatMulInto(nil, Transpose2D(cm), dm)
 		for i := 0; i < 24; i++ {
 			if math.Abs(got2.Data[bi*24+i]-w.Data[i]) > 1e-12 {
 				t.Fatalf("BatchedTMatMul batch %d mismatch", bi)
@@ -321,7 +306,7 @@ func TestMatMulIdentityProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			id.Set(1, i, i)
 		}
-		return MaxAbsDiff(MatMul(a, id), a) < 1e-12
+		return MaxAbsDiff(MatMulInto(nil, a, id), a) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -334,7 +319,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 		r := 1 + int(rng.Int31n(5))
 		c := 1 + int(rng.Int31n(7))
 		a := RandnScaled(rng, 10, r, c) // large magnitudes stress stability
-		s := SoftmaxLastDim(a)
+		s := SoftmaxLastDimInto(nil, a)
 		for i := 0; i < r; i++ {
 			sum := 0.0
 			for j := 0; j < c; j++ {
@@ -359,15 +344,15 @@ func TestSoftmaxBackwardFiniteDifference(t *testing.T) {
 	rng := NewRNG(7)
 	x := Randn(rng, 3, 5)
 	gy := Randn(rng, 3, 5)
-	y := SoftmaxLastDim(x)
-	gx := SoftmaxBackwardLastDim(y, gy)
+	y := SoftmaxLastDimInto(nil, x)
+	gx := SoftmaxBackwardLastDimInto(nil, y, gy)
 	const eps = 1e-6
 	for i := range x.Data {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		lp := dot(SoftmaxLastDim(x), gy)
+		lp := dot(SoftmaxLastDimInto(nil, x), gy)
 		x.Data[i] = orig - eps
-		lm := dot(SoftmaxLastDim(x), gy)
+		lm := dot(SoftmaxLastDimInto(nil, x), gy)
 		x.Data[i] = orig
 		numeric := (lp - lm) / (2 * eps)
 		if math.Abs(numeric-gx.Data[i]) > 1e-6 {
@@ -543,29 +528,10 @@ func assertPanics(t *testing.T, f func()) {
 	f()
 }
 
-func TestZerosOnesKaiming(t *testing.T) {
-	z := Zeros(2, 2)
-	if z.Sum() != 0 {
-		t.Fatal("Zeros must be zero")
-	}
+func TestOnes(t *testing.T) {
 	o := Ones(2, 3)
 	if o.Sum() != 6 {
 		t.Fatal("Ones must be one")
-	}
-	k := KaimingNormal(NewRNG(1), 64, 32)
-	if k.Shape[0] != 64 || k.Shape[1] != 32 {
-		t.Fatalf("Kaiming shape = %v", k.Shape)
-	}
-	// He-normal std ~ sqrt(2/fanIn); sample std should be in the ballpark.
-	mean := k.Mean()
-	varr := 0.0
-	for _, v := range k.Data {
-		varr += (v - mean) * (v - mean)
-	}
-	varr /= float64(k.Numel())
-	want := 2.0 / 64
-	if varr < want/2 || varr > want*2 {
-		t.Fatalf("Kaiming variance %v, want about %v", varr, want)
 	}
 }
 
@@ -587,7 +553,7 @@ func TestBatchedMatMulParallelPath(t *testing.T) {
 	for bi := 0; bi < 32; bi += 7 {
 		am := FromSlice(a.Data[bi*24*24:(bi+1)*24*24], 24, 24)
 		bm := FromSlice(b.Data[bi*24*24:(bi+1)*24*24], 24, 24)
-		w := MatMul(am, bm)
+		w := MatMulInto(nil, am, bm)
 		cm := FromSlice(c.Data[bi*24*24:(bi+1)*24*24], 24, 24)
 		if MaxAbsDiff(cm, w) > 1e-12 {
 			t.Fatalf("batch %d mismatch in parallel path", bi)
