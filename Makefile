@@ -26,14 +26,15 @@ bench-diff:
 	exit $$status
 
 # bench-compute regenerates the measured compute-substrate point
-# (BENCH_compute.json, schema dchag-bench/compute/v6: naive vs blocked f64
+# (BENCH_compute.json, schema dchag-bench/compute/v7: naive vs blocked f64
 # vs prepacked f32 GEMM at square sizes and at the product shapes the D-CHAG
 # workloads issue, GFLOP/s, elements packed per product and steady-state
 # allocs/op, whole cross-attention channel aggregations, forward and
 # backward, softmax and GELU on the
-# vector exp kernel next to their libm loops, ns/element, and the whole
+# vector exp kernel next to their libm loops, ns/element, the whole
 # serial channel stage next to its channel-major composition, ns and
-# scratch bytes) and re-parses it through the tier-1 artifact gate. It is
+# scratch bytes, and two block products with one and with two concurrent
+# callers, GFLOP/s per caller) and re-parses it through the tier-1 artifact gate. It is
 # wall-clock, so the gate is schema + qualitative claims, not exact rates.
 bench-compute:
 	$(GO) run ./cmd/dchag-bench -compute BENCH_compute.json

@@ -9,7 +9,7 @@ import (
 )
 
 // TestComputeJSONArtifact validates the committed compute-substrate
-// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v6,
+// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v7,
 // written by `dchag-bench -compute`). The artifact is a wall-clock
 // measurement, so this test gates on its schema and qualitative claims: the
 // blocked driver at least matches the naive kernel everywhere, the speedup
@@ -23,8 +23,9 @@ import (
 // aggregation issues at most three quarters of the unpooled formulation's
 // multiply-accumulates at g = 16, and the channel stage holds at most 0.4 of
 // the scratch bytes of the same layers chained through their channel-major
-// entry points and is no slower than them. Set BENCH_COMPUTE_JSON to validate
-// a different artifact file.
+// entry points and is no slower than them, and two callers on two processors
+// each keep at least 0.85 of the rate one caller has on one. Set
+// BENCH_COMPUTE_JSON to validate a different artifact file.
 func TestComputeJSONArtifact(t *testing.T) {
 	path := os.Getenv("BENCH_COMPUTE_JSON")
 	if path == "" {
@@ -54,7 +55,7 @@ func TestComputeJSONArtifact(t *testing.T) {
 	if err := json.Unmarshal(raw, &generic); err != nil {
 		t.Fatalf("artifact is not a JSON object: %v", err)
 	}
-	for _, key := range []string{"schema", "simd", "maxprocs", "sizes", "points", "shapes", "aggregators", "elementwise", "channel_stage", "claims"} {
+	for _, key := range []string{"schema", "simd", "maxprocs", "sizes", "points", "shapes", "aggregators", "elementwise", "channel_stage", "callers", "claims"} {
 		if _, ok := generic[key]; !ok {
 			t.Fatalf("artifact missing top-level key %q", key)
 		}
@@ -108,6 +109,15 @@ func TestComputeJSONArtifact(t *testing.T) {
 	for _, key := range []string{"fwd_ns", "bwd_ns", "infer_f32_ns", "scratch_bytes"} {
 		if _, ok := stages[0].(map[string]any)["chained"].(map[string]any)[key]; !ok {
 			t.Fatalf("channel-stage cost missing key %q", key)
+		}
+	}
+	callers := generic["callers"].([]any)
+	if len(callers) == 0 {
+		t.Fatal("artifact carries no concurrent-caller points")
+	}
+	for _, key := range []string{"name", "m", "k", "n", "maxprocs", "callers", "gflops_per_caller"} {
+		if _, ok := callers[0].(map[string]any)[key]; !ok {
+			t.Fatalf("caller point missing key %q", key)
 		}
 	}
 	claims := generic["claims"].(map[string]any)
@@ -214,6 +224,33 @@ func TestComputeJSONArtifact(t *testing.T) {
 	}
 	if !rep.Claims.AllocFree {
 		t.Fatal("artifact does not claim allocation-free steady state")
+	}
+	// Ranks that already fill the processors do not split their products:
+	// with two callers on two processors each gets the kernel's own rate,
+	// the one a lone caller reads on one processor (ROADMAP item 1d).
+	alone := map[string]float64{}
+	for _, cp := range rep.Callers {
+		if cp.GFLOPSPerCaller <= 0 || cp.MaxProcs < 1 || cp.Callers < 1 {
+			t.Fatalf("implausible caller point %+v", cp)
+		}
+		if cp.MaxProcs == 1 && cp.Callers == 1 {
+			alone[cp.Name] = cp.GFLOPSPerCaller
+		}
+	}
+	gated := 0
+	for _, cp := range rep.Callers {
+		if cp.MaxProcs != 2 || cp.Callers != 2 {
+			continue
+		}
+		gated++
+		if base, ok := alone[cp.Name]; !ok {
+			t.Fatalf("caller point %s has no one-caller, one-processor row to stand against", cp.Name)
+		} else if rep.NumCPU >= 2 && cp.GFLOPSPerCaller < 0.85*base {
+			t.Fatalf("%s: two callers on two processors get %.2f GFLOP/s each, under 0.85 x the %.2f of one caller on one", cp.Name, cp.GFLOPSPerCaller, base)
+		}
+	}
+	if gated == 0 {
+		t.Fatal("artifact carries no two-caller point, where the dispatch gate is defined")
 	}
 
 	// The ISSUE's throughput gates apply where the vector micro-kernels ran;

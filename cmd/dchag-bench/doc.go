@@ -75,7 +75,7 @@
 // Additive fields may appear within v2; readers must ignore unknown keys.
 // Field removals or meaning changes bump the schema string.
 //
-// # JSON schema (dchag-bench/compute/v6)
+// # JSON schema (dchag-bench/compute/v7)
 //
 // The -compute flag writes one experiments.ComputeReport object — the
 // single-node compute-substrate point of the perf trajectory (CI commits it
@@ -105,12 +105,17 @@
 // model.SerialStage at a workload's per-rank shape — Forward, Backward and
 // F32 Infer, and the bytes of scratch it holds afterwards — next to the same
 // layers chained through their channel-major entry points (DESIGN.md
-// "Channel stage: one token layout"):
+// "Channel stage: one token layout"). Each caller point is one product a
+// wx_tp2dp2 rank issues per block, run by one or two goroutines at once under its own
+// GOMAXPROCS — the regime the ranks of a mesh run in (DESIGN.md "Compute
+// substrate": a product splits its rows only while the products in flight
+// leave a processor free):
 //
 //	{
-//	  "schema": "dchag-bench/compute/v6", // bump on breaking change
+//	  "schema": "dchag-bench/compute/v7", // bump on breaking change
 //	  "simd": true,                       // AVX2+FMA kernels active
 //	  "maxprocs": 1,                      // GOMAXPROCS during measurement
+//	  "num_cpu": 2,                       // the host's processors
 //	  "sizes": [64, 128, 256, 512],
 //	  "points": [
 //	    {
@@ -175,6 +180,15 @@
 //	      "allocs_per_op": 0              // steady state, fwd + bwd + infer
 //	    }, ...
 //	  ],
+//	  "callers": [                        // sets its own GOMAXPROCS, whatever "maxprocs" says
+//	    {
+//	      "name": "tp_mlp_fc1",           // which product of a wx_tp2dp2 rank (a TP-2 column shard)
+//	      "m": 128, "k": 64, "n": 128,    // tensor.MatMulInto, 2*m*k*n FLOPs per call
+//	      "maxprocs": 2, "callers": 2,    // rows: (1,1) the kernel's own rate, (2,1), (2,2)
+//	      "gflops_per_caller": 33.1       // mean over callers, best trial; gate: the (2,2) row
+//	                                      // >= 0.85 x the (1,1) row where num_cpu >= 2
+//	    }, ...
+//	  ],
 //	  "claims": {                         // evaluated at the largest size
 //	    "blocked_speedup_at_max": 9.1,    // gate: >= 2x under simd
 //	    "f32_speedup_at_max": 1.74,       // gate: >= 1.5x under simd
@@ -191,11 +205,13 @@
 // no float64 shape with an untransposed B packs anything, pooled MACs are at
 // most 0.75 x unpooled at group 16, and every channel
 // stage holds at most 0.4 x the chained composition's scratch bytes and is
-// no slower than it (over its three passes; each pass within 5 %) — not on
-// exact rates or times. v2 added "shapes", v3 "aggregators", v4
-// "elementwise", v5 "channel_stage", v6 "packed_elems" on every shape and
-// two more shapes; there is no reader for an earlier version. Additive fields
-// may appear within v6; readers must ignore unknown keys.
+// no slower than it (over its three passes; each pass within 5 %), and two
+// concurrent callers on two processors each keep at least 0.85 of one
+// caller's one-processor rate — not on exact rates or times. v2 added
+// "shapes", v3 "aggregators", v4 "elementwise", v5 "channel_stage", v6
+// "packed_elems" on every shape and two more shapes, v7 "callers" and
+// "num_cpu"; there is no reader for an earlier version. Additive fields may
+// appear within v7; readers must ignore unknown keys.
 //
 // # Report diffing (-diff)
 //

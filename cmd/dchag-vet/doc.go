@@ -17,7 +17,7 @@
 // # Analyzers
 //
 // collectivesym — a comm.Communicator collective (Barrier, AllGather*,
-// AllReduce*, ReduceScatterSum, Broadcast, Gather, RingAllReduceSum)
+// AllReduce*, ReduceScatterSum, Broadcast, Gather)
 // that is reachable only under a branch whose condition derives from
 // rank identity (c.Rank(), mesh coordinates, leader/root flags, or
 // locals tainted by them) desynchronizes the group: the other ranks

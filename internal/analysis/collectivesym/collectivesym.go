@@ -32,15 +32,15 @@ const commPath = "repro/internal/comm"
 var collectives = map[string]bool{
 	"Barrier":            true,
 	"AllGather":          true,
+	"AllGatherEach":      true,
 	"AllGatherConcat":    true,
+	"AllReduce":          true,
+	"AllReduceInto":      true,
 	"AllReduceSum":       true,
-	"AllReduceMean":      true,
-	"AllReduceMax":       true,
 	"AllReduceScalarSum": true,
 	"ReduceScatterSum":   true,
 	"Broadcast":          true,
 	"Gather":             true,
-	"RingAllReduceSum":   true,
 }
 
 // Analyzer flags collective calls guarded by rank-dependent conditions.

@@ -101,6 +101,18 @@ func survivorGuard(c *comm.Communicator, failedRank int) {
 	}
 }
 
+// leaderSync: the view collectives rendezvous three times (all-reduce) or
+// twice (gather) where the clone-deposit ones did once; one under a rank
+// guard strands the peers at the first.
+func leaderSync(c *comm.Communicator, grads []*comm.Tensor) {
+	if c.Rank() == 0 {
+		c.AllReduce(grads, grads, 0.5)                        // want `rank-conditional if`
+		c.AllReduceInto(grads[0], grads[0])                   // want `rank-conditional if`
+		c.AllGatherEach(grads[0], func(int, *comm.Tensor) {}) // want `rank-conditional if`
+	}
+	c.AllReduce(grads, grads, 0.5)
+}
+
 // instrumented is the traced training-step shape: spans and instants
 // wrap the collectives, but every rank records and every rank calls the
 // same collective sequence, so nothing fires. Rows are nil-safe by

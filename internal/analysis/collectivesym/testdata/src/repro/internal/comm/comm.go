@@ -16,6 +16,12 @@ func (c *Communicator) Barrier() {}
 
 func (c *Communicator) AllGather(x *Tensor) []*Tensor { return nil }
 
+func (c *Communicator) AllGatherEach(x *Tensor, visit func(rank int, part *Tensor)) {}
+
+func (c *Communicator) AllReduce(dst, src []*Tensor, scale float64) {}
+
+func (c *Communicator) AllReduceInto(dst, src *Tensor) *Tensor { return dst }
+
 func (c *Communicator) AllReduceSum(x *Tensor) *Tensor { return x }
 
 func (c *Communicator) AllReduceScalarSum(v float64) float64 { return v }

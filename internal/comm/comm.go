@@ -11,6 +11,13 @@
 // volume a ring implementation of the collective would put on the wire, so
 // tests can assert communication claims (e.g. the D-CHAG module's
 // zero-communication backward pass) quantitatively.
+//
+// AllReduce and AllGatherEach exchange views, not copies: a rank publishes
+// its tensors at the opening rendezvous, peers read them where they lie, and
+// a closing rendezvous returns them. The rule: nobody mutates a tensor it
+// passed to a collective until the collective returns, and the collective
+// returns only after every peer has finished reading it. ReduceScatterSum,
+// Broadcast and Gather deposit copies instead (exchangeTensor).
 package comm
 
 import (
@@ -32,7 +39,7 @@ type Group struct {
 	phase    uint64        // guarded by mu
 	arrived  int           // guarded by mu
 	slots    []any         // guarded by mu
-	gathered []any         // guarded by mu
+	gathered []any         // guarded by mu; rewritten in place by each completed exchange
 	aborted  bool          // guarded by mu
 	done     chan struct{} // closed on Abort; releases p2p Send/Recv
 
@@ -48,7 +55,7 @@ func NewGroup(size int) *Group {
 	if size <= 0 {
 		panic(fmt.Sprintf("comm: group size %d must be positive", size))
 	}
-	g := &Group{size: size, slots: make([]any, size), traffic: NewTraffic(), done: make(chan struct{})}
+	g := &Group{size: size, slots: make([]any, size), gathered: make([]any, size), traffic: NewTraffic(), done: make(chan struct{})}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -64,7 +71,7 @@ func (g *Group) Comm(rank int) *Communicator {
 	if rank < 0 || rank >= g.size {
 		panic(fmt.Sprintf("comm: rank %d out of range [0,%d)", rank, g.size))
 	}
-	return &Communicator{group: g, rank: rank, phaseLabel: "default"}
+	return &Communicator{group: g, rank: rank, phaseLabel: "default", scalar: tensor.New(1)}
 }
 
 // Abort releases every rank blocked in a collective or a point-to-point
@@ -143,7 +150,11 @@ func (g *Group) exchangeTensor(rank int, x *tensor.Tensor) []any {
 
 // exchange is the core rendezvous: every rank deposits one value and
 // receives the slice of all ranks' values (indexed by rank). It blocks until
-// all ranks of the group have arrived.
+// all ranks of the group have arrived. The slice is the group's and is valid
+// until the caller's next exchange: the next one completes only once every
+// rank has entered it, so nobody is still reading this one's.
+//
+// dchag:hotpath — depositing a pointer allocates nothing.
 func (g *Group) exchange(rank int, val any) []any {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -155,7 +166,7 @@ func (g *Group) exchange(rank int, val any) []any {
 	g.arrived++
 	if g.arrived == g.size {
 		g.arrived = 0
-		g.gathered = append([]any(nil), g.slots...)
+		copy(g.gathered, g.slots)
 		g.phase++
 		g.cond.Broadcast()
 	} else {
@@ -241,13 +252,25 @@ type Communicator struct {
 	fault      FaultInjector
 	faultID    int
 	obs        Observer
+
+	ops    operands             // what AllReduce publishes; peers hold &ops, never a copy
+	one    [2][1]*tensor.Tensor // AllReduceInto's one-tensor dst and src lists
+	scalar *tensor.Tensor       // AllReduceScalarSum's operand
+	// peerElems counts the elements AllReduce read from other ranks'
+	// tensors; the tests hold it to the ring volume the ledger records.
+	peerElems int64
+}
+
+// operands is one rank's side of an AllReduce: the tensors themselves.
+type operands struct {
+	dst, src []*tensor.Tensor
 }
 
 // SetFaultInjector installs f on this communicator under the given injector
 // id. Must be called before the communicator is used; convenience wrappers
-// (AllGatherConcat, AllReduceMean, AllReduceScalarSum, RingAllReduceSum)
-// instrument only the base operations they are built from, so each
-// wire-level rendezvous is exactly one injection point.
+// (AllGather, AllGatherConcat, AllReduceInto, AllReduceSum,
+// AllReduceScalarSum) instrument only the base operations they are built
+// from, so each collective is exactly one injection point pair.
 func (c *Communicator) SetFaultInjector(f FaultInjector, id int) {
 	c.fault = f
 	c.faultID = id
@@ -262,7 +285,7 @@ func (c *Communicator) faultPoint(op Op, pre bool) {
 // SetObserver installs o on this communicator. Like SetFaultInjector it
 // must be called before the communicator is used; the convenience
 // wrappers instrument only the base operations they are built from, so
-// each wire-level rendezvous is exactly one observed interval.
+// each collective is exactly one observed interval.
 func (c *Communicator) SetObserver(o Observer) { c.obs = o }
 
 // obsPoint forwards one hook point to the installed observer. The
@@ -305,24 +328,34 @@ func (c *Communicator) Barrier() {
 	c.faultPoint(OpBarrier, false)
 }
 
-// AllGather exchanges each rank's tensor and returns fresh copies of all of
-// them, indexed by rank. Contributions may differ in shape.
-func (c *Communicator) AllGather(x *tensor.Tensor) []*tensor.Tensor {
+// AllGatherEach shows every rank's tensor to visit, in rank order and where
+// it lies (this rank's own included): nothing is copied. visit must neither
+// mutate nor retain part — the closing rendezvous hands it back to its
+// owner. Contributions may differ in shape.
+//
+// dchag:hotpath
+func (c *Communicator) AllGatherEach(x *tensor.Tensor, visit func(rank int, part *tensor.Tensor)) {
 	c.faultPoint(OpAllGather, true)
 	c.obsPoint(OpAllGather, true, 0)
-	vals := c.group.exchangeTensor(c.rank, x)
-	out := make([]*tensor.Tensor, len(vals))
 	total := 0
-	for i, v := range vals {
-		t := v.(*tensor.Tensor)
-		out[i] = t.Clone()
-		total += t.Numel()
+	for r, v := range c.group.exchange(c.rank, x) {
+		part := v.(*tensor.Tensor)
+		total += part.Numel()
+		visit(r, part)
 	}
+	c.group.exchange(c.rank, nil) // every peer has finished reading x
 	// Ring all-gather wire volume per rank: every element that is not
 	// already local transits this rank once.
 	c.record(OpAllGather, total-x.Numel())
 	c.obsPoint(OpAllGather, false, total-x.Numel())
 	c.faultPoint(OpAllGather, false)
+}
+
+// AllGather exchanges each rank's tensor and returns fresh copies of all of
+// them, indexed by rank.
+func (c *Communicator) AllGather(x *tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, c.Size())
+	c.AllGatherEach(x, func(r int, part *tensor.Tensor) { out[r] = part.Clone() })
 	return out
 }
 
@@ -333,59 +366,124 @@ func (c *Communicator) AllGatherConcat(x *tensor.Tensor, axis int) *tensor.Tenso
 	return tensor.Concat(axis, parts...)
 }
 
-// AllReduceSum returns the elementwise sum of every rank's tensor. All
-// contributions must share a shape.
-func (c *Communicator) AllReduceSum(x *tensor.Tensor) *tensor.Tensor {
-	c.faultPoint(OpAllReduce, true)
-	c.obsPoint(OpAllReduce, true, 0)
-	vals := c.group.exchangeTensor(c.rank, x)
-	out := vals[0].(*tensor.Tensor).Clone()
-	for _, v := range vals[1:] {
-		t := v.(*tensor.Tensor)
-		if !tensor.SameShape(out, t) {
-			panic(fmt.Sprintf("comm: AllReduceSum shape mismatch %v vs %v", out.Shape, t.Shape))
-		}
-		tensor.AddInPlace(out, t)
+// AllReduce leaves in every rank's dst the elementwise sum of all ranks'
+// src, times scale. The lists are treated as one flat sequence of N
+// elements and every rank's must agree tensor by tensor in shape; dst may be
+// src. It runs as a reduce-scatter and an all-gather over the callers' own
+// tensors: rank r sums flat slice [r*N/n, (r+1)*N/n) of every rank's src, in
+// rank order, into its dst and scales the finished sum; after a rendezvous
+// every rank copies the other slices from their owners' dst; a closing
+// rendezvous ends the peers' reads. A slice boundary may fall inside a
+// tensor and N need not divide by n.
+//
+// dchag:hotpath
+func (c *Communicator) AllReduce(dst, src []*tensor.Tensor, scale float64) {
+	n, total, wire := c.Size(), 0, 0
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("comm: AllReduce into %d tensors from %d", len(dst), len(src)))
 	}
-	// Ring all-reduce wire volume per rank: 2*(n-1)/n elements.
-	c.record(OpAllReduce, 2*(c.Size()-1)*x.Numel()/c.Size())
-	c.obsPoint(OpAllReduce, false, 2*(c.Size()-1)*x.Numel()/c.Size())
-	c.faultPoint(OpAllReduce, false)
-	return out
-}
-
-// AllReduceMean returns the elementwise mean of every rank's tensor.
-func (c *Communicator) AllReduceMean(x *tensor.Tensor) *tensor.Tensor {
-	out := c.AllReduceSum(x)
-	tensor.ScaleInPlace(out, 1/float64(c.Size()))
-	return out
-}
-
-// AllReduceMax returns the elementwise maximum of every rank's tensor.
-func (c *Communicator) AllReduceMax(x *tensor.Tensor) *tensor.Tensor {
+	for k, s := range src {
+		if !tensor.SameShape(dst[k], s) {
+			panic(fmt.Sprintf("comm: AllReduce tensor %d: dst %v, src %v", k, dst[k].Shape, s.Shape))
+		}
+		total += len(s.Data)
+		// Ring all-reduce wire volume per rank: 2*(n-1)/n elements.
+		wire += 2 * (n - 1) * len(s.Data) / n
+	}
 	c.faultPoint(OpAllReduce, true)
 	c.obsPoint(OpAllReduce, true, 0)
-	vals := c.group.exchangeTensor(c.rank, x)
-	out := vals[0].(*tensor.Tensor).Clone()
-	for _, v := range vals[1:] {
-		t := v.(*tensor.Tensor)
-		for i, tv := range t.Data {
-			if tv > out.Data[i] {
-				out.Data[i] = tv
+	c.ops = operands{dst: dst, src: src}
+	peers := c.group.exchange(c.rank, &c.ops)
+	for r, p := range peers {
+		theirs := p.(*operands).src
+		if len(theirs) != len(src) {
+			panic(fmt.Sprintf("comm: AllReduce of %d tensors meets rank %d's %d", len(src), r, len(theirs)))
+		}
+		for k, s := range src {
+			if !tensor.SameShape(s, theirs[k]) {
+				panic(fmt.Sprintf("comm: AllReduce shape mismatch at tensor %d: %v vs rank %d's %v", k, s.Shape, r, theirs[k].Shape))
 			}
 		}
 	}
-	c.record(OpAllReduce, 2*(c.Size()-1)*x.Numel()/c.Size())
-	c.obsPoint(OpAllReduce, false, 2*(c.Size()-1)*x.Numel()/c.Size())
+	off := 0
+	for k, d := range dst {
+		if a, b := clip(off, len(d.Data), c.rank*total/n, (c.rank+1)*total/n); a < b {
+			reduceSegment(d.Data[a:b], peers, k, a, scale)
+			c.peerElems += int64((n - 1) * (b - a))
+		}
+		off += len(d.Data)
+	}
+	c.group.exchange(c.rank, &c.ops) // every slice is reduced
+	for r, p := range peers {
+		if r == c.rank {
+			continue
+		}
+		theirs, off := p.(*operands).dst, 0
+		for k, d := range dst {
+			if a, b := clip(off, len(d.Data), r*total/n, (r+1)*total/n); a < b {
+				c.peerElems += int64(copy(d.Data[a:b], theirs[k].Data[a:b]))
+			}
+			off += len(d.Data)
+		}
+	}
+	c.group.exchange(c.rank, &c.ops) // every peer has finished reading src and dst
+	c.record(OpAllReduce, wire)
+	c.obsPoint(OpAllReduce, false, wire)
 	c.faultPoint(OpAllReduce, false)
-	return out
+}
+
+// clip returns the part of flat range [lo,hi) that falls in a tensor of n
+// elements starting at flat offset off, in the tensor's own indices.
+func clip(off, n, lo, hi int) (a, b int) {
+	return max(lo-off, 0), min(hi-off, n)
+}
+
+// reduceSegment writes dst[i] = (sum over ranks q, ascending, of rank q's
+// src[k].Data[a+i]) * scale: the one place tensors of different ranks are
+// added. The sum is built in a stack block, so dst may be this rank's src.
+func reduceSegment(dst []float64, peers []any, k, a int, scale float64) {
+	var acc [512]float64
+	for len(dst) > 0 {
+		blk := acc[:min(len(dst), len(acc))]
+		for q, p := range peers {
+			s := p.(*operands).src[k].Data[a : a+len(blk)]
+			if q == 0 {
+				copy(blk, s)
+				continue
+			}
+			for i, v := range s {
+				blk[i] += v
+			}
+		}
+		for i, v := range blk {
+			dst[i] = v * scale
+		}
+		dst, a = dst[len(blk):], a+len(blk)
+	}
+}
+
+// AllReduceInto is AllReduce of one tensor, unscaled; it returns dst.
+//
+// dchag:hotpath
+func (c *Communicator) AllReduceInto(dst, src *tensor.Tensor) *tensor.Tensor {
+	c.one[0][0], c.one[1][0] = dst, src
+	c.AllReduce(c.one[0][:], c.one[1][:], 1)
+	return dst
+}
+
+// AllReduceSum returns the elementwise sum of every rank's tensor in a fresh
+// tensor. All contributions must share a shape.
+func (c *Communicator) AllReduceSum(x *tensor.Tensor) *tensor.Tensor {
+	return c.AllReduceInto(tensor.New(x.Shape...), x)
 }
 
 // AllReduceScalarSum sums a scalar across ranks (convenience for losses and
 // metrics).
+//
+// dchag:hotpath
 func (c *Communicator) AllReduceScalarSum(v float64) float64 {
-	t := tensor.FromSlice([]float64{v}, 1)
-	return c.AllReduceSum(t).Data[0]
+	c.scalar.Data[0] = v
+	return c.AllReduceInto(c.scalar, c.scalar).Data[0]
 }
 
 // ReduceScatterSum splits every rank's tensor into Size equal chunks along

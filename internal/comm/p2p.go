@@ -6,14 +6,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// Point-to-point messaging between ranks, and a ring all-reduce built on it.
-//
-// The rendezvous collectives in comm.go are the *functional* substrate; the
-// ring implementation here exists to validate the cost model: the byte
-// volumes the Traffic ledger records for OpAllReduce (2*(n-1)/n elements per
-// rank) and the ring formulas in internal/hw are exactly what this
-// algorithm puts on the wire, which the tests verify by counting actual
-// Send traffic.
+// Point-to-point messaging between ranks: rank-addressed, buffered, and
+// released by Abort like the rendezvous collectives in comm.go.
 
 type pairKey struct{ from, to int }
 
@@ -76,48 +70,4 @@ func (c *Communicator) Recv(from int) *tensor.Tensor {
 	case <-c.group.done:
 		panic(ErrAborted)
 	}
-}
-
-// RingAllReduceSum computes the same result as AllReduceSum with the
-// classic two-phase ring algorithm over Send/Recv: n-1 reduce-scatter steps
-// followed by n-1 all-gather steps, each moving one 1/n chunk to the next
-// rank. The contribution length must be divisible by the group size.
-//
-// The per-rank wire volume is exactly 2*(n-1)*numel/n elements — the figure
-// the Traffic ledger models for OpAllReduce and internal/hw charges for ring
-// all-reduce time.
-func (c *Communicator) RingAllReduceSum(x *tensor.Tensor) *tensor.Tensor {
-	n := c.Size()
-	if n == 1 {
-		return x.Clone()
-	}
-	if x.Numel()%n != 0 {
-		panic(fmt.Sprintf("comm: RingAllReduceSum length %d not divisible by %d ranks", x.Numel(), n))
-	}
-	chunk := x.Numel() / n
-	acc := x.Clone()
-	next := (c.rank + 1) % n
-	prev := (c.rank - 1 + n) % n
-	slice := func(t *tensor.Tensor, i int) *tensor.Tensor {
-		return tensor.FromSlice(t.Data[i*chunk:(i+1)*chunk], chunk)
-	}
-	// Phase 1: reduce-scatter. After step s, rank r holds the running sum of
-	// chunk (r-s+n)%n from s+1 contributors.
-	for s := 0; s < n-1; s++ {
-		sendIdx := (c.rank - s + n) % n
-		recvIdx := (c.rank - s - 1 + n) % n
-		c.Send(next, slice(acc, sendIdx))
-		in := c.Recv(prev)
-		dst := slice(acc, recvIdx)
-		tensor.AddInPlace(dst, in)
-	}
-	// Phase 2: all-gather the fully-reduced chunks around the ring.
-	for s := 0; s < n-1; s++ {
-		sendIdx := (c.rank + 1 - s + n) % n
-		recvIdx := (c.rank - s + n) % n
-		c.Send(next, slice(acc, sendIdx))
-		in := c.Recv(prev)
-		copy(slice(acc, recvIdx).Data, in.Data)
-	}
-	return acc
 }

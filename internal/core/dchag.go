@@ -168,6 +168,10 @@ func (d *DCHAG) Forward(x *tensor.Tensor) *tensor.Tensor {
 // partition across the group.
 func (d *DCHAG) Infer(x *tensor.Tensor) *tensor.Tensor { return d.pass(x, true) }
 
+// pass is Forward and Infer. The AllGather moves each rank's stack straight
+// from where it lies into the final layer's input: no copy in between.
+//
+// dchag:hotpath
 func (d *DCHAG) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
 	b, t, e := x.Shape[0], d.Cfg.Tokens(), d.Cfg.Embed
 	outs, s := d.LocalStage.pass(x, infer), &d.gather[0]
@@ -175,20 +179,20 @@ func (d *DCHAG) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
 		s = &d.gather[1]
 	}
 	// [k, B, T, E]: one token per owned partition.
-	s.local = tensor.EnsureShape(s.local, len(outs), b, t, e)
+	k := len(outs)
+	s.local = tensor.EnsureShape(s.local, k, b, t, e)
 	tensor.StackInto(s.local, outs...)
-	parts := d.Comm.AllGather(s.local)
 	// Rank r's stack holds partitions [r*k, (r+1)*k): column r*k+ki of the
 	// final layer's input [B*T, P, E].
 	s.seq = tensor.EnsureShape(s.seq, b*t, d.Partitions, e)
-	for r, part := range parts {
+	d.Comm.AllGatherEach(s.local, func(r int, part *tensor.Tensor) {
 		if len(part.Data) != len(s.local.Data) {
 			panic(fmt.Sprintf("core: rank %d gathered partition tokens %v, this rank holds %v", r, part.Shape, s.local.Shape))
 		}
-		for ki := range outs {
-			writeGroupToken(s.seq, part.Data[ki*b*t*e:(ki+1)*b*t*e], r*len(outs)+ki)
+		for ki := 0; ki < k; ki++ {
+			writeGroupToken(s.seq, part.Data[ki*b*t*e:(ki+1)*b*t*e], r*k+ki)
 		}
-	}
+	})
 	if infer {
 		return d.Final.Infer(s.seq).Reshape(b, t, e)
 	}

@@ -61,7 +61,7 @@ func explicitAggregate(a *nn.CrossAttention, query, context, d *tensor.Tensor) e
 		}
 	}
 	y := affine(ctx, a.Wo) // [N*Tq, E]
-	out := tensor.Scale(tensor.SumAxis(y.Reshape(n, tq, e), 1), 1/float64(tq))
+	out := tensor.ScaleInto(nil, tensor.SumAxisInto(nil, y.Reshape(n, tq, e), 1), 1/float64(tq))
 
 	dy := tensor.New(n*tq, e)
 	for ni := 0; ni < n; ni++ {
@@ -99,7 +99,7 @@ func explicitAggregate(a *nn.CrossAttention, query, context, d *tensor.Tensor) e
 	}
 	res := explicitAggregation{out: out}
 	back := func(x, g *tensor.Tensor, l *nn.Linear) *tensor.Tensor {
-		res.grads = append(res.grads, tensor.TMatMulInto(nil, x.Reshape(-1, e), g), tensor.SumAxis(g, 0))
+		res.grads = append(res.grads, tensor.TMatMulInto(nil, x.Reshape(-1, e), g), tensor.SumAxisInto(nil, g, 0))
 		return tensor.MatMulTInto(nil, g, l.Weight.W)
 	}
 	res.dQuery = back(query, dq, a.Wq).Reshape(n, tq, e)
@@ -157,7 +157,7 @@ func TestPerceiverAggregatorMatchesExplicitFormulation(t *testing.T) {
 	nn.ZeroGrads(a.Params())
 	mustMatch(t, "output", a.Forward(x), want.out)
 	mustMatch(t, "dx", a.Backward(d), want.dContext)
-	mustMatch(t, "latents", a.Latents.Grad, tensor.SumAxis(want.dQuery, 0))
+	mustMatch(t, "latents", a.Latents.Grad, tensor.SumAxisInto(nil, want.dQuery, 0))
 	for i, p := range a.Attn.Params() {
 		mustMatch(t, p.Name, p.Grad, want.grads[i])
 	}

@@ -61,7 +61,8 @@ func TestRunMeshTrafficClaims(t *testing.T) {
 			fc.SetPhase("forward")
 			fc.AllGatherConcat(tensor.Full(1, 4), 0)
 			dpc.SetPhase("dp-sync")
-			dpc.AllReduceMean(tensor.Full(float64(rank), 8))
+			grads := []*tensor.Tensor{tensor.Full(float64(rank), 8)}
+			dpc.AllReduce(grads, grads, 1/float64(spec.DP)) // the mean, in place
 		}
 		return nil
 	})

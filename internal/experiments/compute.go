@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -36,8 +37,11 @@ func init() {
 // channel-major entry points. v6 adds packed_elems to every shape point —
 // how many operand elements the product driver copies into panels instead of
 // reading in place — and two shapes the workload profiles name: the serving
-// tokenizer's float32 product and a tensor-parallel MLP shard.
-const ComputeSchema = "dchag-bench/compute/v6"
+// tokenizer's float32 product and a tensor-parallel MLP shard. v7 adds the
+// callers section: the two column-parallel products of a wx_tp2dp2 rank
+// issued by one and by two goroutines at once, the regime the ranks of a
+// mesh run in.
+const ComputeSchema = "dchag-bench/compute/v7"
 
 // ComputePoint is one measured square GEMM size (dst = A@B, all [n,n]).
 type ComputePoint struct {
@@ -135,6 +139,21 @@ type ElementwisePoint struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
+// CallerPoint is one product shape issued by Callers goroutines at once, each
+// on its own operands, under GOMAXPROCS MaxProcs: what a rank of a mesh gets
+// out of tensor.MatMulInto while its peers are inside theirs.
+type CallerPoint struct {
+	Name     string `json:"name"`
+	M        int    `json:"m"`
+	K        int    `json:"k"`
+	N        int    `json:"n"`
+	MaxProcs int    `json:"maxprocs"`
+	Callers  int    `json:"callers"`
+	// GFLOPSPerCaller is the callers' mean rate over the best of the timed
+	// windows, each caller counting its own products over its own wall time.
+	GFLOPSPerCaller float64 `json:"gflops_per_caller"`
+}
+
 // ComputeClaims are the qualitative gates the artifact test asserts. The
 // speedup claims hold only where the vector micro-kernels run, so
 // TestComputeJSONArtifact gates them on SIMD being true in the artifact.
@@ -156,14 +175,18 @@ type ComputeReport struct {
 	Schema string `json:"schema"`
 	// SIMD records whether the AVX2+FMA micro-kernels were active; MaxProcs
 	// the GOMAXPROCS the rates were measured under.
-	SIMD        bool                `json:"simd"`
-	MaxProcs    int                 `json:"maxprocs"`
+	SIMD     bool `json:"simd"`
+	MaxProcs int  `json:"maxprocs"`
+	// NumCPU is the host's processor count; the callers section sets its own
+	// GOMAXPROCS and means something only where two processors exist.
+	NumCPU      int                 `json:"num_cpu"`
 	Sizes       []int               `json:"sizes"`
 	Points      []ComputePoint      `json:"points"`
 	Shapes      []ShapePoint        `json:"shapes"`
 	Aggregators []AggregatorPoint   `json:"aggregators"`
 	Elementwise []ElementwisePoint  `json:"elementwise"`
 	Stages      []ChannelStagePoint `json:"channel_stage"`
+	Callers     []CallerPoint       `json:"callers"`
 	Claims      ComputeClaims       `json:"claims"`
 }
 
@@ -220,6 +243,7 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 		Schema:   ComputeSchema,
 		SIMD:     tensor.SIMDEnabled(),
 		MaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:   runtime.NumCPU(),
 		Sizes:    append([]int(nil), cfg.Sizes...),
 	}
 	for _, n := range cfg.Sizes {
@@ -244,6 +268,7 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 	rep.Aggregators = measureAggregators(cfg)
 	rep.Elementwise = measureElementwise(cfg)
 	rep.Stages = measureChannelStages(cfg)
+	rep.Callers = measureCallers(cfg)
 	last := rep.Points[len(rep.Points)-1]
 	rep.Claims = ComputeClaims{
 		BlockedSpeedupAtMax: last.BlockedSpeedup,
@@ -334,6 +359,59 @@ func shapePackedElems(sp ShapePoint) int {
 		dt, bt = tensor.F32, true
 	}
 	return dt.PackedElems(sp.M, sp.K, sp.N, at, bt, prepacked)
+}
+
+// measureCallers times the two column-parallel products a wx_tp2dp2 rank
+// issues per block — its half of an E x E projection and of the E x 4E MLP
+// layer (128 tokens, E = 64, TP 2) — three ways: alone on one processor —
+// the kernel's own rate — alone on two, where the rows split, and from two
+// goroutines at once on two, where each should keep a processor to itself.
+func measureCallers(cfg ComputeBenchConfig) []CallerPoint {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var out []CallerPoint
+	for _, cp := range []CallerPoint{{Name: "tp_proj", M: 128, K: 64, N: 32}, {Name: "tp_mlp_fc1", M: 128, K: 64, N: 128}} {
+		for _, run := range [][2]int{{1, 1}, {2, 1}, {2, 2}} {
+			cp.MaxProcs, cp.Callers = run[0], run[1]
+			out = append(out, cp)
+		}
+	}
+	// Short windows, rows alternating, best window per row: a row and the
+	// row it is held against see the same host in the same moments, and a
+	// window the host disturbed is simply not the best (fastestCalls' rule).
+	for round := 0; round < 10*cfg.Trials; round++ {
+		for i := range out {
+			runtime.GOMAXPROCS(out[i].MaxProcs)
+			out[i].GFLOPSPerCaller = max(out[i].GFLOPSPerCaller, callersGFLOPS(out[i], cfg.MinTime/10))
+		}
+	}
+	return out
+}
+
+// callersGFLOPS runs cp.Callers goroutines, each issuing the product on its
+// own operands until minTime has passed, and returns their mean rate.
+func callersGFLOPS(cp CallerPoint, minTime time.Duration) float64 {
+	rates := make([]float64, cp.Callers)
+	var wg sync.WaitGroup
+	for c := range rates {
+		rng := tensor.NewRNG(int64(6000 + c))
+		dst, a, b := tensor.New(cp.M, cp.N), tensor.Randn(rng, cp.M, cp.K), tensor.Randn(rng, cp.K, cp.N)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			products, start := 0, time.Now()
+			for time.Since(start) < minTime {
+				tensor.MatMulInto(dst, a, b)
+				products++
+			}
+			rates[c] = 2 * float64(products*cp.M*cp.K*cp.N) / float64(time.Since(start).Nanoseconds())
+		}()
+	}
+	wg.Wait()
+	sum := 0.0
+	for _, r := range rates {
+		sum += r
+	}
+	return sum / float64(cp.Callers)
 }
 
 // naiveBatched is the baseline of the shape points: c = a@b per batch member
@@ -640,5 +718,13 @@ func runCompute() Result {
 			fmt.Sprintf("%.1f / %.1f", float64(cp.Stage.ScratchBytes)/tok, float64(cp.Chained.ScratchBytes)/tok), fmt.Sprintf("%.0f", cp.AllocsPerOp))
 	}
 	stages.Note("the shipped stage tokenizes each channel straight into its group's input, bias and channel-ID row added on the way; chained is the same layers through tokenizer output, channel-ID pass and fold; scratch is every tensor held outside parameters and group aggregators, in units of one [B,C,T,E] token tensor")
-	return Result{ID: "compute", Title: "Compute substrate", Tables: []*Table{tab, shapes, aggs, elems, stages}}
+	callers := &Table{
+		Title:   "Measured throughput per caller with concurrent callers (tensor.MatMulInto)",
+		Headers: []string{"product", "m x k x n", "GOMAXPROCS", "callers", "GFLOP/s per caller"},
+	}
+	for _, cp := range rep.Callers {
+		callers.Add(cp.Name, fmt.Sprintf("%dx%dx%d", cp.M, cp.K, cp.N), fmt.Sprint(cp.MaxProcs), fmt.Sprint(cp.Callers), fmt.Sprintf("%.2f", cp.GFLOPSPerCaller))
+	}
+	callers.Note("each caller runs the product on its own operands; a product splits its rows over goroutines only while fewer products are in flight than there are processors, so two ranks on two processors each keep the one-processor rate")
+	return Result{ID: "compute", Title: "Compute substrate", Tables: []*Table{tab, shapes, aggs, elems, stages, callers}}
 }

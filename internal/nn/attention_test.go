@@ -128,7 +128,7 @@ func TestAttentionCoreGradients(t *testing.T) {
 func meanThenBackward(q, k, v, d *tensor.Tensor, heads int) (out, dq, dk, dv *tensor.Tensor) {
 	c := AttentionCore{Heads: heads, HeadDim: q.Shape[2] / heads}
 	n, tq, e := q.Shape[0], q.Shape[1], q.Shape[2]
-	out = tensor.Scale(tensor.SumAxis(c.Forward(q, k, v), 1), 1/float64(tq))
+	out = tensor.ScaleInto(nil, tensor.SumAxisInto(nil, c.Forward(q, k, v), 1), 1/float64(tq))
 	dctx := tensor.New(n, tq, e)
 	for ni := 0; ni < n; ni++ {
 		for i := 0; i < tq; i++ {

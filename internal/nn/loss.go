@@ -7,20 +7,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// MSELoss computes the mean squared error over all elements.
+// MSELoss computes the mean squared error over all elements. It owns the
+// difference and the gradient Backward returns, which stay valid until the
+// same method runs again; steady state, neither method allocates.
 type MSELoss struct {
-	diff *tensor.Tensor
+	diff, grad *tensor.Tensor
 }
 
 // NewMSELoss returns an MSE loss.
 func NewMSELoss() *MSELoss { return &MSELoss{} }
 
 // Forward returns mean((pred-target)^2).
+//
+// dchag:hotpath
 func (l *MSELoss) Forward(pred, target *tensor.Tensor) float64 {
 	if !tensor.SameShape(pred, target) {
 		panic(fmt.Sprintf("nn: MSELoss shape mismatch %v vs %v", pred.Shape, target.Shape))
 	}
-	l.diff = tensor.Sub(pred, target)
+	l.diff = tensor.SubInto(tensor.EnsureShape(l.diff, pred.Shape...), pred, target)
 	s := 0.0
 	for _, v := range l.diff.Data {
 		s += v * v
@@ -29,21 +33,25 @@ func (l *MSELoss) Forward(pred, target *tensor.Tensor) float64 {
 }
 
 // Backward returns dLoss/dPred = 2*(pred-target)/N.
+//
+// dchag:hotpath
 func (l *MSELoss) Backward() *tensor.Tensor {
 	if l.diff == nil {
 		panic("nn: MSELoss.Backward before Forward")
 	}
-	return tensor.Scale(l.diff, 2/float64(l.diff.Numel()))
+	l.grad = tensor.EnsureShape(l.grad, l.diff.Shape...)
+	return tensor.ScaleInto(l.grad, l.diff, 2/float64(l.diff.Numel()))
 }
 
 // MaskedMSELoss computes MSE only over positions selected by a mask, the
 // objective of masked-autoencoder pretraining (paper Sec. 5.1): the loss is
-// evaluated on reconstructed *masked* patches only.
+// evaluated on reconstructed *masked* patches only. Like MSELoss it owns its
+// difference and gradient.
 type MaskedMSELoss struct {
-	diff  *tensor.Tensor
-	mask  *tensor.Tensor
-	count float64
-	inner int
+	diff, grad *tensor.Tensor
+	mask       *tensor.Tensor
+	count      float64
+	inner      int
 }
 
 // NewMaskedMSELoss returns a masked MSE loss.
@@ -51,6 +59,8 @@ func NewMaskedMSELoss() *MaskedMSELoss { return &MaskedMSELoss{} }
 
 // Forward computes the mean of (pred-target)^2 over positions where
 // mask[b,t] == 1. pred and target have shape [B,T,D]; mask has shape [B,T].
+//
+// dchag:hotpath
 func (l *MaskedMSELoss) Forward(pred, target, mask *tensor.Tensor) float64 {
 	if !tensor.SameShape(pred, target) {
 		panic(fmt.Sprintf("nn: MaskedMSELoss shape mismatch %v vs %v", pred.Shape, target.Shape))
@@ -58,7 +68,7 @@ func (l *MaskedMSELoss) Forward(pred, target, mask *tensor.Tensor) float64 {
 	if len(pred.Shape) != 3 || len(mask.Shape) != 2 || mask.Shape[0] != pred.Shape[0] || mask.Shape[1] != pred.Shape[1] {
 		panic(fmt.Sprintf("nn: MaskedMSELoss want pred [B,T,D] and mask [B,T], got %v and %v", pred.Shape, mask.Shape))
 	}
-	l.diff = tensor.Sub(pred, target)
+	l.diff = tensor.SubInto(tensor.EnsureShape(l.diff, pred.Shape...), pred, target)
 	l.mask = mask
 	l.inner = pred.Shape[2]
 	masked := 0.0
@@ -82,26 +92,25 @@ func (l *MaskedMSELoss) Forward(pred, target, mask *tensor.Tensor) float64 {
 }
 
 // Backward returns dLoss/dPred, zero at unmasked positions.
+//
+// dchag:hotpath
 func (l *MaskedMSELoss) Backward() *tensor.Tensor {
 	if l.diff == nil {
 		panic("nn: MaskedMSELoss.Backward before Forward")
 	}
-	out := tensor.New(l.diff.Shape...)
-	if l.count == 0 {
-		return out
-	}
-	scale := 2 / l.count
+	l.grad = tensor.EnsureShape(l.grad, l.diff.Shape...)
+	scale := 2 / l.count // count is 0 only when no row is masked, and then scale is not used
 	for r, mv := range l.mask.Data {
+		dst := l.grad.Data[r*l.inner : (r+1)*l.inner]
 		if mv == 0 {
+			clear(dst)
 			continue
 		}
-		src := l.diff.Data[r*l.inner : (r+1)*l.inner]
-		dst := out.Data[r*l.inner : (r+1)*l.inner]
-		for i, v := range src {
+		for i, v := range l.diff.Data[r*l.inner : (r+1)*l.inner] {
 			dst[i] = v * scale
 		}
 	}
-	return out
+	return l.grad
 }
 
 // LatWeightedRMSE computes the latitude-weighted root-mean-square error used

@@ -47,18 +47,23 @@ func NewParallelSelfAttention(name string, embed, heads int, seed int64, c *comm
 
 // Forward computes the attention output [B,T,E] from replicated input
 // [B,T,E]. Only the row-parallel output projection communicates.
+//
+// dchag:hotpath
 func (a *ParallelSelfAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return a.Wo.Forward(a.core.Forward(a.Wq.Forward(x), a.Wk.Forward(x), a.Wv.Forward(x)))
 }
 
 // Backward back-propagates to the replicated input with a single AllReduce
-// over the summed Q/K/V partial input gradients.
+// over the summed Q/K/V partial input gradients, in place in Wq's
+// input-gradient scratch.
+//
+// dchag:hotpath
 func (a *ParallelSelfAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dq, dk, dv := a.core.Backward(a.Wo.Backward(grad))
 	dx := a.Wq.BackwardPartial(dq)
 	tensor.AddInPlace(dx, a.Wk.BackwardPartial(dk))
 	tensor.AddInPlace(dx, a.Wv.BackwardPartial(dv))
-	return a.Comm.AllReduceSum(dx)
+	return a.Comm.AllReduceInto(dx, dx)
 }
 
 // Params returns the local shard parameters.
@@ -92,14 +97,19 @@ func NewParallelMLP(name string, embed, hidden int, seed int64, c *comm.Communic
 }
 
 // Forward applies fc2(gelu(fc1(x))) with one AllReduce in fc2.
+//
+// dchag:hotpath
 func (m *ParallelMLP) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return m.Fc2.Forward(m.Act.Forward(m.Fc1.Forward(x)))
 }
 
-// Backward back-propagates with one AllReduce for the replicated input.
+// Backward back-propagates with one AllReduce for the replicated input, in
+// place in fc1's input-gradient scratch.
+//
+// dchag:hotpath
 func (m *ParallelMLP) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	partial := m.Fc1.BackwardPartial(m.Act.Backward(m.Fc2.Backward(grad)))
-	return m.Comm.AllReduceSum(partial)
+	dx := m.Fc1.BackwardPartial(m.Act.Backward(m.Fc2.Backward(grad)))
+	return m.Comm.AllReduceInto(dx, dx)
 }
 
 // Params returns the local shard parameters.
@@ -135,6 +145,8 @@ func NewParallelTransformerBlock(name string, embed, heads int, seed int64, c *c
 
 // Forward applies the block to replicated x [B,T,E]; like
 // nn.TransformerBlock it returns block-owned scratch.
+//
+// dchag:hotpath
 func (b *ParallelTransformerBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
 	b.h = tensor.EnsureShape(b.h, x.Shape...)
 	tensor.AddInto(b.h, x, b.Attn.Forward(b.Norm1.Forward(x)))
@@ -143,6 +155,8 @@ func (b *ParallelTransformerBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward back-propagates through both residual branches.
+//
+// dchag:hotpath
 func (b *ParallelTransformerBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	b.dh = tensor.EnsureShape(b.dh, grad.Shape...)
 	tensor.AddInto(b.dh, grad, b.Norm2.Backward(b.FFN.Backward(grad)))

@@ -97,22 +97,27 @@ func (f *FSDP) ShardBytes() int64 {
 
 // DDP implements plain data parallelism: every rank holds a full replica and
 // processes a different micro-batch; gradients are averaged with one
-// AllReduce per parameter at the end of the backward pass.
+// AllReduce over the whole gradient list at the end of the backward pass.
 type DDP struct {
 	Comm   *comm.Communicator
 	Params []*nn.Param
+	grads  []*tensor.Tensor // Params' gradients, the collective's operand list
 }
 
 // NewDDP wraps the given replica parameters.
 func NewDDP(c *comm.Communicator, params []*nn.Param) *DDP {
-	return &DDP{Comm: c, Params: params}
+	d := &DDP{Comm: c, Params: params, grads: make([]*tensor.Tensor, len(params))}
+	for i, p := range params {
+		d.grads[i] = p.Grad
+	}
+	return d
 }
 
-// SyncGradients averages every parameter's gradient across the group. Call
-// after backward, before the optimizer step.
+// SyncGradients averages every parameter's gradient across the group, in
+// place and in one collective. Call after backward, before the optimizer
+// step.
+//
+// dchag:hotpath
 func (d *DDP) SyncGradients() {
-	for _, p := range d.Params {
-		avg := d.Comm.AllReduceMean(p.Grad)
-		p.Grad.CopyFrom(avg)
-	}
+	d.Comm.AllReduce(d.grads, d.grads, 1/float64(d.Comm.Size()))
 }

@@ -150,8 +150,7 @@ func (b *SPTransformerBlock) Params() []*nn.Param {
 // is the sum over all tokens. Required once per step, after Backward.
 func (b *SPTransformerBlock) SyncGradients() {
 	for _, p := range b.Params() {
-		sum := b.Attn.Comm.AllReduceSum(p.Grad)
-		p.Grad.CopyFrom(sum)
+		b.Attn.Comm.AllReduceInto(p.Grad, p.Grad)
 	}
 }
 

@@ -50,6 +50,8 @@ func NewColumnParallelLinear(name string, in, out int, seed int64, c *comm.Commu
 
 // Forward computes the local output slice [.., Out/t] from the replicated
 // input. No communication.
+//
+// dchag:hotpath
 func (l *ColumnParallelLinear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return l.Local.Forward(x)
 }
@@ -57,14 +59,17 @@ func (l *ColumnParallelLinear) Forward(x *tensor.Tensor) *tensor.Tensor {
 // BackwardPartial accumulates local weight gradients and returns this
 // rank's *partial* input gradient (the contribution of its column block).
 // The caller must all-reduce the sum of partials once per replicated input.
+//
+// dchag:hotpath
 func (l *ColumnParallelLinear) BackwardPartial(grad *tensor.Tensor) *tensor.Tensor {
 	return l.Local.Backward(grad)
 }
 
-// Backward is BackwardPartial followed by the all-reduce, for callers that
-// use this layer standalone.
+// Backward is BackwardPartial followed by the all-reduce, in place, for
+// callers that use this layer standalone.
 func (l *ColumnParallelLinear) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return l.Comm.AllReduceSum(l.BackwardPartial(grad))
+	dx := l.BackwardPartial(grad)
+	return l.Comm.AllReduceInto(dx, dx)
 }
 
 // Params returns the local shard's parameters.
@@ -105,27 +110,36 @@ func NewRowParallelLinear(name string, in, out int, seed int64, c *comm.Communic
 	return l
 }
 
-// Forward computes the partial product from the local input slice and
-// all-reduces it, then adds the replicated bias.
+// Forward computes the partial product from the local input slice,
+// all-reduces it where the local product left it, and adds the replicated
+// bias there.
+//
+// dchag:hotpath
 func (l *RowParallelLinear) Forward(xLocal *tensor.Tensor) *tensor.Tensor {
-	partial := l.Local.Forward(xLocal)
-	y := l.Comm.AllReduceSum(partial)
-	y2, shape := y.Reshape(-1, l.Out), y.Shape
-	for i := 0; i < y2.Shape[0]; i++ {
-		row := y2.Data[i*l.Out : (i+1)*l.Out]
+	y := l.Local.Forward(xLocal)
+	l.Comm.AllReduceInto(y, y)
+	for lo := 0; lo < len(y.Data); lo += l.Out {
+		row := y.Data[lo : lo+l.Out]
 		for j, bv := range l.Bias.W.Data {
 			row[j] += bv
 		}
 	}
-	return y2.Reshape(shape...)
+	return y
 }
 
 // Backward accumulates weight and bias gradients and returns the gradient
 // with respect to the local input slice. No communication.
+//
+// dchag:hotpath
 func (l *RowParallelLinear) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g2 := grad.Reshape(-1, l.Out)
-	tensor.AddInPlace(l.Bias.Grad, tensor.SumAxis(g2, 0))
-	return l.Local.Backward(grad)
+	dx := l.Local.Backward(grad) // checks grad's last dimension
+	bg := l.Bias.Grad.Data
+	for lo := 0; lo < len(grad.Data); lo += l.Out {
+		for j, v := range grad.Data[lo : lo+l.Out] {
+			bg[j] += v
+		}
+	}
+	return dx
 }
 
 // Params returns the local weight shard and the replicated bias.

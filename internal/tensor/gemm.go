@@ -159,12 +159,14 @@ func gemm2D[T elem](g *gemmSpec, pre *packedB[T]) {
 		return
 	}
 	work := g.m * g.k * g.n
+	inProduct.Add(1)
+	defer inProduct.Add(-1)
 	if serialDispatch(g.m, work) {
 		gemmRows[T](g, 0, g.m, pre)
 		return
 	}
 	spec := *g // the closure's copy; g itself stays on the caller's stack
-	parallelOverRows(g.m, work, func(lo, hi int) {
+	parallelOverRows(g.m, func(lo, hi int) {
 		gemmRows[T](&spec, lo, hi, pre)
 	})
 }

@@ -111,12 +111,12 @@ func TestIntoBitwiseElementwise(t *testing.T) {
 	fill(a, 0.1)
 	fill(b, 0.9)
 	assertBitwise(t, "AddInto", AddInto(dirty(7, 33), a, b), Add(a, b))
-	assertBitwise(t, "SubInto", SubInto(dirty(7, 33), a, b), Sub(a, b))
-	assertBitwise(t, "ScaleInto", ScaleInto(dirty(7, 33), a, 1.7), Scale(a, 1.7))
+	assertBitwise(t, "SubInto", SubInto(dirty(7, 33), a, b), SubInto(nil, a, b))
+	assertBitwise(t, "ScaleInto", ScaleInto(dirty(7, 33), a, 1.7), ScaleInto(nil, a, 1.7))
 	assertBitwise(t, "SoftmaxLastDimInto", SoftmaxLastDimInto(dirty(7, 33), a), SoftmaxLastDimInto(nil, a))
 	y := SoftmaxLastDimInto(nil, a)
 	assertBitwise(t, "SoftmaxBackwardLastDimInto", SoftmaxBackwardLastDimInto(dirty(7, 33), y, b), SoftmaxBackwardLastDimInto(nil, y, b))
-	assertBitwise(t, "SumAxisInto", SumAxisInto(dirty(33), a, 0), SumAxis(a, 0))
+	assertBitwise(t, "SumAxisInto", SumAxisInto(dirty(33), a, 0), SumAxisInto(nil, a, 0))
 	assertBitwise(t, "Transpose2DInto", Transpose2DInto(dirty(33, 7), a), Transpose2D(a))
 	assertBitwise(t, "ConcatInto", ConcatInto(dirty(14, 33), 0, a, b), Concat(0, a, b))
 	assertBitwise(t, "StackInto", StackInto(dirty(2, 7, 33), a, b), Stack(a, b))

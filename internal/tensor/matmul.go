@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -11,6 +12,12 @@ import (
 // products run serially; spawning goroutines for tiny products costs more
 // than it saves.
 const parallelThreshold = 1 << 16
+
+// inProduct counts the goroutines currently inside gemm2D or batched. When
+// the callers alone already fill GOMAXPROCS — the ranks of a mesh — a
+// product that split its rows would only add goroutines to a full run queue,
+// so it runs on its caller (serialDispatch).
+var inProduct atomic.Int32
 
 // This file is the destination-passing ("Into") matrix-product API. Every
 // XInto(dst, ...) accepts dst == nil (allocate a fresh result) or a tensor of
@@ -132,27 +139,24 @@ func TMatMulAccInto(dst, a, b *Tensor) {
 }
 
 // serialDispatch reports whether a row-parallel op should run on the calling
-// goroutine. Callers branch on it BEFORE building the dispatch closure, so
-// the serial path allocates nothing at all.
+// goroutine: it is small, has one row, or the products in flight (the
+// caller's included: gemm2D and batched count themselves in first) already
+// occupy every processor — which at GOMAXPROCS 1 is always. The summation
+// order does not depend on the split, so the answer never changes a result.
+// Callers branch on it BEFORE building the dispatch closure, so the serial
+// path allocates nothing at all.
 //
 // dchag:hotpath — it must not allocate.
 func serialDispatch(m, work int) bool {
-	return work < parallelThreshold || m == 1 || runtime.GOMAXPROCS(0) == 1
+	return work < parallelThreshold || m == 1 || int(inProduct.Load()) >= runtime.GOMAXPROCS(0)
 }
 
-// parallelOverRows splits [0,m) into GOMAXPROCS contiguous blocks and runs
-// fn on each concurrently when the work estimate is large enough.
+// parallelOverRows splits [0,m) into at most GOMAXPROCS contiguous blocks
+// and runs fn on each concurrently. Callers have asked serialDispatch first.
 //
 // dchag:hotpath — dispatch overhead only; allocation belongs to callers.
-func parallelOverRows(m, work int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || m == 1 || workers == 1 {
-		fn(0, m)
-		return
-	}
-	if workers > m {
-		workers = m
-	}
+func parallelOverRows(m int, fn func(lo, hi int)) {
+	workers := min(runtime.GOMAXPROCS(0), m)
 	var wg sync.WaitGroup
 	chunk := (m + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -289,12 +293,14 @@ func batched[T elem](op string, dst, a, b View, at, bt bool, alpha float64) {
 	}
 	g := gemmSpec{m: m, k: k, n: n, lda: a.ld, ldb: b.ld, ldc: dst.ld, at: at, bt: bt, alpha: alpha}
 	work := batch * m * k * n
+	inProduct.Add(1)
+	defer inProduct.Add(-1)
 	if serialDispatch(batch, work) {
 		batchedRange[T](dst, a, b, g, 0, batch)
 		return
 	}
 	spec := g // the closure's copy; g itself stays on this stack
-	parallelOverRows(batch, work, func(lo, hi int) {
+	parallelOverRows(batch, func(lo, hi int) {
 		batchedRange[T](dst, a, b, spec, lo, hi)
 	})
 }

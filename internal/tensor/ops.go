@@ -40,9 +40,6 @@ func SubInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// Sub returns a - b elementwise; the allocating wrapper over SubInto.
-func Sub(a, b *Tensor) *Tensor { return SubInto(nil, a, b) }
-
 // ScaleInto computes dst = a * s for scalar s and returns dst.
 //
 // dchag:hotpath — with a non-nil dst it performs no heap allocation.
@@ -53,9 +50,6 @@ func ScaleInto(dst, a *Tensor, s float64) *Tensor {
 	}
 	return dst
 }
-
-// Scale returns a * s for scalar s; the allocating wrapper over ScaleInto.
-func Scale(a *Tensor, s float64) *Tensor { return ScaleInto(nil, a, s) }
 
 // AddInPlace accumulates b into a (a += b). Shapes must match.
 //
@@ -179,10 +173,6 @@ func SumAxisInto(dst, t *Tensor, axis int) *Tensor {
 	}
 	return dst
 }
-
-// SumAxis reduces over one axis, returning a tensor whose rank is one less;
-// the allocating wrapper over SumAxisInto.
-func SumAxis(t *Tensor, axis int) *Tensor { return SumAxisInto(nil, t, axis) }
 
 // SoftmaxLastDimInto computes softmax along the final dimension into dst and
 // returns dst: per row, the maximum m, e^(x-m) through the Exp kernel, the

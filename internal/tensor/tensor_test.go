@@ -102,10 +102,10 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Add(a, b).Data[3]; got != 44 {
 		t.Fatalf("Add = %v, want 44", got)
 	}
-	if got := Sub(b, a).Data[0]; got != 9 {
+	if got := SubInto(nil, b, a).Data[0]; got != 9 {
 		t.Fatalf("Sub = %v, want 9", got)
 	}
-	if got := Scale(a, 2).Data[3]; got != 8 {
+	if got := ScaleInto(nil, a, 2).Data[3]; got != 8 {
 		t.Fatalf("Scale = %v, want 8", got)
 	}
 	assertPanics(t, func() { Add(a, New(3, 3)) })
@@ -143,18 +143,18 @@ func TestReductions(t *testing.T) {
 func TestSumAxis(t *testing.T) {
 	// [[1,2,3],[4,5,6]]
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	s0 := SumAxis(a, 0)
+	s0 := SumAxisInto(nil, a, 0)
 	want0 := []float64{5, 7, 9}
 	for i, w := range want0 {
 		if s0.Data[i] != w {
 			t.Fatalf("SumAxis(0)[%d] = %v, want %v", i, s0.Data[i], w)
 		}
 	}
-	s1 := SumAxis(a, 1)
+	s1 := SumAxisInto(nil, a, 1)
 	if s1.Data[0] != 6 || s1.Data[1] != 15 {
 		t.Fatalf("SumAxis(1) = %v", s1.Data)
 	}
-	sneg := SumAxis(a, -1)
+	sneg := SumAxisInto(nil, a, -1)
 	if !EqualApprox(s1, sneg, 0) {
 		t.Fatal("negative axis mismatch")
 	}
@@ -165,7 +165,7 @@ func TestSumAxisMiddle(t *testing.T) {
 	for i := range a.Data {
 		a.Data[i] = float64(i)
 	}
-	s := SumAxis(a, 1)
+	s := SumAxisInto(nil, a, 1)
 	if len(s.Shape) != 2 || s.Shape[0] != 2 || s.Shape[1] != 4 {
 		t.Fatalf("shape = %v", s.Shape)
 	}

@@ -215,29 +215,32 @@ func Distributed(arch model.Arch, p int, tpViT bool, opts Options, batch BatchFn
 // are identical on every rank — are counted once. With the same maxNorm this
 // reproduces the serial optim.ClipGradNorm trajectory. Returns the pre-clip
 // global norm.
+//
+// dchag:hotpath
 func DistributedClipGradNorm(c *comm.Communicator, local, replicated []*nn.Param, maxNorm float64) float64 {
-	sumSq := func(ps []*nn.Param) float64 {
-		s := 0.0
-		for _, p := range ps {
-			for _, g := range p.Grad.Data {
-				s += g * g
-			}
-		}
-		return s
-	}
-	total := c.AllReduceScalarSum(sumSq(local)) + sumSq(replicated)
+	total := c.AllReduceScalarSum(gradSumSq(local)) + gradSumSq(replicated)
 	norm := math.Sqrt(total)
 	if norm > maxNorm && norm > 0 {
 		scale := maxNorm / norm
-		for _, ps := range [][]*nn.Param{local, replicated} {
-			for _, p := range ps {
-				for j := range p.Grad.Data {
-					p.Grad.Data[j] *= scale
-				}
-			}
+		for _, p := range local {
+			tensor.ScaleInPlace(p.Grad, scale)
+		}
+		for _, p := range replicated {
+			tensor.ScaleInPlace(p.Grad, scale)
 		}
 	}
 	return norm
+}
+
+// gradSumSq sums the squared gradient elements in parameter order.
+func gradSumSq(ps []*nn.Param) float64 {
+	s := 0.0
+	for _, p := range ps {
+		for _, g := range p.Grad.Data {
+			s += g * g
+		}
+	}
+	return s
 }
 
 // EvalForecastRMSE evaluates a forecast model on held-out (x, y) pairs and

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -335,6 +336,40 @@ func TestHybridBackwardPhaseSilentWithinReplicas(t *testing.T) {
 		dtr := mesh.DPComm(r).Group().Traffic()
 		if dtr.CallsInPhase("dp-sync") == 0 {
 			t.Fatalf("rank %d DP group missing gradient sync traffic", r)
+		}
+	}
+}
+
+// TestDDPSyncIsOneCollective: the executed DP sync is the single bucketed
+// all-reduce perfmodel and the trace schedule price. On a 2x2 mesh every
+// rank's DP ledger shows two collectives a step — the gradient sync and the
+// scalar loss — and the sync records the bytes one all-reduce per parameter
+// recorded.
+func TestDDPSyncIsOneCollective(t *testing.T) {
+	const tp, dp = 2, 2
+	a := tinyArch(4)
+	opts := Options{Steps: 3, Batch: 4, LR: 1e-2, ClipNorm: 1, Seed: 33}
+	batch := fixedBatches(t, 4, opts.Steps, opts.Batch)
+	_, mesh, err := Hybrid(a, tp, dp, true, opts, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < tp*dp; r++ {
+		c := mesh.DPComm(r)
+		tr := c.Group().Traffic()
+		var perParam int64
+		shard := model.NewDistributed(a, comm.NewGroup(tp).Comm(mesh.TPComm(r).Rank()), true)
+		for _, p := range shard.Params() {
+			perParam += int64(2*(dp-1)*p.Numel()/dp) * comm.BytesPerElem
+		}
+		if got := tr.CallsFor(c.Rank(), "dp-sync", comm.OpAllReduce); got != opts.Steps {
+			t.Errorf("rank %d: %d dp-sync collectives in %d steps, want one a step", r, got, opts.Steps)
+		}
+		if got := tr.CallsFor(c.Rank(), "metrics", comm.OpAllReduce); got != opts.Steps {
+			t.Errorf("rank %d: %d loss reductions in %d steps, want one a step", r, got, opts.Steps)
+		}
+		if got, want := tr.BytesFor(c.Rank(), "dp-sync", comm.OpAllReduce), int64(opts.Steps)*perParam; got != want || want == 0 {
+			t.Errorf("rank %d: dp-sync recorded %d bytes, one all-reduce per parameter records %d", r, got, want)
 		}
 	}
 }
