@@ -26,7 +26,8 @@ bench-diff:
 	exit $$status
 
 # bench-compute regenerates the measured compute-substrate point
-# (BENCH_compute.json, schema dchag-bench/compute/v7: naive vs blocked f64
+# (BENCH_compute.json, schema dchag-bench/compute/v8, with the kernel tier
+# that ran — avx512, avx2 or go: naive vs blocked f64
 # vs prepacked f32 GEMM at square sizes and at the product shapes the D-CHAG
 # workloads issue, GFLOP/s, elements packed per product and steady-state
 # allocs/op, whole cross-attention channel aggregations, forward and

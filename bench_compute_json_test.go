@@ -9,13 +9,14 @@ import (
 )
 
 // TestComputeJSONArtifact validates the committed compute-substrate
-// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v7,
+// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v8,
 // written by `dchag-bench -compute`). The artifact is a wall-clock
-// measurement, so this test gates on its schema and qualitative claims: the
-// blocked driver at least matches the naive kernel everywhere, the speedup
-// gates (blocked >= 2x naive, f32 >= 1.5x blocked f64 at the largest size)
-// hold where the SIMD micro-kernels ran, every product shape the D-CHAG
-// workloads issue beats the naive loop there too, no float64 shape whose B
+// measurement, so this test gates on its schema and qualitative claims: it
+// names the kernel tier that ran, the blocked driver at least matches the
+// naive kernel everywhere, the speedup gates (blocked >= 2x naive, f32 >=
+// 1.5x blocked f64 at the largest size) hold where the vector micro-kernels
+// ran, every product shape the D-CHAG workloads issue beats the naive loop
+// there too, no float64 shape whose B
 // is not transposed moves an element through pack, softmax and GELU run at
 // least twice as fast as the math.Exp / math.Tanh loops they replaced there
 // too, every point, shape, aggregator, elementwise routine and channel stage
@@ -49,13 +50,18 @@ func TestComputeJSONArtifact(t *testing.T) {
 	if rep.MaxProcs < 1 {
 		t.Fatalf("implausible maxprocs %d", rep.MaxProcs)
 	}
+	switch rep.Kernel {
+	case "avx512", "avx2", "go":
+	default:
+		t.Fatalf("artifact kernel tier %q, want avx512, avx2 or go", rep.Kernel)
+	}
 
 	// Schema-contract keys must be visible to generic trajectory tooling.
 	var generic map[string]any
 	if err := json.Unmarshal(raw, &generic); err != nil {
 		t.Fatalf("artifact is not a JSON object: %v", err)
 	}
-	for _, key := range []string{"schema", "simd", "maxprocs", "sizes", "points", "shapes", "aggregators", "elementwise", "channel_stage", "callers", "claims"} {
+	for _, key := range []string{"schema", "kernel", "maxprocs", "sizes", "points", "shapes", "aggregators", "elementwise", "channel_stage", "callers", "claims"} {
 		if _, ok := generic[key]; !ok {
 			t.Fatalf("artifact missing top-level key %q", key)
 		}
@@ -254,9 +260,9 @@ func TestComputeJSONArtifact(t *testing.T) {
 	}
 
 	// The ISSUE's throughput gates apply where the vector micro-kernels ran;
-	// without them (simd=false) the blocked driver's win over naive is
+	// without them (kernel "go") the blocked driver's win over naive is
 	// cache-blocking only and the f32 path has no wider-register advantage.
-	if !rep.SIMD {
+	if rep.Kernel == "go" {
 		t.Skip("artifact measured without SIMD micro-kernels; speedup gates not applicable")
 	}
 	// The kernels have to be fast at the shapes the model issues, not only

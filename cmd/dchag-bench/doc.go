@@ -75,7 +75,7 @@
 // Additive fields may appear within v2; readers must ignore unknown keys.
 // Field removals or meaning changes bump the schema string.
 //
-// # JSON schema (dchag-bench/compute/v7)
+// # JSON schema (dchag-bench/compute/v8)
 //
 // The -compute flag writes one experiments.ComputeReport object — the
 // single-node compute-substrate point of the perf trajectory (CI commits it
@@ -83,7 +83,8 @@
 // ways: a scalar ikj loop, the blocked register-tiled float64 driver
 // (tensor.MatMulInto), and the float32 kernel
 // against prepacked weight panels (tensor.MatMulPackedF32Into — the serving
-// configuration, so packing B stays off the measured path). Each shape is one
+// configuration, so packing B stays off the measured path), under the kernel
+// tier the host has (tensor.KernelTier). Each shape is one
 // product the D-CHAG workloads actually issue — the E x E projections over
 // N*g rows and their two backward products, the per-head attention products
 // of the channel aggregation, the final aggregation and a ViT block, a
@@ -112,8 +113,9 @@
 // leave a processor free):
 //
 //	{
-//	  "schema": "dchag-bench/compute/v7", // bump on breaking change
-//	  "simd": true,                       // AVX2+FMA kernels active
+//	  "schema": "dchag-bench/compute/v8", // bump on breaking change
+//	  "kernel": "avx512",                 // product kernels: "avx512" (f64 on AVX-512,
+//	                                      // the rest AVX2+FMA), "avx2" or "go"
 //	  "maxprocs": 1,                      // GOMAXPROCS during measurement
 //	  "num_cpu": 2,                       // the host's processors
 //	  "sizes": [64, 128, 256, 512],
@@ -161,7 +163,7 @@
 //	      "rows": 8192, "cols": 16,       // softmax along cols; GELU over rows*cols
 //	      "ref_ns_per_elem": 9.8,         // scalar math.Exp / math.Tanh loop
 //	      "ns_per_elem": 1.6,             // the shipped routine, best trial
-//	      "speedup": 6.1,                 // ref / shipped; gate: >= 2x under simd
+//	      "speedup": 6.1,                 // ref / shipped; gate: >= 2x unless kernel is "go"
 //	      "allocs_per_op": 0              // steady state
 //	    }, ...
 //	  ],
@@ -190,8 +192,8 @@
 //	    }, ...
 //	  ],
 //	  "claims": {                         // evaluated at the largest size
-//	    "blocked_speedup_at_max": 9.1,    // gate: >= 2x under simd
-//	    "f32_speedup_at_max": 1.74,       // gate: >= 1.5x under simd
+//	    "blocked_speedup_at_max": 9.1,    // gate: >= 2x unless kernel is "go"
+//	    "f32_speedup_at_max": 1.74,       // gate: >= 1.5x unless kernel is "go"
 //	    "steady_state_alloc_free": true   // gate: always; every section
 //	  }
 //	}
@@ -200,7 +202,7 @@
 // committed artifact on its schema and qualitative claims — blocked at
 // least matches naive everywhere, the speedup gates hold and every shape
 // beats the naive loop and every elementwise routine runs at least twice
-// as fast as its libm loop where "simd" is true, every point, shape,
+// as fast as its libm loop where "kernel" is not "go", every point, shape,
 // aggregator, elementwise routine and channel stage ran allocation-free,
 // no float64 shape with an untransposed B packs anything, pooled MACs are at
 // most 0.75 x unpooled at group 16, and every channel
@@ -210,8 +212,9 @@
 // caller's one-processor rate — not on exact rates or times. v2 added
 // "shapes", v3 "aggregators", v4 "elementwise", v5 "channel_stage", v6
 // "packed_elems" on every shape and two more shapes, v7 "callers" and
-// "num_cpu"; there is no reader for an earlier version. Additive fields may
-// appear within v7; readers must ignore unknown keys.
+// "num_cpu", v8 "kernel" in place of the "simd" flag; there is no reader for
+// an earlier version. Additive fields may appear within v8; readers must
+// ignore unknown keys.
 //
 // # Report diffing (-diff)
 //

@@ -75,8 +75,8 @@ func main() {
 			os.Exit(1)
 		}
 		last := rep.Points[len(rep.Points)-1]
-		fmt.Printf("wrote %s (%s, simd=%v, %d sizes; %d^3: naive %.1f, blocked %.1f, f32 %.1f GFLOP/s)\n",
-			*computePath, rep.Schema, rep.SIMD, len(rep.Points),
+		fmt.Printf("wrote %s (%s, kernel=%s, %d sizes; %d^3: naive %.1f, blocked %.1f, f32 %.1f GFLOP/s)\n",
+			*computePath, rep.Schema, rep.Kernel, len(rep.Points),
 			last.Size, last.NaiveGFLOPS, last.BlockedGFLOPS, last.F32GFLOPS)
 		return
 	}

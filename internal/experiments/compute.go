@@ -40,8 +40,9 @@ func init() {
 // tokenizer's float32 product and a tensor-parallel MLP shard. v7 adds the
 // callers section: the two column-parallel products of a wx_tp2dp2 rank
 // issued by one and by two goroutines at once, the regime the ranks of a
-// mesh run in.
-const ComputeSchema = "dchag-bench/compute/v7"
+// mesh run in. v8 replaces the simd flag with kernel, the product-kernel tier
+// that ran: "avx512", "avx2" or "go".
+const ComputeSchema = "dchag-bench/compute/v8"
 
 // ComputePoint is one measured square GEMM size (dst = A@B, all [n,n]).
 type ComputePoint struct {
@@ -156,11 +157,11 @@ type CallerPoint struct {
 
 // ComputeClaims are the qualitative gates the artifact test asserts. The
 // speedup claims hold only where the vector micro-kernels run, so
-// TestComputeJSONArtifact gates them on SIMD being true in the artifact.
+// TestComputeJSONArtifact gates them on a kernel tier other than "go".
 type ComputeClaims struct {
 	// BlockedSpeedupAtMax and F32SpeedupAtMax are the speedups at the
-	// largest measured size (the ISSUE gates: blocked >= 2x naive, f32 >=
-	// 1.5x blocked f64 at 512^3 under SIMD).
+	// largest measured size (the artifact's gates: blocked >= 2x naive, f32 >=
+	// 1.5x blocked f64 at 512^3 where the vector kernels ran).
 	BlockedSpeedupAtMax float64 `json:"blocked_speedup_at_max"`
 	F32SpeedupAtMax     float64 `json:"f32_speedup_at_max"`
 	// AllocFree reports that every measured point, shape, aggregator,
@@ -173,10 +174,10 @@ type ComputeClaims struct {
 // behind `dchag-bench -compute`.
 type ComputeReport struct {
 	Schema string `json:"schema"`
-	// SIMD records whether the AVX2+FMA micro-kernels were active; MaxProcs
-	// the GOMAXPROCS the rates were measured under.
-	SIMD     bool `json:"simd"`
-	MaxProcs int  `json:"maxprocs"`
+	// Kernel is the product-kernel tier that ran (tensor.KernelTier);
+	// MaxProcs the GOMAXPROCS the rates were measured under.
+	Kernel   string `json:"kernel"`
+	MaxProcs int    `json:"maxprocs"`
 	// NumCPU is the host's processor count; the callers section sets its own
 	// GOMAXPROCS and means something only where two processors exist.
 	NumCPU      int                 `json:"num_cpu"`
@@ -241,7 +242,7 @@ func QuickComputeBench() ComputeBenchConfig {
 func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 	rep := ComputeReport{
 		Schema:   ComputeSchema,
-		SIMD:     tensor.SIMDEnabled(),
+		Kernel:   tensor.KernelTier(),
 		MaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:   runtime.NumCPU(),
 		Sizes:    append([]int(nil), cfg.Sizes...),
@@ -663,7 +664,7 @@ func allocsPerOp(iters int, step func()) float64 {
 func runCompute() Result {
 	rep := RunComputeBench(QuickComputeBench())
 	tab := &Table{
-		Title: fmt.Sprintf("Measured GEMM throughput (simd=%v, GOMAXPROCS=%d)", rep.SIMD, rep.MaxProcs),
+		Title: fmt.Sprintf("Measured GEMM throughput (kernel=%s, GOMAXPROCS=%d)", rep.Kernel, rep.MaxProcs),
 		Headers: []string{"size", "naive GFLOP/s", "blocked f64 GFLOP/s", "f32 GFLOP/s",
 			"blocked/naive", "f32/f64", "allocs/op"},
 	}

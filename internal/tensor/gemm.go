@@ -1,14 +1,17 @@
 package tensor
 
+import "math"
+
 // Cache-blocked, register-tiled GEMM (GEBP / BLIS structure), one driver for
 // every matrix product in the repository. gemmBlocked splits
 // C = alpha*op(A)@op(B) into mc x kc x nc cache blocks and, per column panel
 // of a block, hands a whole stack of mr x nr register tiles to one
 // micro-kernel call (AVX2+FMA assembly when the CPU has it, a pure-Go twin
-// otherwise). The kernel takes its operands by address and stride, so it
-// reads A as stored, A^T as stored and B as stored where they lie — per-head
-// attention operands included — scales each tile by alpha and stores or
-// accumulates it straight into the strided destination.
+// otherwise; in float64 on a CPU with AVX-512, one ZMM kernel call takes two
+// adjacent column panels). The kernel takes its operands by address and
+// stride, so it reads A as stored, A^T as stored and B as stored where they
+// lie — per-head attention operands included — scales each tile by alpha and
+// stores or accumulates it straight into the strided destination.
 //
 // Packing is the exception: pack copies operand elements into a contiguous
 // panel only where they have to move, and planPanels is the one function
@@ -285,8 +288,19 @@ func gemmBlocked[T elem](g *gemmSpec, pre *packedB[T], st *stackPanels[T]) {
 					}
 					c := g.c[i0*g.ldc+j0+jr:]
 					if jb == nr {
+						b2 := 0 // the next panel's offset in b where two full panels are adjacent
+						if jr+2*nr <= nb {
+							b2 = nr * bpan
+						}
 						if full > 0 {
-							kernel(kb, nr, as, ars, aps, b, bps, c, g.ldc, full/gemmMR, g.alpha, accum)
+							kernel(kb, nr, as, ars, aps, b, bps, b2, c, g.ldc, full/gemmMR, g.alpha, accum)
+						}
+						if b2 != 0 {
+							if full < mb {
+								edgeTile(kb, nr, edge, 1, gemmMR, b, bps, c[full*g.ldc:], g.ldc, mb-full, nr, g.alpha, accum, tile)
+							}
+							jr += nr
+							b, c = b[b2:], c[nr:]
 						}
 					} else {
 						for ir := 0; ir < full; ir += gemmMR {
@@ -313,7 +327,7 @@ func gemmBlocked[T elem](g *gemmSpec, pre *packedB[T], st *stackPanels[T]) {
 // tiles (padded by pack where the matrix ends), so the kernel stays inside
 // them.
 func edgeTile[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []float64, ldc, ib, jb int, alpha float64, accum bool, tile []float64) {
-	kernel(kb, nr, a, ars, aps, b, bps, tile, nr, 1, alpha, false)
+	kernel(kb, nr, a, ars, aps, b, bps, 0, tile, nr, 1, alpha, false)
 	for r := 0; r < ib; r++ {
 		crow := c[r*ldc : r*ldc+jb]
 		trow := tile[r*nr : r*nr+jb]
@@ -415,29 +429,44 @@ func packSIMD[T elem](d *T, src *float64, ld, kb, n, w int, contig bool) {
 // tile t from rows 4t..4t+3 of A, and writes c[i*ldc+x] = alpha*tile (or +=
 // with accum), i < mr*tiles, x < nr. A[i,p] is a[i*ars+p*aps] and B[p,x] is
 // b[p*bps+x]: an operand as stored or a packed panel, the kernel cannot
-// tell. One type switch and one assembly call serve the whole panel.
-func kernel[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []float64, ldc, tiles int, alpha float64, accum bool) {
+// tell. A nonzero b2 adds the next full panel: B at b[b2:], C at c[nr:].
+// kernF64AVX512 takes the two in one call; every other kernel takes them one
+// after the other, so this is the one place that decides. One type switch
+// and one assembly call serve the whole panel stack.
+func kernel[T elem](kb, nr int, a []T, ars, aps int, b []T, bps, b2 int, c []float64, ldc, tiles int, alpha float64, accum bool) {
 	if useSIMD {
 		switch pa := any(&a[0]).(type) {
 		case *float64:
+			if useAVX512 && b2 != 0 {
+				kernF64AVX512(kb, pa, ars, aps, any(&b[0]).(*float64), bps, b2, &c[0], ldc, tiles, alpha, accum)
+				return
+			}
 			kernF64(kb, pa, ars, aps, any(&b[0]).(*float64), bps, &c[0], ldc, tiles, alpha, accum)
 		case *float32:
 			kernF32(kb, pa, ars, aps, any(&b[0]).(*float32), bps, &c[0], ldc, tiles, alpha, accum)
 		}
-		return
+	} else {
+		kernGeneric(kb, nr, a, ars, aps, b, bps, c, ldc, tiles, alpha, accum)
 	}
-	kernGeneric(kb, nr, a, ars, aps, b, bps, c, ldc, tiles, alpha, accum)
+	if b2 != 0 {
+		kernel(kb, nr, a, ars, aps, b[b2:], bps, 0, c[nr:], ldc, tiles, alpha, accum)
+	}
 }
 
-// kernGeneric is the pure-Go twin of the AVX2 micro-kernels, strides and
-// row-tile loop included; it keeps non-amd64 builds (and CPUs without AVX2)
-// on the same driver and the same plan. The explicit conversion around the
-// alpha product keeps compilers that fuse multiply-add from contracting it
-// into the accumulate, which edge tiles (scaled into scratch, then added)
-// could not reproduce.
+// kernGeneric is the pure-Go twin of the micro-kernels, strides and row-tile
+// loop included; it keeps non-amd64 builds (and CPUs without AVX2) on the
+// same driver and the same plan. In float64 each step is math.FMA, one
+// rounding as in the assembly, whatever the compiler fuses (on an amd64 CPU
+// without FMA that is software FMA, ~30x slower: DESIGN.md); a float32 FMA
+// through math.FMA would round twice, so the float32 twin multiplies and
+// adds and is held to the float32 tolerance only. The explicit conversion
+// around the alpha product keeps compilers that fuse multiply-add from
+// contracting it into the accumulate, which edge tiles (scaled into scratch,
+// then added) could not reproduce.
 //
 // dchag:hotpath — it must not allocate.
 func kernGeneric[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []float64, ldc, tiles int, alpha float64, accum bool) {
+	fused := !narrows[T]()
 	for t := 0; t < tiles; t++ {
 		a0, c0 := t*gemmMR*ars, t*gemmMR*ldc
 		var acc [gemmMR * gemmNR32]T
@@ -446,8 +475,14 @@ func kernGeneric[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []fl
 			for r := 0; r < gemmMR; r++ {
 				av := a[a0+r*ars+p*aps]
 				cr := acc[r*nr : r*nr+nr]
-				for j, bv := range bp {
-					cr[j] += av * bv
+				if fused {
+					for j, bv := range bp {
+						cr[j] = T(math.FMA(float64(av), float64(bv), float64(cr[j])))
+					}
+				} else {
+					for j, bv := range bp {
+						cr[j] += av * bv
+					}
 				}
 			}
 		}
@@ -465,7 +500,17 @@ func kernGeneric[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []fl
 	}
 }
 
-// SIMDEnabled reports whether the AVX2+FMA micro-kernels are active on this
-// machine. The compute benchmark records it so artifact gates can tell a
-// kernel regression from a machine without the vector units.
-func SIMDEnabled() bool { return useSIMD }
+// KernelTier names the micro-kernels this machine runs: "avx512" (float64
+// panel pairs on kernF64AVX512, the rest on AVX2), "avx2" or "go" (the
+// pure-Go twins).
+// The compute benchmark records it so artifact gates can tell a kernel
+// regression from a machine without the vector units.
+func KernelTier() string {
+	switch {
+	case useAVX512:
+		return "avx512"
+	case useSIMD:
+		return "avx2"
+	}
+	return "go"
+}

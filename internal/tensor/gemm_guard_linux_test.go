@@ -43,10 +43,11 @@ func (g *guardedArena) place(n int, atEnd bool) []float64 {
 // TestKernelsStayInsideOperands runs every product entry point with each of
 // A, B and C in its own guarded arena — once ending flush against an
 // inaccessible page, once beginning right after one — over the shapes that
-// cross the tile edges and straddle kc, under the assembly kernels and under
-// the Go twin. Now that the kernels read operands where they lie, a kernel
-// (or a pack routine) that reads or writes a single element outside an
-// operand faults here instead of picking up a neighbour's bytes unnoticed.
+// cross the tile edges and straddle kc, under every kernel tier the machine
+// has (under AVX-512 a column panel pair reads B's second panel too). Now that
+// the kernels read operands where they lie, a kernel (or a pack routine) that
+// reads or writes a single element outside an operand faults here instead of
+// picking up a neighbour's bytes unnoticed.
 func TestKernelsStayInsideOperands(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	const arenaElems = 1 << 18 // the largest operand below: 300 x 513
@@ -70,7 +71,7 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 		}
 	}
 
-	withBothSpellings(t, func(t *testing.T) {
+	withEveryTier(t, func(t *testing.T) {
 		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // per goroutine, and a subtest is one
 		for _, atEnd := range []bool{true, false} {
 			for _, e := range driverEntries {
@@ -86,8 +87,8 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 							return arenas[next-1].place(elems, atEnd)
 						})
 						if fault := faults(func() { e.call(dst, a, b, alpha) }); fault != nil {
-							t.Fatalf("%s %v strided=%v atEnd=%v simd=%v: touched memory outside an operand: %v",
-								e.name, sh, strided, atEnd, useSIMD, fault)
+							t.Fatalf("%s %v strided=%v atEnd=%v kernel=%s: touched memory outside an operand: %v",
+								e.name, sh, strided, atEnd, KernelTier(), fault)
 						}
 					}
 				}

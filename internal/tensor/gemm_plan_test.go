@@ -32,7 +32,7 @@ func packEverything[T elem](g *gemmSpec, ap, bp []T) {
 						ib, jb := min(gemmMR, mb-ir), min(nr, nb-jr)
 						c := g.c[(i0+ir)*g.ldc+j0+jr:]
 						if ib == gemmMR && jb == nr {
-							kernel(kb, nr, ap[ir*kb:], 1, gemmMR, bp[jr*kb:], nr, c, g.ldc, 1, g.alpha, accum)
+							kernel(kb, nr, ap[ir*kb:], 1, gemmMR, bp[jr*kb:], nr, 0, c, g.ldc, 1, g.alpha, accum)
 						} else {
 							edgeTile(kb, nr, ap[ir*kb:], 1, gemmMR, bp[jr*kb:], nr, c, g.ldc, ib, jb, g.alpha, accum, tile)
 						}
@@ -106,14 +106,14 @@ var driverEntries = append(append([]productEntry(nil), productEntries...),
 // TestDriverEqualsPackEverythingBitwise holds every product entry point to
 // the pack-everything composition bit for bit: over productShapes, both
 // operand orientations, accumulation, alpha != 1 (the batched entries run at
-// 0.35), contiguous and head-view operands, both arithmetics, under the
-// assembly kernels and under the Go twin. Reading an operand in place must
+// 0.35), contiguous and head-view operands, both arithmetics, under every
+// kernel tier the machine has. Reading an operand in place must
 // not change a single bit of any product.
 func TestDriverEqualsPackEverythingBitwise(t *testing.T) {
 	const aElems, bElems = (gemmMC + gemmMR) * gemmKC, (gemmNC + gemmNR32) * gemmKC
 	ap64, bp64 := make([]float64, aElems), make([]float64, bElems)
 	ap32, bp32 := make([]float32, aElems), make([]float32, bElems)
-	withBothSpellings(t, func(t *testing.T) {
+	withEveryTier(t, func(t *testing.T) {
 		for _, e := range driverEntries {
 			for _, sh := range productShapes() {
 				m, k, n := sh[0], sh[1], sh[2]
@@ -136,7 +136,7 @@ func TestDriverEqualsPackEverythingBitwise(t *testing.T) {
 							packEverything(&g, ap64, bp64)
 						}
 					}
-					assertBitwise(t, fmt.Sprintf("%s %v strided=%v simd=%v", e.name, sh, strided, useSIMD), got.t, want.t)
+					assertBitwise(t, fmt.Sprintf("%s %v strided=%v kernel=%s", e.name, sh, strided, KernelTier()), got.t, want.t)
 				}
 			}
 		}

@@ -142,8 +142,8 @@ func (e productEntry) check(t *testing.T, m, k, n int, strided bool) {
 			for j := 0; j < n; j++ {
 				got, w := *dst.at(bi, i, j), want[bi][i*n+j]
 				if !(math.Abs(got-w) <= tol) {
-					t.Fatalf("%s [%d,%d,%d] strided=%v simd=%v: batch %d element (%d,%d) = %v, oracle %v (tol %g)",
-						e.name, m, k, n, strided, useSIMD, bi, i, j, got, w, tol)
+					t.Fatalf("%s [%d,%d,%d] strided=%v kernel=%s: batch %d element (%d,%d) = %v, oracle %v (tol %g)",
+						e.name, m, k, n, strided, KernelTier(), bi, i, j, got, w, tol)
 				}
 			}
 		}
@@ -176,7 +176,7 @@ func productShapes() [][3]int {
 // TestProductsMatchOracle is the differential test of the compute substrate:
 // every product entry point, on contiguous operands and (the batched ones)
 // on strided head views, against the naive oracle over productShapes, under
-// the assembly kernels and under their pure-Go twins.
+// every kernel tier the machine has.
 func TestProductsMatchOracle(t *testing.T) {
 	run := func(t *testing.T) {
 		for _, e := range productEntries {
@@ -191,7 +191,7 @@ func TestProductsMatchOracle(t *testing.T) {
 			}
 		}
 	}
-	withBothSpellings(t, run)
+	withEveryTier(t, run)
 }
 
 // withBothSpellings runs f under the assembly kernels (where the CPU has
@@ -199,10 +199,30 @@ func TestProductsMatchOracle(t *testing.T) {
 func withBothSpellings(t *testing.T, f func(t *testing.T)) {
 	t.Run(fmt.Sprintf("simd=%v", useSIMD), f)
 	if useSIMD {
-		useSIMD = false
-		defer func() { useSIMD = true }()
+		defer func(avx512 bool) { useSIMD, useAVX512 = true, avx512 }(useAVX512)
+		useSIMD, useAVX512 = false, false
 		t.Run("simd=false", f)
 	}
+}
+
+// withEveryTier runs f under each product-kernel tier this machine has, from
+// the widest down: kernel=avx512 and kernel=avx2 under simd=true, kernel=go
+// under simd=false. It logs the tiers it ran, so a machine without AVX-512
+// shows as one that did not test it.
+func withEveryTier(t *testing.T, f func(t *testing.T)) {
+	var ran []string
+	withBothSpellings(t, func(t *testing.T) {
+		defer func(avx512 bool) { useAVX512 = avx512 }(useAVX512)
+		for {
+			ran = append(ran, KernelTier())
+			t.Run("kernel="+KernelTier(), f)
+			if !useAVX512 {
+				return
+			}
+			useAVX512 = false
+		}
+	})
+	t.Logf("kernel tiers run: %v", ran)
 }
 
 // TestSmallPathEqualsBlockedPath pins the size-independent summation

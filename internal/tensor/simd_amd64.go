@@ -5,8 +5,10 @@ package tensor
 // SIMD kernel bindings for amd64. The blocked driver in gemm.go and the
 // elementwise entry points in exp.go dispatch to these AVX2+FMA kernels when
 // the CPU supports them (and the OS has enabled YMM state), and to their
-// pure-Go twins otherwise. Kernel availability is probed once at init via
-// CPUID/XGETBV so no external cpu-feature dependency is needed.
+// pure-Go twins otherwise; float64 products run kernF64AVX512 instead of
+// kernF64 where AVX-512F and its register state are enabled too. Kernel
+// availability is probed once at init via CPUID/XGETBV so no external
+// cpu-feature dependency is needed.
 
 // kernF64 and kernF32 compute tiles stacked 4 x nr register tiles (nr = 8
 // and 16) of one column panel from operands addressed by stride; see
@@ -17,6 +19,13 @@ func kernF64(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, l
 
 //go:noescape
 func kernF32(k int, a *float32, ars, aps int, b *float32, bps int, c *float64, ldc, tiles int, alpha float64, accum bool)
+
+// kernF64AVX512 is kernF64 over eight rows and two adjacent 8-wide column
+// panels per step, the second b2 (> 0) elements after the first in B and 8
+// after it in C.
+//
+//go:noescape
+func kernF64AVX512(k int, a *float64, ars, aps int, b *float64, bps, b2 int, c *float64, ldc, tiles int, alpha float64, accum bool)
 
 // packT4F64 and packT4F32 transpose four rows of k float64 values, ld
 // apart, into a packed panel whose groups are stride elements apart:
@@ -55,14 +64,15 @@ func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvRaw() (eax, edx uint32)
 
-// useSIMD reports whether the AVX2+FMA kernels are usable on this machine.
-// Tests may flip it to force the pure-Go twins.
-var useSIMD = detectAVX2FMA()
+// useSIMD reports whether the AVX2+FMA kernels are usable on this machine,
+// useAVX512 whether float64 products run kernF64AVX512 too. Tests may clear
+// both to force the pure-Go twins, or useAVX512 alone to force kernF64.
+var useSIMD, useAVX512 = detectKernels()
 
-func detectAVX2FMA() bool {
+func detectKernels() (avx2, avx512 bool) {
 	maxID, _, _, _ := cpuidRaw(0, 0)
 	if maxID < 7 {
-		return false
+		return false, false
 	}
 	_, _, c1, _ := cpuidRaw(1, 0)
 	const (
@@ -71,14 +81,16 @@ func detectAVX2FMA() bool {
 		avxBit     = 1 << 28
 	)
 	if c1&fmaBit == 0 || c1&osxsaveBit == 0 || c1&avxBit == 0 {
-		return false
+		return false, false
 	}
-	// XCR0 must have XMM (bit 1) and YMM (bit 2) state enabled by the OS.
+	// XCR0 must have XMM (bit 1) and YMM (bit 2) state enabled by the OS,
+	// and for AVX-512 the opmask, ZMM_Hi256 and Hi16_ZMM state (bits 5-7).
 	xcr0, _ := xgetbvRaw()
 	if xcr0&0x6 != 0x6 {
-		return false
+		return false, false
 	}
 	_, b7, _, _ := cpuidRaw(7, 0)
-	const avx2Bit = 1 << 5
-	return b7&avx2Bit != 0
+	const avx2Bit, avx512fBit = 1 << 5, 1 << 16
+	avx2 = b7&avx2Bit != 0
+	return avx2, avx2 && b7&avx512fBit != 0 && xcr0&0xe0 == 0xe0
 }

@@ -1,8 +1,10 @@
 #include "textflag.h"
 
-// Micro-kernels of the blocked matmul driver in gemm.go, one per element
-// type. A call computes `tiles` stacked 4 x nr register tiles of one column
-// panel: tile t is rows 4t..4t+3 of A against the same kb x nr strip of B.
+// Micro-kernels of the blocked matmul driver in gemm.go: kernF64 and kernF32
+// on AVX2, and kernF64AVX512, kernF64's arithmetic on AVX-512. A call
+// computes `tiles` stacked 4 x nr register tiles of one column panel (two
+// adjacent panels in kernF64AVX512): tile t is rows 4t..4t+3 of A against
+// the same kb x nr strip of B.
 // The operands are read where they lie, by address and stride (elements):
 //
 //   A[i, p] = a[i*ars + p*aps]   A as stored (ars = lda, aps = 1), A^T as
@@ -179,6 +181,135 @@ loop32:
 	LEAQ (SI)(R9*4), SI
 	DECQ DI
 	JNZ  tile32
+	VZEROUPPER
+	RET
+
+// kernF64AVX512 is kernF64 on the 32 ZMM registers: it takes the same
+// operands and writes the same bits, eight rows (two row tiles) at a time
+// against two adjacent 8-wide column panels. The second panel's B starts b2
+// (> 0) elements after the first and its C 8 elements after; an odd last
+// row tile runs alone. A depth step broadcasts each A element once into Z18
+// and loads two B vectors for 16 FMAs. Alpha sits in Z19. C is written row
+// by row through DX, and read only to accumulate. VZEROUPPER clears only
+// Z0-Z15, so Z16-Z19 are zeroed before the return: left dirty, they slow the
+// scalar SSE code that runs next (a naive float64 loop by 45 % on an AVX-512
+// Xeon).
+
+// ROW2 accumulates the A element at addr against both B vectors (Z16, Z17).
+#define ROW2(addr, acc0, acc1) \
+	VBROADCASTSD addr, Z18 \
+	VFMADD231PD Z16, Z18, acc0 \
+	VFMADD231PD Z17, Z18, acc1
+
+// OUT2 writes one C row of both panels (acc0, acc1) and steps DX to the next
+// row. The flags of a test of accum select the add; nothing in between
+// changes them.
+#define OUT2(acc0, acc1, skip) \
+	VMULPD Z19, acc0, acc0 \
+	VMULPD Z19, acc1, acc1 \
+	JEQ  skip \
+	VADDPD (DX), acc0, acc0 \
+	VADDPD 64(DX), acc1, acc1 \
+skip: \
+	VMOVUPD acc0, (DX) \
+	VMOVUPD acc1, 64(DX) \
+	LEAQ (DX)(R8*1), DX
+
+#define ZERO4(z0, z1, z2, z3) \
+	VPXORQ z0, z0, z0 \
+	VPXORQ z1, z1, z1 \
+	VPXORQ z2, z2, z2 \
+	VPXORQ z3, z3, z3
+
+// ROWS starts a row block: AX at its first A row, R14 four rows further
+// down, BX at B and CX counting the k depth steps.
+#define ROWS \
+	MOVQ SI, AX \
+	LEAQ (SI)(R9*4), R14 \
+	MOVQ b+32(FP), BX \
+	MOVQ k+0(FP), CX
+
+// STEP advances A and B one depth step and loops to label while steps remain.
+#define STEP(label) \
+	ADDQ R11, AX \
+	ADDQ R11, R14 \
+	ADDQ R12, BX \
+	DECQ CX \
+	JNZ  label
+
+// func kernF64AVX512(k int, a *float64, ars, aps int, b *float64, bps, b2 int, c *float64, ldc, tiles int, alpha float64, accum bool)
+TEXT ·kernF64AVX512(SB), NOSPLIT, $0-89
+	MOVQ a+8(FP), SI
+	MOVQ ars+16(FP), R9
+	MOVQ aps+24(FP), R11
+	MOVQ bps+40(FP), R12
+	MOVQ b2+48(FP), R13
+	MOVQ c+56(FP), DX
+	MOVQ ldc+64(FP), R8
+	MOVQ tiles+72(FP), DI
+	SHLQ $3, R9
+	SHLQ $3, R11
+	SHLQ $3, R12
+	SHLQ $3, R13
+	SHLQ $3, R8
+	LEAQ (R9)(R9*2), R10
+	VBROADCASTSD alpha+80(FP), Z19
+
+two8:
+	CMPQ DI, $2
+	JLT  two4
+	ROWS
+	ZERO4(Z0, Z1, Z2, Z3)
+	ZERO4(Z4, Z5, Z6, Z7)
+	ZERO4(Z8, Z9, Z10, Z11)
+	ZERO4(Z12, Z13, Z14, Z15)
+loop2x8:
+	VMOVUPD (BX), Z16
+	VMOVUPD (BX)(R13*1), Z17
+	ROW2((AX), Z0, Z1)
+	ROW2((AX)(R9*1), Z2, Z3)
+	ROW2((AX)(R9*2), Z4, Z5)
+	ROW2((AX)(R10*1), Z6, Z7)
+	ROW2((R14), Z8, Z9)
+	ROW2((R14)(R9*1), Z10, Z11)
+	ROW2((R14)(R9*2), Z12, Z13)
+	ROW2((R14)(R10*1), Z14, Z15)
+	STEP(loop2x8)
+	CMPB accum+88(FP), $0
+	OUT2(Z0, Z1, w2r0)
+	OUT2(Z2, Z3, w2r1)
+	OUT2(Z4, Z5, w2r2)
+	OUT2(Z6, Z7, w2r3)
+	OUT2(Z8, Z9, w2r4)
+	OUT2(Z10, Z11, w2r5)
+	OUT2(Z12, Z13, w2r6)
+	OUT2(Z14, Z15, w2r7)
+	LEAQ (SI)(R9*8), SI
+	SUBQ $2, DI
+	JMP  two8
+
+two4:
+	TESTQ DI, DI
+	JZ   done
+	ROWS
+	ZERO4(Z0, Z1, Z2, Z3)
+	ZERO4(Z4, Z5, Z6, Z7)
+loop2x4:
+	VMOVUPD (BX), Z16
+	VMOVUPD (BX)(R13*1), Z17
+	ROW2((AX), Z0, Z1)
+	ROW2((AX)(R9*1), Z2, Z3)
+	ROW2((AX)(R9*2), Z4, Z5)
+	ROW2((AX)(R10*1), Z6, Z7)
+	STEP(loop2x4)
+	CMPB accum+88(FP), $0
+	OUT2(Z0, Z1, t2r0)
+	OUT2(Z2, Z3, t2r1)
+	OUT2(Z4, Z5, t2r2)
+	OUT2(Z6, Z7, t2r3)
+
+done:
+	ZERO4(Z16, Z17, Z18, Z19)
 	VZEROUPPER
 	RET
 

@@ -3,9 +3,13 @@
 package tensor
 
 // Non-amd64 builds always use the pure-Go kernels in gemm.go and exp.go.
-var useSIMD = false
+var useSIMD, useAVX512 = false, false
 
 func kernF64(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc, tiles int, alpha float64, accum bool) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
+func kernF64AVX512(k int, a *float64, ars, aps int, b *float64, bps, b2 int, c *float64, ldc, tiles int, alpha float64, accum bool) {
 	panic("tensor: SIMD kernel unavailable")
 }
 
