@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -41,8 +42,11 @@ func init() {
 // callers section: the two column-parallel products of a wx_tp2dp2 rank
 // issued by one and by two goroutines at once, the regime the ranks of a
 // mesh run in. v8 replaces the simd flag with kernel, the product-kernel tier
-// that ran: "avx512", "avx2" or "go".
-const ComputeSchema = "dchag-bench/compute/v8"
+// that ran: "avx512", "avx2" or "go". v9 adds core_fwd_us and core_bwd_us to
+// every aggregator point — the pooled attention pass alone, beside the layer
+// — and drops the channel aggregation's batched products and softmax from
+// shapes and elementwise: the pass issues neither.
+const ComputeSchema = "dchag-bench/compute/v9"
 
 // ComputePoint is one measured square GEMM size (dst = A@B, all [n,n]).
 type ComputePoint struct {
@@ -104,11 +108,16 @@ type AggregatorPoint struct {
 	Embed int `json:"embed"`
 	Heads int `json:"heads"`
 	// FwdMicros and BwdMicros are the best-trial wall time of one Forward and
-	// of one Backward call; AllocsPerOp the steady-state heap allocations of
-	// a forward-backward pair.
-	FwdMicros   float64 `json:"fwd_us"`
-	BwdMicros   float64 `json:"bwd_us"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	// of one Backward call; CoreFwdMicros and CoreBwdMicros the same for the
+	// pooled attention pass inside them (tensor.PooledAttention with the map
+	// written, and tensor.PooledAttentionBackward) on operands of the layer's
+	// shape; AllocsPerOp the steady-state heap allocations of a
+	// forward-backward pair of the layer.
+	FwdMicros     float64 `json:"fwd_us"`
+	BwdMicros     float64 `json:"bwd_us"`
+	CoreFwdMicros float64 `json:"core_fwd_us"`
+	CoreBwdMicros float64 `json:"core_bwd_us"`
+	AllocsPerOp   float64 `json:"allocs_per_op"`
 	// The multiply-accumulates of the layer's matrix products per location
 	// (softmax, pooling adds and bias adds are not products and are not
 	// counted), forward; backward is exactly twice forward in both
@@ -161,7 +170,8 @@ type CallerPoint struct {
 type ComputeClaims struct {
 	// BlockedSpeedupAtMax and F32SpeedupAtMax are the speedups at the
 	// largest measured size (the artifact's gates: blocked >= 2x naive, f32 >=
-	// 1.5x blocked f64 at 512^3 where the vector kernels ran).
+	// 1.5x blocked f64 at 512^3 under the avx2 tier and >= 0.9x under avx512,
+	// where the f64 kernel's lanes match the f32 kernel's).
 	BlockedSpeedupAtMax float64 `json:"blocked_speedup_at_max"`
 	F32SpeedupAtMax     float64 `json:"f32_speedup_at_max"`
 	// AllocFree reports that every measured point, shape, aggregator,
@@ -298,22 +308,19 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 // dchagShapes lists the products the benchmark workloads issue (DESIGN.md
 // "Compute substrate" has the table): the E x E projections over N*g rows of
 // the channel aggregation and their two backward products, the per-head
-// attention products of the channel aggregation (g = 16, Dh = 8, B*T*H = 512
-// maps), of the final aggregation over 4 partition tokens and of a ViT block
-// (T = 64), the first MLP layer of a wx_tp2dp2 block on one tensor-parallel
-// rank (128 tokens, E = 64, half of the 256 hidden columns), and the float32
+// attention products of a ViT block (T = 64), forward and the transposed-map
+// product of its backward (dV, and dK alike) — the channel aggregation's run
+// inside the pooled attention pass, the aggregators section —, the first MLP
+// layer of a wx_tp2dp2 block on one tensor-parallel rank (128 tokens, E = 64, half of the 256 hidden columns), and the float32
 // twins serving runs, the tokenizer's product among them (8 x 64 tokens of
 // 2 x 2 patches into E = 32, 40 channels per rank per micro-batch).
 var dchagShapes = []ShapePoint{
 	{Name: "proj_fwd", Op: "MatMulInto", Batch: 1, M: 2048, K: 32, N: 32},
 	{Name: "proj_bwd_dx", Op: "MatMulTInto", Batch: 1, M: 2048, K: 32, N: 32},
 	{Name: "proj_bwd_dw", Op: "TMatMulAccInto", Batch: 1, M: 32, K: 2048, N: 32},
-	{Name: "agg_scores", Op: "BatchedMatMulTInto", Batch: 512, M: 16, K: 8, N: 16},
-	{Name: "agg_context", Op: "BatchedMatMulInto", Batch: 512, M: 16, K: 16, N: 8},
-	{Name: "agg_bwd_dv", Op: "BatchedTMatMulInto", Batch: 512, M: 16, K: 16, N: 8},
-	{Name: "final_agg_scores", Op: "BatchedMatMulTInto", Batch: 512, M: 4, K: 8, N: 4},
 	{Name: "vit_scores", Op: "BatchedMatMulTInto", Batch: 8, M: 64, K: 8, N: 64},
 	{Name: "vit_context", Op: "BatchedMatMulInto", Batch: 8, M: 64, K: 64, N: 8},
+	{Name: "vit_bwd_dv", Op: "BatchedTMatMulInto", Batch: 8, M: 64, K: 64, N: 8},
 	{Name: "tp_mlp_fc1", Op: "MatMulInto", Batch: 1, M: 128, K: 64, N: 128},
 	{Name: "proj_infer_f32", Op: "MatMulPackedF32Into", Batch: 1, M: 2048, K: 32, N: 32},
 	{Name: "tokenize_f32", Op: "MatMulPackedF32Into", Batch: 1, M: 512, K: 4, N: 32},
@@ -517,6 +524,9 @@ func measureAggregators(cfg ComputeBenchConfig) []AggregatorPoint {
 		ap.FwdMicros = 1e6 * bestSeconds(cfg, fwd)
 		ap.BwdMicros = 1e6 * bestSeconds(cfg, bwd) // after a Forward; Backward only reads its caches
 		ap.AllocsPerOp = allocsPerOp(cfg.AllocIters, func() { fwd(); bwd() })
+		coreFwd, coreBwd := pooledCoreSteps(rng, ap)
+		ap.CoreFwdMicros = 1e6 * bestSeconds(cfg, coreFwd)
+		ap.CoreBwdMicros = 1e6 * bestSeconds(cfg, coreBwd)
 		ap.PooledFwdMACs, ap.UnpooledFwdMACs = aggregatorFwdMACs(ap.Group, ap.Embed)
 		ap.PooledBwdMACs, ap.UnpooledBwdMACs = 2*ap.PooledFwdMACs, 2*ap.UnpooledFwdMACs
 		out[i] = ap
@@ -524,13 +534,29 @@ func measureAggregators(cfg ComputeBenchConfig) []AggregatorPoint {
 	return out
 }
 
+// pooledCoreSteps builds projection-shaped q, k, v [N, g, E] and the pooled
+// gradient [N, E] of one aggregator point and returns the pass's forward (the
+// map written, as training runs it) and backward over them.
+func pooledCoreSteps(rng *rand.Rand, ap AggregatorPoint) (fwd, bwd func()) {
+	n, g, e, h := ap.N, ap.Group, ap.Embed, ap.Heads
+	q, k, v, d := tensor.Randn(rng, n, g, e), tensor.Randn(rng, n, g, e), tensor.Randn(rng, n, g, e), tensor.Randn(rng, n, e)
+	cbar, pbar, p := tensor.New(n, e), tensor.New(n, h, g), tensor.New(n, h, g, g)
+	dq, dk, dv := tensor.New(n, g, e), tensor.New(n, g, e), tensor.New(n, g, e)
+	qv, kv, vv := tensor.HeadView(q, h), tensor.HeadView(k, h), tensor.HeadView(v, h)
+	alpha := 1 / math.Sqrt(float64(e/h))
+	fwd = func() { tensor.PooledAttention(cbar, pbar, p, qv, kv, vv, alpha, false) }
+	fwd() // the backward reads the forward's map
+	bwd = func() {
+		tensor.PooledAttentionBackward(tensor.HeadView(dq, h), tensor.HeadView(dk, h), tensor.HeadView(dv, h), d, pbar, p, qv, kv, vv, alpha)
+	}
+	return fwd, bwd
+}
+
 // dchagElementwise lists the transcendental passes the benchmark workloads
-// run: the softmax over the hsi partial-aggregation attention maps (128
-// locations x 4 heads x 16 query tokens, 16 keys each) and over a ViT block's
-// (8 samples x 4 heads x 64 tokens, 64 keys), and the MLP's GELU forward and
-// backward.
+// run outside the pooled attention pass: the softmax over a ViT block's
+// attention maps (8 samples x 4 heads x 64 tokens, 64 keys), and the MLP's
+// GELU forward and backward.
 var dchagElementwise = []ElementwisePoint{
-	{Name: "softmax_partial_agg", Op: "SoftmaxLastDimInto", Rows: 128 * 4 * 16, Cols: 16},
 	{Name: "softmax_vit", Op: "SoftmaxLastDimInto", Rows: 8 * 4 * 64, Cols: 64},
 	{Name: "gelu_fwd", Op: "GELU.Forward", Rows: 512, Cols: 256},
 	{Name: "gelu_bwd", Op: "GELU.Backward", Rows: 512, Cols: 256},
@@ -688,15 +714,16 @@ func runCompute() Result {
 	shapes.Note("batched shapes read attention heads in place out of [N,T,H*Dh] layouts (tensor.HeadView); packed elems is what one product copies into panels (a transposed B, a ragged tile, float32 narrowing), everything else the kernel reads where it lies; naive is the scalar ikj loop on contiguous operands of the same extents")
 	aggs := &Table{
 		Title:   "Measured cross-attention channel aggregation (core.CrossAttnAggregator)",
-		Headers: []string{"N x g x E, heads", "forward us", "backward us", "allocs/op", "fwd MACs/location pooled", "unpooled", "pooled/unpooled"},
+		Headers: []string{"N x g x E, heads", "forward us", "backward us", "pass fwd / bwd us", "allocs/op", "fwd MACs/location pooled", "unpooled", "pooled/unpooled"},
 	}
 	for _, ap := range rep.Aggregators {
 		aggs.Add(fmt.Sprintf("%d x %d x %d, %d", ap.N, ap.Group, ap.Embed, ap.Heads),
-			fmt.Sprintf("%.0f", ap.FwdMicros), fmt.Sprintf("%.0f", ap.BwdMicros), fmt.Sprintf("%.0f", ap.AllocsPerOp),
+			fmt.Sprintf("%.0f", ap.FwdMicros), fmt.Sprintf("%.0f", ap.BwdMicros),
+			fmt.Sprintf("%.0f / %.0f", ap.CoreFwdMicros, ap.CoreBwdMicros), fmt.Sprintf("%.0f", ap.AllocsPerOp),
 			fmt.Sprint(ap.PooledFwdMACs), fmt.Sprint(ap.UnpooledFwdMACs),
 			fmt.Sprintf("%.2f", float64(ap.PooledFwdMACs)/float64(ap.UnpooledFwdMACs)))
 	}
-	aggs.Note("the layer takes the group mean on the attention map, so the value product and Wo run on one token per location; unpooled is the same layer with the mean taken last; backward MACs are twice forward in both")
+	aggs.Note("the layer takes the group mean on the attention map, so the value product and Wo run on one token per location; unpooled is the same layer with the mean taken last; backward MACs are twice forward in both; the pass is the pooled attention between the projections (tensor.PooledAttention and its backward)")
 	elems := &Table{
 		Title:   "Measured softmax and GELU on the vector exp kernel (tensor.Exp)",
 		Headers: []string{"routine", "entry point", "rows x cols", "libm loop ns/elem", "ns/elem", "speedup", "allocs/op"},

@@ -27,21 +27,21 @@ import (
 // consumers that read nothing else (the channel aggregators): the mean is
 // linear, so it is taken on the softmax map — pbar[n,h,j] = (1/Tq) sum_i
 // P[n,h,i,j] — and the value product shrinks from Tq x Tk x Dh to 1 x Tk x Dh
-// per head. A core serves one form at a time.
+// per head. The pooled form is one tensor.PooledAttention pass per direction,
+// location by location with every head. A core serves one form at a time.
 type AttentionCore struct {
 	Heads, HeadDim int
 
 	dtype tensor.DType // arithmetic of the no-grad Infer path
 
 	q, k, v *tensor.Tensor // Forward's operands
-	attn    *tensor.Tensor // Forward's softmax weights [N,H,Tq,Tk]
+	attn    *tensor.Tensor // Forward's or ForwardPooled's softmax weights [N,H,Tq,Tk]
 	ctx     *tensor.Tensor // Forward's output
 	pbar    *tensor.Tensor // ForwardPooled's pooled weights [N,H,Tk]
 
 	iattn, ictx, ipbar *tensor.Tensor // Infer's twins, separate so an eval pass
 	// never clobbers what a pending Backward reads
-	dA, dq, dk, dv *tensor.Tensor // Backward scratch
-	dpbar          *tensor.Tensor // BackwardPooled's per-location [H,Tk] scratch
+	dA, dq, dk, dv *tensor.Tensor // Backward scratch (dA: the per-row form's only)
 }
 
 // SetInferDType selects the arithmetic of Infer's matrix products.
@@ -51,16 +51,20 @@ func (c *AttentionCore) SetInferDType(dt tensor.DType) { c.dtype = dt }
 // softmax(q k^T / sqrt(Dh)) and returns it. The scale rides on the score
 // product's tile store; the softmax is float64 under either dtype.
 //
-// dchag:hotpath — every attention, every step and every served micro-batch.
+// dchag:hotpath — every attention of the per-row form, every step and every
+// served micro-batch.
 func (c *AttentionCore) weights(p, q, k *tensor.Tensor, dt tensor.DType) *tensor.Tensor {
 	p = tensor.EnsureShape(p, q.Shape[0], c.Heads, q.Shape[1], k.Shape[1])
 	scoreProduct := tensor.BatchedMatMulTInto
 	if dt == tensor.F32 {
 		scoreProduct = tensor.BatchedMatMulTF32Into
 	}
-	scoreProduct(tensor.MatView(p), tensor.HeadView(q, c.Heads), tensor.HeadView(k, c.Heads), 1/math.Sqrt(float64(c.HeadDim)))
+	scoreProduct(tensor.MatView(p), tensor.HeadView(q, c.Heads), tensor.HeadView(k, c.Heads), c.scale())
 	return tensor.SoftmaxLastDimInto(p, p)
 }
+
+// scale is the score scale 1/sqrt(Dh).
+func (c *AttentionCore) scale() float64 { return 1 / math.Sqrt(float64(c.HeadDim)) }
 
 // Forward returns the merged context [N,Tq,E] (core-owned scratch), caching
 // the attention weights for Backward.
@@ -91,7 +95,9 @@ func (c *AttentionCore) Infer(q, k, v *tensor.Tensor) *tensor.Tensor {
 
 // Backward maps the merged-context gradient [N,Tq,E] to gradients with
 // respect to Forward's q, k and v, each in its operand's layout (core-owned
-// scratch).
+// scratch): dA = dctx v^T, dv = A^T dctx, the softmax backward turns dA into
+// the score gradient dS in place, then dq = dS k / sqrt(Dh) and
+// dk = dS^T q / sqrt(Dh).
 //
 // dchag:hotpath — per-step attention backward kernels.
 func (c *AttentionCore) Backward(dctx *tensor.Tensor) (dq, dk, dv *tensor.Tensor) {
@@ -104,141 +110,68 @@ func (c *AttentionCore) Backward(dctx *tensor.Tensor) (dq, dk, dv *tensor.Tensor
 	c.dv = tensor.EnsureShape(c.dv, c.v.Shape...)
 	tensor.BatchedTMatMulInto(tensor.HeadView(c.dv, c.Heads), av, gv, 1)
 	tensor.SoftmaxBackwardLastDimInto(c.dA, c.attn, c.dA)
-	return c.scoreGrads()
-}
-
-// scoreGrads maps the score gradient dS, left in dA by either backward form,
-// to dq = dS k / sqrt(Dh) and dk = dS^T q / sqrt(Dh), and returns them with dv.
-//
-// dchag:hotpath — the last two batched products of every attention backward.
-func (c *AttentionCore) scoreGrads() (dq, dk, dv *tensor.Tensor) {
-	scale := 1 / math.Sqrt(float64(c.HeadDim))
 	dS := tensor.MatView(c.dA)
 	c.dq = tensor.EnsureShape(c.dq, c.q.Shape...)
-	tensor.BatchedMatMulInto(tensor.HeadView(c.dq, c.Heads), dS, tensor.HeadView(c.k, c.Heads), scale)
+	tensor.BatchedMatMulInto(tensor.HeadView(c.dq, c.Heads), dS, tensor.HeadView(c.k, c.Heads), c.scale())
 	c.dk = tensor.EnsureShape(c.dk, c.k.Shape...)
-	tensor.BatchedTMatMulInto(tensor.HeadView(c.dk, c.Heads), dS, tensor.HeadView(c.q, c.Heads), scale)
+	tensor.BatchedTMatMulInto(tensor.HeadView(c.dk, c.Heads), dS, tensor.HeadView(c.q, c.Heads), c.scale())
 	return c.dq, c.dk, c.dv
 }
 
 // ForwardPooled returns the mean over the Tq query rows of Forward's merged
-// context, [N,E] (core-owned scratch), without forming that context; it
-// caches the attention weights and their pooled map for BackwardPooled.
+// context, [N,E] (core-owned scratch), without forming that context: one
+// tensor.PooledAttention pass per location, which leaves the softmax map and
+// its pooled mean for BackwardPooled.
+//
+// dchag:hotpath — every channel aggregation, every step.
 func (c *AttentionCore) ForwardPooled(q, k, v *tensor.Tensor) *tensor.Tensor {
 	c.q, c.k, c.v = q, k, v
-	c.attn = c.weights(c.attn, q, k, tensor.F64)
-	c.pbar = tensor.EnsureShape(c.pbar, q.Shape[0], c.Heads, k.Shape[1])
-	c.ctx = tensor.EnsureShape(c.ctx, q.Shape[0], q.Shape[2])
-	c.pool(c.pbar, c.ctx, c.attn, v)
+	n, tq, tk := q.Shape[0], q.Shape[1], k.Shape[1]
+	c.attn = tensor.EnsureShape(c.attn, n, c.Heads, tq, tk)
+	c.pbar = tensor.EnsureShape(c.pbar, n, c.Heads, tk)
+	c.ctx = tensor.EnsureShape(c.ctx, n, q.Shape[2])
+	tensor.PooledAttention(c.ctx, c.pbar, c.attn, tensor.HeadView(q, c.Heads), tensor.HeadView(k, c.Heads), tensor.HeadView(v, c.Heads), c.scale(), false)
 	return c.ctx
 }
 
 // InferPooled computes ForwardPooled's output without caching anything for
-// BackwardPooled. Under dtype F32 the score product runs in float32; the
-// pooled value product, O(Tk*E) per location, stays float64.
-func (c *AttentionCore) InferPooled(q, k, v *tensor.Tensor) *tensor.Tensor {
-	c.iattn = c.weights(c.iattn, q, k, c.dtype)
-	c.ipbar = tensor.EnsureShape(c.ipbar, q.Shape[0], c.Heads, k.Shape[1])
-	c.ictx = tensor.EnsureShape(c.ictx, q.Shape[0], q.Shape[2])
-	c.pool(c.ipbar, c.ictx, c.iattn, v)
-	return c.ictx
-}
-
-// pool overwrites pbar with the mean of the attention weights p over the
-// query axis and cbar with the pooled context pbar_h @ v_h. Both reductions
-// run in a fixed order — query rows ascending into pbar, key rows ascending
-// into cbar — one location at a time, so a row's result does not depend on N
-// or on how a batch is split.
+// BackwardPooled and without writing the map. Under dtype F32 the score
+// product runs in float32 into the infer map and the pass starts at its
+// softmax; the softmax and the pooled reductions stay float64.
 //
-// dchag:hotpath — every channel aggregation, every step and every served
-// micro-batch.
-func (c *AttentionCore) pool(pbar, cbar, p, v *tensor.Tensor) {
-	n, tq, tk := p.Shape[0], p.Shape[2], p.Shape[3]
-	h, dh := c.Heads, c.HeadDim
-	e := h * dh
-	inv := 1 / float64(tq)
-	for ni := 0; ni < n; ni++ {
-		pn := pbar.Data[ni*h*tk : (ni+1)*h*tk]
-		for hi := 0; hi < h; hi++ {
-			ph := p.Data[(ni*h+hi)*tq*tk : (ni*h+hi+1)*tq*tk]
-			pb := pn[hi*tk : (hi+1)*tk]
-			copy(pb, ph[:tk])
-			for i := 1; i < tq; i++ {
-				for j, w := range ph[i*tk : (i+1)*tk] {
-					pb[j] += w
-				}
-			}
-			for j := range pb {
-				pb[j] *= inv
-			}
-		}
-		crow := cbar.Data[ni*e : (ni+1)*e]
-		clear(crow)
-		for j := 0; j < tk; j++ {
-			vrow := v.Data[(ni*tk+j)*e : (ni*tk+j+1)*e]
-			for hi := 0; hi < h; hi++ {
-				w := pn[hi*tk+j]
-				ch := crow[hi*dh : (hi+1)*dh]
-				for d, x := range vrow[hi*dh : (hi+1)*dh] {
-					ch[d] += w * x
-				}
-			}
-		}
+// dchag:hotpath — the channel aggregation of every served micro-batch.
+func (c *AttentionCore) InferPooled(q, k, v *tensor.Tensor) *tensor.Tensor {
+	n := q.Shape[0]
+	qv, kv, vv := tensor.HeadView(q, c.Heads), tensor.HeadView(k, c.Heads), tensor.HeadView(v, c.Heads)
+	c.ipbar = tensor.EnsureShape(c.ipbar, n, c.Heads, k.Shape[1])
+	c.ictx = tensor.EnsureShape(c.ictx, n, q.Shape[2])
+	if c.dtype != tensor.F32 {
+		tensor.PooledAttention(c.ictx, c.ipbar, nil, qv, kv, vv, c.scale(), false)
+		return c.ictx
 	}
+	c.iattn = tensor.EnsureShape(c.iattn, n, c.Heads, q.Shape[1], k.Shape[1])
+	tensor.BatchedMatMulTF32Into(tensor.MatView(c.iattn), qv, kv, c.scale())
+	tensor.PooledAttention(c.ictx, c.ipbar, c.iattn, qv, kv, vv, c.scale(), true)
+	return c.ictx
 }
 
 // BackwardPooled maps the pooled-context gradient [N,E] to gradients with
 // respect to ForwardPooled's q, k and v, each in its operand's layout
-// (core-owned scratch): dv_h[j] = pbar_h[j] * dc_h, dpbar_h[j] = dc_h . v_h[j],
-// and every query row's softmax backward reads the same upstream row
-// dpbar_h / Tq.
+// (core-owned scratch), through tensor.PooledAttentionBackward: the score
+// gradient lives per location in the pass's scratch, and the cached map is
+// left intact, so BackwardPooled may run more than once per forward.
 //
-// dchag:hotpath — per-step channel-aggregation backward kernels.
+// dchag:hotpath — per-step channel-aggregation backward.
 func (c *AttentionCore) BackwardPooled(dcbar *tensor.Tensor) (dq, dk, dv *tensor.Tensor) {
 	if c.attn == nil || c.pbar == nil {
 		panic("nn: pooled attention backward before pooled forward")
 	}
-	n, tq, tk := c.q.Shape[0], c.q.Shape[1], c.k.Shape[1]
-	h, dh := c.Heads, c.HeadDim
-	e := h * dh
-	c.dA = tensor.EnsureShape(c.dA, c.attn.Shape...)
+	c.dq = tensor.EnsureShape(c.dq, c.q.Shape...)
+	c.dk = tensor.EnsureShape(c.dk, c.k.Shape...)
 	c.dv = tensor.EnsureShape(c.dv, c.v.Shape...)
-	c.dpbar = tensor.EnsureShape(c.dpbar, h, tk)
-	inv := 1 / float64(tq)
-	for ni := 0; ni < n; ni++ {
-		dc := dcbar.Data[ni*e : (ni+1)*e]
-		pn := c.pbar.Data[ni*h*tk : (ni+1)*h*tk]
-		for j := 0; j < tk; j++ {
-			vrow := c.v.Data[(ni*tk+j)*e : (ni*tk+j+1)*e]
-			dvrow := c.dv.Data[(ni*tk+j)*e : (ni*tk+j+1)*e]
-			for hi := 0; hi < h; hi++ {
-				w := pn[hi*tk+j]
-				vh, dvh := vrow[hi*dh:(hi+1)*dh], dvrow[hi*dh:(hi+1)*dh]
-				s := 0.0
-				for d, g := range dc[hi*dh : (hi+1)*dh] {
-					dvh[d] = w * g
-					s += g * vh[d]
-				}
-				c.dpbar.Data[hi*tk+j] = s * inv
-			}
-		}
-		for hi := 0; hi < h; hi++ {
-			gy := c.dpbar.Data[hi*tk : (hi+1)*tk]
-			p := c.attn.Data[(ni*h+hi)*tq*tk : (ni*h+hi+1)*tq*tk]
-			ds := c.dA.Data[(ni*h+hi)*tq*tk : (ni*h+hi+1)*tq*tk]
-			for i := 0; i < tq; i++ {
-				pr, dr := p[i*tk:(i+1)*tk], ds[i*tk:(i+1)*tk]
-				dot := 0.0
-				for j, w := range pr {
-					dot += w * gy[j]
-				}
-				for j, w := range pr {
-					dr[j] = w * (gy[j] - dot)
-				}
-			}
-		}
-	}
-	return c.scoreGrads()
+	tensor.PooledAttentionBackward(tensor.HeadView(c.dq, c.Heads), tensor.HeadView(c.dk, c.Heads), tensor.HeadView(c.dv, c.Heads),
+		dcbar, c.pbar, c.attn, tensor.HeadView(c.q, c.Heads), tensor.HeadView(c.k, c.Heads), tensor.HeadView(c.v, c.Heads), c.scale())
+	return c.dq, c.dk, c.dv
 }
 
 // attnProj is what self- and cross-attention share: the four E x E

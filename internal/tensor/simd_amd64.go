@@ -60,6 +60,23 @@ func expAVX2(dst, src *float64, n int)
 //go:noescape
 func softmaxRowsAVX2(dst, src *float64, rows, n int)
 
+// chainAVX2, softmaxPoolAVX2 and poolBwdAVX2 are the assembly spelling of
+// the pooled attention pass (attnpool.go has the Go twins and the contract):
+// chainAVX2 computes c[r*ldc+x] = alpha*chain_p a[r*ars+p*aps]*b[p*ldb+x]
+// (plus c with accum) for r < rows, x < width (width a multiple of 4, depth
+// >= 1), four columns at a time: kernF64's arithmetic where its whole 4 x 8
+// tiles do not fit; softmaxPoolAVX2 one head's softmax, pooled map and pooled context;
+// poolBwdAVX2 one head's dv, dpbar and score gradient (Dh a multiple of 4).
+//
+//go:noescape
+func chainAVX2(a *float64, ars, aps int, b *float64, ldb int, c *float64, ldc, rows, depth, width int, alpha float64, accum bool)
+
+//go:noescape
+func softmaxPoolAVX2(s *float64, sld int, p *float64, pld, tq, tk int, pbar, v *float64, vld, dh int, cbar, rowInv *float64, inv float64)
+
+//go:noescape
+func poolBwdAVX2(p *float64, pld int, pbar, dc, v *float64, vld int, dv, ds *float64, dsld int, dpb, dot, zero *float64, tq, tk, dh int, inv float64)
+
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvRaw() (eax, edx uint32)

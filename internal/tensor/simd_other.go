@@ -32,3 +32,15 @@ func packC4F32(dst *float32, src *float64, ld, k, n, stride int) {
 func expAVX2(dst, src *float64, n int) { panic("tensor: SIMD kernel unavailable") }
 
 func softmaxRowsAVX2(dst, src *float64, rows, n int) { panic("tensor: SIMD kernel unavailable") }
+
+func chainAVX2(a *float64, ars, aps int, b *float64, ldb int, c *float64, ldc, rows, depth, width int, alpha float64, accum bool) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
+func softmaxPoolAVX2(s *float64, sld int, p *float64, pld, tq, tk int, pbar, v *float64, vld, dh int, cbar, rowInv *float64, inv float64) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
+func poolBwdAVX2(p *float64, pld int, pbar, dc, v *float64, vld int, dv, ds *float64, dsld int, dpb, dot, zero *float64, tq, tk, dh int, inv float64) {
+	panic("tensor: SIMD kernel unavailable")
+}
