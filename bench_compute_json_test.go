@@ -24,7 +24,7 @@ func f32SpeedupGate(kernel string) float64 {
 }
 
 // TestComputeJSONArtifact validates the committed compute-substrate
-// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v9,
+// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v10,
 // written by `dchag-bench -compute`). The artifact is a wall-clock
 // measurement, so this test gates on its schema and qualitative claims: it
 // names the kernel tier that ran, the blocked driver at least matches the
@@ -32,7 +32,8 @@ func f32SpeedupGate(kernel string) float64 {
 // 1.5x blocked f64 at the largest size under AVX2, f32SpeedupGate under
 // AVX-512) hold where the vector micro-kernels ran, every product shape the D-CHAG workloads issue beats the naive loop
 // there too, no float64 shape whose B
-// is not transposed moves an element through pack, softmax and GELU run at
+// is not transposed moves an element through pack, every shape issued
+// through an affine entry names the epilogue it was timed with, softmax and GELU run at
 // least twice as fast as the math.Exp / math.Tanh loops they replaced there
 // too, every point, shape, aggregator, elementwise routine and channel stage
 // was measured allocation-free in steady state, the pooled channel
@@ -174,10 +175,15 @@ func TestComputeJSONArtifact(t *testing.T) {
 		if sp.AllocsPerOp != 0 {
 			t.Fatalf("shape %s allocated %.2f times per op in steady state", sp.Name, sp.AllocsPerOp)
 		}
+		// The affine entries are timed the way the layers issue them, with
+		// the bias (and the tokenizer's channel-ID row) added at the store.
+		if (sp.Op == "AffineInto" || sp.Op == "AffinePackedF32Into") != (sp.Epilogue != "") {
+			t.Fatalf("shape %s (%s) records epilogue %q: the affine entries name theirs, no other entry has one", sp.Name, sp.Op, sp.Epilogue)
+		}
 		// The kernel reads float64 operands where they lie: at these
 		// tile-aligned shapes only a transposed B has to move.
 		switch sp.Op {
-		case "MatMulInto", "TMatMulAccInto", "BatchedMatMulInto", "BatchedTMatMulInto":
+		case "MatMulInto", "AffineInto", "TMatMulAccInto", "BatchedMatMulInto", "BatchedTMatMulInto":
 			if sp.PackedElems != 0 {
 				t.Fatalf("shape %s (%s): packs %d elements per product, want 0", sp.Name, sp.Op, sp.PackedElems)
 			}

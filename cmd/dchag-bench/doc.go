@@ -75,14 +75,14 @@
 // Additive fields may appear within v2; readers must ignore unknown keys.
 // Field removals or meaning changes bump the schema string.
 //
-// # JSON schema (dchag-bench/compute/v9)
+// # JSON schema (dchag-bench/compute/v10)
 //
 // The -compute flag writes one experiments.ComputeReport object — the
 // single-node compute-substrate point of the perf trajectory (CI commits it
 // as BENCH_compute.json). Each point is one square GEMM size measured three
 // ways: a scalar ikj loop, the blocked register-tiled float64 driver
 // (tensor.MatMulInto), and the float32 kernel
-// against prepacked weight panels (tensor.MatMulPackedF32Into — the serving
+// against prepacked weight panels (tensor.AffinePackedF32Into — the serving
 // configuration, so packing B stays off the measured path), under the kernel
 // tier the host has (tensor.KernelTier). Each shape is one
 // product the D-CHAG workloads actually issue — the E x E projections over
@@ -90,9 +90,12 @@
 // of a ViT block (the channel aggregation's run inside the pooled attention
 // pass, timed with the aggregators), a tensor-parallel MLP shard, and the float32 twins serving runs, the
 // tokenizer's product among them — through the entry point the model calls,
-// next to the scalar ikj loop on contiguous operands of the same extents,
-// with the number of operand elements the driver copies into panels for it
-// (DESIGN.md "Compute substrate": everything else is read where it lies).
+// with the epilogue the layer has the kernel add as it stores (a Linear's
+// bias; the tokenizer's bias and channel-ID row, written into its group's
+// input at the group's row stride), next to the scalar ikj loop on
+// contiguous operands of the same extents, with the number of operand
+// elements the driver copies into panels for it (DESIGN.md "Compute
+// substrate": everything else is read where it lies).
 // Each aggregator is one whole core.CrossAttnAggregator at a shape the
 // workloads run, Forward and Backward timed separately, next to the pooled
 // attention pass inside them (tensor.PooledAttention and its backward) on
@@ -113,7 +116,7 @@
 // leave a processor free):
 //
 //	{
-//	  "schema": "dchag-bench/compute/v9", // bump on breaking change
+//	  "schema": "dchag-bench/compute/v10", // bump on breaking change
 //	  "kernel": "avx512",                 // product kernels: "avx512" (f64 on AVX-512,
 //	                                      // the rest AVX2+FMA), "avx2" or "go"
 //	  "maxprocs": 1,                      // GOMAXPROCS during measurement
@@ -143,6 +146,15 @@
 //	      "gflops": 52.0,                 // both from the fastest call, timed alternately
 //	      "speedup": 10.8,                // gflops / naive_gflops
 //	      "allocs_per_op": 0              // steady state
+//	    },
+//	    {
+//	      "name": "tokenize_f32", "op": "AffinePackedF32Into",
+//	      "batch": 1, "m": 512, "k": 4, "n": 32,
+//	      "strided": true,                // into the group input, rows 20*32 apart
+//	      "epilogue": "bias+row",         // what the kernel adds as it stores: "bias" on
+//	                                      // proj_fwd and proj_infer_f32, the bias and the
+//	                                      // channel-ID row here; absent elsewhere
+//	      ...
 //	    }, ...
 //	  ],
 //	  "aggregators": [

@@ -101,8 +101,7 @@ type CrossAttnAggregator struct {
 	Group int
 	Attn  *nn.CrossAttention
 
-	n  int            // folded rows of the last Forward; 0 before the first
-	dx *tensor.Tensor // Backward scratch
+	n int // folded rows of the last Forward; 0 before the first
 }
 
 // NewCrossAttnAggregator builds a cross-attention aggregator over a group of
@@ -126,17 +125,16 @@ func (a *CrossAttnAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return a.Attn.ForwardPooled(x, x)
 }
 
-// Backward maps d [N, E] to the group input gradient [N, g, E].
+// Backward maps d [N, E] to the group input gradient [N, g, E]: the group is
+// query and context at once, so its gradient is dq + (dk + dv), summed as
+// the projections' products store (nn.CrossAttention.BackwardPooledSelf).
 //
-// dchag:hotpath — per-step query/context gradient sum into layer-owned
-// scratch.
+// dchag:hotpath — per-step channel-aggregation backward.
 func (a *CrossAttnAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
 	if a.n == 0 {
 		panic("core: CrossAttnAggregator.Backward before Forward")
 	}
-	dq, dkv := a.Attn.BackwardPooled(d)
-	a.dx = tensor.EnsureShape(a.dx, dq.Shape...)
-	return tensor.AddInto(a.dx, dq, dkv)
+	return a.Attn.BackwardPooledSelf(d)
 }
 
 // Infer reduces x [N, g, E] to [N, E] without caching activations for
@@ -210,7 +208,8 @@ func (a *LinearAggregator) Infer(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // reduce applies the learned linear combination across the channel axis,
-// writing into out.
+// writing into out: per location the bias, then the g weighted channel
+// tokens in order, through the vectorised row-accumulate.
 //
 // dchag:hotpath — per-step channel mixing; out is layer-owned scratch.
 func (a *LinearAggregator) reduce(out, x *tensor.Tensor) *tensor.Tensor {
@@ -218,13 +217,7 @@ func (a *LinearAggregator) reduce(out, x *tensor.Tensor) *tensor.Tensor {
 	for ni := 0; ni < n; ni++ {
 		dst := out.Data[ni*e : (ni+1)*e]
 		copy(dst, a.Bias.W.Data)
-		for g := 0; g < a.Group; g++ {
-			w := a.Weight.W.Data[g]
-			src := x.Data[(ni*a.Group+g)*e : (ni*a.Group+g+1)*e]
-			for i, v := range src {
-				dst[i] += w * v
-			}
-		}
+		tensor.AccumRows(dst, x.Data[ni*a.Group*e:], e, a.Group, a.Weight.W.Data)
 	}
 	return out
 }
@@ -240,11 +233,9 @@ func (a *LinearAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
 	n, e := a.x.Shape[0], a.x.Shape[2]
 	a.dx = tensor.EnsureShape(a.dx, n, a.Group, e)
 	dx := a.dx
+	tensor.AccumRows(a.Bias.Grad.Data, d.Data, e, n, nil)
 	for ni := 0; ni < n; ni++ {
 		src := d.Data[ni*e : (ni+1)*e]
-		for i, v := range src {
-			a.Bias.Grad.Data[i] += v
-		}
 		for g := 0; g < a.Group; g++ {
 			w := a.Weight.W.Data[g]
 			xrow := a.x.Data[(ni*a.Group+g)*e : (ni*a.Group+g+1)*e]

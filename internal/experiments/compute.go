@@ -45,8 +45,12 @@ func init() {
 // that ran: "avx512", "avx2" or "go". v9 adds core_fwd_us and core_bwd_us to
 // every aggregator point — the pooled attention pass alone, beside the layer
 // — and drops the channel aggregation's batched products and softmax from
-// shapes and elementwise: the pass issues neither.
-const ComputeSchema = "dchag-bench/compute/v9"
+// shapes and elementwise: the pass issues neither. v10 times proj_fwd,
+// proj_infer_f32 and tokenize_f32 the way the layers now issue them, through
+// AffineInto / AffinePackedF32Into with the epilogue the kernel adds as it
+// stores (a bias; for the tokenizer a bias and the channel-ID row, into the
+// strided group input), and records it as epilogue.
+const ComputeSchema = "dchag-bench/compute/v10"
 
 // ComputePoint is one measured square GEMM size (dst = A@B, all [n,n]).
 type ComputePoint struct {
@@ -54,7 +58,7 @@ type ComputePoint struct {
 	Size int `json:"size"`
 	// NaiveGFLOPS is the scalar ikj loop (naiveBatched); BlockedGFLOPS the
 	// packed, register-tiled f64 driver (tensor.MatMulInto); F32GFLOPS the float32
-	// kernel against a prepacked B panel (tensor.MatMulPackedF32Into — the
+	// kernel against a prepacked B panel (tensor.AffinePackedF32Into — the
 	// serving configuration, so packing is off the measured path).
 	NaiveGFLOPS   float64 `json:"naive_gflops"`
 	BlockedGFLOPS float64 `json:"blocked_gflops"`
@@ -75,7 +79,8 @@ type ComputePoint struct {
 // products of M x K x N through the named tensor entry point. Strided points
 // read (and, for the context product, write) attention heads in place out of
 // [N,T,H*Dh] projection layouts through tensor.HeadView, as nn.AttentionCore
-// does; the others run on contiguous operands.
+// does, or (the tokenizer) write one channel's tokens into its group's input
+// [N, g, E] at row stride g*E; the others run on contiguous operands.
 type ShapePoint struct {
 	Name    string `json:"name"`
 	Op      string `json:"op"`
@@ -84,6 +89,10 @@ type ShapePoint struct {
 	K       int    `json:"k"`
 	N       int    `json:"n"`
 	Strided bool   `json:"strided"`
+	// Epilogue is what the kernel adds as it stores, where the layer has it
+	// add something: "bias" (nn.Linear), "bias+row" (the tokenizer's bias and
+	// channel-ID row).
+	Epilogue string `json:"epilogue,omitempty"`
 	// PackedElems is how many operand elements the driver moves through
 	// tensor's pack for one of the Batch products (tensor.DType.PackedElems):
 	// 0 where the kernel reads both operands where they lie.
@@ -268,11 +277,12 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 		flops := 2 * float64(n) * float64(n) * float64(n)
 		p.NaiveGFLOPS = measureGFLOPS(flops, cfg, func() { naiveBatched(dst.Data, a.Data, b.Data, 1, n, n, n) })
 		p.BlockedGFLOPS = measureGFLOPS(flops, cfg, func() { tensor.MatMulInto(dst, a, b) })
-		p.F32GFLOPS = measureGFLOPS(flops, cfg, func() { tensor.MatMulPackedF32Into(dst, a, pb) })
+		f32 := func() { tensor.AffinePackedF32Into(dst.Data, n, a, pb, tensor.Epilogue{}) }
+		p.F32GFLOPS = measureGFLOPS(flops, cfg, f32)
 		p.BlockedSpeedup = p.BlockedGFLOPS / p.NaiveGFLOPS
 		p.F32Speedup = p.F32GFLOPS / p.BlockedGFLOPS
 		p.BlockedAllocsPerOp = allocsPerOp(cfg.AllocIters, func() { tensor.MatMulInto(dst, a, b) })
-		p.F32AllocsPerOp = allocsPerOp(cfg.AllocIters, func() { tensor.MatMulPackedF32Into(dst, a, pb) })
+		p.F32AllocsPerOp = allocsPerOp(cfg.AllocIters, f32)
 		rep.Points = append(rep.Points, p)
 	}
 	rep.Shapes = measureShapes(cfg)
@@ -307,32 +317,39 @@ func RunComputeBench(cfg ComputeBenchConfig) ComputeReport {
 
 // dchagShapes lists the products the benchmark workloads issue (DESIGN.md
 // "Compute substrate" has the table): the E x E projections over N*g rows of
-// the channel aggregation and their two backward products, the per-head
+// the channel aggregation (with the bias the layer adds as the kernel
+// stores) and their two backward products, the per-head
 // attention products of a ViT block (T = 64), forward and the transposed-map
 // product of its backward (dV, and dK alike) — the channel aggregation's run
 // inside the pooled attention pass, the aggregators section —, the first MLP
 // layer of a wx_tp2dp2 block on one tensor-parallel rank (128 tokens, E = 64, half of the 256 hidden columns), and the float32
 // twins serving runs, the tokenizer's product among them (8 x 64 tokens of
-// 2 x 2 patches into E = 32, 40 channels per rank per micro-batch).
+// 2 x 2 patches into E = 32, bias and channel-ID row added, written into its
+// group of tokenizeGroup channels; 40 channels per rank per micro-batch).
 var dchagShapes = []ShapePoint{
-	{Name: "proj_fwd", Op: "MatMulInto", Batch: 1, M: 2048, K: 32, N: 32},
+	{Name: "proj_fwd", Op: "AffineInto", Batch: 1, M: 2048, K: 32, N: 32, Epilogue: "bias"},
 	{Name: "proj_bwd_dx", Op: "MatMulTInto", Batch: 1, M: 2048, K: 32, N: 32},
 	{Name: "proj_bwd_dw", Op: "TMatMulAccInto", Batch: 1, M: 32, K: 2048, N: 32},
 	{Name: "vit_scores", Op: "BatchedMatMulTInto", Batch: 8, M: 64, K: 8, N: 64},
 	{Name: "vit_context", Op: "BatchedMatMulInto", Batch: 8, M: 64, K: 64, N: 8},
 	{Name: "vit_bwd_dv", Op: "BatchedTMatMulInto", Batch: 8, M: 64, K: 64, N: 8},
 	{Name: "tp_mlp_fc1", Op: "MatMulInto", Batch: 1, M: 128, K: 64, N: 128},
-	{Name: "proj_infer_f32", Op: "MatMulPackedF32Into", Batch: 1, M: 2048, K: 32, N: 32},
-	{Name: "tokenize_f32", Op: "MatMulPackedF32Into", Batch: 1, M: 512, K: 4, N: 32},
+	{Name: "proj_infer_f32", Op: "AffinePackedF32Into", Batch: 1, M: 2048, K: 32, N: 32, Epilogue: "bias"},
+	{Name: "tokenize_f32", Op: "AffinePackedF32Into", Batch: 1, M: 512, K: 4, N: 32, Strided: true, Epilogue: "bias+row"},
 	{Name: "vit_scores_f32", Op: "BatchedMatMulTF32Into", Batch: 8, M: 64, K: 8, N: 64},
 	{Name: "vit_context_f32", Op: "BatchedMatMulF32Into", Batch: 8, M: 64, K: 64, N: 8},
 }
+
+// tokenizeGroup is the channel count of a serving rank's group (serve_* run
+// 80 channels in 4 partitions on 2 ranks, one group each): the tokenizer
+// writes a channel's tokens tokenizeGroup*E apart.
+const tokenizeGroup = 20
 
 // measureShapes fills in the rates of every dchagShapes entry.
 func measureShapes(cfg ComputeBenchConfig) []ShapePoint {
 	out := make([]ShapePoint, len(dchagShapes))
 	for i, sp := range dchagShapes {
-		sp.Strided = sp.Batch > 1 // every batched shape is a per-head product
+		sp.Strided = sp.Strided || sp.Batch > 1 // every batched shape is a per-head product
 		step := shapeStep(sp)
 		flops := 2 * float64(sp.Batch) * float64(sp.M) * float64(sp.K) * float64(sp.N)
 		rng := tensor.NewRNG(int64(7000 + i))
@@ -359,7 +376,7 @@ func shapePackedElems(sp ShapePoint) int {
 		bt = true
 	case "TMatMulAccInto", "BatchedTMatMulInto":
 		at = true
-	case "MatMulPackedF32Into":
+	case "AffinePackedF32Into":
 		dt, prepacked = tensor.F32, true
 	case "BatchedMatMulF32Into":
 		dt = tensor.F32
@@ -439,6 +456,17 @@ func naiveBatched(c, a, b []float64, batch, m, k, n int) {
 	}
 }
 
+// shapeEpilogue draws the epilogue a shape point names: a bias row of N
+// values, and for "bias+row" one residual row added to every row, as the
+// tokenizer adds its channel-ID row.
+func shapeEpilogue(rng *rand.Rand, sp ShapePoint) tensor.Epilogue {
+	ep := tensor.Epilogue{Bias: tensor.Randn(rng, sp.N).Data}
+	if sp.Epilogue == "bias+row" {
+		ep.Res = tensor.Randn(rng, sp.N).Data
+	}
+	return ep
+}
+
 // shapeStep builds the operands of one shape point and returns the call that
 // runs it. Batched shapes are per-head products: Batch = samples x 4 heads,
 // operands and the context destination are head views of [samples, T, 4*Dh]
@@ -451,16 +479,25 @@ func shapeStep(sp ShapePoint) func() {
 		case "MatMulInto":
 			dst, a, b := tensor.New(sp.M, sp.N), tensor.Randn(rng, sp.M, sp.K), tensor.Randn(rng, sp.K, sp.N)
 			return func() { tensor.MatMulInto(dst, a, b) }
+		case "AffineInto":
+			dst, a, b := tensor.New(sp.M, sp.N), tensor.Randn(rng, sp.M, sp.K), tensor.Randn(rng, sp.K, sp.N)
+			ep := shapeEpilogue(rng, sp)
+			return func() { tensor.AffineInto(dst.Data, sp.N, a, b, false, ep) }
 		case "MatMulTInto":
 			dst, a, b := tensor.New(sp.M, sp.N), tensor.Randn(rng, sp.M, sp.K), tensor.Randn(rng, sp.N, sp.K)
 			return func() { tensor.MatMulTInto(dst, a, b) }
 		case "TMatMulAccInto":
 			dst, a, b := tensor.New(sp.M, sp.N), tensor.Randn(rng, sp.K, sp.M), tensor.Randn(rng, sp.K, sp.N)
 			return func() { tensor.TMatMulAccInto(dst, a, b) }
-		case "MatMulPackedF32Into":
-			dst, a := tensor.New(sp.M, sp.N), tensor.Randn(rng, sp.M, sp.K)
+		case "AffinePackedF32Into":
+			ldc := sp.N
+			if sp.Strided {
+				ldc = tokenizeGroup * sp.N
+			}
+			dst, a := tensor.New(sp.M, ldc), tensor.Randn(rng, sp.M, sp.K)
 			pb := tensor.PackB32(tensor.Randn(rng, sp.K, sp.N))
-			return func() { tensor.MatMulPackedF32Into(dst, a, pb) }
+			ep := shapeEpilogue(rng, sp)
+			return func() { tensor.AffinePackedF32Into(dst.Data, ldc, a, pb, ep) }
 		}
 	}
 	samples := sp.Batch / heads
@@ -707,11 +744,15 @@ func runCompute() Result {
 		Headers: []string{"shape", "entry point", "batch x m x k x n", "packed elems", "naive GFLOP/s", "GFLOP/s", "speedup", "allocs/op"},
 	}
 	for _, sp := range rep.Shapes {
-		shapes.Add(sp.Name, sp.Op, fmt.Sprintf("%d x %dx%dx%d", sp.Batch, sp.M, sp.K, sp.N), fmt.Sprint(sp.PackedElems),
+		op := sp.Op
+		if sp.Epilogue != "" {
+			op += " + " + sp.Epilogue
+		}
+		shapes.Add(sp.Name, op, fmt.Sprintf("%d x %dx%dx%d", sp.Batch, sp.M, sp.K, sp.N), fmt.Sprint(sp.PackedElems),
 			fmt.Sprintf("%.2f", sp.NaiveGFLOPS), fmt.Sprintf("%.2f", sp.GFLOPS),
 			fmt.Sprintf("%.2fx", sp.Speedup), fmt.Sprintf("%.0f", sp.AllocsPerOp))
 	}
-	shapes.Note("batched shapes read attention heads in place out of [N,T,H*Dh] layouts (tensor.HeadView); packed elems is what one product copies into panels (a transposed B, a ragged tile, float32 narrowing), everything else the kernel reads where it lies; naive is the scalar ikj loop on contiguous operands of the same extents")
+	shapes.Note("batched shapes read attention heads in place out of [N,T,H*Dh] layouts (tensor.HeadView), the tokenizer writes into its group's [N,g,E] input; + bias / + bias+row is the epilogue the kernel adds as it stores; packed elems is what one product copies into panels (a transposed B, a ragged tile, float32 narrowing), everything else the kernel reads where it lies; naive is the scalar ikj loop on contiguous operands of the same extents")
 	aggs := &Table{
 		Title:   "Measured cross-attention channel aggregation (core.CrossAttnAggregator)",
 		Headers: []string{"N x g x E, heads", "forward us", "backward us", "pass fwd / bwd us", "allocs/op", "fwd MACs/location pooled", "unpooled", "pooled/unpooled"},

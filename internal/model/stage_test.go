@@ -56,7 +56,7 @@ func TestSerialStageSteadyStateAllocs(t *testing.T) {
 // Infer's, and the aggregators' input gradient) plus terms a factor E or C
 // smaller: the tokenizer's im2col cache and image gradient (B*C*H*W values
 // each) and a score of group-token buffers (B*T*E values each: level
-// outputs, the two-token second level, per-channel projection scratch).
+// outputs, the two-token second level, the per-channel gradient gather).
 func TestSerialStageHoldsThreeTokenTensors(t *testing.T) {
 	cfg := core.Config{Channels: 40, ImgH: 16, ImgW: 16, Patch: 2, Embed: 64, Heads: 4, Tree: 2, Kind: core.KindLinear, Seed: 5}
 	const batch = 4

@@ -231,30 +231,35 @@ func NewSelfAttention(name string, embed, heads int, seed int64) *SelfAttention 
 }
 
 // Forward computes multi-head self-attention over x of shape [B,T,E].
-func (a *SelfAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (a *SelfAttention) Forward(x *tensor.Tensor) *tensor.Tensor { return a.forward(x, nil) }
+
+// forward is Forward with res added to the output projection as it stores
+// (a block's residual x + Attn(LN x)); nil adds nothing.
+func (a *SelfAttention) forward(x, res *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 3 {
 		panic(fmt.Sprintf("nn: SelfAttention.Forward requires [B,T,E], got %v", x.Shape))
 	}
-	return a.Wo.Forward(a.core.Forward(a.Wq.Forward(x), a.Wk.Forward(x), a.Wv.Forward(x)))
+	return a.Wo.forward(a.core.Forward(a.Wq.Forward(x), a.Wk.Forward(x), a.Wv.Forward(x)), res)
 }
 
 // Infer computes Forward's output through the projections' no-grad fast
 // paths, caching nothing.
-func (a *SelfAttention) Infer(x *tensor.Tensor) *tensor.Tensor {
+func (a *SelfAttention) Infer(x *tensor.Tensor) *tensor.Tensor { return a.infer(x, nil) }
+
+// infer is Infer with res added as forward adds it.
+func (a *SelfAttention) infer(x, res *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 3 {
 		panic(fmt.Sprintf("nn: SelfAttention.Infer requires [B,T,E], got %v", x.Shape))
 	}
-	return a.Wo.Infer(a.core.Infer(a.Wq.Infer(x), a.Wk.Infer(x), a.Wv.Infer(x)))
+	return a.Wo.infer(a.core.Infer(a.Wq.Infer(x), a.Wk.Infer(x), a.Wv.Infer(x)), res)
 }
 
 // Backward back-propagates to the forward input, accumulating parameter
-// gradients in the four projections.
+// gradients in the four projections. The three projections' input
+// gradients sum as each product stores, (dq + dk) + dv.
 func (a *SelfAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dq, dk, dv := a.core.Backward(a.Wo.Backward(grad))
-	dx := a.Wq.Backward(dq)
-	tensor.AddInPlace(dx, a.Wk.Backward(dk))
-	tensor.AddInPlace(dx, a.Wv.Backward(dv))
-	return dx
+	return a.Wv.BackwardAdd(dv, a.Wk.BackwardAdd(dk, a.Wq.Backward(dq)))
 }
 
 // CrossAttention attends a query sequence to a separate key/value context
@@ -292,9 +297,22 @@ func (a *CrossAttention) InferPooled(query, context *tensor.Tensor) *tensor.Tens
 // BackwardPooled maps the gradient of ForwardPooled's output [B,E] to
 // gradients with respect to the query and context inputs.
 func (a *CrossAttention) BackwardPooled(grad *tensor.Tensor) (dQuery, dContext *tensor.Tensor) {
+	dq, dContext := a.backwardPooled(grad)
+	return a.Wq.Backward(dq), dContext
+}
+
+// BackwardPooledSelf is BackwardPooled after a forward whose query and
+// context were one tensor: it returns that tensor's gradient, dQuery +
+// dContext, the sum formed as Wq's product stores.
+func (a *CrossAttention) BackwardPooledSelf(grad *tensor.Tensor) *tensor.Tensor {
+	dq, dContext := a.backwardPooled(grad)
+	return a.Wq.BackwardAdd(dq, dContext)
+}
+
+// backwardPooled runs the pooled backward through Wo, the attention core,
+// Wk and Wv, and returns the gradient with respect to the query projection's
+// output and the context's gradient, dk + dv summed as Wv's product stores.
+func (a *CrossAttention) backwardPooled(grad *tensor.Tensor) (dq, dContext *tensor.Tensor) {
 	dq, dk, dv := a.core.BackwardPooled(a.Wo.Backward(grad))
-	dQuery = a.Wq.Backward(dq)
-	dContext = a.Wk.Backward(dk)
-	tensor.AddInPlace(dContext, a.Wv.Backward(dv))
-	return dQuery, dContext
+	return dq, a.Wv.BackwardAdd(dv, a.Wk.Backward(dk))
 }

@@ -12,7 +12,6 @@ type TransformerBlock struct {
 	Attn         *SelfAttention
 	FFN          *MLP
 
-	h, out *tensor.Tensor // residual scratch (forward)
 	dh, dx *tensor.Tensor // residual scratch (backward)
 }
 
@@ -36,26 +35,24 @@ func (b *TransformerBlock) SetInferDType(dt tensor.DType) {
 	b.FFN.SetInferDType(dt)
 }
 
-// Forward applies the block to x of shape [B,T,E].
+// Forward applies the block to x of shape [B,T,E]. Each residual sum is
+// written by the product that ends its branch: Wo stores x + Attn(LN1 x) in
+// its own output, fc2 stores h + MLP(LN2 h) in its, which is returned.
 //
-// dchag:hotpath — residual adds run destination-passing into block-owned
-// scratch.
+// dchag:hotpath — one block per step and layer; no scratch of its own.
 func (b *TransformerBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
-	b.h = tensor.EnsureShape(b.h, x.Shape...)
-	tensor.AddInto(b.h, x, b.Attn.Forward(b.Norm1.Forward(x)))
-	b.out = tensor.EnsureShape(b.out, x.Shape...)
-	return tensor.AddInto(b.out, b.h, b.FFN.Forward(b.Norm2.Forward(b.h)))
+	h := b.Attn.forward(b.Norm1.Forward(x), x)
+	return b.FFN.forward(b.Norm2.Forward(h), h)
 }
 
-// Infer applies the block through the sublayers' no-grad fast paths.
+// Infer applies the block through the sublayers' no-grad fast paths, the
+// residual sums formed as in Forward.
 //
 // dchag:hotpath — the serve dispatch loop runs this once per block per
 // micro-batch.
 func (b *TransformerBlock) Infer(x *tensor.Tensor) *tensor.Tensor {
-	b.h = tensor.EnsureShape(b.h, x.Shape...)
-	tensor.AddInto(b.h, x, b.Attn.Infer(b.Norm1.Infer(x)))
-	b.out = tensor.EnsureShape(b.out, x.Shape...)
-	return tensor.AddInto(b.out, b.h, b.FFN.Infer(b.Norm2.Infer(b.h)))
+	h := b.Attn.infer(b.Norm1.Infer(x), x)
+	return b.FFN.infer(b.Norm2.Infer(h), h)
 }
 
 // Backward back-propagates through both residual branches.

@@ -73,11 +73,18 @@ func (l *Linear) SetInferDType(dt tensor.DType) {
 }
 
 // Forward computes x@W + b. The input's last dimension must equal In.
-func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor { return l.forward(x, nil) }
+
+// forward is Forward with res (x's leading shape, Out columns) added when
+// non-nil: a block's residual sum, formed as the product stores its tiles.
+//
+// dchag:hotpath — every projection in the model funnels through here; y is
+// layer-owned scratch and the bias rides the product's store.
+func (l *Linear) forward(x, res *tensor.Tensor) *tensor.Tensor {
 	mustLastDim("Linear.Forward", x, l.In)
 	l.x = foldInto(l.x, x)
 	l.y = tensor.EnsureShape(l.y, l.x.Shape[0], l.Out)
-	l.affine(l.y, l.x)
+	tensor.AffineInto(l.y.Data, l.Out, l.x, l.Weight.W, false, l.epilogue(res, l.y))
 	return unfoldLike(l.y, x, l.Out)
 }
 
@@ -86,83 +93,74 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 // prepacked weights (bias addition stays float64); the output then differs
 // from Forward by float32 round-off — see the tolerance contract in
 // DESIGN.md.
-func (l *Linear) Infer(x *tensor.Tensor) *tensor.Tensor {
-	mustLastDim("Linear.Infer", x, l.In)
-	l.xi = foldInto(l.xi, x)
-	l.yi = tensor.EnsureShape(l.yi, l.xi.Shape[0], l.Out)
-	l.inferAffine(l.yi, l.xi)
-	return unfoldLike(l.yi, x, l.Out)
-}
+func (l *Linear) Infer(x *tensor.Tensor) *tensor.Tensor { return l.infer(x, nil) }
 
-// affine computes dst = x2@W + b on the folded input.
-//
-// dchag:hotpath — every projection in the model funnels through here; dst is
-// layer-owned scratch and the kernels are destination-passing.
-func (l *Linear) affine(dst, x2 *tensor.Tensor) {
-	tensor.MatMulInto(dst, x2, l.Weight.W)
-	l.addBias(dst)
-}
-
-// inferAffine is affine on the no-grad path, dispatching on the inference
-// dtype.
+// infer is Infer with res added when non-nil, as forward.
 //
 // dchag:hotpath — the serve dispatch loop runs this once per projection per
 // micro-batch.
-func (l *Linear) inferAffine(dst, x2 *tensor.Tensor) {
-	if l.inferDType == tensor.F32 && l.pb32 != nil {
-		tensor.MatMulPackedF32Into(dst, x2, l.pb32)
+func (l *Linear) infer(x, res *tensor.Tensor) *tensor.Tensor {
+	mustLastDim("Linear.Infer", x, l.In)
+	l.xi = foldInto(l.xi, x)
+	l.yi = tensor.EnsureShape(l.yi, l.xi.Shape[0], l.Out)
+	if ep := l.epilogue(res, l.yi); l.inferDType == tensor.F32 && l.pb32 != nil {
+		tensor.AffinePackedF32Into(l.yi.Data, l.Out, l.xi, l.pb32, ep)
 	} else {
-		tensor.MatMulInto(dst, x2, l.Weight.W)
+		tensor.AffineInto(l.yi.Data, l.Out, l.xi, l.Weight.W, false, ep)
 	}
-	l.addBias(dst)
+	return unfoldLike(l.yi, x, l.Out)
 }
 
-// addBias adds the bias row-wise to y [rows, Out].
-//
-// dchag:hotpath — inner loop of the affine layer.
-func (l *Linear) addBias(y *tensor.Tensor) {
-	if l.Bias == nil {
-		return
+// epilogue is what the forward product adds as it stores y [rows, Out]: the
+// bias, then res when non-nil.
+func (l *Linear) epilogue(res, y *tensor.Tensor) tensor.Epilogue {
+	ep := summand("Linear residual", res, y)
+	if l.Bias != nil {
+		ep.Bias = l.Bias.W.Data
 	}
-	n := y.Shape[0]
-	for i := 0; i < n; i++ {
-		row := y.Data[i*l.Out : (i+1)*l.Out]
-		for j, bv := range l.Bias.W.Data {
-			row[j] += bv
-		}
+	return ep
+}
+
+// summand is the epilogue that adds s, which holds as many rows of dst's
+// width as dst [rows, width], as the product storing dst stores; a nil s
+// adds nothing.
+func summand(op string, s, dst *tensor.Tensor) tensor.Epilogue {
+	if s == nil {
+		return tensor.Epilogue{}
 	}
+	width := dst.Shape[1]
+	mustLastDim(op, s, width)
+	if len(s.Data) != len(dst.Data) {
+		panic(fmt.Sprintf("nn: %s %v does not match %d rows of %d", op, s.Shape, dst.Shape[0], width))
+	}
+	return tensor.Epilogue{Res: s.Data, ResLd: width}
 }
 
 // Backward accumulates dW = x^T@dy and db = sum(dy), returning dx = dy@W^T
 // reshaped to the forward input's shape.
-func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor { return l.BackwardAdd(grad, nil) }
+
+// BackwardAdd is Backward returning dy@W^T + acc, where acc (the forward
+// input's shape) is another gradient with respect to the same input — the
+// sum formed as the product stores its tiles, (acc + dy@W^T) rounded once. A
+// nil acc adds nothing. acc must not be this layer's own input gradient.
+//
+// dchag:hotpath — per-step gradient kernels; dW accumulates directly into
+// Weight.Grad with no intermediate product tensor.
+func (l *Linear) BackwardAdd(grad, acc *tensor.Tensor) *tensor.Tensor {
 	mustLastDim("Linear.Backward", grad, l.Out)
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
 	l.g = foldInto(l.g, grad)
-	l.dx = tensor.EnsureShape(l.dx, l.g.Shape[0], l.In)
-	l.backward(l.dx, l.g)
-	return unfoldLike(l.dx, grad, l.In)
-}
-
-// backward accumulates the parameter gradients and writes dx = g2@W^T.
-//
-// dchag:hotpath — per-step gradient kernels; dW accumulates directly into
-// Weight.Grad with no intermediate product tensor.
-func (l *Linear) backward(dx, g2 *tensor.Tensor) {
-	tensor.TMatMulAccInto(l.Weight.Grad, l.x, g2)
+	rows := l.g.Shape[0]
+	l.dx = tensor.EnsureShape(l.dx, rows, l.In)
+	tensor.TMatMulAccInto(l.Weight.Grad, l.x, l.g)
 	if l.Bias != nil {
-		rows := g2.Shape[0]
-		bg := l.Bias.Grad.Data
-		for r := 0; r < rows; r++ {
-			row := g2.Data[r*l.Out : (r+1)*l.Out]
-			for j, v := range row {
-				bg[j] += v
-			}
-		}
+		tensor.AccumRows(l.Bias.Grad.Data, l.g.Data, l.Out, rows, nil)
 	}
-	tensor.MatMulTInto(dx, g2, l.Weight.W)
+	tensor.AffineInto(l.dx.Data, l.In, l.g, l.Weight.W, true, summand("Linear.BackwardAdd gradient", acc, l.dx))
+	return unfoldLike(l.dx, grad, l.In)
 }
 
 // Params returns the layer's parameters.

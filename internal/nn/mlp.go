@@ -26,13 +26,20 @@ func (m *MLP) SetInferDType(dt tensor.DType) {
 }
 
 // Forward applies fc2(gelu(fc1(x))).
-func (m *MLP) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return m.Fc2.Forward(m.Act.Forward(m.Fc1.Forward(x)))
+func (m *MLP) Forward(x *tensor.Tensor) *tensor.Tensor { return m.forward(x, nil) }
+
+// forward is Forward with res added to fc2's output as it stores (a block's
+// residual h + MLP(LN h)); nil adds nothing.
+func (m *MLP) forward(x, res *tensor.Tensor) *tensor.Tensor {
+	return m.Fc2.forward(m.Act.Forward(m.Fc1.Forward(x)), res)
 }
 
 // Infer applies fc2(gelu(fc1(x))) through the no-grad fast paths.
-func (m *MLP) Infer(x *tensor.Tensor) *tensor.Tensor {
-	return m.Fc2.Infer(m.Act.Infer(m.Fc1.Infer(x)))
+func (m *MLP) Infer(x *tensor.Tensor) *tensor.Tensor { return m.infer(x, nil) }
+
+// infer is Infer with res added as forward adds it.
+func (m *MLP) infer(x, res *tensor.Tensor) *tensor.Tensor {
+	return m.Fc2.infer(m.Act.Infer(m.Fc1.Infer(x)), res)
 }
 
 // Backward back-propagates through both linears and the activation.

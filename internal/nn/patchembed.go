@@ -29,7 +29,6 @@ type PatchEmbed struct {
 	b    int              // cached batch size
 
 	icol *tensor.Tensor // Infer im2col scratch (not cached for backward)
-	y    *tensor.Tensor // per-channel projection scratch
 	dy   *tensor.Tensor // per-channel gathered gradient scratch
 	dcol *tensor.Tensor // per-channel patch-gradient scratch
 	dimg *tensor.Tensor // Backward image-gradient scratch
@@ -42,6 +41,7 @@ type PatchEmbed struct {
 	inferDType tensor.DType
 	pb32       []*tensor.PackedB32 // per-channel prepacked f32 weights
 	wv, gv     tensor.Tensor       // headers over one channel of Weight.W, Weight.Grad
+	sv         tensor.Tensor       // header over one sample's rows of an im2col matrix
 }
 
 // channelView points the layer-owned header hdr at local channel c's
@@ -167,7 +167,6 @@ func (p *PatchEmbed) Tokenize(x *tensor.Tensor, dst []TokenView, ids *ChannelEmb
 			p.cols = make([]*tensor.Tensor, localC)
 		}
 	}
-	p.y = tensor.EnsureShape(p.y, rows, p.Embed)
 	for c := 0; c < localC; c++ {
 		if !infer {
 			// The per-channel im2col caches are layer-owned and rebuilt in
@@ -189,37 +188,37 @@ func (p *PatchEmbed) mustCover(views []TokenView, ids *ChannelEmbed) {
 }
 
 // project tokenizes local channel c's im2col matrix col through dst: the
-// product lands in the per-channel scratch y, and one pass adds the bias,
-// then the channel-ID row id (when there is one), on the way to where the
-// token lives — each value is written to the channel-token tensor once.
-// With infer it dispatches on the inference dtype.
+// product writes each token straight to where it lives, the bias and then
+// the channel-ID row id (when there is one, the same row for every token)
+// added as the kernel stores it — each value is written to the
+// channel-token tensor once. Where the view's samples follow one another at
+// its token stride (a group's input) that is one product; otherwise one per
+// sample. With infer it dispatches on the inference dtype.
 //
-// dchag:hotpath — the per-channel projection of the tokenizer; scratch is
+// dchag:hotpath — the per-channel projection of the tokenizer; headers are
 // layer-owned.
 func (p *PatchEmbed) project(col *tensor.Tensor, c, b int, dst TokenView, id []float64, infer bool) {
-	if infer && p.inferDType == tensor.F32 && p.pb32 != nil {
-		tensor.MatMulPackedF32Into(p.y, col, p.pb32[c])
-	} else {
-		tensor.MatMulInto(p.y, col, p.channelView(&p.wv, p.Weight.W, c))
-	}
 	t, e := p.Tokens(), p.Embed
-	bias := p.Bias.W.Data[c*e:][:e] // every slice the inner loops index has the one provable length e
-	for bi := 0; bi < b; bi++ {
-		for ti := 0; ti < t; ti++ {
-			src := p.y.Data[(bi*t+ti)*e:][:e]
-			out := dst.Data[bi*dst.BatchStride+ti*dst.TokenStride:][:e]
-			if id == nil {
-				for j, v := range src {
-					out[j] = v + bias[j]
-				}
-				continue
-			}
-			id := id[:e]
-			for j, v := range src {
-				out[j] = (v + bias[j]) + id[j]
-			}
-		}
+	ep := tensor.Epilogue{Bias: p.Bias.W.Data[c*e:][:e], Res: id}
+	if b == 1 || dst.BatchStride == t*dst.TokenStride {
+		p.product(dst.Data, dst.TokenStride, col, c, infer, ep)
+		return
 	}
+	pp := p.Patch * p.Patch
+	p.sv.Shape = append(p.sv.Shape[:0], t, pp)
+	for bi := 0; bi < b; bi++ {
+		p.sv.Data = col.Data[bi*t*pp : (bi+1)*t*pp]
+		p.product(dst.Data[bi*dst.BatchStride:], dst.TokenStride, &p.sv, c, infer, ep)
+	}
+}
+
+// product writes patches@W_c + ep for channel c at rows ldc apart in dst.
+func (p *PatchEmbed) product(dst []float64, ldc int, patches *tensor.Tensor, c int, infer bool, ep tensor.Epilogue) {
+	if infer && p.inferDType == tensor.F32 && p.pb32 != nil {
+		tensor.AffinePackedF32Into(dst, ldc, patches, p.pb32[c], ep)
+		return
+	}
+	tensor.AffineInto(dst, ldc, patches, p.channelView(&p.wv, p.Weight.W, c), false, ep)
 }
 
 // Backward consumes dOut of shape [B, localC, T, E], accumulates weight and
@@ -261,23 +260,17 @@ func (p *PatchEmbed) BackwardFrom(src []TokenView, ids *ChannelEmbed) *tensor.Te
 // into the sliced gradient with no intermediate product tensor.
 func (p *PatchEmbed) backwardChannel(src TokenView, c int, idGrad []float64) {
 	t, e := p.Tokens(), p.Embed
-	// Gather dY_c [B*T, E] from where it lives, summing its columns into the
-	// bias and channel-ID gradients in row order on the way.
-	bg := p.Bias.Grad.Data[c*e:][:e]
+	// Gather dY_c [B*T, E] from where it lives, then sum its columns into the
+	// bias and channel-ID gradients in row order.
 	for bi := 0; bi < p.b; bi++ {
 		for ti := 0; ti < t; ti++ {
-			row := p.dy.Data[(bi*t+ti)*e:][:e]
-			copy(row, src.Data[bi*src.BatchStride+ti*src.TokenStride:][:e])
-			for j, v := range row {
-				bg[j] += v
-			}
-			if idGrad != nil {
-				ig := idGrad[:e]
-				for j, v := range row {
-					ig[j] += v
-				}
-			}
+			copy(p.dy.Data[(bi*t+ti)*e:][:e], src.Data[bi*src.BatchStride+ti*src.TokenStride:][:e])
 		}
+	}
+	rows := p.b * t
+	tensor.AccumRows(p.Bias.Grad.Data[c*e:][:e], p.dy.Data, e, rows, nil)
+	if idGrad != nil {
+		tensor.AccumRows(idGrad[:e], p.dy.Data, e, rows, nil)
 	}
 	// dW_c += col^T @ dY, accumulated straight into the gradient slice.
 	tensor.TMatMulAccInto(p.channelView(&p.gv, p.Weight.Grad, c), p.cols[c], p.dy)

@@ -54,15 +54,14 @@ func (a *ParallelSelfAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward back-propagates to the replicated input with a single AllReduce
-// over the summed Q/K/V partial input gradients, in place in Wq's
+// over the summed Q/K/V partial input gradients, (dq + dk) + dv, each sum
+// formed as the next local shard's product stores, in place in Wv's
 // input-gradient scratch.
 //
 // dchag:hotpath
 func (a *ParallelSelfAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dq, dk, dv := a.core.Backward(a.Wo.Backward(grad))
-	dx := a.Wq.BackwardPartial(dq)
-	tensor.AddInPlace(dx, a.Wk.BackwardPartial(dk))
-	tensor.AddInPlace(dx, a.Wv.BackwardPartial(dv))
+	dx := a.Wv.Local.BackwardAdd(dv, a.Wk.Local.BackwardAdd(dk, a.Wq.Local.Backward(dq)))
 	return a.Comm.AllReduceInto(dx, dx)
 }
 

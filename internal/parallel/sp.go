@@ -77,10 +77,7 @@ func (a *SPSelfAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dkLocal := a.Comm.ReduceScatterSum(dkFull, 1)
 	dvLocal := a.Comm.ReduceScatterSum(dvFull, 1)
 
-	dx := a.Wq.Backward(dq)
-	tensor.AddInPlace(dx, a.Wk.Backward(dkLocal))
-	tensor.AddInPlace(dx, a.Wv.Backward(dvLocal))
-	return dx
+	return a.Wv.BackwardAdd(dvLocal, a.Wk.BackwardAdd(dkLocal, a.Wq.Backward(dq)))
 }
 
 // Params returns the replicated projection parameters.

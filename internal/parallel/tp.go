@@ -133,12 +133,7 @@ func (l *RowParallelLinear) Forward(xLocal *tensor.Tensor) *tensor.Tensor {
 // dchag:hotpath
 func (l *RowParallelLinear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dx := l.Local.Backward(grad) // checks grad's last dimension
-	bg := l.Bias.Grad.Data
-	for lo := 0; lo < len(grad.Data); lo += l.Out {
-		for j, v := range grad.Data[lo : lo+l.Out] {
-			bg[j] += v
-		}
-	}
+	tensor.AccumRows(l.Bias.Grad.Data, grad.Data, l.Out, len(grad.Data)/l.Out, nil)
 	return dx
 }
 

@@ -277,7 +277,7 @@ func chain(a []float64, ars, aps int, b []float64, bps, bxs int, c []float64, ld
 		x0, r0 := 0, rows&^(gemmMR-1)
 		if r0 > 0 {
 			for ; x0+gemmNR <= width; x0 += gemmNR {
-				kernF64(kb, &a[0], ars, aps, &b[x0], bps, &c[x0], ldc, r0/gemmMR, alpha, accum)
+				kernF64(kb, &a[0], ars, aps, &b[x0], bps, &c[x0], ldc, r0/gemmMR, alpha, accum, nil, nil, 0)
 			}
 			if x0 < width {
 				chainAVX2(&a[0], ars, aps, &b[x0], bps, &c[x0], ldc, r0, kb, width-x0, alpha, accum)

@@ -45,7 +45,7 @@ func (d DType) PackedElems(m, k, n int, at, bt, prepacked bool) int {
 type PackedB32 = packedB[float32]
 
 // PackB32 packs a rank-2 [K,N] tensor for use as the B operand of
-// MatMulPackedF32Into. The returned pack is immutable and safe for
+// AffinePackedF32Into. The returned pack is immutable and safe for
 // concurrent use; it snapshots b, so repack after mutating the weights.
 func PackB32(b *Tensor) *PackedB32 {
 	if len(b.Shape) != 2 {
@@ -67,25 +67,15 @@ func PackB32(b *Tensor) *PackedB32 {
 	return pb
 }
 
-// MatMulPackedF32Into computes dst = a@b in float32 arithmetic against a
-// prepacked B (see PackB32): a is [M,K] float64, dst is [M,N] float64. It
-// returns dst.
+// AffinePackedF32Into is AffineInto in float32 arithmetic against
+// prepacked weights (see PackB32), the epilogue added in float64 as the
+// kernel widens each tile: the f32 serving form of every nn.Linear product
+// and of the tokenizer's.
 //
-// dchag:hotpath — the f32 serving fast path; with a non-nil dst it performs
-// no heap allocation.
-func MatMulPackedF32Into(dst, a *Tensor, pb *PackedB32) *Tensor {
-	if len(a.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMulPackedF32Into requires rank-2 a, got %v", a.Shape))
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	if k != pb.K {
-		panic(fmt.Sprintf("tensor: MatMulPackedF32Into inner dimension mismatch %v x [%d,%d]", a.Shape, pb.K, pb.N))
-	}
-	n := pb.N
-	dst = ensureDst("MatMulPackedF32Into", dst, m, n)
-	mustNotAlias("MatMulPackedF32Into", dst, a)
-	gemm2D[float32](&gemmSpec{m: m, k: k, n: n, a: a.Data, c: dst.Data, lda: k, ldc: n, alpha: 1}, pb)
-	return dst
+// dchag:hotpath — the f32 serving fast path; it performs no heap allocation.
+func AffinePackedF32Into(dst []float64, ldc int, x *Tensor, pb *PackedB32, ep Epilogue) {
+	g := affineSpec("AffinePackedF32Into", dst, ldc, x, pb.K, pb.N, ep)
+	gemm2D[float32](&g, pb)
 }
 
 // MatMulF32Into computes dst = a@b in float32 arithmetic with float64

@@ -46,9 +46,10 @@ func TestPackedF32MatchesUnpacked(t *testing.T) {
 		fill(a, 2.1)
 		fill(b, 0.4)
 		pb := PackB32(b)
-		got := MatMulPackedF32Into(dirty(m, n), a, pb)
+		got := dirty(m, n)
+		AffinePackedF32Into(got.Data, n, a, pb, Epilogue{})
 		want := MatMulF32Into(nil, a, b)
-		assertBitwise(t, "MatMulPackedF32Into", got, want)
+		assertBitwise(t, "AffinePackedF32Into", got, want)
 	}
 }
 
@@ -83,8 +84,9 @@ func TestPackB32Stale(t *testing.T) {
 	a := New(8, 40)
 	fill(a, 6.0)
 	pb := PackB32(b)
-	before := MatMulPackedF32Into(nil, a, pb)
+	before, after := New(8, 24), New(8, 24)
+	AffinePackedF32Into(before.Data, 24, a, pb, Epilogue{})
 	b.Fill(0)
-	after := MatMulPackedF32Into(nil, a, pb)
+	AffinePackedF32Into(after.Data, 24, a, pb, Epilogue{})
 	assertBitwise(t, "PackB32 snapshot", after, before)
 }

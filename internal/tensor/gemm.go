@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Cache-blocked, register-tiled GEMM (GEBP / BLIS structure), one driver for
 // every matrix product in the repository. gemmBlocked splits
@@ -35,6 +38,8 @@ import "math"
 // ascending order. It does not depend on m, n, the cache blocking, the
 // worker count, or on whether an element reached the kernel through a panel,
 // so a column- or row-sharded product reproduces the full one bit for bit.
+// An Epilogue is added after all of that, as the last kc block's tile is
+// stored: + bias, then + residual, one rounding each.
 
 // elem is the panel element type: the arithmetic of the micro-kernel.
 type elem interface{ float32 | float64 }
@@ -52,15 +57,74 @@ const (
 )
 
 // gemmSpec describes one product C = alpha*op(A)@op(B), or C += ... with
-// accum: op(A) is m x k, op(B) is k x n. Each slice starts at its matrix's
-// element (0,0) and rows are ld apart. at means a holds A^T (k rows of m), bt
-// means b holds B^T (n rows of k).
+// accum, plus the epilogue ep: op(A) is m x k, op(B) is k x n. Each slice
+// starts at its matrix's element (0,0) and rows are ld apart. at means a
+// holds A^T (k rows of m), bt means b holds B^T (n rows of k).
 type gemmSpec struct {
 	m, k, n       int
 	a, b, c       []float64
 	lda, ldb, ldc int
 	at, bt, accum bool
 	alpha         float64
+	ep            Epilogue
+}
+
+// Epilogue is what a product adds to each element of its destination as the
+// kernel stores the element for the last time: C[i,j] = ((alpha*chain [+ C])
+// + Bias[j]) + Res[i*ResLd+j], one rounding per add, in that order — the
+// composition a product, a row-wise bias add and a residual add make as
+// three passes, with two fewer passes over C. A nil part adds nothing (not a
+// zero: -0 survives). It applies once, on the product's last kc block; with
+// k == 0 the product is +0 and C = (+0 + Bias) + Res. Res must not overlap C.
+type Epilogue struct {
+	Bias  []float64 // n values, one per column; nil adds none
+	Res   []float64 // the residual: row i at Res[i*ResLd:], n values; nil adds none
+	ResLd int       // Res's row stride; 0 adds its one row to every row of C
+}
+
+// at returns the epilogue of the submatrix of C whose element (0,0) is (i,j).
+func (ep Epilogue) at(i, j int) Epilogue {
+	if ep.Bias != nil {
+		ep.Bias = ep.Bias[j:]
+	}
+	if ep.Res != nil {
+		ep.Res = ep.Res[i*ep.ResLd+j:]
+	}
+	return ep
+}
+
+// add applies the epilogue to v, C's element (i,j) of the submatrix ep is at.
+func (ep *Epilogue) add(v float64, i, j int) float64 {
+	if ep.Bias != nil {
+		v += ep.Bias[j]
+	}
+	if ep.Res != nil {
+		v += ep.Res[i*ep.ResLd+j]
+	}
+	return v
+}
+
+// mustFit panics unless the epilogue covers an m x n destination; c is the
+// destination's backing range, which neither part may overlap.
+func (ep *Epilogue) mustFit(op string, m, n int, c []float64) {
+	if ep.Bias != nil && len(ep.Bias) != n {
+		panic(fmt.Sprintf("tensor: %s bias has %d values for %d columns", op, len(ep.Bias), n))
+	}
+	if ep.Res != nil && (ep.ResLd < 0 || (ep.ResLd > 0 && ep.ResLd < n) || len(ep.Res) < (m-1)*ep.ResLd+n) {
+		panic(fmt.Sprintf("tensor: %s residual of %d values at row stride %d does not cover %d x %d", op, len(ep.Res), ep.ResLd, m, n))
+	}
+	if overlaps(c, ep.Bias) || overlaps(c, ep.Res) {
+		panic("tensor: " + op + " epilogue aliases the destination")
+	}
+}
+
+// first is the address of s's first element, nil for a nil s: how an
+// epilogue part reaches the assembly kernels.
+func first(s []float64) *float64 {
+	if s == nil {
+		return nil
+	}
+	return &s[0]
 }
 
 // stackPanels is the stack-resident scratch of one driver invocation: the
@@ -181,6 +245,7 @@ func gemmRows[T elem](g *gemmSpec, lo, hi int, pre *packedB[T]) {
 	rows := *g
 	rows.m = hi - lo
 	rows.c = g.c[lo*g.ldc:]
+	rows.ep = g.ep.at(lo, 0)
 	if g.at {
 		rows.a = g.a[lo:]
 	} else {
@@ -195,9 +260,13 @@ func gemmRows[T elem](g *gemmSpec, lo, hi int, pre *packedB[T]) {
 // the pool; steady state performs no heap allocation.
 func gemmBlocked[T elem](g *gemmSpec, pre *packedB[T], st *stackPanels[T]) {
 	if g.k == 0 {
-		if !g.accum {
-			for i := 0; i < g.m; i++ {
-				clear(g.c[i*g.ldc : i*g.ldc+g.n])
+		for i := 0; i < g.m; i++ {
+			crow := g.c[i*g.ldc : i*g.ldc+g.n]
+			for j, v := range crow {
+				if !g.accum {
+					v = 0
+				}
+				crow[j] = g.ep.add(v, i, j)
 			}
 		}
 		return
@@ -242,6 +311,10 @@ func gemmBlocked[T elem](g *gemmSpec, pre *packedB[T], st *stackPanels[T]) {
 	for p0 := 0; p0 < g.k; p0 += gemmKC {
 		kb := min(gemmKC, g.k-p0)
 		accum := g.accum || p0 > 0
+		var ep Epilogue // the last block's store adds g.ep
+		if p0+kb == g.k {
+			ep = g.ep
+		}
 		for j0 := 0; j0 < g.n; j0 += gemmNC {
 			nb := min(gemmNC, g.n-j0)
 			// B's block: column panel jr starts at bs[jr*bpan], its rows bps
@@ -287,28 +360,29 @@ func gemmBlocked[T elem](g *gemmSpec, pre *packedB[T], st *stackPanels[T]) {
 						b, bps = bp, nr
 					}
 					c := g.c[i0*g.ldc+j0+jr:]
+					e := ep.at(i0, j0+jr)
 					if jb == nr {
 						b2 := 0 // the next panel's offset in b where two full panels are adjacent
 						if jr+2*nr <= nb {
 							b2 = nr * bpan
 						}
 						if full > 0 {
-							kernel(kb, nr, as, ars, aps, b, bps, b2, c, g.ldc, full/gemmMR, g.alpha, accum)
+							kernel(kb, nr, as, ars, aps, b, bps, b2, c, g.ldc, full/gemmMR, g.alpha, accum, e)
 						}
 						if b2 != 0 {
 							if full < mb {
-								edgeTile(kb, nr, edge, 1, gemmMR, b, bps, c[full*g.ldc:], g.ldc, mb-full, nr, g.alpha, accum, tile)
+								edgeTile(kb, nr, edge, 1, gemmMR, b, bps, c[full*g.ldc:], g.ldc, mb-full, nr, g.alpha, accum, e.at(full, 0), tile)
 							}
 							jr += nr
-							b, c = b[b2:], c[nr:]
+							b, c, e = b[b2:], c[nr:], e.at(0, nr)
 						}
 					} else {
 						for ir := 0; ir < full; ir += gemmMR {
-							edgeTile(kb, nr, as[ir*ars:], ars, aps, b, bps, c[ir*g.ldc:], g.ldc, gemmMR, jb, g.alpha, accum, tile)
+							edgeTile(kb, nr, as[ir*ars:], ars, aps, b, bps, c[ir*g.ldc:], g.ldc, gemmMR, jb, g.alpha, accum, e.at(ir, 0), tile)
 						}
 					}
 					if full < mb {
-						edgeTile(kb, nr, edge, 1, gemmMR, b, bps, c[full*g.ldc:], g.ldc, mb-full, jb, g.alpha, accum, tile)
+						edgeTile(kb, nr, edge, 1, gemmMR, b, bps, c[full*g.ldc:], g.ldc, mb-full, jb, g.alpha, accum, e.at(full, 0), tile)
 					}
 				}
 			}
@@ -323,11 +397,11 @@ func gemmBlocked[T elem](g *gemmSpec, pre *packedB[T], st *stackPanels[T]) {
 }
 
 // edgeTile computes one ragged tile, ib <= mr rows by jb <= nr columns: the
-// full kernel into scratch, the valid corner out. Its operands are full
-// tiles (padded by pack where the matrix ends), so the kernel stays inside
-// them.
-func edgeTile[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []float64, ldc, ib, jb int, alpha float64, accum bool, tile []float64) {
-	kernel(kb, nr, a, ars, aps, b, bps, 0, tile, nr, 1, alpha, false)
+// full kernel into scratch, the valid corner out, where the epilogue ep
+// (positioned at the tile) is added. Its operands are full tiles (padded by
+// pack where the matrix ends), so the kernel stays inside them.
+func edgeTile[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []float64, ldc, ib, jb int, alpha float64, accum bool, ep Epilogue, tile []float64) {
+	kernel(kb, nr, a, ars, aps, b, bps, 0, tile, nr, 1, alpha, false, Epilogue{})
 	for r := 0; r < ib; r++ {
 		crow := c[r*ldc : r*ldc+jb]
 		trow := tile[r*nr : r*nr+jb]
@@ -335,7 +409,7 @@ func edgeTile[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []float
 			if accum {
 				v += crow[x]
 			}
-			crow[x] = v
+			crow[x] = ep.add(v, r, x)
 		}
 	}
 }
@@ -426,30 +500,32 @@ func packSIMD[T elem](d *T, src *float64, ld, kb, n, w int, contig bool) {
 }
 
 // kernel computes tiles stacked mr x nr register tiles of one column panel,
-// tile t from rows 4t..4t+3 of A, and writes c[i*ldc+x] = alpha*tile (or +=
-// with accum), i < mr*tiles, x < nr. A[i,p] is a[i*ars+p*aps] and B[p,x] is
-// b[p*bps+x]: an operand as stored or a packed panel, the kernel cannot
-// tell. A nonzero b2 adds the next full panel: B at b[b2:], C at c[nr:].
+// tile t from rows 4t..4t+3 of A, and writes c[i*ldc+x] = ep added to
+// alpha*tile (or to alpha*tile + c with accum), i < mr*tiles, x < nr. A[i,p]
+// is a[i*ars+p*aps] and B[p,x] is b[p*bps+x]: an operand as stored or a
+// packed panel, the kernel cannot tell; ep is positioned at c. A nonzero b2
+// adds the next full panel: B at b[b2:], C and ep nr columns on.
 // kernF64AVX512 takes the two in one call; every other kernel takes them one
 // after the other, so this is the one place that decides. One type switch
 // and one assembly call serve the whole panel stack.
-func kernel[T elem](kb, nr int, a []T, ars, aps int, b []T, bps, b2 int, c []float64, ldc, tiles int, alpha float64, accum bool) {
+func kernel[T elem](kb, nr int, a []T, ars, aps int, b []T, bps, b2 int, c []float64, ldc, tiles int, alpha float64, accum bool, ep Epilogue) {
 	if useSIMD {
+		bias, res := first(ep.Bias), first(ep.Res)
 		switch pa := any(&a[0]).(type) {
 		case *float64:
 			if useAVX512 && b2 != 0 {
-				kernF64AVX512(kb, pa, ars, aps, any(&b[0]).(*float64), bps, b2, &c[0], ldc, tiles, alpha, accum)
+				kernF64AVX512(kb, pa, ars, aps, any(&b[0]).(*float64), bps, b2, &c[0], ldc, tiles, alpha, accum, bias, res, ep.ResLd)
 				return
 			}
-			kernF64(kb, pa, ars, aps, any(&b[0]).(*float64), bps, &c[0], ldc, tiles, alpha, accum)
+			kernF64(kb, pa, ars, aps, any(&b[0]).(*float64), bps, &c[0], ldc, tiles, alpha, accum, bias, res, ep.ResLd)
 		case *float32:
-			kernF32(kb, pa, ars, aps, any(&b[0]).(*float32), bps, &c[0], ldc, tiles, alpha, accum)
+			kernF32(kb, pa, ars, aps, any(&b[0]).(*float32), bps, &c[0], ldc, tiles, alpha, accum, bias, res, ep.ResLd)
 		}
 	} else {
-		kernGeneric(kb, nr, a, ars, aps, b, bps, c, ldc, tiles, alpha, accum)
+		kernGeneric(kb, nr, a, ars, aps, b, bps, c, ldc, tiles, alpha, accum, ep)
 	}
 	if b2 != 0 {
-		kernel(kb, nr, a, ars, aps, b[b2:], bps, 0, c[nr:], ldc, tiles, alpha, accum)
+		kernel(kb, nr, a, ars, aps, b[b2:], bps, 0, c[nr:], ldc, tiles, alpha, accum, ep.at(0, nr))
 	}
 }
 
@@ -462,10 +538,11 @@ func kernel[T elem](kb, nr int, a []T, ars, aps int, b []T, bps, b2 int, c []flo
 // adds and is held to the float32 tolerance only. The explicit conversion
 // around the alpha product keeps compilers that fuse multiply-add from
 // contracting it into the accumulate, which edge tiles (scaled into scratch,
-// then added) could not reproduce.
+// then added) could not reproduce. The epilogue's adds follow, as in the
+// assembly's store.
 //
 // dchag:hotpath — it must not allocate.
-func kernGeneric[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []float64, ldc, tiles int, alpha float64, accum bool) {
+func kernGeneric[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []float64, ldc, tiles int, alpha float64, accum bool, ep Epilogue) {
 	fused := !narrows[T]()
 	for t := 0; t < tiles; t++ {
 		a0, c0 := t*gemmMR*ars, t*gemmMR*ldc
@@ -494,7 +571,7 @@ func kernGeneric[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []fl
 				if accum {
 					s += crow[j]
 				}
-				crow[j] = s
+				crow[j] = ep.add(s, t*gemmMR+r, j)
 			}
 		}
 	}

@@ -35,7 +35,7 @@ func BenchmarkGEMM(b *testing.B) {
 		b.Run(fmt.Sprintf("packed-f32/%d", s), func(b *testing.B) {
 			b.SetBytes(flops)
 			for i := 0; i < b.N; i++ {
-				MatMulPackedF32Into(dst, a, pb)
+				AffinePackedF32Into(dst.Data, s, a, pb, Epilogue{})
 			}
 		})
 	}

@@ -41,17 +41,19 @@ func (g *guardedArena) place(n int, atEnd bool) []float64 {
 }
 
 // TestKernelsStayInsideOperands runs every product entry point with each of
-// A, B and C in its own guarded arena — once ending flush against an
-// inaccessible page, once beginning right after one — over the shapes that
+// A, B and C — and the epilogue's bias row and residual, where the entry
+// takes them — in its own guarded arena, once ending flush against an
+// inaccessible page, once beginning right after one, over the shapes that
 // cross the tile edges and straddle kc, under every kernel tier the machine
-// has (under AVX-512 a column panel pair reads B's second panel too). Now that
-// the kernels read operands where they lie, a kernel (or a pack routine) that
-// reads or writes a single element outside an operand faults here instead of
-// picking up a neighbour's bytes unnoticed.
+// has (under AVX-512 a column panel pair reads B's second panel too), and
+// the row-accumulate over ragged widths. Now that the kernels read operands
+// where they lie, a kernel (or a pack routine) that reads or writes a single
+// element outside an operand faults here instead of picking up a
+// neighbour's bytes unnoticed.
 func TestKernelsStayInsideOperands(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	const arenaElems = 1 << 18 // the largest operand below: 300 x 513
-	var arenas [3]*guardedArena
+	var arenas [5]*guardedArena
 	for i := range arenas {
 		arenas[i] = newGuardedArena(t, arenaElems)
 	}
@@ -82,13 +84,29 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 					}
 					for _, strided := range e.layouts() {
 						next := 0
-						dst, a, b, alpha := e.operands(m, k, n, strided, func(elems int) []float64 {
+						dst, a, b, ep, alpha := e.operands(m, k, n, strided, func(elems int) []float64 {
 							next++
 							return arenas[next-1].place(elems, atEnd)
 						})
-						if fault := faults(func() { e.call(dst, a, b, alpha) }); fault != nil {
+						if fault := faults(func() { e.call(dst, a, b, alpha, ep) }); fault != nil {
 							t.Fatalf("%s %v strided=%v atEnd=%v kernel=%s: touched memory outside an operand: %v",
 								e.name, sh, strided, atEnd, KernelTier(), fault)
+						}
+					}
+				}
+			}
+			for _, rows := range []int{1, 3, 17} {
+				for n := 1; n <= 37; n++ {
+					for _, weighted := range []bool{false, true} {
+						ld := n + n%3
+						dst, src := arenas[0].place(n, atEnd), arenas[1].place((rows-1)*ld+n, atEnd)
+						var w []float64
+						if weighted {
+							w = arenas[2].place(rows, atEnd)
+						}
+						if fault := faults(func() { AccumRows(dst, src, ld, rows, w) }); fault != nil {
+							t.Fatalf("AccumRows rows=%d n=%d ld=%d weighted=%v atEnd=%v kernel=%s: touched memory outside an operand: %v",
+								rows, n, ld, weighted, atEnd, KernelTier(), fault)
 						}
 					}
 				}

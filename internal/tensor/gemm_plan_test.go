@@ -32,9 +32,9 @@ func packEverything[T elem](g *gemmSpec, ap, bp []T) {
 						ib, jb := min(gemmMR, mb-ir), min(nr, nb-jr)
 						c := g.c[(i0+ir)*g.ldc+j0+jr:]
 						if ib == gemmMR && jb == nr {
-							kernel(kb, nr, ap[ir*kb:], 1, gemmMR, bp[jr*kb:], nr, 0, c, g.ldc, 1, g.alpha, accum)
+							kernel(kb, nr, ap[ir*kb:], 1, gemmMR, bp[jr*kb:], nr, 0, c, g.ldc, 1, g.alpha, accum, Epilogue{})
 						} else {
-							edgeTile(kb, nr, ap[ir*kb:], 1, gemmMR, bp[jr*kb:], nr, c, g.ldc, ib, jb, g.alpha, accum, tile)
+							edgeTile(kb, nr, ap[ir*kb:], 1, gemmMR, bp[jr*kb:], nr, c, g.ldc, ib, jb, g.alpha, accum, Epilogue{}, tile)
 						}
 					}
 				}
@@ -60,8 +60,8 @@ func matBatchOver(buf []float64, n, h, rows, cols int, strided bool, seed float6
 
 // operands builds what one entry point reads and writes at one shape, as the
 // entry lays it out, in memory from alloc (one call per operand, in the order
-// a, b, dst).
-func (e productEntry) operands(m, k, n int, strided bool, alloc func(elems int) []float64) (dst, a, b *matBatch, alpha float64) {
+// a, b, dst, then the epilogue's bias and residual where the entry has them).
+func (e productEntry) operands(m, k, n int, strided bool, alloc func(elems int) []float64) (dst, a, b *matBatch, ep Epilogue, alpha float64) {
 	nb, h, alpha := 1, 1, 1.0
 	if e.batched {
 		nb, h, alpha = 2, 3, 0.35
@@ -77,9 +77,9 @@ func (e productEntry) operands(m, k, n int, strided bool, alloc func(elems int) 
 	b = matBatchOver(alloc(nb*h*br*bc), nb, h, br, bc, strided, float64(n)+0.7)
 	dst = matBatchOver(alloc(nb*h*m*n), nb, h, m, n, strided, 2.5)
 	if !e.accum {
-		dst.t.Fill(math.NaN())
+		dst.t.Fill(math.NaN()) // every entry point must overwrite its destination
 	}
-	return dst, a, b, alpha
+	return dst, a, b, e.ep.epilogue(m, n, alloc), alpha
 }
 
 func heapFloats(n int) []float64 { return make([]float64, n) }
@@ -93,22 +93,37 @@ func (e productEntry) layouts() []bool {
 	return []bool{false}
 }
 
-// driverEntries are the package's entry points plus the one orientation of
-// the generic driver none of them reaches: float32 compute over A^T.
+// driverEntries are the package's entry points plus what of the generic
+// driver none of them reaches: float32 compute over A^T, and an epilogue
+// after accumulation or after float32 compute with B packed per call.
 var driverEntries = append(append([]productEntry(nil), productEntries...),
-	productEntry{name: "gemm2D[float32] A^T", at: true, f32: true, call: func(d, a, b *matBatch, al float64) {
+	productEntry{name: "gemm2D[float32] A^T", at: true, f32: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) {
 		gemm2D[float32](&gemmSpec{
 			m: d.rows, k: a.rows, n: d.cols, a: a.t.Data, b: b.t.Data, c: d.t.Data,
 			lda: a.cols, ldb: b.cols, ldc: d.cols, at: true, alpha: al,
+		}, nil)
+	}},
+	productEntry{name: "gemm2D[float64] accumulate, bias+rows", accum: true, ep: epBoth, call: func(d, a, b *matBatch, al float64, ep Epilogue) {
+		gemm2D[float64](&gemmSpec{
+			m: d.rows, k: a.cols, n: d.cols, a: a.t.Data, b: b.t.Data, c: d.t.Data,
+			lda: a.cols, ldb: b.cols, ldc: d.cols, accum: true, alpha: al, ep: ep,
+		}, nil)
+	}},
+	productEntry{name: "gemm2D[float32] bias+rows", f32: true, ep: epBoth, call: func(d, a, b *matBatch, al float64, ep Epilogue) {
+		gemm2D[float32](&gemmSpec{
+			m: d.rows, k: a.cols, n: d.cols, a: a.t.Data, b: b.t.Data, c: d.t.Data,
+			lda: a.cols, ldb: b.cols, ldc: d.cols, alpha: al, ep: ep,
 		}, nil)
 	}})
 
 // TestDriverEqualsPackEverythingBitwise holds every product entry point to
 // the pack-everything composition bit for bit: over productShapes, both
 // operand orientations, accumulation, alpha != 1 (the batched entries run at
-// 0.35), contiguous and head-view operands, both arithmetics, under every
-// kernel tier the machine has. Reading an operand in place must
-// not change a single bit of any product.
+// 0.35), contiguous and head-view operands, both arithmetics, with and
+// without an epilogue, under every kernel tier the machine has. Reading an
+// operand in place must not change a single bit of any product, and adding
+// the epilogue at the tile store must not change one of the bias and
+// residual passes it replaced (applied to the oracle as they were).
 func TestDriverEqualsPackEverythingBitwise(t *testing.T) {
 	const aElems, bElems = (gemmMC + gemmMR) * gemmKC, (gemmNC + gemmNR32) * gemmKC
 	ap64, bp64 := make([]float64, aElems), make([]float64, bElems)
@@ -121,9 +136,9 @@ func TestDriverEqualsPackEverythingBitwise(t *testing.T) {
 					continue
 				}
 				for _, strided := range e.layouts() {
-					got, a, b, alpha := e.operands(m, k, n, strided, heapFloats)
-					want, _, _, _ := e.operands(m, k, n, strided, heapFloats)
-					e.call(got, a, b, alpha)
+					got, a, b, ep, alpha := e.operands(m, k, n, strided, heapFloats)
+					want, _, _, _, _ := e.operands(m, k, n, strided, heapFloats)
+					e.call(got, a, b, alpha, ep)
 
 					g := gemmSpec{m: m, k: k, n: n, lda: a.view.ld, ldb: b.view.ld, ldc: want.view.ld,
 						at: e.at, bt: e.bt, accum: e.accum, alpha: alpha}
@@ -136,6 +151,7 @@ func TestDriverEqualsPackEverythingBitwise(t *testing.T) {
 							packEverything(&g, ap64, bp64)
 						}
 					}
+					unfusedEpilogue(want.t.Data, m, n, n, ep)
 					assertBitwise(t, fmt.Sprintf("%s %v strided=%v kernel=%s", e.name, sh, strided, KernelTier()), got.t, want.t)
 				}
 			}
@@ -223,7 +239,8 @@ func TestPanelPlan(t *testing.T) {
 // allocations per product on both sides of the size split: small products,
 // whose panels (where the plan packs anything) live on the stack, and
 // products whose B block outgrows the stack panel and draw from the pool —
-// including the float64 ones that pack nothing and so touch neither.
+// including the float64 ones that pack nothing and so touch neither — with
+// an epilogue where the entry takes one, and the row-accumulate.
 func TestProductsSteadyStateAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // row-parallel dispatch spawns goroutines
 	for _, sh := range [][3]int{{16, 8, 16}, {17, 40, 9}, {40, 300, 72}, {37, 300, 70}} {
@@ -235,6 +252,7 @@ func TestProductsSteadyStateAllocs(t *testing.T) {
 		}
 		heads := func(rows, cols int) View { return HeadView(mat(rows, 2*cols).Reshape(1, rows, 2*cols), 2) }
 		d, x, xT, w, wT := mat(m, n), mat(m, k), mat(k, m), mat(k, n), mat(n, k)
+		res, bias := mat(m, n), make([]float64, n)
 		pb := PackB32(w)
 		dv, xv, xTv, wv, wTv := heads(m, n), heads(m, k), heads(k, m), heads(k, n), heads(n, k)
 		for name, call := range map[string]func(){
@@ -243,7 +261,11 @@ func TestProductsSteadyStateAllocs(t *testing.T) {
 			"TMatMulInto":           func() { TMatMulInto(d, xT, w) },
 			"TMatMulAccInto":        func() { TMatMulAccInto(d, xT, w) },
 			"MatMulF32Into":         func() { MatMulF32Into(d, x, w) },
-			"MatMulPackedF32Into":   func() { MatMulPackedF32Into(d, x, pb) },
+			"AffineInto":            func() { AffineInto(d.Data, n, x, w, false, Epilogue{Bias: bias, Res: res.Data, ResLd: n}) },
+			"AffineInto^T":          func() { AffineInto(d.Data, n, x, wT, true, Epilogue{Res: res.Data[:n]}) },
+			"AffinePackedF32Into":   func() { AffinePackedF32Into(d.Data, n, x, pb, Epilogue{Bias: bias, Res: res.Data[:n]}) },
+			"AccumRows":             func() { AccumRows(bias, res.Data, n, m, nil) },
+			"AccumRows weighted":    func() { AccumRows(bias, res.Data, n, m, res.Data[:m]) },
 			"BatchedMatMulInto":     func() { BatchedMatMulInto(dv, xv, wv, 0.5) },
 			"BatchedMatMulTInto":    func() { BatchedMatMulTInto(dv, xv, wTv, 0.5) },
 			"BatchedTMatMulInto":    func() { BatchedTMatMulInto(dv, xTv, wv, 0.5) },

@@ -60,8 +60,8 @@ func (b *matBatch) dense(bi int, transposed bool) []float64 {
 // oracle is the reference every product entry point is held to: the naive
 // triple loop, one multiply and one add per term in float64, p ascending.
 // It returns want[bi][i*n+j] = alpha*sum_p op(a)[i,p]*op(b)[p,j] (+ prior
-// dst with accum).
-func oracle(dst, a, b *matBatch, m, k, n int, at, bt, accum bool, alpha float64) [][]float64 {
+// dst with accum), then + ep's bias and + ep's residual.
+func oracle(dst, a, b *matBatch, m, k, n int, at, bt, accum bool, alpha float64, ep Epilogue) [][]float64 {
 	want := make([][]float64, a.n*a.h)
 	for bi := range want {
 		am, bm := a.dense(bi, at), b.dense(bi, !bt) // [m,k] and [n,k]
@@ -76,11 +76,49 @@ func oracle(dst, a, b *matBatch, m, k, n int, at, bt, accum bool, alpha float64)
 				if accum {
 					s += *dst.at(bi, i, j)
 				}
-				want[bi][i*n+j] = s
+				want[bi][i*n+j] = ep.add(s, i, j)
 			}
 		}
 	}
 	return want
+}
+
+// epilogueKind is which parts of an Epilogue an entry point is tested with.
+type epilogueKind uint8
+
+const (
+	epNone    epilogueKind = iota
+	epBias                 // a bias row
+	epRow                  // a residual of one row (ResLd 0)
+	epRows                 // a residual of m rows at a stride wider than n
+	epBiasRow              // both, the tokenizer's bias and channel-ID row
+	epBoth                 // both, a layer's bias and a block's residual
+)
+
+// epilogue draws the parts of kind for an m x n destination from alloc (bias
+// first, then the residual).
+func (kind epilogueKind) epilogue(m, n int, alloc func(elems int) []float64) Epilogue {
+	var ep Epilogue
+	if kind == epBias || kind == epBiasRow || kind == epBoth {
+		ep.Bias = alloc(n)
+		fillSlice(ep.Bias, 0.9)
+	}
+	switch kind {
+	case epRow, epBiasRow:
+		ep.Res = alloc(n)
+	case epRows, epBoth:
+		ep.ResLd = n + 3
+		ep.Res = alloc((m-1)*ep.ResLd + n)
+	}
+	fillSlice(ep.Res, 1.7)
+	return ep
+}
+
+// fillSlice is fill over a bare slice.
+func fillSlice(s []float64, seed float64) {
+	if len(s) > 0 {
+		fill(FromSlice(s, len(s)), seed)
+	}
 }
 
 // productEntry is one product entry point of the package under the
@@ -89,47 +127,43 @@ type productEntry struct {
 	name               string
 	at, bt, accum, f32 bool
 	batched            bool
-	call               func(dst, a, b *matBatch, alpha float64)
+	ep                 epilogueKind
+	call               func(dst, a, b *matBatch, alpha float64, ep Epilogue)
 }
 
 var productEntries = []productEntry{
-	{name: "MatMulInto", call: func(d, a, b *matBatch, _ float64) { MatMulInto(d.mat2D(), a.mat2D(), b.mat2D()) }},
-	{name: "MatMulTInto", bt: true, call: func(d, a, b *matBatch, _ float64) { MatMulTInto(d.mat2D(), a.mat2D(), b.mat2D()) }},
-	{name: "TMatMulInto", at: true, call: func(d, a, b *matBatch, _ float64) { TMatMulInto(d.mat2D(), a.mat2D(), b.mat2D()) }},
-	{name: "TMatMulAccInto", at: true, accum: true, call: func(d, a, b *matBatch, _ float64) { TMatMulAccInto(d.mat2D(), a.mat2D(), b.mat2D()) }},
-	{name: "MatMulF32Into", f32: true, call: func(d, a, b *matBatch, _ float64) { MatMulF32Into(d.mat2D(), a.mat2D(), b.mat2D()) }},
-	{name: "MatMulPackedF32Into", f32: true, call: func(d, a, b *matBatch, _ float64) {
-		MatMulPackedF32Into(d.mat2D(), a.mat2D(), PackB32(b.mat2D()))
+	{name: "MatMulInto", call: func(d, a, b *matBatch, _ float64, _ Epilogue) { MatMulInto(d.mat2D(), a.mat2D(), b.mat2D()) }},
+	{name: "MatMulTInto", bt: true, call: func(d, a, b *matBatch, _ float64, _ Epilogue) { MatMulTInto(d.mat2D(), a.mat2D(), b.mat2D()) }},
+	{name: "TMatMulInto", at: true, call: func(d, a, b *matBatch, _ float64, _ Epilogue) { TMatMulInto(d.mat2D(), a.mat2D(), b.mat2D()) }},
+	{name: "TMatMulAccInto", at: true, accum: true, call: func(d, a, b *matBatch, _ float64, _ Epilogue) { TMatMulAccInto(d.mat2D(), a.mat2D(), b.mat2D()) }},
+	{name: "MatMulF32Into", f32: true, call: func(d, a, b *matBatch, _ float64, _ Epilogue) { MatMulF32Into(d.mat2D(), a.mat2D(), b.mat2D()) }},
+	{name: "AffineInto bias+rows", ep: epBoth, call: func(d, a, b *matBatch, _ float64, ep Epilogue) {
+		AffineInto(d.t.Data, d.cols, a.mat2D(), b.mat2D(), false, ep)
 	}},
-	{name: "BatchedMatMulInto", batched: true, call: func(d, a, b *matBatch, al float64) { BatchedMatMulInto(d.view, a.view, b.view, al) }},
-	{name: "BatchedMatMulTInto", bt: true, batched: true, call: func(d, a, b *matBatch, al float64) { BatchedMatMulTInto(d.view, a.view, b.view, al) }},
-	{name: "BatchedTMatMulInto", at: true, batched: true, call: func(d, a, b *matBatch, al float64) { BatchedTMatMulInto(d.view, a.view, b.view, al) }},
-	{name: "BatchedMatMulF32Into", f32: true, batched: true, call: func(d, a, b *matBatch, al float64) { BatchedMatMulF32Into(d.view, a.view, b.view, al) }},
-	{name: "BatchedMatMulTF32Into", bt: true, f32: true, batched: true, call: func(d, a, b *matBatch, al float64) { BatchedMatMulTF32Into(d.view, a.view, b.view, al) }},
+	{name: "AffineInto^T row", bt: true, ep: epRow, call: func(d, a, b *matBatch, _ float64, ep Epilogue) {
+		AffineInto(d.t.Data, d.cols, a.mat2D(), b.mat2D(), true, ep)
+	}},
+	{name: "AffinePackedF32Into", f32: true, call: func(d, a, b *matBatch, _ float64, _ Epilogue) {
+		AffinePackedF32Into(d.t.Data, d.cols, a.mat2D(), PackB32(b.mat2D()), Epilogue{})
+	}},
+	{name: "AffinePackedF32Into bias+row", f32: true, ep: epBiasRow, call: func(d, a, b *matBatch, _ float64, ep Epilogue) {
+		AffinePackedF32Into(d.t.Data, d.cols, a.mat2D(), PackB32(b.mat2D()), ep)
+	}},
+	{name: "BatchedMatMulInto", batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedMatMulInto(d.view, a.view, b.view, al) }},
+	{name: "BatchedMatMulTInto", bt: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedMatMulTInto(d.view, a.view, b.view, al) }},
+	{name: "BatchedTMatMulInto", at: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedTMatMulInto(d.view, a.view, b.view, al) }},
+	{name: "BatchedMatMulF32Into", f32: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedMatMulF32Into(d.view, a.view, b.view, al) }},
+	{name: "BatchedMatMulTF32Into", bt: true, f32: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) {
+		BatchedMatMulTF32Into(d.view, a.view, b.view, al)
+	}},
 }
 
 // check runs one entry point at one shape and layout against the oracle.
 func (e productEntry) check(t *testing.T, m, k, n int, strided bool) {
 	t.Helper()
-	nb, h, alpha := 1, 1, 1.0
-	if e.batched {
-		nb, h, alpha = 2, 3, 0.35
-	}
-	ar, ac, br, bc := m, k, k, n
-	if e.at {
-		ar, ac = k, m
-	}
-	if e.bt {
-		br, bc = n, k
-	}
-	a := newMatBatch(nb, h, ar, ac, strided, float64(m)+0.1)
-	b := newMatBatch(nb, h, br, bc, strided, float64(n)+0.7)
-	dst := newMatBatch(nb, h, m, n, strided, 2.5)
-	if !e.accum {
-		dst.t.Fill(math.NaN()) // every entry point must overwrite its destination
-	}
-	want := oracle(dst, a, b, m, k, n, e.at, e.bt, e.accum, alpha)
-	e.call(dst, a, b, alpha)
+	dst, a, b, ep, alpha := e.operands(m, k, n, strided, heapFloats)
+	want := oracle(dst, a, b, m, k, n, e.at, e.bt, e.accum, alpha, ep)
+	e.call(dst, a, b, alpha, ep)
 
 	// Operands are in [-1,1]: rounding grows with k, at the precision of the
 	// arithmetic.
@@ -294,8 +328,8 @@ func TestStridedViewEqualsContiguousCopy(t *testing.T) {
 			b := newMatBatch(3, 4, br, bc, true, 1.2)
 			strided := newMatBatch(3, 4, m, n, true, 0)
 			contig := newMatBatch(3, 4, m, n, false, 0)
-			e.call(strided, a, b, 0.35)
-			e.call(contig, copyOf(a), copyOf(b), 0.35)
+			e.call(strided, a, b, 0.35, Epilogue{})
+			e.call(contig, copyOf(a), copyOf(b), 0.35, Epilogue{})
 			assertBitwise(t, fmt.Sprintf("%s %v", e.name, sh), copyOf(strided).t, contig.t)
 		}
 	}

@@ -8,35 +8,36 @@ import (
 
 // f64Kernel is one tier's float64 product kernel with kernF64AVX512's
 // arguments: b2, when nonzero, adds the column panel b2 elements on in B and
-// nr on in C.
-type f64Kernel func(kb int, a []float64, ars, aps int, b []float64, bps, b2 int, c []float64, ldc, tiles int, alpha float64, accum bool)
+// nr on in C, the bias and the residual; bias and res may be nil.
+type f64Kernel func(kb int, a []float64, ars, aps int, b []float64, bps, b2 int, c []float64, ldc, tiles int, alpha float64, accum bool, bias, res []float64, rld int)
 
 // f64Tiers returns the float64 kernels this machine can run, the Go twin
 // first. The one-panel tiers take a pair of panels one after the other;
 // kernF64AVX512 takes pairs only (kernel sends a lone panel to kernF64).
 func f64Tiers() (names []string, kerns []f64Kernel) {
-	onePanel := func(k func(kb int, a []float64, ars, aps int, b []float64, bps int, c []float64, ldc, tiles int, alpha float64, accum bool)) f64Kernel {
-		return func(kb int, a []float64, ars, aps int, b []float64, bps, b2 int, c []float64, ldc, tiles int, alpha float64, accum bool) {
-			k(kb, a, ars, aps, b, bps, c, ldc, tiles, alpha, accum)
+	onePanel := func(k func(kb int, a []float64, ars, aps int, b []float64, bps int, c []float64, ldc, tiles int, alpha float64, accum bool, ep Epilogue)) f64Kernel {
+		return func(kb int, a []float64, ars, aps int, b []float64, bps, b2 int, c []float64, ldc, tiles int, alpha float64, accum bool, bias, res []float64, rld int) {
+			ep := Epilogue{Bias: bias, Res: res, ResLd: rld}
+			k(kb, a, ars, aps, b, bps, c, ldc, tiles, alpha, accum, ep)
 			if b2 != 0 {
-				k(kb, a, ars, aps, b[b2:], bps, c[gemmNR:], ldc, tiles, alpha, accum)
+				k(kb, a, ars, aps, b[b2:], bps, c[gemmNR:], ldc, tiles, alpha, accum, ep.at(0, gemmNR))
 			}
 		}
 	}
 	names = append(names, "go")
-	kerns = append(kerns, onePanel(func(kb int, a []float64, ars, aps int, b []float64, bps int, c []float64, ldc, tiles int, alpha float64, accum bool) {
-		kernGeneric(kb, gemmNR, a, ars, aps, b, bps, c, ldc, tiles, alpha, accum)
+	kerns = append(kerns, onePanel(func(kb int, a []float64, ars, aps int, b []float64, bps int, c []float64, ldc, tiles int, alpha float64, accum bool, ep Epilogue) {
+		kernGeneric(kb, gemmNR, a, ars, aps, b, bps, c, ldc, tiles, alpha, accum, ep)
 	}))
 	if useSIMD {
 		names = append(names, "avx2")
-		kerns = append(kerns, onePanel(func(kb int, a []float64, ars, aps int, b []float64, bps int, c []float64, ldc, tiles int, alpha float64, accum bool) {
-			kernF64(kb, &a[0], ars, aps, &b[0], bps, &c[0], ldc, tiles, alpha, accum)
+		kerns = append(kerns, onePanel(func(kb int, a []float64, ars, aps int, b []float64, bps int, c []float64, ldc, tiles int, alpha float64, accum bool, ep Epilogue) {
+			kernF64(kb, &a[0], ars, aps, &b[0], bps, &c[0], ldc, tiles, alpha, accum, first(ep.Bias), first(ep.Res), ep.ResLd)
 		}))
 	}
 	if useAVX512 {
 		names = append(names, "avx512")
-		kerns = append(kerns, func(kb int, a []float64, ars, aps int, b []float64, bps, b2 int, c []float64, ldc, tiles int, alpha float64, accum bool) {
-			kernF64AVX512(kb, &a[0], ars, aps, &b[0], bps, b2, &c[0], ldc, tiles, alpha, accum)
+		kerns = append(kerns, func(kb int, a []float64, ars, aps int, b []float64, bps, b2 int, c []float64, ldc, tiles int, alpha float64, accum bool, bias, res []float64, rld int) {
+			kernF64AVX512(kb, &a[0], ars, aps, &b[0], bps, b2, &c[0], ldc, tiles, alpha, accum, first(bias), first(res), rld)
 		})
 	}
 	return names, kerns
@@ -87,22 +88,25 @@ func TestKernelTiersBitwise(t *testing.T) {
 						}
 						ldc := n + 2
 						c0 := randn(m * ldc)
+						bias, res := randn(n), randn(m*(n+3))
 						for _, accum := range []bool{false, true} {
-							var want []float64
-							for ti, kern := range kerns {
-								if b2 == 0 && names[ti] == "avx512" {
-									continue
-								}
-								c := append([]float64(nil), c0...)
-								kern(kb, a, ars, aps, b, bps, b2, c, ldc, tiles, alpha, accum)
-								if ti == 0 {
-									want = c
-									continue
-								}
-								for i, v := range c {
-									if math.Float64bits(v) != math.Float64bits(want[i]) {
-										t.Fatalf("kb=%d tiles=%d panels=%d %s packedB=%v accum=%v: %s element %d = %v, Go twin %v",
-											kb, tiles, panels, layout, packedB, accum, names[ti], i, v, want[i])
+							for _, ep := range []Epilogue{{}, {Bias: bias}, {Res: res}, {Res: res, ResLd: n + 3}, {Bias: bias, Res: res, ResLd: n + 3}} {
+								var want []float64
+								for ti, kern := range kerns {
+									if b2 == 0 && names[ti] == "avx512" {
+										continue
+									}
+									c := append([]float64(nil), c0...)
+									kern(kb, a, ars, aps, b, bps, b2, c, ldc, tiles, alpha, accum, ep.Bias, ep.Res, ep.ResLd)
+									if ti == 0 {
+										want = c
+										continue
+									}
+									for i, v := range c {
+										if math.Float64bits(v) != math.Float64bits(want[i]) {
+											t.Fatalf("kb=%d tiles=%d panels=%d %s packedB=%v accum=%v bias=%v res=%v rld=%d: %s element %d = %v, Go twin %v",
+												kb, tiles, panels, layout, packedB, accum, ep.Bias != nil, ep.Res != nil, ep.ResLd, names[ti], i, v, want[i])
+										}
 									}
 								}
 							}

@@ -138,6 +138,56 @@ func TMatMulAccInto(dst, a, b *Tensor) {
 	product[float64]("TMatMulAccInto", dst, a, b, true, false, true)
 }
 
+// AffineInto computes the m x n matrix x@w (x@w^T with wt) plus ep into a
+// strided destination: row i of the result at dst[i*ldc:], ldc >= n, x
+// [m,k], w [k,n] ([n,k] with wt). The epilogue's bias and residual are added
+// as the kernel stores each tile (see Epilogue), so a layer's affine map, its
+// residual sum, or an input gradient summed onto another is one pass over
+// dst. dst must not overlap x, w or the residual.
+//
+// dchag:hotpath — every nn.Linear product and the tokenizer's; it performs
+// no heap allocation.
+func AffineInto(dst []float64, ldc int, x, w *Tensor, wt bool, ep Epilogue) {
+	if len(w.Shape) != 2 {
+		panic(fmt.Sprintf("tensor: AffineInto requires a rank-2 w, got %v", w.Shape))
+	}
+	kw, n := w.Shape[0], w.Shape[1]
+	if wt {
+		kw, n = n, kw
+	}
+	g := affineSpec("AffineInto", dst, ldc, x, kw, n, ep)
+	g.b, g.ldb, g.bt = w.Data, w.Shape[1], wt
+	if overlaps(g.c, w.Data) {
+		panic("tensor: AffineInto dst aliases an operand")
+	}
+	gemm2D[float64](&g, nil)
+}
+
+// affineSpec validates the operands the affine entries share — x [m,k]
+// against a k x n weight, dst rows ldc apart, the epilogue — and returns the
+// product's description less its B operand.
+func affineSpec(op string, dst []float64, ldc int, x *Tensor, kw, n int, ep Epilogue) gemmSpec {
+	if len(x.Shape) != 2 {
+		panic(fmt.Sprintf("tensor: %s requires a rank-2 x, got %v", op, x.Shape))
+	}
+	m, k := x.Shape[0], x.Shape[1]
+	if k != kw {
+		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v x %d rows", op, x.Shape, kw))
+	}
+	if m > 0 && (ldc < n || len(dst) < (m-1)*ldc+n) {
+		panic(fmt.Sprintf("tensor: %s destination of %d values at row stride %d does not hold %d x %d", op, len(dst), ldc, m, n))
+	}
+	var c []float64
+	if m > 0 {
+		c = dst[:(m-1)*ldc+n]
+		ep.mustFit(op, m, n, c)
+	}
+	if overlaps(c, x.Data) {
+		panic("tensor: " + op + " dst aliases an operand")
+	}
+	return gemmSpec{m: m, k: k, n: n, a: x.Data, c: c, lda: k, ldc: ldc, alpha: 1, ep: ep}
+}
+
 // serialDispatch reports whether a row-parallel op should run on the calling
 // goroutine: it is small, has one row, or the products in flight (the
 // caller's included: gemm2D and batched count themselves in first) already

@@ -62,6 +62,54 @@ func AddInPlace(a, b *Tensor) {
 	}
 }
 
+// AccumRows adds rows rows of src, ld apart, to dst, in ascending row order:
+// dst[j] += src[r*ld+j] for r < rows and j < len(dst), or dst[j] +=
+// float64(w[r]*src[r*ld+j]) — the product rounded, then added — when w is
+// non-nil. The column sums of a bias gradient and the weighted channel sum of
+// a linear aggregation are both this. Where the CPU has AVX2 it runs in
+// assembly across the columns, each column keeping its row order, so the
+// result is the Go twin's bit for bit. dst must not overlap src.
+//
+// dchag:hotpath — per-step gradient column sums; it must not allocate.
+func AccumRows(dst, src []float64, ld, rows int, w []float64) {
+	n := len(dst)
+	if rows <= 0 || n == 0 {
+		return
+	}
+	if ld < n || len(src) < (rows-1)*ld+n || (w != nil && len(w) < rows) {
+		panic(fmt.Sprintf("tensor: AccumRows of %d rows, %d wide at stride %d, from %d values and %d weights", rows, n, ld, len(src), len(w)))
+	}
+	if overlaps(dst, src[:(rows-1)*ld+n]) {
+		panic("tensor: AccumRows dst aliases src")
+	}
+	v := 0
+	if useSIMD && n >= 4 {
+		v = n &^ 3
+		accumRowsAVX2(&dst[0], &src[0], ld, rows, v, first(w))
+	}
+	if v < n {
+		accumRowsGo(dst[v:], src[v:], ld, rows, w)
+	}
+}
+
+// accumRowsGo is AccumRows' Go twin. The conversion around the product keeps
+// compilers that fuse multiply-add from contracting it into the add.
+func accumRowsGo(dst, src []float64, ld, rows int, w []float64) {
+	for r := 0; r < rows; r++ {
+		row := src[r*ld:][:len(dst)]
+		if w == nil {
+			for j, v := range row {
+				dst[j] += v
+			}
+			continue
+		}
+		wr := w[r]
+		for j, v := range row {
+			dst[j] += float64(wr * v)
+		}
+	}
+}
+
 // ScaleInPlace multiplies a by scalar s in place.
 //
 // dchag:hotpath — it must not allocate.

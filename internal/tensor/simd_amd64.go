@@ -11,21 +11,29 @@ package tensor
 // cpu-feature dependency is needed.
 
 // kernF64 and kernF32 compute tiles stacked 4 x nr register tiles (nr = 8
-// and 16) of one column panel from operands addressed by stride; see
-// simd_amd64.s for the contract.
+// and 16) of one column panel from operands addressed by stride, adding the
+// epilogue's bias row and residual rows (rld apart; nil skips each) as they
+// store; see simd_amd64.s for the contract.
 //
 //go:noescape
-func kernF64(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc, tiles int, alpha float64, accum bool)
+func kernF64(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc, tiles int, alpha float64, accum bool, bias, res *float64, rld int)
 
 //go:noescape
-func kernF32(k int, a *float32, ars, aps int, b *float32, bps int, c *float64, ldc, tiles int, alpha float64, accum bool)
+func kernF32(k int, a *float32, ars, aps int, b *float32, bps int, c *float64, ldc, tiles int, alpha float64, accum bool, bias, res *float64, rld int)
 
 // kernF64AVX512 is kernF64 over eight rows and two adjacent 8-wide column
 // panels per step, the second b2 (> 0) elements after the first in B and 8
-// after it in C.
+// after it in C, the bias and the residual.
 //
 //go:noescape
-func kernF64AVX512(k int, a *float64, ars, aps int, b *float64, bps, b2 int, c *float64, ldc, tiles int, alpha float64, accum bool)
+func kernF64AVX512(k int, a *float64, ars, aps int, b *float64, bps, b2 int, c *float64, ldc, tiles int, alpha float64, accum bool, bias, res *float64, rld int)
+
+// accumRowsAVX2 adds rows (>= 1) rows of src, ld apart, to dst[:n] (n a
+// multiple of 4), each scaled by w[r] first when w is non-nil; see
+// AccumRows.
+//
+//go:noescape
+func accumRowsAVX2(dst, src *float64, ld, rows, n int, w *float64)
 
 // packT4F64 and packT4F32 transpose four rows of k float64 values, ld
 // apart, into a packed panel whose groups are stride elements apart:

@@ -5,15 +5,19 @@ package tensor
 // Non-amd64 builds always use the pure-Go kernels in gemm.go and exp.go.
 var useSIMD, useAVX512 = false, false
 
-func kernF64(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc, tiles int, alpha float64, accum bool) {
+func kernF64(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc, tiles int, alpha float64, accum bool, bias, res *float64, rld int) {
 	panic("tensor: SIMD kernel unavailable")
 }
 
-func kernF64AVX512(k int, a *float64, ars, aps int, b *float64, bps, b2 int, c *float64, ldc, tiles int, alpha float64, accum bool) {
+func kernF64AVX512(k int, a *float64, ars, aps int, b *float64, bps, b2 int, c *float64, ldc, tiles int, alpha float64, accum bool, bias, res *float64, rld int) {
 	panic("tensor: SIMD kernel unavailable")
 }
 
-func kernF32(k int, a *float32, ars, aps int, b *float32, bps int, c *float64, ldc, tiles int, alpha float64, accum bool) {
+func kernF32(k int, a *float32, ars, aps int, b *float32, bps int, c *float64, ldc, tiles int, alpha float64, accum bool, bias, res *float64, rld int) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
+func accumRowsAVX2(dst, src *float64, ld, rows, n int, w *float64) {
 	panic("tensor: SIMD kernel unavailable")
 }
 

@@ -206,7 +206,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	// equality is NOT expected: the blocked kernel uses FMA).
 	am := &matBatch{t: a, n: 1, h: 1, rows: 128, cols: 96}
 	bm := &matBatch{t: b, n: 1, h: 1, rows: 96, cols: 64}
-	naive := FromSlice(oracle(nil, am, bm, 128, 96, 64, false, false, false, 1)[0], 128, 64)
+	naive := FromSlice(oracle(nil, am, bm, 128, 96, 64, false, false, false, 1, Epilogue{})[0], 128, 64)
 	if MaxAbsDiff(got, naive) > 1e-9 {
 		t.Fatalf("blocked MatMul differs from naive reference by %g", MaxAbsDiff(got, naive))
 	}
