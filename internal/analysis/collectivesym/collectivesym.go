@@ -40,7 +40,6 @@ var collectives = map[string]bool{
 	"AllReduceScalarSum": true,
 	"ReduceScatterSum":   true,
 	"Broadcast":          true,
-	"Gather":             true,
 }
 
 // Analyzer flags collective calls guarded by rank-dependent conditions.

@@ -41,7 +41,7 @@ func elseBranch(c *comm.Communicator) {
 	if c.Rank() == 0 {
 		_ = 1
 	} else {
-		c.Gather(nil, 0) // want `rank-conditional if`
+		c.AllGather(nil) // want `rank-conditional if`
 	}
 }
 
@@ -86,7 +86,7 @@ func funcLit(c *comm.Communicator) {
 func suppressed(c *comm.Communicator) {
 	if c.Rank() == 0 {
 		//lint:ignore collectivesym deliberate leader-only sentinel for this fixture
-		c.Broadcast(nil, 0)
+		c.Broadcast(nil, 0, func(*comm.Tensor) {})
 	}
 }
 
@@ -102,8 +102,8 @@ func survivorGuard(c *comm.Communicator, failedRank int) {
 }
 
 // leaderSync: the view collectives rendezvous three times (all-reduce) or
-// twice (gather) where the clone-deposit ones did once; one under a rank
-// guard strands the peers at the first.
+// twice (the others); one under a rank guard strands the peers at the
+// first.
 func leaderSync(c *comm.Communicator, grads []*comm.Tensor) {
 	if c.Rank() == 0 {
 		c.AllReduce(grads, grads, 0.5)                        // want `rank-conditional if`
@@ -135,7 +135,7 @@ func instrumented(c *comm.Communicator, row *obs.Rank, steps int) {
 func tracedLeaderOnly(c *comm.Communicator, row *obs.Rank) {
 	if c.Rank() == 0 {
 		sp := row.Begin("broadcast", "comm/tp")
-		c.Broadcast(nil, 0) // want `rank-conditional if`
+		c.Broadcast(nil, 0, func(*comm.Tensor) {}) // want `rank-conditional if`
 		sp.End()
 	}
 }

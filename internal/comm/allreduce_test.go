@@ -280,17 +280,20 @@ func TestAllGatherEachShowsPeersInPlace(t *testing.T) {
 
 // TestViewCollectivesDoNotAllocate pins the point of passing views: nothing
 // is staged, so nothing is allocated (the scalar all-reduce ran twice per
-// step per rank on a fresh tensor each).
+// step per rank on a fresh tensor each, and a broadcast cloned its operand on
+// deposit and again on return).
 func TestViewCollectivesDoNotAllocate(t *testing.T) {
 	c := NewGroup(1).Comm(0)
 	list := []*tensor.Tensor{tensor.Ones(100), tensor.Ones(3)}
 	sink := 0.0
 	visit := func(r int, part *tensor.Tensor) { sink += part.Data[0] }
+	see := func(src *tensor.Tensor) { sink += src.Data[1] }
 	if a := testing.AllocsPerRun(20, func() {
 		c.AllReduce(list, list, 0.5)
 		c.AllReduceInto(list[0], list[0])
 		sink += c.AllReduceScalarSum(1)
 		c.AllGatherEach(list[1], visit)
+		c.Broadcast(list[0], 0, see)
 	}); a != 0 {
 		t.Fatalf("%v allocs per round of view collectives, want 0", a)
 	}

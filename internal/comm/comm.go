@@ -1,8 +1,8 @@
 // Package comm implements the collective-communication substrate the
 // repository's distributed simulation runs on: a group of in-process ranks
 // (one goroutine each) with rendezvous AllGather, AllReduce, ReduceScatter,
-// Broadcast, Gather and Barrier operations that really move tensor data
-// between ranks.
+// Broadcast and Barrier operations that really move tensor data between
+// ranks.
 //
 // It is the functional stand-in for RCCL on Frontier (see DESIGN.md): the
 // algorithmic content of the paper — which tensors cross which rank boundary,
@@ -12,12 +12,11 @@
 // tests can assert communication claims (e.g. the D-CHAG module's
 // zero-communication backward pass) quantitatively.
 //
-// AllReduce and AllGatherEach exchange views, not copies: a rank publishes
-// its tensors at the opening rendezvous, peers read them where they lie, and
-// a closing rendezvous returns them. The rule: nobody mutates a tensor it
-// passed to a collective until the collective returns, and the collective
-// returns only after every peer has finished reading it. ReduceScatterSum,
-// Broadcast and Gather deposit copies instead (exchangeTensor).
+// Every collective exchanges views, not copies: a rank publishes its tensors
+// at the opening rendezvous, peers read them where they lie, and a closing
+// rendezvous returns them. The rule: nobody mutates a tensor it passed to a
+// collective until the collective returns, and the collective returns only
+// after every peer has finished reading it.
 package comm
 
 import (
@@ -135,19 +134,6 @@ func RootCause(errs []error) error {
 	return abortErr
 }
 
-// exchangeTensor deposits a defensive copy of x (nil allowed), so a rank
-// that mutates its buffer immediately after the collective cannot race with
-// slower ranks still reading the deposited value.
-func (g *Group) exchangeTensor(rank int, x *tensor.Tensor) []any {
-	var val any
-	if x != nil {
-		val = x.Clone()
-	} else {
-		val = (*tensor.Tensor)(nil)
-	}
-	return g.exchange(rank, val)
-}
-
 // exchange is the core rendezvous: every rank deposits one value and
 // receives the slice of all ranks' values (indexed by rank). It blocks until
 // all ranks of the group have arrived. The slice is the group's and is valid
@@ -256,8 +242,9 @@ type Communicator struct {
 	ops    operands             // what AllReduce publishes; peers hold &ops, never a copy
 	one    [2][1]*tensor.Tensor // AllReduceInto's one-tensor dst and src lists
 	scalar *tensor.Tensor       // AllReduceScalarSum's operand
-	// peerElems counts the elements AllReduce read from other ranks'
-	// tensors; the tests hold it to the ring volume the ledger records.
+	// peerElems counts the elements AllReduce and ReduceScatterSum read from
+	// other ranks' tensors; the tests hold it to the ring volume the ledger
+	// records.
 	peerElems int64
 }
 
@@ -487,63 +474,79 @@ func (c *Communicator) AllReduceScalarSum(v float64) float64 {
 }
 
 // ReduceScatterSum splits every rank's tensor into Size equal chunks along
-// axis, sums chunk r across ranks, and returns chunk r to rank r. The axis
-// extent must be divisible by the group size.
+// axis and returns to rank r a fresh tensor holding chunk r summed over the
+// ranks in rank order, ((c₀+c₁)+c₂)+…, each peer's chunk read where it lies.
+// Every rank's tensor must have the same shape, and the axis extent must be
+// divisible by the group size. The result is the only allocation; a closing
+// rendezvous hands every operand back to its owner.
 func (c *Communicator) ReduceScatterSum(x *tensor.Tensor, axis int) *tensor.Tensor {
+	n := c.Size()
+	if axis < 0 {
+		axis += len(x.Shape)
+	}
+	if axis < 0 || axis >= len(x.Shape) || x.Shape[axis]%n != 0 {
+		panic(fmt.Sprintf("comm: ReduceScatterSum of %v along axis %d over %d ranks", x.Shape, axis, n))
+	}
+	// The tensor is outer runs of n*w elements; chunk r is the w elements at
+	// offset r*w of every run.
+	outer, w := 1, x.Shape[axis]/n
+	for _, d := range x.Shape[:axis] {
+		outer *= d
+	}
+	for _, d := range x.Shape[axis+1:] {
+		w *= d
+	}
 	c.faultPoint(OpReduceScatter, true)
 	c.obsPoint(OpReduceScatter, true, 0)
-	vals := c.group.exchangeTensor(c.rank, x)
-	var out *tensor.Tensor
-	for _, v := range vals {
-		t := v.(*tensor.Tensor)
-		chunk := tensor.SplitEqual(t, axis, c.Size())[c.rank]
-		if out == nil {
-			out = chunk
-		} else {
-			tensor.AddInPlace(out, chunk)
+	peers := c.group.exchange(c.rank, x)
+	for r, p := range peers {
+		if theirs := p.(*tensor.Tensor); !tensor.SameShape(x, theirs) {
+			panic(fmt.Sprintf("comm: ReduceScatterSum shape mismatch: %v vs rank %d's %v", x.Shape, r, theirs.Shape))
 		}
 	}
+	shape := append([]int(nil), x.Shape...)
+	shape[axis] /= n
+	out := tensor.New(shape...)
+	for o := 0; o < outer; o++ {
+		dst, at := out.Data[o*w:(o+1)*w], (o*n+c.rank)*w
+		for q, p := range peers {
+			src := p.(*tensor.Tensor).Data[at : at+w]
+			if q == 0 {
+				copy(dst, src)
+				continue
+			}
+			for i, v := range src {
+				dst[i] += v
+			}
+		}
+	}
+	c.peerElems += int64((n - 1) * len(out.Data))
+	c.group.exchange(c.rank, nil) // every peer has finished reading x
 	// Ring reduce-scatter wire volume per rank: (n-1)/n elements.
-	c.record(OpReduceScatter, (c.Size()-1)*x.Numel()/c.Size())
-	c.obsPoint(OpReduceScatter, false, (c.Size()-1)*x.Numel()/c.Size())
+	c.record(OpReduceScatter, (n-1)*x.Numel()/n)
+	c.obsPoint(OpReduceScatter, false, (n-1)*x.Numel()/n)
 	c.faultPoint(OpReduceScatter, false)
 	return out
 }
 
-// Broadcast returns a copy of root's tensor on every rank. Non-root ranks
-// may pass nil.
-func (c *Communicator) Broadcast(x *tensor.Tensor, root int) *tensor.Tensor {
+// Broadcast shows root's tensor to visit on every rank, root included, where
+// it lies: nothing is copied. Non-root ranks pass nil. visit must neither
+// mutate nor retain src — the closing rendezvous hands it back to root.
+//
+// dchag:hotpath
+func (c *Communicator) Broadcast(x *tensor.Tensor, root int, visit func(src *tensor.Tensor)) {
 	if root < 0 || root >= c.Size() {
 		panic(fmt.Sprintf("comm: Broadcast root %d out of range", root))
 	}
 	c.faultPoint(OpBroadcast, true)
 	c.obsPoint(OpBroadcast, true, 0)
-	vals := c.group.exchangeTensor(c.rank, x)
-	src := vals[root].(*tensor.Tensor)
+	src := c.group.exchange(c.rank, x)[root].(*tensor.Tensor)
+	if src == nil {
+		panic(fmt.Sprintf("comm: Broadcast root %d passed no tensor", root))
+	}
+	visit(src)
+	c.group.exchange(c.rank, nil) // every peer has finished reading src
 	c.record(OpBroadcast, src.Numel())
 	c.obsPoint(OpBroadcast, false, src.Numel())
 	c.faultPoint(OpBroadcast, false)
-	return src.Clone()
-}
-
-// Gather returns all ranks' tensors (in rank order) on root and nil on every
-// other rank.
-func (c *Communicator) Gather(x *tensor.Tensor, root int) []*tensor.Tensor {
-	c.faultPoint(OpGather, true)
-	c.obsPoint(OpGather, true, 0)
-	vals := c.group.exchangeTensor(c.rank, x)
-	if c.rank != root {
-		c.record(OpGather, x.Numel())
-		c.obsPoint(OpGather, false, x.Numel())
-		c.faultPoint(OpGather, false)
-		return nil
-	}
-	out := make([]*tensor.Tensor, len(vals))
-	for i, v := range vals {
-		out[i] = v.(*tensor.Tensor).Clone()
-	}
-	c.record(OpGather, x.Numel())
-	c.obsPoint(OpGather, false, x.Numel())
-	c.faultPoint(OpGather, false)
-	return out
 }

@@ -16,7 +16,6 @@ const (
 	OpAllReduce     Op = "allreduce"
 	OpReduceScatter Op = "reducescatter"
 	OpBroadcast     Op = "broadcast"
-	OpGather        Op = "gather"
 	OpSend          Op = "send"
 	OpRecv          Op = "recv" // fault-injection points only; Recv moves no bytes of its own
 	OpBarrier       Op = "barrier"

@@ -159,20 +159,34 @@ func NewDCHAGPartitioned(cfg Config, c *comm.Communicator, partitions int) *DCHA
 // aggregated representation [B, T, E], identical on every rank.
 func (d *DCHAG) Forward(x *tensor.Tensor) *tensor.Tensor {
 	d.b = x.Shape[0]
-	return d.pass(x, false)
+	return d.pass(x, 0, d.b, false)
 }
 
 // Infer runs Forward's computation without caching activations for
 // backward — the serving fast path. The AllGather still runs: inference
 // keeps exactly the forward communication pattern, one token per owned
 // partition across the group.
-func (d *DCHAG) Infer(x *tensor.Tensor) *tensor.Tensor { return d.pass(x, true) }
+func (d *DCHAG) Infer(x *tensor.Tensor) *tensor.Tensor { return d.InferRange(x, 0, x.Shape[0]) }
 
-// pass is Forward and Infer. The AllGather moves each rank's stack straight
-// from where it lies into the final layer's input: no copy in between.
+// InferRange is Infer with the final shared layer run for samples [lo, hi)
+// of the batch only: it returns their aggregated representation
+// [hi-lo, T, E]. The local stage and the AllGather cover the whole batch —
+// every rank's tokens of every sample are still gathered — but each rank of
+// the group may finish a different range, so the replicated final layer
+// costs each rank only its share.
+func (d *DCHAG) InferRange(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
+	if lo < 0 || hi > x.Shape[0] || lo > hi {
+		panic(fmt.Sprintf("core: DCHAG.InferRange [%d,%d) of a batch of %d", lo, hi, x.Shape[0]))
+	}
+	return d.pass(x, lo, hi, true)
+}
+
+// pass is Forward and InferRange. The AllGather moves samples [lo, hi) of
+// each rank's stack straight from where it lies into the final layer's input:
+// no copy in between.
 //
 // dchag:hotpath
-func (d *DCHAG) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
+func (d *DCHAG) pass(x *tensor.Tensor, lo, hi int, infer bool) *tensor.Tensor {
 	b, t, e := x.Shape[0], d.Cfg.Tokens(), d.Cfg.Embed
 	outs, s := d.LocalStage.pass(x, infer), &d.gather[0]
 	if infer {
@@ -183,18 +197,18 @@ func (d *DCHAG) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
 	s.local = tensor.EnsureShape(s.local, k, b, t, e)
 	tensor.StackInto(s.local, outs...)
 	// Rank r's stack holds partitions [r*k, (r+1)*k): column r*k+ki of the
-	// final layer's input [B*T, P, E].
-	s.seq = tensor.EnsureShape(s.seq, b*t, d.Partitions, e)
+	// final layer's input [(hi-lo)*T, P, E].
+	s.seq = tensor.EnsureShape(s.seq, (hi-lo)*t, d.Partitions, e)
 	d.Comm.AllGatherEach(s.local, func(r int, part *tensor.Tensor) {
 		if len(part.Data) != len(s.local.Data) {
 			panic(fmt.Sprintf("core: rank %d gathered partition tokens %v, this rank holds %v", r, part.Shape, s.local.Shape))
 		}
 		for ki := 0; ki < k; ki++ {
-			writeGroupToken(s.seq, part.Data[ki*b*t*e:(ki+1)*b*t*e], r*k+ki)
+			writeGroupToken(s.seq, part.Data[(ki*b+lo)*t*e:(ki*b+hi)*t*e], r*k+ki)
 		}
 	})
 	if infer {
-		return d.Final.Infer(s.seq).Reshape(b, t, e)
+		return d.Final.Infer(s.seq).Reshape(hi-lo, t, e)
 	}
 	return d.Final.Forward(s.seq).Reshape(b, t, e)
 }

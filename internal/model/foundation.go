@@ -72,6 +72,12 @@ type FoundationModel struct {
 	mask *tensor.Tensor
 	eval bool
 
+	// share is the group Infer splits a batch over after the channel stage:
+	// nil for a model without one (serial, reference) and for tensor-parallel
+	// blocks, which need every rank in step on the same tokens.
+	share *comm.Communicator
+	pred  *tensor.Tensor // Infer's gathered predictions [B, T, C*P*P]
+
 	masked, imasked *tensor.Tensor // mask-token substitution scratch
 	dFull           *tensor.Tensor // meta-token gradient scatter scratch
 	dMasked         *tensor.Tensor // mask gradient-routing scratch
@@ -95,6 +101,7 @@ func build(a Arch, stage ChannelStage, c *comm.Communicator, tpViT bool) *Founda
 		panic(fmt.Sprintf("model: depth %d must be positive", a.Depth))
 	}
 	t := a.Tokens()
+	tpBlocks := tpViT && c != nil && c.Size() > 1 && a.SwinWindow == 0
 	m := &FoundationModel{
 		Arch:  a,
 		Stage: stage,
@@ -117,11 +124,14 @@ func build(a Arch, stage ChannelStage, c *comm.Communicator, tpViT bool) *Founda
 		case a.SwinWindow > 0:
 			gridH, gridW := a.ImgH/a.Patch, a.ImgW/a.Patch
 			m.Blocks = append(m.Blocks, nn.NewSwinBlock(name, a.Embed, a.Heads, gridH, gridW, a.SwinWindow, i%2 == 1, seed))
-		case tpViT && c != nil && c.Size() > 1:
+		case tpBlocks:
 			m.Blocks = append(m.Blocks, parallel.NewParallelTransformerBlock(name, a.Embed, a.Heads, seed, c))
 		default:
 			m.Blocks = append(m.Blocks, nn.NewTransformerBlock(name, a.Embed, a.Heads, seed))
 		}
+	}
+	if c != nil && c.Size() > 1 && !tpBlocks {
+		m.share = c
 	}
 	return m
 }
@@ -159,12 +169,32 @@ func (m *FoundationModel) SetEval(on bool) { m.eval = on }
 // mid-training (pinned by TestInferLeavesTrainingStateUsable). Serving
 // engines sidestep the question entirely: each worker owns its own
 // eval-mode replica.
+//
+// Ranks that share a group and run replicated blocks split the batch after
+// the channel stage's AllGather: rank r of q finishes samples
+// [r·B/q, (r+1)·B/q) — the final shared layer, mask, positional and meta
+// tokens, the blocks, the norm and the head — and one AllGather of the
+// predictions hands every rank the whole [B, T, C*P*P]. The share is the
+// whole batch without a group, under tensor-parallel blocks (every rank must
+// be in step on the same tokens) and when B < q (a rank would sit idle).
 func (m *FoundationModel) Infer(x, mask *tensor.Tensor) *tensor.Tensor {
 	b := x.Shape[0]
 	t, e := m.Arch.Tokens(), m.Arch.Embed
-	// Every ChannelStage is an nn.Layer; nn.Infer takes the stage's no-grad
-	// fast path when it has one.
-	feat := nn.Infer(m.Stage, x)
+	// split is the same on every rank of the group, so every rank takes part
+	// in the prediction AllGather or none does.
+	lo, hi, split := 0, b, m.share != nil && b >= m.share.Size()
+	if split {
+		q, r := m.share.Size(), m.share.Rank()
+		lo, hi = r*b/q, (r+1)*b/q
+	}
+	var feat *tensor.Tensor
+	if ds, ok := m.Stage.(*DCHAGStage); ok {
+		feat = ds.InferRange(x, lo, hi)
+	} else {
+		// Every ChannelStage is an nn.Layer; nn.Infer takes the stage's
+		// no-grad fast path when it has one.
+		feat = nn.Infer(m.Stage, x)
+	}
 	if mask != nil {
 		if len(mask.Shape) != 2 || mask.Shape[0] != b || mask.Shape[1] != t {
 			panic(fmt.Sprintf("model: mask want [%d,%d], got %v", b, t, mask.Shape))
@@ -172,10 +202,10 @@ func (m *FoundationModel) Infer(x, mask *tensor.Tensor) *tensor.Tensor {
 		m.imasked = tensor.EnsureShape(m.imasked, feat.Shape...)
 		copy(m.imasked.Data, feat.Data)
 		feat = m.imasked
-		for bi := 0; bi < b; bi++ {
+		for bi := lo; bi < hi; bi++ {
 			for ti := 0; ti < t; ti++ {
 				if mask.At(bi, ti) != 0 {
-					copy(feat.Data[(bi*t+ti)*e:(bi*t+ti+1)*e], m.MaskTok.W.Data)
+					copy(feat.Data[((bi-lo)*t+ti)*e:((bi-lo)*t+ti+1)*e], m.MaskTok.W.Data)
 				}
 			}
 		}
@@ -191,7 +221,16 @@ func (m *FoundationModel) Infer(x, mask *tensor.Tensor) *tensor.Tensor {
 	if m.Meta != nil {
 		feat = tensor.SliceAxis(feat, 1, m.Arch.MetaTokens, m.Arch.MetaTokens+t)
 	}
-	return m.Head.Infer(feat)
+	pred := m.Head.Infer(feat)
+	if !split {
+		return pred
+	}
+	q, d := m.share.Size(), m.Arch.HeadDim()
+	m.pred = tensor.EnsureShape(m.pred, b, t, d)
+	m.share.AllGatherEach(pred, func(r int, part *tensor.Tensor) {
+		copy(m.pred.Data[r*b/q*t*d:(r+1)*b/q*t*d], part.Data)
+	})
+	return m.pred
 }
 
 // Forward runs the model on this rank's image shard x [B, Cl, H, W]. If

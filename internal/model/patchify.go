@@ -17,19 +17,19 @@ func Patchify(x *tensor.Tensor, patch int) *tensor.Tensor {
 	if h%patch != 0 || w%patch != 0 {
 		panic(fmt.Sprintf("model: image %dx%d not divisible by patch %d", h, w, patch))
 	}
-	ph, pw := h/patch, w/patch
-	t := ph * pw
+	t := (h / patch) * (w / patch)
 	d := c * patch * patch
 	out := tensor.New(b, t, d)
 	for bi := 0; bi < b; bi++ {
 		for ci := 0; ci < c; ci++ {
-			for py := 0; py < ph; py++ {
-				for px := 0; px < pw; px++ {
-					ti := py*pw + px
-					for dy := 0; dy < patch; dy++ {
-						srcOff := ((bi*c+ci)*h+(py*patch+dy))*w + px*patch
-						dstOff := (bi*t+ti)*d + ci*patch*patch + dy*patch
-						copy(out.Data[dstOff:dstOff+patch], x.Data[srcOff:srcOff+patch])
+			for y := 0; y < h; y++ {
+				// Image row y is row y%patch of the patches of token row
+				// y/patch: pixel px*patch+dx is element px*d+dx of dst.
+				row := x.Data[((bi*c+ci)*h+y)*w:][:w]
+				dst := out.Data[(bi*t+y/patch*(w/patch))*d+ci*patch*patch+y%patch*patch:]
+				for i, o := 0, 0; i < w; o += d {
+					for dx := 0; dx < patch; dx, i = dx+1, i+1 {
+						dst[o+dx] = row[i]
 					}
 				}
 			}
@@ -54,13 +54,14 @@ func Unpatchify(tok *tensor.Tensor, channels, imgH, imgW, patch int) *tensor.Ten
 	out := tensor.New(b, channels, imgH, imgW)
 	for bi := 0; bi < b; bi++ {
 		for ci := 0; ci < channels; ci++ {
-			for py := 0; py < ph; py++ {
-				for px := 0; px < pw; px++ {
-					ti := py*pw + px
-					for dy := 0; dy < patch; dy++ {
-						srcOff := (bi*t+ti)*d + ci*patch*patch + dy*patch
-						dstOff := ((bi*channels+ci)*imgH+(py*patch+dy))*imgW + px*patch
-						copy(out.Data[dstOff:dstOff+patch], tok.Data[srcOff:srcOff+patch])
+			for y := 0; y < ph*patch; y++ {
+				// As in Patchify: pixel px*patch+dx of image row y is element
+				// px*d+dx of src.
+				row := out.Data[((bi*channels+ci)*imgH+y)*imgW:][:pw*patch]
+				src := tok.Data[(bi*t+y/patch*pw)*d+ci*patch*patch+y%patch*patch:]
+				for i, o := 0, 0; i < len(row); o += d {
+					for dx := 0; dx < patch; dx, i = dx+1, i+1 {
+						row[i] = src[o+dx]
 					}
 				}
 			}

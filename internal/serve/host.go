@@ -255,10 +255,13 @@ func (h *Host) takeWork() (*batchJob, bool) {
 // worker is one mesh rank's serving loop. Rank tp=0 of each TP group is the
 // replica leader: it pulls assembled batches from the shared work channel,
 // broadcasts a control word (serve/stop + instance id) and then the batch
-// over its group, and answers once the group's forward completes. Every
-// rank runs the no-grad forward on its instance's channel shard; for D-CHAG
-// stages the in-forward AllGather is the only communication, exactly as in
-// training.
+// over its group, and answers once the group's forward completes. Both
+// broadcasts are views: every rank reads its channel shard straight out of
+// the leader's pooled batch, which the leader returns to the pool in
+// complete, after the collective has closed. Every rank runs the no-grad
+// forward on its instance's channel shard; the stage's AllGather of partial
+// tokens and the model's AllGather of its predictions share the batch out
+// after the gather (model.FoundationModel.Infer).
 func (h *Host) worker(rank int, m *dist.Mesh) (err error) {
 	// inflight is the micro-batch this leader has pulled but not yet
 	// answered; if the worker dies holding one (its own panic, or an abort
@@ -303,23 +306,35 @@ func (h *Host) worker(rank int, m *dist.Mesh) (err error) {
 	// op 0 = stop, 1 = serve. Followers learn which instance the batch
 	// belongs to from the broadcast, so one mesh serves many models.
 	ctrl := tensor.FromSlice([]float64{0, 0}, 2)
-	var shard *tensor.Tensor // per-worker channel-slice scratch
+	var (
+		op, id float64
+		inst   *instance
+		shard  *tensor.Tensor // this rank's channel shard of the batch
+	)
+	readCtrl := func(src *tensor.Tensor) { op, id = src.Data[0], src.Data[1] }
+	// readShard copies this rank's channel shard straight out of the
+	// leader's batch, the only copy the batch needs.
+	readShard := func(x *tensor.Tensor) {
+		lo, hi := inst.lo[rank], inst.hi[rank]
+		shard = tensor.EnsureShape(shard, x.Shape[0], hi-lo, x.Shape[2], x.Shape[3])
+		tensor.SliceAxisInto(shard, x, 1, lo, hi)
+	}
 	for {
 		var bj *batchJob
-		var send *tensor.Tensor
+		var send, x *tensor.Tensor
 		if lead {
 			select {
 			case bj = <-h.work:
 				inflight = bj
 				ctrl.Data[0], ctrl.Data[1] = 1, float64(bj.inst.id)
-				send = ctrl
+				send, x = ctrl, bj.x
 			case <-h.quit:
 				ctrl.Data[0] = 0
 				// Deliberately leader-only: the followers' matching
 				// collective is the control Broadcast they are already
 				// blocked in below; the stop sentinel pairs with it.
 				//lint:ignore collectivesym pairs with the followers' control Broadcast in their loop head
-				tpc.Broadcast(ctrl, 0)
+				tpc.Broadcast(ctrl, 0, readCtrl)
 				return nil
 			case <-h.failed:
 				// The failing rank's return aborts every mesh group, which
@@ -328,23 +343,14 @@ func (h *Host) worker(rank int, m *dist.Mesh) (err error) {
 				return nil
 			}
 		}
-		got := tpc.Broadcast(send, 0)
-		if got.Data[0] == 0 {
+		tpc.Broadcast(send, 0, readCtrl)
+		if op == 0 {
 			return nil
 		}
-		inst := bj.instOrLookup(h, int64(got.Data[1]))
-		var x *tensor.Tensor
-		if lead {
-			x = bj.x
-		}
-		x = tpc.Broadcast(x, 0)
-		in := x
-		if lo, hi := inst.lo[rank], inst.hi[rank]; lo != 0 || hi != inst.arch.Channels {
-			shard = tensor.EnsureShape(shard, x.Shape[0], hi-lo, x.Shape[2], x.Shape[3])
-			in = tensor.SliceAxisInto(shard, x, 1, lo, hi)
-		}
+		inst = bj.instOrLookup(h, int64(id))
+		tpc.Broadcast(x, 0, readShard)
 		sp := row.Begin("infer", "serve")
-		pred := inst.models[rank].Infer(in, nil)
+		pred := inst.models[rank].Infer(shard, nil)
 		sp.End()
 		if lead {
 			bj.e.complete(bj, pred)

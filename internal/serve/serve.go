@@ -31,10 +31,12 @@
 //
 // Each replica is one TP group of Config.Ranks rank goroutines pinned to a
 // dist.Mesh (spec TP=Ranks, DP=Replicas): the group leader pulls an
-// assembled batch, broadcasts it over the group, every rank runs the
-// no-grad forward (model.FoundationModel.Infer — D-CHAG's AllGather is the
-// only communication, exactly as in training), and the leader unpatchifies
-// and fans responses back out. Models come from a Source: FromCheckpoint
+// assembled batch and broadcasts it over the group as a view (each rank
+// reads its channel shard where the batch lies), every rank runs the no-grad
+// forward (model.FoundationModel.Infer — D-CHAG's AllGather of partial
+// tokens, as in training, after which each rank finishes its share of the
+// batch and an AllGather of the predictions completes it), and the leader
+// unpatchifies and fans responses back out. Models come from a Source: FromCheckpoint
 // opens any dchag-ckpt/v1 directory read-only and reshards it to the
 // serving topology (save at p ranks, serve at any q dividing the logical
 // partition count, including q=1), FromArch builds fresh seeded weights

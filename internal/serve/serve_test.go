@@ -84,6 +84,61 @@ func TestServeMatchesDirectInference(t *testing.T) {
 	}
 }
 
+// TestTopologiesAnswerIdenticalBits: one Source served at Ranks 1 and at
+// every q > 1 dividing the test arch's partitions, in F64 and F32, answers
+// every request with the same bits — a lone request (a partial batch, B < q:
+// no rank splits it) and a burst behind a busy replica (full batches, which
+// the ranks share out after the stage's AllGather) alike.
+func TestTopologiesAnswerIdenticalBits(t *testing.T) {
+	a := testArch()
+	const maxBatch, burst = 4, 16
+	inputs := make([]*tensor.Tensor, burst+1)
+	for i := range inputs {
+		inputs[i] = testInput(a, int64(60+i), a.ImgH, a.ImgW)
+	}
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		var first []*tensor.Tensor
+		for _, q := range []int{1, 2, 4} {
+			e := startTest(t, Config{Ranks: q, Replicas: 1, MaxBatch: maxBatch, MaxWait: 200 * time.Millisecond, QueueDepth: 64, DType: dt}, FromArch(a))
+			out := make([]*tensor.Tensor, burst+1)
+			resp, err := e.Do(context.Background(), &Request{Input: inputs[burst]})
+			if err != nil || resp.BatchSize != 1 {
+				t.Fatalf("%v q=%d: lone request: batch %d, err %v", dt, q, resp.BatchSize, err)
+			}
+			out[burst] = resp.Output
+			chans := make([]<-chan Response, burst)
+			for i := range chans {
+				if chans[i], err = e.Submit(&Request{ID: fmt.Sprint(i), Input: inputs[i]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			full := false
+			for i, ch := range chans {
+				r := <-ch
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				out[i], full = r.Output, full || r.BatchSize == maxBatch
+			}
+			if !full {
+				t.Fatalf("%v q=%d: a burst of %d behind a busy replica formed no batch of %d", dt, q, burst, maxBatch)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = out
+				continue
+			}
+			for i := range out {
+				if d := tensor.MaxAbsDiff(out[i], first[i]); d != 0 {
+					t.Fatalf("%v request %d: q=%d answers %g away from q=1", dt, i, q, d)
+				}
+			}
+		}
+	}
+}
+
 // TestRegridAndPartialChannels pins the batcher's input adaptation: a
 // coarse-grid request is bilinearly regridded, and a partial channel set is
 // scattered onto a zero canvas — both must match a direct forward on the
