@@ -26,13 +26,14 @@ bench-diff:
 	exit $$status
 
 # bench-compute regenerates the measured compute-substrate point
-# (BENCH_compute.json, schema dchag-bench/compute/v9, with the kernel tier
+# (BENCH_compute.json, schema dchag-bench/compute/v11, with the kernel tier
 # that ran — avx512, avx2 or go: naive vs blocked f64
 # vs prepacked f32 GEMM at square sizes and at the product shapes the D-CHAG
 # workloads issue, GFLOP/s, elements packed per product and steady-state
 # allocs/op, whole cross-attention channel aggregations, forward and
-# backward, next to the pooled attention pass inside them, softmax and GELU on the
-# vector exp kernel next to their libm loops, ns/element, the whole
+# backward, next to the pooled attention pass inside them, softmax, GELU,
+# LayerNorm and AdamW under the tier and under the Go twins (softmax and GELU
+# next to their libm loops too), ns/element, the whole
 # serial channel stage next to its channel-major composition, ns and
 # scratch bytes, and two block products with one and with two concurrent
 # callers, GFLOP/s per caller) and re-parses it through the tier-1 artifact gate. It is

@@ -24,7 +24,7 @@ func f32SpeedupGate(kernel string) float64 {
 }
 
 // TestComputeJSONArtifact validates the committed compute-substrate
-// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v10,
+// trajectory point (BENCH_compute.json, schema dchag-bench/compute/v11,
 // written by `dchag-bench -compute`). The artifact is a wall-clock
 // measurement, so this test gates on its schema and qualitative claims: it
 // names the kernel tier that ran, the blocked driver at least matches the
@@ -35,7 +35,7 @@ func f32SpeedupGate(kernel string) float64 {
 // is not transposed moves an element through pack, every shape issued
 // through an affine entry names the epilogue it was timed with, softmax and GELU run at
 // least twice as fast as the math.Exp / math.Tanh loops they replaced there
-// too, every point, shape, aggregator, elementwise routine and channel stage
+// too and GELU and AdamW at least 1.3x as fast as their Go twins, every point, shape, aggregator, elementwise routine and channel stage
 // was measured allocation-free in steady state, the pooled channel
 // aggregation issues at most three quarters of the unpooled formulation's
 // multiply-accumulates at g = 16, and the channel stage holds at most 0.4 of
@@ -114,7 +114,7 @@ func TestComputeJSONArtifact(t *testing.T) {
 	if len(elems) == 0 {
 		t.Fatal("artifact carries no elementwise points")
 	}
-	for _, key := range []string{"name", "op", "rows", "cols", "ref_ns_per_elem", "ns_per_elem", "speedup", "allocs_per_op"} {
+	for _, key := range []string{"name", "op", "rows", "cols", "ns_per_elem", "twin_ns_per_elem", "vector_speedup", "allocs_per_op"} {
 		if _, ok := elems[0].(map[string]any)[key]; !ok {
 			t.Fatalf("elementwise point missing key %q", key)
 		}
@@ -214,12 +214,21 @@ func TestComputeJSONArtifact(t *testing.T) {
 	if !sawG16 {
 		t.Fatal("artifact carries no aggregator point at g = 16, where the pooled-work gate is defined")
 	}
+	vectorGated := map[string]int{"GELU.Forward": 0, "GELU.Backward": 0, "AdamW.Step": 0}
 	for _, ep := range rep.Elementwise {
-		if ep.Rows < 1 || ep.Cols < 1 || ep.RefNsPerElem <= 0 || ep.NsPerElem <= 0 {
+		if ep.Rows < 1 || ep.Cols < 1 || ep.RefNsPerElem < 0 || ep.NsPerElem <= 0 || ep.TwinNsPerElem <= 0 {
 			t.Fatalf("implausible elementwise point %+v", ep)
 		}
 		if ep.AllocsPerOp != 0 {
 			t.Fatalf("elementwise routine %s allocated %.2f times per op in steady state", ep.Name, ep.AllocsPerOp)
+		}
+		if n, ok := vectorGated[ep.Op]; ok {
+			vectorGated[ep.Op] = n + 1
+		}
+	}
+	for op, n := range vectorGated {
+		if n == 0 {
+			t.Fatalf("artifact carries no elementwise point for %s, where the vector/twin gate is defined", op)
 		}
 	}
 	// The channel stage writes its token tensor once: it holds at most 0.4 of
@@ -295,9 +304,14 @@ func TestComputeJSONArtifact(t *testing.T) {
 		}
 	}
 	for _, ep := range rep.Elementwise {
-		if ep.RefNsPerElem < 2*ep.NsPerElem {
+		if ep.RefNsPerElem > 0 && ep.RefNsPerElem < 2*ep.NsPerElem {
 			t.Fatalf("elementwise routine %s (%s, %d x %d): %.2f ns/element is not twice as fast as the libm loop's %.2f",
 				ep.Name, ep.Op, ep.Rows, ep.Cols, ep.NsPerElem, ep.RefNsPerElem)
+		}
+		// GELU and AdamW run in assembly; LayerNorm has none and is not gated.
+		if _, ok := vectorGated[ep.Op]; ok && ep.VectorSpeedup < 1.3 {
+			t.Fatalf("elementwise routine %s (%s, %d x %d): %.2f ns/element under kernel %s is not 1.3x its Go twin's %.2f",
+				ep.Name, ep.Op, ep.Rows, ep.Cols, ep.NsPerElem, rep.Kernel, ep.TwinNsPerElem)
 		}
 	}
 	largest := rep.Points[len(rep.Points)-1]

@@ -75,7 +75,7 @@
 // Additive fields may appear within v2; readers must ignore unknown keys.
 // Field removals or meaning changes bump the schema string.
 //
-// # JSON schema (dchag-bench/compute/v10)
+// # JSON schema (dchag-bench/compute/v11)
 //
 // The -compute flag writes one experiments.ComputeReport object — the
 // single-node compute-substrate point of the perf trajectory (CI commits it
@@ -102,10 +102,14 @@
 // operands of the same shape, with the multiply-accumulates per location of the pooled formulation it executes
 // (group mean taken on the attention map, DESIGN.md "Channel aggregation:
 // pooled attention") and of the unpooled one it replaced. Each elementwise
-// point is one transcendental pass of the workloads outside that pass — the
-// softmax over a ViT block's maps, GELU forward and backward — on the vector exp kernel (tensor.Exp, DESIGN.md "Elementwise
-// transcendentals") next to the scalar math.Exp / math.Tanh loop it replaced,
-// over the same data. Each channel-stage point is one whole
+// point is one pass of the step outside the matrix products at a workload's
+// per-rank shape — the softmax over a ViT block's maps, GELU and LayerNorm
+// forward and backward at a wx_tp2dp2 rank's and a serving rank's shapes,
+// and AdamW over about a wx_tp2dp2 rank's parameter elements — timed under
+// the kernel tier and with every kernel on its Go twin (tensor.WithGoTwins;
+// DESIGN.md "Elementwise transcendentals" has the operation-order rule that
+// makes the two bit-identical), softmax and GELU also next to the scalar
+// math.Exp / math.Tanh loop they replaced, over the same data. Each channel-stage point is one whole
 // model.SerialStage at a workload's per-rank shape — Forward, Backward and
 // F32 Infer, and the bytes of scratch it holds afterwards — next to the same
 // layers chained through their channel-major entry points (DESIGN.md
@@ -116,7 +120,7 @@
 // leave a processor free):
 //
 //	{
-//	  "schema": "dchag-bench/compute/v10", // bump on breaking change
+//	  "schema": "dchag-bench/compute/v11", // bump on breaking change
 //	  "kernel": "avx512",                 // product kernels: "avx512" (f64 on AVX-512,
 //	                                      // the rest AVX2+FMA), "avx2" or "go"
 //	  "maxprocs": 1,                      // GOMAXPROCS during measurement
@@ -172,12 +176,16 @@
 //	  ],
 //	  "elementwise": [
 //	    {
-//	      "name": "softmax_vit",          // which pass of the model
-//	      "op": "SoftmaxLastDimInto",     // the entry point measured
-//	      "rows": 2048, "cols": 64,       // softmax along cols; GELU over rows*cols
-//	      "ref_ns_per_elem": 10.4,        // scalar math.Exp / math.Tanh loop
-//	      "ns_per_elem": 1.7,             // the shipped routine, best trial
-//	      "speedup": 6.2,                 // ref / shipped; gate: >= 2x unless kernel is "go"
+//	      "name": "gelu_fwd_wx",          // which pass of the model, at which workload's shape
+//	      "op": "GELU.Forward",           // the entry point measured
+//	      "rows": 128, "cols": 128,       // softmax along cols; the rest over rows*cols
+//	      "ns_per_elem": 1.9,             // under "kernel", best trial
+//	      "twin_ns_per_elem": 12.8,       // every kernel on its Go twin, timed alternately
+//	      "vector_speedup": 6.7,          // twin / tier; gate: >= 1.3x for GELU and AdamW
+//	                                      // unless kernel is "go" (LayerNorm has no assembly)
+//	      "ref_ns_per_elem": 18.3,        // softmax and GELU only: the scalar math.Exp /
+//	      "speedup": 9.6,                 // math.Tanh loop, and ref / tier; gate: >= 2x
+//	                                      // unless kernel is "go"
 //	      "allocs_per_op": 0              // steady state
 //	    }, ...
 //	  ],
@@ -217,8 +225,9 @@
 // The report is wall-clock measured, so TestComputeJSONArtifact gates the
 // committed artifact on its schema and qualitative claims — blocked at
 // least matches naive everywhere, the speedup gates hold and every shape
-// beats the naive loop and every elementwise routine runs at least twice
-// as fast as its libm loop where "kernel" is not "go", every point, shape,
+// beats the naive loop, every elementwise routine with a libm loop runs at
+// least twice as fast as it and GELU and AdamW at least 1.3x as fast as
+// their Go twins where "kernel" is not "go", every point, shape,
 // aggregator, elementwise routine and channel stage ran allocation-free,
 // no float64 shape with an untransposed B packs anything, pooled MACs are at
 // most 0.75 x unpooled at group 16, and every channel
@@ -232,8 +241,11 @@
 // "core_bwd_us" on every aggregator and drops the channel aggregation's
 // batched products and softmax from "shapes" and "elementwise" (the pooled
 // attention pass issues neither; "vit_bwd_dv" keeps the transposed-map
-// product timed); there is no reader for an earlier version. Additive fields
-// may appear within v9; readers must ignore unknown keys.
+// product timed), v10 "epilogue" on the affine shapes, v11 "twin_ns_per_elem"
+// and "vector_speedup" on every elementwise point, LayerNorm and AdamW points,
+// the workloads' per-rank shapes, and "ref_ns_per_elem"/"speedup" only where
+// a libm loop exists; there is no reader for an earlier version. Additive
+// fields may appear within v11; readers must ignore unknown keys.
 //
 // # Report diffing (-diff)
 //

@@ -223,6 +223,10 @@ func (a *LinearAggregator) reduce(out, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward maps d [N, E] to [N, g, E] and accumulates dWeight and dBias.
+// Per location it takes four group members per pass over d's row, so four
+// dot-product chains are in flight where one left the adder waiting; each
+// chain still runs in element order from +0, its products rounded before
+// the add, and the members' sums reach dWeight in member order.
 //
 // dchag:hotpath — per-step channel-mixing backward; dx is layer-owned
 // scratch.
@@ -232,23 +236,39 @@ func (a *LinearAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
 	}
 	n, e := a.x.Shape[0], a.x.Shape[2]
 	a.dx = tensor.EnsureShape(a.dx, n, a.Group, e)
-	dx := a.dx
 	tensor.AccumRows(a.Bias.Grad.Data, d.Data, e, n, nil)
 	for ni := 0; ni < n; ni++ {
-		src := d.Data[ni*e : (ni+1)*e]
-		for g := 0; g < a.Group; g++ {
-			w := a.Weight.W.Data[g]
-			xrow := a.x.Data[(ni*a.Group+g)*e : (ni*a.Group+g+1)*e]
-			drow := dx.Data[(ni*a.Group+g)*e : (ni*a.Group+g+1)*e]
-			s := 0.0
-			for i, v := range src {
-				drow[i] = w * v
-				s += v * xrow[i]
-			}
-			a.Weight.Grad.Data[g] += s
+		for g := 0; g < a.Group; g += 4 {
+			a.backward4(d.Data[ni*e:][:e], ni*a.Group, g)
 		}
 	}
-	return dx
+	return a.dx
+}
+
+// backward4 runs group members g..g+3 of the location whose rows start at
+// row base of x and dx, src being its row of the output gradient. Members
+// past the group repeat the last one, which writes its dx row twice with the
+// same bits; only the real members' sums are added to dWeight.
+func (a *LinearAggregator) backward4(src []float64, base, g int) {
+	e, last := len(src), a.Group-1
+	m := [4]int{g, min(g+1, last), min(g+2, last), min(g+3, last)}
+	w := a.Weight.W.Data
+	w0, w1, w2, w3 := w[m[0]], w[m[1]], w[m[2]], w[m[3]]
+	x, dx := a.x.Data, a.dx.Data
+	x0, x1, x2, x3 := x[(base+m[0])*e:][:e], x[(base+m[1])*e:][:e], x[(base+m[2])*e:][:e], x[(base+m[3])*e:][:e]
+	d0, d1, d2, d3 := dx[(base+m[0])*e:][:e], dx[(base+m[1])*e:][:e], dx[(base+m[2])*e:][:e], dx[(base+m[3])*e:][:e]
+	var s0, s1, s2, s3 float64
+	for i, v := range src {
+		d0[i], d1[i], d2[i], d3[i] = w0*v, w1*v, w2*v, w3*v
+		s0 += float64(v * x0[i])
+		s1 += float64(v * x1[i])
+		s2 += float64(v * x2[i])
+		s3 += float64(v * x3[i])
+	}
+	sums := [4]float64{s0, s1, s2, s3}
+	for j, s := range sums[:min(4, a.Group-g)] {
+		a.Weight.Grad.Data[g+j] += s
+	}
 }
 
 // Params returns the weight and bias.

@@ -148,16 +148,18 @@ func (w *Weather) Field(ch, step int) *tensor.Tensor {
 		t = 0
 	}
 	out := tensor.New(h, wd)
+	merid := make([]float64, len(spec.waves)) // each wave's meridional factor on row y
 	for y := 0; y < h; y++ {
 		lat := (0.5 - (float64(y)+0.5)/float64(h)) * math.Pi // +pi/2..-pi/2
 		base := spec.base + spec.latAmp*math.Sin(lat)
+		for k, wave := range spec.waves {
+			merid[k] = math.Sin(float64(wave.ky) * (lat + math.Pi/2))
+		}
 		for x := 0; x < wd; x++ {
 			lon := 2 * math.Pi * float64(x) / float64(wd)
 			v := base
-			for _, wave := range spec.waves {
-				v += wave.amp *
-					math.Cos(float64(wave.kx)*lon-wave.omega*t+wave.phase) *
-					math.Sin(float64(wave.ky)*(lat+math.Pi/2))
+			for k, wave := range spec.waves {
+				v += wave.amp * math.Cos(float64(wave.kx)*lon-wave.omega*t+wave.phase) * merid[k]
 			}
 			out.Data[y*wd+x] = v
 		}
@@ -185,20 +187,26 @@ func (w *Weather) SnapshotAt(step, h, wd int) *tensor.Tensor {
 	return tensor.Stack(fields...)
 }
 
-// Pair returns the (input, target) snapshot pair (t, t+lead) at resolution
-// h x w — one forecast training example.
-func (w *Weather) Pair(step, lead, h, wd int) (x, y *tensor.Tensor) {
-	return w.SnapshotAt(step, h, wd), w.SnapshotAt(step+lead, h, wd)
-}
-
-// PairBatch stacks examples with inputs at steps from..from+batch-1:
-// x, y of shape [batch, Channels, h, w].
+// PairBatch stacks forecast examples — the snapshot at a step and the one
+// lead steps later, regridded to h x w — with inputs at steps
+// from..from+batch-1: x, y of shape [batch, Channels, h, w]. Each distinct
+// step is materialized once (with lead 1, sample i's target is sample
+// i+1's input).
 func (w *Weather) PairBatch(from, batch, lead, h, wd int) (x, y *tensor.Tensor) {
+	snaps := make(map[int]*tensor.Tensor, batch+lead)
+	at := func(step int) *tensor.Tensor {
+		s, ok := snaps[step]
+		if !ok {
+			s = w.SnapshotAt(step, h, wd)
+			snaps[step] = s
+		}
+		return s
+	}
 	xs := make([]*tensor.Tensor, batch)
 	ys := make([]*tensor.Tensor, batch)
 	for i := 0; i < batch; i++ {
 		step := (from + i) % (w.Cfg.Steps - lead)
-		xs[i], ys[i] = w.Pair(step, lead, h, wd)
+		xs[i], ys[i] = at(step), at(step+lead)
 	}
 	return tensor.Stack(xs...), tensor.Stack(ys...)
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nn"
+	"repro/internal/optim"
 	"repro/internal/tensor"
 )
 
@@ -49,8 +50,13 @@ func init() {
 // proj_infer_f32 and tokenize_f32 the way the layers now issue them, through
 // AffineInto / AffinePackedF32Into with the epilogue the kernel adds as it
 // stores (a bias; for the tokenizer a bias and the channel-ID row, into the
-// strided group input), and records it as epilogue.
-const ComputeSchema = "dchag-bench/compute/v10"
+// strided group input), and records it as epilogue. v11 makes elementwise the
+// step's arithmetic outside the products at the workloads' per-rank shapes —
+// GELU and LayerNorm forward and backward at the wx_tp2dp2 and serving
+// shapes, and AdamW — each timed under the tier that ran and under the Go
+// twins (twin_ns_per_elem, vector_speedup); ref_ns_per_elem and speedup stay
+// on the routines that have a libm loop.
+const ComputeSchema = "dchag-bench/compute/v11"
 
 // ComputePoint is one measured square GEMM size (dst = A@B, all [n,n]).
 type ComputePoint struct {
@@ -139,22 +145,29 @@ type AggregatorPoint struct {
 	UnpooledBwdMACs int `json:"unpooled_bwd_macs"`
 }
 
-// ElementwisePoint is one measured transcendental routine over a
-// [Rows, Cols] tensor: a softmax along the last dimension or a GELU forward
-// or backward.
+// ElementwisePoint is one measured routine of the step outside the matrix
+// products, over a [Rows, Cols] tensor: a softmax along the last dimension,
+// a GELU or LayerNorm forward or backward, or an AdamW step over one
+// parameter of Rows*Cols elements.
 type ElementwisePoint struct {
 	Name string `json:"name"`
 	Op   string `json:"op"`
 	Rows int    `json:"rows"`
 	Cols int    `json:"cols"`
-	// RefNsPerElem is a scalar loop on math.Exp (softmax) or math.Tanh (GELU)
-	// — what the routine was before tensor.Exp — and NsPerElem the shipped
-	// routine, both best-trial nanoseconds per element; Speedup their ratio.
-	RefNsPerElem float64 `json:"ref_ns_per_elem"`
-	NsPerElem    float64 `json:"ns_per_elem"`
-	Speedup      float64 `json:"speedup"`
-	// AllocsPerOp is the shipped routine's steady-state heap allocations per
-	// call.
+	// NsPerElem is the routine under the kernel tier that ran and
+	// TwinNsPerElem the same call with every kernel on its Go twin
+	// (tensor.WithGoTwins), both best-trial nanoseconds per element, timed
+	// alternately; VectorSpeedup is twin over tier. LayerNorm has no assembly,
+	// so its two columns time one code.
+	NsPerElem     float64 `json:"ns_per_elem"`
+	TwinNsPerElem float64 `json:"twin_ns_per_elem"`
+	VectorSpeedup float64 `json:"vector_speedup"`
+	// RefNsPerElem is, for softmax and GELU, the scalar loop on math.Exp or
+	// math.Tanh they were before the vector exponential, and Speedup ref over
+	// tier; both are absent elsewhere.
+	RefNsPerElem float64 `json:"ref_ns_per_elem,omitempty"`
+	Speedup      float64 `json:"speedup,omitempty"`
+	// AllocsPerOp is the routine's steady-state heap allocations per call.
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
@@ -589,17 +602,29 @@ func pooledCoreSteps(rng *rand.Rand, ap AggregatorPoint) (fwd, bwd func()) {
 	return fwd, bwd
 }
 
-// dchagElementwise lists the transcendental passes the benchmark workloads
-// run outside the pooled attention pass: the softmax over a ViT block's
-// attention maps (8 samples x 4 heads x 64 tokens, 64 keys), and the MLP's
-// GELU forward and backward.
+// dchagElementwise lists the passes outside the matrix products that the
+// benchmark workloads run, at their per-rank shapes: the softmax over a ViT
+// block's attention maps (8 samples x 4 heads x 64 tokens, 64 keys); the
+// MLP's GELU and the blocks' LayerNorm at a wx_tp2dp2 rank (128 tokens, E =
+// 64, half of the 256 hidden columns) and at a serving rank's share of a
+// micro-batch (4 samples x 64 tokens, E = 32, 128 hidden); and AdamW over
+// about a wx_tp2dp2 rank's 258 728 parameter elements.
 var dchagElementwise = []ElementwisePoint{
 	{Name: "softmax_vit", Op: "SoftmaxLastDimInto", Rows: 8 * 4 * 64, Cols: 64},
-	{Name: "gelu_fwd", Op: "GELU.Forward", Rows: 512, Cols: 256},
-	{Name: "gelu_bwd", Op: "GELU.Backward", Rows: 512, Cols: 256},
+	{Name: "gelu_fwd_wx", Op: "GELU.Forward", Rows: 128, Cols: 128},
+	{Name: "gelu_bwd_wx", Op: "GELU.Backward", Rows: 128, Cols: 128},
+	{Name: "gelu_fwd_serve", Op: "GELU.Forward", Rows: 256, Cols: 128},
+	{Name: "gelu_bwd_serve", Op: "GELU.Backward", Rows: 256, Cols: 128},
+	{Name: "layernorm_fwd_wx", Op: "LayerNorm.Forward", Rows: 128, Cols: 64},
+	{Name: "layernorm_bwd_wx", Op: "LayerNorm.Backward", Rows: 128, Cols: 64},
+	{Name: "layernorm_fwd_serve", Op: "LayerNorm.Forward", Rows: 256, Cols: 32},
+	{Name: "layernorm_bwd_serve", Op: "LayerNorm.Backward", Rows: 256, Cols: 32},
+	{Name: "adamw_wx", Op: "AdamW.Step", Rows: 1024, Cols: 256},
 }
 
-// measureElementwise fills in the times of every dchagElementwise entry.
+// measureElementwise fills in the times of every dchagElementwise entry:
+// the routine under the tier and under the Go twins alternately, trial by
+// trial, and the libm loop where the routine has one.
 func measureElementwise(cfg ComputeBenchConfig) []ElementwisePoint {
 	out := make([]ElementwisePoint, len(dchagElementwise))
 	for i, ep := range dchagElementwise {
@@ -607,31 +632,53 @@ func measureElementwise(cfg ComputeBenchConfig) []ElementwisePoint {
 		x := tensor.Randn(rng, ep.Rows, ep.Cols)
 		d := tensor.Randn(rng, ep.Rows, ep.Cols)
 		dst := tensor.New(ep.Rows, ep.Cols)
-		gelu := nn.NewGELU()
 		var step, ref func()
 		switch ep.Op {
 		case "SoftmaxLastDimInto":
 			step, ref = func() { tensor.SoftmaxLastDimInto(dst, x) }, func() { refSoftmax(dst.Data, x.Data, ep.Cols) }
 		case "GELU.Forward":
+			gelu := nn.NewGELU()
 			step, ref = func() { gelu.Forward(x) }, func() { refGELU(dst.Data, x.Data) }
 		case "GELU.Backward":
+			gelu := nn.NewGELU()
 			gelu.Forward(x) // Backward reads the cached input
 			step, ref = func() { gelu.Backward(d) }, func() { refGELUGrad(dst.Data, x.Data, d.Data) }
+		case "LayerNorm.Forward":
+			ln := nn.NewLayerNorm("bench.ln", ep.Cols)
+			step = func() { ln.Forward(x) }
+		case "LayerNorm.Backward":
+			ln := nn.NewLayerNorm("bench.ln", ep.Cols)
+			ln.Forward(x) // Backward reads the cached normalized input
+			step = func() { ln.Backward(d) }
+		case "AdamW.Step":
+			p := nn.NewParam("bench.w", x)
+			copy(p.Grad.Data, d.Data)
+			step = optim.NewAdamW([]*nn.Param{p}, 1e-3, 0.01).Step
 		default:
 			panic(fmt.Sprintf("experiments: no runner for elementwise point %+v", ep))
 		}
 		perElem := 1e9 / float64(ep.Rows*ep.Cols)
-		ep.RefNsPerElem = perElem * bestSeconds(cfg, ref)
-		ep.NsPerElem = perElem * bestSeconds(cfg, step)
-		ep.Speedup = ep.RefNsPerElem / ep.NsPerElem
+		tier, twin := math.Inf(1), math.Inf(1)
+		for trial := 0; trial < cfg.Trials; trial++ {
+			one := ComputeBenchConfig{MinTime: cfg.MinTime, Trials: 1}
+			tier = min(tier, bestSeconds(one, step))
+			tensor.WithGoTwins(func() { twin = min(twin, bestSeconds(one, step)) })
+		}
+		ep.NsPerElem, ep.TwinNsPerElem = perElem*tier, perElem*twin
+		ep.VectorSpeedup = ep.TwinNsPerElem / ep.NsPerElem
+		if ref != nil {
+			ep.RefNsPerElem = perElem * bestSeconds(cfg, ref)
+			ep.Speedup = ep.RefNsPerElem / ep.NsPerElem
+		}
 		ep.AllocsPerOp = allocsPerOp(cfg.AllocIters, step)
 		out[i] = ep
 	}
 	return out
 }
 
-// refSoftmax, refGELU and refGELUGrad are the baselines of the elementwise
-// points: the scalar libm loops softmax and GELU ran before tensor.Exp.
+// refSoftmax, refGELU and refGELUGrad are the libm baselines of the
+// elementwise points: the scalar loops softmax and GELU ran before the vector
+// exponential.
 func refSoftmax(dst, src []float64, n int) {
 	for lo := 0; lo < len(src); lo += n {
 		row, d := src[lo:lo+n], dst[lo:lo+n]
@@ -766,15 +813,19 @@ func runCompute() Result {
 	}
 	aggs.Note("the layer takes the group mean on the attention map, so the value product and Wo run on one token per location; unpooled is the same layer with the mean taken last; backward MACs are twice forward in both; the pass is the pooled attention between the projections (tensor.PooledAttention and its backward)")
 	elems := &Table{
-		Title:   "Measured softmax and GELU on the vector exp kernel (tensor.Exp)",
-		Headers: []string{"routine", "entry point", "rows x cols", "libm loop ns/elem", "ns/elem", "speedup", "allocs/op"},
+		Title:   "Measured step arithmetic outside the products: the kernel tier, the Go twins, the libm loops",
+		Headers: []string{"routine", "entry point", "rows x cols", "ns/elem", "twin ns/elem", "twin/tier", "libm loop ns/elem", "allocs/op"},
 	}
 	for _, ep := range rep.Elementwise {
+		ref := "-"
+		if ep.RefNsPerElem > 0 {
+			ref = fmt.Sprintf("%.2f", ep.RefNsPerElem)
+		}
 		elems.Add(ep.Name, ep.Op, fmt.Sprintf("%d x %d", ep.Rows, ep.Cols),
-			fmt.Sprintf("%.2f", ep.RefNsPerElem), fmt.Sprintf("%.2f", ep.NsPerElem),
-			fmt.Sprintf("%.2fx", ep.Speedup), fmt.Sprintf("%.0f", ep.AllocsPerOp))
+			fmt.Sprintf("%.2f", ep.NsPerElem), fmt.Sprintf("%.2f", ep.TwinNsPerElem),
+			fmt.Sprintf("%.2fx", ep.VectorSpeedup), ref, fmt.Sprintf("%.0f", ep.AllocsPerOp))
 	}
-	elems.Note("the libm loop is the scalar math.Exp softmax or math.Tanh GELU over the same data; the shipped routines take one exp per element through the AVX2 kernel or its bit-identical Go twin")
+	elems.Note("the twin column is the same call with every kernel on its bit-identical Go twin (LayerNorm has no assembly: one code, timed twice); the libm loop is the scalar math.Exp softmax or math.Tanh GELU over the same data")
 	stages := &Table{
 		Title:   "Measured serial channel stage (model.SerialStage), shipped / chained through the channel-major entry points",
 		Headers: []string{"stage", "ch x batch x E, tree, kind", "forward us", "backward us", "infer f32 us", "scratch / token tensor", "allocs/op"},

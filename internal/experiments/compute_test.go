@@ -58,7 +58,8 @@ func TestRunComputeBenchQuick(t *testing.T) {
 		t.Fatalf("got %d elementwise points, want %d", len(rep.Elementwise), len(dchagElementwise))
 	}
 	for _, ep := range rep.Elementwise {
-		if ep.RefNsPerElem <= 0 || ep.NsPerElem <= 0 || ep.AllocsPerOp < 0 {
+		libm := ep.Op == "SoftmaxLastDimInto" || ep.Op == "GELU.Forward" || ep.Op == "GELU.Backward"
+		if ep.NsPerElem <= 0 || ep.TwinNsPerElem <= 0 || ep.VectorSpeedup <= 0 || (ep.RefNsPerElem > 0) != libm || ep.AllocsPerOp < 0 {
 			t.Fatalf("implausible elementwise point %+v", ep)
 		}
 	}

@@ -8,8 +8,14 @@ import (
 	"repro/internal/tensor"
 )
 
+const (
+	geluC = 0.7978845608028654 // sqrt(2/pi)
+	geluA = 0.044715
+)
+
 // geluRef and geluGradRef are the tanh formulation the layer computed before
-// it moved onto tensor.Exp; they stay as the reference it is checked against.
+// it moved onto the vector exponential; they stay as the reference it is
+// checked against.
 func geluRef(v float64) float64 {
 	return 0.5 * v * (1 + math.Tanh(geluC*(v+geluA*v*v*v)))
 }

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // Optimizer applies one update step to a fixed set of parameters.
@@ -153,21 +154,17 @@ func NewAdamW(params []*nn.Param, lr, weightDecay float64) *AdamW {
 	return a
 }
 
-// Step applies one AdamW update with bias correction.
+// Step applies one AdamW update with bias correction, one tensor.AdamW pass
+// per parameter.
 func (a *AdamW) Step() {
 	a.step++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	c := tensor.AdamWCoeffs{
+		LR: a.lr, Beta1: a.Beta1, Beta2: a.Beta2, Eps: a.Eps, WeightDecay: a.WeightDecay,
+		C1: 1 - math.Pow(a.Beta1, float64(a.step)),
+		C2: 1 - math.Pow(a.Beta2, float64(a.step)),
+	}
 	for _, p := range a.Params {
-		m, v := a.m[p.Name], a.v[p.Name]
-		for j := range p.W.Data {
-			g := p.Grad.Data[j]
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
-			mh := m[j] / c1
-			vh := v[j] / c2
-			p.W.Data[j] -= a.lr * (mh/(math.Sqrt(vh)+a.Eps) + a.WeightDecay*p.W.Data[j])
-		}
+		tensor.AdamW(p.W.Data, a.m[p.Name], a.v[p.Name], p.Grad.Data, c)
 	}
 }
 

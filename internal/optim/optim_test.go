@@ -1,6 +1,7 @@
 package optim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -169,6 +170,67 @@ func TestAdamWStateRoundTripContinuesTrajectory(t *testing.T) {
 		for j := range p1.W.Data {
 			if p1.W.Data[j] != p2.W.Data[j] {
 				t.Fatalf("trajectories diverge at continued step %d index %d", i, j)
+			}
+		}
+	}
+}
+
+// parentAdamWStep is AdamW.Step's loop before the update became one
+// tensor.AdamW pass per parameter, verbatim but for the receiver's fields
+// passed in: the oracle the optimizer is held to.
+func parentAdamWStep(params []*nn.Param, ms, vs map[string][]float64, lr, beta1, beta2, eps, wd float64, step int) {
+	c1 := 1 - math.Pow(beta1, float64(step))
+	c2 := 1 - math.Pow(beta2, float64(step))
+	for _, p := range params {
+		m, v := ms[p.Name], vs[p.Name]
+		for j := range p.W.Data {
+			g := p.Grad.Data[j]
+			m[j] = beta1*m[j] + (1-beta1)*g
+			v[j] = beta2*v[j] + (1-beta2)*g*g
+			mh := m[j] / c1
+			vh := v[j] / c2
+			p.W.Data[j] -= lr * (mh/(math.Sqrt(vh)+eps) + wd*p.W.Data[j])
+		}
+	}
+}
+
+// TestAdamWMatchesParentLoop runs the optimizer and the parent's loop side
+// by side over parameters of every length 1..9 and 33 for twelve steps, new
+// gradients each step and the learning rate changing, and requires the
+// weights and both moments to agree bit for bit.
+func TestAdamWMatchesParentLoop(t *testing.T) {
+	rng := tensor.NewRNG(71)
+	var params, ref []*nn.Param
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33} {
+		w := tensor.Randn(rng, n)
+		params = append(params, nn.NewParam(fmt.Sprint("p", n), w.Clone()))
+		ref = append(ref, nn.NewParam(fmt.Sprint("p", n), w.Clone()))
+	}
+	opt := NewAdamW(params, 1e-2, 0.05)
+	ms, vs := map[string][]float64{}, map[string][]float64{}
+	for _, p := range ref {
+		ms[p.Name], vs[p.Name] = make([]float64, p.Numel()), make([]float64, p.Numel())
+	}
+	for step := 1; step <= 12; step++ {
+		lr := 1e-2 / float64(step)
+		opt.SetLR(lr)
+		for i, p := range params {
+			g := tensor.Randn(rng, p.Numel())
+			copy(p.Grad.Data, g.Data)
+			copy(ref[i].Grad.Data, g.Data)
+		}
+		opt.Step()
+		parentAdamWStep(ref, ms, vs, lr, opt.Beta1, opt.Beta2, opt.Eps, opt.WeightDecay, step)
+		st := opt.ExportState()
+		for i, p := range params {
+			for j := range p.W.Data {
+				got := []float64{p.W.Data[j], st.Moments[p.Name]["m"][j], st.Moments[p.Name]["v"][j]}
+				want := []float64{ref[i].W.Data[j], ms[p.Name][j], vs[p.Name][j]}
+				for k := range got {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("step %d, %s[%d]: w/m/v %v, parent loop %v", step, p.Name, j, got, want)
+					}
+				}
 			}
 		}
 	}

@@ -47,26 +47,98 @@ func expGo(x float64) float64 {
 	return math.Float64frombits(math.Float64bits(p) + uint64(int64(k))<<52)
 }
 
-// Exp computes dst[i] = e^src[i]. dst and src must have the same length and
-// either be the same slice or not overlap. Inputs below -708 give +0, above
-// 709 +Inf, NaN gives NaN; in between the result is within 2 ulp of
-// math.Exp, and e^0 is exactly 1.
+// GELU in the tanh approximation 0.5*x*(1 + tanh u), u = geluC*(x + geluA*x^3),
+// evaluated through 0.5*(1 + tanh u) = sigmoid(2u) as x/(1+e) with
+// e = exp(a), a = -2u = x*(geluK1 - geluK2*x*x). The K constants are the
+// constant expressions the arithmetic was first written with, which Go folds
+// exactly before rounding once to float64; geluK holds them four lanes each
+// for the assembly, so neither spelling has a hand-typed bit pattern.
+const (
+	geluC  = 0.7978845608028654 // sqrt(2/pi)
+	geluA  = 0.044715
+	geluK1 = -2 * geluC
+	geluK2 = 2 * geluC * geluA
+	geluK3 = 3 * geluA
+)
+
+var geluK = [16]float64{
+	geluK1, geluK1, geluK1, geluK1,
+	geluK2, geluK2, geluK2, geluK2,
+	geluK3, geluK3, geluK3, geluK3,
+	geluC, geluC, geluC, geluC,
+}
+
+// GELU writes dst[i] = x[i]/(1 + e) with e = exp(min(a, 709)),
+// a = x[i]*(geluK1 - (geluK2*x[i])*x[i]): the activation in one pass, the
+// exponent held at 709 so that e stays finite (NaN stays NaN). dst and x must
+// have the same length and either be the same slice or not overlap. Where the
+// CPU has AVX2 it runs in assembly; the result is geluGo's bit for bit.
 //
-// dchag:hotpath — softmax and GELU run every element through this; it
-// performs no heap allocation.
-func Exp(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("tensor: Exp length mismatch")
+// dchag:hotpath — every MLP's activation, forward and served; it performs
+// no heap allocation.
+func GELU(dst, x []float64) {
+	if len(dst) != len(x) {
+		panic("tensor: GELU length mismatch")
 	}
-	if len(src) == 0 {
+	if len(x) == 0 {
 		return
 	}
 	if useSIMD {
-		expAVX2(&dst[0], &src[0], len(src))
+		geluAVX2(&dst[0], &x[0], len(x))
 		return
 	}
-	for i, v := range src {
-		dst[i] = expGo(v)
+	geluGo(dst, x)
+}
+
+// GELUBackward writes dst[i] = g[i]*(s + ((2*((s*s)*e)*x[i])*du)), the
+// upstream gradient times GELU'(x[i]), with e as in GELU, s = 1/(1+e) and
+// du = geluC*(1 + (geluK3*x[i])*x[i]); 1-s is taken as s*e, which has no
+// cancellation where s is near 1, and s*s*e is formed first because it has
+// vanished long before x*du can overflow. dst, x and g must have the same
+// length, and dst must be one of the others or overlap neither. The result
+// is geluGradGo's bit for bit.
+//
+// dchag:hotpath — every MLP's activation gradient; it performs no heap
+// allocation.
+func GELUBackward(dst, x, g []float64) {
+	if len(dst) != len(x) || len(g) != len(x) {
+		panic("tensor: GELUBackward length mismatch")
+	}
+	if len(x) == 0 {
+		return
+	}
+	if useSIMD {
+		geluGradAVX2(&dst[0], &x[0], &g[0], len(x))
+		return
+	}
+	geluGradGo(dst, x, g)
+}
+
+// geluExp is e^a of GELU for one element. The products that feed a sum are
+// rounded by conversion, as the assembly's separate multiplies and adds
+// round, so a compiler that fuses multiply-adds cannot contract them.
+func geluExp(v float64) float64 {
+	a := v * (geluK1 - float64(geluK2*v*v))
+	if a > 709 {
+		a = 709
+	}
+	return expGo(a)
+}
+
+// geluGo is GELU's Go twin.
+func geluGo(dst, x []float64) {
+	for i, v := range x {
+		dst[i] = v / (1 + geluExp(v))
+	}
+}
+
+// geluGradGo is GELUBackward's Go twin.
+func geluGradGo(dst, x, g []float64) {
+	for i, v := range x {
+		e := geluExp(v)
+		s := 1 / (1 + e)
+		du := geluC * (1 + float64(geluK3*v*v))
+		dst[i] = g[i] * (s + float64(2*(s*s*e*v)*du))
 	}
 }
 

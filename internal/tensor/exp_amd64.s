@@ -1,11 +1,14 @@
 #include "textflag.h"
 #include "exp_amd64.h"
 
-// Vector exponential and the row softmax built on it. The arithmetic is
-// defined once, in exp.go (expGo is its Go spelling, bit for bit); EXP2 in
-// exp_amd64.h is the AVX2+FMA spelling.
+// Vector exponential and the row softmax and GELU passes built on it. The
+// arithmetic is defined once, in exp.go (expGo, softmaxRowsGo, geluGo and
+// geluGradGo are its Go spelling, bit for bit); EXP2 in exp_amd64.h is the
+// AVX2+FMA spelling of the exponential.
 
 // func expAVX2(dst, src *float64, n int)
+//
+// The exponential alone, which the tests hold to expGo and math.Exp.
 TEXT ·expAVX2(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -135,5 +138,131 @@ smnext:
 	ADDQ R9, DI
 	DECQ R8
 	JNZ  smrow
+	VZEROUPPER
+	RET
+
+// The GELU passes: eight elements per step, two vectors of four through
+// EXP2, the last 1..7 under the tail masks. Every multiply and add outside
+// EXP2 is its own instruction, in geluGo's and geluGradGo's order, and the
+// exponent is clamped with 709 as the first operand of VMINPD, which returns
+// the second (the exponent) when it is NaN. Y10 holds geluK1 and Y12 709.
+#define GK2 ·geluK+32(SB)
+#define GK3 ·geluK+64(SB)
+#define GELUC ·geluK+96(SB)
+
+// GELUARG sets A = min(x*(geluK1 - (geluK2*x)*x), 709) from X.
+#define GELUARG(X, A) \
+	VMULPD GK2, X, A \
+	VMULPD X, A, A \
+	VSUBPD A, Y10, A \
+	VMULPD A, X, A \
+	VMINPD A, Y12, A
+
+// GELUDX sets W = s + ((2*((s*s)*e)*x)*du) from X and E = e, with
+// s = 1/(1+e) in S and du = geluC*(1 + (geluK3*x)*x) in U.
+#define GELUDX(X, E, S, U, W) \
+	VADDPD ONE, E, W \
+	VMOVUPD ONE, S \
+	VDIVPD W, S, S \
+	VMULPD GK3, X, U \
+	VMULPD X, U, U \
+	VADDPD ONE, U, U \
+	VMULPD GELUC, U, U \
+	VMULPD S, S, W \
+	VMULPD E, W, W \
+	VMULPD X, W, W \
+	VADDPD W, W, W \
+	VMULPD U, W, W \
+	VADDPD W, S, W
+
+// func geluAVX2(dst, x *float64, n int)
+TEXT ·geluAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	VMOVUPD ·geluK+0(SB), Y10
+	VMOVUPD HI, Y12
+gelu8:
+	CMPQ CX, $8
+	JLT  gelutail
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y4
+	GELUARG(Y0, Y1)
+	GELUARG(Y4, Y5)
+	EXP2(Y1, Y2, Y3, Y8, Y5, Y6, Y7, Y9)
+	VADDPD ONE, Y8, Y8
+	VADDPD ONE, Y9, Y9
+	VDIVPD Y8, Y0, Y8
+	VDIVPD Y9, Y4, Y9
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $8, CX
+	JMP  gelu8
+gelutail:
+	TESTQ CX, CX
+	JZ   geludone
+	TAILMASKS(CX)
+	VMASKMOVPD (SI), Y14, Y0
+	VMASKMOVPD 32(SI), Y15, Y4
+	GELUARG(Y0, Y1)
+	GELUARG(Y4, Y5)
+	EXP2(Y1, Y2, Y3, Y8, Y5, Y6, Y7, Y9)
+	VADDPD ONE, Y8, Y8
+	VADDPD ONE, Y9, Y9
+	VDIVPD Y8, Y0, Y8
+	VDIVPD Y9, Y4, Y9
+	VMASKMOVPD Y8, Y14, (DI)
+	VMASKMOVPD Y9, Y15, 32(DI)
+geludone:
+	VZEROUPPER
+	RET
+
+// func geluGradAVX2(dst, x, grad *float64, n int)
+TEXT ·geluGradAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ grad+16(FP), DX
+	MOVQ n+24(FP), CX
+	VMOVUPD ·geluK+0(SB), Y10
+	VMOVUPD HI, Y12
+gelug8:
+	CMPQ CX, $8
+	JLT  gelugtail
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y4
+	GELUARG(Y0, Y1)
+	GELUARG(Y4, Y5)
+	EXP2(Y1, Y2, Y3, Y8, Y5, Y6, Y7, Y9)
+	GELUDX(Y0, Y8, Y1, Y2, Y3)
+	GELUDX(Y4, Y9, Y5, Y6, Y7)
+	VMULPD (DX), Y3, Y3
+	VMULPD 32(DX), Y7, Y7
+	VMOVUPD Y3, (DI)
+	VMOVUPD Y7, 32(DI)
+	ADDQ $64, SI
+	ADDQ $64, DX
+	ADDQ $64, DI
+	SUBQ $8, CX
+	JMP  gelug8
+gelugtail:
+	TESTQ CX, CX
+	JZ   gelugdone
+	TAILMASKS(CX)
+	VMASKMOVPD (SI), Y14, Y0
+	VMASKMOVPD 32(SI), Y15, Y4
+	GELUARG(Y0, Y1)
+	GELUARG(Y4, Y5)
+	EXP2(Y1, Y2, Y3, Y8, Y5, Y6, Y7, Y9)
+	GELUDX(Y0, Y8, Y1, Y2, Y3)
+	GELUDX(Y4, Y9, Y5, Y6, Y7)
+	VMASKMOVPD (DX), Y14, Y11
+	VMASKMOVPD 32(DX), Y15, Y13
+	VMULPD Y11, Y3, Y3
+	VMULPD Y13, Y7, Y7
+	VMASKMOVPD Y3, Y14, (DI)
+	VMASKMOVPD Y7, Y15, 32(DI)
+gelugdone:
 	VZEROUPPER
 	RET

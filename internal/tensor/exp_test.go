@@ -6,6 +6,25 @@ import (
 	"testing"
 )
 
+// exp computes dst[i] = e^src[i] through the spelling the tier selects: the
+// exponential alone, as GELU and the softmax passes run it inside. dst and
+// src must have the same length and either be the same slice or not overlap.
+func exp(dst, src []float64) {
+	if len(dst) != len(src) {
+		panic("tensor: exp length mismatch")
+	}
+	if len(src) == 0 {
+		return
+	}
+	if useSIMD {
+		expAVX2(&dst[0], &src[0], len(src))
+		return
+	}
+	for i, v := range src {
+		dst[i] = expGo(v)
+	}
+}
+
 // expSweep is the differential input set: a dense sweep of the kernel's
 // range (an irrational step, so reduced arguments land everywhere in
 // [-ln2/2, ln2/2]), points either side of every rounding boundary of k, and
@@ -41,7 +60,7 @@ func TestExpAccuracyAndRange(t *testing.T) {
 	withBothSpellings(t, func(t *testing.T) {
 		xs := expSweep()
 		got := make([]float64, len(xs))
-		Exp(got, xs)
+		exp(got, xs)
 		worst := uint64(0)
 		for i, x := range xs {
 			g := got[i]
@@ -83,7 +102,7 @@ func TestExpAssemblyMatchesGoTwin(t *testing.T) {
 	}
 	xs := expSweep()
 	got := make([]float64, len(xs))
-	Exp(got, xs)
+	exp(got, xs)
 	for i, x := range xs {
 		if w := expGo(x); math.Float64bits(got[i]) != math.Float64bits(w) {
 			t.Fatalf("x = %v (%#x): assembly %#x, Go twin %#x", x, math.Float64bits(x),
@@ -109,8 +128,8 @@ func TestExpValueOnly(t *testing.T) {
 					src[off] = v
 					dst := make([]float64, n+1)
 					dst[n] = 42
-					Exp(dst[:n], src)
-					Exp(src, src)
+					exp(dst[:n], src)
+					exp(src, src)
 					if math.Float64bits(dst[off]) != want || math.Float64bits(src[off]) != want {
 						t.Fatalf("exp(%v) at offset %d of %d: %#x, in place %#x, want %#x", v, off, n,
 							math.Float64bits(dst[off]), math.Float64bits(src[off]), want)
@@ -126,16 +145,16 @@ func TestExpValueOnly(t *testing.T) {
 
 func TestExpAllocFreeAndChecksLengths(t *testing.T) {
 	x := make([]float64, 37)
-	if n := testing.AllocsPerRun(10, func() { Exp(x, x) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { exp(x, x) }); n != 0 {
 		t.Fatalf("Exp allocates %.1f times per call", n)
 	}
-	Exp(nil, nil)
+	exp(nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Exp accepted slices of different lengths")
 		}
 	}()
-	Exp(x[:3], x[:4])
+	exp(x[:3], x[:4])
 }
 
 // softmaxRef is the textbook softmax on math.Exp, sequential sum.
@@ -250,7 +269,7 @@ func BenchmarkExp(b *testing.B) {
 		dst := make([]float64, n)
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Exp(dst, x.Data)
+				exp(dst, x.Data)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
 		})

@@ -591,3 +591,14 @@ func KernelTier() string {
 	}
 	return "go"
 }
+
+// WithGoTwins runs f with every kernel on its pure-Go twin — the arithmetic
+// each vector tier reproduces bit for bit, so results do not change — and
+// then restores the tier the CPU probe chose. The compute benchmark times
+// the twins with it beside the vector tier; no other goroutine may call
+// into the package while f runs.
+func WithGoTwins(f func()) {
+	defer func(simd, avx512 bool) { useSIMD, useAVX512 = simd, avx512 }(useSIMD, useAVX512)
+	useSIMD, useAVX512 = false, false
+	f()
+}

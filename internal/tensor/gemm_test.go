@@ -233,9 +233,7 @@ func TestProductsMatchOracle(t *testing.T) {
 func withBothSpellings(t *testing.T, f func(t *testing.T)) {
 	t.Run(fmt.Sprintf("simd=%v", useSIMD), f)
 	if useSIMD {
-		defer func(avx512 bool) { useSIMD, useAVX512 = true, avx512 }(useAVX512)
-		useSIMD, useAVX512 = false, false
-		t.Run("simd=false", f)
+		WithGoTwins(func() { t.Run("simd=false", f) })
 	}
 }
 

@@ -62,6 +62,21 @@ func packC4F32(dst *float32, src *float64, ld, k, n, stride int)
 //go:noescape
 func expAVX2(dst, src *float64, n int)
 
+// geluAVX2 and geluGradAVX2 are GELU and GELUBackward over n >= 1 elements
+// (exp.go has the contract and the Go twins).
+//
+//go:noescape
+func geluAVX2(dst, x *float64, n int)
+
+//go:noescape
+func geluGradAVX2(dst, x, grad *float64, n int)
+
+// adamwAVX2 is AdamW's update over n >= 1 elements, b1c = 1-b1 and
+// b2c = 1-b2 (adamw.go has the contract and the Go twin).
+//
+//go:noescape
+func adamwAVX2(w, m, v, grad *float64, n int, b1, b1c, b2, b2c, c1, c2, eps, wd, lr float64)
+
 // softmaxRowsAVX2 computes the softmax of each of rows (>= 1) contiguous
 // n-long (n >= 1) rows of src into dst; dst may be src.
 //

@@ -35,6 +35,14 @@ func packC4F32(dst *float32, src *float64, ld, k, n, stride int) {
 
 func expAVX2(dst, src *float64, n int) { panic("tensor: SIMD kernel unavailable") }
 
+func geluAVX2(dst, x *float64, n int) { panic("tensor: SIMD kernel unavailable") }
+
+func geluGradAVX2(dst, x, grad *float64, n int) { panic("tensor: SIMD kernel unavailable") }
+
+func adamwAVX2(w, m, v, grad *float64, n int, b1, b1c, b2, b2c, c1, c2, eps, wd, lr float64) {
+	panic("tensor: SIMD kernel unavailable")
+}
+
 func softmaxRowsAVX2(dst, src *float64, rows, n int) { panic("tensor: SIMD kernel unavailable") }
 
 func chainAVX2(a *float64, ars, aps int, b *float64, ldb int, c *float64, ldc, rows, depth, width int, alpha float64, accum bool) {
