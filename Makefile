@@ -84,10 +84,11 @@ elastic-smoke:
 race:
 	$(GO) test -race ./...
 
-# surface rewrites SURFACE.md: non-test Go lines and exported top-level
-# identifiers per package under internal/ and cmd/, with a module total —
-# the size trend, made visible the way BENCH_*.json makes perf visible. The
-# CI verify job regenerates it and fails on a stale committed report.
+# surface rewrites SURFACE.md: non-test Go lines, exported top-level
+# identifiers and assembly lines per package under internal/ and cmd/, with a
+# module total — the size trend, made visible the way BENCH_*.json makes perf
+# visible. The CI verify job regenerates it and fails on a stale committed
+# report.
 surface:
 	GO=$(GO) sh scripts/surface.sh > SURFACE.md
 

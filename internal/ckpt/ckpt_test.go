@@ -142,6 +142,39 @@ func TestOptimizerStateReshards(t *testing.T) {
 	}
 }
 
+// TestTornSingleSlotSaveRefused: a save into a single-slot directory that
+// dies after rank 0's shard rename but before the manifest leaves the
+// step-1 manifest over a step-2 shard. Opening that mix must fail, naming
+// the shard and both steps, instead of restoring it silently.
+func TestTornSingleSlotSaveRefused(t *testing.T) {
+	dir := t.TempDir()
+	ranks := shardedParams(t, 2, 4, 2, fill)
+	opts := make([]optim.Stateful, 2)
+	for r, params := range ranks {
+		opt := optim.NewAdamW(params, 0.1, 0)
+		params[0].Grad.Fill(1)
+		opt.Step()
+		opts[r] = opt
+	}
+	saveRanks(t, dir, ranks, opts, Manifest{Partitions: 2, Step: 1, OptAlgo: "adamw"})
+	if _, err := OpenLatest(dir); err != nil {
+		t.Fatalf("committed step 1 does not open: %v", err)
+	}
+	opts[0].(*optim.AdamW).Step()
+	if err := WriteShard(dir, 0, BuildTree(ranks[0], opts[0])); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenLatest(dir)
+	if err == nil {
+		t.Fatal("a step-1 manifest over a step-2 shard opened")
+	}
+	for _, want := range []string{ShardFile(0), "step 2", "step 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("torn-save error %q does not name %q", err, want)
+		}
+	}
+}
+
 func TestOpenRejectsGapsAndOverlaps(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(lo, hi int) []*nn.Param {

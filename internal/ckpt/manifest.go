@@ -57,8 +57,10 @@ func ShardFile(rank int) string { return fmt.Sprintf("shard-%04d.gob", rank) }
 
 // WriteShard serializes tree as dir's shard file for the given rank,
 // creating the directory if needed. The write is atomic (temp file +
-// rename), so a crash mid-write cannot corrupt a previous checkpoint in the
-// same directory.
+// rename), so a crash mid-write never leaves a half-written shard file. A
+// save into a single-slot directory that dies after some renames leaves
+// the old manifest over newer shards; Open rejects that mix by the shards'
+// optimizer step.
 func WriteShard(dir string, rank int, tree Tree) error {
 	if tree.Format == "" {
 		tree.Format = Format

@@ -82,6 +82,16 @@ func Assemble(m Manifest, trees []Tree) (*Checkpoint, error) {
 			errs = append(errs, fmt.Errorf("ckpt: shard %d optimizer %q does not match manifest %q", i, tree.OptAlgo, m.OptAlgo))
 			continue
 		}
+		if tree.OptAlgo != "" && tree.OptStep != m.Step {
+			// A single-slot save that died between its shard renames and
+			// its manifest leaves the old manifest over newer shards.
+			name := fmt.Sprint(i)
+			if i < len(m.Shards) {
+				name = m.Shards[i]
+			}
+			errs = append(errs, fmt.Errorf("ckpt: shard %s holds optimizer state of step %d, the manifest commits step %d (a save torn before its manifest?)", name, tree.OptStep, m.Step))
+			continue
+		}
 		for _, leaf := range tree.Leaves {
 			if err := leaf.validate(); err != nil {
 				errs = append(errs, err)
@@ -292,8 +302,9 @@ func (c *Checkpoint) RestoreOptimizer(opt optim.Stateful, params []*nn.Param) er
 	return opt.ImportState(st)
 }
 
-// optStep returns the optimizer step count saved with the checkpoint. It
-// equals the manifest's training step for the repository's optimizers.
+// optStep returns the optimizer step count saved with the checkpoint:
+// Assemble admits only shards whose optimizer state is at the manifest's
+// step.
 func (c *Checkpoint) optStep() int { return c.Manifest.Step }
 
 // LogicalTensor returns the assembled logical value tensor for a key, for

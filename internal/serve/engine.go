@@ -33,12 +33,16 @@ type batchJob struct {
 	jobs   []*job
 	x      *tensor.Tensor // [B, C, H, W] on the model grid
 	formed time.Time
+	// answered counts the leading jobs complete has already answered, so a
+	// batch failed part-way through its answers sends none of them twice.
+	answered int
 }
 
-// fail answers every job in the batch with ErrClosed and releases the
-// batch's resources (teardown paths).
+// fail answers every job in the batch that has no response yet with
+// ErrClosed and releases the batch's resources (teardown and failure
+// paths).
 func (bj *batchJob) fail() {
-	bj.e.failJobs(bj.jobs)
+	bj.e.failJobs(bj.jobs[bj.answered:])
 	bj.release()
 }
 
@@ -548,7 +552,8 @@ func (e *Engine) failJob(j *job) {
 // in-flight cache entry, answering every coalesced waiter with the shared
 // output. Each request's rows of the prediction are unpatchified straight
 // into that request's own [C, H, W] output, which the response and the cache
-// own: one copy per value.
+// own: one copy per value. It runs on the replica leader's responder, while
+// the leader runs the next batch.
 func (e *Engine) complete(bj *batchJob, pred *tensor.Tensor) {
 	sp := e.row.Begin("respond", "serve")
 	defer sp.End()
@@ -585,6 +590,7 @@ func (e *Engine) complete(bj *batchJob, pred *tensor.Tensor) {
 			}
 		}
 		j.done <- resp
+		bj.answered++
 	}
 	bj.release()
 }

@@ -255,22 +255,33 @@ func (h *Host) takeWork() (*batchJob, bool) {
 // worker is one mesh rank's serving loop. Rank tp=0 of each TP group is the
 // replica leader: it pulls assembled batches from the shared work channel,
 // broadcasts a control word (serve/stop + instance id) and then the batch
-// over its group, and answers once the group's forward completes. Both
-// broadcasts are views: every rank reads its channel shard straight out of
-// the leader's pooled batch, which the leader returns to the pool in
-// complete, after the collective has closed. Every rank runs the no-grad
-// forward on its instance's channel shard; the stage's AllGather of partial
-// tokens and the model's AllGather of its predictions share the batch out
-// after the gather (model.FoundationModel.Infer).
+// over its group, and once the group's forward completes hands the batch to
+// its responder and goes straight back for the next one. Both broadcasts are
+// views: every rank reads its channel shard straight out of the leader's
+// pooled batch, which the responder returns to the pool in complete, after
+// the collective has closed. Every rank runs the no-grad forward on its
+// instance's channel shard; the stage's AllGather of partial tokens and the
+// model's AllGather of its predictions share the batch out after the gather
+// (model.FoundationModel.Infer). A group of one runs the same loop: its
+// broadcasts are identities and its leader reads the batch in place.
 func (h *Host) worker(rank int, m *dist.Mesh) (err error) {
-	// inflight is the micro-batch this leader has pulled but not yet
-	// answered; if the worker dies holding one (its own panic, or an abort
-	// cascade from another rank), the exit path fails it so its clients get
-	// ErrClosed instead of silence.
+	// inflight is the micro-batch this leader has pulled but not yet handed
+	// to its responder; if the worker dies holding one (its own panic, or
+	// an abort cascade from another rank), the exit path fails it so its
+	// clients get ErrClosed instead of silence. A handed-off batch is the
+	// responder's, which the exit path waits for.
 	var inflight *batchJob
+	var rsp *responder
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = comm.RankPanicError("serve", rank, rec)
+		}
+		if rsp != nil {
+			close(rsp.in)
+			<-rsp.down
+			if err == nil {
+				err = rsp.err
+			}
 		}
 		if err != nil {
 			h.fail()
@@ -281,45 +292,40 @@ func (h *Host) worker(rank int, m *dist.Mesh) (err error) {
 	}()
 	tpc := m.TPComm(rank)
 	row := h.trace.Rank(rank)
-
-	if tpc.Size() == 1 {
-		// Single-rank replica: no group coordination needed.
-		for {
-			select {
-			case bj := <-h.work:
-				inflight = bj
-				sp := row.Begin("infer", "serve")
-				pred := bj.inst.models[rank].Infer(bj.x, nil)
-				sp.End()
-				bj.e.complete(bj, pred)
-				inflight = nil
-			case <-h.quit:
-				return nil
-			case <-h.failed:
-				return nil
-			}
-		}
-	}
-
 	lead := m.Spec.CoordOf(rank).TP == 0
+	// preds are the leader's two answer buffers: the forward's predictions
+	// are model scratch the next Infer overwrites, so each batch's are
+	// copied into the buffer the responder is not reading. The hand-off is
+	// unbuffered, so batch k+1 reaches the responder only once batch k is
+	// answered, and two buffers are all the overlap needs.
+	var preds [2]*tensor.Tensor
+	if lead {
+		rsp = startResponder(rank)
+	}
 	// ctrl is the leader's reusable control word: [op, instance id] with
 	// op 0 = stop, 1 = serve. Followers learn which instance the batch
 	// belongs to from the broadcast, so one mesh serves many models.
 	ctrl := tensor.FromSlice([]float64{0, 0}, 2)
 	var (
-		op, id float64
-		inst   *instance
-		shard  *tensor.Tensor // this rank's channel shard of the batch
+		op, id    float64
+		inst      *instance
+		in, shard *tensor.Tensor // the forward's input; this rank's copied channel shard
 	)
 	readCtrl := func(src *tensor.Tensor) { op, id = src.Data[0], src.Data[1] }
 	// readShard copies this rank's channel shard straight out of the
-	// leader's batch, the only copy the batch needs.
+	// leader's batch, the only copy the batch needs. A leader whose shard is
+	// every channel reads its own batch in place.
 	readShard := func(x *tensor.Tensor) {
 		lo, hi := inst.lo[rank], inst.hi[rank]
+		if lead && lo == 0 && hi == x.Shape[1] {
+			in = x
+			return
+		}
 		shard = tensor.EnsureShape(shard, x.Shape[0], hi-lo, x.Shape[2], x.Shape[3])
 		tensor.SliceAxisInto(shard, x, 1, lo, hi)
+		in = shard
 	}
-	for {
+	for k := 0; ; k ^= 1 {
 		var bj *batchJob
 		var send, x *tensor.Tensor
 		if lead {
@@ -341,6 +347,10 @@ func (h *Host) worker(rank int, m *dist.Mesh) (err error) {
 				// releases this replica's peers from their pending
 				// Broadcast; no farewell needed (or possible).
 				return nil
+			case <-rsp.down:
+				// The responder died answering; the exit path returns its
+				// root cause, which aborts the group like a rank failure.
+				return nil
 			}
 		}
 		tpc.Broadcast(send, 0, readCtrl)
@@ -350,11 +360,18 @@ func (h *Host) worker(rank int, m *dist.Mesh) (err error) {
 		inst = bj.instOrLookup(h, int64(id))
 		tpc.Broadcast(x, 0, readShard)
 		sp := row.Begin("infer", "serve")
-		pred := inst.models[rank].Infer(shard, nil)
+		pred := inst.models[rank].Infer(in, nil)
 		sp.End()
-		if lead {
-			bj.e.complete(bj, pred)
+		if !lead {
+			continue
+		}
+		preds[k] = tensor.EnsureShape(preds[k], pred.Shape...)
+		copy(preds[k].Data, pred.Data)
+		select {
+		case rsp.in <- answer{bj: bj, pred: preds[k]}:
 			inflight = nil
+		case <-rsp.down:
+			return nil
 		}
 	}
 }
@@ -366,4 +383,49 @@ func (bj *batchJob) instOrLookup(h *Host, id int64) *instance {
 		return bj.inst
 	}
 	return h.instanceByID(id)
+}
+
+// answer is one forwarded micro-batch on its way to the leader's responder:
+// the batch and its predictions, in a leader-owned buffer.
+type answer struct {
+	bj   *batchJob
+	pred *tensor.Tensor
+}
+
+// responder answers its replica leader's micro-batches on a goroutine of
+// its own, in the order they ran, while the leader broadcasts and runs the
+// next one. It issues no collective.
+type responder struct {
+	in   chan answer   // unbuffered: at most one answered batch overlaps the running one
+	down chan struct{} // closed when the responder has exited
+	err  error         // the answer stage's panic, written before down closes
+}
+
+// startResponder starts the responder of the replica led by rank. The
+// leader closes in when it exits and then waits on down.
+func startResponder(rank int) *responder {
+	r := &responder{in: make(chan answer), down: make(chan struct{})}
+	go r.run(rank)
+	return r
+}
+
+// run completes each handed-off batch. A panic fails the host through the
+// leader (which returns err) and answers every request of the batch that
+// has no response yet with ErrClosed, exactly once.
+func (r *responder) run(rank int) {
+	var cur *batchJob
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.err = comm.RankPanicError("serve", rank, rec)
+			if cur != nil {
+				cur.fail()
+			}
+		}
+		close(r.down)
+	}()
+	for a := range r.in {
+		cur = a.bj
+		a.bj.e.complete(a.bj, a.pred)
+		cur = nil
+	}
 }

@@ -86,18 +86,29 @@ func TestServeMatchesDirectInference(t *testing.T) {
 
 // TestTopologiesAnswerIdenticalBits: one Source served at Ranks 1 and at
 // every q > 1 dividing the test arch's partitions, in F64 and F32, answers
-// every request with the same bits — a lone request (a partial batch, B < q:
-// no rank splits it) and a burst behind a busy replica (full batches, which
-// the ranks share out after the stage's AllGather) alike.
+// every request with the bits of direct inference — a lone request (a
+// partial batch, B < q: no rank splits it) and a burst behind a busy replica
+// (full batches, which the ranks share out after the stage's AllGather)
+// alike. The burst forms more than two full batches, so the leader reuses
+// both of its answer buffers while its responder answers the batch before:
+// a buffer the next forward overwrote too early shows up here as wrong bits.
 func TestTopologiesAnswerIdenticalBits(t *testing.T) {
 	a := testArch()
-	const maxBatch, burst = 4, 16
+	const maxBatch, burst = 4, 32
 	inputs := make([]*tensor.Tensor, burst+1)
 	for i := range inputs {
 		inputs[i] = testInput(a, int64(60+i), a.ImgH, a.ImgW)
 	}
 	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
-		var first []*tensor.Tensor
+		direct := model.NewSerialDCHAGEquivalent(a, a.Partitions)
+		direct.SetEval(true)
+		if dt != tensor.F64 {
+			direct.SetInferDType(dt)
+		}
+		want := make([]*tensor.Tensor, burst+1)
+		for i, x := range inputs {
+			want[i] = direct.PredictImage(x.Reshape(1, a.Channels, a.ImgH, a.ImgW)).Reshape(a.Channels, a.ImgH, a.ImgW)
+		}
 		for _, q := range []int{1, 2, 4} {
 			e := startTest(t, Config{Ranks: q, Replicas: 1, MaxBatch: maxBatch, MaxWait: 200 * time.Millisecond, QueueDepth: 64, DType: dt}, FromArch(a))
 			out := make([]*tensor.Tensor, burst+1)
@@ -112,27 +123,26 @@ func TestTopologiesAnswerIdenticalBits(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			full := false
+			inFull := 0
 			for i, ch := range chans {
 				r := <-ch
 				if r.Err != nil {
 					t.Fatal(r.Err)
 				}
-				out[i], full = r.Output, full || r.BatchSize == maxBatch
+				out[i] = r.Output
+				if r.BatchSize == maxBatch {
+					inFull++
+				}
 			}
-			if !full {
-				t.Fatalf("%v q=%d: a burst of %d behind a busy replica formed no batch of %d", dt, q, burst, maxBatch)
+			if inFull/maxBatch < 3 {
+				t.Fatalf("%v q=%d: a burst of %d behind a busy replica formed %d batches of %d, want at least 3", dt, q, burst, inFull/maxBatch, maxBatch)
 			}
 			if err := e.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if first == nil {
-				first = out
-				continue
-			}
 			for i := range out {
-				if d := tensor.MaxAbsDiff(out[i], first[i]); d != 0 {
-					t.Fatalf("%v request %d: q=%d answers %g away from q=1", dt, i, q, d)
+				if d := tensor.MaxAbsDiff(out[i], want[i]); d != 0 {
+					t.Fatalf("%v request %d: q=%d answers %g away from direct inference", dt, i, q, d)
 				}
 			}
 		}
@@ -497,6 +507,169 @@ func TestWorkerFailureFailsClients(t *testing.T) {
 	}
 	if _, err := e.Submit(&Request{Input: testInput(bad, 0, bad.ImgH, bad.ImgW)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after failure = %v, want ErrClosed", err)
+	}
+}
+
+// TestAnswerStagePanicFailsClients: a source whose models patch the image
+// finer than the architecture it advertises runs every forward to the end
+// and then panics in the responder's Unpatchify. At Ranks 1 and 2, every
+// client — owners and coalesced waiters alike — gets exactly one error,
+// Close and Err carry the panic as the root cause, and nothing leaks.
+func TestAnswerStagePanicFailsClients(t *testing.T) {
+	for _, q := range []int{1, 2} {
+		t.Run(fmt.Sprintf("ranks%d", q), func(t *testing.T) {
+			leakcheck.Check(t)
+			claimed := testArch()
+			built := claimed
+			built.Patch = 1
+			e, err := Start(Config{Ranks: q, Replicas: 1, MaxBatch: 2, MaxWait: time.Millisecond, QueueDepth: 64, CacheBytes: 1 << 20},
+				brokenSource{claimed: claimed, builds: FromArch(built)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var chans []<-chan Response
+			for i := 0; i < 24; i++ {
+				// Each input twice: the second joins the first's flight
+				// when it is still in the air.
+				ch, err := e.Submit(&Request{ID: fmt.Sprint(i), Input: testInput(claimed, int64(i/2), claimed.ImgH, claimed.ImgW)})
+				if errors.Is(err, ErrClosed) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				chans = append(chans, ch)
+			}
+			for i, ch := range chans {
+				select {
+				case r := <-ch:
+					if r.Err == nil {
+						t.Fatalf("request %d answered by a replica whose answers cannot be unpatchified", i)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatalf("request %d hung after the responder panicked", i)
+				}
+			}
+			<-e.Done()
+			for i, ch := range chans {
+				select {
+				case r := <-ch:
+					t.Fatalf("request %d got a second response: %+v", i, r)
+				default:
+				}
+			}
+			for name, err := range map[string]error{"Err": e.Err(), "Close": e.Close()} {
+				if err == nil || !strings.Contains(err.Error(), "Unpatchify") {
+					t.Errorf("%s = %v, want the responder's Unpatchify panic", name, err)
+				}
+			}
+		})
+	}
+}
+
+// TestPartlyAnsweredBatchFailsTheRest: when the answer stage dies part-way
+// through a batch, failing the batch answers only the requests complete had
+// not reached — the one already answered gets no second response — and
+// releases the batch once.
+func TestPartlyAnsweredBatchFailsTheRest(t *testing.T) {
+	a := testArch()
+	e := &Engine{arch: a, metrics: NewMetrics()}
+	inst := &instance{}
+	inst.wg.Add(1)
+	bj := &batchJob{e: e, inst: inst}
+	for i := 0; i < 3; i++ {
+		bj.jobs = append(bj.jobs, &job{req: &Request{ID: fmt.Sprint(i)}, done: make(chan Response, 1)})
+	}
+	close(bj.jobs[1].done) // answering request 1 panics
+	tokens, pp := (a.ImgH/a.Patch)*(a.ImgW/a.Patch), a.Channels*a.Patch*a.Patch
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("complete answered a closed response channel")
+			}
+		}()
+		e.complete(bj, tensor.New(len(bj.jobs), tokens, pp))
+	}()
+	if bj.answered != 1 {
+		t.Fatalf("complete counted %d answered requests, want 1", bj.answered)
+	}
+	bj.jobs[1].done = make(chan Response, 1)
+	bj.fail()
+	inst.wg.Wait()
+	for i, j := range bj.jobs {
+		if r := <-j.done; (r.Err == nil) != (i == 0) {
+			t.Fatalf("request %d: err %v", i, r.Err)
+		}
+		select {
+		case r := <-j.done:
+			t.Fatalf("request %d got a second response: %+v", i, r)
+		default:
+		}
+	}
+}
+
+// TestCloseUnderLoadAnswersEveryRequestOnce closes engines while a
+// submitter keeps them saturated: every admitted request — answered,
+// failed in the queue, in a dispatched batch or on its way to the
+// responder, or coalesced onto one of those — gets exactly one response,
+// and the leaders' responders leave no goroutine behind.
+func TestCloseUnderLoadAnswersEveryRequestOnce(t *testing.T) {
+	a := testArch()
+	for _, topo := range []struct{ ranks, replicas int }{{1, 1}, {2, 1}, {2, 2}} {
+		t.Run(fmt.Sprintf("%dx%d", topo.ranks, topo.replicas), func(t *testing.T) {
+			leakcheck.Check(t)
+			e, err := Start(Config{Ranks: topo.ranks, Replicas: topo.replicas, MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 64, CacheBytes: 1 << 20}, FromArch(a))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var chans []<-chan Response
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; ; i++ {
+					ch, err := e.Submit(&Request{ID: fmt.Sprint(i), Input: testInput(a, int64(i/2), a.ImgH, a.ImgW)})
+					switch {
+					case err == nil:
+						chans = append(chans, ch)
+					case errors.Is(err, ErrQueueFull):
+						time.Sleep(10 * time.Microsecond)
+					case errors.Is(err, ErrClosed):
+						return
+					default:
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			for e.Metrics().Snapshot().Completed < 32 {
+				time.Sleep(time.Millisecond)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatalf("close under load returned %v", err)
+			}
+			<-done
+			answered := 0
+			for i, ch := range chans {
+				select {
+				case r := <-ch:
+					if r.Err == nil {
+						answered++
+					} else if !errors.Is(r.Err, ErrClosed) {
+						t.Fatalf("request %d: %v, want an answer or ErrClosed", i, r.Err)
+					}
+				default:
+					t.Fatalf("request %d of %d has no response after Close", i, len(chans))
+				}
+				select {
+				case r := <-ch:
+					t.Fatalf("request %d got a second response: %+v", i, r)
+				default:
+				}
+			}
+			if answered == 0 {
+				t.Fatalf("none of %d requests answered, though %d completed before Close", len(chans), 32)
+			}
+		})
 	}
 }
 
