@@ -27,7 +27,9 @@
 //	                        regridded to the model grid; "channels" names a
 //	                        partial channel set (missing channels are
 //	                        zero-filled, the normalized-data mean).
-//	                        429 + Retry-After signals queue-full backpressure.
+//	                        429 + Retry-After signals queue-full backpressure;
+//	                        422 a prediction that is not finite (JSON
+//	                        cannot carry NaN or infinity).
 //	      GET  /v1/stats    serve.Snapshot as JSON
 //	      GET  /healthz     200 while live, 503 after shutdown
 //

@@ -209,32 +209,6 @@ func TestRandomMaskDeterministicStream(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	rng := tensor.NewRNG(12)
-	x := tensor.RandnScaled(rng, 5, 2, 3, 4, 4)
-	tensor.AddInPlace(x, tensor.Full(7, 2, 3, 4, 4))
-	means, stds := Normalize(x)
-	if len(means) != 3 || len(stds) != 3 {
-		t.Fatalf("per-channel stats: %d, %d", len(means), len(stds))
-	}
-	// Post-normalization stats per channel: mean 0, var 1.
-	b, c, h, w := 2, 3, 4, 4
-	for ci := 0; ci < c; ci++ {
-		sum, sq := 0.0, 0.0
-		for bi := 0; bi < b; bi++ {
-			off := (bi*c + ci) * h * w
-			for p := 0; p < h*w; p++ {
-				sum += x.Data[off+p]
-				sq += x.Data[off+p] * x.Data[off+p]
-			}
-		}
-		n := float64(b * h * w)
-		if math.Abs(sum/n) > 1e-9 || math.Abs(sq/n-1) > 1e-9 {
-			t.Fatalf("channel %d not standardized: mean %v var %v", ci, sum/n, sq/n)
-		}
-	}
-}
-
 func TestPseudoRGB(t *testing.T) {
 	g := NewHyperspectral(HyperspectralConfig{Images: 1, Channels: 32, ImgH: 4, ImgW: 4, Endmembers: 2, Noise: 0, Seed: 13})
 	img := g.Image(0)

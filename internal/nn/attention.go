@@ -10,8 +10,8 @@ import (
 // AttentionCore is the scaled-dot-product attention softmax(q k^T / sqrt(Dh)) v
 // over already-projected sequences q [N,Tq,E], k and v [N,Tk,E] with
 // E = Heads*HeadDim — the one attention product in the repository, shared by
-// self- and cross-attention here and by the tensor- and sequence-parallel
-// layers in internal/parallel (which pass their local heads). Heads are never
+// self- and cross-attention here and by the tensor-parallel layers in
+// internal/parallel (which pass their local heads). Heads are never
 // made contiguous: the batched kernels read each head out of the projection
 // outputs through a tensor.HeadView and write the context straight into the
 // merged [N,Tq,E] layout; only a transposed key block (Q K^T) is ever copied,

@@ -58,13 +58,12 @@ func (bj *batchJob) release() {
 
 // Engine is one served model behind a bounded queue, a dynamic
 // micro-batcher, and (optionally) a content-addressable response cache. The
-// compute lives in a Host — Start builds a private one, StartOn attaches to
-// a shared one so several engines (multi-tenant routing) multiplex the same
-// mesh. Stop an engine with Close; hot-swap its model with Swap.
+// compute lives in the engine's own host, one mesh of rank goroutines. Stop
+// an engine with Close; hot-swap its model with Swap.
 type Engine struct {
 	cfg     Config
 	arch    model.Arch // request geometry; invariant across swaps
-	host    *Host
+	host    *host
 	metrics *Metrics
 	cache   *cache    // nil when Config.CacheBytes == 0
 	row     *obs.Rank // front-end lifecycle row (host tracer's last); nil when tracing off
@@ -88,38 +87,18 @@ type Engine struct {
 	swapMu sync.Mutex
 }
 
-// Start builds a private Host (TP=cfg.Ranks per replica, DP=cfg.Replicas),
-// loads the model onto every rank — for checkpoint sources, restores it —
-// and begins serving. It returns only after the model is loaded, so a
-// checkpoint/topology mismatch surfaces here rather than on the first
-// request. Close tears down the engine and its host.
+// Start builds the engine's host (TP=cfg.Ranks per replica,
+// DP=cfg.Replicas), loads the model onto every rank — for checkpoint
+// sources, restores it — and begins serving. It returns only after the
+// model is loaded, so a checkpoint/topology mismatch surfaces here rather
+// than on the first request. Close tears down the engine and its host.
 func Start(cfg Config, src Source) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	h, err := NewHost(cfg.Ranks, cfg.Replicas, cfg.Trace)
+	h, err := newHost(cfg.Ranks, cfg.Replicas, cfg.Trace)
 	if err != nil {
-		return nil, err
-	}
-	h.private = true
-	e, err := StartOn(h, cfg, src)
-	if err != nil {
-		//lint:ignore commerr the load error is the root cause; Close here only tears down the fresh host
-		h.Close()
-		return nil, err
-	}
-	return e, nil
-}
-
-// StartOn attaches a new engine to an existing Host, loading src beside
-// whatever the host already serves. The engine adopts the host's topology
-// (Config.Ranks/Replicas are overridden); Close stops the engine but leaves
-// the host running.
-func StartOn(h *Host, cfg Config, src Source) (*Engine, error) {
-	cfg.Ranks, cfg.Replicas = h.ranks, h.replicas
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	inst, err := h.load(src, cfg.DType)
@@ -141,11 +120,8 @@ func StartOn(h *Host, cfg Config, src Source) (*Engine, error) {
 	if cfg.CacheBytes > 0 {
 		e.cache = newCache(cfg.CacheBytes)
 	}
-	if !h.addSender() {
-		h.unload(inst)
-		return nil, ErrClosed
-	}
 	go e.batchLoop()
+	h.start(e.batcherDone)
 	go e.supervise()
 	return e, nil
 }
@@ -173,9 +149,8 @@ func (e *Engine) Err() error {
 }
 
 // Close stops admission, fails requests still waiting in the queue, lets
-// in-flight batches finish, and detaches from the host — tearing the host
-// down too if Start built it for this engine rather than StartOn sharing it.
-// It is idempotent and returns the engine's terminal error.
+// in-flight batches finish, and tears down the host. It is idempotent and
+// returns the engine's terminal error.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() { close(e.quit) })
 	<-e.dead
@@ -183,12 +158,11 @@ func (e *Engine) Close() error {
 }
 
 // supervise is the engine's teardown path: it waits for a close or a host
-// end, retires the batcher and queue, drains the current instance, and
-// settles the terminal error.
+// failure, retires the batcher and queue, drains the current instance, and
+// closes the host, whose terminal error is the engine's.
 func (e *Engine) supervise() {
 	select {
 	case <-e.quit:
-	case <-e.host.quit:
 	case <-e.host.failed:
 	}
 	// The batcher exits on the same signals; after it no new batch can be
@@ -202,21 +176,7 @@ func (e *Engine) supervise() {
 	inst := e.inst
 	e.instMu.RUnlock()
 	inst.wg.Wait()
-	e.host.unload(inst)
-	if e.host.private {
-		e.runErr = e.host.Close()
-	} else {
-		// A shared host that ended under us carries the root cause; a
-		// healthy shared host stays untouched.
-		select {
-		case <-e.host.quit:
-			e.runErr = e.host.Close()
-		case <-e.host.failed:
-			<-e.host.dead
-			e.runErr = e.host.runErr
-		default:
-		}
-	}
+	e.runErr = e.host.close()
 	close(e.dead)
 }
 
@@ -226,8 +186,6 @@ func (e *Engine) closedForSubmit() bool {
 	case <-e.quit:
 		return true
 	case <-e.dead:
-		return true
-	case <-e.host.quit:
 		return true
 	case <-e.host.failed:
 		return true
@@ -394,15 +352,11 @@ func elemCount(shape []int) (n int, ok bool) {
 // MaxWait, then hands the assembled batch to the host's replicas.
 func (e *Engine) batchLoop() {
 	defer close(e.batcherDone)
-	defer e.host.senders.Done()
 	for {
 		var first *job
 		select {
 		case first = <-e.queue:
 		case <-e.quit:
-			e.drainQueue()
-			return
-		case <-e.host.quit:
 			e.drainQueue()
 			return
 		case <-e.host.failed:
@@ -414,10 +368,6 @@ func (e *Engine) batchLoop() {
 		sp.End()
 		select {
 		case <-e.quit:
-			e.failJobs(batch)
-			e.drainQueue()
-			return
-		case <-e.host.quit:
 			e.failJobs(batch)
 			e.drainQueue()
 			return
@@ -476,8 +426,6 @@ func (e *Engine) collect(first *job) []*job {
 		case <-timer.C:
 			return batch
 		case <-e.quit:
-			return batch
-		case <-e.host.quit:
 			return batch
 		case <-e.host.failed:
 			return batch

@@ -11,7 +11,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// instance is one loaded model multiplexed over the host's mesh: a
+// instance is one loaded model served over the host's mesh: a
 // world-rank-indexed set of model slices plus each rank's channel bounds.
 // Instances are immutable after load; the WaitGroup tracks micro-batches
 // dispatched against the instance so a hot swap can drain it exactly.
@@ -29,69 +29,45 @@ type instance struct {
 	wg sync.WaitGroup
 }
 
-// Host owns one dist.Mesh (TP=ranks per replica, DP=replicas) and its rank
-// goroutines, and multiplexes any number of loaded model instances over
-// them: micro-batches arrive on a shared work channel tagged with their
-// instance, and the replica leader broadcasts the instance id alongside the
-// batch so every rank of the TP group serves the same model. Engines are
-// front-ends (queue, batcher, cache, metrics) attached to a Host; several
-// engines sharing one Host is what multi-tenant routing and hot swap are
-// built from.
-type Host struct {
+// host owns one engine's dist.Mesh (TP=ranks per replica, DP=replicas) and
+// its rank goroutines. Micro-batches arrive on the work channel tagged with
+// their model instance, and the replica leader broadcasts the instance id
+// alongside the batch so every rank of the TP group serves the same model:
+// during a hot swap, batches for the old and the new instance interleave on
+// the followers.
+type host struct {
 	ranks    int
 	replicas int
-	mesh     *dist.Mesh  // set before NewHost returns; read-only after
-	trace    *obs.Tracer // nil when tracing is off; read-only after NewHost
-	private  bool        // set by Start before its engine exists: the host ends with that engine
+	mesh     *dist.Mesh  // read-only after newHost
+	trace    *obs.Tracer // nil when tracing is off; read-only after newHost
 
-	work   chan *batchJob
-	quit   chan struct{} // closed by Close: leaders say farewell and exit
-	failed chan struct{} // closed on the first worker failure
-	dead   chan struct{} // closed when every rank goroutine has exited
+	work   chan *batchJob // the engine's batcher is the only sender
+	quit   chan struct{}  // closed by close: leaders say farewell and exit
+	failed chan struct{}  // closed on the first worker failure
+	dead   chan struct{}  // closed when every rank goroutine has exited
 
-	closeOnce sync.Once
-	failOnce  sync.Once
-	runErr    error // written before dead closes
+	failOnce sync.Once
+	runErr   error // written before dead closes
 
 	mu        sync.RWMutex
 	instances map[int64]*instance // guarded by mu
 	nextID    int64               // guarded by mu
-
-	// senders tracks attached engine batchers so the teardown drain of the
-	// work buffer runs only once no sender remains; sendMu serializes
-	// attachment against the sendersClosed latch (a bare WaitGroup would
-	// race Add against Wait).
-	sendMu        sync.Mutex
-	sendersClosed bool // guarded by sendMu
-	senders       sync.WaitGroup
 }
 
-// NewHost builds the mesh and starts its rank goroutines. The world is
+// newHost builds the mesh; start runs its rank goroutines. The world is
 // ranks*replicas; each replica is one TP group whose leader pulls from the
-// shared work channel. Close tears the mesh down.
+// work channel. dist.NewMesh starts no goroutine, so a host that is never
+// started needs no teardown.
 //
 // When tr is non-nil every mesh communicator gets a comm observer recording
 // collective spans onto the world rank's tracer row, and the workers record
-// per-batch forward spans on the same rows. Engines attached to the host
-// record the front-end lifecycle on the tracer's last row (see
-// Config.Trace), so the tracer needs at least ranks*replicas + 1 rows.
-func NewHost(ranks, replicas int, tr *obs.Tracer) (*Host, error) {
-	if ranks < 1 || replicas < 1 {
-		return nil, fmt.Errorf("serve: host needs ranks >= 1 and replicas >= 1, got %d x %d", ranks, replicas)
-	}
+// per-batch forward spans on the same rows. The engine records the
+// front-end lifecycle on the tracer's last row (see Config.Trace), so the
+// tracer needs at least ranks*replicas + 1 rows.
+func newHost(ranks, replicas int, tr *obs.Tracer) (*host, error) {
 	if need := ranks*replicas + 1; tr != nil && tr.Rows() < need {
 		return nil, fmt.Errorf("serve: tracer has %d rows, a %d x %d host needs %d (one per rank plus the front-end row)",
 			tr.Rows(), ranks, replicas, need)
-	}
-	h := &Host{
-		ranks:     ranks,
-		replicas:  replicas,
-		trace:     tr,
-		work:      make(chan *batchJob, replicas),
-		quit:      make(chan struct{}),
-		failed:    make(chan struct{}),
-		dead:      make(chan struct{}),
-		instances: make(map[int64]*instance),
 	}
 	spec := dist.MeshSpec{TP: ranks, FSDP: 1, DP: replicas}
 	topo := dist.Topology{Nodes: 1, GPUsPerNode: spec.World()}
@@ -107,22 +83,32 @@ func NewHost(ranks, replicas int, tr *obs.Tracer) (*Host, error) {
 			return obs.NewCommObserver(tr.Rank(rank), obs.CommCat(a.String()))
 		})
 	}
-	h.mesh = mesh
+	return &host{
+		ranks:     ranks,
+		replicas:  replicas,
+		mesh:      mesh,
+		trace:     tr,
+		work:      make(chan *batchJob, replicas),
+		quit:      make(chan struct{}),
+		failed:    make(chan struct{}),
+		dead:      make(chan struct{}),
+		instances: make(map[int64]*instance),
+	}, nil
+}
+
+// start runs the rank goroutines. batcherDone closes when the engine's
+// batcher, the work channel's only sender, has exited; the batcher exists
+// before start is called.
+func (h *host) start(batcherDone <-chan struct{}) {
 	go func() {
-		err := mesh.Run(func(rank int, m *dist.Mesh) error {
-			return h.worker(rank, m)
-		})
-		// Every rank has exited. Stop admitting new senders, wait for the
-		// attached batchers to finish (they exit on the same failed/quit
-		// signals), then fail any micro-batches stranded in the work
-		// buffer — with both sides gone this drain has no concurrent sender
-		// or receiver. On a clean Close the batchers exited first and the
+		err := h.mesh.Run(h.worker)
+		// Every rank has exited. Wait for the batcher (it exits on the
+		// failed signal), then fail any micro-batches stranded in the work
+		// buffer: with both sides gone this drain has no concurrent sender
+		// or receiver. On a clean close the batcher exited first and the
 		// workers drained the channel, so this finds nothing.
 		h.fail()
-		h.sendMu.Lock()
-		h.sendersClosed = true
-		h.sendMu.Unlock()
-		h.senders.Wait()
+		<-batcherDone
 		for {
 			bj, ok := h.takeWork()
 			if !ok {
@@ -133,53 +119,25 @@ func NewHost(ranks, replicas int, tr *obs.Tracer) (*Host, error) {
 		h.runErr = err
 		close(h.dead)
 	}()
-	return h, nil
 }
 
-// Close stops the rank goroutines and waits for them; it is idempotent and
-// returns the host's terminal error. Engines attached to the host should be
-// closed first — Close releases any still attached, failing their requests.
-func (h *Host) Close() error {
-	h.closeOnce.Do(func() { close(h.quit) })
+// close stops the rank goroutines and waits for them, returning the host's
+// terminal error. The engine calls it once, after its batcher has exited.
+func (h *host) close() error {
+	close(h.quit)
 	<-h.dead
 	return h.runErr
 }
 
-// Done is closed when every rank goroutine has exited; Err then reports why.
-func (h *Host) Done() <-chan struct{} { return h.dead }
-
-// Err returns the terminal error once Done is closed (nil for a clean
-// Close), nil while the host is running.
-func (h *Host) Err() error {
-	select {
-	case <-h.dead:
-		return h.runErr
-	default:
-		return nil
-	}
-}
-
 // fail marks the host failed (first worker error wins).
-func (h *Host) fail() {
+func (h *host) fail() {
 	h.failOnce.Do(func() { close(h.failed) })
-}
-
-// addSender registers an engine batcher as a work-channel sender; false
-// means the host is already tearing down and no sender may attach.
-func (h *Host) addSender() bool {
-	h.sendMu.Lock()
-	defer h.sendMu.Unlock()
-	if h.sendersClosed {
-		return false
-	}
-	h.senders.Add(1)
-	return true
 }
 
 // load builds one model instance across every mesh rank. Source.Build does
 // no collectives, so the whole world loads from this one control goroutine;
 // the instance becomes visible to the workers only once complete.
-func (h *Host) load(src Source, dt tensor.DType) (*instance, error) {
+func (h *host) load(src Source, dt tensor.DType) (*instance, error) {
 	select {
 	case <-h.quit:
 		return nil, ErrClosed
@@ -221,7 +179,7 @@ func (h *Host) load(src Source, dt tensor.DType) (*instance, error) {
 }
 
 // unload drops a drained instance from the worker-visible table.
-func (h *Host) unload(inst *instance) {
+func (h *host) unload(inst *instance) {
 	h.mu.Lock()
 	delete(h.instances, inst.id)
 	h.mu.Unlock()
@@ -231,7 +189,7 @@ func (h *Host) unload(inst *instance) {
 // is a protocol violation (an instance was unloaded with batches still in
 // flight — the drain ordering forbids it), reported as a rank panic so the
 // mesh aborts instead of hanging.
-func (h *Host) instanceByID(id int64) *instance {
+func (h *host) instanceByID(id int64) *instance {
 	h.mu.RLock()
 	inst := h.instances[id]
 	h.mu.RUnlock()
@@ -243,7 +201,7 @@ func (h *Host) instanceByID(id int64) *instance {
 
 // takeWork non-blockingly receives one stranded micro-batch from the work
 // channel (teardown path).
-func (h *Host) takeWork() (*batchJob, bool) {
+func (h *host) takeWork() (*batchJob, bool) {
 	select {
 	case bj := <-h.work:
 		return bj, bj != nil
@@ -253,7 +211,7 @@ func (h *Host) takeWork() (*batchJob, bool) {
 }
 
 // worker is one mesh rank's serving loop. Rank tp=0 of each TP group is the
-// replica leader: it pulls assembled batches from the shared work channel,
+// replica leader: it pulls assembled batches from the work channel,
 // broadcasts a control word (serve/stop + instance id) and then the batch
 // over its group, and once the group's forward completes hands the batch to
 // its responder and goes straight back for the next one. Both broadcasts are
@@ -264,7 +222,7 @@ func (h *Host) takeWork() (*batchJob, bool) {
 // model's AllGather of its predictions share the batch out after the gather
 // (model.FoundationModel.Infer). A group of one runs the same loop: its
 // broadcasts are identities and its leader reads the batch in place.
-func (h *Host) worker(rank int, m *dist.Mesh) (err error) {
+func (h *host) worker(rank int, m *dist.Mesh) (err error) {
 	// inflight is the micro-batch this leader has pulled but not yet handed
 	// to its responder; if the worker dies holding one (its own panic, or
 	// an abort cascade from another rank), the exit path fails it so its
@@ -304,7 +262,8 @@ func (h *Host) worker(rank int, m *dist.Mesh) (err error) {
 	}
 	// ctrl is the leader's reusable control word: [op, instance id] with
 	// op 0 = stop, 1 = serve. Followers learn which instance the batch
-	// belongs to from the broadcast, so one mesh serves many models.
+	// belongs to from the broadcast, so batches for the old and the new
+	// instance can interleave during a hot swap.
 	ctrl := tensor.FromSlice([]float64{0, 0}, 2)
 	var (
 		op, id    float64
@@ -378,7 +337,7 @@ func (h *Host) worker(rank int, m *dist.Mesh) (err error) {
 
 // instOrLookup returns the batch's instance: the leader carries the pointer
 // (bj non-nil only on the leader), followers resolve the broadcast id.
-func (bj *batchJob) instOrLookup(h *Host, id int64) *instance {
+func (bj *batchJob) instOrLookup(h *host, id int64) *instance {
 	if bj != nil {
 		return bj.inst
 	}

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,7 +54,9 @@ func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/predict", e.handlePredict)
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, e.metrics.Snapshot())
+		if err := writeJSON(w, http.StatusOK, e.metrics.Snapshot()); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	})
 	mux.HandleFunc("GET /metrics", e.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -79,14 +81,9 @@ func (e *Engine) closed() bool {
 	}
 }
 
+// handlePredict decodes one PredictRequest, runs it through Do, and writes
+// the answer.
 func (e *Engine) handlePredict(w http.ResponseWriter, r *http.Request) {
-	servePredict(w, r, e.Do)
-}
-
-// servePredict decodes one PredictRequest, runs it through do (an engine's
-// Do, or a router's tenant-scoped Do), and writes the answer — shared by
-// the single-engine and router HTTP surfaces.
-func servePredict(w http.ResponseWriter, r *http.Request, do func(context.Context, *Request) (Response, error)) {
 	var preq PredictRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err := dec.Decode(&preq); err != nil {
@@ -117,15 +114,12 @@ func servePredict(w http.ResponseWriter, r *http.Request, do func(context.Contex
 		Input:    tensor.FromSlice(preq.Values, preq.Shape...),
 		Channels: preq.Channels,
 	}
-	resp, err := do(r.Context(), req)
+	resp, err := e.Do(r.Context(), req)
 	switch {
 	case err == nil:
-	case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrTenantBusy):
+	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	case errors.Is(err, ErrUnknownModel):
-		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	case errors.Is(err, ErrClosed):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
@@ -137,7 +131,7 @@ func servePredict(w http.ResponseWriter, r *http.Request, do func(context.Contex
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, PredictResponse{
+	err = writeJSON(w, http.StatusOK, PredictResponse{
 		ID:        resp.ID,
 		Shape:     resp.Output.Shape,
 		Values:    resp.Output.Data,
@@ -146,10 +140,23 @@ func servePredict(w http.ResponseWriter, r *http.Request, do func(context.Contex
 		TotalMs:   float64(resp.Total) / float64(time.Millisecond),
 		Cached:    resp.Cached,
 	})
+	if err != nil {
+		// The input was valid, but the model overflowed on it: JSON has no
+		// NaN or infinity to carry the prediction in.
+		http.Error(w, fmt.Sprintf("prediction is not finite: %v", err), http.StatusUnprocessableEntity)
+	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON encodes v before it writes the status, so a value JSON cannot
+// carry is returned as an error with nothing written, not sent as a status
+// with an empty body.
+func writeJSON(w http.ResponseWriter, status int, v any) error {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return err
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
+	return nil
 }

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/tensor"
 )
 
@@ -124,6 +126,71 @@ func TestHTTPBadRequests(t *testing.T) {
 	if _, err := e.Do(context.Background(), &Request{Input: x}); err != nil {
 		t.Fatalf("engine stopped serving after the refused requests: %v", err)
 	}
+}
+
+// overflowBody is a valid full-grid request the model overflows on: the
+// values v·(i%3−1) drive it to NaN or ±Inf for any |v| from 1e155 to 1e300.
+func overflowBody(a model.Arch, v float64) []byte {
+	x := tensor.New(a.Channels, a.ImgH, a.ImgW)
+	for i := range x.Data {
+		x.Data[i] = v * float64(i%3-1)
+	}
+	body, _ := json.Marshal(PredictRequest{Shape: x.Shape, Values: x.Data})
+	return body
+}
+
+// postPredict runs one POST /v1/predict through h.
+func postPredict(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+	return rec
+}
+
+// TestHTTPNonFinitePrediction: a prediction JSON cannot carry is answered
+// with 422 and a body naming the cause, not with a 200 and an empty body.
+func TestHTTPNonFinitePrediction(t *testing.T) {
+	a := testArch()
+	e := startTest(t, Config{Ranks: 2, Replicas: 1, MaxBatch: 4, MaxWait: time.Millisecond}, FromArch(a))
+	h := e.Handler()
+	for _, v := range []float64{1e155, -1e155, 1e300, -1e300} {
+		rec := postPredict(h, overflowBody(a, v))
+		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "not finite") {
+			t.Fatalf("v = %g: status %d, body %q; want 422 naming the non-finite prediction", v, rec.Code, rec.Body.String())
+		}
+	}
+	x := testInput(a, 4, a.ImgH, a.ImgW)
+	if _, err := e.Do(context.Background(), &Request{Input: x}); err != nil {
+		t.Fatalf("engine stopped serving after the non-finite predictions: %v", err)
+	}
+}
+
+// FuzzPredictBody drives POST /v1/predict with arbitrary bodies. The handler
+// never panics and the engine stays alive; every 200 decodes into a
+// PredictResponse whose values fill its shape, and every other status is a
+// 4xx or 503. The seeds under testdata/fuzz run in plain go test.
+func FuzzPredictBody(f *testing.F) {
+	a := testArch()
+	e := startTest(f, Config{Ranks: 2, Replicas: 1, MaxBatch: 4, MaxWait: time.Millisecond}, FromArch(a))
+	h := e.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := postPredict(h, body)
+		if err := e.Err(); err != nil {
+			t.Fatalf("engine died on body %q: %v", body, err)
+		}
+		switch {
+		case rec.Code == http.StatusOK:
+			var pr PredictResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
+				t.Fatalf("200 body does not decode: %v", err)
+			}
+			if n, ok := elemCount(pr.Shape); !ok || n != len(pr.Values) {
+				t.Fatalf("200 answers shape %v with %d values", pr.Shape, len(pr.Values))
+			}
+		case rec.Code >= 400 && rec.Code < 500, rec.Code == http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+	})
 }
 
 // zeros renders a JSON array of n zeros.

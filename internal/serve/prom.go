@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -68,15 +67,13 @@ func writeBuildInfo(p *promWriter) {
 		"Build metadata of the serving binary (value is always 1).", labels, 1)
 }
 
-// writeSnapshot emits one engine's metrics snapshot, every series
-// tagged with base labels (e.g. model="name"; nil for a single-engine
-// endpoint).
-func writeSnapshot(p *promWriter, s Snapshot, base [][2]string) {
+// writeSnapshot emits the engine's metrics snapshot.
+func writeSnapshot(p *promWriter, s Snapshot) {
 	counter := func(name, help string, v float64) {
-		p.sample(name, "counter", help, base, v)
+		p.sample(name, "counter", help, nil, v)
 	}
 	gauge := func(name, help string, v float64) {
-		p.sample(name, "gauge", help, base, v)
+		p.sample(name, "gauge", help, nil, v)
 	}
 	counter("dchag_requests_completed_total", "Requests served by a forward pass.", float64(s.Completed))
 	counter("dchag_requests_rejected_total", "Requests refused at admission (queue full).", float64(s.Rejected))
@@ -91,8 +88,7 @@ func writeSnapshot(p *promWriter, s Snapshot, base [][2]string) {
 	gauge("dchag_uptime_seconds", "Seconds since the engine started.", s.ElapsedSeconds)
 	gauge("dchag_throughput_rps", "Completed requests per second since start.", s.ThroughputRPS)
 	quantile := func(name, help, q string, v float64) {
-		labels := append(append([][2]string{}, base...), [2]string{"quantile", q})
-		p.sample(name, "gauge", help, labels, v)
+		p.sample(name, "gauge", help, [][2]string{{"quantile", q}}, v)
 	}
 	quantile("dchag_queued_latency_ms", "Time waiting for the micro-batch to form, by quantile.", "0.5", s.QueuedP50Ms)
 	quantile("dchag_queued_latency_ms", "Time waiting for the micro-batch to form, by quantile.", "0.99", s.QueuedP99Ms)
@@ -103,51 +99,10 @@ func writeSnapshot(p *promWriter, s Snapshot, base [][2]string) {
 	quantile("dchag_cache_hit_latency_ms", "Submit-to-answer latency of cache hits, by quantile.", "0.99", s.HitP99Ms)
 }
 
-// handleMetrics serves GET /metrics for a single engine.
+// handleMetrics serves GET /metrics.
 func (e *Engine) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := newPromWriter(w)
 	writeBuildInfo(p)
-	writeSnapshot(p, e.metrics.Snapshot(), nil)
-}
-
-// handleMetrics serves GET /metrics for a router: every model's engine
-// snapshot labeled model="name", plus per-tenant admission counters
-// labeled tenant="name". Names are emitted sorted so the page is
-// deterministic for a fixed state.
-func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := newPromWriter(w)
-	writeBuildInfo(p)
-	models := r.Models()
-	sort.Strings(models)
-	for _, name := range models {
-		e, ok := r.Engine(name)
-		if !ok {
-			continue // removed between list and lookup
-		}
-		writeSnapshot(p, e.metrics.Snapshot(), [][2]string{{"model", name}})
-	}
-	stats := r.TenantStats()
-	tenants := make([]string, 0, len(stats))
-	for name := range stats {
-		tenants = append(tenants, name)
-	}
-	sort.Strings(tenants)
-	for _, name := range tenants {
-		t := stats[name]
-		base := [][2]string{{"tenant", name}}
-		p.sample("dchag_tenant_admitted_total", "counter",
-			"Requests admitted past the tenant's in-flight bound.", base, float64(t.Admitted))
-		p.sample("dchag_tenant_rejected_total", "counter",
-			"Requests refused at the tenant's in-flight bound.", base, float64(t.Rejected))
-		p.sample("dchag_tenant_completed_total", "counter",
-			"Admitted requests that completed.", base, float64(t.Completed))
-		p.sample("dchag_tenant_failed_total", "counter",
-			"Admitted requests that failed.", base, float64(t.Failed))
-		p.sample("dchag_tenant_slots", "gauge",
-			"The tenant's in-flight bound.", base, float64(t.Slots))
-		p.sample("dchag_tenant_inflight", "gauge",
-			"The tenant's currently in-flight requests.", base, float64(t.InFlight))
-	}
+	writeSnapshot(p, e.metrics.Snapshot())
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/promtext"
 )
@@ -88,49 +87,6 @@ func TestEngineMetricsEndpoint(t *testing.T) {
 	}
 	if bi.Type != "gauge" {
 		t.Fatalf("dchag_build_info type %q, want gauge", bi.Type)
-	}
-}
-
-// TestRouterMetricsEndpoint checks the multi-model, multi-tenant page:
-// per-model series carry model labels, tenant counters tenant labels,
-// and the whole page survives the strict parser.
-func TestRouterMetricsEndpoint(t *testing.T) {
-	leakcheck.Check(t)
-	a := testArch()
-	r, err := NewRouter(RouterConfig{Ranks: 1, Replicas: 1, TenantSlots: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := r.Close(); err != nil {
-			t.Errorf("router close: %v", err)
-		}
-	}()
-	for _, name := range []string{"alpha", "beta"} {
-		if _, err := r.AddModel(name, Config{MaxBatch: 2, MaxWait: time.Millisecond}, FromArch(a)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv := httptest.NewServer(r.Handler())
-	defer srv.Close()
-
-	x := testInput(a, 77, a.ImgH, a.ImgW)
-	if _, err := r.Do(context.Background(), "acme", "alpha", &Request{Input: x.Clone()}); err != nil {
-		t.Fatal(err)
-	}
-
-	fams := scrape(t, srv.URL+"/metrics")
-	if v, ok := fams.Value("dchag_requests_completed_total", map[string]string{"model": "alpha"}); !ok || v != 1 {
-		t.Fatalf("alpha completed = %v (ok=%v), want 1", v, ok)
-	}
-	if v, ok := fams.Value("dchag_requests_completed_total", map[string]string{"model": "beta"}); !ok || v != 0 {
-		t.Fatalf("beta completed = %v (ok=%v), want 0", v, ok)
-	}
-	if v, ok := fams.Value("dchag_tenant_admitted_total", map[string]string{"tenant": "acme"}); !ok || v != 1 {
-		t.Fatalf("tenant admitted = %v (ok=%v), want 1", v, ok)
-	}
-	if v, ok := fams.Value("dchag_tenant_slots", map[string]string{"tenant": "acme"}); !ok || v != 4 {
-		t.Fatalf("tenant slots = %v (ok=%v), want 4", v, ok)
 	}
 }
 

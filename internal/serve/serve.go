@@ -12,14 +12,14 @@
 //	  control:       answer now;                          batch or max        per replica      q ranks; rank 0
 //	  ErrQueueFull)  miss: coalesce)                      wait deadline)      leader)          answers)
 //
-// The compute tier is a Host: one dist.Mesh whose rank goroutines multiplex
-// any number of loaded model instances, so several engines (multi-tenant
-// routing, see Router) share the same mesh and a running engine hot-swaps
-// to a newly committed checkpoint (Engine.Swap, AutoSwap) without dropping
-// a request. The forward is bitwise deterministic and no-grad, which makes
-// responses content-addressable: Config.CacheBytes enables a sharded LRU
-// keyed by (instance, dtype, grid, channel set, input bytes) in front of
-// the batcher.
+// The compute tier is the engine's own host: one dist.Mesh whose rank
+// goroutines serve one model. A running engine hot-swaps to a newly
+// committed checkpoint (Engine.Swap, AutoSwap) without dropping a request:
+// the new instance loads beside the old one, and the mesh serves both until
+// the old one drains. The forward is bitwise deterministic and no-grad,
+// which makes responses content-addressable: Config.CacheBytes enables a
+// sharded LRU keyed by (instance, dtype, grid, channel set, input bytes) in
+// front of the batcher.
 //
 // Requests carry a single [c, h, w] snapshot on any spatial grid and any
 // subset of the model's channels: the batcher regrids each input to the
@@ -134,9 +134,8 @@ type Config struct {
 	// row per world rank) and the engine front end — enqueue, batch
 	// formation, dispatch, respond, cache fill — on the tracer's last row.
 	// Size it with obs.NewTracer(Ranks*Replicas+1, capacity). Start builds
-	// the traced host from it; engines attached to a shared host (StartOn,
-	// Router) inherit that host's tracer instead. Nil disables tracing at
-	// zero cost on the hot paths.
+	// the traced host from it. Nil disables tracing at zero cost on the hot
+	// paths.
 	Trace *obs.Tracer
 }
 

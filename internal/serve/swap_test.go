@@ -2,6 +2,9 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,11 +59,18 @@ func predictOracle(sm *model.FoundationModel, a model.Arch, x *tensor.Tensor) *t
 	return sm.PredictImage(x.Reshape(1, a.Channels, a.ImgH, a.ImgW)).Reshape(a.Channels, a.ImgH, a.ImgW)
 }
 
-// TestSwapUnderLoad is the hot-swap acceptance test: a loadgen hammers the
-// engine while a newly trained checkpoint is swapped in. Zero requests may
-// fail or drop, the stats must show exactly one swap, and once the swap
-// lands the engine answers bitwise for the new checkpoint. The leakcheck
-// pins that draining the old instance strands no goroutine.
+// TestSwapUnderLoad is the hot-swap acceptance test: 32 clients hammer the
+// engine while a newly trained checkpoint is swapped in. That is more than
+// the replicas and the work buffer hold, so batches for the old instance
+// are queued for the mesh whenever the new one loads. Zero requests
+// may fail or drop, the stats must show exactly one swap, and every answer —
+// before, during and after the swap — equals, bit for bit, either the old or
+// the new checkpoint's serial answer for its input. During the swap both
+// instances are loaded and their batches interleave on the followers, so a
+// follower that ran a batch on the wrong instance answers with neither. The
+// uncached leg sends every request through the mesh; the cached one pins
+// that the cache serves no mixed answer either. The leakcheck pins that
+// draining the old instance strands no goroutine.
 func TestSwapUnderLoad(t *testing.T) {
 	leakcheck.Check(t)
 	dir1, dir2 := t.TempDir(), t.TempDir()
@@ -75,54 +85,80 @@ func TestSwapUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := startTest(t, Config{
-		Ranks: 2, Replicas: 2, MaxBatch: 4, MaxWait: 2 * time.Millisecond,
-		QueueDepth: 64, CacheBytes: 1 << 20,
-	}, src1)
-
+	sm1, sm2 := serialOracle(t, dir1), serialOracle(t, dir2)
 	inputs := make([]*tensor.Tensor, 4)
+	var olds, news [4]*tensor.Tensor
 	for i := range inputs {
 		inputs[i] = testInput(a, int64(60+i), a.ImgH, a.ImgW)
-	}
-	loadDone := make(chan LoadgenResult, 1)
-	go func() {
-		loadDone <- RunLoadgen(e, LoadgenOptions{
-			Requests:    600,
-			Concurrency: 8,
-			NewRequest: func(i int) *Request {
-				return &Request{Input: inputs[i%len(inputs)]}
-			},
-		})
-	}()
-	// Swap once traffic is demonstrably flowing, so batches formed against
-	// the old instance are genuinely in flight when routing flips.
-	for e.Metrics().Snapshot().Completed+e.Metrics().Snapshot().CacheHits == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if err := e.Swap(src2); err != nil {
-		t.Fatalf("swap under load: %v", err)
-	}
-	res := <-loadDone
-	if res.Errors != 0 {
-		t.Fatalf("%d of %d requests failed across the swap", res.Errors, res.Requests)
-	}
-	snap := e.Metrics().Snapshot()
-	if snap.Swaps != 1 {
-		t.Fatalf("stats show %d swaps, want exactly 1", snap.Swaps)
-	}
-	if snap.Failed != 0 {
-		t.Fatalf("%d requests failed engine-side across the swap", snap.Failed)
+		olds[i], news[i] = predictOracle(sm1, a, inputs[i]), predictOracle(sm2, a, inputs[i])
+		if tensor.MaxAbsDiff(olds[i], news[i]) == 0 {
+			t.Fatalf("input %d: both checkpoints answer identically; the swap test proves nothing", i)
+		}
 	}
 
-	// The engine now answers for the new checkpoint, bitwise.
-	sm2 := serialOracle(t, dir2)
-	x := testInput(a, 70, a.ImgH, a.ImgW)
-	resp, err := e.Do(context.Background(), &Request{Input: x})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.MaxAbsDiff(resp.Output, predictOracle(sm2, a, x)); d != 0 {
-		t.Fatalf("post-swap answer differs from the new checkpoint's serial restore by %g", d)
+	for _, cacheBytes := range []int64{0, 1 << 20} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
+			e := startTest(t, Config{
+				Ranks: 2, Replicas: 2, MaxBatch: 4, MaxWait: 2 * time.Millisecond,
+				QueueDepth: 64, CacheBytes: cacheBytes,
+			}, src1)
+			const requests, clients = 600, 32
+			var next atomic.Int64
+			errs := make(chan error, clients)
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int(next.Add(1)) - 1; i < requests; i = int(next.Add(1)) - 1 {
+						k := i % len(inputs)
+						resp, err := e.Do(context.Background(), &Request{Input: inputs[k]})
+						if err != nil {
+							errs <- fmt.Errorf("request %d failed across the swap: %w", i, err)
+							return
+						}
+						if tensor.MaxAbsDiff(resp.Output, olds[k]) != 0 && tensor.MaxAbsDiff(resp.Output, news[k]) != 0 {
+							errs <- fmt.Errorf("request %d (input %d) answered with neither checkpoint's bits", i, k)
+							return
+						}
+					}
+				}()
+			}
+			// Swap once traffic is demonstrably flowing, so batches formed
+			// against the old instance are genuinely in flight while the new
+			// one loads and routing flips.
+			for e.Metrics().Snapshot().Completed+e.Metrics().Snapshot().CacheHits == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			if err := e.Swap(src2); err != nil {
+				t.Errorf("swap under load: %v", err)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			if t.Failed() {
+				return
+			}
+			snap := e.Metrics().Snapshot()
+			if snap.Swaps != 1 {
+				t.Fatalf("stats show %d swaps, want exactly 1", snap.Swaps)
+			}
+			if snap.Failed != 0 {
+				t.Fatalf("%d requests failed engine-side across the swap", snap.Failed)
+			}
+
+			// The engine now answers for the new checkpoint, bitwise.
+			x := testInput(a, 70, a.ImgH, a.ImgW)
+			resp, err := e.Do(context.Background(), &Request{Input: x})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := tensor.MaxAbsDiff(resp.Output, predictOracle(sm2, a, x)); d != 0 {
+				t.Fatalf("post-swap answer differs from the new checkpoint's serial restore by %g", d)
+			}
+		})
 	}
 }
 
