@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet vet-custom build test fmt bench bench-diff bench-compute serve-smoke elastic-smoke trace-smoke race surface
+.PHONY: verify fmt-check vet vet-custom reach build test fmt bench bench-diff bench-compute serve-smoke elastic-smoke trace-smoke race surface
 
 # verify is the tier-1 gate: formatting, vet (standard and project
-# analyzers), full build, full test run, and the hermetic elastic and
-# observability smokes.
-verify: fmt-check vet vet-custom build test elastic-smoke trace-smoke
+# analyzers), the reachability check, full build, full test run, and the
+# hermetic elastic and observability smokes.
+verify: fmt-check vet vet-custom reach build test elastic-smoke trace-smoke
 
 # bench runs every benchmark once, writes the topology-aware sweep as the
 # BENCH_sweep.json artifact, and re-parses the artifact through the tier-1
@@ -110,6 +110,12 @@ vet:
 # cmd/dchag-vet/doc.go for the suppression contract.
 vet-custom:
 	$(GO) run ./cmd/dchag-vet ./...
+
+# reach fails on any export under internal/ (top-level identifier or
+# method) that no non-test code reaches and that scripts/reach.sh does not
+# list as a deliberate exception with its reason.
+reach:
+	GO=$(GO) sh scripts/reach.sh
 
 build:
 	$(GO) build ./...

@@ -254,7 +254,7 @@
 // `dchag-bench -diff old.json new.json` compares two sweep reports and
 // exits non-zero when the perf trajectory regressed: the best shape at any
 // scale changed, a configuration's simulated step time (serial or
-// overlapped) regressed beyond -diff-tol (default 5%), a configuration
+// overlapped) regressed by more than 5%, a configuration
 // flipped to OOM, or coverage was dropped. Improvements and added
 // configurations pass silently. Both reports must carry
 // dchag-bench/sweep/v2; any other schema is refused by name.

@@ -10,15 +10,16 @@ import (
 	"repro/internal/experiments"
 )
 
+// diffTol is -diff's fractional step-time regression tolerance (5%).
+const diffTol = 0.05
+
 func main() {
 	version := flag.Bool("version", false, "print build information and exit")
 	fig := flag.String("fig", "", "experiment id to run (default: all)")
 	list := flag.Bool("list", false, "list available experiments")
-	format := flag.String("format", "text", "output format: text | markdown")
 	jsonPath := flag.String("json", "", "write the sweep report as JSON to this path and exit (see doc.go for the schema)")
 	computePath := flag.String("compute", "", "measure the compute substrate (GEMM, channel aggregation, softmax and GELU, the channel stage) and write the report as JSON to this path (see doc.go for the schema)")
 	diff := flag.Bool("diff", false, "compare two sweep reports: dchag-bench -diff old.json new.json; exits 1 on regressions")
-	diffTol := flag.Float64("diff-tol", 0.05, "fractional step-time regression tolerance for -diff (0.05 = 5%)")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.Get())
@@ -30,7 +31,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dchag-bench: -diff needs exactly two report paths: old.json new.json")
 			os.Exit(2)
 		}
-		d, err := diffReports(flag.Arg(0), flag.Arg(1), *diffTol)
+		d, err := diffReports(flag.Arg(0), flag.Arg(1), diffTol)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dchag-bench: %v\n", err)
 			os.Exit(2)
@@ -42,7 +43,7 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("no regressions between %s and %s (tolerance %.1f%%)\n", flag.Arg(0), flag.Arg(1), 100**diffTol)
+		fmt.Printf("no regressions between %s and %s (tolerance %.1f%%)\n", flag.Arg(0), flag.Arg(1), 100*diffTol)
 		return
 	}
 	// Only -diff takes positional arguments; anything else is a mistake
@@ -50,16 +51,6 @@ func main() {
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "dchag-bench: unexpected arguments %v\n", flag.Args())
 		os.Exit(2)
-	}
-	if *format != "text" && *format != "markdown" {
-		fmt.Fprintf(os.Stderr, "dchag-bench: unknown -format %q (usage: -format text | markdown)\n", *format)
-		os.Exit(2)
-	}
-	render := func(r experiments.Result) string {
-		if *format == "markdown" {
-			return r.Markdown()
-		}
-		return r.String()
 	}
 
 	if *computePath != "" {
@@ -110,11 +101,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dchag-bench: unknown experiment %q (use -list)\n", *fig)
 			os.Exit(1)
 		}
-		fmt.Print(render(e.Run()))
+		fmt.Print(e.Run())
 		return
 	}
 	for _, e := range experiments.All() {
-		fmt.Print(render(e.Run()))
+		fmt.Print(e.Run())
 	}
 }
 

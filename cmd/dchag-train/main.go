@@ -22,9 +22,8 @@
 //	dchag-train -task mae -ranks 4 -steps 40 -resume ckpt/ # exact resume
 //
 // -load warm-starts the weights only; -resume additionally restores the
-// optimizer moments and step count and fast-forwards the mask RNG stream
-// and LR schedule, so the resumed run is step-for-step identical to an
-// uninterrupted one. -partitions fixes the logical D-CHAG partition count
+// optimizer moments and step count and fast-forwards the mask RNG stream,
+// so the resumed run is step-for-step identical to an uninterrupted one. -partitions fixes the logical D-CHAG partition count
 // independently of -ranks (it defaults to -ranks; on -load/-resume it
 // always comes from the checkpoint manifest).
 package main

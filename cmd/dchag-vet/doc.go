@@ -21,8 +21,9 @@
 // that is reachable only under a branch whose condition derives from
 // rank identity (c.Rank(), mesh coordinates, leader/root flags, or
 // locals tainted by them) desynchronizes the group: the other ranks
-// rendezvous with nobody, or with the wrong collective. Send/Recv are
-// exempt — point-to-point transfers are rank-addressed by design.
+// rendezvous with nobody, or with the wrong collective. The
+// communicator's other methods (Rank, Size, SetPhase, …) are local and
+// free to sit under any branch.
 //
 // commerr — errors returned by internal/comm, internal/dist,
 // internal/ckpt and internal/serve carry the root cause of a

@@ -5,7 +5,7 @@
 // parallelism, synthetic scientific datasets — and an analytic Frontier
 // performance model that regenerates every figure of the paper's evaluation.
 //
-// See README.md for the layout and quickstart, DESIGN.md for the system
-// inventory and substitution rationale, and EXPERIMENTS.md for
-// paper-versus-measured results; `dchag-bench -fig` regenerates each figure.
+// See DESIGN.md for the system inventory and substitution rationale,
+// ROADMAP.md for what is open, and benchmark/README.md for the end-to-end
+// benchmark; `dchag-bench -fig` regenerates each figure.
 package repro

@@ -27,8 +27,8 @@ import (
 const commPath = "repro/internal/comm"
 
 // collectives are the rendezvous methods of comm.Communicator: every
-// rank of the group must call them in lockstep. Send/Recv are excluded —
-// point-to-point transfers are rank-addressed by design.
+// rank of the group must call them in lockstep. Its other methods are
+// local to the rank and may sit under any branch.
 var collectives = map[string]bool{
 	"Barrier":            true,
 	"AllGather":          true,

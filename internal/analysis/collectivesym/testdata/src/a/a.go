@@ -64,12 +64,12 @@ func inCondition(c *comm.Communicator) {
 	}
 }
 
-// point-to-point transfers are rank-addressed by design.
-func p2p(c *comm.Communicator) {
+// a communicator method that is not a collective is local to the rank.
+func local(c *comm.Communicator) {
 	if c.Rank() == 0 {
-		c.Send(1, nil)
+		c.SetPhase("leader")
 	} else {
-		_ = c.Recv(0)
+		c.SetPhase("follower")
 	}
 }
 

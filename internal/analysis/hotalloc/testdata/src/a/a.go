@@ -18,7 +18,7 @@ func hot(dst, src *tensor.Tensor, n int) {
 	t := tensor.New(n)                    // want `tensor allocation New in dchag:hotpath function hot`
 	_ = t.Clone()                         // want `tensor allocation Clone in dchag:hotpath function hot`
 	_ = tensor.FromSlice([]float64{1}, 1) // want `tensor allocation FromSlice in dchag:hotpath function hot`
-	tensor.AddInPlace(dst, src)
+	tensor.ScaleInPlace(dst, 2)
 	_ = tensor.AddInto(nil, dst, src)      // want `nil dst in AddInto call in dchag:hotpath function hot`
 	_ = tensor.MatMulInto((nil), dst, src) // want `nil dst in MatMulInto call in dchag:hotpath function hot`
 	//lint:ignore hotalloc the result buffer is the API; reuse is follow-up work
@@ -47,7 +47,7 @@ func hotTraced(row *obs.Rank, dst, src, scratch *tensor.Tensor) {
 	_ = tensor.AddInto(scratch, dst, src)
 	sp.EndBytes(64)
 	row.Instant("step-done", "train")
-	tensor.AddInPlace(dst, scratch)
+	tensor.ScaleInPlace(dst, 2)
 }
 
 // hotTracedAlloc: a span does not excuse the allocation it wraps — the

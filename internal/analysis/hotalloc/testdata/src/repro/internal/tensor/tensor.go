@@ -14,8 +14,8 @@ func FromSlice(data []float64, shape ...int) *Tensor { return &Tensor{} }
 // Clone copies the tensor.
 func (t *Tensor) Clone() *Tensor { return &Tensor{} }
 
-// AddInPlace does not allocate.
-func AddInPlace(dst, src *Tensor) {}
+// ScaleInPlace does not allocate.
+func ScaleInPlace(t *Tensor, s float64) {}
 
 // AddInto writes a+b into dst, allocating only when dst is nil.
 func AddInto(dst, a, b *Tensor) *Tensor { return dst }

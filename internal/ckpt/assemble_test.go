@@ -32,7 +32,7 @@ func TestAssembleMatchesOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, key := range opened.Keys() {
+	for key := range opened.logical {
 		want, _ := opened.LogicalTensor(key)
 		got, ok := assembled.LogicalTensor(key)
 		if !ok {

@@ -257,20 +257,3 @@ func TestManifestFormatGuard(t *testing.T) {
 		t.Fatal("want missing-manifest error")
 	}
 }
-
-func TestExtraKeys(t *testing.T) {
-	dir := t.TempDir()
-	params := []*nn.Param{
-		nn.NewParam("keep", tensor.New(1)),
-		nn.NewParam("extra", tensor.New(1)),
-	}
-	saveRanks(t, dir, [][]*nn.Param{params}, nil, Manifest{})
-	ck, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ck.ExtraKeys(params[:1])
-	if len(got) != 1 || got[0] != "extra" {
-		t.Fatalf("ExtraKeys = %v, want [extra]", got)
-	}
-}

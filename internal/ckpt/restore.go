@@ -316,32 +316,3 @@ func (c *Checkpoint) LogicalTensor(key string) (*tensor.Tensor, bool) {
 	}
 	return tensor.FromSlice(append([]float64(nil), lt.values...), lt.shape...), true
 }
-
-// Keys returns every logical tensor name in the checkpoint, sorted.
-func (c *Checkpoint) Keys() []string {
-	keys := make([]string, 0, len(c.logical))
-	for k := range c.logical {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// ExtraKeys returns logical tensors present in the checkpoint but absent
-// from params' logical keys. A serial (single-rank) load uses it to detect
-// architecture drift; a multi-rank load cannot, since each rank consumes
-// only its own partials.
-func (c *Checkpoint) ExtraKeys(params []*nn.Param) []string {
-	seen := make(map[string]struct{}, len(params))
-	for _, p := range params {
-		seen[p.LogicalKey()] = struct{}{}
-	}
-	var extra []string
-	for k := range c.logical {
-		if _, ok := seen[k]; !ok {
-			extra = append(extra, k)
-		}
-	}
-	sort.Strings(extra)
-	return extra
-}

@@ -35,15 +35,11 @@ type Group struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	phase    uint64        // guarded by mu
-	arrived  int           // guarded by mu
-	slots    []any         // guarded by mu
-	gathered []any         // guarded by mu; rewritten in place by each completed exchange
-	aborted  bool          // guarded by mu
-	done     chan struct{} // closed on Abort; releases p2p Send/Recv
-
-	p2pMu sync.Mutex
-	p2p   map[pairKey]chan *tensor.Tensor // guarded by p2pMu
+	phase    uint64 // guarded by mu
+	arrived  int    // guarded by mu
+	slots    []any  // guarded by mu
+	gathered []any  // guarded by mu; rewritten in place by each completed exchange
+	aborted  bool   // guarded by mu
 
 	traffic *Traffic
 }
@@ -54,7 +50,7 @@ func NewGroup(size int) *Group {
 	if size <= 0 {
 		panic(fmt.Sprintf("comm: group size %d must be positive", size))
 	}
-	g := &Group{size: size, slots: make([]any, size), gathered: make([]any, size), traffic: NewTraffic(), done: make(chan struct{})}
+	g := &Group{size: size, slots: make([]any, size), gathered: make([]any, size), traffic: NewTraffic()}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -73,25 +69,14 @@ func (g *Group) Comm(rank int) *Communicator {
 	return &Communicator{group: g, rank: rank, phaseLabel: "default", scalar: tensor.New(1)}
 }
 
-// Abort releases every rank blocked in a collective or a point-to-point
-// Send/Recv; they panic with ErrAborted. Used when one rank fails so the
-// others do not hang. Abort is idempotent and safe to call from any
-// goroutine.
+// Abort releases every rank blocked in a collective; they panic with
+// ErrAborted. Used when one rank fails so the others do not hang. Abort is
+// idempotent and safe to call from any goroutine.
 func (g *Group) Abort() {
 	g.mu.Lock()
-	if !g.aborted {
-		g.aborted = true
-		close(g.done)
-	}
+	g.aborted = true
 	g.cond.Broadcast()
 	g.mu.Unlock()
-}
-
-// Aborted reports whether the group has been aborted.
-func (g *Group) Aborted() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.aborted
 }
 
 // ErrAborted is the panic value raised in ranks blocked on a collective when
@@ -201,8 +186,7 @@ func Run(size int, fn func(c *Communicator) error) (*Group, error) {
 	return g, RootCause(errs)
 }
 
-// FaultInjector observes every base collective and point-to-point operation
-// a communicator executes, immediately before (pre=true) and after
+// FaultInjector observes every base collective a communicator executes, immediately before (pre=true) and after
 // (pre=false) the rendezvous. id names the calling rank in the injector's
 // own namespace — dist.Mesh wires it to the world rank, so one injector
 // sees a single per-rank operation sequence across all axis groups. An
@@ -213,7 +197,7 @@ type FaultInjector interface {
 }
 
 // Observer is the passive twin of FaultInjector: it sees every base
-// collective and point-to-point operation immediately before (pre=true)
+// collective immediately before (pre=true)
 // and after (pre=false) the rendezvous, without the power to kill the
 // rank. The post point carries the per-rank ring wire volume in float64
 // elements (the same figure the Traffic ledger records; multiply by

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
-	"repro/internal/leakcheck"
 	"repro/internal/tensor"
 )
 
@@ -267,60 +265,11 @@ func TestRunPrefersRootCauseOverAbortCascade(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	if !g.Aborted() {
+	g.mu.Lock()
+	aborted := g.aborted
+	g.mu.Unlock()
+	if !aborted {
 		t.Fatal("group should report aborted")
-	}
-}
-
-func TestAbortReleasesBlockedRecv(t *testing.T) {
-	leakcheck.Check(t)
-	// A rank stranded in a p2p Recv (not a rendezvous collective) must also
-	// be released by the abort, within the timeout.
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(2, func(c *Communicator) error {
-			if c.Rank() == 0 {
-				return errors.New("sender died")
-			}
-			c.Recv(0) // never satisfied; must panic ErrAborted on abort
-			return nil
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "sender died") {
-			t.Fatalf("err = %v, want sender's error", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Recv deadlocked after peer failure")
-	}
-}
-
-func TestAbortReleasesBlockedSend(t *testing.T) {
-	leakcheck.Check(t)
-	// Send blocks once the pair buffer (capacity 4) is full; abort must
-	// release it too.
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(2, func(c *Communicator) error {
-			if c.Rank() == 1 {
-				return errors.New("receiver died")
-			}
-			for i := 0; i < 16; i++ { // overflows the buffer, then blocks
-				c.Send(1, tensor.Full(1, 1))
-			}
-			return nil
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "receiver died") {
-			t.Fatalf("err = %v, want receiver's error", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Send deadlocked after peer failure")
 	}
 }
 
@@ -418,60 +367,4 @@ func TestCommRankValidation(t *testing.T) {
 		}
 	}()
 	g.Comm(2)
-}
-
-func TestSendRecvPointToPoint(t *testing.T) {
-	_, err := Run(3, func(c *Communicator) error {
-		// Each rank sends its rank value to the next and receives from the
-		// previous.
-		next := (c.Rank() + 1) % 3
-		prev := (c.Rank() + 2) % 3
-		c.Send(next, tensor.Full(float64(c.Rank()), 2))
-		got := c.Recv(prev)
-		if got.Data[0] != float64(prev) {
-			return fmt.Errorf("rank %d received %v, want %d", c.Rank(), got.Data[0], prev)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendIsCopy(t *testing.T) {
-	_, err := Run(2, func(c *Communicator) error {
-		// Send/Recv are rank-addressed, but the Barrier is kept outside the
-		// rank conditional so both ranks run the same collective sequence.
-		var got *tensor.Tensor
-		if c.Rank() == 0 {
-			x := tensor.Full(1, 2)
-			c.Send(1, x)
-			x.Fill(99) // must not affect what rank 1 receives
-		} else {
-			got = c.Recv(0)
-		}
-		c.Barrier()
-		if c.Rank() == 1 && got.Data[0] != 1 {
-			return fmt.Errorf("receiver saw sender's mutation: %v", got.Data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendValidation(t *testing.T) {
-	g := NewGroup(2)
-	c := g.Comm(0)
-	for _, bad := range []int{-1, 0, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Send to %d should panic", bad)
-				}
-			}()
-			c.Send(bad, tensor.New(1))
-		}()
-	}
 }

@@ -80,8 +80,6 @@ func (k LayerKind) String() string {
 // independent per spatial location, exactly like the paper's channel
 // aggregation module.
 type GroupAggregator interface {
-	// GroupSize returns g, the number of channel tokens consumed.
-	GroupSize() int
 	// Forward reduces x [N, g, E] to [N, E].
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	// Backward maps d [N, E] back to [N, g, E], accumulating parameter
@@ -113,9 +111,6 @@ func NewCrossAttnAggregator(name string, group, embed, heads int, seed int64) *C
 		Attn:  nn.NewCrossAttention(name, embed, heads, seed),
 	}
 }
-
-// GroupSize returns the group size.
-func (a *CrossAttnAggregator) GroupSize() int { return a.Group }
 
 // Forward reduces x [N, g, E] to [N, E].
 func (a *CrossAttnAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
@@ -184,9 +179,6 @@ func NewLinearAggregator(name string, group, embed int, seed int64) *LinearAggre
 		Bias:   nn.NewParam(name+".bias", tensor.New(embed)),
 	}
 }
-
-// GroupSize returns the group size.
-func (a *LinearAggregator) GroupSize() int { return a.Group }
 
 // Forward reduces x [N, g, E] to [N, E].
 func (a *LinearAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {

@@ -42,9 +42,6 @@ func NewPerceiverAggregator(name string, group, latents, embed, heads int, seed 
 	}
 }
 
-// GroupSize returns the group size.
-func (a *PerceiverAggregator) GroupSize() int { return a.Group }
-
 // Forward reduces x [N, g, E] to [N, E]: the latents (broadcast over N)
 // attend to the group tokens, and the latent outputs are averaged.
 func (a *PerceiverAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {

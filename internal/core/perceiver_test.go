@@ -32,8 +32,8 @@ func TestPerceiverAggregatorShapesAndDeterminism(t *testing.T) {
 	if y.Shape[0] != 3 || y.Shape[1] != 4 {
 		t.Fatalf("output shape = %v, want [3,4]", y.Shape)
 	}
-	if a1.GroupSize() != 6 {
-		t.Fatal("GroupSize wrong")
+	if a1.Group != 6 {
+		t.Fatal("group size wrong")
 	}
 }
 

@@ -104,7 +104,7 @@ func explicitAggregate(a *nn.CrossAttention, query, context, d *tensor.Tensor) e
 	}
 	res.dQuery = back(query, dq, a.Wq).Reshape(n, tq, e)
 	res.dContext = back(context, dk, a.Wk).Reshape(n, tk, e)
-	tensor.AddInPlace(res.dContext, back(context, dv, a.Wv).Reshape(n, tk, e))
+	tensor.AddInto(res.dContext, res.dContext, back(context, dv, a.Wv).Reshape(n, tk, e))
 	back(ctx, dy, a.Wo)
 	return res
 }

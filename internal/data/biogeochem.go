@@ -89,11 +89,6 @@ func NewBiogeochem(cfg BiogeochemConfig) *Biogeochem {
 // Channels returns Variables * Layers.
 func (g *Biogeochem) Channels() int { return g.Cfg.Variables * g.Cfg.Layers }
 
-// ChannelName returns the name of channel ch ("v<k>_l<d>").
-func (g *Biogeochem) ChannelName(ch int) string {
-	return fmt.Sprintf("v%d_l%d", ch/g.Cfg.Layers, ch%g.Cfg.Layers)
-}
-
 // Snapshot materializes all channels at time step: [Channels, H, W].
 // Deterministic in (Seed, step).
 func (g *Biogeochem) Snapshot(step int) *tensor.Tensor {

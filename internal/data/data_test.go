@@ -72,9 +72,6 @@ func TestWeatherChannelStructure(t *testing.T) {
 	if w.ChannelIndex("nope") != -1 {
 		t.Fatal("unknown channel should be -1")
 	}
-	if len(w.ChannelNames()) != 80 {
-		t.Fatal("ChannelNames length mismatch")
-	}
 }
 
 func TestWeatherEvolvesAndIsDeterministic(t *testing.T) {
@@ -196,8 +193,8 @@ func TestRandomMaskRatioExact(t *testing.T) {
 			t.Fatalf("row %d has %d masked, want 12", b, n)
 		}
 	}
-	if mask.Sum() != 48 {
-		t.Fatalf("masked count = %v", mask.Sum())
+	if got := masked(mask); got != 48 {
+		t.Fatalf("masked count = %v", got)
 	}
 }
 
@@ -239,9 +236,6 @@ func TestBiogeochemStructure(t *testing.T) {
 	if g.Channels() != 20 {
 		t.Fatalf("channels = %d, want 20", g.Channels())
 	}
-	if g.ChannelName(5) != "v1_l1" {
-		t.Fatalf("channel name = %q", g.ChannelName(5))
-	}
 	snap := g.Snapshot(3)
 	if snap.Shape[0] != 20 || snap.Shape[1] != 4 || snap.Shape[2] != 4 {
 		t.Fatalf("snapshot shape = %v", snap.Shape)
@@ -282,4 +276,15 @@ func TestBiogeochemVerticalCorrelation(t *testing.T) {
 			t.Fatalf("variable %d: adjacent-layer diff %v >= deep diff %v", v, adj, far)
 		}
 	}
+}
+
+// masked counts the ones of a 0/1 mask.
+func masked(m *tensor.Tensor) int {
+	n := 0
+	for _, v := range m.Data {
+		if v == 1 {
+			n++
+		}
+	}
+	return n
 }

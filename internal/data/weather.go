@@ -116,15 +116,6 @@ func NewWeather(cfg WeatherConfig) *Weather {
 // Channels returns the channel count (80 with the default structure).
 func (w *Weather) Channels() int { return len(w.channels) }
 
-// ChannelNames lists the channel names in order.
-func (w *Weather) ChannelNames() []string {
-	names := make([]string, len(w.channels))
-	for i, c := range w.channels {
-		names[i] = c.name
-	}
-	return names
-}
-
 // ChannelIndex returns the index of a named channel (e.g. "z500", "t850",
 // "u10") or -1.
 func (w *Weather) ChannelIndex(name string) int {

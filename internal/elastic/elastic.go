@@ -1,9 +1,9 @@
 // Package elastic is the fault-tolerant training supervisor: it wraps
-// hybrid (TP×DP) training in generations, and on a rank failure — or an
-// explicit grow/shrink request — re-rendezvouses the survivors at a new
-// mesh shape whose TP extent divides the logical partition count, reshards
-// the training state, and continues with the LR schedule and mask-RNG
-// stream fast-forwarded exactly as a checkpoint resume would.
+// hybrid (TP×DP) training in generations, and on a rank failure
+// re-rendezvouses the survivors at a new mesh shape whose TP extent divides
+// the logical partition count, reshards the training state, and continues
+// with the mask-RNG stream fast-forwarded exactly as a checkpoint resume
+// would.
 //
 // Resharding prefers the zero-I/O path: every rank snapshots its state tree
 // at each step boundary, and because the collectives are rendezvous-
@@ -28,14 +28,6 @@ import (
 	"repro/internal/train"
 )
 
-// Resize is an explicit shape change: the running generation ends at the
-// boundary before executing global step AtStep, and the next one starts
-// there at TP×DP.
-type Resize struct {
-	AtStep int
-	TP, DP int
-}
-
 // Options configures the supervisor.
 type Options struct {
 	// TP and DP are the initial mesh shape.
@@ -43,22 +35,17 @@ type Options struct {
 	// MinWorld is the smallest world size the supervisor will re-rendezvous
 	// at; below it, the run fails with the triggering error. 0 means 1.
 	MinWorld int
-	// MaxGenerations bounds the number of re-rendezvous attempts (a repeated
-	// deterministic failure must not loop forever). 0 means 16.
-	MaxGenerations int
 	// Plan is the deterministic fault plan threaded through every
 	// generation's mesh (nil: no injected faults). The supervisor advances
 	// its generation scope before each launch.
-	Plan *faultinject.Plan
-	// Resizes are explicit shape changes, applied in AtStep order.
-	Resizes []Resize
-	TPViT   bool
+	Plan  *faultinject.Plan
+	TPViT bool
 	// Trace, when non-nil, records supervisor lifecycle instants
 	// (generation start/end, rank deaths, reshard decisions) on the
-	// tracer's last row, while the generations' per-rank rows come from
-	// train.Options.Trace — by convention the same tracer sized with
-	// rows = initial world + 1 so world ranks and supervisor never share
-	// a row.
+	// tracer's last row, named "supervisor" in the exported trace, while
+	// the generations' per-rank rows come from train.Options.Trace — by
+	// convention the same tracer sized with rows = initial world + 1 so
+	// world ranks and supervisor never share a row.
 	Trace *obs.Tracer
 }
 
@@ -108,18 +95,10 @@ func Run(arch model.Arch, opts train.Options, eo Options, batch train.BatchFn) (
 	if partitions%eo.TP != 0 {
 		return rep, fmt.Errorf("elastic: tp %d does not divide partitions %d", eo.TP, partitions)
 	}
-	resizes := append([]Resize(nil), eo.Resizes...)
-	sort.Slice(resizes, func(i, j int) bool { return resizes[i].AtStep < resizes[j].AtStep })
-	for _, rz := range resizes {
-		if rz.TP < 1 || rz.DP < 1 || partitions%rz.TP != 0 || opts.Batch%rz.DP != 0 {
-			return rep, fmt.Errorf("elastic: invalid resize to tp=%d dp=%d at step %d", rz.TP, rz.DP, rz.AtStep)
-		}
-	}
-	maxGen := eo.MaxGenerations
-	if maxGen == 0 {
-		maxGen = 16
-	}
+	// Every failed generation loses at least one rank, so the initial world
+	// size bounds the number of generations.
 	tp, dp := eo.TP, eo.DP
+	maxGen := tp * dp
 	start := 0
 	source := SourceFresh
 	var from *ckpt.Checkpoint
@@ -141,24 +120,16 @@ func Run(arch model.Arch, opts train.Options, eo Options, batch train.BatchFn) (
 
 	// Supervisor lifecycle events land on the tracer's last row, leaving
 	// rows [0, world) to the generations' rank goroutines.
+	eo.Trace.SetRowName(eo.Trace.Rows()-1, "supervisor")
 	sup := eo.Trace.Rank(eo.Trace.Rows() - 1)
 	for gen := 0; gen < maxGen; gen++ {
-		end := opts.Steps
-		var next *Resize
-		for i := range resizes {
-			if resizes[i].AtStep > start && resizes[i].AtStep < opts.Steps {
-				next = &resizes[i]
-				end = resizes[i].AtStep
-				break
-			}
-		}
 		if eo.Plan != nil {
 			eo.Plan.Advance(gen)
 		}
 		sup.Instant("generation-start", "elastic")
 		genSpan := sup.Begin("generation", "elastic")
 		res := train.RunGeneration(arch, opts, train.GenSpec{
-			TP: tp, DP: dp, Start: start, End: end,
+			TP: tp, DP: dp, Start: start, End: opts.Steps,
 			From: from, Fault: eo.Plan, TPViT: eo.TPViT,
 		}, batch)
 		genSpan.End()
@@ -170,21 +141,8 @@ func Run(arch model.Arch, opts train.Options, eo Options, batch train.BatchFn) (
 		}
 		if res.Err == nil {
 			rep.Generations = append(rep.Generations, grec)
-			if end == opts.Steps {
-				sup.Instant("run-complete", "elastic")
-				return rep, nil
-			}
-			// Clean resize boundary: every rank's tree is present at the
-			// same step, so the in-memory reshard cannot fail for coverage.
-			sup.Instant("resize", "elastic")
-			ck, err := boundarySource(arch, partitions, res, nil)
-			if err != nil {
-				return rep, fmt.Errorf("elastic: reshard at resize boundary %d: %w", end, err)
-			}
-			from, start, source = ck, end, SourceMemory
-			tp, dp = next.TP, next.DP
-			consumeResize(&resizes, end)
-			continue
+			sup.Instant("run-complete", "elastic")
+			return rep, nil
 		}
 		failed := dist.FailedRanks(res.Err)
 		if len(failed) == 0 {
@@ -220,48 +178,6 @@ func Run(arch model.Arch, opts train.Options, eo Options, batch train.BatchFn) (
 		tp, dp = ntp, ndp
 	}
 	return rep, fmt.Errorf("elastic: gave up after %d generations", maxGen)
-}
-
-// consumeResize drops every resize at or before step so it is not re-applied.
-func consumeResize(resizes *[]Resize, step int) {
-	out := (*resizes)[:0]
-	for _, rz := range *resizes {
-		if rz.AtStep > step {
-			out = append(out, rz)
-		}
-	}
-	*resizes = out
-}
-
-// boundarySource assembles the surviving ranks' boundary trees into a
-// restore source, requiring every survivor to be at the same boundary.
-// failed is the set of dead ranks to exclude (nil: none).
-func boundarySource(arch model.Arch, partitions int, res train.GenResult, failed []int) (*ckpt.Checkpoint, error) {
-	dead := make(map[int]bool, len(failed))
-	for _, r := range failed {
-		dead[r] = true
-	}
-	boundary := -1
-	var trees []ckpt.Tree
-	for r := range res.Trees {
-		if dead[r] {
-			continue
-		}
-		if res.Boundary[r] < 0 {
-			return nil, fmt.Errorf("elastic: rank %d has no boundary snapshot", r)
-		}
-		if boundary == -1 {
-			boundary = res.Boundary[r]
-		} else if boundary != res.Boundary[r] {
-			return nil, fmt.Errorf("elastic: survivors at inconsistent boundaries %d vs %d", boundary, res.Boundary[r])
-		}
-		trees = append(trees, res.Trees[r])
-	}
-	ck, err := train.AssembleBoundary(arch, partitions, boundary, trees)
-	if err != nil {
-		return nil, err
-	}
-	return ck, nil
 }
 
 // memoryReshard attempts the zero-rollback path after a failure. Survivors

@@ -1,6 +1,8 @@
 package elastic
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/leakcheck"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -181,8 +184,7 @@ type genExpect struct {
 
 // TestElasticChaosMatrix drives the supervisor through the failure modes
 // that matter: death at a step boundary, death mid-collective, death during
-// a checkpoint save, a double failure, an explicit shrink-then-grow, and a
-// DP-replicated death that reshards from memory with zero rollback. Every
+// a checkpoint save, a double failure, and a DP-replicated death that reshards from memory with zero rollback. Every
 // case must end with the full trajectory matching the serial oracle and no
 // leaked goroutines.
 func TestElasticChaosMatrix(t *testing.T) {
@@ -193,7 +195,6 @@ func TestElasticChaosMatrix(t *testing.T) {
 		tp, dp     int
 		ckptEvery  int // 0: no checkpoint dir
 		plan       func() *faultinject.Plan
-		resizes    []Resize
 		wantGens   []genExpect
 		skipSource bool // mid-collective: boundary spread depends on op layout
 	}{
@@ -233,15 +234,6 @@ func TestElasticChaosMatrix(t *testing.T) {
 			},
 		},
 		{
-			name: "shrink-then-grow", channels: 4, tp: 4, dp: 1,
-			resizes: []Resize{{AtStep: 2, TP: 2, DP: 1}, {AtStep: 4, TP: 4, DP: 1}},
-			wantGens: []genExpect{
-				{tp: 4, dp: 1, start: 0, source: SourceFresh},
-				{tp: 2, dp: 1, start: 2, source: SourceMemory},
-				{tp: 4, dp: 1, start: 4, source: SourceMemory},
-			},
-		},
-		{
 			name: "dp-replica-survives-in-memory", channels: 4, tp: 2, dp: 2,
 			plan: func() *faultinject.Plan { return faultinject.NewPlan().KillAtStep(1, 3) },
 			wantGens: []genExpect{
@@ -265,7 +257,7 @@ func TestElasticChaosMatrix(t *testing.T) {
 				opts.CheckpointKeep = 8
 			}
 			batch := fixedBatches(t, tc.channels, steps, opts.Batch)
-			eo := Options{TP: tc.tp, DP: tc.dp, MinWorld: 1, Resizes: tc.resizes}
+			eo := Options{TP: tc.tp, DP: tc.dp, MinWorld: 1}
 			var plan *faultinject.Plan
 			if tc.plan != nil {
 				plan = tc.plan()
@@ -326,5 +318,46 @@ func TestElasticFailsBelowMinWorld(t *testing.T) {
 	}
 	if len(rep.Generations) != 1 || len(rep.Generations[0].Failed) != 3 {
 		t.Fatalf("generations = %+v", rep.Generations)
+	}
+}
+
+// TestTraceNamesSupervisorRow: the supervisor's row is the tracer's last,
+// one past the initial world, and the exported trace labels it
+// "supervisor" rather than as a rank that does not exist.
+func TestTraceNamesSupervisorRow(t *testing.T) {
+	leakcheck.Check(t)
+	const tp = 2
+	a := tinyArch(4)
+	tr := obs.NewTracer(tp+1, 256)
+	opts := train.Options{Steps: 2, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 9}
+	if _, err := Run(a, opts, Options{TP: tp, DP: 1, Trace: tr}, fixedBatches(t, 4, opts.Steps, opts.Batch)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	names := map[int]any{}
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" {
+			names[ev.Tid] = ev.Args["name"]
+		}
+	}
+	want := map[int]any{0: "rank 0", 1: "rank 1", tp: "supervisor"}
+	for tid, name := range want {
+		if names[tid] != name {
+			t.Fatalf("thread_name of row %d = %v, want %q (all: %v)", tid, names[tid], name, names)
+		}
 	}
 }

@@ -152,9 +152,15 @@ func fastestCalls(cfg ComputeBenchConfig, a, b func()) (aNs, bNs float64) {
 }
 
 var (
-	tensorType     = reflect.TypeOf((*tensor.Tensor)(nil))
-	paramType      = reflect.TypeOf((*nn.Param)(nil))
-	aggregatorType = reflect.TypeOf((*core.GroupAggregator)(nil)).Elem()
+	tensorType = reflect.TypeOf((*tensor.Tensor)(nil))
+	paramType  = reflect.TypeOf((*nn.Param)(nil))
+	// aggregatorTypes are the group aggregators core builds for a tree
+	// level.
+	aggregatorTypes = map[reflect.Type]bool{
+		reflect.TypeOf((*core.CrossAttnAggregator)(nil)): true,
+		reflect.TypeOf((*core.LinearAggregator)(nil)):    true,
+		reflect.TypeOf((*core.PerceiverAggregator)(nil)): true,
+	}
 )
 
 // scratchBytes sums the distinct tensors reachable from v, stopping at
@@ -168,7 +174,7 @@ func scratchBytes(v any) int64 {
 	walk = func(v reflect.Value) (n int64) {
 		switch v.Kind() {
 		case reflect.Ptr, reflect.Interface:
-			if v.IsNil() || v.Type() == paramType || v.Type().Implements(aggregatorType) {
+			if v.IsNil() || v.Type() == paramType || aggregatorTypes[v.Type()] {
 				return 0
 			}
 			if v.Type() != tensorType {

@@ -223,16 +223,6 @@ type ComputeReport struct {
 	Claims      ComputeClaims       `json:"claims"`
 }
 
-// PointAt returns the point measured at size n.
-func (r ComputeReport) PointAt(n int) (ComputePoint, bool) {
-	for _, p := range r.Points {
-		if p.Size == n {
-			return p, true
-		}
-	}
-	return ComputePoint{}, false
-}
-
 // ComputeBenchConfig parameterizes the compute benchmark.
 type ComputeBenchConfig struct {
 	// Sizes are the square GEMM extents measured, ascending; the claims are

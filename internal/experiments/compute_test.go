@@ -105,8 +105,8 @@ func TestRunComputeBenchQuick(t *testing.T) {
 		len(back.Stages) != len(rep.Stages) {
 		t.Fatalf("report did not round-trip: %+v", back)
 	}
-	if _, ok := back.PointAt(cfg.Sizes[0]); !ok {
-		t.Fatalf("PointAt(%d) missing after round-trip", cfg.Sizes[0])
+	if back.Points[0].Size != cfg.Sizes[0] {
+		t.Fatalf("point at size %d missing after round-trip", cfg.Sizes[0])
 	}
 }
 

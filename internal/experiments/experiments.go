@@ -3,9 +3,8 @@
 // throughput projections from internal/perfmodel, and real reduced-scale
 // training runs (loss-curve and RMSE comparisons) from internal/train.
 //
-// Each figure is an Experiment in the registry; cmd/dchag-bench, the root
-// benchmark suite, and EXPERIMENTS.md all consume the same runners, so the
-// documented numbers are exactly what the tools print.
+// Each figure is an Experiment in the registry; cmd/dchag-bench and the root
+// benchmark suite consume the same runners, so both print the same numbers.
 package experiments
 
 import (
@@ -176,34 +175,4 @@ func Sparkline(values []float64, width int) string {
 		out[i] = glyphs[idx]
 	}
 	return string(out)
-}
-
-// Markdown renders the table as GitHub-flavored markdown.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "#### %s\n\n", t.Title)
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	b.WriteString("| " + strings.Join(sep, " | ") + " |\n")
-	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "\n*%s*\n", n)
-	}
-	return b.String()
-}
-
-// Markdown renders the whole result as markdown.
-func (r Result) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s — %s\n\n", r.ID, r.Title)
-	for _, t := range r.Tables {
-		b.WriteString(t.Markdown())
-		b.WriteString("\n")
-	}
-	return b.String()
 }

@@ -283,19 +283,3 @@ func TestSparkline(t *testing.T) {
 		t.Fatal("flat series must render")
 	}
 }
-
-func TestMarkdownRendering(t *testing.T) {
-	tab := &Table{Title: "demo", Headers: []string{"a", "b"}}
-	tab.Add("1", "2")
-	tab.Note("note here")
-	md := tab.Markdown()
-	for _, want := range []string{"#### demo", "| a | b |", "| --- | --- |", "| 1 | 2 |", "*note here*"} {
-		if !strings.Contains(md, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, md)
-		}
-	}
-	res := Result{ID: "figX", Title: "t", Tables: []*Table{tab}}
-	if !strings.Contains(res.Markdown(), "### figX — t") {
-		t.Fatal("result markdown missing heading")
-	}
-}

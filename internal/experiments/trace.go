@@ -213,7 +213,7 @@ func runTraceBench(schedule func(rank int, m *dist.Mesh, s traceSizes) error) (T
 			case comm.OpReduceScatter:
 				t = machine.ReduceScatterTimeOn(p, ev.Bytes*n/(n-1))
 			default:
-				continue // barriers and p2p carry no modeled schedule here
+				continue // barriers carry no modeled schedule here
 			}
 			perRank[a][r] += t
 			rankSpans[a]++

@@ -31,8 +31,7 @@ const (
 	// the step issues any collective.
 	AtStep When = iota
 	// BeforeOp kills the rank immediately before its Fault.Seq-th
-	// communication operation of the generation (collectives and p2p,
-	// counted per rank from zero).
+	// collective of the generation (counted per rank from zero).
 	BeforeOp
 	// AfterOp kills the rank immediately after its Fault.Seq-th
 	// communication operation completes.

@@ -30,9 +30,6 @@ func NewOverlapBudget(computeSeconds float64) *OverlapBudget {
 	return &OverlapBudget{remaining: computeSeconds}
 }
 
-// Remaining returns the compute seconds not yet claimed by any stream.
-func (b *OverlapBudget) Remaining() float64 { return b.remaining }
-
 // Hide prices one communication stream against the budget and returns its
 // exposed (non-overlapped) seconds. The hidden portion is
 //

@@ -8,7 +8,7 @@ func TestOverlapBudgetHideBounds(t *testing.T) {
 	if got := b.Hide(0.3, 1.0, 1.0); got != 0 {
 		t.Fatalf("fully hideable stream exposed %v, want 0", got)
 	}
-	if got := b.Remaining(); got != 0.7 {
+	if got := b.remaining; got != 0.7 {
 		t.Fatalf("remaining = %v, want 0.7", got)
 	}
 	// Window caps the hidden portion even with budget left.
@@ -19,8 +19,8 @@ func TestOverlapBudgetHideBounds(t *testing.T) {
 	if got := b.Hide(10.0, 10.0, 1.0); got != 10.0-0.5 {
 		t.Fatalf("budget-capped stream exposed %v, want 9.5", got)
 	}
-	if b.Remaining() != 0 {
-		t.Fatalf("budget must be drained, remaining %v", b.Remaining())
+	if b.remaining != 0 {
+		t.Fatalf("budget must be drained, remaining %v", b.remaining)
 	}
 	// A drained budget exposes everything.
 	if got := b.Hide(0.4, 1.0, 1.0); got != 0.4 {
@@ -34,14 +34,14 @@ func TestOverlapBudgetFactorZeroIsSerialBitForBit(t *testing.T) {
 	if got := b.Hide(comm, 5.0, 0); got != comm {
 		t.Fatalf("factor 0 exposed %v, want comm %v unchanged", got, comm)
 	}
-	if b.Remaining() != 5.0 {
+	if b.remaining != 5.0 {
 		t.Fatal("factor 0 must not consume budget")
 	}
 }
 
 func TestOverlapBudgetClamps(t *testing.T) {
 	b := NewOverlapBudget(-1)
-	if b.Remaining() != 0 {
+	if b.remaining != 0 {
 		t.Fatal("negative compute must clamp to an empty budget")
 	}
 	if got := b.Hide(1.0, 1.0, 1.0); got != 1.0 {

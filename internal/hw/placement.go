@@ -39,15 +39,6 @@ func (p Placement) InterHops() int {
 	return hops
 }
 
-// NodeSpan returns the number of distinct nodes the placement touches.
-func (p Placement) NodeSpan() int {
-	seen := map[int]bool{}
-	for _, n := range p {
-		seen[n] = true
-	}
-	return len(seen)
-}
-
 // ContiguousPlacement returns the placement of n ranks packed densely from
 // world rank start under the machine's node width — the layout of TP (and
 // node-filling FSDP) groups in internal/dist. It is exact for groups that do

@@ -8,12 +8,12 @@ import (
 func TestContiguousPlacement(t *testing.T) {
 	m := Frontier()
 	// Node-aligned group of a node's width stays on one node.
-	if p := m.ContiguousPlacement(0, 8); !p.IntraNode() || p.NodeSpan() != 1 || p.InterHops() != 0 {
+	if p := m.ContiguousPlacement(0, 8); !p.IntraNode() || nodeSpan(p) != 1 || p.InterHops() != 0 {
 		t.Fatalf("aligned 8-rank group should be intra-node, got %v", p)
 	}
 	// The same size starting mid-node straddles the boundary.
 	p := m.ContiguousPlacement(4, 8)
-	if p.IntraNode() || p.NodeSpan() != 2 {
+	if p.IntraNode() || nodeSpan(p) != 2 {
 		t.Fatalf("unaligned 8-rank group must span two nodes, got %v", p)
 	}
 	// Hops: one crossing inside the ring, plus the wraparound back.
@@ -85,4 +85,13 @@ func TestWireTime(t *testing.T) {
 	if m.WireTime(Placement{0}, 1<<20) != 0 {
 		t.Fatal("single-rank groups put nothing on the wire")
 	}
+}
+
+// nodeSpan counts the distinct nodes a placement touches.
+func nodeSpan(p Placement) int {
+	seen := map[int]bool{}
+	for _, n := range p {
+		seen[n] = true
+	}
+	return len(seen)
 }

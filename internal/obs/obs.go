@@ -1,8 +1,8 @@
 // Package obs is the unified observability layer: an allocation-free
 // per-rank span tracer with fixed-capacity ring buffers, a Chrome
 // trace-event JSON exporter (viewable in Perfetto / chrome://tracing), and
-// the comm.Observer adapter that timestamps every collective and
-// point-to-point operation a mesh executes.
+// the comm.Observer adapter that timestamps every collective a mesh
+// executes.
 //
 // Design constraints, in order:
 //
@@ -261,14 +261,6 @@ func (r *Rank) Instant(name, cat string) {
 	slot.Ph = 'i'
 	slot.Bytes = 0
 	r.mu.Unlock()
-}
-
-// Row returns the row index (-1 on the nil handle).
-func (r *Rank) Row() int {
-	if r == nil {
-		return -1
-	}
-	return r.row
 }
 
 // Events returns the row's events oldest-first (a copy).

@@ -28,9 +28,6 @@ func TestNilTracerIsSafeEverywhere(t *testing.T) {
 	if got := r.Events(); got != nil {
 		t.Fatalf("nil rank Events = %v, want nil", got)
 	}
-	if r.Row() != -1 {
-		t.Fatalf("nil rank Row = %d, want -1", r.Row())
-	}
 	tr.SetMeta("k", "v")
 	tr.SetRowName(0, "n")
 	if tr.Meta() != nil {
@@ -195,11 +192,6 @@ func TestCommObserverTracesCollectives(t *testing.T) {
 		c.AllGather(x)
 		c.ReduceScatterSum(x, 0)
 		c.Broadcast(x, 0, func(*tensor.Tensor) {})
-		if c.Rank() == 0 {
-			c.Send(1, x)
-		} else {
-			c.Recv(0)
-		}
 		return nil
 	})
 	if err != nil {
@@ -232,18 +224,6 @@ func TestCommObserverTracesCollectives(t *testing.T) {
 				t.Fatalf("rank %d %s: bytes = %d, want %d", rank, op, b, bytes)
 			}
 		}
-	}
-	// p2p: rank 0 sent, rank 1 received; spans carry the payload volume.
-	found := func(rank int, name string) bool {
-		for _, ev := range tr.Events(rank) {
-			if ev.Name == name && ev.Bytes == 4*comm.BytesPerElem {
-				return true
-			}
-		}
-		return false
-	}
-	if !found(0, "send") || !found(1, "recv") {
-		t.Fatalf("p2p spans missing: rank0=%v rank1=%v", tr.Events(0), tr.Events(1))
 	}
 	_ = g
 }

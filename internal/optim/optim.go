@@ -1,6 +1,6 @@
-// Package optim implements the optimizers and learning-rate schedules used
-// to train the repository's models: AdamW with decoupled weight decay,
-// cosine schedules with linear warmup, and global gradient-norm clipping.
+// Package optim implements the optimizer used to train the repository's
+// models: AdamW with decoupled weight decay, and global gradient-norm
+// clipping.
 //
 // Optimizers key their per-parameter state (moments) by the parameter's
 // name, so state survives checkpointing: ExportState snapshots
@@ -20,18 +20,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer applies one update step to a fixed set of parameters.
-type Optimizer interface {
-	// Step applies one update using the gradients currently accumulated in
-	// the parameters. It does not zero gradients; callers do that explicitly
-	// so gradient-accumulation schedules are possible.
-	Step()
-	// SetLR overrides the learning rate (used by schedules).
-	SetLR(lr float64)
-	// LR returns the current learning rate.
-	LR() float64
-}
-
 // Moment holds one parameter's optimizer buffers keyed by buffer name
 // ("m"/"v" for AdamW). Every buffer has the same length as the parameter's
 // data and shares its shard layout, which is what lets checkpoints reshard
@@ -50,10 +38,9 @@ type State struct {
 	Moments map[string]Moment
 }
 
-// Stateful is an Optimizer whose full state can be exported and restored,
+// Stateful is an optimizer whose full state can be exported and restored,
 // the contract checkpointing relies on.
 type Stateful interface {
-	Optimizer
 	// ExportState returns a deep copy of the optimizer's state.
 	ExportState() State
 	// ImportState restores a previously exported state. Every moment buffer
@@ -200,15 +187,6 @@ func (a *AdamW) ImportState(st State) error {
 	return nil
 }
 
-// SetLR overrides the learning rate.
-func (a *AdamW) SetLR(lr float64) { a.lr = lr }
-
-// LR returns the current learning rate.
-func (a *AdamW) LR() float64 { return a.lr }
-
-// StepCount returns the number of updates applied so far.
-func (a *AdamW) StepCount() int { return a.step }
-
 // ClipGradNorm scales all gradients so their global L2 norm does not exceed
 // maxNorm, returning the pre-clip norm.
 func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
@@ -228,30 +206,4 @@ func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 		}
 	}
 	return norm
-}
-
-// CosineSchedule produces a linear warmup to baseLR over warmupSteps
-// followed by cosine decay to minLR at totalSteps.
-type CosineSchedule struct {
-	BaseLR, MinLR           float64
-	WarmupSteps, TotalSteps int
-}
-
-// At returns the learning rate for 0-indexed step t.
-func (c CosineSchedule) At(t int) float64 {
-	if c.WarmupSteps > 0 && t < c.WarmupSteps {
-		return c.BaseLR * float64(t+1) / float64(c.WarmupSteps)
-	}
-	if t >= c.TotalSteps {
-		return c.MinLR
-	}
-	progress := float64(t-c.WarmupSteps) / float64(c.TotalSteps-c.WarmupSteps)
-	return c.MinLR + 0.5*(c.BaseLR-c.MinLR)*(1+math.Cos(math.Pi*progress))
-}
-
-// Apply sets the optimizer's LR for step t and returns it.
-func (c CosineSchedule) Apply(o Optimizer, t int) float64 {
-	lr := c.At(t)
-	o.SetLR(lr)
-	return lr
 }

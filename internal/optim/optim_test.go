@@ -36,8 +36,8 @@ func TestAdamWConvergesOnQuadratic(t *testing.T) {
 	if loss := step(); loss > 1e-6 {
 		t.Fatalf("AdamW did not converge: loss %v", loss)
 	}
-	if opt.StepCount() != 500 {
-		t.Fatalf("StepCount = %d", opt.StepCount())
+	if opt.step != 500 {
+		t.Fatalf("step count = %d", opt.step)
 	}
 }
 
@@ -83,42 +83,6 @@ func TestClipGradNorm(t *testing.T) {
 	}
 }
 
-func TestCosineScheduleShape(t *testing.T) {
-	s := CosineSchedule{BaseLR: 1, MinLR: 0.1, WarmupSteps: 10, TotalSteps: 110}
-	if got := s.At(0); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("warmup start = %v, want 0.1", got)
-	}
-	if got := s.At(9); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("warmup end = %v, want 1", got)
-	}
-	mid := s.At(60)
-	if mid >= 1 || mid <= 0.1 {
-		t.Fatalf("mid-decay = %v, want strictly between min and base", mid)
-	}
-	if got := s.At(110); got != 0.1 {
-		t.Fatalf("post-total = %v, want MinLR", got)
-	}
-	// Monotone decay after warmup.
-	prev := s.At(10)
-	for i := 11; i < 110; i++ {
-		cur := s.At(i)
-		if cur > prev+1e-12 {
-			t.Fatalf("cosine decay not monotone at %d", i)
-		}
-		prev = cur
-	}
-}
-
-func TestScheduleApplySetsLR(t *testing.T) {
-	p, _ := quadratic([]float64{1})
-	opt := NewAdamW([]*nn.Param{p}, 1, 0)
-	s := CosineSchedule{BaseLR: 0.5, MinLR: 0, WarmupSteps: 0, TotalSteps: 100}
-	lr := s.Apply(opt, 0)
-	if opt.LR() != lr || math.Abs(lr-0.5) > 1e-12 {
-		t.Fatalf("Apply lr = %v opt.LR = %v", lr, opt.LR())
-	}
-}
-
 func TestOptimizerTrainsLinearRegression(t *testing.T) {
 	// End-to-end sanity: fit y = xW with Linear + AdamW.
 	rng := tensor.NewRNG(7)
@@ -159,8 +123,8 @@ func TestAdamWStateRoundTripContinuesTrajectory(t *testing.T) {
 	if err := o2.ImportState(o1.ExportState()); err != nil {
 		t.Fatal(err)
 	}
-	if o2.StepCount() != 5 {
-		t.Fatalf("imported step count %d, want 5", o2.StepCount())
+	if o2.step != 5 {
+		t.Fatalf("imported step count %d, want 5", o2.step)
 	}
 	for i := 0; i < 5; i++ {
 		step1()
@@ -213,7 +177,7 @@ func TestAdamWMatchesParentLoop(t *testing.T) {
 	}
 	for step := 1; step <= 12; step++ {
 		lr := 1e-2 / float64(step)
-		opt.SetLR(lr)
+		opt.lr = lr
 		for i, p := range params {
 			g := tensor.Randn(rng, p.Numel())
 			copy(p.Grad.Data, g.Data)

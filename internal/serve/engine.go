@@ -105,6 +105,7 @@ func Start(cfg Config, src Source) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.Trace.SetRowName(cfg.Trace.Rows()-1, "engine")
 	e := &Engine{
 		cfg:         cfg,
 		arch:        inst.arch,

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -127,5 +129,41 @@ func TestServeTraceLifecycle(t *testing.T) {
 	// The 2-rank TP group broadcasts control and batch: comm spans too.
 	if names(1)["broadcast"] == 0 {
 		t.Errorf("worker row 1 has no broadcast span; have %v", names(1))
+	}
+}
+
+// TestTraceNamesEngineRow: the front end's row is the tracer's last, one
+// past the world ranks, and the exported trace labels it "engine" rather
+// than as a rank that does not exist.
+func TestTraceNamesEngineRow(t *testing.T) {
+	const ranks, replicas = 2, 1
+	tr := obs.NewTracer(ranks*replicas+1, 64)
+	startTest(t, Config{Ranks: ranks, Replicas: replicas, Trace: tr}, FromArch(testArch()))
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	names := map[int]any{}
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" {
+			names[ev.Tid] = ev.Args["name"]
+		}
+	}
+	want := map[int]any{0: "rank 0", 1: "rank 1", ranks * replicas: "engine"}
+	for tid, name := range want {
+		if names[tid] != name {
+			t.Fatalf("thread_name of row %d = %v, want %q (all: %v)", tid, names[tid], name, names)
+		}
 	}
 }

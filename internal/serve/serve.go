@@ -132,8 +132,8 @@ type Config struct {
 	// Trace, when non-nil, records the full request lifecycle: mesh
 	// collectives and per-batch forwards on rows [0, Ranks*Replicas) (one
 	// row per world rank) and the engine front end — enqueue, batch
-	// formation, dispatch, respond, cache fill — on the tracer's last row.
-	// Size it with obs.NewTracer(Ranks*Replicas+1, capacity). Start builds
+	// formation, dispatch, respond, cache fill — on the tracer's last row,
+	// named "engine" in the exported trace. Size it with obs.NewTracer(Ranks*Replicas+1, capacity). Start builds
 	// the traced host from it. Nil disables tracing at zero cost on the hot
 	// paths.
 	Trace *obs.Tracer

@@ -51,17 +51,6 @@ func ScaleInto(dst, a *Tensor, s float64) *Tensor {
 	return dst
 }
 
-// AddInPlace accumulates b into a (a += b). Shapes must match.
-//
-// dchag:hotpath — gradient accumulation runs this every step; it must not
-// allocate.
-func AddInPlace(a, b *Tensor) {
-	mustSameShape("AddInPlace", a, b)
-	for i := range a.Data {
-		a.Data[i] += b.Data[i]
-	}
-}
-
 // AccumRows adds rows rows of src, ld apart, to dst, in ascending row order:
 // dst[j] += src[r*ld+j] for r < rows and j < len(dst), or dst[j] +=
 // float64(w[r]*src[r*ld+j]) — the product rounded, then added — when w is
@@ -117,24 +106,6 @@ func ScaleInPlace(a *Tensor, s float64) {
 	for i := range a.Data {
 		a.Data[i] *= s
 	}
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements. It panics on an empty
-// tensor.
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		panic("tensor: Mean of empty tensor")
-	}
-	return t.Sum() / float64(len(t.Data))
 }
 
 // Max returns the largest element. It panics on an empty tensor.

@@ -114,9 +114,9 @@ func TestElementwiseOps(t *testing.T) {
 func TestInPlaceOps(t *testing.T) {
 	a := FromSlice([]float64{1, 2}, 2)
 	b := FromSlice([]float64{3, 5}, 2)
-	AddInPlace(a, b)
+	AddInto(a, a, b)
 	if a.Data[1] != 7 {
-		t.Fatalf("AddInPlace = %v, want 7", a.Data[1])
+		t.Fatalf("AddInto(a, a, b) = %v, want 7", a.Data[1])
 	}
 	ScaleInPlace(a, 0.5)
 	if a.Data[0] != 2 {
@@ -126,12 +126,6 @@ func TestInPlaceOps(t *testing.T) {
 
 func TestReductions(t *testing.T) {
 	a := FromSlice([]float64{1, -2, 3, -4}, 4)
-	if a.Sum() != -2 {
-		t.Fatalf("Sum = %v", a.Sum())
-	}
-	if a.Mean() != -0.5 {
-		t.Fatalf("Mean = %v", a.Mean())
-	}
 	if a.Max() != 3 || a.Min() != -4 {
 		t.Fatalf("Max/Min = %v/%v", a.Max(), a.Min())
 	}
@@ -509,11 +503,11 @@ func TestCopyFrom(t *testing.T) {
 func TestZeroAndFill(t *testing.T) {
 	a := Full(5, 3)
 	a.Zero()
-	if a.Sum() != 0 {
+	if sum(a) != 0 {
 		t.Fatal("Zero failed")
 	}
 	a.Fill(2)
-	if a.Sum() != 6 {
+	if sum(a) != 6 {
 		t.Fatal("Fill failed")
 	}
 }
@@ -530,14 +524,13 @@ func assertPanics(t *testing.T, f func()) {
 
 func TestOnes(t *testing.T) {
 	o := Ones(2, 3)
-	if o.Sum() != 6 {
+	if sum(o) != 6 {
 		t.Fatal("Ones must be one")
 	}
 }
 
 func TestMeanPanicsOnEmpty(t *testing.T) {
 	empty := New(0)
-	assertPanics(t, func() { empty.Mean() })
 	assertPanics(t, func() { empty.Max() })
 	assertPanics(t, func() { empty.Min() })
 }
@@ -590,4 +583,13 @@ func TestSetSliceAxisValidation(t *testing.T) {
 			bad()
 		}()
 	}
+}
+
+// sum adds every element of t.
+func sum(t *Tensor) float64 {
+	s := 0.0
+	for _, v := range t.Data {
+		s += v
+	}
+	return s
 }

@@ -162,13 +162,13 @@ func restoreStart(ck *ckpt.Checkpoint, opts Options, params []*nn.Param, opt opt
 
 // fastForwardMasks replays the mask stream consumed by `steps` completed
 // optimizer steps, so a resumed run draws exactly the masks the
-// uninterrupted run would have drawn. Each accumulation micro-step consumes
-// one full-batch mask; forecast runs (MaskRatio == 0) consume nothing.
+// uninterrupted run would have drawn. Each step consumes one full-batch
+// mask; forecast runs (MaskRatio == 0) consume nothing.
 func fastForwardMasks(rng *rand.Rand, steps int, opts Options, tokens int) {
 	if opts.MaskRatio <= 0 || steps <= 0 {
 		return
 	}
-	for i := 0; i < steps*opts.accum(); i++ {
+	for i := 0; i < steps; i++ {
 		data.RandomMask(rng, opts.Batch, tokens, opts.MaskRatio)
 	}
 }

@@ -99,16 +99,14 @@ func TestExactResumeSerial(t *testing.T) {
 	sameLoss(t, "resumed tail", full.Loss[n:], second.Loss)
 }
 
-func TestExactResumeAfterCrashWithWarmupSchedule(t *testing.T) {
+func TestExactResumeAfterCrash(t *testing.T) {
 	// Simulate a real mid-training failure: the run is launched with the
-	// full horizon (so the warmup+cosine schedule is the final one), dies
-	// after the step-n checkpoint, and is relaunched with -resume. The
-	// resumed tail must match the uninterrupted run bitwise — pinning the
-	// LR-schedule fast-forward (schedule state is the global step index).
+	// full horizon, dies after the step-n checkpoint, and is relaunched with
+	// -resume. The resumed tail must match the uninterrupted run bitwise.
 	const n = 3
 	a := tinyArch(4)
 	batch := fixedBatches(t, 4, 2*n, 2)
-	opts := Options{Steps: 2 * n, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 5, Warmup: 2}
+	opts := Options{Steps: 2 * n, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 5}
 	full := Serial(model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
 
 	dir := t.TempDir()

@@ -60,9 +60,9 @@ func (w *worker) tpBarrier() {
 }
 
 // train restores from w.from and runs the rank's steps up to w.end. The
-// arithmetic order — mask stream, loss accumulation, gradient scaling, DP
-// mean, clip summation — is what the bitwise resume, reshard and elastic
-// oracles (and the benchmark's replaying driver) pin; do not reorder it.
+// arithmetic order — mask stream, DP mean, clip summation — is what the
+// bitwise resume, reshard and elastic oracles (and the benchmark's
+// replaying driver) pin; do not reorder it.
 func (w *worker) train(opts Options, batch BatchFn) error {
 	m, row := w.m, w.row
 	params := m.Params()
@@ -76,7 +76,6 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 	maskRNG := tensor.NewRNG(opts.Seed)
 	fastForwardMasks(maskRNG, start, opts, tokens)
 	mse, masked := nn.NewMSELoss(), nn.NewMaskedMSELoss()
-	accum, sched := opts.accum(), opts.schedule()
 
 	// This replica's batch rows, then this rank's channels. One replica owns
 	// every row and a serial stage every channel: neither copies anything.
@@ -113,46 +112,35 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 		if w.fault != nil {
 			w.fault.Step(w.rank, s)
 		}
-		if sched != nil {
-			sched.Apply(opt, s)
-		}
 		nn.ZeroGrads(params)
-		stepLoss := 0.0
-		for a := 0; a < accum; a++ {
-			x, y := batch(s*accum + a)
-			xShard := rows(x)
-			if dchag != nil {
-				lo, hi := dchag.ChannelBounds()
-				xShard = tensor.SliceAxis(xShard, 1, lo, hi)
-			}
-			target := model.Patchify(rows(y), m.Arch.Patch)
-			var grad *tensor.Tensor
-			w.tpPhase("forward")
-			fwd := row.Begin("forward", "train")
-			if opts.MaskRatio > 0 {
-				// Draw the full-batch mask so every replica consumes the
-				// same stream as the serial run, then keep this replica's
-				// rows.
-				mask := rows(data.RandomMask(maskRNG, x.Shape[0], tokens, opts.MaskRatio))
-				pred := m.Forward(xShard, mask)
-				stepLoss += masked.Forward(pred, target, mask)
-				grad = masked.Backward()
-			} else {
-				pred := m.Forward(xShard, nil)
-				stepLoss += mse.Forward(pred, target)
-				grad = mse.Backward()
-			}
-			fwd.End()
-			w.tpPhase("backward")
-			bwd := row.Begin("backward", "train")
-			m.Backward(grad)
-			bwd.End()
+		x, y := batch(s)
+		xShard := rows(x)
+		if dchag != nil {
+			lo, hi := dchag.ChannelBounds()
+			xShard = tensor.SliceAxis(xShard, 1, lo, hi)
 		}
-		if accum > 1 {
-			for _, p := range params {
-				tensor.ScaleInPlace(p.Grad, 1/float64(accum))
-			}
+		target := model.Patchify(rows(y), m.Arch.Patch)
+		var loss float64
+		var grad *tensor.Tensor
+		w.tpPhase("forward")
+		fwd := row.Begin("forward", "train")
+		if opts.MaskRatio > 0 {
+			// Draw the full-batch mask so every replica consumes the same
+			// stream as the serial run, then keep this replica's rows.
+			mask := rows(data.RandomMask(maskRNG, x.Shape[0], tokens, opts.MaskRatio))
+			pred := m.Forward(xShard, mask)
+			loss = masked.Forward(pred, target, mask)
+			grad = masked.Backward()
+		} else {
+			pred := m.Forward(xShard, nil)
+			loss = mse.Forward(pred, target)
+			grad = mse.Backward()
 		}
+		fwd.End()
+		w.tpPhase("backward")
+		bwd := row.Begin("backward", "train")
+		m.Backward(grad)
+		bwd.End()
 		if ddp != nil {
 			// The one cross-replica synchronization point (paper Sec. 6.3).
 			w.dpc.SetPhase("dp-sync")
@@ -172,7 +160,6 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 		}
 		opt.Step()
 		optSpan.End()
-		loss := stepLoss / float64(accum)
 		if w.dpc != nil {
 			// Every rank reduces; only world rank 0 records. Keeping the
 			// collective outside the rank conditional keeps the DP groups'

@@ -6,8 +6,8 @@
 //
 // The paper composes D-CHAG with TP and DP as axes of one training step
 // (Sec. 3.4), and the package writes that step once: worker.train (step.go)
-// owns the LR schedule, the micro-batch loop, gradient sync, clipping, the
-// optimizer step, loss recording and the checkpoint commit for one rank.
+// owns the forward and backward pass, gradient sync, clipping, the optimizer
+// step, loss recording and the checkpoint commit for one rank.
 // The exported entry points only build workers — Serial is the 1×1×1 case
 // with no communicators, Hybrid a tp×1×dp mesh, Distributed that mesh at
 // dp = 1, RunGeneration a step sub-range of it with fault and snapshot
@@ -22,7 +22,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/optim"
 	"repro/internal/tensor"
 )
 
@@ -39,13 +38,6 @@ type Options struct {
 	// MaskRatio enables the MAE objective when > 0; otherwise the run is an
 	// image-to-image forecast.
 	MaskRatio float64
-	// AccumSteps accumulates gradients over this many micro-batches per
-	// optimizer step (values < 2 disable accumulation). Batch index passed
-	// to BatchFn is step*AccumSteps + microStep.
-	AccumSteps int
-	// Warmup enables a linear-warmup + cosine-decay LR schedule over Steps
-	// when positive (Warmup = warmup step count); LR is then the peak rate.
-	Warmup int
 	// Seed drives masking; data order is the caller's responsibility.
 	Seed int64
 	// CheckpointDir, when set, enables shard-aware checkpointing to that
@@ -66,12 +58,11 @@ type Options struct {
 	CheckpointKeep int
 	// Resume restores parameters, optimizer state, and the step count from
 	// CheckpointDir before training, then continues with exact-resume
-	// semantics: the mask RNG stream and LR schedule are fast-forwarded to
-	// the restored step so the resumed run is step-for-step identical to an
-	// uninterrupted one. Exactness requires BatchFn to be a pure function of
-	// the step index returning Options.Batch rows (the repository's batch
-	// functions are), since the fast-forward replays the mask stream at that
-	// batch size.
+	// semantics: the mask RNG stream is fast-forwarded to the restored step
+	// so the resumed run is step-for-step identical to an uninterrupted one.
+	// Exactness requires BatchFn to be a pure function of the step index
+	// returning Options.Batch rows (the repository's batch functions are),
+	// since the fast-forward replays the mask stream at that batch size.
 	Resume bool
 	// InitFrom restores parameter values only (no optimizer state, step 0)
 	// from the given checkpoint directory — a warm start rather than a
@@ -121,25 +112,6 @@ func (o Options) checkpointDue(s int) bool {
 		return false
 	}
 	return s == o.Steps-1 || (o.CheckpointEvery > 0 && (s+1)%o.CheckpointEvery == 0)
-}
-
-// accum normalizes AccumSteps.
-func (o Options) accum() int {
-	if o.AccumSteps < 1 {
-		return 1
-	}
-	return o.AccumSteps
-}
-
-// schedule returns the run's LR schedule, or nil when Warmup is disabled.
-func (o Options) schedule() *optim.CosineSchedule {
-	if o.Warmup <= 0 {
-		return nil
-	}
-	return &optim.CosineSchedule{
-		BaseLR: o.LR, MinLR: o.LR / 10,
-		WarmupSteps: o.Warmup, TotalSteps: o.Steps,
-	}
 }
 
 // BatchFn materializes the global (input, target) batch for a step. For MAE

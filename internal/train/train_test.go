@@ -151,39 +151,6 @@ func TestHistoryLast(t *testing.T) {
 	}
 }
 
-func TestGradientAccumulationMatchesFullBatch(t *testing.T) {
-	// Two half-batches with AccumSteps=2 must follow the exact trajectory of
-	// the corresponding full batches (forecast objective: no mask stream to
-	// desynchronize).
-	a := tinyArch(4)
-	const steps = 4
-	g := data.NewHyperspectral(data.HyperspectralConfig{
-		Images: 64, Channels: 4, ImgH: 4, ImgW: 4, Endmembers: 2, Noise: 0.01, Seed: 21,
-	})
-	full := make([]*tensor.Tensor, steps)
-	for s := range full {
-		full[s] = g.Batch(s*4, 4)
-	}
-	fullBatch := func(s int) (*tensor.Tensor, *tensor.Tensor) { return full[s], full[s] }
-	halfBatch := func(i int) (*tensor.Tensor, *tensor.Tensor) {
-		s, h := i/2, i%2
-		half := tensor.SliceAxis(full[s], 0, h*2, (h+1)*2)
-		return half, half
-	}
-
-	optsFull := Options{Steps: steps, Batch: 4, LR: 1e-2, ClipNorm: 1, Seed: 3}
-	optsAccum := optsFull
-	optsAccum.AccumSteps = 2
-
-	histFull := Serial(model.NewSerial(a), optsFull, fullBatch)
-	histAccum := Serial(model.NewSerial(a), optsAccum, halfBatch)
-	for s := 0; s < steps; s++ {
-		if math.Abs(histFull.Loss[s]-histAccum.Loss[s]) > 1e-9 {
-			t.Fatalf("step %d: full %v accum %v", s, histFull.Loss[s], histAccum.Loss[s])
-		}
-	}
-}
-
 // shapeRuns are the step engine's entry points at the mesh shapes the
 // tests sweep, all at TP extent 2: each trains the arch with the given
 // options and returns world rank 0's losses.
@@ -212,29 +179,24 @@ var shapeRuns = []struct {
 	}},
 }
 
-func TestAccumulationAndWarmupMatchSerialEquivalentOnEveryShape(t *testing.T) {
-	// Accumulation, the warmup schedule and distribution compose: on every
-	// entry point and mesh shape the accumulated and/or scheduled run equals
-	// the serial-equivalent run trained with the same options.
+func TestEveryShapeMatchesSerialEquivalent(t *testing.T) {
+	// Distribution changes nothing: on every entry point and mesh shape the
+	// run equals the serial-equivalent run trained with the same options.
 	a := tinyArch(4)
-	for _, accum := range []int{1, 2} {
-		for _, warmup := range []int{0, 2} {
-			opts := Options{Steps: 4, Batch: 4, LR: 1e-2, ClipNorm: 1, MaskRatio: 0.5, Seed: 5, AccumSteps: accum, Warmup: warmup}
-			batch := fixedBatches(t, 4, opts.Steps*accum, opts.Batch)
-			want := Serial(model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
-			for _, sh := range shapeRuns {
-				got, err := sh.run(a, opts, batch)
-				if err != nil {
-					t.Fatalf("%s accum=%d warmup=%d: %v", sh.name, accum, warmup, err)
-				}
-				if len(got.Loss) != len(want.Loss) {
-					t.Fatalf("%s accum=%d warmup=%d: %d losses, want %d", sh.name, accum, warmup, len(got.Loss), len(want.Loss))
-				}
-				for s := range want.Loss {
-					if math.Abs(want.Loss[s]-got.Loss[s]) > 1e-9 {
-						t.Fatalf("%s accum=%d warmup=%d step %d: serial %v got %v", sh.name, accum, warmup, s, want.Loss[s], got.Loss[s])
-					}
-				}
+	opts := Options{Steps: 4, Batch: 4, LR: 1e-2, ClipNorm: 1, MaskRatio: 0.5, Seed: 5}
+	batch := fixedBatches(t, 4, opts.Steps, opts.Batch)
+	want := Serial(model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
+	for _, sh := range shapeRuns {
+		got, err := sh.run(a, opts, batch)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		if len(got.Loss) != len(want.Loss) {
+			t.Fatalf("%s: %d losses, want %d", sh.name, len(got.Loss), len(want.Loss))
+		}
+		for s := range want.Loss {
+			if math.Abs(want.Loss[s]-got.Loss[s]) > 1e-9 {
+				t.Fatalf("%s step %d: serial %v got %v", sh.name, s, want.Loss[s], got.Loss[s])
 			}
 		}
 	}
@@ -278,16 +240,6 @@ func TestDistributedIsHybridAtDP1Bitwise(t *testing.T) {
 	// Distributed's group is the mesh's TP group: same D-CHAG ledger.
 	if got, want := g.Traffic().TotalBytes(), mesh.TPComm(0).Group().Traffic().TotalBytes(); got != want {
 		t.Fatalf("TP ledger bytes: distributed %d, hybrid %d", got, want)
-	}
-}
-
-func TestWarmupChangesTrajectory(t *testing.T) {
-	a := tinyArch(4)
-	batch := fixedBatches(t, 4, 6, 2)
-	flat := Serial(model.NewSerial(a), Options{Steps: 6, Batch: 2, LR: 1e-2, Seed: 9}, batch)
-	warm := Serial(model.NewSerial(a), Options{Steps: 6, Batch: 2, LR: 1e-2, Seed: 9, Warmup: 3}, batch)
-	if math.Abs(flat.Last()-warm.Last()) < 1e-12 {
-		t.Fatal("warmup schedule should alter the trajectory")
 	}
 }
 

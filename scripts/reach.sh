@@ -1,28 +1,65 @@
 #!/bin/sh
-# reach.sh lists every exported top-level identifier under internal/ (as
-# surface.sh counts them) that no non-test Go code references outside its own
-# definition: no `pkg.Name` in another package's non-test files under cmd/,
-# examples/, benchmark/ or internal/, and no use of Name in its own package's
-# non-test files apart from the declaration, comments and string literals.
-# Methods are not top level and are not listed. The deliberate exceptions
-# below are left out; the script prints every other such export and then
-# fails, so an empty output and a zero exit mean every export has a non-test
-# user or a stated reason.
+# reach.sh lists every export under internal/ that no non-test Go code
+# reaches. Two rules, over non-test files under cmd/, examples/, benchmark/
+# and internal/, never under a testdata/ directory (analyzer fixtures compile
+# against stub packages and call nothing real):
+#
+#   - an exported top-level identifier (as surface.sh counts them) is reached
+#     by a `pkg.Name` in another package, or by a use of Name in its own
+#     package apart from the declaration, comments and string literals;
+#   - an exported method is reached when some file selects `.Name` — by
+#     name, whatever the receiver type.
+#
+# The deliberate exceptions below are left out, each with its reason; the
+# script prints every other unreached export (a method as Type.Name) and
+# then fails, so an empty output and a zero exit mean every export has a
+# non-test user or a stated reason.
 set -eu
 GO=${GO:-go}
 exceptions='
-internal/analysis: RunFixture    helper that other packages tests import
-internal/dist: RunMesh           helper that other packages tests import
-internal/leakcheck: Check        helper that other packages tests import
-internal/nn: ParamsEqual         helper that other packages tests import
-internal/tensor: TMatMulInto     reference the product tests compare against
-internal/tensor: SumAxisInto     reference the reduction tests compare against
-internal/tensor: SplitEqual      reference that cuts each rank chunk in the collective tests
-internal/core: NewDistTokenizer  the paper baseline, waits on ROADMAP item 2
-internal/parallel: NewFSDP       the FSDP axis, waits on ROADMAP item 5
+internal/analysis: RunFixture                 helper that other packages tests import
+internal/dist: RunMesh                        helper that other packages tests import
+internal/leakcheck: Check                     helper that other packages tests import
+internal/nn: ParamsEqual                      helper that other packages tests import
+internal/tensor: TMatMulInto                  reference the product tests compare against
+internal/tensor: SumAxisInto                  reference the reduction tests compare against
+internal/tensor: SplitEqual                   reference that cuts each rank chunk in the collective tests
+internal/core: NewDistTokenizer               the paper baseline, waits on ROADMAP item 2
+internal/parallel: NewFSDP                    the FSDP axis, waits on ROADMAP item 5
+internal/dist: MeshError.Unwrap               called by errors.Is and errors.As
+internal/analysis: importerFunc.Import        called by go/types through types.Importer
+internal/comm: Traffic.BytesFor               probe the tests pin the paper traffic claims with
+internal/comm: Traffic.CallsFor               probe the tests pin the paper traffic claims with
+internal/dist: Mesh.AxisBytes                 probe the tests pin the paper traffic claims with
+internal/dist: Mesh.IntraNodeBytes            probe the tests pin the paper traffic claims with
+internal/dist: Mesh.InterNodeBytes            probe the tests pin the paper traffic claims with
+internal/dist: Mesh.AxisCallsInPhase          probe the tests pin the paper traffic claims with
+internal/dist: Mesh.InterNodeCallsInPhase     probe the tests pin the paper traffic claims with
+internal/dist: Mesh.AxisWireSeconds           probe the tests pin the paper traffic claims with
+internal/ckpt: Checkpoint.LogicalTensor       probe the tests pin exact restore with
+internal/faultinject: Plan.KillBeforeOp       the fault matrix the elastic and dist tests drive
+internal/faultinject: Plan.KillAfterOp        the fault matrix the elastic and dist tests drive
+internal/faultinject: Plan.KillInCheckpoint   the fault matrix the elastic and dist tests drive
+internal/faultinject: Plan.Fired              the fault matrix the elastic and dist tests drive
+internal/hw: Machine.ContiguousPlacement      fixture the placement tests build groups with
+internal/tensor: Tensor.Fill                  fixture the tests build tensors with
+internal/dist: Mesh.FSDPComm                  the FSDP axis, waits on ROADMAP item 5
+internal/parallel: FSDP.ShardParams           the FSDP axis, waits on ROADMAP item 5
+internal/parallel: FSDP.GatherParams          the FSDP axis, waits on ROADMAP item 5
+internal/parallel: FSDP.ReduceScatterGrads    the FSDP axis, waits on ROADMAP item 5
+internal/parallel: FSDP.ShardBytes            the FSDP axis, waits on ROADMAP item 5
 '
 root=$($GO list -m -f '{{.Dir}}')
 cd "$root"
+# users prints the non-test, non-fixture Go lines matching the extended
+# regular expression $1 that are not comment lines, as path:line.
+users() {
+	grep -rE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata -e "$1" cmd examples benchmark internal |
+		grep -v '^[^:]*:[[:space:]]*//' || true
+}
+excepted() {
+	printf '%s\n' "$exceptions" | grep -q "^$1: $2 "
+}
 found=$(for dir in $($GO list -f '{{.Dir}}' ./internal/...); do
 	rel=${dir#"$root"/}
 	pkg=$($GO list -f '{{.Name}}' "$dir")
@@ -35,14 +72,20 @@ found=$(for dir in $($GO list -f '{{.Dir}}' ./internal/...); do
 		block && /^\)/ { block = 0 }
 		block && /^\t[A-Z][A-Za-z0-9_]*/ { sub(/^\t/, ""); sub(/[^A-Za-z0-9_].*/, ""); print }' |
 	while read -r id; do
-		ext=$(grep -rw --include='*.go' --exclude='*_test.go' -e "$pkg\.$id" cmd examples benchmark internal |
-			grep -v "^$rel/" | grep -vc '^[^:]*:[[:space:]]*//' || true)
+		ext=$(users "\\b$pkg\\.$id\\b" | grep -vc "^$rel/[^/]*:" || true)
 		# shellcheck disable=SC2086
 		int=$(sed -e 's/"[^"]*"/""/g' $own | grep -w -e "$id" | grep -v '^[[:space:]]*//' |
 			grep -Evc "^(func|type|var|const) $id\b|^	$id\b" || true)
-		if [ "$ext" -eq 0 ] && [ "$int" -eq 0 ] &&
-			! printf '%s\n' "$exceptions" | grep -q "^$rel: $id "; then
+		if [ "$ext" -eq 0 ] && [ "$int" -eq 0 ] && ! excepted "$rel" "$id"; then
 			echo "$rel: $id"
+		fi
+	done
+	# Methods: "func (r *T[P]) Name(" gives T.Name.
+	# shellcheck disable=SC2086
+	cat $own | sed -n 's/^func ([^)]*[ *]\([A-Za-z0-9_]*\)\(\[[^]]*\]\)\{0,1\}) \([A-Z][A-Za-z0-9_]*\).*/\1.\3/p' |
+	while read -r m; do
+		if [ -z "$(users "\\.${m#*.}\\b" | head -n 1)" ] && ! excepted "$rel" "$m"; then
+			echo "$rel: $m"
 		fi
 	done
 done)
