@@ -41,8 +41,9 @@ func f32SpeedupGate(kernel string) float64 {
 // aggregation issues at most three quarters of the unpooled formulation's
 // multiply-accumulates at g = 16, and the channel stage holds at most 0.4 of
 // the scratch bytes of the same layers chained through their channel-major
-// entry points and is no slower than them — a linear stage's Infer at most
-// 0.25 of theirs — and two callers on two processors
+// entry points, leaves no more live heap after a round than they do, and is
+// no slower than them — a linear stage's Infer at most 0.25 of theirs — and
+// two callers on two processors
 // each keep at least 0.85 of the rate one caller has on one. Set
 // BENCH_COMPUTE_JSON to validate a different artifact file.
 func TestComputeJSONArtifact(t *testing.T) {
@@ -130,7 +131,7 @@ func TestComputeJSONArtifact(t *testing.T) {
 			t.Fatalf("channel-stage point missing key %q", key)
 		}
 	}
-	for _, key := range []string{"fwd_ns", "bwd_ns", "infer_f32_ns", "scratch_bytes"} {
+	for _, key := range []string{"fwd_ns", "bwd_ns", "infer_f32_ns", "scratch_bytes", "held_bytes"} {
 		if _, ok := stages[0].(map[string]any)["chained"].(map[string]any)[key]; !ok {
 			t.Fatalf("channel-stage cost missing key %q", key)
 		}
@@ -241,7 +242,7 @@ func TestComputeJSONArtifact(t *testing.T) {
 	for _, cp := range rep.Stages {
 		got, ref := cp.Stage, cp.Chained
 		for _, c := range []experiments.StageCost{got, ref} {
-			if c.FwdNs <= 0 || c.BwdNs <= 0 || c.InferNs <= 0 || c.ScratchBytes <= 0 || cp.TokenBytes <= 0 {
+			if c.FwdNs <= 0 || c.BwdNs <= 0 || c.InferNs <= 0 || c.ScratchBytes <= 0 || c.HeldBytes <= 0 || cp.TokenBytes <= 0 {
 				t.Fatalf("implausible channel-stage point %+v", cp)
 			}
 		}
@@ -250,6 +251,9 @@ func TestComputeJSONArtifact(t *testing.T) {
 		}
 		if 10*got.ScratchBytes > 4*ref.ScratchBytes {
 			t.Fatalf("channel stage %s holds %d scratch bytes, over 0.4 x the chained composition's %d", cp.Name, got.ScratchBytes, ref.ScratchBytes)
+		}
+		if got.HeldBytes > ref.HeldBytes {
+			t.Fatalf("channel stage %s leaves %d bytes live after a round, more than the chained composition's %d", cp.Name, got.HeldBytes, ref.HeldBytes)
 		}
 		if a, b := got.FwdNs+got.BwdNs+got.InferNs, ref.FwdNs+ref.BwdNs+ref.InferNs; a > b {
 			t.Fatalf("channel stage %s takes %.0f ns over its three passes, the chained composition %.0f", cp.Name, a, b)

@@ -195,12 +195,15 @@
 //	      "channels": 40, "batch": 8, "embed": 32, "tree": 2, "kind": "L",
 //	      "stage": {                      // model.SerialStage, as shipped
 //	        "fwd_ns": 2647028, "bwd_ns": 3372824, "infer_f32_ns": 373971, // fastest call
-//	        "scratch_bytes": 8011776      // tensors held outside parameters and group aggregators
+//	        "scratch_bytes": 8011776,     // tensors held outside parameters, group aggregators
+//	                                      // and the backward workspaces they borrow per tree level
+//	        "held_bytes": 8650752         // live heap one fwd + bwd + infer leave in a fresh stage,
+//	                                      // workspaces included (second of two stages, GC'd around)
 //	      },
 //	      "chained": { ... },             // the same layers through tokenizer output, channel-ID pass
 //	                                      // and fold, timed alternately; gates: stage <= 0.4 x its
-//	                                      // scratch bytes and not slower, a linear ("L") stage's
-//	                                      // infer_f32_ns <= 0.25 x its
+//	                                      // scratch bytes, <= its held bytes and not slower, a linear
+//	                                      // ("L") stage's infer_f32_ns <= 0.25 x its
 //	      "token_bytes": 5242880,         // one [B,C,T,E] channel-token tensor
 //	      "allocs_per_op": 0              // steady state, fwd + bwd + infer
 //	    }, ...
@@ -247,7 +250,8 @@
 // and "vector_speedup" on every elementwise point, LayerNorm and AdamW points,
 // the workloads' per-rank shapes, and "ref_ns_per_elem"/"speedup" only where
 // a libm loop exists; there is no reader for an earlier version. Additive
-// fields may appear within v11; readers must ignore unknown keys.
+// fields may appear within v11 ("held_bytes" on every channel-stage cost is
+// one); readers must ignore unknown keys.
 //
 // # Report diffing (-diff)
 //

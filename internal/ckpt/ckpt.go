@@ -25,6 +25,7 @@ package ckpt
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/nn"
@@ -117,9 +118,16 @@ func (l Leaf) optKeys() []string {
 	return keys
 }
 
+// numel returns shape's element count, or -1 when a dimension is below one
+// or the count overflows: no parameter has an empty or negative dimension,
+// and either would let a crafted shard's shape stand for a handful of
+// values while assembly loops over its extents.
 func numel(shape []int) int {
 	n := 1
 	for _, d := range shape {
+		if d < 1 || n > math.MaxInt/d {
+			return -1
+		}
 		n *= d
 	}
 	return n

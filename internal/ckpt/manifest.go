@@ -48,7 +48,8 @@ type Manifest struct {
 	// Meta carries caller-defined key/value pairs (e.g. an architecture
 	// fingerprint validated on load).
 	Meta map[string]string `json:"meta,omitempty"`
-	// Shards lists the shard files, indexed by saving rank.
+	// Shards lists the shard files, indexed by saving rank: ShardFile(r) at
+	// index r, the only names a reader accepts.
 	Shards []string `json:"shards"`
 }
 
@@ -97,8 +98,8 @@ func WriteManifest(dir string, m Manifest) error {
 			m.Shards = append(m.Shards, ShardFile(r))
 		}
 	}
-	if len(m.Shards) != m.World {
-		return fmt.Errorf("ckpt: manifest lists %d shards for world %d", len(m.Shards), m.World)
+	if err := checkShards(m); err != nil {
+		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("ckpt: creating checkpoint directory: %w", err)
@@ -110,7 +111,9 @@ func WriteManifest(dir string, m Manifest) error {
 	})
 }
 
-// ReadManifest loads and validates dir's manifest.
+// ReadManifest loads and validates dir's manifest. It accepts only the
+// conventional shard names, ShardFile(r) at index r, so a manifest cannot
+// make Open read a file outside its directory.
 func ReadManifest(dir string) (Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -123,10 +126,26 @@ func ReadManifest(dir string) (Manifest, error) {
 	if m.Format != Format {
 		return Manifest{}, fmt.Errorf("ckpt: manifest format %q not supported (want %q)", m.Format, Format)
 	}
-	if m.World < 1 || len(m.Shards) != m.World {
-		return Manifest{}, fmt.Errorf("ckpt: manifest world %d does not match %d shard files", m.World, len(m.Shards))
+	if m.World < 1 {
+		return Manifest{}, fmt.Errorf("ckpt: manifest world %d must be positive", m.World)
+	}
+	if err := checkShards(m); err != nil {
+		return Manifest{}, err
 	}
 	return m, nil
+}
+
+// checkShards checks that m lists World shard files, ShardFile(r) at index r.
+func checkShards(m Manifest) error {
+	if len(m.Shards) != m.World {
+		return fmt.Errorf("ckpt: manifest lists %d shards for world %d", len(m.Shards), m.World)
+	}
+	for r, name := range m.Shards {
+		if name != ShardFile(r) {
+			return fmt.Errorf("ckpt: manifest names shard %d %q, want %q", r, name, ShardFile(r))
+		}
+	}
+	return nil
 }
 
 // readShard loads and validates one shard file.

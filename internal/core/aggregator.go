@@ -16,10 +16,11 @@
 //   - LocalStage, the communication-free front half every stage type shares:
 //     the tokenizer writes each channel's tokens, bias and channel-ID row
 //     added on the way, straight into the group input that reads them, and
-//     reads their gradient where the aggregators leave it — the channel-token
-//     tensor is written once per pass and never copied, and not at all by a
-//     no-grad pass over linear aggregators (DESIGN.md "Channel stage: one
-//     token layout");
+//     reads their gradient group by group, where each group's backward
+//     leaves it in the one workspace per tree level the stage lends its
+//     aggregators — the channel-token tensor is written once per pass and
+//     never copied, and not at all by a no-grad pass over linear aggregators
+//     (DESIGN.md "Channel stage: one token layout");
 //   - DistTokenizer, distributed tokenization alone (Sec. 3.1), which
 //     AllGathers every channel's tokens and is the strawman the paper shows
 //     does not pay off (Fig. 8);
@@ -82,11 +83,27 @@ func (k LayerKind) String() string {
 type GroupAggregator interface {
 	// Forward reduces x [N, g, E] to [N, E].
 	Forward(x *tensor.Tensor) *tensor.Tensor
-	// Backward maps d [N, E] back to [N, g, E], accumulating parameter
-	// gradients.
-	Backward(d *tensor.Tensor) *tensor.Tensor
+	// Infer is Forward without caching activations for backward.
+	Infer(x *tensor.Tensor) *tensor.Tensor
+	// backward maps d [N, E] back to [N, g, E], accumulating parameter
+	// gradients. Every buffer it writes is ws's, the returned gradient
+	// included, which stays valid until ws is lent again.
+	backward(d *tensor.Tensor, ws *workspace) *tensor.Tensor
 	// Params returns the aggregator's learnable parameters.
 	Params() []*nn.Param
+}
+
+// workspace is the backward scratch a group aggregator borrows for one call:
+// every buffer its backward writes, the group's input gradient included.
+// Whoever runs the aggregators owns it. LocalStage owns one per tree level,
+// lent to that level's aggregators of every partition in turn: each group's
+// input gradient is consumed before the next group of its level runs — by
+// the tokenizer at the first level, by the level below above it. An
+// aggregator run alone, like a stage's final layer, owns its own
+// (CrossAttnAggregator.Backward). The zero value is ready to use.
+type workspace struct {
+	attn nn.PooledGrads // the cross-attention and Perceiver aggregators'
+	dx   *tensor.Tensor // the LinearAggregator's input gradient
 }
 
 // CrossAttnAggregator reduces a channel group with one cross-attention layer
@@ -100,7 +117,8 @@ type CrossAttnAggregator struct {
 	Group int
 	Attn  *nn.CrossAttention
 
-	n int // folded rows of the last Forward; 0 before the first
+	n   int       // folded rows of the last Forward; 0 before the first
+	own workspace // Backward's; a tree lends its level's instead
 }
 
 // NewCrossAttnAggregator builds a cross-attention aggregator over a group of
@@ -121,16 +139,21 @@ func (a *CrossAttnAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return a.Attn.ForwardPooled(x, x)
 }
 
-// Backward maps d [N, E] to the group input gradient [N, g, E]: the group is
-// query and context at once, so its gradient is dq + (dk + dv), summed as
-// the projections' products store (nn.CrossAttention.BackwardPooledSelf).
+// Backward maps d [N, E] to the group input gradient [N, g, E] in the
+// aggregator's own scratch: the path of an aggregator run alone, like a
+// stage's final layer.
+func (a *CrossAttnAggregator) Backward(d *tensor.Tensor) *tensor.Tensor { return a.backward(d, &a.own) }
+
+// backward is Backward in ws: the group is query and context at once, so its
+// gradient is dq + (dk + dv), summed as the projections' products store
+// (nn.CrossAttention.BackwardPooledSelf).
 //
 // dchag:hotpath — per-step channel-aggregation backward.
-func (a *CrossAttnAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
+func (a *CrossAttnAggregator) backward(d *tensor.Tensor, ws *workspace) *tensor.Tensor {
 	if a.n == 0 {
 		panic("core: CrossAttnAggregator.Backward before Forward")
 	}
-	return a.Attn.BackwardPooledSelf(d)
+	return a.Attn.BackwardPooledSelf(d, &ws.attn)
 }
 
 // Infer reduces x [N, g, E] to [N, E] without caching activations for
@@ -162,7 +185,6 @@ type LinearAggregator struct {
 	x *tensor.Tensor
 
 	out, iout *tensor.Tensor // Forward / Infer output scratch
-	dx        *tensor.Tensor // Backward scratch
 }
 
 // NewLinearAggregator builds a linear aggregator initialized near the mean
@@ -215,39 +237,38 @@ func (a *LinearAggregator) reduce(out, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Backward maps d [N, E] to [N, g, E] and accumulates dWeight and dBias.
-// Per location it takes four group members per pass over d's row, so four
-// dot-product chains are in flight where one left the adder waiting; each
-// chain still runs in element order from +0, its products rounded before
-// the add, and the members' sums reach dWeight in member order.
+// backward maps d [N, E] to [N, g, E] in ws and accumulates dWeight and
+// dBias. Per location it takes four group members per pass over d's row, so
+// four dot-product chains are in flight where one left the adder waiting;
+// each chain still runs in element order from +0, its products rounded
+// before the add, and the members' sums reach dWeight in member order.
 //
-// dchag:hotpath — per-step channel-mixing backward; dx is layer-owned
-// scratch.
-func (a *LinearAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
+// dchag:hotpath — per-step channel-mixing backward.
+func (a *LinearAggregator) backward(d *tensor.Tensor, ws *workspace) *tensor.Tensor {
 	if a.x == nil {
 		panic("core: LinearAggregator.Backward before Forward")
 	}
 	n, e := a.x.Shape[0], a.x.Shape[2]
-	a.dx = tensor.EnsureShape(a.dx, n, a.Group, e)
+	ws.dx = tensor.EnsureShape(ws.dx, n, a.Group, e)
 	tensor.AccumRows(a.Bias.Grad.Data, d.Data, e, n, nil)
 	for ni := 0; ni < n; ni++ {
 		for g := 0; g < a.Group; g += 4 {
-			a.backward4(d.Data[ni*e:][:e], ni*a.Group, g)
+			a.backward4(ws.dx.Data, d.Data[ni*e:][:e], ni*a.Group, g)
 		}
 	}
-	return a.dx
+	return ws.dx
 }
 
 // backward4 runs group members g..g+3 of the location whose rows start at
 // row base of x and dx, src being its row of the output gradient. Members
 // past the group repeat the last one, which writes its dx row twice with the
 // same bits; only the real members' sums are added to dWeight.
-func (a *LinearAggregator) backward4(src []float64, base, g int) {
+func (a *LinearAggregator) backward4(dx, src []float64, base, g int) {
 	e, last := len(src), a.Group-1
 	m := [4]int{g, min(g+1, last), min(g+2, last), min(g+3, last)}
 	w := a.Weight.W.Data
 	w0, w1, w2, w3 := w[m[0]], w[m[1]], w[m[2]], w[m[3]]
-	x, dx := a.x.Data, a.dx.Data
+	x := a.x.Data
 	x0, x1, x2, x3 := x[(base+m[0])*e:][:e], x[(base+m[1])*e:][:e], x[(base+m[2])*e:][:e], x[(base+m[3])*e:][:e]
 	d0, d1, d2, d3 := dx[(base+m[0])*e:][:e], dx[(base+m[1])*e:][:e], dx[(base+m[2])*e:][:e], dx[(base+m[3])*e:][:e]
 	var s0, s1, s2, s3 float64

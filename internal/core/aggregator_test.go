@@ -49,7 +49,7 @@ func TestLinearAggregatorBackwardMatchesParentLoop(t *testing.T) {
 				for round := 0; round < 2; round++ {
 					x, d := tensor.RandnScaled(rng, 2, n, group, e), tensor.Randn(rng, n, e)
 					a.Forward(x)
-					got := a.Backward(d)
+					got := a.backward(d, new(workspace))
 					want := parentLinearBackward(group, x, d, a.Weight.W.Data, wgrad)
 					for i := range got.Data {
 						if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {

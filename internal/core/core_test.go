@@ -141,7 +141,7 @@ func TestLinearAggregatorGradients(t *testing.T) {
 	loss := func() float64 { return dotAll(a.Forward(x), r) }
 	loss()
 	nn.ZeroGrads(a.Params())
-	dx := a.Backward(r)
+	dx := a.backward(r, new(workspace))
 	checkGrad(t, "linagg/x", x, dx, loss, 1e-6)
 	checkGrad(t, "linagg/w", a.Weight.W, a.Weight.Grad, loss, 1e-6)
 	checkGrad(t, "linagg/b", a.Bias.W, a.Bias.Grad, loss, 1e-6)

@@ -68,7 +68,7 @@ func (d *DistTokenizer) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("core: DistTokenizer.Backward want [B,%d,T,E], got %v", d.Channels, grad.Shape))
 	}
 	d.views = nn.ChannelViews(d.views[:0], grad)
-	return d.Tok.BackwardFrom(d.views[d.ChLo:d.ChHi], nil)
+	return d.Tok.BackwardFrom(d.views[d.ChLo:d.ChHi], 0, nil)
 }
 
 // Params returns the local tokenizer shard's parameters.

@@ -96,8 +96,15 @@ func (p TreePlan) NumLayers() int {
 }
 
 // validate checks internal consistency: each level's group count must equal
-// the next level's input count.
+// the next level's input count, and every level above the first is one
+// group — the backward keeps one workspace per level, and a level's input
+// gradients stay in it while the level below reads them.
 func (p TreePlan) validate() {
+	for l := 1; l < len(p); l++ {
+		if len(p[l]) != 1 {
+			panic(fmt.Sprintf("core: TreePlan level %d has %d groups; every level above the first must be one", l, len(p[l])))
+		}
+	}
 	for l := 0; l < len(p)-1; l++ {
 		next := 0
 		for _, g := range p[l+1] {
@@ -138,14 +145,15 @@ type HierarchicalAggregator struct {
 	// output. Forward and Infer own separate sets so eval passes never clobber
 	// the inputs an aggregator cached for a pending Backward. dIn mirrors
 	// inputs for the backward walk: each group's input gradient above level 0,
-	// left in its aggregator's own scratch; its last entry is the output
-	// gradient.
+	// left in its level's workspace; its last entry is the output gradient.
 	inputs, iinputs, dIn [][]*tensor.Tensor
 	dg                   *tensor.Tensor // backward per-group token gradient
 
-	// The channel-major entry points' own storage.
+	// The channel-major entry points' own storage, the backward workspaces
+	// (one per level) included.
 	dx     *tensor.Tensor
 	cm, gm []nn.TokenView
+	ws     []workspace
 }
 
 // NewHierarchicalAggregator builds the module for the given plan. Layer
@@ -153,7 +161,7 @@ type HierarchicalAggregator struct {
 // so any regrouping of the same plan reproduces identical parameters.
 func NewHierarchicalAggregator(name string, plan TreePlan, kind LayerKind, embed, heads int, seed int64) *HierarchicalAggregator {
 	plan.validate()
-	h := &HierarchicalAggregator{Plan: plan, layout: append(plan[:len(plan):len(plan)], []int{1})}
+	h := &HierarchicalAggregator{Plan: plan, layout: append(plan[:len(plan):len(plan)], []int{1}), ws: make([]workspace, len(plan))}
 	for l, level := range plan {
 		var aggs []GroupAggregator
 		for gi, g := range level {
@@ -221,7 +229,7 @@ func (h *HierarchicalAggregator) run(from int, infer bool) *tensor.Tensor {
 		for gi, agg := range h.Levels[l] {
 			var y *tensor.Tensor // [N, E]
 			if infer {
-				y = nn.Infer(agg, inputs[l][gi])
+				y = agg.Infer(inputs[l][gi])
 			} else {
 				y = agg.Forward(inputs[l][gi])
 			}
@@ -288,14 +296,16 @@ func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.Ch
 	return c
 }
 
-// backward maps d (N*E values, the gradient of run's token) down the tree and
-// appends to dst the views of every channel's token gradient inside the
-// first-level groups' input gradients [N, g, E], each left in its
-// aggregator's own scratch; t is the token count per sample.
+// backward maps d (N*E values, the gradient of run's token) down the tree,
+// level l's aggregators borrowing ws[l] (len(ws) >= len(h.Levels)), and hands
+// each first-level group's input gradient [N, g, E] to take, in plan order,
+// as soon as it exists: it lives in ws[0] only until the next group's
+// backward. The one group of a level above the first leaves its input
+// gradient in its level's workspace while the level below reads it.
 //
 // dchag:hotpath — the per-step aggregation-tree backward; gradients pass
 // between levels in place.
-func (h *HierarchicalAggregator) backward(d *tensor.Tensor, dst []nn.TokenView, t int) []nn.TokenView {
+func (h *HierarchicalAggregator) backward(d *tensor.Tensor, ws []workspace, take func(part *tensor.Tensor)) {
 	if h.inputs[0][0] == nil {
 		panic("core: HierarchicalAggregator.Backward before Forward")
 	}
@@ -305,21 +315,20 @@ func (h *HierarchicalAggregator) backward(d *tensor.Tensor, dst []nn.TokenView, 
 	for l := len(h.Levels) - 1; l >= 0; l-- {
 		up, gj, k := h.dIn[l+1], 0, 0
 		for gi, agg := range h.Levels[l] {
-			// Each aggregator consumes dg fully during Backward, so one
+			// Each aggregator consumes dg fully during backward, so one
 			// shared buffer serves every group in turn.
 			readGroupToken(h.dg, up[gj], k)
 			if k++; k == h.layout[l+1][gj] {
 				gj, k = gj+1, 0
 			}
-			part := agg.Backward(h.dg) // [N, g, E]
+			part := agg.backward(h.dg, &ws[l]) // [N, g, E]
 			if l == 0 {
-				dst = groupViews(dst, part, t)
+				take(part)
 			} else {
 				h.dIn[l][gi] = part
 			}
 		}
 	}
-	return dst
 }
 
 // Forward reduces channel-major tokens x [B, C, T, E] to [B, T, E]: one fold
@@ -360,12 +369,17 @@ func (h *HierarchicalAggregator) SetInferDType(dt tensor.DType) {
 }
 
 // Backward maps d [B, T, E] back to the channel-major token gradient
-// [B, C, T, E]: backward, then one unfold of the groups' gradients.
+// [B, C, T, E]: backward, each group's gradient unfolded as it appears.
 func (h *HierarchicalAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
-	h.gm = h.backward(d, h.gm[:0], h.t)
-	h.dx = tensor.EnsureShape(h.dx, h.b, h.Channels(), h.t, d.Shape[len(d.Shape)-1])
+	e := d.Shape[len(d.Shape)-1]
+	h.dx = tensor.EnsureShape(h.dx, h.b, h.Channels(), h.t, e)
 	h.cm = nn.ChannelViews(h.cm[:0], h.dx)
-	copyTokens(h.cm, h.gm, h.b, h.t, h.dx.Shape[3])
+	c := 0
+	h.backward(d, h.ws, func(part *tensor.Tensor) {
+		h.gm = groupViews(h.gm[:0], part, h.t)
+		copyTokens(h.cm[c:c+len(h.gm)], h.gm, h.b, h.t, e)
+		c += len(h.gm)
+	})
 	return h.dx
 }
 

@@ -95,7 +95,7 @@ func (o *oracleStage) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
 					off += partial.Plan[l][gi]
 					var y *tensor.Tensor
 					if infer {
-						y = nn.Infer(agg, in)
+						y = agg.Infer(in)
 					} else {
 						y = agg.Forward(in)
 					}
@@ -131,7 +131,7 @@ func (o *oracleStage) backward(grad *tensor.Tensor) *tensor.Tensor {
 				}
 				dCat, off := tensor.New(b*t, width, e), 0
 				for gi, agg := range partial.Levels[l] {
-					part := agg.Backward(column(cur, gi))
+					part := agg.backward(column(cur, gi), new(workspace))
 					tensor.SetSliceAxis(dCat, 1, off, part)
 					off += part.Shape[1]
 				}
@@ -346,4 +346,78 @@ func TestEveryRealizationAgreesBitwise(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSharedWorkspacesCarryNothingBetweenRounds is the aliasing oracle for
+// the backward workspaces a stage lends its aggregators, one per tree level,
+// over groups of uneven size (66 channels: partitions of 17, 17, 16 and 16
+// channels, two first-level groups each, 9 and 8 or 8 and 8) and every kind.
+// Two Forward+Backward rounds on different inputs, at batch 3 and then 2,
+// give each round the image gradient and the parameter gradients of a stage
+// built fresh and fed that round alone, bit for bit: nothing one group, one
+// level, one partition or one round leaves in a workspace reaches another.
+// The same holds for DCHAG at 2 ranks, each rank's stage owning its own
+// workspaces, against the fresh Reference.
+func TestSharedWorkspacesCarryNothingBetweenRounds(t *testing.T) {
+	const partitions = 4
+	for _, kind := range []LayerKind{KindCross, KindLinear, KindPerceiver} {
+		cfg := Config{Channels: 66, ImgH: 4, ImgW: 4, Patch: 2, Embed: 8, Heads: 2, Tree: 2, Kind: kind, Seed: 77}
+		rng := tensor.NewRNG(10)
+		var xs, ds [2]*tensor.Tensor
+		var wantImg [2]*tensor.Tensor
+		var want [2]map[string]*tensor.Tensor
+		for r, b := range []int{3, 2} {
+			xs[r] = tensor.Randn(rng, b, cfg.Channels, cfg.ImgH, cfg.ImgW)
+			ds[r] = tensor.Randn(rng, b, cfg.Tokens(), cfg.Embed)
+			fresh := NewReference(cfg, partitions)
+			nn.ZeroGrads(fresh.Params())
+			fresh.Forward(xs[r])
+			wantImg[r] = fresh.Backward(ds[r])
+			want[r] = map[string]*tensor.Tensor{}
+			for _, p := range fresh.Params() {
+				want[r][p.Name] = p.Grad
+			}
+		}
+		// round runs round r on s and reports where its gradients differ
+		// from the fresh stage's, s's image covering channels [lo, hi).
+		round := func(what string, s interface {
+			Forward(*tensor.Tensor) *tensor.Tensor
+			Backward(*tensor.Tensor) *tensor.Tensor
+			Params() []*nn.Param
+		}, r, lo, hi int) error {
+			nn.ZeroGrads(s.Params())
+			s.Forward(tensor.SliceAxis(xs[r], 1, lo, hi))
+			what = fmt.Sprintf("%s round %d", what, r)
+			errs := []error{diffBits(what+" image gradient", s.Backward(ds[r]), tensor.SliceAxis(wantImg[r], 1, lo, hi))}
+			for _, p := range s.Params() {
+				w := want[r][p.Name]
+				if p.Shard != nil {
+					w = tensor.SliceAxis(w, p.Shard.Axis, p.Shard.Lo, p.Shard.Hi)
+				}
+				errs = append(errs, diffBits(what+" grad "+p.Name, p.Grad, w))
+			}
+			return errors.Join(errs...)
+		}
+		t.Run("kind="+kind.String()+"/reference", func(t *testing.T) {
+			s := NewReference(cfg, partitions)
+			for r := range xs {
+				if err := round("Reference(4)", s, r, 0, cfg.Channels); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		t.Run("kind="+kind.String()+"/dchag", func(t *testing.T) {
+			_, err := comm.Run(2, func(c *comm.Communicator) error {
+				s := NewDCHAGPartitioned(cfg, c, partitions)
+				var errs []error
+				for r := range xs {
+					errs = append(errs, round(fmt.Sprintf("DCHAG rank %d", c.Rank()), s, r, s.ChLo, s.ChHi))
+				}
+				return errors.Join(errs...)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -21,6 +21,10 @@ import (
 // layout"); a no-grad pass whose first level is linear throughout writes it
 // not at all — the tokenizer adds each token, weighted, straight into the
 // first level's outputs.
+//
+// The stage also owns the backward's scratch: one workspace per tree level,
+// which every partial's aggregators of that level borrow in turn, so the
+// backward holds one aggregator's scratch per level, not one per aggregator.
 type LocalStage struct {
 	Tok      *nn.PatchEmbed
 	ChEmb    *nn.ChannelEmbed
@@ -30,6 +34,7 @@ type LocalStage struct {
 	views  []nn.TokenView      // per-channel token locations of the pass
 	outs   [2][]*tensor.Tensor // per-partition aggregated tokens: Forward's, Infer's
 	dLocal *tensor.Tensor      // one partition's token gradient
+	ws     []workspace         // the backward's, one per tree level
 }
 
 // Forward consumes the shard's image [B, Cl, H, W] and returns one aggregated
@@ -91,21 +96,33 @@ func (s *LocalStage) linearFirst() bool {
 // Backward takes the gradient of owned partition j's token from column
 // first+j of dSeq (B*T*P*E values: the final layer's input gradient, or the
 // output gradient itself when the stage is one partition) and returns the
-// image-shard gradient [B, Cl, H, W].
+// image-shard gradient [B, Cl, H, W]. The tokenizer takes each first-level
+// group's input gradient as soon as the group's backward returns it, before
+// the next group reuses the level's workspace; every channel's gradients are
+// its own slices, so this equals one tokenizer backward after every
+// partition bit for bit.
 //
 // dchag:hotpath — every stage's per-step backward; it performs no
 // communication and allocates nothing in steady state.
 func (s *LocalStage) Backward(dSeq *tensor.Tensor, first int) *tensor.Tensor {
 	t, e := s.Tok.Tokens(), s.Tok.Embed
 	s.dLocal = tensor.EnsureShape(s.dLocal, s.rows, e)
-	s.views = s.views[:0]
+	var dimg *tensor.Tensor
+	c := 0 // the first local channel of the next group
 	for j, p := range s.Partials {
+		for len(s.ws) < len(p.Levels) {
+			s.ws = append(s.ws, workspace{})
+		}
 		// Each partial consumes dLocal fully during backward, so one shared
 		// buffer serves every partition in turn.
 		readGroupToken(s.dLocal, dSeq, first+j)
-		s.views = p.backward(s.dLocal, s.views, t)
+		p.backward(s.dLocal, s.ws, func(part *tensor.Tensor) {
+			s.views = groupViews(s.views[:0], part, t)
+			dimg = s.Tok.BackwardFrom(s.views, c, s.ChEmb)
+			c += len(s.views)
+		})
 	}
-	return s.Tok.BackwardFrom(s.views, s.ChEmb)
+	return dimg
 }
 
 // SetInferDType selects the arithmetic of the no-grad Infer path: the

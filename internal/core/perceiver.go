@@ -79,15 +79,15 @@ func broadcastRows(dst *tensor.Tensor, row []float64, n int) {
 	}
 }
 
-// Backward maps d [N, E] to the group input gradient [N, g, E], accumulating
-// latent and attention gradients.
+// backward maps d [N, E] to the group input gradient [N, g, E] in ws,
+// accumulating latent and attention gradients.
 //
 // dchag:hotpath — per-step latent-gradient row sum.
-func (a *PerceiverAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
+func (a *PerceiverAggregator) backward(d *tensor.Tensor, ws *workspace) *tensor.Tensor {
 	if a.n == 0 {
 		panic("core: PerceiverAggregator.Backward before Forward")
 	}
-	dq, dkv := a.Attn.BackwardPooled(d)
+	dq, dkv := a.Attn.BackwardPooled(d, &ws.attn)
 	// The latents were broadcast over N rows; their gradient sums over rows.
 	lg := a.Latents.Grad.Data
 	for n := 0; n < a.n; n++ {

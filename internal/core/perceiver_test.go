@@ -16,7 +16,7 @@ func TestPerceiverAggregatorGradients(t *testing.T) {
 	loss := func() float64 { return dotAll(a.Forward(x), r) }
 	loss()
 	nn.ZeroGrads(a.Params())
-	dx := a.Backward(r)
+	dx := a.backward(r, new(workspace))
 	checkGrad(t, "perceiver/x", x, dx, loss, 1e-5)
 	checkGrad(t, "perceiver/latents", a.Latents.W, a.Latents.Grad, loss, 1e-5)
 }
@@ -106,7 +106,7 @@ func TestPerceiverBackwardBeforeForwardPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewPerceiverAggregator("p", 2, 2, 4, 2, 1).Backward(tensor.New(1, 4))
+	NewPerceiverAggregator("p", 2, 2, 4, 2, 1).backward(tensor.New(1, 4), new(workspace))
 }
 
 func TestDCHAGPerceiverRunsUnderRace(t *testing.T) {

@@ -156,7 +156,7 @@ func TestPerceiverAggregatorMatchesExplicitFormulation(t *testing.T) {
 
 	nn.ZeroGrads(a.Params())
 	mustMatch(t, "output", a.Forward(x), want.out)
-	mustMatch(t, "dx", a.Backward(d), want.dContext)
+	mustMatch(t, "dx", a.backward(d, new(workspace)), want.dContext)
 	mustMatch(t, "latents", a.Latents.Grad, tensor.SumAxisInto(nil, want.dQuery, 0))
 	for i, p := range a.Attn.Params() {
 		mustMatch(t, p.Name, p.Grad, want.grads[i])
@@ -174,22 +174,20 @@ func TestCrossAttnAggregatorBackwardBeforeForwardPanics(t *testing.T) {
 
 // TestAggregatorsSteadyStateAllocs pins the layer-owned-scratch contract
 // through both attention aggregators — four projections, the pooled product
-// and the aggregator's own scratch: a warm forward, backward and eval pass
+// and the workspace they borrow: a warm forward, backward and eval pass
 // allocates nothing.
 func TestAggregatorsSteadyStateAllocs(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	x := tensor.Randn(rng, 8, 16, 32)
 	d := tensor.Randn(rng, 8, 32)
-	for name, a := range map[string]interface {
-		GroupAggregator
-		Infer(*tensor.Tensor) *tensor.Tensor
-	}{
+	for name, a := range map[string]GroupAggregator{
 		"cross":     NewCrossAttnAggregator("a", 16, 32, 4, 1),
 		"perceiver": NewPerceiverAggregator("p", 16, 4, 32, 4, 1),
 	} {
+		var ws workspace
 		step := func() {
 			a.Forward(x)
-			a.Backward(d)
+			a.backward(d, &ws)
 			a.Infer(x)
 		}
 		step()

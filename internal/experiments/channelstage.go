@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/core"
@@ -11,15 +13,19 @@ import (
 )
 
 // StageCost is one channel stage's measured cost: nanoseconds of its fastest
-// Forward, Backward and F32 Infer call, and ScratchBytes, every tensor it
-// holds after them outside its parameters and its group aggregators' own
-// layers — the tokenizer's, the tree's and the stage's buffers, where the
-// copies of the channel-token tensor [B, C, T, E] live.
+// Forward, Backward and F32 Infer call; ScratchBytes, every tensor it holds
+// after them outside its parameters, its group aggregators' own layers and
+// the backward workspaces it lends them one tree level at a time (which hold
+// what those layers held before) — the tokenizer's, the tree's and the
+// stage's buffers, where the copies of the channel-token tensor [B, C, T, E]
+// live; and HeldBytes, the live heap one Forward, Backward and Infer leave in
+// a freshly built stage, all of it counted, workspaces included.
 type StageCost struct {
 	FwdNs        float64 `json:"fwd_ns"`
 	BwdNs        float64 `json:"bwd_ns"`
 	InferNs      float64 `json:"infer_f32_ns"`
 	ScratchBytes int64   `json:"scratch_bytes"`
+	HeldBytes    int64   `json:"held_bytes"`
 }
 
 // ChannelStagePoint is one measured model.SerialStage over 16x16 images in
@@ -121,10 +127,43 @@ func measureChannelStages(cfg ComputeBenchConfig) []ChannelStagePoint {
 		round := func() { stage.Forward(x); stage.Backward(d); stage.Infer(x) }
 		cp.AllocsPerOp = min(allocsPerOp(cfg.AllocIters, round), allocsPerOp(cfg.AllocIters, round))
 		cp.Stage.ScratchBytes, cp.Chained.ScratchBytes = scratchBytes(stage), scratchBytes(ref)
+		cp.Stage.HeldBytes = heldBytes(func() func() {
+			s := model.NewSerialStage(sc)
+			s.SetInferDType(tensor.F32)
+			return func() { s.Forward(x); s.Backward(d); s.Infer(x) }
+		})
+		cp.Chained.HeldBytes = heldBytes(func() func() {
+			c := &chainedStage{SerialStage: model.NewSerialStage(sc)}
+			c.SetInferDType(tensor.F32)
+			return func() { c.pass(x, false); c.backward(d); c.pass(x, true) }
+		})
 		cp.TokenBytes = int64(8 * cp.Batch * cp.Channels * sc.Tokens() * cp.Embed)
 		out[i] = cp
 	}
 	return out
+}
+
+// heldBytes is the live heap one call of a round leaves behind, on a stage
+// that build constructs and wraps in the round: garbage collected before and
+// after, on the second of two stages, since the first round also grows the
+// process-wide panel pool (as the stage live-heap tests in internal/model
+// measure it).
+func heldBytes(build func() (round func())) int64 {
+	live := func() int64 {
+		runtime.GC()
+		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(sample)
+		return int64(sample[0].Value.Uint64())
+	}
+	var held int64
+	for i := 0; i < 2; i++ {
+		round := build()
+		before := live()
+		round()
+		held = live() - before
+		runtime.KeepAlive(round)
+	}
+	return held
 }
 
 // fastestCalls times a and b one call at a time, alternating, until
@@ -161,13 +200,23 @@ var (
 		reflect.TypeOf((*core.LinearAggregator)(nil)):    true,
 		reflect.TypeOf((*core.PerceiverAggregator)(nil)): true,
 	}
+	// workspaceType is core's backward workspace, which a stage lends its
+	// group aggregators one tree level at a time; unexported, so found
+	// through the LocalStage field that holds them.
+	workspaceType = func() reflect.Type {
+		f, ok := reflect.TypeOf(core.LocalStage{}).FieldByName("ws")
+		if !ok {
+			panic("experiments: core.LocalStage has no field ws")
+		}
+		return f.Type.Elem()
+	}()
 )
 
 // scratchBytes sums the distinct tensors reachable from v, stopping at
-// parameters and at group aggregators (whose buffers belong to the
-// aggregation's arithmetic, not to moving tokens between layers). It reads
-// unexported fields, so no layer needs an accounting method and none can
-// forget a buffer.
+// parameters, at group aggregators and at the backward workspaces they
+// borrow (whose buffers belong to the aggregation's arithmetic, not to
+// moving tokens between layers). It reads unexported fields, so no layer
+// needs an accounting method and none can forget a buffer.
 func scratchBytes(v any) int64 {
 	seen := map[uintptr]bool{}
 	var walk func(v reflect.Value) int64
@@ -185,6 +234,9 @@ func scratchBytes(v any) int64 {
 				n = int64(8 * data.Len())
 			}
 		case reflect.Struct:
+			if v.Type() == workspaceType {
+				return 0
+			}
 			for i := 0; i < v.NumField(); i++ {
 				n += walk(v.Field(i))
 			}

@@ -818,16 +818,17 @@ func runCompute() Result {
 	elems.Note("the twin column is the same call with every kernel on its bit-identical Go twin (LayerNorm has no assembly: one code, timed twice); the libm loop is the scalar math.Exp softmax or math.Tanh GELU over the same data")
 	stages := &Table{
 		Title:   "Measured serial channel stage (model.SerialStage), shipped / chained through the channel-major entry points",
-		Headers: []string{"stage", "ch x batch x E, tree, kind", "forward us", "backward us", "infer f32 us", "scratch / token tensor", "allocs/op"},
+		Headers: []string{"stage", "ch x batch x E, tree, kind", "forward us", "backward us", "infer f32 us", "scratch / token tensor", "held / token tensor", "allocs/op"},
 	}
 	for _, cp := range rep.Stages {
 		tok := float64(cp.TokenBytes)
 		stages.Add(cp.Name, fmt.Sprintf("%d x %d x %d, %d, %s", cp.Channels, cp.Batch, cp.Embed, cp.Tree, cp.Kind),
 			fmt.Sprintf("%.0f / %.0f", cp.Stage.FwdNs/1e3, cp.Chained.FwdNs/1e3), fmt.Sprintf("%.0f / %.0f", cp.Stage.BwdNs/1e3, cp.Chained.BwdNs/1e3),
 			fmt.Sprintf("%.0f / %.0f", cp.Stage.InferNs/1e3, cp.Chained.InferNs/1e3),
-			fmt.Sprintf("%.1f / %.1f", float64(cp.Stage.ScratchBytes)/tok, float64(cp.Chained.ScratchBytes)/tok), fmt.Sprintf("%.0f", cp.AllocsPerOp))
+			fmt.Sprintf("%.1f / %.1f", float64(cp.Stage.ScratchBytes)/tok, float64(cp.Chained.ScratchBytes)/tok),
+			fmt.Sprintf("%.1f / %.1f", float64(cp.Stage.HeldBytes)/tok, float64(cp.Chained.HeldBytes)/tok), fmt.Sprintf("%.0f", cp.AllocsPerOp))
 	}
-	stages.Note("the shipped stage tokenizes each channel straight into its group's input, bias and channel-ID row added on the way; chained is the same layers through tokenizer output, channel-ID pass and fold; scratch is every tensor held outside parameters and group aggregators, in units of one [B,C,T,E] token tensor")
+	stages.Note("the shipped stage tokenizes each channel straight into its group's input, bias and channel-ID row added on the way; chained is the same layers through tokenizer output, channel-ID pass and fold; scratch is every tensor held outside parameters, group aggregators and the backward workspaces they borrow, held the whole live heap one forward, backward and infer leave in a fresh stage, both in units of one [B,C,T,E] token tensor")
 	callers := &Table{
 		Title:   "Measured throughput per caller with concurrent callers (tensor.MatMulInto)",
 		Headers: []string{"product", "m x k x n", "GOMAXPROCS", "callers", "GFLOP/s per caller"},

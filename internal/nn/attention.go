@@ -28,7 +28,8 @@ import (
 // linear, so it is taken on the softmax map — pbar[n,h,j] = (1/Tq) sum_i
 // P[n,h,i,j] — and the value product shrinks from Tq x Tk x Dh to 1 x Tk x Dh
 // per head. The pooled form is one tensor.PooledAttention pass per direction,
-// location by location with every head. A core serves one form at a time.
+// location by location with every head, and its backward writes into a
+// PooledGrads the caller lends it. A core serves one form at a time.
 type AttentionCore struct {
 	Heads, HeadDim int
 
@@ -41,7 +42,22 @@ type AttentionCore struct {
 
 	iattn, ictx, ipbar *tensor.Tensor // Infer's twins, separate so an eval pass
 	// never clobbers what a pending Backward reads
-	dA, dq, dk, dv *tensor.Tensor // Backward scratch (dA: the per-row form's only)
+	dA, dq, dk, dv *tensor.Tensor // the per-row Backward's scratch
+}
+
+// PooledGrads is the backward scratch of pooled attention: every buffer
+// AttentionCore.BackwardPooled and CrossAttention's pooled backwards write —
+// the output projection's input gradient, the core's dq, dk and dv and the
+// input projections' input gradients — grown to each call's shapes. Its
+// owner lends it for one call at a time, and the gradients a call returns
+// live in it until the next call that borrows it, so layers whose backwards
+// run one after another, each result consumed before the next call, share
+// one (core.LocalStage lends one to every channel aggregator of a tree
+// level). The zero value is ready to use.
+type PooledGrads struct {
+	dctx       *tensor.Tensor // the output projection's input gradient [N,E]
+	dq, dk, dv *tensor.Tensor // the core's; dk then holds the context's gradient
+	dx         *tensor.Tensor // an input projection's input gradient
 }
 
 // SetInferDType selects the arithmetic of Infer's matrix products.
@@ -156,22 +172,22 @@ func (c *AttentionCore) InferPooled(q, k, v *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardPooled maps the pooled-context gradient [N,E] to gradients with
-// respect to ForwardPooled's q, k and v, each in its operand's layout
-// (core-owned scratch), through tensor.PooledAttentionBackward: the score
-// gradient lives per location in the pass's scratch, and the cached map is
-// left intact, so BackwardPooled may run more than once per forward.
+// respect to ForwardPooled's q, k and v, each in its operand's layout and in
+// s, through tensor.PooledAttentionBackward: the score gradient lives per
+// location in the pass's scratch, and the cached map is left intact, so
+// BackwardPooled may run more than once per forward.
 //
 // dchag:hotpath — per-step channel-aggregation backward.
-func (c *AttentionCore) BackwardPooled(dcbar *tensor.Tensor) (dq, dk, dv *tensor.Tensor) {
+func (c *AttentionCore) BackwardPooled(dcbar *tensor.Tensor, s *PooledGrads) (dq, dk, dv *tensor.Tensor) {
 	if c.attn == nil || c.pbar == nil {
 		panic("nn: pooled attention backward before pooled forward")
 	}
-	c.dq = tensor.EnsureShape(c.dq, c.q.Shape...)
-	c.dk = tensor.EnsureShape(c.dk, c.k.Shape...)
-	c.dv = tensor.EnsureShape(c.dv, c.v.Shape...)
-	tensor.PooledAttentionBackward(tensor.HeadView(c.dq, c.Heads), tensor.HeadView(c.dk, c.Heads), tensor.HeadView(c.dv, c.Heads),
+	s.dq = tensor.EnsureShape(s.dq, c.q.Shape...)
+	s.dk = tensor.EnsureShape(s.dk, c.k.Shape...)
+	s.dv = tensor.EnsureShape(s.dv, c.v.Shape...)
+	tensor.PooledAttentionBackward(tensor.HeadView(s.dq, c.Heads), tensor.HeadView(s.dk, c.Heads), tensor.HeadView(s.dv, c.Heads),
 		dcbar, c.pbar, c.attn, tensor.HeadView(c.q, c.Heads), tensor.HeadView(c.k, c.Heads), tensor.HeadView(c.v, c.Heads), c.scale())
-	return c.dq, c.dk, c.dv
+	return s.dq, s.dk, s.dv
 }
 
 // attnProj is what self- and cross-attention share: the four E x E
@@ -295,24 +311,36 @@ func (a *CrossAttention) InferPooled(query, context *tensor.Tensor) *tensor.Tens
 }
 
 // BackwardPooled maps the gradient of ForwardPooled's output [B,E] to
-// gradients with respect to the query and context inputs.
-func (a *CrossAttention) BackwardPooled(grad *tensor.Tensor) (dQuery, dContext *tensor.Tensor) {
-	dq, dContext := a.backwardPooled(grad)
-	return a.Wq.Backward(dq), dContext
+// gradients with respect to the query and context inputs, both in s, which
+// holds every buffer the call writes.
+func (a *CrossAttention) BackwardPooled(grad *tensor.Tensor, s *PooledGrads) (dQuery, dContext *tensor.Tensor) {
+	dq, dContext := a.backwardPooled(grad, s)
+	s.dx = a.Wq.backwardTo(s.dx, dq, nil)
+	return s.dx, dContext
 }
 
 // BackwardPooledSelf is BackwardPooled after a forward whose query and
 // context were one tensor: it returns that tensor's gradient, dQuery +
-// dContext, the sum formed as Wq's product stores.
-func (a *CrossAttention) BackwardPooledSelf(grad *tensor.Tensor) *tensor.Tensor {
-	dq, dContext := a.backwardPooled(grad)
-	return a.Wq.BackwardAdd(dq, dContext)
+// dContext, the sum formed as Wq's product stores, in s.
+//
+// dchag:hotpath — per-step channel-aggregation backward.
+func (a *CrossAttention) BackwardPooledSelf(grad *tensor.Tensor, s *PooledGrads) *tensor.Tensor {
+	dq, dContext := a.backwardPooled(grad, s)
+	s.dx = a.Wq.backwardTo(s.dx, dq, dContext)
+	return s.dx
 }
 
 // backwardPooled runs the pooled backward through Wo, the attention core,
 // Wk and Wv, and returns the gradient with respect to the query projection's
 // output and the context's gradient, dk + dv summed as Wv's product stores.
-func (a *CrossAttention) backwardPooled(grad *tensor.Tensor) (dq, dContext *tensor.Tensor) {
-	dq, dk, dv := a.core.BackwardPooled(a.Wo.Backward(grad))
-	return dq, a.Wv.BackwardAdd(dv, a.Wk.Backward(dk))
+// The context's gradient goes where dk was, spent by then; s.dx is free
+// again on return.
+//
+// dchag:hotpath — per-step channel-aggregation backward.
+func (a *CrossAttention) backwardPooled(grad *tensor.Tensor, s *PooledGrads) (dq, dContext *tensor.Tensor) {
+	s.dctx = a.Wo.backwardTo(s.dctx, grad, nil)
+	dq, dk, dv := a.core.BackwardPooled(s.dctx, s)
+	s.dx = a.Wk.backwardTo(s.dx, dk, nil)
+	s.dk = a.Wv.backwardTo(s.dk, dv, s.dx)
+	return dq, s.dk
 }

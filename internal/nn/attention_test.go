@@ -162,7 +162,7 @@ func TestAttentionCorePooledMatchesUnpooled(t *testing.T) {
 
 		c := AttentionCore{Heads: sh.heads, HeadDim: sh.dh}
 		out := c.ForwardPooled(q, k, v).Clone()
-		dq, dk, dv := c.BackwardPooled(d)
+		dq, dk, dv := c.BackwardPooled(d, new(PooledGrads))
 		wantOut, wantQ, wantK, wantV := meanThenBackward(q, k, v, d, sh.heads)
 		for _, p := range []struct {
 			name      string
@@ -201,7 +201,7 @@ func TestAttentionCorePooledGradients(t *testing.T) {
 	c := AttentionCore{Heads: heads, HeadDim: dh}
 	loss := func() float64 { return dotAll(c.ForwardPooled(q, k, v), r) }
 	loss()
-	dq, dk, dv := c.BackwardPooled(r)
+	dq, dk, dv := c.BackwardPooled(r, new(PooledGrads))
 	checkGrad(t, "pooled/q", q, dq, loss, 1e-6)
 	checkGrad(t, "pooled/k", k, dk, loss, 1e-6)
 	checkGrad(t, "pooled/v", v, dv, loss, 1e-6)
@@ -219,12 +219,12 @@ func TestAttentionCorePooledRowsIndependentOfBatch(t *testing.T) {
 	d := tensor.Randn(rng, n, e)
 	full := AttentionCore{Heads: heads, HeadDim: dh}
 	out := full.ForwardPooled(q, k, v)
-	dq, dk, dv := full.BackwardPooled(d)
+	dq, dk, dv := full.BackwardPooled(d, new(PooledGrads))
 	for ni := 0; ni < n; ni++ {
 		row := func(x *tensor.Tensor) *tensor.Tensor { return tensor.SliceAxis(x, 0, ni, ni+1) }
 		one := AttentionCore{Heads: heads, HeadDim: dh}
 		o := one.ForwardPooled(row(q), row(k), row(v))
-		oq, ok, ov := one.BackwardPooled(row(d))
+		oq, ok, ov := one.BackwardPooled(row(d), new(PooledGrads))
 		for name, p := range map[string][2]*tensor.Tensor{
 			"out": {o, row(out)}, "dq": {oq, row(dq)}, "dk": {ok, row(dk)}, "dv": {ov, row(dv)},
 		} {
@@ -243,10 +243,11 @@ func TestAttentionCoreSteadyStateAllocs(t *testing.T) {
 	q, k, v := tensor.Randn(rng, 8, 16, 32), tensor.Randn(rng, 8, 16, 32), tensor.Randn(rng, 8, 16, 32)
 	d := tensor.Randn(rng, 8, 32)
 	c, p := AttentionCore{Heads: 4, HeadDim: 8}, AttentionCore{Heads: 4, HeadDim: 8}
+	var grads PooledGrads
 	step := func() {
 		c.Backward(c.Forward(q, k, v))
 		p.ForwardPooled(q, k, v)
-		p.BackwardPooled(d)
+		p.BackwardPooled(d, &grads)
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
 			c.SetInferDType(dt)
 			c.Infer(q, k, v)
@@ -267,10 +268,11 @@ func BenchmarkAttentionPooled(b *testing.B) {
 	q, k, v := tensor.Randn(rng, 128, 16, 32), tensor.Randn(rng, 128, 16, 32), tensor.Randn(rng, 128, 16, 32)
 	d := tensor.Randn(rng, 128, 32)
 	c := AttentionCore{Heads: 4, HeadDim: 8}
+	var grads PooledGrads
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.ForwardPooled(q, k, v)
-		c.BackwardPooled(d)
+		c.BackwardPooled(d, &grads)
 	}
 }

@@ -141,7 +141,7 @@ func TestCrossAttentionGradients(t *testing.T) {
 	loss := func() float64 { return dotAll(a.ForwardPooled(q, kv), r) }
 	loss()
 	ZeroGrads(a.Params())
-	dq, dkv := a.BackwardPooled(r)
+	dq, dkv := a.BackwardPooled(r, new(PooledGrads))
 	checkGrad(t, "xattn/q", q, dq, loss, 1e-5)
 	checkGrad(t, "xattn/kv", kv, dkv, loss, 1e-5)
 	checkGrad(t, "xattn/Wq", a.Wq.Weight.W, a.Wq.Weight.Grad, loss, 1e-5)
@@ -219,7 +219,7 @@ func TestChannelEmbedGradients(t *testing.T) {
 	}
 	loss()
 	ZeroGrads(append(p.Params(), c.Params()...))
-	dx := p.BackwardFrom(ChannelViews(nil, r), c)
+	dx := p.BackwardFrom(ChannelViews(nil, r), 0, c)
 	checkGrad(t, "chembed/x", x, dx, loss, 1e-6)
 	checkGrad(t, "chembed/table", c.Table.W, c.Table.Grad, loss, 1e-6)
 	checkGrad(t, "chembed/bias", p.Bias.W, p.Bias.Grad, loss, 1e-6)

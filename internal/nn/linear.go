@@ -144,23 +144,32 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor { return l.Backwar
 // input's shape) is another gradient with respect to the same input — the
 // sum formed as the product stores its tiles, (acc + dy@W^T) rounded once. A
 // nil acc adds nothing. acc must not be this layer's own input gradient.
+func (l *Linear) BackwardAdd(grad, acc *tensor.Tensor) *tensor.Tensor {
+	l.dx = l.backwardTo(l.dx, grad, acc)
+	return l.dx
+}
+
+// backwardTo is BackwardAdd writing the input gradient into dx, grown to the
+// forward input's rows, instead of the layer's own scratch: the pooled
+// cross-attention backward takes it from the caller's PooledGrads. dx must
+// alias neither grad nor acc.
 //
 // dchag:hotpath — per-step gradient kernels; dW accumulates directly into
 // Weight.Grad with no intermediate product tensor.
-func (l *Linear) BackwardAdd(grad, acc *tensor.Tensor) *tensor.Tensor {
+func (l *Linear) backwardTo(dx, grad, acc *tensor.Tensor) *tensor.Tensor {
 	mustLastDim("Linear.Backward", grad, l.Out)
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
 	l.g = foldInto(l.g, grad)
 	rows := l.g.Shape[0]
-	l.dx = tensor.EnsureShape(l.dx, rows, l.In)
+	dx = tensor.EnsureShape(dx, rows, l.In)
 	tensor.TMatMulAccInto(l.Weight.Grad, l.x, l.g)
 	if l.Bias != nil {
 		tensor.AccumRows(l.Bias.Grad.Data, l.g.Data, l.Out, rows, nil)
 	}
-	tensor.AffineInto(l.dx.Data, l.In, l.g, l.Weight.W, true, summand("Linear.BackwardAdd gradient", acc, l.dx))
-	return unfoldLike(l.dx, grad, l.In)
+	tensor.AffineInto(dx.Data, l.In, l.g, l.Weight.W, true, summand("Linear.BackwardAdd gradient", acc, dx))
+	return unfoldLike(dx, grad, l.In)
 }
 
 // Params returns the layer's parameters.

@@ -264,24 +264,35 @@ func (p *PatchEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: PatchEmbed.Backward want [%d,%d,%d,%d], got %v", p.b, localC, t, p.Embed, grad.Shape))
 	}
 	p.views = ChannelViews(p.views[:0], grad)
-	return p.BackwardFrom(p.views, nil)
+	return p.BackwardFrom(p.views, 0, nil)
 }
 
-// BackwardFrom is Backward reading local channel c's token gradient through
-// src[c], for the batch the last training Tokenize saw. With ids it also
-// accumulates the channel-ID table's gradient — the same column sums as the
-// bias gradient, from the same read.
-func (p *PatchEmbed) BackwardFrom(src []TokenView, ids *ChannelEmbed) *tensor.Tensor {
+// BackwardFrom is Backward for local channels first, first+1, ... reading
+// channel first+c's token gradient through src[c], for the batch the last
+// training Tokenize saw; it fills those channels of the image gradient it
+// returns, layer-owned and shared by every call, and leaves the others alone.
+// With ids it also accumulates the channel-ID table's gradient — the same
+// column sums as the bias gradient, from the same read. Every channel's
+// gradients are its own slices of the parameters' and the image's, so a
+// stage may hand over its channels in as many calls as it likes, each as
+// soon as its gradients exist: the bits are those of one call over all of
+// them.
+//
+// dchag:hotpath — every stage's per-step tokenizer backward.
+func (p *PatchEmbed) BackwardFrom(src []TokenView, first int, ids *ChannelEmbed) *tensor.Tensor {
 	if p.cols == nil {
 		panic("nn: PatchEmbed.Backward before Forward")
 	}
-	p.mustCover(src, ids)
+	if first < 0 || first+len(src) > p.LocalChannels() {
+		panic(fmt.Sprintf("nn: PatchEmbed over %d channels given token gradients for channels [%d,%d)", p.LocalChannels(), first, first+len(src)))
+	}
+	p.mustShare(ids)
 	rows := p.b * p.Tokens()
 	p.dimg = tensor.EnsureShape(p.dimg, p.b, p.LocalChannels(), p.ImgH, p.ImgW)
 	p.dy = tensor.EnsureShape(p.dy, rows, p.Embed)
 	p.dcol = tensor.EnsureShape(p.dcol, rows, p.Patch*p.Patch)
 	for c := range src {
-		p.backwardChannel(src[c], c, ids.gradRow(c))
+		p.backwardChannel(src[c], first+c, ids.gradRow(first+c))
 	}
 	return p.dimg
 }
