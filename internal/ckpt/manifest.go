@@ -77,9 +77,10 @@ func WriteShard(dir string, rank int, tree Tree) error {
 	})
 }
 
-// WriteManifest writes dir's manifest, filling Format and Shards from World
-// when unset. Call it only after every shard file has been written: the
-// manifest's presence is the checkpoint's commit point.
+// WriteManifest writes dir's manifest, filling Format when unset and Shards
+// from World (ShardFile(r) at index r, whatever the caller passed). Call it
+// only after every shard file has been written: the manifest's presence is
+// the checkpoint's commit point.
 func WriteManifest(dir string, m Manifest) error {
 	if m.Format == "" {
 		m.Format = Format
@@ -93,13 +94,9 @@ func WriteManifest(dir string, m Manifest) error {
 	if m.Partitions < 1 {
 		m.Partitions = 1
 	}
-	if m.Shards == nil {
-		for r := 0; r < m.World; r++ {
-			m.Shards = append(m.Shards, ShardFile(r))
-		}
-	}
-	if err := checkShards(m); err != nil {
-		return err
+	m.Shards = make([]string, m.World)
+	for r := range m.Shards {
+		m.Shards[r] = ShardFile(r)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("ckpt: creating checkpoint directory: %w", err)

@@ -35,10 +35,12 @@ func parentLinearBackward(group int, x, d *tensor.Tensor, w, wgrad []float64) *t
 // TestLinearAggregatorBackwardMatchesParentLoop holds the input and weight
 // gradients to the member-at-a-time loop bit for bit over groups 1..9 (whole
 // passes of four and every tail), several widths and location counts, with a
-// weight gradient that already holds a previous step's values; the dx
-// scratch is reused dirty between calls.
+// weight gradient that already holds a previous step's values; one workspace
+// serves every call, so its dx is reused dirty across rounds and across
+// growing and shrinking group shapes.
 func TestLinearAggregatorBackwardMatchesParentLoop(t *testing.T) {
 	rng := tensor.NewRNG(91)
+	var ws workspace
 	for group := 1; group <= 9; group++ {
 		for _, e := range []int{1, 3, 8, 33} {
 			for _, n := range []int{1, 5} {
@@ -49,7 +51,7 @@ func TestLinearAggregatorBackwardMatchesParentLoop(t *testing.T) {
 				for round := 0; round < 2; round++ {
 					x, d := tensor.RandnScaled(rng, 2, n, group, e), tensor.Randn(rng, n, e)
 					a.Forward(x)
-					got := a.backward(d, new(workspace))
+					got := a.backward(d, &ws)
 					want := parentLinearBackward(group, x, d, a.Weight.W.Data, wgrad)
 					for i := range got.Data {
 						if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {

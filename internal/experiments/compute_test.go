@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -169,6 +170,16 @@ func TestChainedStageAgrees(t *testing.T) {
 		if got, want := scratchBytes(stage), scratchBytes(ref); got < held*tokens || want < got+5*tokens {
 			t.Fatalf("kind %s: shipped stage holds %d scratch bytes, chained %d; want at least %d and 5 more token tensors of %d", kind, got, want, held, tokens)
 		}
+	}
+}
+
+// TestScratchBytesFindsWorkspace checks that scratchBytes still recognises
+// core's backward workspace, found by the name of the LocalStage field that
+// holds them: without it the channel_stage points would count the
+// aggregation's arithmetic as scratch.
+func TestScratchBytesFindsWorkspace(t *testing.T) {
+	if workspaceType == nil || workspaceType.Kind() != reflect.Struct {
+		t.Fatalf("workspaceType = %v: core.LocalStage no longer holds its backward workspaces in a slice field ws", workspaceType)
 	}
 }
 
