@@ -117,17 +117,26 @@ func build(a Arch, stage ChannelStage, c *comm.Communicator, tpViT bool) *Founda
 	if a.SwinWindow > 0 && a.MetaTokens > 0 {
 		panic("model: SwinWindow requires MetaTokens == 0 (windowed attention needs the intact spatial grid)")
 	}
+	// The blocks run backward one after another, so they share one backward
+	// workspace (nn.BlockGrads); each rank's model has its own.
+	grads := new(nn.BlockGrads)
 	for i := 0; i < a.Depth; i++ {
 		name := fmt.Sprintf("fm.block%d", i)
 		seed := nn.SubSeed(a.Seed, 24+i)
 		switch {
 		case a.SwinWindow > 0:
 			gridH, gridW := a.ImgH/a.Patch, a.ImgW/a.Patch
-			m.Blocks = append(m.Blocks, nn.NewSwinBlock(name, a.Embed, a.Heads, gridH, gridW, a.SwinWindow, i%2 == 1, seed))
+			blk := nn.NewSwinBlock(name, a.Embed, a.Heads, gridH, gridW, a.SwinWindow, i%2 == 1, seed)
+			blk.Grads = grads
+			m.Blocks = append(m.Blocks, blk)
 		case tpBlocks:
-			m.Blocks = append(m.Blocks, parallel.NewParallelTransformerBlock(name, a.Embed, a.Heads, seed, c))
+			blk := parallel.NewParallelTransformerBlock(name, a.Embed, a.Heads, seed, c)
+			blk.Grads = grads
+			m.Blocks = append(m.Blocks, blk)
 		default:
-			m.Blocks = append(m.Blocks, nn.NewTransformerBlock(name, a.Embed, a.Heads, seed))
+			blk := nn.NewTransformerBlock(name, a.Embed, a.Heads, seed)
+			blk.Grads = grads
+			m.Blocks = append(m.Blocks, blk)
 		}
 	}
 	if c != nil && c.Size() > 1 && !tpBlocks {

@@ -6,6 +6,7 @@ import (
 	"runtime/metrics"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/tensor"
 )
@@ -162,6 +163,84 @@ func TestReferenceStageHeldAfterTraining(t *testing.T) {
 			t.Logf("holds %.2f token tensors after Forward+Backward (%.2f MB); %.2f before the shared workspaces", tokens, held/1e6, c.parent)
 			if tokens > c.within {
 				t.Fatalf("stage holds %.2f token tensors after Forward+Backward, want at most %.2f", tokens, c.within)
+			}
+		})
+	}
+}
+
+// TestBlockStackHeldAfterTraining measures the live heap one Forward and one
+// Backward leave behind in a model's transformer blocks at a wx_tp2dp2
+// rank's shape (E 64, 4 heads, depth 8, 64 tokens, batch 2), serially and
+// under tensor parallelism at 2 ranks (both ranks' stacks, per rank). What
+// stays is the blocks' forward activations and one backward workspace per
+// rank, which every block borrows in turn; before the shared workspace each
+// block kept its own backward scratch. The ceilings are the measured values
+// rounded up.
+func TestBlockStackHeldAfterTraining(t *testing.T) {
+	a := Arch{
+		Config: core.Config{Channels: 4, ImgH: 16, ImgW: 16, Patch: 2, Embed: 64, Heads: 4, Kind: core.KindLinear, Seed: 1},
+		Depth:  8,
+	}
+	const batch = 2
+	rng := tensor.NewRNG(9)
+	x := tensor.Randn(rng, batch, a.Tokens(), a.Embed)
+	d := tensor.Randn(rng, batch, a.Tokens(), a.Embed)
+	// stack runs one Forward+Backward through m's blocks alone.
+	stack := func(m *FoundationModel) {
+		h := x
+		for _, blk := range m.Blocks {
+			h = blk.Forward(h)
+		}
+		g := d
+		for i := len(m.Blocks) - 1; i >= 0; i-- {
+			g = m.Blocks[i].Backward(g)
+		}
+	}
+	for _, c := range []struct {
+		ranks          int
+		parent, within float64 // MB held per rank: before the shared workspace, ceiling now
+	}{
+		{1, 24.17, 12.8},
+		{2, 16.82, 8.3},
+	} {
+		t.Run(fmt.Sprintf("tp=%d", c.ranks), func(t *testing.T) {
+			var held float64
+			// The first round also grows the process-wide panel pool; the
+			// second round's models show the stacks alone.
+			for round := 0; round < 2; round++ {
+				if c.ranks == 1 {
+					m := NewSerial(a)
+					before := liveHeap()
+					stack(m)
+					held = float64(liveHeap() - before)
+					runtime.KeepAlive(m)
+					continue
+				}
+				var before uint64
+				_, err := comm.Run(c.ranks, func(cm *comm.Communicator) error {
+					m := NewDistributed(a, cm, true)
+					cm.Barrier()
+					if cm.Rank() == 0 {
+						before = liveHeap()
+					}
+					cm.Barrier()
+					stack(m)
+					cm.Barrier()
+					if cm.Rank() == 0 {
+						held = float64(liveHeap() - before)
+					}
+					cm.Barrier()
+					runtime.KeepAlive(m)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			perRank := held / float64(c.ranks) / 1e6
+			t.Logf("block stack holds %.2f MB per rank after Forward+Backward; %.2f before the shared workspace", perRank, c.parent)
+			if perRank > c.within {
+				t.Fatalf("block stack holds %.2f MB per rank after Forward+Backward, want at most %.2f", perRank, c.within)
 			}
 		})
 	}

@@ -46,19 +46,27 @@ func (g *GELU) Infer(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward multiplies the upstream gradient by GELU'(x) =
 // s + 2*x*s*(1-s)*u'(x) with s = sigmoid(2u) (tensor.GELUBackward).
+func (g *GELU) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	g.dx = g.backwardTo(g.dx, grad)
+	return g.dx
+}
+
+// backwardTo is Backward writing into dx, grown to grad's shape, instead of
+// the layer's own scratch; dx may be grad itself, which an MLP in a block
+// workspace overwrites in place.
 //
 // dchag:hotpath — elementwise activation gradient, every step.
-func (g *GELU) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (g *GELU) backwardTo(dx, grad *tensor.Tensor) *tensor.Tensor {
 	if g.x == nil {
 		panic("nn: GELU.Backward before Forward")
 	}
 	if !tensor.SameShape(grad, g.x) {
 		panic(fmt.Sprintf("nn: GELU.Backward gradient shape %v does not match input %v", grad.Shape, g.x.Shape))
 	}
-	g.dx = tensor.EnsureShape(g.dx, grad.Shape...)
-	n := len(g.dx.Data)
-	tensor.GELUBackward(g.dx.Data, g.x.Data[:n], grad.Data[:n])
-	return g.dx
+	dx = tensor.EnsureShape(dx, grad.Shape...)
+	n := len(dx.Data)
+	tensor.GELUBackward(dx.Data, g.x.Data[:n], grad.Data[:n])
+	return dx
 }
 
 // Params returns nil; GELU has no parameters.

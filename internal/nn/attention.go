@@ -28,8 +28,9 @@ import (
 // linear, so it is taken on the softmax map — pbar[n,h,j] = (1/Tq) sum_i
 // P[n,h,i,j] — and the value product shrinks from Tq x Tk x Dh to 1 x Tk x Dh
 // per head. The pooled form is one tensor.PooledAttention pass per direction,
-// location by location with every head, and its backward writes into a
-// PooledGrads the caller lends it. A core serves one form at a time.
+// location by location with every head. Either backward writes into a
+// PooledGrads the caller lends it; the core keeps no backward scratch. A
+// core serves one form at a time.
 type AttentionCore struct {
 	Heads, HeadDim int
 
@@ -42,21 +43,23 @@ type AttentionCore struct {
 
 	iattn, ictx, ipbar *tensor.Tensor // Infer's twins, separate so an eval pass
 	// never clobbers what a pending Backward reads
-	dA, dq, dk, dv *tensor.Tensor // the per-row Backward's scratch
 }
 
-// PooledGrads is the backward scratch of pooled attention: every buffer
-// AttentionCore.BackwardPooled and CrossAttention's pooled backwards write —
-// the output projection's input gradient, the core's dq, dk and dv and the
-// input projections' input gradients — grown to each call's shapes. Its
-// owner lends it for one call at a time, and the gradients a call returns
-// live in it until the next call that borrows it, so layers whose backwards
-// run one after another, each result consumed before the next call, share
-// one (core.LocalStage lends one to every channel aggregator of a tree
-// level). The zero value is ready to use.
+// PooledGrads is the backward scratch of attention, either form: every
+// buffer AttentionCore's backwards and the attention layers' backwards
+// write — the output projection's input gradient, the per-row core's score
+// gradient dA, the core's dq, dk and dv and the input projections' input
+// gradients — grown to each call's shapes. Its owner lends it for one call
+// at a time, and the gradients a call returns live in it until the next
+// call that borrows it, so layers whose backwards run one after another,
+// each result consumed before the next call, share one (core.LocalStage
+// lends one to every channel aggregator of a tree level, a BlockGrads holds
+// the one every transformer block of a stack borrows). The zero value is
+// ready to use.
 type PooledGrads struct {
-	dctx       *tensor.Tensor // the output projection's input gradient [N,E]
-	dq, dk, dv *tensor.Tensor // the core's; dk then holds the context's gradient
+	dctx       *tensor.Tensor // the output projection's input gradient
+	dA         *tensor.Tensor // the per-row core's score gradient [N,H,Tq,Tk]
+	dq, dk, dv *tensor.Tensor // the core's; dq or dk then holds a sum of input gradients
 	dx         *tensor.Tensor // an input projection's input gradient
 }
 
@@ -110,28 +113,27 @@ func (c *AttentionCore) Infer(q, k, v *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward maps the merged-context gradient [N,Tq,E] to gradients with
-// respect to Forward's q, k and v, each in its operand's layout (core-owned
-// scratch): dA = dctx v^T, dv = A^T dctx, the softmax backward turns dA into
-// the score gradient dS in place, then dq = dS k / sqrt(Dh) and
-// dk = dS^T q / sqrt(Dh).
+// respect to Forward's q, k and v, each in its operand's layout and in s:
+// dA = dctx v^T, dv = A^T dctx, the softmax backward turns dA into the score
+// gradient dS in place, then dq = dS k / sqrt(Dh) and dk = dS^T q / sqrt(Dh).
 //
 // dchag:hotpath — per-step attention backward kernels.
-func (c *AttentionCore) Backward(dctx *tensor.Tensor) (dq, dk, dv *tensor.Tensor) {
+func (c *AttentionCore) Backward(dctx *tensor.Tensor, s *PooledGrads) (dq, dk, dv *tensor.Tensor) {
 	if c.attn == nil {
 		panic("nn: attention backward before forward")
 	}
 	av, gv := tensor.MatView(c.attn), tensor.HeadView(dctx, c.Heads)
-	c.dA = tensor.EnsureShape(c.dA, c.attn.Shape...)
-	tensor.BatchedMatMulTInto(tensor.MatView(c.dA), gv, tensor.HeadView(c.v, c.Heads), 1) // [N,H,Tq,Tk]
-	c.dv = tensor.EnsureShape(c.dv, c.v.Shape...)
-	tensor.BatchedTMatMulInto(tensor.HeadView(c.dv, c.Heads), av, gv, 1)
-	tensor.SoftmaxBackwardLastDimInto(c.dA, c.attn, c.dA)
-	dS := tensor.MatView(c.dA)
-	c.dq = tensor.EnsureShape(c.dq, c.q.Shape...)
-	tensor.BatchedMatMulInto(tensor.HeadView(c.dq, c.Heads), dS, tensor.HeadView(c.k, c.Heads), c.scale())
-	c.dk = tensor.EnsureShape(c.dk, c.k.Shape...)
-	tensor.BatchedTMatMulInto(tensor.HeadView(c.dk, c.Heads), dS, tensor.HeadView(c.q, c.Heads), c.scale())
-	return c.dq, c.dk, c.dv
+	s.dA = tensor.EnsureShape(s.dA, c.attn.Shape...)
+	tensor.BatchedMatMulTInto(tensor.MatView(s.dA), gv, tensor.HeadView(c.v, c.Heads), 1) // [N,H,Tq,Tk]
+	s.dv = tensor.EnsureShape(s.dv, c.v.Shape...)
+	tensor.BatchedTMatMulInto(tensor.HeadView(s.dv, c.Heads), av, gv, 1)
+	tensor.SoftmaxBackwardLastDimInto(s.dA, c.attn, s.dA)
+	dS := tensor.MatView(s.dA)
+	s.dq = tensor.EnsureShape(s.dq, c.q.Shape...)
+	tensor.BatchedMatMulInto(tensor.HeadView(s.dq, c.Heads), dS, tensor.HeadView(c.k, c.Heads), c.scale())
+	s.dk = tensor.EnsureShape(s.dk, c.k.Shape...)
+	tensor.BatchedTMatMulInto(tensor.HeadView(s.dk, c.Heads), dS, tensor.HeadView(c.q, c.Heads), c.scale())
+	return s.dq, s.dk, s.dv
 }
 
 // ForwardPooled returns the mean over the Tq query rows of Forward's merged
@@ -270,12 +272,16 @@ func (a *SelfAttention) infer(x, res *tensor.Tensor) *tensor.Tensor {
 	return a.Wo.infer(a.core.Infer(a.Wq.Infer(x), a.Wk.Infer(x), a.Wv.Infer(x)), res)
 }
 
-// Backward back-propagates to the forward input, accumulating parameter
-// gradients in the four projections. The three projections' input
-// gradients sum as each product stores, (dq + dk) + dv.
+// Backward is BackwardIn in a workspace made for the call: the form for a
+// layer run alone.
 func (a *SelfAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dq, dk, dv := a.core.Backward(a.Wo.Backward(grad))
-	return a.Wv.BackwardAdd(dv, a.Wk.BackwardAdd(dk, a.Wq.Backward(dq)))
+	return a.BackwardIn(grad, new(BlockGrads))
+}
+
+// BackwardIn back-propagates to the forward input in ws, accumulating
+// parameter gradients in the four projections (BlockGrads.BackwardAttention).
+func (a *SelfAttention) BackwardIn(grad *tensor.Tensor, ws *BlockGrads) *tensor.Tensor {
+	return ws.BackwardAttention(grad, &a.core, a.Wq, a.Wk, a.Wv, a.Wo)
 }
 
 // CrossAttention attends a query sequence to a separate key/value context
@@ -315,7 +321,7 @@ func (a *CrossAttention) InferPooled(query, context *tensor.Tensor) *tensor.Tens
 // holds every buffer the call writes.
 func (a *CrossAttention) BackwardPooled(grad *tensor.Tensor, s *PooledGrads) (dQuery, dContext *tensor.Tensor) {
 	dq, dContext := a.backwardPooled(grad, s)
-	s.dx = a.Wq.backwardTo(s.dx, dq, nil)
+	s.dx = a.Wq.BackwardTo(s.dx, dq, nil)
 	return s.dx, dContext
 }
 
@@ -326,7 +332,7 @@ func (a *CrossAttention) BackwardPooled(grad *tensor.Tensor, s *PooledGrads) (dQ
 // dchag:hotpath — per-step channel-aggregation backward.
 func (a *CrossAttention) BackwardPooledSelf(grad *tensor.Tensor, s *PooledGrads) *tensor.Tensor {
 	dq, dContext := a.backwardPooled(grad, s)
-	s.dx = a.Wq.backwardTo(s.dx, dq, dContext)
+	s.dx = a.Wq.BackwardTo(s.dx, dq, dContext)
 	return s.dx
 }
 
@@ -338,9 +344,9 @@ func (a *CrossAttention) BackwardPooledSelf(grad *tensor.Tensor, s *PooledGrads)
 //
 // dchag:hotpath — per-step channel-aggregation backward.
 func (a *CrossAttention) backwardPooled(grad *tensor.Tensor, s *PooledGrads) (dq, dContext *tensor.Tensor) {
-	s.dctx = a.Wo.backwardTo(s.dctx, grad, nil)
+	s.dctx = a.Wo.BackwardTo(s.dctx, grad, nil)
 	dq, dk, dv := a.core.BackwardPooled(s.dctx, s)
-	s.dx = a.Wk.backwardTo(s.dx, dk, nil)
-	s.dk = a.Wv.backwardTo(s.dk, dv, s.dx)
+	s.dx = a.Wk.BackwardTo(s.dx, dk, nil)
+	s.dk = a.Wv.BackwardTo(s.dk, dv, s.dx)
 	return dq, s.dk
 }

@@ -84,7 +84,7 @@ func TestAttentionCoreMatchesSplitMerge(t *testing.T) {
 
 		c := AttentionCore{Heads: sh.heads, HeadDim: sh.dh}
 		ctx := c.Forward(q, k, v).Clone()
-		dq, dk, dv := c.Backward(dctx)
+		dq, dk, dv := c.Backward(dctx, new(PooledGrads))
 		wantCtx, wantQ, wantK, wantV := splitMergeAttention(q, k, v, dctx, sh.heads)
 		for _, p := range []struct {
 			name      string
@@ -115,7 +115,7 @@ func TestAttentionCoreGradients(t *testing.T) {
 	c := AttentionCore{Heads: heads, HeadDim: dh}
 	loss := func() float64 { return dotAll(c.Forward(q, k, v), r) }
 	loss()
-	dq, dk, dv := c.Backward(r)
+	dq, dk, dv := c.Backward(r, new(PooledGrads))
 	checkGrad(t, "core/q", q, dq, loss, 1e-6)
 	checkGrad(t, "core/k", k, dk, loss, 1e-6)
 	checkGrad(t, "core/v", v, dv, loss, 1e-6)
@@ -137,7 +137,7 @@ func meanThenBackward(q, k, v, d *tensor.Tensor, heads int) (out, dq, dk, dv *te
 			}
 		}
 	}
-	dq, dk, dv = c.Backward(dctx)
+	dq, dk, dv = c.Backward(dctx, new(PooledGrads))
 	return out, dq, dk, dv
 }
 
@@ -235,9 +235,9 @@ func TestAttentionCorePooledRowsIndependentOfBatch(t *testing.T) {
 	}
 }
 
-// TestAttentionCoreSteadyStateAllocs pins the core's layer-owned-scratch
-// contract: once warm, forward, backward and both eval arithmetics allocate
-// nothing, in the per-row and in the pooled form.
+// TestAttentionCoreSteadyStateAllocs pins the core's scratch contract: once
+// warm, forward, backward and both eval arithmetics allocate nothing, in the
+// per-row and in the pooled form, both backwards borrowing one workspace.
 func TestAttentionCoreSteadyStateAllocs(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	q, k, v := tensor.Randn(rng, 8, 16, 32), tensor.Randn(rng, 8, 16, 32), tensor.Randn(rng, 8, 16, 32)
@@ -245,7 +245,7 @@ func TestAttentionCoreSteadyStateAllocs(t *testing.T) {
 	c, p := AttentionCore{Heads: 4, HeadDim: 8}, AttentionCore{Heads: 4, HeadDim: 8}
 	var grads PooledGrads
 	step := func() {
-		c.Backward(c.Forward(q, k, v))
+		c.Backward(c.Forward(q, k, v), &grads)
 		p.ForwardPooled(q, k, v)
 		p.BackwardPooled(d, &grads)
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {

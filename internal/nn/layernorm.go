@@ -144,14 +144,22 @@ func (l *LayerNorm) normalize4(out, x []float64, q [4]int, cache bool) {
 //
 // where dy' = dy (per-element, before gamma scaling is folded in).
 func (l *LayerNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	l.dx = l.backwardTo(l.dx, grad)
+	return l.dx
+}
+
+// backwardTo is Backward writing the input gradient into dx, grown to grad's
+// rows, instead of the layer's own scratch: a block's norms write into the
+// workspace it borrows. dx must not alias grad.
+func (l *LayerNorm) backwardTo(dx, grad *tensor.Tensor) *tensor.Tensor {
 	mustLastDim("LayerNorm.Backward", grad, l.Dim)
 	if l.xhat == nil {
 		panic("nn: LayerNorm.Backward before Forward")
 	}
 	l.g2 = foldInto(l.g2, grad)
-	l.dx = tensor.EnsureShape(l.dx, l.g2.Shape[0], l.Dim)
-	l.backward(l.dx, l.g2)
-	return unfoldLike(l.dx, grad, l.Dim)
+	dx = tensor.EnsureShape(dx, l.g2.Shape[0], l.Dim)
+	l.backward(dx, l.g2)
+	return unfoldLike(dx, grad, l.Dim)
 }
 
 // backward accumulates the gamma/beta gradients and writes dx.

@@ -138,25 +138,21 @@ func summand(op string, s, dst *tensor.Tensor) tensor.Epilogue {
 
 // Backward accumulates dW = x^T@dy and db = sum(dy), returning dx = dy@W^T
 // reshaped to the forward input's shape.
-func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor { return l.BackwardAdd(grad, nil) }
-
-// BackwardAdd is Backward returning dy@W^T + acc, where acc (the forward
-// input's shape) is another gradient with respect to the same input — the
-// sum formed as the product stores its tiles, (acc + dy@W^T) rounded once. A
-// nil acc adds nothing. acc must not be this layer's own input gradient.
-func (l *Linear) BackwardAdd(grad, acc *tensor.Tensor) *tensor.Tensor {
-	l.dx = l.backwardTo(l.dx, grad, acc)
+func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	l.dx = l.BackwardTo(l.dx, grad, nil)
 	return l.dx
 }
 
-// backwardTo is BackwardAdd writing the input gradient into dx, grown to the
-// forward input's rows, instead of the layer's own scratch: the pooled
-// cross-attention backward takes it from the caller's PooledGrads. dx must
-// alias neither grad nor acc.
+// BackwardTo is Backward writing dy@W^T + acc into dx, grown to the forward
+// input's rows, instead of the layer's own scratch: acc (the forward input's
+// shape) is another gradient with respect to the same input, the sum formed
+// as the product stores its tiles, (acc + dy@W^T) rounded once; a nil acc
+// adds nothing. The blocks' and the pooled cross-attention's backwards take
+// dx from the workspace they borrow. dx must alias neither grad nor acc.
 //
 // dchag:hotpath — per-step gradient kernels; dW accumulates directly into
 // Weight.Grad with no intermediate product tensor.
-func (l *Linear) backwardTo(dx, grad, acc *tensor.Tensor) *tensor.Tensor {
+func (l *Linear) BackwardTo(dx, grad, acc *tensor.Tensor) *tensor.Tensor {
 	mustLastDim("Linear.Backward", grad, l.Out)
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
@@ -168,7 +164,7 @@ func (l *Linear) backwardTo(dx, grad, acc *tensor.Tensor) *tensor.Tensor {
 	if l.Bias != nil {
 		tensor.AccumRows(l.Bias.Grad.Data, l.g.Data, l.Out, rows, nil)
 	}
-	tensor.AffineInto(dx.Data, l.In, l.g, l.Weight.W, true, summand("Linear.BackwardAdd gradient", acc, dx))
+	tensor.AffineInto(dx.Data, l.In, l.g, l.Weight.W, true, summand("Linear.BackwardTo gradient", acc, dx))
 	return unfoldLike(dx, grad, l.In)
 }
 

@@ -42,9 +42,16 @@ func (m *MLP) infer(x, res *tensor.Tensor) *tensor.Tensor {
 	return m.Fc2.infer(m.Act.Infer(m.Fc1.Infer(x)), res)
 }
 
-// Backward back-propagates through both linears and the activation.
+// Backward is BackwardIn in a workspace made for the call: the form for a
+// layer run alone.
 func (m *MLP) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return m.Fc1.Backward(m.Act.Backward(m.Fc2.Backward(grad)))
+	return m.BackwardIn(grad, new(BlockGrads))
+}
+
+// BackwardIn back-propagates through both linears and the activation in ws
+// (BlockGrads.BackwardMLP).
+func (m *MLP) BackwardIn(grad *tensor.Tensor, ws *BlockGrads) *tensor.Tensor {
+	return ws.BackwardMLP(grad, m.Fc1, m.Fc2, m.Act)
 }
 
 // Params returns both linear layers' parameters.

@@ -14,9 +14,14 @@
 // and Backward (grown once, reused every step — see tensor.EnsureShape), so
 // steady-state training and serving steps are allocation-free. The returned
 // tensor stays valid until the same method on the same layer runs again.
-// Layers are single-stream: Forward then Backward strictly alternate on one
-// goroutine, and Infer may interleave only outside a Forward/Backward pair
-// (between optimizer steps).
+// The transformer blocks are the exception on the backward side: a block's
+// Backward writes every buffer into the BlockGrads it borrows (its Grads,
+// which a model shares across its whole stack), and the gradient it returns
+// stays valid until the next Backward of any block borrowing that
+// workspace. Layers are single-stream: Forward then Backward strictly
+// alternate on one goroutine, and Infer may interleave only outside a
+// Forward/Backward pair (between optimizer steps); blocks that share a
+// workspace share the stream.
 //
 // Determinism: every constructor takes an explicit seed. Layers that own a
 // logically-sharded parameter (attention heads, channel shards) generate the

@@ -31,16 +31,19 @@ type SwinBlock struct {
 	Attn         *SelfAttention
 	FFN          *MLP
 
+	// Grads is the workspace Backward writes every buffer into, as
+	// TransformerBlock.Grads.
+	Grads *BlockGrads
+
 	b int
 
-	// Per-pass data-movement scratch. Forward, Infer and Backward each own a
-	// set: the attention sublayer caches views of the partitioned windows for
-	// its backward pass, so Backward's (and Infer's) data movement must not
-	// reuse Forward's buffers.
-	fsc, isc, bsc swinScratch
-	h, out        *tensor.Tensor // residual scratch (forward)
-	ih, iout      *tensor.Tensor // residual scratch (infer)
-	dh, dx        *tensor.Tensor // residual scratch (backward)
+	// Per-pass data-movement scratch. Forward and Infer each own a set, and
+	// Backward's is its workspace's: the attention sublayer caches views of
+	// the partitioned windows for its backward pass, so Backward's (and
+	// Infer's) data movement must not reuse Forward's buffers.
+	fsc, isc swinScratch
+	h, out   *tensor.Tensor // residual scratch (forward)
+	ih, iout *tensor.Tensor // residual scratch (infer)
 }
 
 // swinScratch holds the shift/partition buffers of one pass direction.
@@ -64,6 +67,7 @@ func NewSwinBlock(name string, embed, heads, gridH, gridW, window int, shift boo
 		Norm2: NewLayerNorm(name+".norm2", embed),
 		Attn:  NewSelfAttention(name+".attn", embed, heads, SubSeed(seed, 0)),
 		FFN:   NewMLP(name+".mlp", embed, 4*embed, SubSeed(seed, 1)),
+		Grads: new(BlockGrads),
 	}
 }
 
@@ -153,11 +157,11 @@ const (
 )
 
 // windowed runs the shift -> partition -> attention -> unpartition ->
-// unshift data movement in the given direction, using the pass-owned
-// scratch set sc.
+// unshift data movement in the given direction, using the pass's scratch
+// set sc; the backward's attention writes in ws, nil otherwise.
 //
 // dchag:hotpath — one call per block per step/micro-batch.
-func (s *SwinBlock) windowed(x *tensor.Tensor, sc *swinScratch, mode int) *tensor.Tensor {
+func (s *SwinBlock) windowed(x *tensor.Tensor, sc *swinScratch, mode int, ws *BlockGrads) *tensor.Tensor {
 	b := x.Shape[0]
 	half := s.Window / 2
 	if s.Shift {
@@ -174,7 +178,7 @@ func (s *SwinBlock) windowed(x *tensor.Tensor, sc *swinScratch, mode int) *tenso
 	case swinInfer:
 		y = s.Attn.Infer(sc.part)
 	default:
-		y = s.Attn.Backward(sc.part)
+		y = s.Attn.BackwardIn(sc.part, ws)
 	}
 	sc.merged = tensor.EnsureShape(sc.merged, b, s.Tokens(), s.Embed)
 	y = s.unpartition(sc.merged, y, b)
@@ -188,18 +192,23 @@ func (s *SwinBlock) windowed(x *tensor.Tensor, sc *swinScratch, mode int) *tenso
 // windowAttention applies self-attention within windows (with optional
 // shift) to normed input [B, T, E].
 func (s *SwinBlock) windowAttention(x *tensor.Tensor) *tensor.Tensor {
-	return s.windowed(x, &s.fsc, swinForward)
+	return s.windowed(x, &s.fsc, swinForward, nil)
 }
 
 // windowAttentionInfer is windowAttention through the attention layer's
 // no-grad fast path.
 func (s *SwinBlock) windowAttentionInfer(x *tensor.Tensor) *tensor.Tensor {
-	return s.windowed(x, &s.isc, swinInfer)
+	return s.windowed(x, &s.isc, swinInfer, nil)
 }
 
-// windowAttentionBackward inverts windowAttention's data movement.
-func (s *SwinBlock) windowAttentionBackward(grad *tensor.Tensor) *tensor.Tensor {
-	return s.windowed(grad, &s.bsc, swinBackward)
+// swinAttention is a Swin block's attention branch: BackwardIn inverts
+// windowAttention's data movement around the attention backward, both in
+// the workspace.
+type swinAttention SwinBlock
+
+// BackwardIn back-propagates the windowed attention in ws.
+func (a *swinAttention) BackwardIn(grad *tensor.Tensor, ws *BlockGrads) *tensor.Tensor {
+	return (*SwinBlock)(a).windowed(grad, &ws.swin, swinBackward, ws)
 }
 
 // Forward applies the block to x [B, T, E] with T = GridH*GridW.
@@ -225,12 +234,9 @@ func (s *SwinBlock) Infer(x *tensor.Tensor) *tensor.Tensor {
 	return tensor.AddInto(s.iout, s.ih, s.FFN.Infer(s.Norm2.Infer(s.ih)))
 }
 
-// Backward back-propagates through both residual branches.
+// Backward back-propagates through both residual branches in s.Grads.
 func (s *SwinBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	s.dh = tensor.EnsureShape(s.dh, grad.Shape...)
-	tensor.AddInto(s.dh, grad, s.Norm2.Backward(s.FFN.Backward(grad)))
-	s.dx = tensor.EnsureShape(s.dx, grad.Shape...)
-	return tensor.AddInto(s.dx, s.dh, s.Norm1.Backward(s.windowAttentionBackward(s.dh)))
+	return s.Grads.BackwardBlock(grad, s.Norm1, s.Norm2, (*swinAttention)(s), s.FFN)
 }
 
 // Params returns the block's parameters.

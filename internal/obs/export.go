@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -96,7 +97,8 @@ func WriteChromeTraceFile(path string, t *Tracer) error {
 // trace-event schema this package emits: a top-level object with a
 // non-empty traceEvents array whose entries carry a name, a known phase
 // ('X', 'i', or 'M'), numeric pid/tid, a numeric ts for timed phases, a
-// non-negative dur for complete events, and a scope for instants. The
+// non-negative dur for complete events, and a scope for instants; a null
+// stands for none of them. The
 // trace-smoke CI gate runs every exported trace through it.
 func ValidateChromeTrace(data []byte) error {
 	var top map[string]json.RawMessage
@@ -168,10 +170,15 @@ func ValidateChromeTrace(data []byte) error {
 	return nil
 }
 
+// unmarshalKey decodes ev[key] into dst. A null is refused like a missing
+// key: decoding it into a Go value is a no-op, which would leave dst zero.
 func unmarshalKey[T any](ev map[string]json.RawMessage, key string, dst *T) error {
 	raw, ok := ev[key]
 	if !ok {
 		return fmt.Errorf("missing %q", key)
+	}
+	if string(bytes.TrimSpace(raw)) == "null" {
+		return fmt.Errorf("null %q", key)
 	}
 	if err := json.Unmarshal(raw, dst); err != nil {
 		return fmt.Errorf("invalid %q: %w", key, err)

@@ -171,6 +171,8 @@ func TestValidateChromeTraceRejectsMalformed(t *testing.T) {
 		"bad phase":      `{"traceEvents":[{"name":"a","ph":"Q","ts":0,"pid":0,"tid":0}]}`,
 		"bad scope":      `{"traceEvents":[{"name":"a","ph":"i","ts":0,"s":"x","pid":0,"tid":0}]}`,
 		"no scope":       `{"traceEvents":[{"name":"a","ph":"i","ts":0,"pid":0,"tid":0}]}`,
+		"null numbers":   `{"traceEvents":[{"name":"a","ph":"X","pid":null,"tid":null,"ts":null,"dur":null}]}`,
+		"null ts":        `{"traceEvents":[{"name":"a","ph":"i","ts":null,"s":"t","pid":0,"tid":0}]}`,
 	}
 	for name, data := range cases {
 		if err := ValidateChromeTrace([]byte(data)); err == nil {

@@ -47,21 +47,29 @@ func NewParallelSelfAttention(name string, embed, heads int, seed int64, c *comm
 
 // Forward computes the attention output [B,T,E] from replicated input
 // [B,T,E]. Only the row-parallel output projection communicates.
+func (a *ParallelSelfAttention) Forward(x *tensor.Tensor) *tensor.Tensor { return a.forward(x, nil) }
+
+// forward is Forward with res added where the output projection adds its
+// bias (a block's residual x + Attn(LN1 x)); nil adds nothing.
 //
 // dchag:hotpath
-func (a *ParallelSelfAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return a.Wo.Forward(a.core.Forward(a.Wq.Forward(x), a.Wk.Forward(x), a.Wv.Forward(x)))
+func (a *ParallelSelfAttention) forward(x, res *tensor.Tensor) *tensor.Tensor {
+	return a.Wo.forward(a.core.Forward(a.Wq.Forward(x), a.Wk.Forward(x), a.Wv.Forward(x)), res)
 }
 
-// Backward back-propagates to the replicated input with a single AllReduce
-// over the summed Q/K/V partial input gradients, (dq + dk) + dv, each sum
-// formed as the next local shard's product stores, in place in Wv's
-// input-gradient scratch.
+// Backward is BackwardIn in a workspace made for the call: the form for a
+// layer run alone.
+func (a *ParallelSelfAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return a.BackwardIn(grad, new(nn.BlockGrads))
+}
+
+// BackwardIn back-propagates to the replicated input in ws
+// (nn.BlockGrads.BackwardAttention over the local shards and heads) with a
+// single AllReduce over the summed Q/K/V partial input gradients, in place.
 //
 // dchag:hotpath
-func (a *ParallelSelfAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dq, dk, dv := a.core.Backward(a.Wo.Backward(grad))
-	dx := a.Wv.Local.BackwardAdd(dv, a.Wk.Local.BackwardAdd(dk, a.Wq.Local.Backward(dq)))
+func (a *ParallelSelfAttention) BackwardIn(grad *tensor.Tensor, ws *nn.BlockGrads) *tensor.Tensor {
+	dx := ws.BackwardAttention(grad, &a.core, a.Wq.Local, a.Wk.Local, a.Wv.Local, a.Wo)
 	return a.Comm.AllReduceInto(dx, dx)
 }
 
@@ -96,18 +104,28 @@ func NewParallelMLP(name string, embed, hidden int, seed int64, c *comm.Communic
 }
 
 // Forward applies fc2(gelu(fc1(x))) with one AllReduce in fc2.
+func (m *ParallelMLP) Forward(x *tensor.Tensor) *tensor.Tensor { return m.forward(x, nil) }
+
+// forward is Forward with res added where fc2 adds its bias (a block's
+// residual h + MLP(LN2 h)); nil adds nothing.
 //
 // dchag:hotpath
-func (m *ParallelMLP) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return m.Fc2.Forward(m.Act.Forward(m.Fc1.Forward(x)))
+func (m *ParallelMLP) forward(x, res *tensor.Tensor) *tensor.Tensor {
+	return m.Fc2.forward(m.Act.Forward(m.Fc1.Forward(x)), res)
 }
 
-// Backward back-propagates with one AllReduce for the replicated input, in
-// place in fc1's input-gradient scratch.
+// Backward is BackwardIn in a workspace made for the call: the form for a
+// layer run alone.
+func (m *ParallelMLP) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return m.BackwardIn(grad, new(nn.BlockGrads))
+}
+
+// BackwardIn back-propagates in ws (nn.BlockGrads.BackwardMLP over the local
+// shards) with one AllReduce for the replicated input, in place.
 //
 // dchag:hotpath
-func (m *ParallelMLP) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := m.Fc1.BackwardPartial(m.Act.Backward(m.Fc2.Backward(grad)))
+func (m *ParallelMLP) BackwardIn(grad *tensor.Tensor, ws *nn.BlockGrads) *tensor.Tensor {
+	dx := ws.BackwardMLP(grad, m.Fc1.Local, m.Fc2, m.Act)
 	return m.Comm.AllReduceInto(dx, dx)
 }
 
@@ -125,8 +143,9 @@ type ParallelTransformerBlock struct {
 	Attn         *ParallelSelfAttention
 	FFN          *ParallelMLP
 
-	h, out *tensor.Tensor // residual scratch (forward)
-	dh, dx *tensor.Tensor // residual scratch (backward)
+	// Grads is the workspace Backward writes every buffer into, as
+	// nn.TransformerBlock.Grads; each rank's model has its own.
+	Grads *nn.BlockGrads
 }
 
 // NewParallelTransformerBlock shards nn.NewTransformerBlock(name, embed,
@@ -139,28 +158,24 @@ func NewParallelTransformerBlock(name string, embed, heads int, seed int64, c *c
 		Norm2: nn.NewLayerNorm(name+".norm2", embed),
 		Attn:  NewParallelSelfAttention(name+".attn", embed, heads, nn.SubSeed(seed, 0), c),
 		FFN:   NewParallelMLP(name+".mlp", embed, 4*embed, nn.SubSeed(seed, 1), c),
+		Grads: new(nn.BlockGrads),
 	}
 }
 
-// Forward applies the block to replicated x [B,T,E]; like
-// nn.TransformerBlock it returns block-owned scratch.
+// Forward applies the block to replicated x [B,T,E]. Like
+// nn.TransformerBlock, each residual sum is written where its branch ends:
+// the row-parallel Wo and fc2 add it with their bias after the AllReduce,
+// and fc2's output is returned.
 //
 // dchag:hotpath
 func (b *ParallelTransformerBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
-	b.h = tensor.EnsureShape(b.h, x.Shape...)
-	tensor.AddInto(b.h, x, b.Attn.Forward(b.Norm1.Forward(x)))
-	b.out = tensor.EnsureShape(b.out, x.Shape...)
-	return tensor.AddInto(b.out, b.h, b.FFN.Forward(b.Norm2.Forward(b.h)))
+	h := b.Attn.forward(b.Norm1.Forward(x), x)
+	return b.FFN.forward(b.Norm2.Forward(h), h)
 }
 
-// Backward back-propagates through both residual branches.
-//
-// dchag:hotpath
+// Backward back-propagates through both residual branches in b.Grads.
 func (b *ParallelTransformerBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	b.dh = tensor.EnsureShape(b.dh, grad.Shape...)
-	tensor.AddInto(b.dh, grad, b.Norm2.Backward(b.FFN.Backward(grad)))
-	b.dx = tensor.EnsureShape(b.dx, grad.Shape...)
-	return tensor.AddInto(b.dx, b.dh, b.Norm1.Backward(b.Attn.Backward(b.dh)))
+	return b.Grads.BackwardBlock(grad, b.Norm1, b.Norm2, b.Attn, b.FFN)
 }
 
 // Params returns the block's local parameters (norms replicated, attention

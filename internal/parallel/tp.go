@@ -56,19 +56,13 @@ func (l *ColumnParallelLinear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return l.Local.Forward(x)
 }
 
-// BackwardPartial accumulates local weight gradients and returns this
-// rank's *partial* input gradient (the contribution of its column block).
-// The caller must all-reduce the sum of partials once per replicated input.
-//
-// dchag:hotpath
-func (l *ColumnParallelLinear) BackwardPartial(grad *tensor.Tensor) *tensor.Tensor {
-	return l.Local.Backward(grad)
-}
-
-// Backward is BackwardPartial followed by the all-reduce, in place, for
-// callers that use this layer standalone.
+// Backward accumulates local weight gradients and all-reduces this rank's
+// partial input gradient (the contribution of its column block) in place:
+// the path of a layer used standalone. The blocks back-propagate through
+// Local in their workspace and all-reduce the sum of partials once per
+// replicated input.
 func (l *ColumnParallelLinear) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := l.BackwardPartial(grad)
+	dx := l.Local.Backward(grad)
 	return l.Comm.AllReduceInto(dx, dx)
 }
 
@@ -113,26 +107,51 @@ func NewRowParallelLinear(name string, in, out int, seed int64, c *comm.Communic
 // Forward computes the partial product from the local input slice,
 // all-reduces it where the local product left it, and adds the replicated
 // bias there.
+func (l *RowParallelLinear) Forward(xLocal *tensor.Tensor) *tensor.Tensor {
+	return l.forward(xLocal, nil)
+}
+
+// forward is Forward with res (the output's shape) added in the same pass as
+// the bias, row[j] = (row[j] + b[j]) + res[j]: a block's residual sum, which
+// equals res + Forward's output bit for bit (IEEE addition commutes); nil
+// adds nothing.
 //
 // dchag:hotpath
-func (l *RowParallelLinear) Forward(xLocal *tensor.Tensor) *tensor.Tensor {
+func (l *RowParallelLinear) forward(xLocal, res *tensor.Tensor) *tensor.Tensor {
 	y := l.Local.Forward(xLocal)
 	l.Comm.AllReduceInto(y, y)
+	if res != nil && len(res.Data) != len(y.Data) {
+		panic(fmt.Sprintf("parallel: residual %v does not match output %v", res.Shape, y.Shape))
+	}
 	for lo := 0; lo < len(y.Data); lo += l.Out {
 		row := y.Data[lo : lo+l.Out]
+		if res == nil {
+			for j, bv := range l.Bias.W.Data {
+				row[j] += bv
+			}
+			continue
+		}
+		r := res.Data[lo : lo+l.Out]
 		for j, bv := range l.Bias.W.Data {
-			row[j] += bv
+			row[j] = (row[j] + bv) + r[j]
 		}
 	}
 	return y
 }
 
-// Backward accumulates weight and bias gradients and returns the gradient
-// with respect to the local input slice. No communication.
+// Backward is BackwardTo into a buffer made for the call: the form for a
+// layer used standalone.
+func (l *RowParallelLinear) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return l.BackwardTo(nil, grad, nil)
+}
+
+// BackwardTo accumulates weight and bias gradients and writes the gradient
+// with respect to the local input slice, plus acc, into dx (nn.Projection):
+// the blocks pass a buffer of the workspace they borrow. No communication.
 //
 // dchag:hotpath
-func (l *RowParallelLinear) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := l.Local.Backward(grad) // checks grad's last dimension
+func (l *RowParallelLinear) BackwardTo(dx, grad, acc *tensor.Tensor) *tensor.Tensor {
+	dx = l.Local.BackwardTo(dx, grad, acc) // checks grad's last dimension
 	tensor.AccumRows(l.Bias.Grad.Data, grad.Data, l.Out, len(grad.Data)/l.Out, nil)
 	return dx
 }

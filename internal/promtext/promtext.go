@@ -50,11 +50,13 @@ var validTypes = map[string]bool{
 
 // Parse reads one text-format exposition. It is strict where Prometheus
 // is strict: every sample's family must have a TYPE declared before its
-// first sample, names and labels must match the format's grammar, and
-// no two samples may share a name and label set.
+// first sample, a family has at most one HELP and one TYPE line, names and
+// labels must match the format's grammar, and no two samples may share a
+// name and label set.
 func Parse(r io.Reader) (Families, error) {
 	fams := Families{}
-	seen := map[string]bool{} // name + sorted labels -> dup detection
+	seen := map[string]bool{}   // name + sorted labels -> dup detection
+	helped := map[string]bool{} // families whose HELP has been read
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineNo := 0
@@ -65,7 +67,7 @@ func Parse(r io.Reader) (Families, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			if err := parseComment(fams, line); err != nil {
+			if err := parseComment(fams, helped, line); err != nil {
 				return nil, fmt.Errorf("promtext: line %d: %w", lineNo, err)
 			}
 			continue
@@ -91,9 +93,10 @@ func Parse(r io.Reader) (Families, error) {
 	return fams, nil
 }
 
-// parseComment handles # HELP and # TYPE lines; other comments are
-// ignored, as the format requires.
-func parseComment(fams Families, line string) error {
+// parseComment handles # HELP and # TYPE lines, recording in helped the
+// families whose HELP it has read; other comments are ignored, as the
+// format requires.
+func parseComment(fams Families, helped map[string]bool, line string) error {
 	fields := strings.SplitN(line, " ", 4)
 	if len(fields) < 3 {
 		return nil // bare comment
@@ -104,6 +107,10 @@ func parseComment(fams Families, line string) error {
 		if !metricNameRe.MatchString(name) {
 			return fmt.Errorf("invalid metric name %q in HELP", name)
 		}
+		if helped[name] {
+			return fmt.Errorf("second HELP for %s", name)
+		}
+		helped[name] = true
 		f := ensureFamily(fams, name)
 		if len(fields) == 4 {
 			f.Help = fields[3]
@@ -120,11 +127,10 @@ func parseComment(fams Families, line string) error {
 			return fmt.Errorf("invalid type %q for %s", typ, name)
 		}
 		f := ensureFamily(fams, name)
-		if f.Type != "" && f.Type != typ {
-			return fmt.Errorf("conflicting TYPE for %s: %s then %s", name, f.Type, typ)
-		}
-		if len(f.Samples) > 0 {
-			return fmt.Errorf("TYPE for %s after its samples", name)
+		// A family's samples follow its TYPE, so this refuses a TYPE after
+		// them too.
+		if f.Type != "" {
+			return fmt.Errorf("second TYPE for %s: %s then %s", name, f.Type, typ)
 		}
 		f.Type = typ
 	}

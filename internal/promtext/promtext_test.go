@@ -90,6 +90,9 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"duplicate label":      "# TYPE x gauge\nx{l=\"v\",l=\"w\"} 1\n",
 		"conflicting TYPE":     "# TYPE x gauge\n# TYPE x counter\nx 1\n",
 		"TYPE after samples":   "# TYPE x gauge\nx 1\n# TYPE x gauge\n",
+		"second TYPE":          "# TYPE x gauge\n# TYPE x gauge\nx 1\n",
+		"second HELP":          "# HELP h one\n# HELP h two\n# TYPE h gauge\nh 1\n",
+		"second empty HELP":    "# HELP h\n# HELP h\n# TYPE h gauge\nh 1\n",
 		"bad escape":           "# TYPE x gauge\nx{l=\"\\t\"} 1\n",
 	}
 	for name, page := range cases {
