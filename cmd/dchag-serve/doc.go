@@ -1,4 +1,4 @@
-// Command dchag-serve serves forward-only inference from any dchag-ckpt/v1
+// Command dchag-serve serves forward-only inference from any dchag-ckpt/v2
 // checkpoint over the simulated device mesh: a bounded request queue with
 // admission control, a dynamic micro-batcher (flush on batch-size cap or
 // latency deadline), and worker replicas pinned to the mesh — each replica

@@ -30,7 +30,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dchag-serve: ")
 	var (
-		ckptDir  = flag.String("ckpt", "", "checkpoint directory to serve (dchag-ckpt/v1; empty: self-train a demo model first)")
+		ckptDir  = flag.String("ckpt", "", "checkpoint directory to serve (dchag-ckpt/v2; empty: self-train a demo model first)")
 		ranks    = flag.Int("ranks", 2, "TP (channel-sharding) ranks per replica; must divide the model's logical partitions")
 		replicas = flag.Int("replicas", 2, "model replicas consuming batches")
 		batch    = flag.Int("batch", 8, "micro-batch size cap (1 disables batching)")

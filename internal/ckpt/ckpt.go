@@ -4,13 +4,22 @@
 //
 // A checkpoint is a directory holding one self-describing shard file per
 // saving rank plus a small JSON manifest (written last, so a complete
-// manifest implies a complete checkpoint). Each shard file serializes that
-// rank's state Tree: one Leaf per parameter carrying the value buffer, the
+// manifest implies a complete checkpoint). Each shard file holds that rank's
+// state Tree: one Leaf per parameter carrying the value buffer, the
 // parameter's shard annotation (nn.ShardInfo — logical name, shard axis,
 // full logical shape, [lo, hi) bounds), and the optimizer's moment buffers
 // for that parameter (optim.State, keyed by parameter name). Moment buffers
 // share their parameter's shard layout, which is what makes optimizer state
 // reshardable alongside the weights.
+//
+// Shards use one fixed binary layout, dchag-ckpt/v2 (shard.go): a header of
+// varint-encoded names, shapes and bounds per leaf, each followed by its raw
+// little-endian float64 payloads. The save path copies nothing: BuildTree's
+// leaves are views of the live parameter and moment buffers, and WriteShard
+// streams them through one fixed-size buffer. Every file (shards and
+// manifest alike) is written to a temp file in its directory, fsync'd,
+// renamed into place and the directory fsync'd, so a committed manifest
+// never names bytes that are not on disk.
 //
 // On load the Checkpoint assembles every logical tensor from whatever
 // sharding it was saved under — whole replicas are deduplicated, shard
@@ -26,6 +35,7 @@ package ckpt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/nn"
@@ -34,7 +44,7 @@ import (
 
 // Format identifies the checkpoint layout. Bump the suffix on any breaking
 // change so mixed-version directories are refused mechanically.
-const Format = "dchag-ckpt/v1"
+const Format = "dchag-ckpt/v2"
 
 // Leaf is one parameter's slot in the state tree: the value buffer, the
 // shard annotation (zero-valued FullShape means the parameter is whole),
@@ -58,8 +68,8 @@ type Leaf struct {
 	Opt map[string][]float64
 }
 
-// Tree is one rank's named, shard-annotated state snapshot: every parameter
-// leaf plus the optimizer algorithm and step count.
+// Tree is one rank's named, shard-annotated state: every parameter leaf plus
+// the optimizer algorithm and step count.
 type Tree struct {
 	// Format guards against reading shard files of a different layout.
 	Format string
@@ -70,11 +80,13 @@ type Tree struct {
 	Leaves  []Leaf
 }
 
-// BuildTree snapshots params (and, when opt is non-nil, its state) into a
-// Tree. Values and moments are deep copies, safe to serialize while
-// training continues.
+// BuildTree describes params (and, when opt is non-nil, its state) as a
+// Tree without copying a single buffer: every leaf's Values is the live
+// p.W.Data and its Opt the optimizer's live moment slices (shapes are
+// shared too). The tree is a view, valid until the next optimizer step or
+// restore; serialize it at once (WriteShard) or keep a Clone.
 func BuildTree(params []*nn.Param, opt optim.Stateful) Tree {
-	tree := Tree{Format: Format}
+	tree := Tree{Format: Format, Leaves: make([]Leaf, 0, len(params))}
 	var st optim.State
 	if opt != nil {
 		st = opt.ExportState()
@@ -85,23 +97,39 @@ func BuildTree(params []*nn.Param, opt optim.Stateful) Tree {
 		leaf := Leaf{
 			Name:    p.Name,
 			Logical: p.LogicalKey(),
-			Shape:   append([]int(nil), p.W.Shape...),
-			Values:  append([]float64(nil), p.W.Data...),
+			Shape:   p.W.Shape,
+			Values:  p.W.Data,
+			Opt:     st.Moments[p.Name],
 		}
 		if p.Shard != nil {
 			leaf.Axis = p.Shard.Axis
-			leaf.FullShape = append([]int(nil), p.Shard.FullShape...)
+			leaf.FullShape = p.Shard.FullShape
 			leaf.Lo, leaf.Hi = p.Shard.Lo, p.Shard.Hi
-		}
-		if m, ok := st.Moments[p.Name]; ok {
-			leaf.Opt = make(map[string][]float64, len(m))
-			for k, buf := range m {
-				leaf.Opt[k] = buf // ExportState already deep-copies
-			}
 		}
 		tree.Leaves = append(tree.Leaves, leaf)
 	}
 	return tree
+}
+
+// Clone returns a deep copy of t that shares no buffer with it: what a
+// caller keeps across optimizer steps (the elastic step-boundary snapshot).
+func (t Tree) Clone() Tree {
+	c := t
+	c.Leaves = make([]Leaf, len(t.Leaves))
+	for i, l := range t.Leaves {
+		l.FullShape = slices.Clone(l.FullShape)
+		l.Shape = slices.Clone(l.Shape)
+		l.Values = slices.Clone(l.Values)
+		if l.Opt != nil {
+			opt := make(map[string][]float64, len(l.Opt))
+			for k, buf := range l.Opt {
+				opt[k] = slices.Clone(buf)
+			}
+			l.Opt = opt
+		}
+		c.Leaves[i] = l
+	}
+	return c
 }
 
 // sharded reports whether the leaf carries a shard annotation.

@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -51,30 +50,6 @@ type Manifest struct {
 	// Shards lists the shard files, indexed by saving rank: ShardFile(r) at
 	// index r, the only names a reader accepts.
 	Shards []string `json:"shards"`
-}
-
-// ShardFile returns the conventional shard file name for a rank.
-func ShardFile(rank int) string { return fmt.Sprintf("shard-%04d.gob", rank) }
-
-// WriteShard serializes tree as dir's shard file for the given rank,
-// creating the directory if needed. The write is atomic (temp file +
-// rename), so a crash mid-write never leaves a half-written shard file. A
-// save into a single-slot directory that dies after some renames leaves
-// the old manifest over newer shards; Open rejects that mix by the shards'
-// optimizer step.
-func WriteShard(dir string, rank int, tree Tree) error {
-	if tree.Format == "" {
-		tree.Format = Format
-	}
-	if tree.Format != Format {
-		return fmt.Errorf("ckpt: cannot write shard with format %q (want %q)", tree.Format, Format)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("ckpt: creating checkpoint directory: %w", err)
-	}
-	return atomicWrite(filepath.Join(dir, ShardFile(rank)), func(f *os.File) error {
-		return gob.NewEncoder(f).Encode(tree)
-	})
 }
 
 // WriteManifest writes dir's manifest, filling Format when unset and Shards
@@ -145,27 +120,13 @@ func checkShards(m Manifest) error {
 	return nil
 }
 
-// readShard loads and validates one shard file.
-func readShard(path string) (Tree, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Tree{}, fmt.Errorf("ckpt: opening shard: %w", err)
-	}
-	defer f.Close()
-	var tree Tree
-	if err := gob.NewDecoder(f).Decode(&tree); err != nil {
-		return Tree{}, fmt.Errorf("ckpt: decoding shard %s: %w", filepath.Base(path), err)
-	}
-	if tree.Format != Format {
-		return Tree{}, fmt.Errorf("ckpt: shard %s format %q not supported (want %q)", filepath.Base(path), tree.Format, Format)
-	}
-	return tree, nil
-}
-
-// atomicWrite writes via a temp file in the target's directory and renames
-// it into place.
+// atomicWrite commits path durably: it writes a temp file in path's own
+// directory, fsyncs it, renames it over path and fsyncs the directory, so
+// once it returns, the new bytes and the name that points at them survive a
+// crash or power loss. The temp file never leaves the target's directory
+// (filepath.Dir of a bare name is "."), so the rename stays atomic.
 func atomicWrite(path string, write func(*os.File) error) error {
-	dir, base := filepath.Split(path)
+	dir, base := filepath.Dir(path), filepath.Base(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("ckpt: creating temp file: %w", err)
@@ -175,11 +136,23 @@ func atomicWrite(path string, write func(*os.File) error) error {
 		tmp.Close()
 		return fmt.Errorf("ckpt: writing %s: %w", base, err)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("ckpt: syncing %s: %w", base, err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("ckpt: closing %s: %w", base, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("ckpt: committing %s: %w", base, err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("ckpt: syncing the directory of %s: %w", base, err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("ckpt: syncing the directory of %s: %w", base, err)
 	}
 	return nil
 }

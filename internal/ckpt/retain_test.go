@@ -35,7 +35,7 @@ func TestStepDirNameRoundTrip(t *testing.T) {
 	// Non-canonical digit strings StepDirName never produces must not
 	// parse either: "step-7" would otherwise resolve to the *different*
 	// path step-00000007 in ListSteps/LatestDir/Prune.
-	for _, name := range []string{"step-", "step-12x", "shard-0001.gob", "steps-1", "12", "step-7", "step-007", "step-000000007"} {
+	for _, name := range []string{"step-", "step-12x", "shard-0001.bin", "steps-1", "12", "step-7", "step-007", "step-000000007"} {
 		if _, ok := stepOf(name); ok {
 			t.Fatalf("stepOf(%q) must not parse", name)
 		}

@@ -196,3 +196,63 @@ func TestWatchLatestStop(t *testing.T) {
 		t.Fatal("update emitted after stop")
 	}
 }
+
+// TestWatchLatestHostileDirectory plants, after the watch starts, entries a
+// torn save or a hostile writer could leave at step 1. None resolves as a
+// checkpoint and none is emitted; then one valid commit at step 2 emits
+// exactly once, and stop returns with the channel closed.
+func TestWatchLatestHostileDirectory(t *testing.T) {
+	manifest := func(t *testing.T, root, body string) {
+		t.Helper()
+		dir := StepDir(root, 1)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		plant func(t *testing.T, root string)
+	}{
+		{"garbage manifest", func(t *testing.T, root string) {
+			manifest(t, root, "\x00{\"format\": [}")
+		}},
+		{"manifest-less step dir", func(t *testing.T, root string) {
+			if err := WriteShard(StepDir(root, 1), 0, Tree{}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"step entry is a file", func(t *testing.T, root string) {
+			if err := os.WriteFile(StepDir(root, 1), []byte(`{"format":"dchag-ckpt/v2"}`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"manifest naming ../x", func(t *testing.T, root string) {
+			manifest(t, root, `{"format":"`+Format+`","world":1,"partitions":1,"step":1,"shards":["../x"]}`)
+		}},
+		{"v1 manifest", func(t *testing.T, root string) {
+			manifest(t, root, `{"format":"dchag-ckpt/v1","world":1,"partitions":1,"step":1,"shards":["shard-0000.gob"]}`)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			root := t.TempDir()
+			ch, stop := WatchLatest(root, watchOpts())
+			c.plant(t, root)
+			if dir, step, ok := resolveLatest(root); ok {
+				t.Fatalf("resolved %s at step %d", dir, step)
+			}
+			expectQuiet(t, ch)
+			want := commitStep(t, root, 2)
+			if u := waitUpdate(t, ch); u.Dir != want || u.Step != 2 {
+				t.Fatalf("update %+v, want dir %s step 2", u, want)
+			}
+			expectQuiet(t, ch)
+			stop()
+			if _, ok := <-ch; ok {
+				t.Fatal("channel not closed after stop")
+			}
+		})
+	}
+}

@@ -3,11 +3,12 @@
 // clipping.
 //
 // Optimizers key their per-parameter state (moments) by the parameter's
-// name, so state survives checkpointing: ExportState snapshots
-// the moments and step count into a name-keyed State and ImportState
-// restores them, preserving the exact optimization trajectory across
-// save/resume — including across reshardings, since a moment buffer shares
-// its parameter's shard layout. Parameter names must therefore be unique
+// name, so state survives checkpointing: ExportState describes the moments
+// and step count as a name-keyed State (views of the live buffers, which a
+// checkpoint writes without copying) and ImportState restores them,
+// preserving the exact optimization trajectory across save/resume —
+// including across reshardings, since a moment buffer shares its
+// parameter's shard layout. Parameter names must therefore be unique
 // within one optimizer instance. All updates are deterministic.
 package optim
 
@@ -41,11 +42,14 @@ type State struct {
 // Stateful is an optimizer whose full state can be exported and restored,
 // the contract checkpointing relies on.
 type Stateful interface {
-	// ExportState returns a deep copy of the optimizer's state.
+	// ExportState returns the optimizer's state as views: each moment
+	// buffer is the optimizer's live slice, valid until the next update or
+	// ImportState. A caller that keeps it longer copies it.
 	ExportState() State
-	// ImportState restores a previously exported state. Every moment buffer
-	// must match a current parameter's name and length; all mismatches are
-	// reported in one joined error and nothing is restored on error.
+	// ImportState restores a previously exported state, deep-copying every
+	// buffer. Every moment buffer must match a current parameter's name and
+	// length; all mismatches are reported in one joined error and nothing is
+	// restored on error.
 	ImportState(State) error
 }
 
@@ -155,15 +159,12 @@ func (a *AdamW) Step() {
 	}
 }
 
-// ExportState snapshots the first and second moments and the step count,
-// keyed by parameter name.
+// ExportState returns the first and second moments, as views of the live
+// buffers, and the step count, keyed by parameter name.
 func (a *AdamW) ExportState() State {
 	st := State{Algo: "adamw", Step: a.step, Moments: make(map[string]Moment, len(a.m))}
 	for name, m := range a.m {
-		st.Moments[name] = Moment{
-			"m": append([]float64(nil), m...),
-			"v": append([]float64(nil), a.v[name]...),
-		}
+		st.Moments[name] = Moment{"m": m, "v": a.v[name]}
 	}
 	return st
 }

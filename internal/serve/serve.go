@@ -37,7 +37,7 @@
 // tokens, as in training, after which each rank finishes its share of the
 // batch and an AllGather of the predictions completes it), and the leader
 // unpatchifies and fans responses back out. Models come from a Source: FromCheckpoint
-// opens any dchag-ckpt/v1 directory read-only and reshards it to the
+// opens any dchag-ckpt/v2 directory read-only and reshards it to the
 // serving topology (save at p ranks, serve at any q dividing the logical
 // partition count, including q=1), FromArch builds fresh seeded weights
 // for benchmarks.

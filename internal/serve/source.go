@@ -43,7 +43,7 @@ func (s archSource) Build(tpc *comm.Communicator) (*model.FoundationModel, error
 	return m, nil
 }
 
-// ckptSource serves a dchag-ckpt/v1 checkpoint, resharding to the serving
+// ckptSource serves a dchag-ckpt/v2 checkpoint, resharding to the serving
 // topology. The Checkpoint is opened once, read-only, and shared by every
 // rank's Build.
 type ckptSource struct {

@@ -44,12 +44,6 @@ func modelPartitions(m *model.FoundationModel) int {
 	}
 }
 
-// writeShard snapshots one rank's parameters and optimizer state into the
-// checkpoint directory.
-func writeShard(dir string, rank int, params []*nn.Param, opt optim.Stateful) error {
-	return ckpt.WriteShard(dir, rank, ckpt.BuildTree(params, opt))
-}
-
 // keep normalizes CheckpointKeep: 0 and 1 are the single-slot layout.
 func (o Options) keep() int {
 	if o.CheckpointKeep < 1 {

@@ -109,11 +109,14 @@ func RunGeneration(arch model.Arch, opts Options, g GenSpec, batch BatchFn) GenR
 	for r := range res.Boundary {
 		res.Boundary[r] = -1
 	}
-	// Each rank writes only its own slot; the mesh run's WaitGroup publishes
-	// them to the supervisor.
-	snapshot := func(rank, step int, tree ckpt.Tree) {
-		res.Trees[rank], res.Boundary[rank] = tree, step
-	}
-	res.Hist, res.Mesh, res.Err = runMesh(arch, opts, g, snapshot, batch)
+	res.Hist, res.Mesh, res.Err = runMesh(arch, opts, g, res.keep, batch)
 	return res
+}
+
+// keep records rank's step-boundary tree. The tree is a view of the rank's
+// live parameters and moments, which the next step overwrites, so the
+// result keeps a Clone. Each rank writes only its own slot; the mesh run's
+// WaitGroup publishes them to the supervisor.
+func (res *GenResult) keep(rank, step int, tree ckpt.Tree) {
+	res.Trees[rank], res.Boundary[rank] = tree.Clone(), step
 }

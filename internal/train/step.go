@@ -39,7 +39,7 @@ type worker struct {
 	// RunGeneration's two additions to the step, both nil elsewhere: the
 	// fault plan consulted at the top of each step and after the rank's
 	// shard write, and the receiver of the rank's state tree at every step
-	// boundary (building the tree is the cost, so no hook means no tree).
+	// boundary (a view of the live buffers, which the receiver clones).
 	fault    *faultinject.Plan
 	boundary func(rank, step int, tree ckpt.Tree)
 }
@@ -180,7 +180,7 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 			ckSpan := row.Begin("ckpt", "train")
 			dir := opts.checkpointTarget(s + 1)
 			if w.coord.DP == 0 {
-				if err := writeShard(dir, w.coord.TP, params, opt); err != nil {
+				if err := ckpt.WriteShard(dir, w.coord.TP, ckpt.BuildTree(params, opt)); err != nil {
 					return err
 				}
 				if w.fault != nil {
