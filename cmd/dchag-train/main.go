@@ -65,7 +65,7 @@ func main() {
 		seed     = flag.Int64("seed", 2024, "master seed")
 		save     = flag.String("save", "", "write checkpoints (weights + optimizer state) to this directory")
 		saveEach = flag.Int("save-every", 0, "also checkpoint every N optimizer steps (0: final step only)")
-		keep     = flag.Int("keep", 1, "retain the newest K checkpoints as step subdirectories (1: single-slot overwrite)")
+		keep     = flag.Int("keep", 1, "checkpoints to retain: the newest K step subdirectories of -save")
 		load     = flag.String("load", "", "warm-start weights from this checkpoint directory (resharding as needed)")
 		resume   = flag.String("resume", "", "resume exactly from this checkpoint directory (weights, optimizer moments, step)")
 		parts    = flag.Int("partitions", 0, "logical D-CHAG partition count (0: one per rank; -load/-resume read it from the manifest)")
@@ -173,8 +173,8 @@ func main() {
 		if *load != "" {
 			dir = *load
 		}
-		// Resolve keep-last-k retention roots to their newest complete
-		// checkpoint; single-slot directories resolve to themselves.
+		// Resolve a checkpoint root to its newest complete step directory;
+		// a plain checkpoint directory resolves to itself.
 		dir, err := ckpt.LatestDir(dir)
 		if err != nil {
 			log.Fatal(err)

@@ -1,10 +1,11 @@
 // Checkpoint: demonstrate shard-aware, reshardable checkpointing
 // (internal/ckpt). A D-CHAG model with 4 logical channel partitions is
 // trained for a few steps on 4 simulated ranks and checkpointed (one shard
-// file per rank plus a manifest); the run is then resumed — exactly, Adam
-// moments and mask stream included — on 2 ranks and serially, and all three
-// continuations produce bit-identical loss trajectories, because a
-// checkpoint describes the logical model, not the topology that saved it.
+// file per rank plus a manifest, in a step subdirectory); the run is then
+// resumed — exactly, Adam moments and mask stream included — on 2 ranks and
+// serially, and all three continuations produce bit-identical loss
+// trajectories, because a checkpoint describes the logical model, not the
+// topology that saved it.
 package main
 
 import (
@@ -63,7 +64,12 @@ func main() {
 	if _, _, err := train.Distributed(arch, partitions, false, firstOpts, batch); err != nil {
 		log.Fatal(err)
 	}
-	man, err := ckpt.ReadManifest(dir)
+	// The save committed into a step subdirectory of dir.
+	saved, err := ckpt.LatestDir(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	man, err := ckpt.ReadManifest(saved)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,13 +81,13 @@ func main() {
 	// their next checkpoint into the directory they resume from.
 	resume := opts
 	resume.Resume = true
-	resume.CheckpointDir = copyDir(dir)
+	resume.CheckpointDir = copyDir(saved)
 	twoRank, _, err := train.Distributed(arch, 2, false, resume, batch)
 	if err != nil {
 		log.Fatal(err)
 	}
 	os.RemoveAll(resume.CheckpointDir)
-	resume.CheckpointDir = copyDir(dir)
+	resume.CheckpointDir = copyDir(saved)
 	serial, err := train.SerialCheckpointed(model.NewSerialDCHAGEquivalent(arch, partitions), resume, batch)
 	if err != nil {
 		log.Fatal(err)

@@ -10,7 +10,9 @@
 // full logical shape, [lo, hi) bounds), and the optimizer's moment buffers
 // for that parameter (optim.State, keyed by parameter name). Moment buffers
 // share their parameter's shard layout, which is what makes optimizer state
-// reshardable alongside the weights.
+// reshardable alongside the weights. Training writes each checkpoint into
+// its own step subdirectory of a checkpoint root and commits it with Commit
+// (retain.go).
 //
 // Shards use one fixed binary layout, dchag-ckpt/v2 (shard.go): a header of
 // varint-encoded names, shapes and bounds per leaf, each followed by its raw

@@ -142,10 +142,11 @@ func TestOptimizerStateReshards(t *testing.T) {
 	}
 }
 
-// TestTornSingleSlotSaveRefused: a save into a single-slot directory that
-// dies after rank 0's shard rename but before the manifest leaves the
-// step-1 manifest over a step-2 shard. Opening that mix must fail, naming
-// the shard and both steps, instead of restoring it silently.
+// TestTornSingleSlotSaveRefused: a save into a directory that already holds
+// a committed checkpoint, dying after rank 0's shard rename but before the
+// manifest, leaves the step-1 manifest over a step-2 shard. Opening that
+// mix must fail, naming the shard and both steps, instead of restoring it
+// silently.
 func TestTornSingleSlotSaveRefused(t *testing.T) {
 	dir := t.TempDir()
 	ranks := shardedParams(t, 2, 4, 2, fill)

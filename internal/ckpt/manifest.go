@@ -146,13 +146,19 @@ func atomicWrite(path string, write func(*os.File) error) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("ckpt: committing %s: %w", base, err)
 	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("ckpt: syncing the directory of %s: %w", base, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("ckpt: syncing the directory of %s: %w", base, err)
 	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making the entries renamed or created in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

@@ -83,8 +83,9 @@ func Assemble(m Manifest, trees []Tree) (*Checkpoint, error) {
 			continue
 		}
 		if tree.OptAlgo != "" && tree.OptStep != m.Step {
-			// A single-slot save that died between its shard renames and
-			// its manifest leaves the old manifest over newer shards.
+			// A re-save into a committed directory that died between its
+			// shard renames and its manifest leaves the old manifest over
+			// newer shards.
 			name := fmt.Sprint(i)
 			if i < len(m.Shards) {
 				name = m.Shards[i]

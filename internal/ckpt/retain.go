@@ -1,17 +1,17 @@
-// Keep-last-k checkpoint retention. A retention root is a directory whose
-// step-numbered subdirectories each hold one complete checkpoint
-// (shards + manifest); train.Options.CheckpointKeep >= 2 switches the
-// training loops from the historical single-slot layout (the checkpoint
-// directory overwritten in place) to this layout, pruning the oldest
-// committed checkpoints after each successful save.
+// The checkpoint layout. A checkpoint root (train.Options.CheckpointDir)
+// holds one step-numbered subdirectory per committed checkpoint, each a
+// complete checkpoint (shards + manifest). Every save writes its shards
+// into StepDir(root, step) and then calls Commit, which writes the
+// manifest, makes the step directory's entry in the root durable and
+// prunes; train.Options.CheckpointKeep says how many commits to keep.
 //
 // Safety rules, enforced here and covered by the package tests:
 //
 //   - A checkpoint is committed exactly when its MANIFEST.json exists (the
 //     same commit point the writers use). Only committed checkpoints are
 //     retention candidates.
-//   - Prune never touches an uncommitted directory — in particular the
-//     directory currently being written, whose manifest lands last — nor
+//   - Pruning never touches an uncommitted directory — in particular the
+//     directory a save is still writing, whose manifest lands last — nor
 //     any entry it does not recognize as a step directory.
 //   - LatestDir resolves to the newest *committed* checkpoint, so a crash
 //     that left a partial (manifest-less) save behind resumes from the
@@ -92,36 +92,24 @@ func ListSteps(root string) ([]int, error) {
 	return steps, nil
 }
 
-// LatestDir resolves dir to its newest complete checkpoint: dir itself
-// under the single-slot layout (a manifest of its own), the highest-step
-// committed retention subdirectory otherwise. When both layouts are
-// present — a run that switched CheckpointKeep leaves the old single-slot
-// manifest behind next to newer step directories — the manifests' step
-// counts decide, so resume never silently rolls back to the older save.
-// It fails when no complete checkpoint exists — including when only
-// partial saves are present.
+// LatestDir resolves dir to its newest complete checkpoint: the
+// highest-step committed step directory under it, or, when it has none and
+// is itself a committed checkpoint (a plain checkpoint directory, such as
+// a copy of one step directory or a step directory named directly), dir
+// itself. It fails when no complete checkpoint exists — including when
+// only partial saves are present.
 func LatestDir(dir string) (string, error) {
 	steps, err := ListSteps(dir)
 	if err != nil {
 		return "", err
 	}
-	if len(steps) == 0 {
-		if Committed(dir) {
-			return dir, nil
-		}
-		return "", fmt.Errorf("ckpt: no committed checkpoint under %s", dir)
+	if len(steps) > 0 {
+		return StepDir(dir, steps[len(steps)-1]), nil
 	}
-	latest := StepDir(dir, steps[len(steps)-1])
 	if Committed(dir) {
-		m, err := ReadManifest(dir)
-		if err != nil {
-			return "", err
-		}
-		if m.Step > steps[len(steps)-1] {
-			return dir, nil
-		}
+		return dir, nil
 	}
-	return latest, nil
+	return "", fmt.Errorf("ckpt: no committed checkpoint under %s", dir)
 }
 
 // OpenLatest opens the newest complete checkpoint under dir (see
@@ -134,12 +122,29 @@ func OpenLatest(dir string) (*Checkpoint, error) {
 	return Open(latest)
 }
 
-// Prune deletes committed checkpoints under root beyond the newest keep,
-// oldest first, and returns the pruned steps. Directories without a
-// manifest — a save still in flight, or debris from a crash — are never
-// deleted. keep must be at least 1: retention never removes the latest
-// complete checkpoint.
-func Prune(root string, keep int) ([]int, error) {
+// Commit commits the checkpoint whose shards every saving rank has already
+// written into StepDir(root, m.Step): it writes the manifest there (the
+// commit point), fsyncs root so the step directory's own entry survives a
+// power loss, then prunes root to the newest keep commits (keep >= 1).
+func Commit(root string, m Manifest, keep int) error {
+	if err := WriteManifest(StepDir(root, m.Step), m); err != nil {
+		return err
+	}
+	if err := syncDir(root); err != nil {
+		return fmt.Errorf("ckpt: syncing checkpoint root: %w", err)
+	}
+	_, err := prune(root, m.Step, keep)
+	return err
+}
+
+// prune applies the retention rule after the commit at step: it deletes
+// every committed step directory above step — a trajectory this run has
+// left, such as an earlier run's in the same root — then all but the
+// newest keep committed step directories at or below it, and returns the
+// deleted steps in that order. Directories without a manifest — a save
+// still in flight, or debris from a crash — are never deleted. keep must
+// be at least 1: retention never removes the commit it follows.
+func prune(root string, step, keep int) ([]int, error) {
 	if keep < 1 {
 		return nil, fmt.Errorf("ckpt: retention must keep at least 1 checkpoint, got %d", keep)
 	}
@@ -147,14 +152,15 @@ func Prune(root string, keep int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(steps) <= keep {
-		return nil, nil
+	at := sort.SearchInts(steps, step+1)
+	doomed := append([]int(nil), steps[at:]...)
+	if at > keep {
+		doomed = append(doomed, steps[:at-keep]...)
 	}
-	doomed := steps[:len(steps)-keep]
-	for _, step := range doomed {
-		if err := os.RemoveAll(StepDir(root, step)); err != nil {
-			return nil, fmt.Errorf("ckpt: pruning step %d: %w", step, err)
+	for _, s := range doomed {
+		if err := os.RemoveAll(StepDir(root, s)); err != nil {
+			return nil, fmt.Errorf("ckpt: pruning step %d: %w", s, err)
 		}
 	}
-	return append([]int(nil), doomed...), nil
+	return doomed, nil
 }

@@ -34,7 +34,7 @@ func TestStepDirNameRoundTrip(t *testing.T) {
 	}
 	// Non-canonical digit strings StepDirName never produces must not
 	// parse either: "step-7" would otherwise resolve to the *different*
-	// path step-00000007 in ListSteps/LatestDir/Prune.
+	// path step-00000007 in ListSteps/LatestDir/prune.
 	for _, name := range []string{"step-", "step-12x", "shard-0001.bin", "steps-1", "12", "step-7", "step-007", "step-000000007"} {
 		if _, ok := stepOf(name); ok {
 			t.Fatalf("stepOf(%q) must not parse", name)
@@ -64,7 +64,7 @@ func TestListStepsIgnoresNonCanonicalStepDirs(t *testing.T) {
 	if dir != StepDir(root, 3) {
 		t.Fatalf("latest = %s, want the canonical step-3", dir)
 	}
-	if _, err := Prune(root, 1); err != nil {
+	if _, err := prune(root, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !Committed(foreign) {
@@ -73,10 +73,10 @@ func TestListStepsIgnoresNonCanonicalStepDirs(t *testing.T) {
 }
 
 func TestLatestDirMixedLayoutsPicksNewerStep(t *testing.T) {
-	// A directory that carries both layouts — a single-slot manifest left
-	// behind by an earlier keep=1 run next to newer step subdirectories —
-	// must resolve by step count, never silently rolling back to the
-	// older save.
+	// A root that is itself a committed checkpoint (a plain directory, as
+	// the benchmark's traced pass writes one) next to newer step subdirectories
+	// must resolve to the newest step directory, never silently rolling
+	// back to the older save.
 	root := t.TempDir()
 	saveRanks(t, root, shardedParams(t, 1, 4, 2, fill), nil, Manifest{Step: 5})
 	commitAt(t, root, 20)
@@ -86,16 +86,6 @@ func TestLatestDirMixedLayoutsPicksNewerStep(t *testing.T) {
 	}
 	if dir != StepDir(root, 20) {
 		t.Fatalf("latest = %s, want the newer step-20 over the stale root (step 5)", dir)
-	}
-	// And the other way: a single-slot save newer than every step dir
-	// (keep switched back to 1) wins.
-	saveRanks(t, root, shardedParams(t, 1, 4, 2, fill), nil, Manifest{Step: 30})
-	dir, err = LatestDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dir != root {
-		t.Fatalf("latest = %s, want the root itself (step 30 > 20)", dir)
 	}
 }
 
@@ -149,8 +139,9 @@ func TestLatestDirPrefersNewestCommitted(t *testing.T) {
 }
 
 func TestLatestDirSingleSlotLayout(t *testing.T) {
-	// A directory that is itself a committed checkpoint resolves to
-	// itself, regardless of what else it contains.
+	// A directory that is itself a committed checkpoint and holds no step
+	// directory (a copy of one, or a step directory named directly)
+	// resolves to itself.
 	dir := t.TempDir()
 	saveRanks(t, dir, shardedParams(t, 1, 4, 2, fill), nil, Manifest{Step: 5})
 	got, err := LatestDir(dir)
@@ -158,7 +149,7 @@ func TestLatestDirSingleSlotLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != dir {
-		t.Fatalf("latest = %s, want the single-slot dir itself", got)
+		t.Fatalf("latest = %s, want the plain checkpoint dir itself", got)
 	}
 }
 
@@ -178,7 +169,7 @@ func TestPruneKeepsNewestAndReportsOldest(t *testing.T) {
 	for _, step := range []int{1, 2, 3, 4, 5} {
 		commitAt(t, root, step)
 	}
-	pruned, err := Prune(root, 2)
+	pruned, err := prune(root, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +184,7 @@ func TestPruneKeepsNewestAndReportsOldest(t *testing.T) {
 		t.Fatalf("remaining = %v, want [4 5]", steps)
 	}
 	// Idempotent below the limit.
-	pruned, err = Prune(root, 2)
+	pruned, err = prune(root, 5, 2)
 	if err != nil || pruned != nil {
 		t.Fatalf("second prune: %v, %v", pruned, err)
 	}
@@ -207,7 +198,7 @@ func TestPruneNeverTouchesUncommittedDirs(t *testing.T) {
 		commitAt(t, root, step)
 	}
 	inflight := partialAt(t, root, 4)
-	if _, err := Prune(root, 1); err != nil {
+	if _, err := prune(root, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(inflight, ShardFile(0))); err != nil {
@@ -222,8 +213,44 @@ func TestPruneNeverTouchesUncommittedDirs(t *testing.T) {
 	}
 }
 
+// TestCommitPrunesAboveAndKeepsNewest: a commit at step s deletes every
+// committed step above s (a trajectory the run has left) and all but the
+// newest keep at or below it; it never touches an uncommitted directory,
+// and it never writes a manifest into the root.
+func TestCommitPrunesAboveAndKeepsNewest(t *testing.T) {
+	root := t.TempDir()
+	commitAt(t, root, 1)
+	commitAt(t, root, 3)
+	commitAt(t, root, 4)
+	debris := partialAt(t, root, 6)
+	partialAt(t, root, 2)
+	if err := Commit(root, Manifest{World: 1, Step: 2}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if steps, err := ListSteps(root); err != nil || len(steps) != 1 || steps[0] != 2 {
+		t.Fatalf("after the step-2 commit at keep 1: steps %v (err %v), want [2]", steps, err)
+	}
+	partialAt(t, root, 3)
+	if err := Commit(root, Manifest{World: 1, Step: 3}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if steps, err := ListSteps(root); err != nil || len(steps) != 2 || steps[0] != 2 || steps[1] != 3 {
+		t.Fatalf("after the step-3 commit at keep 2: steps %v (err %v), want [2 3]", steps, err)
+	}
+	if _, err := os.Stat(filepath.Join(debris, ShardFile(0))); err != nil {
+		t.Fatalf("an uncommitted step directory was pruned: %v", err)
+	}
+	if Committed(root) {
+		t.Fatal("Commit wrote a manifest into the root")
+	}
+	ck, err := OpenLatest(root)
+	if err != nil || ck.Manifest.Step != 3 {
+		t.Fatalf("OpenLatest: %v, want step 3", err)
+	}
+}
+
 func TestPruneRejectsZeroKeep(t *testing.T) {
-	if _, err := Prune(t.TempDir(), 0); err == nil {
+	if _, err := prune(t.TempDir(), 0, 0); err == nil {
 		t.Fatal("keep < 1 must be rejected: retention never deletes the last checkpoint")
 	}
 }

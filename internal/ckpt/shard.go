@@ -42,10 +42,10 @@ func ShardFile(rank int) string { return fmt.Sprintf("shard-%04d.bin", rank) }
 // the directory if needed. It streams every buffer straight from the tree
 // (for a BuildTree view, from the live parameters and moments) through one
 // fixed-size buffer, and commits durably (atomicWrite), so a crash never
-// leaves a half-written shard file under its name. A save into a
-// single-slot directory that dies after some renames leaves the old
-// manifest over newer shards; Open rejects that mix by the shards'
-// optimizer step.
+// leaves a half-written shard file under its name. A re-save into a
+// directory that already holds a committed checkpoint and dies after some
+// renames leaves the old manifest over newer shards; Open rejects that mix
+// by the shards' optimizer step.
 func WriteShard(dir string, rank int, tree Tree) error {
 	if tree.Format == "" {
 		tree.Format = Format

@@ -28,8 +28,8 @@ func (o WatchOptions) withDefaults() WatchOptions {
 // Update is one WatchLatest emission: a newly committed checkpoint.
 type Update struct {
 	// Dir is the resolved directory of the newest complete checkpoint
-	// (the step subdirectory under the retention layout, the watched
-	// directory itself under the single-slot layout).
+	// (ckpt.LatestDir: the newest committed step subdirectory, or the
+	// watched directory itself when it is a plain checkpoint directory).
 	Dir string
 	// Step is the manifest's optimizer step count.
 	Step int
@@ -46,8 +46,8 @@ type Update struct {
 // Commit detection reuses the retention rules: a checkpoint exists
 // exactly when its MANIFEST.json does (LatestDir), so partial saves —
 // a shard-writing crash, a directory mid-write — are never emitted.
-// Single-slot overwrites are detected by the manifest's step count, not
-// just the resolved path, so in-place re-saves to the same directory
+// A newer checkpoint is detected by the manifest's step count, not just
+// the resolved path, so in-place re-saves of a plain checkpoint directory
 // emit too.
 //
 // The channel is buffered one update deep with latest-wins semantics: a

@@ -22,7 +22,7 @@ func commitStep(t *testing.T, root string, step int) string {
 	return dir
 }
 
-// writeCommitted writes a complete single-slot checkpoint into dir.
+// writeCommitted writes a complete checkpoint into dir itself.
 func writeCommitted(t *testing.T, dir string, step int) {
 	t.Helper()
 	if err := WriteShard(dir, 0, Tree{Format: Format}); err != nil {
@@ -130,9 +130,10 @@ func TestWatchLatestEmptyBaseline(t *testing.T) {
 	}
 }
 
-// TestWatchLatestSingleSlotOverwrite pins in-place re-saves: under the
-// single-slot layout the resolved path never changes, so the manifest's
-// step count must drive the emission.
+// TestWatchLatestSingleSlotOverwrite pins in-place re-saves of a plain
+// checkpoint directory (the benchmark's traced pass writes one): the resolved
+// path never changes, so the manifest's step count must drive the
+// emission.
 func TestWatchLatestSingleSlotOverwrite(t *testing.T) {
 	dir := t.TempDir()
 	writeCommitted(t, dir, 2)

@@ -282,9 +282,6 @@ func (c *Communicator) Group() *Group { return c.group }
 // Tests use phases to assert where communication happens.
 func (c *Communicator) SetPhase(label string) { c.phaseLabel = label }
 
-// Phase returns the current traffic label.
-func (c *Communicator) Phase() string { return c.phaseLabel }
-
 func (c *Communicator) record(op Op, elems int) {
 	c.group.traffic.Record(c.rank, c.phaseLabel, op, elems)
 }

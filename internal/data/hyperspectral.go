@@ -82,9 +82,6 @@ func NewHyperspectral(cfg HyperspectralConfig) *Hyperspectral {
 // Len returns the dataset size.
 func (g *Hyperspectral) Len() int { return g.Cfg.Images }
 
-// Signature returns endmember k's spectral signature (len Channels).
-func (g *Hyperspectral) Signature(k int) []float64 { return g.signatures[k] }
-
 // Image materializes image idx as [Channels, H, W]. Deterministic in
 // (Seed, idx).
 func (g *Hyperspectral) Image(idx int) *tensor.Tensor {

@@ -11,9 +11,9 @@
 // they are consistent and jointly cover every logical tensor (data-parallel
 // replication makes this common), the supervisor assembles them in memory
 // and loses zero steps. Otherwise it rolls back to the latest committed
-// checkpoint (ckpt.OpenLatest) — which is why durable elastic runs want the
-// keep-last-k retention layout, where a kill mid-save can never corrupt an
-// earlier commit. See DESIGN.md "Elastic training".
+// checkpoint (ckpt.OpenLatest). Every save writes its own step directory,
+// so a kill mid-save never corrupts an earlier commit, at any
+// CheckpointKeep. See DESIGN.md "Elastic training".
 package elastic
 
 import (

@@ -194,12 +194,13 @@ func TestElasticChaosMatrix(t *testing.T) {
 		channels   int
 		tp, dp     int
 		ckptEvery  int // 0: no checkpoint dir
+		keep       int // Options.CheckpointKeep
 		plan       func() *faultinject.Plan
 		wantGens   []genExpect
 		skipSource bool // mid-collective: boundary spread depends on op layout
 	}{
 		{
-			name: "fail-at-step-boundary", channels: 4, tp: 4, dp: 1, ckptEvery: 2,
+			name: "fail-at-step-boundary", channels: 4, tp: 4, dp: 1, ckptEvery: 2, keep: 8,
 			plan: func() *faultinject.Plan { return faultinject.NewPlan().KillAtStep(2, 3) },
 			wantGens: []genExpect{
 				{tp: 4, dp: 1, start: 0, source: SourceFresh, failed: []int{2}},
@@ -207,7 +208,7 @@ func TestElasticChaosMatrix(t *testing.T) {
 			},
 		},
 		{
-			name: "fail-mid-collective", channels: 4, tp: 2, dp: 2, ckptEvery: 2,
+			name: "fail-mid-collective", channels: 4, tp: 2, dp: 2, ckptEvery: 2, keep: 8,
 			plan:       func() *faultinject.Plan { return faultinject.NewPlan().KillBeforeOp(1, 2) },
 			skipSource: true,
 			wantGens: []genExpect{
@@ -216,7 +217,7 @@ func TestElasticChaosMatrix(t *testing.T) {
 			},
 		},
 		{
-			name: "fail-during-checkpoint-save", channels: 4, tp: 4, dp: 1, ckptEvery: 2,
+			name: "fail-during-checkpoint-save", channels: 4, tp: 4, dp: 1, ckptEvery: 2, keep: 8,
 			plan: func() *faultinject.Plan { return faultinject.NewPlan().KillInCheckpoint(3, 4) },
 			wantGens: []genExpect{
 				{tp: 4, dp: 1, start: 0, source: SourceFresh, failed: []int{3}},
@@ -226,7 +227,18 @@ func TestElasticChaosMatrix(t *testing.T) {
 			},
 		},
 		{
-			name: "double-failure", channels: 4, tp: 4, dp: 1, ckptEvery: 2,
+			// The same kill at the default keep 1: the step-4 save writes
+			// its own step directory, so the step-2 commit it would replace
+			// is still intact when the rank dies.
+			name: "fail-during-checkpoint-save-keep-1", channels: 4, tp: 4, dp: 1, ckptEvery: 2, keep: 1,
+			plan: func() *faultinject.Plan { return faultinject.NewPlan().KillInCheckpoint(3, 4) },
+			wantGens: []genExpect{
+				{tp: 4, dp: 1, start: 0, source: SourceFresh, failed: []int{3}},
+				{tp: 2, dp: 1, start: 2, source: SourceCheckpoint},
+			},
+		},
+		{
+			name: "double-failure", channels: 4, tp: 4, dp: 1, ckptEvery: 2, keep: 8,
 			plan: func() *faultinject.Plan { return faultinject.NewPlan().KillAtStep(0, 3).KillAtStep(2, 3) },
 			wantGens: []genExpect{
 				{tp: 4, dp: 1, start: 0, source: SourceFresh, failed: []int{0, 2}},
@@ -254,7 +266,7 @@ func TestElasticChaosMatrix(t *testing.T) {
 			if tc.ckptEvery > 0 {
 				opts.CheckpointDir = t.TempDir()
 				opts.CheckpointEvery = tc.ckptEvery
-				opts.CheckpointKeep = 8
+				opts.CheckpointKeep = tc.keep
 			}
 			batch := fixedBatches(t, tc.channels, steps, opts.Batch)
 			eo := Options{TP: tc.tp, DP: tc.dp, MinWorld: 1}

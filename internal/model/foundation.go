@@ -171,13 +171,11 @@ func (m *FoundationModel) SetEval(on bool) { m.eval = on }
 // Infer is the no-grad fast path of Forward: the same computation, bit for
 // bit, with no activations cached for backward (the tokenizer's im2col
 // matrices, the attention weights, and the layer-norm statistics are the
-// dominant savings). For architectures whose layers all implement the fast
-// path — every stage and block this repository builds except the Perceiver
-// partial aggregator, which falls back to its cache-writing Forward — Infer
-// does not disturb a pending Forward/Backward pair, so it can evaluate
-// mid-training (pinned by TestInferLeavesTrainingStateUsable). Serving
-// engines sidestep the question entirely: each worker owns its own
-// eval-mode replica.
+// dominant savings). Every stage, aggregator and block this repository
+// builds has its own no-grad path, so Infer does not disturb a pending
+// Forward/Backward pair and can evaluate mid-training (pinned by
+// TestInferLeavesTrainingStateUsable). Serving engines sidestep the
+// question entirely: each worker owns its own eval-mode replica.
 //
 // Ranks that share a group and run replicated blocks split the batch after
 // the channel stage's AllGather: rank r of q finishes samples

@@ -53,10 +53,11 @@ type ckptSource struct {
 }
 
 // FromCheckpoint opens the newest complete checkpoint under dir (read-only;
-// single-slot and keep-last-k retention layouts both resolve) and returns a
-// Source that reshards it to the serving topology. The architecture comes
-// from the manifest's arch record (ckpt.MetaArch, written by the training
-// loops); a checkpoint predating that record is refused.
+// a training checkpoint root or one checkpoint directory, see
+// ckpt.LatestDir) and returns a Source that reshards it to the serving
+// topology. The architecture comes from the manifest's arch record
+// (ckpt.MetaArch, written by the training loops); a checkpoint predating
+// that record is refused.
 func FromCheckpoint(dir string) (Source, error) {
 	ck, err := ckpt.OpenLatest(dir)
 	if err != nil {

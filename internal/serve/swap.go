@@ -66,7 +66,7 @@ func (e *Engine) AutoSwap(dir string, opt ckpt.WatchOptions, onSwap func(ckpt.Up
 		defer close(done)
 		for u := range updates {
 			// The update's Dir is itself a committed checkpoint directory
-			// (the step dir under retention, dir itself under single-slot).
+			// (the newest step directory, or dir itself when it is one).
 			src, err := FromCheckpoint(u.Dir)
 			if err == nil {
 				err = e.Swap(src)

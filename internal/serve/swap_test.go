@@ -223,7 +223,7 @@ func TestSwapGeometryMismatch(t *testing.T) {
 }
 
 // TestAutoSwapLiveCheckpoint is live model replication end to end: an
-// engine serves a checkpoint directory while training overwrites it at a
+// engine serves a checkpoint root while training commits into it at a
 // higher step; the AutoSwap watcher notices the committed manifest and hot
 // swaps, after which the engine answers for the new weights bitwise.
 func TestAutoSwapLiveCheckpoint(t *testing.T) {
@@ -245,8 +245,8 @@ func TestAutoSwapLiveCheckpoint(t *testing.T) {
 	})
 	defer stop()
 
-	// Training overwrites the single-slot checkpoint in place; the manifest
-	// (written last) commits it at step 4.
+	// Training into the same root commits a step-4 directory; its manifest
+	// (written last) is the commit point.
 	trainSteps(t, dir, 2, 4)
 	select {
 	case err := <-swapped:

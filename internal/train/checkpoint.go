@@ -44,53 +44,24 @@ func modelPartitions(m *model.FoundationModel) int {
 	}
 }
 
-// keep normalizes CheckpointKeep: 0 and 1 are the single-slot layout.
-func (o Options) keep() int {
-	if o.CheckpointKeep < 1 {
-		return 1
-	}
-	return o.CheckpointKeep
-}
-
-// checkpointTarget returns the directory the checkpoint committed after
-// `step` completed optimizer steps writes into: CheckpointDir itself under
-// the single-slot layout, its step-numbered retention subdirectory under
-// keep-last-k.
-func (o Options) checkpointTarget(step int) string {
-	if o.keep() == 1 {
-		return o.CheckpointDir
-	}
-	return ckpt.StepDir(o.CheckpointDir, step)
-}
-
-// pruneCheckpoints applies the keep-last-k retention policy after a
-// successful commit. It is a no-op under the single-slot layout, and only
-// ever deletes committed step directories — never the one a concurrent
-// save is still writing (its manifest lands last), never foreign entries.
-func (o Options) pruneCheckpoints() error {
-	if o.keep() == 1 {
-		return nil
-	}
-	_, err := ckpt.Prune(o.CheckpointDir, o.keep())
-	return err
-}
-
-// writeManifest commits a checkpoint: call only after every rank's shard is
-// written. The manifest records the stage fingerprint and the full
+// commit commits the checkpoint of `step` completed optimizer steps, whose
+// shards every saving rank has written into ckpt.StepDir(CheckpointDir,
+// step), and prunes to the newest CheckpointKeep commits (0 and 1 both keep
+// the newest one). The manifest records the stage fingerprint and the full
 // architecture (JSON under ckpt.MetaArch), so inference tooling can rebuild
 // the model from the checkpoint alone.
-func writeManifest(dir string, world, partitions, step int, stage string, arch model.Arch) error {
+func (o Options) commit(world, partitions, step int, stage string, arch model.Arch) error {
 	meta := map[string]string{ckpt.MetaStage: stage}
 	if blob, err := json.Marshal(arch); err == nil {
 		meta[ckpt.MetaArch] = string(blob)
 	}
-	return ckpt.WriteManifest(dir, ckpt.Manifest{
+	return ckpt.Commit(o.CheckpointDir, ckpt.Manifest{
 		World:      world,
 		Partitions: partitions,
 		Step:       step,
 		OptAlgo:    "adamw",
 		Meta:       meta,
-	})
+	}, max(o.CheckpointKeep, 1))
 }
 
 // checkStage rejects checkpoints saved from a different architecture
@@ -106,9 +77,9 @@ func checkStage(m ckpt.Manifest, stage string) error {
 // returns nil when no restore was requested. It runs once per training run
 // — before the rank fan-out in distributed runs — so every rank shares one
 // read-only *ckpt.Checkpoint instead of re-reading and re-assembling all
-// shards per goroutine. Both paths resolve through the retention layout:
-// a single-slot directory opens as itself, a keep-last-k root opens its
-// newest complete checkpoint (partial saves are skipped).
+// shards per goroutine. Both paths open the newest complete checkpoint
+// under the directory (ckpt.LatestDir: partial saves are skipped, and a
+// plain checkpoint directory opens as itself).
 func openRestore(opts Options) (*ckpt.Checkpoint, error) {
 	switch {
 	case opts.InitFrom != "":

@@ -44,6 +44,17 @@ func nearLoss(t *testing.T, label string, want, got []float64) {
 	}
 }
 
+// latestDir resolves a checkpoint root to its newest committed step
+// directory.
+func latestDir(t *testing.T, root string) string {
+	t.Helper()
+	dir, err := ckpt.LatestDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 // copyCheckpoint clones a checkpoint directory so a resume (which writes its
 // own checkpoints) cannot disturb the original.
 func copyCheckpoint(t *testing.T, src string) string {
@@ -127,7 +138,7 @@ func TestExactResumeAfterCrash(t *testing.T) {
 		}()
 		_, _ = SerialCheckpointed(model.NewSerialDCHAGEquivalent(a, 2), crashOpts, crashing)
 	}()
-	man, err := ckpt.ReadManifest(dir)
+	man, err := ckpt.ReadManifest(latestDir(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +203,7 @@ func TestExactResumeHybrid(t *testing.T) {
 	if _, _, err := Hybrid(a, tp, dp, false, firstOpts, batch); err != nil {
 		t.Fatal(err)
 	}
-	man, err := ckpt.ReadManifest(dir)
+	man, err := ckpt.ReadManifest(latestDir(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +246,7 @@ func TestReshardRoundTrips(t *testing.T) {
 	}
 
 	// Bit-identical logical parameters at every restoring topology.
-	ck, err := ckpt.Open(dir)
+	ck, err := ckpt.OpenLatest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +284,7 @@ func TestReshardRoundTrips(t *testing.T) {
 	// write their own checkpoints into the directory they resume from.
 	for _, q := range []int{1, 2, 4, 8} {
 		resumeOpts := opts
-		resumeOpts.CheckpointDir = copyCheckpoint(t, dir)
+		resumeOpts.CheckpointDir = copyCheckpoint(t, latestDir(t, dir))
 		resumeOpts.Resume = true
 		var second History
 		if q == 1 {

@@ -6,11 +6,12 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
-// Tests for keep-last-k checkpoint retention (Options.CheckpointKeep):
-// the step-directory layout, pruning order, resume-from-latest (including
-// after a partial save), and single-slot compatibility.
+// Tests for checkpoint retention (Options.CheckpointKeep): the
+// step-directory layout, pruning order, resume-from-latest (including
+// after a partial save), and a fresh run into a used root.
 
 func retentionSteps(t *testing.T, root string) []int {
 	t.Helper()
@@ -37,7 +38,7 @@ func TestSerialRetentionKeepsLastK(t *testing.T) {
 	if len(steps) != 2 || steps[0] != n-1 || steps[1] != n {
 		t.Fatalf("retained steps %v, want the last two [%d %d]", steps, n-1, n)
 	}
-	// The root itself must not look like a single-slot checkpoint.
+	// The root itself must not hold a manifest.
 	if ckpt.Committed(dir) {
 		t.Fatal("retention root must not carry a manifest of its own")
 	}
@@ -211,9 +212,9 @@ func TestCheckpointKeepValidation(t *testing.T) {
 	}
 }
 
-func TestCheckpointKeepDefaultSingleSlot(t *testing.T) {
-	// Keep 0/1 is today's behavior: CheckpointDir itself is the
-	// checkpoint, no step subdirectories appear.
+func TestCheckpointKeepDefaultKeepsNewestStep(t *testing.T) {
+	// Keep 0 and 1 both keep exactly the newest committed step directory;
+	// the root never holds a manifest of its own.
 	const n = 3
 	a := tinyArch(4)
 	batch := fixedBatches(t, 4, n, 2)
@@ -226,11 +227,55 @@ func TestCheckpointKeepDefaultSingleSlot(t *testing.T) {
 		if _, err := SerialCheckpointed(model.NewSerialDCHAGEquivalent(a, 2), opts, batch); err != nil {
 			t.Fatal(err)
 		}
-		if !ckpt.Committed(dir) {
-			t.Fatalf("keep=%d: single-slot dir must hold the manifest", keep)
+		if steps := retentionSteps(t, dir); len(steps) != 1 || steps[0] != n {
+			t.Fatalf("keep=%d: retained %v, want only the newest [%d]", keep, steps, n)
 		}
-		if steps := retentionSteps(t, dir); steps != nil {
-			t.Fatalf("keep=%d: unexpected step directories %v", keep, steps)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("keep=%d: the root holds %d entries, want the one step directory", keep, len(entries))
+		}
+	}
+}
+
+// TestFreshRunIntoUsedRoot: run A saves steps 1–4 at keep 2, then a fresh
+// run B (another seed) saves steps 1–2 into the same root. B's commits
+// replace A's whole trajectory, so the newest checkpoint is B's step 2 —
+// not A's step 4, which a resume would otherwise continue.
+func TestFreshRunIntoUsedRoot(t *testing.T) {
+	a := tinyArch(4)
+	batch := fixedBatches(t, 4, 4, 2)
+	dir := t.TempDir()
+	opts := Options{
+		Steps: 4, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 3,
+		CheckpointDir: dir, CheckpointEvery: 1, CheckpointKeep: 2,
+	}
+	if _, err := SerialCheckpointed(model.NewSerialDCHAGEquivalent(a, 2), opts, batch); err != nil {
+		t.Fatal(err)
+	}
+	fresh := opts
+	fresh.Steps, fresh.Seed = 2, 4
+	b := model.NewSerialDCHAGEquivalent(a, 2)
+	if _, err := SerialCheckpointed(b, fresh, batch); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := ckpt.OpenLatest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Manifest.Step != 2 {
+		t.Fatalf("after a fresh 2-step run, latest checkpoint is step %d (retained %v), want the new run's step 2",
+			ck.Manifest.Step, retentionSteps(t, dir))
+	}
+	if got := retentionSteps(t, dir); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("retained %v, want the new run's [1 2]", got)
+	}
+	for _, p := range b.Params() {
+		want, ok := ck.LogicalTensor(p.LogicalKey())
+		if !ok || tensor.MaxAbsDiff(p.W, want) != 0 {
+			t.Fatalf("the latest checkpoint's %s is not the new run's final weights", p.Name)
 		}
 	}
 }

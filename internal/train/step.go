@@ -173,13 +173,13 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 		if opts.checkpointDue(s) {
 			// DP replicas hold identical state after SyncGradients, so
 			// replica 0's TP group alone writes shards; world rank 0 commits
-			// the manifest once they are durable. checkpointDue is
+			// the step directory once they are durable. checkpointDue is
 			// rank-independent, so every TP group runs the same two barriers
 			// — symmetric with no rank conditional around them.
 			w.tpPhase("ckpt")
 			ckSpan := row.Begin("ckpt", "train")
-			dir := opts.checkpointTarget(s + 1)
 			if w.coord.DP == 0 {
+				dir := ckpt.StepDir(opts.CheckpointDir, s+1)
 				if err := ckpt.WriteShard(dir, w.coord.TP, ckpt.BuildTree(params, opt)); err != nil {
 					return err
 				}
@@ -189,10 +189,7 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 			}
 			w.tpBarrier() // every shard durable before the manifest commits
 			if w.rank == 0 {
-				if err := writeManifest(dir, tp, partitions, s+1, stage, m.Arch); err != nil {
-					return err
-				}
-				if err := opts.pruneCheckpoints(); err != nil {
+				if err := opts.commit(tp, partitions, s+1, stage, m.Arch); err != nil {
 					return err
 				}
 			}

@@ -40,21 +40,22 @@ type Options struct {
 	MaskRatio float64
 	// Seed drives masking; data order is the caller's responsibility.
 	Seed int64
-	// CheckpointDir, when set, enables shard-aware checkpointing to that
+	// CheckpointDir, when set, enables shard-aware checkpointing under that
 	// directory (internal/ckpt format): a checkpoint is written after the
-	// final step, and additionally every CheckpointEvery steps.
+	// final step, and additionally every CheckpointEvery steps. Each save
+	// commits into its own step-numbered subdirectory (ckpt.StepDir), so a
+	// crash mid-save never touches an earlier commit.
 	CheckpointDir string
 	// CheckpointEvery writes a checkpoint every N optimizer steps when
 	// positive (in addition to the final-step checkpoint).
 	CheckpointEvery int
-	// CheckpointKeep retains the newest K complete checkpoints when >= 2:
-	// each save commits into a step-numbered subdirectory of CheckpointDir
-	// (internal/ckpt retention layout) and older committed checkpoints
-	// beyond K are pruned after the commit. 0 and 1 keep the historical
-	// single-slot behavior — CheckpointDir itself is overwritten in place.
-	// Resume finds the newest complete checkpoint under CheckpointDir in
-	// either layout, so a crash mid-save resumes from the previous
-	// committed one.
+	// CheckpointKeep retains the newest K committed checkpoints under
+	// CheckpointDir; 0 and 1 both keep only the newest. After each commit
+	// the older ones beyond K are pruned, and so is every committed step
+	// above the one just saved: it belongs to a trajectory this run has
+	// left (an earlier run in the same directory). Resume finds the newest
+	// complete checkpoint, so a crash mid-save resumes from the previous
+	// commit.
 	CheckpointKeep int
 	// Resume restores parameters, optimizer state, and the step count from
 	// CheckpointDir before training, then continues with exact-resume

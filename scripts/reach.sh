@@ -24,8 +24,8 @@ internal/nn: ParamsEqual                      helper that other packages tests i
 internal/tensor: TMatMulInto                  reference the product tests compare against
 internal/tensor: SumAxisInto                  reference the reduction tests compare against
 internal/tensor: SplitEqual                   reference that cuts each rank chunk in the collective tests
-internal/core: NewDistTokenizer               the paper baseline, waits on ROADMAP item 2
-internal/parallel: NewFSDP                    the FSDP axis, waits on ROADMAP item 5
+internal/core: NewDistTokenizer               the paper baseline, waits on ROADMAP item 1
+internal/parallel: NewFSDP                    the FSDP axis, waits on ROADMAP item 6
 internal/dist: MeshError.Unwrap               called by errors.Is and errors.As
 internal/analysis: importerFunc.Import        called by go/types through types.Importer
 internal/comm: Traffic.BytesFor               probe the tests pin the paper traffic claims with
@@ -43,11 +43,11 @@ internal/faultinject: Plan.KillInCheckpoint   the fault matrix the elastic and d
 internal/faultinject: Plan.Fired              the fault matrix the elastic and dist tests drive
 internal/hw: Machine.ContiguousPlacement      fixture the placement tests build groups with
 internal/tensor: Tensor.Fill                  fixture the tests build tensors with
-internal/dist: Mesh.FSDPComm                  the FSDP axis, waits on ROADMAP item 5
-internal/parallel: FSDP.ShardParams           the FSDP axis, waits on ROADMAP item 5
-internal/parallel: FSDP.GatherParams          the FSDP axis, waits on ROADMAP item 5
-internal/parallel: FSDP.ReduceScatterGrads    the FSDP axis, waits on ROADMAP item 5
-internal/parallel: FSDP.ShardBytes            the FSDP axis, waits on ROADMAP item 5
+internal/dist: Mesh.FSDPComm                  the FSDP axis, waits on ROADMAP item 6
+internal/parallel: FSDP.ShardParams           the FSDP axis, waits on ROADMAP item 6
+internal/parallel: FSDP.GatherParams          the FSDP axis, waits on ROADMAP item 6
+internal/parallel: FSDP.ReduceScatterGrads    the FSDP axis, waits on ROADMAP item 6
+internal/parallel: FSDP.ShardBytes            the FSDP axis, waits on ROADMAP item 6
 '
 root=$($GO list -m -f '{{.Dir}}')
 cd "$root"
