@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet vet-custom reach build test fmt bench bench-diff bench-compute serve-smoke elastic-smoke trace-smoke race surface
+.PHONY: verify fmt-check vet vet-custom reach build test fmt bench bench-compute serve-smoke elastic-smoke trace-smoke race surface
 
 # verify is the tier-1 gate: formatting, vet (standard and project
 # analyzers), the reachability check, full build, full test run, and the
@@ -14,16 +14,6 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) run ./cmd/dchag-bench -json BENCH_sweep.json
 	BENCH_SWEEP_JSON=BENCH_sweep.json $(GO) test -run TestSweepJSONArtifact .
-
-# bench-diff regenerates the sweep and diffs it against the committed
-# trajectory point (best-shape changes, >5% step-time regressions) —
-# the mechanical perf gate CI runs before refreshing BENCH_sweep.json.
-bench-diff:
-	$(GO) run ./cmd/dchag-bench -json BENCH_sweep.new.json
-	@status=0; \
-	$(GO) run ./cmd/dchag-bench -diff BENCH_sweep.json BENCH_sweep.new.json || status=$$?; \
-	rm -f BENCH_sweep.new.json; \
-	exit $$status
 
 # bench-compute regenerates the measured compute-substrate point
 # (BENCH_compute.json, schema dchag-bench/compute/v11, with the kernel tier

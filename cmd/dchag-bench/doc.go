@@ -10,7 +10,6 @@
 //	dchag-bench -list           # list available experiments
 //	dchag-bench -json out.json  # write the sweep report as JSON (no tables)
 //	dchag-bench -compute out.json           # measured compute substrate report
-//	dchag-bench -diff old.json new.json     # perf-trajectory gate (below)
 //
 // Figures 6-9 and 13-16 and the sweep are analytic (internal/perfmodel on
 // the Frontier machine model); figures 11 and 12 train real reduced-scale
@@ -19,8 +18,8 @@
 // # JSON schema (dchag-bench/sweep/v2)
 //
 // The -json flag writes one experiments.SweepReport object. The schema is a
-// stable contract for perf-trajectory tooling (CI uploads the file as the
-// BENCH_sweep.json artifact; future PRs diff these mechanically):
+// stable contract for perf-trajectory tooling (CI regenerates the committed
+// BENCH_sweep.json, requires it byte-identical, and uploads it):
 //
 //	{
 //	  "schema": "dchag-bench/sweep/v2",   // bump on breaking change
@@ -252,20 +251,4 @@
 // a libm loop exists; there is no reader for an earlier version. Additive
 // fields may appear within v11 ("held_bytes" on every channel-stage cost is
 // one); readers must ignore unknown keys.
-//
-// # Report diffing (-diff)
-//
-// `dchag-bench -diff old.json new.json` compares two sweep reports and
-// exits non-zero when the perf trajectory regressed: the best shape at any
-// scale changed, a configuration's simulated step time (serial or
-// overlapped) regressed by more than 5%, a configuration
-// flipped to OOM, or coverage was dropped. Improvements and added
-// configurations pass silently. Both reports must carry
-// dchag-bench/sweep/v2; any other schema is refused by name.
-//
-// Exit codes: 0 clean, 1 regressions found, 2 unreadable/incomparable
-// reports. CI runs this (`make bench-diff`) against the committed
-// BENCH_sweep.json before refreshing it, so every perf-affecting commit
-// must either stay inside tolerance or consciously update the committed
-// trajectory point.
 package main

@@ -66,7 +66,7 @@ func (fl *fixtureLoader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := fl.dep.FileSet()
+	fset := fl.dep.fset
 	unit := &Package{Path: path, ListPath: path, Dir: dir, Fset: fset}
 	fl.typed[path] = unit
 	for _, e := range entries {

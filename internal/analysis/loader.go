@@ -69,9 +69,6 @@ func NewLoader(dir string) *Loader {
 	}
 }
 
-// FileSet returns the position set every package loaded here shares.
-func (l *Loader) FileSet() *token.FileSet { return l.fset }
-
 // Load enumerates the patterns (plus test variants and all dependencies),
 // type-checks them from source, and returns the analysis targets: the
 // patterns' module packages, with each package that has tests represented

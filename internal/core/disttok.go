@@ -27,10 +27,6 @@ type DistTokenizer struct {
 	views []nn.TokenView // Backward's per-channel gradient locations
 }
 
-// SetInferDType selects the arithmetic of the tokenizer's no-grad Infer
-// path.
-func (d *DistTokenizer) SetInferDType(dt tensor.DType) { d.Tok.SetInferDType(dt) }
-
 // NewDistTokenizer builds rank c.Rank()'s tokenizer shard with the same
 // per-channel seeding as the serial tokenizer and the DCHAG module.
 func NewDistTokenizer(cfg Config, c *comm.Communicator) *DistTokenizer {
@@ -47,9 +43,6 @@ func NewDistTokenizer(cfg Config, c *comm.Communicator) *DistTokenizer {
 		Tok: nn.NewPatchEmbedShard("disttok", lo, hi, cfg.ImgH, cfg.ImgW, cfg.Patch, cfg.Embed, nn.SubSeed(cfg.Seed, seedTok)),
 	}
 }
-
-// LocalChannels returns the size of this rank's channel shard.
-func (d *DistTokenizer) LocalChannels() int { return d.ChHi - d.ChLo }
 
 // Forward tokenizes the local image shard [B, Cl, H, W] and AllGathers the
 // full token tensor [B, C, T, E] (the expensive channel+spatial AllGather of

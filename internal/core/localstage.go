@@ -135,9 +135,6 @@ func (s *LocalStage) SetInferDType(dt tensor.DType) {
 	}
 }
 
-// LocalChannels returns the width of the channel shard.
-func (s *LocalStage) LocalChannels() int { return s.Tok.LocalChannels() }
-
 // Params returns the tokenizer's, the channel-ID table's and the partial
 // modules' parameters, in that order.
 func (s *LocalStage) Params() []*nn.Param {

@@ -11,9 +11,6 @@ import (
 func TestHyperspectralShapeAndDeterminism(t *testing.T) {
 	cfg := HyperspectralConfig{Images: 5, Channels: 20, ImgH: 8, ImgW: 8, Endmembers: 3, Noise: 0.01, Seed: 1}
 	g := NewHyperspectral(cfg)
-	if g.Len() != 5 {
-		t.Fatalf("Len = %d", g.Len())
-	}
 	img := g.Image(2)
 	if img.Shape[0] != 20 || img.Shape[1] != 8 || img.Shape[2] != 8 {
 		t.Fatalf("shape = %v", img.Shape)
@@ -209,26 +206,32 @@ func TestRandomMaskDeterministicStream(t *testing.T) {
 func TestPseudoRGB(t *testing.T) {
 	g := NewHyperspectral(HyperspectralConfig{Images: 1, Channels: 32, ImgH: 4, ImgW: 4, Endmembers: 2, Noise: 0, Seed: 13})
 	img := g.Image(0)
-	rgb := PseudoRGB(img, -1, -1, -1)
+	rgb := PseudoRGB(img)
 	if rgb.Shape[0] != 3 || rgb.Shape[1] != 4 || rgb.Shape[2] != 4 {
 		t.Fatalf("shape = %v", rgb.Shape)
 	}
-	for _, v := range rgb.Data {
-		if v < 0 || v > 1 {
-			t.Fatalf("pixel %v outside [0,1]", v)
+	// Each plane is its band (60%, 35%, 10% of 31) min-max normalized.
+	for plane, band := range []int{18, 10, 3} {
+		src := img.Data[band*16 : (band+1)*16]
+		lo, hi := src[0], src[0]
+		for _, v := range src {
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
 		}
-	}
-	// Explicit bands select exactly those channels (up to normalization).
-	rgb2 := PseudoRGB(img, 5, 5, 5)
-	if tensor.MaxAbsDiff(tensor.SliceAxis(rgb2, 0, 0, 1), tensor.SliceAxis(rgb2, 0, 1, 2)) != 0 {
-		t.Fatal("same band must render identically in every plane")
+		for p, v := range rgb.Data[plane*16 : (plane+1)*16] {
+			if v < 0 || v > 1 {
+				t.Fatalf("pixel %v outside [0,1]", v)
+			}
+			if want := (src[p] - lo) / (hi - lo); v != want {
+				t.Fatalf("plane %d pixel %d = %v, want band %d's %v", plane, p, v, band, want)
+			}
+		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for out-of-range band")
+			t.Fatal("expected panic for a [C,H] input")
 		}
 	}()
-	PseudoRGB(img, 99, 0, 0)
+	PseudoRGB(img.Reshape(32, 16))
 }
 
 func TestBiogeochemStructure(t *testing.T) {

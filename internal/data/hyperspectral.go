@@ -79,9 +79,6 @@ func NewHyperspectral(cfg HyperspectralConfig) *Hyperspectral {
 	return g
 }
 
-// Len returns the dataset size.
-func (g *Hyperspectral) Len() int { return g.Cfg.Images }
-
 // Image materializes image idx as [Channels, H, W]. Deterministic in
 // (Seed, idx).
 func (g *Hyperspectral) Image(idx int) *tensor.Tensor {
@@ -148,25 +145,15 @@ func (g *Hyperspectral) Batch(from, batch int) *tensor.Tensor {
 }
 
 // PseudoRGB renders a hyperspectral image [C, H, W] as an RGB triplet
-// [3, H, W] by sampling three bands (defaults when negative: ~60%, ~35%,
-// ~10% of the spectrum, matching the red/green/blue VNIR positions the
-// paper's Fig. 11 visualization uses) and min-max normalizing each to
-// [0, 1].
-func PseudoRGB(img *tensor.Tensor, rBand, gBand, bBand int) *tensor.Tensor {
+// [3, H, W] by sampling the bands at ~60%, ~35% and ~10% of the spectrum
+// (the red/green/blue VNIR positions the paper's Fig. 11 visualization
+// uses) and min-max normalizing each to [0, 1].
+func PseudoRGB(img *tensor.Tensor) *tensor.Tensor {
 	if len(img.Shape) != 3 {
 		panic(fmt.Sprintf("data: PseudoRGB wants [C,H,W], got %v", img.Shape))
 	}
 	c, h, w := img.Shape[0], img.Shape[1], img.Shape[2]
-	pick := func(b int, frac float64) int {
-		if b >= 0 {
-			if b >= c {
-				panic(fmt.Sprintf("data: PseudoRGB band %d out of %d", b, c))
-			}
-			return b
-		}
-		return int(frac * float64(c-1))
-	}
-	bands := []int{pick(rBand, 0.6), pick(gBand, 0.35), pick(bBand, 0.1)}
+	bands := []int{int(0.6 * float64(c-1)), int(0.35 * float64(c-1)), int(0.1 * float64(c-1))}
 	out := tensor.New(3, h, w)
 	for i, band := range bands {
 		src := img.Data[band*h*w : (band+1)*h*w]

@@ -17,7 +17,7 @@ import (
 // tensor the training pipeline produced.
 func TestWeatherSnapshotAtMatchesRegrid(t *testing.T) {
 	w := NewWeather(WeatherConfig{NativeH: 16, NativeW: 32, Steps: 8, DtHours: 6, Seed: 7})
-	native := w.Snapshot(3)
+	native := nativeSnapshot(w, 3)
 	want := RegridBatch(native, 8, 16)
 	got := w.SnapshotAt(3, 8, 16)
 	if !tensor.SameShape(want, got) {
@@ -26,6 +26,15 @@ func TestWeatherSnapshotAtMatchesRegrid(t *testing.T) {
 	if d := tensor.MaxAbsDiff(want, got); d != 0 {
 		t.Fatalf("SnapshotAt differs from per-channel RegridBilinear by %g", d)
 	}
+}
+
+// nativeSnapshot stacks every channel of w at step on the native grid.
+func nativeSnapshot(w *Weather, step int) *tensor.Tensor {
+	fields := make([]*tensor.Tensor, w.Channels())
+	for c := range fields {
+		fields[c] = w.Field(c, step)
+	}
+	return tensor.Stack(fields...)
 }
 
 // regridRoundTripErr downsamples [C, H, W] to (h, w), upsamples back, and
@@ -47,12 +56,12 @@ func regridRoundTripErr(fields *tensor.Tensor, h, w int) float64 {
 // back must stay within a modest relative error.
 func TestWeatherRegridRoundTrip(t *testing.T) {
 	w := NewWeather(WeatherConfig{NativeH: 32, NativeW: 64, Steps: 4, DtHours: 6, Seed: 11})
-	if err := regridRoundTripErr(w.Snapshot(1), 16, 32); err > 0.25 {
+	if err := regridRoundTripErr(nativeSnapshot(w, 1), 16, 32); err > 0.25 {
 		t.Fatalf("weather 2x regrid round-trip relative error %.3f too large", err)
 	}
 	// Down-up-down must reproduce the first downsample closely (the coarse
 	// grid is a near fixed point of the round trip).
-	coarse := RegridBatch(w.Snapshot(1), 16, 32)
+	coarse := RegridBatch(nativeSnapshot(w, 1), 16, 32)
 	again := RegridBatch(RegridBatch(coarse, 32, 64), 16, 32)
 	maxAbs := 0.0
 	for _, v := range coarse.Data {

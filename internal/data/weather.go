@@ -158,16 +158,6 @@ func (w *Weather) Field(ch, step int) *tensor.Tensor {
 	return out
 }
 
-// Snapshot materializes all channels at a time step: [Channels, H, W] on the
-// native grid.
-func (w *Weather) Snapshot(step int) *tensor.Tensor {
-	fields := make([]*tensor.Tensor, len(w.channels))
-	for c := range w.channels {
-		fields[c] = w.Field(c, step)
-	}
-	return tensor.Stack(fields...)
-}
-
 // SnapshotAt materializes all channels regridded to [Channels, h, w] via the
 // bilinear regridder (the xESMF substitute).
 func (w *Weather) SnapshotAt(step, h, wd int) *tensor.Tensor {

@@ -3,8 +3,8 @@
 // throughput projections from internal/perfmodel, and real reduced-scale
 // training runs (loss-curve and RMSE comparisons) from internal/train.
 //
-// Each figure is an Experiment in the registry; cmd/dchag-bench and the root
-// benchmark suite consume the same runners, so both print the same numbers.
+// Each figure is an Experiment in the registry, and this package is the one
+// place each is reproduced: cmd/dchag-bench -fig runs the registered runner.
 package experiments
 
 import (

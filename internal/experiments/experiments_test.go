@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -224,6 +226,20 @@ func TestFig11TrainingAgreement(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("fig11 notes missing zero-comm statement: %v", tab.Notes)
+	}
+	// The held-out reconstruction notes carry finite values.
+	var mean, worst, rgb float64
+	for _, n := range tab.Notes {
+		fmt.Sscanf(n, "held-out reconstruction (D-CHAG weights): mean band MSE %g, worst band %g", &mean, &worst)
+		fmt.Sscanf(n, "pseudo-RGB mean abs difference, original vs reconstruction: %g", &rgb)
+	}
+	for _, v := range []float64{mean, worst, rgb} {
+		if !(v > 0) || math.IsInf(v, 0) {
+			t.Fatalf("fig11 reconstruction notes missing or not finite (mean %v, worst %v, rgb %v): %v", mean, worst, rgb, tab.Notes)
+		}
+	}
+	if worst < mean {
+		t.Fatalf("worst band MSE %v below the mean %v", worst, mean)
 	}
 }
 

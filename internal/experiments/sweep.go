@@ -24,7 +24,7 @@ func init() {
 // DP bucket overlap, TP on the critical path): step_seconds is the
 // overlapped step time, serial_step_seconds the compute+total-comm
 // composition, and exposed_seconds the per-axis comm left on the critical
-// path. DiffSweep refuses any other schema.
+// path. TestSweepJSONArtifact refuses any other schema.
 const SweepSchema = "dchag-bench/sweep/v2"
 
 // SweepModel and SweepChannels fix the workload of the sweep: the paper's

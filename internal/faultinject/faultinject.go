@@ -147,13 +147,6 @@ func (p *Plan) Advance(gen int) {
 	p.ops = make(map[int]int)
 }
 
-// Generation returns the active generation.
-func (p *Plan) Generation() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.gen
-}
-
 // Fired returns the faults that have fired so far, in plan order.
 func (p *Plan) Fired() []Fault {
 	p.mu.Lock()

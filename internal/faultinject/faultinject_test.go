@@ -80,9 +80,6 @@ func TestAdvanceScopesGenerationsAndResetsCounters(t *testing.T) {
 		t.Fatalf("gen-1 fault fired in gen 0: %v", k)
 	}
 	p.Advance(1)
-	if got := p.Generation(); got != 1 {
-		t.Fatalf("Generation() = %d", got)
-	}
 	// Counters reset: this is op seq 0 of generation 1 again.
 	k := recoverKilled(func() { p.Point(0, comm.OpBarrier, true) })
 	if k == nil || k.Fault.Gen != 1 {

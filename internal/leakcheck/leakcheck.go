@@ -20,11 +20,11 @@ import (
 	"time"
 )
 
-// DefaultGrace is how long Check waits for teardown goroutines to exit
+// defaultGrace is how long Check waits for teardown goroutines to exit
 // before declaring them leaked. Abort cascades and channel-closing
 // shutdown protocols finish in microseconds; two seconds keeps slow CI
 // machines from flaking.
-const DefaultGrace = 2 * time.Second
+const defaultGrace = 2 * time.Second
 
 // TestingT is the subset of *testing.T the checker needs; an interface
 // so the package's own tests can observe failures without failing.
@@ -36,7 +36,7 @@ type TestingT interface {
 
 // checkGrace is the grace period Check uses; a variable so the
 // package's own tests can shorten the failing path.
-var checkGrace = DefaultGrace
+var checkGrace = defaultGrace
 
 // Check registers a cleanup that fails t if goroutines beyond the benign
 // set are still running when the test (and its other cleanups) finish.
@@ -44,15 +44,15 @@ var checkGrace = DefaultGrace
 func Check(t TestingT) {
 	t.Helper()
 	t.Cleanup(func() {
-		if err := NoLeaks(checkGrace); err != nil {
+		if err := noLeaks(checkGrace); err != nil {
 			t.Errorf("goroutine leak:\n%v", err)
 		}
 	})
 }
 
-// NoLeaks polls until no interesting goroutines remain or the grace
+// noLeaks polls until no interesting goroutines remain or the grace
 // period expires; it returns an error carrying the leaked stacks.
-func NoLeaks(grace time.Duration) error {
+func noLeaks(grace time.Duration) error {
 	deadline := time.Now().Add(grace)
 	delay := time.Millisecond
 	for {

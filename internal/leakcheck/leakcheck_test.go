@@ -7,7 +7,7 @@ import (
 )
 
 func TestNoLeaksOnQuietProcess(t *testing.T) {
-	if err := NoLeaks(time.Second); err != nil {
+	if err := noLeaks(time.Second); err != nil {
 		t.Fatalf("quiet test binary reported a leak:\n%v", err)
 	}
 }
@@ -20,9 +20,9 @@ func TestDetectsAndReleasesLeak(t *testing.T) {
 		<-block
 	}()
 
-	err := NoLeaks(50 * time.Millisecond)
+	err := noLeaks(50 * time.Millisecond)
 	if err == nil {
-		t.Fatal("NoLeaks missed a goroutine parked on a channel")
+		t.Fatal("noLeaks missed a goroutine parked on a channel")
 	}
 	if !strings.Contains(err.Error(), "chan receive") {
 		t.Errorf("leak report does not show the blocked stack:\n%v", err)
@@ -32,7 +32,7 @@ func TestDetectsAndReleasesLeak(t *testing.T) {
 	// even though it exits asynchronously.
 	close(block)
 	<-done
-	if err := NoLeaks(time.Second); err != nil {
+	if err := noLeaks(time.Second); err != nil {
 		t.Fatalf("leak report persists after the goroutine exited:\n%v", err)
 	}
 }

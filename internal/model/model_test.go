@@ -123,10 +123,10 @@ func TestMaskRoutesGradientsToMaskToken(t *testing.T) {
 	nn.ZeroGrads(m.Params())
 	up := tensor.Ones(pred.Shape...)
 	dimg := m.Backward(up)
-	if m.MaskTok.Grad.Norm2() == 0 {
+	if tensor.MaxAbsDiff(m.MaskTok.Grad, tensor.New(m.MaskTok.Grad.Shape...)) == 0 {
 		t.Fatal("mask token must receive gradient when masking is active")
 	}
-	if dimg.Norm2() == 0 {
+	if tensor.MaxAbsDiff(dimg, tensor.New(dimg.Shape...)) == 0 {
 		t.Fatal("unmasked tokens must still propagate to the image")
 	}
 	// Without mask, the mask token gets no gradient.
@@ -134,7 +134,7 @@ func TestMaskRoutesGradientsToMaskToken(t *testing.T) {
 	p2 := m2.Forward(x, nil)
 	nn.ZeroGrads(m2.Params())
 	m2.Backward(tensor.Ones(p2.Shape...))
-	if m2.MaskTok.Grad.Norm2() != 0 {
+	if tensor.MaxAbsDiff(m2.MaskTok.Grad, tensor.New(m2.MaskTok.Grad.Shape...)) != 0 {
 		t.Fatal("mask token must be inert without masking")
 	}
 }
@@ -268,26 +268,6 @@ func TestPartitionParamsDistributedCoversEverything(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestStageLocalChannels(t *testing.T) {
-	a := smallArch()
-	if NewSerialStage(a.Config).LocalChannels() != a.Channels {
-		t.Fatal("serial stage owns all channels")
-	}
-	if NewReferenceStage(a.Config, 2).LocalChannels() != a.Channels {
-		t.Fatal("reference stage owns all channels")
-	}
-	_, err := comm.Run(2, func(c *comm.Communicator) error {
-		s := NewDCHAGStage(a.Config, c, 0)
-		if s.LocalChannels() != a.Channels/2 {
-			return fmt.Errorf("dchag stage owns %d channels, want %d", s.LocalChannels(), a.Channels/2)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

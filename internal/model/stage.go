@@ -29,8 +29,6 @@ type ChannelStage interface {
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the stage's parameters.
 	Params() []*nn.Param
-	// LocalChannels returns the width of the stage's channel shard.
-	LocalChannels() int
 }
 
 // SerialStage is the single-process channel stage of the baseline

@@ -110,7 +110,7 @@ func TestIntoBitwiseElementwise(t *testing.T) {
 	b := New(7, 33)
 	fill(a, 0.1)
 	fill(b, 0.9)
-	assertBitwise(t, "AddInto", AddInto(dirty(7, 33), a, b), Add(a, b))
+	assertBitwise(t, "AddInto", AddInto(dirty(7, 33), a, b), AddInto(nil, a, b))
 	assertBitwise(t, "SubInto", SubInto(dirty(7, 33), a, b), SubInto(nil, a, b))
 	assertBitwise(t, "ScaleInto", ScaleInto(dirty(7, 33), a, 1.7), ScaleInto(nil, a, 1.7))
 	assertBitwise(t, "SoftmaxLastDimInto", SoftmaxLastDimInto(dirty(7, 33), a), SoftmaxLastDimInto(nil, a))
@@ -130,7 +130,7 @@ func TestIntoInPlaceAliasing(t *testing.T) {
 	b := New(5, 5)
 	fill(a, 0.2)
 	fill(b, 0.8)
-	want := Add(a, b)
+	want := AddInto(nil, a, b)
 	got := a.Clone()
 	AddInto(got, got, b)
 	assertBitwise(t, "AddInto in place", got, want)

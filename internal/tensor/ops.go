@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Elementwise and reduction ops in destination-passing form. Every
 // XInto(dst, ...) accepts dst == nil (allocate) or a tensor of the result
@@ -24,9 +21,6 @@ func AddInto(dst, a, b *Tensor) *Tensor {
 	}
 	return dst
 }
-
-// Add returns a + b elementwise; the allocating wrapper over AddInto.
-func Add(a, b *Tensor) *Tensor { return AddInto(nil, a, b) }
 
 // SubInto computes dst = a - b elementwise and returns dst.
 //
@@ -134,15 +128,6 @@ func (t *Tensor) Min() float64 {
 		}
 	}
 	return m
-}
-
-// Norm2 returns the Euclidean (Frobenius) norm of the tensor.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // sumAxisShape computes the result shape of a one-axis reduction.
@@ -305,36 +290,8 @@ func ConcatInto(dst *Tensor, axis int, ts ...*Tensor) *Tensor {
 // ConcatInto.
 func Concat(axis int, ts ...*Tensor) *Tensor { return ConcatInto(nil, axis, ts...) }
 
-// Split partitions t into parts of the given sizes along axis. The sizes
-// must sum to the axis extent. Each part is a fresh copy.
-func Split(t *Tensor, axis int, sizes []int) []*Tensor {
-	if axis < 0 {
-		axis += len(t.Shape)
-	}
-	if axis < 0 || axis >= len(t.Shape) {
-		panic(fmt.Sprintf("tensor: Split axis out of range for shape %v", t.Shape))
-	}
-	sum := 0
-	for _, s := range sizes {
-		if s < 0 {
-			panic("tensor: Split negative size")
-		}
-		sum += s
-	}
-	if sum != t.Shape[axis] {
-		panic(fmt.Sprintf("tensor: Split sizes %v do not sum to axis extent %d", sizes, t.Shape[axis]))
-	}
-	parts := make([]*Tensor, len(sizes))
-	off := 0
-	for p, s := range sizes {
-		parts[p] = SliceAxisInto(nil, t, axis, off, off+s)
-		off += s
-	}
-	return parts
-}
-
-// SplitEqual partitions t into n equal chunks along axis. The axis extent
-// must be divisible by n.
+// SplitEqual partitions t into n equal chunks along axis, each a fresh
+// copy. The axis extent must be divisible by n.
 func SplitEqual(t *Tensor, axis, n int) []*Tensor {
 	if axis < 0 {
 		axis += len(t.Shape)
@@ -342,11 +299,12 @@ func SplitEqual(t *Tensor, axis, n int) []*Tensor {
 	if t.Shape[axis]%n != 0 {
 		panic(fmt.Sprintf("tensor: SplitEqual axis extent %d not divisible by %d", t.Shape[axis], n))
 	}
-	sizes := make([]int, n)
-	for i := range sizes {
-		sizes[i] = t.Shape[axis] / n
+	w := t.Shape[axis] / n
+	parts := make([]*Tensor, n)
+	for p := range parts {
+		parts[p] = SliceAxisInto(nil, t, axis, p*w, (p+1)*w)
 	}
-	return Split(t, axis, sizes)
+	return parts
 }
 
 // StackInto joins rank-k tensors of identical shape into dst, a rank-(k+1)

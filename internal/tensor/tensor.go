@@ -84,21 +84,6 @@ func checkShape(shape []int) int {
 // Numel returns the number of elements in the tensor.
 func (t *Tensor) Numel() int { return len(t.Data) }
 
-// Dim returns the extent of dimension i, supporting negative indices in the
-// Python style (-1 is the last dimension).
-func (t *Tensor) Dim(i int) int {
-	if i < 0 {
-		i += len(t.Shape)
-	}
-	if i < 0 || i >= len(t.Shape) {
-		panic(fmt.Sprintf("tensor: Dim(%d) out of range for rank-%d tensor", i, len(t.Shape)))
-	}
-	return t.Shape[i]
-}
-
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.Shape) }
-
 // offset computes the flat offset of a multi-index.
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.Shape) {

@@ -13,8 +13,8 @@ func TestNewShapeAndNumel(t *testing.T) {
 	if tt.Numel() != 24 {
 		t.Fatalf("Numel = %d, want 24", tt.Numel())
 	}
-	if tt.Rank() != 3 {
-		t.Fatalf("Rank = %d, want 3", tt.Rank())
+	if len(tt.Shape) != 3 {
+		t.Fatalf("shape = %v, want rank 3", tt.Shape)
 	}
 	for _, v := range tt.Data {
 		if v != 0 {
@@ -54,14 +54,6 @@ func TestAtSetRoundTrip(t *testing.T) {
 	assertPanics(t, func() { tt.At(0) })
 }
 
-func TestDimNegativeIndex(t *testing.T) {
-	tt := New(2, 3, 5)
-	if tt.Dim(-1) != 5 || tt.Dim(-3) != 2 || tt.Dim(1) != 3 {
-		t.Fatalf("Dim indexing wrong: %d %d %d", tt.Dim(-1), tt.Dim(-3), tt.Dim(1))
-	}
-	assertPanics(t, func() { tt.Dim(3) })
-}
-
 func TestFromSliceValidation(t *testing.T) {
 	d := []float64{1, 2, 3, 4, 5, 6}
 	tt := FromSlice(d, 2, 3)
@@ -99,7 +91,7 @@ func TestReshapeSharesData(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float64{10, 20, 30, 40}, 2, 2)
-	if got := Add(a, b).Data[3]; got != 44 {
+	if got := AddInto(nil, a, b).Data[3]; got != 44 {
 		t.Fatalf("Add = %v, want 44", got)
 	}
 	if got := SubInto(nil, b, a).Data[0]; got != 9 {
@@ -108,7 +100,7 @@ func TestElementwiseOps(t *testing.T) {
 	if got := ScaleInto(nil, a, 2).Data[3]; got != 8 {
 		t.Fatalf("Scale = %v, want 8", got)
 	}
-	assertPanics(t, func() { Add(a, New(3, 3)) })
+	assertPanics(t, func() { AddInto(nil, a, New(3, 3)) })
 }
 
 func TestInPlaceOps(t *testing.T) {
@@ -128,9 +120,6 @@ func TestReductions(t *testing.T) {
 	a := FromSlice([]float64{1, -2, 3, -4}, 4)
 	if a.Max() != 3 || a.Min() != -4 {
 		t.Fatalf("Max/Min = %v/%v", a.Max(), a.Min())
-	}
-	if math.Abs(a.Norm2()-math.Sqrt(30)) > 1e-12 {
-		t.Fatalf("Norm2 = %v", a.Norm2())
 	}
 }
 
@@ -372,9 +361,8 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 	if joined.Shape[1] != 9 {
 		t.Fatalf("Concat shape = %v", joined.Shape)
 	}
-	parts := Split(joined, 1, []int{3, 5, 1})
-	if MaxAbsDiff(parts[0], a) != 0 || MaxAbsDiff(parts[1], b) != 0 || MaxAbsDiff(parts[2], c) != 0 {
-		t.Fatal("Split does not invert Concat")
+	if MaxAbsDiff(SliceAxis(joined, 1, 0, 3), a) != 0 || MaxAbsDiff(SliceAxis(joined, 1, 3, 8), b) != 0 || MaxAbsDiff(SliceAxis(joined, 1, 8, 9), c) != 0 {
+		t.Fatal("slicing does not invert Concat")
 	}
 }
 

@@ -79,11 +79,14 @@ type Options struct {
 
 // validate is the one option and shape check every entry point runs before
 // it touches a checkpoint or builds a mesh: a tp×1×dp mesh needs both
-// extents positive (serial is 1×1) and whole batch shards per replica, and
-// the checkpoint options must be consistent.
+// extents positive (serial is 1×1), a positive batch in whole shards per
+// replica, and the checkpoint options must be consistent.
 func (o Options) validate(tp, dp int) error {
 	if tp < 1 || dp < 1 {
 		return fmt.Errorf("train: invalid mesh shape tp=%d dp=%d", tp, dp)
+	}
+	if o.Batch < 1 {
+		return fmt.Errorf("train: invalid batch size %d", o.Batch)
 	}
 	if o.Batch%dp != 0 {
 		return fmt.Errorf("train: batch %d not divisible by dp %d", o.Batch, dp)

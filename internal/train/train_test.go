@@ -334,6 +334,12 @@ func TestEntryPointValidation(t *testing.T) {
 	ok := Options{Steps: 1, Batch: 2}
 	noDir := ok
 	noDir.CheckpointEvery = 1
+	noBatch, negBatch := ok, ok
+	noBatch.Batch, negBatch.Batch = 0, -2
+	serial := func(_, _ int, o Options) error {
+		_, err := SerialCheckpointed(model.NewSerial(a), o, batch)
+		return err
+	}
 	hybrid := func(tp, dp int, o Options) error {
 		_, _, err := Hybrid(a, tp, dp, false, o, batch)
 		return err
@@ -351,7 +357,11 @@ func TestEntryPointValidation(t *testing.T) {
 		tp, dp int
 		opts   Options
 	}{
+		{"serial batch=0", serial, 1, 1, noBatch},
+		{"serial batch=-2", serial, 1, 1, negBatch},
 		{"hybrid tp=0", hybrid, 0, 2, ok},
+		{"hybrid batch=0", hybrid, 2, 1, noBatch},
+		{"hybrid batch=-2", hybrid, 2, 1, negBatch},
 		{"hybrid dp=0", hybrid, 2, 0, ok},
 		{"hybrid batch not divisible by dp", hybrid, 2, 3, ok},
 		{"hybrid checkpoint options", hybrid, 2, 1, noDir},
@@ -362,6 +372,8 @@ func TestEntryPointValidation(t *testing.T) {
 		{"generation dp=-1", generation, 2, -1, ok},
 		{"generation batch not divisible by dp", generation, 2, 3, ok},
 		{"generation checkpoint options", generation, 2, 1, noDir},
+		{"generation batch=0", generation, 2, 1, noBatch},
+		{"generation batch=-2", generation, 2, 1, negBatch},
 	} {
 		if err := tc.run(tc.tp, tc.dp, tc.opts); err == nil {
 			t.Errorf("%s: want a validation error", tc.name)

@@ -1,14 +1,17 @@
 #!/bin/sh
 # reach.sh lists every export under internal/ that no non-test Go code
-# reaches. Two rules, over non-test files under cmd/, examples/, benchmark/
-# and internal/, never under a testdata/ directory (analyzer fixtures compile
-# against stub packages and call nothing real):
+# reaches. Two rules by name, over non-test files under cmd/, examples/,
+# benchmark/ and internal/, never under a testdata/ directory (analyzer
+# fixtures compile against stub packages and call nothing real):
 #
 #   - an exported top-level identifier (as surface.sh counts them) is reached
 #     by a `pkg.Name` in another package, or by a use of Name in its own
 #     package apart from the declaration, comments and string literals;
 #   - an exported method is reached when some file selects `.Name` — by
 #     name, whatever the receiver type.
+#
+# and one by symbol: an exported function or method is reached when a
+# binary of cmd/, examples/ or benchmark/ links it (see the rule below).
 #
 # The deliberate exceptions below are left out, each with its reason; the
 # script prints every other unreached export (a method as Type.Name) and
@@ -18,14 +21,25 @@ set -eu
 GO=${GO:-go}
 exceptions='
 internal/analysis: RunFixture                 helper that other packages tests import
+internal/analysis: Loader.LoadOne             called only by RunFixture
+internal/promtext: Families.Value             helper that other packages tests import
 internal/dist: RunMesh                        helper that other packages tests import
 internal/leakcheck: Check                     helper that other packages tests import
 internal/nn: ParamsEqual                      helper that other packages tests import
+internal/tensor: EqualApprox                  called only by ParamsEqual
 internal/tensor: TMatMulInto                  reference the product tests compare against
 internal/tensor: SumAxisInto                  reference the reduction tests compare against
 internal/tensor: SplitEqual                   reference that cuts each rank chunk in the collective tests
 internal/core: NewDistTokenizer               the paper baseline, waits on ROADMAP item 1
+internal/core: DistTokenizer.Forward          the paper baseline, waits on ROADMAP item 1
+internal/core: DistTokenizer.Backward         the paper baseline, waits on ROADMAP item 1
+internal/core: DistTokenizer.Params           the paper baseline, waits on ROADMAP item 1
 internal/parallel: NewFSDP                    the FSDP axis, waits on ROADMAP item 6
+internal/parallel: FSDP.ZeroGrads             the FSDP axis, waits on ROADMAP item 6
+internal/comm: Communicator.AllGatherConcat   called only by DistTokenizer and FSDP
+internal/tensor: Concat                       called only by AllGatherConcat
+internal/tensor: ConcatInto                   called only by Concat
+internal/tensor: Tensor.CopyFrom              called only by FSDP
 internal/dist: MeshError.Unwrap               called by errors.Is and errors.As
 internal/analysis: importerFunc.Import        called by go/types through types.Importer
 internal/comm: Traffic.BytesFor               probe the tests pin the paper traffic claims with
@@ -36,6 +50,8 @@ internal/dist: Mesh.InterNodeBytes            probe the tests pin the paper traf
 internal/dist: Mesh.AxisCallsInPhase          probe the tests pin the paper traffic claims with
 internal/dist: Mesh.InterNodeCallsInPhase     probe the tests pin the paper traffic claims with
 internal/dist: Mesh.AxisWireSeconds           probe the tests pin the paper traffic claims with
+internal/dist: Mesh.GroupIntraNode            called only by the traffic probes
+internal/hw: Machine.WireTime                 called only by the traffic probes
 internal/ckpt: Checkpoint.LogicalTensor       probe the tests pin exact restore with
 internal/faultinject: Plan.KillBeforeOp       the fault matrix the elastic and dist tests drive
 internal/faultinject: Plan.KillAfterOp        the fault matrix the elastic and dist tests drive
@@ -89,6 +105,38 @@ found=$(for dir in $($GO list -f '{{.Dir}}' ./internal/...); do
 		fi
 	done
 done)
+# Third rule, by receiver type through the linker: build every main package
+# with inlining off and flag each exported function or method (declared in
+# a file the build compiles) whose symbol — pkg.F, pkg.T.M or pkg.(*T).M —
+# no binary keeps. The linker drops what no main reaches, so a method that
+# only shares its name with a reached one shows here.
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+$GO build -gcflags=all=-l -o "$bin/" ./cmd/... ./examples/... ./benchmark
+for b in "$bin"/*; do
+	$GO tool nm "$b"
+done | sed -n 's/^.* T //p' | sort -u >"$bin/linked"
+unlinked=$($GO list -f '{{.Dir}} {{.ImportPath}}{{range .GoFiles}} {{.}}{{end}}' ./internal/... |
+	while read -r dir path files; do
+		# shellcheck disable=SC2086
+		(cd "$dir" && cat $files) | awk -v rel="${dir#"$root"/}:" -v path="$path." '
+			/^func \(/ {
+				recv = $0; sub(/^func \(/, "", recv); sub(/\).*/, "", recv)
+				name = $0; sub(/^func \([^)]*\) /, "", name); sub(/[^A-Za-z0-9_].*/, "", name)
+				if (name !~ /^[A-Z]/) next
+				t = recv; sub(/^.*[ *]/, "", t)
+				ptr = path "(*" t ")." name
+				if (recv ~ /\*/) print rel, t "." name, ptr
+				else print rel, t "." name, path t "." name, ptr
+				next
+			}
+			/^func [A-Z]/ { name = $0; sub(/^func /, "", name); sub(/[^A-Za-z0-9_].*/, "", name); print rel, name, path name }'
+	done |
+	awk 'NR == FNR { linked[$0] = 1; next } { for (i = 3; i <= NF; i++) if ($i in linked) next; print $1, $2 }' "$bin/linked" - |
+	while read -r rel id; do
+		excepted "${rel%:}" "$id" || echo "$rel $id"
+	done)
+found=$(printf '%s\n%s\n' "$found" "$unlinked" | sed '/^$/d' | sort -u)
 if [ -n "$found" ]; then
 	echo "$found"
 	exit 1
