@@ -49,10 +49,8 @@ serve-smoke:
 
 # trace-smoke is the hermetic observability gate CI runs (dchag-trace
 # -smoke): a traced 4-rank hybrid training run exported and validated
-# against the Chrome trace-event schema, the trace byte-accounting
-# invariant (ratio 1 within 1e-9, exact span counts per rank), and a traced
-# serving engine's GET /metrics scraped through the strict Prometheus
-# text-format parser.
+# against the Chrome trace-event schema, and a traced serving engine's GET
+# /metrics scraped through the strict Prometheus text-format parser.
 trace-smoke:
 	$(GO) run ./cmd/dchag-trace -smoke
 

@@ -276,7 +276,7 @@ func TestComputeJSONArtifact(t *testing.T) {
 	}
 	// Ranks that already fill the processors do not split their products:
 	// with two callers on two processors each gets the kernel's own rate,
-	// the one a lone caller reads on one processor (ROADMAP item 1d).
+	// the one a lone caller reads on one processor (ROADMAP item 4(d)).
 	alone := map[string]float64{}
 	for _, cp := range rep.Callers {
 		if cp.GFLOPSPerCaller <= 0 || cp.MaxProcs < 1 || cp.Callers < 1 {

@@ -6,7 +6,6 @@
 //	dchag-bench                 # run every experiment
 //	dchag-bench -fig fig09      # run one figure
 //	dchag-bench -fig sweep      # the 8-512 GCD step-time sweep
-//	dchag-bench -fig trace      # traced bytes, priced, vs the model
 //	dchag-bench -list           # list available experiments
 //	dchag-bench -json out.json  # write the sweep report as JSON (no tables)
 //	dchag-bench -compute out.json           # measured compute substrate report

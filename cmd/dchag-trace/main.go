@@ -1,23 +1,20 @@
-// Command dchag-trace is the observability driver: it replays the
-// analytic model's per-axis collective schedule on a real traced 2x2x2
-// mesh, prices the traced wire bytes with the model's own formulas and
-// sets them against perfmodel (a schedule-and-byte-accounting invariant:
-// exact agreement, no clock), and exports the raw trace as Chrome
-// trace-event JSON viewable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing.
+// Command dchag-trace is the observability driver: it traces a 4-rank
+// hybrid training run (every step phase and every collective on every mesh
+// axis, with its wire bytes) and exports it as Chrome trace-event JSON
+// viewable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // Examples:
 //
-//	dchag-trace                      # print the accounting table
-//	dchag-trace -chrome trace.json   # export the traced mesh run
 //	dchag-trace -train train.json    # trace a 4-rank hybrid training run
 //	dchag-trace -smoke               # hermetic end-to-end smoke (CI)
+//	dchag-trace -version             # print build information
+//
+// With no flag it prints this usage and exits 2.
 //
 // -smoke runs the whole observability surface hermetically: a traced
 // 4-rank hybrid training run exported and validated against the Chrome
-// trace-event schema, the byte-accounting invariant (ratio 1 within 1e-9,
-// exact span counts per rank), and a traced serving engine's GET /metrics
-// scraped through the strict Prometheus text-format parser.
+// trace-event schema, and a traced serving engine's GET /metrics scraped
+// through the strict Prometheus text-format parser.
 package main
 
 import (
@@ -35,7 +32,6 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/promtext"
@@ -48,10 +44,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dchag-trace: ")
 	var (
-		chromePath = flag.String("chrome", "", "export the traced bench mesh run as Chrome trace-event JSON to this path")
-		trainPath  = flag.String("train", "", "trace a 4-rank (TP=2 x DP=2) hybrid training run and export it to this path")
-		smoke      = flag.Bool("smoke", false, "run the hermetic observability smoke check and exit")
-		version    = flag.Bool("version", false, "print build information and exit")
+		trainPath = flag.String("train", "", "trace a 4-rank (TP=2 x DP=2) hybrid training run and export it to this path")
+		smoke     = flag.Bool("smoke", false, "run the hermetic observability smoke check and exit")
+		version   = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -62,41 +57,18 @@ func main() {
 		runSmoke()
 		return
 	}
-	if *trainPath != "" {
-		tr, err := tracedTrainingRun()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := obs.WriteChromeTraceFile(*trainPath, tr); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s (%d rank rows)\n", *trainPath, tr.Rows())
-		if *chromePath == "" {
-			return
-		}
+	if *trainPath == "" {
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	if *chromePath != "" {
-		rep, tr, err := experiments.RunTraceBench()
-		if err != nil {
-			log.Fatal(err)
-		}
-		stamp(tr)
-		if err := obs.WriteChromeTraceFile(*chromePath, tr); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s (%d events over %d rows)\n", *chromePath, rep.Events, tr.Rows())
-		return
+	tr, err := tracedTrainingRun()
+	if err != nil {
+		log.Fatal(err)
 	}
-	e, _ := experiments.Find("trace")
-	fmt.Print(e.Run())
-}
-
-// stamp adds the build identity to a tracer's exported metadata.
-func stamp(tr *obs.Tracer) {
-	for k, v := range buildinfo.Get().Meta() {
-		tr.SetMeta(k, v)
+	if err := obs.WriteChromeTraceFile(*trainPath, tr); err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("wrote %s (%d rank rows)\n", *trainPath, tr.Rows())
 }
 
 // smokeArch is the tiny MAE architecture the traced runs use.
@@ -117,7 +89,9 @@ func tracedTrainingRun() (*obs.Tracer, error) {
 	arch := smokeArch(channels)
 	tr := obs.NewTracer(4, 4096)
 	tr.SetMeta("workload", "hybrid mae tp=2 dp=2")
-	stamp(tr)
+	for k, v := range buildinfo.Get().Meta() {
+		tr.SetMeta(k, v)
+	}
 	gen := data.NewHyperspectral(data.HyperspectralConfig{
 		Images: 64, Channels: channels, ImgH: 8, ImgW: 8,
 		Endmembers: 4, Noise: 0.01, Seed: 11,
@@ -167,19 +141,7 @@ func runSmoke() {
 	fmt.Printf("trace export ok: %d events over %d rows, %d bytes of valid trace JSON\n",
 		events, tr.Rows(), len(raw))
 
-	// 2. Byte accounting: traced wire volumes priced with the shared hw
-	// formulas must reproduce the analytic model per axis, and every rank
-	// must have traced exactly the scheduled spans.
-	rep, _, err := experiments.RunTraceBench()
-	if err != nil {
-		log.Fatalf("trace bench: %v", err)
-	}
-	if !rep.Agrees {
-		log.Fatalf("byte accounting disagrees: max ratio err %g, %d rank rows off schedule", rep.MaxRatioErr, rep.SpanCountErr)
-	}
-	fmt.Printf("byte accounting ok: %s, %d spans, max ratio err %g\n", rep.Strategy, rep.Events, rep.MaxRatioErr)
-
-	// 3. Traced serving engine: request lifecycle on the tracer, and
+	// 2. Traced serving engine: request lifecycle on the tracer, and
 	// GET /metrics must survive the strict Prometheus text parser.
 	arch := smokeArch(8)
 	str := obs.NewTracer(2, 1024) // 1 worker rank + engine front-end row

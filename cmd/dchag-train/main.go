@@ -29,6 +29,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -94,6 +95,9 @@ func main() {
 	if *smoke {
 		runElasticSmoke()
 		return
+	}
+	if err := checkFlags(*ranks, *dp, *elast, *failRank, *failStep); err != nil {
+		log.Fatal(err)
 	}
 
 	var kind core.LayerKind
@@ -202,14 +206,8 @@ func main() {
 		*task, *ranks, kind, *tree, partitions, arch.ParamCount())
 
 	if *elast {
-		if *ranks <= 1 {
-			log.Fatal("-elastic requires -ranks > 1")
-		}
 		eo := elastic.Options{TP: *ranks, DP: *dp, MinWorld: *minRanks, TPViT: *tpvit}
-		if *failRank >= 0 || *failStep >= 0 {
-			if *failRank < 0 || *failStep < 0 {
-				log.Fatal("-fail-rank and -fail-step must be set together")
-			}
+		if *failRank >= 0 {
 			eo.Plan = faultinject.NewPlan().KillAtStep(*failRank, *failStep)
 		}
 		rep, err := elastic.Run(arch, opts, eo, batchFn)
@@ -279,6 +277,28 @@ func main() {
 		fmt.Fprintln(os.Stderr, "warning: unexpected backward communication")
 		os.Exit(1)
 	}
+}
+
+// checkFlags refuses, before any training, the flag combinations the run
+// would otherwise ignore or misread: a mesh extent below 1, data
+// parallelism over the serial baseline, and a fault injected outside the
+// elastic supervisor (or only half specified).
+func checkFlags(ranks, dp int, elast bool, failRank, failStep int) error {
+	switch {
+	case ranks < 1:
+		return fmt.Errorf("-ranks %d: need at least 1", ranks)
+	case dp < 1:
+		return fmt.Errorf("-dp %d: need at least 1", dp)
+	case dp > 1 && ranks == 1:
+		return errors.New("-dp > 1 requires -ranks > 1 (the serial baseline has no data-parallel replicas)")
+	case elast && ranks == 1:
+		return errors.New("-elastic requires -ranks > 1")
+	case !elast && (failRank >= 0 || failStep >= 0):
+		return errors.New("-fail-rank and -fail-step inject a failure only under -elastic")
+	case (failRank >= 0) != (failStep >= 0):
+		return errors.New("-fail-rank and -fail-step must be set together")
+	}
+	return nil
 }
 
 func printHistory(h train.History) {

@@ -3,8 +3,8 @@
 //
 // The training step and the serving dispatch loop execute their inner
 // functions millions of times; an allocation there churns the GC and
-// caps throughput (ROADMAP item 1 is exactly the buffer-reuse work this
-// analyzer pre-paves). A function whose doc comment contains
+// caps throughput (reusing the step's buffers across steps is exactly the
+// work this analyzer pre-paves). A function whose doc comment contains
 // "dchag:hotpath" promises steady-state allocation-freedom: inside it
 // (and its function literals) the analyzer reports
 //

@@ -83,9 +83,6 @@ const (
 // arrays by Axis.
 const NumAxes = int(numAxes)
 
-// Axes lists the mesh axes in rank-layout order.
-var Axes = [NumAxes]Axis{AxisTP, AxisFSDP, AxisDP}
-
 // String returns the axis name.
 func (a Axis) String() string {
 	switch a {

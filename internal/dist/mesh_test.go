@@ -105,7 +105,7 @@ func TestGroupDisjointnessAndCoverage(t *testing.T) {
 		for a := Axis(0); a < numAxes; a++ {
 			seen := make(map[int]bool, spec.World())
 			for gid := 0; gid < m.GroupCount(a); gid++ {
-				ranks := m.GroupRanks(a, gid)
+				ranks := m.axes[a].members[gid]
 				if len(ranks) != spec.extent(a) {
 					t.Fatalf("%+v axis %s: group %d size %d, want %d", spec, a, gid, len(ranks), spec.extent(a))
 				}
@@ -114,8 +114,8 @@ func TestGroupDisjointnessAndCoverage(t *testing.T) {
 						t.Fatalf("%+v axis %s: rank %d in two groups", spec, a, r)
 					}
 					seen[r] = true
-					if m.GroupOf(a, r) != gid {
-						t.Fatalf("%+v axis %s: GroupOf(%d) = %d, want %d", spec, a, r, m.GroupOf(a, r), gid)
+					if m.axes[a].groupOf[r] != gid {
+						t.Fatalf("%+v axis %s: groupOf[%d] = %d, want %d", spec, a, r, m.axes[a].groupOf[r], gid)
 					}
 					c := m.Comm(a, r)
 					if c.Rank() != pos || c.Rank() != spec.CoordOf(r).axisOf(a) {
@@ -141,7 +141,7 @@ func TestGroupMembersAgreeOnOtherAxes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for gid := 0; gid < m.GroupCount(AxisDP); gid++ {
-		ranks := m.GroupRanks(AxisDP, gid)
+		ranks := m.axes[AxisDP].members[gid]
 		first := spec.CoordOf(ranks[0])
 		for _, r := range ranks[1:] {
 			c := spec.CoordOf(r)
@@ -176,7 +176,7 @@ func TestFrontierPlacementTPIntraNode(t *testing.T) {
 		for gid := 0; gid < m.GroupCount(AxisTP); gid++ {
 			if !m.GroupIntraNode(AxisTP, gid) {
 				t.Fatalf("%+v on %d nodes: TP group %d (ranks %v) crosses nodes",
-					spec, topo.Nodes, gid, m.GroupRanks(AxisTP, gid))
+					spec, topo.Nodes, gid, m.axes[AxisTP].members[gid])
 			}
 		}
 		if spec.TP*spec.FSDP == topo.GPUsPerNode && spec.DP > 1 {

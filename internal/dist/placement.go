@@ -20,8 +20,8 @@ import (
 func (s MeshSpec) AxisGroupCount(a Axis) int { return s.World() / s.extent(a) }
 
 // AxisGroupRanks returns the world ranks of axis group gid in
-// axis-coordinate order, computed from the spec alone. It matches
-// Mesh.GroupRanks for the same spec. It panics when gid is out of range.
+// axis-coordinate order, computed from the spec alone. It matches the
+// members of a built mesh's group. It panics when gid is out of range.
 func (s MeshSpec) AxisGroupRanks(a Axis, gid int) []int {
 	if gid < 0 || gid >= s.AxisGroupCount(a) {
 		panic(fmt.Sprintf("dist: axis %s group %d out of range [0,%d)", a, gid, s.AxisGroupCount(a)))
@@ -92,12 +92,6 @@ func WorstAxisPlacement(s MeshSpec, t Topology, a Axis) hw.Placement {
 	return placements[0]
 }
 
-// GroupPlacement returns the hw ring placement of a built mesh's axis group
-// under the mesh's own topology.
-func (m *Mesh) GroupPlacement(a Axis, gid int) hw.Placement {
-	return GroupPlacement(m.Spec, m.Topo, a, gid)
-}
-
 // AxisWireSeconds prices the traffic the axis's groups actually recorded on
 // the machine model: each group's mean per-rank wire bytes move through the
 // group's slowest link, and the axis time is the slowest group's (groups of
@@ -109,7 +103,7 @@ func (m *Mesh) AxisWireSeconds(machine hw.Machine, a Axis) float64 {
 	worst := 0.0
 	for gid, g := range m.axes[a].groups {
 		perRank := g.Traffic().TotalBytes() / int64(extent)
-		if t := machine.WireTime(m.GroupPlacement(a, gid), perRank); t > worst {
+		if t := machine.WireTime(GroupPlacement(m.Spec, m.Topo, a, gid), perRank); t > worst {
 			worst = t
 		}
 	}

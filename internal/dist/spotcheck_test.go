@@ -8,11 +8,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// The RunMesh-backed spot-check (ROADMAP item / ISSUE 4 satellite): run
-// real per-axis collectives at small scale and hold the measured pricing —
-// Mesh.AxisWireSeconds over the traffic the ledgers actually recorded —
-// against the analytic per-collective predictions priced on
-// MeshSpec.WorstAxisPlacement. The two paths share the machine model but
+// The RunMesh-backed spot-check: run real per-axis collectives at small
+// scale and hold the measured pricing — Mesh.AxisWireSeconds over the
+// traffic the ledgers actually recorded — against the analytic
+// per-collective predictions priced on MeshSpec.WorstAxisPlacement. The two paths share the machine model but
 // nothing else: one replays measured per-rank ring bytes through the
 // placement's slowest link, the other applies the textbook ring step
 // counts to the intended buffer sizes. Their per-axis *ratios* must agree
@@ -66,7 +65,7 @@ func TestRunMeshAxisWireSecondsTrackAnalytic(t *testing.T) {
 
 	// Measured side: the wire seconds of the traffic each axis recorded.
 	var measured [NumAxes]float64
-	for _, a := range Axes {
+	for a := Axis(0); a < numAxes; a++ {
 		measured[a] = mesh.AxisWireSeconds(machine, a)
 		if measured[a] <= 0 {
 			t.Fatalf("axis %s recorded no wire time", a)
@@ -121,7 +120,7 @@ func TestRunMeshSpotCheckScalesWithBytes(t *testing.T) {
 	topo := Topology{Nodes: 2, GPUsPerNode: 4}
 	run := func(elems int) [NumAxes]float64 {
 		mesh, err := RunMesh(spec, topo, func(rank int, m *Mesh) error {
-			for _, a := range Axes {
+			for a := Axis(0); a < numAxes; a++ {
 				m.Comm(a, rank).AllReduceSum(tensor.Ones(elems))
 			}
 			return nil
@@ -130,13 +129,13 @@ func TestRunMeshSpotCheckScalesWithBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out [NumAxes]float64
-		for _, a := range Axes {
+		for a := Axis(0); a < numAxes; a++ {
 			out[a] = mesh.AxisWireSeconds(machine, a)
 		}
 		return out
 	}
 	one, two := run(1<<12), run(1<<13)
-	for _, a := range Axes {
+	for a := Axis(0); a < numAxes; a++ {
 		if got, want := two[a], 2*one[a]; math.Abs(got/want-1) > 1e-9 {
 			t.Fatalf("axis %s: doubling payload scaled wire time by %.4f, want 2.0", a, got/one[a])
 		}

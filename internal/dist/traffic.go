@@ -14,15 +14,6 @@ import "repro/internal/comm"
 // (world / axis extent).
 func (m *Mesh) GroupCount(a Axis) int { return len(m.axes[a].groups) }
 
-// GroupRanks returns the world ranks of the axis group, in axis-coordinate
-// order. The returned slice is a copy.
-func (m *Mesh) GroupRanks(a Axis, group int) []int {
-	return append([]int(nil), m.axes[a].members[group]...)
-}
-
-// GroupOf returns the index of the axis group the world rank belongs to.
-func (m *Mesh) GroupOf(a Axis, rank int) int { return m.axes[a].groupOf[rank] }
-
 // GroupTraffic returns the traffic ledger of the axis group.
 func (m *Mesh) GroupTraffic(a Axis, group int) *comm.Traffic {
 	return m.axes[a].groups[group].Traffic()

@@ -39,7 +39,7 @@ func TestAxisPricingMatchesDistClassification(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}
-		for _, a := range dist.Axes {
+		for _, a := range []dist.Axis{dist.AxisTP, dist.AxisFSDP, dist.AxisDP} {
 			allIntra := true
 			for gid := 0; gid < mesh.GroupCount(a); gid++ {
 				if !mesh.GroupIntraNode(a, gid) {
@@ -89,7 +89,7 @@ func TestAxisCommSecondsComposition(t *testing.T) {
 	if sum != r.CommSeconds {
 		t.Fatalf("per-axis times must sum to CommSeconds: %v vs %v", sum, r.CommSeconds)
 	}
-	for _, a := range dist.Axes {
+	for _, a := range []dist.Axis{dist.AxisTP, dist.AxisFSDP, dist.AxisDP} {
 		if r.AxisCommSeconds[a] <= 0 {
 			t.Fatalf("axis %s has extent > 1 but zero comm time", a)
 		}

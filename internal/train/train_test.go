@@ -15,6 +15,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/optim"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -293,10 +294,9 @@ func TestHybridBackwardPhaseSilentWithinReplicas(t *testing.T) {
 }
 
 // TestDDPSyncIsOneCollective: the executed DP sync is the single bucketed
-// all-reduce perfmodel and the trace schedule price. On a 2x2 mesh every
-// rank's DP ledger shows two collectives a step — the gradient sync and the
-// scalar loss — and the sync records the bytes one all-reduce per parameter
-// recorded.
+// all-reduce perfmodel prices. On a 2x2 mesh every rank's DP ledger shows
+// two collectives a step — the gradient sync and the scalar loss — and the
+// sync records the bytes one all-reduce per parameter recorded.
 func TestDDPSyncIsOneCollective(t *testing.T) {
 	const tp, dp = 2, 2
 	a := tinyArch(4)
@@ -322,6 +322,49 @@ func TestDDPSyncIsOneCollective(t *testing.T) {
 		}
 		if got, want := tr.BytesFor(c.Rank(), "dp-sync", comm.OpAllReduce), int64(opts.Steps)*perParam; got != want || want == 0 {
 			t.Errorf("rank %d: dp-sync recorded %d bytes, one all-reduce per parameter records %d", r, got, want)
+		}
+	}
+}
+
+// TestHybridTraceMatchesLedger: a traced TP=2 x DP=2 run puts every
+// collective of every axis on the tracer. Per axis, the comm/<axis> spans
+// over all rows carry exactly the bytes the mesh's traffic ledger recorded,
+// every rank traced the same nonzero number of them, and no row overflowed.
+func TestHybridTraceMatchesLedger(t *testing.T) {
+	const tp, dp = 2, 2
+	a := tinyArch(4)
+	tr := obs.NewTracer(tp*dp, 4096)
+	opts := Options{Steps: 2, Batch: 4, LR: 1e-2, ClipNorm: 1, MaskRatio: 0.5, Seed: 35, Trace: tr}
+	batch := fixedBatches(t, 4, opts.Steps, opts.Batch)
+	_, mesh, err := Hybrid(a, tp, dp, false, opts, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ax := range []dist.Axis{dist.AxisTP, dist.AxisDP} {
+		cat := obs.CommCat(ax.String())
+		var bytes int64
+		perRank := make([]int, tr.Rows())
+		for r := range perRank {
+			for _, ev := range tr.Events(r) {
+				if ev.Cat == cat && ev.Ph == 'X' {
+					bytes += ev.Bytes
+					perRank[r]++
+				}
+			}
+		}
+		if want := mesh.AxisBytes(ax); bytes != want {
+			t.Errorf("%s spans carry %d B, the ledger recorded %d B", cat, bytes, want)
+		}
+		for _, n := range perRank {
+			if n == 0 || n != perRank[0] {
+				t.Errorf("%s spans per rank %v: want the same nonzero count on every rank", cat, perRank)
+				break
+			}
+		}
+	}
+	for r := 0; r < tr.Rows(); r++ {
+		if d := tr.Dropped(r); d != 0 {
+			t.Errorf("row %d dropped %d events", r, d)
 		}
 	}
 }
@@ -434,7 +477,7 @@ func TestHybridSimulatedCommSeconds(t *testing.T) {
 		t.Fatal(err)
 	}
 	var perAxis [dist.NumAxes]float64
-	for _, a := range dist.Axes {
+	for _, a := range []dist.Axis{dist.AxisTP, dist.AxisFSDP, dist.AxisDP} {
 		perAxis[a] = mesh.AxisWireSeconds(machine, a)
 	}
 	if perAxis[dist.AxisTP] <= 0 || perAxis[dist.AxisDP] <= 0 {

@@ -37,6 +37,9 @@ internal/core: DistTokenizer.Params           the paper baseline, waits on ROADM
 internal/parallel: NewFSDP                    the FSDP axis, waits on ROADMAP item 6
 internal/parallel: FSDP.ZeroGrads             the FSDP axis, waits on ROADMAP item 6
 internal/comm: Communicator.AllGatherConcat   called only by DistTokenizer and FSDP
+internal/comm: Communicator.AllGather         called only by AllGatherConcat
+internal/comm: Communicator.ReduceScatterSum  called only by FSDP
+internal/comm: Communicator.AllReduceSum      helper that other packages tests import
 internal/tensor: Concat                       called only by AllGatherConcat
 internal/tensor: ConcatInto                   called only by Concat
 internal/tensor: Tensor.CopyFrom              called only by FSDP
