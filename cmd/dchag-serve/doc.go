@@ -33,19 +33,14 @@
 //	      GET  /v1/stats    serve.Snapshot as JSON
 //	      GET  /healthz     200 while live, 503 after shutdown
 //
-//	dchag-serve -loadgen [-requests N] [-concurrency K] [-p99-limit D]
-//	    Hermetic smoke mode: with no -ckpt it first trains a tiny demo model
-//	    at -train-ranks ranks and checkpoints it, then serves the checkpoint
-//	    at -ranks ranks (a different topology — the reshard round trip) and
-//	    drives N requests through the full queue/batcher/mesh path — over
-//	    HTTP when -listen is set, in-process otherwise. Exits 1 on any
-//	    request error or when the server-side total-latency p99 exceeds
-//	    -p99-limit. This is what `make serve-smoke` runs in CI.
+//	dchag-serve -ckpt ckpt/ -loadgen [-requests N] [-concurrency K] [-p99-limit D]
+//	    Serve the checkpoint at -ranks ranks (any count dividing its logical
+//	    partitions: the reshard round trip) and drive N requests through the
+//	    full queue/batcher/mesh path — over HTTP when -listen is set,
+//	    in-process otherwise — then print the metrics and exit. Exits 1 on
+//	    any request error or when the server-side total-latency p99 exceeds
+//	    -p99-limit. `make serve-smoke` trains a checkpoint with
+//	    `dchag-train -save` and runs this mode over HTTP against it.
 //
-//	dchag-serve -swap-smoke [-requests N] [-concurrency K]
-//	    Hermetic hot-swap smoke: self-train two checkpoints of the same
-//	    architecture to different steps, serve the first under sustained
-//	    in-process load with the response cache on, hot swap to the second
-//	    mid-stream. Exits 1 on any dropped request or if the swap count is
-//	    not exactly 1. `make serve-smoke` runs this after the loadgen smoke.
+// -ckpt is required in both modes; `dchag-train -save DIR` writes one.
 package main

@@ -26,6 +26,14 @@
 // so the resumed run is step-for-step identical to an uninterrupted one. -partitions fixes the logical D-CHAG partition count
 // independently of -ranks (it defaults to -ranks; on -load/-resume it
 // always comes from the checkpoint manifest).
+//
+// -trace writes the run the other flags describe (serial, D-CHAG, hybrid or
+// -elastic) as Chrome trace-event JSON for Perfetto: each rank's step phases
+// and collectives with their wire bytes, plus the elastic supervisor's row.
+// It is written also when training fails:
+//
+//	dchag-train -task mae -ranks 2 -dp 2 -steps 10 -trace train.json
+//	dchag-train -ranks 4 -elastic -fail-rank 1 -fail-step 5 -save ck/ -save-every 2 -trace elastic.json
 package main
 
 import (
@@ -33,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"repro/internal/buildinfo"
 	"repro/internal/ckpt"
@@ -43,6 +50,7 @@ import (
 	"repro/internal/elastic"
 	"repro/internal/faultinject"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -51,30 +59,30 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dchag-train: ")
 	var (
-		task     = flag.String("task", "mae", "training task: mae | weather")
-		ranks    = flag.Int("ranks", 2, "simulated D-CHAG (TP) ranks per replica (1 = serial baseline)")
-		dp       = flag.Int("dp", 1, "data-parallel replicas (hybrid D-CHAG x DP when > 1)")
-		kindFlag = flag.String("kind", "L", "partial-layer kind: L (linear) | C (cross-attention) | P (perceiver)")
-		tree     = flag.Int("tree", 0, "partial-module tree configuration (0, 2, 4, ...)")
-		steps    = flag.Int("steps", 40, "optimizer steps")
-		batch    = flag.Int("batch", 4, "global batch size")
-		lr       = flag.Float64("lr", 3e-3, "AdamW learning rate")
-		channels = flag.Int("channels", 32, "channel count (mae task only; weather uses 80)")
-		embed    = flag.Int("embed", 16, "embedding dimension")
-		depth    = flag.Int("depth", 2, "transformer blocks")
-		tpvit    = flag.Bool("tpvit", false, "also tensor-parallelize the ViT blocks")
-		seed     = flag.Int64("seed", 2024, "master seed")
-		save     = flag.String("save", "", "write checkpoints (weights + optimizer state) to this directory")
-		saveEach = flag.Int("save-every", 0, "also checkpoint every N optimizer steps (0: final step only)")
-		keep     = flag.Int("keep", 1, "checkpoints to retain: the newest K step subdirectories of -save")
-		load     = flag.String("load", "", "warm-start weights from this checkpoint directory (resharding as needed)")
-		resume   = flag.String("resume", "", "resume exactly from this checkpoint directory (weights, optimizer moments, step)")
-		parts    = flag.Int("partitions", 0, "logical D-CHAG partition count (0: one per rank; -load/-resume read it from the manifest)")
-		elast    = flag.Bool("elastic", false, "run under the elastic fault-tolerant supervisor (requires -ranks > 1 and -save for recovery across rank loss)")
-		minRanks = flag.Int("min-ranks", 1, "smallest world size the elastic supervisor will re-rendezvous at")
-		failRank = flag.Int("fail-rank", -1, "inject a deterministic rank failure: kill this rank (elastic mode only)")
-		failStep = flag.Int("fail-step", -1, "inject the failure at the top of this global step (elastic mode only)")
-		smoke    = flag.Bool("elastic-smoke", false, "run the hermetic elastic smoke check (train, kill a rank, shrink, verify the trajectory) and exit")
+		task      = flag.String("task", "mae", "training task: mae | weather")
+		ranks     = flag.Int("ranks", 2, "simulated D-CHAG (TP) ranks per replica (1 = serial baseline)")
+		dp        = flag.Int("dp", 1, "data-parallel replicas (hybrid D-CHAG x DP when > 1)")
+		kindFlag  = flag.String("kind", "L", "partial-layer kind: L (linear) | C (cross-attention) | P (perceiver)")
+		tree      = flag.Int("tree", 0, "partial-module tree configuration (0, 2, 4, ...)")
+		steps     = flag.Int("steps", 40, "optimizer steps")
+		batch     = flag.Int("batch", 4, "global batch size")
+		lr        = flag.Float64("lr", 3e-3, "AdamW learning rate")
+		channels  = flag.Int("channels", 32, "channel count (mae task only; weather uses 80)")
+		embed     = flag.Int("embed", 16, "embedding dimension")
+		depth     = flag.Int("depth", 2, "transformer blocks")
+		tpvit     = flag.Bool("tpvit", false, "also tensor-parallelize the ViT blocks")
+		seed      = flag.Int64("seed", 2024, "master seed")
+		save      = flag.String("save", "", "write checkpoints (weights + optimizer state) to this directory")
+		saveEach  = flag.Int("save-every", 0, "also checkpoint every N optimizer steps (0: final step only)")
+		keep      = flag.Int("keep", 1, "checkpoints to retain: the newest K step subdirectories of -save")
+		load      = flag.String("load", "", "warm-start weights from this checkpoint directory (resharding as needed)")
+		resume    = flag.String("resume", "", "resume exactly from this checkpoint directory (weights, optimizer moments, step)")
+		parts     = flag.Int("partitions", 0, "logical D-CHAG partition count (0: one per rank; -load/-resume read it from the manifest)")
+		elast     = flag.Bool("elastic", false, "run under the elastic fault-tolerant supervisor (requires -ranks > 1 and -save for recovery across rank loss)")
+		minRanks  = flag.Int("min-ranks", 1, "smallest world size the elastic supervisor will re-rendezvous at")
+		failRank  = flag.Int("fail-rank", -1, "inject a deterministic rank failure: kill this rank (elastic mode only)")
+		failStep  = flag.Int("fail-step", -1, "inject the failure at the top of this global step (elastic mode only)")
+		tracePath = flag.String("trace", "", "trace every rank's step phases and collectives and write them to this path as Chrome trace-event JSON")
 
 		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof profiling on this address (off by default; exposes runtime internals — never bind on an untrusted network)")
 		version   = flag.Bool("version", false, "print build information and exit")
@@ -92,10 +100,6 @@ func main() {
 		fmt.Printf("pprof debug server on http://%s/debug/pprof/ (do not expose on untrusted networks)\n", bound)
 	}
 
-	if *smoke {
-		runElasticSmoke()
-		return
-	}
 	if err := checkFlags(*ranks, *dp, *elast, *failRank, *failStep); err != nil {
 		log.Fatal(err)
 	}
@@ -205,78 +209,112 @@ func main() {
 	fmt.Printf("task=%s ranks=%d kind=%s tree=%d partitions=%d params(serial)=%d\n",
 		*task, *ranks, kind, *tree, partitions, arch.ParamCount())
 
-	if *elast {
-		eo := elastic.Options{TP: *ranks, DP: *dp, MinWorld: *minRanks, TPViT: *tpvit}
-		if *failRank >= 0 {
-			eo.Plan = faultinject.NewPlan().KillAtStep(*failRank, *failStep)
+	var tr *obs.Tracer
+	if *tracePath != "" {
+		rows := *ranks * *dp
+		if *elast {
+			rows++ // the elastic supervisor's row
 		}
-		rep, err := elastic.Run(arch, opts, eo, batchFn)
-		for _, g := range rep.Generations {
-			line := fmt.Sprintf("generation %d: %dx%d from %s at step %d", g.Gen, g.TP, g.DP, g.Source, g.Start)
-			if len(g.Failed) > 0 {
-				line += fmt.Sprintf(" (failed ranks %v)", g.Failed)
+		tr = obs.NewTracer(rows, traceEvents)
+		for k, v := range buildinfo.Get().Meta() {
+			tr.SetMeta(k, v)
+		}
+		tr.SetMeta("workload", fmt.Sprintf("%s tp=%d dp=%d elastic=%v", *task, *ranks, *dp, *elast))
+		opts.Trace = tr
+	}
+	err := func() error {
+		if *elast {
+			eo := elastic.Options{TP: *ranks, DP: *dp, MinWorld: *minRanks, TPViT: *tpvit, Trace: tr}
+			if *failRank >= 0 {
+				eo.Plan = faultinject.NewPlan().KillAtStep(*failRank, *failStep)
 			}
-			fmt.Println(line)
+			rep, err := elastic.Run(arch, opts, eo, batchFn)
+			for _, g := range rep.Generations {
+				fmt.Printf("generation %d: %dx%d from %s at step %d (failed ranks %v)\n",
+					g.Gen, g.TP, g.DP, g.Source, g.Start, g.Failed)
+			}
+			if err != nil {
+				return err
+			}
+			printHistory(train.History{Loss: rep.Loss})
+			return nil
 		}
+		if *ranks <= 1 {
+			// A fresh serial run without -partitions is the plain baseline
+			// stage; anything partitioned (or restored from a partitioned
+			// checkpoint) uses the serial equivalent of the partitioned model —
+			// the same logical state tree as any distributed run.
+			fresh := !opts.Resume && *load == ""
+			var m *model.FoundationModel
+			if stageKind == "serial" || (fresh && *parts <= 1) {
+				m = model.NewSerial(arch)
+			} else {
+				m = model.NewSerialDCHAGEquivalent(arch, partitions)
+			}
+			hist, err := train.SerialCheckpointed(m, opts, batchFn)
+			printHistory(hist)
+			return err
+		}
+		if stageKind == "serial" {
+			return errors.New("checkpoint was saved from the plain serial stage; load it with -ranks 1")
+		}
+		if *dp > 1 {
+			hist, mesh, err := train.Hybrid(arch, *ranks, *dp, *tpvit, opts, batchFn)
+			if err != nil {
+				return err
+			}
+			printHistory(hist)
+			var backward int64
+			for r := 0; r < *ranks**dp; r++ {
+				backward += mesh.TPComm(r).Group().Traffic().BytesInPhase("backward")
+			}
+			fmt.Printf("hybrid D-CHAG(TP=%d) x DP=%d on %d simulated GPUs; backward-phase bytes: %d\n",
+				*ranks, *dp, *ranks**dp, backward)
+			return nil
+		}
+		hist, group, err := train.Distributed(arch, *ranks, *tpvit, opts, batchFn)
 		if err != nil {
-			log.Fatal(err)
-		}
-		printHistory(train.History{Loss: rep.Loss})
-		return
-	}
-	if *ranks <= 1 {
-		// A fresh serial run without -partitions is the plain baseline
-		// stage; anything partitioned (or restored from a partitioned
-		// checkpoint) uses the serial equivalent of the partitioned model —
-		// the same logical state tree as any distributed run.
-		fresh := !opts.Resume && *load == ""
-		var m *model.FoundationModel
-		if stageKind == "serial" || (fresh && *parts <= 1) {
-			m = model.NewSerial(arch)
-		} else {
-			m = model.NewSerialDCHAGEquivalent(arch, partitions)
-		}
-		hist, err := train.SerialCheckpointed(m, opts, batchFn)
-		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		printHistory(hist)
-		if opts.CheckpointDir != "" && len(hist.Loss) > 0 {
-			fmt.Printf("checkpoint written to %s\n", opts.CheckpointDir)
+		fmt.Printf("communication: forward %d B, backward %d B (D-CHAG backward is silent)\n",
+			group.Traffic().BytesInPhase("forward"), group.Traffic().BytesInPhase("backward"))
+		if group.Traffic().BytesInPhase("backward") != 0 {
+			return errors.New("unexpected backward communication")
 		}
-		return
+		return nil
+	}()
+	// The trace is written whatever the outcome: a failed run is the one
+	// most worth reading.
+	if tr != nil {
+		err = errors.Join(err, writeTrace(*tracePath, tr))
 	}
-	if stageKind == "serial" {
-		log.Fatal("checkpoint was saved from the plain serial stage; load it with -ranks 1")
-	}
-	if *dp > 1 {
-		hist, mesh, err := train.Hybrid(arch, *ranks, *dp, *tpvit, opts, batchFn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		printHistory(hist)
-		var backward int64
-		for r := 0; r < *ranks**dp; r++ {
-			backward += mesh.TPComm(r).Group().Traffic().BytesInPhase("backward")
-		}
-		fmt.Printf("hybrid D-CHAG(TP=%d) x DP=%d on %d simulated GPUs; backward-phase bytes: %d\n",
-			*ranks, *dp, *ranks**dp, backward)
-		return
-	}
-	hist, group, err := train.Distributed(arch, *ranks, *tpvit, opts, batchFn)
 	if err != nil {
 		log.Fatal(err)
 	}
-	printHistory(hist)
-	if opts.CheckpointDir != "" && len(hist.Loss) > 0 {
-		fmt.Printf("checkpoint written to %s (%d shards)\n", opts.CheckpointDir, *ranks)
+	if opts.CheckpointDir != "" {
+		if dir, err := ckpt.LatestDir(opts.CheckpointDir); err == nil {
+			fmt.Printf("newest checkpoint: %s\n", dir)
+		}
 	}
-	fmt.Printf("communication: forward %d B, backward %d B (D-CHAG backward is silent)\n",
-		group.Traffic().BytesInPhase("forward"), group.Traffic().BytesInPhase("backward"))
-	if group.Traffic().BytesInPhase("backward") != 0 {
-		fmt.Fprintln(os.Stderr, "warning: unexpected backward communication")
-		os.Exit(1)
+}
+
+// traceEvents is each row's event capacity under -trace, 1.2 MB a row: over
+// a thousand default steps. A longer run keeps the newest events.
+const traceEvents = 1 << 14
+
+// writeTrace exports tr as Chrome trace-event JSON and reports the events
+// its full rings dropped.
+func writeTrace(path string, tr *obs.Tracer) error {
+	if err := obs.WriteChromeTraceFile(path, tr); err != nil {
+		return err
 	}
+	var dropped uint64
+	for r := 0; r < tr.Rows(); r++ {
+		dropped += tr.Dropped(r)
+	}
+	fmt.Printf("trace written to %s (%d rows, %d events dropped)\n", path, tr.Rows(), dropped)
+	return nil
 }
 
 // checkFlags refuses, before any training, the flag combinations the run
@@ -307,97 +345,4 @@ func printHistory(h train.History) {
 			fmt.Printf("step %4d  loss %.6f\n", h.Start+s, l)
 		}
 	}
-}
-
-// runElasticSmoke is the hermetic CI check for elastic training: train a
-// tiny model at 8 ranks with a deterministic fault plan that kills rank 5
-// at step 7, let the supervisor shrink to the survivors from the last
-// committed checkpoint, then independently cold-restore that same commit at
-// the recovery shape and verify the supervisor's continued trajectory is
-// bitwise identical. Everything runs in a temp directory; exit status is
-// the verdict.
-func runElasticSmoke() {
-	const (
-		world    = 8
-		steps    = 12
-		batchSz  = 4
-		killRank = 5
-		killStep = 7
-	)
-	dir, err := os.MkdirTemp("", "elastic-smoke-*")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-
-	arch := model.Arch{
-		Config: core.Config{
-			Channels: world, ImgH: 4, ImgW: 4, Patch: 2,
-			Embed: 8, Heads: 2, Kind: core.KindLinear, Seed: 99,
-		},
-		Depth: 1, MetaTokens: 1,
-	}
-	opts := train.Options{
-		Steps: steps, Batch: batchSz, LR: 1e-2, MaskRatio: 0.5, Seed: 5, ClipNorm: 1,
-		CheckpointDir: dir, CheckpointEvery: 3, CheckpointKeep: 16,
-	}
-	gen := data.NewHyperspectral(data.HyperspectralConfig{
-		Images: steps * batchSz, Channels: world, ImgH: 4, ImgW: 4,
-		Endmembers: 2, Noise: 0.01, Seed: 42,
-	})
-	xs := make([]*tensor.Tensor, steps)
-	for s := 0; s < steps; s++ {
-		xs[s] = gen.Batch(s*batchSz, batchSz)
-	}
-	batchFn := func(s int) (*tensor.Tensor, *tensor.Tensor) { return xs[s], xs[s] }
-
-	plan := faultinject.NewPlan().KillAtStep(killRank, killStep)
-	rep, err := elastic.Run(arch, opts, elastic.Options{TP: world, DP: 1, MinWorld: 1, Plan: plan}, batchFn)
-	if err != nil {
-		log.Fatalf("elastic run: %v", err)
-	}
-	var rec *elastic.Generation
-	for i := range rep.Generations {
-		g := &rep.Generations[i]
-		fmt.Printf("generation %d: %dx%d from %s at step %d (failed ranks %v)\n",
-			g.Gen, g.TP, g.DP, g.Source, g.Start, g.Failed)
-		if g.Source == elastic.SourceCheckpoint {
-			rec = g
-		}
-	}
-	if rec == nil {
-		log.Fatalf("no checkpoint-sourced recovery generation in %+v", rep.Generations)
-	}
-	if rec.TP*rec.DP >= world {
-		log.Fatalf("recovery world %d did not shrink below %d", rec.TP*rec.DP, world)
-	}
-
-	// Independent cold restore of the same commit at the recovery shape;
-	// its trajectory over the same step range is the oracle.
-	ck, err := ckpt.Open(ckpt.StepDir(dir, rec.Start))
-	if err != nil {
-		log.Fatalf("open recovery commit: %v", err)
-	}
-	coldDir, err := os.MkdirTemp("", "elastic-smoke-cold-*")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(coldDir)
-	coldOpts := opts
-	coldOpts.CheckpointDir = coldDir
-	arch.Partitions = world
-	res := train.RunGeneration(arch, coldOpts, train.GenSpec{
-		TP: rec.TP, DP: rec.DP, Start: rec.Start, End: steps, From: ck,
-	}, batchFn)
-	if res.Err != nil {
-		log.Fatalf("cold restore run: %v", res.Err)
-	}
-	for i, l := range res.Hist.Loss {
-		s := rec.Start + i
-		if rep.Loss[s] != l {
-			log.Fatalf("step %d: elastic loss %v != cold-restore loss %v", s, rep.Loss[s], l)
-		}
-	}
-	fmt.Printf("elastic-smoke: OK — killed rank %d at step %d, recovered at %dx%d from the step-%d commit, %d continued steps bitwise identical to cold restore\n",
-		killRank, killStep, rec.TP, rec.DP, rec.Start, len(res.Hist.Loss))
 }

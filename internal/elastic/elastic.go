@@ -80,7 +80,9 @@ type Report struct {
 // Run trains arch for opts.Steps steps under elastic supervision. The
 // returned Report covers every generation even when Run fails partway.
 func Run(arch model.Arch, opts train.Options, eo Options, batch train.BatchFn) (Report, error) {
-	rep := Report{Loss: make([]float64, opts.Steps)}
+	// A negative Steps reaches the first generation, whose validation
+	// refuses it.
+	rep := Report{Loss: make([]float64, max(opts.Steps, 0))}
 	if eo.TP < 1 || eo.DP < 1 {
 		return rep, fmt.Errorf("elastic: invalid initial shape tp=%d dp=%d", eo.TP, eo.DP)
 	}

@@ -98,8 +98,8 @@ func WriteChromeTraceFile(path string, t *Tracer) error {
 // non-empty traceEvents array whose entries carry a name, a known phase
 // ('X', 'i', or 'M'), numeric pid/tid, a numeric ts for timed phases, a
 // non-negative dur for complete events, and a scope for instants; a null
-// stands for none of them. The
-// trace-smoke CI gate runs every exported trace through it.
+// stands for none of them. train.TestHybridTraceMatchesLedger runs a
+// traced training run's export through it.
 func ValidateChromeTrace(data []byte) error {
 	var top map[string]json.RawMessage
 	if err := json.Unmarshal(data, &top); err != nil {

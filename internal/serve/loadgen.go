@@ -35,14 +35,6 @@ type LoadgenResult struct {
 	Snapshot Snapshot
 }
 
-// ThroughputRPS is the run's measured request throughput.
-func (r LoadgenResult) ThroughputRPS() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(r.Requests-r.Errors) / r.Wall.Seconds()
-}
-
 // RunLoadgen drives the engine with the configured load and blocks until
 // every request has completed (or terminally failed). It measures the
 // engine hermetically — no network, no sleeps besides queue-full backoff —

@@ -139,21 +139,22 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
-// withDefaults normalizes zero fields.
+// withDefaults fills the zero fields; a negative one is left for validate
+// to refuse.
 func (c Config) withDefaults() Config {
-	if c.Ranks < 1 {
+	if c.Ranks == 0 {
 		c.Ranks = 1
 	}
-	if c.Replicas < 1 {
+	if c.Replicas == 0 {
 		c.Replicas = 1
 	}
-	if c.MaxBatch < 1 {
+	if c.MaxBatch == 0 {
 		c.MaxBatch = 8
 	}
-	if c.MaxWait <= 0 {
+	if c.MaxWait == 0 {
 		c.MaxWait = 10 * time.Millisecond
 	}
-	if c.QueueDepth < 1 {
+	if c.QueueDepth == 0 {
 		c.QueueDepth = 4 * c.MaxBatch * c.Replicas
 	}
 	return c
@@ -161,7 +162,7 @@ func (c Config) withDefaults() Config {
 
 // validate rejects nonsensical configurations before any goroutine starts.
 func (c Config) validate() error {
-	if c.Ranks < 1 || c.Replicas < 1 || c.MaxBatch < 1 || c.QueueDepth < 1 || c.CacheBytes < 0 {
+	if c.Ranks < 1 || c.Replicas < 1 || c.MaxBatch < 1 || c.MaxWait < 0 || c.QueueDepth < 1 || c.CacheBytes < 0 {
 		return fmt.Errorf("serve: invalid config %+v", c)
 	}
 	return nil

@@ -80,13 +80,18 @@ type Options struct {
 // validate is the one option and shape check every entry point runs before
 // it touches a checkpoint or builds a mesh: a tp×1×dp mesh needs both
 // extents positive (serial is 1×1), a positive batch in whole shards per
-// replica, and the checkpoint options must be consistent.
+// replica, a step count and checkpoint period that are not negative, and
+// the checkpoint options must be consistent.
 func (o Options) validate(tp, dp int) error {
 	if tp < 1 || dp < 1 {
 		return fmt.Errorf("train: invalid mesh shape tp=%d dp=%d", tp, dp)
 	}
 	if o.Batch < 1 {
 		return fmt.Errorf("train: invalid batch size %d", o.Batch)
+	}
+	if o.Steps < 0 || o.CheckpointEvery < 0 || o.CheckpointKeep < 0 {
+		return fmt.Errorf("train: negative Steps %d, CheckpointEvery %d or CheckpointKeep %d",
+			o.Steps, o.CheckpointEvery, o.CheckpointKeep)
 	}
 	if o.Batch%dp != 0 {
 		return fmt.Errorf("train: batch %d not divisible by dp %d", o.Batch, dp)
@@ -99,9 +104,6 @@ func (o Options) validate(tp, dp int) error {
 	}
 	if o.CheckpointEvery > 0 && o.CheckpointDir == "" {
 		return fmt.Errorf("train: CheckpointEvery requires CheckpointDir")
-	}
-	if o.CheckpointKeep < 0 {
-		return fmt.Errorf("train: negative CheckpointKeep %d", o.CheckpointKeep)
 	}
 	if o.CheckpointKeep > 1 && o.CheckpointDir == "" {
 		return fmt.Errorf("train: CheckpointKeep requires CheckpointDir")

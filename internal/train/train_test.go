@@ -329,7 +329,8 @@ func TestDDPSyncIsOneCollective(t *testing.T) {
 // TestHybridTraceMatchesLedger: a traced TP=2 x DP=2 run puts every
 // collective of every axis on the tracer. Per axis, the comm/<axis> spans
 // over all rows carry exactly the bytes the mesh's traffic ledger recorded,
-// every rank traced the same nonzero number of them, and no row overflowed.
+// every rank traced the same nonzero number of them, no row overflowed,
+// and the run exports as valid Chrome trace-event JSON.
 func TestHybridTraceMatchesLedger(t *testing.T) {
 	const tp, dp = 2, 2
 	a := tinyArch(4)
@@ -367,6 +368,13 @@ func TestHybridTraceMatchesLedger(t *testing.T) {
 			t.Errorf("row %d dropped %d events", r, d)
 		}
 	}
+	var out strings.Builder
+	if err := obs.WriteChromeTrace(&out, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateChromeTrace([]byte(out.String())); err != nil {
+		t.Errorf("exported trace: %v", err)
+	}
 }
 
 func TestEntryPointValidation(t *testing.T) {
@@ -379,6 +387,10 @@ func TestEntryPointValidation(t *testing.T) {
 	noDir.CheckpointEvery = 1
 	noBatch, negBatch := ok, ok
 	noBatch.Batch, negBatch.Batch = 0, -2
+	negSteps := ok
+	negSteps.Steps = -3
+	negEvery := ok
+	negEvery.CheckpointDir, negEvery.CheckpointEvery = t.TempDir(), -2
 	serial := func(_, _ int, o Options) error {
 		_, err := SerialCheckpointed(model.NewSerial(a), o, batch)
 		return err
@@ -402,21 +414,28 @@ func TestEntryPointValidation(t *testing.T) {
 	}{
 		{"serial batch=0", serial, 1, 1, noBatch},
 		{"serial batch=-2", serial, 1, 1, negBatch},
+		{"serial steps=-3", serial, 1, 1, negSteps},
+		{"serial checkpoint every -2", serial, 1, 1, negEvery},
 		{"hybrid tp=0", hybrid, 0, 2, ok},
 		{"hybrid batch=0", hybrid, 2, 1, noBatch},
 		{"hybrid batch=-2", hybrid, 2, 1, negBatch},
 		{"hybrid dp=0", hybrid, 2, 0, ok},
 		{"hybrid batch not divisible by dp", hybrid, 2, 3, ok},
 		{"hybrid checkpoint options", hybrid, 2, 1, noDir},
+		{"hybrid steps=-3", hybrid, 2, 2, negSteps},
+		{"hybrid checkpoint every -2", hybrid, 2, 2, negEvery},
 		{"distributed p=0", distributed, 0, 1, ok},
 		{"distributed p=-1", distributed, -1, 1, ok},
 		{"distributed checkpoint options", distributed, 2, 1, noDir},
+		{"distributed steps=-3", distributed, 2, 1, negSteps},
+		{"distributed checkpoint every -2", distributed, 2, 1, negEvery},
 		{"generation tp=0", generation, 0, 1, ok},
 		{"generation dp=-1", generation, 2, -1, ok},
 		{"generation batch not divisible by dp", generation, 2, 3, ok},
 		{"generation checkpoint options", generation, 2, 1, noDir},
 		{"generation batch=0", generation, 2, 1, noBatch},
 		{"generation batch=-2", generation, 2, 1, negBatch},
+		{"generation checkpoint every -2", generation, 2, 1, negEvery},
 	} {
 		if err := tc.run(tc.tp, tc.dp, tc.opts); err == nil {
 			t.Errorf("%s: want a validation error", tc.name)

@@ -23,6 +23,7 @@ exceptions='
 internal/analysis: RunFixture                 helper that other packages tests import
 internal/analysis: Loader.LoadOne             called only by RunFixture
 internal/promtext: Families.Value             helper that other packages tests import
+internal/promtext: Parse                      the strict scraper the serving /metrics tests parse with
 internal/dist: RunMesh                        helper that other packages tests import
 internal/leakcheck: Check                     helper that other packages tests import
 internal/nn: ParamsEqual                      helper that other packages tests import
