@@ -46,29 +46,12 @@ func main() {
 		return
 	}
 
-	shape, ok := perfmodel.Shapes[*modelName]
-	if !ok {
-		names := make([]string, 0, len(perfmodel.Shapes))
-		for n := range perfmodel.Shapes {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		log.Fatalf("unknown model %q (have %v)", *modelName, names)
-	}
-	var m perfmodel.Method
-	switch *method {
-	case "baseline":
-		m = perfmodel.MethodBaseline
-	case "disttok":
-		m = perfmodel.MethodDistTok
-	case "dchag":
-		m = perfmodel.MethodDCHAG
-	default:
-		log.Fatalf("unknown method %q", *method)
-	}
-	kind := core.KindLinear
-	if *kindFlag == "C" {
-		kind = core.KindCross
+	shape, strat, err := checkFlags(planFlags{
+		model: *modelName, method: *method, kind: *kindFlag,
+		channels: *channels, batch: *batch, tp: *tp, fsdp: *fsdp, dp: *dp, tree: *tree,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	machine := hw.Frontier()
@@ -77,19 +60,22 @@ func main() {
 	wl.MicroBatch = *batch
 
 	if *sweep {
-		fmt.Printf("%s, %d channels, %s: TP feasibility sweep (micro-batch %d)\n", shape.Name, *channels, m, *batch)
+		fmt.Printf("%s, %d channels, %s: TP feasibility sweep (micro-batch %d)\n", shape.Name, *channels, strat.Method, *batch)
 		for t := 1; t <= 32; t *= 2 {
 			if shape.Heads%t != 0 {
 				continue
 			}
-			s := perfmodel.Strategy{Method: m, TP: t, FSDP: *fsdp, DP: *dp, Tree: *tree, Kind: kind}
+			if strat.Method == perfmodel.MethodDCHAG && t > *channels {
+				continue
+			}
+			s := strat
+			s.TP = t
 			r := perfmodel.Analyze(shape, wl, s, machine, cal)
 			fmt.Printf("  TP=%-3d %8.1f GiB/GPU  %s\n", t, r.TotalMemBytes()/(1<<30), status(r))
 		}
 		return
 	}
 
-	strat := perfmodel.Strategy{Method: m, TP: *tp, FSDP: *fsdp, DP: *dp, Tree: *tree, Kind: kind}
 	r := perfmodel.Analyze(shape, wl, strat, machine, cal)
 	fmt.Printf("%s, %d channels, %s, micro-batch %d, %d GPUs\n", shape.Name, *channels, strat.Label(), *batch, strat.World())
 	fmt.Printf("  usable GCD memory: %s\n\n", hw.FormatBytes(machine.UsableMemBytes()))
@@ -111,6 +97,63 @@ func main() {
 	if !r.Fits() {
 		os.Exit(2)
 	}
+}
+
+// planFlags is what checkFlags reads of the command line.
+type planFlags struct {
+	model, method, kind                 string
+	channels, batch, tp, fsdp, dp, tree int
+}
+
+// checkFlags resolves the model shape and the strategy the flags name, and
+// refuses what the model would otherwise misread: an unknown model, method
+// or partial-layer kind, a mesh extent, channel count or micro-batch below
+// 1 (perfmodel.Strategy would clamp an extent to 1), a negative tree, and a
+// D-CHAG group wider than the channels it shards.
+func checkFlags(f planFlags) (perfmodel.ModelShape, perfmodel.Strategy, error) {
+	shape, ok := perfmodel.Shapes[f.model]
+	if !ok {
+		names := make([]string, 0, len(perfmodel.Shapes))
+		for n := range perfmodel.Shapes {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		return shape, perfmodel.Strategy{}, fmt.Errorf("unknown model %q (have %v)", f.model, names)
+	}
+	s := perfmodel.Strategy{TP: f.tp, FSDP: f.fsdp, DP: f.dp, Tree: f.tree}
+	switch f.method {
+	case "baseline":
+		s.Method = perfmodel.MethodBaseline
+	case "disttok":
+		s.Method = perfmodel.MethodDistTok
+	case "dchag":
+		s.Method = perfmodel.MethodDCHAG
+	default:
+		return shape, s, fmt.Errorf("unknown method %q (want baseline, disttok or dchag)", f.method)
+	}
+	switch f.kind {
+	case "L":
+		s.Kind = core.KindLinear
+	case "C":
+		s.Kind = core.KindCross
+	default:
+		return shape, s, fmt.Errorf("unknown kind %q (want L or C)", f.kind)
+	}
+	for _, e := range []struct {
+		name string
+		v    int
+	}{{"-channels", f.channels}, {"-batch", f.batch}, {"-tp", f.tp}, {"-fsdp", f.fsdp}, {"-dp", f.dp}} {
+		if e.v < 1 {
+			return shape, s, fmt.Errorf("%s %d: need at least 1", e.name, e.v)
+		}
+	}
+	if f.tree < 0 {
+		return shape, s, fmt.Errorf("-tree %d: need 0 or more", f.tree)
+	}
+	if s.Method == perfmodel.MethodDCHAG && f.tp > f.channels {
+		return shape, s, fmt.Errorf("-tp %d: D-CHAG shards %d channels, at least one per rank", f.tp, f.channels)
+	}
+	return shape, s, nil
 }
 
 func status(r perfmodel.Report) string {

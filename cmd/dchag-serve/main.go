@@ -64,6 +64,9 @@ func main() {
 	if *ckptDir == "" {
 		log.Fatal("-ckpt is required: name a checkpoint directory (dchag-train -save writes one)")
 	}
+	if err := checkLoadgen(*loadgen, *requests, *clients); err != nil {
+		log.Fatal(err)
+	}
 	if *cacheMB < 0 || *cacheMB > math.MaxInt64>>20 {
 		log.Fatalf("-cache-mb %d: want 0 (off) to %d", *cacheMB, int64(math.MaxInt64>>20))
 	}
@@ -131,6 +134,20 @@ func main() {
 	case <-engine.Done():
 		log.Fatalf("engine stopped: %v", engine.Err())
 	}
+}
+
+// checkLoadgen refuses a -loadgen run that would send no request or start
+// no client, and so report load it never sent.
+func checkLoadgen(on bool, requests, clients int) error {
+	switch {
+	case !on:
+		return nil
+	case requests < 1:
+		return fmt.Errorf("-requests %d: -loadgen needs at least 1", requests)
+	case clients < 1:
+		return fmt.Errorf("-concurrency %d: -loadgen needs at least 1 client", clients)
+	}
+	return nil
 }
 
 // runLoadgen drives the engine — through HTTP when baseURL is set, else

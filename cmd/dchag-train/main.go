@@ -13,8 +13,8 @@
 // (internal/ckpt): each flag names a checkpoint *directory* holding one
 // shard file per rank plus a manifest. A checkpoint saved at p ranks can be
 // loaded at any rank count dividing its logical partition count — including
-// 1, where the serial Reference equivalent of the partitioned model is
-// built — with bit-identical logical weights:
+// 1, where one rank owns every partition of the same model — with
+// bit-identical logical weights:
 //
 //	dchag-train -task mae -ranks 4 -steps 20 -save ckpt/
 //	dchag-train -task mae -ranks 2 -steps 20 -load ckpt/   # reshard 4 -> 2
@@ -63,7 +63,7 @@ func main() {
 		ranks     = flag.Int("ranks", 2, "simulated D-CHAG (TP) ranks per replica (1 = serial baseline)")
 		dp        = flag.Int("dp", 1, "data-parallel replicas (hybrid D-CHAG x DP when > 1)")
 		kindFlag  = flag.String("kind", "L", "partial-layer kind: L (linear) | C (cross-attention) | P (perceiver)")
-		tree      = flag.Int("tree", 0, "partial-module tree configuration (0, 2, 4, ...)")
+		tree      = flag.Int("tree", 0, "partial-module tree: 0 or 1 = one aggregation layer per partition, N >= 2 = N first-level groups plus a reducer")
 		steps     = flag.Int("steps", 40, "optimizer steps")
 		batch     = flag.Int("batch", 4, "global batch size")
 		lr        = flag.Float64("lr", 3e-3, "AdamW learning rate")
@@ -100,7 +100,10 @@ func main() {
 		fmt.Printf("pprof debug server on http://%s/debug/pprof/ (do not expose on untrusted networks)\n", bound)
 	}
 
-	if err := checkFlags(*ranks, *dp, *elast, *failRank, *failStep); err != nil {
+	if err := checkFlags(runFlags{
+		task: *task, channels: *channels, embed: *embed, depth: *depth, tree: *tree,
+		ranks: *ranks, dp: *dp, elastic: *elast, failRank: *failRank, failStep: *failStep,
+	}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -125,7 +128,7 @@ func main() {
 		arch = model.Arch{
 			Config: core.Config{
 				Channels: *channels, ImgH: 8, ImgW: 8, Patch: 2,
-				Embed: *embed, Heads: 2, Tree: *tree, Kind: kind, Seed: *seed,
+				Embed: *embed, Heads: heads, Tree: *tree, Kind: kind, Seed: *seed,
 			},
 			Depth: *depth, MetaTokens: 1,
 		}
@@ -143,7 +146,7 @@ func main() {
 		arch = model.Arch{
 			Config: core.Config{
 				Channels: w.Channels(), ImgH: 8, ImgW: 16, Patch: 2,
-				Embed: *embed, Heads: 2, Tree: *tree, Kind: kind, Seed: *seed,
+				Embed: *embed, Heads: heads, Tree: *tree, Kind: kind, Seed: *seed,
 			},
 			Depth: *depth, MetaTokens: 1,
 		}
@@ -317,23 +320,44 @@ func writeTrace(path string, tr *obs.Tracer) error {
 	return nil
 }
 
+// heads is the attention head count of every model dchag-train builds.
+const heads = 2
+
+// runFlags is what checkFlags reads of the command line.
+type runFlags struct {
+	task                         string
+	channels, embed, depth, tree int
+	ranks, dp                    int
+	elastic                      bool
+	failRank, failStep           int
+}
+
 // checkFlags refuses, before any training, the flag combinations the run
-// would otherwise ignore or misread: a mesh extent below 1, data
-// parallelism over the serial baseline, and a fault injected outside the
-// elastic supervisor (or only half specified).
-func checkFlags(ranks, dp int, elast bool, failRank, failStep int) error {
+// would otherwise ignore, misread or die on: a model shape no layer can
+// build, a mesh extent below 1, data parallelism over the serial baseline,
+// and a fault injected outside the elastic supervisor (or only half
+// specified).
+func checkFlags(f runFlags) error {
 	switch {
-	case ranks < 1:
-		return fmt.Errorf("-ranks %d: need at least 1", ranks)
-	case dp < 1:
-		return fmt.Errorf("-dp %d: need at least 1", dp)
-	case dp > 1 && ranks == 1:
+	case f.embed < heads || f.embed%heads != 0:
+		return fmt.Errorf("-embed %d: need a positive multiple of the %d attention heads", f.embed, heads)
+	case f.depth < 1:
+		return fmt.Errorf("-depth %d: need at least 1 transformer block", f.depth)
+	case f.task == "mae" && f.channels < 1:
+		return fmt.Errorf("-channels %d: need at least 1", f.channels)
+	case f.tree < 0:
+		return fmt.Errorf("-tree %d: need 0 or more (0 and 1 mean one aggregation layer)", f.tree)
+	case f.ranks < 1:
+		return fmt.Errorf("-ranks %d: need at least 1", f.ranks)
+	case f.dp < 1:
+		return fmt.Errorf("-dp %d: need at least 1", f.dp)
+	case f.dp > 1 && f.ranks == 1:
 		return errors.New("-dp > 1 requires -ranks > 1 (the serial baseline has no data-parallel replicas)")
-	case elast && ranks == 1:
+	case f.elastic && f.ranks == 1:
 		return errors.New("-elastic requires -ranks > 1")
-	case !elast && (failRank >= 0 || failStep >= 0):
+	case !f.elastic && (f.failRank >= 0 || f.failStep >= 0):
 		return errors.New("-fail-rank and -fail-step inject a failure only under -elastic")
-	case (failRank >= 0) != (failStep >= 0):
+	case (f.failRank >= 0) != (f.failStep >= 0):
 		return errors.New("-fail-rank and -fail-step must be set together")
 	}
 	return nil

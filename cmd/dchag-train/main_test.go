@@ -2,35 +2,48 @@ package main
 
 import "testing"
 
-// TestCheckFlags: every flag combination the run would silently ignore or
-// misread is refused; the plain serial, D-CHAG, hybrid and elastic runs
-// pass.
+// TestCheckFlags: every flag combination the run would silently ignore,
+// misread or die on is refused; the plain serial, D-CHAG, hybrid and elastic
+// runs pass.
 func TestCheckFlags(t *testing.T) {
+	// serial is the default run's flags at -ranks 1.
+	serial := runFlags{task: "mae", channels: 32, embed: 16, depth: 2, ranks: 1, dp: 1, failRank: -1, failStep: -1}
 	for _, tc := range []struct {
-		name               string
-		ranks, dp          int
-		elastic            bool
-		failRank, failStep int
-		ok                 bool
+		name string
+		set  func(f *runFlags)
+		ok   bool
 	}{
-		{"serial", 1, 1, false, -1, -1, true},
-		{"dchag", 2, 1, false, -1, -1, true},
-		{"hybrid", 2, 2, false, -1, -1, true},
-		{"elastic", 2, 1, true, -1, -1, true},
-		{"elastic with fault", 4, 1, true, 1, 3, true},
-		{"ranks 0", 0, 1, false, -1, -1, false},
-		{"ranks -1", -1, 1, false, -1, -1, false},
-		{"dp 0", 2, 0, false, -1, -1, false},
-		{"dp over serial", 1, 2, false, -1, -1, false},
-		{"elastic serial", 1, 1, true, -1, -1, false},
-		{"fail-rank without elastic", 2, 1, false, 1, 1, false},
-		{"fail-step alone without elastic", 2, 1, false, -1, 1, false},
-		{"fail-rank alone under elastic", 2, 1, true, 1, -1, false},
+		{"serial", func(f *runFlags) {}, true},
+		{"dchag", func(f *runFlags) { f.ranks = 2 }, true},
+		{"hybrid", func(f *runFlags) { f.ranks, f.dp = 2, 2 }, true},
+		{"elastic", func(f *runFlags) { f.ranks, f.elastic = 2, true }, true},
+		{"elastic with fault", func(f *runFlags) { f.ranks, f.elastic, f.failRank, f.failStep = 4, true, 1, 3 }, true},
+		{"embed 2", func(f *runFlags) { f.embed = 2 }, true},
+		{"tree 1", func(f *runFlags) { f.tree = 1 }, true},
+		{"tree 3", func(f *runFlags) { f.tree = 3 }, true},
+		{"depth 1", func(f *runFlags) { f.depth = 1 }, true},
+		{"channels 1", func(f *runFlags) { f.channels = 1 }, true},
+		{"weather ignores channels", func(f *runFlags) { f.task, f.channels = "weather", 0 }, true},
+		{"embed 0", func(f *runFlags) { f.embed = 0 }, false},
+		{"embed 5", func(f *runFlags) { f.embed = 5 }, false},
+		{"embed -4", func(f *runFlags) { f.embed = -4 }, false},
+		{"depth 0", func(f *runFlags) { f.depth = 0 }, false},
+		{"depth -1", func(f *runFlags) { f.depth = -1 }, false},
+		{"channels 0", func(f *runFlags) { f.channels = 0 }, false},
+		{"tree -2", func(f *runFlags) { f.tree = -2 }, false},
+		{"ranks 0", func(f *runFlags) { f.ranks = 0 }, false},
+		{"ranks -1", func(f *runFlags) { f.ranks = -1 }, false},
+		{"dp 0", func(f *runFlags) { f.ranks, f.dp = 2, 0 }, false},
+		{"dp over serial", func(f *runFlags) { f.dp = 2 }, false},
+		{"elastic serial", func(f *runFlags) { f.elastic = true }, false},
+		{"fail-rank without elastic", func(f *runFlags) { f.ranks, f.failRank, f.failStep = 2, 1, 1 }, false},
+		{"fail-step alone without elastic", func(f *runFlags) { f.ranks, f.failStep = 2, 1 }, false},
+		{"fail-rank alone under elastic", func(f *runFlags) { f.ranks, f.elastic, f.failRank = 2, true, 1 }, false},
 	} {
-		err := checkFlags(tc.ranks, tc.dp, tc.elastic, tc.failRank, tc.failStep)
-		if (err == nil) != tc.ok {
-			t.Errorf("%s: checkFlags(ranks=%d, dp=%d, elastic=%v, fail-rank=%d, fail-step=%d) = %v, want ok=%v",
-				tc.name, tc.ranks, tc.dp, tc.elastic, tc.failRank, tc.failStep, err, tc.ok)
+		f := serial
+		tc.set(&f)
+		if err := checkFlags(f); (err == nil) != tc.ok {
+			t.Errorf("%s: checkFlags(%+v) = %v, want ok=%v", tc.name, f, err, tc.ok)
 		}
 	}
 }

@@ -27,10 +27,9 @@
 //   - DCHAG, the full method (Sec. 3.3, Fig. 4): a LocalStage over the rank's
 //     channel shard, an AllGather of exactly one token per partition, and a
 //     final cross-attention layer whose parameters are replicated so the
-//     backward pass needs no communication at all;
-//   - Reference, the mathematically identical single-process model (a
-//     LocalStage over every partition, then the final layer) used by the
-//     tests to prove distributed == serial, bit for bit.
+//     backward pass needs no communication at all. On a one-rank group it
+//     is the serial model, every partition in one process, which the tests
+//     hold bit for bit to the same model over 2 and 4 ranks.
 package core
 
 import (

@@ -213,6 +213,12 @@ func TestBaselineAggregatorIsSingleCrossAttention(t *testing.T) {
 	}
 }
 
+// serialDCHAG is the p-partition stage on a one-rank group: every partition
+// in one process, the serial realization the tests hold the others to.
+func serialDCHAG(cfg Config, p int) *DCHAG {
+	return NewDCHAGPartitioned(cfg, comm.NewGroup(1).Comm(0), p)
+}
+
 // runDCHAG runs the distributed module over p goroutine ranks on the full
 // image x and upstream gradient up, returning per-rank outputs, image-shard
 // gradients, and the traffic group.
@@ -255,7 +261,7 @@ func TestDCHAGMatchesReference(t *testing.T) {
 		x := tensor.Randn(rng, 2, cfg.Channels, cfg.ImgH, cfg.ImgW)
 		up := tensor.Randn(rng, 2, cfg.Tokens(), cfg.Embed)
 
-		ref := NewReference(cfg, tc.p)
+		ref := serialDCHAG(cfg, tc.p)
 		wantOut := ref.Forward(x)
 		nn.ZeroGrads(ref.Params())
 		wantDimg := ref.Backward(up)
@@ -276,8 +282,8 @@ func TestDCHAGMatchesReference(t *testing.T) {
 
 func TestDCHAGPartitionedMatchesReference(t *testing.T) {
 	// The partition count P is a model property decoupled from the rank
-	// count q: every q dividing P must realize the exact logical model
-	// Reference(P) — forward outputs, image gradients, and parameter
+	// count q: every q dividing P must realize the exact logical model of
+	// the one-rank stage — forward outputs, image gradients, and parameter
 	// gradients — including with uneven channel partitions.
 	for _, tc := range []struct {
 		channels, partitions int
@@ -295,7 +301,7 @@ func TestDCHAGPartitionedMatchesReference(t *testing.T) {
 		x := tensor.Randn(rng, 2, cfg.Channels, cfg.ImgH, cfg.ImgW)
 		up := tensor.Randn(rng, 2, cfg.Tokens(), cfg.Embed)
 
-		ref := NewReference(cfg, tc.partitions)
+		ref := serialDCHAG(cfg, tc.partitions)
 		wantOut := ref.Forward(x)
 		nn.ZeroGrads(ref.Params())
 		wantDimg := ref.Backward(up)
@@ -322,13 +328,13 @@ func TestDCHAGPartitionedMatchesReference(t *testing.T) {
 				if diff := tensor.MaxAbsDiff(dimg, wantShard); diff > 1e-9 {
 					return fmt.Errorf("rank %d image grad differs by %g", c.Rank(), diff)
 				}
-				// Partial-module parameter gradients match the reference's
+				// Partial-module parameter gradients match the one-rank stage's
 				// same-named partials exactly.
 				for _, partial := range d.Partials {
 					for _, pr := range partial.Params() {
 						want, ok := refGrads[pr.Name]
 						if !ok {
-							return fmt.Errorf("rank %d param %q missing from reference", c.Rank(), pr.Name)
+							return fmt.Errorf("rank %d param %q missing from the one-rank stage", c.Rank(), pr.Name)
 						}
 						if diff := tensor.MaxAbsDiff(pr.Grad, want); diff > 1e-9 {
 							return fmt.Errorf("rank %d param %q grad differs by %g", c.Rank(), pr.Name, diff)
@@ -428,7 +434,7 @@ func TestDCHAGParamGradsMatchReference(t *testing.T) {
 	x := tensor.Randn(rng, 2, cfg.Channels, cfg.ImgH, cfg.ImgW)
 	up := tensor.Randn(rng, 2, cfg.Tokens(), cfg.Embed)
 
-	ref := NewReference(cfg, p)
+	ref := serialDCHAG(cfg, p)
 	ref.Forward(x)
 	nn.ZeroGrads(ref.Params())
 	ref.Backward(up)
@@ -466,7 +472,7 @@ func TestDCHAGParamGradsMatchReference(t *testing.T) {
 		for _, ng := range grads[r] {
 			want, ok := refGrads[ng.name]
 			if !ok {
-				t.Fatalf("rank %d param %q missing from reference", r, ng.name)
+				t.Fatalf("rank %d param %q missing from the one-rank stage", r, ng.name)
 			}
 			if diff := tensor.MaxAbsDiff(ng.grad, want); diff > 1e-9 {
 				t.Fatalf("rank %d param %q grad differs by %g", r, ng.name, diff)
@@ -589,7 +595,7 @@ func TestDCHAGUnevenChannels(t *testing.T) {
 	x := tensor.Randn(rng, 2, cfg.Channels, cfg.ImgH, cfg.ImgW)
 	up := tensor.Randn(rng, 2, cfg.Tokens(), cfg.Embed)
 
-	ref := NewReference(cfg, p)
+	ref := serialDCHAG(cfg, p)
 	want := ref.Forward(x)
 	nn.ZeroGrads(ref.Params())
 	wantDimg := ref.Backward(up)

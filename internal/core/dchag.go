@@ -44,8 +44,8 @@ func (c Config) validate() {
 	}
 }
 
-// Seed indices for the stage's components; shared with Reference so the
-// distributed and serial constructions draw identical parameters.
+// Seed indices for the stage's components. A component draws the same seed
+// at every rank count, so every realization holds identical parameters.
 const (
 	seedTok     = 1
 	seedChEmb   = 2
@@ -73,9 +73,8 @@ const (
 // the rank count q: each rank owns a contiguous block of P/q partitions
 // (one partial module per partition). The logical model — its parameters and
 // its training trajectory — depends only on (Config, P), so a checkpoint
-// saved at q ranks can be restored at any q' dividing P (including q' = 1,
-// which is exactly Reference). The default constructor keeps the historical
-// one-partition-per-rank layout.
+// saved at q ranks can be restored at any q' dividing P, including q' = 1:
+// one rank owning every partition is the serial model.
 type DCHAG struct {
 	Cfg        Config
 	Comm       *comm.Communicator

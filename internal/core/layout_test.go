@@ -16,12 +16,12 @@ import (
 // channel-ID pass, a channel slice per partition, a fold to [N, C, E], a
 // slice per group, the aggregators, and the same chain back — kept as the
 // oracle that pins "data movement only": the shipped stage must equal it bit
-// for bit. It borrows a Reference's layers and parameters and none of its
+// for bit. It borrows a one-rank stage's layers and parameters and none of its
 // passes, and allocates every intermediate afresh. With viaEntryPoints it
 // hands each partition's channel-major slice to the module's own
 // Forward/Infer/Backward instead of walking the tree itself.
 type oracleStage struct {
-	r              *Reference
+	r              *DCHAG
 	viaEntryPoints bool
 	b              int
 }
@@ -75,7 +75,7 @@ func (o *oracleStage) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
 			emb.Data[row*e+i] += v
 		}
 	}
-	seq := tensor.New(b*t, r.P, e)
+	seq := tensor.New(b*t, r.Partitions, e)
 	lo := 0
 	for j, partial := range r.Partials {
 		partIn := tensor.SliceAxis(emb, 1, lo, lo+partial.Channels())
@@ -231,8 +231,8 @@ func TestStageEqualsCopyingCompositionBitwise(t *testing.T) {
 	layoutConfigs(func(name string, cfg Config, batch int) {
 		for _, via := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/entrypoints=%v", name, via), func(t *testing.T) {
-				stage := NewReference(cfg, partitions)
-				oracle := &oracleStage{r: NewReference(cfg, partitions), viaEntryPoints: via}
+				stage := serialDCHAG(cfg, partitions)
+				oracle := &oracleStage{r: serialDCHAG(cfg, partitions), viaEntryPoints: via}
 				rng := tensor.NewRNG(7)
 				jitter(stage.Params())
 				jitter(oracle.r.Params())
@@ -262,8 +262,8 @@ func TestStageEqualsCopyingCompositionBitwise(t *testing.T) {
 				for _, tree := range []int{0, 2} {
 					cfg := Config{Channels: 10, ImgH: 2 * patch, ImgW: 3 * patch, Patch: patch, Embed: e, Heads: 2, Tree: tree, Kind: kind, Seed: 4343}
 					t.Run(fmt.Sprintf("infer/kind=%s/patch=%d/E=%d/tree=%d", kind, patch, e, tree), func(t *testing.T) {
-						stage := NewReference(cfg, partitions)
-						oracle := &oracleStage{r: NewReference(cfg, partitions)}
+						stage := serialDCHAG(cfg, partitions)
+						oracle := &oracleStage{r: serialDCHAG(cfg, partitions)}
 						jitter(stage.Params())
 						jitter(oracle.r.Params())
 						x := tensor.Randn(tensor.NewRNG(int64(e)), 3, cfg.Channels, cfg.ImgH, cfg.ImgW)
@@ -288,7 +288,7 @@ func TestStageEqualsCopyingCompositionBitwise(t *testing.T) {
 // Forward(x1), Backward(d) alone.
 func TestInferLeavesPendingBackwardAlone(t *testing.T) {
 	layoutConfigs(func(name string, cfg Config, batch int) {
-		plain, mixed := NewReference(cfg, 4), NewReference(cfg, 4)
+		plain, mixed := serialDCHAG(cfg, 4), serialDCHAG(cfg, 4)
 		rng := tensor.NewRNG(8)
 		x1 := tensor.Randn(rng, batch, cfg.Channels, cfg.ImgH, cfg.ImgW)
 		x2 := tensor.Randn(rng, batch+1, cfg.Channels, cfg.ImgH, cfg.ImgW)
@@ -303,17 +303,17 @@ func TestInferLeavesPendingBackwardAlone(t *testing.T) {
 	})
 }
 
-// TestEveryRealizationAgreesBitwise: the logical model is one — DCHAG over
-// 1, 2 and 4 ranks and Reference(4) produce the same output, the same
-// image-shard gradients and the same parameter gradients bit for bit, and
-// Infer equals Forward on each.
+// TestEveryRealizationAgreesBitwise: the logical model is one — DCHAG with
+// 4 partitions over 1, 2 and 4 ranks produces the output, the image-shard
+// gradients and the parameter gradients of a one-rank stage built alone, bit
+// for bit, and Infer equals Forward on each.
 func TestEveryRealizationAgreesBitwise(t *testing.T) {
 	const partitions = 4
 	layoutConfigs(func(name string, cfg Config, batch int) {
 		rng := tensor.NewRNG(9)
 		x := tensor.Randn(rng, batch, cfg.Channels, cfg.ImgH, cfg.ImgW)
 		d := tensor.Randn(rng, batch, cfg.Tokens(), cfg.Embed)
-		ref := NewReference(cfg, partitions)
+		ref := serialDCHAG(cfg, partitions)
 		nn.ZeroGrads(ref.Params())
 		wantOut := ref.Forward(x).Clone()
 		wantImg := ref.Backward(d)
@@ -321,7 +321,7 @@ func TestEveryRealizationAgreesBitwise(t *testing.T) {
 		for _, p := range ref.Params() {
 			want[p.Name] = p.Grad
 		}
-		sameBits(t, name+" Reference Infer", ref.Infer(x), wantOut)
+		sameBits(t, name+" one-rank Infer", ref.Infer(x), wantOut)
 		for _, q := range []int{1, 2, 4} {
 			_, err := comm.Run(q, func(c *comm.Communicator) error {
 				what := fmt.Sprintf("%s q=%d rank %d", name, q, c.Rank())
@@ -357,7 +357,7 @@ func TestEveryRealizationAgreesBitwise(t *testing.T) {
 // built fresh and fed that round alone, bit for bit: nothing one group, one
 // level, one partition or one round leaves in a workspace reaches another.
 // The same holds for DCHAG at 2 ranks, each rank's stage owning its own
-// workspaces, against the fresh Reference.
+// workspaces, against the fresh one-rank stage.
 func TestSharedWorkspacesCarryNothingBetweenRounds(t *testing.T) {
 	const partitions = 4
 	for _, kind := range []LayerKind{KindCross, KindLinear, KindPerceiver} {
@@ -369,7 +369,7 @@ func TestSharedWorkspacesCarryNothingBetweenRounds(t *testing.T) {
 		for r, b := range []int{3, 2} {
 			xs[r] = tensor.Randn(rng, b, cfg.Channels, cfg.ImgH, cfg.ImgW)
 			ds[r] = tensor.Randn(rng, b, cfg.Tokens(), cfg.Embed)
-			fresh := NewReference(cfg, partitions)
+			fresh := serialDCHAG(cfg, partitions)
 			nn.ZeroGrads(fresh.Params())
 			fresh.Forward(xs[r])
 			wantImg[r] = fresh.Backward(ds[r])
@@ -379,16 +379,12 @@ func TestSharedWorkspacesCarryNothingBetweenRounds(t *testing.T) {
 			}
 		}
 		// round runs round r on s and reports where its gradients differ
-		// from the fresh stage's, s's image covering channels [lo, hi).
-		round := func(what string, s interface {
-			Forward(*tensor.Tensor) *tensor.Tensor
-			Backward(*tensor.Tensor) *tensor.Tensor
-			Params() []*nn.Param
-		}, r, lo, hi int) error {
+		// from the fresh stage's.
+		round := func(what string, s *DCHAG, r int) error {
 			nn.ZeroGrads(s.Params())
-			s.Forward(tensor.SliceAxis(xs[r], 1, lo, hi))
+			s.Forward(tensor.SliceAxis(xs[r], 1, s.ChLo, s.ChHi))
 			what = fmt.Sprintf("%s round %d", what, r)
-			errs := []error{diffBits(what+" image gradient", s.Backward(ds[r]), tensor.SliceAxis(wantImg[r], 1, lo, hi))}
+			errs := []error{diffBits(what+" image gradient", s.Backward(ds[r]), tensor.SliceAxis(wantImg[r], 1, s.ChLo, s.ChHi))}
 			for _, p := range s.Params() {
 				w := want[r][p.Name]
 				if p.Shard != nil {
@@ -399,9 +395,9 @@ func TestSharedWorkspacesCarryNothingBetweenRounds(t *testing.T) {
 			return errors.Join(errs...)
 		}
 		t.Run("kind="+kind.String()+"/reference", func(t *testing.T) {
-			s := NewReference(cfg, partitions)
+			s := serialDCHAG(cfg, partitions)
 			for r := range xs {
-				if err := round("Reference(4)", s, r, 0, cfg.Channels); err != nil {
+				if err := round("one rank", s, r); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -411,7 +407,7 @@ func TestSharedWorkspacesCarryNothingBetweenRounds(t *testing.T) {
 				s := NewDCHAGPartitioned(cfg, c, partitions)
 				var errs []error
 				for r := range xs {
-					errs = append(errs, round(fmt.Sprintf("DCHAG rank %d", c.Rank()), s, r, s.ChLo, s.ChHi))
+					errs = append(errs, round(fmt.Sprintf("DCHAG rank %d", c.Rank()), s, r))
 				}
 				return errors.Join(errs...)
 			})

@@ -10,7 +10,7 @@ import (
 // channel-ID table, and one partial-channel aggregation module per owned
 // partition (Partials[j] takes the next Partials[j].Channels() channels of
 // the shard). DCHAG puts an AllGather and the final layer behind it,
-// Reference the final layer alone, model.SerialStage nothing.
+// model.SerialStage nothing.
 //
 // It owns the stage's one token layout: a pass asks every partial for its
 // first-level group inputs, the tokenizer writes each channel's tokens —

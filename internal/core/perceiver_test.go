@@ -68,7 +68,7 @@ func TestDCHAGWithPerceiverPartialsMatchesReference(t *testing.T) {
 	x := tensor.Randn(rng, 2, cfg.Channels, cfg.ImgH, cfg.ImgW)
 	up := tensor.Randn(rng, 2, cfg.Tokens(), cfg.Embed)
 
-	ref := NewReference(cfg, p)
+	ref := serialDCHAG(cfg, p)
 	want := ref.Forward(x)
 	nn.ZeroGrads(ref.Params())
 	wantDimg := ref.Backward(up)

@@ -30,10 +30,10 @@ type Arch struct {
 	// unshifted and shifted windows.
 	SwinWindow int
 	// Partitions is the logical D-CHAG channel-partition count P; 0 means
-	// one partition per rank (the historical layout). P is a property of the
-	// model, not the topology: any rank count dividing P realizes the same
-	// logical model, which is what lets checkpoints reshard across rank
-	// counts (including to serial via NewSerialDCHAGEquivalent(a, P)).
+	// one partition per rank. P is a property of the model, not the
+	// topology: any rank count dividing P realizes the same logical model,
+	// one rank included (NewSerialDCHAGEquivalent), which is what lets
+	// checkpoints reshard across rank counts.
 	Partitions int
 }
 
@@ -73,8 +73,9 @@ type FoundationModel struct {
 	eval bool
 
 	// share is the group Infer splits a batch over after the channel stage:
-	// nil for a model without one (serial, reference) and for tensor-parallel
-	// blocks, which need every rank in step on the same tokens.
+	// nil for a model without a group or on a one-rank group, and for
+	// tensor-parallel blocks, which need every rank in step on the same
+	// tokens.
 	share *comm.Communicator
 	pred  *tensor.Tensor // Infer's gathered predictions [B, T, C*P*P]
 
@@ -182,8 +183,9 @@ func (m *FoundationModel) SetEval(on bool) { m.eval = on }
 // [r·B/q, (r+1)·B/q) — the final shared layer, mask, positional and meta
 // tokens, the blocks, the norm and the head — and one AllGather of the
 // predictions hands every rank the whole [B, T, C*P*P]. The share is the
-// whole batch without a group, under tensor-parallel blocks (every rank must
-// be in step on the same tokens) and when B < q (a rank would sit idle).
+// whole batch without a group or on a group of one, under tensor-parallel
+// blocks (every rank must be in step on the same tokens) and when B < q (a
+// rank would sit idle).
 func (m *FoundationModel) Infer(x, mask *tensor.Tensor) *tensor.Tensor {
 	b := x.Shape[0]
 	t, e := m.Arch.Tokens(), m.Arch.Embed

@@ -70,25 +70,14 @@ func (s *SerialStage) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return s.LocalStage.Backward(grad, 0)
 }
 
-// ReferenceStage is core.Reference as a ChannelStage: the serial stage that is
-// mathematically identical to the D-CHAG stage distributed over P ranks.
-// A model built on ReferenceStage(P) and trained on full images follows the
-// exact same trajectory as the distributed model trained on channel shards,
-// which the training tests assert.
-type ReferenceStage struct {
-	*core.Reference
-}
-
-// NewReferenceStage builds the serial equivalent of a P-rank D-CHAG stage.
-func NewReferenceStage(cfg core.Config, p int) *ReferenceStage {
-	return &ReferenceStage{core.NewReference(cfg, p)}
-}
-
-// NewSerialDCHAGEquivalent builds a serial model whose channel stage is the
-// P-group D-CHAG reference; used as the correctness oracle for distributed
-// training runs.
+// NewSerialDCHAGEquivalent builds the D-CHAG model with p logical partitions
+// on a one-rank group: one process owns every partition and the whole
+// channel range, with no batch split and no tensor-parallel blocks. It is
+// the model NewDistributed builds over any rank count dividing p, and the
+// correctness oracle of distributed training runs.
 func NewSerialDCHAGEquivalent(a Arch, p int) *FoundationModel {
-	return build(a, NewReferenceStage(a.Config, p), nil, false)
+	a.Partitions = p
+	return NewDistributed(a, comm.NewGroup(1).Comm(0), false)
 }
 
 // DCHAGStage is one rank's core.DCHAG as a ChannelStage.

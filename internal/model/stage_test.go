@@ -121,17 +121,17 @@ func liveHeap() uint64 {
 	return sample[0].Value.Uint64()
 }
 
-// TestReferenceStageHeldAfterTraining measures the live heap one Forward and
-// one Backward leave behind in ReferenceStage(4) — the stage hsi_serial
-// trains — at its shape (64 channels, E 32, batch 2), in token tensors
-// [B, C, T, E], for both kinds and a flat and a two-level tree. The stage
-// owns one backward workspace per tree level, which every partition's
-// aggregators of that level borrow in turn, and the tokenizer takes each
-// group's input gradient as soon as the group's backward returns it; before
-// that, every aggregator kept its own backward scratch and every group's
-// input gradient lived until the last partition had run. The ceilings are
-// the measured values rounded up.
-func TestReferenceStageHeldAfterTraining(t *testing.T) {
+// TestSerialDCHAGStageHeldAfterTraining measures the live heap one Forward
+// and one Backward leave behind in the 4-partition D-CHAG stage on one rank
+// — the stage hsi_serial trains — at its shape (64 channels, E 32, batch 2),
+// in token tensors [B, C, T, E], for both kinds and a flat and a two-level
+// tree. The stage owns one backward workspace per tree level, which every
+// partition's aggregators of that level borrow in turn, and the tokenizer
+// takes each group's input gradient as soon as the group's backward returns
+// it; before that, every aggregator kept its own backward scratch and every
+// group's input gradient lived until the last partition had run. The
+// ceilings are the measured values rounded up.
+func TestSerialDCHAGStageHeldAfterTraining(t *testing.T) {
 	for _, c := range []struct {
 		kind           core.LayerKind
 		tree           int
@@ -152,7 +152,7 @@ func TestReferenceStageHeldAfterTraining(t *testing.T) {
 			// The first round also grows the process-wide panel pool; the
 			// second stage's round shows the stage alone.
 			for round := 0; round < 2; round++ {
-				s := NewReferenceStage(cfg, 4)
+				s := NewDCHAGStage(cfg, comm.NewGroup(1).Comm(0), 4)
 				before := liveHeap()
 				s.Forward(x)
 				s.Backward(d)

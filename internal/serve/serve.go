@@ -101,8 +101,8 @@ type Response struct {
 // Config sizes the serving engine.
 type Config struct {
 	// Ranks is the TP (D-CHAG channel-sharding) width of each replica; it
-	// must divide the model's logical partition count. 1 serves the serial
-	// equivalent model.
+	// must divide the model's logical partition count. At 1 each replica
+	// owns every partition and channel.
 	Ranks int
 	// Replicas is the number of independent model replicas consuming
 	// batches; the mesh world is Ranks*Replicas.

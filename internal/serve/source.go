@@ -102,12 +102,10 @@ func (s ckptSource) Build(tpc *comm.Communicator) (*model.FoundationModel, error
 
 // buildTopology constructs the model slice for one rank of a q-wide TP
 // group: the plain serial model for "serial"-stage checkpoints (q must be
-// 1), the serial D-CHAG equivalent at q=1, the distributed slice otherwise.
+// 1), the rank's D-CHAG slice at every q otherwise.
 func buildTopology(arch model.Arch, stage string, tpc *comm.Communicator) (*model.FoundationModel, error) {
 	q := tpc.Size()
-	partitions := arch.Partitions
-	if partitions == 0 {
-		partitions = q
+	if arch.Partitions == 0 {
 		arch.Partitions = q
 	}
 	if stage == "serial" {
@@ -116,11 +114,8 @@ func buildTopology(arch model.Arch, stage string, tpc *comm.Communicator) (*mode
 		}
 		return model.NewSerial(arch), nil
 	}
-	if partitions%q != 0 {
-		return nil, fmt.Errorf("serve: %d serving ranks do not divide the model's %d logical partitions", q, partitions)
-	}
-	if q == 1 {
-		return model.NewSerialDCHAGEquivalent(arch, partitions), nil
+	if arch.Partitions%q != 0 {
+		return nil, fmt.Errorf("serve: %d serving ranks do not divide the model's %d logical partitions", q, arch.Partitions)
 	}
 	return model.NewDistributed(arch, tpc, false), nil
 }

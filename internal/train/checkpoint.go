@@ -14,8 +14,8 @@ import (
 
 // Stage fingerprints recorded in checkpoint manifests so a load into the
 // wrong architecture family fails with a clear message instead of a wall of
-// name mismatches. "dchag" covers both the distributed stage and its serial
-// Reference equivalent — they are the same logical model.
+// name mismatches. "dchag" is the D-CHAG stage at every rank count, one
+// included; "serial" is the baseline's SerialStage.
 const (
 	stageDCHAG  = "dchag"
 	stageSerial = "serial"
@@ -23,25 +23,19 @@ const (
 
 // stageKind fingerprints a model's channel stage for the manifest.
 func stageKind(m *model.FoundationModel) string {
-	switch m.Stage.(type) {
-	case *model.DCHAGStage, *model.ReferenceStage:
+	if _, ok := m.Stage.(*model.DCHAGStage); ok {
 		return stageDCHAG
-	default:
-		return stageSerial
 	}
+	return stageSerial
 }
 
 // modelPartitions returns the logical D-CHAG partition count of a model: the
-// stage's partition count for partitioned stages, 1 otherwise.
+// stage's partition count for a D-CHAG stage, 1 otherwise.
 func modelPartitions(m *model.FoundationModel) int {
-	switch s := m.Stage.(type) {
-	case *model.DCHAGStage:
+	if s, ok := m.Stage.(*model.DCHAGStage); ok {
 		return s.Partitions
-	case *model.ReferenceStage:
-		return s.P
-	default:
-		return 1
 	}
+	return 1
 }
 
 // commit commits the checkpoint of `step` completed optimizer steps, whose

@@ -78,7 +78,7 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 	mse, masked := nn.NewMSELoss(), nn.NewMaskedMSELoss()
 
 	// This replica's batch rows, then this rank's channels. One replica owns
-	// every row and a serial stage every channel: neither copies anything.
+	// every row and a one-rank stage every channel: neither copies anything.
 	tp, dp := 1, 1
 	if w.tpc != nil {
 		tp, dp = w.tpc.Size(), w.dpc.Size()
@@ -90,7 +90,10 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 		}
 		return tensor.SliceAxis(t, 0, w.coord.DP*shard, (w.coord.DP+1)*shard)
 	}
-	dchag, _ := m.Stage.(*model.DCHAGStage)
+	chLo, chHi := 0, m.Arch.Channels
+	if dchag, ok := m.Stage.(*model.DCHAGStage); ok {
+		chLo, chHi = dchag.ChannelBounds()
+	}
 	var ddp *parallel.DDP
 	if w.dpc != nil {
 		ddp = parallel.NewDDP(w.dpc, params)
@@ -115,9 +118,8 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 		nn.ZeroGrads(params)
 		x, y := batch(s)
 		xShard := rows(x)
-		if dchag != nil {
-			lo, hi := dchag.ChannelBounds()
-			xShard = tensor.SliceAxis(xShard, 1, lo, hi)
+		if chLo > 0 || chHi < m.Arch.Channels {
+			xShard = tensor.SliceAxis(xShard, 1, chLo, chHi)
 		}
 		target := model.Patchify(rows(y), m.Arch.Patch)
 		var loss float64
