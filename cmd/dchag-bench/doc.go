@@ -108,7 +108,7 @@
 // DESIGN.md "Elementwise transcendentals" has the operation-order rule that
 // makes the two bit-identical), softmax and GELU also next to the scalar
 // math.Exp / math.Tanh loop they replaced, over the same data. Each channel-stage point is one whole
-// model.SerialStage at a workload's per-rank shape — Forward, Backward and
+// one-partition core.DCHAG on one rank at a workload's per-rank shape — Forward, Backward and
 // F32 Infer, and the bytes of scratch it holds afterwards — next to the same
 // layers chained through their channel-major entry points (DESIGN.md
 // "Channel stage: one token layout"). Each caller point is one product a
@@ -191,7 +191,7 @@
 //	    {
 //	      "name": "wx_serve",             // which workload's per-rank stage
 //	      "channels": 40, "batch": 8, "embed": 32, "tree": 2, "kind": "L",
-//	      "stage": {                      // model.SerialStage, as shipped
+//	      "stage": {                      // one-partition core.DCHAG, as shipped
 //	        "fwd_ns": 2647028, "bwd_ns": 3372824, "infer_f32_ns": 373971, // fastest call
 //	        "scratch_bytes": 8011776,     // tensors held outside parameters, group aggregators
 //	                                      // and the backward workspaces they borrow per tree level

@@ -65,7 +65,7 @@ func main() {
 			if shape.Heads%t != 0 {
 				continue
 			}
-			if strat.Method == perfmodel.MethodDCHAG && t > *channels {
+			if strat.Method != perfmodel.MethodBaseline && t > *channels {
 				continue
 			}
 			s := strat
@@ -87,10 +87,10 @@ func main() {
 		r.TotalMemBytes()/(1<<30), 100*r.MemFraction(), status(r))
 	fmt.Printf("  max micro-batch at this config: %d\n",
 		perfmodel.MaxMicroBatch(shape, perfmodel.ReferenceWorkload(*channels), strat, machine, cal))
-	if minTP := perfmodel.MinTPToFit(shape, wl, strat, machine, cal, 32); minTP > 0 {
+	if minTP, bound := perfmodel.MinTPToFit(shape, wl, strat, machine, cal, 32); minTP > 0 {
 		fmt.Printf("  minimum TP that fits: %d\n", minTP)
 	} else {
-		fmt.Printf("  no TP degree up to 32 fits this configuration\n")
+		fmt.Printf("  no TP degree up to %d fits this configuration\n", bound)
 	}
 	fmt.Printf("  modeled step time: %.3f s (compute %.3f + exposed comm %.3f; %.3f s comm before overlap, %.3f s serial), %.1f TFLOPs/s/node\n",
 		r.StepSeconds(), r.ComputeSeconds, r.ExposedCommSeconds, r.CommSeconds, r.SerialStepSeconds(), r.TFLOPsPerSecPerNode())

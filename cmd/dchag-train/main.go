@@ -179,7 +179,6 @@ func main() {
 	// The logical partition count: the manifest's when restoring (it is a
 	// model property), -partitions or -ranks otherwise.
 	partitions := *parts
-	stageKind := "dchag"
 	if dir := opts.CheckpointDir; opts.Resume || *load != "" {
 		if *load != "" {
 			dir = *load
@@ -195,17 +194,14 @@ func main() {
 			log.Fatal(err)
 		}
 		partitions = man.Partitions
-		if k, ok := man.Meta[ckpt.MetaStage]; ok {
-			stageKind = k
-		}
 		fmt.Printf("checkpoint %s: step %d, saved at %d ranks, %d logical partitions\n",
 			dir, man.Step, man.World, partitions)
 	}
 	if partitions == 0 {
 		partitions = *ranks
 	}
-	if *ranks > 1 && partitions%*ranks != 0 {
-		log.Fatalf("partition count %d not divisible by %d ranks", partitions, *ranks)
+	if err := checkPartitions(partitions, arch.Channels, *ranks); err != nil {
+		log.Fatal(err)
 	}
 	arch.Partitions = partitions
 
@@ -242,24 +238,14 @@ func main() {
 			printHistory(train.History{Loss: rep.Loss})
 			return nil
 		}
-		if *ranks <= 1 {
-			// A fresh serial run without -partitions is the plain baseline
-			// stage; anything partitioned (or restored from a partitioned
-			// checkpoint) uses the serial equivalent of the partitioned model —
-			// the same logical state tree as any distributed run.
-			fresh := !opts.Resume && *load == ""
-			var m *model.FoundationModel
-			if stageKind == "serial" || (fresh && *parts <= 1) {
-				m = model.NewSerial(arch)
-			} else {
-				m = model.NewSerialDCHAGEquivalent(arch, partitions)
-			}
-			hist, err := train.SerialCheckpointed(m, opts, batchFn)
+		if *ranks == 1 {
+			// One rank owns every partition: at one partition (the default)
+			// the paper's baseline, otherwise the serial equivalent of the
+			// partitioned model — the same logical state tree as any
+			// distributed run.
+			hist, err := train.SerialCheckpointed(model.NewSerialDCHAGEquivalent(arch, partitions), opts, batchFn)
 			printHistory(hist)
 			return err
-		}
-		if stageKind == "serial" {
-			return errors.New("checkpoint was saved from the plain serial stage; load it with -ranks 1")
 		}
 		if *dp > 1 {
 			hist, mesh, err := train.Hybrid(arch, *ranks, *dp, *tpvit, opts, batchFn)
@@ -359,6 +345,21 @@ func checkFlags(f runFlags) error {
 		return errors.New("-fail-rank and -fail-step inject a failure only under -elastic")
 	case (f.failRank >= 0) != (f.failStep >= 0):
 		return errors.New("-fail-rank and -fail-step must be set together")
+	}
+	return nil
+}
+
+// checkPartitions refuses, before the run starts, a logical partition count
+// the stage cannot be built with: below 1, above the channel count (every
+// partition owns at least one channel), or not divisible by the rank count.
+func checkPartitions(partitions, channels, ranks int) error {
+	switch {
+	case partitions < 1:
+		return fmt.Errorf("partition count %d: need at least 1", partitions)
+	case partitions > channels:
+		return fmt.Errorf("partition count %d exceeds the channel count %d: every partition needs at least one channel", partitions, channels)
+	case partitions%ranks != 0:
+		return fmt.Errorf("partition count %d not divisible by %d ranks", partitions, ranks)
 	}
 	return nil
 }

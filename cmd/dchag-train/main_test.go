@@ -47,3 +47,30 @@ func TestCheckFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckPartitions: a partition count the stage cannot be built with —
+// more partitions than channels, below 1, or not divisible by the ranks — is
+// refused before the run instead of panicking in a rank.
+func TestCheckPartitions(t *testing.T) {
+	for _, tc := range []struct {
+		name                        string
+		partitions, channels, ranks int
+		ok                          bool
+	}{
+		{"baseline", 1, 32, 1, true},
+		{"serial equivalent", 4, 32, 1, true},
+		{"one per rank", 2, 32, 2, true},
+		{"one channel each", 4, 4, 2, true},
+		{"weather default", 4, 80, 4, true},
+		{"one channel, two ranks", 2, 1, 2, false},
+		{"weather -partitions 100", 100, 80, 4, false},
+		{"more partitions than channels", 8, 4, 1, false},
+		{"zero", 0, 32, 1, false},
+		{"negative", -2, 32, 2, false},
+		{"not divisible by ranks", 3, 32, 2, false},
+	} {
+		if err := checkPartitions(tc.partitions, tc.channels, tc.ranks); (err == nil) != tc.ok {
+			t.Errorf("%s: checkPartitions(%d, %d, %d) = %v, want ok=%v", tc.name, tc.partitions, tc.channels, tc.ranks, err, tc.ok)
+		}
+	}
+}

@@ -18,7 +18,8 @@ const ManifestName = "MANIFEST.json"
 // self-describing across binaries.
 const (
 	// MetaStage fingerprints the architecture family the checkpoint was
-	// saved from ("dchag" or "serial").
+	// saved from: "dchag", at every rank and partition count; training and
+	// serving refuse any other.
 	MetaStage = "stage"
 	// MetaArch holds the JSON-encoded model.Arch of the saved model, letting
 	// inference tooling rebuild the architecture without out-of-band

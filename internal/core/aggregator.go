@@ -13,8 +13,8 @@
 //     turns the quadratic-in-channels memory of single-layer cross-attention
 //     into linear (Sec. 3.2); it owns the first-level groups' inputs
 //     [N, g, E] and walks the tree in place;
-//   - LocalStage, the communication-free front half every stage type shares:
-//     the tokenizer writes each channel's tokens, bias and channel-ID row
+//   - the D-CHAG stage's communication-free front half (localStage): the
+//     tokenizer writes each channel's tokens, bias and channel-ID row
 //     added on the way, straight into the group input that reads them, and
 //     reads their gradient group by group, where each group's backward
 //     leaves it in the one workspace per tree level the stage lends its
@@ -24,12 +24,14 @@
 //   - DistTokenizer, distributed tokenization alone (Sec. 3.1), which
 //     AllGathers every channel's tokens and is the strawman the paper shows
 //     does not pay off (Fig. 8);
-//   - DCHAG, the full method (Sec. 3.3, Fig. 4): a LocalStage over the rank's
-//     channel shard, an AllGather of exactly one token per partition, and a
-//     final cross-attention layer whose parameters are replicated so the
-//     backward pass needs no communication at all. On a one-rank group it
+//   - DCHAG, the full method (Sec. 3.3, Fig. 4): the front half over the
+//     rank's channel shard, an AllGather of exactly one token per partition,
+//     and a final cross-attention layer whose parameters are replicated so
+//     the backward pass needs no communication at all. On a one-rank group it
 //     is the serial model, every partition in one process, which the tests
-//     hold bit for bit to the same model over 2 and 4 ranks.
+//     hold bit for bit to the same model over 2 and 4 ranks; at one
+//     partition it is the paper's baseline (Fig. 1), one aggregation module
+//     over every channel with no final layer.
 package core
 
 import (
@@ -94,10 +96,10 @@ type GroupAggregator interface {
 
 // workspace is the backward scratch a group aggregator borrows for one call:
 // every buffer its backward writes, the group's input gradient included.
-// Whoever runs the aggregators owns it. LocalStage owns one per tree level,
-// lent to that level's aggregators of every partition in turn: each group's
-// input gradient is consumed before the next group of its level runs — by
-// the tokenizer at the first level, by the level below above it. An
+// Whoever runs the aggregators owns it. The D-CHAG stage owns one per tree
+// level, lent to that level's aggregators of every partition in turn: each
+// group's input gradient is consumed before the next group of its level runs
+// — by the tokenizer at the first level, by the level below above it. An
 // aggregator run alone, like a stage's final layer, owns its own
 // (CrossAttnAggregator.Backward). The zero value is ready to use.
 type workspace struct {

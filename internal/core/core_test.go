@@ -523,7 +523,7 @@ func TestDistTokenizerMatchesSerial(t *testing.T) {
 	}
 	rng := tensor.NewRNG(99)
 	x := tensor.Randn(rng, 2, cfg.Channels, cfg.ImgH, cfg.ImgW)
-	serial := nn.NewPatchEmbed("disttok", cfg.Channels, cfg.ImgH, cfg.ImgW, cfg.Patch, cfg.Embed, nn.SubSeed(cfg.Seed, seedTok))
+	serial := nn.NewPatchEmbedShard("disttok", 0, cfg.Channels, cfg.ImgH, cfg.ImgW, cfg.Patch, cfg.Embed, nn.SubSeed(cfg.Seed, seedTok))
 	want := serial.Forward(x)
 	up := tensor.Randn(rng, 2, cfg.Channels, cfg.Tokens(), cfg.Embed)
 	nn.ZeroGrads(serial.Params())

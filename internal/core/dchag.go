@@ -75,6 +75,10 @@ const (
 // its training trajectory — depends only on (Config, P), so a checkpoint
 // saved at q ranks can be restored at any q' dividing P, including q' = 1:
 // one rank owning every partition is the serial model.
+//
+// At P = 1 there is nothing to aggregate across partitions: the stage has no
+// final layer (Final is nil) and no AllGather, and its one partial module,
+// over every channel, is the paper's baseline channel aggregation (Fig. 1).
 type DCHAG struct {
 	Cfg        Config
 	Comm       *comm.Communicator
@@ -84,8 +88,9 @@ type DCHAG struct {
 	Partitions     int
 	PartLo, PartHi int
 
-	LocalStage // tokenizer, channel IDs and one partial module per owned partition
-	Final      *CrossAttnAggregator
+	localStage // tokenizer, channel IDs and one partial module per owned partition
+	// Final is the shared layer over the P partition tokens; nil at P = 1.
+	Final *CrossAttnAggregator
 
 	b int
 
@@ -96,15 +101,24 @@ type DCHAG struct {
 
 // gatherScratch is one pass's path from the partials to the final layer.
 type gatherScratch struct {
-	local *tensor.Tensor // stacked owned-partition tokens [k, B, T, E]
+	local *tensor.Tensor // owned-partition tokens [k, B, T, E], written by the partials
 	seq   *tensor.Tensor // final layer input [B*T, P, E]
+	out   tensor.Tensor  // the pass's result, a view: nothing is allocated per pass
+}
+
+// result points s.out at data as [n, t, e] and returns it.
+func (s *gatherScratch) result(data []float64, n, t, e int) *tensor.Tensor {
+	s.out.Data, s.out.Shape = data, append(s.out.Shape[:0], n, t, e)
+	return &s.out
 }
 
 // SetInferDType selects the arithmetic of the stage's no-grad Infer path:
 // the local stage and the final shared layer.
 func (d *DCHAG) SetInferDType(dt tensor.DType) {
-	d.LocalStage.SetInferDType(dt)
-	d.Final.SetInferDType(dt)
+	d.localStage.setInferDType(dt)
+	if d.Final != nil {
+		d.Final.SetInferDType(dt)
+	}
 }
 
 // NewDCHAGPartitioned constructs rank c.Rank()'s slice of the P-partition
@@ -113,6 +127,8 @@ func (d *DCHAG) SetInferDType(dt tensor.DType) {
 // k's partial module draws its parameters from SubSeed(seed, seedPartial+k)
 // regardless of q, so every q realizes the identical logical model; the
 // final layer draws from SubSeed(seed, seedFinal) on every rank (replicated).
+// A one-partition stage has no final layer: its one partial module is the
+// whole aggregation and draws the final layer's seed.
 func NewDCHAGPartitioned(cfg Config, c *comm.Communicator, partitions int) *DCHAG {
 	cfg.validate()
 	q := c.Size()
@@ -134,18 +150,23 @@ func NewDCHAGPartitioned(cfg Config, c *comm.Communicator, partitions int) *DCHA
 		Partitions: partitions,
 		PartLo:     partLo,
 		PartHi:     partHi,
-		LocalStage: LocalStage{
+		localStage: localStage{
 			Tok:   nn.NewPatchEmbedShard("dchag.tok", lo, hi, cfg.ImgH, cfg.ImgW, cfg.Patch, cfg.Embed, nn.SubSeed(cfg.Seed, seedTok)),
 			ChEmb: nn.NewChannelEmbedShard("dchag.chemb", lo, hi, cfg.Embed, nn.SubSeed(cfg.Seed, seedChEmb)),
 		},
-		Final: NewCrossAttnAggregator("dchag.final", partitions, cfg.Embed, cfg.Heads, nn.SubSeed(cfg.Seed, seedFinal)),
+	}
+	if partitions > 1 {
+		d.Final = NewCrossAttnAggregator("dchag.final", partitions, cfg.Embed, cfg.Heads, nn.SubSeed(cfg.Seed, seedFinal))
 	}
 	for k := partLo; k < partHi; k++ {
 		klo, khi := ChannelRange(cfg.Channels, partitions, k)
+		seed := nn.SubSeed(cfg.Seed, seedPartial+k)
+		if partitions == 1 {
+			seed = nn.SubSeed(cfg.Seed, seedFinal)
+		}
 		d.Partials = append(d.Partials, NewHierarchicalAggregator(
 			fmt.Sprintf("dchag.partial%d", k),
-			BuildTreePlan(khi-klo, cfg.Tree), cfg.Kind, cfg.Embed, cfg.Heads,
-			nn.SubSeed(cfg.Seed, seedPartial+k)))
+			BuildTreePlan(khi-klo, cfg.Tree), cfg.Kind, cfg.Embed, cfg.Heads, seed))
 	}
 	pp := cfg.Patch * cfg.Patch
 	d.Tok.Weight.MarkShard("dchag.tok.weight", 0, []int{cfg.Channels, pp, cfg.Embed}, lo, hi)
@@ -172,7 +193,8 @@ func (d *DCHAG) Infer(x *tensor.Tensor) *tensor.Tensor { return d.InferRange(x, 
 // [hi-lo, T, E]. The local stage and the AllGather cover the whole batch —
 // every rank's tokens of every sample are still gathered — but each rank of
 // the group may finish a different range, so the replicated final layer
-// costs each rank only its share.
+// costs each rank only its share. A one-partition stage returns rows
+// [lo, hi) of its partial module's output.
 func (d *DCHAG) InferRange(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
 	if lo < 0 || hi > x.Shape[0] || lo > hi {
 		panic(fmt.Sprintf("core: DCHAG.InferRange [%d,%d) of a batch of %d", lo, hi, x.Shape[0]))
@@ -180,21 +202,25 @@ func (d *DCHAG) InferRange(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
 	return d.pass(x, lo, hi, true)
 }
 
-// pass is Forward and InferRange. The AllGather moves samples [lo, hi) of
+// pass is Forward and InferRange. The partials write their tokens into the
+// stack the AllGather sends, and the AllGather moves samples [lo, hi) of
 // each rank's stack straight from where it lies into the final layer's input:
 // no copy in between.
 //
 // dchag:hotpath
 func (d *DCHAG) pass(x *tensor.Tensor, lo, hi int, infer bool) *tensor.Tensor {
 	b, t, e := x.Shape[0], d.Cfg.Tokens(), d.Cfg.Embed
-	outs, s := d.LocalStage.pass(x, infer), &d.gather[0]
+	s := &d.gather[0]
 	if infer {
 		s = &d.gather[1]
 	}
 	// [k, B, T, E]: one token per owned partition.
-	k := len(outs)
+	k := len(d.Partials)
 	s.local = tensor.EnsureShape(s.local, k, b, t, e)
-	tensor.StackInto(s.local, outs...)
+	d.localStage.pass(x, s.local, infer)
+	if d.Final == nil {
+		return s.result(s.local.Data[lo*t*e:hi*t*e], hi-lo, t, e)
+	}
 	// Rank r's stack holds partitions [r*k, (r+1)*k): column r*k+ki of the
 	// final layer's input [(hi-lo)*T, P, E].
 	s.seq = tensor.EnsureShape(s.seq, (hi-lo)*t, d.Partitions, e)
@@ -207,9 +233,9 @@ func (d *DCHAG) pass(x *tensor.Tensor, lo, hi int, infer bool) *tensor.Tensor {
 		}
 	})
 	if infer {
-		return d.Final.Infer(s.seq).Reshape(hi-lo, t, e)
+		return s.result(d.Final.Infer(s.seq).Data, hi-lo, t, e)
 	}
-	return d.Final.Forward(s.seq).Reshape(b, t, e)
+	return s.result(d.Final.Forward(s.seq).Data, b, t, e)
 }
 
 // Backward consumes the gradient of the aggregated representation [B, T, E]
@@ -220,18 +246,26 @@ func (d *DCHAG) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if len(grad.Shape) != 3 || grad.Shape[0] != d.b || grad.Shape[1] != t || grad.Shape[2] != e {
 		panic(fmt.Sprintf("core: DCHAG.Backward want [%d,%d,%d], got %v", d.b, t, e, grad.Shape))
 	}
-	dSeq := d.Final.Backward(grad.Reshape(d.b*t, e)) // [N, P, E]
-	return d.LocalStage.Backward(dSeq, d.PartLo)
+	dSeq := grad
+	if d.Final != nil {
+		dSeq = d.Final.Backward(grad.Reshape(d.b*t, e)) // [N, P, E]
+	}
+	return d.localStage.backward(dSeq, d.PartLo)
 }
 
 // Params returns this rank's parameters: the tokenizer and channel-embedding
 // shards, the rank-local partial modules, and the replicated final layer.
-func (d *DCHAG) Params() []*nn.Param { return append(d.LocalStage.Params(), d.Final.Params()...) }
+func (d *DCHAG) Params() []*nn.Param { return append(d.LocalParams(), d.ReplicatedParams()...) }
 
 // LocalParams returns only the rank-local (non-replicated) parameters; the
 // complement of ReplicatedParams.
-func (d *DCHAG) LocalParams() []*nn.Param { return d.LocalStage.Params() }
+func (d *DCHAG) LocalParams() []*nn.Param { return d.localStage.params() }
 
 // ReplicatedParams returns the parameters replicated across the D-CHAG group
-// (the final shared cross-attention layer).
-func (d *DCHAG) ReplicatedParams() []*nn.Param { return d.Final.Params() }
+// (the final shared cross-attention layer; none at one partition).
+func (d *DCHAG) ReplicatedParams() []*nn.Param {
+	if d.Final == nil {
+		return nil
+	}
+	return d.Final.Params()
+}

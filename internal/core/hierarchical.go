@@ -126,10 +126,9 @@ func (p TreePlan) validate() {
 // KindLinear layers it is the lightweight variant.
 //
 // In D-CHAG each rank owns one of these over its channel shard (the
-// "partial-channel aggregation module"); serially it also serves as the
-// reference aggregation module of the baseline architecture (a Tree0
-// KindCross instance is exactly one cross-attention layer over all
-// channels).
+// "partial-channel aggregation module"); at one partition it is the whole
+// aggregation of the paper's baseline architecture (a Tree0 KindCross
+// instance is exactly one cross-attention layer over all channels).
 type HierarchicalAggregator struct {
 	Plan   TreePlan
 	Levels [][]GroupAggregator
@@ -251,6 +250,21 @@ func (h *HierarchicalAggregator) levelInputs(inputs [][]*tensor.Tensor, l, n, e 
 	return inputs[l]
 }
 
+// outputTo makes out (B*T*E values) where the next pass of the set infer
+// selects writes the module's token: the layout's last entry, written by the
+// last level's aggregator (by accumulateLinear on a one-level tree).
+func (h *HierarchicalAggregator) outputTo(out []float64, infer bool) {
+	inputs := h.inputs
+	if infer {
+		inputs = h.iinputs
+	}
+	last := inputs[len(h.Levels)]
+	if last[0] == nil {
+		last[0] = &tensor.Tensor{}
+	}
+	last[0].Data = out
+}
+
 // linearFirst reports whether every first-level aggregator is a
 // LinearAggregator: whether the no-grad pass may tokenize straight into the
 // first level's outputs (accumulateLinear).
@@ -332,8 +346,8 @@ func (h *HierarchicalAggregator) backward(d *tensor.Tensor, ws []workspace, take
 }
 
 // Forward reduces channel-major tokens x [B, C, T, E] to [B, T, E]: one fold
-// into the first-level group inputs in front of run. A stage that tokenizes
-// straight into groups (LocalStage) skips the fold.
+// into the first-level group inputs in front of run. The D-CHAG stage, which
+// tokenizes straight into groups, skips the fold.
 func (h *HierarchicalAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
 	h.b, h.t = x.Shape[0], x.Shape[2]
 	return h.channelMajor("Forward", x, false)

@@ -5,12 +5,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// LocalStage is the communication-free half of a channel stage, the part
-// every stage type shares: the tokenizer over a contiguous channel shard, the
-// channel-ID table, and one partial-channel aggregation module per owned
-// partition (Partials[j] takes the next Partials[j].Channels() channels of
-// the shard). DCHAG puts an AllGather and the final layer behind it,
-// model.SerialStage nothing.
+// localStage is the communication-free half of the D-CHAG stage: the
+// tokenizer over a contiguous channel shard, the channel-ID table, and one
+// partial-channel aggregation module per owned partition (Partials[j] takes
+// the next Partials[j].Channels() channels of the shard). DCHAG puts an
+// AllGather and the final layer behind it — or nothing, at one partition.
 //
 // It owns the stage's one token layout: a pass asks every partial for its
 // first-level group inputs, the tokenizer writes each channel's tokens —
@@ -25,35 +24,35 @@ import (
 // The stage also owns the backward's scratch: one workspace per tree level,
 // which every partial's aggregators of that level borrow in turn, so the
 // backward holds one aggregator's scratch per level, not one per aggregator.
-type LocalStage struct {
+type localStage struct {
 	Tok      *nn.PatchEmbed
 	ChEmb    *nn.ChannelEmbed
 	Partials []*HierarchicalAggregator
 
-	rows   int                 // B*T of the last Forward
-	views  []nn.TokenView      // per-channel token locations of the pass
-	outs   [2][]*tensor.Tensor // per-partition aggregated tokens: Forward's, Infer's
-	dLocal *tensor.Tensor      // one partition's token gradient
-	ws     []workspace         // the backward's, one per tree level
+	rows   int            // B*T of the last Forward
+	views  []nn.TokenView // per-channel token locations of the pass
+	dLocal *tensor.Tensor // one partition's token gradient
+	ws     []workspace    // the backward's, one per tree level
 }
 
-// Forward consumes the shard's image [B, Cl, H, W] and returns one aggregated
-// token tensor [B, T, E] per owned partition, each in its partial's scratch.
-func (s *LocalStage) Forward(x *tensor.Tensor) []*tensor.Tensor { return s.pass(x, false) }
-
-// Infer is Forward without caching activations for backward; it leaves
-// everything a pending Backward reads alone.
-func (s *LocalStage) Infer(x *tensor.Tensor) []*tensor.Tensor { return s.pass(x, true) }
-
-// pass is the one body behind Forward and Infer.
+// pass consumes the shard's image [B, Cl, H, W] and writes owned partition
+// j's aggregated token [B, T, E] into slot j of dst [k, B, T, E]: the last
+// writer of each tree — its last aggregation level, or on a one-level linear
+// Infer the fused first level — writes there directly. With infer set it
+// caches nothing for backward and leaves everything a pending backward reads
+// alone.
 //
-// dchag:hotpath — every stage's per-step front half; views and outputs reuse
-// stage-owned slices.
-func (s *LocalStage) pass(x *tensor.Tensor, infer bool) []*tensor.Tensor {
+// dchag:hotpath — the stage's per-step front half; views reuse a
+// stage-owned slice.
+func (s *localStage) pass(x, dst *tensor.Tensor, infer bool) {
 	b, t, e := x.Shape[0], s.Tok.Tokens(), s.Tok.Embed
-	set, from := 1, 0
+	from := 0
 	if !infer {
-		set, s.rows = 0, b*t
+		s.rows = b * t
+	}
+	slot := b * t * e
+	for j, p := range s.Partials {
+		p.outputTo(dst.Data[j*slot:(j+1)*slot:(j+1)*slot], infer)
 	}
 	if infer && s.linearFirst() {
 		// The fused first level: no token is written (DESIGN.md "The no-grad
@@ -70,18 +69,15 @@ func (s *LocalStage) pass(x *tensor.Tensor, infer bool) []*tensor.Tensor {
 		}
 		s.Tok.Tokenize(x, s.views, s.ChEmb, infer)
 	}
-	outs := s.outs[set][:0]
 	for _, p := range s.Partials {
-		outs = append(outs, tensor.EnsureShape(p.run(from, infer), b, t, e))
+		p.run(from, infer)
 	}
-	s.outs[set] = outs
-	return outs
 }
 
 // linearFirst reports whether the no-grad pass may fuse the tokenizer into
 // the first aggregation level: every partial's first level is linear and the
 // patch fits the fused pass.
-func (s *LocalStage) linearFirst() bool {
+func (s *localStage) linearFirst() bool {
 	if s.Tok.Patch*s.Tok.Patch > tensor.PatchAccumMaxDepth {
 		return false
 	}
@@ -93,7 +89,7 @@ func (s *LocalStage) linearFirst() bool {
 	return true
 }
 
-// Backward takes the gradient of owned partition j's token from column
+// backward takes the gradient of owned partition j's token from column
 // first+j of dSeq (B*T*P*E values: the final layer's input gradient, or the
 // output gradient itself when the stage is one partition) and returns the
 // image-shard gradient [B, Cl, H, W]. The tokenizer takes each first-level
@@ -104,7 +100,7 @@ func (s *LocalStage) linearFirst() bool {
 //
 // dchag:hotpath — every stage's per-step backward; it performs no
 // communication and allocates nothing in steady state.
-func (s *LocalStage) Backward(dSeq *tensor.Tensor, first int) *tensor.Tensor {
+func (s *localStage) backward(dSeq *tensor.Tensor, first int) *tensor.Tensor {
 	t, e := s.Tok.Tokens(), s.Tok.Embed
 	s.dLocal = tensor.EnsureShape(s.dLocal, s.rows, e)
 	var dimg *tensor.Tensor
@@ -125,19 +121,19 @@ func (s *LocalStage) Backward(dSeq *tensor.Tensor, first int) *tensor.Tensor {
 	return dimg
 }
 
-// SetInferDType selects the arithmetic of the no-grad Infer path: the
-// tokenizer projection and every partial module. Channel embeddings and
-// softmaxes stay float64.
-func (s *LocalStage) SetInferDType(dt tensor.DType) {
+// setInferDType selects the arithmetic of the no-grad pass: the tokenizer
+// projection and every partial module. Channel embeddings and softmaxes stay
+// float64.
+func (s *localStage) setInferDType(dt tensor.DType) {
 	s.Tok.SetInferDType(dt)
 	for _, p := range s.Partials {
 		p.SetInferDType(dt)
 	}
 }
 
-// Params returns the tokenizer's, the channel-ID table's and the partial
+// params returns the tokenizer's, the channel-ID table's and the partial
 // modules' parameters, in that order.
-func (s *LocalStage) Params() []*nn.Param {
+func (s *localStage) params() []*nn.Param {
 	ps := append(s.Tok.Params(), s.ChEmb.Params()...)
 	for _, p := range s.Partials {
 		ps = append(ps, p.Params()...)

@@ -6,8 +6,8 @@ import (
 	"runtime/metrics"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -28,13 +28,13 @@ type StageCost struct {
 	HeldBytes    int64   `json:"held_bytes"`
 }
 
-// ChannelStagePoint is one measured model.SerialStage over 16x16 images in
-// 2x2 patches (T = 64 tokens per channel, 4 heads): Stage is the shipped
-// stage, which tokenizes straight into its first-level group inputs, Chained
-// the same layers through their channel-major entry points (chainedStage),
-// the two timed alternately. TokenBytes is one channel-token tensor;
-// AllocsPerOp the shipped stage's steady-state heap allocations per Forward +
-// Backward + Infer round.
+// ChannelStagePoint is one measured one-partition channel stage (oneStage)
+// over 16x16 images in 2x2 patches (T = 64 tokens per channel, 4 heads):
+// Stage is the shipped stage, which tokenizes straight into its first-level
+// group inputs, Chained the same layers through their channel-major entry
+// points (chainedStage), the two timed alternately. TokenBytes is one
+// channel-token tensor; AllocsPerOp the shipped stage's steady-state heap
+// allocations per Forward + Backward + Infer round.
 type ChannelStagePoint struct {
 	Name        string    `json:"name"`
 	Channels    int       `json:"channels"`
@@ -58,23 +58,30 @@ var dchagChannelStages = []ChannelStagePoint{
 	{Name: "wx_serve", Channels: 40, Batch: 8, Embed: 32, Tree: 2, Kind: core.KindLinear.String()},
 }
 
-// chainedStage is the serial channel stage composed the way every stage was
-// before the tokenizer wrote the aggregators' layout: the tokenizer's
-// channel-major output, a pass adding the channel-ID rows, and the module
-// folding its input into groups — the channel-token tensor written three
-// times per forward pass where the shipped stage writes it once, and once
-// more on the way back. It is the "before" of the channel-stage points, and a
+// oneStage builds the channel stage the points measure: core.DCHAG at one
+// partition on one rank, whose one module over every channel has the
+// point's tree.
+func oneStage(cfg core.Config) *core.DCHAG {
+	return core.NewDCHAGPartitioned(cfg, comm.NewGroup(1).Comm(0), 1)
+}
+
+// chainedStage is the one-partition channel stage composed the way every
+// stage was before the tokenizer wrote the aggregators' layout: the
+// tokenizer's channel-major output, a pass adding the channel-ID rows, and
+// the module folding its input into groups — the channel-token tensor
+// written three times per forward pass where the shipped stage writes it
+// once, and once more on the way back. It is the "before" of the channel-stage points, and a
 // lower bound on it: the stages it stands for also sliced per partition and
 // per group.
 type chainedStage struct {
-	*model.SerialStage
+	*core.DCHAG
 	emb [2]*tensor.Tensor // the channel-ID pass's output: Forward's, Infer's
 }
 
 func (c *chainedStage) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
-	tok, agg, set := c.Tok.Forward, c.Agg.Forward, 0
+	tok, agg, set := c.Tok.Forward, c.Partials[0].Forward, 0
 	if infer {
-		tok, agg, set = c.Tok.Infer, c.Agg.Infer, 1
+		tok, agg, set = c.Tok.Infer, c.Partials[0].Infer, 1
 	}
 	t := tok(x) // [B, C, T, E]
 	out := tensor.EnsureShape(c.emb[set], t.Shape...)
@@ -91,7 +98,7 @@ func (c *chainedStage) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
 }
 
 func (c *chainedStage) backward(d *tensor.Tensor) *tensor.Tensor {
-	dEmb := c.Agg.Backward(d) // [B, C, T, E]
+	dEmb := c.Partials[0].Backward(d) // [B, C, T, E]
 	ch, tokens, e := dEmb.Shape[1], dEmb.Shape[2], dEmb.Shape[3]
 	for r := 0; r < len(dEmb.Data)/e; r++ {
 		g := c.ChEmb.Table.Grad.Data[r/tokens%ch*e:][:e]
@@ -114,7 +121,7 @@ func measureChannelStages(cfg ComputeBenchConfig) []ChannelStagePoint {
 		rng := tensor.NewRNG(int64(4000 + i))
 		x := tensor.Randn(rng, cp.Batch, cp.Channels, sc.ImgH, sc.ImgW)
 		d := tensor.Randn(rng, cp.Batch, sc.Tokens(), cp.Embed)
-		stage, ref := model.NewSerialStage(sc), &chainedStage{SerialStage: model.NewSerialStage(sc)}
+		stage, ref := oneStage(sc), &chainedStage{DCHAG: oneStage(sc)}
 		stage.SetInferDType(tensor.F32)
 		ref.SetInferDType(tensor.F32)
 
@@ -128,12 +135,12 @@ func measureChannelStages(cfg ComputeBenchConfig) []ChannelStagePoint {
 		cp.AllocsPerOp = min(allocsPerOp(cfg.AllocIters, round), allocsPerOp(cfg.AllocIters, round))
 		cp.Stage.ScratchBytes, cp.Chained.ScratchBytes = scratchBytes(stage), scratchBytes(ref)
 		cp.Stage.HeldBytes = heldBytes(func() func() {
-			s := model.NewSerialStage(sc)
+			s := oneStage(sc)
 			s.SetInferDType(tensor.F32)
 			return func() { s.Forward(x); s.Backward(d); s.Infer(x) }
 		})
 		cp.Chained.HeldBytes = heldBytes(func() func() {
-			c := &chainedStage{SerialStage: model.NewSerialStage(sc)}
+			c := &chainedStage{DCHAG: oneStage(sc)}
 			c.SetInferDType(tensor.F32)
 			return func() { c.pass(x, false); c.backward(d); c.pass(x, true) }
 		})
@@ -202,10 +209,10 @@ var (
 	}
 	// workspaceType is core's backward workspace, which a stage lends its
 	// group aggregators one tree level at a time; unexported, so found
-	// through the LocalStage field that holds them (nil if that field is
-	// gone, which TestScratchBytesFindsWorkspace reports).
+	// through the stage field that holds them (nil if that field is gone,
+	// which TestScratchBytesFindsWorkspace reports).
 	workspaceType = func() reflect.Type {
-		if f, ok := reflect.TypeOf(core.LocalStage{}).FieldByName("ws"); ok && f.Type.Kind() == reflect.Slice {
+		if f, ok := reflect.TypeOf(core.DCHAG{}).FieldByName("ws"); ok && f.Type.Kind() == reflect.Slice {
 			return f.Type.Elem()
 		}
 		return nil

@@ -817,7 +817,7 @@ func runCompute() Result {
 	}
 	elems.Note("the twin column is the same call with every kernel on its bit-identical Go twin (LayerNorm has no assembly: one code, timed twice); the libm loop is the scalar math.Exp softmax or math.Tanh GELU over the same data")
 	stages := &Table{
-		Title:   "Measured serial channel stage (model.SerialStage), shipped / chained through the channel-major entry points",
+		Title:   "Measured one-partition channel stage (core.DCHAG on one rank), shipped / chained through the channel-major entry points",
 		Headers: []string{"stage", "ch x batch x E, tree, kind", "forward us", "backward us", "infer f32 us", "scratch / token tensor", "held / token tensor", "allocs/op"},
 	}
 	for _, cp := range rep.Stages {

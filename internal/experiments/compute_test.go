@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -142,7 +141,7 @@ func TestElementwiseReferencesAgree(t *testing.T) {
 func TestChainedStageAgrees(t *testing.T) {
 	for _, kind := range []core.LayerKind{core.KindCross, core.KindLinear} {
 		cfg := core.Config{Channels: 7, ImgH: 4, ImgW: 4, Patch: 2, Embed: 8, Heads: 2, Tree: 3, Kind: kind, Seed: 2}
-		stage, ref := model.NewSerialStage(cfg), &chainedStage{SerialStage: model.NewSerialStage(cfg)}
+		stage, ref := oneStage(cfg), &chainedStage{DCHAG: oneStage(cfg)}
 		stage.SetInferDType(tensor.F32)
 		ref.SetInferDType(tensor.F32)
 		rng := tensor.NewRNG(3)
@@ -174,12 +173,12 @@ func TestChainedStageAgrees(t *testing.T) {
 }
 
 // TestScratchBytesFindsWorkspace checks that scratchBytes still recognises
-// core's backward workspace, found by the name of the LocalStage field that
-// holds them: without it the channel_stage points would count the
-// aggregation's arithmetic as scratch.
+// core's backward workspace, found by the name of the stage field that holds
+// them: without it the channel_stage points would count the aggregation's
+// arithmetic as scratch.
 func TestScratchBytesFindsWorkspace(t *testing.T) {
 	if workspaceType == nil || workspaceType.Kind() != reflect.Struct {
-		t.Fatalf("workspaceType = %v: core.LocalStage no longer holds its backward workspaces in a slice field ws", workspaceType)
+		t.Fatalf("workspaceType = %v: core.DCHAG no longer holds its backward workspaces in a slice field ws", workspaceType)
 	}
 }
 

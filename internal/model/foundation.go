@@ -33,7 +33,8 @@ type Arch struct {
 	// one partition per rank. P is a property of the model, not the
 	// topology: any rank count dividing P realizes the same logical model,
 	// one rank included (NewSerialDCHAGEquivalent), which is what lets
-	// checkpoints reshard across rank counts.
+	// checkpoints reshard across rank counts. P = 1 is the paper's baseline:
+	// one aggregation module over every channel and no final layer.
 	Partitions int
 }
 
@@ -55,8 +56,9 @@ func (a Arch) ParamCount() int {
 //	positional embedding -> metadata tokens -> Depth transformer blocks
 //	final LayerNorm -> linear head -> [B, T, C*P*P]
 //
-// The channel stage is pluggable (serial or D-CHAG); everything downstream
-// is identical in both cases.
+// The channel stage is D-CHAG at the model's partition count, the baseline's
+// one aggregation module at one partition; everything downstream is
+// identical in every case.
 type FoundationModel struct {
 	Arch  Arch
 	Stage ChannelStage
@@ -84,28 +86,24 @@ type FoundationModel struct {
 	dMasked         *tensor.Tensor // mask gradient-routing scratch
 }
 
-// NewSerial builds the single-process baseline model.
-func NewSerial(a Arch) *FoundationModel {
-	return build(a, NewSerialStage(a.Config), nil, false)
-}
+// NewSerial builds the single-process baseline model of the paper's Fig. 1:
+// the D-CHAG model at one partition on one rank, whose one aggregation
+// module takes every channel (a.Partitions is ignored).
+func NewSerial(a Arch) *FoundationModel { return NewSerialDCHAGEquivalent(a, 1) }
 
 // NewDistributed builds rank c.Rank()'s model with a D-CHAG channel stage.
 // When tpViT is true the transformer blocks are tensor-parallel over the
 // same group (the paper's D-CHAG + TP combination); otherwise the ViT is
 // replicated, which is functionally identical.
 func NewDistributed(a Arch, c *comm.Communicator, tpViT bool) *FoundationModel {
-	return build(a, NewDCHAGStage(a.Config, c, a.Partitions), c, tpViT)
-}
-
-func build(a Arch, stage ChannelStage, c *comm.Communicator, tpViT bool) *FoundationModel {
 	if a.Depth < 1 {
 		panic(fmt.Sprintf("model: depth %d must be positive", a.Depth))
 	}
 	t := a.Tokens()
-	tpBlocks := tpViT && c != nil && c.Size() > 1 && a.SwinWindow == 0
+	tpBlocks := tpViT && c.Size() > 1 && a.SwinWindow == 0
 	m := &FoundationModel{
 		Arch:  a,
-		Stage: stage,
+		Stage: NewDCHAGStage(a.Config, c, a.Partitions),
 		Pos:   nn.NewPosEmbed("fm.pos", t, a.Embed, nn.SubSeed(a.Seed, 20)),
 		Norm:  nn.NewLayerNorm("fm.norm", a.Embed),
 		Head:  nn.NewLinear("fm.head", a.Embed, a.HeadDim(), nn.SubSeed(a.Seed, 21)),
@@ -140,7 +138,7 @@ func build(a Arch, stage ChannelStage, c *comm.Communicator, tpViT bool) *Founda
 			m.Blocks = append(m.Blocks, blk)
 		}
 	}
-	if c != nil && c.Size() > 1 && !tpBlocks {
+	if c.Size() > 1 && !tpBlocks {
 		m.share = c
 	}
 	return m
@@ -351,10 +349,10 @@ func (m *FoundationModel) Params() []*nn.Param {
 }
 
 // PartitionParams splits the model's parameters into rank-local shards and
-// group-replicated parameters. Distributed global-gradient-norm computations
-// (clipping) sum local shards across the group and count replicated
-// parameters once, reproducing the serial model's norm exactly. For serial
-// models every parameter is replicated (counted once).
+// group-replicated parameters, each in Params order. Distributed
+// global-gradient-norm computations (clipping) sum local shards across the
+// group and count replicated parameters once, reproducing the serial model's
+// norm exactly. A stage that is not a DCHAGStage counts as replicated.
 func (m *FoundationModel) PartitionParams() (local, replicated []*nn.Param) {
 	if stage, ok := m.Stage.(*DCHAGStage); ok {
 		local = append(local, stage.LocalParams()...)

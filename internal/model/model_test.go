@@ -201,13 +201,22 @@ func TestDistributedTPViTMatchesReplicatedViT(t *testing.T) {
 	}
 }
 
+// TestSerialStageBaselineUsesSingleCrossAttention: the baseline's stage is
+// one partial module of one cross-attention layer over every channel, with
+// no final layer above it.
 func TestSerialStageBaselineUsesSingleCrossAttention(t *testing.T) {
 	a := smallArch()
 	a.Kind = core.KindCross
 	a.Tree = 0
-	s := NewSerialStage(a.Config)
-	if s.Agg.Plan.NumLayers() != 1 {
-		t.Fatalf("baseline stage should be one aggregation layer, plan %v", s.Agg.Plan)
+	s := NewSerial(a).Stage.(*DCHAGStage)
+	if len(s.Partials) != 1 || s.Final != nil {
+		t.Fatalf("baseline stage has %d partial modules and final layer %v, want one and none", len(s.Partials), s.Final)
+	}
+	if p := s.Partials[0]; p.Plan.NumLayers() != 1 || p.Channels() != a.Channels {
+		t.Fatalf("baseline stage should be one aggregation layer over %d channels, plan %v", a.Channels, p.Plan)
+	}
+	if _, ok := s.Partials[0].Levels[0][0].(*core.CrossAttnAggregator); !ok {
+		t.Fatalf("baseline layer is %T, want cross-attention", s.Partials[0].Levels[0][0])
 	}
 }
 
@@ -233,13 +242,23 @@ func TestPredictImageShape(t *testing.T) {
 }
 
 func TestPartitionParamsSerialAllReplicated(t *testing.T) {
+	// The one-rank stage's parameters are its local shards (the whole
+	// channel range); everything after them is replicated, and the two lists
+	// together are Params in order.
 	m := NewSerial(smallArch())
 	local, repl := m.PartitionParams()
-	if len(local) != 0 {
-		t.Fatalf("serial model must have no local shards, got %d", len(local))
+	if want := m.Stage.Params(); len(local) != len(want) {
+		t.Fatalf("serial model has %d local parameters, want the stage's %d", len(local), len(want))
 	}
-	if len(repl) != len(m.Params()) {
-		t.Fatalf("replicated count %d != total %d", len(repl), len(m.Params()))
+	all := append(local, repl...)
+	params := m.Params()
+	if len(all) != len(params) {
+		t.Fatalf("local %d + replicated %d != total %d", len(local), len(repl), len(params))
+	}
+	for i, p := range params {
+		if all[i] != p {
+			t.Fatalf("parameter %d: local ∪ replicated has %s, Params has %s", i, all[i].Name, p.Name)
+		}
 	}
 }
 

@@ -6,10 +6,11 @@
 // used for weather (Sec. 5.2).
 //
 // Every model is built around a ChannelStage — the part of the network
-// D-CHAG distributes. Swapping the serial stage for the D-CHAG stage changes
-// nothing else in the model, which is the paper's compatibility claim
-// ("compatible with any model-parallel strategy and any type of vision
-// transformer architecture").
+// D-CHAG distributes — and every stage is a core.DCHAG: the paper's baseline
+// (NewSerial) is its one-partition case, one aggregation module over every
+// channel, on one rank. The partition and rank counts change nothing else in
+// the model, which is the paper's compatibility claim ("compatible with any
+// model-parallel strategy and any type of vision transformer architecture").
 package model
 
 import (
@@ -20,8 +21,8 @@ import (
 )
 
 // ChannelStage maps a rank's image shard [B, Cl, H, W] to the aggregated
-// spatial tokens [B, T, E] and back. Serial models use SerialStage over the
-// full channel range; distributed models use DCHAGStage.
+// spatial tokens [B, T, E] and back. Every model is built with a DCHAGStage;
+// the interface lets a caller wrap it (to time it, say).
 type ChannelStage interface {
 	// Forward consumes this rank's channel shard and returns [B, T, E].
 	Forward(x *tensor.Tensor) *tensor.Tensor
@@ -29,45 +30,6 @@ type ChannelStage interface {
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the stage's parameters.
 	Params() []*nn.Param
-}
-
-// SerialStage is the single-process channel stage of the baseline
-// architecture: full tokenizer, channel-ID embedding, and a (possibly
-// hierarchical) channel-aggregation module. The default Tree=0/KindCross
-// configuration is exactly the paper's Fig. 1 module: one cross-attention
-// layer over all channels.
-type SerialStage struct {
-	Cfg             core.Config
-	core.LocalStage                              // full tokenizer, channel IDs, one partial: Agg
-	Agg             *core.HierarchicalAggregator // the stage's only module
-}
-
-// NewSerialStage builds the serial channel stage from cfg (Tree and Kind
-// select the aggregation layout as in core.BuildTreePlan).
-func NewSerialStage(cfg core.Config) *SerialStage {
-	agg := core.NewHierarchicalAggregator("stage.agg",
-		core.BuildTreePlan(cfg.Channels, cfg.Tree), cfg.Kind, cfg.Embed, cfg.Heads, nn.SubSeed(cfg.Seed, 3))
-	return &SerialStage{
-		Cfg: cfg,
-		LocalStage: core.LocalStage{
-			Tok:      nn.NewPatchEmbed("stage.tok", cfg.Channels, cfg.ImgH, cfg.ImgW, cfg.Patch, cfg.Embed, nn.SubSeed(cfg.Seed, 1)),
-			ChEmb:    nn.NewChannelEmbed("stage.chemb", cfg.Channels, cfg.Embed, nn.SubSeed(cfg.Seed, 2)),
-			Partials: []*core.HierarchicalAggregator{agg},
-		},
-		Agg: agg,
-	}
-}
-
-// Forward maps [B, C, H, W] to [B, T, E].
-func (s *SerialStage) Forward(x *tensor.Tensor) *tensor.Tensor { return s.LocalStage.Forward(x)[0] }
-
-// Infer maps [B, C, H, W] to [B, T, E] without caching activations for
-// backward.
-func (s *SerialStage) Infer(x *tensor.Tensor) *tensor.Tensor { return s.LocalStage.Infer(x)[0] }
-
-// Backward maps d[B, T, E] to the image gradient [B, C, H, W].
-func (s *SerialStage) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return s.LocalStage.Backward(grad, 0)
 }
 
 // NewSerialDCHAGEquivalent builds the D-CHAG model with p logical partitions

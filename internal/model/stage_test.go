@@ -24,14 +24,18 @@ var stageShapes = []struct {
 	{"wx_serve", 8, core.Config{Channels: 40, ImgH: 16, ImgW: 16, Patch: 2, Embed: 32, Heads: 4, Tree: 2, Kind: core.KindLinear, Seed: 1}},
 }
 
+// oneStage builds the baseline's channel stage: D-CHAG at one partition on
+// one rank, one aggregation module over every channel.
+func oneStage(cfg core.Config) *DCHAGStage { return NewDCHAGStage(cfg, comm.NewGroup(1).Comm(0), 1) }
+
 // TestSerialStageSteadyStateAllocs pins the stage's scratch contract on the
-// serial stage (no comm in the count): a warm Forward, Backward and F32 Infer
-// allocate nothing, for flat and two-level trees of every kind.
+// one-partition stage (no comm in the count): a warm Forward, Backward and
+// F32 Infer allocate nothing, for flat and two-level trees of every kind.
 func TestSerialStageSteadyStateAllocs(t *testing.T) {
 	for _, kind := range []core.LayerKind{core.KindCross, core.KindLinear, core.KindPerceiver} {
 		for _, tree := range []int{0, 3} {
 			cfg := core.Config{Channels: 9, ImgH: 8, ImgW: 8, Patch: 2, Embed: 16, Heads: 2, Tree: tree, Kind: kind, Seed: 3}
-			s := NewSerialStage(cfg)
+			s := oneStage(cfg)
 			s.SetInferDType(tensor.F32)
 			rng := tensor.NewRNG(4)
 			x := tensor.Randn(rng, 2, cfg.Channels, cfg.ImgH, cfg.ImgW)
@@ -51,8 +55,9 @@ func TestSerialStageSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSerialStageHoldsThreeTokenTensors measures what the paper is about on
-// the executed stage, live heap and nothing excluded, after a Forward, a
-// Backward and an Infer. Tokens are the channel tokens' size [B, C, T, E].
+// the baseline's one-partition stage, live heap and nothing excluded, after
+// a Forward, a Backward and an Infer. Tokens are the channel tokens' size
+// [B, C, T, E].
 //
 // A linear-aggregation stage holds two of them — Forward's group inputs and
 // the aggregators' input gradient — plus terms a factor E or C smaller: the
@@ -77,7 +82,7 @@ func TestSerialStageHoldsThreeTokenTensors(t *testing.T) {
 			// The first round also grows the process-wide panel pool behind the
 			// larger products; the second stage's round shows the stage alone.
 			for round := 0; round < 2; round++ {
-				s := NewSerialStage(cfg)
+				s := oneStage(cfg)
 				before := liveHeap()
 				s.Forward(x)
 				s.Backward(d)
@@ -246,12 +251,12 @@ func TestBlockStackHeldAfterTraining(t *testing.T) {
 	}
 }
 
-// BenchmarkChannelStage times the serial stage's Forward, Backward and F32
-// Infer at the benchmark workloads' per-rank shapes.
+// BenchmarkChannelStage times the one-partition stage's Forward, Backward
+// and F32 Infer at the benchmark workloads' per-rank shapes.
 func BenchmarkChannelStage(b *testing.B) {
 	for _, sh := range stageShapes {
 		rng := tensor.NewRNG(7)
-		s := NewSerialStage(sh.cfg)
+		s := oneStage(sh.cfg)
 		s.SetInferDType(tensor.F32)
 		x := tensor.Randn(rng, sh.batch, sh.cfg.Channels, sh.cfg.ImgH, sh.cfg.ImgW)
 		d := tensor.Randn(rng, sh.batch, sh.cfg.Tokens(), sh.cfg.Embed)

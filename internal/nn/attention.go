@@ -52,7 +52,7 @@ type AttentionCore struct {
 // gradients — grown to each call's shapes. Its owner lends it for one call
 // at a time, and the gradients a call returns live in it until the next
 // call that borrows it, so layers whose backwards run one after another,
-// each result consumed before the next call, share one (core.LocalStage
+// each result consumed before the next call, share one (the D-CHAG stage
 // lends one to every channel aggregator of a tree level, a BlockGrads holds
 // the one every transformer block of a stack borrows). The zero value is
 // ready to use.

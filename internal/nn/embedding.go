@@ -93,11 +93,6 @@ type ChannelEmbed struct {
 	Table      *Param // [localC, E]
 }
 
-// NewChannelEmbed constructs an embedding over all channels [0, channels).
-func NewChannelEmbed(name string, channels, embed int, seed int64) *ChannelEmbed {
-	return NewChannelEmbedShard(name, 0, channels, embed, seed)
-}
-
 // NewChannelEmbedShard constructs an embedding owning global channels
 // [chLo, chHi); row c is drawn from SubSeed(seed, chLo+c).
 func NewChannelEmbedShard(name string, chLo, chHi, embed int, seed int64) *ChannelEmbed {

@@ -178,7 +178,7 @@ func TestTransformerBlockGradients(t *testing.T) {
 
 func TestPatchEmbedGradients(t *testing.T) {
 	rng := tensor.NewRNG(80)
-	p := NewPatchEmbed("tok", 3, 4, 4, 2, 5, 81)
+	p := NewPatchEmbedShard("tok", 0, 3, 4, 4, 2, 5, 81)
 	x := tensor.Randn(rng, 2, 3, 4, 4)
 	r := tensor.Randn(rng, 2, 3, 4, 5) // T = (4/2)*(4/2) = 4 tokens
 	loss := func() float64 { return dotAll(p.Forward(x), r) }
@@ -208,8 +208,8 @@ func TestPosEmbedGradients(t *testing.T) {
 // on the way back.
 func TestChannelEmbedGradients(t *testing.T) {
 	rng := tensor.NewRNG(100)
-	p := NewPatchEmbed("tok", 3, 4, 4, 2, 4, 99)
-	c := NewChannelEmbed("ch", 3, 4, 101)
+	p := NewPatchEmbedShard("tok", 0, 3, 4, 4, 2, 4, 99)
+	c := NewChannelEmbedShard("ch", 0, 3, 4, 101)
 	x := tensor.Randn(rng, 2, 3, 4, 4)
 	r := tensor.Randn(rng, 2, 3, 4, 4)
 	out := tensor.New(2, 3, 4, 4)

@@ -16,7 +16,7 @@ func TestPatchEmbedShardMatchesFullSlice(t *testing.T) {
 		embed    = 5
 		seed     = 77
 	)
-	full := NewPatchEmbed("tok", channels, imgH, imgW, patch, embed, seed)
+	full := NewPatchEmbedShard("tok", 0, channels, imgH, imgW, patch, embed, seed)
 	rng := tensor.NewRNG(5)
 	x := tensor.Randn(rng, 2, channels, imgH, imgW)
 	yFull := full.Forward(x)
@@ -40,8 +40,8 @@ func TestChannelEmbedShardMatchesFullSlice(t *testing.T) {
 		embed    = 4
 		seed     = 88
 	)
-	full := NewChannelEmbed("ch", channels, embed, seed)
-	fullTok := NewPatchEmbed("tok", channels, 4, 4, 2, embed, seed+1)
+	full := NewChannelEmbedShard("ch", 0, channels, embed, seed)
+	fullTok := NewPatchEmbedShard("tok", 0, channels, 4, 4, 2, embed, seed+1)
 	rng := tensor.NewRNG(6)
 	x := tensor.Randn(rng, 2, channels, 4, 4)
 	yFull := tensor.New(2, channels, 4, embed)
@@ -64,7 +64,7 @@ func TestChannelEmbedShardMatchesFullSlice(t *testing.T) {
 func TestPatchEmbedTokenValues(t *testing.T) {
 	// One channel, 2x2 image, patch 2 -> a single token equal to
 	// patchvec @ W + b.
-	p := NewPatchEmbed("tok", 1, 2, 2, 2, 3, 9)
+	p := NewPatchEmbedShard("tok", 0, 1, 2, 2, 2, 3, 9)
 	x := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
 	y := p.Forward(x)
 	if y.Shape[0] != 1 || y.Shape[1] != 1 || y.Shape[2] != 1 || y.Shape[3] != 3 {

@@ -69,11 +69,6 @@ func (p *PatchEmbed) SetInferDType(dt tensor.DType) {
 	}
 }
 
-// NewPatchEmbed constructs a tokenizer over all channels [0, channels).
-func NewPatchEmbed(name string, channels, imgH, imgW, patch, embed int, seed int64) *PatchEmbed {
-	return NewPatchEmbedShard(name, 0, channels, imgH, imgW, patch, embed, seed)
-}
-
 // NewPatchEmbedShard constructs a tokenizer owning global channels
 // [chLo, chHi). Weights for channel c are drawn from SubSeed(seed, c), so a
 // shard matches the corresponding slice of the full layer.

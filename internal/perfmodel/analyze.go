@@ -336,19 +336,26 @@ func MaxMicroBatch(shape ModelShape, wl Workload, strat Strategy, machine hw.Mac
 }
 
 // MinTPToFit returns the smallest TP degree (among divisors-of-heads powers
-// of two up to maxTP) at which the configuration fits, or 0 if none does.
-func MinTPToFit(shape ModelShape, wl Workload, strat Strategy, machine hw.Machine, cal Calibration, maxTP int) int {
-	for t := 1; t <= maxTP; t *= 2 {
+// of two up to bound) at which the configuration fits, or 0 if none does,
+// and the bound it searched: maxTP, and for the methods that shard channels
+// over the TP ranks (distributed tokenization, D-CHAG) at most wl.Channels,
+// since each rank needs a channel.
+func MinTPToFit(shape ModelShape, wl Workload, strat Strategy, machine hw.Machine, cal Calibration, maxTP int) (tp, bound int) {
+	bound = maxTP
+	if strat.Method != MethodBaseline {
+		bound = min(bound, wl.Channels)
+	}
+	for t := 1; t <= bound; t *= 2 {
 		if shape.Heads%t != 0 {
 			continue
 		}
 		s := strat
 		s.TP = t
 		if Analyze(shape, wl, s, machine, cal).Fits() {
-			return t
+			return t, bound
 		}
 	}
-	return 0
+	return 0, bound
 }
 
 // MemGainOverBaseline returns the per-GPU memory reduction of a strategy

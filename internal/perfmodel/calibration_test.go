@@ -235,14 +235,24 @@ func TestMaxMicroBatchMonotoneInMemory(t *testing.T) {
 func TestMinTPToFitMatchesBoundaries(t *testing.T) {
 	machine := hw.Frontier()
 	cal := DefaultCalibration()
-	if tp := MinTPToFit(Shapes["1.7B"], ReferenceWorkload(512), Strategy{Method: MethodBaseline}, machine, cal, 32); tp != 2 {
+	if tp, _ := MinTPToFit(Shapes["1.7B"], ReferenceWorkload(512), Strategy{Method: MethodBaseline}, machine, cal, 32); tp != 2 {
 		t.Fatalf("1.7B@512 min TP = %d, want 2", tp)
 	}
-	if tp := MinTPToFit(Shapes["7B"], ReferenceWorkload(512), Strategy{Method: MethodBaseline}, machine, cal, 32); tp != 8 && tp != 16 {
+	if tp, _ := MinTPToFit(Shapes["7B"], ReferenceWorkload(512), Strategy{Method: MethodBaseline}, machine, cal, 32); tp != 8 && tp != 16 {
 		t.Fatalf("7B@512 min TP = %d, want 8 or 16 (paper: 16)", tp)
 	}
-	if tp := MinTPToFit(Shapes["26B"], ReferenceWorkload(256), Strategy{Method: MethodBaseline}, machine, cal, 8); tp != 0 {
+	if tp, _ := MinTPToFit(Shapes["26B"], ReferenceWorkload(256), Strategy{Method: MethodBaseline}, machine, cal, 8); tp != 0 {
 		t.Fatalf("26B@256 min TP within a node = %d, want infeasible (0)", tp)
+	}
+	// The methods that shard channels over the TP ranks search no degree
+	// above the channel count, and say so; the baseline searches to maxTP.
+	wl := ReferenceWorkload(4)
+	wl.MicroBatch = 4
+	for method, want := range map[Method]int{MethodDCHAG: 4, MethodDistTok: 4, MethodBaseline: 32} {
+		tp, bound := MinTPToFit(Shapes["26B"], wl, Strategy{Method: method, Kind: core.KindLinear}, machine, cal, 32)
+		if bound != want || tp > bound {
+			t.Errorf("%s over 4 channels: min TP %d searched up to %d, want a bound of %d and no TP above it", method, tp, bound, want)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/data"
@@ -264,6 +265,29 @@ func TestServingTopologyMismatch(t *testing.T) {
 	}
 	if _, err := Start(Config{Ranks: 3, Replicas: 1}, src); err == nil {
 		t.Fatal("Start must reject a rank count that does not divide the partition count")
+	}
+}
+
+// TestServingRefusesSerialStageCheckpoint: a checkpoint whose manifest
+// records a stage other than D-CHAG ("serial") is refused when it is opened,
+// by a message naming the stage.
+func TestServingRefusesSerialStageCheckpoint(t *testing.T) {
+	root := t.TempDir()
+	trainCheckpoint(t, root, 2)
+	dir, err := ckpt.LatestDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := ckpt.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Meta[ckpt.MetaStage] = "serial"
+	if err := ckpt.WriteManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromCheckpoint(root); err == nil || !strings.Contains(err.Error(), `"serial" stage`) {
+		t.Fatalf("want the serial stage refused by name, got %v", err)
 	}
 }
 

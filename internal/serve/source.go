@@ -35,7 +35,7 @@ func FromArch(a model.Arch) Source { return archSource{arch: a} }
 func (s archSource) Arch() model.Arch { return s.arch }
 
 func (s archSource) Build(tpc *comm.Communicator) (*model.FoundationModel, error) {
-	m, err := buildTopology(s.arch, "dchag", tpc)
+	m, err := buildTopology(s.arch, tpc)
 	if err != nil {
 		return nil, err
 	}
@@ -47,9 +47,8 @@ func (s archSource) Build(tpc *comm.Communicator) (*model.FoundationModel, error
 // topology. The Checkpoint is opened once, read-only, and shared by every
 // rank's Build.
 type ckptSource struct {
-	arch  model.Arch
-	stage string
-	ck    *ckpt.Checkpoint
+	arch model.Arch
+	ck   *ckpt.Checkpoint
 }
 
 // FromCheckpoint opens the newest complete checkpoint under dir (read-only;
@@ -57,11 +56,15 @@ type ckptSource struct {
 // ckpt.LatestDir) and returns a Source that reshards it to the serving
 // topology. The architecture comes from the manifest's arch record
 // (ckpt.MetaArch, written by the training loops); a checkpoint predating
-// that record is refused.
+// that record is refused, and so is one saved from a stage other than
+// D-CHAG (ckpt.MetaStage).
 func FromCheckpoint(dir string) (Source, error) {
 	ck, err := ckpt.OpenLatest(dir)
 	if err != nil {
 		return nil, err
+	}
+	if stage, ok := ck.Manifest.Meta[ckpt.MetaStage]; ok && stage != "dchag" {
+		return nil, fmt.Errorf("serve: checkpoint %s was saved from a %q stage; only D-CHAG checkpoints are served", dir, stage)
 	}
 	blob, ok := ck.Manifest.Meta[ckpt.MetaArch]
 	if !ok {
@@ -71,25 +74,17 @@ func FromCheckpoint(dir string) (Source, error) {
 	if err := json.Unmarshal([]byte(blob), &arch); err != nil {
 		return nil, fmt.Errorf("serve: decoding checkpoint architecture: %w", err)
 	}
-	return newCkptSource(ck, arch), nil
-}
-
-func newCkptSource(ck *ckpt.Checkpoint, arch model.Arch) Source {
 	// The logical partition count is a model property recorded in the
 	// manifest; it, not the saving rank count, constrains the serving
 	// topology.
 	arch.Partitions = ck.Manifest.Partitions
-	stage := ck.Manifest.Meta[ckpt.MetaStage]
-	if stage == "" {
-		stage = "dchag"
-	}
-	return ckptSource{arch: arch, stage: stage, ck: ck}
+	return ckptSource{arch: arch, ck: ck}, nil
 }
 
 func (s ckptSource) Arch() model.Arch { return s.arch }
 
 func (s ckptSource) Build(tpc *comm.Communicator) (*model.FoundationModel, error) {
-	m, err := buildTopology(s.arch, s.stage, tpc)
+	m, err := buildTopology(s.arch, tpc)
 	if err != nil {
 		return nil, err
 	}
@@ -100,19 +95,12 @@ func (s ckptSource) Build(tpc *comm.Communicator) (*model.FoundationModel, error
 	return m, nil
 }
 
-// buildTopology constructs the model slice for one rank of a q-wide TP
-// group: the plain serial model for "serial"-stage checkpoints (q must be
-// 1), the rank's D-CHAG slice at every q otherwise.
-func buildTopology(arch model.Arch, stage string, tpc *comm.Communicator) (*model.FoundationModel, error) {
+// buildTopology constructs the rank's D-CHAG slice of the model for one
+// rank of a q-wide TP group; an unset partition count is one per rank.
+func buildTopology(arch model.Arch, tpc *comm.Communicator) (*model.FoundationModel, error) {
 	q := tpc.Size()
 	if arch.Partitions == 0 {
 		arch.Partitions = q
-	}
-	if stage == "serial" {
-		if q != 1 {
-			return nil, fmt.Errorf("serve: a %q-stage checkpoint has no channel sharding; serve it with Ranks=1, not %d", stage, q)
-		}
-		return model.NewSerial(arch), nil
 	}
 	if arch.Partitions%q != 0 {
 		return nil, fmt.Errorf("serve: %d serving ranks do not divide the model's %d logical partitions", q, arch.Partitions)

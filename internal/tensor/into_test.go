@@ -119,7 +119,6 @@ func TestIntoBitwiseElementwise(t *testing.T) {
 	assertBitwise(t, "SumAxisInto", SumAxisInto(dirty(33), a, 0), SumAxisInto(nil, a, 0))
 	assertBitwise(t, "Transpose2DInto", Transpose2DInto(dirty(33, 7), a), Transpose2D(a))
 	assertBitwise(t, "ConcatInto", ConcatInto(dirty(14, 33), 0, a, b), Concat(0, a, b))
-	assertBitwise(t, "StackInto", StackInto(dirty(2, 7, 33), a, b), Stack(a, b))
 	assertBitwise(t, "SliceAxisInto", SliceAxisInto(dirty(7, 10), a, 1, 3, 13), SliceAxis(a, 1, 3, 13))
 }
 

@@ -307,12 +307,9 @@ func SplitEqual(t *Tensor, axis, n int) []*Tensor {
 	return parts
 }
 
-// StackInto joins rank-k tensors of identical shape into dst, a rank-(k+1)
-// tensor with a new leading axis, and returns dst. dst must not alias any
-// input.
-//
-// dchag:hotpath — with a non-nil dst it allocates only the shape header.
-func StackInto(dst *Tensor, ts ...*Tensor) *Tensor {
+// Stack joins rank-k tensors of identical shape into one new rank-(k+1)
+// tensor along a new leading axis.
+func Stack(ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("tensor: Stack of zero tensors")
 	}
@@ -321,19 +318,13 @@ func StackInto(dst *Tensor, ts ...*Tensor) *Tensor {
 			panic("tensor: Stack shape mismatch")
 		}
 	}
-	shape := append([]int{len(ts)}, ts[0].Shape...)
-	dst = ensureDst("StackInto", dst, shape...)
-	mustNotAlias("StackInto", dst, ts...)
+	dst := New(append([]int{len(ts)}, ts[0].Shape...)...)
 	n := ts[0].Numel()
 	for i, t := range ts {
 		copy(dst.Data[i*n:(i+1)*n], t.Data)
 	}
 	return dst
 }
-
-// Stack joins rank-k tensors of identical shape into one rank-(k+1) tensor
-// along a new leading axis; the allocating wrapper over StackInto.
-func Stack(ts ...*Tensor) *Tensor { return StackInto(nil, ts...) }
 
 // SliceAxisInto copies the [from, to) range of t along the given axis into
 // dst and returns dst. dst must not alias t.

@@ -12,22 +12,11 @@ import (
 	"repro/internal/optim"
 )
 
-// Stage fingerprints recorded in checkpoint manifests so a load into the
-// wrong architecture family fails with a clear message instead of a wall of
-// name mismatches. "dchag" is the D-CHAG stage at every rank count, one
-// included; "serial" is the baseline's SerialStage.
-const (
-	stageDCHAG  = "dchag"
-	stageSerial = "serial"
-)
-
-// stageKind fingerprints a model's channel stage for the manifest.
-func stageKind(m *model.FoundationModel) string {
-	if _, ok := m.Stage.(*model.DCHAGStage); ok {
-		return stageDCHAG
-	}
-	return stageSerial
-}
+// stageDCHAG is the stage fingerprint recorded in checkpoint manifests so a
+// load of another architecture family fails with a clear message instead of
+// a wall of name mismatches: every model is the D-CHAG stage, at every rank
+// and partition count, and any other fingerprint is refused.
+const stageDCHAG = "dchag"
 
 // modelPartitions returns the logical D-CHAG partition count of a model: the
 // stage's partition count for a D-CHAG stage, 1 otherwise.
@@ -44,8 +33,8 @@ func modelPartitions(m *model.FoundationModel) int {
 // the newest one). The manifest records the stage fingerprint and the full
 // architecture (JSON under ckpt.MetaArch), so inference tooling can rebuild
 // the model from the checkpoint alone.
-func (o Options) commit(world, partitions, step int, stage string, arch model.Arch) error {
-	meta := map[string]string{ckpt.MetaStage: stage}
+func (o Options) commit(world, partitions, step int, arch model.Arch) error {
+	meta := map[string]string{ckpt.MetaStage: stageDCHAG}
 	if blob, err := json.Marshal(arch); err == nil {
 		meta[ckpt.MetaArch] = string(blob)
 	}
@@ -60,9 +49,9 @@ func (o Options) commit(world, partitions, step int, stage string, arch model.Ar
 
 // checkStage rejects checkpoints saved from a different architecture
 // family.
-func checkStage(m ckpt.Manifest, stage string) error {
-	if saved, ok := m.Meta[ckpt.MetaStage]; ok && saved != stage {
-		return fmt.Errorf("train: checkpoint was saved from a %q stage, this model is %q", saved, stage)
+func checkStage(m ckpt.Manifest) error {
+	if saved, ok := m.Meta[ckpt.MetaStage]; ok && saved != stageDCHAG {
+		return fmt.Errorf("train: checkpoint was saved from a %q stage, this model is %q", saved, stageDCHAG)
 	}
 	return nil
 }
@@ -93,11 +82,11 @@ func openRestore(opts Options) (*ckpt.Checkpoint, error) {
 // partition count must match a resumed checkpoint's: the partition count is
 // a model property, so a mismatch means a genuinely different model, not a
 // resharding.
-func restoreStart(ck *ckpt.Checkpoint, opts Options, params []*nn.Param, opt optim.Stateful, partitions int, stage string) (int, error) {
+func restoreStart(ck *ckpt.Checkpoint, opts Options, params []*nn.Param, opt optim.Stateful, partitions int) (int, error) {
 	if ck == nil {
 		return 0, nil
 	}
-	if err := checkStage(ck.Manifest, stage); err != nil {
+	if err := checkStage(ck.Manifest); err != nil {
 		return 0, err
 	}
 	if opts.InitFrom != "" {

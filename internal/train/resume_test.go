@@ -338,21 +338,38 @@ func TestCheckpointOptionValidation(t *testing.T) {
 	}
 }
 
-func TestSerialStageCheckpointRejectsDCHAGModel(t *testing.T) {
-	// A plain-serial-stage checkpoint must not silently restore into the
-	// partitioned architecture: the state trees are different models.
-	const n = 1
+// TestRestoreRefusesSerialStageCheckpoint: a checkpoint whose manifest
+// records a stage other than D-CHAG ("serial") is refused by -resume and
+// -load alike, with a message naming the stage, before anything is
+// restored.
+func TestRestoreRefusesSerialStageCheckpoint(t *testing.T) {
 	a := tinyArch(4)
-	batch := fixedBatches(t, 4, n, 2)
-	dir := t.TempDir()
-	opts := Options{Steps: n, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 1, CheckpointDir: dir}
+	batch := fixedBatches(t, 4, 2, 2)
+	root := t.TempDir()
+	opts := Options{Steps: 1, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 1, CheckpointDir: root}
 	if _, err := SerialCheckpointed(model.NewSerial(a), opts, batch); err != nil {
 		t.Fatal(err)
 	}
-	opts.Resume = true
-	_, err := SerialCheckpointed(model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
-	if err == nil || !strings.Contains(err.Error(), "stage") {
-		t.Fatalf("want stage-mismatch error, got %v", err)
+	dir, err := ckpt.LatestDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := ckpt.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Meta[ckpt.MetaStage] = "serial"
+	if err := ckpt.WriteManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	for name, o := range map[string]Options{
+		"resume": {Steps: 2, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 1, CheckpointDir: root, Resume: true},
+		"load":   {Steps: 1, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 1, InitFrom: root},
+	} {
+		_, err := SerialCheckpointed(model.NewSerial(a), o, batch)
+		if err == nil || !strings.Contains(err.Error(), `"serial" stage`) {
+			t.Errorf("%s: want the serial stage refused by name, got %v", name, err)
+		}
 	}
 }
 

@@ -66,9 +66,9 @@ func (w *worker) tpBarrier() {
 func (w *worker) train(opts Options, batch BatchFn) error {
 	m, row := w.m, w.row
 	params := m.Params()
-	partitions, stage := modelPartitions(m), stageKind(m)
+	partitions := modelPartitions(m)
 	opt := optim.NewAdamW(params, opts.LR, opts.WeightDecay)
-	start, err := restoreStart(w.from, opts, params, opt, partitions, stage)
+	start, err := restoreStart(w.from, opts, params, opt, partitions)
 	if err != nil {
 		return err
 	}
@@ -191,7 +191,7 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 			}
 			w.tpBarrier() // every shard durable before the manifest commits
 			if w.rank == 0 {
-				if err := opts.commit(tp, partitions, s+1, stage, m.Arch); err != nil {
+				if err := opts.commit(tp, partitions, s+1, m.Arch); err != nil {
 					return err
 				}
 			}
