@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 
 	"repro/internal/buildinfo"
 	"repro/internal/ckpt"
@@ -103,6 +104,7 @@ func main() {
 	if err := checkFlags(runFlags{
 		task: *task, channels: *channels, embed: *embed, depth: *depth, tree: *tree,
 		ranks: *ranks, dp: *dp, elastic: *elast, failRank: *failRank, failStep: *failStep,
+		lr: *lr,
 	}); err != nil {
 		log.Fatal(err)
 	}
@@ -316,13 +318,15 @@ type runFlags struct {
 	ranks, dp                    int
 	elastic                      bool
 	failRank, failStep           int
+	lr                           float64
 }
 
 // checkFlags refuses, before any training, the flag combinations the run
 // would otherwise ignore, misread or die on: a model shape no layer can
 // build, a mesh extent below 1, data parallelism over the serial baseline,
-// and a fault injected outside the elastic supervisor (or only half
-// specified).
+// a fault injected outside the elastic supervisor (or only half specified),
+// and a learning rate that is not a finite positive number (a negative one
+// trains by gradient ascent, NaN, which flag parses, makes every loss NaN).
 func checkFlags(f runFlags) error {
 	switch {
 	case f.embed < heads || f.embed%heads != 0:
@@ -345,6 +349,8 @@ func checkFlags(f runFlags) error {
 		return errors.New("-fail-rank and -fail-step inject a failure only under -elastic")
 	case (f.failRank >= 0) != (f.failStep >= 0):
 		return errors.New("-fail-rank and -fail-step must be set together")
+	case !(f.lr > 0 && f.lr <= math.MaxFloat64):
+		return fmt.Errorf("-lr %v: need a finite positive learning rate", f.lr)
 	}
 	return nil
 }

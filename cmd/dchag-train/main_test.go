@@ -1,13 +1,16 @@
 package main
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestCheckFlags: every flag combination the run would silently ignore,
 // misread or die on is refused; the plain serial, D-CHAG, hybrid and elastic
 // runs pass.
 func TestCheckFlags(t *testing.T) {
 	// serial is the default run's flags at -ranks 1.
-	serial := runFlags{task: "mae", channels: 32, embed: 16, depth: 2, ranks: 1, dp: 1, failRank: -1, failStep: -1}
+	serial := runFlags{task: "mae", channels: 32, embed: 16, depth: 2, ranks: 1, dp: 1, failRank: -1, failStep: -1, lr: 3e-3}
 	for _, tc := range []struct {
 		name string
 		set  func(f *runFlags)
@@ -39,6 +42,11 @@ func TestCheckFlags(t *testing.T) {
 		{"fail-rank without elastic", func(f *runFlags) { f.ranks, f.failRank, f.failStep = 2, 1, 1 }, false},
 		{"fail-step alone without elastic", func(f *runFlags) { f.ranks, f.failStep = 2, 1 }, false},
 		{"fail-rank alone under elastic", func(f *runFlags) { f.ranks, f.elastic, f.failRank = 2, true, 1 }, false},
+		{"lr 1", func(f *runFlags) { f.lr = 1 }, true},
+		{"lr 0", func(f *runFlags) { f.lr = 0 }, false},
+		{"lr -1", func(f *runFlags) { f.lr = -1 }, false},
+		{"lr NaN", func(f *runFlags) { f.lr = math.NaN() }, false},
+		{"lr +Inf", func(f *runFlags) { f.lr = math.Inf(1) }, false},
 	} {
 		f := serial
 		tc.set(&f)

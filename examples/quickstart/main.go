@@ -43,8 +43,7 @@ func main() {
 	// half of the channels and the full spatial batch.
 	group, err := comm.Run(2, func(c *comm.Communicator) error {
 		m := model.NewDistributed(arch, c, false)
-		stage := m.Stage.(*model.DCHAGStage)
-		lo, hi := stage.ChannelBounds()
+		lo, hi := m.DCHAG().ChannelBounds()
 		c.SetPhase("forward")
 		pred := m.Forward(tensor.SliceAxis(x, 1, lo, hi), nil)
 		if diff := tensor.MaxAbsDiff(pred, want); diff > 1e-9 {

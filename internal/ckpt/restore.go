@@ -246,6 +246,35 @@ func (c *Checkpoint) lookup(p *nn.Param) (*logicalTensor, error) {
 	return lt, nil
 }
 
+// Matches reports, in one joined error, every way the checkpoint differs
+// from the logical model whose parameters are params: each parameter it
+// lacks or holds at another logical shape, and each logical tensor it holds
+// that no parameter names — which RestoreParams, looking up only the
+// parameters it is given, would drop without a word. params must be a whole
+// logical model's: a mesh rank holds only its own partitions' modules, so
+// its parameters leave the other ranks' tensors unnamed.
+func (c *Checkpoint) Matches(params []*nn.Param) error {
+	var errs []error
+	named := make(map[string]bool, len(params))
+	for _, p := range params {
+		named[p.LogicalKey()] = true
+		if _, err := c.lookup(p); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	var stray []string
+	for key := range c.logical {
+		if !named[key] {
+			stray = append(stray, key)
+		}
+	}
+	sort.Strings(stray)
+	for _, key := range stray {
+		errs = append(errs, fmt.Errorf("ckpt: checkpoint holds %q, which the model has no parameter for", key))
+	}
+	return errors.Join(errs...)
+}
+
 // RestoreParams writes every parameter's slice of its logical tensor into
 // the parameter, resharding from the saved topology to the caller's. All
 // missing and shape-mismatched parameters are reported in one joined error,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -330,6 +331,41 @@ func TestElasticFailsBelowMinWorld(t *testing.T) {
 	}
 	if len(rep.Generations) != 1 || len(rep.Generations[0].Failed) != 3 {
 		t.Fatalf("generations = %+v", rep.Generations)
+	}
+}
+
+// TestResumeRefusesStrayTensor: Run's resume refuses, by name and before any
+// rank restores, a checkpoint that holds a tensor the logical model has no
+// parameter for (here in a shard of its own), instead of dropping it.
+func TestResumeRefusesStrayTensor(t *testing.T) {
+	leakcheck.Check(t)
+	a := tinyArch(4)
+	root := t.TempDir()
+	opts := train.Options{Steps: 1, Batch: 2, LR: 1e-2, Seed: 9, CheckpointDir: root}
+	batch := fixedBatches(t, 4, 2, opts.Batch)
+	if _, _, err := train.Distributed(a, 2, false, opts, batch); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := ckpt.LatestDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := ckpt.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stray = "dchag.final.mix.weight"
+	leaf := ckpt.Leaf{Name: stray, Logical: stray, Shape: []int{2}, Values: []float64{1, 2}}
+	if err := ckpt.WriteShard(dir, man.World, ckpt.Tree{Format: ckpt.Format, OptAlgo: man.OptAlgo, OptStep: man.Step, Leaves: []ckpt.Leaf{leaf}}); err != nil {
+		t.Fatal(err)
+	}
+	man.World++
+	if err := ckpt.WriteManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	opts.Steps, opts.Resume = 2, true
+	if _, err := Run(a, opts, Options{TP: 2, DP: 1}, batch); err == nil || !strings.Contains(err.Error(), stray) {
+		t.Fatalf("want %q refused by name, got %v", stray, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 
+	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/nn"
@@ -47,6 +48,31 @@ func (a Arch) HeadDim() int { return a.Channels * a.Patch * a.Patch }
 func (a Arch) ParamCount() int {
 	m := NewSerial(a)
 	return nn.NumParams(m.Params())
+}
+
+// StageName is the stage family every checkpoint manifest records under
+// ckpt.MetaStage: every model is the D-CHAG stage, at every rank and
+// partition count.
+const StageName = "dchag"
+
+// CheckRestore refuses a checkpoint that does not hold exactly the logical
+// model a describes at a.Partitions (>= 1) partitions: one saved from
+// another stage family or at another partition count, one that lacks a
+// parameter or holds it at another shape, and one that holds a tensor the
+// model has no parameter for. The partition count is a model property, so a
+// mismatch means a different model, not a resharding. It checks against the
+// whole logical model, built on one rank as ParamCount builds it, because a
+// mesh rank holds only its own partitions' modules; every restore path runs
+// it once, before any rank restores.
+func (a Arch) CheckRestore(ck *ckpt.Checkpoint) error {
+	if saved, ok := ck.Manifest.Meta[ckpt.MetaStage]; ok && saved != StageName {
+		return fmt.Errorf("model: checkpoint was saved from a %q stage, this model is %q", saved, StageName)
+	}
+	if ck.Manifest.Partitions != a.Partitions {
+		return fmt.Errorf("model: checkpoint has %d logical partitions, model has %d (set the model's partition count from the manifest)",
+			ck.Manifest.Partitions, a.Partitions)
+	}
+	return ck.Matches(NewSerialDCHAGEquivalent(a, a.Partitions).Params())
 }
 
 // FoundationModel is the generic architecture of the paper's Fig. 1:
@@ -144,6 +170,12 @@ func NewDistributed(a Arch, c *comm.Communicator, tpViT bool) *FoundationModel {
 	return m
 }
 
+// DCHAG returns the model's concrete D-CHAG stage, through any wrapper
+// around Stage: Infer, SetInferDType and PartitionParams reach the stage this
+// way, and so does every caller that needs its channel range or partition
+// count.
+func (m *FoundationModel) DCHAG() *DCHAGStage { return m.Stage.dchag() }
+
 // SetInferDType selects the arithmetic of the no-grad Infer path for every
 // matrix product in the model: the channel stage, the transformer blocks,
 // and the head. Layer norms, softmaxes and embedding adds stay float64.
@@ -151,9 +183,7 @@ func NewDistributed(a Arch, c *comm.Communicator, tpViT bool) *FoundationModel {
 // again after every optimizer step that mutates the weights; with tensor.F64
 // (the default) Infer is bitwise identical to Forward.
 func (m *FoundationModel) SetInferDType(dt tensor.DType) {
-	if d, ok := m.Stage.(nn.DTyper); ok {
-		d.SetInferDType(dt)
-	}
+	m.DCHAG().SetInferDType(dt)
 	for _, blk := range m.Blocks {
 		nn.SetInferDType(blk, dt)
 	}
@@ -194,14 +224,7 @@ func (m *FoundationModel) Infer(x, mask *tensor.Tensor) *tensor.Tensor {
 		q, r := m.share.Size(), m.share.Rank()
 		lo, hi = r*b/q, (r+1)*b/q
 	}
-	var feat *tensor.Tensor
-	if ds, ok := m.Stage.(*DCHAGStage); ok {
-		feat = ds.InferRange(x, lo, hi)
-	} else {
-		// Every ChannelStage is an nn.Layer; nn.Infer takes the stage's
-		// no-grad fast path when it has one.
-		feat = nn.Infer(m.Stage, x)
-	}
+	feat := m.DCHAG().InferRange(x, lo, hi)
 	if mask != nil {
 		if len(mask.Shape) != 2 || mask.Shape[0] != b || mask.Shape[1] != t {
 			panic(fmt.Sprintf("model: mask want [%d,%d], got %v", b, t, mask.Shape))
@@ -352,14 +375,11 @@ func (m *FoundationModel) Params() []*nn.Param {
 // group-replicated parameters, each in Params order. Distributed
 // global-gradient-norm computations (clipping) sum local shards across the
 // group and count replicated parameters once, reproducing the serial model's
-// norm exactly. A stage that is not a DCHAGStage counts as replicated.
+// norm exactly.
 func (m *FoundationModel) PartitionParams() (local, replicated []*nn.Param) {
-	if stage, ok := m.Stage.(*DCHAGStage); ok {
-		local = append(local, stage.LocalParams()...)
-		replicated = append(replicated, stage.ReplicatedParams()...)
-	} else {
-		replicated = append(replicated, m.Stage.Params()...)
-	}
+	stage := m.DCHAG()
+	local = append(local, stage.LocalParams()...)
+	replicated = append(replicated, stage.ReplicatedParams()...)
 	replicated = append(replicated, m.MaskTok)
 	replicated = append(replicated, m.Pos.Params()...)
 	if m.Meta != nil {

@@ -290,6 +290,43 @@ func TestPartitionParamsDistributedCoversEverything(t *testing.T) {
 	}
 }
 
+// wrappedStage is a caller's wrapper around a model's stage (a timer, say):
+// it embeds the stage and adds nothing.
+type wrappedStage struct{ ChannelStage }
+
+// TestWrappedStageIsSeenThrough: a wrapper around the stage changes nothing
+// the model derives from the concrete stage. PartitionParams still files a
+// sharded stage's parameters as rank-local (filed as replicated, every rank
+// would clip by a different norm), and SetInferDType still reaches the stage
+// (skipped, the stage would stay in F64 under F32 serving).
+func TestWrappedStageIsSeenThrough(t *testing.T) {
+	a := smallArch()
+	a.Kind = core.KindCross
+	_, err := comm.Run(2, func(c *comm.Communicator) error {
+		m := NewDistributed(a, c, true)
+		wantLocal, wantRepl := m.PartitionParams()
+		m.Stage = wrappedStage{m.Stage}
+		local, repl := m.PartitionParams()
+		if fmt.Sprint(local) != fmt.Sprint(wantLocal) || fmt.Sprint(repl) != fmt.Sprint(wantRepl) {
+			return fmt.Errorf("rank %d: wrapped stage partitions %d local + %d replicated, want %d + %d",
+				c.Rank(), len(local), len(repl), len(wantLocal), len(wantRepl))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	x := tensor.Randn(tensor.NewRNG(3), 2, a.Channels, a.ImgH, a.ImgW)
+	plain, wrapped := NewSerialDCHAGEquivalent(a, 2), NewSerialDCHAGEquivalent(a, 2)
+	wrapped.Stage = wrappedStage{wrapped.Stage}
+	plain.SetInferDType(tensor.F32)
+	wrapped.SetInferDType(tensor.F32)
+	if d := tensor.MaxAbsDiff(wrapped.Infer(x, nil), plain.Infer(x, nil)); d != 0 {
+		t.Fatalf("F32 Infer through a wrapped stage differs from the plain model's by %g", d)
+	}
+}
+
 func TestSwinModelDistributedMatchesSerialEquivalent(t *testing.T) {
 	// Paper Sec. 3.5: D-CHAG is agnostic to the ViT architecture. Swap the
 	// standard blocks for Swin windowed-attention blocks and the

@@ -22,7 +22,10 @@ import (
 
 // ChannelStage maps a rank's image shard [B, Cl, H, W] to the aggregated
 // spatial tokens [B, T, E] and back. Every model is built with a DCHAGStage;
-// the interface lets a caller wrap it (to time it, say).
+// the interface lets a caller wrap it (to time it, say) by embedding it,
+// which is the only way another package can satisfy it: the wrapper then
+// inherits dchag, so whatever needs the concrete stage (FoundationModel.DCHAG)
+// sees through it.
 type ChannelStage interface {
 	// Forward consumes this rank's channel shard and returns [B, T, E].
 	Forward(x *tensor.Tensor) *tensor.Tensor
@@ -30,6 +33,8 @@ type ChannelStage interface {
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the stage's parameters.
 	Params() []*nn.Param
+
+	dchag() *DCHAGStage
 }
 
 // NewSerialDCHAGEquivalent builds the D-CHAG model with p logical partitions
@@ -55,6 +60,8 @@ func NewDCHAGStage(cfg core.Config, c *comm.Communicator, partitions int) *DCHAG
 	}
 	return &DCHAGStage{core.NewDCHAGPartitioned(cfg, c, partitions)}
 }
+
+func (s *DCHAGStage) dchag() *DCHAGStage { return s }
 
 // ChannelBounds returns the global channel range of the rank's shard.
 func (s *DCHAGStage) ChannelBounds() (lo, hi int) { return s.ChLo, s.ChHi }

@@ -164,10 +164,7 @@ func (h *host) load(src Source, dt tensor.DType) (*instance, error) {
 			// panel prepack stays valid for the instance's lifetime.
 			mdl.SetInferDType(dt)
 		}
-		lo, hi := 0, arch.Channels
-		if ds, ok := mdl.Stage.(*model.DCHAGStage); ok {
-			lo, hi = ds.ChannelBounds()
-		}
+		lo, hi := mdl.DCHAG().ChannelBounds()
 		inst.models[r], inst.lo[r], inst.hi[r] = mdl, lo, hi
 	}
 	h.mu.Lock()

@@ -291,6 +291,34 @@ func TestServingRefusesSerialStageCheckpoint(t *testing.T) {
 	}
 }
 
+// TestServingRefusesStrayTensor: a checkpoint that holds a tensor the model
+// has no parameter for (here in a shard of its own) is refused by name when
+// it is opened, not served with the tensor dropped.
+func TestServingRefusesStrayTensor(t *testing.T) {
+	root := t.TempDir()
+	trainCheckpoint(t, root, 2)
+	dir, err := ckpt.LatestDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := ckpt.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stray = "dchag.final.mix.weight"
+	leaf := ckpt.Leaf{Name: stray, Logical: stray, Shape: []int{2}, Values: []float64{1, 2}}
+	if err := ckpt.WriteShard(dir, man.World, ckpt.Tree{Format: ckpt.Format, OptAlgo: man.OptAlgo, OptStep: man.Step, Leaves: []ckpt.Leaf{leaf}}); err != nil {
+		t.Fatal(err)
+	}
+	man.World++
+	if err := ckpt.WriteManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromCheckpoint(root); err == nil || !strings.Contains(err.Error(), stray) {
+		t.Fatalf("want %q refused by name, got %v", stray, err)
+	}
+}
+
 // TestBatcherAggregates pins the dynamic micro-batcher: a burst submitted
 // while the single replica is busy backs up the queue, so later requests
 // coalesce into multi-request batches capped at MaxBatch. (A lone request

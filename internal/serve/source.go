@@ -56,15 +56,13 @@ type ckptSource struct {
 // ckpt.LatestDir) and returns a Source that reshards it to the serving
 // topology. The architecture comes from the manifest's arch record
 // (ckpt.MetaArch, written by the training loops); a checkpoint predating
-// that record is refused, and so is one saved from a stage other than
-// D-CHAG (ckpt.MetaStage).
+// that record is refused, and so is one that does not hold exactly that
+// model (model.Arch.CheckRestore: another stage family, a missing or
+// misshapen parameter, a tensor the model has no parameter for).
 func FromCheckpoint(dir string) (Source, error) {
 	ck, err := ckpt.OpenLatest(dir)
 	if err != nil {
 		return nil, err
-	}
-	if stage, ok := ck.Manifest.Meta[ckpt.MetaStage]; ok && stage != "dchag" {
-		return nil, fmt.Errorf("serve: checkpoint %s was saved from a %q stage; only D-CHAG checkpoints are served", dir, stage)
 	}
 	blob, ok := ck.Manifest.Meta[ckpt.MetaArch]
 	if !ok {
@@ -78,6 +76,9 @@ func FromCheckpoint(dir string) (Source, error) {
 	// manifest; it, not the saving rank count, constrains the serving
 	// topology.
 	arch.Partitions = ck.Manifest.Partitions
+	if err := arch.CheckRestore(ck); err != nil {
+		return nil, fmt.Errorf("serve: checkpoint %s: %w", dir, err)
+	}
 	return ckptSource{arch: arch, ck: ck}, nil
 }
 

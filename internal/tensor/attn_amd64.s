@@ -1,11 +1,13 @@
 #include "textflag.h"
 #include "exp_amd64.h"
 
-// The pooled attention pass (attnpool.go has the contract and the Go twins).
-// Every routine vectorises across an axis whose elements are independent —
-// a product's output columns, the key rows of a softmax row, the Dh lanes of
-// a head, four query or key rows after a 4x4 transpose — and never along a
-// sum: each sum is one register lane walked in the contract's order.
+// The pooled attention pass's softmax, pooling and score-gradient steps
+// (attnpool.go has the contract and the Go twins; its chains run kernF64 on
+// whole tiles and chainGo on the rest). Every routine vectorises across an
+// axis whose elements are independent — the key rows of a softmax row, the
+// Dh lanes of a head, four query or key rows after a 4x4 transpose — and
+// never along a sum: each sum is one register lane walked in the contract's
+// order.
 
 // TRANSPOSE4 turns rows Y0..Y3 into columns Y8..Y11 (Yq = element q of each
 // row), through Y4..Y7.
@@ -25,117 +27,6 @@
 	VADDPD Y9, acc, acc \
 	VADDPD Y10, acc, acc \
 	VADDPD Y11, acc, acc
-
-// func chainAVX2(a *float64, ars, aps int, b *float64, ldb int, c *float64, ldc, rows, depth, width int, alpha float64, accum bool)
-//
-// c[r, x] = alpha * chain_p A[r, p]*B[p, x], or c + that with accum, where
-// A[r, p] = a[r*ars + p*aps] and B[p, x] = b[p*ldb + x]: one FMA per depth
-// step into an accumulator that starts at +0, then a multiply by alpha and a
-// separate add: kernF64's arithmetic, for the columns and rows its whole
-// tiles leave (chain in attnpool.go hands it those). Columns go four at a
-// time (width is a multiple of 4), rows four at a time and then one by one.
-// R13 is the byte offset of the column block in B and C, R14 the width in
-// bytes, SI the block's first A row, DX its first C row, DI the rows left;
-// Y15 holds alpha.
-TEXT ·chainAVX2(SB), NOSPLIT, $0-89
-	MOVQ ars+8(FP), R9
-	MOVQ aps+16(FP), R11
-	MOVQ ldb+32(FP), R12
-	MOVQ ldc+48(FP), R8
-	SHLQ $3, R9
-	SHLQ $3, R11
-	SHLQ $3, R12
-	SHLQ $3, R8
-	LEAQ (R9)(R9*2), R10
-	VBROADCASTSD alpha+80(FP), Y15
-	XORQ R13, R13
-	MOVQ width+72(FP), R14
-	SHLQ $3, R14
-
-cols4:
-	CMPQ R13, R14
-	JGE  chaindone
-	MOVQ a+0(FP), SI
-	MOVQ c+40(FP), DX
-	ADDQ R13, DX
-	MOVQ rows+56(FP), DI
-rows4x4:
-	CMPQ DI, $4
-	JLT  rows4x1
-	MOVQ SI, AX
-	MOVQ b+24(FP), BX
-	ADDQ R13, BX
-	MOVQ depth+64(FP), CX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-loop4x4:
-	VMOVUPD (BX), Y8
-	VBROADCASTSD (AX), Y10
-	VBROADCASTSD (AX)(R9*1), Y11
-	VBROADCASTSD (AX)(R9*2), Y12
-	VBROADCASTSD (AX)(R10*1), Y13
-	VFMADD231PD Y8, Y10, Y0
-	VFMADD231PD Y8, Y11, Y1
-	VFMADD231PD Y8, Y12, Y2
-	VFMADD231PD Y8, Y13, Y3
-	ADDQ R11, AX
-	ADDQ R12, BX
-	DECQ CX
-	JNZ  loop4x4
-	VMULPD Y15, Y0, Y0
-	VMULPD Y15, Y1, Y1
-	VMULPD Y15, Y2, Y2
-	VMULPD Y15, Y3, Y3
-	LEAQ (DX)(R8*2), AX
-	CMPB accum+88(FP), $0
-	JE   store4x4
-	VADDPD (DX), Y0, Y0
-	VADDPD (DX)(R8*1), Y1, Y1
-	VADDPD (AX), Y2, Y2
-	VADDPD (AX)(R8*1), Y3, Y3
-store4x4:
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, (DX)(R8*1)
-	VMOVUPD Y2, (AX)
-	VMOVUPD Y3, (AX)(R8*1)
-	LEAQ (DX)(R8*4), DX
-	LEAQ (SI)(R9*4), SI
-	SUBQ $4, DI
-	JMP  rows4x4
-rows4x1:
-	TESTQ DI, DI
-	JZ   next4
-	MOVQ SI, AX
-	MOVQ b+24(FP), BX
-	ADDQ R13, BX
-	MOVQ depth+64(FP), CX
-	VXORPD Y0, Y0, Y0
-loop4x1:
-	VBROADCASTSD (AX), Y10
-	VFMADD231PD (BX), Y10, Y0
-	ADDQ R11, AX
-	ADDQ R12, BX
-	DECQ CX
-	JNZ  loop4x1
-	VMULPD Y15, Y0, Y0
-	CMPB accum+88(FP), $0
-	JE   store4x1
-	VADDPD (DX), Y0, Y0
-store4x1:
-	VMOVUPD Y0, (DX)
-	ADDQ R8, DX
-	ADDQ R9, SI
-	DECQ DI
-	JMP  rows4x1
-next4:
-	ADDQ $32, R13
-	JMP  cols4
-
-chaindone:
-	VZEROUPPER
-	RET
 
 // func softmaxPoolAVX2(s *float64, sld int, p *float64, pld, tq, tk int, pbar, v *float64, vld, dh int, cbar, rowInv *float64, inv float64)
 //

@@ -29,9 +29,11 @@ import (
 // summation contract, so the three chains equal the batched products they
 // replace bit for bit. Every sum runs index ascending from +0 and the softmax
 // row sum in softmaxRowsAVX2's four lanes, so a result is a function of its
-// location's rows alone. The arithmetic is spelled twice: AVX2+FMA assembly
-// (attn_amd64.s), which vectorises across key rows, query rows and the Dh
-// lanes, never along a sum, and a Go twin for every other shape and machine.
+// location's rows alone. The softmax, pooling and score-gradient steps are
+// spelled twice: AVX2+FMA assembly (attn_amd64.s), which vectorises across
+// key rows, query rows and the Dh lanes, never along a sum, and a Go twin for
+// every other shape and machine. The chains run the product kernel on whole
+// tiles and their Go twin on the rest (chain).
 // DESIGN.md "Channel aggregation: pooled attention" has the derivation.
 
 // pooledShape is the geometry of one pass: N locations of H heads, Tq query
@@ -156,15 +158,17 @@ func PooledAttentionBackward(dq, dk, dv View, dcbar, pbar, p *Tensor, q, k, v Vi
 }
 
 // pooledForwardRange runs locations [lo,hi) of the forward pass on one
-// scratch buffer: per location the packed k^T of every head (E x Tk4), per
-// head the scores (Tq x Tk4) of the assembly spelling and their per-row
-// maxima, then reciprocal sums.
+// scratch buffer: per location the packed k^T of every head (E x TkP), per
+// head the scores (Tq x TkP) of the assembly spelling and their per-row
+// maxima, then reciprocal sums. TkP is Tk padded to whole 8-wide panels, so
+// that kernF64 takes every column of the score chain's whole four-row tiles
+// (chain); the padding columns are zero in k^T and their scores never read.
 func pooledForwardRange(g *pooledShape, cbar, pbar, pm, q, k, v []float64, alpha float64, scored bool, lo, hi int) {
 	tq, tk, dh, e := g.tq, g.tk, g.dh, g.e
-	tk4 := round4(tk)
-	kt, sz := 0, e*tk4
+	tkp := (tk + gemmNR - 1) &^ (gemmNR - 1)
+	kt, sz := 0, e*tkp
 	s := sz
-	sz += tq * tk4
+	sz += tq * tkp
 	rowInv := sz
 	sz += tq
 	scratch := DefaultPool.GetTensor(sz)
@@ -172,14 +176,14 @@ func pooledForwardRange(g *pooledShape, cbar, pbar, pm, q, k, v []float64, alpha
 	inv := 1 / float64(tq)
 	for n := lo; n < hi; n++ {
 		if g.simd && !scored {
-			packKT(w[kt:], k[n*tk*e:], e, tk, tk4)
+			packKT(w[kt:], k[n*tk*e:], e, tk, tkp)
 		}
 		for h := 0; h < g.h; h++ {
 			qh, kh, vh := q[n*tq*e+h*dh:], k[n*tk*e+h*dh:], v[n*tk*e+h*dh:]
 			// Where the scores come from and where the map goes: the map for
 			// the backward, or in place in the scratch scores on inference.
-			src, sld := w[s:], tk4
-			dst, dld := w[s:], tk4
+			src, sld := w[s:], tkp
+			dst, dld := w[s:], tkp
 			if pm != nil {
 				dst, dld = pm[(n*g.h+h)*tq*tk:], tk
 				if scored {
@@ -188,9 +192,9 @@ func pooledForwardRange(g *pooledShape, cbar, pbar, pm, q, k, v []float64, alpha
 			}
 			if !scored {
 				if g.simd {
-					chain(qh, e, 1, w[kt+h*dh*tk4:], tk4, 1, w[s:], tk4, tq, dh, tk4, alpha)
+					chain(qh, e, 1, w[kt+h*dh*tkp:], tkp, 1, w[s:], tkp, tq, dh, tkp, alpha)
 				} else {
-					chain(qh, e, 1, kh, 1, e, w[s:], tk4, tq, dh, tk, alpha)
+					chain(qh, e, 1, kh, 1, e, w[s:], tkp, tq, dh, tk, alpha)
 				}
 			}
 			pbh, cbh := pbar[(n*g.h+h)*tk:], cbar[n*e+h*dh:]
@@ -205,15 +209,15 @@ func pooledForwardRange(g *pooledShape, cbar, pbar, pm, q, k, v []float64, alpha
 }
 
 // packKT writes the Tk key rows of one location (E wide, ld apart)
-// transposed into kt, E rows of Tk4 with the columns past Tk zeroed: head h's
+// transposed into kt, E rows of tkp with the columns past Tk zeroed: head h's
 // k^T is the Dh rows from h*Dh.
-func packKT(kt, kn []float64, e, tk, tk4 int) {
+func packKT(kt, kn []float64, e, tk, tkp int) {
 	j := 0
 	for ; j+4 <= tk; j += 4 {
-		packT4F64(&kt[j], &kn[j*e], e, e, tk4)
+		packT4F64(&kt[j], &kn[j*e], e, e, tkp)
 	}
 	for d := 0; d < e; d++ {
-		row := kt[d*tk4 : (d+1)*tk4]
+		row := kt[d*tkp : (d+1)*tkp]
 		for jj := j; jj < tk; jj++ {
 			row[jj] = kn[jj*e+d]
 		}
@@ -258,40 +262,35 @@ func pooledBackwardRange(g *pooledShape, dq, dk, dv, dcbar, pbar, pm, q, k, v []
 // for r < rows, x < width: one FMA chain per element over p ascending from
 // +0 within gemmKC-deep blocks, each block scaled by alpha and added to the
 // previous ones in order — the product driver's contract, which every kernel
-// tier keeps bit for bit. The assembly reads B's columns contiguously
-// (bxs = 1), and needs width a multiple of 4.
+// tier keeps bit for bit. Where B's columns are contiguous (bxs = 1), kernF64
+// takes the whole 8-wide column panels of the whole four-row tiles, on every
+// vector tier: on an AVX-512 Xeon, kernF64AVX512 for the 16-wide pairs left
+// the pass alone no faster and made the aggregation layer around it 6-11 %
+// slower. chainGo takes what those tiles leave: the columns past the last
+// whole panel, then every row past the tiles.
 func chain(a []float64, ars, aps int, b []float64, bps, bxs int, c []float64, ldc, rows, depth, width int, alpha float64) {
 	for p0 := 0; p0 < depth; p0 += gemmKC {
 		kb := min(gemmKC, depth-p0)
 		a, b, accum := a[p0*aps:], b[p0*bps:], p0 > 0
-		if !useSIMD || bxs != 1 || width%4 != 0 {
-			chainGo(a, ars, aps, b, bps, bxs, c, ldc, rows, kb, width, alpha, accum)
-			continue
-		}
-		// kernF64 takes the whole 8-wide column panels of the whole four-row
-		// tiles, on every vector tier: on an AVX-512 Xeon, kernF64AVX512 for
-		// the 16-wide pairs left the pass alone no faster and made the
-		// aggregation layer around it 6-11 % slower.
-		// chainAVX2 takes what kernF64 leaves: a last four-wide block of
-		// columns, then every row past the tiles.
-		x0, r0 := 0, rows&^(gemmMR-1)
-		if r0 > 0 {
-			for ; x0+gemmNR <= width; x0 += gemmNR {
+		r0, x0 := 0, 0
+		if useSIMD && bxs == 1 {
+			r0 = rows &^ (gemmMR - 1)
+			for ; r0 > 0 && x0+gemmNR <= width; x0 += gemmNR {
 				kernF64(kb, &a[0], ars, aps, &b[x0], bps, &c[x0], ldc, r0/gemmMR, alpha, accum, nil, nil, 0)
 			}
-			if x0 < width {
-				chainAVX2(&a[0], ars, aps, &b[x0], bps, &c[x0], ldc, r0, kb, width-x0, alpha, accum)
-			}
+		}
+		if r0 > 0 && x0 < width {
+			chainGo(a, ars, aps, b[x0:], bps, bxs, c[x0:], ldc, r0, kb, width-x0, alpha, accum)
 		}
 		if r0 < rows {
-			chainAVX2(&a[r0*ars], ars, aps, &b[0], bps, &c[r0*ldc], ldc, rows-r0, kb, width, alpha, accum)
+			chainGo(a[r0*ars:], ars, aps, b, bps, bxs, c[r0*ldc:], ldc, rows-r0, kb, width, alpha, accum)
 		}
 	}
 }
 
-// chainGo is the Go spelling of chainAVX2, one element at a time; the scale
-// is rounded before the accumulate, as the assembly's separate multiply and
-// add round.
+// chainGo is chain one element at a time, with kernF64's arithmetic: the
+// scale is rounded before the accumulate, as the kernel's separate multiply
+// and add round.
 func chainGo(a []float64, ars, aps int, b []float64, bps, bxs int, c []float64, ldc, rows, depth, width int, alpha float64, accum bool) {
 	for r := 0; r < rows; r++ {
 		for x := 0; x < width; x++ {

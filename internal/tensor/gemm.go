@@ -445,9 +445,10 @@ func releasePanel[T elem](buf []T, owner *Tensor) {
 // row-wise narrowing of an A block, which is one panel as wide as the block
 // is deep, the grouped index running over depth. Otherwise it is the strided
 // one (src[x*ld+p]) and packing transposes: B^T as stored, a ragged tile of
-// A, and the narrowing of an A^T block. Where the CPU has AVX2
-// both run in assembly, four grouped indices at a time; the scalar loop packs
-// the up to three left over, and everything on other machines.
+// A, and the narrowing of an A^T block. A float64 row segment is a copy, on
+// every machine. Where the CPU has AVX2 the narrowing and the transposes run
+// in assembly, four grouped indices at a time; the scalar loop packs the up
+// to three left over, and everything on other machines.
 //
 // dchag:hotpath — it must not allocate.
 func pack[T elem](dst []T, src []float64, ld, g0, p0, gb, kb, w int, contig bool) {
@@ -460,6 +461,12 @@ func pack[T elem](dst []T, src []float64, ld, g0, p0, gb, kb, w int, contig bool
 		d := dst[x0*kb : x0*kb+kb*w]
 		if wb < w {
 			clear(d)
+		}
+		if d64, ok := any(&d).(*[]float64); ok && contig {
+			for p := 0; p < kb; p++ {
+				copy((*d64)[p*w:p*w+wb], src[g0+x0+(p0+p)*ld:])
+			}
+			continue
 		}
 		x := 0
 		for useSIMD && x+4 <= wb {
@@ -480,16 +487,13 @@ func pack[T elem](dst []T, src []float64, ld, g0, p0, gb, kb, w int, contig bool
 }
 
 // packSIMD dispatches one assembly packing call on the panel element type:
-// with contig, kb rows of n contiguous values, d[p*w+x] = src[p*ld+x];
-// otherwise four rows of kb values, d[p*w+r] = src[r*ld+p].
+// with contig (float32 panels only: pack copies float64 row segments), kb
+// rows of n contiguous values, d[p*w+x] = src[p*ld+x]; otherwise four rows
+// of kb values, d[p*w+r] = src[r*ld+p].
 func packSIMD[T elem](d *T, src *float64, ld, kb, n, w int, contig bool) {
 	switch d := any(d).(type) {
 	case *float64:
-		if contig {
-			packC4F64(d, src, ld, kb, n, w)
-		} else {
-			packT4F64(d, src, ld, kb, w)
-		}
+		packT4F64(d, src, ld, kb, w)
 	case *float32:
 		if contig {
 			packC4F32(d, src, ld, kb, n, w)

@@ -57,14 +57,10 @@ func packT4F64(dst, src *float64, ld, k, stride int)
 //go:noescape
 func packT4F32(dst *float32, src *float64, ld, k, stride int)
 
-// packC4F64 and packC4F32 copy k rows of n float64 values (n a multiple of
-// 4), ld apart, into a packed panel whose groups are stride elements apart:
-// dst[p*stride+x] = src[p*ld+x] for x < n, p < k; packC4F32 narrows to
-// float32 on the way.
+// packC4F32 narrows k rows of n float64 values (n a multiple of 4), ld
+// apart, into a float32 packed panel whose groups are stride elements apart:
+// dst[p*stride+x] = src[p*ld+x] for x < n, p < k.
 //
-//go:noescape
-func packC4F64(dst, src *float64, ld, k, n, stride int)
-
 //go:noescape
 func packC4F32(dst *float32, src *float64, ld, k, n, stride int)
 
@@ -94,17 +90,12 @@ func adamwAVX2(w, m, v, grad *float64, n int, b1, b1c, b2, b2c, c1, c2, eps, wd,
 //go:noescape
 func softmaxRowsAVX2(dst, src *float64, rows, n int)
 
-// chainAVX2, softmaxPoolAVX2 and poolBwdAVX2 are the assembly spelling of
-// the pooled attention pass (attnpool.go has the Go twins and the contract):
-// chainAVX2 computes c[r*ldc+x] = alpha*chain_p a[r*ars+p*aps]*b[p*ldb+x]
-// (plus c with accum) for r < rows, x < width (width a multiple of 4, depth
-// >= 1), four columns at a time: kernF64's arithmetic where its whole 4 x 8
-// tiles do not fit; softmaxPoolAVX2 one head's softmax, pooled map and pooled context;
-// poolBwdAVX2 one head's dv, dpbar and score gradient (Dh a multiple of 4).
+// softmaxPoolAVX2 and poolBwdAVX2 are the assembly spelling of the pooled
+// attention pass's steps between its chains (attnpool.go has the Go twins
+// and the contract): softmaxPoolAVX2 one head's softmax, pooled map and
+// pooled context; poolBwdAVX2 one head's dv, dpbar and score gradient (Dh a
+// multiple of 4).
 //
-//go:noescape
-func chainAVX2(a *float64, ars, aps int, b *float64, ldb int, c *float64, ldc, rows, depth, width int, alpha float64, accum bool)
-
 //go:noescape
 func softmaxPoolAVX2(s *float64, sld int, p *float64, pld, tq, tk int, pbar, v *float64, vld, dh int, cbar, rowInv *float64, inv float64)
 

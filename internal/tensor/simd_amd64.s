@@ -613,35 +613,6 @@ done32t:
 	VZEROUPPER
 	RET
 
-// func packC4F64(dst, src *float64, ld, k, n, stride int)
-TEXT ·packC4F64(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ ld+16(FP), AX
-	MOVQ k+24(FP), CX
-	MOVQ n+32(FP), DX
-	MOVQ stride+40(FP), R9
-	SHLQ $3, AX
-	SHLQ $3, R9
-	SHRQ $2, DX
-rowc64:
-	MOVQ SI, R8
-	MOVQ DI, R10
-	MOVQ DX, BX
-chunkc64:
-	VMOVUPD (R8), Y0
-	VMOVUPD Y0, (R10)
-	ADDQ $32, R8
-	ADDQ $32, R10
-	DECQ BX
-	JNZ  chunkc64
-	ADDQ AX, SI
-	ADDQ R9, DI
-	DECQ CX
-	JNZ  rowc64
-	VZEROUPPER
-	RET
-
 // func packC4F32(dst *float32, src *float64, ld, k, n, stride int)
 TEXT ·packC4F32(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI

@@ -35,8 +35,6 @@ func packT4F32(dst *float32, src *float64, ld, k, stride int) {
 	panic("tensor: SIMD kernel unavailable")
 }
 
-func packC4F64(dst, src *float64, ld, k, n, stride int) { panic("tensor: SIMD kernel unavailable") }
-
 func packC4F32(dst *float32, src *float64, ld, k, n, stride int) {
 	panic("tensor: SIMD kernel unavailable")
 }
@@ -52,10 +50,6 @@ func adamwAVX2(w, m, v, grad *float64, n int, b1, b1c, b2, b2c, c1, c2, eps, wd,
 }
 
 func softmaxRowsAVX2(dst, src *float64, rows, n int) { panic("tensor: SIMD kernel unavailable") }
-
-func chainAVX2(a *float64, ars, aps int, b *float64, ldb int, c *float64, ldc, rows, depth, width int, alpha float64, accum bool) {
-	panic("tensor: SIMD kernel unavailable")
-}
 
 func softmaxPoolAVX2(s *float64, sld int, p *float64, pld, tq, tk int, pbar, v *float64, vld, dh int, cbar, rowInv *float64, inv float64) {
 	panic("tensor: SIMD kernel unavailable")

@@ -12,21 +12,6 @@ import (
 	"repro/internal/optim"
 )
 
-// stageDCHAG is the stage fingerprint recorded in checkpoint manifests so a
-// load of another architecture family fails with a clear message instead of
-// a wall of name mismatches: every model is the D-CHAG stage, at every rank
-// and partition count, and any other fingerprint is refused.
-const stageDCHAG = "dchag"
-
-// modelPartitions returns the logical D-CHAG partition count of a model: the
-// stage's partition count for a D-CHAG stage, 1 otherwise.
-func modelPartitions(m *model.FoundationModel) int {
-	if s, ok := m.Stage.(*model.DCHAGStage); ok {
-		return s.Partitions
-	}
-	return 1
-}
-
 // commit commits the checkpoint of `step` completed optimizer steps, whose
 // shards every saving rank has written into ckpt.StepDir(CheckpointDir,
 // step), and prunes to the newest CheckpointKeep commits (0 and 1 both keep
@@ -34,7 +19,7 @@ func modelPartitions(m *model.FoundationModel) int {
 // architecture (JSON under ckpt.MetaArch), so inference tooling can rebuild
 // the model from the checkpoint alone.
 func (o Options) commit(world, partitions, step int, arch model.Arch) error {
-	meta := map[string]string{ckpt.MetaStage: stageDCHAG}
+	meta := map[string]string{ckpt.MetaStage: model.StageName}
 	if blob, err := json.Marshal(arch); err == nil {
 		meta[ckpt.MetaArch] = string(blob)
 	}
@@ -47,22 +32,14 @@ func (o Options) commit(world, partitions, step int, arch model.Arch) error {
 	}, max(o.CheckpointKeep, 1))
 }
 
-// checkStage rejects checkpoints saved from a different architecture
-// family.
-func checkStage(m ckpt.Manifest) error {
-	if saved, ok := m.Meta[ckpt.MetaStage]; ok && saved != stageDCHAG {
-		return fmt.Errorf("train: checkpoint was saved from a %q stage, this model is %q", saved, stageDCHAG)
-	}
-	return nil
-}
-
 // openRestore opens the checkpoint the Resume/InitFrom options name, or
 // returns nil when no restore was requested. It runs once per training run
 // — before the rank fan-out in distributed runs — so every rank shares one
 // read-only *ckpt.Checkpoint instead of re-reading and re-assembling all
 // shards per goroutine. Both paths open the newest complete checkpoint
 // under the directory (ckpt.LatestDir: partial saves are skipped, and a
-// plain checkpoint directory opens as itself).
+// plain checkpoint directory opens as itself). Whoever runs the ranks checks
+// it against the logical model (checkRestore) before they start.
 func openRestore(opts Options) (*ckpt.Checkpoint, error) {
 	switch {
 	case opts.InitFrom != "":
@@ -74,27 +51,28 @@ func openRestore(opts Options) (*ckpt.Checkpoint, error) {
 	}
 }
 
-// restoreStart applies an opened checkpoint (nil: fresh run) to params and
-// opt per the Resume/InitFrom options, returning the step index training
-// starts from (0 unless resuming). All validation — stage fingerprint,
-// partition count, step bound — happens before anything is written, so a
-// failed restore leaves model and optimizer untouched. The caller's logical
-// partition count must match a resumed checkpoint's: the partition count is
-// a model property, so a mismatch means a genuinely different model, not a
-// resharding.
-func restoreStart(ck *ckpt.Checkpoint, opts Options, params []*nn.Param, opt optim.Stateful, partitions int) (int, error) {
+// checkRestore refuses, once and before any rank restores, a restore source
+// (nil: a fresh run) that is not the logical model arch describes at
+// `partitions` logical partitions (model.Arch.CheckRestore).
+func checkRestore(ck *ckpt.Checkpoint, arch model.Arch, partitions int) error {
+	if ck == nil {
+		return nil
+	}
+	arch.Partitions = partitions
+	return arch.CheckRestore(ck)
+}
+
+// restoreStart applies an opened checkpoint (nil: fresh run), which
+// checkRestore has accepted, to params and opt per the Resume/InitFrom
+// options, returning the step index training starts from (0 unless
+// resuming). The step bound is checked before anything is written, so a
+// failed restore leaves model and optimizer untouched.
+func restoreStart(ck *ckpt.Checkpoint, opts Options, params []*nn.Param, opt optim.Stateful) (int, error) {
 	if ck == nil {
 		return 0, nil
 	}
-	if err := checkStage(ck.Manifest); err != nil {
-		return 0, err
-	}
 	if opts.InitFrom != "" {
 		return 0, ck.RestoreParams(params)
-	}
-	if ck.Manifest.Partitions != partitions {
-		return 0, fmt.Errorf("train: checkpoint has %d logical partitions, model has %d (set the model's partition count from the manifest)",
-			ck.Manifest.Partitions, partitions)
 	}
 	if ck.Manifest.Step > opts.Steps {
 		return 0, fmt.Errorf("train: checkpoint is at step %d, beyond Steps=%d", ck.Manifest.Step, opts.Steps)

@@ -65,7 +65,7 @@ func AssembleBoundary(arch model.Arch, partitions, step int, trees []ckpt.Tree) 
 		Partitions: partitions,
 		Step:       step,
 		OptAlgo:    trees[0].OptAlgo,
-		Meta:       map[string]string{ckpt.MetaStage: stageDCHAG, ckpt.MetaArch: string(archJSON)},
+		Meta:       map[string]string{ckpt.MetaStage: model.StageName, ckpt.MetaArch: string(archJSON)},
 	}
 	return ckpt.Assemble(man, trees)
 }

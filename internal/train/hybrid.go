@@ -27,9 +27,19 @@ func setMeshObserver(m *dist.Mesh, tr *obs.Tracer) {
 // up to global step g.End from g.From (the workers derive the first step
 // from the restore source, so g.Start is the caller's to validate). The
 // history is world rank 0's and is valid up to the last completed step even
-// when the run fails; the mesh is nil only when it could not be built.
+// when the run fails; the mesh is nil when the restore source is refused
+// (checkRestore, before any rank starts) or the mesh could not be built.
 func runMesh(arch model.Arch, opts Options, g GenSpec, boundary func(rank, step int, tree ckpt.Tree), batch BatchFn) (History, *dist.Mesh, error) {
 	var hist History
+	// Every rank's stage takes one partition per TP rank when the
+	// architecture leaves the count unset.
+	partitions := arch.Partitions
+	if partitions == 0 {
+		partitions = g.TP
+	}
+	if err := checkRestore(g.From, arch, partitions); err != nil {
+		return hist, nil, err
+	}
 	spec := dist.MeshSpec{TP: g.TP, FSDP: 1, DP: g.DP}
 	// Frontier-shaped placement when the world fills nodes evenly; otherwise
 	// a single "node" wide enough for the whole group (the functional layer

@@ -393,3 +393,64 @@ func TestInitFromWarmStartsWithoutStep(t *testing.T) {
 		t.Fatalf("warm start ran [%d, %d), want [0, %d)", hist.Start, hist.Start+len(hist.Loss), n)
 	}
 }
+
+// addStrayTensor adds a tensor named name, which no model parameter names,
+// to the checkpoint committed under root: one more shard that holds it alone.
+func addStrayTensor(t *testing.T, root, name string) {
+	t.Helper()
+	dir := latestDir(t, root)
+	man, err := ckpt.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := ckpt.Leaf{Name: name, Logical: name, Shape: []int{2}, Values: []float64{1, 2}}
+	tree := ckpt.Tree{Format: ckpt.Format, OptAlgo: man.OptAlgo, OptStep: man.Step, Leaves: []ckpt.Leaf{leaf}}
+	if err := ckpt.WriteShard(dir, man.World, tree); err != nil {
+		t.Fatal(err)
+	}
+	man.World++
+	if err := ckpt.WriteManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreRefusesAnotherModel: every training restore refuses, before any
+// rank restores, a checkpoint of another logical model instead of dropping
+// what the model has no parameter for — a tensor it lacks (the final layer
+// of a one-partition checkpoint that had one), named in the error, and the
+// partial modules of another partition count, which a warm start compares
+// as a resume does.
+func TestRestoreRefusesAnotherModel(t *testing.T) {
+	a := tinyArch(4)
+	batch := fixedBatches(t, 4, 2, 2)
+	const stray = "dchag.final.mix.weight"
+	root := t.TempDir()
+	if _, err := SerialCheckpointed(model.NewSerial(a), Options{Steps: 1, Batch: 2, LR: 1e-2, Seed: 1, CheckpointDir: root}, batch); err != nil {
+		t.Fatal(err)
+	}
+	addStrayTensor(t, root, stray)
+	resume := Options{Steps: 2, Batch: 2, LR: 1e-2, Seed: 1, CheckpointDir: root, Resume: true}
+	load := Options{Steps: 1, Batch: 2, LR: 1e-2, Seed: 1, InitFrom: root}
+	for name, o := range map[string]Options{"resume": resume, "load": load} {
+		if _, err := SerialCheckpointed(model.NewSerial(a), o, batch); err == nil || !strings.Contains(err.Error(), stray) {
+			t.Errorf("serial %s: want %q refused by name, got %v", name, stray, err)
+		}
+	}
+
+	c := a
+	c.Kind, c.Partitions = core.KindCross, 4
+	root = t.TempDir()
+	if _, _, err := Distributed(c, 2, false, Options{Steps: 1, Batch: 2, LR: 1e-2, Seed: 1, CheckpointDir: root}, batch); err != nil {
+		t.Fatal(err)
+	}
+	load.InitFrom = root
+	for _, p := range []int{1, 2} {
+		if _, err := SerialCheckpointed(model.NewSerialDCHAGEquivalent(c, p), load, batch); err == nil || !strings.Contains(err.Error(), "partitions") {
+			t.Errorf("load of 4 partitions at %d: want the partition count refused, got %v", p, err)
+		}
+	}
+	c.Partitions = 2
+	if _, _, err := Distributed(c, 2, false, load, batch); err == nil || !strings.Contains(err.Error(), "partitions") {
+		t.Errorf("distributed load of 4 partitions at 2: want the partition count refused, got %v", err)
+	}
+}

@@ -66,9 +66,8 @@ func (w *worker) tpBarrier() {
 func (w *worker) train(opts Options, batch BatchFn) error {
 	m, row := w.m, w.row
 	params := m.Params()
-	partitions := modelPartitions(m)
 	opt := optim.NewAdamW(params, opts.LR, opts.WeightDecay)
-	start, err := restoreStart(w.from, opts, params, opt, partitions)
+	start, err := restoreStart(w.from, opts, params, opt)
 	if err != nil {
 		return err
 	}
@@ -90,10 +89,8 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 		}
 		return tensor.SliceAxis(t, 0, w.coord.DP*shard, (w.coord.DP+1)*shard)
 	}
-	chLo, chHi := 0, m.Arch.Channels
-	if dchag, ok := m.Stage.(*model.DCHAGStage); ok {
-		chLo, chHi = dchag.ChannelBounds()
-	}
+	stage := m.DCHAG()
+	chLo, chHi := stage.ChannelBounds()
 	var ddp *parallel.DDP
 	if w.dpc != nil {
 		ddp = parallel.NewDDP(w.dpc, params)
@@ -191,7 +188,7 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 			}
 			w.tpBarrier() // every shard durable before the manifest commits
 			if w.rank == 0 {
-				if err := opts.commit(tp, partitions, s+1, m.Arch); err != nil {
+				if err := opts.commit(tp, stage.Partitions, s+1, m.Arch); err != nil {
 					return err
 				}
 			}

@@ -167,6 +167,9 @@ func SerialCheckpointed(m *model.FoundationModel, opts Options, batch BatchFn) (
 	if err != nil {
 		return hist, err
 	}
+	if err := checkRestore(ck, m.Arch, m.DCHAG().Partitions); err != nil {
+		return hist, err
+	}
 	w := worker{m: m, from: ck, end: opts.Steps, row: opts.Trace.Rank(0), hist: &hist}
 	err = w.train(opts, batch)
 	return hist, err
