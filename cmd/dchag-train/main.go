@@ -103,7 +103,7 @@ func main() {
 
 	if err := checkFlags(runFlags{
 		task: *task, channels: *channels, embed: *embed, depth: *depth, tree: *tree,
-		ranks: *ranks, dp: *dp, elastic: *elast, failRank: *failRank, failStep: *failStep,
+		ranks: *ranks, dp: *dp, elastic: *elast, load: *load != "", failRank: *failRank, failStep: *failStep,
 		lr: *lr,
 	}); err != nil {
 		log.Fatal(err)
@@ -316,7 +316,7 @@ type runFlags struct {
 	task                         string
 	channels, embed, depth, tree int
 	ranks, dp                    int
-	elastic                      bool
+	elastic, load                bool
 	failRank, failStep           int
 	lr                           float64
 }
@@ -324,9 +324,10 @@ type runFlags struct {
 // checkFlags refuses, before any training, the flag combinations the run
 // would otherwise ignore, misread or die on: a model shape no layer can
 // build, a mesh extent below 1, data parallelism over the serial baseline,
-// a fault injected outside the elastic supervisor (or only half specified),
-// and a learning rate that is not a finite positive number (a negative one
-// trains by gradient ascent, NaN, which flag parses, makes every loss NaN).
+// a warm start (-load) the elastic supervisor does not perform, a fault
+// injected outside the elastic supervisor (or only half specified), and a
+// learning rate that is not a finite positive number (a negative one trains
+// by gradient ascent, NaN, which flag parses, makes every loss NaN).
 func checkFlags(f runFlags) error {
 	switch {
 	case f.embed < heads || f.embed%heads != 0:
@@ -345,6 +346,8 @@ func checkFlags(f runFlags) error {
 		return errors.New("-dp > 1 requires -ranks > 1 (the serial baseline has no data-parallel replicas)")
 	case f.elastic && f.ranks == 1:
 		return errors.New("-elastic requires -ranks > 1")
+	case f.elastic && f.load:
+		return errors.New("-elastic does not warm-start from -load: the supervisor restores only its own checkpoints (-resume)")
 	case !f.elastic && (f.failRank >= 0 || f.failStep >= 0):
 		return errors.New("-fail-rank and -fail-step inject a failure only under -elastic")
 	case (f.failRank >= 0) != (f.failStep >= 0):

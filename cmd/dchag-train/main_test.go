@@ -39,6 +39,8 @@ func TestCheckFlags(t *testing.T) {
 		{"dp 0", func(f *runFlags) { f.ranks, f.dp = 2, 0 }, false},
 		{"dp over serial", func(f *runFlags) { f.dp = 2 }, false},
 		{"elastic serial", func(f *runFlags) { f.elastic = true }, false},
+		{"load", func(f *runFlags) { f.ranks, f.load = 2, true }, true},
+		{"elastic with load", func(f *runFlags) { f.ranks, f.elastic, f.load = 2, true, true }, false},
 		{"fail-rank without elastic", func(f *runFlags) { f.ranks, f.failRank, f.failStep = 2, 1, 1 }, false},
 		{"fail-step alone without elastic", func(f *runFlags) { f.ranks, f.failStep = 2, 1 }, false},
 		{"fail-rank alone under elastic", func(f *runFlags) { f.ranks, f.elastic, f.failRank = 2, true, 1 }, false},

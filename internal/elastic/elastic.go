@@ -86,6 +86,9 @@ func Run(arch model.Arch, opts train.Options, eo Options, batch train.BatchFn) (
 	if eo.TP < 1 || eo.DP < 1 {
 		return rep, fmt.Errorf("elastic: invalid initial shape tp=%d dp=%d", eo.TP, eo.DP)
 	}
+	if opts.InitFrom != "" {
+		return rep, fmt.Errorf("elastic: InitFrom %q: the supervisor does not warm-start; restore with Resume from its own checkpoints", opts.InitFrom)
+	}
 	// Pin the logical partition count to the initial TP extent so every
 	// later generation builds the same logical model regardless of its
 	// world size (the model default would re-derive it from the group).
@@ -111,11 +114,10 @@ func Run(arch model.Arch, opts train.Options, eo Options, batch train.BatchFn) (
 		}
 		from, start, source = ck, ck.Manifest.Step, SourceCheckpoint
 	}
-	// The generation loop consumes opts.Resume/InitFrom here; the restore
-	// source reaches RunGeneration explicitly via GenSpec.From, and
-	// RunGeneration refuses options that name another one.
+	// The generation loop consumes opts.Resume here; the restore source
+	// reaches RunGeneration explicitly via GenSpec.From, and RunGeneration
+	// refuses options that name another one.
 	opts.Resume = false
-	opts.InitFrom = ""
 	if opts.Trace == nil {
 		opts.Trace = eo.Trace
 	}

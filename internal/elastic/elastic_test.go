@@ -334,6 +334,22 @@ func TestElasticFailsBelowMinWorld(t *testing.T) {
 	}
 }
 
+// TestRunRefusesWarmStart: the supervisor restores only from its own
+// checkpoints (Resume), so a warm start (InitFrom) is refused by name before
+// any generation runs instead of training from fresh without a word.
+func TestRunRefusesWarmStart(t *testing.T) {
+	leakcheck.Check(t)
+	a := tinyArch(4)
+	opts := train.Options{Steps: 1, Batch: 2, LR: 1e-2, Seed: 9, InitFrom: t.TempDir()}
+	rep, err := Run(a, opts, Options{TP: 2, DP: 1}, fixedBatches(t, 4, 2, opts.Batch))
+	if err == nil || !strings.Contains(err.Error(), "InitFrom") {
+		t.Fatalf("want InitFrom refused by name, got %v", err)
+	}
+	if len(rep.Generations) != 0 {
+		t.Fatalf("a generation ran: %+v", rep.Generations)
+	}
+}
+
 // TestResumeRefusesStrayTensor: Run's resume refuses, by name and before any
 // rank restores, a checkpoint that holds a tensor the logical model has no
 // parameter for (here in a shard of its own), instead of dropping it.

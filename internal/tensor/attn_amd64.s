@@ -44,9 +44,11 @@
 //     four lanes of d at a time.
 //
 // That is softmaxRowsAVX2 row by row (its order, its EXP2) followed by the
-// pooling loops' order. R11 is the byte length of a row's whole eight-element
-// blocks, R10 the 0..7 elements after them, Y14 and Y15 their lane masks.
-TEXT ·softmaxPoolAVX2(SB), NOSPLIT, $0-104
+// pooling loops' order; when wide, step 2 is softmaxRowsAVX512's (EXPZ, the
+// same bits). R11 is the byte length of a row's whole eight-element blocks,
+// R10 the 0..7 elements after them, Y14 and Y15 their lane masks, and K1
+// too when wide.
+TEXT ·softmaxPoolAVX2(SB), NOSPLIT, $0-105
 	MOVQ tk+40(FP), R10
 	MOVQ R10, R11
 	ANDQ $7, R10
@@ -91,15 +93,22 @@ maxdone:
 	DECQ CX
 	JNZ  maxrow
 
-	// 2. Exponentials, their lane sums and the rows' reciprocal sums.
+	// 2. Exponentials, their lane sums and the rows' reciprocal sums; when
+	// wide, each row's blocks run expwide, after the return.
 	MOVQ s+0(FP), SI
 	MOVQ p+16(FP), DI
 	MOVQ rowInv+88(FP), R12
 	MOVQ tq+32(FP), CX
+	MOVBQZX wide+104(FP), R13
+	TESTQ R13, R13
+	JZ    exprow
+	TAILK(R10, K1)
 exprow:
-	VBROADCASTSD (R12), Y12
 	VXORPD Y13, Y13, Y13
 	XORQ AX, AX
+	TESTQ R13, R13
+	JNZ   expwide
+	VBROADCASTSD (R12), Y12
 expblk:
 	CMPQ AX, R11
 	JGE  exptail
@@ -289,6 +298,36 @@ ctx4j:
 smpdone:
 	VZEROUPPER
 	RET
+
+	// Step 2's blocks and tail of one row on eight-lane vectors: each
+	// block's exponentials Z3 add into the lane sums Y13 low half first,
+	// then high half, the order VADDPD Y3 then Y7 takes above.
+expwide:
+	VBROADCASTSD (R12), Z12
+expwblk:
+	CMPQ AX, R11
+	JGE  expwtail
+	VMOVUPD (SI)(AX*1), Z0
+	VSUBPD Z12, Z0, Z0
+	EXPZ(Z0, Z1, Z2, Z3, K2)
+	VMOVUPD Z3, (DI)(AX*1)
+	VEXTRACTF64X4 $1, Z3, Y7
+	VADDPD Y3, Y13, Y13
+	VADDPD Y7, Y13, Y13
+	ADDQ $64, AX
+	JMP  expwblk
+expwtail:
+	TESTQ R10, R10
+	JZ    expsum
+	VMOVUPD.Z (SI)(AX*1), K1, Z0
+	VSUBPD Z12, Z0, Z0
+	EXPZ(Z0, Z1, Z2, Z3, K2)
+	VMOVAPD.Z Z3, K1, Z3
+	VMOVUPD Z3, K1, (DI)(AX*1)
+	VEXTRACTF64X4 $1, Z3, Y7
+	VADDPD Y3, Y13, Y13
+	VADDPD Y7, Y13, Y13
+	JMP  expsum
 
 // ROWS4 points R9, R10 and R11 at the three rows after SI, AX bytes apart,
 // and those past the CX rows left at the zero row in BX.

@@ -30,10 +30,11 @@ import (
 // replace bit for bit. Every sum runs index ascending from +0 and the softmax
 // row sum in softmaxRowsAVX2's four lanes, so a result is a function of its
 // location's rows alone. The softmax, pooling and score-gradient steps are
-// spelled twice: AVX2+FMA assembly (attn_amd64.s), which vectorises across
-// key rows, query rows and the Dh lanes, never along a sum, and a Go twin for
-// every other shape and machine. The chains run the product kernel on whole
-// tiles and their Go twin on the rest (chain).
+// spelled twice: AVX2+FMA assembly (attn_amd64.s; the softmax's
+// exponentials on eight-lane vectors where the CPU has AVX-512F), which
+// vectorises across key rows, query rows and the Dh lanes, never along a sum,
+// and a Go twin for every other shape and machine. The chains run the product
+// kernel on whole tiles and their Go twin on the rest (chain).
 // DESIGN.md "Channel aggregation: pooled attention" has the derivation.
 
 // pooledShape is the geometry of one pass: N locations of H heads, Tq query
@@ -174,6 +175,12 @@ func pooledForwardRange(g *pooledShape, cbar, pbar, pm, q, k, v []float64, alpha
 	scratch := DefaultPool.GetTensor(sz)
 	w := scratch.Data
 	inv := 1 / float64(tq)
+	// The softmax's exponentials take eight-lane vectors on AVX-512 hosts,
+	// except over scores held in the map (in place, rows Tk apart) with a
+	// ragged Tk: there a row's masked ZMM tail store overlaps the next
+	// row's loads, which then wait for it, and one head's pass ran slower
+	// than on YMM (Tk = 4 and 12; DESIGN.md has the times).
+	wide := useAVX512 && (!scored || tk%8 == 0)
 	for n := lo; n < hi; n++ {
 		if g.simd && !scored {
 			packKT(w[kt:], k[n*tk*e:], e, tk, tkp)
@@ -199,7 +206,7 @@ func pooledForwardRange(g *pooledShape, cbar, pbar, pm, q, k, v []float64, alpha
 			}
 			pbh, cbh := pbar[(n*g.h+h)*tk:], cbar[n*e+h*dh:]
 			if g.simd {
-				softmaxPoolAVX2(&src[0], sld, &dst[0], dld, tq, tk, &pbh[0], &vh[0], e, dh, &cbh[0], &w[rowInv], inv)
+				softmaxPoolAVX2(&src[0], sld, &dst[0], dld, tq, tk, &pbh[0], &vh[0], e, dh, &cbh[0], &w[rowInv], inv, wide)
 			} else {
 				softmaxPoolGo(src, sld, dst, dld, tq, tk, pbh, vh, e, dh, cbh, inv)
 			}

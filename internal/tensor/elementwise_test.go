@@ -276,9 +276,10 @@ func TestElementwiseKernelsAllocFreeAndCheckLengths(t *testing.T) {
 	}
 }
 
-// BenchmarkElementwiseKernels times GELU, GELUBackward and AdamW under the
-// tier the host has and under the Go twins, ns per element, at the shapes
-// of BENCH_compute.json's elementwise section.
+// BenchmarkElementwiseKernels times GELU, GELUBackward and AdamW under every
+// tier the host has, ns per element, at the shapes of BENCH_compute.json's
+// elementwise section. Only GELU has an avx512 spelling: GELUBackward and
+// AdamW run their AVX2 routines under both vector tiers.
 func BenchmarkElementwiseKernels(b *testing.B) {
 	perElem := func(b *testing.B, n int) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
@@ -306,8 +307,5 @@ func BenchmarkElementwiseKernels(b *testing.B) {
 			perElem(b, len(w))
 		})
 	}
-	run(b, KernelTier())
-	if useSIMD {
-		WithGoTwins(func() { run(b, "go") })
-	}
+	eachTier(func() { run(b, KernelTier()) })
 }

@@ -3,10 +3,11 @@ package tensor
 import "math"
 
 // The one exponential of the tree, behind softmax and nn.GELU. Its
-// arithmetic is defined here and spelled twice — expGo below and the EXP
-// macro in exp_amd64.s — and the two agree bit for bit on every input, so a
-// result is a function of the element's value alone: not of the lane or
-// offset it sat at, the slice length, or whether the assembly ran at all.
+// arithmetic is defined here and spelled three times — expGo below and the
+// EXP2 (AVX2) and EXPZ (AVX-512) macros in exp_amd64.h — and all three agree
+// bit for bit on every input, so a result is a function of the element's
+// value alone: not of the lane or offset it sat at, the slice length, the
+// kernel tier, or whether the assembly ran at all.
 // DESIGN.md "Elementwise transcendentals" has the error bound.
 const (
 	expLo = -708.0 // below: +0
@@ -72,7 +73,8 @@ var geluK = [16]float64{
 // a = x[i]*(geluK1 - (geluK2*x[i])*x[i]): the activation in one pass, the
 // exponent held at 709 so that e stays finite (NaN stays NaN). dst and x must
 // have the same length and either be the same slice or not overlap. Where the
-// CPU has AVX2 it runs in assembly; the result is geluGo's bit for bit.
+// CPU has AVX2 it runs in assembly, on eight-lane vectors where it has
+// AVX-512F too; the result is geluGo's bit for bit.
 //
 // dchag:hotpath — every MLP's activation, forward and served; it performs
 // no heap allocation.
@@ -83,11 +85,14 @@ func GELU(dst, x []float64) {
 	if len(x) == 0 {
 		return
 	}
-	if useSIMD {
+	switch {
+	case useAVX512:
+		geluAVX512(&dst[0], &x[0], len(x))
+	case useSIMD:
 		geluAVX2(&dst[0], &x[0], len(x))
-		return
+	default:
+		geluGo(dst, x)
 	}
-	geluGo(dst, x)
 }
 
 // GELUBackward writes dst[i] = g[i]*(s + ((2*((s*s)*e)*x[i])*du)), the

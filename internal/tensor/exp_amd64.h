@@ -1,8 +1,10 @@
-// The one assembly spelling of the exponential (expGo in exp.go is its Go
-// spelling, bit for bit) and the lane helpers around it, shared by every
-// assembly file that needs them: the constant table, EXP2, the tail masks
-// and HREDUCE. Including files get their own file-local copies of the two
-// tables; the arithmetic exists once, here.
+// The assembly spellings of the exponential (expGo in exp.go is its Go
+// spelling, bit for bit) and the lane helpers around them, shared by every
+// assembly file that needs them: the constant table, EXP2 (four-lane AVX2
+// vectors, two at a time), EXPZ (eight-lane AVX-512F vectors, the same
+// instructions per lane), the tail masks, the tail opmask and HREDUCE.
+// Including files get their own file-local copies of the two tables; the
+// arithmetic exists once, here.
 
 #define Q4(off, v) \
 	DATA expk<>+off+0(SB)/8, v \
@@ -128,6 +130,42 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $128
 	VBLENDVPD Ka, Ra, Pa, Pa \
 	VBLENDVPD Kb, Rb, Pb, Pb
 
+// EXPZ is EXP2 on one vector of eight lanes, P = exp(X), with every lane
+// running EXP2's instructions: the constants come by embedded broadcast from
+// the same table, VRNDSCALEPD $8 rounds as VROUNDPD $8 does, and the
+// out-of-range lanes take a mask KM (scratch) in place of a blend: +0 below
+// LO by a zero-masking move on !(x < LO), which keeps NaN lanes as VANDNPD
+// did, then x + Inf, merge-masked, above HI and for NaN. K and R are
+// scratch, X is kept. AVX-512F only.
+#define EXPZ(X, K, R, P, KM) \
+	VMAXPD.BCST LO, X, R \
+	VMINPD.BCST HI, R, R \
+	VMULPD.BCST LOG2E, R, K \
+	VRNDSCALEPD $8, K, K \
+	VFNMADD231PD.BCST LN2HI, K, R \
+	VFNMADD231PD.BCST LN2LO, K, R \
+	VBROADCASTSD C(13), P \
+	VFMADD213PD.BCST C(12), R, P \
+	VFMADD213PD.BCST C(11), R, P \
+	VFMADD213PD.BCST C(10), R, P \
+	VFMADD213PD.BCST C(9), R, P \
+	VFMADD213PD.BCST C(8), R, P \
+	VFMADD213PD.BCST C(7), R, P \
+	VFMADD213PD.BCST C(6), R, P \
+	VFMADD213PD.BCST C(5), R, P \
+	VFMADD213PD.BCST C(4), R, P \
+	VFMADD213PD.BCST C(3), R, P \
+	VFMADD213PD.BCST C(2), R, P \
+	VFMADD213PD.BCST ONE, R, P \
+	VFMADD213PD.BCST ONE, R, P \
+	VADDPD.BCST MAGIC, K, K \
+	VPSLLQ $52, K, K \
+	VPADDQ K, P, P \
+	VCMPPD.BCST $0x15, LO, X, KM \
+	VMOVAPD.Z P, KM, P \
+	VCMPPD.BCST $0x16, HI, X, KM \
+	VADDPD.BCST INF, X, KM, P
+
 // TAILMASKS loads the lane masks of the last rem (1..7) elements into Y14
 // (lanes 0-3) and Y15 (lanes 4-7); it uses AX and BX.
 #define TAILMASKS(rem) \
@@ -137,6 +175,13 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $128
 	SUBQ BX, AX \
 	VMOVDQU (AX), Y14 \
 	VMOVDQU 32(AX), Y15
+
+// TAILK sets opmask K to the first rem (1..7) of eight lanes; it uses BX.
+#define TAILK(rem, K) \
+	XORL  BX, BX \
+	BTSL  rem, BX \
+	DECL  BX \
+	KMOVW BX, K
 
 // HREDUCE folds the four lanes of Y (low half X) into its low lane with OP:
 // first the upper half onto the lower, (l0 OP l2, l1 OP l3), then those two.

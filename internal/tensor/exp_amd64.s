@@ -37,6 +37,35 @@ exptail:
 expdone:
 	VZEROUPPER
 	RET
+// func expAVX512(dst, src *float64, n int)
+//
+// expAVX2 on eight-lane vectors: EXPZ per eight elements, the last 1..7
+// under the opmask K1, whose masked-out lanes neither load nor store.
+TEXT ·expAVX512(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+expz8:
+	CMPQ CX, $8
+	JLT  expztail
+	VMOVUPD (SI), Z0
+	EXPZ(Z0, Z1, Z2, Z3, K2)
+	VMOVUPD Z3, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $8, CX
+	JMP  expz8
+expztail:
+	TESTQ CX, CX
+	JZ    expzdone
+	TAILK(CX, K1)
+	VMOVUPD.Z (SI), K1, Z0
+	EXPZ(Z0, Z1, Z2, Z3, K2)
+	VMOVUPD Z3, K1, (DI)
+expzdone:
+	VZEROUPPER
+	RET
+
 // func softmaxRowsAVX2(dst, src *float64, rows, n int)
 //
 // Per row: the maximum m, then e = exp(x - m) written to dst and summed in
@@ -141,6 +170,107 @@ smnext:
 	VZEROUPPER
 	RET
 
+// func softmaxRowsAVX512(dst, src *float64, rows, n int)
+//
+// softmaxRowsAVX2 on eight-lane vectors, one per eight-element block, whose
+// low and high halves are that routine's two YMM vectors: the maximum runs in
+// Z14, its halves folded as Y12 and Y13 are there; a block's exponentials Z3
+// add into the four lane sums Y13 low half first, then high half (Y7), the
+// order VADDPD Y3 then Y7 takes; the tail's exponentials are zeroed past the
+// row before they are summed and wait in Z3 for the scale. Each row's
+// exponential loop also runs the next row's maximum, block by block in the
+// same order (BX; on the last row the row itself, its result unused), which
+// takes the maximum's chain off the next row's critical path. R11 and R10
+// are as there, K1 holds the tail's lanes.
+TEXT ·softmaxRowsAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ n+24(FP), R9
+	MOVQ R9, R10
+	ANDQ $7, R10
+	MOVQ R9, R11
+	SUBQ R10, R11
+	SHLQ $3, R11
+	SHLQ $3, R9
+	TAILK(R10, K1)
+	VBROADCASTSD (SI), Z14
+	XORQ AX, AX
+szmax:
+	CMPQ AX, R11
+	JGE  szmaxtail
+	VMAXPD (SI)(AX*1), Z14, Z14
+	ADDQ $64, AX
+	JMP  szmax
+szmaxtail:
+	TESTQ R10, R10
+	JZ    szrow
+	VMOVUPD.Z (SI)(AX*1), K1, Z0
+	VMAXPD Z0, Z14, K1, Z14
+szrow:
+	VEXTRACTF64X4 $1, Z14, Y13
+	VMAXPD Y13, Y14, Y12
+	HREDUCE(VMAXPD, VMAXSD, Y12, X12, X0)
+	VBROADCASTSD X12, Z12
+	LEAQ (SI)(R9*1), BX
+	CMPQ R8, $1
+	CMOVQEQ SI, BX
+	VBROADCASTSD (BX), Z14
+
+	VXORPD Y13, Y13, Y13
+	XORQ AX, AX
+szexp:
+	CMPQ AX, R11
+	JGE  szexptail
+	VMOVUPD (SI)(AX*1), Z0
+	VMAXPD (BX)(AX*1), Z14, Z14
+	VSUBPD Z12, Z0, Z0
+	EXPZ(Z0, Z1, Z2, Z3, K2)
+	VMOVUPD Z3, (DI)(AX*1)
+	VEXTRACTF64X4 $1, Z3, Y7
+	VADDPD Y3, Y13, Y13
+	VADDPD Y7, Y13, Y13
+	ADDQ $64, AX
+	JMP  szexp
+szexptail:
+	TESTQ R10, R10
+	JZ    szsum
+	VMOVUPD.Z (BX)(AX*1), K1, Z4
+	VMAXPD Z4, Z14, K1, Z14
+	VMOVUPD.Z (SI)(AX*1), K1, Z0
+	VSUBPD Z12, Z0, Z0
+	EXPZ(Z0, Z1, Z2, Z3, K2)
+	VMOVAPD.Z Z3, K1, Z3
+	VEXTRACTF64X4 $1, Z3, Y7
+	VADDPD Y3, Y13, Y13
+	VADDPD Y7, Y13, Y13
+szsum:
+	HREDUCE(VADDPD, VADDSD, Y13, X13, X0)
+	VMOVSD ONE, X0
+	VDIVSD X13, X0, X0
+	VBROADCASTSD X0, Z0
+
+	XORQ AX, AX
+szscale:
+	CMPQ AX, R11
+	JGE  szscaletail
+	VMULPD (DI)(AX*1), Z0, Z1
+	VMOVUPD Z1, (DI)(AX*1)
+	ADDQ $64, AX
+	JMP  szscale
+szscaletail:
+	TESTQ R10, R10
+	JZ    sznext
+	VMULPD Z0, Z3, Z3
+	VMOVUPD Z3, K1, (DI)(AX*1)
+sznext:
+	ADDQ R9, SI
+	ADDQ R9, DI
+	DECQ R8
+	JNZ  szrow
+	VZEROUPPER
+	RET
+
 // The GELU passes: eight elements per step, two vectors of four through
 // EXP2, the last 1..7 under the tail masks. Every multiply and add outside
 // EXP2 is its own instruction, in geluGo's and geluGradGo's order, and the
@@ -216,6 +346,51 @@ gelutail:
 	VMASKMOVPD Y8, Y14, (DI)
 	VMASKMOVPD Y9, Y15, 32(DI)
 geludone:
+	VZEROUPPER
+	RET
+
+// GELUARGZ is GELUARG on eight lanes, with geluK1 in Z10 and 709 in Z12.
+#define GELUARGZ(X, A) \
+	VMULPD.BCST GK2, X, A \
+	VMULPD X, A, A \
+	VSUBPD A, Z10, A \
+	VMULPD A, X, A \
+	VMINPD A, Z12, A
+
+// func geluAVX512(dst, x *float64, n int)
+//
+// geluAVX2 on eight-lane vectors through EXPZ, the last 1..7 elements under
+// the opmask K1.
+TEXT ·geluAVX512(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD ·geluK+0(SB), Z10
+	VBROADCASTSD HI, Z12
+geluz8:
+	CMPQ CX, $8
+	JLT  geluztail
+	VMOVUPD (SI), Z0
+	GELUARGZ(Z0, Z1)
+	EXPZ(Z1, Z2, Z3, Z8, K2)
+	VADDPD.BCST ONE, Z8, Z8
+	VDIVPD Z8, Z0, Z8
+	VMOVUPD Z8, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $8, CX
+	JMP  geluz8
+geluztail:
+	TESTQ CX, CX
+	JZ    geluzdone
+	TAILK(CX, K1)
+	VMOVUPD.Z (SI), K1, Z0
+	GELUARGZ(Z0, Z1)
+	EXPZ(Z1, Z2, Z3, Z8, K2)
+	VADDPD.BCST ONE, Z8, Z8
+	VDIVPD Z8, Z0, Z8
+	VMOVUPD Z8, K1, (DI)
+geluzdone:
 	VZEROUPPER
 	RET
 

@@ -16,12 +16,15 @@ func exp(dst, src []float64) {
 	if len(src) == 0 {
 		return
 	}
-	if useSIMD {
+	switch {
+	case useAVX512:
+		expAVX512(&dst[0], &src[0], len(src))
+	case useSIMD:
 		expAVX2(&dst[0], &src[0], len(src))
-		return
-	}
-	for i, v := range src {
-		dst[i] = expGo(v)
+	default:
+		for i, v := range src {
+			dst[i] = expGo(v)
+		}
 	}
 }
 
@@ -54,10 +57,11 @@ func ulpDiff(a, b float64) uint64 {
 	return x - y
 }
 
-// TestExpAccuracyAndRange pins the kernel's contract: within 2 ulp of
-// math.Exp on [-708, 709], +0 below, +Inf above, NaN for NaN, e^0 == 1.
+// TestExpAccuracyAndRange pins the kernel's contract under every tier: within
+// 2 ulp of math.Exp on [-708, 709], +0 below, +Inf above, NaN for NaN,
+// e^0 == 1.
 func TestExpAccuracyAndRange(t *testing.T) {
-	withBothSpellings(t, func(t *testing.T) {
+	withEveryTier(t, func(t *testing.T) {
 		xs := expSweep()
 		got := make([]float64, len(xs))
 		exp(got, xs)
@@ -94,21 +98,27 @@ func TestExpAccuracyAndRange(t *testing.T) {
 	})
 }
 
-// TestExpAssemblyMatchesGoTwin is the one-definition pin: the assembly and
-// expGo agree bit for bit on the whole sweep, NaN payloads included.
+// TestExpAssemblyMatchesGoTwin is the one-definition pin: each assembly
+// spelling (EXP2 under avx2, EXPZ under avx512) and expGo agree bit for bit
+// on the whole sweep, NaN payloads and x > 709 included.
 func TestExpAssemblyMatchesGoTwin(t *testing.T) {
 	if !useSIMD {
 		t.Skip("no assembly kernel on this machine")
 	}
 	xs := expSweep()
-	got := make([]float64, len(xs))
-	exp(got, xs)
-	for i, x := range xs {
-		if w := expGo(x); math.Float64bits(got[i]) != math.Float64bits(w) {
-			t.Fatalf("x = %v (%#x): assembly %#x, Go twin %#x", x, math.Float64bits(x),
-				math.Float64bits(got[i]), math.Float64bits(w))
+	withEveryTier(t, func(t *testing.T) {
+		if !useSIMD {
+			return // expGo against itself
 		}
-	}
+		got := make([]float64, len(xs))
+		exp(got, xs)
+		for i, x := range xs {
+			if w := expGo(x); math.Float64bits(got[i]) != math.Float64bits(w) {
+				t.Fatalf("x = %v (%#x): %s %#x, Go twin %#x", x, math.Float64bits(x), KernelTier(),
+					math.Float64bits(got[i]), math.Float64bits(w))
+			}
+		}
+	})
 }
 
 // TestExpValueOnly writes one value at every offset of slices of every
@@ -116,7 +126,7 @@ func TestExpAssemblyMatchesGoTwin(t *testing.T) {
 // length or whether it fell in the eight-wide body or the masked tail.
 // In-place calls must give the same bits.
 func TestExpValueOnly(t *testing.T) {
-	withBothSpellings(t, func(t *testing.T) {
+	withEveryTier(t, func(t *testing.T) {
 		for _, v := range []float64{-3.7, 0.3, 55.5, -720, 800} {
 			want := math.Float64bits(expGo(v))
 			for n := 1; n <= 33; n++ {
@@ -145,9 +155,17 @@ func TestExpValueOnly(t *testing.T) {
 
 func TestExpAllocFreeAndChecksLengths(t *testing.T) {
 	x := make([]float64, 37)
-	if n := testing.AllocsPerRun(10, func() { exp(x, x) }); n != 0 {
-		t.Fatalf("Exp allocates %.1f times per call", n)
-	}
+	m := Randn(NewRNG(5), 3, 37)
+	withEveryTier(t, func(t *testing.T) {
+		for name, f := range map[string]func(){
+			"exp":                func() { exp(x, x) },
+			"SoftmaxLastDimInto": func() { SoftmaxLastDimInto(m, m) },
+		} {
+			if n := testing.AllocsPerRun(10, f); n != 0 {
+				t.Fatalf("%s allocates %.1f times per call", name, n)
+			}
+		}
+	})
 	exp(nil, nil)
 	defer func() {
 		if recover() == nil {
@@ -178,12 +196,13 @@ func softmaxRef(t *Tensor) *Tensor {
 }
 
 // TestSoftmaxContract covers every row length around the vector width, under
-// both spellings: agreement with the textbook form, rows summing to 1, a row
+// every tier: agreement with the textbook form, rows summing to 1, a row
 // alone equal to the same row inside a map, in place equal to out of place,
-// and the assembly equal to its Go twin bit for bit.
+// and each assembly spelling equal to the Go twin bit for bit.
 func TestSoftmaxContract(t *testing.T) {
-	var perSpelling []*Tensor
-	withBothSpellings(t, func(t *testing.T) {
+	var perTier []*Tensor
+	var tiers []string
+	withEveryTier(t, func(t *testing.T) {
 		var all []float64
 		for n := 1; n <= 35; n++ {
 			x := RandnScaled(NewRNG(int64(n)), 4, 2, 3, 5, n)
@@ -210,15 +229,16 @@ func TestSoftmaxContract(t *testing.T) {
 			assertBitwise(t, fmt.Sprintf("in place, n=%d", n), inplace, y)
 			all = append(all, y.Data...)
 		}
-		perSpelling = append(perSpelling, FromSlice(all, len(all)))
+		perTier = append(perTier, FromSlice(all, len(all)))
+		tiers = append(tiers, KernelTier())
 	})
-	if len(perSpelling) == 2 {
-		assertBitwise(t, "softmax assembly vs Go twin", perSpelling[0], perSpelling[1])
+	for i := 1; i < len(perTier); i++ {
+		assertBitwise(t, "softmax "+tiers[0]+" vs "+tiers[i], perTier[0], perTier[i])
 	}
 }
 
 func TestSoftmaxEdgeRows(t *testing.T) {
-	withBothSpellings(t, func(t *testing.T) {
+	withEveryTier(t, func(t *testing.T) {
 		for n := 1; n <= 19; n++ {
 			equal := Full(-3.25, 2, n)
 			for _, v := range SoftmaxLastDimInto(nil, equal).Data {
@@ -249,16 +269,21 @@ func TestSoftmaxEdgeRows(t *testing.T) {
 	})
 }
 
+// BenchmarkSoftmax and BenchmarkExp time every kernel tier the machine has,
+// ns per element: rows of 16 (a channel group) and 64 (a ViT's tokens), and
+// the exponential alone.
 func BenchmarkSoftmax(b *testing.B) {
 	for _, sh := range [][2]int{{128 * 4 * 16, 16}, {8 * 4 * 64, 64}} {
 		x := Randn(NewRNG(3), sh[0], sh[1])
 		dst := New(sh[0], sh[1])
-		b.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				SoftmaxLastDimInto(dst, x)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*x.Numel()), "ns/elem")
+		eachTier(func() {
+			b.Run(fmt.Sprintf("%s/%dx%d", KernelTier(), sh[0], sh[1]), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					SoftmaxLastDimInto(dst, x)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*x.Numel()), "ns/elem")
+			})
 		})
 	}
 }
@@ -267,11 +292,13 @@ func BenchmarkExp(b *testing.B) {
 	for _, n := range []int{16, 4096} {
 		x := Randn(NewRNG(4), n)
 		dst := make([]float64, n)
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				exp(dst, x.Data)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
+		eachTier(func() {
+			b.Run(fmt.Sprintf("%s/%d", KernelTier(), n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					exp(dst, x.Data)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
+			})
 		})
 		b.Run(fmt.Sprintf("math.Exp/%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -582,8 +582,9 @@ func kernGeneric[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []fl
 }
 
 // KernelTier names the micro-kernels this machine runs: "avx512" (float64
-// panel pairs on kernF64AVX512, the rest on AVX2), "avx2" or "go" (the
-// pure-Go twins).
+// panel pairs on kernF64AVX512 and the exponential of softmax, GELU and the
+// pooled softmax on eight-lane vectors, the rest on AVX2), "avx2" or "go"
+// (the pure-Go twins).
 // The compute benchmark records it so artifact gates can tell a kernel
 // regression from a machine without the vector units.
 func KernelTier() string {

@@ -257,6 +257,24 @@ func withEveryTier(t *testing.T, f func(t *testing.T)) {
 	t.Logf("kernel tiers run: %v", ran)
 }
 
+// eachTier calls f once under each kernel tier this machine has, from the
+// widest down, and then restores the tier the probe chose; f reads the tier's
+// name from KernelTier. Benchmarks use it to time every tier side by side.
+func eachTier(f func()) {
+	defer func(simd, avx512 bool) { useSIMD, useAVX512 = simd, avx512 }(useSIMD, useAVX512)
+	for {
+		f()
+		switch {
+		case useAVX512:
+			useAVX512 = false
+		case useSIMD:
+			useSIMD = false
+		default:
+			return
+		}
+	}
+}
+
 // TestSmallPathEqualsBlockedPath pins the size-independent summation
 // contract bit for bit: a product small enough for the stack panels equals
 // the same columns (and rows) computed as part of a product wide enough to

@@ -192,9 +192,12 @@ func SoftmaxLastDimInto(dst, t *Tensor) *Tensor {
 		return dst
 	}
 	n := t.Shape[len(t.Shape)-1]
-	if useSIMD {
+	switch {
+	case useAVX512:
+		softmaxRowsAVX512(&dst.Data[0], &t.Data[0], t.Numel()/n, n)
+	case useSIMD:
 		softmaxRowsAVX2(&dst.Data[0], &t.Data[0], t.Numel()/n, n)
-	} else {
+	default:
 		softmaxRowsGo(dst.Data, t.Data, n)
 	}
 	return dst

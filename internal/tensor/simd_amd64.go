@@ -5,10 +5,13 @@ package tensor
 // SIMD kernel bindings for amd64. The blocked driver in gemm.go and the
 // elementwise entry points in exp.go dispatch to these AVX2+FMA kernels when
 // the CPU supports them (and the OS has enabled YMM state), and to their
-// pure-Go twins otherwise; float64 products run kernF64AVX512 instead of
-// kernF64 where AVX-512F and its register state are enabled too. Kernel
-// availability is probed once at init via CPUID/XGETBV so no external
-// cpu-feature dependency is needed.
+// pure-Go twins otherwise. Where AVX-512F and its register state are enabled
+// too, float64 products run kernF64AVX512 instead of kernF64, and softmax
+// rows, GELU and the pooled softmax run their exponentials on eight-lane
+// vectors (expAVX512, softmaxRowsAVX512, geluAVX512, softmaxPoolAVX2 with
+// wide set); every other routine stays on AVX2. Kernel availability is
+// probed once at init via CPUID/XGETBV so no external cpu-feature dependency
+// is needed.
 
 // kernF64 and kernF32 compute tiles stacked 4 x nr register tiles (nr = 8
 // and 16) of one column panel from operands addressed by stride, adding the
@@ -65,15 +68,23 @@ func packT4F32(dst *float32, src *float64, ld, k, stride int)
 func packC4F32(dst *float32, src *float64, ld, k, n, stride int)
 
 // expAVX2 computes dst[i] = e^src[i] for i < n (n >= 1); dst may be src.
+// expAVX512 is the same on eight-lane vectors, bit for bit.
 //
 //go:noescape
 func expAVX2(dst, src *float64, n int)
 
+//go:noescape
+func expAVX512(dst, src *float64, n int)
+
 // geluAVX2 and geluGradAVX2 are GELU and GELUBackward over n >= 1 elements
-// (exp.go has the contract and the Go twins).
+// (exp.go has the contract and the Go twins); geluAVX512 is geluAVX2 on
+// eight-lane vectors, bit for bit.
 //
 //go:noescape
 func geluAVX2(dst, x *float64, n int)
+
+//go:noescape
+func geluAVX512(dst, x *float64, n int)
 
 //go:noescape
 func geluGradAVX2(dst, x, grad *float64, n int)
@@ -85,19 +96,24 @@ func geluGradAVX2(dst, x, grad *float64, n int)
 func adamwAVX2(w, m, v, grad *float64, n int, b1, b1c, b2, b2c, c1, c2, eps, wd, lr float64)
 
 // softmaxRowsAVX2 computes the softmax of each of rows (>= 1) contiguous
-// n-long (n >= 1) rows of src into dst; dst may be src.
+// n-long (n >= 1) rows of src into dst; dst may be src. softmaxRowsAVX512 is
+// the same on eight-lane vectors, bit for bit.
 //
 //go:noescape
 func softmaxRowsAVX2(dst, src *float64, rows, n int)
 
+//go:noescape
+func softmaxRowsAVX512(dst, src *float64, rows, n int)
+
 // softmaxPoolAVX2 and poolBwdAVX2 are the assembly spelling of the pooled
 // attention pass's steps between its chains (attnpool.go has the Go twins
 // and the contract): softmaxPoolAVX2 one head's softmax, pooled map and
-// pooled context; poolBwdAVX2 one head's dv, dpbar and score gradient (Dh a
-// multiple of 4).
+// pooled context, its exponentials on eight-lane vectors when wide (which
+// needs AVX-512F) and on four otherwise, with the same bits; poolBwdAVX2 one
+// head's dv, dpbar and score gradient (Dh a multiple of 4).
 //
 //go:noescape
-func softmaxPoolAVX2(s *float64, sld int, p *float64, pld, tq, tk int, pbar, v *float64, vld, dh int, cbar, rowInv *float64, inv float64)
+func softmaxPoolAVX2(s *float64, sld int, p *float64, pld, tq, tk int, pbar, v *float64, vld, dh int, cbar, rowInv *float64, inv float64, wide bool)
 
 //go:noescape
 func poolBwdAVX2(p *float64, pld int, pbar, dc, v *float64, vld int, dv, ds *float64, dsld int, dpb, dot, zero *float64, tq, tk, dh int, inv float64)
@@ -107,8 +123,8 @@ func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvRaw() (eax, edx uint32)
 
 // useSIMD reports whether the AVX2+FMA kernels are usable on this machine,
-// useAVX512 whether float64 products run kernF64AVX512 too. Tests may clear
-// both to force the pure-Go twins, or useAVX512 alone to force kernF64.
+// useAVX512 whether the AVX-512F kernels run too. Tests may clear both to
+// force the pure-Go twins, or useAVX512 alone to force the AVX2 tier.
 var useSIMD, useAVX512 = detectKernels()
 
 func detectKernels() (avx2, avx512 bool) {

@@ -41,7 +41,11 @@ func packC4F32(dst *float32, src *float64, ld, k, n, stride int) {
 
 func expAVX2(dst, src *float64, n int) { panic("tensor: SIMD kernel unavailable") }
 
+func expAVX512(dst, src *float64, n int) { panic("tensor: SIMD kernel unavailable") }
+
 func geluAVX2(dst, x *float64, n int) { panic("tensor: SIMD kernel unavailable") }
+
+func geluAVX512(dst, x *float64, n int) { panic("tensor: SIMD kernel unavailable") }
 
 func geluGradAVX2(dst, x, grad *float64, n int) { panic("tensor: SIMD kernel unavailable") }
 
@@ -51,7 +55,9 @@ func adamwAVX2(w, m, v, grad *float64, n int, b1, b1c, b2, b2c, c1, c2, eps, wd,
 
 func softmaxRowsAVX2(dst, src *float64, rows, n int) { panic("tensor: SIMD kernel unavailable") }
 
-func softmaxPoolAVX2(s *float64, sld int, p *float64, pld, tq, tk int, pbar, v *float64, vld, dh int, cbar, rowInv *float64, inv float64) {
+func softmaxRowsAVX512(dst, src *float64, rows, n int) { panic("tensor: SIMD kernel unavailable") }
+
+func softmaxPoolAVX2(s *float64, sld int, p *float64, pld, tq, tk int, pbar, v *float64, vld, dh int, cbar, rowInv *float64, inv float64, wide bool) {
 	panic("tensor: SIMD kernel unavailable")
 }
 
