@@ -92,18 +92,22 @@ type DCHAG struct {
 	// Final is the shared layer over the P partition tokens; nil at P = 1.
 	Final *CrossAttnAggregator
 
-	b int
+	b    int
+	keep []int // the next Forward's locations (Visible); nil: every location
 
 	// Scratch, grown once and reused every step; Forward and Infer own
 	// separate sets.
 	gather [2]gatherScratch
+	dvis   *tensor.Tensor // a listed-location Backward's gradient rows [n, E]
+	dRows  tensor.Tensor  // a whole Backward's gradient as [B*T, E], a header
 }
 
 // gatherScratch is one pass's path from the partials to the final layer.
 type gatherScratch struct {
-	local *tensor.Tensor // owned-partition tokens [k, B, T, E], written by the partials
-	seq   *tensor.Tensor // final layer input [B*T, P, E]
+	local *tensor.Tensor // owned-partition tokens [k, rows, E], written by the partials
+	seq   *tensor.Tensor // final layer input [rows, P, E]
 	out   tensor.Tensor  // the pass's result, a view: nothing is allocated per pass
+	full  *tensor.Tensor // a listed-location pass's result [B, T, E]
 }
 
 // result points s.out at data as [n, t, e] and returns it.
@@ -175,11 +179,27 @@ func NewDCHAGPartitioned(cfg Config, c *comm.Communicator, partitions int) *DCHA
 	return d
 }
 
+// Visible makes the next Forward, and its Backward, compute only the
+// locations locs — b·T + t of the batch, ascending: the patches a masked
+// step keeps. The tokenizer, the partial modules, the AllGather and the
+// final layer then run over those rows only, and the output's rows at other
+// locations hold no stage value. Every step of the stage is per location,
+// so a listed row has the bits a Forward over every location gives it; the
+// Backward reads the gradient at the listed rows only and sums every
+// parameter gradient in the order that Forward's Backward would have, so
+// where the other rows' gradient is zero its bits are that Backward's too.
+// Every rank of the group must list the same locations, which must stay
+// unmodified until the Backward. nil computes every location; Infer ignores
+// the list.
+func (d *DCHAG) Visible(locs []int) { d.keep = locs }
+
 // Forward consumes this rank's image shard [B, Cl, H, W] and returns the
 // aggregated representation [B, T, E], identical on every rank.
 func (d *DCHAG) Forward(x *tensor.Tensor) *tensor.Tensor {
 	d.b = x.Shape[0]
-	return d.pass(x, 0, d.b, false)
+	locs := d.keep
+	d.keep = nil
+	return d.pass(x, locs, 0, d.b, false)
 }
 
 // Infer runs Forward's computation without caching activations for
@@ -199,43 +219,62 @@ func (d *DCHAG) InferRange(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
 	if lo < 0 || hi > x.Shape[0] || lo > hi {
 		panic(fmt.Sprintf("core: DCHAG.InferRange [%d,%d) of a batch of %d", lo, hi, x.Shape[0]))
 	}
-	return d.pass(x, lo, hi, true)
+	return d.pass(x, nil, lo, hi, true)
 }
 
 // pass is Forward and InferRange. The partials write their tokens into the
 // stack the AllGather sends, and the AllGather moves samples [lo, hi) of
 // each rank's stack straight from where it lies into the final layer's input:
-// no copy in between.
+// no copy in between. With locs (Visible) the stack holds the listed
+// locations only, the final layer takes all of them, and its rows are
+// scattered to their locations of the [B, T, E] result; the AllGather runs
+// even when nothing is listed, so every rank's collective sequence is the
+// same at every mask.
 //
 // dchag:hotpath
-func (d *DCHAG) pass(x *tensor.Tensor, lo, hi int, infer bool) *tensor.Tensor {
+func (d *DCHAG) pass(x *tensor.Tensor, locs []int, lo, hi int, infer bool) *tensor.Tensor {
 	b, t, e := x.Shape[0], d.Cfg.Tokens(), d.Cfg.Embed
 	s := &d.gather[0]
 	if infer {
 		s = &d.gather[1]
 	}
-	// [k, B, T, E]: one token per owned partition.
+	// [k, rows, E]: one token per owned partition at each location the pass
+	// computes; the final layer takes rows [rlo, rhi) of each.
+	rows, rlo, rhi := b*t, lo*t, hi*t
+	if locs != nil {
+		rows, rlo, rhi = len(locs), 0, len(locs)
+	}
 	k := len(d.Partials)
-	s.local = tensor.EnsureShape(s.local, k, b, t, e)
-	d.localStage.pass(x, s.local, infer)
-	if d.Final == nil {
-		return s.result(s.local.Data[lo*t*e:hi*t*e], hi-lo, t, e)
-	}
-	// Rank r's stack holds partitions [r*k, (r+1)*k): column r*k+ki of the
-	// final layer's input [(hi-lo)*T, P, E].
-	s.seq = tensor.EnsureShape(s.seq, (hi-lo)*t, d.Partitions, e)
-	d.Comm.AllGatherEach(s.local, func(r int, part *tensor.Tensor) {
-		if len(part.Data) != len(s.local.Data) {
-			panic(fmt.Sprintf("core: rank %d gathered partition tokens %v, this rank holds %v", r, part.Shape, s.local.Shape))
+	s.local = tensor.EnsureShape(s.local, k, rows, e)
+	d.localStage.pass(x, locs, s.local, infer)
+	y := s.local.Data[rlo*e : rhi*e]
+	if d.Final != nil {
+		// Rank r's stack holds partitions [r*k, (r+1)*k): column r*k+ki of
+		// the final layer's input [rhi-rlo, P, E].
+		s.seq = tensor.EnsureShape(s.seq, rhi-rlo, d.Partitions, e)
+		d.Comm.AllGatherEach(s.local, func(r int, part *tensor.Tensor) {
+			if len(part.Data) != len(s.local.Data) {
+				panic(fmt.Sprintf("core: rank %d gathered partition tokens %v, this rank holds %v", r, part.Shape, s.local.Shape))
+			}
+			for ki := 0; ki < k; ki++ {
+				writeGroupToken(s.seq, part.Data[(ki*rows+rlo)*e:(ki*rows+rhi)*e], r*k+ki)
+			}
+		})
+		switch {
+		case infer:
+			y = d.Final.Infer(s.seq).Data
+		case rhi > rlo:
+			y = d.Final.Forward(s.seq).Data
 		}
-		for ki := 0; ki < k; ki++ {
-			writeGroupToken(s.seq, part.Data[(ki*b+lo)*t*e:(ki*b+hi)*t*e], r*k+ki)
-		}
-	})
-	if infer {
-		return s.result(d.Final.Infer(s.seq).Data, hi-lo, t, e)
 	}
-	return s.result(d.Final.Forward(s.seq).Data, b, t, e)
+	if locs == nil {
+		return s.result(y, hi-lo, t, e)
+	}
+	s.full = tensor.EnsureShape(s.full, b, t, e)
+	for i, l := range locs {
+		copy(s.full.Data[l*e:(l+1)*e], y[i*e:(i+1)*e])
+	}
+	return s.full
 }
 
 // Backward consumes the gradient of the aggregated representation [B, T, E]
@@ -246,9 +285,22 @@ func (d *DCHAG) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if len(grad.Shape) != 3 || grad.Shape[0] != d.b || grad.Shape[1] != t || grad.Shape[2] != e {
 		panic(fmt.Sprintf("core: DCHAG.Backward want [%d,%d,%d], got %v", d.b, t, e, grad.Shape))
 	}
-	dSeq := grad
-	if d.Final != nil {
-		dSeq = d.Final.Backward(grad.Reshape(d.b*t, e)) // [N, P, E]
+	// [N, E]: the gradient at the locations the forward computed, in its
+	// order.
+	locs := d.localStage.locs
+	dSeq := &d.dRows
+	if locs == nil {
+		d.dRows.Data, d.dRows.Shape = grad.Data, append(d.dRows.Shape[:0], d.b*t, e)
+	} else {
+		d.dvis = tensor.EnsureShape(d.dvis, len(locs), e)
+		for i, l := range locs {
+			copy(d.dvis.Data[i*e:(i+1)*e], grad.Data[l*e:(l+1)*e])
+		}
+		dSeq = d.dvis
+	}
+	if d.Final != nil && d.localStage.rows > 0 {
+		d.Final.own.attn.Locs = locs
+		dSeq = d.Final.Backward(dSeq) // [N, P, E]
 	}
 	return d.localStage.backward(dSeq, d.PartLo)
 }

@@ -29,7 +29,8 @@ type localStage struct {
 	ChEmb    *nn.ChannelEmbed
 	Partials []*HierarchicalAggregator
 
-	rows   int            // B*T of the last Forward
+	rows   int            // locations of the last Forward: B*T, or len(locs)
+	locs   []int          // the last Forward's listed locations; nil: every one
 	views  []nn.TokenView // per-channel token locations of the pass
 	dLocal *tensor.Tensor // one partition's token gradient
 	ws     []workspace    // the backward's, one per tree level
@@ -40,17 +41,33 @@ type localStage struct {
 // writer of each tree — its last aggregation level, or on a one-level linear
 // Infer the fused first level — writes there directly. With infer set it
 // caches nothing for backward and leaves everything a pending backward reads
-// alone.
+// alone. A training pass with non-nil locs computes only those locations
+// (b·T + t, ascending; unmodified until the backward) and dst is
+// [k, len(locs), E]: every step is per location, so each token has the bits
+// of a pass over every location.
 //
 // dchag:hotpath — the stage's per-step front half; views reuse a
 // stage-owned slice.
-func (s *localStage) pass(x, dst *tensor.Tensor, infer bool) {
+func (s *localStage) pass(x *tensor.Tensor, locs []int, dst *tensor.Tensor, infer bool) {
 	b, t, e := x.Shape[0], s.Tok.Tokens(), s.Tok.Embed
-	from := 0
-	if !infer {
-		s.rows = b * t
+	from, rows := 0, b*t
+	if locs != nil {
+		b, t, rows = 1, len(locs), len(locs)
 	}
-	slot := b * t * e
+	if !infer {
+		s.rows, s.locs = rows, locs
+	}
+	if rows == 0 {
+		// Nothing to aggregate; the tokenizer still records the pass, so its
+		// backward returns a zero image gradient.
+		s.views = s.views[:0]
+		for range s.Tok.LocalChannels() {
+			s.views = append(s.views, nn.TokenView{})
+		}
+		s.Tok.Tokenize(x, locs, s.views, s.ChEmb, infer)
+		return
+	}
+	slot := rows * e
 	for j, p := range s.Partials {
 		p.outputTo(dst.Data[j*slot:(j+1)*slot:(j+1)*slot], infer)
 	}
@@ -67,7 +84,7 @@ func (s *localStage) pass(x, dst *tensor.Tensor, infer bool) {
 		for _, p := range s.Partials {
 			s.views = p.inputViews(s.views, b, t, e, infer)
 		}
-		s.Tok.Tokenize(x, s.views, s.ChEmb, infer)
+		s.Tok.Tokenize(x, locs, s.views, s.ChEmb, infer)
 	}
 	for _, p := range s.Partials {
 		p.run(from, infer)
@@ -102,12 +119,18 @@ func (s *localStage) linearFirst() bool {
 // communication and allocates nothing in steady state.
 func (s *localStage) backward(dSeq *tensor.Tensor, first int) *tensor.Tensor {
 	t, e := s.Tok.Tokens(), s.Tok.Embed
+	if s.rows == 0 {
+		return s.Tok.BackwardFrom(nil, 0, s.ChEmb)
+	}
 	s.dLocal = tensor.EnsureShape(s.dLocal, s.rows, e)
 	var dimg *tensor.Tensor
 	c := 0 // the first local channel of the next group
 	for j, p := range s.Partials {
 		for len(s.ws) < len(p.Levels) {
 			s.ws = append(s.ws, workspace{})
+		}
+		for l := range p.Levels {
+			s.ws[l].attn.Locs = s.locs
 		}
 		// Each partial consumes dLocal fully during backward, so one shared
 		// buffer serves every partition in turn.

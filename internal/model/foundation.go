@@ -109,7 +109,7 @@ type FoundationModel struct {
 
 	masked, imasked *tensor.Tensor // mask-token substitution scratch
 	dFull           *tensor.Tensor // meta-token gradient scatter scratch
-	dMasked         *tensor.Tensor // mask gradient-routing scratch
+	vis             []int          // the unmasked locations of a masked Forward
 }
 
 // NewSerial builds the single-process baseline model of the paper's Fig. 1:
@@ -232,11 +232,9 @@ func (m *FoundationModel) Infer(x, mask *tensor.Tensor) *tensor.Tensor {
 		m.imasked = tensor.EnsureShape(m.imasked, feat.Shape...)
 		copy(m.imasked.Data, feat.Data)
 		feat = m.imasked
-		for bi := lo; bi < hi; bi++ {
-			for ti := 0; ti < t; ti++ {
-				if mask.At(bi, ti) != 0 {
-					copy(feat.Data[((bi-lo)*t+ti)*e:((bi-lo)*t+ti+1)*e], m.MaskTok.W.Data)
-				}
+		for l, v := range mask.Data[lo*t : hi*t] {
+			if v != 0 {
+				copy(feat.Data[l*e:(l+1)*e], m.MaskTok.W.Data)
 			}
 		}
 	}
@@ -268,26 +266,35 @@ func (m *FoundationModel) Infer(x, mask *tensor.Tensor) *tensor.Tensor {
 // the learned mask token before the ViT (the MAE objective of Fig. 10);
 // pass nil for the forecast objective. Returns predictions [B, T, C*P*P].
 // In eval mode (SetEval) it delegates to Infer.
+//
+// A masked Forward has the channel stage compute only the unmasked
+// locations (core.DCHAG.Visible), as an MAE encoder sees only the visible
+// patches: the masked rows' stage output would be overwritten and their
+// gradient is zero, so the losses keep their bits. The stage is still
+// called through Stage, so a wrapper around it sees the pass.
 func (m *FoundationModel) Forward(x, mask *tensor.Tensor) *tensor.Tensor {
 	if m.eval {
 		return m.Infer(x, mask)
 	}
 	m.b = x.Shape[0]
 	t, e := m.Arch.Tokens(), m.Arch.Embed
-	feat := m.Stage.Forward(x)
 	m.mask = mask
+	var vis []int
 	if mask != nil {
 		if len(mask.Shape) != 2 || mask.Shape[0] != m.b || mask.Shape[1] != t {
 			panic(fmt.Sprintf("model: mask want [%d,%d], got %v", m.b, t, mask.Shape))
 		}
+		vis = m.visible(mask)
+	}
+	m.DCHAG().Visible(vis)
+	feat := m.Stage.Forward(x)
+	if mask != nil {
 		m.masked = tensor.EnsureShape(m.masked, feat.Shape...)
 		copy(m.masked.Data, feat.Data)
 		feat = m.masked
-		for bi := 0; bi < m.b; bi++ {
-			for ti := 0; ti < t; ti++ {
-				if mask.At(bi, ti) != 0 {
-					copy(feat.Data[(bi*t+ti)*e:(bi*t+ti+1)*e], m.MaskTok.W.Data)
-				}
+		for l, v := range mask.Data {
+			if v != 0 {
+				copy(feat.Data[l*e:(l+1)*e], m.MaskTok.W.Data)
 			}
 		}
 	}
@@ -303,6 +310,27 @@ func (m *FoundationModel) Forward(x, mask *tensor.Tensor) *tensor.Tensor {
 		feat = tensor.SliceAxis(feat, 1, m.Arch.MetaTokens, m.Arch.MetaTokens+t)
 	}
 	return m.Head.Forward(feat)
+}
+
+// visible lists the locations b·T + t that mask [B, T] leaves unmasked, in
+// a model-owned slice that stays unmodified until the next Forward — nil
+// when nothing is masked, so such a step runs the stage's whole pass. A
+// step with every location masked gets an empty list, never nil: the stage
+// then computes no location.
+func (m *FoundationModel) visible(mask *tensor.Tensor) []int {
+	if m.vis == nil {
+		m.vis = make([]int, 0, len(mask.Data))
+	}
+	m.vis = m.vis[:0]
+	for l, v := range mask.Data {
+		if v == 0 {
+			m.vis = append(m.vis, l)
+		}
+	}
+	if len(m.vis) == len(mask.Data) {
+		return nil
+	}
+	return m.vis
 }
 
 // Backward consumes the prediction gradient [B, T, C*P*P] and returns the
@@ -336,18 +364,12 @@ func (m *FoundationModel) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d = m.Pos.Backward(d)
 	if m.mask != nil {
 		// Masked positions fed the mask token, not the stage: route their
-		// gradient to the mask token and zero it toward the stage.
-		m.dMasked = tensor.EnsureShape(m.dMasked, d.Shape...)
-		copy(m.dMasked.Data, d.Data)
-		d = m.dMasked
-		for bi := 0; bi < m.b; bi++ {
-			for ti := 0; ti < t; ti++ {
-				if m.mask.At(bi, ti) != 0 {
-					row := d.Data[(bi*t+ti)*e : (bi*t+ti+1)*e]
-					for j, v := range row {
-						m.MaskTok.Grad.Data[j] += v
-						row[j] = 0
-					}
+		// gradient to the mask token. The stage computed only the other
+		// locations and reads only their rows.
+		for l, v := range m.mask.Data {
+			if v != 0 {
+				for j, g := range d.Data[l*e : (l+1)*e] {
+					m.MaskTok.Grad.Data[j] += g
 				}
 			}
 		}

@@ -57,10 +57,31 @@ type AttentionCore struct {
 // the one every transformer block of a stack borrows). The zero value is
 // ready to use.
 type PooledGrads struct {
+	// Locs, when non-nil, says that the forward ran over some locations of
+	// a batch only, ascending (the D-CHAG stage of a masked step): row n of
+	// a [N, ...] operand is location Locs[n]. The projections' weight
+	// gradients then sum their rows in the kc blocks a pass over every
+	// location would have used (tensor.DepthSplits), so the skipped
+	// locations, whose gradient would have been zero, change no bit.
+	Locs []int
+
 	dctx       *tensor.Tensor // the output projection's input gradient
 	dA         *tensor.Tensor // the per-row core's score gradient [N,H,Tq,Tk]
 	dq, dk, dv *tensor.Tensor // the core's; dq or dk then holds a sum of input gradients
 	dx         *tensor.Tensor // an input projection's input gradient
+	ends       []int          // depthEnds' pieces
+}
+
+// depthEnds returns the weight-gradient pieces of a projection whose output
+// gradient is g, a whole number of rows per location: nil (one product)
+// unless Locs is set.
+func (s *PooledGrads) depthEnds(g *tensor.Tensor) []int {
+	if len(s.Locs) == 0 {
+		return nil
+	}
+	rows := len(g.Data) / g.Shape[len(g.Shape)-1]
+	s.ends = tensor.DepthSplits(s.ends, s.Locs, rows/len(s.Locs))
+	return s.ends
 }
 
 // SetInferDType selects the arithmetic of Infer's matrix products.
@@ -321,7 +342,7 @@ func (a *CrossAttention) InferPooled(query, context *tensor.Tensor) *tensor.Tens
 // holds every buffer the call writes.
 func (a *CrossAttention) BackwardPooled(grad *tensor.Tensor, s *PooledGrads) (dQuery, dContext *tensor.Tensor) {
 	dq, dContext := a.backwardPooled(grad, s)
-	s.dx = a.Wq.BackwardTo(s.dx, dq, nil)
+	s.dx = a.Wq.backwardTo(s.dx, dq, nil, s.depthEnds(dq))
 	return s.dx, dContext
 }
 
@@ -332,7 +353,7 @@ func (a *CrossAttention) BackwardPooled(grad *tensor.Tensor, s *PooledGrads) (dQ
 // dchag:hotpath — per-step channel-aggregation backward.
 func (a *CrossAttention) BackwardPooledSelf(grad *tensor.Tensor, s *PooledGrads) *tensor.Tensor {
 	dq, dContext := a.backwardPooled(grad, s)
-	s.dx = a.Wq.BackwardTo(s.dx, dq, dContext)
+	s.dx = a.Wq.backwardTo(s.dx, dq, dContext, s.depthEnds(dq))
 	return s.dx
 }
 
@@ -344,9 +365,10 @@ func (a *CrossAttention) BackwardPooledSelf(grad *tensor.Tensor, s *PooledGrads)
 //
 // dchag:hotpath — per-step channel-aggregation backward.
 func (a *CrossAttention) backwardPooled(grad *tensor.Tensor, s *PooledGrads) (dq, dContext *tensor.Tensor) {
-	s.dctx = a.Wo.BackwardTo(s.dctx, grad, nil)
+	s.dctx = a.Wo.backwardTo(s.dctx, grad, nil, s.depthEnds(grad))
 	dq, dk, dv := a.core.BackwardPooled(s.dctx, s)
-	s.dx = a.Wk.BackwardTo(s.dx, dk, nil)
-	s.dk = a.Wv.BackwardTo(s.dk, dv, s.dx)
+	ends := s.depthEnds(dk)
+	s.dx = a.Wk.backwardTo(s.dx, dk, nil, ends)
+	s.dk = a.Wv.backwardTo(s.dk, dv, s.dx, ends)
 	return dq, s.dk
 }

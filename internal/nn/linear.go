@@ -153,6 +153,12 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // dchag:hotpath — per-step gradient kernels; dW accumulates directly into
 // Weight.Grad with no intermediate product tensor.
 func (l *Linear) BackwardTo(dx, grad, acc *tensor.Tensor) *tensor.Tensor {
+	return l.backwardTo(dx, grad, acc, nil)
+}
+
+// backwardTo is BackwardTo summing dW's rows in the pieces ends gives
+// (tensor.TMatMulAccSplitInto); nil ends is one product.
+func (l *Linear) backwardTo(dx, grad, acc *tensor.Tensor, ends []int) *tensor.Tensor {
 	mustLastDim("Linear.Backward", grad, l.Out)
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
@@ -160,7 +166,7 @@ func (l *Linear) BackwardTo(dx, grad, acc *tensor.Tensor) *tensor.Tensor {
 	l.g = foldInto(l.g, grad)
 	rows := l.g.Shape[0]
 	dx = tensor.EnsureShape(dx, rows, l.In)
-	tensor.TMatMulAccInto(l.Weight.Grad, l.x, l.g)
+	tensor.TMatMulAccSplitInto(l.Weight.Grad, l.x, l.g, ends)
 	if l.Bias != nil {
 		tensor.AccumRows(l.Bias.Grad.Data, l.g.Data, l.Out, rows, nil)
 	}

@@ -45,7 +45,7 @@ func TestChannelEmbedShardMatchesFullSlice(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	x := tensor.Randn(rng, 2, channels, 4, 4)
 	yFull := tensor.New(2, channels, 4, embed)
-	fullTok.Tokenize(x, ChannelViews(nil, yFull), full, false)
+	fullTok.Tokenize(x, nil, ChannelViews(nil, yFull), full, false)
 	plain := fullTok.Forward(x)
 	for i, v := range yFull.Data {
 		if want := plain.Data[i] + full.Table.W.Data[i/embed/4%channels*embed+i%embed]; v != want {
@@ -55,7 +55,7 @@ func TestChannelEmbedShardMatchesFullSlice(t *testing.T) {
 	shard := NewChannelEmbedShard("ch", 2, 4, embed, seed)
 	shardTok := NewPatchEmbedShard("tok", 2, 4, 4, 4, 2, embed, seed+1)
 	ys := tensor.New(2, 2, 4, embed)
-	shardTok.Tokenize(tensor.SliceAxis(x, 1, 2, 4), ChannelViews(nil, ys), shard, false)
+	shardTok.Tokenize(tensor.SliceAxis(x, 1, 2, 4), nil, ChannelViews(nil, ys), shard, false)
 	if tensor.MaxAbsDiff(ys, tensor.SliceAxis(yFull, 1, 2, 4)) != 0 {
 		t.Fatal("channel-embed shard differs from full slice")
 	}

@@ -27,11 +27,15 @@ type PatchEmbed struct {
 
 	cols []*tensor.Tensor // cached im2col matrices per local channel
 	b    int              // cached batch size
+	locs []int            // the cached pass's locations; nil: every one
+	offs []int            // where each cached row's patch starts in local channel 0 (patchOffsets)
+	ends []int            // dW's depth pieces over locs (tensor.DepthSplits)
 
-	icol *tensor.Tensor // Infer im2col scratch (not cached for backward)
-	dy   *tensor.Tensor // per-channel gathered gradient scratch
-	dcol *tensor.Tensor // per-channel patch-gradient scratch
-	dimg *tensor.Tensor // Backward image-gradient scratch
+	icol  *tensor.Tensor // Infer im2col scratch (not cached for backward)
+	ioffs []int          // Infer's patch offsets
+	dy    *tensor.Tensor // per-channel gathered gradient scratch
+	dcol  *tensor.Tensor // per-channel patch-gradient scratch
+	dimg  *tensor.Tensor // Backward image-gradient scratch
 
 	// The channel-major entry points' own storage; never grown by a caller
 	// that brings its own views.
@@ -126,7 +130,7 @@ func ChannelViews(dst []TokenView, x *tensor.Tensor) []TokenView {
 func (p *PatchEmbed) Forward(x *tensor.Tensor) *tensor.Tensor {
 	p.out = tensor.EnsureShape(p.out, x.Shape[0], p.LocalChannels(), p.Tokens(), p.Embed)
 	p.views = ChannelViews(p.views[:0], p.out)
-	p.Tokenize(x, p.views, nil, false)
+	p.Tokenize(x, nil, p.views, nil, false)
 	return p.out
 }
 
@@ -135,7 +139,7 @@ func (p *PatchEmbed) Forward(x *tensor.Tensor) *tensor.Tensor {
 func (p *PatchEmbed) Infer(x *tensor.Tensor) *tensor.Tensor {
 	p.iout = tensor.EnsureShape(p.iout, x.Shape[0], p.LocalChannels(), p.Tokens(), p.Embed)
 	p.views = ChannelViews(p.views[:0], p.iout)
-	p.Tokenize(x, p.views, nil, true)
+	p.Tokenize(x, nil, p.views, nil, true)
 	return p.iout
 }
 
@@ -145,19 +149,42 @@ func (p *PatchEmbed) Infer(x *tensor.Tensor) *tensor.Tensor {
 // infer it keeps nothing for a Backward and runs in the arithmetic
 // SetInferDType selected. Forward and Infer are Tokenize on channel-major
 // views of a tensor the layer owns.
-func (p *PatchEmbed) Tokenize(x *tensor.Tensor, dst []TokenView, ids *ChannelEmbed, infer bool) {
+//
+// A non-nil locs tokenizes only those locations b·T + t of the batch,
+// ascending — the patches a masked step keeps — writing row i, location
+// locs[i], at dst[c].Data[i*TokenStride:]; each token has the bits a pass
+// over every location gives it. A training pass keeps locs (unmodified
+// until the Backward) and zeroes the image gradient, which its Backward
+// then fills at those patches only.
+func (p *PatchEmbed) Tokenize(x *tensor.Tensor, locs []int, dst []TokenView, ids *ChannelEmbed, infer bool) {
 	localC := p.LocalChannels()
 	p.mustTake("Tokenize", x)
 	p.mustCover(dst, ids)
 	b, rows := x.Shape[0], x.Shape[0]*p.Tokens()
+	if locs != nil {
+		p.mustList(locs, rows)
+		// The rows follow one another at the views' token stride: one
+		// product per channel, as for a single sample.
+		b, rows = 1, len(locs)
+	}
 	var col *tensor.Tensor
+	var offs []int
 	if infer {
 		p.icol = tensor.EnsureShape(p.icol, rows, p.Patch*p.Patch)
 		col = p.icol
+		p.ioffs = p.patchOffsets(p.ioffs, x.Shape[0], locs)
+		offs = p.ioffs
 	} else {
-		p.b = b
+		p.b, p.locs = x.Shape[0], locs
+		p.offs = p.patchOffsets(p.offs, x.Shape[0], locs)
+		offs = p.offs
 		if len(p.cols) != localC {
 			p.cols = make([]*tensor.Tensor, localC)
+		}
+		if locs != nil {
+			p.ends = tensor.DepthSplits(p.ends, locs, 1)
+			p.dimg = tensor.EnsureShape(p.dimg, x.Shape[0], localC, p.ImgH, p.ImgW)
+			clear(p.dimg.Data)
 		}
 	}
 	for c := 0; c < localC; c++ {
@@ -167,8 +194,19 @@ func (p *PatchEmbed) Tokenize(x *tensor.Tensor, dst []TokenView, ids *ChannelEmb
 			p.cols[c] = tensor.EnsureShape(p.cols[c], rows, p.Patch*p.Patch)
 			col = p.cols[c]
 		}
-		p.im2col(col, x, c)
+		p.im2col(col, x, c, offs)
 		p.project(col, c, b, dst[c], ids.row(c), infer)
+	}
+}
+
+// mustList checks that locs lists locations of a batch of n, ascending.
+func (p *PatchEmbed) mustList(locs []int, n int) {
+	prev := -1
+	for _, l := range locs {
+		if l <= prev || l >= n {
+			panic(fmt.Sprintf("nn: PatchEmbed locations must ascend within [0,%d), got %d after %d", n, l, prev))
+		}
+		prev = l
 	}
 }
 
@@ -282,7 +320,7 @@ func (p *PatchEmbed) BackwardFrom(src []TokenView, first int, ids *ChannelEmbed)
 		panic(fmt.Sprintf("nn: PatchEmbed over %d channels given token gradients for channels [%d,%d)", p.LocalChannels(), first, first+len(src)))
 	}
 	p.mustShare(ids)
-	rows := p.b * p.Tokens()
+	rows := len(p.offs)
 	p.dimg = tensor.EnsureShape(p.dimg, p.b, p.LocalChannels(), p.ImgH, p.ImgW)
 	p.dy = tensor.EnsureShape(p.dy, rows, p.Embed)
 	p.dcol = tensor.EnsureShape(p.dcol, rows, p.Patch*p.Patch)
@@ -300,69 +338,82 @@ func (p *PatchEmbed) BackwardFrom(src []TokenView, first int, ids *ChannelEmbed)
 // into the sliced gradient with no intermediate product tensor.
 func (p *PatchEmbed) backwardChannel(src TokenView, c int, idGrad []float64) {
 	t, e := p.Tokens(), p.Embed
-	// Gather dY_c [B*T, E] from where it lives, then sum its columns into the
-	// bias and channel-ID gradients in row order.
-	for bi := 0; bi < p.b; bi++ {
-		for ti := 0; ti < t; ti++ {
-			copy(p.dy.Data[(bi*t+ti)*e:][:e], src.Data[bi*src.BatchStride+ti*src.TokenStride:][:e])
+	rows := p.dy.Shape[0]
+	// Gather dY_c [rows, E] from where it lives, then sum its columns into
+	// the bias and channel-ID gradients in row order. The rows of a pass
+	// over listed locations follow one another at the token stride.
+	var ends []int
+	if p.locs != nil {
+		ends = p.ends
+		for r := 0; r < rows; r++ {
+			copy(p.dy.Data[r*e:][:e], src.Data[r*src.TokenStride:][:e])
+		}
+	} else {
+		for bi := 0; bi < p.b; bi++ {
+			for ti := 0; ti < t; ti++ {
+				copy(p.dy.Data[(bi*t+ti)*e:][:e], src.Data[bi*src.BatchStride+ti*src.TokenStride:][:e])
+			}
 		}
 	}
-	rows := p.b * t
 	tensor.AccumRows(p.Bias.Grad.Data[c*e:][:e], p.dy.Data, e, rows, nil)
 	if idGrad != nil {
 		tensor.AccumRows(idGrad[:e], p.dy.Data, e, rows, nil)
 	}
-	// dW_c += col^T @ dY, accumulated straight into the gradient slice.
-	tensor.TMatMulAccInto(p.channelView(&p.gv, p.Weight.Grad, c), p.cols[c], p.dy)
+	// dW_c += col^T @ dY, accumulated straight into the gradient slice, its
+	// depth cut where a pass over every location would have cut it.
+	tensor.TMatMulAccSplitInto(p.channelView(&p.gv, p.Weight.Grad, c), p.cols[c], p.dy, ends)
 	// dCol = dY @ W_c^T, then col2im back onto the image gradient.
-	tensor.MatMulTInto(p.dcol, p.dy, p.channelView(&p.wv, p.Weight.W, c)) // [B*T, P*P]
-	p.col2im(p.dcol, p.dimg, c)
+	tensor.MatMulTInto(p.dcol, p.dy, p.channelView(&p.wv, p.Weight.W, c)) // [rows, P*P]
+	p.col2im(p.dcol, p.dimg, c, p.offs)
 }
 
-// im2col extracts the [B*T, P*P] patch matrix for local channel c into col.
+// patchOffsets writes into dst[:0] and returns, for each row of a pass
+// over a batch of b, where its patch starts in local channel 0 of a
+// [B, localC, H, W] image: the patch of location r, or of locs[r] when locs
+// is non-nil. Channel c's patch starts c·H·W further.
+func (p *PatchEmbed) patchOffsets(dst []int, b int, locs []int) []int {
+	t, pw := p.Tokens(), p.ImgW/p.Patch
+	n := b * t
+	if locs != nil {
+		n = len(locs)
+	}
+	dst = dst[:0]
+	for r := 0; r < n; r++ {
+		l := r
+		if locs != nil {
+			l = locs[r]
+		}
+		bi, py, px := l/t, l%t/pw, l%pw
+		dst = append(dst, (bi*p.LocalChannels()*p.ImgH+py*p.Patch)*p.ImgW+px*p.Patch)
+	}
+	return dst
+}
+
+// im2col extracts local channel c's patch matrix into col: row r holds the
+// P*P pixels of the patch at offs[r].
 //
 // dchag:hotpath — per-channel patch gather; col is layer-owned scratch.
-func (p *PatchEmbed) im2col(col, x *tensor.Tensor, c int) {
-	b := x.Shape[0]
-	localC := p.LocalChannels()
-	ph, pw := p.ImgH/p.Patch, p.ImgW/p.Patch
-	t := ph * pw
+func (p *PatchEmbed) im2col(col, x *tensor.Tensor, c int, offs []int) {
 	pp := p.Patch * p.Patch
-	for bi := 0; bi < b; bi++ {
-		base := (bi*localC + c) * p.ImgH * p.ImgW
-		for py := 0; py < ph; py++ {
-			for px := 0; px < pw; px++ {
-				ti := py*pw + px
-				dst := col.Data[(bi*t+ti)*pp : (bi*t+ti+1)*pp]
-				for dy := 0; dy < p.Patch; dy++ {
-					srcOff := base + (py*p.Patch+dy)*p.ImgW + px*p.Patch
-					copy(dst[dy*p.Patch:(dy+1)*p.Patch], x.Data[srcOff:srcOff+p.Patch])
-				}
-			}
+	for r, o := range offs {
+		off := o + c*p.ImgH*p.ImgW
+		dst := col.Data[r*pp : (r+1)*pp]
+		for dy := 0; dy < p.Patch; dy++ {
+			copy(dst[dy*p.Patch:(dy+1)*p.Patch], x.Data[off+dy*p.ImgW:][:p.Patch])
 		}
 	}
 }
 
-// col2im scatters a [B*T, P*P] patch-gradient matrix back into the image
-// gradient for local channel c. Patches do not overlap, so this is a pure
-// scatter.
-func (p *PatchEmbed) col2im(dcol, dimg *tensor.Tensor, c int) {
-	b := dimg.Shape[0]
-	localC := p.LocalChannels()
-	ph, pw := p.ImgH/p.Patch, p.ImgW/p.Patch
-	t := ph * pw
+// col2im scatters a patch-gradient matrix, rows as im2col's, back into the
+// image gradient for local channel c. Patches do not overlap, so this is a
+// pure scatter.
+func (p *PatchEmbed) col2im(dcol, dimg *tensor.Tensor, c int, offs []int) {
 	pp := p.Patch * p.Patch
-	for bi := 0; bi < b; bi++ {
-		base := (bi*localC + c) * p.ImgH * p.ImgW
-		for py := 0; py < ph; py++ {
-			for px := 0; px < pw; px++ {
-				ti := py*pw + px
-				src := dcol.Data[(bi*t+ti)*pp : (bi*t+ti+1)*pp]
-				for dy := 0; dy < p.Patch; dy++ {
-					dstOff := base + (py*p.Patch+dy)*p.ImgW + px*p.Patch
-					copy(dimg.Data[dstOff:dstOff+p.Patch], src[dy*p.Patch:(dy+1)*p.Patch])
-				}
-			}
+	for r, o := range offs {
+		off := o + c*p.ImgH*p.ImgW
+		src := dcol.Data[r*pp : (r+1)*pp]
+		for dy := 0; dy < p.Patch; dy++ {
+			copy(dimg.Data[off+dy*p.ImgW:][:p.Patch], src[dy*p.Patch:(dy+1)*p.Patch])
 		}
 	}
 }

@@ -56,6 +56,35 @@ const (
 	stackPanelB = 1024 // elements of the stack-resident B panel
 )
 
+// DepthSplits writes into dst[:0] and returns the piece ends
+// TMatMulAccSplitInto takes to reproduce, over compacted rows, a product
+// whose depth ran over every row of a batch: compacted row r is row
+// locs[r/w]*w + r%w of that product (w rows per location, locs ascending),
+// and a piece ends wherever the next compacted row lies in another of its
+// kc blocks. No locations give no pieces.
+//
+// dchag:hotpath — once per compacted weight-gradient product; it allocates
+// only to grow dst.
+func DepthSplits(dst, locs []int, w int) []int {
+	dst = dst[:0]
+	blk := -1
+	for i, l := range locs {
+		lo, hi := l*w, l*w+w
+		for f := lo; f < hi; f = (f/gemmKC + 1) * gemmKC {
+			if f/gemmKC != blk {
+				if blk >= 0 {
+					dst = append(dst, i*w+f-lo)
+				}
+				blk = f / gemmKC
+			}
+		}
+	}
+	if len(locs) > 0 {
+		dst = append(dst, len(locs)*w)
+	}
+	return dst
+}
+
 // gemmSpec describes one product C = alpha*op(A)@op(B), or C += ... with
 // accum, plus the epilogue ep: op(A) is m x k, op(B) is k x n. Each slice
 // starts at its matrix's element (0,0) and rows are ld apart. at means a

@@ -138,6 +138,42 @@ func TMatMulAccInto(dst, a, b *Tensor) {
 	product[float64]("TMatMulAccInto", dst, a, b, true, false, true)
 }
 
+// TMatMulAccSplitInto is TMatMulAccInto summing the depth (the rows of a and
+// b) in the pieces [0, ends[0]), [ends[0], ends[1]), ... in order, each one
+// kc block: a piece's chain is added to dst before the next piece starts.
+// Over rows compacted from a longer product, with ends from DepthSplits, the
+// pieces are that product's blocks less their dropped rows, so where the
+// dropped rows' b is zero the bits are its. nil ends is TMatMulAccInto.
+//
+// dchag:hotpath — a compacted pass's weight gradients; it performs no heap
+// allocation.
+func TMatMulAccSplitInto(dst, a, b *Tensor, ends []int) {
+	if ends == nil {
+		TMatMulAccInto(dst, a, b)
+		return
+	}
+	if dst == nil || len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[0] != b.Shape[0] {
+		panic("tensor: TMatMulAccSplitInto wants dst += a^T@b over a [K,M], b [K,N]")
+	}
+	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	ensureDst("TMatMulAccSplitInto", dst, m, n)
+	mustNotAlias("TMatMulAccSplitInto", dst, a, b)
+	lo := 0
+	for _, hi := range ends {
+		if hi <= lo || hi-lo > gemmKC || hi > k {
+			panic(fmt.Sprintf("tensor: TMatMulAccSplitInto piece [%d,%d) of a %d-deep product", lo, hi, k))
+		}
+		gemm2D[float64](&gemmSpec{
+			m: m, k: hi - lo, n: n, a: a.Data[lo*m:], b: b.Data[lo*n:], c: dst.Data,
+			lda: m, ldb: n, ldc: n, at: true, accum: true, alpha: 1,
+		}, nil)
+		lo = hi
+	}
+	if lo != k {
+		panic(fmt.Sprintf("tensor: TMatMulAccSplitInto pieces end at %d of a %d-deep product", lo, k))
+	}
+}
+
 // AffineInto computes the m x n matrix x@w (x@w^T with wt) plus ep into a
 // strided destination: row i of the result at dst[i*ldc:], ldc >= n, x
 // [m,k], w [k,n] ([n,k] with wt). The epilogue's bias and residual are added

@@ -1,0 +1,86 @@
+package tensor
+
+import (
+	"math"
+	"testing"
+)
+
+// TestDepthSplitsReproduceTheWholeProduct holds a weight-gradient product
+// over compacted rows, cut where DepthSplits says, bit for bit to the
+// product over every row in which the dropped rows' b is a signed zero —
+// what a masked location's gradient is — under every kernel tier, into a
+// destination that already holds a gradient. Locations hold w rows each,
+// w dividing kc and not, and the products run over several kc blocks.
+func TestDepthSplitsReproduceTheWholeProduct(t *testing.T) {
+	withEveryTier(t, func(t *testing.T) {
+		rng := NewRNG(31)
+		for _, c := range []struct{ locs, w, m, n int }{
+			{600, 1, 9, 32}, {128, 16, 32, 32}, {100, 10, 13, 5}, {90, 6, 4, 8}, {40, 300, 3, 3},
+		} {
+			rows := c.locs * c.w
+			a, b := Randn(rng, rows, c.m), Randn(rng, rows, c.n)
+			var keep []int
+			for l := 0; l < c.locs; l++ {
+				if rng.Float64() < 0.5 {
+					keep = append(keep, l)
+					continue
+				}
+				for i := range b.Data[l*c.w*c.n : (l+1)*c.w*c.n] {
+					b.Data[l*c.w*c.n+i] = math.Copysign(0, rng.NormFloat64())
+				}
+			}
+			ca, cb := New(len(keep)*c.w, c.m), New(len(keep)*c.w, c.n)
+			for i, l := range keep {
+				copy(ca.Data[i*c.w*c.m:(i+1)*c.w*c.m], a.Data[l*c.w*c.m:])
+				copy(cb.Data[i*c.w*c.n:(i+1)*c.w*c.n], b.Data[l*c.w*c.n:])
+			}
+			want := Randn(rng, c.m, c.n)
+			got := want.Clone()
+			TMatMulAccInto(want, a, b)
+			ends := DepthSplits(nil, keep, c.w)
+			lo := 0
+			for _, hi := range ends {
+				if hi <= lo || hi-lo > gemmKC {
+					t.Fatalf("%+v: piece [%d,%d)", c, lo, hi)
+				}
+				lo = hi
+			}
+			if lo != len(keep)*c.w {
+				t.Fatalf("%+v: pieces end at %d of %d rows", c, lo, len(keep)*c.w)
+			}
+			TMatMulAccSplitInto(got, ca, cb, ends)
+			for i := range got.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%+v: element %d is %v, the whole product's %v", c, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	})
+}
+
+// TestDepthSplitsCutAtBlockEnds pins the pieces on hand-worked lists. At two
+// rows per location, locations 3 and 127 sit in full rows 6-7 and 254-255
+// (block 0), 128 in 256-257 (block 1) and 300 in 600-601 (block 2). At three
+// rows per location, location 85 spans full rows 255-257, across the end of
+// block 0.
+func TestDepthSplitsCutAtBlockEnds(t *testing.T) {
+	for _, c := range []struct {
+		locs []int
+		w    int
+		want []int
+	}{
+		{[]int{3, 127, 128, 300}, 2, []int{4, 6, 8}},
+		{[]int{85}, 3, []int{1, 3}},
+		{nil, 4, nil},
+	} {
+		got := DepthSplits(nil, c.locs, c.w)
+		if len(got) != len(c.want) {
+			t.Fatalf("DepthSplits(%v, %d) = %v, want %v", c.locs, c.w, got, c.want)
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Fatalf("DepthSplits(%v, %d) = %v, want %v", c.locs, c.w, got, c.want)
+			}
+		}
+	}
+}
