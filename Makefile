@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet vet-custom reach build test fmt bench bench-compute serve-smoke race surface
+.PHONY: verify fmt-check vet vet-custom reach build test fmt bench serve-smoke race surface
 
 # verify is the tier-1 gate: formatting, vet (standard and project
 # analyzers), the reachability check, full build and full test run.
@@ -13,23 +13,6 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) run ./cmd/dchag-bench -json BENCH_sweep.json
 	BENCH_SWEEP_JSON=BENCH_sweep.json $(GO) test -run TestSweepJSONArtifact .
-
-# bench-compute regenerates the measured compute-substrate point
-# (BENCH_compute.json, schema dchag-bench/compute/v11, with the kernel tier
-# that ran — avx512, avx2 or go: naive vs blocked f64
-# vs prepacked f32 GEMM at square sizes and at the product shapes the D-CHAG
-# workloads issue, GFLOP/s, elements packed per product and steady-state
-# allocs/op, whole cross-attention channel aggregations, forward and
-# backward, next to the pooled attention pass inside them, softmax, GELU,
-# LayerNorm and AdamW under the tier and under the Go twins (softmax and GELU
-# next to their libm loops too), ns/element, the whole
-# serial channel stage next to its channel-major composition, ns and
-# scratch bytes, and two block products with one and with two concurrent
-# callers, GFLOP/s per caller) and re-parses it through the tier-1 artifact gate. It is
-# wall-clock, so the gate is schema + qualitative claims, not exact rates.
-bench-compute:
-	$(GO) run ./cmd/dchag-bench -compute BENCH_compute.json
-	BENCH_COMPUTE_JSON=BENCH_compute.json $(GO) test -run TestComputeJSONArtifact .
 
 # serve-smoke is the one binary-level smoke CI runs: dchag-train saves a
 # tiny checkpoint at 4 ranks into a temp directory, then dchag-serve serves

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -15,7 +16,6 @@ func main() {
 	fig := flag.String("fig", "", "experiment id to run (default: all)")
 	list := flag.Bool("list", false, "list available experiments")
 	jsonPath := flag.String("json", "", "write the sweep report as JSON to this path and exit (see doc.go for the schema)")
-	computePath := flag.String("compute", "", "measure the compute substrate (GEMM, channel aggregation, softmax and GELU, the channel stage) and write the report as JSON to this path (see doc.go for the schema)")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.Get())
@@ -27,27 +27,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dchag-bench: unexpected arguments %v\n", flag.Args())
 		os.Exit(2)
 	}
-
-	if *computePath != "" {
-		rep := experiments.RunComputeBench(experiments.DefaultComputeBench())
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dchag-bench: encoding compute report: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*computePath, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dchag-bench: %v\n", err)
-			os.Exit(1)
-		}
-		last := rep.Points[len(rep.Points)-1]
-		fmt.Printf("wrote %s (%s, kernel=%s, %d sizes; %d^3: naive %.1f, blocked %.1f, f32 %.1f GFLOP/s)\n",
-			*computePath, rep.Schema, rep.Kernel, len(rep.Points),
-			last.Size, last.NaiveGFLOPS, last.BlockedGFLOPS, last.F32GFLOPS)
-		return
+	if err := checkFlags(benchFlags{json: *jsonPath, list: *list, fig: *fig}); err != nil {
+		fmt.Fprintf(os.Stderr, "dchag-bench: %v\n", err)
+		os.Exit(2)
 	}
 
-	if *jsonPath != "" {
+	switch {
+	case *jsonPath != "":
 		rep := experiments.RunSweep(experiments.DefaultSweepScales())
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -61,25 +47,42 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%s, %d points, cliff @ %d GCDs)\n",
 			*jsonPath, rep.Schema, len(rep.Points), rep.CliffGCDs)
-		return
-	}
-
-	if *list {
+	case *list:
 		for _, e := range experiments.All() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
-		return
-	}
-	if *fig != "" {
-		e, ok := experiments.Find(*fig)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "dchag-bench: unknown experiment %q (use -list)\n", *fig)
-			os.Exit(1)
+	case *fig != "":
+		e, _ := experiments.Find(*fig)
+		fmt.Print(e.Run())
+	default:
+		for _, e := range experiments.All() {
+			fmt.Print(e.Run())
 		}
-		fmt.Print(e.Run())
-		return
 	}
-	for _, e := range experiments.All() {
-		fmt.Print(e.Run())
+}
+
+// benchFlags is what checkFlags reads of the command line.
+type benchFlags struct {
+	json string
+	list bool
+	fig  string
+}
+
+// checkFlags refuses, before any work, a command line the run would
+// otherwise half ignore: more than one of -json, -list and -fig (each is a
+// mode of its own, and only one would run), and a -fig no experiment has.
+func checkFlags(f benchFlags) error {
+	modes := 0
+	for _, set := range []bool{f.json != "", f.list, f.fig != ""} {
+		if set {
+			modes++
+		}
 	}
+	if modes > 1 {
+		return errors.New("-json, -list and -fig each pick a mode: give at most one")
+	}
+	if _, ok := experiments.Find(f.fig); f.fig != "" && !ok {
+		return fmt.Errorf("unknown experiment %q (use -list)", f.fig)
+	}
+	return nil
 }

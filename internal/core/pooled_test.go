@@ -172,6 +172,68 @@ func TestCrossAttnAggregatorBackwardBeforeForwardPanics(t *testing.T) {
 	NewCrossAttnAggregator("a", 2, 4, 2, 1).Backward(tensor.New(1, 4))
 }
 
+// product is one matrix product of a location, [m,k]@[k,n]: m*k*n
+// multiply-accumulates forward, and on the way back its two gradients,
+// [m,n]@[n,k] and [k,m]@[m,n], as many again each.
+type product struct{ m, k, n int }
+
+// aggregationProducts lists the matrix products one location of a
+// cross-attention aggregation over g tokens issues (softmax, the pooling adds
+// and the bias adds are not products). Both formulations project Q, K and V
+// (g rows through each of the layer's weights) and form a g x g map per
+// head. Unpooled, the value product and Wo run on all g output tokens and
+// the mean over them is taken last; pooled, as the layer runs it, the mean is
+// taken on the map, so both run on one token.
+func aggregationProducts(a *nn.CrossAttention, g int, pooled bool) []product {
+	dh, rows := a.Embed/a.Heads, g
+	if pooled {
+		rows = 1
+	}
+	var ps []product
+	for _, l := range []*nn.Linear{a.Wq, a.Wk, a.Wv} {
+		ps = append(ps, product{g, l.In, l.Out})
+	}
+	for range a.Heads {
+		ps = append(ps, product{g, dh, g}, product{rows, g, dh})
+	}
+	return append(ps, product{rows, a.Wo.In, a.Wo.Out})
+}
+
+// aggregationMACs counts the forward and backward multiply-accumulates of a
+// list of products.
+func aggregationMACs(ps []product) (fwd, bwd int) {
+	for _, p := range ps {
+		fwd += p.m * p.k * p.n
+		bwd += p.m*p.n*p.k + p.k*p.m*p.n
+	}
+	return fwd, bwd
+}
+
+// TestPooledAggregationMACs pins the work the pooled formulation saves per
+// location, at the aggregation shapes of the benchmark workloads: at the hsi
+// partial layer (g = 16, E = 32) 58 880 forward multiply-accumulates against
+// the unpooled 81 920, at most three quarters; at the final layers (g = 4)
+// about a fifth less; backward exactly twice forward in both formulations.
+func TestPooledAggregationMACs(t *testing.T) {
+	for _, tc := range []struct {
+		g, e   int
+		lo, hi float64 // bounds on pooled / unpooled
+	}{{16, 32, 0, 0.75}, {4, 32, 0.78, 0.82}, {4, 64, 0.78, 0.82}} {
+		a := NewCrossAttnAggregator("a", tc.g, tc.e, 4, 1).Attn
+		pf, pb := aggregationMACs(aggregationProducts(a, tc.g, true))
+		uf, ub := aggregationMACs(aggregationProducts(a, tc.g, false))
+		if pb != 2*pf || ub != 2*uf {
+			t.Fatalf("g=%d E=%d: backward MACs pooled %d, unpooled %d; want twice forward, %d and %d", tc.g, tc.e, pb, ub, 2*pf, 2*uf)
+		}
+		if r := float64(pf) / float64(uf); r < tc.lo || r > tc.hi {
+			t.Fatalf("g=%d E=%d: pooled %d / unpooled %d forward MACs = %.3f, want within [%.2f, %.2f]", tc.g, tc.e, pf, uf, r, tc.lo, tc.hi)
+		}
+		if tc.g == 16 && (pf != 58880 || uf != 81920) {
+			t.Fatalf("g=16 E=%d: forward MACs pooled %d, unpooled %d; want 58880, 81920", tc.e, pf, uf)
+		}
+	}
+}
+
 // TestAggregatorsSteadyStateAllocs pins the layer-owned-scratch contract
 // through both attention aggregators — four projections, the pooled product
 // and the workspace they borrow: a warm forward, backward and eval pass

@@ -277,9 +277,11 @@ func TestElementwiseKernelsAllocFreeAndCheckLengths(t *testing.T) {
 }
 
 // BenchmarkElementwiseKernels times GELU, GELUBackward and AdamW under every
-// tier the host has, ns per element, at the shapes of BENCH_compute.json's
-// elementwise section. Only GELU has an avx512 spelling: GELUBackward and
-// AdamW run their AVX2 routines under both vector tiers.
+// tier the host has, ns per element: GELU over a serving rank's share of a
+// micro-batch (4 samples x 64 tokens, 128 hidden columns), AdamW over about
+// a wx_tp2dp2 rank's parameter elements. Only GELU has an
+// avx512 spelling: GELUBackward and AdamW run their AVX2 routines under both
+// vector tiers.
 func BenchmarkElementwiseKernels(b *testing.B) {
 	perElem := func(b *testing.B, n int) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")

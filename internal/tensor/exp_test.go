@@ -271,13 +271,25 @@ func TestSoftmaxEdgeRows(t *testing.T) {
 
 // BenchmarkSoftmax and BenchmarkExp time every kernel tier the machine has,
 // ns per element: rows of 16 (a channel group) and 64 (a ViT's tokens), and
-// the exponential alone.
+// the exponential alone. The in-place rows are attention maps softmaxed where
+// they lie, at lengths that are not a multiple of 8 — 17 is a ViT with one
+// meta token — so a row's masked tail store sits next to the next row's
+// first loads.
 func BenchmarkSoftmax(b *testing.B) {
-	for _, sh := range [][2]int{{128 * 4 * 16, 16}, {8 * 4 * 64, 64}} {
-		x := Randn(NewRNG(3), sh[0], sh[1])
-		dst := New(sh[0], sh[1])
+	for _, sh := range []struct {
+		rows, cols int
+		inPlace    bool
+	}{
+		{128 * 4 * 16, 16, false}, {8 * 4 * 64, 64, false},
+		{2048, 4, true}, {2048, 12, true}, {2048, 17, true}, {2048, 20, true},
+	} {
+		x := Randn(NewRNG(3), sh.rows, sh.cols)
+		dst, name := New(sh.rows, sh.cols), fmt.Sprintf("%dx%d", sh.rows, sh.cols)
+		if sh.inPlace {
+			dst, name = x, "inplace/"+name
+		}
 		eachTier(func() {
-			b.Run(fmt.Sprintf("%s/%dx%d", KernelTier(), sh[0], sh[1]), func(b *testing.B) {
+			b.Run(KernelTier()+"/"+name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					SoftmaxLastDimInto(dst, x)

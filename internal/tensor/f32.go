@@ -26,19 +26,6 @@ func (d DType) String() string {
 	return "f64"
 }
 
-// PackedElems reports how many operand elements one m x k x n product
-// computed in d copies into panels, on one goroutine: the driver's plan (see
-// gemm.go) for the given orientation, with B packed ahead of time when
-// prepacked. Everything it does not count the kernel reads where it lies.
-// The compute benchmark records it next to each measured shape.
-func (d DType) PackedElems(m, k, n int, at, bt, prepacked bool) int {
-	g := gemmSpec{m: m, k: k, n: n, at: at, bt: bt}
-	if d == F32 {
-		return planPanels[float32](&g, prepacked).packedElems(&g, gemmNR32)
-	}
-	return planPanels[float64](&g, prepacked).packedElems(&g, gemmNR)
-}
-
 // PackedB32 holds a weight matrix prepacked into the f32 kernel's B panels.
 // Packing the K x N operand once at SetInferDType time hoists both the
 // f64->f32 conversion and the panel shuffle out of the per-request hot loop.

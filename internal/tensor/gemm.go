@@ -613,9 +613,9 @@ func kernGeneric[T elem](kb, nr int, a []T, ars, aps int, b []T, bps int, c []fl
 // KernelTier names the micro-kernels this machine runs: "avx512" (float64
 // panel pairs on kernF64AVX512 and the exponential of softmax, GELU and the
 // pooled softmax on eight-lane vectors, the rest on AVX2), "avx2" or "go"
-// (the pure-Go twins).
-// The compute benchmark records it so artifact gates can tell a kernel
-// regression from a machine without the vector units.
+// (the pure-Go twins). Tests and benchmarks name the tier they ran under
+// with it, so a result can be told apart from a machine without the vector
+// units.
 func KernelTier() string {
 	switch {
 	case useAVX512:
@@ -628,9 +628,9 @@ func KernelTier() string {
 
 // WithGoTwins runs f with every kernel on its pure-Go twin — the arithmetic
 // each vector tier reproduces bit for bit, so results do not change — and
-// then restores the tier the CPU probe chose. The compute benchmark times
-// the twins with it beside the vector tier; no other goroutine may call
-// into the package while f runs.
+// then restores the tier the CPU probe chose. Tests of other packages run a
+// layer under the twins with it, to hold it bit for bit to the vector tier;
+// no other goroutine may call into the package while f runs.
 func WithGoTwins(f func()) {
 	defer func(simd, avx512 bool) { useSIMD, useAVX512 = simd, avx512 }(useSIMD, useAVX512)
 	useSIMD, useAVX512 = false, false

@@ -2,12 +2,17 @@ package tensor
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
-// Kernel benchmarks: `go test -bench 'GEMM|Attention|Softmax' ./internal/tensor`
-// is the smoke run wired into the bench CI job; `make bench-compute` writes the committed
-// BENCH_compute.json from the same kernels via internal/experiments.
+// Kernel benchmarks: `go test -run '^$' -bench 'GEMM|ProductCallers|Softmax'
+// ./internal/tensor` times the products and the softmax at the shapes the
+// workloads issue; the bench CI job runs every benchmark once as a smoke
+// test. None is gated: they are read by alternating the test binaries of two
+// commits (`go test -c`, `-test.cpu 1`) around a change to a kernel.
 
 func benchSizes() []int { return []int{64, 128, 256, 512} }
 
@@ -96,5 +101,181 @@ func BenchmarkAttentionShapedBatched(b *testing.B) {
 				BatchedMatMulTF32Into(scores, qv, kv, 0.5)
 			}
 		})
+	}
+}
+
+// gemmShape is one product a benchmark workload issues: batch products of
+// m x k x n through the named entry point. Batched shapes are per-head
+// products read in place out of [N,T,H*Dh] projection layouts, as
+// nn.AttentionCore issues them; a tokenizer shape (group > 0) writes one
+// channel's tokens into its group's input [N, group, n], rows group*n apart.
+// epilogue is what the kernel adds as it stores, where the layer has it add
+// something: "bias" (nn.Linear), "bias+row" (the tokenizer's bias and
+// channel-ID row).
+type gemmShape struct {
+	name, op       string
+	batch, m, k, n int
+	group          int
+	epilogue       string
+}
+
+// gemmShapes lists the products of the benchmark workloads: the E x E
+// projections over N*g rows of the channel aggregation (128 locations of 16
+// channel tokens, E = 32) and their two backward products, the per-head
+// attention products of a ViT block (T = 64), forward and the
+// transposed-map product of its backward, the first MLP layer of a wx_tp2dp2
+// block on one tensor-parallel rank (128 tokens, E = 64, half of the 256
+// hidden columns), the float32 twins serving runs, the serving tokenizer
+// among them (8 x 64 tokens of 2 x 2 patches into E = 32, written into its
+// group of 20 channels), and the compacted products of a masked hsi step,
+// whose channel stage runs on the 64 visible locations of its 128: the
+// projection over 64 x 16 rows, its two backward products and the
+// tokenizer's product into its group of 16.
+var gemmShapes = []gemmShape{
+	{name: "proj_fwd", op: "AffineInto", batch: 1, m: 2048, k: 32, n: 32, epilogue: "bias"},
+	{name: "proj_bwd_dx", op: "MatMulTInto", batch: 1, m: 2048, k: 32, n: 32},
+	{name: "proj_bwd_dw", op: "TMatMulAccInto", batch: 1, m: 32, k: 2048, n: 32},
+	{name: "vit_scores", op: "BatchedMatMulTInto", batch: 8, m: 64, k: 8, n: 64},
+	{name: "vit_context", op: "BatchedMatMulInto", batch: 8, m: 64, k: 64, n: 8},
+	{name: "vit_bwd_dv", op: "BatchedTMatMulInto", batch: 8, m: 64, k: 64, n: 8},
+	{name: "tp_mlp_fc1", op: "MatMulInto", batch: 1, m: 128, k: 64, n: 128},
+	{name: "proj_infer_f32", op: "AffinePackedF32Into", batch: 1, m: 2048, k: 32, n: 32, epilogue: "bias"},
+	{name: "tokenize_f32", op: "AffinePackedF32Into", batch: 1, m: 512, k: 4, n: 32, group: 20, epilogue: "bias+row"},
+	{name: "vit_scores_f32", op: "BatchedMatMulTF32Into", batch: 8, m: 64, k: 8, n: 64},
+	{name: "vit_context_f32", op: "BatchedMatMulF32Into", batch: 8, m: 64, k: 64, n: 8},
+	{name: "masked_proj_fwd", op: "AffineInto", batch: 1, m: 1024, k: 32, n: 32, epilogue: "bias"},
+	{name: "masked_proj_bwd_dx", op: "MatMulTInto", batch: 1, m: 1024, k: 32, n: 32},
+	{name: "masked_proj_bwd_dw", op: "TMatMulAccInto", batch: 1, m: 32, k: 1024, n: 32},
+	{name: "masked_tokenize", op: "AffineInto", batch: 1, m: 64, k: 4, n: 32, group: 16, epilogue: "bias+row"},
+}
+
+// shapeEpilogue draws the epilogue a shape names: a bias row of n values,
+// and for "bias+row" one residual row added to every row, as the tokenizer
+// adds its channel-ID row.
+func shapeEpilogue(rng *rand.Rand, sh gemmShape) Epilogue {
+	ep := Epilogue{Bias: Randn(rng, sh.n).Data}
+	if sh.epilogue == "bias+row" {
+		ep.Res = Randn(rng, sh.n).Data
+	}
+	return ep
+}
+
+// shapeStep builds the operands of one shape and returns the call that runs
+// it. Batched shapes are per-head products: batch = samples x 4 heads,
+// operands and the context destination are head views of [samples, T, 4*Dh]
+// tensors, score-shaped operands are contiguous [samples, 4, Tq, Tk].
+func shapeStep(sh gemmShape) func() {
+	const heads = 4
+	rng := NewRNG(int64(8000 + sh.m + sh.k + sh.n))
+	if sh.batch == 1 {
+		ldc := sh.n
+		if sh.group > 0 {
+			ldc = sh.group * sh.n
+		}
+		switch sh.op {
+		case "MatMulInto":
+			dst, a, b := New(sh.m, sh.n), Randn(rng, sh.m, sh.k), Randn(rng, sh.k, sh.n)
+			return func() { MatMulInto(dst, a, b) }
+		case "AffineInto":
+			dst, a, b := New(sh.m, ldc), Randn(rng, sh.m, sh.k), Randn(rng, sh.k, sh.n)
+			ep := shapeEpilogue(rng, sh)
+			return func() { AffineInto(dst.Data, ldc, a, b, false, ep) }
+		case "MatMulTInto":
+			dst, a, b := New(sh.m, sh.n), Randn(rng, sh.m, sh.k), Randn(rng, sh.n, sh.k)
+			return func() { MatMulTInto(dst, a, b) }
+		case "TMatMulAccInto":
+			dst, a, b := New(sh.m, sh.n), Randn(rng, sh.k, sh.m), Randn(rng, sh.k, sh.n)
+			return func() { TMatMulAccInto(dst, a, b) }
+		case "AffinePackedF32Into":
+			dst, a := New(sh.m, ldc), Randn(rng, sh.m, sh.k)
+			pb := PackB32(Randn(rng, sh.k, sh.n))
+			ep := shapeEpilogue(rng, sh)
+			return func() { AffinePackedF32Into(dst.Data, ldc, a, pb, ep) }
+		}
+	}
+	samples := sh.batch / heads
+	// head builds a [samples, rows, heads*cols] tensor and its per-head view;
+	// maps a contiguous [samples, heads, rows, cols] one.
+	head := func(rows, cols int) View {
+		return HeadView(Randn(rng, samples, rows, heads*cols), heads)
+	}
+	maps := func(rows, cols int) View {
+		return MatView(Randn(rng, samples, heads, rows, cols))
+	}
+	switch sh.op {
+	case "BatchedMatMulTInto": // scores [Tq,Tk] = q [Tq,Dh] @ k[Tk,Dh]^T
+		dst, a, b := maps(sh.m, sh.n), head(sh.m, sh.k), head(sh.n, sh.k)
+		return func() { BatchedMatMulTInto(dst, a, b, 0.5) }
+	case "BatchedMatMulTF32Into":
+		dst, a, b := maps(sh.m, sh.n), head(sh.m, sh.k), head(sh.n, sh.k)
+		return func() { BatchedMatMulTF32Into(dst, a, b, 0.5) }
+	case "BatchedMatMulInto": // context [Tq,Dh] = attn [Tq,Tk] @ v [Tk,Dh]
+		dst, a, b := head(sh.m, sh.n), maps(sh.m, sh.k), head(sh.k, sh.n)
+		return func() { BatchedMatMulInto(dst, a, b, 1) }
+	case "BatchedMatMulF32Into":
+		dst, a, b := head(sh.m, sh.n), maps(sh.m, sh.k), head(sh.k, sh.n)
+		return func() { BatchedMatMulF32Into(dst, a, b, 1) }
+	case "BatchedTMatMulInto": // dv [Tk,Dh] = attn [Tq,Tk]^T @ dctx [Tq,Dh]
+		dst, a, b := head(sh.m, sh.n), maps(sh.k, sh.m), head(sh.k, sh.n)
+		return func() { BatchedTMatMulInto(dst, a, b, 1) }
+	}
+	panic(fmt.Sprintf("tensor: no runner for shape %+v", sh))
+}
+
+// BenchmarkGEMMShapes times every product of gemmShapes under the kernel
+// tier the host picked. MB/s reads as 2*batch*m*k*n bytes per call:
+// GFLOP/s = MB/s / 1000.
+func BenchmarkGEMMShapes(b *testing.B) {
+	for _, sh := range gemmShapes {
+		step := shapeStep(sh)
+		step() // warm the panel pool
+		b.Run(sh.name, func(b *testing.B) {
+			b.SetBytes(2 * int64(sh.batch*sh.m*sh.k*sh.n))
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	}
+}
+
+// BenchmarkProductCallers times the two column-parallel products a
+// wx_tp2dp2 rank issues per block — its half of an E x E projection and of
+// the E x 4E MLP layer (128 tokens, E = 64, TP 2) — issued by one caller and
+// by two at once, each on its own operands, under GOMAXPROCS 1 and 2: alone
+// on one processor is the kernel's own rate, alone on two the rows split,
+// and two callers on two should each keep a processor to itself, the regime
+// the ranks of a mesh run in. Each caller runs b.N products, so ns/op and
+// MB/s are per caller (GFLOP/s = MB/s / 1000).
+func BenchmarkProductCallers(b *testing.B) {
+	for _, sh := range []struct {
+		name    string
+		m, k, n int
+	}{{"tp_proj", 128, 64, 32}, {"tp_mlp_fc1", 128, 64, 128}} {
+		for _, run := range [][2]int{{1, 1}, {2, 1}, {2, 2}} {
+			procs, callers := run[0], run[1]
+			b.Run(fmt.Sprintf("%s/procs=%d/callers=%d", sh.name, procs, callers), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				steps := make([]func(), callers)
+				for c := range steps {
+					rng := NewRNG(int64(6000 + c))
+					dst, a, w := New(sh.m, sh.n), Randn(rng, sh.m, sh.k), Randn(rng, sh.k, sh.n)
+					steps[c] = func() { MatMulInto(dst, a, w) }
+					steps[c]() // warm the panel pool
+				}
+				b.SetBytes(2 * int64(sh.m*sh.k*sh.n))
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for _, step := range steps {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < b.N; i++ {
+							step()
+						}
+					}()
+				}
+				wg.Wait()
+			})
+		}
 	}
 }

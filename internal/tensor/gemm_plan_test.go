@@ -197,14 +197,14 @@ func TestPanelPlan(t *testing.T) {
 	}
 	for _, r := range rows {
 		g := gemmSpec{m: r.m, k: k, n: r.n, at: r.at, bt: r.bt}
-		pl, dt := planPanels[float64](&g, r.pre), F64
+		pl, nr := planPanels[float64](&g, r.pre), gemmNR
 		if r.f32 {
-			pl, dt = planPanels[float32](&g, r.pre), F32
+			pl, nr = planPanels[float32](&g, r.pre), gemmNR32
 		}
 		if pl != (panelPlan{r.a, r.b}) {
 			t.Errorf("%+v: plan %+v", r, pl)
 		}
-		if got := dt.PackedElems(r.m, k, r.n, r.at, r.bt, r.pre); got != r.wantPacked {
+		if got := pl.packedElems(&g, nr); got != r.wantPacked {
 			t.Errorf("%+v: %d packed elements, want %d", r, got, r.wantPacked)
 		}
 	}

@@ -105,8 +105,8 @@ func TestEnsureShape(t *testing.T) {
 
 // TestMatMulIntoSteadyStateAllocs pins allocs/op ~ 0 for the hot kernels
 // once scratch is warm (single-worker path: goroutine dispatch on the
-// parallel path transiently allocates closures, which is measured and
-// reported separately in BENCH_compute.json).
+// parallel path transiently allocates closures; BenchmarkProductCallers
+// times that path).
 func TestMatMulIntoSteadyStateAllocs(t *testing.T) {
 	a := New(64, 96)
 	b := New(96, 64)
