@@ -63,7 +63,7 @@ func main() {
 		task      = flag.String("task", "mae", "training task: mae | weather")
 		ranks     = flag.Int("ranks", 2, "simulated D-CHAG (TP) ranks per replica (1 = serial baseline)")
 		dp        = flag.Int("dp", 1, "data-parallel replicas (hybrid D-CHAG x DP when > 1)")
-		kindFlag  = flag.String("kind", "L", "partial-layer kind: L (linear) | C (cross-attention) | P (perceiver)")
+		kindFlag  = flag.String("kind", "L", "partial-layer kind: L (linear) | C (cross-attention)")
 		tree      = flag.Int("tree", 0, "partial-module tree: 0 or 1 = one aggregation layer per partition, N >= 2 = N first-level groups plus a reducer")
 		steps     = flag.Int("steps", 40, "optimizer steps")
 		batch     = flag.Int("batch", 4, "global batch size")
@@ -101,24 +101,13 @@ func main() {
 		fmt.Printf("pprof debug server on http://%s/debug/pprof/ (do not expose on untrusted networks)\n", bound)
 	}
 
-	if err := checkFlags(runFlags{
-		task: *task, channels: *channels, embed: *embed, depth: *depth, tree: *tree,
+	kind, err := checkFlags(runFlags{
+		task: *task, kind: *kindFlag, channels: *channels, embed: *embed, depth: *depth, tree: *tree,
 		ranks: *ranks, dp: *dp, elastic: *elast, load: *load != "", failRank: *failRank, failStep: *failStep,
 		lr: *lr,
-	}); err != nil {
+	})
+	if err != nil {
 		log.Fatal(err)
-	}
-
-	var kind core.LayerKind
-	switch *kindFlag {
-	case "L":
-		kind = core.KindLinear
-	case "C":
-		kind = core.KindCross
-	case "P":
-		kind = core.KindPerceiver
-	default:
-		log.Fatalf("unknown -kind %q (want L, C or P)", *kindFlag)
 	}
 
 	var arch model.Arch
@@ -223,7 +212,7 @@ func main() {
 		tr.SetMeta("workload", fmt.Sprintf("%s tp=%d dp=%d elastic=%v", *task, *ranks, *dp, *elast))
 		opts.Trace = tr
 	}
-	err := func() error {
+	err = func() error {
 		if *elast {
 			eo := elastic.Options{TP: *ranks, DP: *dp, MinWorld: *minRanks, TPViT: *tpvit, Trace: tr}
 			if *failRank >= 0 {
@@ -313,7 +302,7 @@ const heads = 2
 
 // runFlags is what checkFlags reads of the command line.
 type runFlags struct {
-	task                         string
+	task, kind                   string
 	channels, embed, depth, tree int
 	ranks, dp                    int
 	elastic, load                bool
@@ -321,41 +310,46 @@ type runFlags struct {
 	lr                           float64
 }
 
-// checkFlags refuses, before any training, the flag combinations the run
-// would otherwise ignore, misread or die on: a model shape no layer can
+// checkFlags resolves the partial-layer kind the flags name and refuses,
+// before any training, the flag combinations the run would otherwise
+// ignore, misread or die on: an unknown kind, a model shape no layer can
 // build, a mesh extent below 1, data parallelism over the serial baseline,
 // a warm start (-load) the elastic supervisor does not perform, a fault
 // injected outside the elastic supervisor (or only half specified), and a
 // learning rate that is not a finite positive number (a negative one trains
 // by gradient ascent, NaN, which flag parses, makes every loss NaN).
-func checkFlags(f runFlags) error {
+func checkFlags(f runFlags) (core.LayerKind, error) {
+	kind, ok := map[string]core.LayerKind{"L": core.KindLinear, "C": core.KindCross}[f.kind]
+	if !ok {
+		return kind, fmt.Errorf("unknown -kind %q (want L or C)", f.kind)
+	}
 	switch {
 	case f.embed < heads || f.embed%heads != 0:
-		return fmt.Errorf("-embed %d: need a positive multiple of the %d attention heads", f.embed, heads)
+		return kind, fmt.Errorf("-embed %d: need a positive multiple of the %d attention heads", f.embed, heads)
 	case f.depth < 1:
-		return fmt.Errorf("-depth %d: need at least 1 transformer block", f.depth)
+		return kind, fmt.Errorf("-depth %d: need at least 1 transformer block", f.depth)
 	case f.task == "mae" && f.channels < 1:
-		return fmt.Errorf("-channels %d: need at least 1", f.channels)
+		return kind, fmt.Errorf("-channels %d: need at least 1", f.channels)
 	case f.tree < 0:
-		return fmt.Errorf("-tree %d: need 0 or more (0 and 1 mean one aggregation layer)", f.tree)
+		return kind, fmt.Errorf("-tree %d: need 0 or more (0 and 1 mean one aggregation layer)", f.tree)
 	case f.ranks < 1:
-		return fmt.Errorf("-ranks %d: need at least 1", f.ranks)
+		return kind, fmt.Errorf("-ranks %d: need at least 1", f.ranks)
 	case f.dp < 1:
-		return fmt.Errorf("-dp %d: need at least 1", f.dp)
+		return kind, fmt.Errorf("-dp %d: need at least 1", f.dp)
 	case f.dp > 1 && f.ranks == 1:
-		return errors.New("-dp > 1 requires -ranks > 1 (the serial baseline has no data-parallel replicas)")
+		return kind, errors.New("-dp > 1 requires -ranks > 1 (the serial baseline has no data-parallel replicas)")
 	case f.elastic && f.ranks == 1:
-		return errors.New("-elastic requires -ranks > 1")
+		return kind, errors.New("-elastic requires -ranks > 1")
 	case f.elastic && f.load:
-		return errors.New("-elastic does not warm-start from -load: the supervisor restores only its own checkpoints (-resume)")
+		return kind, errors.New("-elastic does not warm-start from -load: the supervisor restores only its own checkpoints (-resume)")
 	case !f.elastic && (f.failRank >= 0 || f.failStep >= 0):
-		return errors.New("-fail-rank and -fail-step inject a failure only under -elastic")
+		return kind, errors.New("-fail-rank and -fail-step inject a failure only under -elastic")
 	case (f.failRank >= 0) != (f.failStep >= 0):
-		return errors.New("-fail-rank and -fail-step must be set together")
+		return kind, errors.New("-fail-rank and -fail-step must be set together")
 	case !(f.lr > 0 && f.lr <= math.MaxFloat64):
-		return fmt.Errorf("-lr %v: need a finite positive learning rate", f.lr)
+		return kind, fmt.Errorf("-lr %v: need a finite positive learning rate", f.lr)
 	}
-	return nil
+	return kind, nil
 }
 
 // checkPartitions refuses, before the run starts, a logical partition count

@@ -10,13 +10,16 @@ import (
 // runs pass.
 func TestCheckFlags(t *testing.T) {
 	// serial is the default run's flags at -ranks 1.
-	serial := runFlags{task: "mae", channels: 32, embed: 16, depth: 2, ranks: 1, dp: 1, failRank: -1, failStep: -1, lr: 3e-3}
+	serial := runFlags{task: "mae", kind: "L", channels: 32, embed: 16, depth: 2, ranks: 1, dp: 1, failRank: -1, failStep: -1, lr: 3e-3}
 	for _, tc := range []struct {
 		name string
 		set  func(f *runFlags)
 		ok   bool
 	}{
 		{"serial", func(f *runFlags) {}, true},
+		{"kind C", func(f *runFlags) { f.kind = "C" }, true},
+		{"kind P", func(f *runFlags) { f.kind = "P" }, false},
+		{"kind X", func(f *runFlags) { f.kind = "X" }, false},
 		{"dchag", func(f *runFlags) { f.ranks = 2 }, true},
 		{"hybrid", func(f *runFlags) { f.ranks, f.dp = 2, 2 }, true},
 		{"elastic", func(f *runFlags) { f.ranks, f.elastic = 2, true }, true},
@@ -52,7 +55,7 @@ func TestCheckFlags(t *testing.T) {
 	} {
 		f := serial
 		tc.set(&f)
-		if err := checkFlags(f); (err == nil) != tc.ok {
+		if _, err := checkFlags(f); (err == nil) != tc.ok {
 			t.Errorf("%s: checkFlags(%+v) = %v, want ok=%v", tc.name, f, err, tc.ok)
 		}
 	}

@@ -43,7 +43,8 @@ import (
 
 // LayerKind selects the layer type used inside the partial-channel
 // aggregation module: the paper's D-CHAG-C uses cross-attention layers,
-// D-CHAG-L replaces them with lightweight linear layers (Sec. 3.3). The
+// D-CHAG-L replaces them with lightweight linear layers (Sec. 3.3). Those
+// are the only two kinds; Config.Validate refuses any other value. The
 // final, shared aggregation layer is always cross-attention.
 type LayerKind int
 
@@ -53,15 +54,7 @@ const (
 	KindCross LayerKind = iota
 	// KindLinear uses learned linear channel mixing (D-CHAG-L).
 	KindLinear
-	// KindPerceiver uses Perceiver-style latent-query fusion, the module the
-	// paper's Sec. 3.5 discusses via Aurora. An extension beyond the paper's
-	// -C/-L variants; DefaultPerceiverLatents latent tokens per group.
-	KindPerceiver
 )
-
-// DefaultPerceiverLatents is the latent-token count of KindPerceiver
-// partial layers.
-const DefaultPerceiverLatents = 4
 
 // String returns the paper's suffix for the kind ("-C" / "-L").
 func (k LayerKind) String() string {
@@ -70,8 +63,6 @@ func (k LayerKind) String() string {
 		return "C"
 	case KindLinear:
 		return "L"
-	case KindPerceiver:
-		return "P"
 	default:
 		return fmt.Sprintf("LayerKind(%d)", int(k))
 	}
@@ -103,7 +94,7 @@ type GroupAggregator interface {
 // aggregator run alone, like a stage's final layer, owns its own
 // (CrossAttnAggregator.Backward). The zero value is ready to use.
 type workspace struct {
-	attn nn.PooledGrads // the cross-attention and Perceiver aggregators'
+	attn nn.PooledGrads // the CrossAttnAggregator's
 	dx   *tensor.Tensor // the LinearAggregator's input gradient
 }
 
@@ -137,7 +128,7 @@ func (a *CrossAttnAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("core: CrossAttnAggregator.Forward want [N,%d,E], got %v", a.Group, x.Shape))
 	}
 	a.n = x.Shape[0]
-	return a.Attn.ForwardPooled(x, x)
+	return a.Attn.ForwardPooled(x)
 }
 
 // Backward maps d [N, E] to the group input gradient [N, g, E] in the
@@ -147,14 +138,14 @@ func (a *CrossAttnAggregator) Backward(d *tensor.Tensor) *tensor.Tensor { return
 
 // backward is Backward in ws: the group is query and context at once, so its
 // gradient is dq + (dk + dv), summed as the projections' products store
-// (nn.CrossAttention.BackwardPooledSelf).
+// (nn.CrossAttention.BackwardPooled).
 //
 // dchag:hotpath — per-step channel-aggregation backward.
 func (a *CrossAttnAggregator) backward(d *tensor.Tensor, ws *workspace) *tensor.Tensor {
 	if a.n == 0 {
 		panic("core: CrossAttnAggregator.Backward before Forward")
 	}
-	return a.Attn.BackwardPooledSelf(d, &ws.attn)
+	return a.Attn.BackwardPooled(d, &ws.attn)
 }
 
 // Infer reduces x [N, g, E] to [N, E] without caching activations for
@@ -163,7 +154,7 @@ func (a *CrossAttnAggregator) Infer(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 3 || x.Shape[1] != a.Group {
 		panic(fmt.Sprintf("core: CrossAttnAggregator.Infer want [N,%d,E], got %v", a.Group, x.Shape))
 	}
-	return a.Attn.InferPooled(x, x)
+	return a.Attn.InferPooled(x)
 }
 
 // SetInferDType selects the arithmetic of the no-grad Infer path for the
@@ -296,8 +287,6 @@ func newGroupAggregator(name string, kind LayerKind, group, embed, heads int, se
 		return NewCrossAttnAggregator(name, group, embed, heads, seed)
 	case KindLinear:
 		return NewLinearAggregator(name, group, embed, seed)
-	case KindPerceiver:
-		return NewPerceiverAggregator(name, group, DefaultPerceiverLatents, embed, heads, seed)
 	default:
 		panic(fmt.Sprintf("core: unknown LayerKind %d", kind))
 	}

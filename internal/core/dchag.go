@@ -22,8 +22,8 @@ type Config struct {
 	// aggregation layer over the whole local shard, N >= 2 = N first-level
 	// groups plus a local reducer.
 	Tree int
-	// Kind selects D-CHAG-C (cross-attention) or D-CHAG-L (linear) partial
-	// layers. The final shared layer is always cross-attention.
+	// Kind selects D-CHAG-C (KindCross) or D-CHAG-L (KindLinear) partial
+	// layers, the only two. The final shared layer is always cross-attention.
 	Kind LayerKind
 	// Seed determines every parameter deterministically.
 	Seed int64
@@ -32,16 +32,25 @@ type Config struct {
 // Tokens returns the spatial token count per channel.
 func (c Config) Tokens() int { return (c.ImgH / c.Patch) * (c.ImgW / c.Patch) }
 
-func (c Config) validate() {
-	if c.Channels < 1 || c.Embed < 1 || c.Heads < 1 {
-		panic(fmt.Sprintf("core: invalid config %+v", c))
+// Validate returns the first rule c breaks, nil if none: a kind other than
+// KindCross and KindLinear, a size below 1, a negative tree, heads that do
+// not divide the embedding width, a patch that does not divide the image.
+// The stage constructors panic with its error; a Config read from outside
+// (a checkpoint's architecture record) is checked first.
+func (c Config) Validate() error {
+	switch {
+	case c.Kind != KindCross && c.Kind != KindLinear:
+		return fmt.Errorf("core: partial-layer kind %v is neither C nor L", c.Kind)
+	case c.Channels < 1 || c.ImgH < 1 || c.ImgW < 1 || c.Patch < 1 || c.Embed < 1 || c.Heads < 1:
+		return fmt.Errorf("core: invalid config %+v: channels, image, patch, embed and heads must be positive", c)
+	case c.Tree < 0:
+		return fmt.Errorf("core: tree %d is negative", c.Tree)
+	case c.ImgH%c.Patch != 0 || c.ImgW%c.Patch != 0:
+		return fmt.Errorf("core: image %dx%d not divisible by patch %d", c.ImgH, c.ImgW, c.Patch)
+	case c.Embed%c.Heads != 0:
+		return fmt.Errorf("core: embed %d not divisible by heads %d", c.Embed, c.Heads)
 	}
-	if c.ImgH%c.Patch != 0 || c.ImgW%c.Patch != 0 {
-		panic(fmt.Sprintf("core: image %dx%d not divisible by patch %d", c.ImgH, c.ImgW, c.Patch))
-	}
-	if c.Embed%c.Heads != 0 {
-		panic(fmt.Sprintf("core: embed %d not divisible by heads %d", c.Embed, c.Heads))
-	}
+	return nil
 }
 
 // Seed indices for the stage's components. A component draws the same seed
@@ -134,7 +143,9 @@ func (d *DCHAG) SetInferDType(dt tensor.DType) {
 // A one-partition stage has no final layer: its one partial module is the
 // whole aggregation and draws the final layer's seed.
 func NewDCHAGPartitioned(cfg Config, c *comm.Communicator, partitions int) *DCHAG {
-	cfg.validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	q := c.Size()
 	if partitions < 1 || cfg.Channels < partitions {
 		panic(fmt.Sprintf("core: %d channels cannot form %d partitions", cfg.Channels, partitions))

@@ -30,7 +30,9 @@ type DistTokenizer struct {
 // NewDistTokenizer builds rank c.Rank()'s tokenizer shard with the same
 // per-channel seeding as the serial tokenizer and the DCHAG module.
 func NewDistTokenizer(cfg Config, c *comm.Communicator) *DistTokenizer {
-	cfg.validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	p := c.Size()
 	if cfg.Channels < p {
 		panic(fmt.Sprintf("core: %d channels cannot be split across %d ranks", cfg.Channels, p))

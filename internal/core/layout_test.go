@@ -203,7 +203,7 @@ func jitter(ps []*nn.Param) {
 // partitions), an uneven channel split (10 channels over 4 partitions: 3, 3,
 // 2, 2) and batch 1 and 3.
 func layoutConfigs(f func(name string, cfg Config, batch int)) {
-	for _, kind := range []LayerKind{KindCross, KindLinear, KindPerceiver} {
+	for _, kind := range []LayerKind{KindCross, KindLinear} {
 		for _, tree := range []int{0, 2, 3} {
 			for _, batch := range []int{1, 3} {
 				cfg := Config{Channels: 10, ImgH: 4, ImgW: 4, Patch: 2, Embed: 8, Heads: 2, Tree: tree, Kind: kind, Seed: 4242}
@@ -360,7 +360,7 @@ func TestEveryRealizationAgreesBitwise(t *testing.T) {
 // workspaces, against the fresh one-rank stage.
 func TestSharedWorkspacesCarryNothingBetweenRounds(t *testing.T) {
 	const partitions = 4
-	for _, kind := range []LayerKind{KindCross, KindLinear, KindPerceiver} {
+	for _, kind := range []LayerKind{KindCross, KindLinear} {
 		cfg := Config{Channels: 66, ImgH: 4, ImgW: 4, Patch: 2, Embed: 8, Heads: 2, Tree: 2, Kind: kind, Seed: 77}
 		rng := tensor.NewRNG(10)
 		var xs, ds [2]*tensor.Tensor

@@ -141,28 +141,6 @@ func TestCrossAttnAggregatorMatchesExplicitFormulation(t *testing.T) {
 	}
 }
 
-// TestPerceiverAggregatorMatchesExplicitFormulation is the same oracle for
-// the latent-query aggregator: the latents' gradient is the explicit query
-// gradient summed over the N locations they were broadcast to.
-func TestPerceiverAggregatorMatchesExplicitFormulation(t *testing.T) {
-	const n, g, m, e, heads = 6, 16, 4, 32, 4
-	rng := tensor.NewRNG(41)
-	a := NewPerceiverAggregator("p", g, m, e, heads, 19)
-	x := tensor.Randn(rng, n, g, e)
-	d := tensor.Randn(rng, n, e)
-	query := tensor.New(n, m, e)
-	broadcastRows(query, a.Latents.W.Data, n)
-	want := explicitAggregate(a.Attn, query, x, d)
-
-	nn.ZeroGrads(a.Params())
-	mustMatch(t, "output", a.Forward(x), want.out)
-	mustMatch(t, "dx", a.backward(d, new(workspace)), want.dContext)
-	mustMatch(t, "latents", a.Latents.Grad, tensor.SumAxisInto(nil, want.dQuery, 0))
-	for i, p := range a.Attn.Params() {
-		mustMatch(t, p.Name, p.Grad, want.grads[i])
-	}
-}
-
 func TestCrossAttnAggregatorBackwardBeforeForwardPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -235,7 +213,7 @@ func TestPooledAggregationMACs(t *testing.T) {
 }
 
 // TestAggregatorsSteadyStateAllocs pins the layer-owned-scratch contract
-// through both attention aggregators — four projections, the pooled product
+// through the attention aggregator — four projections, the pooled product
 // and the workspace they borrow: a warm forward, backward and eval pass
 // allocates nothing.
 func TestAggregatorsSteadyStateAllocs(t *testing.T) {
@@ -243,8 +221,7 @@ func TestAggregatorsSteadyStateAllocs(t *testing.T) {
 	x := tensor.Randn(rng, 8, 16, 32)
 	d := tensor.Randn(rng, 8, 32)
 	for name, a := range map[string]GroupAggregator{
-		"cross":     NewCrossAttnAggregator("a", 16, 32, 4, 1),
-		"perceiver": NewPerceiverAggregator("p", 16, 4, 32, 4, 1),
+		"cross": NewCrossAttnAggregator("a", 16, 32, 4, 1),
 	} {
 		var ws workspace
 		step := func() {

@@ -39,6 +39,24 @@ type Arch struct {
 	Partitions int
 }
 
+// validate returns the first rule a breaks, nil if none: core.Config's, a
+// depth below 1, a negative count, more partitions than channels, and Swin
+// blocks with metadata tokens or a window that does not tile the token grid.
+// NewDistributed panics with its error; CheckRestore returns it first.
+func (a Arch) validate() error {
+	if err := a.Config.Validate(); err != nil {
+		return err
+	}
+	gh, gw, win := a.ImgH/a.Patch, a.ImgW/a.Patch, a.SwinWindow
+	switch {
+	case a.Depth < 1 || a.MetaTokens < 0 || win < 0 || a.Partitions < 0 || a.Partitions > a.Channels:
+		return fmt.Errorf("model: invalid arch %+v: depth must be positive, no count negative, partitions at most the channels", a)
+	case win > 0 && (a.MetaTokens > 0 || gh%win != 0 || gw%win != 0):
+		return fmt.Errorf("model: Swin window %d needs no meta tokens (has %d) and must tile the %dx%d token grid", win, a.MetaTokens, gh, gw)
+	}
+	return nil
+}
+
 // HeadDim returns the per-token regression width C*P*P.
 func (a Arch) HeadDim() int { return a.Channels * a.Patch * a.Patch }
 
@@ -56,7 +74,8 @@ func (a Arch) ParamCount() int {
 const StageName = "dchag"
 
 // CheckRestore refuses a checkpoint that does not hold exactly the logical
-// model a describes at a.Partitions (>= 1) partitions: one saved from
+// model a describes at a.Partitions (>= 1) partitions, and an a no model can
+// be built from (validate), before it builds anything: one saved from
 // another stage family or at another partition count, one that lacks a
 // parameter or holds it at another shape, and one that holds a tensor the
 // model has no parameter for. The partition count is a model property, so a
@@ -65,6 +84,9 @@ const StageName = "dchag"
 // mesh rank holds only its own partitions' modules; every restore path runs
 // it once, before any rank restores.
 func (a Arch) CheckRestore(ck *ckpt.Checkpoint) error {
+	if err := a.validate(); err != nil {
+		return err
+	}
 	if saved, ok := ck.Manifest.Meta[ckpt.MetaStage]; ok && saved != StageName {
 		return fmt.Errorf("model: checkpoint was saved from a %q stage, this model is %q", saved, StageName)
 	}
@@ -122,8 +144,8 @@ func NewSerial(a Arch) *FoundationModel { return NewSerialDCHAGEquivalent(a, 1) 
 // same group (the paper's D-CHAG + TP combination); otherwise the ViT is
 // replicated, which is functionally identical.
 func NewDistributed(a Arch, c *comm.Communicator, tpViT bool) *FoundationModel {
-	if a.Depth < 1 {
-		panic(fmt.Sprintf("model: depth %d must be positive", a.Depth))
+	if err := a.validate(); err != nil {
+		panic(err)
 	}
 	t := a.Tokens()
 	tpBlocks := tpViT && c.Size() > 1 && a.SwinWindow == 0
@@ -138,9 +160,6 @@ func NewDistributed(a Arch, c *comm.Communicator, tpViT bool) *FoundationModel {
 	m.MaskTok = nn.NewParam("fm.masktok", tensor.RandnScaled(rng, 0.02, a.Embed))
 	if a.MetaTokens > 0 {
 		m.Meta = nn.NewMetaToken("fm.meta", a.MetaTokens, a.Embed, nn.SubSeed(a.Seed, 23))
-	}
-	if a.SwinWindow > 0 && a.MetaTokens > 0 {
-		panic("model: SwinWindow requires MetaTokens == 0 (windowed attention needs the intact spatial grid)")
 	}
 	// The blocks run backward one after another, so they share one backward
 	// workspace (nn.BlockGrads); each rank's model has its own.

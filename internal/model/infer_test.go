@@ -226,10 +226,9 @@ func TestInferLeavesTrainingStateUsable(t *testing.T) {
 	swin := smallArch()
 	swin.MetaTokens = 0
 	swin.SwinWindow = 2
-	cross, perceiver := smallArch(), smallArch()
+	cross := smallArch()
 	cross.Kind, cross.Tree = core.KindCross, 2
-	perceiver.Kind, perceiver.Tree = core.KindPerceiver, 2
-	for name, a := range map[string]Arch{"serial": serial, "swin": swin, "cross-tree2": cross, "perceiver-tree2": perceiver} {
+	for name, a := range map[string]Arch{"serial": serial, "swin": swin, "cross-tree2": cross} {
 		t.Run(name, func(t *testing.T) {
 			rng := tensor.NewRNG(41)
 			x := tensor.Randn(rng, 2, a.Channels, a.ImgH, a.ImgW)

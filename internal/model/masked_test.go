@@ -110,12 +110,12 @@ func TestMaskedStepMatchesWholeStage(t *testing.T) {
 	linear := cross
 	linear.Channels, linear.ImgH, linear.ImgW = 20, 24, 24
 	linear.Kind, linear.Tree, linear.Partitions = core.KindLinear, 2, 1
-	perceiver := cross
-	perceiver.Channels, perceiver.Kind, perceiver.Tree, perceiver.Partitions, perceiver.MetaTokens = 24, core.KindPerceiver, 2, 2, 1
+	crossTree := cross
+	crossTree.Channels, crossTree.Tree, crossTree.Partitions, crossTree.MetaTokens = 24, 2, 2, 1
 	for _, c := range []struct {
 		name string
 		arch Arch
-	}{{"cross/p4", cross}, {"linear/tree2/p1", linear}, {"perceiver/tree2/p2/meta", perceiver}} {
+	}{{"cross/p4", cross}, {"linear/tree2/p1", linear}, {"cross/tree2/p2/meta", crossTree}} {
 		t.Run(c.name, func(t *testing.T) {
 			a := c.arch
 			const b = 2

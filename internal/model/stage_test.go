@@ -32,7 +32,7 @@ func oneStage(cfg core.Config) *DCHAGStage { return NewDCHAGStage(cfg, comm.NewG
 // one-partition stage (no comm in the count): a warm Forward, Backward and
 // F32 Infer allocate nothing, for flat and two-level trees of every kind.
 func TestSerialStageSteadyStateAllocs(t *testing.T) {
-	for _, kind := range []core.LayerKind{core.KindCross, core.KindLinear, core.KindPerceiver} {
+	for _, kind := range []core.LayerKind{core.KindCross, core.KindLinear} {
 		for _, tree := range []int{0, 3} {
 			cfg := core.Config{Channels: 9, ImgH: 8, ImgW: 8, Patch: 2, Embed: 16, Heads: 2, Tree: tree, Kind: kind, Seed: 3}
 			s := oneStage(cfg)

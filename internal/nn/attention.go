@@ -305,11 +305,10 @@ func (a *SelfAttention) BackwardIn(grad *tensor.Tensor, ws *BlockGrads) *tensor.
 	return ws.BackwardAttention(grad, &a.core, a.Wq, a.Wk, a.Wv, a.Wo)
 }
 
-// CrossAttention attends a query sequence to a separate key/value context
-// sequence. The paper's channel-aggregation module is a cross-attention
-// whose query and context are both the per-location channel tokens; its
-// output is then reduced across the channel axis, and that reduced output is
-// the only one the layer computes.
+// CrossAttention is the paper's channel-aggregation attention: the
+// per-location channel tokens are its query and its key/value context at
+// once, and its output is reduced across the channel axis. That reduced
+// output is the only one the layer computes.
 type CrossAttention struct{ attnProj }
 
 // NewCrossAttention constructs a multi-head cross-attention layer.
@@ -317,58 +316,39 @@ func NewCrossAttention(name string, embed, heads int, seed int64) *CrossAttentio
 	return &CrossAttention{newAttnProj(name, embed, heads, seed)}
 }
 
-// ForwardPooled attends query [B,Tq,E] to context [B,Tk,E] and returns the
-// mean of the Tq output tokens, [B,E]. The mean commutes with the value
+// ForwardPooled attends the tokens x [B,T,E] to each other and returns the
+// mean of the T output tokens, [B,E]. The mean commutes with the value
 // product and the output projection, so it is taken on the attention weights
-// (AttentionCore.ForwardPooled) and Wo runs over B rows, not B*Tq.
-func (a *CrossAttention) ForwardPooled(query, context *tensor.Tensor) *tensor.Tensor {
-	if len(query.Shape) != 3 || len(context.Shape) != 3 {
-		panic(fmt.Sprintf("nn: CrossAttention.ForwardPooled requires rank-3 inputs, got %v and %v", query.Shape, context.Shape))
+// (AttentionCore.ForwardPooled) and Wo runs over B rows, not B*T.
+func (a *CrossAttention) ForwardPooled(x *tensor.Tensor) *tensor.Tensor {
+	if len(x.Shape) != 3 {
+		panic(fmt.Sprintf("nn: CrossAttention.ForwardPooled requires [B,T,E], got %v", x.Shape))
 	}
-	return a.Wo.Forward(a.core.ForwardPooled(a.Wq.Forward(query), a.Wk.Forward(context), a.Wv.Forward(context)))
+	return a.Wo.Forward(a.core.ForwardPooled(a.Wq.Forward(x), a.Wk.Forward(x), a.Wv.Forward(x)))
 }
 
 // InferPooled computes ForwardPooled's output through the projections'
 // no-grad fast paths, caching nothing.
-func (a *CrossAttention) InferPooled(query, context *tensor.Tensor) *tensor.Tensor {
-	if len(query.Shape) != 3 || len(context.Shape) != 3 {
-		panic(fmt.Sprintf("nn: CrossAttention.InferPooled requires rank-3 inputs, got %v and %v", query.Shape, context.Shape))
+func (a *CrossAttention) InferPooled(x *tensor.Tensor) *tensor.Tensor {
+	if len(x.Shape) != 3 {
+		panic(fmt.Sprintf("nn: CrossAttention.InferPooled requires [B,T,E], got %v", x.Shape))
 	}
-	return a.Wo.Infer(a.core.InferPooled(a.Wq.Infer(query), a.Wk.Infer(context), a.Wv.Infer(context)))
+	return a.Wo.Infer(a.core.InferPooled(a.Wq.Infer(x), a.Wk.Infer(x), a.Wv.Infer(x)))
 }
 
-// BackwardPooled maps the gradient of ForwardPooled's output [B,E] to
-// gradients with respect to the query and context inputs, both in s, which
-// holds every buffer the call writes.
-func (a *CrossAttention) BackwardPooled(grad *tensor.Tensor, s *PooledGrads) (dQuery, dContext *tensor.Tensor) {
-	dq, dContext := a.backwardPooled(grad, s)
-	s.dx = a.Wq.backwardTo(s.dx, dq, nil, s.depthEnds(dq))
-	return s.dx, dContext
-}
-
-// BackwardPooledSelf is BackwardPooled after a forward whose query and
-// context were one tensor: it returns that tensor's gradient, dQuery +
-// dContext, the sum formed as Wq's product stores, in s.
+// BackwardPooled maps the gradient of ForwardPooled's output [B,E] to the
+// gradient of its input x, in s, which holds every buffer the call writes.
+// x fed all three projections, so its gradient is dq + (dk + dv): Wv's
+// product stores dk + dv where dk was, spent by then, and Wq's stores the
+// whole sum.
 //
 // dchag:hotpath — per-step channel-aggregation backward.
-func (a *CrossAttention) BackwardPooledSelf(grad *tensor.Tensor, s *PooledGrads) *tensor.Tensor {
-	dq, dContext := a.backwardPooled(grad, s)
-	s.dx = a.Wq.backwardTo(s.dx, dq, dContext, s.depthEnds(dq))
-	return s.dx
-}
-
-// backwardPooled runs the pooled backward through Wo, the attention core,
-// Wk and Wv, and returns the gradient with respect to the query projection's
-// output and the context's gradient, dk + dv summed as Wv's product stores.
-// The context's gradient goes where dk was, spent by then; s.dx is free
-// again on return.
-//
-// dchag:hotpath — per-step channel-aggregation backward.
-func (a *CrossAttention) backwardPooled(grad *tensor.Tensor, s *PooledGrads) (dq, dContext *tensor.Tensor) {
+func (a *CrossAttention) BackwardPooled(grad *tensor.Tensor, s *PooledGrads) *tensor.Tensor {
 	s.dctx = a.Wo.backwardTo(s.dctx, grad, nil, s.depthEnds(grad))
 	dq, dk, dv := a.core.BackwardPooled(s.dctx, s)
 	ends := s.depthEnds(dk)
 	s.dx = a.Wk.backwardTo(s.dx, dk, nil, ends)
 	s.dk = a.Wv.backwardTo(s.dk, dv, s.dx, ends)
-	return dq, s.dk
+	s.dx = a.Wq.backwardTo(s.dx, dq, s.dk, s.depthEnds(dq))
+	return s.dx
 }

@@ -145,7 +145,7 @@ func meanThenBackward(q, k, v, d *tensor.Tensor, heads int) (out, dq, dk, dv *te
 // over the query rows taken on the softmax map — against the unpooled core
 // followed by a row mean: output and all three gradients to 1e-12 at the
 // partial-aggregation shape (g = 16, Dh = 8), the final layer (4 partition
-// tokens, Dh = 16), the Perceiver (4 latents over 16 tokens) and 1 x 1. f64
+// tokens, Dh = 16), a rectangular map (4 queries over 16 keys) and 1 x 1. f64
 // InferPooled must reproduce ForwardPooled bit for bit; f32 InferPooled stays
 // inside the DESIGN.md tolerance (1e-4 of the output scale) without being
 // bitwise equal.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -18,7 +19,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/tensor"
-	"repro/internal/train"
 )
 
 // testArch is the tiny serving-test architecture: 8 channels in 4 logical
@@ -189,27 +189,11 @@ func TestRegridAndPartialChannels(t *testing.T) {
 	})
 }
 
-// trainCheckpoint trains the test model distributed over `ranks` goroutine
-// ranks and writes a shard-per-rank checkpoint.
+// trainCheckpoint trains the test model for two steps distributed over
+// `ranks` goroutine ranks and writes a shard-per-rank checkpoint.
 func trainCheckpoint(t *testing.T, dir string, ranks int) model.Arch {
 	t.Helper()
-	a := testArch()
-	gen := data.NewHyperspectral(data.HyperspectralConfig{
-		Images: 8, Channels: a.Channels, ImgH: a.ImgH, ImgW: a.ImgW,
-		Endmembers: 2, Noise: 0.01, Seed: 9,
-	})
-	batch := func(s int) (*tensor.Tensor, *tensor.Tensor) {
-		x := gen.Batch(s*2, 2)
-		return x, x
-	}
-	opts := train.Options{
-		Steps: 2, Batch: 2, LR: 1e-3, MaskRatio: 0.5, Seed: 11,
-		CheckpointDir: dir,
-	}
-	if _, _, err := train.Distributed(a, ranks, false, opts, batch); err != nil {
-		t.Fatal(err)
-	}
-	return a
+	return trainSteps(t, dir, ranks, 2)
 }
 
 // TestReshardedCheckpointServing is the acceptance round trip: a checkpoint
@@ -316,6 +300,63 @@ func TestServingRefusesStrayTensor(t *testing.T) {
 	}
 	if _, err := FromCheckpoint(root); err == nil || !strings.Contains(err.Error(), stray) {
 		t.Fatalf("want %q refused by name, got %v", stray, err)
+	}
+}
+
+// badArchs are architecture records no model can be built from: kind 2 (the
+// record of every checkpoint saved with the retired third partial-layer
+// kind), an unknown kind and a zero embedding width. want is what the
+// refusal must name.
+var badArchs = []struct {
+	name, want string
+	set        func(a *model.Arch)
+}{
+	{"kind 2", "LayerKind(2)", func(a *model.Arch) { a.Kind = 2 }},
+	{"kind 9", "LayerKind(9)", func(a *model.Arch) { a.Kind = 9 }},
+	{"embed 0", "must be positive", func(a *model.Arch) { a.Embed = 0 }},
+}
+
+// setArchRecord rewrites the architecture record of the checkpoint
+// committed in dir through set.
+func setArchRecord(t *testing.T, dir string, set func(a *model.Arch)) {
+	t.Helper()
+	man, err := ckpt.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a model.Arch
+	if err := json.Unmarshal([]byte(man.Meta[ckpt.MetaArch]), &a); err != nil {
+		t.Fatal(err)
+	}
+	set(&a)
+	blob, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Meta[ckpt.MetaArch] = string(blob)
+	if err := ckpt.WriteManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServingRefusesBadArchRecord: a checkpoint whose architecture record no
+// model can be built from is refused when it is opened, by an error naming
+// the broken rule — the record is untrusted input, so it must never reach a
+// constructor that panics on it.
+func TestServingRefusesBadArchRecord(t *testing.T) {
+	root := t.TempDir()
+	trainCheckpoint(t, root, 2)
+	dir, err := ckpt.LatestDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range badArchs {
+		t.Run(bad.name, func(t *testing.T) {
+			setArchRecord(t, dir, func(a *model.Arch) { *a = testArch(); bad.set(a) })
+			if _, err := FromCheckpoint(root); err == nil || !strings.Contains(err.Error(), bad.want) {
+				t.Fatalf("want the record refused naming %q, got %v", bad.want, err)
+			}
+		})
 	}
 }
 

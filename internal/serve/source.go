@@ -57,8 +57,9 @@ type ckptSource struct {
 // topology. The architecture comes from the manifest's arch record
 // (ckpt.MetaArch, written by the training loops); a checkpoint predating
 // that record is refused, and so is one that does not hold exactly that
-// model (model.Arch.CheckRestore: another stage family, a missing or
-// misshapen parameter, a tensor the model has no parameter for).
+// model (model.Arch.CheckRestore: a record no model can be built from,
+// another stage family, a missing or misshapen parameter, a tensor the
+// model has no parameter for). Every refusal is an error, never a panic.
 func FromCheckpoint(dir string) (Source, error) {
 	ck, err := ckpt.OpenLatest(dir)
 	if err != nil {

@@ -54,8 +54,9 @@ func (e *Engine) Swap(src Source) error {
 
 // AutoSwap watches a checkpoint directory (ckpt.WatchLatest) and hot-swaps
 // the engine to each newly committed checkpoint — live model replication
-// into a running engine. Geometry-incompatible or unreadable checkpoints
-// are skipped (the engine keeps serving its current model). The optional
+// into a running engine. Geometry-incompatible or unreadable checkpoints,
+// and ones FromCheckpoint refuses, are skipped (the engine keeps serving
+// its current model). The optional
 // onSwap callback observes every attempt with its outcome; it runs on the
 // watch goroutine, so it must not block. The returned stop function ends
 // the watch and waits for the goroutine to exit.

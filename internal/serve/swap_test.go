@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,8 +18,9 @@ import (
 	"repro/internal/train"
 )
 
-// trainSteps is trainCheckpoint with a controllable step count, so two
-// checkpoints of the same architecture get genuinely different weights.
+// trainSteps trains the test model for `steps` steps distributed over
+// `ranks` goroutine ranks and writes a shard-per-rank checkpoint; two step
+// counts give two checkpoints of one architecture with different weights.
 func trainSteps(t *testing.T, dir string, ranks, steps int) model.Arch {
 	t.Helper()
 	a := testArch()
@@ -267,5 +270,58 @@ func TestAutoSwapLiveCheckpoint(t *testing.T) {
 	}
 	if d := tensor.MaxAbsDiff(resp.Output, predictOracle(sm, a, x)); d != 0 {
 		t.Fatalf("post-auto-swap answer differs from the new checkpoint's serial restore by %g", d)
+	}
+}
+
+// TestAutoSwapSkipsBadArchRecord: a commit whose architecture record no
+// model can be built from reaches onSwap as an error, and the engine keeps
+// serving the checkpoint it had, bit for bit. Each bad commit is a newer
+// step trained in a staging root, its record rewritten, then renamed into
+// the watched root, so its manifest appears with its shards.
+func TestAutoSwapSkipsBadArchRecord(t *testing.T) {
+	leakcheck.Check(t)
+	root := t.TempDir()
+	a := trainSteps(t, root, 2, 2)
+	sm := serialOracle(t, root)
+	src, err := FromCheckpoint(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := startTest(t, Config{Ranks: 2, Replicas: 1, MaxBatch: 4, MaxWait: 2 * time.Millisecond}, src)
+
+	swapped := make(chan error, 16)
+	stop := e.AutoSwap(root, ckpt.WatchOptions{Interval: 2 * time.Millisecond}, func(u ckpt.Update, err error) {
+		swapped <- err
+	})
+	defer stop()
+
+	for i, bad := range badArchs {
+		step := 3 + i
+		staging := t.TempDir()
+		trainSteps(t, staging, 2, step)
+		dir := ckpt.StepDir(staging, step)
+		setArchRecord(t, dir, bad.set)
+		if err := os.Rename(dir, ckpt.StepDir(root, step)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-swapped:
+			if err == nil || !strings.Contains(err.Error(), bad.want) {
+				t.Fatalf("%s: want the commit refused naming %q, got %v", bad.name, bad.want, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: no swap attempt within 10s of the commit", bad.name)
+		}
+	}
+	if snap := e.Metrics().Snapshot(); snap.Swaps != 0 {
+		t.Fatalf("stats show %d swaps, want none", snap.Swaps)
+	}
+	x := testInput(a, 72, a.ImgH, a.ImgW)
+	resp, err := e.Do(context.Background(), &Request{Input: x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := tensor.MaxAbsDiff(resp.Output, predictOracle(sm, a, x)); d != 0 {
+		t.Fatalf("answer after the refused commits differs from the served checkpoint's by %g", d)
 	}
 }

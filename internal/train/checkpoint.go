@@ -12,24 +12,35 @@ import (
 	"repro/internal/optim"
 )
 
-// commit commits the checkpoint of `step` completed optimizer steps, whose
-// shards every saving rank has written into ckpt.StepDir(CheckpointDir,
-// step), and prunes to the newest CheckpointKeep commits (0 and 1 both keep
-// the newest one). The manifest records the stage fingerprint and the full
-// architecture (JSON under ckpt.MetaArch), so inference tooling can rebuild
-// the model from the checkpoint alone.
-func (o Options) commit(world, partitions, step int, arch model.Arch) error {
-	meta := map[string]string{ckpt.MetaStage: model.StageName}
-	if blob, err := json.Marshal(arch); err == nil {
-		meta[ckpt.MetaArch] = string(blob)
+// manifest is the manifest of every training checkpoint, committed or an
+// elastic in-memory boundary: besides the layout it records the stage
+// family and the architecture (JSON under ckpt.MetaArch), so inference
+// tooling can rebuild the model from the checkpoint alone.
+func manifest(world, partitions, step int, optAlgo string, arch model.Arch) (ckpt.Manifest, error) {
+	blob, err := json.Marshal(arch)
+	if err != nil {
+		return ckpt.Manifest{}, fmt.Errorf("train: encode arch: %w", err)
 	}
-	return ckpt.Commit(o.CheckpointDir, ckpt.Manifest{
+	return ckpt.Manifest{
+		Format:     ckpt.Format,
 		World:      world,
 		Partitions: partitions,
 		Step:       step,
-		OptAlgo:    "adamw",
-		Meta:       meta,
-	}, max(o.CheckpointKeep, 1))
+		OptAlgo:    optAlgo,
+		Meta:       map[string]string{ckpt.MetaStage: model.StageName, ckpt.MetaArch: string(blob)},
+	}, nil
+}
+
+// commit commits the checkpoint of `step` completed optimizer steps, whose
+// shards every saving rank has written into ckpt.StepDir(CheckpointDir,
+// step), and prunes to the newest CheckpointKeep commits (0 and 1 both keep
+// the newest one).
+func (o Options) commit(world, partitions, step int, arch model.Arch) error {
+	man, err := manifest(world, partitions, step, "adamw", arch)
+	if err != nil {
+		return err
+	}
+	return ckpt.Commit(o.CheckpointDir, man, max(o.CheckpointKeep, 1))
 }
 
 // openRestore opens the checkpoint the Resume/InitFrom options name, or

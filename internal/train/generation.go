@@ -1,7 +1,6 @@
 package train
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/ckpt"
@@ -55,17 +54,9 @@ func AssembleBoundary(arch model.Arch, partitions, step int, trees []ckpt.Tree) 
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("train: assemble boundary with no trees")
 	}
-	archJSON, err := json.Marshal(arch)
+	man, err := manifest(len(trees), partitions, step, trees[0].OptAlgo, arch)
 	if err != nil {
-		return nil, fmt.Errorf("train: encode arch: %w", err)
-	}
-	man := ckpt.Manifest{
-		Format:     ckpt.Format,
-		World:      len(trees),
-		Partitions: partitions,
-		Step:       step,
-		OptAlgo:    trees[0].OptAlgo,
-		Meta:       map[string]string{ckpt.MetaStage: model.StageName, ckpt.MetaArch: string(archJSON)},
+		return nil, err
 	}
 	return ckpt.Assemble(man, trees)
 }

@@ -42,8 +42,6 @@ func TestMaskedTrainingLossBits(t *testing.T) {
 	linear := hsi
 	linear.Channels, linear.ImgH, linear.ImgW = 80, 24, 24
 	linear.Kind, linear.Tree = core.KindLinear, 2
-	perceiver := hsi
-	perceiver.Kind, perceiver.Tree = core.KindPerceiver, 2
 	crossTree := hsi
 	crossTree.Tree, crossTree.MetaTokens = 2, 1
 	baseline := hsi
@@ -55,7 +53,6 @@ func TestMaskedTrainingLossBits(t *testing.T) {
 	}{
 		{"cross/hsi", hsi, 0x9d74d0eaf2d7f1cd, 0xb272f6d7a1c02745},
 		{"linear/tree2/c80", linear, 0x2644057c16433486, 0xe871ac68bfef28a0},
-		{"perceiver/tree2", perceiver, 0x4286af8407fd76cc, 0x4286af8407fd76cc},
 		{"cross/tree2/meta", crossTree, 0x2fb6edcbd711344d, 0xdcfeea98238868f4},
 		{"baseline/hsi", baseline, 0xcb247badb03be102, 0}, // one partition: no 2-rank run
 	} {
