@@ -19,8 +19,10 @@
 //     reads their gradient group by group, where each group's backward
 //     leaves it in the one workspace per tree level the stage lends its
 //     aggregators — the channel-token tensor is written once per pass and
-//     never copied, and not at all by a no-grad pass over linear aggregators
-//     (DESIGN.md "Channel stage: one token layout");
+//     never copied (DESIGN.md "Channel stage: one token layout"), and not
+//     at all by a cross stage, whose first level folds the tokenizer into
+//     its Q/K/V projections (fold.go), nor by a no-grad pass over linear
+//     aggregators;
 //   - DistTokenizer, distributed tokenization alone (Sec. 3.1), which
 //     AllGathers every channel's tokens and is the strawman the paper shows
 //     does not pay off (Fig. 8);
@@ -95,6 +97,7 @@ type GroupAggregator interface {
 // (CrossAttnAggregator.Backward). The zero value is ready to use.
 type workspace struct {
 	attn nn.PooledGrads // the CrossAttnAggregator's
+	fold foldGrads      // a folded first-level CrossAttnAggregator's, beside attn
 	dx   *tensor.Tensor // the LinearAggregator's input gradient
 }
 
@@ -105,6 +108,9 @@ type workspace struct {
 // output token is the result. Only that mean is computed: the layer takes it
 // on the attention weights (nn.CrossAttention.ForwardPooled), so the value
 // product and the output projection run on one token per location, not g.
+// At a D-CHAG stage's first level the stage runs it with the tokenizer
+// folded into its Q/K/V projections (foldForward, foldBackward): it never
+// sees a token there.
 type CrossAttnAggregator struct {
 	Group int
 	Attn  *nn.CrossAttention

@@ -1,0 +1,179 @@
+package core
+
+import (
+	"repro/internal/nn"
+	"repro/internal/tensor"
+)
+
+// The cross stage's first level folds the tokenizer into its aggregators'
+// input projections (DESIGN.md "The cross first level folds the tokenizer
+// into Q/K/V"). Channel c's token at a location is P_c·W_c + u_c, its P*P
+// pixels P_c through the tokenizer's weights W_c [P², E] plus
+// u_c = b_c + id_c, and nothing non-linear stands between the token and the
+// group's projections, so
+//
+//	Q_c = P_c·(W_c·Wq) + (u_c·Wq + bq)
+//
+// and likewise K and V: a P²-deep product per location instead of an E-deep
+// one behind the tokenizer's, and no channel token is written. With
+// wu = [W_c...; u_c...] the group's weights stacked, [g(P²+1), E], one
+// product per projection folds them: wu·Wq is Ŵq (g·P² rows) above u·Wq.
+//
+// The backward never forms a token gradient either. With G_c = P_cᵀ·dQ_c
+// and s_c the column sums of dQ_c, both [.., E] and stacked as wu is:
+//
+//	dWq += wuᵀ·[G; s]         dbq += Σ_c s_c
+//	d[W; u] = Σ_{q,k,v} [G; s]·Wᵀ   (dW_c, and db_c = did_c)
+//	dP_c = dQ_c·Ŵq_cᵀ + dK_c·Ŵk_cᵀ + dV_c·Ŵv_cᵀ
+//
+// G sums over locations, so a pass over listed locations cuts it where a
+// pass over every location would (tensor.DepthSplits); every other sum runs
+// over channels and weights, the same at every mask.
+
+// crossFold is one first-level cross group's folded projections: the
+// forward state its backward reads. The no-grad pass lends one to every
+// group in turn.
+type crossFold struct {
+	wu  *tensor.Tensor    // [g(P²+1), E]: the group's W_c, channel by channel, then one row u_c per channel
+	w   [3]*tensor.Tensor // wu·W_x for x = q, k, v, with b_x added to the last g rows: Ŵ_x [g·P², E] above β̂_x [g, E]
+	qkv [3]*tensor.Tensor // Q, K and V [N, g, E]
+
+	pat, wx, xv tensor.Tensor // headers: the group's patches, one Ŵ_x, one of qkv
+}
+
+// foldGrads is the folded first level's backward scratch, part of the
+// level's workspace.
+type foldGrads struct {
+	gs [3]*tensor.Tensor // [g(P²+1), E]: G_x above s_x, for x = q, k, v
+	d  [2]*tensor.Tensor // [g(P²+1), E]: Σ_x gs_x·W_xᵀ, the gradient of wu, and the partial sum before it
+	wt *tensor.Tensor    // [g, E, pw]: one Ŵ_x, channel by channel transposed, its columns padded to pw with zeros
+	dp *tensor.Tensor    // [3, g, N, pw]: dX_c·Ŵ_x,cᵀ for x = q, k, v, the patch gradient's three terms, and pw - P² zero columns
+
+	pat, gv, xv, dpx tensor.Tensor // headers
+}
+
+// header points h at data as a tensor of the given shape and returns it.
+func header(h *tensor.Tensor, data []float64, shape ...int) *tensor.Tensor {
+	h.Data, h.Shape = data, append(h.Shape[:0], shape...)
+	return h
+}
+
+// columns views x [N, g, E] as its g columns, member k the [N, E] rows of
+// channel k, g·E apart, through the header h.
+func columns(h, x *tensor.Tensor) tensor.View {
+	n, g, e := x.Shape[0], x.Shape[1], x.Shape[2]
+	return tensor.HeadView(header(h, x.Data, 1, n, g*e), g)
+}
+
+// projections returns the input projections of a cross aggregator.
+func projections(a *CrossAttnAggregator) [3]*nn.Linear {
+	return [3]*nn.Linear{a.Attn.Wq, a.Attn.Wk, a.Attn.Wv}
+}
+
+// foldForward runs cross aggregator a as the first level over local channels
+// c, c+1, ... of pat [localC, N, P²], the tokenizer's patches
+// (nn.PatchEmbed.Patches), in f: it folds the tokenizer into a's input
+// projections, writes Q, K and V straight from the pixels, one batched
+// product each with every channel's own weights and bias, and runs the
+// pooled attention on them. It returns a's output [N, E]. With infer it
+// caches nothing.
+//
+// dchag:hotpath — the cross stage's first level, every step and every
+// no-grad pass; every buffer is fold-owned.
+func foldForward(f *crossFold, a *CrossAttnAggregator, tok *nn.PatchEmbed, ids *nn.ChannelEmbed, pat *tensor.Tensor, c int, infer bool) *tensor.Tensor {
+	g, e, pp, n := a.Group, tok.Embed, tok.Patch*tok.Patch, pat.Shape[1]
+	f.wu = tensor.EnsureShape(f.wu, g*(pp+1), e)
+	copy(f.wu.Data, tok.Weight.W.Data[c*pp*e:(c+g)*pp*e])
+	u := f.wu.Data[g*pp*e:]
+	copy(u, tok.Bias.W.Data[c*e:(c+g)*e])
+	if ids != nil {
+		tensor.AccumRows(u, ids.Table.W.Data[c*e:(c+g)*e], g*e, 1, nil)
+	}
+	patches := tensor.MatView(header(&f.pat, pat.Data[c*n*pp:(c+g)*n*pp], g, n, pp))
+	for x, l := range projections(a) {
+		f.w[x] = tensor.EnsureShape(f.w[x], g*(pp+1), e)
+		tensor.MatMulInto(f.w[x], f.wu, l.Weight.W)
+		beta := f.w[x].Data[g*pp*e:]
+		if l.Bias != nil {
+			for i := range beta {
+				beta[i] += l.Bias.W.Data[i%e]
+			}
+		}
+		f.qkv[x] = tensor.EnsureShape(f.qkv[x], n, g, e)
+		wx := tensor.MatView(header(&f.wx, f.w[x].Data[:g*pp*e], g, pp, e))
+		tensor.BatchedAffineInto(columns(&f.xv, f.qkv[x]), patches, wx, 1, beta)
+	}
+	if infer {
+		return a.Attn.InferProjected(f.qkv[0], f.qkv[1], f.qkv[2])
+	}
+	a.n = n
+	return a.Attn.ForwardProjected(f.qkv[0], f.qkv[1], f.qkv[2])
+}
+
+// foldBackward is foldForward's backward in ws: it maps d [N, E], the
+// gradient of a's output, to the gradients of a's parameters, of the
+// tokenizer's weights and bias and of the channel IDs over channels c,
+// c+1, ..., accumulated, and writes those channels' patch gradients into the
+// tokenizer's image gradient, which it returns. pat is the training pass's
+// patches, ends the depth pieces of a pass over listed locations (nil for
+// every location).
+//
+// dchag:hotpath — the cross stage's first-level backward; every buffer is
+// the workspace's.
+func foldBackward(f *crossFold, a *CrossAttnAggregator, d *tensor.Tensor, ws *workspace, tok *nn.PatchEmbed, ids *nn.ChannelEmbed, pat *tensor.Tensor, c int, ends []int) *tensor.Tensor {
+	if a.n == 0 {
+		panic("core: CrossAttnAggregator.Backward before Forward")
+	}
+	g, e, pp, n := a.Group, tok.Embed, tok.Patch*tok.Patch, pat.Shape[1]
+	// The patch gradient's terms run against Ŵ_x,cᵀ [E, pw], its P² columns
+	// padded to a whole 8-wide kernel panel: at P² = 4 columns alone every
+	// tile of that product would be an edge tile.
+	pw := (pp + 7) &^ 7
+	fg := &ws.fold
+	fg.wt = tensor.EnsureShape(fg.wt, g, e, pw)
+	clear(fg.wt.Data) // the padding columns; the rest is written per projection
+	fg.dp = tensor.EnsureShape(fg.dp, 3, g, n, pw)
+	terms := g * n * pw
+	dq, dk, dv := a.Attn.BackwardProjected(d, &ws.attn)
+	patches := tensor.MatView(header(&fg.pat, pat.Data[c*n*pp:(c+g)*n*pp], g, n, pp))
+	ls := projections(a)
+	for x, dx := range [3]*tensor.Tensor{dq, dk, dv} {
+		gs := tensor.EnsureShape(fg.gs[x], g*(pp+1), e)
+		fg.gs[x] = gs
+		cols := columns(&fg.xv, dx)
+		tensor.BatchedTMatMulSplitInto(tensor.MatView(header(&fg.gv, gs.Data[:g*pp*e], g, pp, e)), patches, cols, 1, ends)
+		s := gs.Data[g*pp*e:]
+		clear(s)
+		tensor.AccumRows(s, dx.Data, g*e, n, nil)
+		tensor.TMatMulAccInto(ls[x].Weight.Grad, f.wu, gs)
+		if ls[x].Bias != nil {
+			tensor.AccumRows(ls[x].Bias.Grad.Data, s, e, g, nil)
+		}
+		w, wt := f.w[x].Data, fg.wt.Data
+		for ci := 0; ci < g; ci++ {
+			for r := 0; r < pp; r++ {
+				for j, v := range w[(ci*pp+r)*e:][:e] {
+					wt[(ci*e+j)*pw+r] = v
+				}
+			}
+		}
+		dp := header(&fg.dpx, fg.dp.Data[x*terms:(x+1)*terms], g, n, pw)
+		tensor.BatchedMatMulInto(tensor.MatView(dp), cols, tensor.MatView(fg.wt), 1)
+	}
+	for i := range fg.d {
+		fg.d[i] = tensor.EnsureShape(fg.d[i], g*(pp+1), e)
+	}
+	d0, d1 := fg.d[0].Data, fg.d[1].Data
+	tensor.AffineInto(d0, e, fg.gs[0], ls[0].Weight.W, true, tensor.Epilogue{})
+	tensor.AffineInto(d1, e, fg.gs[1], ls[1].Weight.W, true, tensor.Epilogue{Res: d0, ResLd: e})
+	tensor.AffineInto(d0, e, fg.gs[2], ls[2].Weight.W, true, tensor.Epilogue{Res: d1, ResLd: e})
+	tensor.AccumRows(tok.Weight.Grad.Data[c*pp*e:(c+g)*pp*e], d0, g*pp*e, 1, nil)
+	du := d0[g*pp*e:]
+	tensor.AccumRows(tok.Bias.Grad.Data[c*e:(c+g)*e], du, g*e, 1, nil)
+	if ids != nil {
+		tensor.AccumRows(ids.Table.Grad.Data[c*e:(c+g)*e], du, g*e, 1, nil)
+	}
+	// dP = (dP_q + dP_k) + dP_v, into dP_q's place.
+	tensor.AccumRows(fg.dp.Data[:terms], fg.dp.Data[terms:], terms, 2, nil)
+	return tok.BackwardPatches(header(&fg.dpx, fg.dp.Data[:terms], g, n, pw), c)
+}

@@ -135,18 +135,25 @@ type HierarchicalAggregator struct {
 
 	layout TreePlan // Plan plus one more level, a single group of one token: the output
 	b, t   int      // extents of the last channel-major Forward
+	n      int      // rows of the last training pass
+	ran    bool     // a training pass has run: Backward may
 
 	// Scratch, grown once and reused every step (see tensor.EnsureShape).
 	// inputs[l][gi] is the input [N, g, E] of group gi at level l of layout.
 	// Nothing is copied between levels: the tokenizer writes the channel
-	// tokens into the level-0 inputs and every aggregator's token is written
-	// where the next level reads it, the last entry being the module's
-	// output. Forward and Infer own separate sets so eval passes never clobber
-	// the inputs an aggregator cached for a pending Backward. dIn mirrors
-	// inputs for the backward walk: each group's input gradient above level 0,
-	// left in its level's workspace; its last entry is the output gradient.
+	// tokens into the level-0 inputs (which a folded or fused first level
+	// never writes) and every aggregator's token is written where the next
+	// level reads it, the last entry being the module's output. Forward and
+	// Infer own separate sets so eval passes never clobber the inputs an
+	// aggregator cached for a pending Backward. dIn mirrors inputs for the
+	// backward walk: each group's input gradient above level 0, left in its
+	// level's workspace; its last entry is the output gradient.
 	inputs, iinputs, dIn [][]*tensor.Tensor
 	dg                   *tensor.Tensor // backward per-group token gradient
+	// folds[gi] is first-level group gi's folded projections when the
+	// stage tokenizes into cross aggregators (foldCross); its group input is
+	// then never written.
+	folds []crossFold
 
 	// The channel-major entry points' own storage, the backward workspaces
 	// (one per level) included.
@@ -168,6 +175,9 @@ func NewHierarchicalAggregator(name string, plan TreePlan, kind LayerKind, embed
 			aggs = append(aggs, newGroupAggregator(layerName, kind, g, embed, heads, nn.SubSeed(seed, l*4096+gi)))
 		}
 		h.Levels = append(h.Levels, aggs)
+	}
+	if kind == KindCross {
+		h.folds = make([]crossFold, len(plan[0]))
 	}
 	for _, level := range h.layout {
 		h.inputs = append(h.inputs, make([]*tensor.Tensor, len(level)))
@@ -222,6 +232,9 @@ func (h *HierarchicalAggregator) run(from int, infer bool) *tensor.Tensor {
 		inputs = h.iinputs
 	}
 	n, e := inputs[from][0].Shape[0], inputs[from][0].Shape[2]
+	if !infer {
+		h.n, h.ran = n, true
+	}
 	for l := from; l < len(h.Levels); l++ {
 		next := h.levelInputs(inputs, l+1, n, e)
 		gj, k := 0, 0 // where token gi of this level sits in the next one
@@ -310,20 +323,65 @@ func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.Ch
 	return c
 }
 
+// crossFirst reports whether every first-level aggregator is a
+// CrossAttnAggregator: whether the stage folds the tokenizer into the first
+// level's projections (foldCross).
+func (h *HierarchicalAggregator) crossFirst() bool {
+	for _, agg := range h.Levels[0] {
+		if _, ok := agg.(*CrossAttnAggregator); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// foldCross is the first level of a pass over first-level
+// CrossAttnAggregators with the tokenizer folded into their projections:
+// each group runs foldForward over pat [localC, N, P²], the tokenizer's
+// patches of its local channels c, c+1, ... in plan order, and its token is
+// written where the next level reads it — the first-level group inputs are
+// never written. It returns the next local channel; run(1, infer) takes the
+// tree from there. A training pass keeps each group's folded projections for
+// backward; a no-grad pass lends every group ifold.
+//
+// dchag:hotpath — the cross stage's first level.
+func (h *HierarchicalAggregator) foldCross(tok *nn.PatchEmbed, ids *nn.ChannelEmbed, pat *tensor.Tensor, c int, infer bool, ifold *crossFold) int {
+	inputs := h.inputs
+	if infer {
+		inputs = h.iinputs
+	}
+	next := h.levelInputs(inputs, 1, pat.Shape[1], tok.Embed)
+	gj, k := 0, 0 // where the group's token sits in the next level
+	for gi, agg := range h.Levels[0] {
+		f := ifold
+		if !infer {
+			f = &h.folds[gi]
+		}
+		y := foldForward(f, agg.(*CrossAttnAggregator), tok, ids, pat, c, infer)
+		writeGroupToken(next[gj], y.Data, k)
+		c += h.Plan[0][gi]
+		if k++; k == next[gj].Shape[1] {
+			gj, k = gj+1, 0
+		}
+	}
+	return c
+}
+
 // backward maps d (N*E values, the gradient of run's token) down the tree,
 // level l's aggregators borrowing ws[l] (len(ws) >= len(h.Levels)), and hands
-// each first-level group's input gradient [N, g, E] to take, in plan order,
-// as soon as it exists: it lives in ws[0] only until the next group's
-// backward. The one group of a level above the first leaves its input
-// gradient in its level's workspace while the level below reads it.
+// each first-level group's output gradient [N, E] to first with the group's
+// index, in plan order: first runs that group's backward, in ws[0], and
+// consumes what it returns before the next group's. The one group of a level
+// above the first leaves its input gradient in its level's workspace while
+// the level below reads it.
 //
 // dchag:hotpath — the per-step aggregation-tree backward; gradients pass
 // between levels in place.
-func (h *HierarchicalAggregator) backward(d *tensor.Tensor, ws []workspace, take func(part *tensor.Tensor)) {
-	if h.inputs[0][0] == nil {
+func (h *HierarchicalAggregator) backward(d *tensor.Tensor, ws []workspace, first func(gi int, d *tensor.Tensor)) {
+	if !h.ran {
 		panic("core: HierarchicalAggregator.Backward before Forward")
 	}
-	n, e := h.inputs[0][0].Shape[0], h.inputs[0][0].Shape[2]
+	n, e := h.n, d.Shape[len(d.Shape)-1]
 	h.dg = tensor.EnsureShape(h.dg, n, e)
 	h.dIn[len(h.Levels)][0] = d
 	for l := len(h.Levels) - 1; l >= 0; l-- {
@@ -335,11 +393,10 @@ func (h *HierarchicalAggregator) backward(d *tensor.Tensor, ws []workspace, take
 			if k++; k == h.layout[l+1][gj] {
 				gj, k = gj+1, 0
 			}
-			part := agg.backward(h.dg, &ws[l]) // [N, g, E]
 			if l == 0 {
-				take(part)
+				first(gi, h.dg)
 			} else {
-				h.dIn[l][gi] = part
+				h.dIn[l][gi] = agg.backward(h.dg, &ws[l]) // [N, g, E]
 			}
 		}
 	}
@@ -389,7 +446,8 @@ func (h *HierarchicalAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
 	h.dx = tensor.EnsureShape(h.dx, h.b, h.Channels(), h.t, e)
 	h.cm = nn.ChannelViews(h.cm[:0], h.dx)
 	c := 0
-	h.backward(d, h.ws, func(part *tensor.Tensor) {
+	h.backward(d, h.ws, func(gi int, dg *tensor.Tensor) {
+		part := h.Levels[0][gi].backward(dg, &h.ws[0]) // [N, g, E]
 		h.gm = groupViews(h.gm[:0], part, h.t)
 		copyTokens(h.cm[c:c+len(h.gm)], h.gm, h.b, h.t, e)
 		c += len(h.gm)

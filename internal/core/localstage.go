@@ -11,15 +11,18 @@ import (
 // the next Partials[j].Channels() channels of the shard). DCHAG puts an
 // AllGather and the final layer behind it — or nothing, at one partition.
 //
-// It owns the stage's one token layout: a pass asks every partial for its
-// first-level group inputs, the tokenizer writes each channel's tokens —
-// bias and channel-ID row added on the way — where its group reads them, and
-// the trees run in place; Backward hands the tokenizer the groups' input
-// gradients the same way. The channel-token tensor [B, Cl, T, E] is written
-// once per pass and never copied (DESIGN.md "Channel stage: one token
-// layout"); a no-grad pass whose first level is linear throughout writes it
-// not at all — the tokenizer adds each token, weighted, straight into the
-// first level's outputs.
+// It owns the stage's one token layout: a linear stage's training pass asks
+// every partial for its first-level group inputs, the tokenizer writes each
+// channel's tokens — bias and channel-ID row added on the way — where its
+// group reads them, and the trees run in place; Backward hands the
+// tokenizer the groups' input gradients the same way. The channel-token
+// tensor [B, Cl, T, E] is written once per pass and never copied (DESIGN.md
+// "Channel stage: one token layout"). Two passes write it not at all: a
+// cross stage's, which folds the tokenizer into its first level's Q/K/V
+// projections (foldCross; DESIGN.md "The cross first level folds the
+// tokenizer into Q/K/V"), and a linear stage's no-grad pass, where the
+// tokenizer adds each token, weighted, straight into the first level's
+// outputs.
 //
 // The stage also owns the backward's scratch: one workspace per tree level,
 // which every partial's aggregators of that level borrow in turn, so the
@@ -31,9 +34,12 @@ type localStage struct {
 
 	rows   int            // locations of the last Forward: B*T, or len(locs)
 	locs   []int          // the last Forward's listed locations; nil: every one
+	pat    *tensor.Tensor // the last Forward's patches when it folded the first level; nil: it tokenized
 	views  []nn.TokenView // per-channel token locations of the pass
 	dLocal *tensor.Tensor // one partition's token gradient
 	ws     []workspace    // the backward's, one per tree level
+	ends   []int          // the folded backward's depth pieces over locs
+	ifold  crossFold      // the no-grad folded first level's, lent to every group in turn
 }
 
 // pass consumes the shard's image [B, Cl, H, W] and writes owned partition
@@ -71,7 +77,21 @@ func (s *localStage) pass(x *tensor.Tensor, locs []int, dst *tensor.Tensor, infe
 	for j, p := range s.Partials {
 		p.outputTo(dst.Data[j*slot:(j+1)*slot:(j+1)*slot], infer)
 	}
-	if infer && s.linearFirst() {
+	switch {
+	case s.crossFirst():
+		// The tokenizer folded into the first level's projections: no token
+		// is written (DESIGN.md "The cross first level folds the tokenizer
+		// into Q/K/V").
+		from = 1
+		pat := s.Tok.Patches(x, locs, infer)
+		if !infer {
+			s.pat = pat
+		}
+		c := 0
+		for _, p := range s.Partials {
+			c = p.foldCross(s.Tok, s.ChEmb, pat, c, infer, &s.ifold)
+		}
+	case infer && s.linearFirst():
 		// The fused first level: no token is written (DESIGN.md "The no-grad
 		// linear stage writes no token tensor").
 		from = 1
@@ -79,7 +99,10 @@ func (s *localStage) pass(x *tensor.Tensor, locs []int, dst *tensor.Tensor, infe
 		for _, p := range s.Partials {
 			c = p.accumulateLinear(s.Tok, s.ChEmb, x, c)
 		}
-	} else {
+	default:
+		if !infer {
+			s.pat = nil
+		}
 		s.views = s.views[:0]
 		for _, p := range s.Partials {
 			s.views = p.inputViews(s.views, b, t, e, infer)
@@ -89,6 +112,17 @@ func (s *localStage) pass(x *tensor.Tensor, locs []int, dst *tensor.Tensor, infe
 	for _, p := range s.Partials {
 		p.run(from, infer)
 	}
+}
+
+// crossFirst reports whether every partial's first level is cross
+// attention: whether every pass folds the tokenizer into it.
+func (s *localStage) crossFirst() bool {
+	for _, p := range s.Partials {
+		if !p.crossFirst() {
+			return false
+		}
+	}
+	return true
 }
 
 // linearFirst reports whether the no-grad pass may fuse the tokenizer into
@@ -123,6 +157,11 @@ func (s *localStage) backward(dSeq *tensor.Tensor, first int) *tensor.Tensor {
 		return s.Tok.BackwardFrom(nil, 0, s.ChEmb)
 	}
 	s.dLocal = tensor.EnsureShape(s.dLocal, s.rows, e)
+	var ends []int
+	if s.pat != nil && s.locs != nil {
+		s.ends = tensor.DepthSplits(s.ends, s.locs, 1)
+		ends = s.ends
+	}
 	var dimg *tensor.Tensor
 	c := 0 // the first local channel of the next group
 	for j, p := range s.Partials {
@@ -135,10 +174,15 @@ func (s *localStage) backward(dSeq *tensor.Tensor, first int) *tensor.Tensor {
 		// Each partial consumes dLocal fully during backward, so one shared
 		// buffer serves every partition in turn.
 		readGroupToken(s.dLocal, dSeq, first+j)
-		p.backward(s.dLocal, s.ws, func(part *tensor.Tensor) {
-			s.views = groupViews(s.views[:0], part, t)
-			dimg = s.Tok.BackwardFrom(s.views, c, s.ChEmb)
-			c += len(s.views)
+		p.backward(s.dLocal, s.ws, func(gi int, dg *tensor.Tensor) {
+			agg := p.Levels[0][gi]
+			if s.pat != nil {
+				dimg = foldBackward(&p.folds[gi], agg.(*CrossAttnAggregator), dg, &s.ws[0], s.Tok, s.ChEmb, s.pat, c, ends)
+			} else {
+				s.views = groupViews(s.views[:0], agg.backward(dg, &s.ws[0]), t)
+				dimg = s.Tok.BackwardFrom(s.views, c, s.ChEmb)
+			}
+			c += p.Plan[0][gi]
 		})
 	}
 	return dimg

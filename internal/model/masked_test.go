@@ -319,7 +319,7 @@ func TestMaskedStageHeldAfterTraining(t *testing.T) {
 		kind   core.LayerKind
 		within float64 // token tensors held at half the locations: the ceiling
 	}{
-		{core.KindCross, 4.3},  // 4.22 measured, 8.27 over every location
+		{core.KindCross, 4},    // 3.90 measured, 7.41 over every location; 4.22 and 8.27 while it wrote group inputs
 		{core.KindLinear, 1.3}, // 1.24 measured, 2.31 over every location
 	} {
 		t.Run("kind="+c.kind.String(), func(t *testing.T) {

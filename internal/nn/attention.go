@@ -324,7 +324,18 @@ func (a *CrossAttention) ForwardPooled(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 3 {
 		panic(fmt.Sprintf("nn: CrossAttention.ForwardPooled requires [B,T,E], got %v", x.Shape))
 	}
-	return a.Wo.Forward(a.core.ForwardPooled(a.Wq.Forward(x), a.Wk.Forward(x), a.Wv.Forward(x)))
+	return a.ForwardProjected(a.Wq.Forward(x), a.Wk.Forward(x), a.Wv.Forward(x))
+}
+
+// ForwardProjected is ForwardPooled past the input projections: q, k and v
+// [B,T,E] are what Wq, Wk and Wv would have made of the tokens, formed by
+// the caller (the D-CHAG stage's cross first level computes them straight
+// from the pixels, the tokenizer folded in). It keeps them for
+// BackwardProjected, so they must stay unmodified until it has run.
+//
+// dchag:hotpath — every channel aggregation, every step.
+func (a *CrossAttention) ForwardProjected(q, k, v *tensor.Tensor) *tensor.Tensor {
+	return a.Wo.Forward(a.core.ForwardPooled(q, k, v))
 }
 
 // InferPooled computes ForwardPooled's output through the projections'
@@ -333,7 +344,15 @@ func (a *CrossAttention) InferPooled(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 3 {
 		panic(fmt.Sprintf("nn: CrossAttention.InferPooled requires [B,T,E], got %v", x.Shape))
 	}
-	return a.Wo.Infer(a.core.InferPooled(a.Wq.Infer(x), a.Wk.Infer(x), a.Wv.Infer(x)))
+	return a.InferProjected(a.Wq.Infer(x), a.Wk.Infer(x), a.Wv.Infer(x))
+}
+
+// InferProjected is ForwardProjected without caching anything, in the
+// arithmetic SetInferDType selected.
+//
+// dchag:hotpath — the channel aggregation of every served micro-batch.
+func (a *CrossAttention) InferProjected(q, k, v *tensor.Tensor) *tensor.Tensor {
+	return a.Wo.Infer(a.core.InferPooled(q, k, v))
 }
 
 // BackwardPooled maps the gradient of ForwardPooled's output [B,E] to the
@@ -344,11 +363,21 @@ func (a *CrossAttention) InferPooled(x *tensor.Tensor) *tensor.Tensor {
 //
 // dchag:hotpath — per-step channel-aggregation backward.
 func (a *CrossAttention) BackwardPooled(grad *tensor.Tensor, s *PooledGrads) *tensor.Tensor {
-	s.dctx = a.Wo.backwardTo(s.dctx, grad, nil, s.depthEnds(grad))
-	dq, dk, dv := a.core.BackwardPooled(s.dctx, s)
+	dq, dk, dv := a.BackwardProjected(grad, s)
 	ends := s.depthEnds(dk)
 	s.dx = a.Wk.backwardTo(s.dx, dk, nil, ends)
 	s.dk = a.Wv.backwardTo(s.dk, dv, s.dx, ends)
 	s.dx = a.Wq.backwardTo(s.dx, dq, s.dk, s.depthEnds(dq))
 	return s.dx
+}
+
+// BackwardProjected maps the gradient of ForwardProjected's output [B,E] to
+// the gradients of its q, k and v, in s, accumulating Wo's parameter
+// gradients; the input projections' are the caller's, who formed q, k and
+// v. The three stay in s until its next borrower.
+//
+// dchag:hotpath — per-step channel-aggregation backward.
+func (a *CrossAttention) BackwardProjected(grad *tensor.Tensor, s *PooledGrads) (dq, dk, dv *tensor.Tensor) {
+	s.dctx = a.Wo.backwardTo(s.dctx, grad, nil, s.depthEnds(grad))
+	return a.core.BackwardPooled(s.dctx, s)
 }

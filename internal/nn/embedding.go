@@ -86,7 +86,9 @@ func (p *PosEmbed) Params() []*Param { return []*Param{p.Table} }
 // the paper's Fig. 1. Like PatchEmbed it may own only a shard [ChLo,ChHi) of
 // the global channel range with globally-seeded rows. It has no pass of its
 // own: the tokenizer adds row c while it writes channel c's tokens and sums
-// its gradient while it reads theirs (PatchEmbed.Tokenize, BackwardFrom).
+// its gradient while it reads theirs (PatchEmbed.Tokenize, BackwardFrom),
+// or a cross stage folds it into its first level's projections with the
+// tokenizer's bias (core's fold.go).
 type ChannelEmbed struct {
 	ChLo, ChHi int
 	Embed      int

@@ -25,13 +25,13 @@ type PatchEmbed struct {
 	Weight *Param // [localC, P*P, E]
 	Bias   *Param // [localC, E]
 
-	cols []*tensor.Tensor // cached im2col matrices per local channel
-	b    int              // cached batch size
-	locs []int            // the cached pass's locations; nil: every one
-	offs []int            // where each cached row's patch starts in local channel 0 (patchOffsets)
-	ends []int            // dW's depth pieces over locs (tensor.DepthSplits)
+	col  *tensor.Tensor // cached im2col matrices [localC, rows, P*P]
+	b    int            // cached batch size
+	locs []int          // the cached pass's locations; nil: every one
+	offs []int          // where each cached row's patch starts in local channel 0 (patchOffsets)
+	ends []int          // dW's depth pieces over locs (tensor.DepthSplits)
 
-	icol  *tensor.Tensor // Infer im2col scratch (not cached for backward)
+	icol  *tensor.Tensor // Infer's im2col scratch [localC, rows, P*P] (not cached for backward)
 	ioffs []int          // Infer's patch offsets
 	dy    *tensor.Tensor // per-channel gathered gradient scratch
 	dcol  *tensor.Tensor // per-channel patch-gradient scratch
@@ -45,7 +45,7 @@ type PatchEmbed struct {
 	inferDType tensor.DType
 	pb32       []*tensor.PackedB32 // per-channel prepacked f32 weights
 	wv, gv     tensor.Tensor       // headers over one channel of Weight.W, Weight.Grad
-	sv         tensor.Tensor       // header over one sample's rows of an im2col matrix
+	cv, sv     tensor.Tensor       // headers over one channel's im2col matrix, one sample's rows of it
 }
 
 // channelView points the layer-owned header hdr at local channel c's
@@ -157,20 +157,43 @@ func (p *PatchEmbed) Infer(x *tensor.Tensor) *tensor.Tensor {
 // until the Backward) and zeroes the image gradient, which its Backward
 // then fills at those patches only.
 func (p *PatchEmbed) Tokenize(x *tensor.Tensor, locs []int, dst []TokenView, ids *ChannelEmbed, infer bool) {
-	localC := p.LocalChannels()
-	p.mustTake("Tokenize", x)
 	p.mustCover(dst, ids)
-	b, rows := x.Shape[0], x.Shape[0]*p.Tokens()
+	col := p.Patches(x, locs, infer)
+	b := x.Shape[0]
 	if locs != nil {
-		p.mustList(locs, rows)
 		// The rows follow one another at the views' token stride: one
 		// product per channel, as for a single sample.
-		b, rows = 1, len(locs)
+		b = 1
+	}
+	for c := range dst {
+		p.project(p.channelCols(col, c), c, b, dst[c], ids.row(c), infer)
+	}
+}
+
+// Patches is the tokenizer's gather alone: it writes every local channel's
+// im2col matrix of x [B, localC, H, W] — row r the P*P pixels of the
+// patch at location r, or at locs[r] (b·T + t, ascending) when locs is
+// non-nil — into [localC, rows, P*P] and returns it, layer-owned. A stage
+// that folds the projection into what follows (core's cross first level)
+// takes it from here; Tokenize projects it. Without infer the matrices are
+// the pass's cache: it records the pass as Tokenize does, for a Backward,
+// BackwardFrom or BackwardPatches, and the returned tensor stays unmodified
+// until the next training pass. With infer it is scratch, and a pending
+// backward's cache is left alone.
+//
+// dchag:hotpath — once per stage pass; the matrices are layer-owned.
+func (p *PatchEmbed) Patches(x *tensor.Tensor, locs []int, infer bool) *tensor.Tensor {
+	localC := p.LocalChannels()
+	p.mustTake("Patches", x)
+	rows := x.Shape[0] * p.Tokens()
+	if locs != nil {
+		p.mustList(locs, rows)
+		rows = len(locs)
 	}
 	var col *tensor.Tensor
 	var offs []int
 	if infer {
-		p.icol = tensor.EnsureShape(p.icol, rows, p.Patch*p.Patch)
+		p.icol = tensor.EnsureShape(p.icol, localC, rows, p.Patch*p.Patch)
 		col = p.icol
 		p.ioffs = p.patchOffsets(p.ioffs, x.Shape[0], locs)
 		offs = p.ioffs
@@ -178,9 +201,8 @@ func (p *PatchEmbed) Tokenize(x *tensor.Tensor, locs []int, dst []TokenView, ids
 		p.b, p.locs = x.Shape[0], locs
 		p.offs = p.patchOffsets(p.offs, x.Shape[0], locs)
 		offs = p.offs
-		if len(p.cols) != localC {
-			p.cols = make([]*tensor.Tensor, localC)
-		}
+		p.col = tensor.EnsureShape(p.col, localC, rows, p.Patch*p.Patch)
+		col = p.col
 		if locs != nil {
 			p.ends = tensor.DepthSplits(p.ends, locs, 1)
 			p.dimg = tensor.EnsureShape(p.dimg, x.Shape[0], localC, p.ImgH, p.ImgW)
@@ -188,15 +210,18 @@ func (p *PatchEmbed) Tokenize(x *tensor.Tensor, locs []int, dst []TokenView, ids
 		}
 	}
 	for c := 0; c < localC; c++ {
-		if !infer {
-			// The per-channel im2col caches are layer-owned and rebuilt in
-			// place each step.
-			p.cols[c] = tensor.EnsureShape(p.cols[c], rows, p.Patch*p.Patch)
-			col = p.cols[c]
-		}
-		p.im2col(col, x, c, offs)
-		p.project(col, c, b, dst[c], ids.row(c), infer)
+		p.im2col(p.channelCols(col, c), x, c, offs)
 	}
+	return col
+}
+
+// channelCols points the layer-owned header cv at local channel c's
+// [rows, P*P] matrix of col [localC, rows, P*P].
+func (p *PatchEmbed) channelCols(col *tensor.Tensor, c int) *tensor.Tensor {
+	rows, pp := col.Shape[1], col.Shape[2]
+	p.cv.Data = col.Data[c*rows*pp : (c+1)*rows*pp]
+	p.cv.Shape = append(p.cv.Shape[:0], rows, pp)
+	return &p.cv
 }
 
 // mustList checks that locs lists locations of a batch of n, ascending.
@@ -313,7 +338,7 @@ func (p *PatchEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
 //
 // dchag:hotpath — every stage's per-step tokenizer backward.
 func (p *PatchEmbed) BackwardFrom(src []TokenView, first int, ids *ChannelEmbed) *tensor.Tensor {
-	if p.cols == nil {
+	if p.col == nil {
 		panic("nn: PatchEmbed.Backward before Forward")
 	}
 	if first < 0 || first+len(src) > p.LocalChannels() {
@@ -361,10 +386,34 @@ func (p *PatchEmbed) backwardChannel(src TokenView, c int, idGrad []float64) {
 	}
 	// dW_c += col^T @ dY, accumulated straight into the gradient slice, its
 	// depth cut where a pass over every location would have cut it.
-	tensor.TMatMulAccSplitInto(p.channelView(&p.gv, p.Weight.Grad, c), p.cols[c], p.dy, ends)
+	tensor.TMatMulAccSplitInto(p.channelView(&p.gv, p.Weight.Grad, c), p.channelCols(p.col, c), p.dy, ends)
 	// dCol = dY @ W_c^T, then col2im back onto the image gradient.
 	tensor.MatMulTInto(p.dcol, p.dy, p.channelView(&p.wv, p.Weight.W, c)) // [rows, P*P]
-	p.col2im(p.dcol, p.dimg, c, p.offs)
+	p.col2im(p.dcol.Data, p.Patch*p.Patch, p.dimg, c, p.offs)
+}
+
+// BackwardPatches takes the patch gradients dcol [g, rows, w] of local
+// channels first, ..., first+g-1 — rows as the last training pass's
+// (Patches), the first P*P of each row's w >= P*P values — into the image
+// gradient it returns, layer-owned and shared with BackwardFrom, filling
+// those channels and leaving the others alone.
+// It is the tokenizer's backward for a stage that formed the patch
+// gradients itself, and with them the tokenizer's parameter gradients.
+//
+// dchag:hotpath — once per first-level group of the cross stage's backward.
+func (p *PatchEmbed) BackwardPatches(dcol *tensor.Tensor, first int) *tensor.Tensor {
+	if p.col == nil {
+		panic("nn: PatchEmbed.BackwardPatches before a training pass")
+	}
+	rows, w := len(p.offs), dcol.Shape[len(dcol.Shape)-1]
+	if len(dcol.Shape) != 3 || dcol.Shape[1] != rows || w < p.Patch*p.Patch || first < 0 || first+dcol.Shape[0] > p.LocalChannels() {
+		panic(fmt.Sprintf("nn: PatchEmbed over %d channels of %d rows given patch gradients %v for channels from %d", p.LocalChannels(), rows, dcol.Shape, first))
+	}
+	p.dimg = tensor.EnsureShape(p.dimg, p.b, p.LocalChannels(), p.ImgH, p.ImgW)
+	for c := range dcol.Shape[0] {
+		p.col2im(dcol.Data[c*rows*w:(c+1)*rows*w], w, p.dimg, first+c, p.offs)
+	}
+	return p.dimg
 }
 
 // patchOffsets writes into dst[:0] and returns, for each row of a pass
@@ -404,14 +453,13 @@ func (p *PatchEmbed) im2col(col, x *tensor.Tensor, c int, offs []int) {
 	}
 }
 
-// col2im scatters a patch-gradient matrix, rows as im2col's, back into the
-// image gradient for local channel c. Patches do not overlap, so this is a
-// pure scatter.
-func (p *PatchEmbed) col2im(dcol, dimg *tensor.Tensor, c int, offs []int) {
-	pp := p.Patch * p.Patch
+// col2im scatters a patch-gradient matrix, rows as im2col's and ld apart,
+// back into the image gradient for local channel c. Patches do not
+// overlap, so this is a pure scatter.
+func (p *PatchEmbed) col2im(dcol []float64, ld int, dimg *tensor.Tensor, c int, offs []int) {
 	for r, o := range offs {
 		off := o + c*p.ImgH*p.ImgW
-		src := dcol.Data[r*pp : (r+1)*pp]
+		src := dcol[r*ld:]
 		for dy := 0; dy < p.Patch; dy++ {
 			copy(dimg.Data[off+dy*p.ImgW:][:p.Patch], src[dy*p.Patch:(dy+1)*p.Patch])
 		}

@@ -79,7 +79,7 @@ func MatMulF32Into(dst, a, b *Tensor) *Tensor {
 //
 // dchag:hotpath — it performs no heap allocation.
 func BatchedMatMulTF32Into(dst, a, b View, alpha float64) {
-	batched[float32]("BatchedMatMulTF32Into", dst, a, b, false, true, alpha)
+	batched[float32]("BatchedMatMulTF32Into", dst, a, b, false, true, alpha, nil, nil)
 }
 
 // BatchedMatMulF32Into is BatchedMatMulInto in float32 arithmetic — the
@@ -87,5 +87,5 @@ func BatchedMatMulTF32Into(dst, a, b View, alpha float64) {
 //
 // dchag:hotpath — it performs no heap allocation.
 func BatchedMatMulF32Into(dst, a, b View, alpha float64) {
-	batched[float32]("BatchedMatMulF32Into", dst, a, b, false, false, alpha)
+	batched[float32]("BatchedMatMulF32Into", dst, a, b, false, false, alpha, nil, nil)
 }

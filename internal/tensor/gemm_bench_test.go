@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -107,11 +106,11 @@ func BenchmarkAttentionShapedBatched(b *testing.B) {
 // gemmShape is one product a benchmark workload issues: batch products of
 // m x k x n through the named entry point. Batched shapes are per-head
 // products read in place out of [N,T,H*Dh] projection layouts, as
-// nn.AttentionCore issues them; a tokenizer shape (group > 0) writes one
-// channel's tokens into its group's input [N, group, n], rows group*n apart.
-// epilogue is what the kernel adds as it stores, where the layer has it add
-// something: "bias" (nn.Linear), "bias+row" (the tokenizer's bias and
-// channel-ID row).
+// nn.AttentionCore issues them, or, with group > 0, one product per channel
+// of a group of that many, as the cross stage's folded first level issues
+// them (the channels' projections the columns of [N, group, n]). epilogue is
+// what the kernel adds as it stores, where the layer has it add something:
+// "bias" (nn.Linear, and each channel's folded bias).
 type gemmShape struct {
 	name, op       string
 	batch, m, k, n int
@@ -119,79 +118,73 @@ type gemmShape struct {
 	epilogue       string
 }
 
-// gemmShapes lists the products of the benchmark workloads: the E x E
-// projections over N*g rows of the channel aggregation (128 locations of 16
-// channel tokens, E = 32) and their two backward products, the per-head
+// gemmShapes lists the products of the benchmark workloads: the per-head
 // attention products of a ViT block (T = 64), forward and the
-// transposed-map product of its backward, the first MLP layer of a wx_tp2dp2
-// block on one tensor-parallel rank (128 tokens, E = 64, half of the 256
-// hidden columns), the float32 twins serving runs, the serving tokenizer
-// among them (8 x 64 tokens of 2 x 2 patches into E = 32, written into its
-// group of 20 channels), and the compacted products of a masked hsi step,
-// whose channel stage runs on the 64 visible locations of its 128: the
-// projection over 64 x 16 rows, its two backward products and the
-// tokenizer's product into its group of 16.
+// transposed-map product of its backward, the first MLP layer of a
+// wx_tp2dp2 block on one tensor-parallel rank (128 tokens, E = 64, half of
+// the 256 hidden columns), the float32 twins serving runs, and the cross
+// stage's folded first level on a masked hsi step, whose partition of 16
+// channels runs on the 64 visible locations of its 128 (P² = 4, E = 32):
+// the fold of the group's tokenizer weights and u rows into one projection
+// ([80 x 32] @ [32 x 32]), the 4-deep product writing Q, K or V into the
+// group's [N, 16, E] from the pixels, and the backward's P^T dQ, the patch
+// gradient dQ Ŵ^T against the transposed fold (its 4 columns padded to a
+// whole 8-wide panel), the projection's weight gradient wu^T [G; s] and the
+// tokenizer's [G; s] W^T.
 var gemmShapes = []gemmShape{
-	{name: "proj_fwd", op: "AffineInto", batch: 1, m: 2048, k: 32, n: 32, epilogue: "bias"},
-	{name: "proj_bwd_dx", op: "MatMulTInto", batch: 1, m: 2048, k: 32, n: 32},
-	{name: "proj_bwd_dw", op: "TMatMulAccInto", batch: 1, m: 32, k: 2048, n: 32},
 	{name: "vit_scores", op: "BatchedMatMulTInto", batch: 8, m: 64, k: 8, n: 64},
 	{name: "vit_context", op: "BatchedMatMulInto", batch: 8, m: 64, k: 64, n: 8},
 	{name: "vit_bwd_dv", op: "BatchedTMatMulInto", batch: 8, m: 64, k: 64, n: 8},
 	{name: "tp_mlp_fc1", op: "MatMulInto", batch: 1, m: 128, k: 64, n: 128},
-	{name: "proj_infer_f32", op: "AffinePackedF32Into", batch: 1, m: 2048, k: 32, n: 32, epilogue: "bias"},
-	{name: "tokenize_f32", op: "AffinePackedF32Into", batch: 1, m: 512, k: 4, n: 32, group: 20, epilogue: "bias+row"},
 	{name: "vit_scores_f32", op: "BatchedMatMulTF32Into", batch: 8, m: 64, k: 8, n: 64},
 	{name: "vit_context_f32", op: "BatchedMatMulF32Into", batch: 8, m: 64, k: 64, n: 8},
-	{name: "masked_proj_fwd", op: "AffineInto", batch: 1, m: 1024, k: 32, n: 32, epilogue: "bias"},
-	{name: "masked_proj_bwd_dx", op: "MatMulTInto", batch: 1, m: 1024, k: 32, n: 32},
-	{name: "masked_proj_bwd_dw", op: "TMatMulAccInto", batch: 1, m: 32, k: 1024, n: 32},
-	{name: "masked_tokenize", op: "AffineInto", batch: 1, m: 64, k: 4, n: 32, group: 16, epilogue: "bias+row"},
-}
-
-// shapeEpilogue draws the epilogue a shape names: a bias row of n values,
-// and for "bias+row" one residual row added to every row, as the tokenizer
-// adds its channel-ID row.
-func shapeEpilogue(rng *rand.Rand, sh gemmShape) Epilogue {
-	ep := Epilogue{Bias: Randn(rng, sh.n).Data}
-	if sh.epilogue == "bias+row" {
-		ep.Res = Randn(rng, sh.n).Data
-	}
-	return ep
+	{name: "fold", op: "MatMulInto", batch: 1, m: 80, k: 32, n: 32},
+	{name: "fold_qkv", op: "BatchedAffineInto", batch: 16, m: 64, k: 4, n: 32, group: 16, epilogue: "bias"},
+	{name: "fold_bwd_g", op: "BatchedTMatMulSplitInto", batch: 16, m: 4, k: 64, n: 32, group: 16},
+	{name: "fold_bwd_dp", op: "BatchedMatMulInto", batch: 16, m: 64, k: 32, n: 8, group: 16},
+	{name: "fold_bwd_dw", op: "TMatMulAccInto", batch: 1, m: 32, k: 80, n: 32},
+	{name: "fold_bwd_dwtok", op: "MatMulTInto", batch: 1, m: 80, k: 32, n: 32},
 }
 
 // shapeStep builds the operands of one shape and returns the call that runs
-// it. Batched shapes are per-head products: batch = samples x 4 heads,
-// operands and the context destination are head views of [samples, T, 4*Dh]
-// tensors, score-shaped operands are contiguous [samples, 4, Tq, Tk].
+// it. Batched shapes without a group are per-head products: batch =
+// samples x 4 heads, operands and the context destination are head views of
+// [samples, T, 4*Dh] tensors, score-shaped operands are contiguous
+// [samples, 4, Tq, Tk]. With a group, one member per channel: the pixels
+// [g, N, P²], the folded weights [g, P², E] and their padded transpose
+// [g, E, 8] contiguous, Q and dQ the columns of [N, g, E], the patch
+// gradient [g, N, 8].
 func shapeStep(sh gemmShape) func() {
 	const heads = 4
 	rng := NewRNG(int64(8000 + sh.m + sh.k + sh.n))
 	if sh.batch == 1 {
-		ldc := sh.n
-		if sh.group > 0 {
-			ldc = sh.group * sh.n
-		}
 		switch sh.op {
 		case "MatMulInto":
 			dst, a, b := New(sh.m, sh.n), Randn(rng, sh.m, sh.k), Randn(rng, sh.k, sh.n)
 			return func() { MatMulInto(dst, a, b) }
-		case "AffineInto":
-			dst, a, b := New(sh.m, ldc), Randn(rng, sh.m, sh.k), Randn(rng, sh.k, sh.n)
-			ep := shapeEpilogue(rng, sh)
-			return func() { AffineInto(dst.Data, ldc, a, b, false, ep) }
 		case "MatMulTInto":
 			dst, a, b := New(sh.m, sh.n), Randn(rng, sh.m, sh.k), Randn(rng, sh.n, sh.k)
 			return func() { MatMulTInto(dst, a, b) }
 		case "TMatMulAccInto":
 			dst, a, b := New(sh.m, sh.n), Randn(rng, sh.k, sh.m), Randn(rng, sh.k, sh.n)
 			return func() { TMatMulAccInto(dst, a, b) }
-		case "AffinePackedF32Into":
-			dst, a := New(sh.m, ldc), Randn(rng, sh.m, sh.k)
-			pb := PackB32(Randn(rng, sh.k, sh.n))
-			ep := shapeEpilogue(rng, sh)
-			return func() { AffinePackedF32Into(dst.Data, ldc, a, pb, ep) }
 		}
+	}
+	if sh.group > 0 {
+		cols := func(rows, n int) View { return HeadView(Randn(rng, 1, rows, sh.group*n), sh.group) }
+		mats := func(rows, n int) View { return MatView(Randn(rng, sh.group, rows, n)) }
+		switch sh.op {
+		case "BatchedAffineInto": // Q_c [N,E] = P_c [N,P²] @ Ŵ_c [P²,E] + β̂_c
+			dst, a, b, bias := cols(sh.m, sh.n), mats(sh.m, sh.k), mats(sh.k, sh.n), Randn(rng, sh.group, sh.n).Data
+			return func() { BatchedAffineInto(dst, a, b, 1, bias) }
+		case "BatchedTMatMulSplitInto": // G_c [P²,E] = P_c [N,P²]^T @ dQ_c [N,E]
+			dst, a, b := mats(sh.m, sh.n), mats(sh.k, sh.m), cols(sh.k, sh.n)
+			return func() { BatchedTMatMulSplitInto(dst, a, b, 1, nil) }
+		case "BatchedMatMulInto": // dP_c [N,8] = dQ_c [N,E] @ Ŵ_c^T [E,8]
+			dst, a, b := mats(sh.m, sh.n), cols(sh.m, sh.k), mats(sh.k, sh.n)
+			return func() { BatchedMatMulInto(dst, a, b, 1) }
+		}
+		panic(fmt.Sprintf("tensor: no runner for shape %+v", sh))
 	}
 	samples := sh.batch / heads
 	// head builds a [samples, rows, heads*cols] tensor and its per-head view;

@@ -95,6 +95,20 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 					}
 				}
 			}
+			// BatchedAffineInto's per-member bias rows, the last member's
+			// ending flush against the page.
+			for _, g := range []int{1, 3} {
+				for _, n := range []int{1, 5, 8, 12, 32} {
+					const rows, k = 9, 4
+					p, w := arenas[0].place(g*rows*k, atEnd), arenas[1].place(g*k*n, atEnd)
+					dst, bias := arenas[2].place(rows*g*n, atEnd), arenas[3].place(g*n, atEnd)
+					if fault := faults(func() {
+						BatchedAffineInto(HeadView(FromSlice(dst, 1, rows, g*n), g), MatView(FromSlice(p, g, rows, k)), MatView(FromSlice(w, g, k, n)), 1, bias)
+					}); fault != nil {
+						t.Fatalf("BatchedAffineInto g=%d n=%d atEnd=%v kernel=%s: touched memory outside an operand: %v", g, n, atEnd, KernelTier(), fault)
+					}
+				}
+			}
 			for _, rows := range []int{1, 3, 17} {
 				for n := 1; n <= 37; n++ {
 					for _, weighted := range []bool{false, true} {

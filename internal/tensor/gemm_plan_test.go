@@ -150,8 +150,8 @@ func TestDriverEqualsPackEverythingBitwise(t *testing.T) {
 						} else {
 							packEverything(&g, ap64, bp64)
 						}
+						unfusedEpilogue(g.c, m, n, g.ldc, ep)
 					}
-					unfusedEpilogue(want.t.Data, m, n, n, ep)
 					assertBitwise(t, fmt.Sprintf("%s %v strided=%v kernel=%s", e.name, sh, strided, KernelTier()), got.t, want.t)
 				}
 			}

@@ -152,10 +152,40 @@ var productEntries = []productEntry{
 	{name: "BatchedMatMulInto", batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedMatMulInto(d.view, a.view, b.view, al) }},
 	{name: "BatchedMatMulTInto", bt: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedMatMulTInto(d.view, a.view, b.view, al) }},
 	{name: "BatchedTMatMulInto", at: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedTMatMulInto(d.view, a.view, b.view, al) }},
+	{name: "BatchedAffineInto bias", batched: true, ep: epBias, call: func(d, a, b *matBatch, al float64, ep Epilogue) {
+		BatchedAffineInto(d.view, a.view, b.view, al, memberRows(ep.Bias, a.n*a.h))
+	}},
+	{name: "BatchedTMatMulSplitInto", at: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) {
+		BatchedTMatMulSplitInto(d.view, a.view, b.view, al, everyRowSplits(a.rows))
+	}},
 	{name: "BatchedMatMulF32Into", f32: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedMatMulF32Into(d.view, a.view, b.view, al) }},
 	{name: "BatchedMatMulTF32Into", bt: true, f32: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) {
 		BatchedMatMulTF32Into(d.view, a.view, b.view, al)
 	}},
+}
+
+// memberRows repeats row once per batch member: a per-member bias whose
+// members agree, so the oracle's one epilogue describes every member.
+func memberRows(row []float64, members int) []float64 {
+	if row == nil {
+		return nil
+	}
+	out := make([]float64, 0, members*len(row))
+	for range members {
+		out = append(out, row...)
+	}
+	return out
+}
+
+// everyRowSplits is DepthSplits over every row of a k-deep product: pieces
+// that end where the driver's own kc blocks end, so the split product has
+// the whole one's bits.
+func everyRowSplits(k int) []int {
+	locs := make([]int, k)
+	for i := range locs {
+		locs[i] = i
+	}
+	return DepthSplits(nil, locs, 1)
 }
 
 // check runs one entry point at one shape and layout against the oracle.
@@ -397,12 +427,15 @@ func TestBatchedViewsSteadyStateAllocs(t *testing.T) {
 	fill(q, 1)
 	fill(k, 2)
 	scores, ctx := New(8, 4, 16, 16), New(8, 16, 32)
+	bias, ends := make([]float64, 8*4*8), []int{5, 16}
 	step := func() {
 		BatchedMatMulTInto(MatView(scores), HeadView(q, 4), HeadView(k, 4), 0.5)
 		BatchedMatMulInto(HeadView(ctx, 4), MatView(scores), HeadView(k, 4), 1)
 		BatchedTMatMulInto(HeadView(ctx, 4), MatView(scores), HeadView(q, 4), 1)
 		BatchedMatMulTF32Into(MatView(scores), HeadView(q, 4), HeadView(k, 4), 0.5)
 		BatchedMatMulF32Into(HeadView(ctx, 4), MatView(scores), HeadView(k, 4), 1)
+		BatchedAffineInto(HeadView(ctx, 4), MatView(scores), HeadView(k, 4), 1, bias)
+		BatchedTMatMulSplitInto(HeadView(ctx, 4), MatView(scores), HeadView(q, 4), 1, ends)
 	}
 	step()
 	if n := testing.AllocsPerRun(10, step); n != 0 {

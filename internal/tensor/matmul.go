@@ -158,19 +158,14 @@ func TMatMulAccSplitInto(dst, a, b *Tensor, ends []int) {
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	ensureDst("TMatMulAccSplitInto", dst, m, n)
 	mustNotAlias("TMatMulAccSplitInto", dst, a, b)
+	mustPieces("TMatMulAccSplitInto", ends, k)
 	lo := 0
 	for _, hi := range ends {
-		if hi <= lo || hi-lo > gemmKC || hi > k {
-			panic(fmt.Sprintf("tensor: TMatMulAccSplitInto piece [%d,%d) of a %d-deep product", lo, hi, k))
-		}
 		gemm2D[float64](&gemmSpec{
 			m: m, k: hi - lo, n: n, a: a.Data[lo*m:], b: b.Data[lo*n:], c: dst.Data,
 			lda: m, ldb: n, ldc: n, at: true, accum: true, alpha: 1,
 		}, nil)
 		lo = hi
-	}
-	if lo != k {
-		panic(fmt.Sprintf("tensor: TMatMulAccSplitInto pieces end at %d of a %d-deep product", lo, k))
 	}
 }
 
@@ -328,12 +323,14 @@ func (v *View) next(c *viewCursor) []float64 {
 }
 
 // batched is the entry shared by the batched products: per batch member,
-// dst = alpha*op(a)@op(b). The three views must agree on the batch count and
-// dst's backing slice must not overlap an operand's.
+// dst = alpha*op(a)@op(b), plus member i's bias row bias[i*n:(i+1)*n] when
+// bias is non-nil, with the depth summed in the pieces ends gives (see
+// TMatMulAccSplitInto; nil is one product). The three views must agree on
+// the batch count and dst's backing slice must not overlap an operand's.
 //
 // dchag:hotpath — every attention product; it performs no heap allocation
 // while the batch runs on the calling goroutine.
-func batched[T elem](op string, dst, a, b View, at, bt bool, alpha float64) {
+func batched[T elem](op string, dst, a, b View, at, bt bool, alpha float64, bias []float64, ends []int) {
 	m, k := a.rows, a.cols
 	if at {
 		m, k = k, m
@@ -347,9 +344,13 @@ func batched[T elem](op string, dst, a, b View, at, bt bool, alpha float64) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch: %d x [%d,%d] and %d x [%d,%d] (transposed: %v, %v) into %d x [%d,%d]",
 			op, a.outer*a.inner, a.rows, a.cols, b.outer*b.inner, b.rows, b.cols, at, bt, batch, dst.rows, dst.cols))
 	}
-	if overlaps(dst.data, a.data) || overlaps(dst.data, b.data) {
+	if overlaps(dst.data, a.data) || overlaps(dst.data, b.data) || overlaps(dst.data, bias) {
 		panic("tensor: " + op + " dst aliases an operand")
 	}
+	if bias != nil && len(bias) != batch*n {
+		panic(fmt.Sprintf("tensor: %s bias has %d values for %d members of %d columns", op, len(bias), batch, n))
+	}
+	mustPieces(op, ends, k)
 	if m == 0 || n == 0 {
 		return
 	}
@@ -358,23 +359,67 @@ func batched[T elem](op string, dst, a, b View, at, bt bool, alpha float64) {
 	inProduct.Add(1)
 	defer inProduct.Add(-1)
 	if serialDispatch(batch, work) {
-		batchedRange[T](dst, a, b, g, 0, batch)
+		batchedRange[T](dst, a, b, g, bias, ends, 0, batch)
 		return
 	}
 	spec := g // the closure's copy; g itself stays on this stack
 	parallelOverRows(batch, func(lo, hi int) {
-		batchedRange[T](dst, a, b, spec, lo, hi)
+		batchedRange[T](dst, a, b, spec, bias, ends, lo, hi)
 	})
 }
 
 // batchedRange runs batch members [lo,hi) of the product g describes (less
-// its operand slices) on one set of stack panels.
-func batchedRange[T elem](dst, a, b View, g gemmSpec, lo, hi int) {
+// its operand slices) on one set of stack panels, each member's depth in the
+// pieces ends gives: the first stores, the rest accumulate, and the bias is
+// added at the last one's store — the order the driver gives its own kc
+// blocks.
+func batchedRange[T elem](dst, a, b View, g gemmSpec, bias []float64, ends []int, lo, hi int) {
 	var st stackPanels[T]
 	ca, cb, cd := a.cursor(lo), b.cursor(lo), dst.cursor(lo)
 	for bi := lo; bi < hi; bi++ {
-		g.a, g.b, g.c = a.next(&ca), b.next(&cb), dst.next(&cd)
-		gemmBlocked(&g, nil, &st)
+		am, bm, cm := a.next(&ca), b.next(&cb), dst.next(&cd)
+		if bias != nil {
+			g.ep.Bias = bias[bi*g.n : (bi+1)*g.n]
+		}
+		if len(ends) == 0 {
+			g.a, g.b, g.c = am, bm, cm
+			gemmBlocked(&g, nil, &st)
+			continue
+		}
+		p := g
+		p0 := 0
+		for _, p1 := range ends {
+			p.k, p.accum, p.ep = p1-p0, p0 > 0, Epilogue{}
+			if p1 == g.k {
+				p.ep = g.ep
+			}
+			// Depth runs down A's rows when A is stored transposed, along
+			// them otherwise; likewise B's.
+			p.a, p.b, p.c = am[p0*g.lda:], bm[p0*g.ldb:], cm
+			if !g.at {
+				p.a = am[p0:]
+			}
+			if g.bt {
+				p.b = bm[p0:]
+			}
+			gemmBlocked(&p, nil, &st)
+			p0 = p1
+		}
+	}
+}
+
+// mustPieces panics unless ends cuts a depth-k product into pieces of 1 to
+// kc rows that end at k; nil cuts nothing.
+func mustPieces(op string, ends []int, k int) {
+	lo := 0
+	for _, hi := range ends {
+		if hi <= lo || hi-lo > gemmKC || hi > k {
+			panic(fmt.Sprintf("tensor: %s piece [%d,%d) of a %d-deep product", op, lo, hi, k))
+		}
+		lo = hi
+	}
+	if ends != nil && lo != k {
+		panic(fmt.Sprintf("tensor: %s pieces end at %d of a %d-deep product", op, lo, k))
 	}
 }
 
@@ -383,7 +428,7 @@ func batchedRange[T elem](dst, a, b View, g gemmSpec, lo, hi int) {
 //
 // dchag:hotpath — it performs no heap allocation.
 func BatchedMatMulInto(dst, a, b View, alpha float64) {
-	batched[float64]("BatchedMatMulInto", dst, a, b, false, false, alpha)
+	batched[float64]("BatchedMatMulInto", dst, a, b, false, false, alpha, nil, nil)
 }
 
 // BatchedMatMulTInto computes dst = alpha * a@b^T per batch member: a is
@@ -392,7 +437,7 @@ func BatchedMatMulInto(dst, a, b View, alpha float64) {
 //
 // dchag:hotpath — it performs no heap allocation.
 func BatchedMatMulTInto(dst, a, b View, alpha float64) {
-	batched[float64]("BatchedMatMulTInto", dst, a, b, false, true, alpha)
+	batched[float64]("BatchedMatMulTInto", dst, a, b, false, true, alpha, nil, nil)
 }
 
 // BatchedTMatMulInto computes dst = alpha * a^T@b per batch member: a is
@@ -401,5 +446,28 @@ func BatchedMatMulTInto(dst, a, b View, alpha float64) {
 //
 // dchag:hotpath — it performs no heap allocation.
 func BatchedTMatMulInto(dst, a, b View, alpha float64) {
-	batched[float64]("BatchedTMatMulInto", dst, a, b, true, false, alpha)
+	batched[float64]("BatchedTMatMulInto", dst, a, b, true, false, alpha, nil, nil)
+}
+
+// BatchedAffineInto computes dst = alpha * a@b + bias per batch member: a is
+// [M,K], b is [K,N], dst is [M,N], and member i adds bias[i*N:(i+1)*N] to
+// each of its rows as the kernel stores them (Epilogue.Bias); nil adds
+// none. It is the cross stage's folded projection: one member per channel
+// of a group, each with its own weights and bias.
+//
+// dchag:hotpath — it performs no heap allocation.
+func BatchedAffineInto(dst, a, b View, alpha float64, bias []float64) {
+	batched[float64]("BatchedAffineInto", dst, a, b, false, false, alpha, bias, nil)
+}
+
+// BatchedTMatMulSplitInto is BatchedTMatMulInto summing each member's depth
+// (the rows of a and b) in the pieces [0, ends[0]), [ends[0], ends[1]), ...
+// in order, each at most kc deep, as TMatMulAccSplitInto does: over rows
+// compacted from a longer product, with ends from DepthSplits, the pieces
+// are that product's kc blocks less their dropped rows. nil ends is
+// BatchedTMatMulInto.
+//
+// dchag:hotpath — it performs no heap allocation.
+func BatchedTMatMulSplitInto(dst, a, b View, alpha float64, ends []int) {
+	batched[float64]("BatchedTMatMulSplitInto", dst, a, b, true, false, alpha, nil, ends)
 }

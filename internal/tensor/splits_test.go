@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -83,4 +84,62 @@ func TestDepthSplitsCutAtBlockEnds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBatchedSplitReproducesTheWholeProduct is the batched form of
+// TestDepthSplitsReproduceTheWholeProduct, as the cross stage's folded
+// backward issues it: per member (a channel), P^T dX over compacted rows of
+// one row per location, dX read as a column of a wider row, cut where
+// DepthSplits says, equals the product over every row in which the dropped
+// rows' dX is a signed zero, bit for bit, under every kernel tier.
+func TestBatchedSplitReproducesTheWholeProduct(t *testing.T) {
+	withEveryTier(t, func(t *testing.T) {
+		rng := NewRNG(32)
+		for _, c := range []struct{ locs, g, m, n int }{{600, 3, 4, 32}, {300, 2, 1, 12}, {90, 4, 16, 8}} {
+			p := Randn(rng, c.g, c.locs, c.m)    // per member [locs, m]
+			dx := Randn(rng, 1, c.locs, c.g*c.n) // members side by side in each row
+			var keep []int
+			for l := 0; l < c.locs; l++ {
+				if rng.Float64() < 0.5 {
+					keep = append(keep, l)
+					continue
+				}
+				for i := range dx.Data[l*c.g*c.n : (l+1)*c.g*c.n] {
+					dx.Data[l*c.g*c.n+i] = math.Copysign(0, rng.NormFloat64())
+				}
+			}
+			cp, cdx := New(c.g, len(keep), c.m), New(1, len(keep), c.g*c.n)
+			for i, l := range keep {
+				for k := 0; k < c.g; k++ {
+					copy(cp.Data[(k*len(keep)+i)*c.m:][:c.m], p.Data[(k*c.locs+l)*c.m:])
+				}
+				copy(cdx.Data[i*c.g*c.n:][:c.g*c.n], dx.Data[l*c.g*c.n:])
+			}
+			want, got := New(c.g, c.m, c.n), New(c.g, c.m, c.n)
+			BatchedTMatMulInto(MatView(want), MatView(p), HeadView(dx, c.g), 1)
+			BatchedTMatMulSplitInto(MatView(got), MatView(cp), HeadView(cdx, c.g), 1, DepthSplits(nil, keep, 1))
+			assertBitwise(t, fmt.Sprintf("%+v", c), got, want)
+		}
+	})
+}
+
+// TestBatchedAffineAddsEachMembersBias holds BatchedAffineInto to one
+// AffineInto per member, bit for bit, each member with its own bias row and
+// the destination members the columns of a wider row (a group's Q), under
+// every kernel tier.
+func TestBatchedAffineAddsEachMembersBias(t *testing.T) {
+	withEveryTier(t, func(t *testing.T) {
+		rng := NewRNG(33)
+		for _, c := range []struct{ rows, g, k, n int }{{64, 16, 4, 32}, {9, 3, 1, 12}, {130, 2, 16, 20}} {
+			p, w := Randn(rng, c.g, c.rows, c.k), Randn(rng, c.g, c.k, c.n)
+			bias := Randn(rng, c.g, c.n)
+			got, want := New(1, c.rows, c.g*c.n), New(1, c.rows, c.g*c.n)
+			BatchedAffineInto(HeadView(got, c.g), MatView(p), MatView(w), 1, bias.Data)
+			for i := 0; i < c.g; i++ {
+				AffineInto(want.Data[i*c.n:], c.g*c.n, FromSlice(p.Data[i*c.rows*c.k:][:c.rows*c.k], c.rows, c.k),
+					FromSlice(w.Data[i*c.k*c.n:][:c.k*c.n], c.k, c.n), false, Epilogue{Bias: bias.Data[i*c.n:][:c.n]})
+			}
+			assertBitwise(t, fmt.Sprintf("%+v", c), got, want)
+		}
+	})
 }

@@ -34,8 +34,8 @@ func TestSerialBaselineLossBits(t *testing.T) {
 		tree int
 		want uint64
 	}{
-		{core.KindCross, 0, 0xab10256a6bb1938e},
-		{core.KindCross, 2, 0x366393e50724b0af},
+		{core.KindCross, 0, 0x2060426669102dcf},
+		{core.KindCross, 2, 0x77ee17045e483442},
 		{core.KindLinear, 0, 0x6aade6628df3c785},
 		{core.KindLinear, 2, 0xe77eacdf8439eeb2},
 	} {
