@@ -98,6 +98,7 @@ type GroupAggregator interface {
 type workspace struct {
 	attn nn.PooledGrads // the CrossAttnAggregator's
 	fold foldGrads      // a folded first-level CrossAttnAggregator's, beside attn
+	lin  linearGrads    // a folded first-level LinearAggregator's
 	dx   *tensor.Tensor // the LinearAggregator's input gradient
 }
 
@@ -174,7 +175,9 @@ func (a *CrossAttnAggregator) Params() []*nn.Param { return a.Attn.Params() }
 // across the channel axis: out[n,e] = sum_g w[g] * x[n,g,e] + b[e]. This is
 // the "lightweight linear layer" of D-CHAG-L: g+E parameters instead of the
 // 4E^2 of a cross-attention layer, and O(g) instead of O(g^2) activation
-// memory.
+// memory. At a D-CHAG stage's first level the stage runs it with the
+// tokenizer folded in (accumulateLinear, linearFoldBackward): it never sees
+// a token there.
 type LinearAggregator struct {
 	Group  int
 	Weight *nn.Param // [g]

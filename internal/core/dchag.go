@@ -49,6 +49,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: image %dx%d not divisible by patch %d", c.ImgH, c.ImgW, c.Patch)
 	case c.Embed%c.Heads != 0:
 		return fmt.Errorf("core: embed %d not divisible by heads %d", c.Embed, c.Heads)
+	case c.Patch*c.Patch > tensor.PatchAccumMaxDepth:
+		return fmt.Errorf("core: patch %d has %d pixels; the linear first level's fused pass takes at most %d", c.Patch, c.Patch*c.Patch, tensor.PatchAccumMaxDepth)
 	}
 	return nil
 }

@@ -47,7 +47,7 @@ type foldGrads struct {
 	gs [3]*tensor.Tensor // [g(P²+1), E]: G_x above s_x, for x = q, k, v
 	d  [2]*tensor.Tensor // [g(P²+1), E]: Σ_x gs_x·W_xᵀ, the gradient of wu, and the partial sum before it
 	wt *tensor.Tensor    // [g, E, pw]: one Ŵ_x, channel by channel transposed, its columns padded to pw with zeros
-	dp *tensor.Tensor    // [3, g, N, pw]: dX_c·Ŵ_x,cᵀ for x = q, k, v, the patch gradient's three terms, and pw - P² zero columns
+	dp *tensor.Tensor    // [3, N, g, pw]: dX_c·Ŵ_x,cᵀ for x = q, k, v, the patch gradient's three terms, and pw - P² zero columns
 
 	pat, gv, xv, dpx tensor.Tensor // headers
 }
@@ -132,7 +132,7 @@ func foldBackward(f *crossFold, a *CrossAttnAggregator, d *tensor.Tensor, ws *wo
 	fg := &ws.fold
 	fg.wt = tensor.EnsureShape(fg.wt, g, e, pw)
 	clear(fg.wt.Data) // the padding columns; the rest is written per projection
-	fg.dp = tensor.EnsureShape(fg.dp, 3, g, n, pw)
+	fg.dp = tensor.EnsureShape(fg.dp, 3, n, g, pw)
 	terms := g * n * pw
 	dq, dk, dv := a.Attn.BackwardProjected(d, &ws.attn)
 	patches := tensor.MatView(header(&fg.pat, pat.Data[c*n*pp:(c+g)*n*pp], g, n, pp))
@@ -157,8 +157,8 @@ func foldBackward(f *crossFold, a *CrossAttnAggregator, d *tensor.Tensor, ws *wo
 				}
 			}
 		}
-		dp := header(&fg.dpx, fg.dp.Data[x*terms:(x+1)*terms], g, n, pw)
-		tensor.BatchedMatMulInto(tensor.MatView(dp), cols, tensor.MatView(fg.wt), 1)
+		dp := columns(&fg.dpx, header(&fg.dpx, fg.dp.Data[x*terms:(x+1)*terms], n, g, pw))
+		tensor.BatchedMatMulInto(dp, cols, tensor.MatView(fg.wt), 1)
 	}
 	for i := range fg.d {
 		fg.d[i] = tensor.EnsureShape(fg.d[i], g*(pp+1), e)
@@ -175,5 +175,96 @@ func foldBackward(f *crossFold, a *CrossAttnAggregator, d *tensor.Tensor, ws *wo
 	}
 	// dP = (dP_q + dP_k) + dP_v, into dP_q's place.
 	tensor.AccumRows(fg.dp.Data[:terms], fg.dp.Data[terms:], terms, 2, nil)
-	return tok.BackwardPatches(header(&fg.dpx, fg.dp.Data[:terms], g, n, pw), c)
+	return tok.BackwardPatches(header(&fg.dpx, fg.dp.Data[:terms], n, g, pw), c)
+}
+
+// The linear stage's first level folds the tokenizer too (DESIGN.md "The
+// linear first level folds the tokenizer too"). Its forward is the fused
+// pass serving runs, over the training pass's patches: a group's output is
+// b + Σ_c w_c·((P_c·W_c + b_c) + id_c), each token formed in registers and
+// only its weighted contribution added (HierarchicalAggregator.
+// accumulateLinear). Its backward forms no token gradient: with d [N, E]
+// the group's output gradient, s its column sums and G_c = P_cᵀ·d [P², E],
+//
+//	dW_c += w_c·G_c      db_c += w_c·s      did_c += w_c·s
+//	dw_c += ⟨W_c, G_c⟩ + ⟨u_c, s⟩,  u_c = b_c + id_c
+//	db   += Σ_n d
+//	dP_c  = d·(w_c·W_c)ᵀ
+//
+// G sums over locations and is cut as foldBackward cuts its own; every other
+// sum runs over channels, pixels or E.
+
+// linearGrads is the folded linear first level's backward scratch, part of
+// the level's workspace.
+type linearGrads struct {
+	s  *tensor.Tensor // [E]: the column sums of the group's output gradient
+	u  *tensor.Tensor // [E]: one channel's u_c
+	g  *tensor.Tensor // [g, P², E]: G_c, channel by channel
+	w  *tensor.Tensor // [g·P², E]: w_c·W_c, channel by channel
+	dp *tensor.Tensor // [N, g·P²]: d·(w_c·W_c)ᵀ, every channel's patch gradient at each location
+
+	pat, dpx tensor.Tensor // headers
+}
+
+// linearFoldBackward is the backward of first-level linear aggregator a with
+// the tokenizer folded in, in ws: it maps d [N, E], the gradient of a's
+// output, to the gradients of a's weight and bias, of the tokenizer's
+// weights and bias and of the channel IDs over local channels c, c+1, ...,
+// accumulated, and writes those channels' patch gradients into the
+// tokenizer's image gradient, which it returns. pat is the training pass's
+// patches [localC, N, P²], ends the depth pieces of a pass over listed
+// locations (nil for every location).
+//
+// dchag:hotpath — the linear stage's first-level backward; every buffer is
+// the workspace's.
+func linearFoldBackward(a *LinearAggregator, d *tensor.Tensor, ws *workspace, tok *nn.PatchEmbed, ids *nn.ChannelEmbed, pat *tensor.Tensor, c int, ends []int) *tensor.Tensor {
+	g, e, pp, n := a.Group, tok.Embed, tok.Patch*tok.Patch, pat.Shape[1]
+	lg := &ws.lin
+	tensor.AccumRows(a.Bias.Grad.Data, d.Data, e, n, nil)
+	lg.s = tensor.EnsureShape(lg.s, e)
+	s := lg.s.Data
+	clear(s)
+	tensor.AccumRows(s, d.Data, e, n, nil)
+	lg.g = tensor.EnsureShape(lg.g, g, pp, e)
+	patches := tensor.MatView(header(&lg.pat, pat.Data[c*n*pp:(c+g)*n*pp], g, n, pp))
+	tensor.BatchedTMatMulSplitInto(tensor.MatView(lg.g), patches, tensor.RepeatView(d, g), 1, ends)
+	lg.u = tensor.EnsureShape(lg.u, e)
+	lg.w = tensor.EnsureShape(lg.w, g*pp, e)
+	u, we := lg.u.Data, pp*e
+	for k, wk := range a.Weight.W.Data {
+		ck := c + k
+		wc, gc := tok.Weight.W.Data[ck*we:][:we], lg.g.Data[k*we:][:we]
+		coef := a.Weight.W.Data[k : k+1]
+		tensor.AccumRows(tok.Weight.Grad.Data[ck*we:][:we], gc, we, 1, coef)
+		tensor.AccumRows(tok.Bias.Grad.Data[ck*e:][:e], s, e, 1, coef)
+		copy(u, tok.Bias.W.Data[ck*e:][:e])
+		if ids != nil {
+			tensor.AccumRows(ids.Table.Grad.Data[ck*e:][:e], s, e, 1, coef)
+			tensor.AccumRows(u, ids.Table.W.Data[ck*e:][:e], e, 1, nil)
+		}
+		a.Weight.Grad.Data[k] += dot(wc, gc) + dot(u, s)
+		for i, v := range wc {
+			lg.w.Data[k*we+i] = wk * v
+		}
+	}
+	lg.dp = tensor.EnsureShape(lg.dp, n, g*pp)
+	tensor.MatMulTInto(lg.dp, d, lg.w)
+	return tok.BackwardPatches(header(&lg.dpx, lg.dp.Data, n, g, pp), c)
+}
+
+// dot returns Σ_i x[i]·y[i] over four chains, i mod 4, each product rounded
+// before its add and the chains summed in pairs at the end.
+func dot(x, y []float64) float64 {
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		s0 += float64(x[i] * y[i])
+		s1 += float64(x[i+1] * y[i+1])
+		s2 += float64(x[i+2] * y[i+2])
+		s3 += float64(x[i+3] * y[i+3])
+	}
+	for ; i < len(x); i++ {
+		s0 += float64(x[i] * y[i])
+	}
+	return (s0 + s1) + (s2 + s3)
 }

@@ -128,7 +128,9 @@ func (p TreePlan) validate() {
 // In D-CHAG each rank owns one of these over its channel shard (the
 // "partial-channel aggregation module"); at one partition it is the whole
 // aggregation of the paper's baseline architecture (a Tree0 KindCross
-// instance is exactly one cross-attention layer over all channels).
+// instance is exactly one cross-attention layer over all channels). There
+// the stage runs its first level with the tokenizer folded in, over each
+// channel's patches, so the tokens the module reduces are never written.
 type HierarchicalAggregator struct {
 	Plan   TreePlan
 	Levels [][]GroupAggregator
@@ -140,12 +142,13 @@ type HierarchicalAggregator struct {
 
 	// Scratch, grown once and reused every step (see tensor.EnsureShape).
 	// inputs[l][gi] is the input [N, g, E] of group gi at level l of layout.
-	// Nothing is copied between levels: the tokenizer writes the channel
-	// tokens into the level-0 inputs (which a folded or fused first level
-	// never writes) and every aggregator's token is written where the next
-	// level reads it, the last entry being the module's output. Forward and
-	// Infer own separate sets so eval passes never clobber the inputs an
-	// aggregator cached for a pending Backward. dIn mirrors inputs for the
+	// Nothing is copied between levels: every aggregator's token is written
+	// where the next level reads it, the last entry being the module's
+	// output. The level-0 inputs are written only by the channel-major
+	// entry points; in a D-CHAG stage the first level runs with the
+	// tokenizer folded in (foldCross, accumulateLinear) and no pass writes
+	// them. Forward and Infer own separate sets so eval passes never clobber
+	// the inputs an aggregator cached for a pending Backward. dIn mirrors inputs for the
 	// backward walk: each group's input gradient above level 0, left in its
 	// level's workspace; its last entry is the output gradient.
 	inputs, iinputs, dIn [][]*tensor.Tensor
@@ -192,9 +195,10 @@ func (h *HierarchicalAggregator) Channels() int { return h.Plan.Channels() }
 
 // groupViews appends, for each of the g channels of a first-level group, where
 // its tokens sit inside the group's tensor gt [B*t, g, E]: an input on the
-// way in, an input gradient on the way back.
+// way in, an input gradient on the way back — the channel-major entry
+// points' side of copyTokens.
 //
-// dchag:hotpath — per-step view bookkeeping into a caller-owned slice.
+// dchag:hotpath — view bookkeeping into a caller-owned slice.
 func groupViews(dst []nn.TokenView, gt *tensor.Tensor, t int) []nn.TokenView {
 	g, e := gt.Shape[1], gt.Shape[2]
 	for k := 0; k < g; k++ {
@@ -206,7 +210,7 @@ func groupViews(dst []nn.TokenView, gt *tensor.Tensor, t int) []nn.TokenView {
 // inputViews sizes the pass's first-level group inputs for b samples of t
 // tokens of width e — one [b*t, g, e] tensor per group, channel k of the
 // group at rows (n*g + k)*e — and appends every channel's view, in plan
-// order. The caller fills them and calls run.
+// order, for channelMajor to fill before it calls run.
 func (h *HierarchicalAggregator) inputViews(dst []nn.TokenView, b, t, e int, infer bool) []nn.TokenView {
 	in := h.inputs[0]
 	if infer {
@@ -220,7 +224,7 @@ func (h *HierarchicalAggregator) inputViews(dst []nn.TokenView, b, t, e int, inf
 }
 
 // run walks the tree from level `from` over the inputs the caller filled
-// (see inputViews and accumulateLinear), returning the final [N, 1, E]
+// (channelMajor, foldCross or accumulateLinear), returning the final [N, 1, E]
 // token. With infer set it reads the Infer scratch set and aggregators take
 // their no-grad fast path.
 //
@@ -278,31 +282,26 @@ func (h *HierarchicalAggregator) outputTo(out []float64, infer bool) {
 	last[0].Data = out
 }
 
-// linearFirst reports whether every first-level aggregator is a
-// LinearAggregator: whether the no-grad pass may tokenize straight into the
-// first level's outputs (accumulateLinear).
-func (h *HierarchicalAggregator) linearFirst() bool {
-	for _, agg := range h.Levels[0] {
-		if _, ok := agg.(*LinearAggregator); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// accumulateLinear is the first level of a no-grad pass over first-level
-// LinearAggregators, fused with the tokenizer: each group's token [N, E] is
+// accumulateLinear is the first level of a pass over first-level
+// LinearAggregators, fused with the tokenizer: each group's token [n, E] is
 // written where the next level reads it, starting as the aggregator's bias,
 // and tok adds w_k times each of its channels' tokens (local channels c,
-// c+1, ... in plan order) straight into it — the first-level group inputs
-// are never written. It returns the next local channel; run(1, true) takes
-// the tree from there. The sums are LinearAggregator.Infer's over the
-// tokens Tokenize would have stored, bit for bit.
+// c+1, ... in plan order) straight into it — no channel token and no
+// first-level group input is written. A no-grad pass forms the tokens from
+// the images x (PatchEmbed.InferAccum, in the inference arithmetic), a
+// training pass from the n rows of patches its Patches call cached
+// (AccumPatches, in float64). It returns the next local channel; run(1,
+// infer) takes the tree from there. The sums are LinearAggregator.Forward's
+// over the tokens Tokenize would have stored, bit for bit.
 //
-// dchag:hotpath — the no-grad linear stage's first level.
-func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.ChannelEmbed, x *tensor.Tensor, c int) int {
-	n, e := x.Shape[0]*tok.Tokens(), tok.Embed
-	next := h.levelInputs(h.iinputs, 1, n, e)
+// dchag:hotpath — the linear stage's first level.
+func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.ChannelEmbed, x *tensor.Tensor, n, c int, infer bool) int {
+	inputs := h.inputs
+	if infer {
+		inputs = h.iinputs
+	}
+	e := tok.Embed
+	next := h.levelInputs(inputs, 1, n, e)
 	gj, k := 0, 0 // where the group's token sits in the next level
 	for _, agg := range h.Levels[0] {
 		la := agg.(*LinearAggregator)
@@ -313,7 +312,11 @@ func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.Ch
 			copy(col[i*ldo:][:e], la.Bias.W.Data)
 		}
 		for _, w := range la.Weight.W.Data {
-			tok.InferAccum(x, c, ids, w, col, ldo)
+			if infer {
+				tok.InferAccum(x, c, ids, w, col, ldo)
+			} else {
+				tok.AccumPatches(c, ids, w, col, ldo)
+			}
 			c++
 		}
 		if k++; k == out.Shape[1] {
@@ -321,18 +324,6 @@ func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.Ch
 		}
 	}
 	return c
-}
-
-// crossFirst reports whether every first-level aggregator is a
-// CrossAttnAggregator: whether the stage folds the tokenizer into the first
-// level's projections (foldCross).
-func (h *HierarchicalAggregator) crossFirst() bool {
-	for _, agg := range h.Levels[0] {
-		if _, ok := agg.(*CrossAttnAggregator); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // foldCross is the first level of a pass over first-level
@@ -403,8 +394,8 @@ func (h *HierarchicalAggregator) backward(d *tensor.Tensor, ws []workspace, firs
 }
 
 // Forward reduces channel-major tokens x [B, C, T, E] to [B, T, E]: one fold
-// into the first-level group inputs in front of run. The D-CHAG stage, which
-// tokenizes straight into groups, skips the fold.
+// into the first-level group inputs in front of run. The D-CHAG stage
+// writes no token: its first level runs with the tokenizer folded in.
 func (h *HierarchicalAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
 	h.b, h.t = x.Shape[0], x.Shape[2]
 	return h.channelMajor("Forward", x, false)

@@ -320,7 +320,7 @@ func TestMaskedStageHeldAfterTraining(t *testing.T) {
 		within float64 // token tensors held at half the locations: the ceiling
 	}{
 		{core.KindCross, 4},    // 3.90 measured, 7.41 over every location; 4.22 and 8.27 while it wrote group inputs
-		{core.KindLinear, 1.3}, // 1.24 measured, 2.31 over every location
+		{core.KindLinear, 0.7}, // 0.61 measured, 1.03 over every location; 1.24 and 2.31 before its fold
 	} {
 		t.Run("kind="+c.kind.String(), func(t *testing.T) {
 			cfg := core.Config{Channels: 64, ImgH: 16, ImgW: 16, Patch: 2, Embed: 32, Heads: 4, Kind: c.kind, Seed: 1}

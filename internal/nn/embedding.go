@@ -85,10 +85,10 @@ func (p *PosEmbed) Params() []*Param { return []*Param{p.Table} }
 // tokens, broadcast over batch and spatial tokens: the "channel ID token" of
 // the paper's Fig. 1. Like PatchEmbed it may own only a shard [ChLo,ChHi) of
 // the global channel range with globally-seeded rows. It has no pass of its
-// own: the tokenizer adds row c while it writes channel c's tokens and sums
-// its gradient while it reads theirs (PatchEmbed.Tokenize, BackwardFrom),
-// or a cross stage folds it into its first level's projections with the
-// tokenizer's bias (core's fold.go).
+// own: the tokenizer adds row c while it forms channel c's tokens
+// (PatchEmbed.Tokenize, InferAccum, AccumPatches) and sums its gradient
+// while it reads theirs (BackwardFrom), or a stage's first level folds it
+// in with the tokenizer's bias (core's fold.go).
 type ChannelEmbed struct {
 	ChLo, ChHi int
 	Embed      int

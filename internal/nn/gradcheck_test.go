@@ -212,7 +212,7 @@ func TestChannelEmbedGradients(t *testing.T) {
 	r := tensor.Randn(rng, 2, 3, 4, 4)
 	out := tensor.New(2, 3, 4, 4)
 	loss := func() float64 {
-		p.Tokenize(x, nil, ChannelViews(nil, out), c, false)
+		p.Tokenize(x, ChannelViews(nil, out), c, false)
 		return dotAll(out, r)
 	}
 	loss()

@@ -45,7 +45,7 @@ func TestChannelEmbedShardMatchesFullSlice(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	x := tensor.Randn(rng, 2, channels, 4, 4)
 	yFull := tensor.New(2, channels, 4, embed)
-	fullTok.Tokenize(x, nil, ChannelViews(nil, yFull), full, false)
+	fullTok.Tokenize(x, ChannelViews(nil, yFull), full, false)
 	plain := fullTok.Forward(x)
 	for i, v := range yFull.Data {
 		if want := plain.Data[i] + full.Table.W.Data[i/embed/4%channels*embed+i%embed]; v != want {
@@ -55,9 +55,60 @@ func TestChannelEmbedShardMatchesFullSlice(t *testing.T) {
 	shard := NewChannelEmbedShard("ch", 2, 4, embed, seed)
 	shardTok := NewPatchEmbedShard("tok", 2, 4, 4, 4, 2, embed, seed+1)
 	ys := tensor.New(2, 2, 4, embed)
-	shardTok.Tokenize(tensor.SliceAxis(x, 1, 2, 4), nil, ChannelViews(nil, ys), shard, false)
+	shardTok.Tokenize(tensor.SliceAxis(x, 1, 2, 4), ChannelViews(nil, ys), shard, false)
 	if tensor.MaxAbsDiff(ys, tensor.SliceAxis(yFull, 1, 2, 4)) != 0 {
 		t.Fatal("channel-embed shard differs from full slice")
+	}
+}
+
+// TestAccumPatchesIsTheTokenPath holds the training pass's fused first level
+// to the token path bit for bit: over the patches Patches cached — at every
+// location or at listed ones — AccumPatches adds w times each of a
+// channel's tokens, as Tokenize stores them with or without the channel-ID
+// row, to out's rows at a stride wider than E, at patch 1, 2 and 4 and a
+// width that ends inside a vector.
+func TestAccumPatchesIsTheTokenPath(t *testing.T) {
+	const channels = 3
+	rng := tensor.NewRNG(12)
+	for _, patch := range []int{1, 2, 4} {
+		for _, e := range []int{8, 20} {
+			p := NewPatchEmbedShard("tok", 0, channels, 2*patch, 3*patch, patch, e, 13)
+			ids := NewChannelEmbedShard("ch", 0, channels, e, 14)
+			copy(p.Bias.W.Data, tensor.Randn(rng, channels, e).Data)
+			x := tensor.Randn(rng, 2, channels, 2*patch, 3*patch)
+			tn, ldo := p.Tokens(), e+5
+			tok := tensor.New(2, channels, tn, e)
+			for _, id := range []*ChannelEmbed{nil, ids} {
+				p.Tokenize(x, ChannelViews(nil, tok), id, false)
+				for _, locs := range [][]int{nil, {0, 3, 4, 11}} {
+					rows := 2 * tn
+					if locs != nil {
+						rows = len(locs)
+					}
+					out := tensor.Randn(rng, rows, ldo).Data
+					want := append([]float64(nil), out...)
+					p.Patches(x, locs, false)
+					for c := 0; c < channels; c++ {
+						w := rng.NormFloat64()
+						p.AccumPatches(c, id, w, out, ldo)
+						for r := 0; r < rows; r++ {
+							l := r
+							if locs != nil {
+								l = locs[r]
+							}
+							for j, v := range tok.Data[((l/tn*channels+c)*tn+l%tn)*e:][:e] {
+								want[r*ldo+j] += float64(w * v)
+							}
+						}
+					}
+					for i, v := range out {
+						if math.Float64bits(v) != math.Float64bits(want[i]) {
+							t.Fatalf("patch %d, E %d, ids %v, locs %v: value %d is %v, the token path's %v", patch, e, id != nil, locs, i, v, want[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -29,7 +29,6 @@ type PatchEmbed struct {
 	b    int            // cached batch size
 	locs []int          // the cached pass's locations; nil: every one
 	offs []int          // where each cached row's patch starts in local channel 0 (patchOffsets)
-	ends []int          // dW's depth pieces over locs (tensor.DepthSplits)
 
 	icol  *tensor.Tensor // Infer's im2col scratch [localC, rows, P*P] (not cached for backward)
 	ioffs []int          // Infer's patch offsets
@@ -46,6 +45,7 @@ type PatchEmbed struct {
 	pb32       []*tensor.PackedB32 // per-channel prepacked f32 weights
 	wv, gv     tensor.Tensor       // headers over one channel of Weight.W, Weight.Grad
 	cv, sv     tensor.Tensor       // headers over one channel's im2col matrix, one sample's rows of it
+	pv         tensor.Tensor       // header over one channel's cached im2col matrix read as an image (AccumPatches)
 }
 
 // channelView points the layer-owned header hdr at local channel c's
@@ -130,7 +130,7 @@ func ChannelViews(dst []TokenView, x *tensor.Tensor) []TokenView {
 func (p *PatchEmbed) Forward(x *tensor.Tensor) *tensor.Tensor {
 	p.out = tensor.EnsureShape(p.out, x.Shape[0], p.LocalChannels(), p.Tokens(), p.Embed)
 	p.views = ChannelViews(p.views[:0], p.out)
-	p.Tokenize(x, nil, p.views, nil, false)
+	p.Tokenize(x, p.views, nil, false)
 	return p.out
 }
 
@@ -139,7 +139,7 @@ func (p *PatchEmbed) Forward(x *tensor.Tensor) *tensor.Tensor {
 func (p *PatchEmbed) Infer(x *tensor.Tensor) *tensor.Tensor {
 	p.iout = tensor.EnsureShape(p.iout, x.Shape[0], p.LocalChannels(), p.Tokens(), p.Embed)
 	p.views = ChannelViews(p.views[:0], p.iout)
-	p.Tokenize(x, nil, p.views, nil, true)
+	p.Tokenize(x, p.views, nil, true)
 	return p.iout
 }
 
@@ -148,25 +148,13 @@ func (p *PatchEmbed) Infer(x *tensor.Tensor) *tensor.Tensor {
 // (patches@W_c + b_c) + ids.Table[c]; a nil ids adds no channel-ID row. With
 // infer it keeps nothing for a Backward and runs in the arithmetic
 // SetInferDType selected. Forward and Infer are Tokenize on channel-major
-// views of a tensor the layer owns.
-//
-// A non-nil locs tokenizes only those locations b·T + t of the batch,
-// ascending — the patches a masked step keeps — writing row i, location
-// locs[i], at dst[c].Data[i*TokenStride:]; each token has the bits a pass
-// over every location gives it. A training pass keeps locs (unmodified
-// until the Backward) and zeroes the image gradient, which its Backward
-// then fills at those patches only.
-func (p *PatchEmbed) Tokenize(x *tensor.Tensor, locs []int, dst []TokenView, ids *ChannelEmbed, infer bool) {
+// views of a tensor the layer owns; a D-CHAG stage never tokenizes, it
+// folds the projection into its first level (Patches, AccumPatches).
+func (p *PatchEmbed) Tokenize(x *tensor.Tensor, dst []TokenView, ids *ChannelEmbed, infer bool) {
 	p.mustCover(dst, ids)
-	col := p.Patches(x, locs, infer)
-	b := x.Shape[0]
-	if locs != nil {
-		// The rows follow one another at the views' token stride: one
-		// product per channel, as for a single sample.
-		b = 1
-	}
+	col := p.Patches(x, nil, infer)
 	for c := range dst {
-		p.project(p.channelCols(col, c), c, b, dst[c], ids.row(c), infer)
+		p.project(p.channelCols(col, c), c, x.Shape[0], dst[c], ids.row(c), infer)
 	}
 }
 
@@ -174,12 +162,12 @@ func (p *PatchEmbed) Tokenize(x *tensor.Tensor, locs []int, dst []TokenView, ids
 // im2col matrix of x [B, localC, H, W] — row r the P*P pixels of the
 // patch at location r, or at locs[r] (b·T + t, ascending) when locs is
 // non-nil — into [localC, rows, P*P] and returns it, layer-owned. A stage
-// that folds the projection into what follows (core's cross first level)
-// takes it from here; Tokenize projects it. Without infer the matrices are
-// the pass's cache: it records the pass as Tokenize does, for a Backward,
-// BackwardFrom or BackwardPatches, and the returned tensor stays unmodified
-// until the next training pass. With infer it is scratch, and a pending
-// backward's cache is left alone.
+// that folds the projection into what follows (core's first levels) takes
+// it from here; Tokenize projects it. Without infer the matrices are the
+// pass's cache: it records the pass for AccumPatches and BackwardPatches,
+// and over every location for Backward and BackwardFrom, and the returned
+// tensor stays unmodified until the next training pass. With infer it is
+// scratch, and a pending backward's cache is left alone.
 //
 // dchag:hotpath — once per stage pass; the matrices are layer-owned.
 func (p *PatchEmbed) Patches(x *tensor.Tensor, locs []int, infer bool) *tensor.Tensor {
@@ -204,7 +192,6 @@ func (p *PatchEmbed) Patches(x *tensor.Tensor, locs []int, infer bool) *tensor.T
 		p.col = tensor.EnsureShape(p.col, localC, rows, p.Patch*p.Patch)
 		col = p.col
 		if locs != nil {
-			p.ends = tensor.DepthSplits(p.ends, locs, 1)
 			p.dimg = tensor.EnsureShape(p.dimg, x.Shape[0], localC, p.ImgH, p.ImgW)
 			clear(p.dimg.Data)
 		}
@@ -254,6 +241,26 @@ func (p *PatchEmbed) InferAccum(x *tensor.Tensor, c int, ids *ChannelEmbed, w fl
 		return
 	}
 	tensor.PatchAccumInto(out, ldo, x, c, p.Patch, p.channelView(&p.wv, p.Weight.W, c), bias, id, w)
+}
+
+// AccumPatches is InferAccum for a training pass: it adds w times each of
+// local channel c's tokens at the last training pass's rows — formed from
+// the patches Patches cached, row r to out's row r, rows ldo apart — in
+// float64 whatever SetInferDType selected, without writing a token. Each
+// token has the bits Tokenize and InferAccum give it: channel c's cached
+// matrix [rows, P*P], read as an image P pixels wide and rows*P tall, has
+// the patch of row r as its r-th patch.
+//
+// dchag:hotpath — once per channel of a linear stage's training pass.
+func (p *PatchEmbed) AccumPatches(c int, ids *ChannelEmbed, w float64, out []float64, ldo int) {
+	if p.col == nil {
+		panic("nn: PatchEmbed.AccumPatches before a training pass")
+	}
+	p.mustShare(ids)
+	rows, pp := p.col.Shape[1], p.Patch*p.Patch
+	p.pv.Data = p.col.Data[c*rows*pp : (c+1)*rows*pp]
+	p.pv.Shape = append(p.pv.Shape[:0], 1, 1, rows*p.Patch, p.Patch)
+	tensor.PatchAccumInto(out, ldo, &p.pv, 0, p.Patch, p.channelView(&p.wv, p.Weight.W, c), p.Bias.W.Data[c*p.Embed:][:p.Embed], ids.row(c), w)
 }
 
 // mustTake checks that x is a batch of this shard's images [B, localC, H, W].
@@ -327,8 +334,9 @@ func (p *PatchEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // BackwardFrom is Backward for local channels first, first+1, ... reading
 // channel first+c's token gradient through src[c], for the batch the last
-// training Tokenize saw; it fills those channels of the image gradient it
-// returns, layer-owned and shared by every call, and leaves the others alone.
+// training Tokenize saw (a pass over every location); it fills those
+// channels of the image gradient it returns, layer-owned and shared by every
+// call, and leaves the others alone.
 // With ids it also accumulates the channel-ID table's gradient — the same
 // column sums as the bias gradient, from the same read. Every channel's
 // gradients are its own slices of the parameters' and the image's, so a
@@ -343,6 +351,9 @@ func (p *PatchEmbed) BackwardFrom(src []TokenView, first int, ids *ChannelEmbed)
 	}
 	if first < 0 || first+len(src) > p.LocalChannels() {
 		panic(fmt.Sprintf("nn: PatchEmbed over %d channels given token gradients for channels [%d,%d)", p.LocalChannels(), first, first+len(src)))
+	}
+	if p.locs != nil && len(src) > 0 {
+		panic("nn: PatchEmbed.BackwardFrom after a pass over listed locations")
 	}
 	p.mustShare(ids)
 	rows := len(p.offs)
@@ -365,53 +376,44 @@ func (p *PatchEmbed) backwardChannel(src TokenView, c int, idGrad []float64) {
 	t, e := p.Tokens(), p.Embed
 	rows := p.dy.Shape[0]
 	// Gather dY_c [rows, E] from where it lives, then sum its columns into
-	// the bias and channel-ID gradients in row order. The rows of a pass
-	// over listed locations follow one another at the token stride.
-	var ends []int
-	if p.locs != nil {
-		ends = p.ends
-		for r := 0; r < rows; r++ {
-			copy(p.dy.Data[r*e:][:e], src.Data[r*src.TokenStride:][:e])
-		}
-	} else {
-		for bi := 0; bi < p.b; bi++ {
-			for ti := 0; ti < t; ti++ {
-				copy(p.dy.Data[(bi*t+ti)*e:][:e], src.Data[bi*src.BatchStride+ti*src.TokenStride:][:e])
-			}
+	// the bias and channel-ID gradients in row order.
+	for bi := 0; bi < p.b; bi++ {
+		for ti := 0; ti < t; ti++ {
+			copy(p.dy.Data[(bi*t+ti)*e:][:e], src.Data[bi*src.BatchStride+ti*src.TokenStride:][:e])
 		}
 	}
 	tensor.AccumRows(p.Bias.Grad.Data[c*e:][:e], p.dy.Data, e, rows, nil)
 	if idGrad != nil {
 		tensor.AccumRows(idGrad[:e], p.dy.Data, e, rows, nil)
 	}
-	// dW_c += col^T @ dY, accumulated straight into the gradient slice, its
-	// depth cut where a pass over every location would have cut it.
-	tensor.TMatMulAccSplitInto(p.channelView(&p.gv, p.Weight.Grad, c), p.channelCols(p.col, c), p.dy, ends)
+	// dW_c += col^T @ dY, accumulated straight into the gradient slice.
+	tensor.TMatMulAccInto(p.channelView(&p.gv, p.Weight.Grad, c), p.channelCols(p.col, c), p.dy)
 	// dCol = dY @ W_c^T, then col2im back onto the image gradient.
 	tensor.MatMulTInto(p.dcol, p.dy, p.channelView(&p.wv, p.Weight.W, c)) // [rows, P*P]
 	p.col2im(p.dcol.Data, p.Patch*p.Patch, p.dimg, c, p.offs)
 }
 
-// BackwardPatches takes the patch gradients dcol [g, rows, w] of local
-// channels first, ..., first+g-1 — rows as the last training pass's
-// (Patches), the first P*P of each row's w >= P*P values — into the image
-// gradient it returns, layer-owned and shared with BackwardFrom, filling
-// those channels and leaving the others alone.
-// It is the tokenizer's backward for a stage that formed the patch
+// BackwardPatches takes the patch gradients dcol [rows, g, w] of local
+// channels first, ..., first+g-1 — channel k's gradient at row r the first
+// P*P of the w >= P*P values at dcol[r, k], rows as the last training
+// pass's (Patches) — into the image gradient it returns, layer-owned and
+// shared with BackwardFrom, filling those channels and leaving the others
+// alone. It is the tokenizer's backward for a stage that formed the patch
 // gradients itself, and with them the tokenizer's parameter gradients.
 //
-// dchag:hotpath — once per first-level group of the cross stage's backward.
+// dchag:hotpath — once per first-level group of every stage's backward.
 func (p *PatchEmbed) BackwardPatches(dcol *tensor.Tensor, first int) *tensor.Tensor {
 	if p.col == nil {
 		panic("nn: PatchEmbed.BackwardPatches before a training pass")
 	}
-	rows, w := len(p.offs), dcol.Shape[len(dcol.Shape)-1]
-	if len(dcol.Shape) != 3 || dcol.Shape[1] != rows || w < p.Patch*p.Patch || first < 0 || first+dcol.Shape[0] > p.LocalChannels() {
+	rows := len(p.offs)
+	if len(dcol.Shape) != 3 || dcol.Shape[0] != rows || dcol.Shape[2] < p.Patch*p.Patch || first < 0 || first+dcol.Shape[1] > p.LocalChannels() {
 		panic(fmt.Sprintf("nn: PatchEmbed over %d channels of %d rows given patch gradients %v for channels from %d", p.LocalChannels(), rows, dcol.Shape, first))
 	}
+	g, w := dcol.Shape[1], dcol.Shape[2]
 	p.dimg = tensor.EnsureShape(p.dimg, p.b, p.LocalChannels(), p.ImgH, p.ImgW)
-	for c := range dcol.Shape[0] {
-		p.col2im(dcol.Data[c*rows*w:(c+1)*rows*w], w, p.dimg, first+c, p.offs)
+	for c := range g {
+		p.col2im(dcol.Data[c*w:], g*w, p.dimg, first+c, p.offs)
 	}
 	return p.dimg
 }

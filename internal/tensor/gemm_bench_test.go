@@ -107,14 +107,16 @@ func BenchmarkAttentionShapedBatched(b *testing.B) {
 // m x k x n through the named entry point. Batched shapes are per-head
 // products read in place out of [N,T,H*Dh] projection layouts, as
 // nn.AttentionCore issues them, or, with group > 0, one product per channel
-// of a group of that many, as the cross stage's folded first level issues
-// them (the channels' projections the columns of [N, group, n]). epilogue is
-// what the kernel adds as it stores, where the layer has it add something:
-// "bias" (nn.Linear, and each channel's folded bias).
+// of a group of that many, as the folded first levels run them (the
+// channels' projections the columns of [N, group, n]); with shared, every
+// member reads one right operand (tensor.RepeatView), as the linear fold's
+// P^T d does. epilogue is what the kernel adds as it stores, where the layer
+// has it add something: "bias" (nn.Linear, and each channel's folded bias).
 type gemmShape struct {
 	name, op       string
 	batch, m, k, n int
 	group          int
+	shared         bool
 	epilogue       string
 }
 
@@ -129,8 +131,12 @@ type gemmShape struct {
 // ([80 x 32] @ [32 x 32]), the 4-deep product writing Q, K or V into the
 // group's [N, 16, E] from the pixels, and the backward's P^T dQ, the patch
 // gradient dQ Ŵ^T against the transposed fold (its 4 columns padded to a
-// whole 8-wide panel), the projection's weight gradient wu^T [G; s] and the
-// tokenizer's [G; s] W^T.
+// whole 8-wide panel) into the group's [N, 16, 8], the projection's weight
+// gradient wu^T [G; s] and the tokenizer's [G; s] W^T; and the linear
+// stage's folded backward at a wx_tp2dp2 rank's shape (groups of 20
+// channels, 128 locations, P² = 4, E = 64): P_c^T d against the one output
+// gradient d, and the group's patch gradient d (w_c W_c)^T, one product
+// into g·P² = 80 columns.
 var gemmShapes = []gemmShape{
 	{name: "vit_scores", op: "BatchedMatMulTInto", batch: 8, m: 64, k: 8, n: 64},
 	{name: "vit_context", op: "BatchedMatMulInto", batch: 8, m: 64, k: 64, n: 8},
@@ -144,6 +150,8 @@ var gemmShapes = []gemmShape{
 	{name: "fold_bwd_dp", op: "BatchedMatMulInto", batch: 16, m: 64, k: 32, n: 8, group: 16},
 	{name: "fold_bwd_dw", op: "TMatMulAccInto", batch: 1, m: 32, k: 80, n: 32},
 	{name: "fold_bwd_dwtok", op: "MatMulTInto", batch: 1, m: 80, k: 32, n: 32},
+	{name: "lin_bwd_g", op: "BatchedTMatMulSplitInto", batch: 20, m: 4, k: 128, n: 64, group: 20, shared: true},
+	{name: "lin_bwd_dp", op: "MatMulTInto", batch: 1, m: 128, k: 64, n: 80},
 }
 
 // shapeStep builds the operands of one shape and returns the call that runs
@@ -152,8 +160,8 @@ var gemmShapes = []gemmShape{
 // [samples, T, 4*Dh] tensors, score-shaped operands are contiguous
 // [samples, 4, Tq, Tk]. With a group, one member per channel: the pixels
 // [g, N, P²], the folded weights [g, P², E] and their padded transpose
-// [g, E, 8] contiguous, Q and dQ the columns of [N, g, E], the patch
-// gradient [g, N, 8].
+// [g, E, 8] contiguous, Q, dQ and the patch gradient the columns of
+// [N, g, E] and [N, g, 8], a shared operand one [k, n] matrix.
 func shapeStep(sh gemmShape) func() {
 	const heads = 4
 	rng := NewRNG(int64(8000 + sh.m + sh.k + sh.n))
@@ -177,11 +185,14 @@ func shapeStep(sh gemmShape) func() {
 		case "BatchedAffineInto": // Q_c [N,E] = P_c [N,P²] @ Ŵ_c [P²,E] + β̂_c
 			dst, a, b, bias := cols(sh.m, sh.n), mats(sh.m, sh.k), mats(sh.k, sh.n), Randn(rng, sh.group, sh.n).Data
 			return func() { BatchedAffineInto(dst, a, b, 1, bias) }
-		case "BatchedTMatMulSplitInto": // G_c [P²,E] = P_c [N,P²]^T @ dQ_c [N,E]
+		case "BatchedTMatMulSplitInto": // G_c [P²,E] = P_c [N,P²]^T @ dQ_c [N,E], or @ d [N,E] shared
 			dst, a, b := mats(sh.m, sh.n), mats(sh.k, sh.m), cols(sh.k, sh.n)
+			if sh.shared {
+				b = RepeatView(Randn(rng, sh.k, sh.n), sh.group)
+			}
 			return func() { BatchedTMatMulSplitInto(dst, a, b, 1, nil) }
 		case "BatchedMatMulInto": // dP_c [N,8] = dQ_c [N,E] @ Ŵ_c^T [E,8]
-			dst, a, b := mats(sh.m, sh.n), cols(sh.m, sh.k), mats(sh.k, sh.n)
+			dst, a, b := cols(sh.m, sh.n), cols(sh.m, sh.k), mats(sh.k, sh.n)
 			return func() { BatchedMatMulInto(dst, a, b, 1) }
 		}
 		panic(fmt.Sprintf("tensor: no runner for shape %+v", sh))

@@ -301,6 +301,15 @@ func HeadView(x *Tensor, heads int) View {
 	return View{data: x.Data, rows: t, cols: e / heads, ld: e, outer: n, inner: heads, outerStride: t * e, innerStride: e / heads}
 }
 
+// RepeatView views the matrix x [R,C] as every one of n batch members, in
+// place: the operand a batched product shares across its members.
+func RepeatView(x *Tensor, n int) View {
+	if len(x.Shape) != 2 || n < 0 {
+		panic(fmt.Sprintf("tensor: RepeatView requires a matrix and n >= 0, got %v and %d", x.Shape, n))
+	}
+	return View{data: x.Data, rows: x.Shape[0], cols: x.Shape[1], ld: x.Shape[1], outer: n, inner: 1}
+}
+
 // viewCursor walks a View's batch members in order without dividing: off is
 // the current member's offset into data, i its inner index.
 type viewCursor struct{ off, i int }

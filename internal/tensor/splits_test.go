@@ -123,6 +123,48 @@ func TestBatchedSplitReproducesTheWholeProduct(t *testing.T) {
 	})
 }
 
+// TestBatchedSplitOverARepeatedOperand is the linear stage's folded
+// backward: per member (a channel), P^T d with one output gradient d shared
+// by every member (RepeatView), over compacted rows cut where DepthSplits
+// says, equals the product over every row against d copied per member, in
+// which the dropped rows of d are signed zeros, bit for bit, under every
+// kernel tier, on the calling goroutine and split across workers.
+func TestBatchedSplitOverARepeatedOperand(t *testing.T) {
+	withEveryTier(t, func(t *testing.T) {
+		rng := NewRNG(34)
+		for _, c := range []struct{ locs, g, m, n int }{{600, 20, 4, 64}, {300, 3, 1, 12}, {90, 2, 16, 8}} {
+			p, d := Randn(rng, c.g, c.locs, c.m), Randn(rng, c.locs, c.n)
+			var keep []int
+			for l := 0; l < c.locs; l++ {
+				if rng.Float64() < 0.5 {
+					keep = append(keep, l)
+					continue
+				}
+				for i := range d.Data[l*c.n : (l+1)*c.n] {
+					d.Data[l*c.n+i] = math.Copysign(0, rng.NormFloat64())
+				}
+			}
+			copies := New(c.g, c.locs, c.n)
+			for k := 0; k < c.g; k++ {
+				copy(copies.Data[k*c.locs*c.n:], d.Data)
+			}
+			cp, cd := New(c.g, len(keep), c.m), New(len(keep), c.n)
+			for i, l := range keep {
+				for k := 0; k < c.g; k++ {
+					copy(cp.Data[(k*len(keep)+i)*c.m:][:c.m], p.Data[(k*c.locs+l)*c.m:])
+				}
+				copy(cd.Data[i*c.n:][:c.n], d.Data[l*c.n:])
+			}
+			want, whole, got := New(c.g, c.m, c.n), New(c.g, c.m, c.n), New(c.g, c.m, c.n)
+			BatchedTMatMulInto(MatView(want), MatView(p), MatView(copies), 1)
+			BatchedTMatMulInto(MatView(whole), MatView(p), RepeatView(d, c.g), 1)
+			BatchedTMatMulSplitInto(MatView(got), MatView(cp), RepeatView(cd, c.g), 1, DepthSplits(nil, keep, 1))
+			assertBitwise(t, fmt.Sprintf("%+v whole", c), whole, want)
+			assertBitwise(t, fmt.Sprintf("%+v compacted", c), got, want)
+		}
+	})
+}
+
 // TestBatchedAffineAddsEachMembersBias holds BatchedAffineInto to one
 // AffineInto per member, bit for bit, each member with its own bias row and
 // the destination members the columns of a wider row (a group's Q), under
