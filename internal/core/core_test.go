@@ -148,8 +148,8 @@ func TestLinearAggregatorGradients(t *testing.T) {
 }
 
 // TestFoldUnfoldChannelsRoundTrip checks the one permutation left in the
-// package: channel-major tokens copied into first-level group tensors
-// [B*T, g, E] land at rows (n*g + k)*E, and copying back restores them.
+// package: channel-major tokens regrouped into first-level group tensors
+// [B*T, g, E] land at rows (n*g + k)*E, and regrouping back restores them.
 func TestFoldUnfoldChannelsRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := tensor.NewRNG(seed)
@@ -158,30 +158,23 @@ func TestFoldUnfoldChannelsRoundTrip(t *testing.T) {
 		tt := 1 + int(rng.Int31n(4))
 		e := 1 + int(rng.Int31n(4))
 		x := tensor.Randn(rng, b, c, tt, e)
-		var groups []*tensor.Tensor
-		for _, g := range EvenSplit(c, 1+int(rng.Int31n(int32(c)))) {
-			groups = append(groups, tensor.New(b*tt, g, e))
-		}
-		var gm []nn.TokenView
-		for _, gt := range groups {
-			gm = groupViews(gm, gt, tt)
-		}
-		cm := nn.ChannelViews(nil, x)
-		copyTokens(gm, cm, b, tt, e)
+		back := tensor.New(b, c, tt, e)
 		ci := 0
-		for _, gt := range groups {
-			for k := 0; k < gt.Shape[1]; k, ci = k+1, ci+1 {
+		for _, g := range EvenSplit(c, 1+int(rng.Int31n(int32(c)))) {
+			gt := tensor.New(b*tt, g, e)
+			regroup(x, gt, ci, true)
+			for k := 0; k < g; k++ {
 				for n := 0; n < b*tt; n++ {
 					for i := 0; i < e; i++ {
-						if gt.At(n, k, i) != x.At(n/tt, ci, n%tt, i) {
+						if gt.At(n, k, i) != x.At(n/tt, ci+k, n%tt, i) {
 							return false
 						}
 					}
 				}
 			}
+			regroup(back, gt, ci, false)
+			ci += g
 		}
-		back := tensor.New(b, c, tt, e)
-		copyTokens(nn.ChannelViews(nil, back), gm, b, tt, e)
 		return tensor.MaxAbsDiff(back, x) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -200,6 +193,43 @@ func TestHierarchicalAggregatorGradients(t *testing.T) {
 		nn.ZeroGrads(h.Params())
 		dx := h.Backward(r)
 		checkGrad(t, "hier-"+kind.String()+"/x", x, dx, loss, 1e-5)
+	}
+}
+
+// TestChannelIDGradients checks the channel-ID table and the tokenizer's
+// bias where their gradients are formed, in the first level's folded
+// backward: against central differences of Σ out ⊙ r over a two-partition
+// one-rank stage, both kinds, flat and two-level trees, over every location
+// and over an uneven Visible list (r read at the listed rows only).
+func TestChannelIDGradients(t *testing.T) {
+	for _, kind := range []LayerKind{KindCross, KindLinear} {
+		for _, tree := range []int{0, 2} {
+			for _, locs := range [][]int{nil, {0, 3, 4, 6, 7}} {
+				cfg := Config{Channels: 4, ImgH: 4, ImgW: 4, Patch: 2, Embed: 8, Heads: 2, Tree: tree, Kind: kind, Seed: 505}
+				name := fmt.Sprintf("kind=%s/tree=%d/visible=%v", kind, tree, locs != nil)
+				d := serialDCHAG(cfg, 2)
+				jitter(d.Params())
+				rng := tensor.NewRNG(506)
+				x := tensor.Randn(rng, 2, cfg.Channels, cfg.ImgH, cfg.ImgW)
+				r := tensor.Randn(rng, 2, cfg.Tokens(), cfg.Embed)
+				if locs != nil {
+					kept := tensor.New(r.Shape...)
+					for _, l := range locs {
+						copy(kept.Data[l*cfg.Embed:][:cfg.Embed], r.Data[l*cfg.Embed:])
+					}
+					r = kept
+				}
+				loss := func() float64 {
+					d.Visible(locs)
+					return dotAll(d.Forward(x), r)
+				}
+				loss()
+				nn.ZeroGrads(d.Params())
+				d.Backward(r)
+				checkGrad(t, name+" chemb", d.ChEmb.Table.W, d.ChEmb.Table.Grad, loss, 1e-6)
+				checkGrad(t, name+" tok bias", d.Tok.Bias.W, d.Tok.Bias.Grad, loss, 1e-6)
+			}
+		}
 	}
 }
 

@@ -23,8 +23,6 @@ type DistTokenizer struct {
 	Channels   int
 	ChLo, ChHi int
 	Tok        *nn.PatchEmbed
-
-	views []nn.TokenView // Backward's per-channel gradient locations
 }
 
 // NewDistTokenizer builds rank c.Rank()'s tokenizer shard with the same
@@ -56,14 +54,13 @@ func (d *DistTokenizer) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward consumes the gradient of the full token tensor [B, C, T, E]
 // (identical on every rank, because the downstream module is replicated) and
-// back-propagates this rank's channel slice, read in place, through the
-// local tokenizer. No communication.
+// back-propagates this rank's channel slice, copied out, through the local
+// tokenizer. No communication.
 func (d *DistTokenizer) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if len(grad.Shape) != 4 || grad.Shape[1] != d.Channels {
 		panic(fmt.Sprintf("core: DistTokenizer.Backward want [B,%d,T,E], got %v", d.Channels, grad.Shape))
 	}
-	d.views = nn.ChannelViews(d.views[:0], grad)
-	return d.Tok.BackwardFrom(d.views[d.ChLo:d.ChHi], 0, nil)
+	return d.Tok.Backward(tensor.SliceAxis(grad, 1, d.ChLo, d.ChHi))
 }
 
 // Params returns the local tokenizer shard's parameters.

@@ -86,9 +86,7 @@ func foldForward(f *crossFold, a *CrossAttnAggregator, tok *nn.PatchEmbed, ids *
 	copy(f.wu.Data, tok.Weight.W.Data[c*pp*e:(c+g)*pp*e])
 	u := f.wu.Data[g*pp*e:]
 	copy(u, tok.Bias.W.Data[c*e:(c+g)*e])
-	if ids != nil {
-		tensor.AccumRows(u, ids.Table.W.Data[c*e:(c+g)*e], g*e, 1, nil)
-	}
+	tensor.AccumRows(u, ids.Table.W.Data[c*e:(c+g)*e], g*e, 1, nil)
 	patches := tensor.MatView(header(&f.pat, pat.Data[c*n*pp:(c+g)*n*pp], g, n, pp))
 	for x, l := range projections(a) {
 		f.w[x] = tensor.EnsureShape(f.w[x], g*(pp+1), e)
@@ -170,9 +168,7 @@ func foldBackward(f *crossFold, a *CrossAttnAggregator, d *tensor.Tensor, ws *wo
 	tensor.AccumRows(tok.Weight.Grad.Data[c*pp*e:(c+g)*pp*e], d0, g*pp*e, 1, nil)
 	du := d0[g*pp*e:]
 	tensor.AccumRows(tok.Bias.Grad.Data[c*e:(c+g)*e], du, g*e, 1, nil)
-	if ids != nil {
-		tensor.AccumRows(ids.Table.Grad.Data[c*e:(c+g)*e], du, g*e, 1, nil)
-	}
+	tensor.AccumRows(ids.Table.Grad.Data[c*e:(c+g)*e], du, g*e, 1, nil)
 	// dP = (dP_q + dP_k) + dP_v, into dP_q's place.
 	tensor.AccumRows(fg.dp.Data[:terms], fg.dp.Data[terms:], terms, 2, nil)
 	return tok.BackwardPatches(header(&fg.dpx, fg.dp.Data[:terms], n, g, pw), c)
@@ -237,11 +233,9 @@ func linearFoldBackward(a *LinearAggregator, d *tensor.Tensor, ws *workspace, to
 		coef := a.Weight.W.Data[k : k+1]
 		tensor.AccumRows(tok.Weight.Grad.Data[ck*we:][:we], gc, we, 1, coef)
 		tensor.AccumRows(tok.Bias.Grad.Data[ck*e:][:e], s, e, 1, coef)
+		tensor.AccumRows(ids.Table.Grad.Data[ck*e:][:e], s, e, 1, coef)
 		copy(u, tok.Bias.W.Data[ck*e:][:e])
-		if ids != nil {
-			tensor.AccumRows(ids.Table.Grad.Data[ck*e:][:e], s, e, 1, coef)
-			tensor.AccumRows(u, ids.Table.W.Data[ck*e:][:e], e, 1, nil)
-		}
+		tensor.AccumRows(u, ids.Table.W.Data[ck*e:][:e], e, 1, nil)
 		a.Weight.Grad.Data[k] += dot(wc, gc) + dot(u, s)
 		for i, v := range wc {
 			lg.w.Data[k*we+i] = wk * v

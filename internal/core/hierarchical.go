@@ -136,7 +136,7 @@ type HierarchicalAggregator struct {
 	Levels [][]GroupAggregator
 
 	layout TreePlan // Plan plus one more level, a single group of one token: the output
-	b, t   int      // extents of the last channel-major Forward
+	b, t   int      // extents of the last Forward
 	n      int      // rows of the last training pass
 	ran    bool     // a training pass has run: Backward may
 
@@ -144,13 +144,13 @@ type HierarchicalAggregator struct {
 	// inputs[l][gi] is the input [N, g, E] of group gi at level l of layout.
 	// Nothing is copied between levels: every aggregator's token is written
 	// where the next level reads it, the last entry being the module's
-	// output. The level-0 inputs are written only by the channel-major
-	// entry points; in a D-CHAG stage the first level runs with the
-	// tokenizer folded in (foldCross, accumulateLinear) and no pass writes
-	// them. Forward and Infer own separate sets so eval passes never clobber
-	// the inputs an aggregator cached for a pending Backward. dIn mirrors inputs for the
-	// backward walk: each group's input gradient above level 0, left in its
-	// level's workspace; its last entry is the output gradient.
+	// output. The level-0 inputs are written only by Forward; in a D-CHAG
+	// stage the first level runs with the tokenizer folded in (foldCross,
+	// accumulateLinear) and no pass writes them. A no-grad pass owns a
+	// separate set, iinputs, so it never clobbers the inputs an aggregator
+	// cached for a pending Backward. dIn mirrors inputs for the backward
+	// walk: each group's input gradient above level 0, left in its level's
+	// workspace; its last entry is the output gradient.
 	inputs, iinputs, dIn [][]*tensor.Tensor
 	dg                   *tensor.Tensor // backward per-group token gradient
 	// folds[gi] is first-level group gi's folded projections when the
@@ -158,11 +158,10 @@ type HierarchicalAggregator struct {
 	// then never written.
 	folds []crossFold
 
-	// The channel-major entry points' own storage, the backward workspaces
-	// (one per level) included.
-	dx     *tensor.Tensor
-	cm, gm []nn.TokenView
-	ws     []workspace
+	// Forward's and Backward's own storage: the token gradient and the
+	// backward workspaces, one per level.
+	dx *tensor.Tensor
+	ws []workspace
 }
 
 // NewHierarchicalAggregator builds the module for the given plan. Layer
@@ -193,38 +192,8 @@ func NewHierarchicalAggregator(name string, plan TreePlan, kind LayerKind, embed
 // Channels returns the module's input channel count.
 func (h *HierarchicalAggregator) Channels() int { return h.Plan.Channels() }
 
-// groupViews appends, for each of the g channels of a first-level group, where
-// its tokens sit inside the group's tensor gt [B*t, g, E]: an input on the
-// way in, an input gradient on the way back — the channel-major entry
-// points' side of copyTokens.
-//
-// dchag:hotpath — view bookkeeping into a caller-owned slice.
-func groupViews(dst []nn.TokenView, gt *tensor.Tensor, t int) []nn.TokenView {
-	g, e := gt.Shape[1], gt.Shape[2]
-	for k := 0; k < g; k++ {
-		dst = append(dst, nn.TokenView{Data: gt.Data[k*e:], BatchStride: t * g * e, TokenStride: g * e})
-	}
-	return dst
-}
-
-// inputViews sizes the pass's first-level group inputs for b samples of t
-// tokens of width e — one [b*t, g, e] tensor per group, channel k of the
-// group at rows (n*g + k)*e — and appends every channel's view, in plan
-// order, for channelMajor to fill before it calls run.
-func (h *HierarchicalAggregator) inputViews(dst []nn.TokenView, b, t, e int, infer bool) []nn.TokenView {
-	in := h.inputs[0]
-	if infer {
-		in = h.iinputs[0]
-	}
-	for gi, g := range h.Plan[0] {
-		in[gi] = tensor.EnsureShape(in[gi], b*t, g, e)
-		dst = groupViews(dst, in[gi], t)
-	}
-	return dst
-}
-
 // run walks the tree from level `from` over the inputs the caller filled
-// (channelMajor, foldCross or accumulateLinear), returning the final [N, 1, E]
+// (Forward, foldCross or accumulateLinear), returning the final [N, 1, E]
 // token. With infer set it reads the Infer scratch set and aggregators take
 // their no-grad fast path.
 //
@@ -292,7 +261,7 @@ func (h *HierarchicalAggregator) outputTo(out []float64, infer bool) {
 // training pass from the n rows of patches its Patches call cached
 // (AccumPatches, in float64). It returns the next local channel; run(1,
 // infer) takes the tree from there. The sums are LinearAggregator.Forward's
-// over the tokens Tokenize would have stored, bit for bit.
+// over the tokenizer's tokens plus their channel-ID rows, bit for bit.
 //
 // dchag:hotpath — the linear stage's first level.
 func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.ChannelEmbed, x *tensor.Tensor, n, c int, infer bool) int {
@@ -393,29 +362,21 @@ func (h *HierarchicalAggregator) backward(d *tensor.Tensor, ws []workspace, firs
 	}
 }
 
-// Forward reduces channel-major tokens x [B, C, T, E] to [B, T, E]: one fold
-// into the first-level group inputs in front of run. The D-CHAG stage
-// writes no token: its first level runs with the tokenizer folded in.
+// Forward reduces channel-major tokens x [B, C, T, E] to [B, T, E]: one
+// regroup into the first-level group inputs in front of run. The D-CHAG
+// stage writes no token: its first level runs with the tokenizer folded in.
 func (h *HierarchicalAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
-	h.b, h.t = x.Shape[0], x.Shape[2]
-	return h.channelMajor("Forward", x, false)
-}
-
-// Infer is Forward without caching the per-level inputs for backward.
-func (h *HierarchicalAggregator) Infer(x *tensor.Tensor) *tensor.Tensor {
-	return h.channelMajor("Infer", x, true)
-}
-
-func (h *HierarchicalAggregator) channelMajor(op string, x *tensor.Tensor, infer bool) *tensor.Tensor {
-	c := h.Channels()
-	if len(x.Shape) != 4 || x.Shape[1] != c {
-		panic(fmt.Sprintf("core: HierarchicalAggregator.%s want [B,%d,T,E], got %v", op, c, x.Shape))
+	if len(x.Shape) != 4 || x.Shape[1] != h.Channels() {
+		panic(fmt.Sprintf("core: HierarchicalAggregator.Forward want [B,%d,T,E], got %v", h.Channels(), x.Shape))
 	}
-	b, t, e := x.Shape[0], x.Shape[2], x.Shape[3]
-	h.gm = h.inputViews(h.gm[:0], b, t, e, infer)
-	h.cm = nn.ChannelViews(h.cm[:0], x)
-	copyTokens(h.gm, h.cm, b, t, e)
-	return tensor.EnsureShape(h.run(0, infer), b, t, e)
+	h.b, h.t = x.Shape[0], x.Shape[2]
+	lo := 0
+	for gi, g := range h.Plan[0] {
+		h.inputs[0][gi] = tensor.EnsureShape(h.inputs[0][gi], h.b*h.t, g, x.Shape[3])
+		regroup(x, h.inputs[0][gi], lo, true)
+		lo += g
+	}
+	return tensor.EnsureShape(h.run(0, false), h.b, h.t, x.Shape[3])
 }
 
 // SetInferDType selects the arithmetic of every aggregator's no-grad Infer
@@ -431,31 +392,33 @@ func (h *HierarchicalAggregator) SetInferDType(dt tensor.DType) {
 }
 
 // Backward maps d [B, T, E] back to the channel-major token gradient
-// [B, C, T, E]: backward, each group's gradient unfolded as it appears.
+// [B, C, T, E]: backward, each group's gradient regrouped as it appears.
 func (h *HierarchicalAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
-	e := d.Shape[len(d.Shape)-1]
-	h.dx = tensor.EnsureShape(h.dx, h.b, h.Channels(), h.t, e)
-	h.cm = nn.ChannelViews(h.cm[:0], h.dx)
-	c := 0
+	h.dx = tensor.EnsureShape(h.dx, h.b, h.Channels(), h.t, d.Shape[len(d.Shape)-1])
+	lo := 0
 	h.backward(d, h.ws, func(gi int, dg *tensor.Tensor) {
-		part := h.Levels[0][gi].backward(dg, &h.ws[0]) // [N, g, E]
-		h.gm = groupViews(h.gm[:0], part, h.t)
-		copyTokens(h.cm[c:c+len(h.gm)], h.gm, h.b, h.t, e)
-		c += len(h.gm)
+		regroup(h.dx, h.Levels[0][gi].backward(dg, &h.ws[0]), lo, false)
+		lo += h.Plan[0][gi]
 	})
 	return h.dx
 }
 
-// copyTokens copies every channel's [b, t, e] tokens from src[c] to dst[c]:
-// the fold from channel-major storage into group inputs, and its inverse.
-//
-// dchag:hotpath — the channel-major entry points' one permutation.
-func copyTokens(dst, src []nn.TokenView, b, t, e int) {
-	for c, d := range dst {
-		s := src[c]
-		for bi := 0; bi < b; bi++ {
+// regroup copies between channel-major tokens cm [B, C, T, E] and a
+// first-level group's tensor gt [B*T, g, E] over channels lo, ..., lo+g-1,
+// channel lo+k of cm at column k of gt: into gt with in, back into cm
+// otherwise.
+func regroup(cm, gt *tensor.Tensor, lo int, in bool) {
+	b, c, t, e := cm.Shape[0], cm.Shape[1], cm.Shape[2], cm.Shape[3]
+	g := gt.Shape[1]
+	for bi := 0; bi < b; bi++ {
+		for k := 0; k < g; k++ {
 			for ti := 0; ti < t; ti++ {
-				copy(d.Data[bi*d.BatchStride+ti*d.TokenStride:][:e], s.Data[bi*s.BatchStride+ti*s.TokenStride:][:e])
+				x, y := cm.Data[((bi*c+lo+k)*t+ti)*e:][:e], gt.Data[((bi*t+ti)*g+k)*e:][:e]
+				if in {
+					copy(y, x)
+				} else {
+					copy(x, y)
+				}
 			}
 		}
 	}

@@ -17,9 +17,9 @@ import (
 // slice per group, the aggregators, and the same chain back — kept as the
 // oracle the shipped stage is held to: bit for bit where it moves data only,
 // within foldBound where its folded first level reassociates sums. It borrows a one-rank stage's layers and parameters and none of its
-// passes, and allocates every intermediate afresh. With viaEntryPoints it
-// hands each partition's channel-major slice to the module's own
-// Forward/Infer/Backward instead of walking the tree itself.
+// passes, and allocates every intermediate afresh. With viaEntryPoints its
+// training pass hands each partition's channel-major slice to the module's
+// own Forward/Backward instead of walking the tree itself.
 type oracleStage struct {
 	r              *DCHAG
 	viaEntryPoints bool
@@ -82,9 +82,7 @@ func (o *oracleStage) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
 		lo += partial.Channels()
 		var cur *tensor.Tensor
 		switch {
-		case o.viaEntryPoints && infer:
-			cur = partial.Infer(partIn)
-		case o.viaEntryPoints:
+		case o.viaEntryPoints && !infer:
 			cur = partial.Forward(partIn)
 		default:
 			cur = fold(partIn)
@@ -301,8 +299,8 @@ func (f foldCheck) sameGrads(t *testing.T, what string, got, want []*nn.Param) {
 // composition — output, image gradient and every parameter gradient
 // (tokenizer weight and bias, channel-ID table, every aggregator, the final
 // layer), on a first step and on a second one accumulating into non-zero
-// gradients, and Infer under F64 and under F32 — directly and through the
-// modules' channel-major entry points. Infer also holds over patch 1, 2 and
+// gradients, and Infer under F64 and under F32 — directly and, for
+// training, through the modules' channel-major entry points. Infer also holds over patch 1, 2 and
 // 4 and widths 8 to 64, on the host's kernel tier and on the Go twins. Every
 // stage folds the tokenizer into its first level, which writes no token: a
 // linear stage adds each token, weighted, as the composition's aggregator

@@ -109,7 +109,10 @@ func (s *localStage) crossFirst() bool {
 // communication and allocates nothing in steady state.
 func (s *localStage) backward(dSeq *tensor.Tensor, first int) *tensor.Tensor {
 	if s.rows == 0 {
-		return s.Tok.BackwardFrom(nil, 0, s.ChEmb)
+		// No location: the image gradient Patches cleared, from a call over
+		// no channel.
+		s.dLocal = tensor.EnsureShape(s.dLocal, 0, 0, s.Tok.Patch*s.Tok.Patch)
+		return s.Tok.BackwardPatches(s.dLocal, 0)
 	}
 	s.dLocal = tensor.EnsureShape(s.dLocal, s.rows, s.Tok.Embed)
 	var ends []int

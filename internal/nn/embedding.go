@@ -85,10 +85,10 @@ func (p *PosEmbed) Params() []*Param { return []*Param{p.Table} }
 // tokens, broadcast over batch and spatial tokens: the "channel ID token" of
 // the paper's Fig. 1. Like PatchEmbed it may own only a shard [ChLo,ChHi) of
 // the global channel range with globally-seeded rows. It has no pass of its
-// own: the tokenizer adds row c while it forms channel c's tokens
-// (PatchEmbed.Tokenize, InferAccum, AccumPatches) and sums its gradient
-// while it reads theirs (BackwardFrom), or a stage's first level folds it
-// in with the tokenizer's bias (core's fold.go).
+// own: a stage's first level applies it with the tokenizer's bias, adding
+// row c to each of channel c's tokens as it forms them (PatchEmbed.InferAccum,
+// AccumPatches) or folding it into the projections (core's fold.go), and
+// forms its gradient there too.
 type ChannelEmbed struct {
 	ChLo, ChHi int
 	Embed      int
@@ -114,22 +114,8 @@ func NewChannelEmbedShard(name string, chLo, chHi, embed int, seed int64) *Chann
 	}
 }
 
-// row returns local channel ci's ID row; nil on a nil embedding, which
-// stands for "no channel IDs".
-func (c *ChannelEmbed) row(ci int) []float64 {
-	if c == nil {
-		return nil
-	}
-	return c.Table.W.Data[ci*c.Embed : (ci+1)*c.Embed]
-}
-
-// gradRow is row over the table's gradient.
-func (c *ChannelEmbed) gradRow(ci int) []float64 {
-	if c == nil {
-		return nil
-	}
-	return c.Table.Grad.Data[ci*c.Embed : (ci+1)*c.Embed]
-}
+// row returns local channel ci's ID row.
+func (c *ChannelEmbed) row(ci int) []float64 { return c.Table.W.Data[ci*c.Embed : (ci+1)*c.Embed] }
 
 // Params returns the embedding table.
 func (c *ChannelEmbed) Params() []*Param { return []*Param{c.Table} }

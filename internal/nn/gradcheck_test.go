@@ -201,28 +201,6 @@ func TestPosEmbedGradients(t *testing.T) {
 	checkGrad(t, "posembed/table", p.Table.W, p.Table.Grad, loss, 1e-6)
 }
 
-// TestChannelEmbedGradients checks the channel-ID table through the pass that
-// applies it: the tokenizer adds row c on the way out and sums its gradient
-// on the way back.
-func TestChannelEmbedGradients(t *testing.T) {
-	rng := tensor.NewRNG(100)
-	p := NewPatchEmbedShard("tok", 0, 3, 4, 4, 2, 4, 99)
-	c := NewChannelEmbedShard("ch", 0, 3, 4, 101)
-	x := tensor.Randn(rng, 2, 3, 4, 4)
-	r := tensor.Randn(rng, 2, 3, 4, 4)
-	out := tensor.New(2, 3, 4, 4)
-	loss := func() float64 {
-		p.Tokenize(x, ChannelViews(nil, out), c, false)
-		return dotAll(out, r)
-	}
-	loss()
-	ZeroGrads(append(p.Params(), c.Params()...))
-	dx := p.BackwardFrom(ChannelViews(nil, r), 0, c)
-	checkGrad(t, "chembed/x", x, dx, loss, 1e-6)
-	checkGrad(t, "chembed/table", c.Table.W, c.Table.Grad, loss, 1e-6)
-	checkGrad(t, "chembed/bias", p.Bias.W, p.Bias.Grad, loss, 1e-6)
-}
-
 func TestMetaTokenGradients(t *testing.T) {
 	rng := tensor.NewRNG(110)
 	m := NewMetaToken("meta", 2, 3, 111)

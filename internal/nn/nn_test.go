@@ -34,6 +34,9 @@ func TestPatchEmbedShardMatchesFullSlice(t *testing.T) {
 	}
 }
 
+// TestChannelEmbedShardMatchesFullSlice: a shard's rows are the full
+// table's rows of its channels, bit for bit, because each row is seeded by
+// its global channel index.
 func TestChannelEmbedShardMatchesFullSlice(t *testing.T) {
 	const (
 		channels = 5
@@ -41,32 +44,20 @@ func TestChannelEmbedShardMatchesFullSlice(t *testing.T) {
 		seed     = 88
 	)
 	full := NewChannelEmbedShard("ch", 0, channels, embed, seed)
-	fullTok := NewPatchEmbedShard("tok", 0, channels, 4, 4, 2, embed, seed+1)
-	rng := tensor.NewRNG(6)
-	x := tensor.Randn(rng, 2, channels, 4, 4)
-	yFull := tensor.New(2, channels, 4, embed)
-	fullTok.Tokenize(x, ChannelViews(nil, yFull), full, false)
-	plain := fullTok.Forward(x)
-	for i, v := range yFull.Data {
-		if want := plain.Data[i] + full.Table.W.Data[i/embed/4%channels*embed+i%embed]; v != want {
-			t.Fatalf("token value %d = %v, want tokenizer output plus the channel's row = %v", i, v, want)
-		}
-	}
 	shard := NewChannelEmbedShard("ch", 2, 4, embed, seed)
-	shardTok := NewPatchEmbedShard("tok", 2, 4, 4, 4, 2, embed, seed+1)
-	ys := tensor.New(2, 2, 4, embed)
-	shardTok.Tokenize(tensor.SliceAxis(x, 1, 2, 4), ChannelViews(nil, ys), shard, false)
-	if tensor.MaxAbsDiff(ys, tensor.SliceAxis(yFull, 1, 2, 4)) != 0 {
-		t.Fatal("channel-embed shard differs from full slice")
+	for i, v := range shard.Table.W.Data {
+		if want := full.Table.W.Data[2*embed+i]; math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("shard [2,4) value %d is %v, the full table's %v", i, v, want)
+		}
 	}
 }
 
 // TestAccumPatchesIsTheTokenPath holds the training pass's fused first level
 // to the token path bit for bit: over the patches Patches cached — at every
 // location or at listed ones — AccumPatches adds w times each of a
-// channel's tokens, as Tokenize stores them with or without the channel-ID
-// row, to out's rows at a stride wider than E, at patch 1, 2 and 4 and a
-// width that ends inside a vector.
+// channel's tokens, as Forward stores them plus the channel-ID row, to out's
+// rows at a stride wider than E, at patch 1, 2 and 4 and a width that ends
+// inside a vector.
 func TestAccumPatchesIsTheTokenPath(t *testing.T) {
 	const channels = 3
 	rng := tensor.NewRNG(12)
@@ -77,34 +68,34 @@ func TestAccumPatchesIsTheTokenPath(t *testing.T) {
 			copy(p.Bias.W.Data, tensor.Randn(rng, channels, e).Data)
 			x := tensor.Randn(rng, 2, channels, 2*patch, 3*patch)
 			tn, ldo := p.Tokens(), e+5
-			tok := tensor.New(2, channels, tn, e)
-			for _, id := range []*ChannelEmbed{nil, ids} {
-				p.Tokenize(x, ChannelViews(nil, tok), id, false)
-				for _, locs := range [][]int{nil, {0, 3, 4, 11}} {
-					rows := 2 * tn
-					if locs != nil {
-						rows = len(locs)
-					}
-					out := tensor.Randn(rng, rows, ldo).Data
-					want := append([]float64(nil), out...)
-					p.Patches(x, locs, false)
-					for c := 0; c < channels; c++ {
-						w := rng.NormFloat64()
-						p.AccumPatches(c, id, w, out, ldo)
-						for r := 0; r < rows; r++ {
-							l := r
-							if locs != nil {
-								l = locs[r]
-							}
-							for j, v := range tok.Data[((l/tn*channels+c)*tn+l%tn)*e:][:e] {
-								want[r*ldo+j] += float64(w * v)
-							}
+			tok := p.Forward(x).Clone()
+			for i := range tok.Data {
+				tok.Data[i] += ids.Table.W.Data[i/(tn*e)%channels*e+i%e]
+			}
+			for _, locs := range [][]int{nil, {0, 3, 4, 11}} {
+				rows := 2 * tn
+				if locs != nil {
+					rows = len(locs)
+				}
+				out := tensor.Randn(rng, rows, ldo).Data
+				want := append([]float64(nil), out...)
+				p.Patches(x, locs, false)
+				for c := 0; c < channels; c++ {
+					w := rng.NormFloat64()
+					p.AccumPatches(c, ids, w, out, ldo)
+					for r := 0; r < rows; r++ {
+						l := r
+						if locs != nil {
+							l = locs[r]
+						}
+						for j, v := range tok.Data[((l/tn*channels+c)*tn+l%tn)*e:][:e] {
+							want[r*ldo+j] += float64(w * v)
 						}
 					}
-					for i, v := range out {
-						if math.Float64bits(v) != math.Float64bits(want[i]) {
-							t.Fatalf("patch %d, E %d, ids %v, locs %v: value %d is %v, the token path's %v", patch, e, id != nil, locs, i, v, want[i])
-						}
+				}
+				for i, v := range out {
+					if math.Float64bits(v) != math.Float64bits(want[i]) {
+						t.Fatalf("patch %d, E %d, locs %v: value %d is %v, the token path's %v", patch, e, locs, i, v, want[i])
 					}
 				}
 			}
@@ -215,13 +206,32 @@ func TestAttentionDeterministicInit(t *testing.T) {
 	}
 }
 
+// TestBackwardBeforeForwardPanics: a backward with no training pass to go
+// back through — none yet, or, for the tokenizer, one over listed
+// locations, whose tokens were never formed — refuses.
 func TestBackwardBeforeForwardPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewLinear("l", 2, 2, 1).Backward(tensor.New(1, 2))
+	x := tensor.New(1, 1, 2, 2)
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"linear", func() { NewLinear("l", 2, 2, 1).Backward(tensor.New(1, 2)) }},
+		{"patchembed/no pass", func() { NewPatchEmbedShard("tok", 0, 1, 2, 2, 2, 3, 9).Backward(tensor.New(1, 1, 1, 3)) }},
+		{"patchembed/listed locations", func() {
+			p := NewPatchEmbedShard("tok", 0, 1, 2, 2, 2, 3, 9)
+			p.Patches(x, []int{0}, false)
+			p.Backward(tensor.New(1, 1, 1, 3))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			tc.call()
+		})
+	}
 }
 
 func TestParamsEqualTolerance(t *testing.T) {

@@ -36,10 +36,7 @@ type PatchEmbed struct {
 	dcol  *tensor.Tensor // per-channel patch-gradient scratch
 	dimg  *tensor.Tensor // Backward image-gradient scratch
 
-	// The channel-major entry points' own storage; never grown by a caller
-	// that brings its own views.
-	out, iout *tensor.Tensor
-	views     []TokenView
+	out, iout *tensor.Tensor // Forward's and Infer's tokens
 
 	inferDType tensor.DType
 	pb32       []*tensor.PackedB32 // per-channel prepacked f32 weights
@@ -105,57 +102,44 @@ func (p *PatchEmbed) LocalChannels() int { return p.ChHi - p.ChLo }
 // Tokens returns the number of spatial tokens per channel.
 func (p *PatchEmbed) Tokens() int { return (p.ImgH / p.Patch) * (p.ImgW / p.Patch) }
 
-// TokenView locates one channel's tokens [B, T, E] inside a larger buffer: the
-// E values of sample b's token t start at Data[b*BatchStride+t*TokenStride].
-// It is how the tokenizer writes each channel straight into the layout its
-// consumer reads, and reads each channel's gradient from where its producer
-// left it (DESIGN.md "Channel stage: one token layout").
-type TokenView struct {
-	Data                     []float64
-	BatchStride, TokenStride int
-}
-
-// ChannelViews appends the view of every channel of the channel-major token
-// tensor x [B, C, T, E] to dst.
-func ChannelViews(dst []TokenView, x *tensor.Tensor) []TokenView {
-	c, t, e := x.Shape[1], x.Shape[2], x.Shape[3]
-	for ci := 0; ci < c; ci++ {
-		dst = append(dst, TokenView{Data: x.Data[ci*t*e:], BatchStride: c * t * e, TokenStride: e})
-	}
-	return dst
-}
-
 // Forward tokenizes x of shape [B, localC, H, W] into [B, localC, T, E].
 // The channel dimension of x must already be this shard's local slice.
 func (p *PatchEmbed) Forward(x *tensor.Tensor) *tensor.Tensor {
 	p.out = tensor.EnsureShape(p.out, x.Shape[0], p.LocalChannels(), p.Tokens(), p.Embed)
-	p.views = ChannelViews(p.views[:0], p.out)
-	p.Tokenize(x, p.views, nil, false)
-	return p.out
+	return p.tokenize(p.out, x, false)
 }
 
 // Infer tokenizes without caching the im2col matrices for backward — the
-// dominant activation cost of the tokenizer.
+// dominant activation cost of the tokenizer — in the arithmetic
+// SetInferDType selected.
 func (p *PatchEmbed) Infer(x *tensor.Tensor) *tensor.Tensor {
 	p.iout = tensor.EnsureShape(p.iout, x.Shape[0], p.LocalChannels(), p.Tokens(), p.Embed)
-	p.views = ChannelViews(p.views[:0], p.iout)
-	p.Tokenize(x, p.views, nil, true)
-	return p.iout
+	return p.tokenize(p.iout, x, true)
 }
 
-// Tokenize is the one body behind every tokenizing entry point. It tokenizes
-// x [B, localC, H, W], writing local channel c's tokens through dst[c] as
-// (patches@W_c + b_c) + ids.Table[c]; a nil ids adds no channel-ID row. With
-// infer it keeps nothing for a Backward and runs in the arithmetic
-// SetInferDType selected. Forward and Infer are Tokenize on channel-major
-// views of a tensor the layer owns; a D-CHAG stage never tokenizes, it
-// folds the projection into its first level (Patches, AccumPatches).
-func (p *PatchEmbed) Tokenize(x *tensor.Tensor, dst []TokenView, ids *ChannelEmbed, infer bool) {
-	p.mustCover(dst, ids)
+// tokenize writes local channel c's tokens of sample b, patches@W_c + b_c,
+// into out[b, c] [T, E]: one product per channel and sample, the bias added
+// as the kernel stores each row. A D-CHAG stage never tokenizes, it folds
+// the projection into its first level (Patches, AccumPatches).
+//
+// dchag:hotpath — the reference tokenizer; every buffer is layer-owned.
+func (p *PatchEmbed) tokenize(out, x *tensor.Tensor, infer bool) *tensor.Tensor {
 	col := p.Patches(x, nil, infer)
-	for c := range dst {
-		p.project(p.channelCols(col, c), c, x.Shape[0], dst[c], ids.row(c), infer)
+	b, localC, t, e, pp := x.Shape[0], p.LocalChannels(), p.Tokens(), p.Embed, p.Patch*p.Patch
+	p.sv.Shape = append(p.sv.Shape[:0], t, pp)
+	for c := 0; c < localC; c++ {
+		ep := tensor.Epilogue{Bias: p.Bias.W.Data[c*e:][:e]}
+		for bi := 0; bi < b; bi++ {
+			p.sv.Data = col.Data[(c*b+bi)*t*pp:][:t*pp]
+			dst := out.Data[(bi*localC+c)*t*e:][:t*e]
+			if infer && p.inferDType == tensor.F32 && p.pb32 != nil {
+				tensor.AffinePackedF32Into(dst, e, &p.sv, p.pb32[c], ep)
+			} else {
+				tensor.AffineInto(dst, e, &p.sv, p.channelView(&p.wv, p.Weight.W, c), false, ep)
+			}
+		}
 	}
+	return out
 }
 
 // Patches is the tokenizer's gather alone: it writes every local channel's
@@ -163,9 +147,9 @@ func (p *PatchEmbed) Tokenize(x *tensor.Tensor, dst []TokenView, ids *ChannelEmb
 // patch at location r, or at locs[r] (b·T + t, ascending) when locs is
 // non-nil — into [localC, rows, P*P] and returns it, layer-owned. A stage
 // that folds the projection into what follows (core's first levels) takes
-// it from here; Tokenize projects it. Without infer the matrices are the
-// pass's cache: it records the pass for AccumPatches and BackwardPatches,
-// and over every location for Backward and BackwardFrom, and the returned
+// it from here; Forward and Infer project it. Without infer the matrices
+// are the pass's cache: it records the pass for AccumPatches and
+// BackwardPatches, and over every location for Backward, and the returned
 // tensor stays unmodified until the next training pass. With infer it is
 // scratch, and a pending backward's cache is left alone.
 //
@@ -224,11 +208,11 @@ func (p *PatchEmbed) mustList(locs []int, n int) {
 
 // InferAccum is the no-grad tokenizer of a linear channel aggregation: it
 // adds w times each of local channel c's B·T tokens of x [B, localC, H, W] —
-// (patches@W_c + b_c) + ids.Table[c], a nil ids adding no row — to out's
-// row b·T + t, rows ldo apart, without writing a token anywhere
-// (tensor.PatchAccumInto, or PatchAccumPackedF32Into against the prepacked
-// weights when SetInferDType selected F32). The values are those Tokenize
-// stores and an aggregator's weighted sum adds, bit for bit. It needs
+// (patches@W_c + b_c) + ids.Table[c] — to out's row b·T + t, rows ldo
+// apart, without writing a token anywhere (tensor.PatchAccumInto, or
+// PatchAccumPackedF32Into against the prepacked weights when SetInferDType
+// selected F32). The values are Infer's tokens plus the channel's ID row,
+// as an aggregator's weighted sum adds them, bit for bit. It needs
 // Patch² <= tensor.PatchAccumMaxDepth.
 //
 // dchag:hotpath — once per channel of the no-grad linear stage.
@@ -247,7 +231,7 @@ func (p *PatchEmbed) InferAccum(x *tensor.Tensor, c int, ids *ChannelEmbed, w fl
 // local channel c's tokens at the last training pass's rows — formed from
 // the patches Patches cached, row r to out's row r, rows ldo apart — in
 // float64 whatever SetInferDType selected, without writing a token. Each
-// token has the bits Tokenize and InferAccum give it: channel c's cached
+// token has the bits Forward and InferAccum give it: channel c's cached
 // matrix [rows, P*P], read as an image P pixels wide and rows*P tall, has
 // the patch of row r as its r-th patch.
 //
@@ -270,136 +254,56 @@ func (p *PatchEmbed) mustTake(op string, x *tensor.Tensor) {
 	}
 }
 
-// mustCover checks that a pass was handed one view per local channel and a
-// channel-ID table over the same shard.
-func (p *PatchEmbed) mustCover(views []TokenView, ids *ChannelEmbed) {
-	if len(views) != p.LocalChannels() {
-		panic(fmt.Sprintf("nn: PatchEmbed over channels [%d,%d) needs as many token views, got %d", p.ChLo, p.ChHi, len(views)))
-	}
-	p.mustShare(ids)
-}
-
-// mustShare checks that ids, when there is one, covers this shard's channels.
+// mustShare checks that ids covers this shard's channels.
 func (p *PatchEmbed) mustShare(ids *ChannelEmbed) {
-	if ids != nil && (ids.ChLo != p.ChLo || ids.ChHi != p.ChHi || ids.Embed != p.Embed) {
+	if ids.ChLo != p.ChLo || ids.ChHi != p.ChHi || ids.Embed != p.Embed {
 		panic(fmt.Sprintf("nn: PatchEmbed over channels [%d,%d) needs channel IDs over the same shard", p.ChLo, p.ChHi))
 	}
 }
 
-// project tokenizes local channel c's im2col matrix col through dst: the
-// product writes each token straight to where it lives, the bias and then
-// the channel-ID row id (when there is one, the same row for every token)
-// added as the kernel stores it — each value is written to the
-// channel-token tensor once. Where the view's samples follow one another at
-// its token stride (a group's input) that is one product; otherwise one per
-// sample. With infer it dispatches on the inference dtype.
-//
-// dchag:hotpath — the per-channel projection of the tokenizer; headers are
-// layer-owned.
-func (p *PatchEmbed) project(col *tensor.Tensor, c, b int, dst TokenView, id []float64, infer bool) {
-	t, e := p.Tokens(), p.Embed
-	ep := tensor.Epilogue{Bias: p.Bias.W.Data[c*e:][:e], Res: id}
-	if b == 1 || dst.BatchStride == t*dst.TokenStride {
-		p.product(dst.Data, dst.TokenStride, col, c, infer, ep)
-		return
-	}
-	pp := p.Patch * p.Patch
-	p.sv.Shape = append(p.sv.Shape[:0], t, pp)
-	for bi := 0; bi < b; bi++ {
-		p.sv.Data = col.Data[bi*t*pp : (bi+1)*t*pp]
-		p.product(dst.Data[bi*dst.BatchStride:], dst.TokenStride, &p.sv, c, infer, ep)
-	}
-}
-
-// product writes patches@W_c + ep for channel c at rows ldc apart in dst.
-func (p *PatchEmbed) product(dst []float64, ldc int, patches *tensor.Tensor, c int, infer bool, ep tensor.Epilogue) {
-	if infer && p.inferDType == tensor.F32 && p.pb32 != nil {
-		tensor.AffinePackedF32Into(dst, ldc, patches, p.pb32[c], ep)
-		return
-	}
-	tensor.AffineInto(dst, ldc, patches, p.channelView(&p.wv, p.Weight.W, c), false, ep)
-}
-
-// Backward consumes dOut of shape [B, localC, T, E], accumulates weight and
+// Backward consumes dOut of shape [B, localC, T, E] for the last training
+// pass, which must have run over every location, accumulates weight and
 // bias gradients, and returns the gradient with respect to the input image
 // shard [B, localC, H, W].
 func (p *PatchEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	localC, t := p.LocalChannels(), p.Tokens()
-	if len(grad.Shape) != 4 || grad.Shape[0] != p.b || grad.Shape[1] != localC || grad.Shape[2] != t || grad.Shape[3] != p.Embed {
-		panic(fmt.Sprintf("nn: PatchEmbed.Backward want [%d,%d,%d,%d], got %v", p.b, localC, t, p.Embed, grad.Shape))
-	}
-	p.views = ChannelViews(p.views[:0], grad)
-	return p.BackwardFrom(p.views, 0, nil)
-}
-
-// BackwardFrom is Backward for local channels first, first+1, ... reading
-// channel first+c's token gradient through src[c], for the batch the last
-// training Tokenize saw (a pass over every location); it fills those
-// channels of the image gradient it returns, layer-owned and shared by every
-// call, and leaves the others alone.
-// With ids it also accumulates the channel-ID table's gradient — the same
-// column sums as the bias gradient, from the same read. Every channel's
-// gradients are its own slices of the parameters' and the image's, so a
-// stage may hand over its channels in as many calls as it likes, each as
-// soon as its gradients exist: the bits are those of one call over all of
-// them.
-//
-// dchag:hotpath — every stage's per-step tokenizer backward.
-func (p *PatchEmbed) BackwardFrom(src []TokenView, first int, ids *ChannelEmbed) *tensor.Tensor {
 	if p.col == nil {
-		panic("nn: PatchEmbed.Backward before Forward")
+		panic("nn: PatchEmbed.Backward before a training pass")
 	}
-	if first < 0 || first+len(src) > p.LocalChannels() {
-		panic(fmt.Sprintf("nn: PatchEmbed over %d channels given token gradients for channels [%d,%d)", p.LocalChannels(), first, first+len(src)))
+	if p.locs != nil {
+		panic("nn: PatchEmbed.Backward after a pass over listed locations")
 	}
-	if p.locs != nil && len(src) > 0 {
-		panic("nn: PatchEmbed.BackwardFrom after a pass over listed locations")
+	localC, t, e := p.LocalChannels(), p.Tokens(), p.Embed
+	if len(grad.Shape) != 4 || grad.Shape[0] != p.b || grad.Shape[1] != localC || grad.Shape[2] != t || grad.Shape[3] != e {
+		panic(fmt.Sprintf("nn: PatchEmbed.Backward want [%d,%d,%d,%d], got %v", p.b, localC, t, e, grad.Shape))
 	}
-	p.mustShare(ids)
 	rows := len(p.offs)
-	p.dimg = tensor.EnsureShape(p.dimg, p.b, p.LocalChannels(), p.ImgH, p.ImgW)
-	p.dy = tensor.EnsureShape(p.dy, rows, p.Embed)
+	p.dimg = tensor.EnsureShape(p.dimg, p.b, localC, p.ImgH, p.ImgW)
+	p.dy = tensor.EnsureShape(p.dy, rows, e)
 	p.dcol = tensor.EnsureShape(p.dcol, rows, p.Patch*p.Patch)
-	for c := range src {
-		p.backwardChannel(src[c], first+c, ids.gradRow(first+c))
+	for c := 0; c < localC; c++ {
+		// Gather dY_c [rows, E], then sum its columns into the bias gradient.
+		for bi := 0; bi < p.b; bi++ {
+			copy(p.dy.Data[bi*t*e:][:t*e], grad.Data[(bi*localC+c)*t*e:][:t*e])
+		}
+		tensor.AccumRows(p.Bias.Grad.Data[c*e:][:e], p.dy.Data, e, rows, nil)
+		// dW_c += col^T @ dY, accumulated straight into the gradient slice.
+		tensor.TMatMulAccInto(p.channelView(&p.gv, p.Weight.Grad, c), p.channelCols(p.col, c), p.dy)
+		// dCol = dY @ W_c^T, then col2im back onto the image gradient.
+		tensor.MatMulTInto(p.dcol, p.dy, p.channelView(&p.wv, p.Weight.W, c)) // [rows, P*P]
+		p.col2im(p.dcol.Data, p.Patch*p.Patch, p.dimg, c, p.offs)
 	}
 	return p.dimg
-}
-
-// backwardChannel accumulates channel c's weight, bias and (with idGrad)
-// channel-ID gradients and scatters its patch gradient into the
-// image-gradient scratch.
-//
-// dchag:hotpath — per-channel tokenizer backward; dW accumulates directly
-// into the sliced gradient with no intermediate product tensor.
-func (p *PatchEmbed) backwardChannel(src TokenView, c int, idGrad []float64) {
-	t, e := p.Tokens(), p.Embed
-	rows := p.dy.Shape[0]
-	// Gather dY_c [rows, E] from where it lives, then sum its columns into
-	// the bias and channel-ID gradients in row order.
-	for bi := 0; bi < p.b; bi++ {
-		for ti := 0; ti < t; ti++ {
-			copy(p.dy.Data[(bi*t+ti)*e:][:e], src.Data[bi*src.BatchStride+ti*src.TokenStride:][:e])
-		}
-	}
-	tensor.AccumRows(p.Bias.Grad.Data[c*e:][:e], p.dy.Data, e, rows, nil)
-	if idGrad != nil {
-		tensor.AccumRows(idGrad[:e], p.dy.Data, e, rows, nil)
-	}
-	// dW_c += col^T @ dY, accumulated straight into the gradient slice.
-	tensor.TMatMulAccInto(p.channelView(&p.gv, p.Weight.Grad, c), p.channelCols(p.col, c), p.dy)
-	// dCol = dY @ W_c^T, then col2im back onto the image gradient.
-	tensor.MatMulTInto(p.dcol, p.dy, p.channelView(&p.wv, p.Weight.W, c)) // [rows, P*P]
-	p.col2im(p.dcol.Data, p.Patch*p.Patch, p.dimg, c, p.offs)
 }
 
 // BackwardPatches takes the patch gradients dcol [rows, g, w] of local
 // channels first, ..., first+g-1 — channel k's gradient at row r the first
 // P*P of the w >= P*P values at dcol[r, k], rows as the last training
 // pass's (Patches) — into the image gradient it returns, layer-owned and
-// shared with BackwardFrom, filling those channels and leaving the others
-// alone. It is the tokenizer's backward for a stage that formed the patch
-// gradients itself, and with them the tokenizer's parameter gradients.
+// shared with Backward, filling those channels and leaving the others
+// alone. A pass over listed locations clears it, so a call over zero
+// channels returns that of a pass over none. It is the tokenizer's backward
+// for a stage that formed the patch gradients itself, and with them the
+// tokenizer's parameter gradients.
 //
 // dchag:hotpath — once per first-level group of every stage's backward.
 func (p *PatchEmbed) BackwardPatches(dcol *tensor.Tensor, first int) *tensor.Tensor {
