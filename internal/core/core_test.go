@@ -197,10 +197,12 @@ func TestHierarchicalAggregatorGradients(t *testing.T) {
 }
 
 // TestChannelIDGradients checks the channel-ID table and the tokenizer's
-// bias where their gradients are formed, in the first level's folded
-// backward: against central differences of Σ out ⊙ r over a two-partition
-// one-rank stage, both kinds, flat and two-level trees, over every location
-// and over an uneven Visible list (r read at the listed rows only).
+// weights and bias where their gradients are formed, in the first level's
+// folded backward: against central differences of Σ out ⊙ r over a
+// two-partition one-rank stage, both kinds, flat and two-level trees, over
+// every location and over an uneven Visible list (r read at the listed rows
+// only). The tokenizer's weights are the parameters nearest the pixels, so
+// this is also where the stage's gradient reaches its input.
 func TestChannelIDGradients(t *testing.T) {
 	for _, kind := range []LayerKind{KindCross, KindLinear} {
 		for _, tree := range []int{0, 2} {
@@ -228,6 +230,7 @@ func TestChannelIDGradients(t *testing.T) {
 				d.Backward(r)
 				checkGrad(t, name+" chemb", d.ChEmb.Table.W, d.ChEmb.Table.Grad, loss, 1e-6)
 				checkGrad(t, name+" tok bias", d.Tok.Bias.W, d.Tok.Bias.Grad, loss, 1e-6)
+				checkGrad(t, name+" tok weight", d.Tok.Weight.W, d.Tok.Weight.Grad, loss, 1e-6)
 			}
 		}
 	}
@@ -250,25 +253,55 @@ func serialDCHAG(cfg Config, p int) *DCHAG {
 }
 
 // runDCHAG runs the distributed module over p goroutine ranks on the full
-// image x and upstream gradient up, returning per-rank outputs, image-shard
-// gradients, and the traffic group.
-func runDCHAG(t *testing.T, cfg Config, p int, x, up *tensor.Tensor) (outs, dimgs []*tensor.Tensor, g *comm.Group) {
+// image x and upstream gradient up, returning per-rank outputs, parameters
+// (their gradients from zero), and the traffic group.
+func runDCHAG(t *testing.T, cfg Config, p int, x, up *tensor.Tensor) (outs []*tensor.Tensor, params [][]*nn.Param, g *comm.Group) {
 	t.Helper()
 	outs = make([]*tensor.Tensor, p)
-	dimgs = make([]*tensor.Tensor, p)
+	params = make([][]*nn.Param, p)
 	g, err := comm.Run(p, func(c *comm.Communicator) error {
 		d := NewDCHAGPartitioned(cfg, c, c.Size())
 		xs := tensor.SliceAxis(x, 1, d.ChLo, d.ChHi)
 		c.SetPhase("forward")
 		outs[c.Rank()] = d.Forward(xs)
+		nn.ZeroGrads(d.Params())
 		c.SetPhase("backward")
-		dimgs[c.Rank()] = d.Backward(up)
+		d.Backward(up)
+		params[c.Rank()] = d.Params()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return outs, dimgs, g
+	return outs, params, g
+}
+
+// gradsByName returns each parameter's gradient by name.
+func gradsByName(ps []*nn.Param) map[string]*tensor.Tensor {
+	grads := map[string]*tensor.Tensor{}
+	for _, p := range ps {
+		grads[p.Name] = p.Grad
+	}
+	return grads
+}
+
+// diffShardGrads reports the first gradient of ps farther than tol from the
+// same-named one of a one-rank stage, want: a channel-sharded parameter's
+// against its slice of want's.
+func diffShardGrads(ps []*nn.Param, want map[string]*tensor.Tensor, tol float64) error {
+	for _, p := range ps {
+		w, ok := want[p.Name]
+		if !ok {
+			return fmt.Errorf("param %q missing from the one-rank stage", p.Name)
+		}
+		if p.Shard != nil {
+			w = tensor.SliceAxis(w, p.Shard.Axis, p.Shard.Lo, p.Shard.Hi)
+		}
+		if diff := tensor.MaxAbsDiff(p.Grad, w); diff > tol {
+			return fmt.Errorf("param %q grad differs by %g", p.Name, diff)
+		}
+	}
+	return nil
 }
 
 func TestDCHAGMatchesReference(t *testing.T) {
@@ -294,17 +327,15 @@ func TestDCHAGMatchesReference(t *testing.T) {
 		ref := serialDCHAG(cfg, tc.p)
 		wantOut := ref.Forward(x)
 		nn.ZeroGrads(ref.Params())
-		wantDimg := ref.Backward(up)
+		ref.Backward(up)
 
-		outs, dimgs, _ := runDCHAG(t, cfg, tc.p, x, up)
+		outs, params, _ := runDCHAG(t, cfg, tc.p, x, up)
 		for r := 0; r < tc.p; r++ {
 			if diff := tensor.MaxAbsDiff(outs[r], wantOut); diff > 1e-9 {
 				t.Fatalf("%s: rank %d forward differs by %g", name, r, diff)
 			}
-			lo, hi := ChannelRange(cfg.Channels, tc.p, r)
-			wantShard := tensor.SliceAxis(wantDimg, 1, lo, hi)
-			if diff := tensor.MaxAbsDiff(dimgs[r], wantShard); diff > 1e-9 {
-				t.Fatalf("%s: rank %d image grad differs by %g", name, r, diff)
+			if err := diffShardGrads(params[r], gradsByName(ref.Params()), 1e-9); err != nil {
+				t.Fatalf("%s: rank %d: %v", name, r, err)
 			}
 		}
 	}
@@ -313,8 +344,8 @@ func TestDCHAGMatchesReference(t *testing.T) {
 func TestDCHAGPartitionedMatchesReference(t *testing.T) {
 	// The partition count P is a model property decoupled from the rank
 	// count q: every q dividing P must realize the exact logical model of
-	// the one-rank stage — forward outputs, image gradients, and parameter
-	// gradients — including with uneven channel partitions.
+	// the one-rank stage — forward outputs and parameter gradients —
+	// including with uneven channel partitions.
 	for _, tc := range []struct {
 		channels, partitions int
 		kind                 LayerKind
@@ -334,7 +365,7 @@ func TestDCHAGPartitionedMatchesReference(t *testing.T) {
 		ref := serialDCHAG(cfg, tc.partitions)
 		wantOut := ref.Forward(x)
 		nn.ZeroGrads(ref.Params())
-		wantDimg := ref.Backward(up)
+		ref.Backward(up)
 		refGrads := map[string]*tensor.Tensor{}
 		for _, pr := range ref.Params() {
 			refGrads[pr.Name] = pr.Grad
@@ -353,10 +384,11 @@ func TestDCHAGPartitionedMatchesReference(t *testing.T) {
 					return fmt.Errorf("rank %d forward differs by %g", c.Rank(), diff)
 				}
 				nn.ZeroGrads(d.Params())
-				dimg := d.Backward(up)
-				wantShard := tensor.SliceAxis(wantDimg, 1, d.ChLo, d.ChHi)
-				if diff := tensor.MaxAbsDiff(dimg, wantShard); diff > 1e-9 {
-					return fmt.Errorf("rank %d image grad differs by %g", c.Rank(), diff)
+				d.Backward(up)
+				// The tokenizer's and channel IDs' shards match their slices
+				// of the one-rank stage's.
+				if err := diffShardGrads([]*nn.Param{d.Tok.Weight, d.Tok.Bias, d.ChEmb.Table}, refGrads, 1e-9); err != nil {
+					return fmt.Errorf("rank %d: %v", c.Rank(), err)
 				}
 				// Partial-module parameter gradients match the one-rank stage's
 				// same-named partials exactly.
@@ -628,16 +660,15 @@ func TestDCHAGUnevenChannels(t *testing.T) {
 	ref := serialDCHAG(cfg, p)
 	want := ref.Forward(x)
 	nn.ZeroGrads(ref.Params())
-	wantDimg := ref.Backward(up)
+	ref.Backward(up)
 
-	outs, dimgs, _ := runDCHAG(t, cfg, p, x, up)
+	outs, params, _ := runDCHAG(t, cfg, p, x, up)
 	for r := 0; r < p; r++ {
 		if diff := tensor.MaxAbsDiff(outs[r], want); diff > 1e-9 {
 			t.Fatalf("uneven rank %d forward differs by %g", r, diff)
 		}
-		lo, hi := ChannelRange(cfg.Channels, p, r)
-		if diff := tensor.MaxAbsDiff(dimgs[r], tensor.SliceAxis(wantDimg, 1, lo, hi)); diff > 1e-9 {
-			t.Fatalf("uneven rank %d grad differs by %g", r, diff)
+		if err := diffShardGrads(params[r], gradsByName(ref.Params()), 1e-9); err != nil {
+			t.Fatalf("uneven rank %d: %v", r, err)
 		}
 	}
 }

@@ -291,9 +291,10 @@ func (d *DCHAG) pass(x *tensor.Tensor, locs []int, lo, hi int, infer bool) *tens
 }
 
 // Backward consumes the gradient of the aggregated representation [B, T, E]
-// (identical on every rank) and returns the gradient of this rank's image
-// shard [B, Cl, H, W]. It performs no communication.
-func (d *DCHAG) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// (identical on every rank) and accumulates the gradients of this rank's
+// parameters. It forms no gradient of the image shard: the image is data,
+// and nothing reads one. It performs no communication.
+func (d *DCHAG) Backward(grad *tensor.Tensor) {
 	t, e := d.Cfg.Tokens(), d.Cfg.Embed
 	if len(grad.Shape) != 3 || grad.Shape[0] != d.b || grad.Shape[1] != t || grad.Shape[2] != e {
 		panic(fmt.Sprintf("core: DCHAG.Backward want [%d,%d,%d], got %v", d.b, t, e, grad.Shape))
@@ -315,7 +316,7 @@ func (d *DCHAG) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		d.Final.own.attn.Locs = locs
 		dSeq = d.Final.Backward(dSeq) // [N, P, E]
 	}
-	return d.localStage.backward(dSeq, d.PartLo)
+	d.localStage.backward(dSeq, d.PartLo)
 }
 
 // Params returns this rank's parameters: the tokenizer and channel-embedding

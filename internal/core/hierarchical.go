@@ -298,14 +298,15 @@ func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.Ch
 // foldCross is the first level of a pass over first-level
 // CrossAttnAggregators with the tokenizer folded into their projections:
 // each group runs foldForward over pat [localC, N, P²], the tokenizer's
-// patches of its local channels c, c+1, ... in plan order, and its token is
-// written where the next level reads it — the first-level group inputs are
-// never written. It returns the next local channel; run(1, infer) takes the
-// tree from there. A training pass keeps each group's folded projections for
+// patches of its local channels c, c+1, ... in plan order, forming its Q, K
+// and V in qkv, which every group borrows in turn, and its token is written
+// where the next level reads it — the first-level group inputs are never
+// written. It returns the next local channel; run(1, infer) takes the tree
+// from there. A training pass keeps each group's folded projections for
 // backward; a no-grad pass lends every group ifold.
 //
 // dchag:hotpath — the cross stage's first level.
-func (h *HierarchicalAggregator) foldCross(tok *nn.PatchEmbed, ids *nn.ChannelEmbed, pat *tensor.Tensor, c int, infer bool, ifold *crossFold) int {
+func (h *HierarchicalAggregator) foldCross(tok *nn.PatchEmbed, ids *nn.ChannelEmbed, pat *tensor.Tensor, c int, qkv []float64, infer bool, ifold *crossFold) int {
 	inputs := h.inputs
 	if infer {
 		inputs = h.iinputs
@@ -317,7 +318,7 @@ func (h *HierarchicalAggregator) foldCross(tok *nn.PatchEmbed, ids *nn.ChannelEm
 		if !infer {
 			f = &h.folds[gi]
 		}
-		y := foldForward(f, agg.(*CrossAttnAggregator), tok, ids, pat, c, infer)
+		y := foldForward(f, agg.(*CrossAttnAggregator), tok, ids, pat, c, qkv, infer)
 		writeGroupToken(next[gj], y.Data, k)
 		c += h.Plan[0][gi]
 		if k++; k == next[gj].Shape[1] {

@@ -110,7 +110,7 @@ func (o *oracleStage) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
 	return r.Final.Forward(seq).Reshape(b, t, e)
 }
 
-func (o *oracleStage) backward(grad *tensor.Tensor) *tensor.Tensor {
+func (o *oracleStage) backward(grad *tensor.Tensor) {
 	r := o.r
 	b, t, e := o.b, r.Cfg.Tokens(), r.Cfg.Embed
 	dSeq := r.Final.Backward(grad.Reshape(b*t, e))
@@ -147,7 +147,7 @@ func (o *oracleStage) backward(grad *tensor.Tensor) *tensor.Tensor {
 			g[i] += dEmb.Data[row*e+i]
 		}
 	}
-	return r.Tok.Backward(dEmb)
+	r.Tok.Backward(dEmb)
 }
 
 // diffBits reports the first place got and want differ bit for bit (so -0
@@ -296,7 +296,7 @@ func (f foldCheck) sameGrads(t *testing.T, what string, got, want []*nn.Param) {
 }
 
 // TestStageEqualsCopyingCompositionBitwise holds the stage to the copying
-// composition — output, image gradient and every parameter gradient
+// composition — output and every parameter gradient
 // (tokenizer weight and bias, channel-ID table, every aggregator, the final
 // layer), on a first step and on a second one accumulating into non-zero
 // gradients, and Infer under F64 and under F32 — directly and, for
@@ -330,7 +330,8 @@ func TestStageEqualsCopyingCompositionBitwise(t *testing.T) {
 					d := tensor.Randn(rng, batch, cfg.Tokens(), cfg.Embed)
 					what := fmt.Sprintf("step %d", step)
 					check.same(t, tensor.F64, what+" output", stage.Forward(x), oracle.pass(x, false))
-					check.near(t, tensor.F64, what+" image gradient", stage.Backward(d), oracle.backward(d), 0)
+					stage.Backward(d)
+					oracle.backward(d)
 					check.sameGrads(t, what, stage.Params(), oracle.r.Params())
 					check.same(t, tensor.F64, what+" Infer", stage.Infer(x), oracle.pass(x, true))
 				}
@@ -388,15 +389,16 @@ func TestInferLeavesPendingBackwardAlone(t *testing.T) {
 		plain.Forward(x1)
 		mixed.Forward(x1)
 		mixed.Infer(x2)
-		sameBits(t, name+" image gradient", mixed.Backward(d), plain.Backward(d))
+		mixed.Backward(d)
+		plain.Backward(d)
 		sameGrads(t, name, mixed.Params(), plain.Params())
 	})
 }
 
 // TestEveryRealizationAgreesBitwise: the logical model is one — DCHAG with
-// 4 partitions over 1, 2 and 4 ranks produces the output, the image-shard
-// gradients and the parameter gradients of a one-rank stage built alone, bit
-// for bit, and Infer equals Forward on each.
+// 4 partitions over 1, 2 and 4 ranks produces the output and the parameter
+// gradients of a one-rank stage built alone, bit for bit, and Infer equals
+// Forward on each.
 func TestEveryRealizationAgreesBitwise(t *testing.T) {
 	const partitions = 4
 	layoutConfigs(func(name string, cfg Config, batch int) {
@@ -406,7 +408,7 @@ func TestEveryRealizationAgreesBitwise(t *testing.T) {
 		ref := serialDCHAG(cfg, partitions)
 		nn.ZeroGrads(ref.Params())
 		wantOut := ref.Forward(x).Clone()
-		wantImg := ref.Backward(d)
+		ref.Backward(d)
 		want := map[string]*tensor.Tensor{}
 		for _, p := range ref.Params() {
 			want[p.Name] = p.Grad
@@ -418,10 +420,8 @@ func TestEveryRealizationAgreesBitwise(t *testing.T) {
 				s := NewDCHAGPartitioned(cfg, c, partitions)
 				xs := tensor.SliceAxis(x, 1, s.ChLo, s.ChHi)
 				nn.ZeroGrads(s.Params())
-				errs := []error{
-					diffBits(what+" output", s.Forward(xs), wantOut),
-					diffBits(what+" image gradient", s.Backward(d), tensor.SliceAxis(wantImg, 1, s.ChLo, s.ChHi)),
-				}
+				errs := []error{diffBits(what+" output", s.Forward(xs), wantOut)}
+				s.Backward(d)
 				for _, p := range s.Params() {
 					w := want[p.Name]
 					if p.Shard != nil {
@@ -443,9 +443,9 @@ func TestEveryRealizationAgreesBitwise(t *testing.T) {
 // over groups of uneven size (66 channels: partitions of 17, 17, 16 and 16
 // channels, two first-level groups each, 9 and 8 or 8 and 8) and every kind.
 // Two Forward+Backward rounds on different inputs, at batch 3 and then 2,
-// give each round the image gradient and the parameter gradients of a stage
-// built fresh and fed that round alone, bit for bit: nothing one group, one
-// level, one partition or one round leaves in a workspace reaches another.
+// give each round the parameter gradients of a stage built fresh and fed
+// that round alone, bit for bit: nothing one group, one level, one partition
+// or one round leaves in a workspace or the Q/K/V buffer reaches another.
 // The same holds for DCHAG at 2 ranks, each rank's stage owning its own
 // workspaces, against the fresh one-rank stage.
 func TestSharedWorkspacesCarryNothingBetweenRounds(t *testing.T) {
@@ -454,7 +454,6 @@ func TestSharedWorkspacesCarryNothingBetweenRounds(t *testing.T) {
 		cfg := Config{Channels: 66, ImgH: 4, ImgW: 4, Patch: 2, Embed: 8, Heads: 2, Tree: 2, Kind: kind, Seed: 77}
 		rng := tensor.NewRNG(10)
 		var xs, ds [2]*tensor.Tensor
-		var wantImg [2]*tensor.Tensor
 		var want [2]map[string]*tensor.Tensor
 		for r, b := range []int{3, 2} {
 			xs[r] = tensor.Randn(rng, b, cfg.Channels, cfg.ImgH, cfg.ImgW)
@@ -462,7 +461,7 @@ func TestSharedWorkspacesCarryNothingBetweenRounds(t *testing.T) {
 			fresh := serialDCHAG(cfg, partitions)
 			nn.ZeroGrads(fresh.Params())
 			fresh.Forward(xs[r])
-			wantImg[r] = fresh.Backward(ds[r])
+			fresh.Backward(ds[r])
 			want[r] = map[string]*tensor.Tensor{}
 			for _, p := range fresh.Params() {
 				want[r][p.Name] = p.Grad
@@ -473,8 +472,9 @@ func TestSharedWorkspacesCarryNothingBetweenRounds(t *testing.T) {
 		round := func(what string, s *DCHAG, r int) error {
 			nn.ZeroGrads(s.Params())
 			s.Forward(tensor.SliceAxis(xs[r], 1, s.ChLo, s.ChHi))
+			s.Backward(ds[r])
 			what = fmt.Sprintf("%s round %d", what, r)
-			errs := []error{diffBits(what+" image gradient", s.Backward(ds[r]), tensor.SliceAxis(wantImg[r], 1, s.ChLo, s.ChHi))}
+			var errs []error
 			for _, p := range s.Params() {
 				w := want[r][p.Name]
 				if p.Shard != nil {

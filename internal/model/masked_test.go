@@ -86,18 +86,10 @@ func firstDiff(a, b []float64) int {
 	return -1
 }
 
-// maskedPixel reports whether pixel (y, x) of sample bi lies in a masked
-// patch.
-func maskedPixel(a Arch, mask *tensor.Tensor, bi, y, x int) bool {
-	return mask.At(bi, y/a.Patch*(a.ImgW/a.Patch)+x/a.Patch) != 0
-}
-
 // TestMaskedStepMatchesWholeStage holds a masked step, whose channel stage
 // computes only the unmasked locations, to the same step with the stage run
 // over every location and the masked rows' gradient zeroed: predictions and
-// every parameter gradient bit for bit, and the image gradient bit for bit
-// on visible patches and exactly 0 on masked ones (their true value: the
-// loss does not read them). The masks come one after another on the same
+// every parameter gradient bit for bit. The masks come one after another on the same
 // two models, so each pass reuses scratch a pass at another visible count
 // left behind. The shapes are deep enough that the weight-gradient products
 // sum over several kc blocks: 2048 rows in the cross-attention partials,
@@ -133,21 +125,11 @@ func TestMaskedStepMatchesWholeStage(t *testing.T) {
 				if i := firstDiff(m.Forward(x, mk.mask).Data, ref.Forward(x, mk.mask).Data); i >= 0 {
 					t.Fatalf("mask %s: prediction %d differs from the whole stage's", mk.name, i)
 				}
-				dimg, want := m.Backward(up), ref.Backward(up)
+				m.Backward(up)
+				ref.Backward(up)
 				for pi, p := range m.Params() {
 					if i := firstDiff(p.Grad.Data, ref.Params()[pi].Grad.Data); i >= 0 {
 						t.Fatalf("mask %s: %s gradient %d is %v, the whole stage's %v", mk.name, p.Name, i, p.Grad.Data[i], ref.Params()[pi].Grad.Data[i])
-					}
-				}
-				for i, v := range dimg.Data {
-					bi, y, xx := i/(a.Channels*a.ImgH*a.ImgW), i/a.ImgW%a.ImgH, i%a.ImgW
-					switch {
-					case maskedPixel(a, mk.mask, bi, y, xx):
-						if v != 0 {
-							t.Fatalf("mask %s: image gradient %d on a masked patch is %v, want 0", mk.name, i, v)
-						}
-					case math.Float64bits(v) != math.Float64bits(want.Data[i]):
-						t.Fatalf("mask %s: image gradient %d is %v, the whole stage's %v", mk.name, i, v, want.Data[i])
 					}
 				}
 			}
@@ -167,61 +149,12 @@ func TestEmptyMaskIsTheUnmaskedStep(t *testing.T) {
 	if i := firstDiff(masked.Forward(x, tensor.New(2, a.Tokens())).Data, plain.Forward(x, nil).Data); i >= 0 {
 		t.Fatalf("prediction %d differs", i)
 	}
-	if i := firstDiff(masked.Backward(up).Data, plain.Backward(up).Data); i >= 0 {
-		t.Fatalf("image gradient %d differs", i)
-	}
+	masked.Backward(up)
+	plain.Backward(up)
 	for pi, p := range masked.Params() {
 		if i := firstDiff(p.Grad.Data, plain.Params()[pi].Grad.Data); i >= 0 {
 			t.Fatalf("%s gradient %d differs", p.Name, i)
 		}
-	}
-}
-
-// TestMaskedImageGradientMatchesFiniteDifferences checks the image gradient
-// of a masked step against central differences of the loss sum(pred ⊙ up)
-// at every pixel: on visible patches it matches them, on masked ones both
-// are exactly 0.
-func TestMaskedImageGradientMatchesFiniteDifferences(t *testing.T) {
-	for _, kind := range []core.LayerKind{core.KindCross, core.KindLinear} {
-		t.Run("kind="+kind.String(), func(t *testing.T) {
-			a := smallArch()
-			a.Kind, a.Depth, a.Partitions = kind, 1, 2
-			const b = 2
-			rng := tensor.NewRNG(15)
-			x := tensor.Randn(rng, b, a.Channels, a.ImgH, a.ImgW)
-			up := tensor.Randn(rng, b, a.Tokens(), a.HeadDim())
-			mask := stepMasks(b, a.Tokens(), 16)[1].mask // uneven
-			m := NewSerialDCHAGEquivalent(a, a.Partitions)
-			loss := func() float64 {
-				s := 0.0
-				for i, v := range m.Forward(x, mask).Data {
-					s += v * up.Data[i]
-				}
-				return s
-			}
-			loss()
-			dimg := m.Backward(up).Clone()
-			const h = 1e-5
-			for i := range x.Data {
-				orig := x.Data[i]
-				x.Data[i] = orig + h
-				lp := loss()
-				x.Data[i] = orig - h
-				lm := loss()
-				x.Data[i] = orig
-				fd, g := (lp-lm)/(2*h), dimg.Data[i]
-				bi, y, xx := i/(a.Channels*a.ImgH*a.ImgW), i/a.ImgW%a.ImgH, i%a.ImgW
-				if maskedPixel(a, mask, bi, y, xx) {
-					if g != 0 || fd != 0 {
-						t.Fatalf("pixel %d on a masked patch: gradient %v, finite difference %v; want both 0", i, g, fd)
-					}
-					continue
-				}
-				if math.Abs(g-fd) > 1e-6+1e-5*math.Abs(fd) {
-					t.Fatalf("pixel %d: gradient %v, finite difference %v", i, g, fd)
-				}
-			}
-		})
 	}
 }
 
@@ -319,8 +252,8 @@ func TestMaskedStageHeldAfterTraining(t *testing.T) {
 		kind   core.LayerKind
 		within float64 // token tensors held at half the locations: the ceiling
 	}{
-		{core.KindCross, 4},    // 3.90 measured, 7.41 over every location; 4.22 and 8.27 while it wrote group inputs
-		{core.KindLinear, 0.7}, // 0.61 measured, 1.03 over every location; 1.24 and 2.31 before its fold
+		{core.KindCross, 2.6},  // 2.54 measured, 4.83 over every location; 3.90 and 7.41 while every group kept its Q, K and V; 4.22 and 8.27 while it wrote group inputs
+		{core.KindLinear, 0.5}, // 0.46 measured, 0.86 over every location; 0.61 and 1.03 with the image gradient; 1.24 and 2.31 before its fold
 	} {
 		t.Run("kind="+c.kind.String(), func(t *testing.T) {
 			cfg := core.Config{Channels: 64, ImgH: 16, ImgW: 16, Patch: 2, Embed: 32, Heads: 4, Kind: c.kind, Seed: 1}

@@ -96,20 +96,51 @@ func TestFoundationModelGradients(t *testing.T) {
 	}
 	loss()
 	nn.ZeroGrads(m.Params())
-	dx := m.Backward(r)
+	m.Backward(r)
+	// The tokenizer's weights are the parameters nearest the pixels: their
+	// gradient has passed through every layer of the model.
+	w := m.DCHAG().Tok.Weight
 	const eps = 1e-6
-	for i := range x.Data {
-		orig := x.Data[i]
-		x.Data[i] = orig + eps
+	for i := range w.W.Data {
+		orig := w.W.Data[i]
+		w.W.Data[i] = orig + eps
 		lp := loss()
-		x.Data[i] = orig - eps
+		w.W.Data[i] = orig - eps
 		lm := loss()
-		x.Data[i] = orig
+		w.W.Data[i] = orig
 		numeric := (lp - lm) / (2 * eps)
-		if math.Abs(numeric-dx.Data[i]) > 1e-4 {
-			t.Fatalf("input grad mismatch at %d: numeric %v analytic %v", i, numeric, dx.Data[i])
+		if math.Abs(numeric-w.Grad.Data[i]) > 1e-4 {
+			t.Fatalf("tokenizer weight grad mismatch at %d: numeric %v analytic %v", i, numeric, w.Grad.Data[i])
 		}
 	}
+}
+
+// diffShardGrads reports the first gradient of ps farther than tol from the
+// same-named one of the one-rank model, want: a channel-sharded parameter's
+// against its slice of want's.
+func diffShardGrads(ps []*nn.Param, want map[string]*tensor.Tensor, tol float64) error {
+	for _, p := range ps {
+		w, ok := want[p.Name]
+		if !ok {
+			return fmt.Errorf("param %q missing from the one-rank model", p.Name)
+		}
+		if p.Shard != nil {
+			w = tensor.SliceAxis(w, p.Shard.Axis, p.Shard.Lo, p.Shard.Hi)
+		}
+		if diff := tensor.MaxAbsDiff(p.Grad, w); diff > tol {
+			return fmt.Errorf("param %q grad differs by %g", p.Name, diff)
+		}
+	}
+	return nil
+}
+
+// gradsByName returns each parameter's gradient by name.
+func gradsByName(ps []*nn.Param) map[string]*tensor.Tensor {
+	grads := map[string]*tensor.Tensor{}
+	for _, p := range ps {
+		grads[p.Name] = p.Grad
+	}
+	return grads
 }
 
 func TestMaskRoutesGradientsToMaskToken(t *testing.T) {
@@ -122,12 +153,12 @@ func TestMaskRoutesGradientsToMaskToken(t *testing.T) {
 	pred := m.Forward(x, mask)
 	nn.ZeroGrads(m.Params())
 	up := tensor.Ones(pred.Shape...)
-	dimg := m.Backward(up)
+	m.Backward(up)
 	if tensor.MaxAbsDiff(m.MaskTok.Grad, tensor.New(m.MaskTok.Grad.Shape...)) == 0 {
 		t.Fatal("mask token must receive gradient when masking is active")
 	}
-	if tensor.MaxAbsDiff(dimg, tensor.New(dimg.Shape...)) == 0 {
-		t.Fatal("unmasked tokens must still propagate to the image")
+	if w := m.DCHAG().Tok.Weight.Grad; tensor.MaxAbsDiff(w, tensor.New(w.Shape...)) == 0 {
+		t.Fatal("unmasked tokens must still propagate to the tokenizer")
 	}
 	// Without mask, the mask token gets no gradient.
 	m2 := NewSerial(a)
@@ -149,7 +180,8 @@ func TestDistributedMatchesSerialEquivalent(t *testing.T) {
 	ref := NewSerialDCHAGEquivalent(a, p)
 	wantPred := ref.Forward(x, nil)
 	nn.ZeroGrads(ref.Params())
-	wantDimg := ref.Backward(up)
+	ref.Backward(up)
+	want := gradsByName(ref.Params())
 
 	_, err := comm.Run(p, func(c *comm.Communicator) error {
 		m := NewDistributed(a, c, false)
@@ -160,10 +192,9 @@ func TestDistributedMatchesSerialEquivalent(t *testing.T) {
 			return fmt.Errorf("rank %d pred differs by %g", c.Rank(), diff)
 		}
 		nn.ZeroGrads(m.Params())
-		dimg := m.Backward(up)
-		want := tensor.SliceAxis(wantDimg, 1, lo, hi)
-		if diff := tensor.MaxAbsDiff(dimg, want); diff > 1e-9 {
-			return fmt.Errorf("rank %d dimg differs by %g", c.Rank(), diff)
+		m.Backward(up)
+		if err := diffShardGrads(m.Params(), want, 1e-9); err != nil {
+			return fmt.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		return nil
 	})
@@ -346,7 +377,8 @@ func TestSwinModelDistributedMatchesSerialEquivalent(t *testing.T) {
 	}
 	wantPred := ref.Forward(x, nil)
 	nn.ZeroGrads(ref.Params())
-	wantDimg := ref.Backward(up)
+	ref.Backward(up)
+	want := gradsByName(ref.Params())
 
 	_, err := comm.Run(p, func(c *comm.Communicator) error {
 		m := NewDistributed(a, c, false)
@@ -357,9 +389,9 @@ func TestSwinModelDistributedMatchesSerialEquivalent(t *testing.T) {
 			return fmt.Errorf("rank %d swin pred differs by %g", c.Rank(), diff)
 		}
 		nn.ZeroGrads(m.Params())
-		dimg := m.Backward(up)
-		if diff := tensor.MaxAbsDiff(dimg, tensor.SliceAxis(wantDimg, 1, lo, hi)); diff > 1e-9 {
-			return fmt.Errorf("rank %d swin dimg differs by %g", c.Rank(), diff)
+		m.Backward(up)
+		if err := diffShardGrads(m.Params(), want, 1e-9); err != nil {
+			return fmt.Errorf("rank %d swin: %v", c.Rank(), err)
 		}
 		return nil
 	})

@@ -29,7 +29,11 @@ import (
 type ChannelStage interface {
 	// Forward consumes this rank's channel shard and returns [B, T, E].
 	Forward(x *tensor.Tensor) *tensor.Tensor
-	// Backward maps d[B, T, E] to the image-shard gradient.
+	// Backward consumes d[B, T, E] and accumulates the stage's parameter
+	// gradients. Its result is always nil: no stage forms the image-shard
+	// gradient, which nothing reads (core.DCHAG.Backward). The result stays
+	// only because wrappers outside this package (the benchmark driver's
+	// timed stage) declare it; it goes when they do.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the stage's parameters.
 	Params() []*nn.Param
@@ -59,6 +63,12 @@ func NewDCHAGStage(cfg core.Config, c *comm.Communicator, partitions int) *DCHAG
 		partitions = c.Size()
 	}
 	return &DCHAGStage{core.NewDCHAGPartitioned(cfg, c, partitions)}
+}
+
+// Backward is core.DCHAG.Backward with ChannelStage's result, always nil.
+func (s *DCHAGStage) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	s.DCHAG.Backward(grad)
+	return nil
 }
 
 func (s *DCHAGStage) dchag() *DCHAGStage { return s }

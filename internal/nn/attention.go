@@ -330,8 +330,11 @@ func (a *CrossAttention) ForwardPooled(x *tensor.Tensor) *tensor.Tensor {
 // ForwardProjected is ForwardPooled past the input projections: q, k and v
 // [B,T,E] are what Wq, Wk and Wv would have made of the tokens, formed by
 // the caller (the D-CHAG stage's cross first level computes them straight
-// from the pixels, the tokenizer folded in). It keeps them for
-// BackwardProjected, so they must stay unmodified until it has run.
+// from the pixels, the tokenizer folded in). It keeps the three tensors,
+// not their values, for BackwardProjected, so they must hold the same
+// values when it runs: the caller may lend their storage to others in
+// between and write them again (the stage forms a group's Q, K and V anew
+// just before its backward).
 //
 // dchag:hotpath — every channel aggregation, every step.
 func (a *CrossAttention) ForwardProjected(q, k, v *tensor.Tensor) *tensor.Tensor {

@@ -147,11 +147,11 @@ func (p *PatchEmbed) tokenize(out, x *tensor.Tensor, infer bool) *tensor.Tensor 
 // patch at location r, or at locs[r] (b·T + t, ascending) when locs is
 // non-nil — into [localC, rows, P*P] and returns it, layer-owned. A stage
 // that folds the projection into what follows (core's first levels) takes
-// it from here; Forward and Infer project it. Without infer the matrices
-// are the pass's cache: it records the pass for AccumPatches and
-// BackwardPatches, and over every location for Backward, and the returned
-// tensor stays unmodified until the next training pass. With infer it is
-// scratch, and a pending backward's cache is left alone.
+// it from here, and forms the parameter gradients from it itself; Forward
+// and Infer project it. Without infer the matrices are the pass's cache: it
+// records the pass for AccumPatches, and over every location for Backward,
+// and the returned tensor stays unmodified until the next training pass.
+// With infer it is scratch, and a pending backward's cache is left alone.
 //
 // dchag:hotpath — once per stage pass; the matrices are layer-owned.
 func (p *PatchEmbed) Patches(x *tensor.Tensor, locs []int, infer bool) *tensor.Tensor {
@@ -175,10 +175,6 @@ func (p *PatchEmbed) Patches(x *tensor.Tensor, locs []int, infer bool) *tensor.T
 		offs = p.offs
 		p.col = tensor.EnsureShape(p.col, localC, rows, p.Patch*p.Patch)
 		col = p.col
-		if locs != nil {
-			p.dimg = tensor.EnsureShape(p.dimg, x.Shape[0], localC, p.ImgH, p.ImgW)
-			clear(p.dimg.Data)
-		}
 	}
 	for c := 0; c < localC; c++ {
 		p.im2col(p.channelCols(col, c), x, c, offs)
@@ -290,34 +286,7 @@ func (p *PatchEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		tensor.TMatMulAccInto(p.channelView(&p.gv, p.Weight.Grad, c), p.channelCols(p.col, c), p.dy)
 		// dCol = dY @ W_c^T, then col2im back onto the image gradient.
 		tensor.MatMulTInto(p.dcol, p.dy, p.channelView(&p.wv, p.Weight.W, c)) // [rows, P*P]
-		p.col2im(p.dcol.Data, p.Patch*p.Patch, p.dimg, c, p.offs)
-	}
-	return p.dimg
-}
-
-// BackwardPatches takes the patch gradients dcol [rows, g, w] of local
-// channels first, ..., first+g-1 — channel k's gradient at row r the first
-// P*P of the w >= P*P values at dcol[r, k], rows as the last training
-// pass's (Patches) — into the image gradient it returns, layer-owned and
-// shared with Backward, filling those channels and leaving the others
-// alone. A pass over listed locations clears it, so a call over zero
-// channels returns that of a pass over none. It is the tokenizer's backward
-// for a stage that formed the patch gradients itself, and with them the
-// tokenizer's parameter gradients.
-//
-// dchag:hotpath — once per first-level group of every stage's backward.
-func (p *PatchEmbed) BackwardPatches(dcol *tensor.Tensor, first int) *tensor.Tensor {
-	if p.col == nil {
-		panic("nn: PatchEmbed.BackwardPatches before a training pass")
-	}
-	rows := len(p.offs)
-	if len(dcol.Shape) != 3 || dcol.Shape[0] != rows || dcol.Shape[2] < p.Patch*p.Patch || first < 0 || first+dcol.Shape[1] > p.LocalChannels() {
-		panic(fmt.Sprintf("nn: PatchEmbed over %d channels of %d rows given patch gradients %v for channels from %d", p.LocalChannels(), rows, dcol.Shape, first))
-	}
-	g, w := dcol.Shape[1], dcol.Shape[2]
-	p.dimg = tensor.EnsureShape(p.dimg, p.b, p.LocalChannels(), p.ImgH, p.ImgW)
-	for c := range g {
-		p.col2im(dcol.Data[c*w:], g*w, p.dimg, first+c, p.offs)
+		p.col2im(p.dcol.Data, p.dimg, c, p.offs)
 	}
 	return p.dimg
 }
@@ -345,7 +314,9 @@ func (p *PatchEmbed) patchOffsets(dst []int, b int, locs []int) []int {
 }
 
 // im2col extracts local channel c's patch matrix into col: row r holds the
-// P*P pixels of the patch at offs[r].
+// P*P pixels of the patch at offs[r]. A patch row is P values, 2 or 4 in
+// the workloads: an element loop moves them where copy would call memmove
+// for each.
 //
 // dchag:hotpath — per-channel patch gather; col is layer-owned scratch.
 func (p *PatchEmbed) im2col(col, x *tensor.Tensor, c int, offs []int) {
@@ -354,20 +325,27 @@ func (p *PatchEmbed) im2col(col, x *tensor.Tensor, c int, offs []int) {
 		off := o + c*p.ImgH*p.ImgW
 		dst := col.Data[r*pp : (r+1)*pp]
 		for dy := 0; dy < p.Patch; dy++ {
-			copy(dst[dy*p.Patch:(dy+1)*p.Patch], x.Data[off+dy*p.ImgW:][:p.Patch])
+			row := dst[dy*p.Patch:][:p.Patch]
+			for i, v := range x.Data[off+dy*p.ImgW:][:len(row)] {
+				row[i] = v
+			}
 		}
 	}
 }
 
-// col2im scatters a patch-gradient matrix, rows as im2col's and ld apart,
-// back into the image gradient for local channel c. Patches do not
-// overlap, so this is a pure scatter.
-func (p *PatchEmbed) col2im(dcol []float64, ld int, dimg *tensor.Tensor, c int, offs []int) {
+// col2im scatters a patch-gradient matrix, rows as im2col's, back into the
+// image gradient for local channel c, row by row as im2col gathers. Patches
+// do not overlap, so this is a pure scatter.
+func (p *PatchEmbed) col2im(dcol []float64, dimg *tensor.Tensor, c int, offs []int) {
+	pp := p.Patch * p.Patch
 	for r, o := range offs {
 		off := o + c*p.ImgH*p.ImgW
-		src := dcol[r*ld:]
+		src := dcol[r*pp : (r+1)*pp]
 		for dy := 0; dy < p.Patch; dy++ {
-			copy(dimg.Data[off+dy*p.ImgW:][:p.Patch], src[dy*p.Patch:(dy+1)*p.Patch])
+			row := dimg.Data[off+dy*p.ImgW:][:p.Patch]
+			for i, v := range src[dy*p.Patch:][:len(row)] {
+				row[i] = v
+			}
 		}
 	}
 }

@@ -129,14 +129,12 @@ type gemmShape struct {
 // channels runs on the 64 visible locations of its 128 (P² = 4, E = 32):
 // the fold of the group's tokenizer weights and u rows into one projection
 // ([80 x 32] @ [32 x 32]), the 4-deep product writing Q, K or V into the
-// group's [N, 16, E] from the pixels, and the backward's P^T dQ, the patch
-// gradient dQ Ŵ^T against the transposed fold (its 4 columns padded to a
-// whole 8-wide panel) into the group's [N, 16, 8], the projection's weight
-// gradient wu^T [G; s] and the tokenizer's [G; s] W^T; and the linear
-// stage's folded backward at a wx_tp2dp2 rank's shape (groups of 20
-// channels, 128 locations, P² = 4, E = 64): P_c^T d against the one output
-// gradient d, and the group's patch gradient d (w_c W_c)^T, one product
-// into g·P² = 80 columns.
+// group's [N, 16, E] from the pixels — twice a step, in the forward and
+// again in the backward, which forms them anew — and the backward's P^T dQ,
+// the projection's weight gradient wu^T [G; s] and the tokenizer's
+// [G; s] W^T; and the linear stage's folded backward at a wx_tp2dp2 rank's
+// shape (groups of 20 channels, 128 locations, P² = 4, E = 64): P_c^T d
+// against the one output gradient d. Neither stage forms a patch gradient.
 var gemmShapes = []gemmShape{
 	{name: "vit_scores", op: "BatchedMatMulTInto", batch: 8, m: 64, k: 8, n: 64},
 	{name: "vit_context", op: "BatchedMatMulInto", batch: 8, m: 64, k: 64, n: 8},
@@ -147,11 +145,9 @@ var gemmShapes = []gemmShape{
 	{name: "fold", op: "MatMulInto", batch: 1, m: 80, k: 32, n: 32},
 	{name: "fold_qkv", op: "BatchedAffineInto", batch: 16, m: 64, k: 4, n: 32, group: 16, epilogue: "bias"},
 	{name: "fold_bwd_g", op: "BatchedTMatMulSplitInto", batch: 16, m: 4, k: 64, n: 32, group: 16},
-	{name: "fold_bwd_dp", op: "BatchedMatMulInto", batch: 16, m: 64, k: 32, n: 8, group: 16},
 	{name: "fold_bwd_dw", op: "TMatMulAccInto", batch: 1, m: 32, k: 80, n: 32},
 	{name: "fold_bwd_dwtok", op: "MatMulTInto", batch: 1, m: 80, k: 32, n: 32},
 	{name: "lin_bwd_g", op: "BatchedTMatMulSplitInto", batch: 20, m: 4, k: 128, n: 64, group: 20, shared: true},
-	{name: "lin_bwd_dp", op: "MatMulTInto", batch: 1, m: 128, k: 64, n: 80},
 }
 
 // shapeStep builds the operands of one shape and returns the call that runs
@@ -159,9 +155,8 @@ var gemmShapes = []gemmShape{
 // samples x 4 heads, operands and the context destination are head views of
 // [samples, T, 4*Dh] tensors, score-shaped operands are contiguous
 // [samples, 4, Tq, Tk]. With a group, one member per channel: the pixels
-// [g, N, P²], the folded weights [g, P², E] and their padded transpose
-// [g, E, 8] contiguous, Q, dQ and the patch gradient the columns of
-// [N, g, E] and [N, g, 8], a shared operand one [k, n] matrix.
+// [g, N, P²] and the folded weights [g, P², E] contiguous, Q and dQ the
+// columns of [N, g, E], a shared operand one [k, n] matrix.
 func shapeStep(sh gemmShape) func() {
 	const heads = 4
 	rng := NewRNG(int64(8000 + sh.m + sh.k + sh.n))
@@ -191,9 +186,6 @@ func shapeStep(sh gemmShape) func() {
 				b = RepeatView(Randn(rng, sh.k, sh.n), sh.group)
 			}
 			return func() { BatchedTMatMulSplitInto(dst, a, b, 1, nil) }
-		case "BatchedMatMulInto": // dP_c [N,8] = dQ_c [N,E] @ Ŵ_c^T [E,8]
-			dst, a, b := cols(sh.m, sh.n), cols(sh.m, sh.k), mats(sh.k, sh.n)
-			return func() { BatchedMatMulInto(dst, a, b, 1) }
 		}
 		panic(fmt.Sprintf("tensor: no runner for shape %+v", sh))
 	}
