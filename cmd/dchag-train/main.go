@@ -48,6 +48,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/debugserver"
+	"repro/internal/dist"
 	"repro/internal/elastic"
 	"repro/internal/faultinject"
 	"repro/internal/model"
@@ -229,40 +230,7 @@ func main() {
 			printHistory(train.History{Loss: rep.Loss})
 			return nil
 		}
-		if *ranks == 1 {
-			// One rank owns every partition: at one partition (the default)
-			// the paper's baseline, otherwise the serial equivalent of the
-			// partitioned model — the same logical state tree as any
-			// distributed run.
-			hist, err := train.SerialCheckpointed(model.NewSerialDCHAGEquivalent(arch, partitions), opts, batchFn)
-			printHistory(hist)
-			return err
-		}
-		if *dp > 1 {
-			hist, mesh, err := train.Hybrid(arch, *ranks, *dp, *tpvit, opts, batchFn)
-			if err != nil {
-				return err
-			}
-			printHistory(hist)
-			var backward int64
-			for r := 0; r < *ranks**dp; r++ {
-				backward += mesh.TPComm(r).Group().Traffic().BytesInPhase("backward")
-			}
-			fmt.Printf("hybrid D-CHAG(TP=%d) x DP=%d on %d simulated GPUs; backward-phase bytes: %d\n",
-				*ranks, *dp, *ranks**dp, backward)
-			return nil
-		}
-		hist, group, err := train.Distributed(arch, *ranks, *tpvit, opts, batchFn)
-		if err != nil {
-			return err
-		}
-		printHistory(hist)
-		fmt.Printf("communication: forward %d B, backward %d B (D-CHAG backward is silent)\n",
-			group.Traffic().BytesInPhase("forward"), group.Traffic().BytesInPhase("backward"))
-		if group.Traffic().BytesInPhase("backward") != 0 {
-			return errors.New("unexpected backward communication")
-		}
-		return nil
+		return run(arch, *ranks, *dp, *tpvit, opts, batchFn)
 	}()
 	// The trace is written whatever the outcome: a failed run is the one
 	// most worth reading.
@@ -277,6 +245,30 @@ func main() {
 			fmt.Printf("newest checkpoint: %s\n", dir)
 		}
 	}
+}
+
+// run trains arch outside the elastic supervisor and prints the loss
+// history. At one rank SerialCheckpointed trains a rank owning every
+// partition: at one partition (the default) the paper's baseline, otherwise
+// the serial equivalent of the partitioned model, the same logical state
+// tree as any distributed run. More ranks train on the ranks×dp mesh, which
+// prints one traffic line per axis.
+func run(arch model.Arch, ranks, dp int, tpvit bool, opts train.Options, batch train.BatchFn) error {
+	if ranks == 1 {
+		hist, err := train.SerialCheckpointed(model.NewSerialDCHAGEquivalent(arch, arch.Partitions), opts, batch)
+		printHistory(hist)
+		return err
+	}
+	hist, mesh, err := train.Hybrid(arch, ranks, dp, tpvit, opts, batch)
+	if err != nil {
+		return err
+	}
+	printHistory(hist)
+	fmt.Printf("D-CHAG(TP=%d) x DP=%d on %d simulated GPUs\n", ranks, dp, ranks*dp)
+	for a := range dist.NumAxes {
+		fmt.Printf("%s traffic: %d B\n", dist.Axis(a), mesh.AxisBytes(dist.Axis(a)))
+	}
+	return nil
 }
 
 // traceEvents is each row's event capacity under -trace, 1.2 MB a row: over

@@ -3,6 +3,11 @@ package main
 import (
 	"math"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/model"
+	"repro/internal/tensor"
+	"repro/internal/train"
 )
 
 // TestCheckFlags: every flag combination the run would silently ignore,
@@ -85,5 +90,19 @@ func TestCheckPartitions(t *testing.T) {
 		if err := checkPartitions(tc.partitions, tc.channels, tc.ranks); (err == nil) != tc.ok {
 			t.Errorf("%s: checkPartitions(%d, %d, %d) = %v, want ok=%v", tc.name, tc.partitions, tc.channels, tc.ranks, err, tc.ok)
 		}
+	}
+}
+
+// TestRunTPViT trains 2 ranks with tensor-parallel ViT blocks for 2 steps:
+// the blocks' backward AllReduces are traffic the run reports, not an error.
+func TestRunTPViT(t *testing.T) {
+	arch := model.Arch{
+		Config: core.Config{Channels: 4, ImgH: 4, ImgW: 4, Patch: 2, Embed: 8, Heads: heads, Kind: core.KindLinear, Seed: 3},
+		Depth:  1, MetaTokens: 1, Partitions: 2,
+	}
+	x := tensor.Randn(tensor.NewRNG(4), 2, arch.Channels, arch.ImgH, arch.ImgW)
+	opts := train.Options{Steps: 2, Batch: 2, LR: 3e-3, ClipNorm: 1, MaskRatio: 0.5, Seed: 5}
+	if err := run(arch, 2, 1, true, opts, func(int) (*tensor.Tensor, *tensor.Tensor) { return x, x }); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -9,20 +9,20 @@
 //     query axis before the value product, so nothing of shape [N, g, E] is
 //     computed after the Q/K/V projections (DESIGN.md "Channel aggregation:
 //     pooled attention");
-//   - the serial HierarchicalAggregator, a tree of group aggregators that
-//     turns the quadratic-in-channels memory of single-layer cross-attention
-//     into linear (Sec. 3.2); it owns the first-level groups' inputs
-//     [N, g, E] and walks the tree in place;
+//   - the serial HierarchicalAggregator, the paper's Tree0 (one group
+//     aggregator over every channel) or TreeN (N first-level groups under
+//     one reducer), which turns the quadratic-in-channels memory of
+//     single-layer cross-attention into linear (Sec. 3.2); its first level
+//     writes the group tokens where the reducer, or the module's output,
+//     reads them;
 //   - the D-CHAG stage's communication-free front half (localStage): the
-//     tokenizer writes each channel's tokens, bias and channel-ID row
-//     added on the way, straight into the group input that reads them, and
-//     reads their gradient group by group, where each group's backward
-//     leaves it in the one workspace per tree level the stage lends its
-//     aggregators — the channel-token tensor is written once per pass and
-//     never copied (DESIGN.md "Channel stage: one token layout"), and not
-//     at all by a cross stage, whose first level folds the tokenizer into
-//     its Q/K/V projections (fold.go), nor by a no-grad pass over linear
-//     aggregators;
+//     tokenizer folded into the first level, which forms each group's
+//     output from the channels' patches — a cross first level through
+//     its Q/K/V projections (fold.go), in the one Q/K/V buffer the stage
+//     lends every group of every pass, a linear one by adding each token,
+//     weighted, where it is formed — so no pass writes a channel token
+//     (DESIGN.md "Channel stage: one token layout"); its backward borrows
+//     the stage's two workspaces, the first level's and the reducers';
 //   - DistTokenizer, distributed tokenization alone (Sec. 3.1), which
 //     AllGathers every channel's tokens and is the strawman the paper shows
 //     does not pay off (Fig. 8);
@@ -89,17 +89,20 @@ type GroupAggregator interface {
 
 // workspace is the backward scratch a group aggregator borrows for one call:
 // every buffer its backward writes, the group's input gradient included.
-// Whoever runs the aggregators owns it. The D-CHAG stage owns one per tree
-// level, lent to that level's aggregators of every partition in turn: each
-// group's input gradient is consumed before the next group of its level runs
-// — by the tokenizer at the first level, by the level below above it. An
-// aggregator run alone, like a stage's final layer, owns its own
-// (CrossAttnAggregator.Backward). The zero value is ready to use.
+// Whoever runs the aggregators owns it. The D-CHAG stage owns two, one for
+// the first level and one for the reducers, each lent to that level's
+// aggregators of every partition in turn: a reducer's input gradient stays
+// in its workspace while the first level, below it, reads it; each
+// first-level group's own gradients are consumed by the tokenizer's before
+// the next group runs. An aggregator run alone, like a stage's final layer,
+// owns its own (CrossAttnAggregator.Backward). The zero value is ready to
+// use.
 type workspace struct {
 	attn nn.PooledGrads // the CrossAttnAggregator's
 	fold foldGrads      // a folded first-level CrossAttnAggregator's, beside attn
 	lin  linearGrads    // a folded first-level LinearAggregator's
 	dx   *tensor.Tensor // the LinearAggregator's input gradient
+	dg   *tensor.Tensor // the first level's: one group's output gradient [N, E], read out of the reducer's input gradient
 }
 
 // CrossAttnAggregator reduces a channel group with one cross-attention layer

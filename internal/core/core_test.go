@@ -101,6 +101,25 @@ func TestBuildTreePlanShapes(t *testing.T) {
 	}
 }
 
+// TestTreePlanIsTree0OrTreeN: a module is one group, or first-level groups
+// under one reducer of their tokens; a deeper tree, or a reducer whose group
+// is not the first level's token count, is refused at construction.
+func TestTreePlanIsTree0OrTreeN(t *testing.T) {
+	for _, p := range []TreePlan{BuildTreePlan(4, 0), BuildTreePlan(4, 2), {{2, 1, 1}, {3}}} {
+		NewHierarchicalAggregator("ok", p, KindLinear, 4, 2, 1)
+	}
+	for _, p := range []TreePlan{{{2, 2}, {2}, {1}}, {{2, 2}, {3}}, {{2, 2}}, {{2, 2}, {1, 1}}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewHierarchicalAggregator accepted the plan %v", p)
+				}
+			}()
+			NewHierarchicalAggregator("bad", p, KindLinear, 4, 2, 1)
+		}()
+	}
+}
+
 func TestTreePlanReducesQuadraticToLinear(t *testing.T) {
 	// The point of Sec. 3.2: sum of squared group sizes (attention memory)
 	// shrinks as the tree deepens.

@@ -34,10 +34,11 @@ func ChannelRange(c, p, r int) (lo, hi int) {
 	return lo, lo + sizes[r]
 }
 
-// TreePlan is the per-level group layout of a hierarchical aggregation
-// module: Plan[level] lists the input-group sizes at that level. The output
-// of each level has one token per group; the last level has a single group,
-// producing one token.
+// TreePlan is the per-level group layout of a partial aggregation module:
+// Plan[level] lists the input-group sizes at that level. It has one of the
+// paper's two shapes (Fig. 9): Tree0, {{C}}, one group over every channel,
+// or TreeN, {{g_1, ..., g_N}, {N}}, N first-level groups under one reducer
+// of their N tokens.
 type TreePlan [][]int
 
 // BuildTreePlan realizes the paper's TreeN naming (Fig. 9) for a module over
@@ -52,14 +53,8 @@ func BuildTreePlan(channels, tree int) TreePlan {
 	if tree <= 1 || channels == 1 {
 		return TreePlan{[]int{channels}}
 	}
-	if tree > channels {
-		tree = channels
-	}
-	plan := TreePlan{EvenSplit(channels, tree)}
-	if tree > 1 {
-		plan = append(plan, []int{tree})
-	}
-	return plan
+	tree = min(tree, channels)
+	return TreePlan{EvenSplit(channels, tree), []int{tree}}
 }
 
 // Channels returns the input channel count of the plan.
@@ -95,35 +90,23 @@ func (p TreePlan) NumLayers() int {
 	return n
 }
 
-// validate checks internal consistency: each level's group count must equal
-// the next level's input count, and every level above the first is one
-// group — the backward keeps one workspace per level, and a level's input
-// gradients stay in it while the level below reads them.
+// validate panics unless p is Tree0 (one level of one group) or TreeN (a
+// first level of groups, then one group over their tokens).
 func (p TreePlan) validate() {
-	for l := 1; l < len(p); l++ {
-		if len(p[l]) != 1 {
-			panic(fmt.Sprintf("core: TreePlan level %d has %d groups; every level above the first must be one", l, len(p[l])))
-		}
-	}
-	for l := 0; l < len(p)-1; l++ {
-		next := 0
-		for _, g := range p[l+1] {
-			next += g
-		}
-		if len(p[l]) != next {
-			panic(fmt.Sprintf("core: TreePlan level %d emits %d tokens but level %d consumes %d", l, len(p[l]), l+1, next))
-		}
-	}
-	if len(p[len(p)-1]) != 1 {
-		panic("core: TreePlan must end in a single group")
+	switch {
+	case len(p) == 1 && len(p[0]) == 1:
+	case len(p) == 2 && len(p[0]) > 0 && len(p[1]) == 1 && p[1][0] == len(p[0]):
+	default:
+		panic(fmt.Sprintf("core: TreePlan %v is neither Tree0 {{C}} nor TreeN {{g_1..g_N}, {N}}", p))
 	}
 }
 
 // HierarchicalAggregator is the (serial) hierarchical cross-channel
-// aggregation module of paper Sec. 3.2: a tree of group aggregators that
-// reduces [B, C, T, E] channel tokens to a single [B, T, E] representation.
-// With KindCross layers it is the paper's Fig. 3 configuration; with
-// KindLinear layers it is the lightweight variant.
+// aggregation module of paper Sec. 3.2: first-level group aggregators over
+// [B, C, T, E] channel tokens and, at TreeN, one reducer of their tokens,
+// giving a single [B, T, E] representation. With KindCross layers it is the
+// paper's Fig. 3 configuration; with KindLinear layers it is the lightweight
+// variant.
 //
 // In D-CHAG each rank owns one of these over its channel shard (the
 // "partial-channel aggregation module"); at one partition it is the whole
@@ -133,43 +116,36 @@ func (p TreePlan) validate() {
 // channel's patches, so the tokens the module reduces are never written.
 type HierarchicalAggregator struct {
 	Plan   TreePlan
-	Levels [][]GroupAggregator
+	Levels [][]GroupAggregator // the first-level groups, then at TreeN the reducer
 
-	layout TreePlan // Plan plus one more level, a single group of one token: the output
-	b, t   int      // extents of the last Forward
-	n      int      // rows of the last training pass
-	ran    bool     // a training pass has run: Backward may
+	ran bool // a training pass has run: Backward may
 
-	// Scratch, grown once and reused every step (see tensor.EnsureShape).
-	// inputs[l][gi] is the input [N, g, E] of group gi at level l of layout.
-	// Nothing is copied between levels: every aggregator's token is written
-	// where the next level reads it, the last entry being the module's
-	// output. The level-0 inputs are written only by Forward; in a D-CHAG
-	// stage the first level runs with the tokenizer folded in (foldCross,
-	// accumulateLinear) and no pass writes them. A no-grad pass owns a
-	// separate set, iinputs, so it never clobbers the inputs an aggregator
-	// cached for a pending Backward. dIn mirrors inputs for the backward
-	// walk: each group's input gradient above level 0, left in its level's
-	// workspace; its last entry is the output gradient.
-	inputs, iinputs, dIn [][]*tensor.Tensor
-	dg                   *tensor.Tensor // backward per-group token gradient
+	// toks[0] and toks[1] are the first level's tokens [N, G, E], of the
+	// training and of the no-grad pass: at Tree0 a header over the pass's
+	// output, at TreeN the reducer's input. The reducer keeps its training
+	// input for a pending Backward, so the no-grad pass writes its own.
+	toks [2]tensor.Tensor
 	// folds[gi] is first-level group gi's folded projections when the
-	// stage tokenizes into cross aggregators (foldCross); its group input is
-	// then never written.
+	// stage tokenizes into cross aggregators (foldCross).
 	folds []crossFold
 
-	// Forward's and Backward's own storage: the token gradient and the
-	// backward workspaces, one per level.
-	dx *tensor.Tensor
-	ws []workspace
+	// The entry points' own storage: Forward's extents, first-level group
+	// inputs and output; Backward's view of its gradient, the channel-major
+	// token gradient and the two workspaces.
+	b, t  int
+	in    []*tensor.Tensor
+	y, dx *tensor.Tensor
+	d     tensor.Tensor
+	ws    [2]workspace
 }
 
-// NewHierarchicalAggregator builds the module for the given plan. Layer
-// (level, group) draws its parameters from SubSeed(seed, level*4096+group),
-// so any regrouping of the same plan reproduces identical parameters.
+// NewHierarchicalAggregator builds the module for the given plan, which must
+// be Tree0 or TreeN. Layer (level, group) draws its parameters from
+// SubSeed(seed, level*4096+group), so any regrouping of the same plan
+// reproduces identical parameters.
 func NewHierarchicalAggregator(name string, plan TreePlan, kind LayerKind, embed, heads int, seed int64) *HierarchicalAggregator {
 	plan.validate()
-	h := &HierarchicalAggregator{Plan: plan, layout: append(plan[:len(plan):len(plan)], []int{1}), ws: make([]workspace, len(plan))}
+	h := &HierarchicalAggregator{Plan: plan, in: make([]*tensor.Tensor, len(plan[0]))}
 	for l, level := range plan {
 		var aggs []GroupAggregator
 		for gi, g := range level {
@@ -181,102 +157,73 @@ func NewHierarchicalAggregator(name string, plan TreePlan, kind LayerKind, embed
 	if kind == KindCross {
 		h.folds = make([]crossFold, len(plan[0]))
 	}
-	for _, level := range h.layout {
-		h.inputs = append(h.inputs, make([]*tensor.Tensor, len(level)))
-		h.iinputs = append(h.iinputs, make([]*tensor.Tensor, len(level)))
-		h.dIn = append(h.dIn, make([]*tensor.Tensor, len(level)))
-	}
 	return h
 }
 
 // Channels returns the module's input channel count.
 func (h *HierarchicalAggregator) Channels() int { return h.Plan.Channels() }
 
-// run walks the tree from level `from` over the inputs the caller filled
-// (Forward, foldCross or accumulateLinear), returning the final [N, 1, E]
-// token. With infer set it reads the Infer scratch set and aggregators take
-// their no-grad fast path.
+// reducer returns the TreeN reducer; nil at Tree0.
+func (h *HierarchicalAggregator) reducer() GroupAggregator {
+	if len(h.Levels) == 1 {
+		return nil
+	}
+	return h.Levels[1][0]
+}
+
+// tokens returns the [n, G, E] tensor a pass's first level writes its G
+// group tokens into, column gi group gi's, where out (n·e values) takes the
+// module's token: out itself at Tree0, the reducer's input at TreeN. With
+// infer set it is the no-grad pass's.
+func (h *HierarchicalAggregator) tokens(out []float64, n, e int, infer bool) *tensor.Tensor {
+	t := &h.toks[0]
+	if infer {
+		t = &h.toks[1]
+	}
+	if h.reducer() == nil {
+		return header(t, out, n, 1, e)
+	}
+	*t = *tensor.EnsureShape(t, n, len(h.Plan[0]), e)
+	return t
+}
+
+// reduce finishes a pass whose first level wrote toks (tokens): at TreeN the
+// reducer writes the module's token into out, at Tree0 the first level
+// already has. With infer set the reducer takes its no-grad path.
 //
-// dchag:hotpath — the per-step aggregation tree; every group input lives in
-// pass-owned scratch.
-func (h *HierarchicalAggregator) run(from int, infer bool) *tensor.Tensor {
-	inputs := h.inputs
-	if infer {
-		inputs = h.iinputs
-	}
-	n, e := inputs[from][0].Shape[0], inputs[from][0].Shape[2]
+// dchag:hotpath — the module's second level.
+func (h *HierarchicalAggregator) reduce(toks *tensor.Tensor, out []float64, infer bool) {
 	if !infer {
-		h.n, h.ran = n, true
+		h.ran = true
 	}
-	for l := from; l < len(h.Levels); l++ {
-		next := h.levelInputs(inputs, l+1, n, e)
-		gj, k := 0, 0 // where token gi of this level sits in the next one
-		for gi, agg := range h.Levels[l] {
-			var y *tensor.Tensor // [N, E]
-			if infer {
-				y = agg.Infer(inputs[l][gi])
-			} else {
-				y = agg.Forward(inputs[l][gi])
-			}
-			writeGroupToken(next[gj], y.Data, k)
-			if k++; k == next[gj].Shape[1] {
-				gj, k = gj+1, 0
-			}
-		}
+	r := h.reducer()
+	switch {
+	case r == nil:
+	case infer:
+		copy(out, r.Infer(toks).Data)
+	default:
+		copy(out, r.Forward(toks).Data)
 	}
-	return inputs[len(h.Levels)][0]
-}
-
-// levelInputs sizes the group inputs of layout level l, [n, g, e] each, and
-// returns them.
-func (h *HierarchicalAggregator) levelInputs(inputs [][]*tensor.Tensor, l, n, e int) []*tensor.Tensor {
-	for gj, g := range h.layout[l] {
-		inputs[l][gj] = tensor.EnsureShape(inputs[l][gj], n, g, e)
-	}
-	return inputs[l]
-}
-
-// outputTo makes out (B*T*E values) where the next pass of the set infer
-// selects writes the module's token: the layout's last entry, written by the
-// last level's aggregator (by accumulateLinear on a one-level tree).
-func (h *HierarchicalAggregator) outputTo(out []float64, infer bool) {
-	inputs := h.inputs
-	if infer {
-		inputs = h.iinputs
-	}
-	last := inputs[len(h.Levels)]
-	if last[0] == nil {
-		last[0] = &tensor.Tensor{}
-	}
-	last[0].Data = out
 }
 
 // accumulateLinear is the first level of a pass over first-level
-// LinearAggregators, fused with the tokenizer: each group's token [n, E] is
-// written where the next level reads it, starting as the aggregator's bias,
-// and tok adds w_k times each of its channels' tokens (local channels c,
-// c+1, ... in plan order) straight into it — no channel token and no
-// first-level group input is written. A no-grad pass forms the tokens from
-// the images x (PatchEmbed.InferAccum, in the inference arithmetic), a
+// LinearAggregators, fused with the tokenizer: group gi's token [n, E] is
+// written at column gi of toks (tokens), starting as the aggregator's bias,
+// and the tokenizer adds w_k times each of its channels' tokens (local
+// channels c, c+1, ... in plan order) straight into it — no channel token
+// and no first-level group input is written. A no-grad pass forms the tokens
+// from the images x (PatchEmbed.InferAccum, in the inference arithmetic), a
 // training pass from the n rows of patches its Patches call cached
-// (AccumPatches, in float64). It returns the next local channel; run(1,
-// infer) takes the tree from there. The sums are LinearAggregator.Forward's
-// over the tokenizer's tokens plus their channel-ID rows, bit for bit.
+// (AccumPatches, in float64). It returns the next local channel. The sums
+// are LinearAggregator.Forward's over the tokenizer's tokens plus their
+// channel-ID rows, bit for bit.
 //
 // dchag:hotpath — the linear stage's first level.
-func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.ChannelEmbed, x *tensor.Tensor, n, c int, infer bool) int {
-	inputs := h.inputs
-	if infer {
-		inputs = h.iinputs
-	}
-	e := tok.Embed
-	next := h.levelInputs(inputs, 1, n, e)
-	gj, k := 0, 0 // where the group's token sits in the next level
-	for _, agg := range h.Levels[0] {
+func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.ChannelEmbed, x, toks *tensor.Tensor, c int, infer bool) int {
+	n, ldo, e := toks.Shape[0], toks.Shape[1]*toks.Shape[2], toks.Shape[2]
+	for gi, agg := range h.Levels[0] {
 		la := agg.(*LinearAggregator)
-		out := next[gj]
-		ldo := out.Shape[1] * e
-		col := out.Data[k*e:]
+		col := toks.Data[gi*e:]
 		for i := 0; i < n; i++ {
 			copy(col[i*ldo:][:e], la.Bias.W.Data)
 		}
@@ -288,9 +235,6 @@ func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.Ch
 			}
 			c++
 		}
-		if k++; k == out.Shape[1] {
-			gj, k = gj+1, 0
-		}
 	}
 	return c
 }
@@ -299,85 +243,72 @@ func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.Ch
 // CrossAttnAggregators with the tokenizer folded into their projections:
 // each group runs foldForward over pat [localC, N, P²], the tokenizer's
 // patches of its local channels c, c+1, ... in plan order, forming its Q, K
-// and V in qkv, which every group borrows in turn, and its token is written
-// where the next level reads it — the first-level group inputs are never
-// written. It returns the next local channel; run(1, infer) takes the tree
-// from there. A training pass keeps each group's folded projections for
-// backward; a no-grad pass lends every group ifold.
+// and V in qkv, which every group borrows in turn, and writes its token at
+// its column of toks (tokens) — the first-level group inputs are never
+// written. It returns the next local channel. A training pass keeps each
+// group's folded projections for backward; a no-grad pass lends every group
+// ifold.
 //
 // dchag:hotpath — the cross stage's first level.
-func (h *HierarchicalAggregator) foldCross(tok *nn.PatchEmbed, ids *nn.ChannelEmbed, pat *tensor.Tensor, c int, qkv []float64, infer bool, ifold *crossFold) int {
-	inputs := h.inputs
-	if infer {
-		inputs = h.iinputs
-	}
-	next := h.levelInputs(inputs, 1, pat.Shape[1], tok.Embed)
-	gj, k := 0, 0 // where the group's token sits in the next level
+func (h *HierarchicalAggregator) foldCross(tok *nn.PatchEmbed, ids *nn.ChannelEmbed, pat, toks *tensor.Tensor, c int, qkv []float64, infer bool, ifold *crossFold) int {
 	for gi, agg := range h.Levels[0] {
 		f := ifold
 		if !infer {
 			f = &h.folds[gi]
 		}
-		y := foldForward(f, agg.(*CrossAttnAggregator), tok, ids, pat, c, qkv, infer)
-		writeGroupToken(next[gj], y.Data, k)
+		writeGroupToken(toks, foldForward(f, agg.(*CrossAttnAggregator), tok, ids, pat, c, qkv, infer).Data, gi)
 		c += h.Plan[0][gi]
-		if k++; k == next[gj].Shape[1] {
-			gj, k = gj+1, 0
-		}
 	}
 	return c
 }
 
-// backward maps d (N*E values, the gradient of run's token) down the tree,
-// level l's aggregators borrowing ws[l] (len(ws) >= len(h.Levels)), and hands
-// each first-level group's output gradient [N, E] to first with the group's
-// index, in plan order: first runs that group's backward, in ws[0], and
-// consumes what it returns before the next group's. The one group of a level
-// above the first leaves its input gradient in its level's workspace while
-// the level below reads it.
+// backward maps d [N, E], the gradient of the module's token, to its first
+// level, handing each group's output gradient [N, E] to first with the
+// group's index, in plan order: first runs that group's backward, in ws[0],
+// and consumes what it returns before the next group's. At Tree0 d is the
+// one group's output gradient. At TreeN the reducer's backward, in ws[1],
+// leaves its input gradient [N, G, E] there, and each group's column of it
+// is read in turn into one buffer of ws[0].
 //
-// dchag:hotpath — the per-step aggregation-tree backward; gradients pass
-// between levels in place.
-func (h *HierarchicalAggregator) backward(d *tensor.Tensor, ws []workspace, first func(gi int, d *tensor.Tensor)) {
+// dchag:hotpath — the per-step partial-module backward.
+func (h *HierarchicalAggregator) backward(d *tensor.Tensor, ws *[2]workspace, first func(gi int, d *tensor.Tensor)) {
 	if !h.ran {
 		panic("core: HierarchicalAggregator.Backward before Forward")
 	}
-	n, e := h.n, d.Shape[len(d.Shape)-1]
-	h.dg = tensor.EnsureShape(h.dg, n, e)
-	h.dIn[len(h.Levels)][0] = d
-	for l := len(h.Levels) - 1; l >= 0; l-- {
-		up, gj, k := h.dIn[l+1], 0, 0
-		for gi, agg := range h.Levels[l] {
-			// Each aggregator consumes dg fully during backward, so one
-			// shared buffer serves every group in turn.
-			readGroupToken(h.dg, up[gj], k)
-			if k++; k == h.layout[l+1][gj] {
-				gj, k = gj+1, 0
-			}
-			if l == 0 {
-				first(gi, h.dg)
-			} else {
-				h.dIn[l][gi] = agg.backward(h.dg, &ws[l]) // [N, g, E]
-			}
-		}
+	r := h.reducer()
+	if r == nil {
+		first(0, d)
+		return
+	}
+	dIn := r.backward(d, &ws[1])
+	ws[0].dg = tensor.EnsureShape(ws[0].dg, d.Shape[0], d.Shape[1])
+	for gi := range h.Levels[0] {
+		readGroupToken(ws[0].dg, dIn, gi)
+		first(gi, ws[0].dg)
 	}
 }
 
 // Forward reduces channel-major tokens x [B, C, T, E] to [B, T, E]: one
-// regroup into the first-level group inputs in front of run. The D-CHAG
-// stage writes no token: its first level runs with the tokenizer folded in.
+// regroup into each first-level group's input, the group's aggregator, then
+// the reducer. The D-CHAG stage writes no token: its first level runs with
+// the tokenizer folded in.
 func (h *HierarchicalAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != h.Channels() {
 		panic(fmt.Sprintf("core: HierarchicalAggregator.Forward want [B,%d,T,E], got %v", h.Channels(), x.Shape))
 	}
 	h.b, h.t = x.Shape[0], x.Shape[2]
+	e := x.Shape[3]
+	h.y = tensor.EnsureShape(h.y, h.b, h.t, e)
+	toks := h.tokens(h.y.Data, h.b*h.t, e, false)
 	lo := 0
 	for gi, g := range h.Plan[0] {
-		h.inputs[0][gi] = tensor.EnsureShape(h.inputs[0][gi], h.b*h.t, g, x.Shape[3])
-		regroup(x, h.inputs[0][gi], lo, true)
+		h.in[gi] = tensor.EnsureShape(h.in[gi], h.b*h.t, g, e)
+		regroup(x, h.in[gi], lo, true)
+		writeGroupToken(toks, h.Levels[0][gi].Forward(h.in[gi]).Data, gi)
 		lo += g
 	}
-	return tensor.EnsureShape(h.run(0, false), h.b, h.t, x.Shape[3])
+	h.reduce(toks, h.y.Data, false)
+	return h.y
 }
 
 // SetInferDType selects the arithmetic of every aggregator's no-grad Infer
@@ -395,9 +326,10 @@ func (h *HierarchicalAggregator) SetInferDType(dt tensor.DType) {
 // Backward maps d [B, T, E] back to the channel-major token gradient
 // [B, C, T, E]: backward, each group's gradient regrouped as it appears.
 func (h *HierarchicalAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
-	h.dx = tensor.EnsureShape(h.dx, h.b, h.Channels(), h.t, d.Shape[len(d.Shape)-1])
+	e := d.Shape[len(d.Shape)-1]
+	h.dx = tensor.EnsureShape(h.dx, h.b, h.Channels(), h.t, e)
 	lo := 0
-	h.backward(d, h.ws, func(gi int, dg *tensor.Tensor) {
+	h.backward(header(&h.d, d.Data, h.b*h.t, e), &h.ws, func(gi int, dg *tensor.Tensor) {
 		regroup(h.dx, h.Levels[0][gi].backward(dg, &h.ws[0]), lo, false)
 		lo += h.Plan[0][gi]
 	})

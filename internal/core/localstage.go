@@ -23,43 +23,42 @@ import (
 // factor E/P² smaller than the tokens — and the backward forms the
 // tokenizer's gradients from them and the first level's output gradients,
 // never a token gradient and never an image gradient: the image is data, and
-// nothing reads its gradient. The levels above run in place on the group
-// tokens.
+// nothing reads its gradient. At TreeN each module's reducer runs behind
+// its first level, on the group tokens where the first level wrote them.
 //
-// The stage also owns one Q/K/V buffer for a cross first level, sized for
-// its largest group, which every group borrows in turn and its backward
-// fills again (foldBackward), and the backward's scratch: one workspace per
-// tree level, which every partial's aggregators of that level borrow in
-// turn, so the stage holds one group's Q/K/V and one aggregator's scratch
-// per level, not one per group.
+// The stage also lends its partials one Q/K/V buffer for a cross first
+// level, sized for its largest group, which every group of every pass
+// borrows in turn and the backward fills again (foldBackward), and the
+// backward's scratch: two workspaces, one for the first level and one for
+// the reducers, which every partial borrows in turn, so the stage holds one
+// group's Q/K/V and one aggregator's scratch per level, not one per group.
 type localStage struct {
 	Tok      *nn.PatchEmbed
 	ChEmb    *nn.ChannelEmbed
 	Partials []*HierarchicalAggregator
 
-	rows      int            // locations of the last Forward: B*T, or len(locs)
-	locs      []int          // the last Forward's listed locations; nil: every one
-	pat       *tensor.Tensor // the last Forward's patches
-	dLocal    *tensor.Tensor // one partition's token gradient
-	ws        []workspace    // the backward's, one per tree level
-	ends      []int          // the backward's depth pieces over locs
-	qkv, iqkv *tensor.Tensor // [3, N, g, E]: one cross group's Q, K and V, the training pass's and the no-grad pass's
-	ifold     crossFold      // the no-grad folded cross level's, lent to every group in turn
+	rows   int            // locations of the last Forward: B*T, or len(locs)
+	locs   []int          // the last Forward's listed locations; nil: every one
+	pat    *tensor.Tensor // the last Forward's patches
+	dLocal *tensor.Tensor // one partition's token gradient
+	ws     [2]workspace   // the backward's: the first level's, the reducers'
+	ends   []int          // the backward's depth pieces over locs
+	qkv    *tensor.Tensor // [3, N, g, E]: one cross group's Q, K and V, every pass's
+	ifold  crossFold      // the no-grad folded cross level's, lent to every group in turn
 }
 
 // pass consumes the shard's image [B, Cl, H, W] and writes owned partition
 // j's aggregated token [B, T, E] into slot j of dst [k, B, T, E]: the last
-// writer of each tree — its last aggregation level, or on a one-level tree
-// the folded first level — writes there directly. With infer set it caches
-// nothing for backward and leaves everything a pending backward reads
-// alone. A training pass with non-nil locs computes only those locations
-// (b·T + t, ascending; unmodified until the backward) and dst is
-// [k, len(locs), E]: every step is per location, so each token has the bits
-// of a pass over every location.
+// writer of each module — its reducer, or at Tree0 the folded first level —
+// writes there directly. With infer set it caches nothing for backward and
+// leaves everything a pending backward reads alone. A training pass with
+// non-nil locs computes only those locations (b·T + t, ascending;
+// unmodified until the backward) and dst is [k, len(locs), E]: every step is
+// per location, so each token has the bits of a pass over every location.
 //
 // dchag:hotpath — the stage's per-step front half.
 func (s *localStage) pass(x *tensor.Tensor, locs []int, dst *tensor.Tensor, infer bool) {
-	rows := x.Shape[0] * s.Tok.Tokens()
+	rows, e := x.Shape[0]*s.Tok.Tokens(), s.Tok.Embed
 	if locs != nil {
 		rows = len(locs)
 	}
@@ -74,28 +73,23 @@ func (s *localStage) pass(x *tensor.Tensor, locs []int, dst *tensor.Tensor, infe
 	if rows == 0 {
 		return
 	}
-	slot := rows * s.Tok.Embed
-	for j, p := range s.Partials {
-		p.outputTo(dst.Data[j*slot:(j+1)*slot:(j+1)*slot], infer)
-	}
-	c := 0
-	if s.crossFirst() {
-		qkv := &s.qkv
+	cross := s.crossFirst()
+	if cross {
 		if infer {
 			pat = s.Tok.Patches(x, locs, true)
-			qkv = &s.iqkv
 		}
-		*qkv = tensor.EnsureShape(*qkv, 3, rows, s.maxGroup(), s.Tok.Embed)
-		for _, p := range s.Partials {
-			c = p.foldCross(s.Tok, s.ChEmb, pat, c, (*qkv).Data, infer, &s.ifold)
-		}
-	} else {
-		for _, p := range s.Partials {
-			c = p.accumulateLinear(s.Tok, s.ChEmb, x, rows, c, infer)
-		}
+		s.qkv = tensor.EnsureShape(s.qkv, 3, rows, s.maxGroup(), e)
 	}
-	for _, p := range s.Partials {
-		p.run(1, infer)
+	c, slot := 0, rows*e
+	for j, p := range s.Partials {
+		out := dst.Data[j*slot : (j+1)*slot]
+		toks := p.tokens(out, rows, e, infer)
+		if cross {
+			c = p.foldCross(s.Tok, s.ChEmb, pat, toks, c, s.qkv.Data, infer, &s.ifold)
+		} else {
+			c = p.accumulateLinear(s.Tok, s.ChEmb, x, toks, c, infer)
+		}
+		p.reduce(toks, out, infer)
 	}
 }
 
@@ -120,11 +114,11 @@ func (s *localStage) crossFirst() bool {
 // first+j of dSeq (B*T*P*E values: the final layer's input gradient, or the
 // output gradient itself when the stage is one partition) and accumulates
 // every local parameter's gradient. Each first-level group's output
-// gradient goes to its folded backward as soon as the tree hands it over,
-// before the next group reuses the level's workspace and the Q/K/V buffer;
-// every channel's gradients are its own slices, so this equals one backward
-// after every partition bit for bit. A pass over no location has nothing to
-// do.
+// gradient goes to its folded backward as soon as the module hands it over,
+// before the next group reuses the first level's workspace and the Q/K/V
+// buffer; every channel's gradients are its own slices, so this equals one
+// backward after every partition bit for bit. A pass over no location has
+// nothing to do.
 //
 // dchag:hotpath — every stage's per-step backward; it performs no
 // communication and allocates nothing in steady state.
@@ -132,24 +126,26 @@ func (s *localStage) backward(dSeq *tensor.Tensor, first int) {
 	if s.rows == 0 {
 		return
 	}
-	s.dLocal = tensor.EnsureShape(s.dLocal, s.rows, s.Tok.Embed)
+	e := s.Tok.Embed
+	s.dLocal = tensor.EnsureShape(s.dLocal, s.rows, e)
 	var ends []int
 	if s.locs != nil {
 		s.ends = tensor.DepthSplits(s.ends, s.locs, 1)
 		ends = s.ends
 	}
+	if s.crossFirst() {
+		// An Infer since the Forward may have resized the buffer.
+		s.qkv = tensor.EnsureShape(s.qkv, 3, s.rows, s.maxGroup(), e)
+	}
+	for l := range s.ws {
+		s.ws[l].attn.Locs = s.locs
+	}
 	c := 0 // the first local channel of the next group
 	for j, p := range s.Partials {
-		for len(s.ws) < len(p.Levels) {
-			s.ws = append(s.ws, workspace{})
-		}
-		for l := range p.Levels {
-			s.ws[l].attn.Locs = s.locs
-		}
 		// Each partial consumes dLocal fully during backward, so one shared
 		// buffer serves every partition in turn.
 		readGroupToken(s.dLocal, dSeq, first+j)
-		p.backward(s.dLocal, s.ws, func(gi int, dg *tensor.Tensor) {
+		p.backward(s.dLocal, &s.ws, func(gi int, dg *tensor.Tensor) {
 			switch a := p.Levels[0][gi].(type) {
 			case *CrossAttnAggregator:
 				foldBackward(&p.folds[gi], a, dg, &s.ws[0], s.Tok, s.ChEmb, s.pat, c, ends, s.qkv.Data)

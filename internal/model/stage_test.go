@@ -67,14 +67,15 @@ func TestSerialStageSteadyStateAllocs(t *testing.T) {
 // all, 0.47–0.49 while it formed the image gradient, 2.00 while it wrote
 // its group inputs and their gradient. Its Infer adds less than a quarter
 // of one. A cross-attention stage folds the tokenizer into its first
-// level's projections and writes no group input: its training pass keeps
-// one group's Q, K and V at a time (1.5 token tensors at two groups), which
-// the backward forms again, and its Infer adds as much again and the pooled
-// attention's scratch, between one and 2.5; the whole stage holds at most
-// 7.5 (7.25, 2.05 of them Infer's; 9.02 while every group kept its Q, K and
-// V, 12.60 and 4.44 while it wrote group inputs, 16.72 while each
-// first-level aggregator kept its own backward scratch instead of borrowing
-// the level's workspace).
+// level's projections and writes no group input: it holds one group's Q, K
+// and V at a time (1.5 token tensors at two groups), in one buffer every
+// pass borrows and the backward fills again, so the stage holds at least
+// that, and its Infer adds only the pooled attention's scratch and its
+// patches, at most 0.6; the whole stage holds at most 5.8 (5.75, 0.55 of
+// them Infer's; 7.25 and 2.05 while Infer kept a Q/K/V buffer of its own,
+// 9.02 while every group kept its Q, K and V, 12.60 and 4.44 while it wrote
+// group inputs, 16.72 while each first-level aggregator kept its own
+// backward scratch instead of borrowing the level's workspace).
 func TestSerialStageHoldsThreeTokenTensors(t *testing.T) {
 	for _, kind := range []core.LayerKind{core.KindLinear, core.KindCross} {
 		t.Run("kind="+kind.String(), func(t *testing.T) {
@@ -100,11 +101,11 @@ func TestSerialStageHoldsThreeTokenTensors(t *testing.T) {
 			inferred := (held - trained) / tokens
 			t.Logf("stage holds %.2f token tensors, %.2f of them added by Infer", held/tokens, inferred)
 			if kind == core.KindCross {
-				if inferred < 1 {
-					t.Fatalf("Infer adds %.2f token tensors: the cross-attention stage's Q, K and V are missing", inferred)
+				if held < 1.5*tokens {
+					t.Fatalf("stage holds %.2f token tensors, under the 1.5 of one group's Q, K and V: the measurement missed the stage", held/tokens)
 				}
-				if inferred > 2.5 || held > 7.5*tokens {
-					t.Fatalf("stage holds %.2f token tensors, %.2f of them added by Infer; want at most 7.5 and 2.5", held/tokens, inferred)
+				if inferred > 0.6 || held > 5.8*tokens {
+					t.Fatalf("stage holds %.2f token tensors, %.2f of them added by Infer; want at most 5.8 and 0.6", held/tokens, inferred)
 				}
 				return
 			}
@@ -141,12 +142,14 @@ func liveHeap() uint64 {
 // writes group inputs or their gradient: the first level folds the
 // tokenizer in; no stage forms the image gradient, and a cross stage keeps
 // one group's Q, K and V at a time, formed again in the backward. At the
-// hsi shape a cross stage holds 4.83 and 3.99 (7.40 and 6.85 while every
-// group kept its Q, K and V and the image gradient was formed, 8.27 and
-// 7.71 before its fold), a linear one 0.86 and 1.08 (1.03 and 1.22 with
-// the image gradient, 2.31 and 2.47 before its fold); the wx_tp2dp2 rank's
-// stage holds 0.69 (1.81 MB; 0.80 and 2.09 MB with the image gradient).
-// The ceilings are the measured values rounded up.
+// hsi shape a cross stage holds 4.76 and 3.95 (4.83 and 3.99 while each
+// partial module kept its own token-gradient buffer; 7.40 and 6.85 while
+// every group kept its Q, K and V and the image gradient was formed, 8.27
+// and 7.71 before its fold), a linear one 0.80 and 1.03 (0.86 and 1.08;
+// 1.03 and 1.22 with the image gradient, 2.31 and 2.47 before its fold);
+// the wx_tp2dp2 rank's stage holds 0.64 (1.68 MB; 0.69 and 1.81 MB; 0.80
+// and 2.09 MB with the image gradient). The ceilings are the measured
+// values rounded up.
 func TestSerialDCHAGStageHeldAfterTraining(t *testing.T) {
 	for _, c := range []struct {
 		shape                  string // prefixes the subtest name; the hsi shape goes unnamed
@@ -156,11 +159,11 @@ func TestSerialDCHAGStageHeldAfterTraining(t *testing.T) {
 		parent, within         float64 // token tensors held: the parent figure below, ceiling now
 		parentIs               string
 	}{
-		{"", core.KindCross, 64, 32, 4, 0, 13.44, 4.9, "before the shared workspaces"},
-		{"", core.KindCross, 64, 32, 4, 2, 14.12, 4.1, "before the shared workspaces"},
+		{"", core.KindCross, 64, 32, 4, 0, 13.44, 4.8, "before the shared workspaces"},
+		{"", core.KindCross, 64, 32, 4, 2, 14.12, 4.0, "before the shared workspaces"},
 		{"", core.KindLinear, 64, 32, 4, 0, 3.19, 0.9, "before the shared workspaces"},
-		{"", core.KindLinear, 64, 32, 4, 2, 3.56, 1.2, "before the shared workspaces"},
-		{"wx_rank", core.KindLinear, 40, 64, 2, 0, 2.31, 0.8, "(6.07 MB) before the linear fold"},
+		{"", core.KindLinear, 64, 32, 4, 2, 3.56, 1.1, "before the shared workspaces"},
+		{"wx_rank", core.KindLinear, 40, 64, 2, 0, 2.31, 0.7, "(6.07 MB) before the linear fold"},
 	} {
 		name := fmt.Sprintf("kind=%s/tree=%d", c.kind, c.tree)
 		if c.shape != "" {
