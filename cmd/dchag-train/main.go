@@ -247,23 +247,17 @@ func main() {
 	}
 }
 
-// run trains arch outside the elastic supervisor and prints the loss
-// history. At one rank SerialCheckpointed trains a rank owning every
-// partition: at one partition (the default) the paper's baseline, otherwise
-// the serial equivalent of the partitioned model, the same logical state
-// tree as any distributed run. More ranks train on the ranks×dp mesh, which
-// prints one traffic line per axis.
+// run trains arch outside the elastic supervisor on the ranks×dp mesh and
+// prints the loss history and one traffic line per mesh axis. At one rank
+// each replica owns every partition: at one partition (the default) the
+// paper's baseline, otherwise the serial equivalent of the partitioned
+// model, the same logical state tree as any distributed run.
 func run(arch model.Arch, ranks, dp int, tpvit bool, opts train.Options, batch train.BatchFn) error {
-	if ranks == 1 {
-		hist, err := train.SerialCheckpointed(model.NewSerialDCHAGEquivalent(arch, arch.Partitions), opts, batch)
-		printHistory(hist)
-		return err
-	}
 	hist, mesh, err := train.Hybrid(arch, ranks, dp, tpvit, opts, batch)
+	printHistory(hist) // a failed run's completed steps too
 	if err != nil {
 		return err
 	}
-	printHistory(hist)
 	fmt.Printf("D-CHAG(TP=%d) x DP=%d on %d simulated GPUs\n", ranks, dp, ranks*dp)
 	for a := range dist.NumAxes {
 		fmt.Printf("%s traffic: %d B\n", dist.Axis(a), mesh.AxisBytes(dist.Axis(a)))
@@ -305,11 +299,11 @@ type runFlags struct {
 // checkFlags resolves the partial-layer kind the flags name and refuses,
 // before any training, the flag combinations the run would otherwise
 // ignore, misread or die on: an unknown kind, a model shape no layer can
-// build, a mesh extent below 1, data parallelism over the serial baseline,
-// a warm start (-load) the elastic supervisor does not perform, a fault
-// injected outside the elastic supervisor (or only half specified), and a
-// learning rate that is not a finite positive number (a negative one trains
-// by gradient ascent, NaN, which flag parses, makes every loss NaN).
+// build, a mesh extent below 1, a warm start (-load) the elastic supervisor
+// does not perform, a fault injected outside the elastic supervisor (or
+// only half specified), and a learning rate that is not a finite positive
+// number (a negative one trains by gradient ascent, NaN, which flag parses,
+// makes every loss NaN).
 func checkFlags(f runFlags) (core.LayerKind, error) {
 	kind, ok := map[string]core.LayerKind{"L": core.KindLinear, "C": core.KindCross}[f.kind]
 	if !ok {
@@ -328,8 +322,6 @@ func checkFlags(f runFlags) (core.LayerKind, error) {
 		return kind, fmt.Errorf("-ranks %d: need at least 1", f.ranks)
 	case f.dp < 1:
 		return kind, fmt.Errorf("-dp %d: need at least 1", f.dp)
-	case f.dp > 1 && f.ranks == 1:
-		return kind, errors.New("-dp > 1 requires -ranks > 1 (the serial baseline has no data-parallel replicas)")
 	case f.elastic && f.ranks == 1:
 		return kind, errors.New("-elastic requires -ranks > 1")
 	case f.elastic && f.load:

@@ -11,8 +11,8 @@ import (
 )
 
 // TestCheckFlags: every flag combination the run would silently ignore,
-// misread or die on is refused; the plain serial, D-CHAG, hybrid and elastic
-// runs pass.
+// misread or die on is refused; the plain serial, D-CHAG, hybrid (at one
+// rank too: the 1×dp mesh) and elastic runs pass.
 func TestCheckFlags(t *testing.T) {
 	// serial is the default run's flags at -ranks 1.
 	serial := runFlags{task: "mae", kind: "L", channels: 32, embed: 16, depth: 2, ranks: 1, dp: 1, failRank: -1, failStep: -1, lr: 3e-3}
@@ -45,7 +45,7 @@ func TestCheckFlags(t *testing.T) {
 		{"ranks 0", func(f *runFlags) { f.ranks = 0 }, false},
 		{"ranks -1", func(f *runFlags) { f.ranks = -1 }, false},
 		{"dp 0", func(f *runFlags) { f.ranks, f.dp = 2, 0 }, false},
-		{"dp over serial", func(f *runFlags) { f.dp = 2 }, false},
+		{"dp over serial", func(f *runFlags) { f.dp = 2 }, true},
 		{"elastic serial", func(f *runFlags) { f.elastic = true }, false},
 		{"load", func(f *runFlags) { f.ranks, f.load = 2, true }, true},
 		{"elastic with load", func(f *runFlags) { f.ranks, f.elastic, f.load = 2, true, true }, false},
@@ -103,6 +103,20 @@ func TestRunTPViT(t *testing.T) {
 	x := tensor.Randn(tensor.NewRNG(4), 2, arch.Channels, arch.ImgH, arch.ImgW)
 	opts := train.Options{Steps: 2, Batch: 2, LR: 3e-3, ClipNorm: 1, MaskRatio: 0.5, Seed: 5}
 	if err := run(arch, 2, 1, true, opts, func(int) (*tensor.Tensor, *tensor.Tensor) { return x, x }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunDPOverOneRank trains -ranks 1 -dp 2 for 2 steps: the serial
+// baseline's data-parallel replicas are the 1×2 mesh, like any other shape.
+func TestRunDPOverOneRank(t *testing.T) {
+	arch := model.Arch{
+		Config: core.Config{Channels: 4, ImgH: 4, ImgW: 4, Patch: 2, Embed: 8, Heads: heads, Kind: core.KindLinear, Seed: 3},
+		Depth:  1, MetaTokens: 1, Partitions: 1,
+	}
+	x := tensor.Randn(tensor.NewRNG(4), 2, arch.Channels, arch.ImgH, arch.ImgW)
+	opts := train.Options{Steps: 2, Batch: 2, LR: 3e-3, ClipNorm: 1, MaskRatio: 0.5, Seed: 5}
+	if err := run(arch, 1, 2, false, opts, func(int) (*tensor.Tensor, *tensor.Tensor) { return x, x }); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -298,3 +298,41 @@ func TestViewCollectivesDoNotAllocate(t *testing.T) {
 		t.Fatalf("%v allocs per round of view collectives, want 0", a)
 	}
 }
+
+// TestOneRankAllReduceOntoItself: on one rank at scale 1 a tensor reduced
+// onto itself keeps every bit — a signalling NaN too, which a multiply by 1
+// would quiet — and the call still counts in the ledger; at another scale,
+// or into another tensor, the rank still computes.
+func TestOneRankAllReduceOntoItself(t *testing.T) {
+	c := NewGroup(1).Comm(0)
+	c.SetPhase("sync")
+	bits := []uint64{0x7ff0000000000001, 0x8000000000000000, 1, math.Float64bits(-1.5), math.Float64bits(math.Inf(1))}
+	x := tensor.New(len(bits))
+	for i, b := range bits {
+		x.Data[i] = math.Float64frombits(b)
+	}
+	c.AllReduce([]*tensor.Tensor{x}, []*tensor.Tensor{x}, 1)
+	for i, b := range bits {
+		if got := math.Float64bits(x.Data[i]); got != b {
+			t.Errorf("element %d: %#x after a one-rank AllReduce onto itself, want %#x", i, got, b)
+		}
+	}
+
+	src := tensor.FromSlice([]float64{1.5, math.Copysign(0, -1), 3}, 3)
+	dst := tensor.Full(7, 3)
+	c.AllReduce([]*tensor.Tensor{dst}, []*tensor.Tensor{src}, 1)
+	for i, v := range src.Data {
+		if math.Float64bits(dst.Data[i]) != math.Float64bits(v) {
+			t.Errorf("into another tensor: element %d is %v, want %v", i, dst.Data[i], v)
+		}
+	}
+	c.AllReduce([]*tensor.Tensor{src}, []*tensor.Tensor{src}, 2)
+	for i, want := range []float64{3, math.Copysign(0, -1), 6} {
+		if math.Float64bits(src.Data[i]) != math.Float64bits(want) {
+			t.Errorf("at scale 2: element %d is %v, want %v", i, src.Data[i], want)
+		}
+	}
+	if got := c.Group().Traffic().CallsFor(0, "sync", OpAllReduce); got != 3 {
+		t.Errorf("ledger recorded %d calls for three one-rank AllReduces", got)
+	}
+}

@@ -342,7 +342,10 @@ func (c *Communicator) AllGatherConcat(x *tensor.Tensor, axis int) *tensor.Tenso
 // rank order, into its dst and scales the finished sum; after a rendezvous
 // every rank copies the other slices from their owners' dst; a closing
 // rendezvous ends the peers' reads. A slice boundary may fall inside a
-// tensor and N need not divide by n.
+// tensor and N need not divide by n. On one rank at scale 1 a tensor that is
+// its own operand is left untouched: the sum over one rank of x, times 1, is
+// x. The rendezvous, the fault and observer points and the ledger record
+// still run, so a one-rank call counts as a collective like any other.
 //
 // dchag:hotpath
 func (c *Communicator) AllReduce(dst, src []*tensor.Tensor, scale float64) {
@@ -373,9 +376,10 @@ func (c *Communicator) AllReduce(dst, src []*tensor.Tensor, scale float64) {
 			}
 		}
 	}
+	same := n == 1 && scale == 1
 	off := 0
 	for k, d := range dst {
-		if a, b := clip(off, len(d.Data), c.rank*total/n, (c.rank+1)*total/n); a < b {
+		if a, b := clip(off, len(d.Data), c.rank*total/n, (c.rank+1)*total/n); a < b && !(same && d == src[k]) {
 			reduceSegment(d.Data[a:b], peers, k, a, scale)
 			c.peerElems += int64((n - 1) * (b - a))
 		}

@@ -113,7 +113,8 @@ func (s *localStage) crossFirst() bool {
 // backward takes the gradient of owned partition j's token from column
 // first+j of dSeq (B*T*P*E values: the final layer's input gradient, or the
 // output gradient itself when the stage is one partition) and accumulates
-// every local parameter's gradient. Each first-level group's output
+// every local parameter's gradient; a one-column dSeq is the one module's
+// gradient as it lies, read in place. Each first-level group's output
 // gradient goes to its folded backward as soon as the module hands it over,
 // before the next group reuses the first level's workspace and the Q/K/V
 // buffer; every channel's gradients are its own slices, so this equals one
@@ -127,7 +128,11 @@ func (s *localStage) backward(dSeq *tensor.Tensor, first int) {
 		return
 	}
 	e := s.Tok.Embed
-	s.dLocal = tensor.EnsureShape(s.dLocal, s.rows, e)
+	d := dSeq
+	if len(dSeq.Data) != s.rows*e {
+		s.dLocal = tensor.EnsureShape(s.dLocal, s.rows, e)
+		d = s.dLocal
+	}
 	var ends []int
 	if s.locs != nil {
 		s.ends = tensor.DepthSplits(s.ends, s.locs, 1)
@@ -142,10 +147,12 @@ func (s *localStage) backward(dSeq *tensor.Tensor, first int) {
 	}
 	c := 0 // the first local channel of the next group
 	for j, p := range s.Partials {
-		// Each partial consumes dLocal fully during backward, so one shared
-		// buffer serves every partition in turn.
-		readGroupToken(s.dLocal, dSeq, first+j)
-		p.backward(s.dLocal, &s.ws, func(gi int, dg *tensor.Tensor) {
+		if d != dSeq {
+			// Each partial consumes dLocal fully during backward, so one
+			// shared buffer serves every partition in turn.
+			readGroupToken(d, dSeq, first+j)
+		}
+		p.backward(d, &s.ws, func(gi int, dg *tensor.Tensor) {
 			switch a := p.Levels[0][gi].(type) {
 			case *CrossAttnAggregator:
 				foldBackward(&p.folds[gi], a, dg, &s.ws[0], s.Tok, s.ChEmb, s.pat, c, ends, s.qkv.Data)

@@ -83,7 +83,11 @@ func serialReference(t *testing.T, a model.Arch, partitions int, opts train.Opti
 	opts.CheckpointDir = ""
 	opts.CheckpointEvery = 0
 	opts.CheckpointKeep = 0
-	return train.Serial(model.NewSerialDCHAGEquivalent(a, partitions), opts, batch).Loss
+	hist, err := train.SerialCheckpointed(model.NewSerialDCHAGEquivalent(a, partitions), opts, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hist.Loss
 }
 
 // copyDir clones a committed checkpoint directory so later training cannot

@@ -41,6 +41,16 @@ func fig11Arch() model.Arch {
 	}
 }
 
+// trainSerial trains m on the 1×1 mesh; an experiment has no way on after
+// a failed run.
+func trainSerial(m *model.FoundationModel, opts train.Options, batch train.BatchFn) train.History {
+	hist, err := train.SerialCheckpointed(m, opts, batch)
+	if err != nil {
+		panic(err)
+	}
+	return hist
+}
+
 // runFig11 trains the masked autoencoder on synthetic hyperspectral plants:
 // the single-GPU baseline architecture versus D-CHAG-L on two simulated
 // ranks, with identical hyperparameters (the paper's protocol). It reports
@@ -62,13 +72,13 @@ func runFig11() Result {
 		MaskRatio: 0.5, Seed: 11,
 	}
 
-	baseline := train.Serial(model.NewSerial(arch), opts, batch)
+	baseline := trainSerial(model.NewSerial(arch), opts, batch)
 	dchag, group, err := train.Distributed(arch, fig11Ranks, false, opts, batch)
 	if err != nil {
 		panic(err)
 	}
 	equivModel := model.NewSerialDCHAGEquivalent(arch, fig11Ranks)
-	equiv := train.Serial(equivModel, opts, batch)
+	equiv := trainSerial(equivModel, opts, batch)
 
 	t := &Table{
 		Title:   "MAE training loss (masked MSE), synthetic APPL hyperspectral data",
@@ -156,7 +166,7 @@ func runFig12() Result {
 	names := []string{"Z500", "T850", "U10"}
 
 	baselineModel := model.NewSerial(arch)
-	baseline := train.Serial(baselineModel, opts, batch)
+	baseline := trainSerial(baselineModel, opts, batch)
 	baseRMSE := train.EvalForecastRMSE(baselineModel, []*tensor.Tensor{evalX}, []*tensor.Tensor{evalY}, chans)
 
 	loss := &Table{
@@ -184,7 +194,7 @@ func runFig12() Result {
 		// RMSE via the serial mathematical equivalent (proven identical to
 		// the distributed trajectory by the train package tests).
 		eq := model.NewSerialDCHAGEquivalent(a, fig12Ranks)
-		train.Serial(eq, opts, batch)
+		trainSerial(eq, opts, batch)
 		rmses[kind.String()] = train.EvalForecastRMSE(eq, []*tensor.Tensor{evalX}, []*tensor.Tensor{evalY}, chans)
 	}
 

@@ -63,16 +63,18 @@ func TestSerialStageSteadyStateAllocs(t *testing.T) {
 // holds none of them, only terms a factor E/P² or C smaller: the
 // tokenizer's im2col cache (B*C*H*W values, a sixteenth of a token tensor at
 // E 64) and group-sized buffers (level outputs, the two-token second level,
-// the first level's folded-backward scratch); 0.37 of a token tensor in
-// all, 0.47–0.49 while it formed the image gradient, 2.00 while it wrote
+// the first level's folded-backward scratch); 0.35 of a token tensor in
+// all, 0.37 while its backward copied the one-column output gradient,
+// 0.47–0.49 while it formed the image gradient, 2.00 while it wrote
 // its group inputs and their gradient. Its Infer adds less than a quarter
 // of one. A cross-attention stage folds the tokenizer into its first
 // level's projections and writes no group input: it holds one group's Q, K
 // and V at a time (1.5 token tensors at two groups), in one buffer every
 // pass borrows and the backward fills again, so the stage holds at least
 // that, and its Infer adds only the pooled attention's scratch and its
-// patches, at most 0.6; the whole stage holds at most 5.8 (5.75, 0.55 of
-// them Infer's; 7.25 and 2.05 while Infer kept a Q/K/V buffer of its own,
+// patches, at most 0.6; the whole stage holds at most 5.8 (5.73, 0.55 of
+// them Infer's; 5.75 while its backward copied the one-column output
+// gradient, 7.25 and 2.05 while Infer kept a Q/K/V buffer of its own,
 // 9.02 while every group kept its Q, K and V, 12.60 and 4.44 while it wrote
 // group inputs, 16.72 while each first-level aggregator kept its own
 // backward scratch instead of borrowing the level's workspace).

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
 // lossDigest is FNV-64a over the little-endian float64 bits of each loss,
@@ -43,9 +45,65 @@ func TestSerialBaselineLossBits(t *testing.T) {
 			a := tinyArch(6)
 			a.Kind, a.Tree = c.kind, c.tree
 			opts := Options{Steps: 4, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 3, ClipNorm: 1}
-			hist := Serial(model.NewSerial(a), opts, fixedBatches(t, 6, opts.Steps, opts.Batch))
+			hist := serialRun(t, model.NewSerial(a), opts, fixedBatches(t, 6, opts.Steps, opts.Batch))
 			if got := lossDigest(hist.Loss); got != c.want {
 				t.Fatalf("loss digest %016x, want %016x (losses %v)", got, c.want, hist.Loss)
+			}
+		})
+	}
+}
+
+// TestHybridLossBits pins the Sec. 3.4 composition, D-CHAG(TP=2) x DP=2, bit
+// for bit: a few clipped MAE steps at a small shape for both layer kinds,
+// with replicated and with tensor-parallel ViT blocks, must reproduce the
+// recorded loss digests. At this shape every cell's digest moves when the
+// norm's summation order does: beside each is the digest it read while the
+// norm summed the replicated parameters as a second subtotal. Each
+// trajectory must also differ from the same run unclipped, so the digests
+// hold the clip's summation order, not a norm that never reaches its cap.
+func TestHybridLossBits(t *testing.T) {
+	for _, c := range []struct {
+		kind  core.LayerKind
+		tpViT bool
+		want  uint64
+	}{
+		{core.KindCross, false, 0x403234dde5d67c89},  // 0x7813b477d552ef1c in the two-subtotal order
+		{core.KindCross, true, 0x2b332ddacbce49d7},   // 0x27957a2790f410a9 in the two-subtotal order
+		{core.KindLinear, false, 0xe82d25dd4b1f8e20}, // 0x1459f9ccb8f68592 in the two-subtotal order
+		{core.KindLinear, true, 0x1459f9ccb8f68592},  // 0xba5ba47799100298 in the two-subtotal order
+	} {
+		t.Run(fmt.Sprintf("kind=%s/tpvit=%v", c.kind, c.tpViT), func(t *testing.T) {
+			a := model.Arch{
+				Config: core.Config{
+					Channels: 8, ImgH: 8, ImgW: 8, Patch: 2,
+					Embed: 16, Heads: 2, Kind: c.kind, Seed: 2024,
+				},
+				Depth: 2, MetaTokens: 1,
+			}
+			opts := Options{Steps: 4, Batch: 4, LR: 3e-3, MaskRatio: 0.5, Seed: 2024, ClipNorm: 1}
+			gen := data.NewHyperspectral(data.HyperspectralConfig{
+				Images: opts.Steps * opts.Batch, Channels: a.Channels, ImgH: a.ImgH, ImgW: a.ImgW,
+				Endmembers: 4, Noise: 0.01, Seed: 2024,
+			})
+			xs := make([]*tensor.Tensor, opts.Steps)
+			for s := range xs {
+				xs[s] = gen.Batch(s*opts.Batch, opts.Batch)
+			}
+			batch := func(s int) (*tensor.Tensor, *tensor.Tensor) { return xs[s], xs[s] }
+			hist, _, err := Hybrid(a, 2, 2, c.tpViT, opts, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := lossDigest(hist.Loss); got != c.want {
+				t.Errorf("loss digest %016x, want %016x (losses %v)", got, c.want, hist.Loss)
+			}
+			opts.ClipNorm = 0
+			free, _, err := Hybrid(a, 2, 2, c.tpViT, opts, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lossDigest(free.Loss) == lossDigest(hist.Loss) {
+				t.Errorf("clipping at 1 left the trajectory as it is unclipped: the norm never reached the cap")
 			}
 		})
 	}

@@ -100,7 +100,7 @@ func RunGeneration(arch model.Arch, opts Options, g GenSpec, batch BatchFn) GenR
 	for r := range res.Boundary {
 		res.Boundary[r] = -1
 	}
-	res.Hist, res.Mesh, res.Err = runMesh(arch, opts, g, res.keep, batch)
+	res.Hist, res.Mesh, res.Err = runMesh(arch, opts, g, distributedModel(arch, g.TPViT), res.keep, batch)
 	return res
 }
 

@@ -85,7 +85,7 @@ func TestExactResumeSerial(t *testing.T) {
 	a := tinyArch(4)
 	batch := fixedBatches(t, 4, 2*n, 2)
 	opts := Options{Steps: 2 * n, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 3, ClipNorm: 1}
-	full := Serial(model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
+	full := serialRun(t, model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
 
 	dir := t.TempDir()
 	firstOpts := opts
@@ -118,7 +118,7 @@ func TestExactResumeAfterCrash(t *testing.T) {
 	a := tinyArch(4)
 	batch := fixedBatches(t, 4, 2*n, 2)
 	opts := Options{Steps: 2 * n, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 5}
-	full := Serial(model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
+	full := serialRun(t, model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
 
 	dir := t.TempDir()
 	crashOpts := opts
@@ -130,14 +130,11 @@ func TestExactResumeAfterCrash(t *testing.T) {
 		}
 		return batch(step)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("crashing batch function did not fire")
-			}
-		}()
-		_, _ = SerialCheckpointed(model.NewSerialDCHAGEquivalent(a, 2), crashOpts, crashing)
-	}()
+	// The serial run is the 1×1 mesh: the rank's panic comes back as the
+	// mesh run's error.
+	if _, err := SerialCheckpointed(model.NewSerialDCHAGEquivalent(a, 2), crashOpts, crashing); err == nil || !strings.Contains(err.Error(), "simulated crash") {
+		t.Fatalf("err = %v, want the crashing batch function's panic", err)
+	}
 	man, err := ckpt.ReadManifest(latestDir(t, dir))
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func TestSerialRetentionResumeFromLatest(t *testing.T) {
 	a := tinyArch(4)
 	batch := fixedBatches(t, 4, 2*n, 2)
 	opts := Options{Steps: 2 * n, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 3, ClipNorm: 1}
-	full := Serial(model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
+	full := serialRun(t, model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
 
 	dir := t.TempDir()
 	firstOpts := opts

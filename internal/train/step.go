@@ -14,20 +14,20 @@ import (
 	"repro/internal/tensor"
 )
 
-// worker is one rank's share of a training run, and train below is the only
-// place the step is written: Serial, Distributed, Hybrid and RunGeneration
-// differ in how they build workers, never in what a step does.
+// worker is one world rank of a mesh run, and train below is the only place
+// the step is written: SerialCheckpointed, Distributed, Hybrid and
+// RunGeneration differ in the mesh shape and the model they give runMesh,
+// never in what a step does.
 type worker struct {
 	m *model.FoundationModel
 	// tpc and dpc are the rank's communicators along the mesh's TP (D-CHAG)
-	// and DP axes. Both are nil on the serial 1×1×1 run, which then issues no
-	// collective at all and clips with optim.ClipGradNorm in m.Params()
-	// order; on a mesh a size-1 axis still issues its collectives (exact
-	// identities), so every shape runs one collective sequence and
-	// op-indexed fault plans mean the same thing at every shape.
+	// and DP axes. A size-1 axis still issues its collectives (exact
+	// identities), so every shape — the serial 1×1 run included — runs one
+	// collective sequence and op-indexed fault plans mean the same thing at
+	// every shape.
 	tpc, dpc *comm.Communicator
-	rank     int        // world rank
-	coord    dist.Coord // zero on the serial run
+	rank     int // world rank
+	coord    dist.Coord
 	// from is the opened restore source (nil: fresh state); what it restores
 	// is restoreStart's decision. end bounds the run: global steps
 	// [restored step, end).
@@ -42,21 +42,6 @@ type worker struct {
 	// boundary (a view of the live buffers, which the receiver clones).
 	fault    *faultinject.Plan
 	boundary func(rank, step int, tree ckpt.Tree)
-}
-
-// tpPhase labels the TP traffic that follows; the serial run has no ledger.
-func (w *worker) tpPhase(label string) {
-	if w.tpc != nil {
-		w.tpc.SetPhase(label)
-	}
-}
-
-// tpBarrier orders the checkpoint's shard writes against its manifest commit
-// within the TP group; alone, a serial worker is already ordered.
-func (w *worker) tpBarrier() {
-	if w.tpc != nil {
-		w.tpc.Barrier()
-	}
 }
 
 // train restores from w.from and runs the rank's steps up to w.end. The
@@ -78,10 +63,7 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 
 	// This replica's batch rows, then this rank's channels. One replica owns
 	// every row and a one-rank stage every channel: neither copies anything.
-	tp, dp := 1, 1
-	if w.tpc != nil {
-		tp, dp = w.tpc.Size(), w.dpc.Size()
-	}
+	tp, dp := w.tpc.Size(), w.dpc.Size()
 	shard := opts.Batch / dp
 	rows := func(t *tensor.Tensor) *tensor.Tensor {
 		if dp == 1 {
@@ -91,10 +73,8 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 	}
 	stage := m.DCHAG()
 	chLo, chHi := stage.ChannelBounds()
-	var ddp *parallel.DDP
-	if w.dpc != nil {
-		ddp = parallel.NewDDP(w.dpc, params)
-	}
+	ddp := parallel.NewDDP(w.dpc, params)
+	local, repl := m.PartitionParams()
 
 	snapshot := func(step int) {
 		if w.boundary != nil {
@@ -121,7 +101,7 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 		target := model.Patchify(rows(y), m.Arch.Patch)
 		var loss float64
 		var grad *tensor.Tensor
-		w.tpPhase("forward")
+		w.tpc.SetPhase("forward")
 		fwd := row.Begin("forward", "train")
 		if opts.MaskRatio > 0 {
 			// Draw the full-batch mask so every replica consumes the same
@@ -136,36 +116,27 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 			grad = mse.Backward()
 		}
 		fwd.End()
-		w.tpPhase("backward")
+		w.tpc.SetPhase("backward")
 		bwd := row.Begin("backward", "train")
 		m.Backward(grad)
 		bwd.End()
-		if ddp != nil {
-			// The one cross-replica synchronization point (paper Sec. 6.3).
-			w.dpc.SetPhase("dp-sync")
-			sync := row.Begin("dp-sync", "train")
-			ddp.SyncGradients()
-			sync.End()
-		}
+		// The one cross-replica synchronization point (paper Sec. 6.3).
+		w.dpc.SetPhase("dp-sync")
+		sync := row.Begin("dp-sync", "train")
+		ddp.SyncGradients()
+		sync.End()
 		optSpan := row.Begin("optim", "train")
 		if opts.ClipNorm > 0 {
-			if w.tpc == nil {
-				optim.ClipGradNorm(params, opts.ClipNorm)
-			} else {
-				w.tpc.SetPhase("optim")
-				local, repl := m.PartitionParams()
-				DistributedClipGradNorm(w.tpc, local, repl, opts.ClipNorm)
-			}
+			w.tpc.SetPhase("optim")
+			DistributedClipGradNorm(w.tpc, local, repl, opts.ClipNorm)
 		}
 		opt.Step()
 		optSpan.End()
-		if w.dpc != nil {
-			// Every rank reduces; only world rank 0 records. Keeping the
-			// collective outside the rank conditional keeps the DP groups'
-			// collective sequences identical (dchag-vet: collectivesym).
-			w.dpc.SetPhase("metrics")
-			loss = w.dpc.AllReduceScalarSum(loss) / float64(dp)
-		}
+		// Every rank reduces; only world rank 0 records. Keeping the
+		// collective outside the rank conditional keeps the DP groups'
+		// collective sequences identical (dchag-vet: collectivesym).
+		w.dpc.SetPhase("metrics")
+		loss = w.dpc.AllReduceScalarSum(loss) / float64(dp)
 		if w.rank == 0 {
 			w.hist.Loss = append(w.hist.Loss, loss)
 		}
@@ -175,7 +146,7 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 			// the step directory once they are durable. checkpointDue is
 			// rank-independent, so every TP group runs the same two barriers
 			// — symmetric with no rank conditional around them.
-			w.tpPhase("ckpt")
+			w.tpc.SetPhase("ckpt")
 			ckSpan := row.Begin("ckpt", "train")
 			if w.coord.DP == 0 {
 				dir := ckpt.StepDir(opts.CheckpointDir, s+1)
@@ -186,13 +157,13 @@ func (w *worker) train(opts Options, batch BatchFn) error {
 					w.fault.Checkpoint(w.rank, s+1)
 				}
 			}
-			w.tpBarrier() // every shard durable before the manifest commits
+			w.tpc.Barrier() // every shard durable before the manifest commits
 			if w.rank == 0 {
 				if err := opts.commit(tp, stage.Partitions, s+1, m.Arch); err != nil {
 					return err
 				}
 			}
-			w.tpBarrier() // checkpoint complete before training continues
+			w.tpc.Barrier() // checkpoint complete before training continues
 			ckSpan.End()
 		}
 		snapshot(s + 1)

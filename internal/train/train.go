@@ -8,10 +8,11 @@
 // (Sec. 3.4), and the package writes that step once: worker.train (step.go)
 // owns the forward and backward pass, gradient sync, clipping, the optimizer
 // step, loss recording and the checkpoint commit for one rank.
-// The exported entry points only build workers — Serial is the 1×1×1 case
-// with no communicators, Hybrid a tp×1×dp mesh, Distributed that mesh at
-// dp = 1, RunGeneration a step sub-range of it with fault and snapshot
-// hooks — so their trajectories agree by construction, not by convention.
+// The exported entry points differ only in the mesh runMesh builds and the
+// model it gives each rank — SerialCheckpointed is the 1×1 mesh over the
+// caller's model, Hybrid a tp×1×dp mesh, Distributed that mesh at dp = 1,
+// RunGeneration a step sub-range of it with fault and snapshot hooks — so
+// their trajectories agree by construction, not by convention.
 package train
 
 import (
@@ -70,10 +71,10 @@ type Options struct {
 	// resume. Mutually exclusive with Resume.
 	InitFrom string
 	// Trace, when non-nil, records per-rank step-phase spans (forward,
-	// backward, dp-sync, optim, ckpt) into the tracer: row = world rank on
-	// a mesh, row 0 for the serial run. Mesh runs additionally install
-	// per-axis comm observers so every collective of the run appears as its
-	// own span (comm/tp, comm/dp). nil disables tracing at zero cost.
+	// backward, dp-sync, optim, ckpt) into the tracer, one row per world
+	// rank (row 0 alone for the serial 1×1 run), and installs per-axis comm
+	// observers so every collective of the run appears as its own span
+	// (comm/tp, comm/dp). nil disables tracing at zero cost.
 	Trace *obs.Tracer
 }
 
@@ -139,39 +140,19 @@ func (h History) Last() float64 {
 	return h.Loss[len(h.Loss)-1]
 }
 
-// Serial trains a single-process model, returning the loss history. The
-// same mask stream (Options.Seed) is used by Distributed so the two runs are
-// comparable step for step, the comparison both Figs. 11 and 12 make. It
-// panics on checkpoint I/O errors; callers using the checkpoint options
-// should prefer SerialCheckpointed.
-func Serial(m *model.FoundationModel, opts Options, batch BatchFn) History {
-	hist, err := SerialCheckpointed(m, opts, batch)
-	if err != nil {
-		panic(fmt.Sprintf("train: %v", err))
-	}
-	return hist
-}
-
-// SerialCheckpointed is Serial with error reporting for the checkpoint
-// options: Resume/InitFrom restore state before the first step, and
-// CheckpointDir/CheckpointEvery write shard-aware checkpoints during the
-// run. On resume the returned history covers only the steps this invocation
-// ran (the saved step onward). It is the step engine's 1×1×1 case: one
-// worker on the caller's goroutine, no mesh and no communicators.
+// SerialCheckpointed trains the caller's model m — a one-rank model, such as
+// model.NewSerialDCHAGEquivalent builds — as the 1×1 corner of the mesh
+// every run trains on, and returns its loss history. Its trajectory is the
+// one Distributed and Hybrid follow on the same options, the comparison
+// Figs. 11 and 12 make. Resume/InitFrom restore state before the first step,
+// and CheckpointDir/CheckpointEvery write shard-aware checkpoints during the
+// run; on resume the history covers only the steps this invocation ran (the
+// saved step onward). A failure inside the step, a panicking batch function
+// included, comes back as the mesh run's error.
 func SerialCheckpointed(m *model.FoundationModel, opts Options, batch BatchFn) (History, error) {
-	var hist History
-	if err := opts.validate(1, 1); err != nil {
-		return hist, err
-	}
-	ck, err := openRestore(opts)
-	if err != nil {
-		return hist, err
-	}
-	if err := checkRestore(ck, m.Arch, m.DCHAG().Partitions); err != nil {
-		return hist, err
-	}
-	w := worker{m: m, from: ck, end: opts.Steps, row: opts.Trace.Rank(0), hist: &hist}
-	err = w.train(opts, batch)
+	arch := m.Arch
+	arch.Partitions = m.DCHAG().Partitions
+	hist, _, err := trainOn(arch, 1, 1, opts, func(*comm.Communicator) *model.FoundationModel { return m }, batch)
 	return hist, err
 }
 
@@ -179,9 +160,10 @@ func SerialCheckpointed(m *model.FoundationModel, opts Options, batch BatchFn) (
 // 0's loss history plus the comm group (for traffic inspection). Every rank
 // sees the full spatial batch but only its channel shard, exactly the
 // paper's D-CHAG data layout; masks are drawn from the same stream as
-// Serial. It is Hybrid on the p×1×1 mesh — the size-1 DP gradient sync and
-// loss reduce are exact identities — and the group it returns is that
-// mesh's one TP group, so its ledger holds the D-CHAG traffic alone.
+// SerialCheckpointed. It is Hybrid on the p×1×1 mesh — the size-1 DP
+// gradient sync and loss reduce are exact identities — and the group it
+// returns is that mesh's one TP group, so its ledger holds the D-CHAG
+// traffic alone.
 func Distributed(arch model.Arch, p int, tpViT bool, opts Options, batch BatchFn) (History, *comm.Group, error) {
 	hist, mesh, err := Hybrid(arch, p, 1, tpViT, opts, batch)
 	if mesh == nil {
@@ -191,16 +173,18 @@ func Distributed(arch model.Arch, p int, tpViT bool, opts Options, batch BatchFn
 }
 
 // DistributedClipGradNorm clips gradients to a global L2 norm computed over
-// the whole logical model: local parameter shards are summed across the
-// group (one scalar AllReduce) and replicated parameters — whose gradients
-// are identical on every rank — are counted once. With the same maxNorm this
-// reproduces the serial optim.ClipGradNorm trajectory. Returns the pre-clip
-// global norm.
+// the whole logical model, in one running total: the squares of the local
+// parameter shards, summed across the group (one scalar AllReduce), then
+// those of the replicated parameters — whose gradients are identical on
+// every rank and are counted once — added to that same total. On one rank
+// the AllReduce is the identity and, with no TP blocks, local followed by
+// replicated is Params order, so the sum is optim.ClipGradNorm's bit for
+// bit. Returns the pre-clip global norm.
 //
 // dchag:hotpath
 func DistributedClipGradNorm(c *comm.Communicator, local, replicated []*nn.Param, maxNorm float64) float64 {
-	total := c.AllReduceScalarSum(gradSumSq(local)) + gradSumSq(replicated)
-	norm := math.Sqrt(total)
+	total := c.AllReduceScalarSum(gradSumSq(0, local))
+	norm := math.Sqrt(gradSumSq(total, replicated))
 	if norm > maxNorm && norm > 0 {
 		scale := maxNorm / norm
 		for _, p := range local {
@@ -213,9 +197,8 @@ func DistributedClipGradNorm(c *comm.Communicator, local, replicated []*nn.Param
 	return norm
 }
 
-// gradSumSq sums the squared gradient elements in parameter order.
-func gradSumSq(ps []*nn.Param) float64 {
-	s := 0.0
+// gradSumSq adds the squared gradient elements to s in parameter order.
+func gradSumSq(s float64, ps []*nn.Param) float64 {
 	for _, p := range ps {
 		for _, g := range p.Grad.Data {
 			s += g * g

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -49,10 +50,20 @@ func fixedBatches(t *testing.T, channels, steps, batch int) BatchFn {
 	}
 }
 
+// serialRun is SerialCheckpointed, failing the test on an error.
+func serialRun(t *testing.T, m *model.FoundationModel, opts Options, batch BatchFn) History {
+	t.Helper()
+	hist, err := SerialCheckpointed(m, opts, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hist
+}
+
 func TestSerialMAELossDecreases(t *testing.T) {
 	a := tinyArch(4)
 	batch := fixedBatches(t, 4, 8, 2)
-	hist := Serial(model.NewSerial(a), Options{
+	hist := serialRun(t, model.NewSerial(a), Options{
 		Steps: 8, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 1, ClipNorm: 1,
 	}, batch)
 	if len(hist.Loss) != 8 {
@@ -72,7 +83,7 @@ func TestDistributedMatchesSerialEquivalentTrajectory(t *testing.T) {
 	opts := Options{Steps: 5, Batch: 2, LR: 1e-2, MaskRatio: 0.5, Seed: 7, ClipNorm: 1}
 	batch := fixedBatches(t, 4, opts.Steps, opts.Batch)
 
-	serialHist := Serial(model.NewSerialDCHAGEquivalent(a, p), opts, batch)
+	serialHist := serialRun(t, model.NewSerialDCHAGEquivalent(a, p), opts, batch)
 	distHist, _, err := Distributed(a, p, false, opts, batch)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +138,7 @@ func TestForecastTrainingAndRMSE(t *testing.T) {
 	evalY := []*tensor.Tensor{ys[0]}
 	before := EvalForecastRMSE(m, evalX, evalY, chans)
 
-	hist := Serial(m, Options{Steps: steps, Batch: batchN, LR: 5e-3, Seed: 2, ClipNorm: 1}, batch)
+	hist := serialRun(t, m, Options{Steps: steps, Batch: batchN, LR: 5e-3, Seed: 2, ClipNorm: 1}, batch)
 	if hist.Last() >= hist.Loss[0] {
 		t.Fatalf("forecast loss did not decrease: %v -> %v", hist.Loss[0], hist.Last())
 	}
@@ -153,14 +164,19 @@ func TestHistoryLast(t *testing.T) {
 }
 
 // shapeRuns are the step engine's entry points at the mesh shapes the
-// tests sweep, all at TP extent 2: each trains the arch with the given
-// options and returns world rank 0's losses.
+// tests sweep, all over 2 logical partitions: each trains the arch with the
+// given options and returns world rank 0's losses.
 var shapeRuns = []struct {
 	name string
 	run  func(a model.Arch, opts Options, batch BatchFn) (History, error)
 }{
 	{"serial", func(a model.Arch, opts Options, batch BatchFn) (History, error) {
 		return SerialCheckpointed(model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
+	}},
+	{"hybrid-1x1", func(a model.Arch, opts Options, batch BatchFn) (History, error) {
+		a.Partitions = 2
+		h, _, err := Hybrid(a, 1, 1, false, opts, batch)
+		return h, err
 	}},
 	{"distributed-2x1", func(a model.Arch, opts Options, batch BatchFn) (History, error) {
 		h, _, err := Distributed(a, 2, false, opts, batch)
@@ -186,7 +202,7 @@ func TestEveryShapeMatchesSerialEquivalent(t *testing.T) {
 	a := tinyArch(4)
 	opts := Options{Steps: 4, Batch: 4, LR: 1e-2, ClipNorm: 1, MaskRatio: 0.5, Seed: 5}
 	batch := fixedBatches(t, 4, opts.Steps, opts.Batch)
-	want := Serial(model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
+	want := serialRun(t, model.NewSerialDCHAGEquivalent(a, 2), opts, batch)
 	for _, sh := range shapeRuns {
 		got, err := sh.run(a, opts, batch)
 		if err != nil {
@@ -198,6 +214,84 @@ func TestEveryShapeMatchesSerialEquivalent(t *testing.T) {
 		for s := range want.Loss {
 			if math.Abs(want.Loss[s]-got.Loss[s]) > 1e-9 {
 				t.Fatalf("%s step %d: serial %v got %v", sh.name, s, want.Loss[s], got.Loss[s])
+			}
+		}
+	}
+}
+
+// TestHybridOneByOneIsSerialBitwise: the serial baseline is the mesh's 1×1
+// corner bit for bit, with clipping on, at dchag-train's default mae shape
+// — where a norm summed in another order than optim.ClipGradNorm's moves
+// the losses' last bits from the first steps, which tinyArch's shape does
+// not show — for every kind and tree at 1, 2 and 4 partitions.
+func TestHybridOneByOneIsSerialBitwise(t *testing.T) {
+	gen := data.NewHyperspectral(data.HyperspectralConfig{
+		Images: 494, Channels: 32, ImgH: 8, ImgW: 8, Endmembers: 4, Noise: 0.01, Seed: 2024,
+	})
+	opts := Options{Steps: 6, Batch: 4, LR: 3e-3, ClipNorm: 1, MaskRatio: 0.5, Seed: 2024}
+	xs := make([]*tensor.Tensor, opts.Steps)
+	for s := range xs {
+		xs[s] = gen.Batch(s*opts.Batch, opts.Batch)
+	}
+	batch := func(s int) (*tensor.Tensor, *tensor.Tensor) { return xs[s], xs[s] }
+	for _, kind := range []core.LayerKind{core.KindCross, core.KindLinear} {
+		for _, tree := range []int{0, 2} {
+			for _, p := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("kind=%s/tree=%d/P=%d", kind, tree, p), func(t *testing.T) {
+					a := model.Arch{
+						Config: core.Config{
+							Channels: 32, ImgH: 8, ImgW: 8, Patch: 2,
+							Embed: 16, Heads: 2, Tree: tree, Kind: kind, Seed: 2024,
+						},
+						Depth: 2, MetaTokens: 1, Partitions: p,
+					}
+					want := serialRun(t, model.NewSerialDCHAGEquivalent(a, p), opts, batch)
+					got, _, err := Hybrid(a, 1, 1, false, opts, batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameLoss(t, "hybrid 1x1 vs serial", want.Loss, got.Loss)
+				})
+			}
+		}
+	}
+}
+
+// TestOneRankClipIsClipGradNorm: on one rank DistributedClipGradNorm over a
+// one-rank model's (local, replicated) split is optim.ClipGradNorm over its
+// Params, in the norm and in every clipped gradient, bit for bit — the
+// serial 1×1 step and a loop clipping with optim.ClipGradNorm train alike.
+// The gradients span twelve decades, so a sum in any other order rounds
+// differently.
+func TestOneRankClipIsClipGradNorm(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		a := model.Arch{
+			Config: core.Config{
+				Channels: 32, ImgH: 8, ImgW: 8, Patch: 2,
+				Embed: 16, Heads: 2, Tree: 2, Kind: core.KindCross, Seed: 2024,
+			},
+			Depth: 2, MetaTokens: 1,
+		}
+		m, ref := model.NewSerialDCHAGEquivalent(a, p), model.NewSerialDCHAGEquivalent(a, p)
+		ps, refs := m.Params(), ref.Params()
+		rng := tensor.NewRNG(int64(p))
+		for i, prm := range ps {
+			for j := range prm.Grad.Data {
+				prm.Grad.Data[j] = rng.NormFloat64() * math.Pow(10, float64((i+j)%13-6))
+			}
+			copy(refs[i].Grad.Data, prm.Grad.Data)
+		}
+		local, repl := m.PartitionParams()
+		got := DistributedClipGradNorm(comm.NewGroup(1).Comm(0), local, repl, 1)
+		want := optim.ClipGradNorm(refs, 1)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("P=%d: norm %v, optim.ClipGradNorm %v", p, got, want)
+		}
+		for i, prm := range ps {
+			for j, g := range prm.Grad.Data {
+				if w := refs[i].Grad.Data[j]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("P=%d: %s[%d] clipped to %v, optim.ClipGradNorm %v", p, prm.Name, j, g, w)
+				}
 			}
 		}
 	}
@@ -253,7 +347,7 @@ func TestHybridMatchesSerialEquivalentTrajectory(t *testing.T) {
 	opts := Options{Steps: 4, Batch: 4, LR: 1e-2, ClipNorm: 1, MaskRatio: 0.5, Seed: 31}
 	batch := fixedBatches(t, 4, opts.Steps, opts.Batch)
 
-	serialHist := Serial(model.NewSerialDCHAGEquivalent(a, tp), opts, batch)
+	serialHist := serialRun(t, model.NewSerialDCHAGEquivalent(a, tp), opts, batch)
 	hybridHist, mesh, err := Hybrid(a, tp, dp, false, opts, batch)
 	if err != nil {
 		t.Fatal(err)
@@ -564,7 +658,7 @@ func TestDCHAGComposesWithFSDP(t *testing.T) {
 	batch := fixedBatches(t, 4, steps, batchN)
 
 	opts := Options{Steps: steps, Batch: batchN, LR: 1e-2, Seed: 41}
-	serialHist := Serial(model.NewSerialDCHAGEquivalent(a, tp), opts, batch)
+	serialHist := serialRun(t, model.NewSerialDCHAGEquivalent(a, tp), opts, batch)
 
 	spec := dist.MeshSpec{TP: tp, FSDP: fsdp, DP: 1}
 	losses := make([]float64, steps)
