@@ -88,21 +88,34 @@ type GroupAggregator interface {
 }
 
 // workspace is the backward scratch a group aggregator borrows for one call:
-// every buffer its backward writes, the group's input gradient included.
-// Whoever runs the aggregators owns it. The D-CHAG stage owns two, one for
-// the first level and one for the reducers, each lent to that level's
-// aggregators of every partition in turn: a reducer's input gradient stays
-// in its workspace while the first level, below it, reads it; each
-// first-level group's own gradients are consumed by the tokenizer's before
-// the next group runs. An aggregator run alone, like a stage's final layer,
-// owns its own (CrossAttnAggregator.Backward). The zero value is ready to
-// use.
+// every buffer its backward writes, the group's input gradient included,
+// but a cross aggregator's dQ, dK and dV, which its pooled attention writes
+// over the Q, K and V it consumes (at a stage's first level, in the stage's
+// Q/K/V buffer). Whoever runs the aggregators owns it. The D-CHAG stage
+// owns two, one for the first level and one for the reducers, each lent to
+// that level's aggregators of every partition in turn: a reducer's input
+// gradient stays in its workspace while the first level, below it, reads
+// it; each first-level group's own gradients are consumed by the
+// tokenizer's before the next group runs. On entry a borrower reads only
+// what it is handed, never an earlier borrower's leftovers, which poison
+// checks (tensor.WithPoisonedLends). An aggregator run alone, like a
+// stage's final layer, owns its own (CrossAttnAggregator.Backward). The
+// zero value is ready to use.
 type workspace struct {
 	attn nn.PooledGrads // the CrossAttnAggregator's
 	fold foldGrads      // a folded first-level CrossAttnAggregator's, beside attn
 	lin  linearGrads    // a folded first-level LinearAggregator's
 	dx   *tensor.Tensor // the LinearAggregator's input gradient
 	dg   *tensor.Tensor // the first level's: one group's output gradient [N, E], read out of the reducer's input gradient
+}
+
+// poison NaN-fills every buffer of ws while lent buffers are poisoned
+// (tensor.Poison), as its lender hands it to the next borrower
+// (HierarchicalAggregator.backward).
+func (ws *workspace) poison() {
+	ws.attn.Poison()
+	f, l := &ws.fold, &ws.lin
+	tensor.Poison(f.gs[0], f.gs[1], f.gs[2], f.d[0], f.d[1], l.s, l.u, l.g, ws.dx, ws.dg)
 }
 
 // CrossAttnAggregator reduces a channel group with one cross-attention layer

@@ -75,10 +75,10 @@ const (
 //
 // The final layer's parameters are replicated and its input is identical on
 // every rank after the AllGather, so the backward pass recomputes the final
-// layer gradient locally, slices out the rank's own token gradient, and
-// back-propagates through the local partial module and tokenizer with zero
-// communication — the property the paper's Sec. 3.3 claims and the tests
-// assert via the traffic ledger.
+// layer gradient locally, forms the input gradient of the rank's own
+// partition tokens only, and back-propagates through the local partial
+// module and tokenizer with zero communication — the property the paper's
+// Sec. 3.3 claims and the tests assert via the traffic ledger.
 //
 // The channel-partition count P is a property of the *model*, decoupled from
 // the rank count q: each rank owns a contiguous block of P/q partitions
@@ -258,6 +258,7 @@ func (d *DCHAG) pass(x *tensor.Tensor, locs []int, lo, hi int, infer bool) *tens
 		rows, rlo, rhi = len(locs), 0, len(locs)
 	}
 	k := len(d.Partials)
+	tensor.Poison(s.local, s.seq, s.full)
 	s.local = tensor.EnsureShape(s.local, k, rows, e)
 	d.localStage.pass(x, locs, s.local, infer)
 	y := s.local.Data[rlo*e : rhi*e]
@@ -313,10 +314,12 @@ func (d *DCHAG) Backward(grad *tensor.Tensor) {
 		dSeq = d.dvis
 	}
 	if d.Final != nil && d.localStage.rows > 0 {
-		d.Final.own.attn.Locs = locs
-		dSeq = d.Final.Backward(dSeq) // [N, P, E]
+		// The input gradient of the rank's own partition tokens only: [k, N, E].
+		s := &d.Final.own.attn
+		s.Locs = locs
+		dSeq = d.Final.Attn.BackwardTokens(dSeq, s, d.PartLo, d.PartHi)
 	}
-	d.localStage.backward(dSeq, d.PartLo)
+	d.localStage.backward(dSeq)
 }
 
 // Params returns this rank's parameters: the tokenizer and channel-embedding

@@ -34,8 +34,9 @@ import (
 // sized for its largest group, to every group in turn, and the backward
 // forms a group's Q, K and V there again, from the cached patches and the
 // group's folded weights by the forward's own products, just before the
-// attention's backward reads them — the same bits, for three 4-deep
-// products per group, less than the pixel gradient's products it replaces.
+// attention's backward reads them and writes dQ, dK and dV over them — the
+// same bits, for three 4-deep products per group, less than the pixel
+// gradient's products it replaces.
 
 // crossFold is one first-level cross group's folded projections: the
 // forward state its backward reads. The no-grad pass lends one to every
@@ -133,7 +134,8 @@ func foldForward(f *crossFold, a *CrossAttnAggregator, tok *nn.PatchEmbed, ids *
 }
 
 // foldBackward is foldForward's backward in ws: it forms the group's Q, K
-// and V again in qkv, as the forward did, and maps d [N, E], the gradient
+// and V again in qkv, as the forward did, where the attention's backward
+// then writes their gradients, and maps d [N, E], the gradient
 // of a's output, to the gradients of a's parameters, of the tokenizer's
 // weights and bias and of the channel IDs over channels c, c+1, ...,
 // accumulated. pat is the training pass's patches, ends the depth pieces of

@@ -250,13 +250,17 @@ func (h *HierarchicalAggregator) accumulateLinear(tok *nn.PatchEmbed, ids *nn.Ch
 // ifold.
 //
 // dchag:hotpath — the cross stage's first level.
-func (h *HierarchicalAggregator) foldCross(tok *nn.PatchEmbed, ids *nn.ChannelEmbed, pat, toks *tensor.Tensor, c int, qkv []float64, infer bool, ifold *crossFold) int {
+func (h *HierarchicalAggregator) foldCross(tok *nn.PatchEmbed, ids *nn.ChannelEmbed, pat, toks *tensor.Tensor, c int, qkv *tensor.Tensor, infer bool, ifold *crossFold) int {
 	for gi, agg := range h.Levels[0] {
 		f := ifold
 		if !infer {
 			f = &h.folds[gi]
 		}
-		writeGroupToken(toks, foldForward(f, agg.(*CrossAttnAggregator), tok, ids, pat, c, qkv, infer).Data, gi)
+		tensor.Poison(qkv)
+		if infer {
+			tensor.Poison(f.wu, f.w[0], f.w[1], f.w[2])
+		}
+		writeGroupToken(toks, foldForward(f, agg.(*CrossAttnAggregator), tok, ids, pat, c, qkv.Data, infer).Data, gi)
 		c += h.Plan[0][gi]
 	}
 	return c
@@ -277,12 +281,15 @@ func (h *HierarchicalAggregator) backward(d *tensor.Tensor, ws *[2]workspace, fi
 	}
 	r := h.reducer()
 	if r == nil {
+		ws[0].poison()
 		first(0, d)
 		return
 	}
+	ws[1].poison()
 	dIn := r.backward(d, &ws[1])
 	ws[0].dg = tensor.EnsureShape(ws[0].dg, d.Shape[0], d.Shape[1])
 	for gi := range h.Levels[0] {
+		ws[0].poison()
 		readGroupToken(ws[0].dg, dIn, gi)
 		first(gi, ws[0].dg)
 	}

@@ -151,12 +151,17 @@ func (o *oracleStage) backward(grad *tensor.Tensor) {
 }
 
 // diffBits reports the first place got and want differ bit for bit (so -0
-// and +0, or two NaNs, do not pass for one another).
+// and +0, or two NaNs, do not pass for one another), and under poisoned
+// lends a NaN in got, which can only come from a poisoned buffer: the
+// stage under test and its oracle may read the same poison.
 func diffBits(what string, got, want *tensor.Tensor) error {
 	if len(got.Data) != len(want.Data) {
 		return fmt.Errorf("%s: %d values, want %d", what, len(got.Data), len(want.Data))
 	}
 	for i, v := range got.Data {
+		if v != v && poisoned {
+			return fmt.Errorf("%s: value %d is NaN: a borrower read a poisoned lent buffer", what, i)
+		}
 		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
 			return fmt.Errorf("%s: value %d is %v (%#x), oracle has %v (%#x)", what, i, v, math.Float64bits(v), want.Data[i], math.Float64bits(want.Data[i]))
 		}
@@ -506,4 +511,35 @@ func TestSharedWorkspacesCarryNothingBetweenRounds(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPoisonedLendsChangeNoBit runs the stage's bitwise oracles with every
+// buffer the stage lends (its two backward workspaces, the Q/K/V buffer that
+// carries each group's Q/K/V and then their gradients, the no-grad fold and
+// each pass's gather scratch) NaN-filled before each borrower runs
+// (tensor.WithPoisonedLends): a borrower that reads what another left there
+// reads NaN, and its results then miss the oracles' bits, even when today's
+// call order would have left it the right values.
+func TestPoisonedLendsChangeNoBit(t *testing.T) {
+	for _, o := range []struct {
+		name string
+		test func(*testing.T)
+	}{
+		{"StageEqualsCopyingComposition", TestStageEqualsCopyingCompositionBitwise},
+		{"EveryRealizationAgrees", TestEveryRealizationAgreesBitwise},
+		{"SharedWorkspacesCarryNothing", TestSharedWorkspacesCarryNothingBetweenRounds},
+		{"InferLeavesPendingBackwardAlone", TestInferLeavesPendingBackwardAlone},
+	} {
+		t.Run(o.name, func(t *testing.T) { withPoisonedLends(func() { o.test(t) }) })
+	}
+}
+
+// poisoned is set while withPoisonedLends runs.
+var poisoned bool
+
+// withPoisonedLends is tensor.WithPoisonedLends that also sets poisoned.
+func withPoisonedLends(f func()) {
+	defer func() { poisoned = false }()
+	poisoned = true
+	tensor.WithPoisonedLends(f)
 }

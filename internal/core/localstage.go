@@ -28,23 +28,24 @@ import (
 //
 // The stage also lends its partials one Q/K/V buffer for a cross first
 // level, sized for its largest group, which every group of every pass
-// borrows in turn and the backward fills again (foldBackward), and the
-// backward's scratch: two workspaces, one for the first level and one for
-// the reducers, which every partial borrows in turn, so the stage holds one
+// borrows in turn and the backward fills again (foldBackward) before the
+// attention's backward writes dQ, dK and dV over it, and the backward's
+// scratch: two workspaces, one for the first level and one for the
+// reducers, which every partial borrows in turn, so the stage holds one
 // group's Q/K/V and one aggregator's scratch per level, not one per group.
 type localStage struct {
 	Tok      *nn.PatchEmbed
 	ChEmb    *nn.ChannelEmbed
 	Partials []*HierarchicalAggregator
 
-	rows   int            // locations of the last Forward: B*T, or len(locs)
-	locs   []int          // the last Forward's listed locations; nil: every one
-	pat    *tensor.Tensor // the last Forward's patches
-	dLocal *tensor.Tensor // one partition's token gradient
-	ws     [2]workspace   // the backward's: the first level's, the reducers'
-	ends   []int          // the backward's depth pieces over locs
-	qkv    *tensor.Tensor // [3, N, g, E]: one cross group's Q, K and V, every pass's
-	ifold  crossFold      // the no-grad folded cross level's, lent to every group in turn
+	rows  int            // locations of the last Forward: B*T, or len(locs)
+	locs  []int          // the last Forward's listed locations; nil: every one
+	pat   *tensor.Tensor // the last Forward's patches
+	ws    [2]workspace   // the backward's: the first level's, the reducers'
+	ends  []int          // the backward's depth pieces over locs
+	qkv   *tensor.Tensor // [3, N, g, E]: one cross group's Q, K and V, every pass's, then its gradients
+	ifold crossFold      // the no-grad folded cross level's, lent to every group in turn
+	dpart tensor.Tensor  // header: one owned partition's token gradient
 }
 
 // pass consumes the shard's image [B, Cl, H, W] and writes owned partition
@@ -85,7 +86,7 @@ func (s *localStage) pass(x *tensor.Tensor, locs []int, dst *tensor.Tensor, infe
 		out := dst.Data[j*slot : (j+1)*slot]
 		toks := p.tokens(out, rows, e, infer)
 		if cross {
-			c = p.foldCross(s.Tok, s.ChEmb, pat, toks, c, s.qkv.Data, infer, &s.ifold)
+			c = p.foldCross(s.Tok, s.ChEmb, pat, toks, c, s.qkv, infer, &s.ifold)
 		} else {
 			c = p.accumulateLinear(s.Tok, s.ChEmb, x, toks, c, infer)
 		}
@@ -110,29 +111,25 @@ func (s *localStage) crossFirst() bool {
 	return ok
 }
 
-// backward takes the gradient of owned partition j's token from column
-// first+j of dSeq (B*T*P*E values: the final layer's input gradient, or the
-// output gradient itself when the stage is one partition) and accumulates
-// every local parameter's gradient; a one-column dSeq is the one module's
-// gradient as it lies, read in place. Each first-level group's output
-// gradient goes to its folded backward as soon as the module hands it over,
-// before the next group reuses the first level's workspace and the Q/K/V
-// buffer; every channel's gradients are its own slices, so this equals one
-// backward after every partition bit for bit. A pass over no location has
-// nothing to do.
+// backward takes the gradient of owned partition j's token from slot j of
+// dSeq, partition-major [k, N, E] (the final layer's input gradient at the
+// rank's own partitions, or the output gradient itself when the stage is
+// one partition: k = 1), read in place, and accumulates every local
+// parameter's gradient. Each first-level group's output gradient goes to
+// its folded backward as soon as the module hands it over, before the next
+// group reuses the first level's workspace and the Q/K/V buffer, where the
+// group's Q/K/V are formed again and then overwritten by their gradients;
+// every channel's gradients are its own slices, so this equals one backward
+// after every partition bit for bit. A pass over no location has nothing
+// to do.
 //
 // dchag:hotpath — every stage's per-step backward; it performs no
 // communication and allocates nothing in steady state.
-func (s *localStage) backward(dSeq *tensor.Tensor, first int) {
+func (s *localStage) backward(dSeq *tensor.Tensor) {
 	if s.rows == 0 {
 		return
 	}
 	e := s.Tok.Embed
-	d := dSeq
-	if len(dSeq.Data) != s.rows*e {
-		s.dLocal = tensor.EnsureShape(s.dLocal, s.rows, e)
-		d = s.dLocal
-	}
 	var ends []int
 	if s.locs != nil {
 		s.ends = tensor.DepthSplits(s.ends, s.locs, 1)
@@ -147,14 +144,11 @@ func (s *localStage) backward(dSeq *tensor.Tensor, first int) {
 	}
 	c := 0 // the first local channel of the next group
 	for j, p := range s.Partials {
-		if d != dSeq {
-			// Each partial consumes dLocal fully during backward, so one
-			// shared buffer serves every partition in turn.
-			readGroupToken(d, dSeq, first+j)
-		}
+		d := header(&s.dpart, dSeq.Data[j*s.rows*e:(j+1)*s.rows*e], s.rows, e)
 		p.backward(d, &s.ws, func(gi int, dg *tensor.Tensor) {
 			switch a := p.Levels[0][gi].(type) {
 			case *CrossAttnAggregator:
+				tensor.Poison(s.qkv)
 				foldBackward(&p.folds[gi], a, dg, &s.ws[0], s.Tok, s.ChEmb, s.pat, c, ends, s.qkv.Data)
 			case *LinearAggregator:
 				linearFoldBackward(a, dg, &s.ws[0], s.Tok, s.ChEmb, s.pat, c, ends)

@@ -74,11 +74,26 @@ func sameBits(a, b *tensor.Tensor) error {
 		return fmt.Errorf("shape %v, want %v", a.Shape, b.Shape)
 	}
 	for i := range a.Data {
-		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) || poisonRead(a.Data[i]) {
 			return fmt.Errorf("[%d] = %x, want %x", i, math.Float64bits(a.Data[i]), math.Float64bits(b.Data[i]))
 		}
 	}
 	return nil
+}
+
+// poisonRead reports a NaN under poisoned lends, which only a read of a
+// poisoned buffer makes here: the model under test and its oracle may read
+// the same poison and agree bit for bit.
+func poisonRead(v float64) bool { return v != v && poisoned }
+
+// poisoned is set while withPoisonedLends runs.
+var poisoned bool
+
+// withPoisonedLends is tensor.WithPoisonedLends that also sets poisoned.
+func withPoisonedLends(f func()) {
+	defer func() { poisoned = false }()
+	poisoned = true
+	tensor.WithPoisonedLends(f)
 }
 
 // TestPatchifyEqualsCopyRows holds both directions to the copying oracle bit

@@ -19,7 +19,9 @@ import (
 //
 // Forward keeps references to q, k and v for Backward instead of copying
 // them; like every layer input they must stay unmodified until Backward has
-// run (the single-stream contract in the package doc).
+// run (the single-stream contract in the package doc). The pooled backward
+// goes further: it writes the three gradients over q, k and v, which it
+// consumes, so it runs once per forward.
 //
 // The product has two forms over the same views and scratch. Forward / Infer
 // / Backward produce one context row per query row. ForwardPooled /
@@ -28,9 +30,9 @@ import (
 // linear, so it is taken on the softmax map — pbar[n,h,j] = (1/Tq) sum_i
 // P[n,h,i,j] — and the value product shrinks from Tq x Tk x Dh to 1 x Tk x Dh
 // per head. The pooled form is one tensor.PooledAttention pass per direction,
-// location by location with every head. Either backward writes into a
-// PooledGrads the caller lends it; the core keeps no backward scratch. A
-// core serves one form at a time.
+// location by location with every head. The per-row backward writes into a
+// PooledGrads the caller lends it, the pooled one over its operands; the
+// core keeps no backward scratch. A core serves one form at a time.
 type AttentionCore struct {
 	Heads, HeadDim int
 
@@ -46,16 +48,17 @@ type AttentionCore struct {
 }
 
 // PooledGrads is the backward scratch of attention, either form: every
-// buffer AttentionCore's backwards and the attention layers' backwards
-// write — the output projection's input gradient, the per-row core's score
-// gradient dA, the core's dq, dk and dv and the input projections' input
-// gradients — grown to each call's shapes. Its owner lends it for one call
-// at a time, and the gradients a call returns live in it until the next
-// call that borrows it, so layers whose backwards run one after another,
-// each result consumed before the next call, share one (the D-CHAG stage
-// lends one to every channel aggregator of a tree level, a BlockGrads holds
-// the one every transformer block of a stack borrows). The zero value is
-// ready to use.
+// buffer AttentionCore's per-row backward and the attention layers'
+// backwards write — the output projection's input gradient, the per-row
+// core's score gradient dA and its dq, dk and dv, and the input
+// projections' input gradients — grown to each call's shapes (the pooled
+// core writes its dq, dk and dv over q, k and v). Its owner lends it for
+// one call at a time, and the gradients a call returns live in it until
+// the next call that borrows it, so layers whose backwards run one after
+// another, each result consumed before the next call, share one (the D-CHAG
+// stage lends one to every channel aggregator of a tree level, a BlockGrads
+// holds the one every transformer block of a stack borrows). The zero value
+// is ready to use.
 type PooledGrads struct {
 	// Locs, when non-nil, says that the forward ran over some locations of
 	// a batch only, ascending (the D-CHAG stage of a masked step): row n of
@@ -67,10 +70,15 @@ type PooledGrads struct {
 
 	dctx       *tensor.Tensor // the output projection's input gradient
 	dA         *tensor.Tensor // the per-row core's score gradient [N,H,Tq,Tk]
-	dq, dk, dv *tensor.Tensor // the core's; dq or dk then holds a sum of input gradients
+	dq, dk, dv *tensor.Tensor // the per-row core's; dq or dk then holds a sum of input gradients
 	dx         *tensor.Tensor // an input projection's input gradient
 	ends       []int          // depthEnds' pieces
 }
+
+// Poison NaN-fills every buffer of s while lent buffers are poisoned
+// (tensor.Poison): its lender calls it before it hands s to a borrower,
+// which must read nothing an earlier borrower left there.
+func (s *PooledGrads) Poison() { tensor.Poison(s.dctx, s.dA, s.dq, s.dk, s.dv, s.dx) }
 
 // depthEnds returns the weight-gradient pieces of a projection whose output
 // gradient is g, a whole number of rows per location: nil (one product)
@@ -195,22 +203,22 @@ func (c *AttentionCore) InferPooled(q, k, v *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardPooled maps the pooled-context gradient [N,E] to gradients with
-// respect to ForwardPooled's q, k and v, each in its operand's layout and in
-// s, through tensor.PooledAttentionBackward: the score gradient lives per
-// location in the pass's scratch, and the cached map is left intact, so
-// BackwardPooled may run more than once per forward.
+// respect to ForwardPooled's q, k and v, written over q, k and v and
+// returned as those tensors (tensor.PooledAttentionBackward in place: the
+// score gradient lives per location in the pass's scratch). It consumes
+// the forward's operands, so it runs once per forward: a second call
+// panics until ForwardPooled runs again.
 //
 // dchag:hotpath — per-step channel-aggregation backward.
-func (c *AttentionCore) BackwardPooled(dcbar *tensor.Tensor, s *PooledGrads) (dq, dk, dv *tensor.Tensor) {
-	if c.attn == nil || c.pbar == nil {
-		panic("nn: pooled attention backward before pooled forward")
+func (c *AttentionCore) BackwardPooled(dcbar *tensor.Tensor) (dq, dk, dv *tensor.Tensor) {
+	if c.q == nil || c.pbar == nil {
+		panic("nn: pooled attention backward without a pooled forward since the last one")
 	}
-	s.dq = tensor.EnsureShape(s.dq, c.q.Shape...)
-	s.dk = tensor.EnsureShape(s.dk, c.k.Shape...)
-	s.dv = tensor.EnsureShape(s.dv, c.v.Shape...)
-	tensor.PooledAttentionBackward(tensor.HeadView(s.dq, c.Heads), tensor.HeadView(s.dk, c.Heads), tensor.HeadView(s.dv, c.Heads),
-		dcbar, c.pbar, c.attn, tensor.HeadView(c.q, c.Heads), tensor.HeadView(c.k, c.Heads), tensor.HeadView(c.v, c.Heads), c.scale())
-	return s.dq, s.dk, s.dv
+	qv, kv, vv := tensor.HeadView(c.q, c.Heads), tensor.HeadView(c.k, c.Heads), tensor.HeadView(c.v, c.Heads)
+	tensor.PooledAttentionBackward(qv, kv, vv, dcbar, c.pbar, c.attn, qv, kv, vv, c.scale())
+	dq, dk, dv = c.q, c.k, c.v
+	c.q, c.k, c.v = nil, nil, nil
+	return dq, dk, dv
 }
 
 // attnProj is what self- and cross-attention share: the four E x E
@@ -334,7 +342,8 @@ func (a *CrossAttention) ForwardPooled(x *tensor.Tensor) *tensor.Tensor {
 // not their values, for BackwardProjected, so they must hold the same
 // values when it runs: the caller may lend their storage to others in
 // between and write them again (the stage forms a group's Q, K and V anew
-// just before its backward).
+// just before its backward), and BackwardProjected writes their gradients
+// over them.
 //
 // dchag:hotpath — every channel aggregation, every step.
 func (a *CrossAttention) ForwardProjected(q, k, v *tensor.Tensor) *tensor.Tensor {
@@ -359,28 +368,54 @@ func (a *CrossAttention) InferProjected(q, k, v *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardPooled maps the gradient of ForwardPooled's output [B,E] to the
-// gradient of its input x, in s, which holds every buffer the call writes.
-// x fed all three projections, so its gradient is dq + (dk + dv): Wv's
-// product stores dk + dv where dk was, spent by then, and Wq's stores the
-// whole sum.
+// gradient of its input x [B,T,E], in s. x fed all three projections, so
+// its gradient is dq·Wqᵀ + (dk·Wkᵀ + dv·Wvᵀ): Wv's product stores the
+// parenthesis where dK was (Wk's output, spent by then), and Wq's stores
+// the whole sum in s. Like BackwardProjected it runs once per forward.
 //
 // dchag:hotpath — per-step channel-aggregation backward.
 func (a *CrossAttention) BackwardPooled(grad *tensor.Tensor, s *PooledGrads) *tensor.Tensor {
 	dq, dk, dv := a.BackwardProjected(grad, s)
 	ends := s.depthEnds(dk)
 	s.dx = a.Wk.backwardTo(s.dx, dk, nil, ends)
-	s.dk = a.Wv.backwardTo(s.dk, dv, s.dx, ends)
-	s.dx = a.Wq.backwardTo(s.dx, dq, s.dk, s.depthEnds(dq))
+	a.Wv.backwardTo(dk, dv, s.dx, ends)
+	s.dx = a.Wq.backwardTo(s.dx, dq, dk, s.depthEnds(dq))
+	return s.dx
+}
+
+// BackwardTokens is BackwardPooled forming the input gradient of tokens
+// [lo, hi) of x only, token-major: [hi-lo, B, E] in s, token lo+j's B rows
+// in slot j. The weight gradients still sum over every row, but the input
+// gradient is per row, so each row has BackwardPooled's bits. D-CHAG's
+// final layer runs it: each rank reads the gradient of its own partitions'
+// tokens only.
+//
+// dchag:hotpath — the final layer's backward, every step.
+func (a *CrossAttention) BackwardTokens(grad *tensor.Tensor, s *PooledGrads, lo, hi int) *tensor.Tensor {
+	dq, dk, dv := a.BackwardProjected(grad, s)
+	ends := s.depthEnds(dk)
+	a.Wk.accumGrads(dk, ends)
+	a.Wv.accumGrads(dv, ends)
+	a.Wq.accumGrads(dq, s.depthEnds(dq))
+	b, t, e := dq.Shape[0], dq.Shape[1], a.Embed
+	s.dx = tensor.EnsureShape(s.dx, hi-lo, b, e)
+	for c := lo; c < hi; c++ {
+		dx, dkc := s.dx.Data[(c-lo)*b*e:][:b*e], dk.Data[c*e:]
+		tensor.AffineColumnInto(dx, e, dk, c, a.Wk.Weight.W, true, tensor.Epilogue{})
+		tensor.AffineColumnInto(dkc, t*e, dv, c, a.Wv.Weight.W, true, tensor.Epilogue{Res: dx, ResLd: e})
+		tensor.AffineColumnInto(dx, e, dq, c, a.Wq.Weight.W, true, tensor.Epilogue{Res: dkc, ResLd: t * e})
+	}
 	return s.dx
 }
 
 // BackwardProjected maps the gradient of ForwardProjected's output [B,E] to
-// the gradients of its q, k and v, in s, accumulating Wo's parameter
-// gradients; the input projections' are the caller's, who formed q, k and
-// v. The three stay in s until its next borrower.
+// the gradients of its q, k and v, written over them (AttentionCore.
+// BackwardPooled), accumulating Wo's parameter gradients in s; the input
+// projections' are the caller's, who formed q, k and v. It consumes q, k and
+// v, so it runs once per forward.
 //
 // dchag:hotpath — per-step channel-aggregation backward.
 func (a *CrossAttention) BackwardProjected(grad *tensor.Tensor, s *PooledGrads) (dq, dk, dv *tensor.Tensor) {
 	s.dctx = a.Wo.backwardTo(s.dctx, grad, nil, s.depthEnds(grad))
-	return a.core.BackwardPooled(s.dctx, s)
+	return a.core.BackwardPooled(s.dctx)
 }

@@ -161,8 +161,8 @@ func TestAttentionCorePooledMatchesUnpooled(t *testing.T) {
 		d := tensor.Randn(rng, sh.n, e)
 
 		c := AttentionCore{Heads: sh.heads, HeadDim: sh.dh}
-		out := c.ForwardPooled(q, k, v).Clone()
-		dq, dk, dv := c.BackwardPooled(d, new(PooledGrads))
+		out := c.ForwardPooled(q.Clone(), k.Clone(), v.Clone()).Clone() // the backward consumes its operands
+		dq, dk, dv := c.BackwardPooled(d)
 		wantOut, wantQ, wantK, wantV := meanThenBackward(q, k, v, d, sh.heads)
 		for _, p := range []struct {
 			name      string
@@ -199,9 +199,10 @@ func TestAttentionCorePooledGradients(t *testing.T) {
 	v := tensor.Randn(rng, n, g, heads*dh)
 	r := tensor.Randn(rng, n, heads*dh)
 	c := AttentionCore{Heads: heads, HeadDim: dh}
-	loss := func() float64 { return dotAll(c.ForwardPooled(q, k, v), r) }
+	// The backward writes its gradients over the forward's operands.
+	loss := func() float64 { return dotAll(c.ForwardPooled(q.Clone(), k.Clone(), v.Clone()), r) }
 	loss()
-	dq, dk, dv := c.BackwardPooled(r, new(PooledGrads))
+	dq, dk, dv := c.BackwardPooled(r)
 	checkGrad(t, "pooled/q", q, dq, loss, 1e-6)
 	checkGrad(t, "pooled/k", k, dk, loss, 1e-6)
 	checkGrad(t, "pooled/v", v, dv, loss, 1e-6)
@@ -218,13 +219,13 @@ func TestAttentionCorePooledRowsIndependentOfBatch(t *testing.T) {
 	q, k, v := tensor.Randn(rng, n, g, e), tensor.Randn(rng, n, g, e), tensor.Randn(rng, n, g, e)
 	d := tensor.Randn(rng, n, e)
 	full := AttentionCore{Heads: heads, HeadDim: dh}
-	out := full.ForwardPooled(q, k, v)
-	dq, dk, dv := full.BackwardPooled(d, new(PooledGrads))
+	out := full.ForwardPooled(q.Clone(), k.Clone(), v.Clone()) // the backward consumes its operands
+	dq, dk, dv := full.BackwardPooled(d)
 	for ni := 0; ni < n; ni++ {
 		row := func(x *tensor.Tensor) *tensor.Tensor { return tensor.SliceAxis(x, 0, ni, ni+1) }
 		one := AttentionCore{Heads: heads, HeadDim: dh}
 		o := one.ForwardPooled(row(q), row(k), row(v))
-		oq, ok, ov := one.BackwardPooled(row(d), new(PooledGrads))
+		oq, ok, ov := one.BackwardPooled(row(d))
 		for name, p := range map[string][2]*tensor.Tensor{
 			"out": {o, row(out)}, "dq": {oq, row(dq)}, "dk": {ok, row(dk)}, "dv": {ov, row(dv)},
 		} {
@@ -237,17 +238,22 @@ func TestAttentionCorePooledRowsIndependentOfBatch(t *testing.T) {
 
 // TestAttentionCoreSteadyStateAllocs pins the core's scratch contract: once
 // warm, forward, backward and both eval arithmetics allocate nothing, in the
-// per-row and in the pooled form, both backwards borrowing one workspace.
+// per-row and in the pooled form. The per-row backward borrows a workspace;
+// the pooled one writes over its own Q/K/V, formed again every step.
 func TestAttentionCoreSteadyStateAllocs(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	q, k, v := tensor.Randn(rng, 8, 16, 32), tensor.Randn(rng, 8, 16, 32), tensor.Randn(rng, 8, 16, 32)
+	pq, pk, pv := q.Clone(), k.Clone(), v.Clone()
 	d := tensor.Randn(rng, 8, 32)
 	c, p := AttentionCore{Heads: 4, HeadDim: 8}, AttentionCore{Heads: 4, HeadDim: 8}
 	var grads PooledGrads
 	step := func() {
 		c.Backward(c.Forward(q, k, v), &grads)
-		p.ForwardPooled(q, k, v)
-		p.BackwardPooled(d, &grads)
+		copy(pq.Data, q.Data)
+		copy(pk.Data, k.Data)
+		copy(pv.Data, v.Data)
+		p.ForwardPooled(pq, pk, pv)
+		p.BackwardPooled(d)
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
 			c.SetInferDType(dt)
 			c.Infer(q, k, v)
@@ -263,16 +269,62 @@ func TestAttentionCoreSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkAttentionPooled times the pooled product and its backward at the
 // partial-aggregation shape of the hsi workloads (128 locations, g = 16).
+// The backward writes over the core's Q/K/V, so each iteration forms them
+// again (three copies, timed too), as the stage forms a group's anew: no
+// iteration runs on the previous one's gradients.
 func BenchmarkAttentionPooled(b *testing.B) {
 	rng := tensor.NewRNG(3)
 	q, k, v := tensor.Randn(rng, 128, 16, 32), tensor.Randn(rng, 128, 16, 32), tensor.Randn(rng, 128, 16, 32)
+	cq, ck, cv := q.Clone(), k.Clone(), v.Clone()
 	d := tensor.Randn(rng, 128, 32)
 	c := AttentionCore{Heads: 4, HeadDim: 8}
-	var grads PooledGrads
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.ForwardPooled(q, k, v)
-		c.BackwardPooled(d, &grads)
+		copy(cq.Data, q.Data)
+		copy(ck.Data, k.Data)
+		copy(cv.Data, v.Data)
+		c.ForwardPooled(cq, ck, cv)
+		c.BackwardPooled(d)
+	}
+}
+
+// TestCrossAttentionBackwardTokensBitwise holds BackwardTokens over a range
+// of tokens to BackwardPooled, bit for bit: the range's input gradient rows,
+// token-major, and every parameter gradient, which sums over every row
+// either way — over every location and over listed ones (PooledGrads.Locs).
+func TestCrossAttentionBackwardTokensBitwise(t *testing.T) {
+	const b, tt, e = 3, 4, 8
+	rng := tensor.NewRNG(90)
+	x := tensor.Randn(rng, b, tt, e)
+	r := tensor.Randn(rng, b, e)
+	for _, locs := range [][]int{nil, {0, 2, 5}} {
+		for _, span := range [][2]int{{0, tt}, {1, 3}, {tt - 1, tt}} {
+			whole, part := NewCrossAttention("x", e, 2, 91), NewCrossAttention("x", e, 2, 91)
+			whole.ForwardPooled(x)
+			part.ForwardPooled(x)
+			dx := whole.BackwardPooled(r, &PooledGrads{Locs: locs})
+			dt := part.BackwardTokens(r, &PooledGrads{Locs: locs}, span[0], span[1])
+			if want := []int{span[1] - span[0], b, e}; !tensor.SameShape(dt, tensor.New(want...)) {
+				t.Fatalf("locs %v tokens %v: gradient %v, want %v", locs, span, dt.Shape, want)
+			}
+			for j := 0; j < span[1]-span[0]; j++ {
+				for bi := 0; bi < b; bi++ {
+					got, want := dt.Data[(j*b+bi)*e:][:e], dx.Data[(bi*tt+span[0]+j)*e:][:e]
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("locs %v tokens %v: token %d row %d element %d = %v, BackwardPooled %v", locs, span, span[0]+j, bi, i, got[i], want[i])
+						}
+					}
+				}
+			}
+			for pi, p := range part.Params() {
+				for i, g := range p.Grad.Data {
+					if w := whole.Params()[pi].Grad.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("locs %v tokens %v: %s gradient %d = %v, BackwardPooled %v", locs, span, p.Name, i, g, w)
+					}
+				}
+			}
+		}
 	}
 }

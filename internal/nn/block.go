@@ -95,6 +95,18 @@ type BlockGrads struct {
 	dh     *tensor.Tensor // the residual gradient: dL/dh, then dL/dx
 }
 
+// poison NaN-fills the workspace while lent buffers are poisoned
+// (tensor.Poison) as a block borrows it, all but grad, which the block
+// below hands over in the residual buffer.
+func (ws *BlockGrads) poison(grad *tensor.Tensor) {
+	ws.attn.Poison()
+	sw, dh := &ws.swin, ws.dh
+	if dh == grad {
+		dh = nil
+	}
+	tensor.Poison(sw.shifted, sw.part, sw.merged, sw.unshift, ws.hid, ws.branch, ws.norm, dh)
+}
+
 // Projection is a linear map whose backward writes its input gradient into a
 // buffer the caller passes (Linear.BackwardTo): a Linear, and the
 // tensor-parallel shards of one.
@@ -119,6 +131,7 @@ type Branch interface {
 //
 // dchag:hotpath — per-step residual gradient adds.
 func (ws *BlockGrads) BackwardBlock(grad *tensor.Tensor, norm1, norm2 *LayerNorm, attn, mlp Branch) *tensor.Tensor {
+	ws.poison(grad)
 	ws.norm = norm2.backwardTo(ws.norm, mlp.BackwardIn(grad, ws))
 	ws.dh = tensor.EnsureShape(ws.dh, grad.Shape...)
 	tensor.AddInto(ws.dh, grad, ws.norm)

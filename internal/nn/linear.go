@@ -159,19 +159,25 @@ func (l *Linear) BackwardTo(dx, grad, acc *tensor.Tensor) *tensor.Tensor {
 // backwardTo is BackwardTo summing dW's rows in the pieces ends gives
 // (tensor.TMatMulAccSplitInto); nil ends is one product.
 func (l *Linear) backwardTo(dx, grad, acc *tensor.Tensor, ends []int) *tensor.Tensor {
+	l.accumGrads(grad, ends)
+	dx = tensor.EnsureShape(dx, l.g.Shape[0], l.In)
+	tensor.AffineInto(dx.Data, l.In, l.g, l.Weight.W, true, summand("Linear.BackwardTo gradient", acc, dx))
+	return unfoldLike(dx, grad, l.In)
+}
+
+// accumGrads accumulates the parameter gradients of grad, the output
+// gradient: dW += x^T@grad, summed in the pieces ends gives, and
+// db += sum(grad). It leaves grad's rows in l.g.
+func (l *Linear) accumGrads(grad *tensor.Tensor, ends []int) {
 	mustLastDim("Linear.Backward", grad, l.Out)
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
 	l.g = foldInto(l.g, grad)
-	rows := l.g.Shape[0]
-	dx = tensor.EnsureShape(dx, rows, l.In)
 	tensor.TMatMulAccSplitInto(l.Weight.Grad, l.x, l.g, ends)
 	if l.Bias != nil {
-		tensor.AccumRows(l.Bias.Grad.Data, l.g.Data, l.Out, rows, nil)
+		tensor.AccumRows(l.Bias.Grad.Data, l.g.Data, l.Out, l.g.Shape[0], nil)
 	}
-	tensor.AffineInto(dx.Data, l.In, l.g, l.Weight.W, true, summand("Linear.BackwardTo gradient", acc, dx))
-	return unfoldLike(dx, grad, l.In)
 }
 
 // Params returns the layer's parameters.

@@ -37,6 +37,9 @@
 //  2. e = exp(s - rowInv[i]) written to map row i (p, rows pld apart; p may
 //     be s), summed into four lanes (lane r takes j = r mod 4 ascending from
 //     +0, the masked tail adds +0), then rowInv[i] = 1/((l0+l2)+(l1+l3));
+//     the even rows first, then the odd ones, so that a row's masked tail
+//     store, whose footprint may reach into the next row when the rows lie
+//     Tk apart, never feeds the loads that follow it;
 //  3. per block of 16, 8 or the last 1..7 columns, the rows in order: map
 //     row i *= rowInv[i], added into the block's column sums, which start at
 //     +0 (0 + P is P: P is never -0); pbar = column sum * inv;
@@ -94,11 +97,18 @@ maxdone:
 	JNZ  maxrow
 
 	// 2. Exponentials, their lane sums and the rows' reciprocal sums; when
-	// wide, each row's blocks run expwide, after the return.
+	// wide, each row's blocks run expwide, after the return. The even rows
+	// (CX of them) two rows apart, then the odd ones (DX); R8 and R9 hold
+	// twice the row strides meanwhile.
 	MOVQ s+0(FP), SI
 	MOVQ p+16(FP), DI
 	MOVQ rowInv+88(FP), R12
 	MOVQ tq+32(FP), CX
+	MOVQ CX, DX
+	SHRQ $1, DX
+	SUBQ DX, CX
+	SHLQ $1, R8
+	SHLQ $1, R9
 	MOVBQZX wide+104(FP), R13
 	TESTQ R13, R13
 	JZ    exprow
@@ -144,11 +154,27 @@ expsum:
 	VMOVSD X0, (R12)
 	ADDQ R8, SI
 	ADDQ R9, DI
-	ADDQ $8, R12
+	ADDQ $16, R12
 	DECQ CX
 	JNZ  exprow
+	MOVQ DX, CX
+	XORQ DX, DX
+	SHRQ $1, R8
+	SHRQ $1, R9
+	MOVQ s+0(FP), SI
+	ADDQ R8, SI
+	MOVQ p+16(FP), DI
+	ADDQ R9, DI
+	MOVQ rowInv+88(FP), R12
+	ADDQ $8, R12
+	TESTQ CX, CX
+	JZ   norm
+	SHLQ $1, R8
+	SHLQ $1, R9
+	JMP  exprow
 
 	// 3. Normalise, column block by column block, summing the rows.
+norm:
 	VBROADCASTSD inv+96(FP), Y13
 	MOVQ pbar+48(FP), DX
 	XORQ AX, AX
@@ -346,11 +372,12 @@ expwtail:
 //
 // One head of the backward pass up to the score gradient, in three sweeps:
 //
-//  1. dv[j, :] = pbar[j]*dc, Dh lanes at a time;
-//  2. dpb[j] = (sum_d fl(dc[d]*v[j, d]), d ascending from +0) * inv for four
+//  1. dpb[j] = (sum_d fl(dc[d]*v[j, d]), d ascending from +0) * inv for four
 //     key rows at a time: their products four lanes of d at a time,
 //     transposed so that each row's sum is one lane (dpb is padded to Tk4
 //     with zeros);
+//  2. dv[j, :] = pbar[j]*dc, Dh lanes at a time, after the last read of v,
+//     so that dv may be v;
 //  3. per four map rows (p, rows pld apart; rows past Tq read the zero row),
 //     dot[i] = sum_j fl(P[i, j]*dpb[j]), j ascending from +0, the same way,
 //     for all rows first, so that the groups' sums overlap (dot holds Tq
@@ -368,25 +395,7 @@ TEXT ·poolBwdAVX2(SB), NOSPLIT, $0-128
 	SHLQ $3, R8
 	MOVQ dc+24(FP), DX
 
-	// 1. dv.
-	MOVQ dv+48(FP), SI
-	MOVQ pbar+16(FP), DI
-	MOVQ tk+104(FP), CX
-dvrow:
-	VBROADCASTSD (DI), Y0
-	XORQ AX, AX
-dvlanes:
-	VMULPD (DX)(AX*1), Y0, Y1
-	VMOVUPD Y1, (SI)(AX*1)
-	ADDQ $32, AX
-	CMPQ AX, R13
-	JLT  dvlanes
-	ADDQ R8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JNZ  dvrow
-
-	// 2. dpb, four key rows at a time.
+	// 1. dpb, four key rows at a time.
 	VBROADCASTSD inv+120(FP), Y15
 	MOVQ v+32(FP), R12
 	MOVQ zero+88(FP), BX
@@ -419,6 +428,24 @@ dpstore:
 	LEAQ (R12)(R8*4), R12
 	SUBQ $4, CX
 	JG   dpgroup
+
+	// 2. dv (DX still dc, R8 vld and R13 Dh in bytes).
+	MOVQ dv+48(FP), SI
+	MOVQ pbar+16(FP), DI
+	MOVQ tk+104(FP), CX
+dvrow:
+	VBROADCASTSD (DI), Y0
+	XORQ AX, AX
+dvlanes:
+	VMULPD (DX)(AX*1), Y0, Y1
+	VMOVUPD Y1, (SI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R13
+	JLT  dvlanes
+	ADDQ R8, SI
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  dvrow
 
 	// 3. The dots of every four map rows (SI the group's first row), then
 	// their ds rows. R13 is the byte length of the whole four-column blocks,

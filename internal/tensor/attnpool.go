@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // The pooled attention pass: the channel aggregators' softmax(q k^T/sqrt(Dh))
@@ -122,8 +123,12 @@ func PooledAttention(cbar, pbar, p *Tensor, q, k, v View, alpha float64, scored 
 
 // PooledAttentionBackward maps the gradient dcbar [N,E] of PooledAttention's
 // cbar to dq, dk and dv, head views shaped like q, k and v, reading the
-// forward's pbar and map p (which it leaves intact, so it may run more than
-// once per forward).
+// forward's pbar and map p, which it leaves intact. Each gradient may be
+// exactly its operand (dq the very view q, and so on): the pass then writes
+// it over the operand, which a location's head reads for the last time
+// before its gradient is stored (a head's q rows are copied to the scratch
+// first, since the dK chain reads them after the dQ chain has stored), with
+// the bits of a pass into separate buffers. Any other overlap panics.
 //
 // dchag:hotpath — every channel aggregation backward; it performs no heap
 // allocation while it runs on its caller.
@@ -136,9 +141,9 @@ func PooledAttentionBackward(dq, dk, dv View, dcbar, pbar, p *Tensor, q, k, v Vi
 	mustShape(op, "dcbar", dcbar, g.n, g.e)
 	mustShape(op, "pbar", pbar, g.n, g.h, g.tk)
 	mustShape(op, "p", p, g.n, g.h, g.tq, g.tk)
-	for _, d := range []View{dq, dk, dv} {
-		for _, s := range [][]float64{q.data, k.data, v.data, dcbar.Data, pbar.Data, p.Data} {
-			if overlaps(d.data, s) {
+	for i, d := range [3][]float64{dq.data, dk.data, dv.data} {
+		for j, s := range [6][]float64{q.data, k.data, v.data, dcbar.Data, pbar.Data, p.Data} {
+			if overlaps(d, s) && !(i == j && sameSlice(d, s)) {
 				panic("tensor: PooledAttentionBackward: a gradient aliases an operand")
 			}
 		}
@@ -178,8 +183,10 @@ func pooledForwardRange(g *pooledShape, cbar, pbar, pm, q, k, v []float64, alpha
 	// The softmax's exponentials take eight-lane vectors on AVX-512 hosts,
 	// except over scores held in the map (in place, rows Tk apart) with a
 	// ragged Tk: there a row's masked ZMM tail store overlaps the next
-	// row's loads, which then wait for it, and one head's pass ran slower
-	// than on YMM (Tk = 4 and 12; DESIGN.md has the times).
+	// row's loads, which then waited for it, and one head's pass ran slower
+	// than on YMM (Tk = 4 and 12, timed while step 2 swept the rows in
+	// order, before it took even rows, then odd ones; DESIGN.md has the
+	// times).
 	wide := useAVX512 && (!scored || tk%8 == 0)
 	for n := lo; n < hi; n++ {
 		if g.simd && !scored {
@@ -232,9 +239,19 @@ func packKT(kt, kn []float64, e, tk, tkp int) {
 	}
 }
 
+// sameSlice reports whether x and y are one slice: the same first element
+// and the same length.
+func sameSlice(x, y []float64) bool {
+	return len(x) == len(y) && unsafe.SliceData(x) == unsafe.SliceData(y)
+}
+
 // pooledBackwardRange runs locations [lo,hi) of the backward pass on one
-// scratch buffer: dS (Tq4 x Tk4), dpbar (Tk4), the row dots (Tq4) and a zero
-// row that stands in for the rows past the end of a four-row group.
+// scratch buffer: dS (Tq4 x Tk4), dpbar (Tk4), the row dots (Tq4), a zero
+// row that stands in for the rows past the end of a four-row group, and the
+// head's q rows (Tq x Dh), which the dK chain reads from there. Per head, v
+// is read for the last time before dv is stored (poolBwdAVX2's sweeps), k by
+// the dQ chain and q by the copy before it, so each gradient may be stored
+// over its operand.
 func pooledBackwardRange(g *pooledShape, dq, dk, dv, dcbar, pbar, pm, q, k, v []float64, alpha float64, lo, hi int) {
 	tq, tk, dh, e := g.tq, g.tk, g.dh, g.e
 	tk4 := round4(tk)
@@ -245,9 +262,11 @@ func pooledBackwardRange(g *pooledShape, dq, dk, dv, dcbar, pbar, pm, q, k, v []
 	sz += round4(tq)
 	zero := sz
 	sz += max(tk4, dh)
+	qc := sz
+	sz += tq * dh
 	scratch := DefaultPool.GetTensor(sz)
 	w := scratch.Data
-	clear(w[zero:])
+	clear(w[zero:qc])
 	inv := 1 / float64(tq)
 	for n := lo; n < hi; n++ {
 		for h := 0; h < g.h; h++ {
@@ -258,8 +277,11 @@ func pooledBackwardRange(g *pooledShape, dq, dk, dv, dcbar, pbar, pm, q, k, v []
 			} else {
 				poolBwdGo(ph, tk, pbh, dc, v[ko:], e, dv[ko:], w[ds:], tk4, w[dpb:], tq, tk, dh, inv)
 			}
+			for i := 0; i < tq; i++ {
+				copy(w[qc+i*dh:qc+(i+1)*dh], q[qo+i*e:qo+i*e+dh])
+			}
 			chain(w[ds:], tk4, 1, k[ko:], e, 1, dq[qo:], e, tq, tk, dh, alpha)
-			chain(w[ds:], 1, tk4, q[qo:], e, 1, dk[ko:], e, tk, tq, dh, alpha)
+			chain(w[ds:], 1, tk4, w[qc:], dh, 1, dk[ko:], e, tk, tq, dh, alpha)
 		}
 	}
 	DefaultPool.PutTensor(scratch)
@@ -340,16 +362,17 @@ func softmaxPoolGo(s []float64, sld int, p []float64, pld, tq, tk int, pbar, v [
 	}
 }
 
-// poolBwdGo is the Go spelling of poolBwdAVX2 for one head: dv from pbar and
-// dc, dpbar from dc and the value rows, then the score gradient dS into ds
-// (Tq rows dsld apart) from the map p (rows pld apart).
+// poolBwdGo is the Go spelling of poolBwdAVX2 for one head: dpbar from dc
+// and the value rows and dv from pbar and dc, each value read before its dv
+// is stored (dv may be v), then the score gradient dS into ds (Tq rows dsld
+// apart) from the map p (rows pld apart).
 func poolBwdGo(p []float64, pld int, pbar, dc, v []float64, vld int, dv, ds []float64, dsld int, dpb []float64, tq, tk, dh int, inv float64) {
 	for j := 0; j < tk; j++ {
 		w, vrow, dvrow := pbar[j], v[j*vld:j*vld+dh], dv[j*vld:j*vld+dh]
 		s := 0.0
 		for d, x := range dc[:dh] {
-			dvrow[d] = w * x
 			s += float64(x * vrow[d])
+			dvrow[d] = w * x
 		}
 		dpb[j] = s * inv
 	}

@@ -355,3 +355,64 @@ func TestPooledAttentionAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestPooledAttentionBackwardInPlace holds the backward written over its
+// operands (dq, dk and dv the very views q, k and v) to the same pass into
+// separate buffers, bit for bit, under every kernel tier: Tk 4, 16 and 20,
+// Tq unlike Tk, Dh on the assembly (4, 8) and on the Go twin (2), and N
+// large enough that the pass splits its locations across goroutines.
+func TestPooledAttentionBackwardInPlace(t *testing.T) {
+	withEveryTier(t, func(t *testing.T) {
+		cases := 0
+		for _, dh := range []int{2, 4, 8} {
+			for _, h := range []int{1, 3} {
+				for _, s := range []struct{ n, tq, tk int }{{3, 4, 4}, {2, 16, 16}, {2, 20, 20}, {3, 5, 20}, {2, 16, 4}, {96, 16, 16}} {
+					cases++
+					name := fmt.Sprintf("N=%d H=%d Tq=%d Tk=%d Dh=%d kernel=%s", s.n, h, s.tq, s.tk, dh, KernelTier())
+					e, alpha := h*dh, 1/math.Sqrt(float64(dh))
+					rng := NewRNG(int64(cases))
+					q, k, v, d := Randn(rng, s.n, s.tq, e), Randn(rng, s.n, s.tk, e), Randn(rng, s.n, s.tk, e), Randn(rng, s.n, e)
+					qv, kv, vv := HeadView(q, h), HeadView(k, h), HeadView(v, h)
+					cbar, pbar, p := New(s.n, e), New(s.n, h, s.tk), New(s.n, h, s.tq, s.tk)
+					PooledAttention(cbar, pbar, p, qv, kv, vv, alpha, false)
+					dq, dk, dv := New(s.n, s.tq, e), New(s.n, s.tk, e), New(s.n, s.tk, e)
+					PooledAttentionBackward(HeadView(dq, h), HeadView(dk, h), HeadView(dv, h), d, pbar, p, qv, kv, vv, alpha)
+					PooledAttentionBackward(qv, kv, vv, d, pbar, p, qv, kv, vv, alpha)
+					sameBits(t, name+" dq", q.Data, dq.Data)
+					sameBits(t, name+" dk", k.Data, dk.Data)
+					sameBits(t, name+" dv", v.Data, dv.Data)
+				}
+			}
+		}
+	})
+}
+
+// TestPooledAttentionBackwardInPlacePartialAliasPanics: a gradient may be its
+// own operand exactly, and nothing else may overlap an operand — a gradient
+// shifted by one row over its operand, or one that is another operand.
+func TestPooledAttentionBackwardInPlacePartialAliasPanics(t *testing.T) {
+	const n, h, tq, dh = 2, 2, 4, 4
+	e := h * dh
+	rng := NewRNG(5)
+	buf := Randn(rng, n*tq*e+e)
+	q := &Tensor{Data: buf.Data[:n*tq*e], Shape: []int{n, tq, e}}
+	shifted := &Tensor{Data: buf.Data[e:], Shape: []int{n, tq, e}}
+	k, v, d := Randn(rng, n, tq, e), Randn(rng, n, tq, e), Randn(rng, n, e)
+	qv, kv, vv := HeadView(q, h), HeadView(k, h), HeadView(v, h)
+	cbar, pbar, p := New(n, e), New(n, h, tq), New(n, h, tq, tq)
+	PooledAttention(cbar, pbar, p, qv, kv, vv, 0.5, false)
+	for name, grads := range map[string][3]View{
+		"dq shifted over q": {HeadView(shifted, h), kv, vv},
+		"dq is k":           {kv, HeadView(New(n, tq, e), h), vv},
+		"dv is the map":     {qv, kv, HeadView(&Tensor{Data: p.Data[:n*tq*e], Shape: []int{n, tq, e}}, h)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			PooledAttentionBackward(grads[0], grads[1], grads[2], d, pbar, p, qv, kv, vv, 0.5)
+		}()
+	}
+}

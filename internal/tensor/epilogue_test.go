@@ -60,6 +60,9 @@ var fusedEntries = []fusedEntry{
 	{name: "AffinePackedF32Into", run: func(dst []float64, ldc int, x, w *Tensor, ep Epilogue) {
 		AffinePackedF32Into(dst, ldc, x, PackB32(w), ep)
 	}},
+	{name: "AffineColumnInto", run: func(dst []float64, ldc int, x, w *Tensor, ep Epilogue) {
+		AffineColumnInto(dst, ldc, asColumn(x, 1, 3), 1, w, false, ep)
+	}},
 	{name: "gemm2D[float32]", run: func(dst []float64, ldc int, x, w *Tensor, ep Epilogue) {
 		gemm2D[float32](&gemmSpec{m: x.Shape[0], k: x.Shape[1], n: w.Shape[1], a: x.Data, b: w.Data, c: dst,
 			lda: x.Shape[1], ldb: w.Shape[1], ldc: ldc, alpha: 1, ep: ep}, nil)
@@ -204,4 +207,68 @@ func TestAccumRowsBitwise(t *testing.T) {
 	if !panicked {
 		t.Fatal("AccumRows accepted a dst inside its src")
 	}
+}
+
+// asColumn returns a [m, t, k] tensor whose column col holds the rows of x
+// [m, k] and whose other columns hold NaN, so a read outside the column
+// shows.
+func asColumn(x *Tensor, col, t int) *Tensor {
+	m, k := x.Shape[0], x.Shape[1]
+	out := New(m, t, k)
+	for i := range out.Data {
+		out.Data[i] = math.NaN()
+	}
+	for i := 0; i < m; i++ {
+		copy(out.Data[(i*t+col)*k:][:k], x.Data[i*k:][:k])
+	}
+	return out
+}
+
+// TestAffineColumnIntoBitwise holds AffineColumnInto over each column of a
+// [m, t, k] tensor to AffineInto over a contiguous copy of that column, bit
+// for bit, under every tier: both weight orientations, depths across kc, a
+// residual read as a column of a [m, t, n] tensor as the final layer reads
+// its partial sums, and rows split across goroutines.
+func TestAffineColumnIntoBitwise(t *testing.T) {
+	check := func(t *testing.T, m, tt, k, n int, wt bool) {
+		t.Helper()
+		x, res := New(m, tt, k), New(m, tt, n)
+		fill(x, float64(m)+0.7)
+		fill(res, float64(n)+0.2)
+		w := New(k, n)
+		if wt {
+			w = New(n, k)
+		}
+		fill(w, float64(k)+0.4)
+		for c := 0; c < tt; c++ {
+			got, want := make([]float64, m*n), make([]float64, m*n)
+			ep := Epilogue{Res: res.Data[c*n:], ResLd: tt * n}
+			AffineColumnInto(got, n, x, c, w, wt, ep)
+			col := New(m, k)
+			for i := 0; i < m; i++ {
+				copy(col.Data[i*k:][:k], x.Data[(i*tt+c)*k:][:k])
+			}
+			AffineInto(want, n, col, w, wt, ep)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("[%d,%d,%d] -> %d wt=%v column %d kernel=%s: element %d = %v, AffineInto %v",
+						m, tt, k, n, wt, c, KernelTier(), i, got[i], want[i])
+				}
+			}
+		}
+	}
+	withEveryTier(t, func(t *testing.T) {
+		for _, m := range []int{1, 5, 64} {
+			for _, tt := range []int{1, 2, 4} {
+				for _, k := range []int{8, 32, 257} {
+					for _, n := range []int{8, 33} {
+						check(t, m, tt, k, n, false)
+						check(t, m, tt, k, n, true)
+					}
+				}
+			}
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		check(t, 301, 4, 64, 64, true)
+	})
 }

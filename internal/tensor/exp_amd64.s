@@ -70,10 +70,16 @@ expzdone:
 //
 // Per row: the maximum m, then e = exp(x - m) written to dst and summed in
 // four lane accumulators (lane j takes elements j, j+4, ...; the masked-out
-// lanes of the tail add +0), s = (l0+l2)+(l1+l3), then dst *= 1/s. R11 is the
-// byte length of the row's whole eight-element blocks, R10 the 0..7 elements
-// after them, Y14 and Y15 their lane masks, Y12 the broadcast m, Y13 the lane
-// sums; the tail's exponentials wait in Y3 and Y7 for the scale.
+// lanes of the tail add +0), s = (l0+l2)+(l1+l3), then dst *= 1/s. The even
+// rows run first, then the odd ones, so that a row's masked tail store, whose
+// footprint may reach into the next row, never feeds the loads that follow
+// it (in place, rows of 4 took 16-18 ns per element one after another, 4-8
+// this way; BenchmarkSoftmax).
+// R11 is the byte length of the row's whole eight-element blocks, R10 the
+// 0..7 elements after them, Y14 and Y15 their lane masks, Y12 the broadcast
+// m, Y13 the lane sums; the tail's exponentials wait in Y3 and Y7 for the
+// scale. R8 counts the sweep's rows left, DX the odd rows after it, and R9
+// is two rows' bytes.
 TEXT ·softmaxRowsAVX2(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -84,8 +90,11 @@ TEXT ·softmaxRowsAVX2(SB), NOSPLIT, $0-32
 	MOVQ R9, R11
 	SUBQ R10, R11
 	SHLQ $3, R11
-	SHLQ $3, R9
+	SHLQ $4, R9
 	TAILMASKS(R10)
+	MOVQ R8, DX
+	SHRQ $1, DX
+	SUBQ DX, R8
 smrow:
 	VBROADCASTSD (SI), Y12
 	VMOVAPD Y12, Y13
@@ -167,6 +176,16 @@ smnext:
 	ADDQ R9, DI
 	DECQ R8
 	JNZ  smrow
+	MOVQ DX, R8
+	XORQ DX, DX
+	SHRQ $1, R9
+	MOVQ src+8(FP), SI
+	ADDQ R9, SI
+	MOVQ dst+0(FP), DI
+	ADDQ R9, DI
+	SHLQ $1, R9
+	TESTQ R8, R8
+	JNZ  smrow
 	VZEROUPPER
 	RET
 
@@ -179,9 +198,12 @@ smnext:
 // order VADDPD Y3 then Y7 takes; the tail's exponentials are zeroed past the
 // row before they are summed and wait in Z3 for the scale. Each row's
 // exponential loop also runs the next row's maximum, block by block in the
-// same order (BX; on the last row the row itself, its result unused), which
-// takes the maximum's chain off the next row's critical path. R11 and R10
-// are as there, K1 holds the tail's lanes.
+// same order (BX), which takes the maximum's chain off the next row's
+// critical path. The rows run as softmaxRowsAVX2's, even then odd, so the
+// next row is two rows on, or after a sweep's last row the row in CX: the
+// first odd row after the even sweep, the first row after the odd one (its
+// result unused). R8, DX, R9, R11 and R10 are as there, K1 holds the tail's
+// lanes.
 TEXT ·softmaxRowsAVX512(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -194,6 +216,14 @@ TEXT ·softmaxRowsAVX512(SB), NOSPLIT, $0-32
 	SHLQ $3, R11
 	SHLQ $3, R9
 	TAILK(R10, K1)
+	MOVQ R8, DX
+	SHRQ $1, DX
+	SUBQ DX, R8
+	MOVQ SI, CX
+	LEAQ (SI)(R9*1), R12
+	TESTQ DX, DX
+	CMOVQNE R12, CX
+	SHLQ $1, R9
 	VBROADCASTSD (SI), Z14
 	XORQ AX, AX
 szmax:
@@ -214,7 +244,7 @@ szrow:
 	VBROADCASTSD X12, Z12
 	LEAQ (SI)(R9*1), BX
 	CMPQ R8, $1
-	CMOVQEQ SI, BX
+	CMOVQEQ CX, BX
 	VBROADCASTSD (BX), Z14
 
 	VXORPD Y13, Y13, Y13
@@ -267,6 +297,17 @@ sznext:
 	ADDQ R9, SI
 	ADDQ R9, DI
 	DECQ R8
+	JNZ  szrow
+	MOVQ DX, R8
+	XORQ DX, DX
+	SHRQ $1, R9
+	MOVQ src+8(FP), SI
+	MOVQ SI, CX
+	ADDQ R9, SI
+	MOVQ dst+0(FP), DI
+	ADDQ R9, DI
+	SHLQ $1, R9
+	TESTQ R8, R8
 	JNZ  szrow
 	VZEROUPPER
 	RET

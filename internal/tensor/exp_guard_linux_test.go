@@ -8,7 +8,9 @@ import (
 )
 
 // TestExpKernelsStayInsideOperands runs the exponential, GELU, GELUBackward
-// and softmax rows (one to three of them) over slices of every length 1..17 —
+// and softmax rows (one to three of them, out of place and in place, which
+// sweeps the even rows and then the odd ones) over slices of every length
+// 1..17 —
 // the eight-wide body, the masked tail and both — each operand in its own
 // guarded arena, once ending flush against an inaccessible page and once
 // beginning right after one, under every tier, and holds every result to its
@@ -72,6 +74,9 @@ func TestExpKernelsStayInsideOperands(t *testing.T) {
 					want := make([]float64, rows*n)
 					softmaxRowsGo(want, x, n)
 					check(what, d, want)
+					copy(d, x)
+					run(what+" in place", func() { SoftmaxLastDimInto(FromSlice(d, rows, n), FromSlice(d, rows, n)) })
+					check(what+" in place", d, want)
 				}
 			}
 		}

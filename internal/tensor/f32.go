@@ -61,7 +61,8 @@ func PackB32(b *Tensor) *PackedB32 {
 //
 // dchag:hotpath — the f32 serving fast path; it performs no heap allocation.
 func AffinePackedF32Into(dst []float64, ldc int, x *Tensor, pb *PackedB32, ep Epilogue) {
-	g := affineSpec("AffinePackedF32Into", dst, ldc, x, pb.K, pb.N, ep)
+	m, k := matShape("AffinePackedF32Into", x)
+	g := affineSpec("AffinePackedF32Into", dst, ldc, x.Data, m, k, k, pb.K, pb.N, ep)
 	gemm2D[float32](&g, pb)
 }
 

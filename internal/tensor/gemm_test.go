@@ -143,6 +143,9 @@ var productEntries = []productEntry{
 	{name: "AffineInto^T row", bt: true, ep: epRow, call: func(d, a, b *matBatch, _ float64, ep Epilogue) {
 		AffineInto(d.t.Data, d.cols, a.mat2D(), b.mat2D(), true, ep)
 	}},
+	{name: "AffineColumnInto^T rows", bt: true, ep: epRows, call: func(d, a, b *matBatch, _ float64, ep Epilogue) {
+		AffineColumnInto(d.t.Data, d.cols, a.mat2D().Reshape(a.rows, 1, a.cols), 0, b.mat2D(), true, ep)
+	}},
 	{name: "AffinePackedF32Into", f32: true, call: func(d, a, b *matBatch, _ float64, _ Epilogue) {
 		AffinePackedF32Into(d.t.Data, d.cols, a.mat2D(), PackB32(b.mat2D()), Epilogue{})
 	}},

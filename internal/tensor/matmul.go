@@ -179,31 +179,60 @@ func TMatMulAccSplitInto(dst, a, b *Tensor, ends []int) {
 // dchag:hotpath — every nn.Linear product and the tokenizer's; it performs
 // no heap allocation.
 func AffineInto(dst []float64, ldc int, x, w *Tensor, wt bool, ep Epilogue) {
+	m, k := matShape("AffineInto", x)
+	affine("AffineInto", dst, ldc, x.Data, m, k, k, w, wt, ep)
+}
+
+// AffineColumnInto is AffineInto over column col of x [m, t, k]: the m rows
+// x[i, col, :], t*k apart, read in place. The D-CHAG stage's final layer
+// forms the input gradient of its rank's own partition tokens with it, each
+// row with the bits of AffineInto over all of x.
+//
+// dchag:hotpath — it performs no heap allocation.
+func AffineColumnInto(dst []float64, ldc int, x *Tensor, col int, w *Tensor, wt bool, ep Epilogue) {
+	if len(x.Shape) != 3 || col < 0 || col >= x.Shape[1] {
+		panic(fmt.Sprintf("tensor: AffineColumnInto wants a column of a rank-3 x, got %d of %v", col, x.Shape))
+	}
+	m, t, k := x.Shape[0], x.Shape[1], x.Shape[2]
+	var a []float64
+	if m > 0 {
+		a = x.Data[col*k : (m-1)*t*k+col*k+k]
+	}
+	affine("AffineColumnInto", dst, ldc, a, m, k, t*k, w, wt, ep)
+}
+
+// matShape returns the extents of x, which must be a matrix.
+func matShape(op string, x *Tensor) (m, k int) {
+	if len(x.Shape) != 2 {
+		panic(fmt.Sprintf("tensor: %s requires a rank-2 x, got %v", op, x.Shape))
+	}
+	return x.Shape[0], x.Shape[1]
+}
+
+// affine is AffineInto over the m x k matrix whose rows lie lda apart in a.
+func affine(op string, dst []float64, ldc int, a []float64, m, k, lda int, w *Tensor, wt bool, ep Epilogue) {
 	if len(w.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: AffineInto requires a rank-2 w, got %v", w.Shape))
+		panic(fmt.Sprintf("tensor: %s requires a rank-2 w, got %v", op, w.Shape))
 	}
 	kw, n := w.Shape[0], w.Shape[1]
 	if wt {
 		kw, n = n, kw
 	}
-	g := affineSpec("AffineInto", dst, ldc, x, kw, n, ep)
+	g := affineSpec(op, dst, ldc, a, m, k, lda, kw, n, ep)
 	g.b, g.ldb, g.bt = w.Data, w.Shape[1], wt
 	if overlaps(g.c, w.Data) {
-		panic("tensor: AffineInto dst aliases an operand")
+		panic("tensor: " + op + " dst aliases an operand")
 	}
 	gemm2D[float64](&g, nil)
 }
 
-// affineSpec validates the operands the affine entries share — x [m,k]
-// against a k x n weight, dst rows ldc apart, the epilogue — and returns the
-// product's description less its B operand.
-func affineSpec(op string, dst []float64, ldc int, x *Tensor, kw, n int, ep Epilogue) gemmSpec {
-	if len(x.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: %s requires a rank-2 x, got %v", op, x.Shape))
-	}
-	m, k := x.Shape[0], x.Shape[1]
+// affineSpec validates the operands the affine entries share — the m x k
+// matrix x whose rows lie lda apart in a, against a k x n weight, dst rows
+// ldc apart, the epilogue — and returns the product's description less its
+// B operand.
+func affineSpec(op string, dst []float64, ldc int, a []float64, m, k, lda, kw, n int, ep Epilogue) gemmSpec {
 	if k != kw {
-		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v x %d rows", op, x.Shape, kw))
+		panic(fmt.Sprintf("tensor: %s inner dimension mismatch [%d %d] x %d rows", op, m, k, kw))
 	}
 	if m > 0 && (ldc < n || len(dst) < (m-1)*ldc+n) {
 		panic(fmt.Sprintf("tensor: %s destination of %d values at row stride %d does not hold %d x %d", op, len(dst), ldc, m, n))
@@ -213,10 +242,10 @@ func affineSpec(op string, dst []float64, ldc int, x *Tensor, kw, n int, ep Epil
 		c = dst[:(m-1)*ldc+n]
 		ep.mustFit(op, m, n, c)
 	}
-	if overlaps(c, x.Data) {
+	if overlaps(c, a) {
 		panic("tensor: " + op + " dst aliases an operand")
 	}
-	return gemmSpec{m: m, k: k, n: n, a: x.Data, c: c, lda: k, ldc: ldc, alpha: 1, ep: ep}
+	return gemmSpec{m: m, k: k, n: n, a: a, c: c, lda: lda, ldc: ldc, alpha: 1, ep: ep}
 }
 
 // serialDispatch reports whether a row-parallel op should run on the calling

@@ -110,7 +110,7 @@ func softmaxRowsAVX512(dst, src *float64, rows, n int)
 // and the contract): softmaxPoolAVX2 one head's softmax, pooled map and
 // pooled context, its exponentials on eight-lane vectors when wide (which
 // needs AVX-512F) and on four otherwise, with the same bits; poolBwdAVX2 one
-// head's dv, dpbar and score gradient (Dh a multiple of 4).
+// head's dpbar, dv (dv may be v) and score gradient (Dh a multiple of 4).
 //
 //go:noescape
 func softmaxPoolAVX2(s *float64, sld int, p *float64, pld, tq, tk int, pbar, v *float64, vld, dh int, cbar, rowInv *float64, inv float64, wide bool)

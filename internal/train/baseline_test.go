@@ -108,3 +108,20 @@ func TestHybridLossBits(t *testing.T) {
 		})
 	}
 }
+
+// TestPoisonedLendsChangeNoBit runs the committed loss digests with every
+// buffer the channel stage and the block stack lend NaN-filled before each
+// borrower runs (tensor.WithPoisonedLends): a read of another borrower's
+// leftovers moves a digest.
+func TestPoisonedLendsChangeNoBit(t *testing.T) {
+	for _, o := range []struct {
+		name string
+		test func(*testing.T)
+	}{
+		{"SerialBaselineLossBits", TestSerialBaselineLossBits},
+		{"MaskedTrainingLossBits", TestMaskedTrainingLossBits},
+		{"HybridLossBits", TestHybridLossBits},
+	} {
+		t.Run(o.name, func(t *testing.T) { tensor.WithPoisonedLends(func() { o.test(t) }) })
+	}
+}

@@ -31,6 +31,7 @@ internal/nn: ParamsEqual                      helper that other packages tests i
 internal/tensor: EqualApprox                  called only by ParamsEqual
 internal/tensor: KernelTier                   helper that other packages tests import
 internal/tensor: WithGoTwins                  helper that other packages tests import
+internal/tensor: WithPoisonedLends            helper that other packages tests import
 internal/tensor: TMatMulInto                  reference the product tests compare against
 internal/tensor: SumAxisInto                  reference the reduction tests compare against
 internal/tensor: SplitEqual                   reference that cuts each rank chunk in the collective tests
