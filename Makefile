@@ -6,11 +6,12 @@ GO ?= go
 # analyzers), the reachability check, full build and full test run.
 verify: fmt-check vet vet-custom reach build test
 
-# bench runs every benchmark once, writes the topology-aware sweep as the
+# bench runs every benchmark body twice (once would hide a benchmark whose
+# second iteration fails, such as a backward run without its forward), writes the topology-aware sweep as the
 # BENCH_sweep.json artifact, and re-parses the artifact through the tier-1
 # schema test — identical to the CI bench job.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+	$(GO) test -bench=. -benchtime=2x -run='^$$' ./...
 	$(GO) run ./cmd/dchag-bench -json BENCH_sweep.json
 	BENCH_SWEEP_JSON=BENCH_sweep.json $(GO) test -run TestSweepJSONArtifact .
 

@@ -239,21 +239,28 @@ func TestAggregatorsSteadyStateAllocs(t *testing.T) {
 // BenchmarkCrossAttnAggregator times Forward and Backward separately at the
 // aggregation shapes of the benchmark workloads (128 locations): the hsi
 // partial layer (16 channel tokens, embed 32), the hsi final layer (4
-// partition tokens) and the weather final layer (embed 64).
+// partition tokens) and the weather final layer (embed 64). The backward
+// consumes its forward's Q/K/V, so each bwd iteration runs the forward
+// first, untimed.
 func BenchmarkCrossAttnAggregator(b *testing.B) {
 	for _, sh := range []struct{ g, e int }{{16, 32}, {4, 32}, {4, 64}} {
 		rng := tensor.NewRNG(6)
 		a := NewCrossAttnAggregator("a", sh.g, sh.e, 4, 1)
 		x := tensor.Randn(rng, 128, sh.g, sh.e)
 		d := tensor.Randn(rng, 128, sh.e)
-		a.Forward(x)
+		fwd := func() { a.Forward(x) }
 		for _, dir := range []struct {
-			name string
-			step func()
-		}{{"fwd", func() { a.Forward(x) }}, {"bwd", func() { a.Backward(d) }}} {
+			name       string
+			prep, step func()
+		}{{"fwd", nil, fwd}, {"bwd", fwd, func() { a.Backward(d) }}} {
 			b.Run(fmt.Sprintf("g%d_e%d/%s", sh.g, sh.e, dir.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
+					if dir.prep != nil {
+						b.StopTimer()
+						dir.prep()
+						b.StartTimer()
+					}
 					dir.step()
 				}
 			})

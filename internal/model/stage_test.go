@@ -399,7 +399,9 @@ func TestBlockStackHeldAfterTraining(t *testing.T) {
 }
 
 // BenchmarkChannelStage times the one-partition stage's Forward, Backward
-// and F32 Infer at the benchmark workloads' per-rank shapes.
+// and F32 Infer at the benchmark workloads' per-rank shapes. The backward
+// consumes what its forward left (the pooled attention writes its gradients
+// over Q/K/V), so each bwd iteration runs the forward first, untimed.
 func BenchmarkChannelStage(b *testing.B) {
 	for _, sh := range stageShapes {
 		rng := tensor.NewRNG(7)
@@ -407,14 +409,19 @@ func BenchmarkChannelStage(b *testing.B) {
 		s.SetInferDType(tensor.F32)
 		x := tensor.Randn(rng, sh.batch, sh.cfg.Channels, sh.cfg.ImgH, sh.cfg.ImgW)
 		d := tensor.Randn(rng, sh.batch, sh.cfg.Tokens(), sh.cfg.Embed)
-		s.Forward(x)
+		fwd := func() { s.Forward(x) }
 		for _, pass := range []struct {
-			name string
-			step func()
-		}{{"fwd", func() { s.Forward(x) }}, {"bwd", func() { s.Backward(d) }}, {"infer_f32", func() { s.Infer(x) }}} {
+			name       string
+			prep, step func()
+		}{{"fwd", nil, fwd}, {"bwd", fwd, func() { s.Backward(d) }}, {"infer_f32", nil, func() { s.Infer(x) }}} {
 			b.Run(fmt.Sprintf("%s/%s", sh.name, pass.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
+					if pass.prep != nil {
+						b.StopTimer()
+						pass.prep()
+						b.StartTimer()
+					}
 					pass.step()
 				}
 			})
