@@ -79,9 +79,11 @@ type GroupAggregator interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	// Infer is Forward without caching activations for backward.
 	Infer(x *tensor.Tensor) *tensor.Tensor
-	// backward maps d [N, E] back to [N, g, E], accumulating parameter
-	// gradients. Every buffer it writes is ws's, the returned gradient
-	// included, which stays valid until ws is lent again.
+	// backward maps d [N, E] to the group's input gradient, token-major
+	// [g, N, E]: member k's N rows in slot k, which its consumer reads in
+	// place. It accumulates parameter gradients. Every buffer it writes is
+	// ws's, the returned gradient included, which stays valid until ws is
+	// lent again.
 	backward(d *tensor.Tensor, ws *workspace) *tensor.Tensor
 	// Params returns the aggregator's learnable parameters.
 	Params() []*nn.Param
@@ -95,18 +97,18 @@ type GroupAggregator interface {
 // owns two, one for the first level and one for the reducers, each lent to
 // that level's aggregators of every partition in turn: a reducer's input
 // gradient stays in its workspace while the first level, below it, reads
-// it; each first-level group's own gradients are consumed by the
-// tokenizer's before the next group runs. On entry a borrower reads only
-// what it is handed, never an earlier borrower's leftovers, which poison
-// checks (tensor.WithPoisonedLends). An aggregator run alone, like a
-// stage's final layer, owns its own (CrossAttnAggregator.Backward). The
-// zero value is ready to use.
+// each group's slot of it in place; each first-level group's own gradients
+// are consumed by the tokenizer's before the next group runs. On entry a
+// borrower reads only what it is handed, never an earlier borrower's
+// leftovers, which poison checks (tensor.WithPoisonedLends). An aggregator
+// run alone, like a stage's final layer, owns its own
+// (CrossAttnAggregator.Backward). The zero value is ready to use.
 type workspace struct {
 	attn nn.PooledGrads // the CrossAttnAggregator's
 	fold foldGrads      // a folded first-level CrossAttnAggregator's, beside attn
 	lin  linearGrads    // a folded first-level LinearAggregator's
 	dx   *tensor.Tensor // the LinearAggregator's input gradient
-	dg   *tensor.Tensor // the first level's: one group's output gradient [N, E], read out of the reducer's input gradient
+	dg   tensor.Tensor  // the first level's header: one group's output gradient [N, E], its slot of the reducer's input gradient
 }
 
 // poison NaN-fills every buffer of ws while lent buffers are poisoned
@@ -115,7 +117,7 @@ type workspace struct {
 func (ws *workspace) poison() {
 	ws.attn.Poison()
 	f, l := &ws.fold, &ws.lin
-	tensor.Poison(f.gs[0], f.gs[1], f.gs[2], f.d[0], f.d[1], l.s, l.u, l.g, ws.dx, ws.dg)
+	tensor.Poison(f.gs[0], f.gs[1], f.gs[2], f.d[0], f.d[1], l.s, l.u, l.g, ws.dx)
 }
 
 // CrossAttnAggregator reduces a channel group with one cross-attention layer
@@ -154,21 +156,21 @@ func (a *CrossAttnAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return a.Attn.ForwardPooled(x)
 }
 
-// Backward maps d [N, E] to the group input gradient [N, g, E] in the
-// aggregator's own scratch: the path of an aggregator run alone, like a
-// stage's final layer.
+// Backward maps d [N, E] to the group input gradient, token-major
+// [g, N, E], in the aggregator's own scratch: the path of an aggregator run
+// alone, like a stage's final layer.
 func (a *CrossAttnAggregator) Backward(d *tensor.Tensor) *tensor.Tensor { return a.backward(d, &a.own) }
 
-// backward is Backward in ws: the group is query and context at once, so its
-// gradient is dq + (dk + dv), summed as the projections' products store
-// (nn.CrossAttention.BackwardPooled).
+// backward is Backward in ws: the group is query and context at once, so
+// each member's gradient is dq + (dk + dv), summed as the projections'
+// products store (nn.CrossAttention.BackwardTokens over every member).
 //
 // dchag:hotpath — per-step channel-aggregation backward.
 func (a *CrossAttnAggregator) backward(d *tensor.Tensor, ws *workspace) *tensor.Tensor {
 	if a.n == 0 {
 		panic("core: CrossAttnAggregator.Backward before Forward")
 	}
-	return a.Attn.BackwardPooled(d, &ws.attn)
+	return a.Attn.BackwardTokens(d, &ws.attn, 0, a.Group)
 }
 
 // Infer reduces x [N, g, E] to [N, E] without caching activations for
@@ -254,11 +256,12 @@ func (a *LinearAggregator) reduce(out, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// backward maps d [N, E] to [N, g, E] in ws and accumulates dWeight and
-// dBias. Per location it takes four group members per pass over d's row, so
-// four dot-product chains are in flight where one left the adder waiting;
-// each chain still runs in element order from +0, its products rounded
-// before the add, and the members' sums reach dWeight in member order.
+// backward maps d [N, E] to the token-major [g, N, E] in ws and accumulates
+// dWeight and dBias. Per location it takes four group members per pass over
+// d's row, so four dot-product chains are in flight where one left the adder
+// waiting; each chain still runs in element order from +0, its products
+// rounded before the add, and the members' sums reach dWeight in member
+// order.
 //
 // dchag:hotpath — per-step channel-mixing backward.
 func (a *LinearAggregator) backward(d *tensor.Tensor, ws *workspace) *tensor.Tensor {
@@ -266,28 +269,29 @@ func (a *LinearAggregator) backward(d *tensor.Tensor, ws *workspace) *tensor.Ten
 		panic("core: LinearAggregator.Backward before Forward")
 	}
 	n, e := a.x.Shape[0], a.x.Shape[2]
-	ws.dx = tensor.EnsureShape(ws.dx, n, a.Group, e)
+	ws.dx = tensor.EnsureShape(ws.dx, a.Group, n, e)
 	tensor.AccumRows(a.Bias.Grad.Data, d.Data, e, n, nil)
 	for ni := 0; ni < n; ni++ {
 		for g := 0; g < a.Group; g += 4 {
-			a.backward4(ws.dx.Data, d.Data[ni*e:][:e], ni*a.Group, g)
+			a.backward4(ws.dx.Data, d.Data[ni*e:][:e], n, ni, g)
 		}
 	}
 	return ws.dx
 }
 
-// backward4 runs group members g..g+3 of the location whose rows start at
-// row base of x and dx, src being its row of the output gradient. Members
-// past the group repeat the last one, which writes its dx row twice with the
-// same bits; only the real members' sums are added to dWeight.
-func (a *LinearAggregator) backward4(dx, src []float64, base, g int) {
+// backward4 runs group members g..g+3 of location ni of n, src being its row
+// of the output gradient: member m's row is x's (ni·g + m) and dx's
+// (m·n + ni). Members past the group repeat the last one, which writes its
+// dx row twice with the same bits; only the real members' sums are added to
+// dWeight.
+func (a *LinearAggregator) backward4(dx, src []float64, n, ni, g int) {
 	e, last := len(src), a.Group-1
 	m := [4]int{g, min(g+1, last), min(g+2, last), min(g+3, last)}
 	w := a.Weight.W.Data
 	w0, w1, w2, w3 := w[m[0]], w[m[1]], w[m[2]], w[m[3]]
-	x := a.x.Data
-	x0, x1, x2, x3 := x[(base+m[0])*e:][:e], x[(base+m[1])*e:][:e], x[(base+m[2])*e:][:e], x[(base+m[3])*e:][:e]
-	d0, d1, d2, d3 := dx[(base+m[0])*e:][:e], dx[(base+m[1])*e:][:e], dx[(base+m[2])*e:][:e], dx[(base+m[3])*e:][:e]
+	x, xb := a.x.Data, ni*a.Group
+	x0, x1, x2, x3 := x[(xb+m[0])*e:][:e], x[(xb+m[1])*e:][:e], x[(xb+m[2])*e:][:e], x[(xb+m[3])*e:][:e]
+	d0, d1, d2, d3 := dx[(m[0]*n+ni)*e:][:e], dx[(m[1]*n+ni)*e:][:e], dx[(m[2]*n+ni)*e:][:e], dx[(m[3]*n+ni)*e:][:e]
 	var s0, s1, s2, s3 float64
 	for i, v := range src {
 		d0[i], d1[i], d2[i], d3[i] = w0*v, w1*v, w2*v, w3*v

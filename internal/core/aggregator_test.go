@@ -51,7 +51,7 @@ func TestLinearAggregatorBackwardMatchesParentLoop(t *testing.T) {
 				for round := 0; round < 2; round++ {
 					x, d := tensor.RandnScaled(rng, 2, n, group, e), tensor.Randn(rng, n, e)
 					a.Forward(x)
-					got := a.backward(d, &ws)
+					got := rowMajor(a.backward(d, &ws))
 					want := parentLinearBackward(group, x, d, a.Weight.W.Data, wgrad)
 					for i := range got.Data {
 						if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {

@@ -20,6 +20,20 @@ func dotAll(a, b *tensor.Tensor) float64 {
 	return s
 }
 
+// rowMajor returns an aggregator's token-major input gradient [g, N, E]
+// transposed to the row-major [N, g, E] of its input, member k of location
+// n at row n·g + k.
+func rowMajor(x *tensor.Tensor) *tensor.Tensor {
+	g, n, e := x.Shape[0], x.Shape[1], x.Shape[2]
+	out := tensor.New(n, g, e)
+	for k := 0; k < g; k++ {
+		for ni := 0; ni < n; ni++ {
+			copy(out.Data[(ni*g+k)*e:][:e], x.Data[(k*n+ni)*e:])
+		}
+	}
+	return out
+}
+
 func checkGrad(t *testing.T, name string, x, analytic *tensor.Tensor, loss func() float64, tol float64) {
 	t.Helper()
 	const eps = 1e-6
@@ -148,7 +162,7 @@ func TestCrossAttnAggregatorGradients(t *testing.T) {
 	loss := func() float64 { return dotAll(a.Forward(x), r) }
 	loss()
 	nn.ZeroGrads(a.Params())
-	dx := a.Backward(r)
+	dx := rowMajor(a.Backward(r))
 	checkGrad(t, "crossagg/x", x, dx, loss, 1e-5)
 }
 
@@ -160,15 +174,18 @@ func TestLinearAggregatorGradients(t *testing.T) {
 	loss := func() float64 { return dotAll(a.Forward(x), r) }
 	loss()
 	nn.ZeroGrads(a.Params())
-	dx := a.backward(r, new(workspace))
+	dx := rowMajor(a.backward(r, new(workspace)))
 	checkGrad(t, "linagg/x", x, dx, loss, 1e-6)
 	checkGrad(t, "linagg/w", a.Weight.W, a.Weight.Grad, loss, 1e-6)
 	checkGrad(t, "linagg/b", a.Bias.W, a.Bias.Grad, loss, 1e-6)
 }
 
-// TestFoldUnfoldChannelsRoundTrip checks the one permutation left in the
-// package: channel-major tokens regrouped into first-level group tensors
-// [B*T, g, E] land at rows (n*g + k)*E, and regrouping back restores them.
+// TestFoldUnfoldChannelsRoundTrip checks the reference module's one
+// regrouping: channel-major tokens copied into first-level group tensors
+// [B*T, g, E] land at rows (n*g + k)*E. The way back, each group's
+// token-major gradient scattered to channel-major, is held by
+// TestHierarchicalAggregatorGradients and the layout oracle's entry-point
+// cases.
 func TestFoldUnfoldChannelsRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := tensor.NewRNG(seed)
@@ -177,11 +194,10 @@ func TestFoldUnfoldChannelsRoundTrip(t *testing.T) {
 		tt := 1 + int(rng.Int31n(4))
 		e := 1 + int(rng.Int31n(4))
 		x := tensor.Randn(rng, b, c, tt, e)
-		back := tensor.New(b, c, tt, e)
 		ci := 0
 		for _, g := range EvenSplit(c, 1+int(rng.Int31n(int32(c)))) {
 			gt := tensor.New(b*tt, g, e)
-			regroup(x, gt, ci, true)
+			regroup(x, gt, ci)
 			for k := 0; k < g; k++ {
 				for n := 0; n < b*tt; n++ {
 					for i := 0; i < e; i++ {
@@ -191,10 +207,9 @@ func TestFoldUnfoldChannelsRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			regroup(back, gt, ci, false)
 			ci += g
 		}
-		return tensor.MaxAbsDiff(back, x) == 0
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -271,8 +271,9 @@ func (h *HierarchicalAggregator) foldCross(tok *nn.PatchEmbed, ids *nn.ChannelEm
 // group's index, in plan order: first runs that group's backward, in ws[0],
 // and consumes what it returns before the next group's. At Tree0 d is the
 // one group's output gradient. At TreeN the reducer's backward, in ws[1],
-// leaves its input gradient [N, G, E] there, and each group's column of it
-// is read in turn into one buffer of ws[0].
+// leaves its token-major input gradient [G, N, E] there, and each group
+// reads its slot of it in place, through ws[0]'s header: nothing lends ws[1]
+// again until every group has run.
 //
 // dchag:hotpath — the per-step partial-module backward.
 func (h *HierarchicalAggregator) backward(d *tensor.Tensor, ws *[2]workspace, first func(gi int, d *tensor.Tensor)) {
@@ -287,11 +288,10 @@ func (h *HierarchicalAggregator) backward(d *tensor.Tensor, ws *[2]workspace, fi
 	}
 	ws[1].poison()
 	dIn := r.backward(d, &ws[1])
-	ws[0].dg = tensor.EnsureShape(ws[0].dg, d.Shape[0], d.Shape[1])
+	n, e := d.Shape[0], d.Shape[1]
 	for gi := range h.Levels[0] {
 		ws[0].poison()
-		readGroupToken(ws[0].dg, dIn, gi)
-		first(gi, ws[0].dg)
+		first(gi, header(&ws[0].dg, dIn.Data[gi*n*e:(gi+1)*n*e], n, e))
 	}
 }
 
@@ -310,7 +310,7 @@ func (h *HierarchicalAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
 	lo := 0
 	for gi, g := range h.Plan[0] {
 		h.in[gi] = tensor.EnsureShape(h.in[gi], h.b*h.t, g, e)
-		regroup(x, h.in[gi], lo, true)
+		regroup(x, h.in[gi], lo)
 		writeGroupToken(toks, h.Levels[0][gi].Forward(h.in[gi]).Data, gi)
 		lo += g
 	}
@@ -331,34 +331,35 @@ func (h *HierarchicalAggregator) SetInferDType(dt tensor.DType) {
 }
 
 // Backward maps d [B, T, E] back to the channel-major token gradient
-// [B, C, T, E]: backward, each group's gradient regrouped as it appears.
+// [B, C, T, E]: backward, each group's token-major gradient scattered as it
+// appears, member k's T·E rows of each sample to channel lo+k's.
 func (h *HierarchicalAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
-	e := d.Shape[len(d.Shape)-1]
-	h.dx = tensor.EnsureShape(h.dx, h.b, h.Channels(), h.t, e)
+	c, e := h.Channels(), d.Shape[len(d.Shape)-1]
+	te := h.t * e
+	h.dx = tensor.EnsureShape(h.dx, h.b, c, h.t, e)
 	lo := 0
 	h.backward(header(&h.d, d.Data, h.b*h.t, e), &h.ws, func(gi int, dg *tensor.Tensor) {
-		regroup(h.dx, h.Levels[0][gi].backward(dg, &h.ws[0]), lo, false)
+		dIn := h.Levels[0][gi].backward(dg, &h.ws[0])
+		for k := 0; k < h.Plan[0][gi]; k++ {
+			for bi := 0; bi < h.b; bi++ {
+				copy(h.dx.Data[(bi*c+lo+k)*te:][:te], dIn.Data[(k*h.b+bi)*te:][:te])
+			}
+		}
 		lo += h.Plan[0][gi]
 	})
 	return h.dx
 }
 
-// regroup copies between channel-major tokens cm [B, C, T, E] and a
-// first-level group's tensor gt [B*T, g, E] over channels lo, ..., lo+g-1,
-// channel lo+k of cm at column k of gt: into gt with in, back into cm
-// otherwise.
-func regroup(cm, gt *tensor.Tensor, lo int, in bool) {
+// regroup copies channels lo, ..., lo+g-1 of channel-major tokens
+// cm [B, C, T, E] into a first-level group's input gt [B*T, g, E], channel
+// lo+k at column k.
+func regroup(cm, gt *tensor.Tensor, lo int) {
 	b, c, t, e := cm.Shape[0], cm.Shape[1], cm.Shape[2], cm.Shape[3]
 	g := gt.Shape[1]
 	for bi := 0; bi < b; bi++ {
 		for k := 0; k < g; k++ {
 			for ti := 0; ti < t; ti++ {
-				x, y := cm.Data[((bi*c+lo+k)*t+ti)*e:][:e], gt.Data[((bi*t+ti)*g+k)*e:][:e]
-				if in {
-					copy(y, x)
-				} else {
-					copy(x, y)
-				}
+				copy(gt.Data[((bi*t+ti)*g+k)*e:][:e], cm.Data[((bi*c+lo+k)*t+ti)*e:][:e])
 			}
 		}
 	}
@@ -371,18 +372,6 @@ func writeGroupToken(out *tensor.Tensor, y []float64, gi int) {
 	nG, e := out.Shape[1], out.Shape[2]
 	for n := 0; n < out.Shape[0]; n++ {
 		copy(out.Data[(n*nG+gi)*e:(n*nG+gi+1)*e], y[n*e:(n+1)*e])
-	}
-}
-
-// readGroupToken gathers column gi of x (N*G*E values, any shape) into dst
-// [N, E].
-//
-// dchag:hotpath — per-group token gather.
-func readGroupToken(dst, x *tensor.Tensor, gi int) {
-	n, e := dst.Shape[0], dst.Shape[1]
-	nG := len(x.Data) / (n * e)
-	for i := 0; i < n; i++ {
-		copy(dst.Data[i*e:(i+1)*e], x.Data[(i*nG+gi)*e:(i*nG+gi+1)*e])
 	}
 }
 

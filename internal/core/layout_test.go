@@ -113,7 +113,7 @@ func (o *oracleStage) pass(x *tensor.Tensor, infer bool) *tensor.Tensor {
 func (o *oracleStage) backward(grad *tensor.Tensor) {
 	r := o.r
 	b, t, e := o.b, r.Cfg.Tokens(), r.Cfg.Embed
-	dSeq := r.Final.Backward(grad.Reshape(b*t, e))
+	dSeq := rowMajor(r.Final.Backward(grad.Reshape(b*t, e)))
 	dEmb := tensor.New(b, r.Cfg.Channels, t, e)
 	lo := 0
 	for j, partial := range r.Partials {
@@ -129,7 +129,7 @@ func (o *oracleStage) backward(grad *tensor.Tensor) {
 				}
 				dCat, off := tensor.New(b*t, width, e), 0
 				for gi, agg := range partial.Levels[l] {
-					part := agg.backward(column(cur, gi), new(workspace))
+					part := rowMajor(agg.backward(column(cur, gi), new(workspace)))
 					tensor.SetSliceAxis(dCat, 1, off, part)
 					off += part.Shape[1]
 				}

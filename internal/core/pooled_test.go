@@ -134,7 +134,7 @@ func TestCrossAttnAggregatorMatchesExplicitFormulation(t *testing.T) {
 
 		nn.ZeroGrads(a.Params())
 		mustMatch(t, "output", a.Forward(x), want.out)
-		mustMatch(t, "dx", a.Backward(d), tensor.AddInto(nil, want.dQuery, want.dContext))
+		mustMatch(t, "dx", rowMajor(a.Backward(d)), tensor.AddInto(nil, want.dQuery, want.dContext))
 		for i, p := range a.Params() {
 			mustMatch(t, p.Name, p.Grad, want.grads[i])
 		}

@@ -367,30 +367,19 @@ func (a *CrossAttention) InferProjected(q, k, v *tensor.Tensor) *tensor.Tensor {
 	return a.Wo.Infer(a.core.InferPooled(q, k, v))
 }
 
-// BackwardPooled maps the gradient of ForwardPooled's output [B,E] to the
-// gradient of its input x [B,T,E], in s. x fed all three projections, so
-// its gradient is dq·Wqᵀ + (dk·Wkᵀ + dv·Wvᵀ): Wv's product stores the
-// parenthesis where dK was (Wk's output, spent by then), and Wq's stores
-// the whole sum in s. Like BackwardProjected it runs once per forward.
+// BackwardTokens maps the gradient of ForwardPooled's output [B,E] to the
+// gradient of tokens [lo, hi) of its input x [B,T,E], token-major:
+// [hi-lo, B, E] in s, token lo+j's B rows in slot j. x fed all three
+// projections, so a token's gradient is dq·Wqᵀ + (dk·Wkᵀ + dv·Wvᵀ), formed
+// one token column at a time: Wv's product stores the parenthesis where the
+// token's dK was (Wk's output, spent by then), and Wq's stores the whole sum
+// in its slot. The weight gradients sum over every row, whatever the range;
+// the input gradient is per row, so a token's slot has the same bits in
+// every range that holds it. A channel aggregator takes every token,
+// [0, T); D-CHAG's final layer takes the rank's own partitions' only. Like
+// BackwardProjected it runs once per forward.
 //
-// dchag:hotpath — per-step channel-aggregation backward.
-func (a *CrossAttention) BackwardPooled(grad *tensor.Tensor, s *PooledGrads) *tensor.Tensor {
-	dq, dk, dv := a.BackwardProjected(grad, s)
-	ends := s.depthEnds(dk)
-	s.dx = a.Wk.backwardTo(s.dx, dk, nil, ends)
-	a.Wv.backwardTo(dk, dv, s.dx, ends)
-	s.dx = a.Wq.backwardTo(s.dx, dq, dk, s.depthEnds(dq))
-	return s.dx
-}
-
-// BackwardTokens is BackwardPooled forming the input gradient of tokens
-// [lo, hi) of x only, token-major: [hi-lo, B, E] in s, token lo+j's B rows
-// in slot j. The weight gradients still sum over every row, but the input
-// gradient is per row, so each row has BackwardPooled's bits. D-CHAG's
-// final layer runs it: each rank reads the gradient of its own partitions'
-// tokens only.
-//
-// dchag:hotpath — the final layer's backward, every step.
+// dchag:hotpath — every cross aggregator's backward, every step.
 func (a *CrossAttention) BackwardTokens(grad *tensor.Tensor, s *PooledGrads, lo, hi int) *tensor.Tensor {
 	dq, dk, dv := a.BackwardProjected(grad, s)
 	ends := s.depthEnds(dk)

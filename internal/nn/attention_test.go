@@ -290,9 +290,10 @@ func BenchmarkAttentionPooled(b *testing.B) {
 }
 
 // TestCrossAttentionBackwardTokensBitwise holds BackwardTokens over a range
-// of tokens to BackwardPooled, bit for bit: the range's input gradient rows,
-// token-major, and every parameter gradient, which sums over every row
-// either way — over every location and over listed ones (PooledGrads.Locs).
+// of tokens to the same layer's backward over every token, [0, T), bit for
+// bit: the range's slots equal the whole range's slots of the same tokens,
+// and every parameter gradient, which sums over every row either way, is
+// the same — over every location and over listed ones (PooledGrads.Locs).
 func TestCrossAttentionBackwardTokensBitwise(t *testing.T) {
 	const b, tt, e = 3, 4, 8
 	rng := tensor.NewRNG(90)
@@ -303,25 +304,21 @@ func TestCrossAttentionBackwardTokensBitwise(t *testing.T) {
 			whole, part := NewCrossAttention("x", e, 2, 91), NewCrossAttention("x", e, 2, 91)
 			whole.ForwardPooled(x)
 			part.ForwardPooled(x)
-			dx := whole.BackwardPooled(r, &PooledGrads{Locs: locs})
+			dx := whole.BackwardTokens(r, &PooledGrads{Locs: locs}, 0, tt)
 			dt := part.BackwardTokens(r, &PooledGrads{Locs: locs}, span[0], span[1])
 			if want := []int{span[1] - span[0], b, e}; !tensor.SameShape(dt, tensor.New(want...)) {
 				t.Fatalf("locs %v tokens %v: gradient %v, want %v", locs, span, dt.Shape, want)
 			}
-			for j := 0; j < span[1]-span[0]; j++ {
-				for bi := 0; bi < b; bi++ {
-					got, want := dt.Data[(j*b+bi)*e:][:e], dx.Data[(bi*tt+span[0]+j)*e:][:e]
-					for i := range got {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("locs %v tokens %v: token %d row %d element %d = %v, BackwardPooled %v", locs, span, span[0]+j, bi, i, got[i], want[i])
-						}
-					}
+			want := dx.Data[span[0]*b*e : span[1]*b*e]
+			for i, g := range dt.Data {
+				if math.Float64bits(g) != math.Float64bits(want[i]) {
+					t.Fatalf("locs %v tokens %v: token %d row %d element %d = %v, whole range %v", locs, span, span[0]+i/(b*e), i/e%b, i%e, g, want[i])
 				}
 			}
 			for pi, p := range part.Params() {
 				for i, g := range p.Grad.Data {
 					if w := whole.Params()[pi].Grad.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("locs %v tokens %v: %s gradient %d = %v, BackwardPooled %v", locs, span, p.Name, i, g, w)
+						t.Fatalf("locs %v tokens %v: %s gradient %d = %v, whole range %v", locs, span, p.Name, i, g, w)
 					}
 				}
 			}

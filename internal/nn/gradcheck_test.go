@@ -140,7 +140,13 @@ func TestCrossAttentionGradients(t *testing.T) {
 	loss := func() float64 { return dotAll(a.ForwardPooled(x), r) }
 	loss()
 	ZeroGrads(a.Params())
-	dx := a.BackwardPooled(r, new(PooledGrads))
+	dt := a.BackwardTokens(r, new(PooledGrads), 0, 5) // token-major [5, 2, 8]
+	dx := tensor.New(x.Shape...)
+	for ti := 0; ti < 5; ti++ {
+		for bi := 0; bi < 2; bi++ {
+			copy(dx.Data[(bi*5+ti)*8:][:8], dt.Data[(ti*2+bi)*8:])
+		}
+	}
 	checkGrad(t, "xattn/x", x, dx, loss, 1e-5)
 	checkGrad(t, "xattn/Wq", a.Wq.Weight.W, a.Wq.Weight.Grad, loss, 1e-5)
 	checkGrad(t, "xattn/Wk", a.Wk.Weight.W, a.Wk.Weight.Grad, loss, 1e-5)
