@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"repro/internal/ckpt"
@@ -102,18 +103,11 @@ func main() {
 	for s := half; s < steps; s++ {
 		a, b, c := full.Loss[s], twoRank.Loss[s-half], serial.Loss[s-half]
 		fmt.Printf("%4d  %.12f  %.12f  %.12f\n", s, a, b, c)
-		if abs(a-b) > tol*abs(a) || abs(a-c) > tol*abs(a) {
+		if math.Abs(a-b) > tol*math.Abs(a) || math.Abs(a-c) > tol*math.Abs(a) {
 			log.Fatal("trajectories diverged — resharded resume must continue the run")
 		}
 	}
 	fmt.Println("resharded resume continues the trajectory: 4 ranks -> {2 ranks, serial}")
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // copyDir clones a checkpoint directory into a fresh temp directory.

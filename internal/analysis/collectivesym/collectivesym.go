@@ -31,12 +31,9 @@ const commPath = "repro/internal/comm"
 // local to the rank and may sit under any branch.
 var collectives = map[string]bool{
 	"Barrier":            true,
-	"AllGather":          true,
 	"AllGatherEach":      true,
-	"AllGatherConcat":    true,
 	"AllReduce":          true,
 	"AllReduceInto":      true,
-	"AllReduceSum":       true,
 	"AllReduceScalarSum": true,
 	"ReduceScatterSum":   true,
 	"Broadcast":          true,

@@ -13,7 +13,7 @@ func symmetric(c *comm.Communicator, steps int) {
 	c.Barrier()
 	for s := 0; s < steps; s++ {
 		if s%2 == 0 {
-			c.AllReduceSum(nil)
+			c.AllReduceInto(nil, nil)
 		}
 	}
 	if c.Size() > 1 {
@@ -33,7 +33,7 @@ func tainted(c *comm.Communicator) {
 	primary := c.Rank() == 0
 	ok := primary
 	if ok {
-		c.AllReduceSum(nil) // want `rank-conditional if`
+		c.AllReduceInto(nil, nil) // want `rank-conditional if`
 	}
 }
 
@@ -41,7 +41,7 @@ func elseBranch(c *comm.Communicator) {
 	if c.Rank() == 0 {
 		_ = 1
 	} else {
-		c.AllGather(nil) // want `rank-conditional if`
+		c.AllGatherEach(nil, nil) // want `rank-conditional if`
 	}
 }
 
@@ -97,7 +97,7 @@ func suppressed(c *comm.Communicator) {
 func survivorGuard(c *comm.Communicator, failedRank int) {
 	survivor := c.Rank() != failedRank
 	if survivor {
-		c.AllReduceSum(nil) // want `rank-conditional if`
+		c.AllReduceInto(nil, nil) // want `rank-conditional if`
 	}
 }
 
@@ -121,7 +121,7 @@ func leaderSync(c *comm.Communicator, grads []*comm.Tensor) {
 func instrumented(c *comm.Communicator, row *obs.Rank, steps int) {
 	for s := 0; s < steps; s++ {
 		sp := row.Begin("grad-sync", "comm/dp")
-		c.AllReduceSum(nil)
+		c.AllReduceInto(nil, nil)
 		sp.EndBytes(64)
 		row.Instant("step", "train")
 	}
@@ -147,7 +147,7 @@ func recordLeaderOnly(c *comm.Communicator, row *obs.Rank) {
 	record := c.Rank() == 0
 	if record {
 		row.Instant("flush", "train")
-		c.AllReduceSum(nil) // want `rank-conditional if`
+		c.AllReduceInto(nil, nil) // want `rank-conditional if`
 	}
 }
 
@@ -157,7 +157,7 @@ func recordLeaderOnly(c *comm.Communicator, row *obs.Rank) {
 // barriers and reductions sit outside any rank conditional.
 func generationLoop(c *comm.Communicator, start, end int, checkpointEvery int) {
 	for s := start; s < end; s++ {
-		c.AllReduceSum(nil)
+		c.AllReduceInto(nil, nil)
 		if checkpointEvery > 0 && (s+1)%checkpointEvery == 0 {
 			if c.Rank() == 0 {
 				_ = s // leader-only bookkeeping, no collective

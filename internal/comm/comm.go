@@ -238,10 +238,10 @@ type operands struct {
 }
 
 // SetFaultInjector installs f on this communicator under the given injector
-// id. Must be called before the communicator is used; convenience wrappers
-// (AllGather, AllGatherConcat, AllReduceInto, AllReduceSum,
-// AllReduceScalarSum) instrument only the base operations they are built
-// from, so each collective is exactly one injection point pair.
+// id. Must be called before the communicator is used; the convenience
+// wrappers (AllReduceInto, AllReduceScalarSum) instrument only the base
+// operation they are built from, so each collective is exactly one
+// injection point pair.
 func (c *Communicator) SetFaultInjector(f FaultInjector, id int) {
 	c.fault = f
 	c.faultID = id
@@ -317,21 +317,6 @@ func (c *Communicator) AllGatherEach(x *tensor.Tensor, visit func(rank int, part
 	c.record(OpAllGather, total-x.Numel())
 	c.obsPoint(OpAllGather, false, total-x.Numel())
 	c.faultPoint(OpAllGather, false)
-}
-
-// AllGather exchanges each rank's tensor and returns fresh copies of all of
-// them, indexed by rank.
-func (c *Communicator) AllGather(x *tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, c.Size())
-	c.AllGatherEach(x, func(r int, part *tensor.Tensor) { out[r] = part.Clone() })
-	return out
-}
-
-// AllGatherConcat gathers each rank's tensor and concatenates the results
-// along the given axis in rank order.
-func (c *Communicator) AllGatherConcat(x *tensor.Tensor, axis int) *tensor.Tensor {
-	parts := c.AllGather(x)
-	return tensor.Concat(axis, parts...)
 }
 
 // AllReduce leaves in every rank's dst the elementwise sum of all ranks'
@@ -441,12 +426,6 @@ func (c *Communicator) AllReduceInto(dst, src *tensor.Tensor) *tensor.Tensor {
 	c.one[0][0], c.one[1][0] = dst, src
 	c.AllReduce(c.one[0][:], c.one[1][:], 1)
 	return dst
-}
-
-// AllReduceSum returns the elementwise sum of every rank's tensor in a fresh
-// tensor. All contributions must share a shape.
-func (c *Communicator) AllReduceSum(x *tensor.Tensor) *tensor.Tensor {
-	return c.AllReduceInto(tensor.New(x.Shape...), x)
 }
 
 // AllReduceScalarSum sums a scalar across ranks (convenience for losses and

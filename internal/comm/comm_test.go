@@ -14,35 +14,24 @@ func TestAllGatherOrderAndContent(t *testing.T) {
 	const size = 4
 	_, err := Run(size, func(c *Communicator) error {
 		x := tensor.Full(float64(c.Rank()), 2)
-		parts := c.AllGather(x)
-		if len(parts) != size {
-			return fmt.Errorf("got %d parts", len(parts))
-		}
-		for r, p := range parts {
+		var seen []int
+		var bad error
+		c.AllGatherEach(x, func(r int, p *tensor.Tensor) {
+			seen = append(seen, r)
 			if p.Data[0] != float64(r) || p.Data[1] != float64(r) {
-				return fmt.Errorf("rank %d saw wrong part %d: %v", c.Rank(), r, p.Data)
+				bad = fmt.Errorf("rank %d saw wrong part %d: %v", c.Rank(), r, p.Data)
 			}
+		})
+		if bad != nil {
+			return bad
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllGatherReturnsCopies(t *testing.T) {
-	// Mutating a gathered tensor must not affect other ranks' views.
-	_, err := Run(2, func(c *Communicator) error {
-		x := tensor.Full(float64(c.Rank()), 3)
-		parts := c.AllGather(x)
-		parts[0].Fill(99) // would corrupt rank 0's contribution if shared
-		c.Barrier()
-		again := c.AllGather(x)
-		if again[0].Data[0] == 99 && c.Rank() == 1 {
-			return fmt.Errorf("gathered tensors alias across ranks")
+		if len(seen) != size {
+			return fmt.Errorf("got %d parts", len(seen))
 		}
-		if x.Data[0] != float64(c.Rank()) {
-			return fmt.Errorf("local input mutated")
+		for i, r := range seen {
+			if r != i {
+				return fmt.Errorf("parts visited in order %v", seen)
+			}
 		}
 		return nil
 	})
@@ -54,10 +43,40 @@ func TestAllGatherReturnsCopies(t *testing.T) {
 func TestAllGatherVariableShapes(t *testing.T) {
 	_, err := Run(3, func(c *Communicator) error {
 		x := tensor.Full(1, c.Rank()+1) // rank r contributes r+1 elements
-		parts := c.AllGather(x)
-		for r, p := range parts {
+		var bad error
+		c.AllGatherEach(x, func(r int, p *tensor.Tensor) {
 			if p.Numel() != r+1 {
-				return fmt.Errorf("part %d has %d elems", r, p.Numel())
+				bad = fmt.Errorf("part %d has %d elems", r, p.Numel())
+			}
+		})
+		return bad
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllGatherEachSharesParts pins that nothing is copied: visit sees each
+// owner's own tensor, and the caller's input comes back untouched.
+func TestAllGatherEachSharesParts(t *testing.T) {
+	const size = 3
+	xs := make([]*tensor.Tensor, size)
+	_, err := Run(size, func(c *Communicator) error {
+		x := tensor.Full(float64(c.Rank()), 3)
+		xs[c.Rank()] = x
+		c.Barrier()
+		var bad error
+		c.AllGatherEach(x, func(r int, p *tensor.Tensor) {
+			if p != xs[r] {
+				bad = fmt.Errorf("rank %d saw a copy of part %d", c.Rank(), r)
+			}
+		})
+		if bad != nil {
+			return bad
+		}
+		for _, v := range x.Data {
+			if v != float64(c.Rank()) {
+				return fmt.Errorf("rank %d input mutated: %v", c.Rank(), x.Data)
 			}
 		}
 		return nil
@@ -67,11 +86,19 @@ func TestAllGatherVariableShapes(t *testing.T) {
 	}
 }
 
+// TestAllGatherConcat holds the gathered concatenation along axis 1 that
+// DistTokenizer forms: each part written at its owner's offset with
+// SetSliceAxis, parts of differing width included.
 func TestAllGatherConcat(t *testing.T) {
 	_, err := Run(2, func(c *Communicator) error {
-		x := tensor.Full(float64(c.Rank()), 1, 2)
-		joined := c.AllGatherConcat(x, 1)
-		want := []float64{0, 0, 1, 1}
+		x := tensor.Full(float64(c.Rank()), 2, c.Rank()+1) // rank r: [2, r+1]
+		joined := tensor.New(2, 3)
+		off := 0
+		c.AllGatherEach(x, func(_ int, p *tensor.Tensor) {
+			tensor.SetSliceAxis(joined, 1, off, p)
+			off += p.Shape[1]
+		})
+		want := []float64{0, 1, 1, 0, 1, 1}
 		for i, w := range want {
 			if joined.Data[i] != w {
 				return fmt.Errorf("concat = %v", joined.Data)
@@ -88,7 +115,7 @@ func TestAllReduceSumEqualsSumOfInputs(t *testing.T) {
 	const size = 5
 	_, err := Run(size, func(c *Communicator) error {
 		x := tensor.Full(float64(c.Rank()+1), 3)
-		s := c.AllReduceSum(x)
+		s := c.AllReduceInto(tensor.New(3), x)
 		want := float64(size * (size + 1) / 2)
 		for _, v := range s.Data {
 			if v != want {
@@ -170,9 +197,10 @@ func TestReduceScatterThenAllGatherEqualsAllReduce(t *testing.T) {
 		}
 		ok := true
 		_, err := Run(size, func(c *Communicator) error {
-			viaAR := c.AllReduceSum(inputs[c.Rank()])
+			viaAR := c.AllReduceInto(tensor.New(size*3), inputs[c.Rank()])
 			chunk := c.ReduceScatterSum(inputs[c.Rank()], 0)
-			viaRSAG := c.AllGatherConcat(chunk, 0)
+			viaRSAG := tensor.New(size * 3)
+			c.AllGatherEach(chunk, func(r int, p *tensor.Tensor) { copy(viaRSAG.Data[r*p.Numel():], p.Data) })
 			if tensor.MaxAbsDiff(viaAR, viaRSAG) > 1e-12 {
 				ok = false
 			}
@@ -209,7 +237,7 @@ func TestSequentialCollectivesDoNotInterleave(t *testing.T) {
 	_, err := Run(4, func(c *Communicator) error {
 		for i := 0; i < 50; i++ {
 			x := tensor.Full(float64(i*10+c.Rank()), 1)
-			s := c.AllReduceSum(x)
+			s := c.AllReduceInto(tensor.New(1), x)
 			want := float64(4*10*i + 0 + 1 + 2 + 3)
 			if s.Data[0] != want {
 				return fmt.Errorf("iter %d: sum %v, want %v", i, s.Data[0], want)
@@ -276,7 +304,7 @@ func TestRunPrefersRootCauseOverAbortCascade(t *testing.T) {
 func TestTrafficLedgerPhases(t *testing.T) {
 	g, err := Run(2, func(c *Communicator) error {
 		c.SetPhase("forward")
-		c.AllGather(tensor.Full(1, 10))
+		c.AllGatherEach(tensor.Full(1, 10), func(int, *tensor.Tensor) {})
 		c.SetPhase("backward")
 		// no collectives in backward
 		return nil
@@ -300,7 +328,7 @@ func TestTrafficLedgerPhases(t *testing.T) {
 func TestTrafficAllReduceVolume(t *testing.T) {
 	g, err := Run(4, func(c *Communicator) error {
 		c.SetPhase("sync")
-		c.AllReduceSum(tensor.Full(1, 8))
+		c.AllReduceInto(tensor.New(8), tensor.Full(1, 8))
 		return nil
 	})
 	if err != nil {
@@ -315,7 +343,7 @@ func TestTrafficAllReduceVolume(t *testing.T) {
 
 func TestTrafficStringAndReset(t *testing.T) {
 	g, err := Run(2, func(c *Communicator) error {
-		c.AllReduceSum(tensor.Full(1, 2))
+		c.AllReduceInto(tensor.New(2), tensor.Full(1, 2))
 		return nil
 	})
 	if err != nil {

@@ -23,6 +23,7 @@ type DistTokenizer struct {
 	Channels   int
 	ChLo, ChHi int
 	Tok        *nn.PatchEmbed
+	full       *tensor.Tensor // the gathered [B, C, T, E]
 }
 
 // NewDistTokenizer builds rank c.Rank()'s tokenizer shard with the same
@@ -46,10 +47,20 @@ func NewDistTokenizer(cfg Config, c *comm.Communicator) *DistTokenizer {
 
 // Forward tokenizes the local image shard [B, Cl, H, W] and AllGathers the
 // full token tensor [B, C, T, E] (the expensive channel+spatial AllGather of
-// Sec. 3.1).
+// Sec. 3.1) into a tokenizer-owned tensor, valid until the next Forward:
+// each rank's block of every sample lands at that rank's channels.
 func (d *DistTokenizer) Forward(x *tensor.Tensor) *tensor.Tensor {
 	local := d.Tok.Forward(x) // [B, Cl, T, E]
-	return d.Comm.AllGatherConcat(local, 1)
+	b, t, e := local.Shape[0], local.Shape[2], local.Shape[3]
+	d.full = tensor.EnsureShape(d.full, b, d.Channels, t, e)
+	d.Comm.AllGatherEach(local, func(r int, part *tensor.Tensor) {
+		lo, hi := ChannelRange(d.Channels, d.Comm.Size(), r)
+		n := (hi - lo) * t * e
+		for s := 0; s < b; s++ {
+			copy(d.full.Data[(s*d.Channels+lo)*t*e:][:n], part.Data[s*n:])
+		}
+	})
+	return d.full
 }
 
 // Backward consumes the gradient of the full token tensor [B, C, T, E]

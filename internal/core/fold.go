@@ -156,11 +156,11 @@ func foldBackward(f *crossFold, a *CrossAttnAggregator, d *tensor.Tensor, ws *wo
 	for x, dx := range [3]*tensor.Tensor{dq, dk, dv} {
 		gs := tensor.EnsureShape(fg.gs[x], g*(pp+1), e)
 		fg.gs[x] = gs
-		tensor.BatchedTMatMulSplitInto(tensor.MatView(header(&fg.gv, gs.Data[:g*pp*e], g, pp, e)), patches, columns(&fg.xv, dx), 1, ends)
+		tensor.BatchedTMatMulInto(tensor.MatView(header(&fg.gv, gs.Data[:g*pp*e], g, pp, e)), patches, columns(&fg.xv, dx), 1, ends)
 		s := gs.Data[g*pp*e:]
 		clear(s)
 		tensor.AccumRows(s, dx.Data, g*e, n, nil)
-		tensor.TMatMulAccInto(ls[x].Weight.Grad, f.wu, gs)
+		tensor.TMatMulAccInto(ls[x].Weight.Grad, f.wu, gs, nil)
 		if ls[x].Bias != nil {
 			tensor.AccumRows(ls[x].Bias.Grad.Data, s, e, g, nil)
 		}
@@ -222,7 +222,7 @@ func linearFoldBackward(a *LinearAggregator, d *tensor.Tensor, ws *workspace, to
 	clear(s)
 	tensor.AccumRows(s, d.Data, e, n, nil)
 	lg.g = tensor.EnsureShape(lg.g, g, pp, e)
-	tensor.BatchedTMatMulSplitInto(tensor.MatView(lg.g), groupPatches(&lg.pat, pat, c, g), tensor.RepeatView(d, g), 1, ends)
+	tensor.BatchedTMatMulInto(tensor.MatView(lg.g), groupPatches(&lg.pat, pat, c, g), tensor.RepeatView(d, g), 1, ends)
 	lg.u = tensor.EnsureShape(lg.u, e)
 	u, we := lg.u.Data, pp*e
 	for k := range a.Weight.W.Data {

@@ -32,9 +32,9 @@ func BenchmarkRendezvousWorldScale(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := RunMesh(spec, topo, func(rank int, m *Mesh) error {
 					x := tensor.Full(float64(rank), 64)
-					m.TPComm(rank).AllReduceSum(x)
-					m.FSDPComm(rank).AllGather(x)
-					m.DPComm(rank).AllReduceSum(x)
+					m.TPComm(rank).AllReduceInto(tensor.New(64), x)
+					m.FSDPComm(rank).AllGatherEach(x, func(int, *tensor.Tensor) {})
+					m.DPComm(rank).AllReduceInto(tensor.New(64), x)
 					return nil
 				})
 				if err != nil {

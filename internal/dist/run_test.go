@@ -57,9 +57,9 @@ func TestRunMeshTrafficClaims(t *testing.T) {
 		tpc, fc, dpc := m.TPComm(rank), m.FSDPComm(rank), m.DPComm(rank)
 		for s := 0; s < steps; s++ {
 			tpc.SetPhase("forward")
-			tpc.AllGather(tensor.Full(float64(rank), 4))
+			tpc.AllGatherEach(tensor.Full(float64(rank), 4), func(int, *tensor.Tensor) {})
 			fc.SetPhase("forward")
-			fc.AllGatherConcat(tensor.Full(1, 4), 0)
+			fc.AllGatherEach(tensor.Full(1, 4), func(int, *tensor.Tensor) {})
 			dpc.SetPhase("dp-sync")
 			grads := []*tensor.Tensor{tensor.Full(float64(rank), 8)}
 			dpc.AllReduce(grads, grads, 1/float64(spec.DP)) // the mean, in place

@@ -42,10 +42,10 @@ func TestRunMeshAxisWireSecondsTrackAnalytic(t *testing.T) {
 		// One TP AllReduce (activation sync), one FSDP AllGather + one
 		// FSDP ReduceScatter (parameter gather + gradient shard), one DP
 		// AllReduce (gradient sync) — a miniature training step.
-		m.Comm(AxisTP, rank).AllReduceSum(tensor.Ones(tpElems))
-		m.Comm(AxisFSDP, rank).AllGatherConcat(tensor.Ones(fsElems), 0)
+		m.Comm(AxisTP, rank).AllReduceInto(tensor.New(tpElems), tensor.Ones(tpElems))
+		m.Comm(AxisFSDP, rank).AllGatherEach(tensor.Ones(fsElems), func(int, *tensor.Tensor) {})
 		m.Comm(AxisFSDP, rank).ReduceScatterSum(tensor.Ones(2, fsElems), 0)
-		m.Comm(AxisDP, rank).AllReduceSum(tensor.Ones(dpElems))
+		m.Comm(AxisDP, rank).AllReduceInto(tensor.New(dpElems), tensor.Ones(dpElems))
 		return nil
 	})
 	if err != nil {
@@ -121,7 +121,7 @@ func TestRunMeshSpotCheckScalesWithBytes(t *testing.T) {
 	run := func(elems int) [NumAxes]float64 {
 		mesh, err := RunMesh(spec, topo, func(rank int, m *Mesh) error {
 			for a := Axis(0); a < numAxes; a++ {
-				m.Comm(a, rank).AllReduceSum(tensor.Ones(elems))
+				m.Comm(a, rank).AllReduceInto(tensor.New(elems), tensor.Ones(elems))
 			}
 			return nil
 		})

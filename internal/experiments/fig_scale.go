@@ -116,7 +116,7 @@ func runFig15() Result {
 	for _, s := range fig15Configs() {
 		if s.World() != 16 {
 			// Normalize every configuration to 16 GCDs with DP.
-			s.DP = 16 / (s.TP * maxInt(s.FSDP, 1))
+			s.DP = 16 / (s.TP * max(s.FSDP, 1))
 			if s.DP < 1 {
 				continue
 			}
@@ -179,11 +179,4 @@ func runFig16() Result {
 	}
 	t.Note("paper: Hybrid D-CHAG sustains more than 2x the baseline throughput as batch size scales to 1,024 GPUs (up to +239%%)")
 	return Result{ID: "fig16", Title: "Performance as batch size scales", Tables: []*Table{t}}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

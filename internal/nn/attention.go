@@ -155,13 +155,13 @@ func (c *AttentionCore) Backward(dctx *tensor.Tensor, s *PooledGrads) (dq, dk, d
 	s.dA = tensor.EnsureShape(s.dA, c.attn.Shape...)
 	tensor.BatchedMatMulTInto(tensor.MatView(s.dA), gv, tensor.HeadView(c.v, c.Heads), 1) // [N,H,Tq,Tk]
 	s.dv = tensor.EnsureShape(s.dv, c.v.Shape...)
-	tensor.BatchedTMatMulInto(tensor.HeadView(s.dv, c.Heads), av, gv, 1)
+	tensor.BatchedTMatMulInto(tensor.HeadView(s.dv, c.Heads), av, gv, 1, nil)
 	tensor.SoftmaxBackwardLastDimInto(s.dA, c.attn, s.dA)
 	dS := tensor.MatView(s.dA)
 	s.dq = tensor.EnsureShape(s.dq, c.q.Shape...)
 	tensor.BatchedMatMulInto(tensor.HeadView(s.dq, c.Heads), dS, tensor.HeadView(c.k, c.Heads), c.scale())
 	s.dk = tensor.EnsureShape(s.dk, c.k.Shape...)
-	tensor.BatchedTMatMulInto(tensor.HeadView(s.dk, c.Heads), dS, tensor.HeadView(c.q, c.Heads), c.scale())
+	tensor.BatchedTMatMulInto(tensor.HeadView(s.dk, c.Heads), dS, tensor.HeadView(c.q, c.Heads), c.scale(), nil)
 	return s.dq, s.dk, s.dv
 }
 

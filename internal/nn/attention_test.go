@@ -51,6 +51,7 @@ func splitMergeAttention(q, k, v, dctx *tensor.Tensor, heads int) (ctx, dq, dk, 
 	scale := 1 / math.Sqrt(float64(q.Shape[2]/heads))
 	tq, tk, dh := q.Shape[1], k.Shape[1], q.Shape[2]/heads
 	qh, kh, vh := splitHeads(q, heads), splitHeads(k, heads), splitHeads(v, heads)
+	tmm := func(dst, a, b tensor.View, alpha float64) { tensor.BatchedTMatMulInto(dst, a, b, alpha, nil) }
 	scores := batched(tensor.BatchedMatMulTInto, qh, kh, tq, tk)
 	tensor.ScaleInPlace(scores, scale)
 	attn := tensor.SoftmaxLastDimInto(nil, scores)
@@ -58,11 +59,11 @@ func splitMergeAttention(q, k, v, dctx *tensor.Tensor, heads int) (ctx, dq, dk, 
 
 	dch := splitHeads(dctx, heads)
 	dA := batched(tensor.BatchedMatMulTInto, dch, vh, tq, tk)
-	dvh := batched(tensor.BatchedTMatMulInto, attn, dch, tk, dh)
+	dvh := batched(tmm, attn, dch, tk, dh)
 	dS := tensor.SoftmaxBackwardLastDimInto(nil, attn, dA)
 	tensor.ScaleInPlace(dS, scale)
 	dqh := batched(tensor.BatchedMatMulInto, dS, kh, tq, dh)
-	dkh := batched(tensor.BatchedTMatMulInto, dS, qh, tk, dh)
+	dkh := batched(tmm, dS, qh, tk, dh)
 	return ctx, mergeHeads(dqh), mergeHeads(dkh), mergeHeads(dvh)
 }
 

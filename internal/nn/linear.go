@@ -157,7 +157,7 @@ func (l *Linear) BackwardTo(dx, grad, acc *tensor.Tensor) *tensor.Tensor {
 }
 
 // backwardTo is BackwardTo summing dW's rows in the pieces ends gives
-// (tensor.TMatMulAccSplitInto); nil ends is one product.
+// (tensor.TMatMulAccInto); nil ends is one product.
 func (l *Linear) backwardTo(dx, grad, acc *tensor.Tensor, ends []int) *tensor.Tensor {
 	l.accumGrads(grad, ends)
 	dx = tensor.EnsureShape(dx, l.g.Shape[0], l.In)
@@ -174,7 +174,7 @@ func (l *Linear) accumGrads(grad *tensor.Tensor, ends []int) {
 		panic("nn: Linear.Backward before Forward")
 	}
 	l.g = foldInto(l.g, grad)
-	tensor.TMatMulAccSplitInto(l.Weight.Grad, l.x, l.g, ends)
+	tensor.TMatMulAccInto(l.Weight.Grad, l.x, l.g, ends)
 	if l.Bias != nil {
 		tensor.AccumRows(l.Bias.Grad.Data, l.g.Data, l.Out, l.g.Shape[0], nil)
 	}

@@ -283,7 +283,7 @@ func (p *PatchEmbed) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 		tensor.AccumRows(p.Bias.Grad.Data[c*e:][:e], p.dy.Data, e, rows, nil)
 		// dW_c += col^T @ dY, accumulated straight into the gradient slice.
-		tensor.TMatMulAccInto(p.channelView(&p.gv, p.Weight.Grad, c), p.channelCols(p.col, c), p.dy)
+		tensor.TMatMulAccInto(p.channelView(&p.gv, p.Weight.Grad, c), p.channelCols(p.col, c), p.dy, nil)
 		// dCol = dY @ W_c^T, then col2im back onto the image gradient.
 		tensor.MatMulTInto(p.dcol, p.dy, p.channelView(&p.wv, p.Weight.W, c)) // [rows, P*P]
 		p.col2im(p.dcol.Data, p.dimg, c, p.offs)

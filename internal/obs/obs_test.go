@@ -190,8 +190,8 @@ func TestCommObserverTracesCollectives(t *testing.T) {
 		c.SetObserver(NewCommObserver(tr.Rank(c.Rank()), CommCat("tp")))
 		x := tensor.FromSlice([]float64{1, 2, 3, 4}, 4)
 		c.Barrier()
-		c.AllReduceSum(x)
-		c.AllGather(x)
+		c.AllReduceInto(tensor.New(4), x)
+		c.AllGatherEach(x, func(int, *tensor.Tensor) {})
 		c.ReduceScatterSum(x, 0)
 		c.Broadcast(x, 0, func(*tensor.Tensor) {})
 		return nil

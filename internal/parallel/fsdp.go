@@ -57,11 +57,18 @@ func NewFSDP(c *comm.Communicator, params []*nn.Param) *FSDP {
 func (f *FSDP) ShardParams() []*nn.Param { return f.shards }
 
 // GatherParams materializes the full parameters from all ranks' shards
-// (the pre-forward AllGather of the FSDP flow).
+// (the pre-forward AllGather of the FSDP flow): rank r's shard lands in the
+// live parameter at r·chunk, its padding past the end dropped.
+//
+// dchag:hotpath
 func (f *FSDP) GatherParams() {
 	for i, p := range f.Live {
-		full := f.Comm.AllGatherConcat(f.shards[i].W, 0)
-		copy(p.W.Data, full.Data[:p.Numel()])
+		chunk := f.shards[i].Numel()
+		f.Comm.AllGatherEach(f.shards[i].W, func(r int, part *tensor.Tensor) {
+			if lo := r * chunk; lo < p.Numel() {
+				copy(p.W.Data[lo:], part.Data)
+			}
+		})
 	}
 }
 
@@ -75,7 +82,7 @@ func (f *FSDP) ReduceScatterGrads() {
 		copy(flat.Data, p.Grad.Data)
 		shardGrad := f.Comm.ReduceScatterSum(flat, 0)
 		tensor.ScaleInPlace(shardGrad, 1/float64(n))
-		f.shards[i].Grad.CopyFrom(shardGrad)
+		copy(f.shards[i].Grad.Data, shardGrad.Data)
 	}
 }
 

@@ -354,6 +354,36 @@ func TestFSDPPaddingNonDivisible(t *testing.T) {
 	}
 }
 
+// TestFSDPGatherParamsDoesNotAllocate pins the gather over the callers' own
+// buffers: a warm GatherParams writes every rank's shard straight into the
+// live parameters and allocates nothing. At two ranks rank 0 counts while
+// rank 1 gathers in step with it; the count is process-wide, so it covers
+// both ranks.
+func TestFSDPGatherParamsDoesNotAllocate(t *testing.T) {
+	const runs = 10
+	for _, world := range []int{1, 2} {
+		var allocs float64
+		_, err := comm.Run(world, func(c *comm.Communicator) error {
+			f := NewFSDP(c, nn.NewLinear("m", 8, 6, 1).Params())
+			f.GatherParams()
+			if c.Rank() == 0 {
+				allocs = testing.AllocsPerRun(runs, f.GatherParams)
+				return nil
+			}
+			for i := 0; i <= runs; i++ { // AllocsPerRun's warm-up call, then its runs
+				f.GatherParams()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("%d ranks: a warm GatherParams allocates %.1f times per call, want 0", world, allocs)
+		}
+	}
+}
+
 func TestParallelModuleParamCounts(t *testing.T) {
 	// Shard parameter counts must sum (over the group) to the serial counts,
 	// with replicated parameters (row biases, norms) counted once per rank.

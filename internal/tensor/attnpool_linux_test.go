@@ -129,7 +129,7 @@ func (c *oracleCore) scoreGrads() (dq, dk, dv *Tensor) {
 	c.dq = EnsureShape(c.dq, c.q.Shape...)
 	BatchedMatMulInto(HeadView(c.dq, c.Heads), dS, HeadView(c.k, c.Heads), scale)
 	c.dk = EnsureShape(c.dk, c.k.Shape...)
-	BatchedTMatMulInto(HeadView(c.dk, c.Heads), dS, HeadView(c.q, c.Heads), scale)
+	BatchedTMatMulInto(HeadView(c.dk, c.Heads), dS, HeadView(c.q, c.Heads), scale, nil)
 	return c.dq, c.dk, c.dv
 }
 

@@ -57,7 +57,7 @@ const (
 )
 
 // DepthSplits writes into dst[:0] and returns the piece ends
-// TMatMulAccSplitInto takes to reproduce, over compacted rows, a product
+// TMatMulAccInto takes to reproduce, over compacted rows, a product
 // whose depth ran over every row of a batch: compacted row r is row
 // locs[r/w]*w + r%w of that product (w rows per location, locs ascending),
 // and a piece ends wherever the next compacted row lies in another of its

@@ -68,7 +68,7 @@ func BenchmarkGEMMTransposed(b *testing.B) {
 	b.Run("TMatMulAccInto", func(b *testing.B) {
 		b.SetBytes(flops)
 		for i := 0; i < b.N; i++ {
-			TMatMulAccInto(dst, a, bb)
+			TMatMulAccInto(dst, a, bb, nil)
 		}
 	})
 }
@@ -144,10 +144,10 @@ var gemmShapes = []gemmShape{
 	{name: "vit_context_f32", op: "BatchedMatMulF32Into", batch: 8, m: 64, k: 64, n: 8},
 	{name: "fold", op: "MatMulInto", batch: 1, m: 80, k: 32, n: 32},
 	{name: "fold_qkv", op: "BatchedAffineInto", batch: 16, m: 64, k: 4, n: 32, group: 16, epilogue: "bias"},
-	{name: "fold_bwd_g", op: "BatchedTMatMulSplitInto", batch: 16, m: 4, k: 64, n: 32, group: 16},
+	{name: "fold_bwd_g", op: "BatchedTMatMulInto", batch: 16, m: 4, k: 64, n: 32, group: 16},
 	{name: "fold_bwd_dw", op: "TMatMulAccInto", batch: 1, m: 32, k: 80, n: 32},
 	{name: "fold_bwd_dwtok", op: "MatMulTInto", batch: 1, m: 80, k: 32, n: 32},
-	{name: "lin_bwd_g", op: "BatchedTMatMulSplitInto", batch: 20, m: 4, k: 128, n: 64, group: 20, shared: true},
+	{name: "lin_bwd_g", op: "BatchedTMatMulInto", batch: 20, m: 4, k: 128, n: 64, group: 20, shared: true},
 }
 
 // shapeStep builds the operands of one shape and returns the call that runs
@@ -170,7 +170,7 @@ func shapeStep(sh gemmShape) func() {
 			return func() { MatMulTInto(dst, a, b) }
 		case "TMatMulAccInto":
 			dst, a, b := New(sh.m, sh.n), Randn(rng, sh.k, sh.m), Randn(rng, sh.k, sh.n)
-			return func() { TMatMulAccInto(dst, a, b) }
+			return func() { TMatMulAccInto(dst, a, b, nil) }
 		}
 	}
 	if sh.group > 0 {
@@ -180,12 +180,12 @@ func shapeStep(sh gemmShape) func() {
 		case "BatchedAffineInto": // Q_c [N,E] = P_c [N,P²] @ Ŵ_c [P²,E] + β̂_c
 			dst, a, b, bias := cols(sh.m, sh.n), mats(sh.m, sh.k), mats(sh.k, sh.n), Randn(rng, sh.group, sh.n).Data
 			return func() { BatchedAffineInto(dst, a, b, 1, bias) }
-		case "BatchedTMatMulSplitInto": // G_c [P²,E] = P_c [N,P²]^T @ dQ_c [N,E], or @ d [N,E] shared
+		case "BatchedTMatMulInto": // G_c [P²,E] = P_c [N,P²]^T @ dQ_c [N,E], or @ d [N,E] shared
 			dst, a, b := mats(sh.m, sh.n), mats(sh.k, sh.m), cols(sh.k, sh.n)
 			if sh.shared {
 				b = RepeatView(Randn(rng, sh.k, sh.n), sh.group)
 			}
-			return func() { BatchedTMatMulSplitInto(dst, a, b, 1, nil) }
+			return func() { BatchedTMatMulInto(dst, a, b, 1, nil) }
 		}
 		panic(fmt.Sprintf("tensor: no runner for shape %+v", sh))
 	}
@@ -213,7 +213,7 @@ func shapeStep(sh gemmShape) func() {
 		return func() { BatchedMatMulF32Into(dst, a, b, 1) }
 	case "BatchedTMatMulInto": // dv [Tk,Dh] = attn [Tq,Tk]^T @ dctx [Tq,Dh]
 		dst, a, b := head(sh.m, sh.n), maps(sh.k, sh.m), head(sh.k, sh.n)
-		return func() { BatchedTMatMulInto(dst, a, b, 1) }
+		return func() { BatchedTMatMulInto(dst, a, b, 1, nil) }
 	}
 	panic(fmt.Sprintf("tensor: no runner for shape %+v", sh))
 }

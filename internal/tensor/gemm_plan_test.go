@@ -259,7 +259,7 @@ func TestProductsSteadyStateAllocs(t *testing.T) {
 			"MatMulInto":            func() { MatMulInto(d, x, w) },
 			"MatMulTInto":           func() { MatMulTInto(d, x, wT) },
 			"TMatMulInto":           func() { TMatMulInto(d, xT, w) },
-			"TMatMulAccInto":        func() { TMatMulAccInto(d, xT, w) },
+			"TMatMulAccInto":        func() { TMatMulAccInto(d, xT, w, nil) },
 			"MatMulF32Into":         func() { MatMulF32Into(d, x, w) },
 			"AffineInto":            func() { AffineInto(d.Data, n, x, w, false, Epilogue{Bias: bias, Res: res.Data, ResLd: n}) },
 			"AffineInto^T":          func() { AffineInto(d.Data, n, x, wT, true, Epilogue{Res: res.Data[:n]}) },
@@ -268,7 +268,7 @@ func TestProductsSteadyStateAllocs(t *testing.T) {
 			"AccumRows weighted":    func() { AccumRows(bias, res.Data, n, m, res.Data[:m]) },
 			"BatchedMatMulInto":     func() { BatchedMatMulInto(dv, xv, wv, 0.5) },
 			"BatchedMatMulTInto":    func() { BatchedMatMulTInto(dv, xv, wTv, 0.5) },
-			"BatchedTMatMulInto":    func() { BatchedTMatMulInto(dv, xTv, wv, 0.5) },
+			"BatchedTMatMulInto":    func() { BatchedTMatMulInto(dv, xTv, wv, 0.5, nil) },
 			"BatchedMatMulF32Into":  func() { BatchedMatMulF32Into(dv, xv, wv, 0.5) },
 			"BatchedMatMulTF32Into": func() { BatchedMatMulTF32Into(dv, xv, wTv, 0.5) },
 		} {

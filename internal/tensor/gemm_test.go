@@ -135,7 +135,7 @@ var productEntries = []productEntry{
 	{name: "MatMulInto", call: func(d, a, b *matBatch, _ float64, _ Epilogue) { MatMulInto(d.mat2D(), a.mat2D(), b.mat2D()) }},
 	{name: "MatMulTInto", bt: true, call: func(d, a, b *matBatch, _ float64, _ Epilogue) { MatMulTInto(d.mat2D(), a.mat2D(), b.mat2D()) }},
 	{name: "TMatMulInto", at: true, call: func(d, a, b *matBatch, _ float64, _ Epilogue) { TMatMulInto(d.mat2D(), a.mat2D(), b.mat2D()) }},
-	{name: "TMatMulAccInto", at: true, accum: true, call: func(d, a, b *matBatch, _ float64, _ Epilogue) { TMatMulAccInto(d.mat2D(), a.mat2D(), b.mat2D()) }},
+	{name: "TMatMulAccInto", at: true, accum: true, call: func(d, a, b *matBatch, _ float64, _ Epilogue) { TMatMulAccInto(d.mat2D(), a.mat2D(), b.mat2D(), nil) }},
 	{name: "MatMulF32Into", f32: true, call: func(d, a, b *matBatch, _ float64, _ Epilogue) { MatMulF32Into(d.mat2D(), a.mat2D(), b.mat2D()) }},
 	{name: "AffineInto bias+rows", ep: epBoth, call: func(d, a, b *matBatch, _ float64, ep Epilogue) {
 		AffineInto(d.t.Data, d.cols, a.mat2D(), b.mat2D(), false, ep)
@@ -154,12 +154,12 @@ var productEntries = []productEntry{
 	}},
 	{name: "BatchedMatMulInto", batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedMatMulInto(d.view, a.view, b.view, al) }},
 	{name: "BatchedMatMulTInto", bt: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedMatMulTInto(d.view, a.view, b.view, al) }},
-	{name: "BatchedTMatMulInto", at: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedTMatMulInto(d.view, a.view, b.view, al) }},
+	{name: "BatchedTMatMulInto", at: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedTMatMulInto(d.view, a.view, b.view, al, nil) }},
 	{name: "BatchedAffineInto bias", batched: true, ep: epBias, call: func(d, a, b *matBatch, al float64, ep Epilogue) {
 		BatchedAffineInto(d.view, a.view, b.view, al, memberRows(ep.Bias, a.n*a.h))
 	}},
-	{name: "BatchedTMatMulSplitInto", at: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) {
-		BatchedTMatMulSplitInto(d.view, a.view, b.view, al, everyRowSplits(a.rows))
+	{name: "BatchedTMatMulInto split", at: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) {
+		BatchedTMatMulInto(d.view, a.view, b.view, al, everyRowSplits(a.rows))
 	}},
 	{name: "BatchedMatMulF32Into", f32: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) { BatchedMatMulF32Into(d.view, a.view, b.view, al) }},
 	{name: "BatchedMatMulTF32Into", bt: true, f32: true, batched: true, call: func(d, a, b *matBatch, al float64, _ Epilogue) {
@@ -434,11 +434,11 @@ func TestBatchedViewsSteadyStateAllocs(t *testing.T) {
 	step := func() {
 		BatchedMatMulTInto(MatView(scores), HeadView(q, 4), HeadView(k, 4), 0.5)
 		BatchedMatMulInto(HeadView(ctx, 4), MatView(scores), HeadView(k, 4), 1)
-		BatchedTMatMulInto(HeadView(ctx, 4), MatView(scores), HeadView(q, 4), 1)
+		BatchedTMatMulInto(HeadView(ctx, 4), MatView(scores), HeadView(q, 4), 1, nil)
 		BatchedMatMulTF32Into(MatView(scores), HeadView(q, 4), HeadView(k, 4), 0.5)
 		BatchedMatMulF32Into(HeadView(ctx, 4), MatView(scores), HeadView(k, 4), 1)
 		BatchedAffineInto(HeadView(ctx, 4), MatView(scores), HeadView(k, 4), 1, bias)
-		BatchedTMatMulSplitInto(HeadView(ctx, 4), MatView(scores), HeadView(q, 4), 1, ends)
+		BatchedTMatMulInto(HeadView(ctx, 4), MatView(scores), HeadView(q, 4), 1, ends)
 	}
 	step()
 	if n := testing.AllocsPerRun(10, step); n != 0 {

@@ -91,7 +91,7 @@ func TestBatchedBitwiseEqualsPerMatrix(t *testing.T) {
 		}{
 			{"BatchedMatMulInto", BatchedMatMulInto, MatMulInto, a, b},
 			{"BatchedMatMulTInto", BatchedMatMulTInto, MatMulTInto, a, bt},
-			{"BatchedTMatMulInto", BatchedTMatMulInto, TMatMulInto, at, b},
+			{"BatchedTMatMulInto", func(d, a, b View, al float64) { BatchedTMatMulInto(d, a, b, al, nil) }, TMatMulInto, at, b},
 			{"BatchedMatMulF32Into", BatchedMatMulF32Into, MatMulF32Into, a, b},
 		} {
 			got := dirty(2, 3, m, n)
@@ -118,7 +118,6 @@ func TestIntoBitwiseElementwise(t *testing.T) {
 	assertBitwise(t, "SoftmaxBackwardLastDimInto", SoftmaxBackwardLastDimInto(dirty(7, 33), y, b), SoftmaxBackwardLastDimInto(nil, y, b))
 	assertBitwise(t, "SumAxisInto", SumAxisInto(dirty(33), a, 0), SumAxisInto(nil, a, 0))
 	assertBitwise(t, "Transpose2DInto", Transpose2DInto(dirty(33, 7), a), Transpose2D(a))
-	assertBitwise(t, "ConcatInto", ConcatInto(dirty(14, 33), 0, a, b), Concat(0, a, b))
 	assertBitwise(t, "SliceAxisInto", SliceAxisInto(dirty(7, 10), a, 1, 3, 13), SliceAxis(a, 1, 3, 13))
 }
 
@@ -151,7 +150,7 @@ func TestIntoShapeValidation(t *testing.T) {
 	b := New(6, 5)
 	assertPanics(t, func() { MatMulInto(New(4, 4), a, b) })
 	assertPanics(t, func() { AddInto(New(4, 5), a, a) })
-	assertPanics(t, func() { TMatMulAccInto(nil, a, a) })
+	assertPanics(t, func() { TMatMulAccInto(nil, a, a, nil) })
 }
 
 // TestTMatMulAccInto pins the accumulate variant: dst += a^T@b.
@@ -165,7 +164,7 @@ func TestTMatMulAccInto(t *testing.T) {
 		base := New(m, n)
 		fill(base, 2.5)
 		got := base.Clone()
-		TMatMulAccInto(got, a, b)
+		TMatMulAccInto(got, a, b, nil)
 		prod := TMatMulInto(nil, a, b)
 		// Accumulating into a non-zero base folds the additions in a
 		// different order than base + product, so compare to rounding.

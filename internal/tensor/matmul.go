@@ -129,36 +129,29 @@ func TMatMulInto(dst, a, b *Tensor) *Tensor {
 
 // TMatMulAccInto accumulates dst += a^T @ b with a non-nil dst — the shape
 // of a weight-gradient update, writing straight into the gradient buffer.
+// nil ends is one product. Otherwise the depth (the rows of a and b) is
+// summed in the pieces [0, ends[0]), [ends[0], ends[1]), ... in order, each
+// one kc block: a piece's chain is added to dst before the next piece
+// starts. Over rows compacted from a longer product, with ends from
+// DepthSplits, the pieces are that product's blocks less their dropped
+// rows, so where the dropped rows' b is zero the bits are its.
 //
 // dchag:hotpath — it performs no heap allocation.
-func TMatMulAccInto(dst, a, b *Tensor) {
+func TMatMulAccInto(dst, a, b *Tensor, ends []int) {
 	if dst == nil {
 		panic("tensor: TMatMulAccInto requires a non-nil dst")
 	}
-	product[float64]("TMatMulAccInto", dst, a, b, true, false, true)
-}
-
-// TMatMulAccSplitInto is TMatMulAccInto summing the depth (the rows of a and
-// b) in the pieces [0, ends[0]), [ends[0], ends[1]), ... in order, each one
-// kc block: a piece's chain is added to dst before the next piece starts.
-// Over rows compacted from a longer product, with ends from DepthSplits, the
-// pieces are that product's blocks less their dropped rows, so where the
-// dropped rows' b is zero the bits are its. nil ends is TMatMulAccInto.
-//
-// dchag:hotpath — a compacted pass's weight gradients; it performs no heap
-// allocation.
-func TMatMulAccSplitInto(dst, a, b *Tensor, ends []int) {
 	if ends == nil {
-		TMatMulAccInto(dst, a, b)
+		product[float64]("TMatMulAccInto", dst, a, b, true, false, true)
 		return
 	}
-	if dst == nil || len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[0] != b.Shape[0] {
-		panic("tensor: TMatMulAccSplitInto wants dst += a^T@b over a [K,M], b [K,N]")
+	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[0] != b.Shape[0] {
+		panic("tensor: TMatMulAccInto wants dst += a^T@b over a [K,M], b [K,N]")
 	}
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	ensureDst("TMatMulAccSplitInto", dst, m, n)
-	mustNotAlias("TMatMulAccSplitInto", dst, a, b)
-	mustPieces("TMatMulAccSplitInto", ends, k)
+	ensureDst("TMatMulAccInto", dst, m, n)
+	mustNotAlias("TMatMulAccInto", dst, a, b)
+	mustPieces("TMatMulAccInto", ends, k)
 	lo := 0
 	for _, hi := range ends {
 		gemm2D[float64](&gemmSpec{
@@ -363,7 +356,7 @@ func (v *View) next(c *viewCursor) []float64 {
 // batched is the entry shared by the batched products: per batch member,
 // dst = alpha*op(a)@op(b), plus member i's bias row bias[i*n:(i+1)*n] when
 // bias is non-nil, with the depth summed in the pieces ends gives (see
-// TMatMulAccSplitInto; nil is one product). The three views must agree on
+// TMatMulAccInto; nil is one product). The three views must agree on
 // the batch count and dst's backing slice must not overlap an operand's.
 //
 // dchag:hotpath — every attention product; it performs no heap allocation
@@ -480,11 +473,15 @@ func BatchedMatMulTInto(dst, a, b View, alpha float64) {
 
 // BatchedTMatMulInto computes dst = alpha * a^T@b per batch member: a is
 // [K,M], b is [K,N], dst is [M,N]. This is the gradient product scores^T @
-// dOut of the attention backward pass.
+// dOut of the attention backward pass. nil ends is one product per member;
+// otherwise each member's depth (the rows of a and b) is summed in the
+// pieces ends gives, in order, each at most kc deep, as TMatMulAccInto does:
+// over rows compacted from a longer product, with ends from DepthSplits,
+// the pieces are that product's kc blocks less their dropped rows.
 //
 // dchag:hotpath — it performs no heap allocation.
-func BatchedTMatMulInto(dst, a, b View, alpha float64) {
-	batched[float64]("BatchedTMatMulInto", dst, a, b, true, false, alpha, nil, nil)
+func BatchedTMatMulInto(dst, a, b View, alpha float64, ends []int) {
+	batched[float64]("BatchedTMatMulInto", dst, a, b, true, false, alpha, nil, ends)
 }
 
 // BatchedAffineInto computes dst = alpha * a@b + bias per batch member: a is
@@ -496,16 +493,4 @@ func BatchedTMatMulInto(dst, a, b View, alpha float64) {
 // dchag:hotpath — it performs no heap allocation.
 func BatchedAffineInto(dst, a, b View, alpha float64, bias []float64) {
 	batched[float64]("BatchedAffineInto", dst, a, b, false, false, alpha, bias, nil)
-}
-
-// BatchedTMatMulSplitInto is BatchedTMatMulInto summing each member's depth
-// (the rows of a and b) in the pieces [0, ends[0]), [ends[0], ends[1]), ...
-// in order, each at most kc deep, as TMatMulAccSplitInto does: over rows
-// compacted from a longer product, with ends from DepthSplits, the pieces
-// are that product's kc blocks less their dropped rows. nil ends is
-// BatchedTMatMulInto.
-//
-// dchag:hotpath — it performs no heap allocation.
-func BatchedTMatMulSplitInto(dst, a, b View, alpha float64, ends []int) {
-	batched[float64]("BatchedTMatMulSplitInto", dst, a, b, true, false, alpha, nil, ends)
 }

@@ -229,70 +229,6 @@ func SoftmaxBackwardLastDimInto(dst, y, gy *Tensor) *Tensor {
 	return dst
 }
 
-// concatShape validates Concat operands and returns (axis, result shape).
-func concatShape(axis int, ts []*Tensor) (int, []int) {
-	if len(ts) == 0 {
-		panic("tensor: Concat of zero tensors")
-	}
-	first := ts[0]
-	if axis < 0 {
-		axis += len(first.Shape)
-	}
-	if axis < 0 || axis >= len(first.Shape) {
-		panic(fmt.Sprintf("tensor: Concat axis out of range for shape %v", first.Shape))
-	}
-	total := 0
-	for _, t := range ts {
-		if len(t.Shape) != len(first.Shape) {
-			panic("tensor: Concat rank mismatch")
-		}
-		for i := range t.Shape {
-			if i != axis && t.Shape[i] != first.Shape[i] {
-				panic(fmt.Sprintf("tensor: Concat shape mismatch %v vs %v on axis %d", t.Shape, first.Shape, i))
-			}
-		}
-		total += t.Shape[axis]
-	}
-	outShape := append([]int(nil), first.Shape...)
-	outShape[axis] = total
-	return axis, outShape
-}
-
-// ConcatInto joins tensors along the given axis into dst and returns dst.
-// All inputs must agree on every other dimension; dst must not alias any
-// input. Reshard and micro-batch assembly paths pass pooled destinations so
-// steady-state assembly stops allocating.
-//
-// dchag:hotpath — with a non-nil dst it allocates only the shape header.
-func ConcatInto(dst *Tensor, axis int, ts ...*Tensor) *Tensor {
-	axis, outShape := concatShape(axis, ts)
-	dst = ensureDst("ConcatInto", dst, outShape...)
-	mustNotAlias("ConcatInto", dst, ts...)
-	first := ts[0]
-	outer := 1
-	for _, d := range first.Shape[:axis] {
-		outer *= d
-	}
-	inner := 1
-	for _, d := range first.Shape[axis+1:] {
-		inner *= d
-	}
-	outRow := outShape[axis] * inner
-	off := 0
-	for _, t := range ts {
-		rows := t.Shape[axis] * inner
-		for o := 0; o < outer; o++ {
-			copy(dst.Data[o*outRow+off:o*outRow+off+rows], t.Data[o*rows:(o+1)*rows])
-		}
-		off += rows
-	}
-	return dst
-}
-
-// Concat joins tensors along the given axis; the allocating wrapper over
-// ConcatInto.
-func Concat(axis int, ts ...*Tensor) *Tensor { return ConcatInto(nil, axis, ts...) }
-
 // SplitEqual partitions t into n equal chunks along axis, each a fresh
 // copy. The axis extent must be divisible by n.
 func SplitEqual(t *Tensor, axis, n int) []*Tensor {

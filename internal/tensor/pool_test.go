@@ -124,7 +124,7 @@ func TestMatMulIntoSteadyStateAllocs(t *testing.T) {
 		{"MatMulInto", func() { MatMulInto(dst, a, b) }},
 		{"MatMulTInto", func() { MatMulTInto(dst, a, bt) }},
 		{"TMatMulInto", func() { TMatMulInto(dst, at, b) }},
-		{"TMatMulAccInto", func() { TMatMulAccInto(acc, at, b) }},
+		{"TMatMulAccInto", func() { TMatMulAccInto(acc, at, b, nil) }},
 		{"MatMulF32Into", func() { MatMulF32Into(dst, a, b) }},
 		{"AddInto", func() { AddInto(dst, dst, dst) }},
 		{"SoftmaxLastDimInto", func() { SoftmaxLastDimInto(dst, dst) }},

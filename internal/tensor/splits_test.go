@@ -37,7 +37,7 @@ func TestDepthSplitsReproduceTheWholeProduct(t *testing.T) {
 			}
 			want := Randn(rng, c.m, c.n)
 			got := want.Clone()
-			TMatMulAccInto(want, a, b)
+			TMatMulAccInto(want, a, b, nil)
 			ends := DepthSplits(nil, keep, c.w)
 			lo := 0
 			for _, hi := range ends {
@@ -49,7 +49,7 @@ func TestDepthSplitsReproduceTheWholeProduct(t *testing.T) {
 			if lo != len(keep)*c.w {
 				t.Fatalf("%+v: pieces end at %d of %d rows", c, lo, len(keep)*c.w)
 			}
-			TMatMulAccSplitInto(got, ca, cb, ends)
+			TMatMulAccInto(got, ca, cb, ends)
 			for i := range got.Data {
 				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 					t.Fatalf("%+v: element %d is %v, the whole product's %v", c, i, got.Data[i], want.Data[i])
@@ -116,8 +116,8 @@ func TestBatchedSplitReproducesTheWholeProduct(t *testing.T) {
 				copy(cdx.Data[i*c.g*c.n:][:c.g*c.n], dx.Data[l*c.g*c.n:])
 			}
 			want, got := New(c.g, c.m, c.n), New(c.g, c.m, c.n)
-			BatchedTMatMulInto(MatView(want), MatView(p), HeadView(dx, c.g), 1)
-			BatchedTMatMulSplitInto(MatView(got), MatView(cp), HeadView(cdx, c.g), 1, DepthSplits(nil, keep, 1))
+			BatchedTMatMulInto(MatView(want), MatView(p), HeadView(dx, c.g), 1, nil)
+			BatchedTMatMulInto(MatView(got), MatView(cp), HeadView(cdx, c.g), 1, DepthSplits(nil, keep, 1))
 			assertBitwise(t, fmt.Sprintf("%+v", c), got, want)
 		}
 	})
@@ -156,9 +156,9 @@ func TestBatchedSplitOverARepeatedOperand(t *testing.T) {
 				copy(cd.Data[i*c.n:][:c.n], d.Data[l*c.n:])
 			}
 			want, whole, got := New(c.g, c.m, c.n), New(c.g, c.m, c.n), New(c.g, c.m, c.n)
-			BatchedTMatMulInto(MatView(want), MatView(p), MatView(copies), 1)
-			BatchedTMatMulInto(MatView(whole), MatView(p), RepeatView(d, c.g), 1)
-			BatchedTMatMulSplitInto(MatView(got), MatView(cp), RepeatView(cd, c.g), 1, DepthSplits(nil, keep, 1))
+			BatchedTMatMulInto(MatView(want), MatView(p), MatView(copies), 1, nil)
+			BatchedTMatMulInto(MatView(whole), MatView(p), RepeatView(d, c.g), 1, nil)
+			BatchedTMatMulInto(MatView(got), MatView(cp), RepeatView(cd, c.g), 1, DepthSplits(nil, keep, 1))
 			assertBitwise(t, fmt.Sprintf("%+v whole", c), whole, want)
 			assertBitwise(t, fmt.Sprintf("%+v compacted", c), got, want)
 		}

@@ -112,14 +112,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// CopyFrom copies src's elements into t. Shapes must match exactly.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if !SameShape(t, src) {
-		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %v vs %v", t.Shape, src.Shape))
-	}
-	copy(t.Data, src.Data)
-}
-
 // Reshape returns a tensor that shares t's data with a new shape. One
 // dimension may be -1, in which case it is inferred. It panics if the
 // element counts differ.

@@ -253,7 +253,7 @@ func TestBatchedMatMulTAndTMatMul(t *testing.T) {
 	c := Randn(rng, 3, 5, 4)
 	d := Randn(rng, 3, 5, 6)
 	got2 := New(3, 4, 6)
-	BatchedTMatMulInto(MatView(got2), MatView(c), MatView(d), 1)
+	BatchedTMatMulInto(MatView(got2), MatView(c), MatView(d), 1, nil)
 	for bi := 0; bi < 3; bi++ {
 		cm := FromSlice(c.Data[bi*20:(bi+1)*20], 5, 4)
 		dm := FromSlice(d.Data[bi*30:(bi+1)*30], 5, 6)
@@ -352,32 +352,40 @@ func dot(a, b *Tensor) float64 {
 	return s
 }
 
+// TestConcatSplitRoundTrip joins pieces of differing width along a middle
+// axis with SetSliceAxis; SliceAxis recovers each piece.
 func TestConcatSplitRoundTrip(t *testing.T) {
 	rng := NewRNG(8)
 	a := Randn(rng, 2, 3, 4)
 	b := Randn(rng, 2, 5, 4)
 	c := Randn(rng, 2, 1, 4)
-	joined := Concat(1, a, b, c)
-	if joined.Shape[1] != 9 {
-		t.Fatalf("Concat shape = %v", joined.Shape)
-	}
+	joined := New(2, 9, 4)
+	SetSliceAxis(joined, 1, 0, a)
+	SetSliceAxis(joined, 1, 3, b)
+	SetSliceAxis(joined, 1, 8, c)
 	if MaxAbsDiff(SliceAxis(joined, 1, 0, 3), a) != 0 || MaxAbsDiff(SliceAxis(joined, 1, 3, 8), b) != 0 || MaxAbsDiff(SliceAxis(joined, 1, 8, 9), c) != 0 {
-		t.Fatal("slicing does not invert Concat")
+		t.Fatal("slicing does not invert the SetSliceAxis join")
 	}
 }
 
+// TestConcatAxis0AndLast joins along the outer axis and along the last one,
+// named by a negative axis.
 func TestConcatAxis0AndLast(t *testing.T) {
 	a := FromSlice([]float64{1, 2}, 1, 2)
 	b := FromSlice([]float64{3, 4}, 1, 2)
-	c0 := Concat(0, a, b)
-	if c0.Shape[0] != 2 || c0.Data[2] != 3 {
-		t.Fatalf("Concat axis 0 = %v %v", c0.Shape, c0.Data)
+	c0 := New(2, 2)
+	SetSliceAxis(c0, 0, 0, a)
+	SetSliceAxis(c0, 0, 1, b)
+	if c0.Data[2] != 3 || c0.Data[3] != 4 {
+		t.Fatalf("join along axis 0 = %v", c0.Data)
 	}
-	c1 := Concat(-1, a, b)
+	c1 := New(1, 4)
+	SetSliceAxis(c1, -1, 0, a)
+	SetSliceAxis(c1, -1, 2, b)
 	want := []float64{1, 2, 3, 4}
 	for i, w := range want {
 		if c1.Data[i] != w {
-			t.Fatalf("Concat axis -1 = %v", c1.Data)
+			t.Fatalf("join along axis -1 = %v", c1.Data)
 		}
 	}
 }
@@ -422,9 +430,10 @@ func TestSliceConcatRoundTripProperty(t *testing.T) {
 		n := 2 + int(rng.Int31n(6))
 		a := Randn(rng, 3, n, 2)
 		cut := 1 + int(rng.Int31n(int32(n-1)))
-		left := SliceAxis(a, 1, 0, cut)
-		right := SliceAxis(a, 1, cut, n)
-		return MaxAbsDiff(Concat(1, left, right), a) == 0
+		joined := New(3, n, 2)
+		SetSliceAxis(joined, 1, 0, SliceAxis(a, 1, 0, cut))
+		SetSliceAxis(joined, 1, cut, SliceAxis(a, 1, cut, n))
+		return MaxAbsDiff(joined, a) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -476,16 +485,6 @@ func TestStringTruncates(t *testing.T) {
 	if len(s) > 200 {
 		t.Fatalf("String too long: %q", s)
 	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	a := New(2, 2)
-	b := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	a.CopyFrom(b)
-	if a.At(1, 1) != 4 {
-		t.Fatal("CopyFrom failed")
-	}
-	assertPanics(t, func() { a.CopyFrom(New(3)) })
 }
 
 func TestZeroAndFill(t *testing.T) {

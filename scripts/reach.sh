@@ -41,13 +41,7 @@ internal/core: DistTokenizer.Backward         the paper baseline, waits on ROADM
 internal/core: DistTokenizer.Params           the paper baseline, waits on ROADMAP item 1
 internal/parallel: NewFSDP                    the FSDP axis, waits on ROADMAP item 6
 internal/parallel: FSDP.ZeroGrads             the FSDP axis, waits on ROADMAP item 6
-internal/comm: Communicator.AllGatherConcat   called only by DistTokenizer and FSDP
-internal/comm: Communicator.AllGather         called only by AllGatherConcat
 internal/comm: Communicator.ReduceScatterSum  called only by FSDP
-internal/comm: Communicator.AllReduceSum      helper that other packages tests import
-internal/tensor: Concat                       called only by AllGatherConcat
-internal/tensor: ConcatInto                   called only by Concat
-internal/tensor: Tensor.CopyFrom              called only by FSDP
 internal/dist: MeshError.Unwrap               called by errors.Is and errors.As
 internal/analysis: importerFunc.Import        called by go/types through types.Importer
 internal/comm: Traffic.BytesFor               probe the tests pin the paper traffic claims with
